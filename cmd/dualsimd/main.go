@@ -61,18 +61,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"dualsim"
 	"dualsim/internal/buildinfo"
 	"dualsim/internal/cluster"
-	"dualsim/internal/debugserver"
-	"dualsim/internal/httplog"
 	"dualsim/internal/metrics"
 	"dualsim/internal/persist"
 	"dualsim/internal/server"
@@ -295,89 +289,13 @@ func serverOptions(cfg daemonConfig) []server.Option {
 	return opts
 }
 
-// openAccessLog resolves the -accesslog flag ("-" means stdout). The
-// returned closer is a no-op for stdout.
-func openAccessLog(path string) (*os.File, func(), error) {
-	if path == "-" {
-		return os.Stdout, func() {}, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { _ = f.Close() }, nil // shutdown-path close; nothing left to ack
-}
-
-// serveAndDrain listens, serves until ctx cancels or a termination
-// signal arrives, then drains and runs the final hook (checkpoint for a
-// durable primary, replication stop for a replica).
+// serveAndDrain hands the server to the shared listen/serve/drain loop
+// with the daemon's flags.
 func serveAndDrain(ctx context.Context, cfg daemonConfig, srv *server.Server, logw *os.File, ready chan<- string, final func() error) error {
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(logw, "dualsimd: listening on http://%s\n", ln.Addr())
-
-	// The debug surface (pprof, slow-query log) binds its own listener so
-	// it is never routable from the serving address.
-	if cfg.debugAddr != "" {
-		dln, err := net.Listen("tcp", cfg.debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		dbg := &http.Server{Handler: debugserver.Mux(map[string]http.Handler{
-			"/v1/debug/slow":       srv,
-			"/v1/debug/statements": srv,
-		})}
-		go dbg.Serve(dln)
-		defer func() { _ = dbg.Close() }() // debug surface only; serving drain is handled below
-		fmt.Fprintf(logw, "dualsimd: debug surface on http://%s\n", dln.Addr())
-	}
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	var handler http.Handler = srv
-	if cfg.accessLog != "" {
-		w, closeLog, err := openAccessLog(cfg.accessLog)
-		if err != nil {
-			return fmt.Errorf("access log: %w", err)
-		}
-		defer closeLog()
-		handler = httplog.New(w).Wrap(srv)
-	}
-	hs := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		return err // Serve never returns nil
-	case <-sigctx.Done():
-	}
-
-	// Drain: flip /readyz to 503 so load balancers stop routing here,
-	// then let http.Server.Shutdown wait out in-flight requests (bounded
-	// by the grace period). Liveness stays green the whole way down.
-	fmt.Fprintf(logw, "dualsimd: draining (grace %v)\n", cfg.drainTimeout)
-	srv.StartDrain()
-	dctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	if final != nil {
-		if err := final(); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(logw, "dualsimd: drained, bye\n")
-	return nil
+	return srv.Serve(ctx, server.Listen{
+		Name: "dualsimd", Addr: cfg.addr, DebugAddr: cfg.debugAddr,
+		AccessLog: cfg.accessLog, DrainTimeout: cfg.drainTimeout,
+	}, logw, ready, final)
 }
 
 // openSession boots the database. A -data dir that already holds state

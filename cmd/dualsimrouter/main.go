@@ -14,7 +14,9 @@
 // within -maxlag epochs of the shard's freshest known epoch, failing
 // over when an endpoint dies mid-request.
 //
-// Endpoints (see internal/cluster/router for routing semantics):
+// Endpoints — the protocol core's (internal/server, admission control
+// with 429 + Retry-After included) over the routing backend (see
+// internal/cluster/router for its semantics):
 //
 //	POST /v1/query    scattered query; ?stream=1 for NDJSON rows
 //	POST /v1/batch    each member routed independently
@@ -31,21 +33,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"dualsim/internal/buildinfo"
 	"dualsim/internal/cluster/router"
-	"dualsim/internal/debugserver"
-	"dualsim/internal/httplog"
+	"dualsim/internal/server"
 )
 
 func main() {
@@ -135,10 +131,10 @@ func run(ctx context.Context, cfg routerConfig, logw *os.File, ready chan<- stri
 		router.WithProbeEvery(cfg.probeEvery),
 	}
 	if cfg.timeout > 0 {
-		opts = append(opts, router.WithDefaultTimeout(cfg.timeout))
+		opts = append(opts, router.WithProtocol(server.WithDefaultTimeout(cfg.timeout)))
 	}
 	if cfg.slowLog > 0 {
-		opts = append(opts, router.WithSlowQueryLog(cfg.slowLog, cfg.slowThreshold))
+		opts = append(opts, router.WithProtocol(server.WithSlowQueryLog(cfg.slowLog, cfg.slowThreshold)))
 	}
 	rt, err := router.New(cfg.shards, opts...)
 	if err != nil {
@@ -153,71 +149,8 @@ func run(ctx context.Context, cfg routerConfig, logw *os.File, ready chan<- stri
 	rt.Probe(probeCtx)
 	go rt.Run(probeCtx)
 
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(logw, "dualsimrouter: listening on http://%s\n", ln.Addr())
-
-	// Debug surface on its own listener, mirroring dualsimd.
-	if cfg.debugAddr != "" {
-		dln, err := net.Listen("tcp", cfg.debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug listener: %w", err)
-		}
-		dbg := &http.Server{Handler: debugserver.Mux(map[string]http.Handler{"/v1/debug/slow": rt.Handler()})}
-		go dbg.Serve(dln)
-		defer dbg.Close()
-		fmt.Fprintf(logw, "dualsimrouter: debug surface on http://%s\n", dln.Addr())
-	}
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	var handler http.Handler = rt.Handler()
-	if cfg.accessLog != "" {
-		w, closeLog, err := openAccessLog(cfg.accessLog)
-		if err != nil {
-			return fmt.Errorf("access log: %w", err)
-		}
-		defer closeLog()
-		handler = httplog.New(w).Wrap(handler)
-	}
-	hs := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		return err // Serve never returns nil
-	case <-sigctx.Done():
-	}
-
-	fmt.Fprintf(logw, "dualsimrouter: draining (grace %v)\n", cfg.drainTimeout)
-	rt.StartDrain()
-	dctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintf(logw, "dualsimrouter: drained, bye\n")
-	return nil
-}
-
-// openAccessLog resolves the -accesslog flag ("-" means stdout). The
-// returned closer is a no-op for stdout.
-func openAccessLog(path string) (*os.File, func(), error) {
-	if path == "-" {
-		return os.Stdout, func() {}, nil
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
+	return rt.Serve(ctx, server.Listen{
+		Name: "dualsimrouter", Addr: cfg.addr, DebugAddr: cfg.debugAddr,
+		AccessLog: cfg.accessLog, DrainTimeout: cfg.drainTimeout,
+	}, logw, ready, nil)
 }

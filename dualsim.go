@@ -63,22 +63,19 @@
 //	res, stats, _ := pq.Exec(ctx) // prune + evaluate; reusable, concurrent
 //	fmt.Println(res.Len(), stats.PrunedRatio())
 //
-// The pre-session one-shot helpers (DualSimulate, Prune, Evaluate) are
-// kept as deprecated wrappers over a default session. Pattern-graph
-// level dual simulation (NewPattern/SimulatePattern), strong simulation
-// and the fingerprint index are exposed alongside (see extensions.go).
+// The pipeline's stages are also callable one at a time on a session
+// (db.DualSimulate, db.Prune, db.Evaluate). Pattern-graph level dual
+// simulation (NewPattern/db.SimulatePattern), strong simulation and the
+// fingerprint index are exposed alongside (see extensions.go).
 package dualsim
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"dualsim/internal/bitmat"
 	"dualsim/internal/core"
 	"dualsim/internal/engine"
 	"dualsim/internal/rdf"
-	"dualsim/internal/soi"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
 )
@@ -182,46 +179,6 @@ func (k EngineKind) engine() engine.Engine {
 // String returns the engine's report name.
 func (k EngineKind) String() string { return k.engine().Name() }
 
-// Evaluate computes the solution mappings of q over st under the formal
-// set semantics.
-//
-// Deprecated: open a session and execute through it instead — Open(st,
-// WithEngine(kind), WithPruning(false)), then db.Exec or
-// Prepare/Exec(ctx) for cancellation and plan reuse. Evaluate runs one
-// uncancellable evaluation on a throwaway session.
-func Evaluate(st *Store, q *Query, kind EngineKind) (*Result, error) {
-	if err := requireStore(st); err != nil {
-		return nil, err
-	}
-	db, err := Open(st, WithEngine(kind), WithPruning(false))
-	if err != nil {
-		return nil, err
-	}
-	return db.Evaluate(context.Background(), st, q)
-}
-
-// Options configure the dual simulation solver (paper §3.3).
-//
-// Deprecated: sessions replace the flat option struct — configure Open
-// with functional options (WithStrategy, WithWorkers, …), or import an
-// existing Options value wholesale via WithOptions.
-type Options struct {
-	// Strategy selects the ×b evaluation: AutoStrategy (the popcount
-	// heuristic), RowWiseStrategy or ColWiseStrategy.
-	Strategy Strategy
-	// DeclarationOrder disables the sparsest-first inequality ordering.
-	DeclarationOrder bool
-	// PlainInit disables the summary-vector initialization (13).
-	PlainInit bool
-	// Compressed solves on gap-length encoded matrices.
-	Compressed bool
-	// ShortCircuit stops as soon as the query is proven unsatisfiable.
-	ShortCircuit bool
-	// Workers > 1 parallelizes the bit-matrix multiplications over that
-	// many goroutines.
-	Workers int
-}
-
 // Strategy selects the bit-matrix multiplication strategy.
 type Strategy int
 
@@ -233,25 +190,6 @@ const (
 	// ColWiseStrategy always probes candidate columns.
 	ColWiseStrategy
 )
-
-func (o Options) config() core.Config {
-	cfg := core.Config{
-		PlainInit:    o.PlainInit,
-		Compressed:   o.Compressed,
-		ShortCircuit: o.ShortCircuit,
-		Workers:      o.Workers,
-	}
-	switch o.Strategy {
-	case RowWiseStrategy:
-		cfg.Strategy = bitmat.RowWise
-	case ColWiseStrategy:
-		cfg.Strategy = bitmat.ColWise
-	}
-	if o.DeclarationOrder {
-		cfg.Order = soi.DeclarationOrder
-	}
-	return cfg
-}
 
 // Stats reports solver effort. JSON tags are part of the serving wire
 // format (see ExecStats).
@@ -303,24 +241,7 @@ func (r *Relation) Stats() Stats {
 	}
 }
 
-// DualSimulate computes the largest dual simulation between the query and
-// the store (Sect. 3–4 of the paper): a sound overapproximation of the
-// query's matches, per variable.
-//
-// Deprecated: use a session — Open(st, WithOptions(opts)) followed by
-// db.DualSimulate(ctx, q) — for cancellation and configuration reuse.
-func DualSimulate(st *Store, q *Query, opts Options) (*Relation, error) {
-	if err := requireStore(st); err != nil {
-		return nil, err
-	}
-	db, err := Open(st, WithOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return db.DualSimulate(context.Background(), q)
-}
-
-// errString guards exported wrappers against nil stores.
+// requireStore guards the exported entry points against nil stores.
 func requireStore(st *Store) error {
 	if st == nil {
 		return fmt.Errorf("dualsim: nil store")

@@ -2,6 +2,7 @@ package dualsim_test
 
 import (
 	"bytes"
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -19,15 +20,28 @@ func fig1a(t *testing.T) *dualsim.Store {
 	return st
 }
 
+// open starts a session over st that closes with the test.
+func open(t *testing.T, st *dualsim.Store, opts ...dualsim.Option) *dualsim.DB {
+	t.Helper()
+	db, err := dualsim.Open(st, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
 func TestPublicAPIQuickstart(t *testing.T) {
 	st := fig1a(t)
 	q, err := dualsim.ParseQuery(queries.QueryX1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	db := open(t, st, dualsim.WithEngine(dualsim.HashJoin))
 
 	// 1. Dual simulation: candidate sets.
-	rel, err := dualsim.DualSimulate(st, q, dualsim.Options{})
+	rel, err := db.DualSimulate(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +61,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 
 	// 2. Pruning: 16 of 20 triples disqualified.
-	p, err := dualsim.Prune(st, q, dualsim.Options{})
+	p, err := db.Prune(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +73,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 
 	// 3. Evaluation, full vs. pruned: identical results.
-	full, err := dualsim.Evaluate(st, q, dualsim.HashJoin)
+	full, err := db.Evaluate(ctx, st, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := dualsim.Evaluate(p.Store(), q, dualsim.IndexNL)
+	pruned, err := open(t, st, dualsim.WithEngine(dualsim.IndexNL)).Evaluate(ctx, p.Store(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +113,7 @@ func TestPublicAPIPattern(t *testing.T) {
 	if p.IsCyclic() {
 		t.Fatal("pattern is acyclic")
 	}
-	rel, err := dualsim.SimulatePattern(st, p, dualsim.Options{})
+	rel, err := open(t, st).SimulatePattern(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,20 +129,20 @@ func TestPublicAPIPattern(t *testing.T) {
 func TestPublicAPIAllOptions(t *testing.T) {
 	st := fig1a(t)
 	q := dualsim.MustParseQuery(queries.QueryX2)
-	variants := []dualsim.Options{
+	variants := [][]dualsim.Option{
 		{},
-		{Strategy: dualsim.RowWiseStrategy},
-		{Strategy: dualsim.ColWiseStrategy},
-		{DeclarationOrder: true},
-		{PlainInit: true},
-		{Compressed: true},
-		{ShortCircuit: true},
-		{Workers: 4},
-		{Workers: 4, Strategy: dualsim.ColWiseStrategy},
+		{dualsim.WithStrategy(dualsim.RowWiseStrategy)},
+		{dualsim.WithStrategy(dualsim.ColWiseStrategy)},
+		{dualsim.WithDeclarationOrder()},
+		{dualsim.WithPlainInit()},
+		{dualsim.WithCompressed()},
+		{dualsim.WithShortCircuit()},
+		{dualsim.WithWorkers(4)},
+		{dualsim.WithWorkers(4), dualsim.WithStrategy(dualsim.ColWiseStrategy)},
 	}
 	var baselineCount int
 	for i, opts := range variants {
-		rel, err := dualsim.DualSimulate(st, q, opts)
+		rel, err := open(t, st, opts...).DualSimulate(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +152,7 @@ func TestPublicAPIAllOptions(t *testing.T) {
 			continue
 		}
 		if c != baselineCount {
-			t.Fatalf("options %+v changed the relation: %d vs %d", opts, c, baselineCount)
+			t.Fatalf("option variant %d changed the relation: %d vs %d", i, c, baselineCount)
 		}
 	}
 }
@@ -207,10 +221,10 @@ func TestPublicAPIGenerators(t *testing.T) {
 
 func TestPublicAPINilStore(t *testing.T) {
 	q := dualsim.MustParseQuery(`SELECT * WHERE { ?s <p> ?o }`)
-	if _, err := dualsim.Prune(nil, q, dualsim.Options{}); err == nil {
+	if _, err := dualsim.Open(nil); err == nil {
 		t.Fatal("nil store accepted")
 	}
-	if _, err := dualsim.SimulatePattern(nil, dualsim.NewPattern(), dualsim.Options{}); err == nil {
+	if _, err := open(t, fig1a(t)).Evaluate(context.Background(), nil, q); err == nil {
 		t.Fatal("nil store accepted")
 	}
 	if _, err := dualsim.RequiredTriples(nil, q, dualsim.HashJoin); err == nil {

@@ -59,16 +59,16 @@ func ExampleDB_Exec() {
 	// evaluate: 6 -> 4
 }
 
-// ExampleDualSimulate computes the candidate sets of the paper's query
-// (X1): directors with a movie and a coworker. (DualSimulate is the
-// deprecated one-shot form of DB.DualSimulate.)
-func ExampleDualSimulate() {
-	st := movieGraph()
+// ExampleDB_DualSimulate computes the candidate sets of the paper's
+// query (X1): directors with a movie and a coworker.
+func ExampleDB_DualSimulate() {
+	db, _ := dualsim.Open(movieGraph())
+	defer db.Close()
 	q := dualsim.MustParseQuery(`SELECT * WHERE {
 	  ?director <directed> ?movie .
 	  ?director <worked_with> ?coworker . }`)
 
-	rel, _ := dualsim.DualSimulate(st, q, dualsim.Options{})
+	rel, _ := db.DualSimulate(context.Background(), q)
 	var names []string
 	for _, t := range rel.Candidates("director") {
 		names = append(names, t.Value)
@@ -78,46 +78,53 @@ func ExampleDualSimulate() {
 	// Output: [B._De_Palma G._Hamilton]
 }
 
-// ExamplePrune reduces the database to the triples that can participate
-// in a match.
-func ExamplePrune() {
+// ExampleDB_Prune reduces the database to the triples that can
+// participate in a match.
+func ExampleDB_Prune() {
 	st := movieGraph()
+	db, _ := dualsim.Open(st, dualsim.WithEngine(dualsim.HashJoin))
+	defer db.Close()
+	ctx := context.Background()
 	q := dualsim.MustParseQuery(`SELECT * WHERE {
 	  ?director <directed> ?movie .
 	  ?director <worked_with> ?coworker . }`)
 
-	p, _ := dualsim.Prune(st, q, dualsim.Options{})
+	p, _ := db.Prune(ctx, q)
 	fmt.Printf("%d of %d triples survive\n", p.Kept(), p.Total())
 
-	full, _ := dualsim.Evaluate(st, q, dualsim.HashJoin)
-	pruned, _ := dualsim.Evaluate(p.Store(), q, dualsim.HashJoin)
+	full, _ := db.Evaluate(ctx, st, q)
+	pruned, _ := db.Evaluate(ctx, p.Store(), q)
 	fmt.Println("identical results:", full.Equal(pruned))
 	// Output:
 	// 4 of 6 triples survive
 	// identical results: true
 }
 
-// ExampleEvaluate runs an OPTIONAL query under the formal set semantics.
-func ExampleEvaluate() {
+// ExampleDB_Evaluate runs an OPTIONAL query under the formal set
+// semantics, without the pruning stage.
+func ExampleDB_Evaluate() {
 	st := movieGraph()
+	db, _ := dualsim.Open(st, dualsim.WithEngine(dualsim.IndexNL))
+	defer db.Close()
 	q := dualsim.MustParseQuery(`SELECT * WHERE {
 	  ?director <directed> ?movie .
 	  OPTIONAL { ?director <worked_with> ?coworker . } }`)
 
-	res, _ := dualsim.Evaluate(st, q, dualsim.IndexNL)
+	res, _ := db.Evaluate(context.Background(), st, q)
 	fmt.Println("rows:", res.Len())
 	// Output: rows: 4
 }
 
-// ExampleSimulatePattern uses the pattern-graph API directly, without
-// SPARQL.
-func ExampleSimulatePattern() {
-	st := movieGraph()
+// ExampleDB_SimulatePattern uses the pattern-graph API directly,
+// without SPARQL.
+func ExampleDB_SimulatePattern() {
+	db, _ := dualsim.Open(movieGraph())
+	defer db.Close()
 	p := dualsim.NewPattern().
 		Edge("director", "directed", "movie").
 		Edge("director", "worked_with", "coworker")
 
-	rel, _ := dualsim.SimulatePattern(st, p, dualsim.Options{})
+	rel, _ := db.SimulatePattern(context.Background(), p)
 	fmt.Println("movies:", len(rel.Candidates("movie")))
 	// Output: movies: 2
 }

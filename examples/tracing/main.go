@@ -103,7 +103,7 @@ func main() {
 	}
 
 	// The router in front, its own slow-query ring enabled.
-	rt, err := router.New(shardURLs, router.WithSlowQueryLog(16, 0))
+	rt, err := router.New(shardURLs, router.WithProtocol(server.WithSlowQueryLog(16, 0)))
 	if err != nil {
 		log.Fatal(err)
 	}

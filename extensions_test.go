@@ -1,6 +1,7 @@
 package dualsim_test
 
 import (
+	"context"
 	"testing"
 
 	"dualsim"
@@ -46,7 +47,7 @@ func TestStrongSimulatePublicAPI(t *testing.T) {
 		}
 	}
 	// But plain dual simulation does include p4.
-	rel, err := dualsim.SimulatePattern(st, p, dualsim.Options{})
+	rel, err := open(t, st).SimulatePattern(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFingerprintPublicAPI(t *testing.T) {
 	p := dualsim.NewPattern().
 		Edge("student", "ub:advisor", "prof").
 		Edge("prof", "ub:worksFor", "dept")
-	exact, err := dualsim.SimulatePattern(st, p, dualsim.Options{})
+	exact, err := open(t, st).SimulatePattern(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

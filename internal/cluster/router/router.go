@@ -1,16 +1,13 @@
-// Package router implements the scatter-gather front end of a sharded
-// dualsimd cluster (cmd/dualsimrouter). It speaks the same wire
-// protocol as a single dualsimd, so clients cannot tell a cluster from
-// one node:
+// Package router is the scatter-gather backend of a sharded dualsimd
+// cluster (cmd/dualsimrouter). It implements server.Backend, so the
+// protocol core of internal/server serves it exactly like a single
+// dualsimd — same routes, same admission control, same error mapping —
+// and clients cannot tell a cluster from one node. What lives here is
+// routing only: probing, endpoint choice, push-down, gather, merge,
+// delta splitting and aggregation, plus the one route a single node
+// does not have:
 //
-//	POST /v1/query    scatter to the owning shards, merge, answer
-//	POST /v1/batch    each member routed independently
-//	POST /v1/apply    delta split by predicate placement, applied per shard
-//	GET  /v1/snapshot aggregated epoch + store shape
 //	GET  /v1/cluster  per-shard endpoint health, epochs, latencies
-//	GET  /healthz     router liveness
-//	GET  /readyz      503 until every shard has a routable endpoint
-//	GET  /metrics     router + per-endpoint series
 //
 // # Routing correctness
 //
@@ -38,6 +35,9 @@
 // the shard epochs that answered — per-shard reads are individually
 // epoch-consistent, and X-Dualsim-Epoch reports the freshest of them.
 //
+// EXPLAIN is forwarded when the whole query pushes down to one shard;
+// a scattered query has no single plan and is refused with 400.
+//
 // # Replica routing
 //
 // Reads load-balance round-robin over a shard's caught-up endpoints:
@@ -49,11 +49,10 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,31 +61,25 @@ import (
 
 	"dualsim"
 	"dualsim/client"
-	"dualsim/internal/buildinfo"
 	"dualsim/internal/cluster"
 	"dualsim/internal/metrics"
+	"dualsim/internal/server"
 	"dualsim/internal/sparql"
 	qstats "dualsim/internal/stats"
-	"dualsim/internal/storage"
 	"dualsim/internal/trace"
 	"dualsim/internal/wire"
 )
 
-// maxBodyBytes mirrors the dualsimd request-body bound.
-const maxBodyBytes = 64 << 20
+// probeTimeout bounds one /readyz probe round-trip.
+const probeTimeout = 2 * time.Second
 
 // Option configures a Router.
 type Option func(*config) error
 
 type config struct {
-	maxLag         uint64
-	probeEvery     time.Duration
-	probeTimeout   time.Duration
-	defaultTimeout time.Duration
-	registry       *metrics.Registry
-	clientOpts     []client.Option
-	slowLogSize    int
-	slowThreshold  time.Duration
+	maxLag     uint64
+	probeEvery time.Duration
+	protocol   []server.Option
 }
 
 // WithMaxLag sets the bounded-staleness routing threshold: a replica
@@ -111,62 +104,12 @@ func WithProbeEvery(d time.Duration) Option {
 	}
 }
 
-// WithProbeTimeout bounds one /readyz probe round-trip (default 2s).
-func WithProbeTimeout(d time.Duration) Option {
+// WithProtocol hands settings to the protocol core the router is served
+// by: server.WithDefaultTimeout, WithSlowQueryLog, WithRegistry, the
+// admission bounds. They are defined once, in internal/server.
+func WithProtocol(opts ...server.Option) Option {
 	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("router: probe timeout must be positive, got %v", d)
-		}
-		c.probeTimeout = d
-		return nil
-	}
-}
-
-// WithDefaultTimeout bounds requests without their own timeoutMs
-// (default: unbounded).
-func WithDefaultTimeout(d time.Duration) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("router: negative default timeout %v", d)
-		}
-		c.defaultTimeout = d
-		return nil
-	}
-}
-
-// WithRegistry shares a metrics registry instead of creating one.
-func WithRegistry(r *metrics.Registry) Option {
-	return func(c *config) error {
-		if r == nil {
-			return fmt.Errorf("router: nil metrics registry")
-		}
-		c.registry = r
-		return nil
-	}
-}
-
-// WithSlowQueryLog keeps the n most recent routed queries slower than
-// threshold in a ring served at GET /v1/debug/slow. Enabling the log
-// traces every query internally (so a slow entry carries its full
-// fan-out span tree), but the trace is only returned to callers that
-// asked for one. Default: off.
-func WithSlowQueryLog(n int, threshold time.Duration) Option {
-	return func(c *config) error {
-		if n <= 0 {
-			return fmt.Errorf("router: slow-query log size must be positive, got %d", n)
-		}
-		if threshold < 0 {
-			return fmt.Errorf("router: negative slow-query threshold %v", threshold)
-		}
-		c.slowLogSize, c.slowThreshold = n, threshold
-		return nil
-	}
-}
-
-// WithClientOptions forwards options to every shard connection.
-func WithClientOptions(opts ...client.Option) Option {
-	return func(c *config) error {
-		c.clientOpts = append(c.clientOpts, opts...)
+		c.protocol = append(c.protocol, opts...)
 		return nil
 	}
 }
@@ -183,7 +126,6 @@ type endpoint struct {
 	epoch     uint64
 	latencyMs float64
 	lastErr   string
-	probed    bool
 }
 
 func (e *endpoint) status() wire.EndpointStatus {
@@ -257,26 +199,17 @@ func (s *shard) pick(maxLag uint64) []*endpoint {
 	return up
 }
 
-// Router fans queries over the shards of one cluster. Construct with
-// New, start Probes (Run) and mount it as an http.Handler.
+// Router fans queries over the shards of one cluster: a server.Backend
+// with the protocol core that serves it embedded. Construct with New,
+// start probes (Run) and mount it as an http.Handler.
 type Router struct {
+	*server.Core
 	shards []*shard
 	cfg    config
-	mux    *http.ServeMux
-	reg    *metrics.Registry
-	slow   *trace.SlowLog
 
-	requests  *metrics.Counter
-	queries   *metrics.Counter
-	batches   *metrics.Counter
-	applies   *metrics.Counter
-	errors    *metrics.Counter
-	rows      *metrics.Counter
 	pushdowns *metrics.Counter
 	gathers   *metrics.Counter
 	failovers *metrics.Counter
-	draining  *metrics.Gauge
-	latency   *metrics.Histogram
 }
 
 // New builds a router over shardEndpoints: element i lists shard i's
@@ -286,43 +219,32 @@ func New(shardEndpoints [][]string, opts ...Option) (*Router, error) {
 	if len(shardEndpoints) == 0 {
 		return nil, fmt.Errorf("router: no shards")
 	}
-	cfg := config{
-		probeEvery:   time.Second,
-		probeTimeout: 2 * time.Second,
-	}
+	cfg := config{probeEvery: time.Second}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
 	}
-	reg := cfg.registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
+	r := &Router{cfg: cfg}
+	// A traced query gets a "router.fanout" root span; each branch hangs
+	// under it with its mode and, for push-downs, the shard's own subtree
+	// Continued under the same trace ID.
+	core, err := server.NewCore(r, "dualsimrouter", "router.fanout", cfg.protocol...)
+	if err != nil {
+		return nil, err
 	}
-	r := &Router{
-		cfg: cfg,
-		mux: http.NewServeMux(),
-		reg: reg,
-
-		requests:  reg.Counter("dualsimrouter_requests_total", "HTTP requests received"),
-		queries:   reg.Counter("dualsimrouter_queries_total", "queries routed (incl. batch members)"),
-		batches:   reg.Counter("dualsimrouter_batches_total", "batch requests routed"),
-		applies:   reg.Counter("dualsimrouter_applies_total", "apply requests split over shards"),
-		errors:    reg.Counter("dualsimrouter_errors_total", "requests answered with a non-2xx status"),
-		rows:      reg.Counter("dualsimrouter_rows_total", "merged result rows returned"),
-		pushdowns: reg.Counter("dualsimrouter_pushdowns_total", "single-shard branches pushed down verbatim"),
-		gathers:   reg.Counter("dualsimrouter_gathers_total", "cross-shard branches evaluated via data gather"),
-		failovers: reg.Counter("dualsimrouter_failovers_total", "reads failed over to another endpoint"),
-		draining:  reg.Gauge("dualsimrouter_draining", "1 while the router is draining for shutdown"),
-		latency:   reg.Histogram("dualsimrouter_request_seconds", "request latency", metrics.DefLatencyBuckets),
-	}
+	r.Core = core
+	reg := core.Registry()
+	r.pushdowns = reg.Counter("dualsimrouter_pushdowns_total", "single-shard branches pushed down verbatim")
+	r.gathers = reg.Counter("dualsimrouter_gathers_total", "cross-shard branches evaluated via data gather")
+	r.failovers = reg.Counter("dualsimrouter_failovers_total", "reads failed over to another endpoint")
 	for si, urls := range shardEndpoints {
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("router: shard %d has no endpoints", si)
 		}
 		sh := &shard{}
 		for ei, u := range urls {
-			c, err := client.New(u, cfg.clientOpts...)
+			c, err := client.New(u)
 			if err != nil {
 				return nil, fmt.Errorf("router: shard %d endpoint %q: %w", si, u, err)
 			}
@@ -339,22 +261,7 @@ func New(shardEndpoints [][]string, opts ...Option) (*Router, error) {
 	reg.GaugeFunc("dualsimrouter_shards", "shards this router fans over", func() float64 {
 		return float64(len(r.shards))
 	})
-	r.slow = trace.NewSlowLog(cfg.slowLogSize, cfg.slowThreshold)
-	bi := buildinfo.Get()
-	reg.InfoGauge("dualsim_build_info", "build identity of this binary (constant 1)", map[string]string{
-		"version": bi.Version, "revision": bi.Revision, "goversion": bi.GoVersion,
-	})
-
-	r.mux.HandleFunc("POST /v1/query", r.handleQuery)
-	r.mux.HandleFunc("POST /v1/batch", r.handleBatch)
-	r.mux.HandleFunc("POST /v1/apply", r.handleApply)
-	r.mux.HandleFunc("GET /v1/snapshot", r.handleSnapshot)
-	r.mux.HandleFunc("GET /v1/cluster", r.handleCluster)
-	r.mux.HandleFunc("GET /v1/debug/slow", r.handleSlow)
-	r.mux.HandleFunc("GET /v1/debug/statements", r.handleStatements)
-	r.mux.HandleFunc("GET /healthz", r.handleHealth)
-	r.mux.HandleFunc("GET /readyz", r.handleReady)
-	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
+	r.Handle("GET /v1/cluster", r.handleCluster)
 	return r, nil
 }
 
@@ -386,24 +293,6 @@ func registerEndpointGauges(reg *metrics.Registry, si, ei int, role string, ep *
 	})
 }
 
-// Handler returns the HTTP handler tree.
-func (r *Router) Handler() http.Handler { return r }
-
-// Registry returns the router's metrics registry.
-func (r *Router) Registry() *metrics.Registry { return r.reg }
-
-// StartDrain flips /readyz to 503 while requests keep being served —
-// the shutdown half of the readiness split, mirroring dualsimd.
-func (r *Router) StartDrain() { r.draining.Set(1) }
-
-// ServeHTTP implements http.Handler.
-func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	r.requests.Inc()
-	start := time.Now()
-	r.mux.ServeHTTP(w, req)
-	r.latency.Observe(time.Since(start).Seconds())
-}
-
 // ---------------------------------------------------------------------------
 // Probing
 
@@ -424,7 +313,7 @@ func (r *Router) Probe(ctx context.Context) {
 }
 
 func (r *Router) probeOne(ctx context.Context, ep *endpoint) {
-	pctx, cancel := context.WithTimeout(ctx, r.cfg.probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	start := time.Now()
 	resp, err := ep.c.Ready(pctx)
@@ -432,7 +321,7 @@ func (r *Router) probeOne(ctx context.Context, ep *endpoint) {
 
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	ep.probed, ep.latencyMs = true, lat
+	ep.latencyMs = lat
 	switch {
 	case err == nil:
 		ep.up, ep.ready, ep.epoch, ep.lastErr = true, true, resp.Epoch, ""
@@ -539,18 +428,6 @@ func (b *branchResult) applyLimit(limit, offset int) {
 	b.rows = b.rows[lo:hi]
 }
 
-// routedError carries an HTTP status through the execution path.
-type routedError struct {
-	status int
-	msg    string
-}
-
-func (e *routedError) Error() string { return e.msg }
-
-func failWith(status int, format string, args ...any) error {
-	return &routedError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
 // execQuery routes one query end-to-end: decompose, execute each branch
 // (push-down or gather), merge with union semantics. A LIMIT travels
 // with each branch — truncating a branch to limit+offset distinct rows
@@ -560,7 +437,7 @@ func failWith(status int, format string, args ...any) error {
 func (r *Router) execQuery(ctx context.Context, src string) (*branchResult, error) {
 	q, err := dualsim.ParseQuery(src)
 	if err != nil {
-		return nil, failWith(http.StatusBadRequest, "%v", err)
+		return nil, err
 	}
 	pushLimit := 0
 	if q.Limit > 0 {
@@ -604,7 +481,7 @@ func (r *Router) execQuery(ctx context.Context, src string) (*branchResult, erro
 func (r *Router) execBranch(ctx context.Context, b sparql.Expr, pushLimit int) (*branchResult, error) {
 	preds, hasVarPred := branchPreds(b)
 	if hasVarPred {
-		return nil, failWith(http.StatusBadRequest, "variable predicates are not supported")
+		return nil, server.Errorf(http.StatusBadRequest, "variable predicates are not supported")
 	}
 	src := "SELECT * WHERE " + b.String()
 	if pushLimit > 0 {
@@ -639,8 +516,52 @@ func (r *Router) execBranch(ctx context.Context, b sparql.Expr, pushLimit int) (
 	return r.gather(ctx, owners, src)
 }
 
+// onShard runs one read against shard si: the first routing candidate,
+// then one failover when the failure is the endpoint's (transport
+// error, 5xx) rather than the request's (4xx) or our own context
+// expiring. A failed endpoint is marked down until a probe revives it.
+func onShard[T any](ctx context.Context, r *Router, si int, call func(*endpoint) (T, error)) (T, error) {
+	var zero T
+	var lastErr error
+	for attempt, ep := range r.shards[si].pick(r.cfg.maxLag) {
+		if attempt > 1 { // first pick + one failover is enough
+			break
+		}
+		if attempt > 0 {
+			r.failovers.Inc()
+		}
+		out, err := call(ep)
+		if err == nil {
+			return out, nil
+		}
+		if ctx.Err() != nil {
+			return zero, ctx.Err()
+		}
+		lastErr = err
+		var ae *client.APIError
+		if errors.As(err, &ae) && ae.StatusCode < 500 {
+			break
+		}
+		ep.markDown(err)
+	}
+	return zero, shardFailure(si, lastErr)
+}
+
+// shardFailure maps a shard's terminal error onto the router's reply.
+func shardFailure(si int, err error) error {
+	if err == nil {
+		return server.Errorf(http.StatusServiceUnavailable, "shard %d has no live endpoint", si)
+	}
+	var ae *client.APIError
+	if errors.As(err, &ae) && ae.StatusCode < 500 {
+		// The shard judged the request itself; relay its verdict.
+		return server.Errorf(ae.StatusCode, "shard %d: %s", si, ae.Message)
+	}
+	return server.Errorf(http.StatusBadGateway, "shard %d: %v", si, err)
+}
+
 // pushDown sends the branch verbatim to the single shard owning all its
-// predicates, failing over across the shard's endpoints.
+// predicates.
 func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResult, error) {
 	// A traced fan-out propagates its identity on the wire: the shard
 	// Continues the trace under the same ID and ships its pipeline +
@@ -651,31 +572,19 @@ func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResul
 	if tp := sp.Traceparent(); tp != "" {
 		qopts = append(qopts, client.Trace(), client.Traceparent(tp))
 	}
-	var lastErr error
-	for attempt, ep := range r.shards[si].pick(r.cfg.maxLag) {
-		if attempt > 1 { // primary + one failover is enough
-			break
-		}
-		if attempt > 0 {
-			r.failovers.Inc()
-		}
+	return onShard(ctx, r, si, func(ep *endpoint) (*branchResult, error) {
 		out, err := ep.c.Query(ctx, src, qopts...)
-		if err == nil {
-			if sp != nil {
-				sp.SetAttr("endpoint", ep.url)
-				if out.Stats != nil {
-					sp.Attach(out.Stats.Trace)
-				}
+		if err != nil {
+			return nil, err
+		}
+		if sp != nil {
+			sp.SetAttr("endpoint", ep.url)
+			if out.Stats != nil {
+				sp.Attach(out.Stats.Trace)
 			}
-			return &branchResult{vars: out.Vars, rows: out.Rows, epoch: out.Epoch}, nil
 		}
-		lastErr = err
-		if !routableFailure(ctx, err) {
-			break
-		}
-		ep.markDown(err)
-	}
-	return nil, shardFailure(si, lastErr)
+		return &branchResult{vars: out.Vars, rows: out.Rows, epoch: out.Epoch}, nil
+	})
 }
 
 // gather exports each owning shard's predicate slices, assembles a
@@ -700,7 +609,9 @@ func (r *Router) gather(ctx context.Context, owners map[int][]string, src string
 		go func(k, si int) {
 			defer wg.Done()
 			e0 := time.Now()
-			out, err := r.exportFrom(ctx, si, owners[si])
+			out, err := onShard(ctx, r, si, func(ep *endpoint) (*wire.ExportResponse, error) {
+				return ep.c.Export(ctx, owners[si])
+			})
 			if err != nil {
 				errs[k] = err
 				return
@@ -731,92 +642,27 @@ func (r *Router) gather(ctx context.Context, owners map[int][]string, src string
 	return evalLocal(ctx, all, src, epoch)
 }
 
-// exportFrom fetches predicate slices from shard si with one failover.
-func (r *Router) exportFrom(ctx context.Context, si int, preds []string) (*wire.ExportResponse, error) {
-	var lastErr error
-	for attempt, ep := range r.shards[si].pick(r.cfg.maxLag) {
-		if attempt > 1 {
-			break
-		}
-		if attempt > 0 {
-			r.failovers.Inc()
-		}
-		out, err := ep.c.Export(ctx, preds)
-		if err == nil {
-			return out, nil
-		}
-		lastErr = err
-		if !routableFailure(ctx, err) {
-			break
-		}
-		ep.markDown(err)
-	}
-	return nil, shardFailure(si, lastErr)
-}
-
-// routableFailure reports whether a shard call failed in a way another
-// endpoint could fix (transport error, 5xx) — as opposed to a request
-// the whole cluster would reject (4xx) or our own context expiring.
-func routableFailure(ctx context.Context, err error) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		return ae.StatusCode >= 500
-	}
-	return true // transport-level: the endpoint, not the request
-}
-
-// shardFailure maps a shard's terminal error onto the router's reply.
-func shardFailure(si int, err error) error {
-	if err == nil {
-		return failWith(http.StatusServiceUnavailable, "shard %d has no live endpoint", si)
-	}
-	var ae *client.APIError
-	if errors.As(err, &ae) && ae.StatusCode < 500 {
-		// The shard judged the request itself; relay its verdict.
-		return failWith(ae.StatusCode, "shard %d: %s", si, ae.Message)
-	}
-	return failWith(http.StatusBadGateway, "shard %d: %v", si, err)
-}
-
 // evalLocal runs a branch over a scratch store through the ordinary
 // dualsim pipeline and decodes rows into wire form.
 func evalLocal(ctx context.Context, ts []dualsim.Triple, src string, epoch uint64) (*branchResult, error) {
 	st, err := dualsim.FromTriples(ts)
 	if err != nil {
-		return nil, failWith(http.StatusBadGateway, "assembling gather store: %v", err)
+		return nil, server.Errorf(http.StatusBadGateway, "assembling gather store: %v", err)
 	}
 	db, err := dualsim.Open(st)
 	if err != nil {
-		return nil, failWith(http.StatusBadGateway, "opening gather session: %v", err)
+		return nil, server.Errorf(http.StatusBadGateway, "opening gather session: %v", err)
 	}
 	defer db.Close()
 	res, _, err := db.Snapshot().Query(ctx, src)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, err
-		}
-		return nil, failWith(http.StatusBadRequest, "%v", err)
+		return nil, err
 	}
 	rows := make([][]*string, len(res.Rows))
 	for i, row := range res.Rows {
-		rows[i] = decodeRow(st, row)
+		rows[i] = server.DecodeRow(st, row)
 	}
 	return &branchResult{vars: append([]string{}, res.Vars...), rows: rows, epoch: epoch}, nil
-}
-
-func decodeRow(st *dualsim.Store, row []storage.NodeID) []*string {
-	out := make([]*string, len(row))
-	for i, v := range row {
-		if v == dualsim.Unbound {
-			continue
-		}
-		s := st.Term(v).String()
-		out[i] = &s
-	}
-	return out
 }
 
 // mergeUnion folds two branch results with the engine's union operator
@@ -878,248 +724,193 @@ func mergeUnion(l, r *branchResult) *branchResult {
 }
 
 // ---------------------------------------------------------------------------
-// Handlers
+// server.Backend
 
-func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	var qr wire.QueryRequest
-	if !r.decodeBody(w, req, &qr) {
-		return
-	}
-	if strings.TrimSpace(qr.Query) == "" {
-		r.fail(w, http.StatusBadRequest, "empty query")
-		return
-	}
-	r.queries.Inc()
-	ctx, cancel := r.requestContext(req, qr.TimeoutMs)
-	defer cancel()
-
-	// A traced request gets a "router.fanout" root span; each branch
-	// hangs under it with its mode and, for push-downs, the shard's own
-	// subtree Continued under the same trace ID. The slow-query log
-	// force-traces internally, but only explicit requests get the tree.
-	wantTrace, tp := traceWanted(req, qr.Trace)
-	var tr *trace.Trace
-	if wantTrace || r.slow.Enabled() {
-		if tp != "" {
-			tr = trace.Continue(tp, "router.fanout")
-		} else {
-			tr = trace.New("router.fanout")
-		}
-		ctx = trace.ContextWithSpan(ctx, tr.Root())
-		w.Header().Set("X-Dualsim-Trace", tr.ID())
-	}
-
+// Query routes one query and returns the merged rows. The stats are
+// synthesized — there is no single execution behind a scattered query:
+// epoch, duration and result count are the merge's, and the fingerprint
+// is the same normalized identity the shards computed, so the trailer
+// cross-references the merged /v1/debug/statements view.
+func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 	start := time.Now()
-	res, err := r.execQuery(ctx, qr.Query)
+	res, err := r.execQuery(ctx, src)
 	if err != nil {
-		r.failExec(w, err)
-		return
+		return nil, err
 	}
-	rows, truncated := res.rows, false
-	if qr.Limit > 0 && len(rows) > qr.Limit {
-		// Applied post-merge only: a pushed-down limit would cut rows a
-		// sibling branch's dedup or this merge still needed.
-		rows, truncated = rows[:qr.Limit], true
-	}
-	r.rows.Add(int64(len(rows)))
-	// The stats trailer is synthesized — there is no single execution
-	// behind a scattered query. Epoch/Duration/Results are the merge's.
-	// The fingerprint is the same normalized identity the shards
-	// computed, so the trailer cross-references the merged
-	// /v1/debug/statements view.
-	fprint := qstats.OfSource(qr.Query)
 	stats := &dualsim.ExecStats{
-		Epoch: res.epoch, Duration: time.Since(start), Results: len(rows),
-		Fingerprint: fprint.ID,
+		Epoch: res.epoch, Duration: time.Since(start), Results: len(res.rows),
+		Fingerprint: qstats.OfSource(src).ID,
 	}
-	if tr != nil {
-		tr.Root().End()
-		if wantTrace {
-			stats.Trace = tr.Root()
-		}
-		r.slow.Observe(trace.Entry{
-			Time: time.Now(), TraceID: tr.ID(), Query: qr.Query,
-			Fingerprint: fprint.ID,
-			Duration:    stats.Duration, Epoch: res.epoch, Status: http.StatusOK,
-			Trace: tr.Root(),
-		})
-	}
+	return server.Materialized(res.vars, len(res.rows), func(i int) []*string { return res.rows[i] }, stats), nil
+}
 
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(res.epoch, 10))
-	if wantsStream(req, qr) {
-		r.streamResult(w, res.vars, rows, stats, truncated)
-		return
+// Explain forwards to the owning shard when the whole query pushes down
+// to one; a query that scatters has no single plan to show.
+func (r *Router) Explain(ctx context.Context, src string, analyze bool) (*dualsim.Explain, error) {
+	q, err := dualsim.ParseQuery(src)
+	if err != nil {
+		return nil, err
 	}
-	r.writeJSON(w, http.StatusOK, &wire.QueryResponse{
-		Vars: res.vars, Rows: rows, Epoch: res.epoch, Truncated: truncated, Stats: stats,
+	preds, hasVarPred := branchPreds(q.Expr)
+	if hasVarPred {
+		return nil, server.Errorf(http.StatusBadRequest, "variable predicates are not supported")
+	}
+	if len(preds) == 0 {
+		return nil, server.Errorf(http.StatusBadRequest, "explain: the query mentions no predicate, so no shard owns it")
+	}
+	si := cluster.ShardOf(preds[0], len(r.shards))
+	for _, p := range preds[1:] {
+		if cluster.ShardOf(p, len(r.shards)) != si {
+			return nil, server.Errorf(http.StatusBadRequest,
+				"explain: the query's predicates live on more than one shard, so it has no single plan; the router explains only queries that push down to one shard (send each branch on its own, or ask a shard directly)")
+		}
+	}
+	mode := "plan"
+	if analyze {
+		mode = "analyze"
+	}
+	return onShard(ctx, r, si, func(ep *endpoint) (*dualsim.Explain, error) {
+		out, err := ep.c.Explain(ctx, src, mode)
+		if err != nil {
+			return nil, err
+		}
+		return out.Explain, nil
 	})
 }
 
-func (r *Router) streamResult(w http.ResponseWriter, vars []string, rows [][]*string, stats *dualsim.ExecStats, truncated bool) {
-	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(wire.Event{Kind: wire.EventHeader, Vars: vars, Epoch: stats.Epoch}); err != nil {
-		return
-	}
-	for i, row := range rows {
-		if err := enc.Encode(wire.Event{Kind: wire.EventRow, Values: row, Epoch: stats.Epoch}); err != nil {
-			return
-		}
-		if flusher != nil && (i+1)%256 == 0 {
-			flusher.Flush()
-		}
-	}
-	_ = enc.Encode(wire.Event{Kind: wire.EventStats, Stats: stats, Rows: len(rows), Truncated: truncated, Epoch: stats.Epoch})
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	var br wire.BatchRequest
-	if !r.decodeBody(w, req, &br) {
-		return
-	}
-	if len(br.Queries) == 0 {
-		r.fail(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	r.batches.Inc()
-	r.queries.Add(int64(len(br.Queries)))
-	ctx, cancel := r.requestContext(req, br.TimeoutMs)
-	defer cancel()
-
-	start := time.Now()
-	items := make([]wire.BatchItem, len(br.Queries))
+// Batch routes each member independently, at most GOMAXPROCS at a time
+// (the width of a session's batch pool): every member fans out over the
+// shards itself, so an unbounded member count would turn one request
+// into that many concurrent shard RPCs. failFast is a single-session
+// notion and does not apply.
+func (r *Router) Batch(ctx context.Context, srcs []string, _ bool) ([]server.BatchResult, error) {
+	out := make([]server.BatchResult, len(srcs))
+	idx := make(chan int)
 	var wg sync.WaitGroup
-	for i, src := range br.Queries {
+	for w := min(runtime.GOMAXPROCS(0), len(srcs)); w > 0; w-- {
 		wg.Add(1)
-		go func(i int, src string) {
+		go func() {
 			defer wg.Done()
-			qstart := time.Now()
-			res, err := r.execQuery(ctx, src)
-			if err != nil {
-				items[i] = wire.BatchItem{Error: err.Error()}
-				return
+			for i := range idx {
+				out[i].Rows, out[i].Err = r.Query(ctx, srcs[i])
 			}
-			rows, truncated := res.rows, false
-			if br.Limit > 0 && len(rows) > br.Limit {
-				rows, truncated = rows[:br.Limit], true
-			}
-			r.rows.Add(int64(len(rows)))
-			items[i] = wire.BatchItem{
-				Vars: res.vars, Rows: rows, Epoch: res.epoch, Truncated: truncated,
-				Stats: &dualsim.ExecStats{
-					Epoch: res.epoch, Duration: time.Since(qstart), Results: len(rows),
-					Fingerprint: qstats.OfSource(src).ID,
-				},
-			}
-		}(i, src)
+		}()
 	}
+	for i := range srcs {
+		idx <- i
+	}
+	close(idx)
 	wg.Wait()
-	stats := dualsim.BatchStats{Requests: len(items), Duration: time.Since(start)}
-	for _, it := range items {
-		if it.Error != "" {
-			stats.Failed++
-			continue
-		}
-		stats.Results += len(it.Rows)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	r.writeJSON(w, http.StatusOK, &wire.BatchResponse{Results: items, Stats: stats})
+	return out, nil
 }
 
-func (r *Router) handleApply(w http.ResponseWriter, req *http.Request) {
-	var ar wire.ApplyRequest
-	if !r.decodeBody(w, req, &ar) {
-		return
-	}
-	r.applies.Inc()
-	ctx, cancel := r.requestContext(req, 0)
-	defer cancel()
-
-	toTriples := func(ws []wire.Triple, slot string) ([]dualsim.Triple, bool) {
-		out := make([]dualsim.Triple, len(ws))
-		for i, t := range ws {
-			if err := t.Validate(); err != nil {
-				r.fail(w, http.StatusBadRequest, fmt.Sprintf("%s[%d]: %v", slot, i, err))
-				return nil, false
-			}
-			out[i] = t.ToTriple()
-		}
-		return out, true
-	}
-	adds, ok := toTriples(ar.Adds, "adds")
-	if !ok {
-		return
-	}
-	dels, ok := toTriples(ar.Dels, "dels")
-	if !ok {
-		return
-	}
-	deltas, err := cluster.SplitDelta(adds, dels, len(r.shards))
+// Apply splits the delta by predicate placement. Writes go to primaries
+// only, and the split is NOT atomic across shards: each slice is atomic
+// on its own shard. A mid-apply reader can see shard A's new epoch with
+// shard B's old one — the same boundary the per-branch routing already
+// exposes, and why the response reports every slice's outcome
+// individually.
+func (r *Router) Apply(ctx context.Context, d dualsim.Delta) (any, uint64, error) {
+	deltas, err := cluster.SplitDelta(d.Adds, d.Dels, len(r.shards))
 	if err != nil {
-		r.fail(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, 0, err
 	}
-	// Writes go to primaries only, and the split is NOT atomic across
-	// shards: each slice is atomic on its own shard. A mid-apply reader
-	// can see shard A's new epoch with shard B's old one — the same
-	// boundary the per-branch routing already exposes, and why the
-	// response reports every slice's outcome individually.
 	out := wire.ClusterApplyResponse{}
+	var epoch uint64
 	for si, d := range deltas {
 		if len(d.Adds) == 0 && len(d.Dels) == 0 {
 			continue
 		}
 		resp, err := r.shards[si].primary().c.ApplyDelta(ctx, d)
 		if err != nil {
-			r.failExec(w, shardFailure(si, err))
-			return
+			if ctx.Err() != nil {
+				return nil, 0, ctx.Err()
+			}
+			return nil, 0, shardFailure(si, err)
 		}
 		out.Results = append(out.Results, wire.ShardApply{Shard: si, Stats: resp.Stats})
+		epoch = max(epoch, resp.Stats.Epoch)
 	}
-	r.writeJSON(w, http.StatusOK, &out)
+	return &out, epoch, nil
 }
 
-func (r *Router) handleSnapshot(w http.ResponseWriter, req *http.Request) {
-	ctx, cancel := r.requestContext(req, 0)
-	defer cancel()
+// Snapshot aggregates the shards' shapes under the freshest epoch.
+func (r *Router) Snapshot(ctx context.Context) (*wire.SnapshotResponse, error) {
 	var out wire.SnapshotResponse
 	for si := range r.shards {
-		var snap *wire.SnapshotResponse
-		var lastErr error
-		for attempt, ep := range r.shards[si].pick(r.cfg.maxLag) {
-			if attempt > 1 {
-				break
-			}
-			s, err := ep.c.Snapshot(ctx)
-			if err == nil {
-				snap = s
-				break
-			}
-			lastErr = err
-			if !routableFailure(ctx, err) {
-				break
-			}
-			ep.markDown(err)
+		snap, err := onShard(ctx, r, si, func(ep *endpoint) (*wire.SnapshotResponse, error) {
+			return ep.c.Snapshot(ctx)
+		})
+		if err != nil {
+			return nil, err
 		}
-		if snap == nil {
-			r.failExec(w, shardFailure(si, lastErr))
-			return
-		}
-		if snap.Epoch > out.Epoch {
-			out.Epoch = snap.Epoch
-		}
+		out.Epoch = max(out.Epoch, snap.Epoch)
 		out.Triples += snap.Triples
 		out.Nodes += snap.Nodes
 		out.Predicates += snap.Predicates
 		out.OverlaySize += snap.OverlaySize
 		out.Compactions += snap.Compactions
 	}
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(out.Epoch, 10))
-	r.writeJSON(w, http.StatusOK, &out)
+	return &out, nil
+}
+
+// Statements serves the cluster-wide workload statistics view: every
+// shard's /v1/debug/statements table, merged by normalized statement
+// fingerprint — calls, rows and bucketed latencies sum across shards,
+// memory peaks take the max, quantiles re-interpolate from the merged
+// buckets. reset is forwarded, clearing every shard's table after this
+// snapshot. One shard with no reachable endpoint fails the view (a
+// partial merge would silently under-count).
+func (r *Router) Statements(ctx context.Context, reset bool) (*wire.StatementsResponse, error) {
+	groups := make([][]qstats.Statement, 0, len(r.shards))
+	var evicted int64
+	for si := range r.shards {
+		resp, err := onShard(ctx, r, si, func(ep *endpoint) (*wire.StatementsResponse, error) {
+			if reset {
+				return ep.c.StatementsReset(ctx)
+			}
+			return ep.c.Statements(ctx)
+		})
+		if err != nil {
+			return nil, err
+		}
+		groups = append(groups, resp.Statements)
+		evicted += resp.Evicted
+	}
+	merged := qstats.Merge(groups...)
+	if merged == nil {
+		merged = []qstats.Statement{}
+	}
+	return &wire.StatementsResponse{
+		Statements:    merged,
+		Tracked:       len(merged),
+		Evicted:       evicted,
+		LatencyBounds: qstats.LatencyBounds,
+		Shards:        len(groups),
+	}, nil
+}
+
+// Epoch is the freshest epoch any endpoint has shown a probe.
+func (r *Router) Epoch() uint64 {
+	var m uint64
+	for _, sh := range r.shards {
+		m = max(m, sh.maxEpoch())
+	}
+	return m
+}
+
+// Ready: the router is routable when every shard has at least one
+// routable endpoint.
+func (r *Router) Ready() error {
+	for si, sh := range r.shards {
+		if len(sh.pick(r.cfg.maxLag)) == 0 {
+			return fmt.Errorf("shard %d has no routable endpoint", si)
+		}
+	}
+	return nil
 }
 
 func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
@@ -1131,206 +922,5 @@ func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 		}
 		out.Status = append(out.Status, st)
 	}
-	r.writeJSON(w, http.StatusOK, &out)
-}
-
-func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
-	status := "ok"
-	if r.draining.Value() != 0 {
-		status = "draining"
-	}
-	bi := buildinfo.Get()
-	r.writeJSON(w, http.StatusOK, &wire.HealthResponse{
-		Status: status, Version: bi.Version, Revision: bi.Revision,
-	})
-}
-
-// handleSlow serves the slow-query ring, newest first. An empty ring
-// (or a router built without WithSlowQueryLog) answers with an empty
-// entry list rather than an error — the surface is for poking at.
-func (r *Router) handleSlow(w http.ResponseWriter, req *http.Request) {
-	r.writeJSON(w, http.StatusOK, &wire.SlowLogResponse{
-		ThresholdMs: float64(r.slow.Threshold()) / float64(time.Millisecond),
-		Total:       r.slow.Total(),
-		Entries:     r.slow.Entries(),
-	})
-}
-
-// handleStatements serves the cluster-wide workload statistics view:
-// every shard's /v1/debug/statements table, merged by normalized
-// statement fingerprint — calls, rows and bucketed latencies sum across
-// shards, memory peaks take the max, quantiles re-interpolate from the
-// merged buckets. ?reset=1 is forwarded, clearing every shard's table
-// after this snapshot. One shard with no reachable endpoint fails the
-// view (a partial merge would silently under-count).
-func (r *Router) handleStatements(w http.ResponseWriter, req *http.Request) {
-	ctx, cancel := r.requestContext(req, 0)
-	defer cancel()
-	reset := req.URL.Query().Get("reset") == "1" || req.URL.Query().Get("reset") == "true"
-	groups := make([][]qstats.Statement, 0, len(r.shards))
-	var evicted int64
-	for si := range r.shards {
-		var resp *wire.StatementsResponse
-		var lastErr error
-		for attempt, ep := range r.shards[si].pick(r.cfg.maxLag) {
-			if attempt > 1 {
-				break
-			}
-			var err error
-			if reset {
-				resp, err = ep.c.StatementsReset(ctx)
-			} else {
-				resp, err = ep.c.Statements(ctx)
-			}
-			if err == nil {
-				break
-			}
-			resp, lastErr = nil, err
-			if !routableFailure(ctx, err) {
-				break
-			}
-			ep.markDown(err)
-		}
-		if resp == nil {
-			r.failExec(w, shardFailure(si, lastErr))
-			return
-		}
-		groups = append(groups, resp.Statements)
-		evicted += resp.Evicted
-	}
-	merged := qstats.Merge(groups...)
-	if merged == nil {
-		merged = []qstats.Statement{}
-	}
-	r.writeJSON(w, http.StatusOK, &wire.StatementsResponse{
-		Statements:    merged,
-		Tracked:       len(merged),
-		Evicted:       evicted,
-		LatencyBounds: qstats.LatencyBounds,
-		Shards:        len(groups),
-	})
-}
-
-// readyErr: the router is routable when it is not draining and every
-// shard has at least one routable endpoint.
-func (r *Router) readyErr() error {
-	if r.draining.Value() != 0 {
-		return errors.New("draining")
-	}
-	for si, sh := range r.shards {
-		if len(sh.pick(r.cfg.maxLag)) == 0 {
-			return fmt.Errorf("shard %d has no routable endpoint", si)
-		}
-	}
-	return nil
-}
-
-func (r *Router) handleReady(w http.ResponseWriter, req *http.Request) {
-	if err := r.readyErr(); err != nil {
-		status := "notready"
-		if err.Error() == "draining" {
-			status = "draining"
-		}
-		r.writeJSON(w, http.StatusServiceUnavailable, &wire.HealthResponse{Status: status, Reason: err.Error()})
-		return
-	}
-	r.writeJSON(w, http.StatusOK, &wire.HealthResponse{Status: "ready"})
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = r.reg.WriteTo(w)
-}
-
-// ---------------------------------------------------------------------------
-// Plumbing (mirrors internal/server)
-
-func (r *Router) requestContext(req *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
-	d := r.cfg.defaultTimeout
-	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if d > 0 {
-		return context.WithTimeout(req.Context(), d)
-	}
-	return context.WithCancel(req.Context())
-}
-
-func (r *Router) decodeBody(w http.ResponseWriter, req *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			r.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes; split the request", tooLarge.Limit))
-			return false
-		}
-		r.fail(w, http.StatusBadRequest, "malformed request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func (r *Router) failExec(w http.ResponseWriter, err error) {
-	var re *routedError
-	switch {
-	case errors.As(err, &re):
-		r.fail(w, re.status, re.msg)
-	case errors.Is(err, context.DeadlineExceeded):
-		r.fail(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
-	case errors.Is(err, context.Canceled):
-		r.errors.Inc()
-		w.WriteHeader(499)
-	default:
-		r.fail(w, http.StatusBadGateway, err.Error())
-	}
-}
-
-func (r *Router) fail(w http.ResponseWriter, status int, msg string) {
-	if status >= 400 {
-		r.errors.Inc()
-	}
-	r.writeJSON(w, status, &wire.ErrorResponse{Error: msg})
-}
-
-func (r *Router) writeJSON(w http.ResponseWriter, status int, body any) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		http.Error(w, `{"error":"internal: response encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	if w.Header().Get("Content-Type") == "" {
-		w.Header().Set("Content-Type", wire.ContentTypeJSON)
-	}
-	w.WriteHeader(status)
-	_, _ = w.Write(buf)
-	_, _ = io.WriteString(w, "\n")
-}
-
-// traceWanted mirrors the daemon's detection: a valid traceparent
-// header, the request body's trace flag, or ?trace=1.
-func traceWanted(req *http.Request, reqFlag bool) (want bool, tp string) {
-	if h := req.Header.Get("traceparent"); h != "" {
-		if _, ok := trace.ParseTraceparent(h); ok {
-			return true, h
-		}
-	}
-	if reqFlag {
-		return true, ""
-	}
-	if v := req.URL.Query().Get("trace"); v == "1" || v == "true" {
-		return true, ""
-	}
-	return false, ""
-}
-
-func wantsStream(req *http.Request, qr wire.QueryRequest) bool {
-	if qr.Stream {
-		return true
-	}
-	if v := req.URL.Query().Get("stream"); v == "1" || v == "true" {
-		return true
-	}
-	return strings.Contains(req.Header.Get("Accept"), wire.ContentTypeNDJSON)
+	r.WriteJSON(w, http.StatusOK, &out)
 }

@@ -3,10 +3,14 @@ package router
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dualsim"
 	"dualsim/client"
@@ -17,13 +21,13 @@ import (
 )
 
 // startShard serves one store as a daemon would.
-func startShard(t *testing.T, st *dualsim.Store) *httptest.Server {
+func startShard(t *testing.T, st *dualsim.Store, opts ...server.Option) *httptest.Server {
 	t.Helper()
 	db, err := dualsim.Open(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(db)
+	srv, err := server.New(db, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +267,7 @@ func TestRouterFailover(t *testing.T) {
 	}
 	ctx := context.Background()
 	rt.Probe(ctx)
-	if err := rt.readyErr(); err != nil {
+	if err := rt.Ready(); err != nil {
 		t.Fatalf("probed router not ready: %v", err)
 	}
 	rs := httptest.NewServer(rt.Handler())
@@ -284,14 +288,14 @@ func TestRouterFailover(t *testing.T) {
 		}
 	}
 	rt.Probe(ctx)
-	if err := rt.readyErr(); err != nil {
+	if err := rt.Ready(); err != nil {
 		t.Fatalf("router not ready with a live replica: %v", err)
 	}
 
 	// The whole shard gone: not-ready, and reads answer 503.
 	shard0Replica.Close()
 	rt.Probe(ctx)
-	if err := rt.readyErr(); err == nil {
+	if err := rt.Ready(); err == nil {
 		t.Fatal("router ready with shard 0 fully dead")
 	}
 	c, _ := client.New(rs.URL)
@@ -388,7 +392,7 @@ func TestRouterWithLiveReplica(t *testing.T) {
 
 	primary.Close()
 	rt.Probe(ctx)
-	if err := rt.readyErr(); err != nil {
+	if err := rt.Ready(); err != nil {
 		t.Fatalf("router not ready on the replica alone: %v", err)
 	}
 	if got := len(queryVia(t, rs.URL, src).Rows); got != want {
@@ -464,7 +468,7 @@ func TestRouterTraceStitching(t *testing.T) {
 // The router's slow-query log records routed queries with their fan-out
 // trace even when the client asked for none.
 func TestRouterSlowQueryLog(t *testing.T) {
-	_, rs, _ := startCluster(t, 2, WithSlowQueryLog(4, 0))
+	_, rs, _ := startCluster(t, 2, WithProtocol(server.WithSlowQueryLog(4, 0)))
 	src := `SELECT * WHERE { ?s <genre> ?g . }`
 	if got := queryVia(t, rs.URL, src); got.Stats.Trace != nil {
 		t.Fatalf("slow-log tracing leaked into an untraced response")
@@ -577,5 +581,127 @@ func TestRouterStatementsMerged(t *testing.T) {
 		if got := statements(hs.URL); len(got) != 0 {
 			t.Errorf("shard %d not reset: %v", i, got)
 		}
+	}
+}
+
+// EXPLAIN through the router: a query whose predicates all live on one
+// shard is forwarded to that shard and answers with its plan; a query
+// that scatters has no single plan and is refused with the reason —
+// never answered with result rows, which is what the router did before
+// explain was resolved in the protocol core.
+func TestRouterExplain(t *testing.T) {
+	_, rs, _ := startCluster(t, 2)
+	c, err := client.New(rs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, mode := range []string{"plan", "analyze"} {
+		out, err := c.Explain(ctx, `SELECT * WHERE { ?s <genre> ?g . }`, mode)
+		if err != nil {
+			t.Fatalf("explain %s of a push-down query: %v", mode, err)
+		}
+		if out.Explain == nil || len(out.Explain.Operators) == 0 || !strings.Contains(out.Text, "genre") {
+			t.Fatalf("explain %s: no plan in %+v", mode, out)
+		}
+		if out.Explain.Analyzed != (mode == "analyze") {
+			t.Fatalf("explain %s: analyzed = %v", mode, out.Explain.Analyzed)
+		}
+	}
+
+	// Two Fig. 1(a) predicates the placement function puts on different
+	// shards.
+	preds := []string{"directed", "worked_with", "genre", "population", "born_in", "awarded"}
+	var spread string
+	for _, p := range preds[1:] {
+		if cluster.ShardOf(p, 2) != cluster.ShardOf(preds[0], 2) {
+			spread = fmt.Sprintf(`SELECT * WHERE { { ?a <%s> ?b . } UNION { ?c <%s> ?d . } }`, preds[0], p)
+			break
+		}
+	}
+	if spread == "" {
+		t.Fatal("every fixture predicate places on one shard; pick others")
+	}
+	_, err = c.Explain(ctx, spread, "plan")
+	var ae *client.APIError
+	if err == nil || !asAPIError(err, &ae) || ae.StatusCode != 400 || !strings.Contains(ae.Message, "more than one shard") {
+		t.Fatalf("explain of a scattered query: %v, want 400 naming the reason", err)
+	}
+}
+
+// A routed batch takes one admission slot however many members it has,
+// and fans its members out at most GOMAXPROCS at a time — before, every
+// member got its own goroutine, so one request body could open as many
+// concurrent shard RPCs as it had queries.
+func TestRouterBatchBoundedFanOut(t *testing.T) {
+	full, err := dualsim.FromTriples(queries.Fig1aTriples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur, peak atomic.Int64
+	var endpoints [][]string
+	for i := 0; i < 2; i++ {
+		st, err := cluster.ShardStore(full, cluster.ShardSpec{Index: i, N: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := dualsim.Open(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Count the shard queries in flight, holding each long enough
+		// that an unbounded fan-out would pile up.
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/query" {
+				n := cur.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				time.Sleep(5 * time.Millisecond)
+				defer cur.Add(-1)
+			}
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			hs.Close()
+			db.Close()
+		})
+		endpoints = append(endpoints, []string{hs.URL})
+	}
+	// One slot, no queue: members that took slots of their own would shed.
+	rt, err := New(endpoints, WithProtocol(server.WithMaxInFlight(1), server.WithQueueDepth(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(context.Background())
+	rs := httptest.NewServer(rt.Handler())
+	defer rs.Close()
+
+	width := runtime.GOMAXPROCS(0)
+	srcs := make([]string, 16*width)
+	for i := range srcs {
+		srcs[i] = `SELECT * WHERE { ?s <genre> ?g . }`
+	}
+	c, err := client.New(rs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Batch(context.Background(), srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Stats.Requests != len(srcs) || out.Stats.Failed != 0 {
+		t.Fatalf("batch stats: %+v", out.Stats)
+	}
+	for i, it := range out.Results {
+		if it.Error != "" || len(it.Rows) != 2 {
+			t.Fatalf("member %d: %+v", i, it)
+		}
+	}
+	if got := peak.Load(); got > int64(width) {
+		t.Fatalf("%d shard queries in flight at once, want at most GOMAXPROCS = %d", got, width)
 	}
 }

@@ -1,8 +1,9 @@
 // Package lint is the dualsimvet invariant suite: custom static
 // analyzers that turn the engine's cross-cutting correctness contracts
 // — context threading, wire-stable JSON tags, lock discipline,
-// allocation-free hot paths, checked durability errors — into
-// compile-time gates instead of after-the-fact runtime tests.
+// allocation-free hot paths, checked durability errors, import
+// direction — into compile-time gates instead of after-the-fact runtime
+// tests.
 //
 // The analyzers are package-scoped by import path (relative to the
 // dualsim module) and/or driven by source annotations:
@@ -29,6 +30,7 @@ func Analyzers() []*analysis.Analyzer {
 		NolockioAnalyzer,
 		HotallocAnalyzer,
 		ErrsyncAnalyzer,
+		LayeringAnalyzer,
 	}
 }
 

@@ -191,7 +191,21 @@ func TestErrsync(t *testing.T) {
 	matchWants(t, runVet(t, "errsync"), collectWants(t, "internal/persist/errsync.go"))
 }
 
-// TestFullSuite runs all five analyzers together over the fixture
+// layeringFixtures are the files carrying layering expectations; the
+// allowed root import in internal/server is part of the module run and
+// must stay silent.
+var layeringFixtures = []string{
+	"internal/bitvec/layering.go",
+	"internal/bitmat/layering.go",
+	"internal/plan/layering.go",
+	"internal/cluster/router/layering.go",
+}
+
+func TestLayering(t *testing.T) {
+	matchWants(t, runVet(t, "layering"), collectWants(t, layeringFixtures...))
+}
+
+// TestFullSuite runs all six analyzers together over the fixture
 // module: the union of every file's expectations, and nothing from
 // internal/other (the out-of-scope control package).
 func TestFullSuite(t *testing.T) {
@@ -203,6 +217,7 @@ func TestFullSuite(t *testing.T) {
 		"hotpath/hotalloc.go",
 		"internal/persist/errsync.go",
 	)
+	wants = append(wants, collectWants(t, layeringFixtures...)...)
 	matchWants(t, runVet(t), wants)
 }
 
@@ -241,7 +256,7 @@ func TestVetToolProtocol(t *testing.T) {
 	for _, f := range flags {
 		have[f.Name] = f.Bool
 	}
-	for _, a := range []string{"ctxflow", "wiretags", "nolockio", "hotalloc", "errsync"} {
+	for _, a := range []string{"ctxflow", "wiretags", "nolockio", "hotalloc", "errsync", "layering"} {
 		if !have[a] {
 			t.Errorf("-flags does not advertise boolean analyzer flag -%s", a)
 		}

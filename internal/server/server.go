@@ -1,21 +1,31 @@
-// Package server exposes a dualsim session over HTTP/JSON — the serving
-// subsystem behind cmd/dualsimd. It is a thin, concurrency-hardened
-// front end over the session layer the earlier PRs built:
+// Package server is the HTTP/JSON protocol core of the dualsim serving
+// layer: one handler set, written once against the Backend interface
+// and served by both binaries — cmd/dualsimd over a local session (New)
+// and cmd/dualsimrouter over the scatter-gather backend of
+// internal/cluster/router (NewCore).
 //
-//	POST /v1/query     one query through the plan cache; buffered JSON
-//	                   or chunked NDJSON row streaming (?stream=1,
-//	                   Accept: application/x-ndjson, or "stream": true)
-//	POST /v1/batch     a query slice fanned over the session batch pool
-//	POST /v1/apply     a live delta (dels before adds, atomic, epoch++)
-//	POST /v1/compact   on-demand overlay compaction
-//	POST /v1/checkpoint roll the durable session's WAL into a snapshot
+//	POST /v1/query     one query; buffered JSON or chunked NDJSON row
+//	                   streaming (?stream=1, Accept: application/x-ndjson,
+//	                   or "stream": true); "explain" returns the plan
+//	POST /v1/batch     a query slice, executed concurrently
+//	POST /v1/apply     a live delta (dels before adds)
 //	GET  /v1/snapshot  current epoch + store shape
-//	GET  /v1/export    predicate slices at a pinned epoch (router gather)
-//	GET  /v1/wal       replication tail: WAL records after an epoch (NDJSON)
-//	GET  /v1/wal/snapshot  streamed DSIMSNP1 bootstrap snapshot
+//	GET  /v1/debug/slow        slow-query ring (WithSlowQueryLog)
+//	GET  /v1/debug/statements  workload statistics by statement
 //	GET  /healthz      liveness (200 as long as the process serves)
 //	GET  /readyz       readiness (503 while draining or not ready)
 //	GET  /metrics      Prometheus-style text metrics
+//
+// The core performs admission, body decoding, deadline/trace/explain/
+// stream flag resolution, error → status mapping, trace sealing,
+// slow-log feeding and request metrics; a backend only executes. The
+// local backend additionally mounts the routes that need a session:
+//
+//	POST /v1/compact   on-demand overlay compaction
+//	POST /v1/checkpoint roll the durable session's WAL into a snapshot
+//	GET  /v1/export    predicate slices at a pinned epoch (router gather)
+//	GET  /v1/wal       replication tail: WAL records after an epoch (NDJSON)
+//	GET  /v1/wal/snapshot  streamed DSIMSNP1 bootstrap snapshot
 //
 // Consistency: every query executes against a snapshot pinned for that
 // request (MVCC-lite), and every response is epoch-tagged — the NDJSON
@@ -27,8 +37,9 @@
 // Overload: a semaphore-based admission controller (WithMaxInFlight)
 // with a bounded wait queue (WithQueueDepth) sheds excess load with
 // 429 + Retry-After instead of queueing unboundedly; per-request
-// deadlines (timeoutMs) map onto the session's context-cancellation
-// plumbing and surface as 504.
+// deadlines (timeoutMs) map onto the backend's context-cancellation
+// plumbing and surface as 504. The probe and metrics endpoints skip
+// admission, so a saturated instance still answers them.
 package server
 
 import (
@@ -41,20 +52,15 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"dualsim"
 	"dualsim/internal/buildinfo"
 	"dualsim/internal/metrics"
-	"dualsim/internal/persist"
-	"dualsim/internal/storage"
+	qstats "dualsim/internal/stats"
 	"dualsim/internal/trace"
 	"dualsim/internal/wire"
 )
-
-// maxParallelism sizes the default in-flight bound.
-func maxParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // streamChunk is how many NDJSON row events are written between flushes:
 // large enough to amortize the chunked-encoding overhead, small enough
@@ -62,10 +68,11 @@ func maxParallelism() int { return runtime.GOMAXPROCS(0) }
 const streamChunk = 256
 
 // maxBodyBytes bounds request bodies (applies included); beyond it the
-// decoder fails with 400 rather than buffering an unbounded upload.
+// decoder fails with 413 rather than buffering an unbounded upload.
 const maxBodyBytes = 64 << 20
 
-// Option configures a Server.
+// Option configures the protocol core (and, for the settings that say
+// so, the local backend New builds under it).
 type Option func(*config) error
 
 type config struct {
@@ -78,8 +85,23 @@ type config struct {
 	readOnly       bool
 	slowLogSize    int
 	slowThreshold  time.Duration
-	stmtCapacity   int  // statement statistics store capacity (see stmtSet)
-	stmtSet        bool // WithStatementStats was given (0 then means disabled)
+	stmtCapacity   int // statement statistics store capacity; 0 disables
+}
+
+func resolve(opts []Option) (config, error) {
+	cfg := config{
+		maxInFlight: 2 * runtime.GOMAXPROCS(0),
+		queueDepth:  64,
+		retryAfter:  time.Second,
+		// The statistics table is on unless WithStatementStats(0).
+		stmtCapacity: qstats.DefaultCapacity,
+	}
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			return cfg, err
+		}
+	}
+	return cfg, nil
 }
 
 // WithMaxInFlight bounds the number of concurrently executing requests
@@ -145,12 +167,12 @@ func WithRegistry(r *metrics.Registry) Option {
 	}
 }
 
-// WithReadiness installs a readiness hook consulted by GET /readyz: a
-// non-nil error makes the endpoint answer 503 with the error as the
-// reason. A replica daemon wires its bootstrap/lag state through this,
-// so the router (and load balancers) stop routing to an instance that
-// would serve stale or no data — while /healthz keeps reporting the
-// process alive.
+// WithReadiness installs a readiness hook consulted by GET /readyz
+// before the backend's own Ready: a non-nil error makes the endpoint
+// answer 503 with the error as the reason. A replica daemon wires its
+// bootstrap/lag state through this, so the router (and load balancers)
+// stop routing to an instance that would serve stale or no data — while
+// /healthz keeps reporting the process alive.
 func WithReadiness(fn func() error) Option {
 	return func(c *config) error {
 		if fn == nil {
@@ -190,246 +212,152 @@ func WithSlowQueryLog(n int, threshold time.Duration) Option {
 	}
 }
 
-// Server serves one dualsim session over HTTP. Safe for concurrent use;
-// construct with New and mount Handler (or the Server itself, it
-// implements http.Handler).
-type Server struct {
-	db    atomic.Pointer[dualsim.DB] // swappable: a replica re-bootstrap replaces the session
-	admit *admission
-	mux   *http.ServeMux
-	cfg   config
-	reg   *metrics.Registry
-	slow  *trace.SlowLog // nil unless WithSlowQueryLog
+// Core serves the wire protocol over one Backend. Safe for concurrent
+// use; it implements http.Handler.
+type Core struct {
+	backend   Backend
+	querySpan string // root span name of a traced /v1/query
+	admit     *admission
+	mux       *http.ServeMux
+	cfg       config
+	reg       *metrics.Registry
+	slow      *trace.SlowLog // nil unless WithSlowQueryLog
 
-	// stmts is the workload statistics store behind
-	// GET /v1/debug/statements; nil when WithStatementStats(0) disabled
-	// it (all methods are nil-safe no-ops then). topStmts memoizes its
-	// sorted snapshot for the top-rank /metrics gauges.
-	stmts    *statementStore
-	topStmts topCache
+	// stmts is the workload statistics store query executions are
+	// recorded in; nil (all methods are nil-safe no-ops then) unless the
+	// backend is a local session with statistics on.
+	stmts *qstats.Store
 
-	// stageSeconds are the per-pipeline-stage latency histograms, keyed
-	// by stage name; fixed at construction so Observe stays lock-free.
-	stageSeconds map[string]*metrics.Histogram
-
-	requests     *metrics.Counter
-	queries      *metrics.Counter
-	batches      *metrics.Counter
-	applies      *metrics.Counter
-	shed         *metrics.Counter
-	errors       *metrics.Counter
-	rows         *metrics.Counter
-	solverRounds *metrics.Counter
-	checkpoints  *metrics.Counter
-	walStreams   *metrics.Counter
-	exports      *metrics.Counter
-	draining     *metrics.Gauge
-	latency      *metrics.Histogram
+	requests *metrics.Counter
+	queries  *metrics.Counter
+	batches  *metrics.Counter
+	applies  *metrics.Counter
+	shed     *metrics.Counter
+	errors   *metrics.Counter
+	rows     *metrics.Counter
+	draining *metrics.Gauge
+	latency  *metrics.Histogram
 }
 
-// session returns the server's current session. Handlers resolve it
-// once per request; a concurrent SwapDB affects only later requests.
-func (s *Server) session() *dualsim.DB { return s.db.Load() }
-
-// SwapDB atomically replaces the served session — the replica
-// re-bootstrap path: a follower that hit a WAL epoch gap builds a fresh
-// session from a new snapshot and swaps it in while reads keep flowing.
-// In-flight requests finish on the session they resolved; the old
-// session is NOT closed here (its pinned snapshots may still be
-// serving) — a non-durable replica session holds no resources beyond
-// memory, which the GC reclaims once the last pin drops.
-func (s *Server) SwapDB(db *dualsim.DB) {
-	if db != nil {
-		s.db.Store(db)
+// NewCore builds the protocol core over b. Its metric series are named
+// metricPrefix_*; a traced /v1/query hangs its spans under a root named
+// querySpan.
+func NewCore(b Backend, metricPrefix, querySpan string, opts ...Option) (*Core, error) {
+	cfg, err := resolve(opts)
+	if err != nil {
+		return nil, err
 	}
+	return newCore(b, metricPrefix, querySpan, cfg, nil), nil
 }
 
-// New builds a server over an open session. The session stays owned by
-// the caller (Close it after the HTTP server is down).
-func New(db *dualsim.DB, opts ...Option) (*Server, error) {
-	if db == nil {
-		return nil, fmt.Errorf("server: nil session")
-	}
-	cfg := config{
-		maxInFlight: 2 * maxParallelism(),
-		queueDepth:  64,
-		retryAfter:  time.Second,
-	}
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
-	}
+func newCore(b Backend, prefix, querySpan string, cfg config, stmts *qstats.Store) *Core {
 	reg := cfg.registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	s := &Server{
-		admit: newAdmission(cfg.maxInFlight, cfg.queueDepth),
-		mux:   http.NewServeMux(),
-		cfg:   cfg,
-		reg:   reg,
+	c := &Core{
+		backend:   b,
+		querySpan: querySpan,
+		admit:     newAdmission(cfg.maxInFlight, cfg.queueDepth),
+		mux:       http.NewServeMux(),
+		cfg:       cfg,
+		reg:       reg,
+		slow:      trace.NewSlowLog(cfg.slowLogSize, cfg.slowThreshold),
+		stmts:     stmts,
 
-		requests:     reg.Counter("dualsimd_requests_total", "HTTP requests received"),
-		queries:      reg.Counter("dualsimd_queries_total", "queries executed (incl. batch members)"),
-		batches:      reg.Counter("dualsimd_batches_total", "batch requests executed"),
-		applies:      reg.Counter("dualsimd_applies_total", "apply/compact operations"),
-		shed:         reg.Counter("dualsimd_shed_total", "requests shed with 429 by admission control"),
-		errors:       reg.Counter("dualsimd_errors_total", "requests answered with a non-2xx status"),
-		rows:         reg.Counter("dualsimd_rows_total", "result rows returned"),
-		solverRounds: reg.Counter("dualsimd_solver_rounds_total", "dual-simulation solver rounds executed"),
-		checkpoints:  reg.Counter("dualsimd_checkpoint_requests_total", "checkpoints completed via /v1/checkpoint"),
-		walStreams:   reg.Counter("dualsimd_wal_streams_total", "WAL tail requests served to replicas"),
-		exports:      reg.Counter("dualsimd_exports_total", "predicate-slice exports served to routers"),
-		draining:     reg.Gauge("dualsimd_draining", "1 while the server is draining for shutdown"),
-		latency:      reg.Histogram("dualsimd_request_seconds", "request latency", metrics.DefLatencyBuckets),
-	}
-	s.slow = trace.NewSlowLog(cfg.slowLogSize, cfg.slowThreshold)
-	s.stmts = newStatementStore(cfg)
-	s.registerStatementMetrics(reg)
-	s.stageSeconds = map[string]*metrics.Histogram{
-		"fingerprint": reg.Histogram("dualsimd_stage_fingerprint_seconds", "fingerprint pre-filter stage latency", metrics.DefLatencyBuckets),
-		"prune":       reg.Histogram("dualsimd_stage_prune_seconds", "dual-simulation pruning stage latency", metrics.DefLatencyBuckets),
-		"evaluate":    reg.Histogram("dualsimd_stage_evaluate_seconds", "engine evaluation stage latency", metrics.DefLatencyBuckets),
+		requests: reg.Counter(prefix+"_requests_total", "HTTP requests received"),
+		queries:  reg.Counter(prefix+"_queries_total", "queries executed (incl. batch members)"),
+		batches:  reg.Counter(prefix+"_batches_total", "batch requests executed"),
+		applies:  reg.Counter(prefix+"_applies_total", "apply/compact operations"),
+		shed:     reg.Counter(prefix+"_shed_total", "requests shed with 429 by admission control"),
+		errors:   reg.Counter(prefix+"_errors_total", "requests answered with a non-2xx status"),
+		rows:     reg.Counter(prefix+"_rows_total", "result rows returned"),
+		draining: reg.Gauge(prefix+"_draining", "1 while the instance is draining for shutdown"),
+		latency:  reg.Histogram(prefix+"_request_seconds", "request latency", metrics.DefLatencyBuckets),
 	}
 	bi := buildinfo.Get()
 	reg.InfoGauge("dualsim_build_info", "build metadata of the serving binary", map[string]string{
 		"version": bi.Version, "revision": bi.Revision, "goversion": bi.GoVersion,
 	})
-	s.db.Store(db)
-	reg.GaugeFunc("dualsimd_in_flight", "requests currently executing", func() float64 {
-		return float64(s.admit.InFlight())
+	reg.GaugeFunc(prefix+"_in_flight", "requests currently executing", func() float64 {
+		return float64(c.admit.InFlight())
 	})
-	reg.GaugeFunc("dualsimd_queued", "requests waiting for an execution slot", func() float64 {
-		return float64(s.admit.Queued())
-	})
-	reg.GaugeFunc("dualsimd_epoch", "current store epoch", func() float64 {
-		return float64(s.session().Epoch())
-	})
-	// Computed from CacheStats at scrape time; named without the _total
-	// suffix OpenMetrics reserves for counters, since GaugeFunc is the
-	// registry's only computed hook.
-	reg.GaugeFunc("dualsimd_plan_cache_hits", "plan cache hits", func() float64 {
-		return float64(s.session().CacheStats().Hits)
-	})
-	reg.GaugeFunc("dualsimd_plan_cache_misses", "plan cache misses", func() float64 {
-		return float64(s.session().CacheStats().Misses)
-	})
-	reg.GaugeFunc("dualsimd_plan_cache_hit_rate", "plan cache hit rate in [0,1]", func() float64 {
-		return s.session().CacheStats().HitRate()
-	})
-	reg.GaugeFunc("dualsimd_overlay_size", "live-update overlay ledger size", func() float64 {
-		return float64(s.session().OverlaySize())
-	})
-	reg.GaugeFunc("dualsimd_triples", "triples in the current snapshot", func() float64 {
-		return float64(s.session().Store().NumTriples())
-	})
-	// Durability series: all read from PersistStats, all zero on a
-	// session without a data dir (dualsimd_durable tells the two apart).
-	reg.GaugeFunc("dualsimd_durable", "1 when the session persists to a data dir", func() float64 {
-		if s.session().Durable() {
-			return 1
-		}
-		return 0
-	})
-	reg.GaugeFunc("dualsimd_wal_bytes", "write-ahead log size in bytes (since the last checkpoint)", func() float64 {
-		return float64(s.session().PersistStats().WALBytes)
-	})
-	reg.GaugeFunc("dualsimd_wal_records", "write-ahead log records since the last checkpoint", func() float64 {
-		return float64(s.session().PersistStats().WALRecords)
-	})
-	reg.GaugeFunc("dualsimd_checkpoints", "completed checkpoints (including the initial one)", func() float64 {
-		return float64(s.session().PersistStats().Checkpoints)
-	})
-	reg.GaugeFunc("dualsimd_last_checkpoint_epoch", "epoch of the newest on-disk snapshot", func() float64 {
-		return float64(s.session().PersistStats().LastCheckpointEpoch)
-	})
-	reg.GaugeFunc("dualsimd_snapshot_bytes", "size of the newest on-disk snapshot", func() float64 {
-		return float64(s.session().PersistStats().SnapshotBytes)
-	})
-	reg.GaugeFunc("dualsimd_checkpoint_failures", "automatic checkpoints that failed (WAL keeps growing)", func() float64 {
-		return float64(s.session().PersistStats().CheckpointFailures)
-	})
-	reg.GaugeFunc("dualsimd_ready", "1 when /readyz answers 200", func() float64 {
-		if s.readyErr() == nil {
-			return 1
-		}
-		return 0
+	reg.GaugeFunc(prefix+"_queued", "requests waiting for an execution slot", func() float64 {
+		return float64(c.admit.Queued())
 	})
 
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/apply", s.handleApply)
-	s.mux.HandleFunc("POST /v1/compact", s.handleCompact)
-	s.mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("GET /v1/export", s.handleExport)
-	s.mux.HandleFunc("GET /v1/wal", s.handleWAL)
-	s.mux.HandleFunc("GET /v1/wal/snapshot", s.handleWALSnapshot)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/debug/slow", s.handleSlow)
-	s.mux.HandleFunc("GET /v1/debug/statements", s.handleStatements)
-	return s, nil
+	c.mux.HandleFunc("POST /v1/query", c.handleQuery)
+	c.mux.HandleFunc("POST /v1/batch", c.handleBatch)
+	c.mux.HandleFunc("POST /v1/apply", c.handleApply)
+	c.mux.HandleFunc("GET /v1/snapshot", c.handleSnapshot)
+	c.mux.HandleFunc("GET /v1/debug/slow", c.handleSlow)
+	c.mux.HandleFunc("GET /v1/debug/statements", c.handleStatements)
+	c.mux.HandleFunc("GET /healthz", c.handleHealth)
+	c.mux.HandleFunc("GET /readyz", c.handleReady)
+	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
+	return c
 }
 
+// Handle mounts a backend-specific route beside the protocol's own.
+func (c *Core) Handle(pattern string, h http.HandlerFunc) { c.mux.HandleFunc(pattern, h) }
+
 // Handler returns the HTTP handler tree.
-func (s *Server) Handler() http.Handler { return s }
+func (c *Core) Handler() http.Handler { return c }
 
-// Registry returns the server's metrics registry (shared when
-// WithRegistry was given).
-func (s *Server) Registry() *metrics.Registry { return s.reg }
+// Registry returns the metrics registry (shared when WithRegistry was
+// given).
+func (c *Core) Registry() *metrics.Registry { return c.reg }
 
-// StartDrain flips the server into draining mode: /readyz answers 503
+// StartDrain flips the instance into draining mode: /readyz answers 503
 // so load balancers and the cluster router stop routing here, while
 // in-flight and follow-up requests keep being served until the HTTP
 // server shuts down — /healthz stays 200 the whole time, because the
-// process is alive and draining is healthy behaviour. Called by
-// dualsimd when a termination signal arrives, before http.Server.
-// Shutdown drains the connections.
-func (s *Server) StartDrain() { s.draining.Set(1) }
+// process is alive and draining is healthy behaviour. Called when a
+// termination signal arrives, before http.Server.Shutdown drains the
+// connections.
+func (c *Core) StartDrain() { c.draining.Set(1) }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
+func (c *Core) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	c.requests.Inc()
 	start := time.Now()
-	s.mux.ServeHTTP(w, r)
-	s.latency.Observe(time.Since(start).Seconds())
+	c.mux.ServeHTTP(w, r)
+	c.latency.Observe(time.Since(start).Seconds())
 }
 
 // ---------------------------------------------------------------------------
 // Handlers
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Admission runs before the body is even decoded: a shed request
 	// must cost near-nothing, and the slot covers all of the request's
 	// work (decode included), so overload cannot buy unbounded decode
 	// CPU either.
-	release, ok := s.admitOr429(w, r)
+	release, ok := c.admitOr429(w, r)
 	if !ok {
 		// Attribute the rejection to its statement: admission protects
 		// execution capacity, and the statistics table should show who
 		// is being shed.
-		s.recordShedStatement(r)
+		c.recordShedStatement(r)
 		return
 	}
 	defer release()
 	var req wire.QueryRequest
-	if !s.decodeBody(w, r, &req) {
+	if err := decodeBody(w, r, &req); err != nil {
+		c.FailExec(w, err)
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		s.fail(w, http.StatusBadRequest, "empty query")
+		c.Fail(w, http.StatusBadRequest, "empty query")
 		return
 	}
-	s.queries.Inc()
+	c.queries.Inc()
 
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
+	ctx, cancel := c.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
 	if mode := explainMode(r, req); mode != "" {
-		s.handleExplain(w, r, ctx, req.Query, mode)
+		c.handleExplain(ctx, w, req.Query, mode)
 		return
 	}
 
@@ -438,452 +366,355 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// carry one, but only explicit requests see it in the response.
 	wantTrace, tp := traceRequested(r, req.Trace)
 	var tr *trace.Trace
-	if wantTrace || s.slow.Enabled() {
-		if tp != "" {
-			tr = trace.Continue(tp, "query")
-		} else {
-			tr = trace.New("query")
-		}
-		ctx = trace.ContextWithSpan(ctx, tr.Root())
-		w.Header().Set("X-Dualsim-Trace", tr.ID())
+	if wantTrace || c.slow.Enabled() {
+		ctx, tr = startTrace(ctx, w, tp, c.querySpan)
 	}
 	start := time.Now()
 
-	// Pin the epoch for the whole request: execution answers from the
-	// pinned snapshot and the rows are decoded against the same
-	// dictionary, so a concurrent Apply (or even a compaction, which
-	// renumbers every node) cannot tear the response.
-	snap := s.session().Snapshot()
-
-	if wantsStream(r, req) {
-		// Incremental path: rows come straight off the executor's
-		// iterator tree — the header (and the first rows) are on the
-		// wire while later rows are still being computed.
-		rows, err := snap.QueryStream(ctx, req.Query)
-		if err != nil {
-			s.recordStatement(req.Query, nil, time.Since(start), err)
-			s.failExec(w, r, err)
-			return
-		}
-		defer rows.Close()
-		w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(rows.Stats().Epoch, 10))
-		s.streamRows(w, snap.Store(), rows, req.Limit, tr, wantTrace, req.Query, start)
-		return
-	}
-
-	res, stats, err := snap.Query(ctx, req.Query)
-	s.recordStatement(req.Query, stats, time.Since(start), err)
+	cur, err := c.backend.Query(ctx, req.Query)
 	if err != nil {
-		s.failExec(w, r, err)
+		c.recordStatement(req.Query, nil, time.Since(start), err)
+		c.FailExec(w, err)
 		return
 	}
-	s.finishTrace(tr, wantTrace, stats, req.Query, time.Since(start), http.StatusOK)
-	s.observeStages(stats)
-	s.solverRounds.Add(int64(stats.Solver.Rounds))
-	rows, truncated := res.Rows, false
-	if req.Limit > 0 && len(rows) > req.Limit {
-		rows, truncated = rows[:req.Limit], true
-	}
-	s.rows.Add(int64(len(rows)))
+	defer cur.Close()
 
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(stats.Epoch, 10))
-	out := &wire.QueryResponse{
-		Vars:      append([]string{}, res.Vars...),
-		Rows:      decodeRows(snap.Store(), rows),
-		Epoch:     stats.Epoch,
-		Truncated: truncated,
-		Stats:     stats,
+	// One cursor, two encoders: NDJSON puts the header (and the first
+	// rows) on the wire while later rows are still being computed; the
+	// buffered envelope collects them.
+	var enc rowEncoder = &envelopeEncoder{c: c, w: w}
+	if wantsStream(r, req) {
+		enc = &ndjsonEncoder{w: w, enc: json.NewEncoder(w)}
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	if enc.begin(cur.Vars(), cur.Epoch()) != nil {
+		return // client gone; nothing to salvage mid-stream
+	}
+	n, truncated, werr := pump(cur, req.Limit, enc.row)
+	if werr != nil {
+		return
+	}
+	if err := cur.Err(); err != nil {
+		c.recordStatement(req.Query, cur.Stats(), time.Since(start), err)
+		enc.abort(err)
+		return
+	}
+	cur.Close()
+	stats, d := cur.Stats(), time.Since(start)
+	c.recordStatement(req.Query, stats, d, nil)
+	c.finishTrace(tr, wantTrace, stats, req.Query, d)
+	c.rows.Add(int64(n))
+	enc.end(stats, n, truncated)
+}
+
+// pump pulls rows off cur into emit until the cursor is exhausted, emit
+// fails, or limit rows went out (0: unbounded). truncated reports that
+// a row past the limit existed; the peek proves it, the row is dropped.
+func pump(cur Cursor, limit int, emit func([]*string) error) (n int, truncated bool, err error) {
+	for cur.Next() {
+		if limit > 0 && n >= limit {
+			return n, true, nil
+		}
+		if err := emit(cur.Row()); err != nil {
+			return n, false, err
+		}
+		n++
+	}
+	return n, false, nil
+}
+
+// rowEncoder is one of the two /v1/query response shapes.
+type rowEncoder interface {
+	begin(vars []string, epoch uint64) error
+	row(values []*string) error
+	// abort reports an execution that died after begin.
+	abort(err error)
+	end(stats *dualsim.ExecStats, n int, truncated bool)
+}
+
+// ndjsonEncoder writes the streamed shape: header first (flushed before
+// any row is computed), then row events with incremental flushes, then
+// the stats trailer — or an error event if the execution dies
+// mid-stream, after the 200 was committed.
+type ndjsonEncoder struct {
+	w     http.ResponseWriter
+	enc   *json.Encoder
+	epoch uint64
+	n     int
+}
+
+func (e *ndjsonEncoder) flush() {
+	if f, ok := e.w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+func (e *ndjsonEncoder) begin(vars []string, epoch uint64) error {
+	e.epoch = epoch
+	e.w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(epoch, 10))
+	e.w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+	e.w.WriteHeader(http.StatusOK)
+	err := e.enc.Encode(wire.Event{Kind: wire.EventHeader, Vars: vars, Epoch: epoch})
+	e.flush()
+	return err
+}
+
+func (e *ndjsonEncoder) row(values []*string) error {
+	err := e.enc.Encode(wire.Event{Kind: wire.EventRow, Values: values, Epoch: e.epoch})
+	if e.n++; e.n == 1 || e.n%streamChunk == 0 {
+		e.flush()
+	}
+	return err
+}
+
+func (e *ndjsonEncoder) abort(err error) {
+	// The status line is long gone; the in-band error event is the only
+	// way to tell the client the stream is dead, not complete.
+	_ = e.enc.Encode(wire.Event{Kind: wire.EventError, Error: err.Error(), Epoch: e.epoch})
+	e.flush()
+}
+
+func (e *ndjsonEncoder) end(stats *dualsim.ExecStats, n int, truncated bool) {
+	_ = e.enc.Encode(wire.Event{Kind: wire.EventStats, Stats: stats, Rows: n, Truncated: truncated, Epoch: e.epoch})
+	e.flush()
+}
+
+// envelopeEncoder collects the buffered shape; nothing is committed
+// before end, so a failed execution still gets its own status.
+type envelopeEncoder struct {
+	c   *Core
+	w   http.ResponseWriter
+	out wire.QueryResponse
+}
+
+func (e *envelopeEncoder) begin(vars []string, epoch uint64) error {
+	e.out = wire.QueryResponse{Vars: append([]string{}, vars...), Rows: [][]*string{}, Epoch: epoch}
+	return nil
+}
+
+func (e *envelopeEncoder) row(values []*string) error {
+	e.out.Rows = append(e.out.Rows, values)
+	return nil
+}
+
+func (e *envelopeEncoder) abort(err error) { e.c.FailExec(e.w, err) }
+
+func (e *envelopeEncoder) end(stats *dualsim.ExecStats, _ int, truncated bool) {
+	e.out.Stats, e.out.Truncated = stats, truncated
+	e.w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(e.out.Epoch, 10))
+	e.c.WriteJSON(e.w, http.StatusOK, &e.out)
 }
 
 // handleExplain answers an EXPLAIN / EXPLAIN ANALYZE request: the
 // compiled plan tree (with the executed counters when analyzing)
 // instead of the result rows.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, ctx context.Context, src, mode string) {
-	var (
-		ex  *dualsim.Explain
-		err error
-	)
-	switch mode {
-	case "plan":
-		ex, err = s.session().Explain(ctx, src)
-	case "analyze":
-		ex, err = s.session().ExplainAnalyze(ctx, src)
-	default:
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("unknown explain mode %q (want plan or analyze)", mode))
+func (c *Core) handleExplain(ctx context.Context, w http.ResponseWriter, src, mode string) {
+	if mode != "plan" && mode != "analyze" {
+		c.Fail(w, http.StatusBadRequest, fmt.Sprintf("unknown explain mode %q (want plan or analyze)", mode))
 		return
 	}
+	ex, err := c.backend.Explain(ctx, src, mode == "analyze")
 	if err != nil {
-		s.failExec(w, r, err)
+		c.FailExec(w, err)
 		return
 	}
 	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(ex.Epoch, 10))
-	s.writeJSON(w, http.StatusOK, &wire.ExplainResponse{Explain: ex, Text: ex.Text()})
+	c.WriteJSON(w, http.StatusOK, &wire.ExplainResponse{Explain: ex, Text: ex.Text()})
 }
 
-// finishTrace seals a request's trace: ends the root span, attaches the
-// tree to the response stats when the client asked for it, and feeds
-// the slow-query log.
-func (s *Server) finishTrace(tr *trace.Trace, wantTrace bool, stats *dualsim.ExecStats, query string, d time.Duration, status int) {
+// startTrace opens a request's trace — continuing the caller's when tp
+// carries a traceparent — installs its root span in ctx and announces
+// the trace ID.
+func startTrace(ctx context.Context, w http.ResponseWriter, tp, root string) (context.Context, *trace.Trace) {
+	tr := trace.New(root)
+	if tp != "" {
+		tr = trace.Continue(tp, root)
+	}
+	w.Header().Set("X-Dualsim-Trace", tr.ID())
+	return trace.ContextWithSpan(ctx, tr.Root()), tr
+}
+
+// finishTrace seals a successful query's trace: ends the root span,
+// attaches the tree to the response stats when the client asked for it,
+// and feeds the slow-query log.
+func (c *Core) finishTrace(tr *trace.Trace, wantTrace bool, stats *dualsim.ExecStats, query string, d time.Duration) {
 	if tr == nil {
 		return
 	}
 	tr.Root().End()
-	var decisions []string
-	var epoch uint64
-	var fprint string
-	if stats != nil {
-		decisions, epoch, fprint = stats.PlanDecisions, stats.Epoch, stats.Fingerprint
-		if wantTrace {
-			stats.Trace = tr.Root()
-		}
+	if wantTrace {
+		stats.Trace = tr.Root()
 	}
-	recorded := s.slow.Observe(trace.Entry{
+	recorded := c.slow.Observe(trace.Entry{
 		Time:          time.Now(),
 		TraceID:       tr.ID(),
 		Query:         query,
-		Fingerprint:   fprint,
+		Fingerprint:   stats.Fingerprint,
 		Duration:      d,
-		Epoch:         epoch,
-		Status:        status,
-		PlanDecisions: decisions,
+		Epoch:         stats.Epoch,
+		Status:        http.StatusOK,
+		PlanDecisions: stats.PlanDecisions,
 		Trace:         tr.Root(),
 	})
-	if recorded && fprint != "" {
+	if recorded {
 		// Cross-link the statements table to the freshest slow capture of
 		// this statement (the slow entry carries the fingerprint back).
-		s.stmts.SetLastSlow(fprint, tr.ID())
+		c.stmts.SetLastSlow(stats.Fingerprint, tr.ID())
 	}
 }
 
-// observeStages feeds the per-stage latency histograms from one
-// execution's stage stats.
-func (s *Server) observeStages(stats *dualsim.ExecStats) {
-	if stats == nil {
-		return
-	}
-	for i := range stats.Stages {
-		if h := s.stageSeconds[stats.Stages[i].Name]; h != nil {
-			h.Observe(stats.Stages[i].Duration.Seconds())
-		}
-	}
-}
-
-// streamRows writes the NDJSON shape off a live cursor: header first
-// (flushed before any row is computed), then row events with incremental
-// flushes, then the stats trailer — or an error event if the execution
-// dies mid-stream, after the 200 was committed. tr (with wantTrace,
-// query and start) seals the request's trace into the trailer.
-func (s *Server) streamRows(w http.ResponseWriter, st *dualsim.Store, rows *dualsim.Rows, limit int, tr *trace.Trace, wantTrace bool, query string, start time.Time) {
-	epoch := rows.Stats().Epoch
-	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(wire.Event{Kind: wire.EventHeader, Vars: rows.Vars(), Epoch: epoch}); err != nil {
-		return // client gone; nothing to salvage mid-stream
-	}
-	flush()
-	n, truncated := 0, false
-	for rows.Next() {
-		if limit > 0 && n >= limit {
-			// The peek past the limit proves more rows exist; the row
-			// itself is dropped.
-			truncated = true
-			break
-		}
-		if err := enc.Encode(wire.Event{Kind: wire.EventRow, Values: decodeRow(st, rows.Row()), Epoch: epoch}); err != nil {
-			return
-		}
-		n++
-		if n == 1 || n%streamChunk == 0 {
-			flush()
-		}
-	}
-	if err := rows.Err(); err != nil {
-		// The status line is long gone; the in-band error event is the
-		// only way to tell the client the stream is dead, not complete.
-		s.recordStatement(query, rows.Stats(), time.Since(start), err)
-		_ = enc.Encode(wire.Event{Kind: wire.EventError, Error: err.Error(), Epoch: epoch})
-		flush()
-		return
-	}
-	rows.Close()
-	stats := rows.Stats()
-	s.recordStatement(query, stats, time.Since(start), nil)
-	s.finishTrace(tr, wantTrace, stats, query, time.Since(start), http.StatusOK)
-	s.observeStages(stats)
-	s.solverRounds.Add(int64(stats.Solver.Rounds))
-	s.rows.Add(int64(n))
-	_ = enc.Encode(wire.Event{Kind: wire.EventStats, Stats: stats, Rows: n, Truncated: truncated, Epoch: epoch})
-	flush()
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (c *Core) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One admission slot covers the whole batch (decode included): its
-	// internal fan-out runs on the session's own worker pool, and
+	// internal fan-out runs on the backend's own bounded worker pool, and
 	// counting each member against maxInFlight would let one caller
 	// starve the server.
-	release, ok := s.admitOr429(w, r)
+	release, ok := c.admitOr429(w, r)
 	if !ok {
 		return
 	}
 	defer release()
 	var req wire.BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if err := decodeBody(w, r, &req); err != nil {
+		c.FailExec(w, err)
 		return
 	}
 	if len(req.Queries) == 0 {
-		s.fail(w, http.StatusBadRequest, "empty batch")
+		c.Fail(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	s.batches.Inc()
-	s.queries.Add(int64(len(req.Queries)))
+	c.batches.Inc()
+	c.queries.Add(int64(len(req.Queries)))
 
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
+	ctx, cancel := c.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	wantTrace, tp := traceRequested(r, req.Trace)
 	var tr *trace.Trace
-	if wantTrace {
-		if tp != "" {
-			tr = trace.Continue(tp, "batch")
-		} else {
-			tr = trace.New("batch")
-		}
-		ctx = trace.ContextWithSpan(ctx, tr.Root())
-		w.Header().Set("X-Dualsim-Trace", tr.ID())
-	}
-
-	reqs := make([]dualsim.BatchRequest, len(req.Queries))
-	for i, src := range req.Queries {
-		reqs[i] = dualsim.BatchRequest{Src: src}
-	}
-	var opts []dualsim.BatchOption
-	if req.FailFast {
-		opts = append(opts, dualsim.BatchFailFast())
+	if wantTrace, tp := traceRequested(r, req.Trace); wantTrace {
+		ctx, tr = startTrace(ctx, w, tp, "batch")
 	}
 	start := time.Now()
-	out, err := s.session().ExecBatch(ctx, reqs, opts...)
-	// A context failure (deadline, client gone, closed session) fails
-	// the call; a fail-fast first error is still reported per item, with
-	// the per-request outcomes that did complete.
-	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) || errors.Is(err, dualsim.ErrClosed)) {
-		s.failExec(w, r, err)
+	out, err := c.backend.Batch(ctx, req.Queries, req.FailFast)
+	if err != nil {
+		c.FailExec(w, err)
 		return
 	}
-	resp := &wire.BatchResponse{
-		Results: make([]wire.BatchItem, len(out)),
-		Stats:   dualsim.SummarizeBatch(out, time.Since(start)),
+	elapsed := time.Since(start)
+	resp := &wire.BatchResponse{Results: make([]wire.BatchItem, len(out))}
+	summary := make([]dualsim.BatchResult, len(out))
+	for i, res := range out {
+		if res.Err != nil {
+			// Reported in the item's error slot; the HTTP reply is still
+			// 200, so errors_total (non-2xx responses) does not move.
+			c.recordStatement(req.Queries[i], nil, 0, res.Err)
+			resp.Results[i] = wire.BatchItem{Error: res.Err.Error()}
+			summary[i].Err = res.Err
+			continue
+		}
+		item := wire.BatchItem{Vars: res.Rows.Vars(), Epoch: res.Rows.Epoch()}
+		_, item.Truncated, _ = pump(res.Rows, req.Limit, func(row []*string) error {
+			item.Rows = append(item.Rows, row)
+			return nil
+		})
+		res.Rows.Close()
+		item.Stats = res.Rows.Stats()
+		c.recordStatement(req.Queries[i], item.Stats, item.Stats.Duration, nil)
+		c.rows.Add(int64(len(item.Rows)))
+		resp.Results[i], summary[i].Stats = item, item.Stats
 	}
+	resp.Stats = dualsim.SummarizeBatch(summary, elapsed)
 	if tr != nil {
 		tr.Root().End()
 		resp.Stats.Trace = tr.Root()
 	}
-	for i := range out {
-		s.observeStages(out[i].Stats)
-		var d time.Duration
-		if out[i].Stats != nil {
-			d = out[i].Stats.Duration
-		}
-		s.recordStatement(req.Queries[i], out[i].Stats, d, out[i].Err)
-		if out[i].Err != nil {
-			// Reported in the item's error slot; the HTTP reply is still
-			// 200, so errors_total (non-2xx responses) does not move.
-			resp.Results[i] = wire.BatchItem{Error: out[i].Err.Error()}
-			continue
-		}
-		rows, truncated := out[i].Result.Rows, false
-		if req.Limit > 0 && len(rows) > req.Limit {
-			rows, truncated = rows[:req.Limit], true
-		}
-		s.rows.Add(int64(len(rows)))
-		s.solverRounds.Add(int64(out[i].Stats.Solver.Rounds))
-		resp.Results[i] = wire.BatchItem{
-			Vars:      append([]string{}, out[i].Result.Vars...),
-			Rows:      decodeRows(out[i].Store, rows),
-			Epoch:     out[i].Stats.Epoch,
-			Truncated: truncated,
-			Stats:     out[i].Stats,
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	c.WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
-	if !s.allowWrite(w) {
-		return
-	}
-	release, ok := s.admitOr429(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var req wire.ApplyRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	s.applies.Inc()
+func (c *Core) handleApply(w http.ResponseWriter, r *http.Request) {
+	c.Mutate(w, r, func(ctx context.Context) (any, uint64, error) {
+		var req wire.ApplyRequest
+		if err := decodeBody(w, r, &req); err != nil {
+			return nil, 0, err
+		}
+		c.applies.Inc()
+		toTriples := func(ws []wire.Triple, slot string) ([]dualsim.Triple, error) {
+			out := make([]dualsim.Triple, len(ws))
+			for i, t := range ws {
+				if err := t.Validate(); err != nil {
+					return nil, Errorf(http.StatusBadRequest, "%s[%d]: %v", slot, i, err)
+				}
+				out[i] = t.ToTriple()
+			}
+			return out, nil
+		}
+		var d dualsim.Delta
+		var err error
+		if d.Adds, err = toTriples(req.Adds, "adds"); err != nil {
+			return nil, 0, err
+		}
+		if d.Dels, err = toTriples(req.Dels, "dels"); err != nil {
+			return nil, 0, err
+		}
+		var tr *trace.Trace
+		if wantTrace, tp := traceRequested(r, false); wantTrace {
+			ctx, tr = startTrace(ctx, w, tp, "apply")
+		}
+		body, epoch, err := c.backend.Apply(ctx, d)
+		if tr != nil {
+			tr.Root().End()
+		}
+		return body, epoch, err
+	})
+}
 
-	ctx, cancel := s.requestContext(r, 0)
+func (c *Core) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := c.requestContext(r, 0)
 	defer cancel()
-
-	d := dualsim.Delta{}
-	for i, t := range req.Adds {
-		if err := t.Validate(); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Sprintf("adds[%d]: %v", i, err))
-			return
-		}
-		d.Adds = append(d.Adds, t.ToTriple())
-	}
-	for i, t := range req.Dels {
-		if err := t.Validate(); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Sprintf("dels[%d]: %v", i, err))
-			return
-		}
-		d.Dels = append(d.Dels, t.ToTriple())
-	}
-	wantTrace, tp := traceRequested(r, false)
-	var tr *trace.Trace
-	if wantTrace {
-		if tp != "" {
-			tr = trace.Continue(tp, "apply")
-		} else {
-			tr = trace.New("apply")
-		}
-		ctx = trace.ContextWithSpan(ctx, tr.Root())
-		w.Header().Set("X-Dualsim-Trace", tr.ID())
-	}
-	stats, err := s.session().Apply(ctx, d)
+	out, err := c.backend.Snapshot(ctx)
 	if err != nil {
-		s.failExec(w, r, err)
+		c.FailExec(w, err)
 		return
-	}
-	if tr != nil {
-		tr.Root().End()
-		stats.Trace = tr.Root()
-	}
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(stats.Epoch, 10))
-	s.writeJSON(w, http.StatusOK, &wire.ApplyResponse{Stats: stats})
-}
-
-func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if !s.allowWrite(w) {
-		return
-	}
-	release, ok := s.admitOr429(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	s.applies.Inc()
-
-	ctx, cancel := s.requestContext(r, 0)
-	defer cancel()
-	stats, err := s.session().Compact(ctx)
-	if err != nil {
-		s.failExec(w, r, err)
-		return
-	}
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(stats.Epoch, 10))
-	s.writeJSON(w, http.StatusOK, &wire.ApplyResponse{Stats: stats})
-}
-
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !s.allowWrite(w) {
-		return
-	}
-	release, ok := s.admitOr429(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestContext(r, 0)
-	defer cancel()
-	stats, err := s.session().Checkpoint(ctx)
-	if errors.Is(err, dualsim.ErrNotDurable) {
-		// Not a transient failure: the daemon was started without -data.
-		s.fail(w, http.StatusConflict, err.Error())
-		return
-	}
-	if err != nil {
-		s.failExec(w, r, err)
-		return
-	}
-	s.checkpoints.Inc()
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(stats.Epoch, 10))
-	s.writeJSON(w, http.StatusOK, &wire.CheckpointResponse{Stats: stats})
-}
-
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	// The store shape comes from a pinned snapshot; the overlay counters
-	// are live session reads. Re-read until the epoch is stable around
-	// them so a concurrent Apply/Compact cannot tear the response into a
-	// combination that never existed (e.g. the old epoch with the
-	// post-compaction overlay size).
-	var out wire.SnapshotResponse
-	db := s.session()
-	for i := 0; i < 4; i++ {
-		snap := db.Snapshot()
-		st := snap.Store()
-		out = wire.SnapshotResponse{
-			Epoch:       snap.Epoch(),
-			Triples:     st.NumTriples(),
-			Nodes:       st.NumNodes(),
-			Predicates:  st.NumPreds(),
-			OverlaySize: db.OverlaySize(),
-			Compactions: db.Compactions(),
-		}
-		if db.Epoch() == snap.Epoch() {
-			break
-		}
 	}
 	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(out.Epoch, 10))
-	s.writeJSON(w, http.StatusOK, &out)
+	c.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealth is pure liveness: it answers 200 as long as the process
 // can serve at all, draining included. Use /readyz to decide whether to
 // route work here.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (c *Core) handleHealth(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
-	if s.draining.Value() != 0 {
+	if c.draining.Value() != 0 {
 		status = "draining"
 	}
 	bi := buildinfo.Get()
-	s.writeJSON(w, http.StatusOK, &wire.HealthResponse{
-		Status: status, Epoch: s.session().Epoch(),
+	c.WriteJSON(w, http.StatusOK, &wire.HealthResponse{
+		Status: status, Epoch: c.backend.Epoch(),
 		Version: bi.Version, Revision: bi.Revision,
 	})
 }
 
 // handleSlow serves the slow-query ring, newest first. An empty body
 // with threshold 0 means the log is disabled (-slowlog 0, the default).
-func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, &wire.SlowLogResponse{
-		ThresholdMs: float64(s.slow.Threshold()) / float64(time.Millisecond),
-		Total:       s.slow.Total(),
-		Entries:     s.slow.Entries(),
+func (c *Core) handleSlow(w http.ResponseWriter, r *http.Request) {
+	c.WriteJSON(w, http.StatusOK, &wire.SlowLogResponse{
+		ThresholdMs: float64(c.slow.Threshold()) / float64(time.Millisecond),
+		Total:       c.slow.Total(),
+		Entries:     c.slow.Entries(),
 	})
 }
 
 // readyErr resolves the readiness state: draining wins (the instance is
 // leaving), then the configured readiness hook (a replica's
-// bootstrap/lag check).
-func (s *Server) readyErr() error {
-	if s.draining.Value() != 0 {
+// bootstrap/lag check), then the backend's own view.
+func (c *Core) readyErr() error {
+	if c.draining.Value() != 0 {
 		return errDraining
 	}
-	if s.cfg.readiness != nil {
-		return s.cfg.readiness()
+	if c.cfg.readiness != nil {
+		if err := c.cfg.readiness(); err != nil {
+			return err
+		}
 	}
-	return nil
+	return c.backend.Ready()
 }
 
 var errDraining = errors.New("draining")
@@ -892,200 +723,61 @@ var errDraining = errors.New("draining")
 // traffic. Draining flips it to 503 before connections close, giving
 // load balancers a window to move on; a replica's readiness hook keeps
 // it 503 while bootstrapping or lagging beyond its staleness bound.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if err := s.readyErr(); err != nil {
+func (c *Core) handleReady(w http.ResponseWriter, r *http.Request) {
+	if err := c.readyErr(); err != nil {
 		status := "notready"
 		if errors.Is(err, errDraining) {
 			status = "draining"
 		}
 		// Not counted in errors_total: a not-ready probe answer is the
 		// endpoint working as designed, not a failed request.
-		s.writeJSON(w, http.StatusServiceUnavailable, &wire.HealthResponse{
-			Status: status, Epoch: s.session().Epoch(), Reason: err.Error(),
+		c.WriteJSON(w, http.StatusServiceUnavailable, &wire.HealthResponse{
+			Status: status, Epoch: c.backend.Epoch(), Reason: err.Error(),
 		})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, &wire.HealthResponse{Status: "ready", Epoch: s.session().Epoch()})
+	c.WriteJSON(w, http.StatusOK, &wire.HealthResponse{Status: "ready", Epoch: c.backend.Epoch()})
 }
 
-// handleWALSnapshot streams the live pinned snapshot in the on-disk
-// DSIMSNP1 container — the bootstrap half of replication. A replica
-// decodes it with persist.DecodeSnapshot and starts tailing from the
-// epoch in the X-Dualsim-Epoch header (repeated inside the container).
-// No admission slot: replication must not be shed behind query load, or
-// an overloaded primary could starve its own replicas into staleness.
-func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap := s.session().Snapshot()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(snap.Epoch(), 10))
-	w.WriteHeader(http.StatusOK)
-	// A write failure mid-stream means the replica went away; the torn
-	// container fails its CRC on the other side, so nothing to clean up.
-	_ = persist.EncodeSnapshotTo(w, snap.Store(), snap.Epoch())
-}
-
-// walPollInterval paces the long-poll loop of GET /v1/wal?waitMs=…: how
-// often a parked tail request re-checks the log for fresh records.
-const walPollInterval = 25 * time.Millisecond
-
-// handleWAL serves the replication tail: every WAL record with epoch >
-// fromEpoch, as NDJSON WALEvents (header, apply/compact records in
-// replay order, end). waitMs long-polls an empty tail so an idle
-// primary does not force replicas into tight polling. 409 on a
-// non-durable session; 410 (with X-Dualsim-Checkpoint-Epoch) when a
-// checkpoint truncated the requested range — the replica must
-// re-bootstrap from /v1/wal/snapshot.
-func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var from uint64
-	if v := q.Get("fromEpoch"); v != "" {
-		p, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "malformed fromEpoch: "+err.Error())
-			return
-		}
-		from = p
-	}
-	var wait time.Duration
-	if v := q.Get("waitMs"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms < 0 {
-			s.fail(w, http.StatusBadRequest, "malformed waitMs")
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-	}
-
-	db := s.session()
-	deadline := time.Now().Add(wait)
-	recs, ckpt, err := db.WALTail(from)
-	for err == nil && len(recs) == 0 && time.Now().Before(deadline) {
-		select {
-		case <-r.Context().Done():
-			return // replica gone; nothing useful to write
-		case <-time.After(walPollInterval):
-		}
-		// Re-resolve the session each round: a SwapDB mid-poll (this
-		// server is itself a re-bootstrapping replica) must not leave the
-		// poll parked on the abandoned session's log.
-		db = s.session()
-		recs, ckpt, err = db.WALTail(from)
-	}
-	switch {
-	case err == nil:
-	case errors.Is(err, dualsim.ErrNotDurable):
-		// Permanent for this process: no WAL exists without -data.
-		s.fail(w, http.StatusConflict, err.Error())
-		return
-	case errors.Is(err, persist.ErrEpochGap):
-		// Tell the replica where bootstrapping can restart from.
-		w.Header().Set("X-Dualsim-Checkpoint-Epoch", strconv.FormatUint(ckpt, 10))
-		s.fail(w, http.StatusGone, err.Error())
-		return
-	default:
-		s.failExec(w, r, err)
-		return
-	}
-	s.walStreams.Inc()
-
-	cur := db.Epoch()
-	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(cur, 10))
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(wire.WALEvent{Kind: wire.WALHeader, Epoch: cur, CheckpointEpoch: ckpt}); err != nil {
-		return
-	}
-	for _, rec := range recs {
-		ev := wire.WALEvent{Epoch: rec.Epoch}
-		switch rec.Kind {
-		case persist.RecordApply:
-			ev.Kind = wire.WALApply
-			ev.Adds = toWireTriples(rec.Adds)
-			ev.Dels = toWireTriples(rec.Dels)
-		case persist.RecordCompact:
-			ev.Kind = wire.WALCompact
-		default:
-			// Unknown kinds cannot be skipped: the replica's contiguity
-			// check would (correctly) flag the hole. Fail the stream.
-			_ = enc.Encode(wire.WALEvent{Kind: wire.WALEnd, Epoch: rec.Epoch - 1})
-			return
-		}
-		if err := enc.Encode(ev); err != nil {
-			return
-		}
-	}
-	_ = enc.Encode(wire.WALEvent{Kind: wire.WALEnd, Epoch: cur})
-}
-
-func toWireTriples(ts []dualsim.Triple) []wire.Triple {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]wire.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = wire.FromTriple(t)
-	}
-	return out
-}
-
-// handleExport serves every triple of the requested predicates
-// (?pred=…, repeatable) at one pinned epoch — the router's cross-shard
-// gather path. Predicates this shard does not hold export as nothing,
-// which is exactly right: the router unions slices across shards. Like
-// the WAL endpoints it skips admission: a gather is part of an
-// already-admitted query on the router, and shedding it would deadlock
-// the fan-out under load.
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	preds := r.URL.Query()["pred"]
-	if len(preds) == 0 {
-		s.fail(w, http.StatusBadRequest, "export needs at least one pred parameter")
-		return
-	}
-	s.exports.Inc()
-	snap := s.session().Snapshot()
-	st := snap.Store()
-	out := wire.ExportResponse{Epoch: snap.Epoch()}
-	for _, p := range preds {
-		pid, ok := st.PredIDOf(p)
-		if !ok {
-			continue // not on this shard (or not in the data): empty slice
-		}
-		st.ForEachPair(pid, func(sub, obj storage.NodeID) bool {
-			out.Triples = append(out.Triples, wire.FromTriple(dualsim.Triple{
-				S: st.Term(sub), P: p, O: st.Term(obj),
-			}))
-			return true
-		})
-	}
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(out.Epoch, 10))
-	s.writeJSON(w, http.StatusOK, &out)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (c *Core) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = s.reg.WriteTo(w)
+	_, _ = c.reg.WriteTo(w)
 }
 
 // ---------------------------------------------------------------------------
 // Plumbing
 
-// allowWrite refuses mutating endpoints on a read-only (replica)
-// server with 403 and reports false. Runs before admission: the refusal
-// must not consume an execution slot.
-func (s *Server) allowWrite(w http.ResponseWriter) bool {
-	if s.cfg.readOnly {
-		s.fail(w, http.StatusForbidden, "read-only replica: writes go to the primary (or arrive via the replication stream)")
-		return false
+// Mutate serves one mutating request. A read-only (replica) instance
+// refuses with 403 before admission — the refusal must not consume an
+// execution slot; otherwise op runs under an admission slot and the
+// request's execution context, and its body is answered under the
+// epoch it produced. An error from op picks the reply as in FailExec.
+func (c *Core) Mutate(w http.ResponseWriter, r *http.Request, op func(ctx context.Context) (body any, epoch uint64, err error)) {
+	if c.cfg.readOnly {
+		c.Fail(w, http.StatusForbidden, "read-only replica: writes go to the primary (or arrive via the replication stream)")
+		return
 	}
-	return true
+	release, ok := c.admitOr429(w, r)
+	if !ok {
+		return
+	}
+	defer release()
+	ctx, cancel := c.requestContext(r, 0)
+	defer cancel()
+	body, epoch, err := op(ctx)
+	if err != nil {
+		c.FailExec(w, err)
+		return
+	}
+	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(epoch, 10))
+	c.WriteJSON(w, http.StatusOK, body)
 }
 
 // admitOr429 passes the request through admission control; on shedding
 // it writes the 429 (with Retry-After) or the client-abandonment status
 // and reports false.
-func (s *Server) admitOr429(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	release, queued, err := s.admit.acquire(r.Context())
+func (c *Core) admitOr429(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	release, queued, err := c.admit.acquire(r.Context())
 	switch {
 	case err == nil:
 		if queued {
@@ -1095,20 +787,20 @@ func (s *Server) admitOr429(w http.ResponseWriter, r *http.Request) (release fun
 		}
 		return release, true
 	case errors.Is(err, ErrOverloaded):
-		s.shed.Inc()
-		s.errors.Inc()
-		secs := int64(s.cfg.retryAfter.Round(time.Second) / time.Second)
+		c.shed.Inc()
+		c.errors.Inc()
+		secs := int64(c.cfg.retryAfter.Round(time.Second) / time.Second)
 		if secs < 1 {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		s.writeJSON(w, http.StatusTooManyRequests, &wire.ErrorResponse{
+		c.WriteJSON(w, http.StatusTooManyRequests, &wire.ErrorResponse{
 			Error:        "overloaded: in-flight and queue limits reached",
-			RetryAfterMs: s.cfg.retryAfter.Milliseconds(),
+			RetryAfterMs: c.cfg.retryAfter.Milliseconds(),
 		})
 		return nil, false
-	default: // the client went away while queued; fail counts the error
-		s.fail(w, statusClientClosedRequest, "client cancelled while queued")
+	default: // the client went away while queued; Fail counts the error
+		c.Fail(w, statusClientClosedRequest, "client cancelled while queued")
 		return nil, false
 	}
 }
@@ -1119,9 +811,9 @@ const statusClientClosedRequest = 499
 
 // requestContext derives the execution context: the HTTP request context
 // (client disconnect cancels it) bounded by the request's timeoutMs or
-// the server default.
-func (s *Server) requestContext(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.defaultTimeout
+// the configured default.
+func (c *Core) requestContext(r *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
+	d := c.cfg.defaultTimeout
 	if timeoutMs > 0 {
 		d = time.Duration(timeoutMs) * time.Millisecond
 	}
@@ -1131,56 +823,59 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int64) (context.Conte
 	return context.WithCancel(r.Context())
 }
 
-// decodeBody decodes a JSON body, answering 400 on malformed input and
-// 413 when the body exceeds maxBodyBytes (so bulk-apply callers know to
-// chunk the delta rather than fix their JSON).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
+// decodeBody decodes a JSON body; the error says 400 for malformed
+// input and 413 when the body exceeds maxBodyBytes (so bulk-apply
+// callers know to chunk the delta rather than fix their JSON).
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes; split the request", tooLarge.Limit))
-			return false
+			return Errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes; split the request", tooLarge.Limit)
 		}
-		s.fail(w, http.StatusBadRequest, "malformed request body: "+err.Error())
-		return false
+		return Errorf(http.StatusBadRequest, "malformed request body: %v", err)
 	}
-	return true
+	return nil
 }
 
-// failExec maps an execution error onto an HTTP status: deadline → 504,
-// client disconnect → 499, closed session → 503, anything else (parse,
-// plan, malformed delta — all induced by the request) → 400.
-func (s *Server) failExec(w http.ResponseWriter, r *http.Request, err error) {
+// FailExec maps an execution error onto an HTTP status: a backend
+// *Error names its own; deadline → 504, client disconnect → 499, closed
+// session → 503, memory budget → 413, anything else (parse, plan,
+// malformed delta — all induced by the request) → 400.
+func (c *Core) FailExec(w http.ResponseWriter, err error) {
+	var be *Error
 	switch {
+	case errors.As(err, &be):
+		c.Fail(w, be.Status, be.Msg)
 	case errors.Is(err, context.DeadlineExceeded):
-		s.fail(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
+		c.Fail(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
 	case errors.Is(err, context.Canceled):
-		s.errors.Inc()
+		c.errors.Inc()
 		// The client is gone; record the status for logs, skip the body.
 		w.WriteHeader(statusClientClosedRequest)
 	case errors.Is(err, dualsim.ErrClosed):
-		s.fail(w, http.StatusServiceUnavailable, err.Error())
+		c.Fail(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, dualsim.ErrQueryMemoryExceeded):
 		// The query's buffered state outgrew the session's memory budget
 		// (-maxquerymem): the payload the server would have to hold is too
 		// large, the 413 of executions. The daemon keeps serving.
-		s.fail(w, http.StatusRequestEntityTooLarge, err.Error())
+		c.Fail(w, http.StatusRequestEntityTooLarge, err.Error())
 	default:
-		s.fail(w, http.StatusBadRequest, err.Error())
+		c.Fail(w, http.StatusBadRequest, err.Error())
 	}
 }
 
-func (s *Server) fail(w http.ResponseWriter, status int, msg string) {
+// Fail answers with an ErrorResponse and counts the failed request.
+func (c *Core) Fail(w http.ResponseWriter, status int, msg string) {
 	if status >= 400 {
-		s.errors.Inc()
+		c.errors.Inc()
 	}
-	s.writeJSON(w, status, &wire.ErrorResponse{Error: msg})
+	c.WriteJSON(w, status, &wire.ErrorResponse{Error: msg})
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
+// WriteJSON answers with body as one JSON document.
+func (c *Core) WriteJSON(w http.ResponseWriter, status int, body any) {
 	buf, err := json.Marshal(body)
 	if err != nil { // a wire type failed to marshal: a programming error
 		http.Error(w, `{"error":"internal: response encoding failed"}`, http.StatusInternalServerError)
@@ -1235,26 +930,4 @@ func explainMode(r *http.Request, req wire.QueryRequest) string {
 		mode = "plan"
 	}
 	return mode
-}
-
-// decodeRow renders one result row against the snapshot dictionary it
-// was computed on: N-Triples term rendering, nil for unbound positions.
-func decodeRow(st *dualsim.Store, row []storage.NodeID) []*string {
-	out := make([]*string, len(row))
-	for i, v := range row {
-		if v == dualsim.Unbound {
-			continue
-		}
-		s := st.Term(v).String()
-		out[i] = &s
-	}
-	return out
-}
-
-func decodeRows(st *dualsim.Store, rows [][]storage.NodeID) [][]*string {
-	out := make([][]*string, len(rows))
-	for i, row := range rows {
-		out[i] = decodeRow(st, row)
-	}
-	return out
 }

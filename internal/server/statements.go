@@ -17,11 +17,6 @@ import (
 	"dualsim/internal/wire"
 )
 
-// statementStore aliases the workload statistics store so the Server
-// struct (declared in server.go, where many locals are named stats) can
-// hold one without importing the package there.
-type statementStore = qstats.Store
-
 // topStatements is how many ranks of the by-total-time statement table
 // are exported as /metrics gauges.
 const topStatements = 5
@@ -46,37 +41,33 @@ type topCache struct {
 // holds up to n distinct statements, evicting least-recently-executed
 // ones beyond that. Statistics are on by default (capacity 256, cheap:
 // the per-execution record path is allocation-free); n = 0 disables
-// them entirely.
+// them entirely. The store belongs to the local backend: a router's
+// table is the merge of its shards'.
 func WithStatementStats(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
 			return fmt.Errorf("server: negative statement stats capacity %d", n)
 		}
-		c.stmtCapacity, c.stmtSet = n, true
+		c.stmtCapacity = n
 		return nil
 	}
 }
 
-// newStatementStore resolves the configured store: default capacity
-// unless WithStatementStats chose one, nil (disabled, all methods
-// no-ops) for an explicit 0.
-func newStatementStore(cfg config) *statementStore {
-	n := cfg.stmtCapacity
-	if !cfg.stmtSet {
-		n = qstats.DefaultCapacity
-	}
-	if n <= 0 {
+// newStatementStore builds the configured store: nil (disabled, all
+// methods no-ops) for capacity 0.
+func newStatementStore(cfg config) *qstats.Store {
+	if cfg.stmtCapacity == 0 {
 		return nil
 	}
-	return qstats.NewStore(n)
+	return qstats.NewStore(cfg.stmtCapacity)
 }
 
 // recordStatement folds one query execution into the workload
 // statistics. st may be nil (error paths return no ExecStats): the
 // fingerprint is then re-derived from the source text — off the hot
 // path, which always has the prepared fingerprint in st.
-func (s *Server) recordStatement(src string, st *dualsim.ExecStats, d time.Duration, execErr error) {
-	if s.stmts == nil {
+func (c *Core) recordStatement(src string, st *dualsim.ExecStats, d time.Duration, execErr error) {
+	if c.stmts == nil {
 		return
 	}
 	var f qstats.Fingerprint
@@ -107,7 +98,7 @@ func (s *Server) recordStatement(src string, st *dualsim.ExecStats, d time.Durat
 			obs.RowsBuffered = st.Resources.RowsBuffered
 		}
 	}
-	s.stmts.Record(f, obs)
+	c.stmts.Record(f, obs)
 }
 
 // recordShedStatement attributes an admission-control rejection to its
@@ -116,8 +107,8 @@ func (s *Server) recordStatement(src string, st *dualsim.ExecStats, d time.Durat
 // protects execution capacity, not parsing — fingerprinting the query
 // that was refused is exactly the accounting pg_stat_statements-style
 // tables need to show who is being shed.
-func (s *Server) recordShedStatement(r *http.Request) {
-	if s.stmts == nil {
+func (c *Core) recordShedStatement(r *http.Request) {
+	if c.stmts == nil {
 		return
 	}
 	var req wire.QueryRequest
@@ -125,27 +116,39 @@ func (s *Server) recordShedStatement(r *http.Request) {
 	if dec.Decode(&req) != nil || strings.TrimSpace(req.Query) == "" {
 		return
 	}
-	s.stmts.RecordShed(qstats.OfSource(req.Query))
+	c.stmts.RecordShed(qstats.OfSource(req.Query))
 }
 
 // handleStatements serves the workload statistics table, ordered by
 // total execution time descending. ?reset=1 returns the snapshot and
-// then clears the store (so the caller sees what was discarded).
-func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
-	rows := s.stmts.Statements()
+// then clears the table (so the caller sees what was discarded).
+func (c *Core) handleStatements(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := c.requestContext(r, 0)
+	defer cancel()
+	v := r.URL.Query().Get("reset")
+	out, err := c.backend.Statements(ctx, v == "1" || v == "true")
+	if err != nil {
+		c.FailExec(w, err)
+		return
+	}
+	c.WriteJSON(w, http.StatusOK, out)
+}
+
+func (b *local) Statements(_ context.Context, reset bool) (*wire.StatementsResponse, error) {
+	rows := b.stmts.Statements()
 	if rows == nil {
 		rows = []qstats.Statement{}
 	}
 	out := &wire.StatementsResponse{
 		Statements:    rows,
-		Tracked:       s.stmts.Len(),
-		Evicted:       s.stmts.Evicted(),
+		Tracked:       b.stmts.Len(),
+		Evicted:       b.stmts.Evicted(),
 		LatencyBounds: qstats.LatencyBounds,
 	}
-	if v := r.URL.Query().Get("reset"); v == "1" || v == "true" {
-		s.stmts.Reset()
+	if reset {
+		b.stmts.Reset()
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 // registerStatementMetrics exports the store's shape and its top ranks
@@ -154,10 +157,10 @@ func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
 // identity lives at /v1/debug/statements.
 func (s *Server) registerStatementMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("dualsimd_statements_tracked", "distinct statements in the workload statistics store", func() float64 {
-		return float64(s.stmts.Len())
+		return float64(s.be.stmts.Len())
 	})
 	reg.GaugeFunc("dualsimd_statements_evicted", "statements LRU-evicted from the workload statistics store", func() float64 {
-		return float64(s.stmts.Evicted())
+		return float64(s.be.stmts.Evicted())
 	})
 	for rank := 1; rank <= topStatements; rank++ {
 		rank := rank
@@ -191,7 +194,7 @@ func (s *Server) topRows() []qstats.Statement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.rows == nil || time.Since(c.at) > topCacheTTL {
-		c.rows = s.stmts.Statements()
+		c.rows = s.be.stmts.Statements()
 		if c.rows == nil {
 			c.rows = []qstats.Statement{}
 		}

@@ -3,15 +3,16 @@ package dualsim
 import (
 	"fmt"
 
+	"dualsim/internal/bitmat"
 	"dualsim/internal/core"
+	"dualsim/internal/soi"
 )
 
-// Option configures a session opened with Open. Options replace the flat
-// Options struct of the one-shot API: the solver switches (strategy,
-// ordering, initialization, compression, parallelism) and the pipeline
-// composition (engine choice, pruning, fingerprint pre-filter) are all
-// fixed per session, so every query prepared on the session inherits
-// them.
+// Option configures a session opened with Open: the solver switches
+// (strategy, ordering, initialization, compression, parallelism) and the
+// pipeline composition (engine choice, pruning, fingerprint pre-filter)
+// are all fixed per session, so every query prepared on the session
+// inherits them.
 type Option func(*settings) error
 
 // settings is the resolved session configuration.
@@ -45,17 +46,24 @@ func defaultSettings() settings {
 	return settings{engine: Volcano, pruning: true}
 }
 
-// coreConfig lowers the session settings to the solver configuration,
-// through the legacy Options mapping so the two paths cannot diverge.
+// coreConfig lowers the session settings to the solver configuration.
 func (s settings) coreConfig() core.Config {
-	return Options{
-		Strategy:         s.strategy,
-		DeclarationOrder: s.declOrder,
-		PlainInit:        s.plainInit,
-		Compressed:       s.compressed,
-		ShortCircuit:     s.shortCircuit,
-		Workers:          s.workers,
-	}.config()
+	cfg := core.Config{
+		PlainInit:    s.plainInit,
+		Compressed:   s.compressed,
+		ShortCircuit: s.shortCircuit,
+		Workers:      s.workers,
+	}
+	switch s.strategy {
+	case RowWiseStrategy:
+		cfg.Strategy = bitmat.RowWise
+	case ColWiseStrategy:
+		cfg.Strategy = bitmat.ColWise
+	}
+	if s.declOrder {
+		cfg.Order = soi.DeclarationOrder
+	}
+	return cfg
 }
 
 // WithEngine selects the evaluation engine of the pipeline's final stage
@@ -259,20 +267,6 @@ func WithStages(stages ...Stage) Option {
 			return fmt.Errorf("dualsim: WithStages requires at least one stage")
 		}
 		s.stages = append([]Stage(nil), stages...)
-		return nil
-	}
-}
-
-// WithOptions imports a legacy flat Options value into the session
-// configuration — the bridge for code migrating from the one-shot API.
-func WithOptions(o Options) Option {
-	return func(s *settings) error {
-		s.strategy = o.Strategy
-		s.declOrder = o.DeclarationOrder
-		s.plainInit = o.PlainInit
-		s.compressed = o.Compressed
-		s.shortCircuit = o.ShortCircuit
-		s.workers = o.Workers
 		return nil
 	}
 }

@@ -18,24 +18,6 @@ type Pruning struct {
 	rel *core.QueryRelation
 }
 
-// Prune computes the pruned database for q: every triple not certified by
-// the largest dual simulation is removed. Evaluating q on Store() yields
-// every match the full store yields (Theorem 2).
-//
-// Deprecated: use a session — Open(st, WithOptions(opts)) followed by
-// db.Prune(ctx, q), or the full pipeline via Prepare/Exec — for
-// cancellation and plan reuse.
-func Prune(st *Store, q *Query, opts Options) (*Pruning, error) {
-	if err := requireStore(st); err != nil {
-		return nil, err
-	}
-	db, err := Open(st, WithOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return db.Prune(context.Background(), q)
-}
-
 // Store materializes the pruned database. Node ids and dictionaries are
 // shared with the original store, so results remain comparable.
 func (p *Pruning) Store() *Store { return p.p.Store() }
@@ -90,22 +72,6 @@ func (p *Pattern) IsCyclic() bool { return p.p.IsCyclic() }
 type PatternRelation struct {
 	rel *core.Relation
 	st  *Store
-}
-
-// SimulatePattern computes the largest dual simulation between the
-// pattern graph and the store.
-//
-// Deprecated: use a session — Open(st, WithOptions(opts)) followed by
-// db.SimulatePattern(ctx, p) — for cancellation and configuration reuse.
-func SimulatePattern(st *Store, p *Pattern, opts Options) (*PatternRelation, error) {
-	if err := requireStore(st); err != nil {
-		return nil, err
-	}
-	db, err := Open(st, WithOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return db.SimulatePattern(context.Background(), p)
 }
 
 // Candidates returns the simulating nodes of a pattern variable in

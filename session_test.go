@@ -38,7 +38,7 @@ func TestSessionPipeline(t *testing.T) {
 		t.Fatalf("results = %d, want 2", res.Len())
 	}
 	// The default pipeline prunes: 4 of 20 triples survive (cf. the
-	// quickstart test of the one-shot API).
+	// quickstart test of the stage-by-stage API).
 	if stats.TriplesBefore != 20 || stats.TriplesAfter != 4 {
 		t.Fatalf("pruning %d -> %d, want 20 -> 4", stats.TriplesBefore, stats.TriplesAfter)
 	}
@@ -61,13 +61,13 @@ func TestSessionPipeline(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 
-	// Exec matches the deprecated one-shot path.
-	legacy, err := dualsim.Evaluate(st, pq.Query(), dualsim.HashJoin)
+	// The pipeline matches a bare evaluation of the unpruned store.
+	bare, err := open(t, st, dualsim.WithEngine(dualsim.HashJoin)).Evaluate(context.Background(), st, pq.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Equal(legacy) {
-		t.Fatal("session results differ from deprecated Evaluate")
+	if !res.Equal(bare) {
+		t.Fatal("pipeline results differ from evaluating the unpruned store")
 	}
 }
 
@@ -388,7 +388,7 @@ func TestSessionOptionsEquivalence(t *testing.T) {
 		{dualsim.WithEngine(dualsim.IndexNL)},
 		{dualsim.WithPruning(false)},
 		{dualsim.WithFingerprint(-1)},
-		{dualsim.WithOptions(dualsim.Options{Workers: 2, Compressed: true})},
+		{dualsim.WithWorkers(2), dualsim.WithCompressed()},
 	}
 	var want *dualsim.Result
 	for i, opts := range variants {
