@@ -3,8 +3,8 @@
 //
 //	BenchmarkTable2…     SOI vs. Ma et al. vs. HHK per B query
 //	BenchmarkTable3…     pruning (SOI + mask construction) per query
-//	BenchmarkTable4…     hash-join engine, full vs. pruned, per query
-//	BenchmarkTable5…     index-NL engine, full vs. pruned, per query
+//	BenchmarkTable4…     Volcano executor, full vs. pruned, per query
+//	BenchmarkTable5…     index-NL oracle, full vs. pruned, per query
 //	BenchmarkFig6…       the L0/L1 mandatory cores (§5.3 convergence)
 //	BenchmarkAblation…   §3.3 strategy/ordering/encoding/init switches
 //
@@ -154,8 +154,8 @@ func benchmarkEngineTable(b *testing.B, eng engine.Engine) {
 	}
 }
 
-func BenchmarkTable4HashJoin(b *testing.B) {
-	benchmarkEngineTable(b, engine.NewHashJoin())
+func BenchmarkTable4Volcano(b *testing.B) {
+	benchmarkEngineTable(b, engine.NewVolcano())
 }
 
 func BenchmarkTable5IndexNL(b *testing.B) {

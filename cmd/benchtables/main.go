@@ -3,8 +3,8 @@
 //
 //	benchtables -table 2          # SPARQLSIM vs. Ma et al. vs. HHK
 //	benchtables -table 3          # pruning effectiveness
-//	benchtables -table 4          # hash-join engine, full vs. pruned
-//	benchtables -table 5          # index-nested-loop engine
+//	benchtables -table 4          # Volcano executor, full vs. pruned
+//	benchtables -table 5          # index-nested-loop oracle, full vs. pruned
 //	benchtables -table iters      # SOI convergence shapes (§5.3)
 //	benchtables -table updates    # live-update layer (apply / re-query / compact)
 //	benchtables -table serving    # loopback HTTP serving (p50/p95, hit rate, shed)
@@ -113,8 +113,8 @@ func run(table string, universities, kgScale int, seed int64, repeats int, jsonP
 		rep.Tables["table3"] = rows
 	}
 	if want("4") {
-		fmt.Println("Table 4: hash-join engine (in-memory-store stand-in), full vs. pruned (seconds)")
-		rows, err := bench.EngineComparison(d, engine.NewHashJoin(), repeats)
+		fmt.Println("Table 4: Volcano executor (in-memory-store stand-in), full vs. pruned (seconds)")
+		rows, err := bench.EngineComparison(d, engine.NewVolcano(), repeats)
 		if err != nil {
 			return err
 		}
@@ -123,7 +123,7 @@ func run(table string, universities, kgScale int, seed int64, repeats int, jsonP
 		rep.Tables["table4"] = rows
 	}
 	if want("5") {
-		fmt.Println("Table 5: index-nested-loop engine (relational-store stand-in), full vs. pruned (seconds)")
+		fmt.Println("Table 5: index-nested-loop oracle (relational-store stand-in), full vs. pruned (seconds)")
 		rows, err := bench.EngineComparison(d, engine.NewIndexNL(), repeats)
 		if err != nil {
 			return err

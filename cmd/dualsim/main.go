@@ -4,7 +4,7 @@
 //	dualsim -data db.nt -q 'SELECT * WHERE { ?d <directed> ?m }'        # evaluate
 //	dualsim -data db.nt -query q.rq -prune                              # pruned evaluation
 //	dualsim -data db.nt -q '…' -mode simulate                           # candidate sets
-//	dualsim -data db.nt -q '…' -engine index -limit 20                  # results via index-NL engine
+//	dualsim -data db.nt -q '…' -limit 20                                # first 20 result rows
 //	dualsim -data db.nt -q '…' -prune -fingerprint 2 -timeout 30s       # full pipeline, bounded
 //	dualsim -data db.nt -q '…' -repeat 100                              # serve repeats via the plan cache
 //	dualsim -data db.nt -query batch.rq -batch                          # batched concurrent execution
@@ -33,7 +33,7 @@
 // The command is a thin client of the session API: it opens a DB over
 // the loaded store, prepares the query once and executes the pipeline
 // under a cancellable context — Ctrl-C (or -timeout) interrupts the
-// solver and the join engines mid-flight.
+// solver and the executor mid-flight.
 package main
 
 import (
@@ -54,7 +54,6 @@ func main() {
 	queryFile := flag.String("query", "", "query file")
 	queryText := flag.String("q", "", "inline query text")
 	mode := flag.String("mode", "evaluate", "evaluate, simulate, prune or analyze")
-	engineName := flag.String("engine", "volcano", "volcano, hash or index")
 	limit := flag.Int("limit", 0, "print at most this many result rows (0 = all)")
 	out := flag.String("out", "", "prune mode: write the pruned store here")
 	doPrune := flag.Bool("prune", false, "evaluate through the pruning pipeline instead of directly")
@@ -96,7 +95,7 @@ func main() {
 
 	cfg := cliConfig{
 		data: *data, queryFile: *queryFile, queryText: *queryText,
-		mode: *mode, engine: *engineName, limit: *limit, out: *out,
+		mode: *mode, limit: *limit, out: *out,
 		prune: *doPrune, fingerprintK: *fingerprintK, workers: *workers,
 		repeat: *repeat, batch: *batch, planCache: *planCache,
 		batchWorkers: *batchWorkers,
@@ -114,7 +113,7 @@ func main() {
 // cliConfig carries the parsed flags.
 type cliConfig struct {
 	data, queryFile, queryText string
-	mode, engine               string
+	mode                       string
 	limit                      int
 	out                        string
 	prune                      bool
@@ -269,16 +268,6 @@ func runLiveUpdate(ctx context.Context, db *dualsim.DB, src string, cfg cliConfi
 // openSession maps the flags onto session options.
 func openSession(st *dualsim.Store, cfg cliConfig) (*dualsim.DB, error) {
 	opts := []dualsim.Option{dualsim.WithPruning(cfg.prune || cfg.mode == "prune")}
-	switch cfg.engine {
-	case "volcano":
-		opts = append(opts, dualsim.WithEngine(dualsim.Volcano))
-	case "hash":
-		opts = append(opts, dualsim.WithEngine(dualsim.HashJoin))
-	case "index":
-		opts = append(opts, dualsim.WithEngine(dualsim.IndexNL))
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want volcano, hash or index)", cfg.engine)
-	}
 	if cfg.workers > 0 {
 		opts = append(opts, dualsim.WithWorkers(cfg.workers))
 	}
@@ -475,8 +464,8 @@ func runEvaluate(ctx context.Context, db *dualsim.DB, q *dualsim.Query, limit in
 		}
 		fmt.Fprintf(os.Stderr, "%-11s %8v  %d -> %d\n", ss.Name, ss.Duration.Round(time.Microsecond), ss.In, ss.Out)
 	}
-	fmt.Fprintf(os.Stderr, "%d results in %v (%s engine, epoch %d)\n",
-		res.Len(), stats.Duration.Round(time.Microsecond), db.EngineName(), stats.Epoch)
+	fmt.Fprintf(os.Stderr, "%d results in %v (epoch %d)\n",
+		res.Len(), stats.Duration.Round(time.Microsecond), stats.Epoch)
 	printRows(res, db.Store(), limit)
 	return nil
 }

@@ -51,24 +51,22 @@ func do(t *testing.T, cfg cliConfig) error {
 
 func TestRunEvaluateModes(t *testing.T) {
 	data := fixture(t)
-	for _, engine := range []string{"hash", "index"} {
-		if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", engine: engine, limit: 1}); err != nil {
-			t.Fatalf("engine %s: %v", engine, err)
-		}
+	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", limit: 1}); err != nil {
+		t.Fatal(err)
 	}
 	// Through the pruning pipeline.
-	if err := do(t, cliConfig{data: data, queryText: queries.QueryX2, mode: "evaluate", engine: "hash", prune: true}); err != nil {
+	if err := do(t, cliConfig{data: data, queryText: queries.QueryX2, mode: "evaluate", prune: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Full pipeline: fingerprint pre-filter + pruning + workers.
-	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", engine: "hash", prune: true, fingerprintK: 2, workers: 2}); err != nil {
+	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", prune: true, fingerprintK: 2, workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSimulateMode(t *testing.T) {
 	data := fixture(t)
-	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "simulate", engine: "hash"}); err != nil {
+	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "simulate"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,7 +74,7 @@ func TestRunSimulateMode(t *testing.T) {
 func TestRunPruneMode(t *testing.T) {
 	data := fixture(t)
 	out := filepath.Join(t.TempDir(), "pruned.nt")
-	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "prune", engine: "hash", out: out}); err != nil {
+	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "prune", out: out}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -99,7 +97,7 @@ func TestRunQueryFromFile(t *testing.T) {
 	if err := os.WriteFile(qf, []byte(queries.QueryX1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := do(t, cliConfig{data: data, queryFile: qf, mode: "evaluate", engine: "hash"}); err != nil {
+	if err := do(t, cliConfig{data: data, queryFile: qf, mode: "evaluate"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,12 +105,12 @@ func TestRunQueryFromFile(t *testing.T) {
 func TestRunRepeatMode(t *testing.T) {
 	data := fixture(t)
 	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate",
-		engine: "hash", repeat: 5, planCache: 4, limit: 1}); err != nil {
+		repeat: 5, planCache: 4, limit: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Parse errors surface through the serving path too.
 	if err := do(t, cliConfig{data: data, queryText: "SELECT broken", mode: "evaluate",
-		engine: "hash", repeat: 3, planCache: 4}); err == nil {
+		repeat: 3, planCache: 4}); err == nil {
 		t.Fatal("repeat mode accepted a broken query")
 	}
 }
@@ -125,7 +123,7 @@ func TestRunBatchMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := do(t, cliConfig{data: data, queryFile: qf, mode: "evaluate",
-		engine: "hash", batch: true, planCache: 4, batchWorkers: 2, limit: 1}); err != nil {
+		batch: true, planCache: 4, batchWorkers: 2, limit: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// A failing query inside the batch surfaces as an error after the
@@ -135,12 +133,12 @@ func TestRunBatchMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := do(t, cliConfig{data: data, queryFile: qf, mode: "evaluate",
-		engine: "hash", batch: true}); err == nil {
+		batch: true}); err == nil {
 		t.Fatal("batch with a broken query reported success")
 	}
 	// Batch is evaluate-only.
 	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "prune",
-		engine: "hash", batch: true}); err == nil {
+		batch: true}); err == nil {
 		t.Fatal("batch accepted a non-evaluate mode")
 	}
 }
@@ -157,7 +155,7 @@ func TestSplitBatch(t *testing.T) {
 
 func TestRunAnalyzeMode(t *testing.T) {
 	// analyze needs no data file.
-	if err := do(t, cliConfig{queryText: queries.QueryX3, mode: "analyze", engine: "hash"}); err != nil {
+	if err := do(t, cliConfig{queryText: queries.QueryX3, mode: "analyze"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,7 +164,7 @@ func TestRunCancelled(t *testing.T) {
 	data := fixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := run(ctx, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", engine: "hash", prune: true})
+	err := run(ctx, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", prune: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: %v", err)
 	}
@@ -178,12 +176,11 @@ func TestRunErrors(t *testing.T) {
 		name string
 		cfg  cliConfig
 	}{
-		{"missing data", cliConfig{queryText: queries.QueryX1, mode: "evaluate", engine: "hash"}},
-		{"missing query", cliConfig{data: data, mode: "evaluate", engine: "hash"}},
-		{"bad engine", cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", engine: "nope"}},
-		{"bad mode", cliConfig{data: data, queryText: queries.QueryX1, mode: "nope", engine: "hash"}},
-		{"bad query", cliConfig{data: data, queryText: "SELECT", mode: "evaluate", engine: "hash"}},
-		{"bad data path", cliConfig{data: "/no/such.nt", queryText: queries.QueryX1, mode: "evaluate", engine: "hash"}},
+		{"missing data", cliConfig{queryText: queries.QueryX1, mode: "evaluate"}},
+		{"missing query", cliConfig{data: data, mode: "evaluate"}},
+		{"bad mode", cliConfig{data: data, queryText: queries.QueryX1, mode: "nope"}},
+		{"bad query", cliConfig{data: data, queryText: "SELECT", mode: "evaluate"}},
+		{"bad data path", cliConfig{data: "/no/such.nt", queryText: queries.QueryX1, mode: "evaluate"}},
 	}
 	for _, c := range cases {
 		if do(t, c.cfg) == nil {
@@ -231,7 +228,6 @@ func TestMainExitCodes(t *testing.T) {
 	}{
 		{"parse error", []string{"-data", data, "-q", "SELECT broken"}},
 		{"missing data", []string{"-q", queries.QueryX1}},
-		{"bad engine", []string{"-data", data, "-q", queries.QueryX1, "-engine", "nope"}},
 		{"apply error", []string{"-data", data, "-q", queries.QueryX1, "-apply", "/no/such.nt"}},
 		{"bad data path", []string{"-data", "/no/such.nt", "-q", queries.QueryX1}},
 	}
@@ -243,6 +239,13 @@ func TestMainExitCodes(t *testing.T) {
 		if !strings.Contains(stderr, "dualsim:") {
 			t.Errorf("%s: error not printed to stderr, got %q", c.name, stderr)
 		}
+	}
+
+	// The evaluator is not selectable: -engine is gone, so passing it is a
+	// flag-parse error (exit 2), not a silently ignored knob.
+	code, stderr = cli(t, "-data", data, "-q", queries.QueryX1, "-engine", "index")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -engine") {
+		t.Errorf("-engine: exit %d, stderr %q; want a flag-parse error", code, stderr)
 	}
 }
 
@@ -273,14 +276,14 @@ func TestRunLiveUpdate(t *testing.T) {
 		dualsim.T("G._Hamilton", "worked_with", "H._Saltzman"),
 	})
 	if err := do(t, cliConfig{
-		data: data, queryText: queries.QueryX1, mode: "evaluate", engine: "hash",
+		data: data, queryText: queries.QueryX1, mode: "evaluate",
 		planCache: 8, applyFile: apply, delFile: del,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// -apply with -repeat is rejected.
 	if err := do(t, cliConfig{
-		data: data, queryText: queries.QueryX1, mode: "evaluate", engine: "hash",
+		data: data, queryText: queries.QueryX1, mode: "evaluate",
 		planCache: 8, repeat: 3, applyFile: apply,
 	}); err == nil {
 		t.Fatal("-apply with -repeat was accepted")

@@ -7,7 +7,7 @@
 //	dualsimd -store db.nt -shard 0/2                 # serve one cluster shard
 //	dualsimd -follow http://primary:8321 -maxlag 2   # WAL-streaming read replica
 //	dualsimd -store db.nt -addr 127.0.0.1:0 -plancache 256 -maxinflight 16
-//	dualsimd -store db.nt -prune=false -engine index
+//	dualsimd -store db.nt -prune=false
 //	dualsimd -store db.nt -compactat 4096 -fingerprint 2
 //
 // Endpoints (see internal/server for the wire format):
@@ -89,7 +89,6 @@ type daemonConfig struct {
 	addr            string
 	store           string
 	data            string
-	engine          string
 	prune           bool
 	fingerprintK    int
 	workers         int
@@ -119,7 +118,6 @@ func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8321", "listen address (host:port; port 0 picks a free one)")
 	fs.StringVar(&cfg.store, "store", "", "N-Triples database file (required unless -data holds state)")
 	fs.StringVar(&cfg.data, "data", "", "durable data dir: snapshot + WAL; warm restart when it holds state")
-	fs.StringVar(&cfg.engine, "engine", "volcano", "evaluation engine: volcano, hash or index")
 	fs.BoolVar(&cfg.prune, "prune", true, "evaluate through the dual-simulation pruning pipeline")
 	fs.IntVar(&cfg.fingerprintK, "fingerprint", 0, "pre-filter via a k-bounded bisimulation fingerprint (0 = off)")
 	fs.IntVar(&cfg.workers, "workers", 0, "parallelize bit-matrix multiplications over this many goroutines")
@@ -366,16 +364,6 @@ func openSession(cfg daemonConfig, logw *os.File) (*dualsim.DB, error) {
 // cmd/dualsim).
 func sessionOptions(cfg daemonConfig) ([]dualsim.Option, error) {
 	opts := []dualsim.Option{dualsim.WithPruning(cfg.prune)}
-	switch cfg.engine {
-	case "volcano":
-		opts = append(opts, dualsim.WithEngine(dualsim.Volcano))
-	case "hash":
-		opts = append(opts, dualsim.WithEngine(dualsim.HashJoin))
-	case "index":
-		opts = append(opts, dualsim.WithEngine(dualsim.IndexNL))
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want volcano, hash or index)", cfg.engine)
-	}
 	if cfg.workers > 0 {
 		opts = append(opts, dualsim.WithWorkers(cfg.workers))
 	}

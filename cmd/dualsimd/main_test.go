@@ -95,7 +95,7 @@ const queryX1 = `SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }`
 
 func TestDaemonServesAndDrains(t *testing.T) {
 	c, shutdown := startDaemon(t, daemonConfig{
-		store: fixture(t), engine: "hash", prune: true, planCache: 16, queueDepth: 8,
+		store: fixture(t), prune: true, planCache: 16, queueDepth: 8,
 	})
 	ctx := context.Background()
 
@@ -146,7 +146,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 	ctx := context.Background()
 
 	c, shutdown := startDaemon(t, daemonConfig{
-		store: fixture(t), data: dataDir, engine: "hash", prune: true,
+		store: fixture(t), data: dataDir, prune: true,
 		planCache: 16, queueDepth: 8, checkpointEvery: 1024,
 	})
 	if _, err := c.ApplyDelta(ctx, dualsim.Delta{Adds: []dualsim.Triple{
@@ -167,7 +167,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 
 	// Second boot: no -store. The dir is the database now.
 	c2, shutdown2 := startDaemon(t, daemonConfig{
-		data: dataDir, engine: "hash", prune: true, planCache: 16, queueDepth: 8,
+		data: dataDir, prune: true, planCache: 16, queueDepth: 8,
 	})
 	defer shutdown2()
 	snap, err := c2.Snapshot(ctx)
@@ -324,7 +324,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 // each predicate answered by exactly its owning shard.
 func TestDaemonShard(t *testing.T) {
 	fix := fixture(t)
-	base := daemonConfig{store: fix, engine: "hash", prune: true, planCache: 16, queueDepth: 8}
+	base := daemonConfig{store: fix, prune: true, planCache: 16, queueDepth: 8}
 	ctx := context.Background()
 
 	cfg0, cfg1 := base, base
@@ -370,7 +370,7 @@ func TestDaemonShard(t *testing.T) {
 func TestDaemonFollower(t *testing.T) {
 	ctx := context.Background()
 	pc, shutdownPrimary := startDaemon(t, daemonConfig{
-		store: fixture(t), data: t.TempDir(), engine: "hash", prune: true,
+		store: fixture(t), data: t.TempDir(), prune: true,
 		planCache: 16, queueDepth: 8, checkpointEvery: 1024,
 	})
 	defer shutdownPrimary()
@@ -383,7 +383,7 @@ func TestDaemonFollower(t *testing.T) {
 	purl := pc.BaseURL()
 
 	rc, shutdownReplica := startDaemon(t, daemonConfig{
-		follow: purl, engine: "hash", prune: true, planCache: 16, queueDepth: 8,
+		follow: purl, prune: true, planCache: 16, queueDepth: 8,
 	})
 	defer shutdownReplica()
 
@@ -447,17 +447,16 @@ func TestDaemonConfigErrors(t *testing.T) {
 	defer devnull.Close()
 	emptyDir := t.TempDir()
 	cases := []daemonConfig{
-		{},                              // missing -store and -data
-		{store: "/no/such.nt"},          // unreadable store
-		{store: "fixture", engine: "x"}, // bad engine (data set below)
-		{store: "fixture", engine: "hash", fingerprintK: 2, prune: false}, // fingerprint without prune
-		{store: "fixture", engine: "hash", queueDepth: -1},                // negative queue depth fails loudly
-		{store: "fixture", engine: "hash", checkpointEvery: -1},           // negative checkpoint interval fails loudly
-		{data: emptyDir, engine: "hash"},                                  // -data without state needs -store
-		{store: "fixture", engine: "hash", shard: "2/2"},                  // shard index out of range
-		{store: "fixture", engine: "hash", shard: "nope"},                 // malformed shard spec
-		{store: "fixture", engine: "hash", follow: "http://x"},            // -follow conflicts with -store
-		{engine: "hash", maxLag: 3},                                       // -maxlag requires -follow
+		{},                     // missing -store and -data
+		{store: "/no/such.nt"}, // unreadable store
+		{store: "fixture", fingerprintK: 2, prune: false}, // fingerprint without prune
+		{store: "fixture", queueDepth: -1},                // negative queue depth fails loudly
+		{store: "fixture", checkpointEvery: -1},           // negative checkpoint interval fails loudly
+		{data: emptyDir},                                  // -data without state needs -store
+		{store: "fixture", shard: "2/2"},                  // shard index out of range
+		{store: "fixture", shard: "nope"},                 // malformed shard spec
+		{store: "fixture", follow: "http://x"},            // -follow conflicts with -store
+		{maxLag: 3},                                       // -maxlag requires -follow
 	}
 	fix := fixture(t)
 	for i := range cases {
@@ -485,4 +484,15 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.data != "/var/lib/dualsim" || cfg.store != "" {
 		t.Fatalf("warm-restart config: %+v", cfg)
 	}
+}
+
+// TestEngineFlagGone: the daemon's evaluator is not selectable, so
+// -engine is a flag-parse error rather than a knob /v1/query ignores.
+func TestEngineFlagGone(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "flag provided but not defined: -engine") {
+			t.Fatalf("-engine parsed; recovered %q", msg)
+		}
+	}()
+	parseFlags([]string{"-store", "x.nt", "-engine", "index"}, flag.PanicOnError)
 }

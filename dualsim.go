@@ -16,20 +16,21 @@
 //   - a graph database: an in-memory dictionary-encoded triple store with
 //     per-predicate indexes and adjacency bit-matrices
 //     (NewStore/LoadNTriples/FromTriples);
-//   - a session: Open(st, ...Option) fixes the engine, the solver
-//     switches and the pipeline composition for a store; sessions are
+//   - a session: Open(st, ...Option) fixes the solver switches and the
+//     pipeline switches (pruning, fingerprint) for a store; sessions are
 //     safe for concurrent use;
 //   - prepared queries: db.Prepare(src) parses the SPARQL fragment
 //     (SELECT * over basic graph patterns with AND (.), OPTIONAL and
 //     UNION) and plans it exactly once — pattern extraction, lowering to
 //     per-branch systems of inequalities with their ordering keys, and
 //     the fingerprint lookup when the session has one;
-//   - execution: pq.Exec(ctx) runs the composable pipeline — optional
+//   - execution: pq.Stream(ctx) runs the one fixed pipeline — optional
 //     fingerprint pre-filter, dual-simulation pruning (the paper's
-//     headline application), engine evaluation — returning the solution
-//     mappings plus per-stage ExecStats. Cancellation and deadlines on
+//     headline application), evaluation by the Volcano executor — and
+//     returns a row cursor; pq.Exec(ctx) is the same drained into a
+//     Result, with per-stage ExecStats. Cancellation and deadlines on
 //     ctx interrupt the solver between inequality evaluations and the
-//     engines between join row batches;
+//     executor between row batches;
 //   - serving: with WithPlanCache(n), db.Query(ctx, text) resolves
 //     repeated query text through an LRU plan cache, and
 //     db.ExecBatch(ctx, reqs) fans a slice of queries across a worker
@@ -58,7 +59,7 @@
 // A minimal session:
 //
 //	st, _ := dualsim.LoadNTriples(file)
-//	db, _ := dualsim.Open(st, dualsim.WithEngine(dualsim.HashJoin))
+//	db, _ := dualsim.Open(st)
 //	pq, _ := db.Prepare(`SELECT * WHERE { ?d <directed> ?m . }`)
 //	res, stats, _ := pq.Exec(ctx) // prune + evaluate; reusable, concurrent
 //	fmt.Println(res.Len(), stats.PrunedRatio())
@@ -144,39 +145,32 @@ type Result = engine.Result
 // Unbound marks positions outside dom(µ) in result rows.
 const Unbound = engine.Unbound
 
-// EngineKind selects the evaluation engine.
+// EngineKind names an evaluator. The session has one executor, Volcano;
+// IndexNL is an oracle kept to check it (see WithEngine, RequiredTriples).
 type EngineKind int
 
 const (
-	// HashJoin materializes triple patterns and hash-joins them in
-	// cardinality order (in-memory-store style).
-	HashJoin EngineKind = iota
-	// IndexNL uses greedy cost-based join ordering with index
-	// nested-loop extension (relational-store style).
-	IndexNL
-	// Reference is the executable denotational semantics — exponential,
-	// only for tiny stores and testing.
-	Reference
 	// Volcano streams rows through an Open/Next/Close iterator tree over
-	// a cost-based plan (join reordering, filter and LIMIT pushdown). The
-	// session default, and the engine behind the incremental exec path.
-	Volcano
+	// a cost-based plan (join reordering, filter and LIMIT pushdown, hash
+	// join or index extend chosen per join). The zero value and the only
+	// evaluator that serves.
+	Volcano EngineKind = iota
+	// IndexNL is the oracle: greedy cost-based join ordering with
+	// materializing index nested-loop extension, sharing no join code
+	// with the executor.
+	IndexNL
 )
 
+// engine returns the evaluator behind the kind — the one place the root
+// package reaches the oracle.
 func (k EngineKind) engine() engine.Engine {
-	switch k {
-	case HashJoin:
-		return engine.NewHashJoin()
-	case IndexNL:
+	if k == IndexNL {
 		return engine.NewIndexNL()
-	case Reference:
-		return engine.NewReference()
-	default:
-		return engine.NewVolcano()
 	}
+	return engine.NewVolcano()
 }
 
-// String returns the engine's report name.
+// String returns the evaluator's report name.
 func (k EngineKind) String() string { return k.engine().Name() }
 
 // Strategy selects the bit-matrix multiplication strategy.

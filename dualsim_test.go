@@ -38,7 +38,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	db := open(t, st, dualsim.WithEngine(dualsim.HashJoin))
+	db := open(t, st)
 
 	// 1. Dual simulation: candidate sets.
 	rel, err := db.DualSimulate(ctx, q)
@@ -86,7 +86,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 
 	// 4. Required triples = kept triples on this example.
-	req, err := dualsim.RequiredTriples(st, q, dualsim.HashJoin)
+	req, err := dualsim.RequiredTriples(st, q, dualsim.IndexNL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestPublicAPIGenerators(t *testing.T) {
 			t.Fatal("triple slice smaller than store")
 		}
 	}
-	if dualsim.HashJoin.String() != "hashjoin" || dualsim.IndexNL.String() != "indexnl" {
+	if dualsim.Volcano.String() != "volcano" || dualsim.IndexNL.String() != "indexnl" {
 		t.Fatal("engine names changed")
 	}
 }
@@ -227,7 +227,7 @@ func TestPublicAPINilStore(t *testing.T) {
 	if _, err := open(t, fig1a(t)).Evaluate(context.Background(), nil, q); err == nil {
 		t.Fatal("nil store accepted")
 	}
-	if _, err := dualsim.RequiredTriples(nil, q, dualsim.HashJoin); err == nil {
+	if _, err := dualsim.RequiredTriples(nil, q, dualsim.IndexNL); err == nil {
 		t.Fatal("nil store accepted")
 	}
 }

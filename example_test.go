@@ -28,7 +28,7 @@ func movieGraph() *dualsim.Store {
 // a query once, Exec(ctx) the pruning pipeline any number of times.
 func ExampleOpen() {
 	st := movieGraph()
-	db, _ := dualsim.Open(st, dualsim.WithEngine(dualsim.HashJoin))
+	db, _ := dualsim.Open(st)
 	defer db.Close()
 
 	pq, _ := db.Prepare(`SELECT * WHERE {
@@ -82,7 +82,7 @@ func ExampleDB_DualSimulate() {
 // participate in a match.
 func ExampleDB_Prune() {
 	st := movieGraph()
-	db, _ := dualsim.Open(st, dualsim.WithEngine(dualsim.HashJoin))
+	db, _ := dualsim.Open(st)
 	defer db.Close()
 	ctx := context.Background()
 	q := dualsim.MustParseQuery(`SELECT * WHERE {
@@ -104,7 +104,7 @@ func ExampleDB_Prune() {
 // semantics, without the pruning stage.
 func ExampleDB_Evaluate() {
 	st := movieGraph()
-	db, _ := dualsim.Open(st, dualsim.WithEngine(dualsim.IndexNL))
+	db, _ := dualsim.Open(st)
 	defer db.Close()
 	q := dualsim.MustParseQuery(`SELECT * WHERE {
 	  ?director <directed> ?movie .

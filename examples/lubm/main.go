@@ -64,7 +64,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		req, err := dualsim.RequiredTriples(st, pq.Query(), dualsim.HashJoin)
+		req, err := dualsim.RequiredTriples(st, pq.Query(), dualsim.Volcano)
 		if err != nil {
 			log.Fatal(err)
 		}

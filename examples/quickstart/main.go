@@ -81,10 +81,10 @@ func main() {
 		st.NumTriples(), st.NumNodes(), st.NumPreds())
 
 	// --- Step 1: open a session ----------------------------------------
-	// The session fixes engine and pipeline for every query prepared on
-	// it; the default pipeline is dual-sim prune → evaluate. The plan
-	// cache holds up to 8 prepared plans for the db.Query serving path.
-	db, err := dualsim.Open(st, dualsim.WithEngine(dualsim.HashJoin), dualsim.WithPlanCache(8))
+	// The session fixes the pipeline for every query prepared on it:
+	// dual-sim prune → evaluate on the Volcano executor. The plan cache
+	// holds up to 8 prepared plans for the db.Query serving path.
+	db, err := dualsim.Open(st, dualsim.WithPlanCache(8))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -323,8 +323,8 @@ func main() {
 	}
 
 	// --- Step 10: filters, cost-based planning, streaming ---------------
-	// The default session engine is the streaming Volcano executor behind
-	// the cost-based planner: FILTER and LIMIT/OFFSET are part of the
+	// The session's executor is the streaming Volcano engine behind the
+	// cost-based planner: FILTER and LIMIT/OFFSET are part of the
 	// query surface, the planner orders joins sparsest-first and sinks
 	// filter conjuncts below the joins that bind their variables, and
 	// ExecStats documents each decision plus per-operator row counters.

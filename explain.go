@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dualsim/internal/engine"
-	"dualsim/internal/plan"
 	"dualsim/internal/trace"
 )
 
@@ -55,7 +53,7 @@ func (pq *PreparedQuery) Explain(ctx context.Context) (*Explain, error) {
 	if pq.db.closed.Load() {
 		return nil, ErrClosed
 	}
-	ex, err := engine.Compile(pq.snap.st, pq.q, plan.Options{})
+	ex, err := pq.db.compile(pq.snap.st, pq.q)
 	if err != nil {
 		return nil, err
 	}

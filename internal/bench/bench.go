@@ -7,8 +7,8 @@
 //	Table 3 — result sizes, required triples, SOI time and triples after
 //	          pruning for L0–L5, D0–D5, B0–B19;
 //	Table 4 — full-database vs. pruned-database evaluation times on the
-//	          hash-join engine (the RDFox stand-in);
-//	Table 5 — the same on the index-nested-loop engine (the Virtuoso
+//	          Volcano executor (the RDFox stand-in);
+//	Table 5 — the same on the index-nested-loop oracle (the Virtuoso
 //	          stand-in);
 //	Iters   — per-query SOI rounds, the §5.3 convergence discussion
 //	          (L0 slow / L1 two-iteration shape).
@@ -166,7 +166,7 @@ func (r Table3Row) PrunedFraction() float64 {
 // Table3 measures result sizes, required triples, SOI runtime and
 // leftover triples for every benchmark query.
 func Table3(d *Datasets, repeats int) ([]Table3Row, error) {
-	eng := engine.NewHashJoin()
+	eng := engine.NewVolcano()
 	var rows []Table3Row
 	for _, spec := range queries.All() {
 		st := d.StoreFor(spec)
@@ -219,8 +219,9 @@ type EngineRow struct {
 func (r EngineRow) TotalPruned() time.Duration { return r.TDBPruned + r.TPrune }
 
 // EngineComparison runs every query on the full and pruned store with the
-// given engine — Table 4 with the hash-join engine, Table 5 with the
-// index-nested-loop engine.
+// given evaluator — Table 4 with the Volcano executor (the in-memory
+// store stand-in: the planner picks hash join or index extend per join),
+// Table 5 with the index-nested-loop oracle.
 func EngineComparison(d *Datasets, eng engine.Engine, repeats int) ([]EngineRow, error) {
 	var rows []EngineRow
 	for _, spec := range queries.All() {

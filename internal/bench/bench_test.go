@@ -115,7 +115,7 @@ func TestTable3Invariants(t *testing.T) {
 
 func TestEngineComparisonInvariants(t *testing.T) {
 	d := tiny(t)
-	for _, eng := range []engine.Engine{engine.NewHashJoin(), engine.NewIndexNL()} {
+	for _, eng := range []engine.Engine{engine.NewVolcano(), engine.NewIndexNL()} {
 		rows, err := EngineComparison(d, eng, 1)
 		if err != nil {
 			t.Fatal(err)

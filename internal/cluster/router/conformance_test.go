@@ -71,8 +71,12 @@ type reply struct {
 	HasError   bool     // the body carries a non-empty "error"
 	Rows       []string // buffered 200: canonical row set
 	StatsTrace bool     // the stats carry a span tree
+	Results    int      // the stats' result count
 
-	traceID string // not compared: IDs are minted per request
+	// Not compared across backends: IDs are minted per request, and the
+	// router's stats are the merge's, which has no operator list.
+	traceID   string
+	operators bool // the stats carry a non-empty operator list
 }
 
 func do(t *testing.T, method, url string, hdr map[string]string, body io.Reader) reply {
@@ -118,7 +122,7 @@ func do(t *testing.T, method, url string, hdr map[string]string, body io.Reader)
 			flush()
 			out.Events = append(out.Events, ev.Kind)
 			if ev.Kind == wire.EventStats && ev.Stats != nil {
-				out.StatsTrace = ev.Stats.Trace != nil
+				out.stats(ev.Stats)
 			}
 		}
 		flush()
@@ -133,8 +137,40 @@ func do(t *testing.T, method, url string, hdr map[string]string, body io.Reader)
 	if json.Unmarshal(buf, &env) == nil {
 		out.HasError = env.Error != ""
 		out.Rows = canonRows(env.Rows)
-		out.StatsTrace = env.Stats != nil && env.Stats.Trace != nil
+		if env.Stats != nil {
+			out.stats(env.Stats)
+		}
 	}
+	return out
+}
+
+func (r *reply) stats(s *dualsim.ExecStats) {
+	r.StatsTrace = s.Trace != nil
+	r.operators = len(s.Operators) > 0
+	r.Results = s.Results
+}
+
+// batchMember posts a one-member /v1/batch and returns the member's
+// rows and stats in reply form.
+func batchMember(t *testing.T, url, query string) reply {
+	t.Helper()
+	body, _ := json.Marshal(wire.BatchRequest{Queries: []string{query}})
+	resp, err := http.Post(url+"/v1/batch", wire.ContentTypeJSON, strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var br wire.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	out := reply{Status: resp.StatusCode}
+	if len(br.Results) != 1 || br.Results[0].Stats == nil {
+		t.Fatalf("/v1/batch: %d members, want one with stats: %+v", len(br.Results), br.Results)
+	}
+	out.HasError = br.Results[0].Error != ""
+	out.Rows = canonRows(br.Results[0].Rows)
+	out.stats(br.Results[0].Stats)
 	return out
 }
 
@@ -162,7 +198,7 @@ func TestProtocolConformance(t *testing.T) {
 		status int
 		events []string // the NDJSON event sequence, when the reply streams
 		traced bool     // the reply must carry a trace header and a span tree
-		check  func(t *testing.T, r reply)
+		check  func(t *testing.T, b backend, r reply)
 	}{
 		{name: "malformed body", body: `{`, status: 400},
 		{name: "unknown field", body: `{"nope":1}`, status: 400},
@@ -171,7 +207,7 @@ func TestProtocolConformance(t *testing.T) {
 		{name: "parse error", body: `{"query":"SELECT broken"}`, status: 400},
 		{name: "unknown explain mode", body: q(`,"explain":"bogus"`), status: 400},
 		{name: "timeoutMs expiry", body: fmt.Sprintf(`{"query":%q,"timeoutMs":20}`, slow), status: 504},
-		{name: "buffered", body: q(""), status: 200, check: func(t *testing.T, r reply) {
+		{name: "buffered", body: q(""), status: 200, check: func(t *testing.T, _ backend, r reply) {
 			if len(r.Rows) != 2 || r.Epoch != "0" {
 				t.Errorf("buffered reply: %+v", r)
 			}
@@ -183,12 +219,26 @@ func TestProtocolConformance(t *testing.T) {
 		{name: "trace by body", body: q(`,"trace":true`), status: 200, traced: true},
 		{name: "trace by URL", path: "?trace=1", body: q(""), status: 200, traced: true},
 		{name: "trace by traceparent", hdr: map[string]string{"traceparent": "00-" + traceID + "-00f067aa0ba902b7-01"}, body: q(""), status: 200, traced: true,
-			check: func(t *testing.T, r reply) {
+			check: func(t *testing.T, _ backend, r reply) {
 				if r.traceID != traceID {
 					t.Errorf("X-Dualsim-Trace = %q, want the caller's %q", r.traceID, traceID)
 				}
 			}},
 		{name: "streamed trace", path: "?stream=1&trace=1", body: q(""), status: 200, events: streamed, traced: true},
+		// One evaluator behind both routes: a /v1/batch member's stats and
+		// the /v1/query stats trailer agree for one text, and on the daemon
+		// (whose stats are one execution's) both list the executor's
+		// operators.
+		{name: "batch and query share the executor", path: "?stream=1", body: q(""), status: 200, events: streamed,
+			check: func(t *testing.T, b backend, r reply) {
+				m := batchMember(t, b.url, x1)
+				if m.Status != 200 || m.HasError || m.Results != 2 || r.Results != 2 || m.operators != r.operators {
+					t.Errorf("/v1/batch member %+v disagrees with the /v1/query trailer %+v", m, r)
+				}
+				if b.name == "daemon" && !(m.operators && r.operators) {
+					t.Errorf("operators missing: /v1/batch member %v, /v1/query trailer %v", m.operators, r.operators)
+				}
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []reply
@@ -207,9 +257,9 @@ func TestProtocolConformance(t *testing.T) {
 					t.Errorf("%s: trace header %v, stats tree %v, want both %v", b.name, r.Traced, r.StatsTrace, tc.traced)
 				}
 				if tc.check != nil {
-					tc.check(t, r)
+					tc.check(t, b, r)
 				}
-				r.traceID = ""
+				r.traceID, r.operators = "", false
 				got = append(got, r)
 			}
 			if !reflect.DeepEqual(got[0], got[1]) {

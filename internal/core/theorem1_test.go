@@ -63,7 +63,7 @@ func randomTriplesT1(r *rand.Rand, nodes, preds, edges int) []rdf.Triple {
 
 // TestPropertyTheorem1QueryLevel: result bindings ⊆ candidate sets.
 func TestPropertyTheorem1QueryLevel(t *testing.T) {
-	eng := engine.NewHashJoin()
+	eng := engine.NewVolcano()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		st, err := storage.FromTriples(randomTriplesT1(r, 8, 3, 22))
@@ -103,7 +103,7 @@ func TestPropertyTheorem1QueryLevel(t *testing.T) {
 // stop early, but the emptiness verdict must match the non-short-circuit
 // run, and a non-empty result set forbids a short circuit.
 func TestPropertyShortCircuitConsistency(t *testing.T) {
-	eng := engine.NewHashJoin()
+	eng := engine.NewVolcano()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		st, err := storage.FromTriples(randomTriplesT1(r, 8, 3, 22))

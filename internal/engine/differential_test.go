@@ -53,8 +53,8 @@ func randomFilteredExpr(r *rand.Rand, vars int) sparql.Expr {
 // TestDifferentialFilterAgainstReference extends the engine parity
 // property to the FILTER surface: on random stores and random filtered
 // queries (conditions over bound and unbound variables, constants and
-// literals, all connectives), every production engine must produce
-// exactly the reference's mapping set.
+// literals, all connectives), the executor (and the IndexNL oracle) must
+// produce exactly the reference's mapping set.
 func TestDifferentialFilterAgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -98,35 +98,44 @@ func TestDifferentialLimitAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		fullC := full.Canonical()
-		inFull := make(map[string]bool, len(fullC.Rows))
-		for _, row := range fullC.Rows {
-			inFull[rowKey(row)] = true
-		}
 		limit, offset := r.Intn(4)+1, r.Intn(3)
 		q := &sparql.Query{Expr: expr, Limit: limit, Offset: offset}
-		wantLen := len(fullC.Rows) - offset
-		if wantLen < 0 {
-			wantLen = 0
-		}
-		if wantLen > limit {
-			wantLen = limit
-		}
 		for _, e := range engines() {
 			got, err := e.Evaluate(context.Background(), st, q)
 			if err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, e.Name(), err)
 			}
-			gotC := got.Canonical()
-			if len(gotC.Rows) != wantLen {
-				t.Fatalf("seed %d query %s LIMIT %d OFFSET %d:\n%s returned %d distinct rows, want %d (full %d)",
-					seed, expr, limit, offset, e.Name(), len(gotC.Rows), wantLen, len(fullC.Rows))
-			}
-			for _, row := range gotC.Rows {
-				if !inFull[rowKey(row)] {
-					t.Fatalf("seed %d: %s produced a row outside the full answer", seed, e.Name())
-				}
+			if err := checkWindow(got, full, limit, offset); err != nil {
+				t.Fatalf("seed %d query %s LIMIT %d OFFSET %d: %s: %v", seed, expr, limit, offset, e.Name(), err)
 			}
 		}
 	}
+}
+
+// checkWindow checks the LIMIT/OFFSET contract of got against the full
+// answer: exactly min(limit, max(0, |full|−offset)) distinct rows, all
+// drawn from full.
+func checkWindow(got, full *Result, limit, offset int) error {
+	fullC := full.Canonical()
+	want := len(fullC.Rows) - offset
+	if want < 0 {
+		want = 0
+	}
+	if want > limit {
+		want = limit
+	}
+	inFull := make(map[string]bool, len(fullC.Rows))
+	for _, row := range fullC.Rows {
+		inFull[rowKey(row)] = true
+	}
+	gotC := got.Canonical()
+	if len(gotC.Rows) != want {
+		return fmt.Errorf("%d distinct rows, want %d (full %d)", len(gotC.Rows), want, len(fullC.Rows))
+	}
+	for _, row := range gotC.Rows {
+		if !inFull[rowKey(row)] {
+			return fmt.Errorf("row %v is outside the full answer", row)
+		}
+	}
+	return nil
 }

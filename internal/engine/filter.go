@@ -111,41 +111,3 @@ func compareTerms(op string, a, b rdf.Term) bool {
 	}
 	return false
 }
-
-// applyFilter keeps the rows whose condition evaluates to true.
-func applyFilter(st *storage.Store, cond sparql.Condition, res *Result) *Result {
-	cols := make(map[string]int, len(res.Vars))
-	for i, v := range res.Vars {
-		cols[v] = i
-	}
-	out := NewResult(res.Vars...)
-	for _, row := range res.Rows {
-		if v, e := evalCond(st, cond, cols, row); v && !e {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
-// applyLimit applies the query's LIMIT/OFFSET solution modifier to a
-// materialized result. Set semantics have no inherent order, so rows are
-// deduplicated and canonically sorted first — every engine then truncates
-// to the same row set, keeping the engines comparable and the output
-// deterministic.
-func applyLimit(res *Result, q *sparql.Query) *Result {
-	if q.Limit == 0 && q.Offset == 0 {
-		return res
-	}
-	res.Dedup()
-	res.Sort()
-	lo := q.Offset
-	if lo > len(res.Rows) {
-		lo = len(res.Rows)
-	}
-	hi := len(res.Rows)
-	if q.Limit > 0 && lo+q.Limit < hi {
-		hi = lo + q.Limit
-	}
-	res.Rows = res.Rows[lo:hi]
-	return res
-}

@@ -1,162 +1,10 @@
 package engine
 
-import (
-	"context"
-	"fmt"
-
-	"dualsim/internal/sparql"
-	"dualsim/internal/storage"
-)
+import "dualsim/internal/storage"
 
 // rowCheckInterval is the number of rows a join or scan loop processes
 // between two context-cancellation checks.
 const rowCheckInterval = 1024
-
-// evalExpr evaluates a graph pattern expression with the given BGP
-// evaluator plugged in; the operator algebra (AND = ⋈, OPTIONAL = left
-// outer join, UNION = ∪) is shared by all engines, as is the ctx
-// cancellation discipline: every operator node checks ctx, and the join
-// loops check it every rowCheckInterval rows.
-func evalExpr(ctx context.Context, st *storage.Store, e sparql.Expr, bgp func(context.Context, *storage.Store, sparql.BGP) (*Result, error)) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch x := e.(type) {
-	case sparql.BGP:
-		return bgp(ctx, st, x)
-	case sparql.And:
-		l, err := evalExpr(ctx, st, x.L, bgp)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalExpr(ctx, st, x.R, bgp)
-		if err != nil {
-			return nil, err
-		}
-		return join(ctx, l, r, false)
-	case sparql.Optional:
-		l, err := evalExpr(ctx, st, x.L, bgp)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalExpr(ctx, st, x.R, bgp)
-		if err != nil {
-			return nil, err
-		}
-		return join(ctx, l, r, true)
-	case sparql.Union:
-		l, err := evalExpr(ctx, st, x.L, bgp)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalExpr(ctx, st, x.R, bgp)
-		if err != nil {
-			return nil, err
-		}
-		return union(l, r), nil
-	case sparql.Filter:
-		inner, err := evalExpr(ctx, st, x.Inner, bgp)
-		if err != nil {
-			return nil, err
-		}
-		return applyFilter(st, x.Cond, inner), nil
-	default:
-		return nil, fmt.Errorf("engine: unknown expression %T", e)
-	}
-}
-
-// join computes the compatibility join l ⋈ r; with leftOuter it computes
-// the left outer join (OPTIONAL): rows of l without any compatible partner
-// survive unextended.
-func join(ctx context.Context, l, r *Result, leftOuter bool) (*Result, error) {
-	shared := sharedVars(l, r)
-	outVars := unionVars(l, r)
-	out := NewResult(outVars...)
-
-	lIdx := varIndexes(l, shared)
-	rIdx := varIndexes(r, shared)
-
-	// Hash r rows whose shared variables are all bound; rows with unbound
-	// shared variables are compatibility wildcards and go to a scan list.
-	buckets := make(map[string][]int, len(r.Rows))
-	var wildcards []int
-	for i, row := range r.Rows {
-		if allBound(row, rIdx) {
-			buckets[keyOf(row, rIdx)] = append(buckets[keyOf(row, rIdx)], i)
-		} else {
-			wildcards = append(wildcards, i)
-		}
-	}
-
-	emit := func(lrow, rrow []storage.NodeID) {
-		merged := make([]storage.NodeID, len(outVars))
-		for k := range merged {
-			merged[k] = Unbound
-		}
-		for j, v := range lrow {
-			merged[j] = v // l's vars are a prefix of outVars
-		}
-		for j, v := range rrow {
-			if v == Unbound {
-				continue
-			}
-			oj := rTargetIndex(outVars, r.Vars[j])
-			merged[oj] = v
-		}
-		out.Rows = append(out.Rows, merged)
-	}
-
-	for li, lrow := range l.Rows {
-		if li%rowCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		matched := false
-		if allBound(lrow, lIdx) {
-			for _, ri := range buckets[keyOf(lrow, lIdx)] {
-				if compatible(l, r, lrow, r.Rows[ri], shared) {
-					emit(lrow, r.Rows[ri])
-					matched = true
-				}
-			}
-			for _, ri := range wildcards {
-				if compatible(l, r, lrow, r.Rows[ri], shared) {
-					emit(lrow, r.Rows[ri])
-					matched = true
-				}
-			}
-		} else {
-			// l row itself has unbound shared vars: scan everything.
-			for ri := range r.Rows {
-				if compatible(l, r, lrow, r.Rows[ri], shared) {
-					emit(lrow, r.Rows[ri])
-					matched = true
-				}
-			}
-		}
-		if leftOuter && !matched {
-			merged := make([]storage.NodeID, len(outVars))
-			for k := range merged {
-				merged[k] = Unbound
-			}
-			copy(merged, lrow)
-			out.Rows = append(out.Rows, merged)
-		}
-	}
-	out.Dedup()
-	return out, nil
-}
-
-// union computes the set union, padding each side to the union schema.
-func union(l, r *Result) *Result {
-	outVars := unionVars(l, r)
-	out := l.Project(outVars)
-	rp := r.Project(outVars)
-	out.Rows = append(out.Rows, rp.Rows...)
-	out.Dedup()
-	return out
-}
 
 func sharedVars(l, r *Result) []string {
 	var out []string
@@ -223,4 +71,16 @@ func rTargetIndex(outVars []string, v string) int {
 		}
 	}
 	return -1
+}
+
+// constOrBinding resolves a pattern position to a node id: the constant,
+// or the row's binding of the variable when it has one.
+func constOrBinding(v string, constID storage.NodeID, row []storage.NodeID, varCol map[string]int) (storage.NodeID, bool) {
+	if v == "" {
+		return constID, true
+	}
+	if val := row[varCol[v]]; val != Unbound {
+		return val, true
+	}
+	return 0, false
 }

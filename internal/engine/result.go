@@ -4,30 +4,46 @@
 // µ : vars(Q) → O_DB; AND is the compatibility join, OPTIONAL the left
 // outer join, UNION the set union.
 //
-// Three engines are provided:
+// There is one executor and there are two oracles:
 //
-//   - HashJoin — evaluates every triple pattern to a table and combines
-//     them with cardinality-ordered hash joins; materializing and
-//     in-memory, it stands in for RDFox in the paper's Table 4.
-//   - IndexNL — greedy cost-based join ordering with index nested-loop
-//     extension over the store's PSO/POS indexes; it stands in for the
-//     relational-technology store Virtuoso in Table 5.
-//   - Reference — a direct executable transcription of the denotational
-//     semantics, exponential and only suitable for tiny inputs; it is the
-//     oracle the other engines are property-tested against.
+//   - Volcano (volcano.go) — the executor: cost-based plans from
+//     internal/plan run as an Open/Next/Close iterator tree whose planner
+//     picks a pipelined index-extend or a hash join per join node. It is
+//     the only evaluator the session serves from, and the in-memory-store
+//     stand-in of the paper's Table 4.
+//   - IndexNL (oracle.go) — oracle: greedy cost-based join ordering with
+//     materializing index nested-loop extension over the PSO/POS indexes.
+//     The benchmark and the large-store differential tests check the
+//     executor against it; it stands in for the relational-technology
+//     store Virtuoso in Table 5.
+//   - Reference (oracle.go) — oracle: a direct executable transcription
+//     of the denotational semantics, exponential and only suitable for
+//     tiny inputs; the parity tests compare the executor against it.
 //
 // All engines reject variables in predicate position: the paper's pattern
 // graphs are edge-labeled, so predicates are always constants.
 package engine
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
 
+	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
 )
+
+// Engine evaluates SPARQL queries against a store.
+type Engine interface {
+	// Name identifies the engine in reports (Tables 4/5).
+	Name() string
+	// Evaluate computes the solution mapping set of q over st. It honours
+	// ctx: cancellation or deadline expiry aborts the evaluation between
+	// join steps and row batches, returning ctx.Err().
+	Evaluate(ctx context.Context, st *storage.Store, q *sparql.Query) (*Result, error)
+}
 
 // Unbound marks an unbound variable in a mapping row (µ is partial).
 const Unbound = ^storage.NodeID(0)

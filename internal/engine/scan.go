@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
@@ -50,32 +49,6 @@ func resolve(st *storage.Store, tp sparql.TriplePattern) (resolved, error) {
 	return r, nil
 }
 
-// estimate returns the expected cardinality of the pattern given which of
-// its variables are already bound — the statistics-driven cost model used
-// for join ordering (cf. the paper's §5.3 remark on join order
-// optimization).
-func (r resolved) estimate(st *storage.Store, bound map[string]bool) float64 {
-	if !r.ok {
-		return 0
-	}
-	n := float64(st.PredCount(r.pred))
-	if n == 0 {
-		return 0
-	}
-	sBound := r.sVar == "" || bound[r.sVar]
-	oBound := r.oVar == "" || bound[r.oVar]
-	switch {
-	case sBound && oBound:
-		return 1
-	case sBound:
-		return n / math.Max(1, float64(st.DistinctSubjects(r.pred)))
-	case oBound:
-		return n / math.Max(1, float64(st.DistinctObjects(r.pred)))
-	default:
-		return n
-	}
-}
-
 // vars returns the pattern's variables.
 func (r resolved) vars() []string {
 	var out []string
@@ -84,41 +57,6 @@ func (r resolved) vars() []string {
 	}
 	if r.oVar != "" && r.oVar != r.sVar {
 		out = append(out, r.oVar)
-	}
-	return out
-}
-
-// scan materializes the pattern as a table over its variables.
-func (r resolved) scan(st *storage.Store) *Result {
-	out := NewResult(r.vars()...)
-	if !r.ok {
-		return out
-	}
-	switch {
-	case r.sVar == "" && r.oVar == "":
-		if st.HasTriple(r.sID, r.pred, r.oID) {
-			out.Rows = append(out.Rows, []storage.NodeID{})
-		}
-	case r.sVar == "":
-		for _, o := range st.Objects(r.pred, r.sID) {
-			out.Rows = append(out.Rows, []storage.NodeID{o})
-		}
-	case r.oVar == "":
-		for _, s := range st.Subjects(r.pred, r.oID) {
-			out.Rows = append(out.Rows, []storage.NodeID{s})
-		}
-	case r.sVar == r.oVar:
-		st.ForEachPair(r.pred, func(s, o storage.NodeID) bool {
-			if s == o {
-				out.Rows = append(out.Rows, []storage.NodeID{s})
-			}
-			return true
-		})
-	default:
-		st.ForEachPair(r.pred, func(s, o storage.NodeID) bool {
-			out.Rows = append(out.Rows, []storage.NodeID{s, o})
-			return true
-		})
 	}
 	return out
 }

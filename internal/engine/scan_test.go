@@ -45,13 +45,29 @@ func TestScanAccessPaths(t *testing.T) {
 		{sparql.TriplePattern{S: sparql.C("zz"), P: sparql.C("p"), O: sparql.V("y")}, 0, 1},
 	}
 	for i, c := range cases {
-		r := mustResolve(t, st, c.tp)
-		res := r.scan(st)
-		if res.Len() != c.rows {
-			t.Fatalf("case %d (%v): rows = %d, want %d", i, c.tp, res.Len(), c.rows)
+		it := &scanIter{st: st, r: mustResolve(t, st, c.tp)}
+		if err := it.Open(context.Background()); err != nil {
+			t.Fatal(err)
 		}
-		if len(res.Vars) != c.vars {
-			t.Fatalf("case %d: vars = %v, want %d", i, res.Vars, c.vars)
+		rows := 0
+		for {
+			row, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if len(row) != c.vars {
+				t.Fatalf("case %d: row %v, want width %d", i, row, c.vars)
+			}
+			rows++
+		}
+		if rows != c.rows {
+			t.Fatalf("case %d (%v): rows = %d, want %d", i, c.tp, rows, c.rows)
+		}
+		if len(it.Vars()) != c.vars {
+			t.Fatalf("case %d: vars = %v, want %d", i, it.Vars(), c.vars)
 		}
 	}
 }

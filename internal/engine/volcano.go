@@ -84,7 +84,15 @@ type Exec struct {
 	acct      *account
 }
 
-func (e *Exec) Open(ctx context.Context) error        { return e.root.Open(ctx) }
+// Open prepares the tree. An already expired context fails here, before
+// any operator builds its buffers.
+func (e *Exec) Open(ctx context.Context) error {
+	if err := ctxErr(ctx); err != nil {
+		return err
+	}
+	return e.root.Open(ctx)
+}
+
 func (e *Exec) Next() ([]storage.NodeID, bool, error) { return e.root.Next() }
 func (e *Exec) Close() error                          { return e.root.Close() }
 func (e *Exec) Vars() []string                        { return e.root.Vars() }
@@ -404,14 +412,6 @@ func (volcanoEngine) Evaluate(ctx context.Context, st *storage.Store, q *sparql.
 		return nil, err
 	}
 	return Drain(ctx, ex)
-}
-
-// Compile as a method: the hook through which the session layer detects
-// a streaming-capable engine and reaches the iterator tree (per-operator
-// counters, planner decisions, incremental row delivery) behind the
-// materializing Engine interface.
-func (volcanoEngine) Compile(st *storage.Store, q *sparql.Query) (*Exec, error) {
-	return Compile(st, q, plan.Options{})
 }
 
 // Drain opens the execution, materializes every row into a Result and

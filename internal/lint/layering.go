@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
+	"go/types"
 	"strconv"
 	"strings"
 
@@ -26,6 +27,16 @@ var rootImporters = []string{
 // written once for both backends.
 const routerRoute = "/v1/cluster"
 
+// servingPackages answer traffic: the protocol core, the cluster layer
+// and the two daemons. They run the session's one executor and may not
+// reach for an oracle.
+var servingPackages = []string{
+	"internal/server",
+	"internal/cluster",
+	"cmd/dualsimd",
+	"cmd/dualsimrouter",
+}
+
 // LayeringAnalyzer pins the import direction and the protocol split so
 // the collapsed designs stay collapsed:
 //
@@ -35,11 +46,15 @@ const routerRoute = "/v1/cluster"
 //     serving layers and bench (rootImporters);
 //  3. internal/cluster/router registers no route but /v1/cluster and
 //     declares no ServeHTTP: the protocol's handlers live in
-//     internal/server, once.
+//     internal/server, once;
+//  4. the serving packages (servingPackages) never name an oracle —
+//     engine.NewIndexNL, engine.NewReference or dualsim.WithEngine: the
+//     Volcano executor is the only evaluator behind a served request.
 var LayeringAnalyzer = &analysis.Analyzer{
 	Name: "layering",
 	Doc: "pin import direction (kernels import nothing upward; internal/* does not import the root package " +
-		"except server, cluster, wire, bench) and keep protocol handlers out of internal/cluster/router",
+		"except server, cluster, wire, bench), keep protocol handlers out of internal/cluster/router " +
+		"and oracles out of the serving packages",
 	Run: runLayering,
 }
 
@@ -64,7 +79,32 @@ func runLayering(pass *analysis.Pass) error {
 	if inScope(path, "internal/cluster/router") {
 		checkRouterRoutes(pass)
 	}
+	if inScope(path, servingPackages...) {
+		checkNoOracle(pass)
+	}
 	return nil
+}
+
+// checkNoOracle applies rule 4 to a serving package.
+func checkNoOracle(pass *analysis.Pass) {
+	for _, file := range pass.SourceFiles() {
+		ast.Inspect(file, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Parent() != fn.Pkg().Scope() {
+				return true
+			}
+			pkg, name := fn.Pkg().Path(), fn.Name()
+			if pkg == Module+"/internal/engine" && (name == "NewIndexNL" || name == "NewReference") ||
+				pkg == Module && name == "WithEngine" {
+				pass.Reportf(id.Pos(), "serving package references %s.%s; oracles check the executor offline, served requests run Volcano only", fn.Pkg().Name(), name)
+			}
+			return true
+		})
+	}
 }
 
 // checkRouterRoutes applies rule 3 to the router package.

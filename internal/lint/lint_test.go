@@ -192,13 +192,14 @@ func TestErrsync(t *testing.T) {
 }
 
 // layeringFixtures are the files carrying layering expectations; the
-// allowed root import in internal/server is part of the module run and
-// must stay silent.
+// allowed root import in internal/server and the oracle references in
+// internal/bench are part of the module run and must stay silent.
 var layeringFixtures = []string{
 	"internal/bitvec/layering.go",
 	"internal/bitmat/layering.go",
 	"internal/plan/layering.go",
 	"internal/cluster/router/layering.go",
+	"internal/server/oracle.go",
 }
 
 func TestLayering(t *testing.T) {

@@ -120,7 +120,7 @@ func TestEmptyQueryPrunesEverything(t *testing.T) {
 func TestRequiredTriples(t *testing.T) {
 	st := fig1a(t)
 	q := sparql.MustParse(queryX1)
-	got, err := RequiredCount(context.Background(), st, q, engine.NewHashJoin())
+	got, err := RequiredCount(context.Background(), st, q, engine.NewIndexNL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRequiredTriples(t *testing.T) {
 func TestRequiredTriplesOptional(t *testing.T) {
 	st := fig1a(t)
 	q := sparql.MustParse(queryX2)
-	got, err := RequiredCount(context.Background(), st, q, engine.NewHashJoin())
+	got, err := RequiredCount(context.Background(), st, q, engine.NewIndexNL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func prunedOutcome(t testing.TB, st *storage.Store, q *sparql.Query) (sound, exa
 	if err != nil {
 		t.Fatalf("prune: %v", err)
 	}
-	eng := engine.NewHashJoin()
+	eng := engine.NewIndexNL()
 	full, err := eng.Evaluate(context.Background(), st, q)
 	if err != nil {
 		t.Fatalf("full eval: %v", err)
@@ -311,7 +311,7 @@ func TestPropertyRequiredSubsetOfKept(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prune: %v", err)
 		}
-		refs, err := Required(context.Background(), st, q, engine.NewHashJoin())
+		refs, err := Required(context.Background(), st, q, engine.NewIndexNL())
 		if err != nil {
 			t.Fatalf("required: %v", err)
 		}
@@ -346,7 +346,7 @@ func TestRequiredPromotedRowCoincidence(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE {
 	  ?v2 <p1> ?v1
 	  OPTIONAL { { ?v1 <p0> <k> } { ?v1 <p1> ?v1 } } }`)
-	refs, err := Required(context.Background(), st, q, engine.NewHashJoin())
+	refs, err := Required(context.Background(), st, q, engine.NewIndexNL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestRequiredPromotedRowCoincidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs2, err := Required(context.Background(), st2, q, engine.NewHashJoin())
+	refs2, err := Required(context.Background(), st2, q, engine.NewIndexNL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestNonWellDesignedPromotionNuance(t *testing.T) {
 	if sparql.IsWellDesigned(q.Expr) {
 		t.Fatal("fixture must be non-well-designed")
 	}
-	eng := engine.NewHashJoin()
+	eng := engine.NewIndexNL()
 	full, err := eng.Evaluate(context.Background(), st, q)
 	if err != nil {
 		t.Fatal(err)

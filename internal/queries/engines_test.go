@@ -7,19 +7,20 @@ import (
 	"dualsim/internal/engine"
 )
 
-// TestEnginesAgreeOnWorkload evaluates every benchmark query with both
-// production engines and requires identical result sets — the workload-
-// level version of the random-query property test in internal/engine.
+// TestEnginesAgreeOnWorkload evaluates every benchmark query with the
+// Volcano executor and the IndexNL oracle and requires identical result
+// sets — the workload-level version of the random-query differential
+// tests in internal/engine.
 func TestEnginesAgreeOnWorkload(t *testing.T) {
 	stores := testStores(t)
-	hash := engine.NewHashJoin()
+	volcano := engine.NewVolcano()
 	index := engine.NewIndexNL()
 	for _, s := range All() {
 		st := stores[s.Dataset]
 		q := s.Query()
-		a, err := hash.Evaluate(context.Background(), st, q)
+		a, err := volcano.Evaluate(context.Background(), st, q)
 		if err != nil {
-			t.Fatalf("%s hash: %v", s.ID, err)
+			t.Fatalf("%s volcano: %v", s.ID, err)
 		}
 		b, err := index.Evaluate(context.Background(), st, q)
 		if err != nil {

@@ -131,14 +131,14 @@ func TestFig1aFixture(t *testing.T) {
 	if st.NumTriples() != 20 {
 		t.Fatalf("Fig1a = %d triples, want 20", st.NumTriples())
 	}
-	res, err := engine.NewHashJoin().Evaluate(context.Background(), st, sparql.MustParse(QueryX1))
+	res, err := engine.NewVolcano().Evaluate(context.Background(), st, sparql.MustParse(QueryX1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Len() != 2 {
 		t.Fatalf("X1 on Fig1a = %d results, want 2", res.Len())
 	}
-	res2, err := engine.NewHashJoin().Evaluate(context.Background(), st, sparql.MustParse(QueryX2))
+	res2, err := engine.NewVolcano().Evaluate(context.Background(), st, sparql.MustParse(QueryX2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func testStores(t *testing.T) map[string]*storage.Store {
 // sound and effective.
 func TestSpecsAgainstGenerators(t *testing.T) {
 	stores := testStores(t)
-	eng := engine.NewHashJoin()
+	eng := engine.NewVolcano()
 	for _, s := range All() {
 		st := stores[s.Dataset]
 		q := s.Query()

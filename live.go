@@ -428,7 +428,7 @@ func (db *DB) Compactions() int { return db.overlay.Compactions() }
 // for concurrent use, and need no release — dropping the handle releases
 // the pin.
 func (db *DB) Snapshot() *Snapshot {
-	return &Snapshot{db: db, snap: db.snap.Load()}
+	return &Snapshot{db: db, snap: db.snap.Load(), pinned: true}
 }
 
 // Snapshot is a read view pinned to one store epoch. It shares the
@@ -437,6 +437,10 @@ func (db *DB) Snapshot() *Snapshot {
 type Snapshot struct {
 	db   *DB
 	snap *dbSnapshot
+	// pinned marks a deliberate read of this epoch, whose plans are cached
+	// even once the epoch is superseded (see prepareCached); the session's
+	// own live view leaves it false.
+	pinned bool
 }
 
 // Epoch returns the pinned epoch.
@@ -447,12 +451,7 @@ func (s *Snapshot) Store() *Store { return s.snap.st }
 
 // Prepare plans a query against the pinned snapshot.
 func (s *Snapshot) Prepare(src string) (*PreparedQuery, error) {
-	start := time.Now()
-	q, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return s.db.prepare(s.snap, q, start)
+	return s.db.prepareSrc(s.snap, src)
 }
 
 // Exec is the one-shot pinned execution: Prepare + Exec on the pinned
@@ -470,7 +469,7 @@ func (s *Snapshot) Exec(ctx context.Context, src string) (*Result, *ExecStats, e
 // pinned epoch — and executes it on the pinned snapshot. Repeated pinned
 // reads of one text plan once, like live ones.
 func (s *Snapshot) Query(ctx context.Context, src string) (*Result, *ExecStats, error) {
-	pq, hit, err := s.db.prepareCached(s.snap, src, true)
+	pq, hit, err := s.db.prepareCached(s.snap, src, s.pinned)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -489,7 +488,7 @@ func (s *Snapshot) Query(ctx context.Context, src string) (*Result, *ExecStats, 
 // layer's NDJSON streams are built on this — the first row can be on
 // the wire before the last one is computed.
 func (s *Snapshot) QueryStream(ctx context.Context, src string) (*Rows, error) {
-	pq, hit, err := s.db.prepareCached(s.snap, src, true)
+	pq, hit, err := s.db.prepareCached(s.snap, src, s.pinned)
 	if err != nil {
 		return nil, err
 	}

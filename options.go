@@ -10,9 +10,8 @@ import (
 
 // Option configures a session opened with Open: the solver switches
 // (strategy, ordering, initialization, compression, parallelism) and the
-// pipeline composition (engine choice, pruning, fingerprint pre-filter)
-// are all fixed per session, so every query prepared on the session
-// inherits them.
+// pipeline switches (pruning, fingerprint pre-filter) are all fixed per
+// session, so every query prepared on the session inherits them.
 type Option func(*settings) error
 
 // settings is the resolved session configuration.
@@ -38,8 +37,6 @@ type settings struct {
 	checkpointEvery int    // > 0 checkpoints automatically every n WAL records
 
 	maxQueryMemory int64 // > 0 caps per-query buffered bytes in the Volcano executor
-
-	stages []Stage // non-nil overrides the default pipeline composition
 }
 
 func defaultSettings() settings {
@@ -66,12 +63,14 @@ func (s settings) coreConfig() core.Config {
 	return cfg
 }
 
-// WithEngine selects the evaluation engine of the pipeline's final stage
-// (default Volcano).
+// WithEngine is the oracle hook: WithEngine(IndexNL) opens a session whose
+// evaluation is answered by the IndexNL oracle instead of the Volcano
+// executor, for checking the executor's answers (the repository benchmark
+// pins its expected rows this way). Serving code never passes it.
 func WithEngine(k EngineKind) Option {
 	return func(s *settings) error {
 		switch k {
-		case HashJoin, IndexNL, Reference, Volcano:
+		case Volcano, IndexNL:
 			s.engine = k
 			return nil
 		default:
@@ -228,8 +227,7 @@ func WithCheckpointEvery(n int) Option {
 // An execution that exceeds the budget fails with ErrQueryMemoryExceeded
 // instead of growing without bound; dualsimd maps the error to HTTP 413.
 // n = 0 (the default) leaves queries unbudgeted. The budget applies to
-// the Volcano engine's buffering only — the materializing engines and
-// the solver are not metered.
+// the executor's buffering only — the solver is not metered.
 func WithMaxQueryMemory(n int64) Option {
 	return func(s *settings) error {
 		if n < 0 {
@@ -248,25 +246,6 @@ func WithBatchWorkers(n int) Option {
 			return fmt.Errorf("dualsim: negative batch worker count %d", n)
 		}
 		s.batchWorkers = n
-		return nil
-	}
-}
-
-// WithStages overrides the default pipeline composition with an explicit
-// stage sequence (see FingerprintStage, PruneStage, EvaluateStage). The
-// default is equivalent to
-//
-//	WithStages(FingerprintStage(), PruneStage(), EvaluateStage())
-//
-// minus the stages the session configuration disables. A pipeline
-// without EvaluateStage yields Exec calls that return a nil Result —
-// useful for pruning-only services.
-func WithStages(stages ...Stage) Option {
-	return func(s *settings) error {
-		if len(stages) == 0 {
-			return fmt.Errorf("dualsim: WithStages requires at least one stage")
-		}
-		s.stages = append([]Stage(nil), stages...)
 		return nil
 	}
 }

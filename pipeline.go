@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"dualsim/internal/bitvec"
-	"dualsim/internal/core"
 	"dualsim/internal/engine"
+	"dualsim/internal/plan"
 	"dualsim/internal/prune"
-	"dualsim/internal/sparql"
-	"dualsim/internal/storage"
 	"dualsim/internal/trace"
 )
 
@@ -28,153 +26,176 @@ type Resources = engine.Resources
 // execution: which physical operator ran (scan, extend, hashjoin,
 // filter, union, limit, distinct, …), over what pattern or condition,
 // the planner's cardinality estimate where one exists, and the rows it
-// actually produced. Reported in ExecStats.Operators when the session
-// engine is Volcano.
+// actually produced. Reported in ExecStats.Operators.
 type OperatorStats = engine.OperatorStats
 
-// streamEngine is the capability the Volcano engine adds over the plain
-// Engine interface: compiling a query to a streaming iterator tree whose
-// operator counters and planner decisions outlive the execution.
-type streamEngine interface {
-	Compile(st *storage.Store, q *sparql.Query) (*engine.Exec, error)
-}
-
-// Stage is one step of a prepared query's execution pipeline. The three
-// built-in stages compose the paper's architecture — an optional
-// fingerprint pre-filter, the dual-simulation pruning, and the engine
-// evaluation — and WithStages rearranges or drops them per session.
-type Stage struct {
-	name string
-	run  func(ctx context.Context, x *execState, ss *StageStats) error
-}
-
-// Name identifies the stage in ExecStats.
-func (s Stage) Name() string { return s.name }
-
-// execState is the mutable state threaded through one Exec call. Every
-// Exec allocates its own, so concurrent executions of one PreparedQuery
-// never share mutable data.
-type execState struct {
-	pq       *PreparedQuery
-	restrict [][]*bitvec.Vector  // fingerprint-lifted solver bounds, per branch
-	rel      *core.QueryRelation // solved relation (pruning stage)
-	target   *Store              // evaluation target; nil means the session store
-	result   *Result
-	stats    *ExecStats
-}
-
-// releaseRelation returns the solved relation's χ storage to the plan's
-// per-system solver pools once an execution is over. No stage output
-// retains the vectors: the pruned store is materialized by PruneStage and
-// ExecStats carries scalars only.
-func (x *execState) releaseRelation() {
-	if x.rel != nil {
-		x.rel.Release()
-		x.rel = nil
+// compile is the one place the session turns (store, query) into an
+// execution: the Volcano iterator tree of the cost-based plan, under the
+// session's memory budget. On an oracle session (WithEngine(IndexNL)) the
+// oracle's materialized answer stands behind the same cursor type, so
+// Exec, Stream, Explain and Evaluate need no second path for it.
+func (db *DB) compile(st *Store, q *Query) (*engine.Exec, error) {
+	if db.set.engine != Volcano {
+		return engine.AsExec(db.set.engine.engine(), st, q), nil
 	}
+	ex, err := engine.Compile(st, q, plan.Options{})
+	if err != nil {
+		return nil, err
+	}
+	if n := db.set.maxQueryMemory; n > 0 {
+		ex.SetMaxMemory(n)
+	}
+	return ex, nil
 }
 
-// FingerprintStage returns the pre-filter stage: it installs the
-// summary-lifted candidate bounds computed at Prepare time, tightening
-// the starting point of the downstream solve. The stage reports itself
-// skipped when the session has no fingerprint (or lifting restricted
-// nothing).
-func FingerprintStage() Stage {
-	return Stage{name: "fingerprint", run: func(ctx context.Context, x *execState, ss *StageStats) error {
-		n := x.pq.snap.st.NumNodes()
-		ss.In, ss.Out = n, n
-		// Nothing to install, or the solve already ran (a WithStages
-		// composition placed this stage after the pruning stage): the
-		// pre-filter can constrain nothing — report it skipped rather
-		// than advertise a bound that was never applied.
-		if x.pq.restrict == nil || x.rel != nil {
-			ss.Skipped = true
+// Stream runs the session's pipeline for this query and returns a cursor
+// over its rows. The pipeline is fixed: install the fingerprint-lifted
+// solver bounds (when the session has a fingerprint), solve the system of
+// inequalities and prune the store to the surviving triples (when pruning
+// is on), then compile the query against what is left. Those steps run
+// eagerly, here; the rows are computed incrementally as the caller pulls
+// them. A nil ctx is treated as context.Background(). Cancellation and
+// deadlines interrupt the solver between inequality evaluations and the
+// executor between row batches.
+//
+// Stats is usable immediately for the epoch and the pre-evaluation
+// stages; the evaluation stage's numbers and the operator counters
+// finalize when the cursor is exhausted or closed.
+func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if pq.db.closed.Load() {
+		return nil, ErrClosed
+	}
+	full := pq.snap.st
+	stats := &ExecStats{
+		Epoch:         pq.snap.epoch,
+		TriplesBefore: full.NumTriples(),
+		TriplesAfter:  full.NumTriples(),
+		Fingerprint:   pq.fprint.ID,
+		StatementText: pq.fprint.Text,
+	}
+	// parent is nil unless the request installed a trace span in ctx —
+	// every trace call below is a nil-receiver no-op then, so the
+	// untraced hot path stays allocation-free.
+	parent := trace.SpanFromContext(ctx)
+	begin := time.Now()
+
+	target := full                  // what the evaluation reads
+	var restrict [][]*bitvec.Vector // solver bounds handed from fingerprint to prune
+	steps := [...]struct {
+		name string
+		on   bool
+		run  func(ctx context.Context, ss *StageStats) error
+	}{
+		// The fingerprint pre-filter only tightens the pruning solve, so a
+		// snapshot carries one only on a session that prunes (DB.wantFP).
+		{"fingerprint", pq.snap.fp != nil, func(_ context.Context, ss *StageStats) error {
+			n := full.NumNodes()
+			ss.In, ss.Out = n, n
+			if pq.restrict == nil {
+				// Lifting restricted nothing at Prepare: report the stage
+				// skipped rather than advertise a bound that does not exist.
+				ss.Skipped = true
+				return nil
+			}
+			restrict = pq.restrict
+			ss.Out = pq.fpTightest
 			return nil
+		}},
+		{"prune", pq.db.set.pruning, func(ctx context.Context, ss *StageStats) error {
+			rel, err := pq.plan.SolveRestricted(ctx, pq.db.set.coreConfig(), restrict)
+			if err != nil {
+				return err
+			}
+			// The solved relation's χ rows live in the plan's solver pool;
+			// once the pruned store is materialized only scalars escape, so
+			// they are recycled before the evaluation starts.
+			defer rel.Release()
+			stats.Solver = Stats{
+				Rounds:      rel.Stats.Rounds,
+				Evaluations: rel.Stats.Evaluations,
+				Updates:     rel.Stats.Updates,
+			}
+			stats.Unsatisfiable = rel.Empty()
+			p, err := prune.PruneCtx(ctx, full, rel)
+			if err != nil {
+				return err
+			}
+			stats.TriplesAfter = p.Kept
+			ss.In, ss.Out = p.Total, p.Kept
+			target = p.Store()
+			return nil
+		}},
+	}
+	for _, step := range steps {
+		if !step.on {
+			continue
 		}
-		x.restrict = x.pq.restrict
-		ss.Out = x.pq.fpTightest
-		return nil
-	}}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ss := StageStats{Name: step.name}
+		sctx := ctx
+		sp := parent.StartChild(step.name)
+		if sp != nil {
+			sctx = trace.ContextWithSpan(ctx, sp)
+		}
+		s0 := time.Now()
+		err := step.run(sctx, &ss)
+		ss.Duration = time.Since(s0)
+		sp.End()
+		if sp != nil {
+			sp.Add("in", int64(ss.In))
+			sp.Add("out", int64(ss.Out))
+			if ss.Skipped {
+				sp.SetAttr("skipped", "true")
+			}
+		}
+		stats.Stages = append(stats.Stages, ss)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	eval := time.Now()
+	sp := parent.StartChild("evaluate")
+	ex, err := pq.db.compile(target, pq.q)
+	if err == nil {
+		if parent != nil {
+			// A traced execution pays for per-operator clocks; the default
+			// path never reads the clock per row.
+			ex.EnableTiming()
+		}
+		stats.PlanDecisions = ex.Decisions()
+		if err = ex.Open(ctx); err != nil {
+			ex.Close()
+		}
+	}
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	return &Rows{ex: ex, st: full, stats: stats, begin: begin, eval: eval, in: target.NumTriples(), sp: sp}, nil
 }
 
-// PruneStage returns the dual-simulation stage: solve the prepared
-// system of inequalities (from the fingerprint-tightened bounds when
-// present), mark the certified triples and materialize the pruned store
-// for the downstream engine.
-func PruneStage() Stage {
-	return Stage{name: "prune", run: func(ctx context.Context, x *execState, ss *StageStats) error {
-		pq := x.pq
-		rel, err := pq.plan.SolveRestricted(ctx, pq.db.set.coreConfig(), x.restrict)
-		if err != nil {
-			return err
-		}
-		x.rel = rel
-		x.stats.Solver = Stats{
-			Rounds:      rel.Stats.Rounds,
-			Evaluations: rel.Stats.Evaluations,
-			Updates:     rel.Stats.Updates,
-		}
-		x.stats.Unsatisfiable = rel.Empty()
-		p, err := prune.PruneCtx(ctx, pq.snap.st, rel)
-		if err != nil {
-			return err
-		}
-		x.stats.TriplesAfter = p.Kept
-		ss.In, ss.Out = p.Total, p.Kept
-		x.target = p.Store()
-		return nil
-	}}
-}
-
-// EvaluateStage returns the final stage: hand the (possibly pruned)
-// store to the session's engine and compute the solution mappings.
-func EvaluateStage() Stage {
-	return Stage{name: "evaluate", run: func(ctx context.Context, x *execState, ss *StageStats) error {
-		target := x.target
-		if target == nil {
-			target = x.pq.snap.st
-		}
-		ss.In = target.NumTriples()
-		sp := trace.SpanFromContext(ctx)
-		var res *Result
-		if se, ok := x.pq.db.eng.(streamEngine); ok {
-			// Streaming engine: compile to the iterator tree so the
-			// per-operator counters and the optimizer's decision log
-			// survive into ExecStats, then drain it to keep the
-			// materializing contract of Exec.
-			ex, err := se.Compile(target, x.pq.q)
-			if err != nil {
-				return err
-			}
-			if n := x.pq.db.set.maxQueryMemory; n > 0 {
-				ex.SetMaxMemory(n)
-			}
-			if sp != nil {
-				// A traced execution pays for per-operator clocks; the
-				// default path never reads the clock per row.
-				ex.EnableTiming()
-			}
-			res, err = engine.Drain(ctx, ex)
-			x.stats.Operators = ex.Operators()
-			x.stats.PlanDecisions = ex.Decisions()
-			r := ex.Resources()
-			x.stats.Resources = &r
-			attachOperatorSpans(sp, x.stats.Operators)
-			if err != nil {
-				return err
-			}
-		} else {
-			var err error
-			res, err = x.pq.db.eng.Evaluate(ctx, target, x.pq.q)
-			if err != nil {
-				return err
-			}
-		}
-		x.result = res
-		x.stats.Results = res.Len()
-		ss.Out = res.Len()
-		return nil
-	}}
+// Exec is Stream drained: it runs the same pipeline and materializes the
+// cursor into a Result, returning it with the final per-stage statistics.
+func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, *ExecStats, error) {
+	rows, err := pq.Stream(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer rows.Close()
+	res := engine.NewResult(rows.Vars()...)
+	for rows.Next() {
+		res.Rows = append(res.Rows, rows.Row())
+	}
+	if err := rows.Err(); err != nil {
+		return nil, nil, err
+	}
+	return res, rows.Stats(), nil
 }
 
 // attachOperatorSpans grafts the executor's per-operator counters as a
@@ -238,28 +259,25 @@ type ExecStats struct {
 	// Stages holds per-stage timings and cardinalities in pipeline order.
 	Stages []StageStats `json:"stages,omitempty"`
 	// Solver is the solver effort of the pruning stage's dual-simulation
-	// solve (zero when the pipeline has no pruning stage).
+	// solve (zero when pruning is off).
 	Solver Stats `json:"solver"`
 	// TriplesBefore and TriplesAfter frame the pruning effect; they are
 	// equal when the pipeline does not prune.
 	TriplesBefore int `json:"triplesBefore"`
 	TriplesAfter  int `json:"triplesAfter"`
-	// Results is the number of solution mappings (0 when the pipeline
-	// has no evaluation stage).
+	// Results is the number of solution mappings.
 	Results int `json:"results"`
-	// Operators holds the streaming executor's per-operator counters,
-	// outermost operator first (only when the session engine is Volcano;
-	// empty for the materializing engines).
+	// Operators holds the executor's per-operator counters in post-order,
+	// the outermost operator last (empty on an oracle session).
 	Operators []OperatorStats `json:"operators,omitempty"`
 	// PlanDecisions is the cost-based optimizer's decision log — one
 	// line per join reordering, filter pushdown or LIMIT pushdown it
-	// applied (only when the session engine is Volcano).
+	// applied.
 	PlanDecisions []string `json:"planDecisions,omitempty"`
 	// Resources is the execution's resource accounting: estimated peak
 	// buffered bytes and rows across the streaming executor's buffering
 	// operators (hash-join build sides, DISTINCT/OFFSET seen-sets), and
-	// the WithMaxQueryMemory budget in force. Nil for the materializing
-	// engines, which do not meter.
+	// the WithMaxQueryMemory budget in force.
 	Resources *Resources `json:"resources,omitempty"`
 	// Fingerprint identifies the statement's normalized shape — the hash
 	// of the canonical query text with literals masked and variables

@@ -33,8 +33,8 @@ type dbSnapshot struct {
 }
 
 // DB is a session over one graph database: a store plus a fixed
-// configuration (engine, solver switches, pipeline composition) under
-// which queries are prepared and executed, in the database/sql mould.
+// configuration (solver switches, pruning, fingerprint) under which
+// queries are prepared and executed, in the database/sql mould.
 // A DB is safe for concurrent use by multiple goroutines.
 //
 // Open cost is paid once per session — notably the fingerprint summary
@@ -50,9 +50,8 @@ type dbSnapshot struct {
 // See Apply, Snapshot and WithCompactionThreshold.
 type DB struct {
 	set     settings
-	eng     engine.Engine
 	cache   *planCache   // non-nil iff WithPlanCache was given
-	wantFP  bool         // the pipeline composition consumes a fingerprint
+	wantFP  bool         // the pipeline consumes a fingerprint (WithFingerprint and pruning on)
 	pers    *persist.Log // non-nil iff the session is durable (WithDataDir/OpenDir)
 	overlay *delta.Overlay
 	snap    atomic.Pointer[dbSnapshot] // current epoch; swapped by Apply/Compact
@@ -171,7 +170,7 @@ func resolveSettings(opts []Option) (settings, error) {
 // the log is missing or reordering records and the boot is refused
 // rather than silently serving a wrong epoch.
 func openAt(st *Store, epoch uint64, tail []persist.Record, lg *persist.Log, set settings) (*DB, error) {
-	db := &DB{set: set, eng: set.engine.engine(), pers: lg}
+	db := &DB{set: set, pers: lg}
 	if set.planCache > 0 {
 		db.cache = newPlanCache(set.planCache)
 	}
@@ -198,14 +197,9 @@ func openAt(st *Store, epoch uint64, tail []persist.Record, lg *persist.Log, set
 	}
 	db.overlay = overlay
 	cur, curEpoch := overlay.Current()
-	// The summary refinement is expensive; build it only when some
-	// pipeline can consume it — the default pruning pipeline, or an
-	// explicit stage list naming the fingerprint stage.
-	needFP := set.pruning
-	if set.stages != nil {
-		needFP = hasStage(set.stages, "fingerprint")
-	}
-	db.wantFP = set.fingerprint && needFP
+	// The summary refinement is expensive; build it only when the pipeline
+	// can consume it — the fingerprint bounds feed the pruning solve.
+	db.wantFP = set.fingerprint && set.pruning
 	snap := &dbSnapshot{st: cur, epoch: curEpoch}
 	if db.wantFP {
 		fp, err := BuildFingerprint(cur, set.fingerprintK)
@@ -243,9 +237,6 @@ func (db *DB) Store() *Store { return db.snap.Load().st }
 // Compact.
 func (db *DB) Epoch() uint64 { return db.snap.Load().epoch }
 
-// EngineName returns the report name of the session's evaluation engine.
-func (db *DB) EngineName() string { return db.eng.Name() }
-
 // Fingerprint returns the current snapshot's fingerprint summary, or nil
 // when the session was opened without WithFingerprint.
 func (db *DB) Fingerprint() *Fingerprint { return db.snap.Load().fp }
@@ -254,23 +245,6 @@ func (db *DB) Fingerprint() *Fingerprint { return db.snap.Load().fp }
 // per Prepare call, never per Exec. Exposed so services (and tests) can
 // assert that prepared queries reuse their plan.
 func (db *DB) PlanBuilds() int64 { return db.planBuilds.Load() }
-
-// stagesFor resolves the pipeline composition for one snapshot.
-func (db *DB) stagesFor(snap *dbSnapshot) []Stage {
-	if db.set.stages != nil {
-		return db.set.stages
-	}
-	var out []Stage
-	if db.set.pruning {
-		// The fingerprint pre-filter only tightens the pruning solve; it
-		// has no consumer in a pipeline that does not prune.
-		if snap.fp != nil {
-			out = append(out, FingerprintStage())
-		}
-		out = append(out, PruneStage())
-	}
-	return append(out, EvaluateStage())
-}
 
 // PrepareStats reports the one-time planning work of a Prepare call.
 // JSON tags are part of the serving wire format (see ExecStats).
@@ -313,7 +287,6 @@ type PreparedQuery struct {
 	snap       *dbSnapshot // pinned store + epoch + fingerprint
 	q          *Query
 	plan       *core.QueryPlan
-	stages     []Stage
 	restrict   [][]*bitvec.Vector // per branch, indexed like Branch.Vars; nil when nothing restricted
 	fpTightest int                // smallest lifted candidate-set size (fingerprint stage's Out)
 	fprint     stats.Fingerprint  // normalized statement identity, computed once at Prepare
@@ -326,32 +299,38 @@ type PreparedQuery struct {
 // values, variable names — share it; structural changes never do.
 func (pq *PreparedQuery) Fingerprint() string { return pq.fprint.ID }
 
+// view is the session's current epoch as an unpinned read view: the live
+// entry points below are the Snapshot ones on it.
+func (db *DB) view() *Snapshot { return &Snapshot{db: db, snap: db.snap.Load()} }
+
 // Prepare parses the query source and plans it against the session's
 // current snapshot. The returned PreparedQuery may be executed any
 // number of times, concurrently; all parse and planning work happens
 // here, exactly once.
 func (db *DB) Prepare(src string) (*PreparedQuery, error) {
-	start := time.Now()
-	q, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.prepareParsed(db.snap.Load(), q, start, time.Since(start))
+	return db.view().Prepare(src)
 }
 
 // PrepareQuery plans an already-parsed query against the session's
 // current snapshot.
 func (db *DB) PrepareQuery(q *Query) (*PreparedQuery, error) {
-	return db.prepare(db.snap.Load(), q, time.Now())
+	return db.prepareParsed(db.snap.Load(), q, time.Now(), 0)
 }
 
-func (db *DB) prepare(snap *dbSnapshot, q *Query, start time.Time) (*PreparedQuery, error) {
-	return db.prepareParsed(snap, q, start, 0)
+// prepareSrc parses and plans query text against one snapshot.
+func (db *DB) prepareSrc(snap *dbSnapshot, src string) (*PreparedQuery, error) {
+	start := time.Now()
+	q, err := ParseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	return db.prepareParsed(snap, q, start, time.Since(start))
 }
 
-// prepareParsed is prepare with the parse slice of the planning time
-// already measured, so PrepareStats (and trace spans) can report parse
-// and plan separately.
+// prepareParsed plans a parsed query against one snapshot. parse is the
+// slice of the planning time already spent parsing (0 for a pre-parsed
+// query), so PrepareStats (and trace spans) can report parse and plan
+// separately.
 func (db *DB) prepareParsed(snap *dbSnapshot, q *Query, start time.Time, parse time.Duration) (*PreparedQuery, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -368,14 +347,14 @@ func (db *DB) prepareParsed(snap *dbSnapshot, q *Query, start time.Time, parse t
 	}
 	plan.Finalize()
 
-	pq := &PreparedQuery{db: db, snap: snap, q: q, plan: plan, stages: db.stagesFor(snap), fprint: stats.Of(q)}
+	pq := &PreparedQuery{db: db, snap: snap, q: q, plan: plan, fprint: stats.Of(q)}
 	pq.prep.Branches = len(plan.Branches)
 	for _, br := range plan.Branches {
 		pq.prep.Variables += br.Sys.NumVars()
 		pq.prep.Inequalities += br.Sys.NumIneqs()
 	}
 
-	if snap.fp != nil && hasStage(pq.stages, "fingerprint") {
+	if snap.fp != nil { // only built when the pipeline consumes it (wantFP)
 		restrict := make([][]*bitvec.Vector, len(plan.Branches))
 		tightest := snap.st.NumNodes()
 		restricted := 0
@@ -404,81 +383,11 @@ func (db *DB) prepareParsed(snap *dbSnapshot, q *Query, start time.Time, parse t
 	return pq, nil
 }
 
-func hasStage(stages []Stage, name string) bool {
-	for _, s := range stages {
-		if s.name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Query returns the parsed query.
 func (pq *PreparedQuery) Query() *Query { return pq.q }
 
 // PrepareStats returns the one-time planning statistics.
 func (pq *PreparedQuery) PrepareStats() PrepareStats { return pq.prep }
-
-// Exec runs the session's pipeline for this query — fingerprint
-// pre-filter, dual-simulation pruning and engine evaluation, as
-// composed at Open — and returns the solution mappings with per-stage
-// statistics. A nil ctx is treated as context.Background(). Exec
-// honours cancellation and deadlines: the solver aborts between
-// inequality evaluations and the engines between join row batches,
-// returning ctx.Err().
-func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, *ExecStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if pq.db.closed.Load() {
-		return nil, nil, ErrClosed
-	}
-	stats := &ExecStats{
-		Epoch:         pq.snap.epoch,
-		TriplesBefore: pq.snap.st.NumTriples(),
-		TriplesAfter:  pq.snap.st.NumTriples(),
-		Fingerprint:   pq.fprint.ID,
-		StatementText: pq.fprint.Text,
-	}
-	x := &execState{pq: pq, stats: stats}
-	// The solved relation's χ rows live in the plan's solver pool; once
-	// the pipeline is done with them (the pruned store is materialized,
-	// only scalar stats escape) they are recycled for the next Exec.
-	defer x.releaseRelation()
-	// parent is nil unless the request installed a trace span in ctx —
-	// every trace call below is a nil-receiver no-op then, so the
-	// untraced hot path stays allocation-free.
-	parent := trace.SpanFromContext(ctx)
-	start := time.Now()
-	for _, stage := range pq.stages {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		ss := StageStats{Name: stage.name}
-		sctx := ctx
-		sp := parent.StartChild(stage.name)
-		if sp != nil {
-			sctx = trace.ContextWithSpan(ctx, sp)
-		}
-		s0 := time.Now()
-		err := stage.run(sctx, x, &ss)
-		ss.Duration = time.Since(s0)
-		sp.End()
-		if sp != nil {
-			sp.Add("in", int64(ss.In))
-			sp.Add("out", int64(ss.Out))
-			if ss.Skipped {
-				sp.SetAttr("skipped", "true")
-			}
-		}
-		stats.Stages = append(stats.Stages, ss)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	stats.Duration = time.Since(start)
-	return x.result, stats, nil
-}
 
 // recordPrepareSpans grafts parse/plan spans for this request's
 // planning work under the context's trace span. A cache hit records a
@@ -510,12 +419,7 @@ func recordPrepareSpans(ctx context.Context, pq *PreparedQuery, cached bool) {
 // repeated queries — it performs the planning work exactly once — or
 // Query, which reuses plans through the session's cache.
 func (db *DB) Exec(ctx context.Context, src string) (*Result, *ExecStats, error) {
-	pq, err := db.Prepare(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	recordPrepareSpans(ctx, pq, false)
-	return pq.Exec(ctx)
+	return db.view().Exec(ctx, src)
 }
 
 // Query is the one-shot serving entry point: it resolves src through the
@@ -531,26 +435,7 @@ func (db *DB) Exec(ctx context.Context, src string) (*Result, *ExecStats, error)
 // misses and re-plans on the new snapshot, so a cached plan can never
 // answer from pre-update state.
 func (db *DB) Query(ctx context.Context, src string) (*Result, *ExecStats, error) {
-	pq, hit, err := db.prepareCached(db.snap.Load(), src, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	recordPrepareSpans(ctx, pq, hit)
-	res, stats, err := pq.Exec(ctx)
-	if stats != nil {
-		stats.CacheHit = hit
-	}
-	return res, stats, err
-}
-
-// prepareSrc parses and plans query text against one snapshot.
-func (db *DB) prepareSrc(snap *dbSnapshot, src string) (*PreparedQuery, error) {
-	start := time.Now()
-	q, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.prepareParsed(snap, q, start, time.Since(start))
+	return db.view().Query(ctx, src)
 }
 
 // prepareCached resolves query text to a prepared query for the given
@@ -650,9 +535,9 @@ func (db *DB) SimulatePattern(ctx context.Context, p *Pattern) (*PatternRelation
 	return &PatternRelation{rel: rel, st: st}, nil
 }
 
-// Evaluate runs the session engine over an explicit store — normally a
-// pruned store — honouring ctx. Exec composes this for you; Evaluate
-// exists for callers orchestrating the stages by hand.
+// Evaluate runs the session's evaluator over an explicit store —
+// normally a pruned store — honouring ctx. Exec composes this for you;
+// Evaluate exists for callers orchestrating the stages by hand.
 func (db *DB) Evaluate(ctx context.Context, st *Store, q *Query) (*Result, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -663,5 +548,9 @@ func (db *DB) Evaluate(ctx context.Context, st *Store, q *Query) (*Result, error
 	if err := requireStore(st); err != nil {
 		return nil, err
 	}
-	return db.eng.Evaluate(ctx, st, q)
+	ex, err := db.compile(st, q)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Drain(ctx, ex)
 }

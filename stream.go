@@ -1,11 +1,9 @@
 package dualsim
 
 import (
-	"context"
 	"time"
 
 	"dualsim/internal/engine"
-	"dualsim/internal/plan"
 	"dualsim/internal/storage"
 	"dualsim/internal/trace"
 )
@@ -25,108 +23,13 @@ type Rows struct {
 	st    *Store // decode dictionary of the pinned snapshot
 	stats *ExecStats
 	begin time.Time   // Stream entry, for the end-to-end duration
-	eval  time.Time   // evaluate-stage start, for its StageStats
+	eval  time.Time   // evaluate-stage start (before compile), for its StageStats
 	in    int         // evaluate-stage input cardinality
 	sp    *trace.Span // evaluate span of a traced stream; nil otherwise
 	row   []storage.NodeID
 	n     int
 	err   error
 	done  bool // root iterator exhausted; stats finalized
-}
-
-// Stream runs the pipeline's pre-evaluation stages (fingerprint
-// pre-filter, dual-simulation pruning) eagerly and returns a cursor over
-// the evaluation's rows, computed incrementally by the streaming Volcano
-// executor. Stream always uses the Volcano iterator path, regardless of
-// the session's WithEngine choice — it is the streaming counterpart of
-// Exec, not a different engine's semantics (all engines agree on the
-// result set).
-//
-// Stats is usable immediately for the epoch and the pre-evaluation
-// stages; the evaluation stage's numbers and the operator counters
-// finalize when the cursor is exhausted or closed.
-func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if pq.db.closed.Load() {
-		return nil, ErrClosed
-	}
-	stats := &ExecStats{
-		Epoch:         pq.snap.epoch,
-		TriplesBefore: pq.snap.st.NumTriples(),
-		TriplesAfter:  pq.snap.st.NumTriples(),
-		Fingerprint:   pq.fprint.ID,
-		StatementText: pq.fprint.Text,
-	}
-	x := &execState{pq: pq, stats: stats}
-	parent := trace.SpanFromContext(ctx)
-	begin := time.Now()
-	for _, stage := range pq.stages {
-		if stage.name == "evaluate" {
-			// Replaced by the cursor: the evaluation happens under the
-			// caller's Next calls, not here.
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			x.releaseRelation()
-			return nil, err
-		}
-		ss := StageStats{Name: stage.name}
-		sctx := ctx
-		sp := parent.StartChild(stage.name)
-		if sp != nil {
-			sctx = trace.ContextWithSpan(ctx, sp)
-		}
-		s0 := time.Now()
-		err := stage.run(sctx, x, &ss)
-		ss.Duration = time.Since(s0)
-		sp.End()
-		if sp != nil {
-			sp.Add("in", int64(ss.In))
-			sp.Add("out", int64(ss.Out))
-			if ss.Skipped {
-				sp.SetAttr("skipped", "true")
-			}
-		}
-		stats.Stages = append(stats.Stages, ss)
-		if err != nil {
-			x.releaseRelation()
-			return nil, err
-		}
-	}
-	// The pruned store is materialized; the solver's χ rows can go back
-	// to the pool before the caller starts iterating.
-	x.releaseRelation()
-	target := x.target
-	if target == nil {
-		target = pq.snap.st
-	}
-	ex, err := engine.Compile(target, pq.q, plan.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if n := pq.db.set.maxQueryMemory; n > 0 {
-		ex.SetMaxMemory(n)
-	}
-	if parent != nil {
-		// A traced stream pays for per-operator clocks, like Exec.
-		ex.EnableTiming()
-	}
-	stats.PlanDecisions = ex.Decisions()
-	if err := ex.Open(ctx); err != nil {
-		ex.Close()
-		return nil, err
-	}
-	return &Rows{
-		ex:    ex,
-		st:    pq.snap.st,
-		stats: stats,
-		begin: begin,
-		eval:  time.Now(),
-		in:    target.NumTriples(),
-		sp:    parent.StartChild("evaluate"),
-	}, nil
 }
 
 // Vars returns the result columns, in row order.

@@ -84,6 +84,99 @@ func TestStreamMatchesExec(t *testing.T) {
 	}
 }
 
+// TestExecIsStreamDrained: Exec and Stream are one pipeline, so on every
+// query of the paper's Tables 2–5 set, with pruning on and off, they
+// return the same mapping set, the same stages with the same In/Out, and
+// both carry the executor's operator counters and resource accounting.
+func TestExecIsStreamDrained(t *testing.T) {
+	lubm, err := dualsim.GenerateLUBMStore(3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg, err := dualsim.GenerateKGStore(1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := map[string]*dualsim.Store{"lubm": lubm, "kg": kg}
+	ctx := context.Background()
+	for _, pruning := range []bool{true, false} {
+		dbs := map[string]*dualsim.DB{}
+		for name, st := range stores {
+			dbs[name] = open(t, st, dualsim.WithPruning(pruning))
+		}
+		for _, spec := range queries.All() {
+			pq, err := dbs[spec.Dataset].Prepare(spec.Text)
+			if err != nil {
+				t.Fatalf("%s: %v", spec.ID, err)
+			}
+			want, es, err := pq.Exec(ctx)
+			if err != nil {
+				t.Fatalf("%s: Exec: %v", spec.ID, err)
+			}
+			rows, err := pq.Stream(ctx)
+			if err != nil {
+				t.Fatalf("%s: Stream: %v", spec.ID, err)
+			}
+			got := drainRows(t, rows)
+			rows.Close()
+			ss := rows.Stats()
+			if !got.Equal(want) {
+				t.Fatalf("%s pruning=%v: Stream %d rows, Exec %d", spec.ID, pruning, got.Len(), want.Len())
+			}
+			if len(es.Stages) != len(ss.Stages) || es.Results != ss.Results || es.TriplesAfter != ss.TriplesAfter {
+				t.Fatalf("%s pruning=%v: stats differ:\n exec   %+v\n stream %+v", spec.ID, pruning, es, ss)
+			}
+			for i, e := range es.Stages {
+				if s := ss.Stages[i]; e.Name != s.Name || e.In != s.In || e.Out != s.Out || e.Skipped != s.Skipped {
+					t.Fatalf("%s pruning=%v: stage %d: exec %+v, stream %+v", spec.ID, pruning, i, e, s)
+				}
+			}
+			if (es.Stage("prune") != nil) != pruning || es.Stage("evaluate") == nil {
+				t.Fatalf("%s pruning=%v: stages %+v", spec.ID, pruning, es.Stages)
+			}
+			for which, st := range map[string]*dualsim.ExecStats{"Exec": es, "Stream": ss} {
+				if len(st.Operators) == 0 || st.Resources == nil {
+					t.Fatalf("%s pruning=%v: %s stats lack operators/resources: %+v", spec.ID, pruning, which, st)
+				}
+			}
+		}
+	}
+}
+
+// TestOracleSessionExecAndStream: a WithEngine(IndexNL) session answers
+// Exec and Stream from the oracle — the same rows as the executor, and no
+// Volcano operators in either's stats.
+func TestOracleSessionExecAndStream(t *testing.T) {
+	st := fig1a(t)
+	want, _, err := open(t, st).Exec(context.Background(), queries.QueryX2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := open(t, st, dualsim.WithEngine(dualsim.IndexNL)).Prepare(queries.QueryX2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, es, err := pq.Exec(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := pq.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	streamed := drainRows(t, rows)
+	if !res.Equal(want) || !streamed.Equal(want) {
+		t.Fatalf("oracle session: Exec %d rows, Stream %d rows, executor %d", res.Len(), streamed.Len(), want.Len())
+	}
+	if len(es.Operators) != 0 || len(rows.Stats().Operators) != 0 || len(es.PlanDecisions) != 0 {
+		t.Fatalf("oracle session reports Volcano operators: exec %+v, stream %+v", es.Operators, rows.Stats().Operators)
+	}
+	if es.Results != want.Len() || rows.Stats().Results != want.Len() {
+		t.Fatalf("oracle session results: exec %d, stream %d, want %d", es.Results, rows.Stats().Results, want.Len())
+	}
+}
+
 // TestStreamEarlyClose: closing a cursor mid-stream finalizes stats at
 // the rows delivered so far and is idempotent.
 func TestStreamEarlyClose(t *testing.T) {
