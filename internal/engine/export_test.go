@@ -7,4 +7,5 @@ var (
 	RandomFilteredExpr = randomFilteredExpr
 	RandomTriples      = randomTriples
 	CheckWindow        = checkWindow
+	IsSet              = isSet
 )

@@ -17,7 +17,8 @@ import (
 // on stores too large for the exponential reference: seeded random
 // graphs of ≥ 2,000 triples × random AND/OPTIONAL/UNION/FILTER queries.
 // On the full store and again on the query's pruned store the executor
-// must return exactly the IndexNL oracle's mapping set, and a
+// must return exactly the IndexNL oracle's mapping set — as a set, with
+// no row streamed twice — and a
 // LIMIT/OFFSET window of exactly the size the oracle's answer dictates.
 // Pruned against unpruned: every answer's mandatory core survives
 // pruning (the paper's soundness), and for well-designed queries the
@@ -58,6 +59,11 @@ func TestDifferentialVolcanoAgainstIndexNL(t *testing.T) {
 			}
 			if !got.Equal(want) {
 				t.Fatalf("seed %d (%s store) query %s:\nvolcano %d rows, indexnl %d rows", seed, which, q, got.Len(), want.Len())
+			}
+			// The drained stream is already a set: a distinct is compiled
+			// exactly where duplicates can arise.
+			if !engine.IsSet(got) {
+				t.Fatalf("seed %d (%s store) query %s: volcano streamed a row twice (%d rows)", seed, which, q, got.Len())
 			}
 			win, err := volcano.Evaluate(ctx, target, lq)
 			if err != nil {

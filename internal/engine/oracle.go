@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
@@ -109,7 +110,7 @@ func join(ctx context.Context, l, r *Result, leftOuter bool) (*Result, error) {
 			if v == Unbound {
 				continue
 			}
-			oj := rTargetIndex(outVars, r.Vars[j])
+			oj := slices.Index(outVars, r.Vars[j])
 			merged[oj] = v
 		}
 		out.Rows = append(out.Rows, merged)
@@ -514,4 +515,42 @@ func (m *materializedIter) Vars() []string {
 		return nil
 	}
 	return m.res.Vars
+}
+
+// ---------------------------------------------------------------------------
+// Row helpers of the oracles' materializing join — string-keyed and
+// name-resolved on purpose: they share nothing with the executor's hashed,
+// column-mapped operators they are the check for.
+
+func keyOf(row []storage.NodeID, idx []int) string {
+	key := make([]storage.NodeID, len(idx))
+	for i, j := range idx {
+		key[i] = row[j]
+	}
+	return rowKey(key)
+}
+
+// compatible implements µ1 ⇋ µ2: agreement on every shared variable bound
+// in both mappings.
+func compatible(l, r *Result, lrow, rrow []storage.NodeID, shared []string) bool {
+	for _, v := range shared {
+		lv := lrow[l.VarIndex(v)]
+		rv := rrow[r.VarIndex(v)]
+		if lv != Unbound && rv != Unbound && lv != rv {
+			return false
+		}
+	}
+	return true
+}
+
+// constOrBinding resolves a pattern position to a node id: the constant,
+// or the row's binding of the variable when it has one.
+func constOrBinding(v string, constID storage.NodeID, row []storage.NodeID, varCol map[string]int) (storage.NodeID, bool) {
+	if v == "" {
+		return constID, true
+	}
+	if val := row[varCol[v]]; val != Unbound {
+		return val, true
+	}
+	return 0, false
 }

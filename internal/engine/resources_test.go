@@ -21,9 +21,14 @@ func resourceFixture(t *testing.T) []rdf.Triple {
 	return ts
 }
 
+// bufferingQuery is a text whose plan really buffers: a UNION's rows may
+// repeat, so the root distinct retains every distinct row. A plain BGP
+// retains nothing (TestPlainBGPBuffersNothing).
+const bufferingQuery = `SELECT * WHERE { { ?x <p> ?y . } UNION { ?x <q> ?y . } }`
+
 func TestResourceAccountingAlwaysOn(t *testing.T) {
 	st := mustStore(t, resourceFixture(t))
-	q := sparql.MustParse(`SELECT * WHERE { ?x <p> ?y . }`)
+	q := sparql.MustParse(bufferingQuery)
 	ex, err := Compile(st, q, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +86,7 @@ func TestHashJoinChargesBuildSide(t *testing.T) {
 
 func TestQueryMemoryBudgetExceeded(t *testing.T) {
 	st := mustStore(t, resourceFixture(t))
-	q := sparql.MustParse(`SELECT * WHERE { ?x <p> ?y . }`)
+	q := sparql.MustParse(bufferingQuery)
 	ex, err := Compile(st, q, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +108,34 @@ func TestQueryMemoryBudgetExceeded(t *testing.T) {
 	ex2.SetMaxMemory(1 << 20)
 	if _, err := Drain(context.Background(), ex2); err != nil {
 		t.Fatalf("budgeted run failed: %v", err)
+	}
+}
+
+// TestPlainBGPBuffersNothing is the converse: a duplicate-free streaming
+// plan — a BGP of pipelined extends — has no seen-set and no build side,
+// so it reports a zero peak and cannot trip even a 1-byte budget.
+func TestPlainBGPBuffersNothing(t *testing.T) {
+	st := mustStore(t, resourceFixture(t))
+	q := sparql.MustParse(`SELECT * WHERE { ?x <p> ?y . ?x <q> ?z . }`)
+	ex, err := Compile(st, q, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.SetMaxMemory(1)
+	res, err := Drain(context.Background(), ex)
+	if err != nil {
+		t.Fatalf("plain BGP under a 1-byte budget: %v", err)
+	}
+	if res.Len() == 0 {
+		t.Fatal("fixture query returned no rows")
+	}
+	if r := ex.Resources(); r.PeakBytes != 0 || r.RowsBuffered != 0 {
+		t.Fatalf("resources = %+v, want nothing buffered", r)
+	}
+	for _, op := range ex.Operators() {
+		if op.Op == "distinct" {
+			t.Fatalf("plain BGP compiled a distinct: %+v", ex.Operators())
+		}
 	}
 }
 

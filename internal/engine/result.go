@@ -22,6 +22,27 @@
 //
 // All engines reject variables in predicate position: the paper's pattern
 // graphs are edge-labeled, so predicates are always constants.
+//
+// The executor's row path is built to leave no per-row garbage:
+//
+//   - Set semantics without a blanket distinct. Compiling derives, per
+//     plan node, whether its rows are pairwise distinct and which
+//     variables are bound in every row (props.go). A distinct operator is
+//     added only above a root whose rows may repeat, and a limit keeps a
+//     seen-set only over such an input.
+//   - Where a seen-set or a hash table remains, it is keyed by a 64-bit
+//     mix of the row's columns and verified against the stored row
+//     (rowSet in rows.go; hashJoinIter chains buckets through index
+//     arrays and verifies with compatible). No string keys.
+//   - Output rows are carved from a per-execution slab (rows.go), handed
+//     out capacity-limited and never recycled: a row returned by Next is
+//     the caller's to keep, but it is read-only — a buffering operator
+//     may retain the same slice.
+//   - Posting lists (Store.Objects/Subjects) are sub-slices of the
+//     store's index columns, read in place.
+//
+// The memory account (Resources) charges the rows buffering operators
+// retain; a plan of scans and extends retains none.
 package engine
 
 import (

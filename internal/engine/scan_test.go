@@ -45,7 +45,7 @@ func TestScanAccessPaths(t *testing.T) {
 		{sparql.TriplePattern{S: sparql.C("zz"), P: sparql.C("p"), O: sparql.V("y")}, 0, 1},
 	}
 	for i, c := range cases {
-		it := &scanIter{st: st, r: mustResolve(t, st, c.tp)}
+		it := &scanIter{st: st, r: mustResolve(t, st, c.tp), slab: &slab{}}
 		if err := it.Open(context.Background()); err != nil {
 			t.Fatal(err)
 		}

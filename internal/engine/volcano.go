@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 	"unsafe"
@@ -31,8 +32,10 @@ func ctxErr(ctx context.Context) error {
 // Iterator is the Volcano operator interface: Open prepares the operator,
 // Next produces one row at a time (rows are positional over Vars, with
 // Unbound for positions outside dom(µ)), Close releases resources. The
-// row returned by Next is owned by the caller (operators never reuse row
-// slices they hand out).
+// row returned by Next is owned by the caller: operators never reuse or
+// rewrite a row they handed out. Rows are carved from the execution's
+// slab, so they are capacity-limited (an append copies) and may be
+// retained by a buffering operator downstream — treat them as read-only.
 type Iterator interface {
 	Open(ctx context.Context) error
 	// Next returns the next row; ok is false at end of stream.
@@ -53,8 +56,9 @@ type OperatorStats struct {
 	EstRows float64 `json:"estRows,omitempty"`
 	Rows    int64   `json:"rows"`
 	// MemBytes and RowsBuffered estimate the operator's build-side
-	// footprint: hash-join right sides and distinct/limit seen-sets are
-	// the buffering points of the tree; streaming operators stay 0.
+	// footprint: hash-join right sides and the seen-sets of distinct and
+	// of a limit over a possibly-duplicating input are the buffering
+	// points of the tree; streaming operators stay 0.
 	MemBytes     int64 `json:"memBytes,omitempty"`
 	RowsBuffered int64 `json:"rowsBuffered,omitempty"`
 	// NextCalls counts Next invocations on the operator, including the
@@ -129,7 +133,8 @@ var ErrQueryMemoryExceeded = errors.New("engine: query memory budget exceeded")
 
 // Resources is the per-query resource accounting summary: the peak
 // estimated memory held by buffering operators (hash-join build sides,
-// distinct/limit seen-sets) and the total rows they buffered. Always
+// distinct/limit seen-sets) and the total rows they buffered; a plan with
+// neither — any plain BGP — reads 0. Always
 // collected — the estimates are integer arithmetic on the paths that
 // already touch the buffered rows.
 //
@@ -187,41 +192,38 @@ func (a *account) release(st *OperatorStats) {
 	st.RowsBuffered = 0
 }
 
-// Buffered-row cost model: a []NodeID row plus slice/bucket overhead,
-// and a seen-set key plus map-entry overhead. Estimates, not exact heap
-// sizes — stable across runs, cheap to maintain, good enough to rank
-// statements and to bound runaway queries.
-const (
-	rowOverheadBytes = 48
-	keyOverheadBytes = 48
-)
+// Buffered-row cost model: a retained []NodeID row plus its slice header
+// and table slot. An estimate, not an exact heap size — stable across
+// runs, cheap to maintain, good enough to rank statements and to bound
+// runaway queries.
+const rowOverheadBytes = 48
 
 func rowCostBytes(row []storage.NodeID) int64 {
 	return rowOverheadBytes + int64(len(row))*int64(unsafe.Sizeof(storage.NodeID(0)))
 }
 
-func keyCostBytes(k string) int64 { return keyOverheadBytes + int64(len(k)) }
-
 // Compile lowers and optimizes q against st and compiles the plan to an
 // iterator tree. The result streams distinct rows (set semantics) and
 // honours the query's LIMIT/OFFSET.
 func Compile(st *storage.Store, q *sparql.Query, opt plan.Options) (*Exec, error) {
-	pl := plan.Build(st, q, opt)
-	c := &compiler{st: st, acct: &account{}}
-	// Top-level set semantics: joins and unions may produce duplicate
-	// mappings. A Limit root already deduplicates (it counts distinct
-	// rows); anything else gets an explicit distinct, which then is the
-	// real tree root — the plan root compiles one level deeper.
-	_, limitRoot := pl.Root.(plan.Limit)
-	if !limitRoot {
-		c.depth = 1
-	}
-	root, err := c.compile(pl.Root)
+	return compilePlan(st, plan.Build(st, q, opt))
+}
+
+// compilePlan compiles an optimized plan tree — any tree the node types
+// can express, not only the shapes today's planner emits.
+func compilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
+	c := &compiler{st: st, acct: &account{}, slab: &slab{}}
+	root, props, err := c.compile(pl.Root)
 	if err != nil {
 		return nil, err
 	}
-	if !limitRoot {
-		c.depth = 0
+	// Top-level set semantics: only a plan whose rows may repeat (see
+	// rowProps) gets an explicit distinct, which then is the real tree
+	// root — the plan's operators move one level down.
+	if !props.distinct {
+		for _, op := range c.ops {
+			op.Depth++
+		}
 		d := &distinctIter{in: root, acct: c.acct}
 		root = c.counted("distinct", "", 0, d)
 		d.stats = c.lastStats()
@@ -238,6 +240,7 @@ type compiler struct {
 	its   []*countedIter
 	depth int // plan-tree depth of the node currently being compiled
 	acct  *account
+	slab  *slab // the execution's row allocator, shared by every operator
 }
 
 // lastStats returns the stats slot counted just registered — the hook
@@ -256,55 +259,60 @@ func (c *compiler) counted(op, detail string, est float64, it Iterator) Iterator
 }
 
 // child compiles n one tree level below the current node.
-func (c *compiler) child(n plan.Node) (Iterator, error) {
+func (c *compiler) child(n plan.Node) (Iterator, rowProps, error) {
 	c.depth++
-	it, err := c.compile(n)
+	it, props, err := c.compile(n)
 	c.depth--
-	return it, err
+	return it, props, err
 }
 
-func (c *compiler) compile(n plan.Node) (Iterator, error) {
+// compile lowers one plan node to its operator and, in the same pass,
+// derives the node's rowProps from its children's — the one place the
+// set analysis is computed.
+func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 	switch x := n.(type) {
 	case plan.Unit:
-		return c.counted("unit", "", 1, &unitIter{}), nil
+		return c.counted("unit", "", 1, &unitIter{slab: c.slab}), scanProps(nil), nil
 	case plan.Scan:
 		r, err := resolve(c.st, x.TP)
 		if err != nil {
-			return nil, err
+			return nil, rowProps{}, err
 		}
-		return c.counted("scan", x.TP.String(), x.Est, &scanIter{st: c.st, r: r}), nil
+		return c.counted("scan", x.TP.String(), x.Est, &scanIter{st: c.st, r: r, slab: c.slab}), scanProps(r.vars()), nil
 	case plan.Join:
 		return c.compileJoin(x.L, x.R, false)
 	case plan.LeftJoin:
 		return c.compileJoin(x.L, x.R, true)
 	case plan.Union:
-		l, err := c.child(x.L)
+		l, lp, err := c.child(x.L)
 		if err != nil {
-			return nil, err
+			return nil, rowProps{}, err
 		}
-		r, err := c.child(x.R)
+		r, rp, err := c.child(x.R)
 		if err != nil {
-			return nil, err
+			return nil, rowProps{}, err
 		}
-		return c.counted("union", "", 0, newUnionIter(l, r)), nil
+		return c.counted("union", "", 0, newUnionIter(l, r, c.slab)), unionProps(lp, rp), nil
 	case plan.Filter:
-		in, err := c.child(x.Input)
+		in, props, err := c.child(x.Input)
 		if err != nil {
-			return nil, err
+			return nil, rowProps{}, err
 		}
-		return c.counted("filter", x.Cond.String(), 0, newFilterIter(c.st, in, x.Cond)), nil
+		return c.counted("filter", x.Cond.String(), 0, newFilterIter(c.st, in, x.Cond)), props, nil
 	case plan.Limit:
-		in, err := c.child(x.Input)
+		in, props, err := c.child(x.Input)
 		if err != nil {
-			return nil, err
+			return nil, rowProps{}, err
 		}
-		detail := limitDetail(x)
-		li := &limitIter{in: in, limit: x.Limit, offset: x.Offset, acct: c.acct}
-		it := c.counted("limit", detail, 0, li)
+		// The window counts distinct rows: over a set it just counts,
+		// otherwise it keeps a seen-set. Either way its output is a set.
+		li := &limitIter{in: in, limit: x.Limit, offset: x.Offset, dedup: !props.distinct, acct: c.acct}
+		it := c.counted("limit", limitDetail(x), 0, li)
 		li.stats = c.lastStats()
-		return it, nil
+		props.distinct = true
+		return it, props, nil
 	default:
-		return nil, fmt.Errorf("engine: unknown plan node %T", n)
+		return nil, rowProps{}, fmt.Errorf("engine: unknown plan node %T", n)
 	}
 }
 
@@ -312,7 +320,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, error) {
 // extend when the right side is a scan (optionally with pushed-down
 // filters — the streaming fast path: no materialization on either side),
 // and a hash join that drains only the right side otherwise.
-func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, error) {
+func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowProps, error) {
 	// Peel pushed-down filters off a scan right side: for an inner join,
 	// filtering the extensions after the merge is equivalent to filtering
 	// the scan (the scan binds every variable the condition may name).
@@ -335,46 +343,47 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, erro
 		// filters stack above the extend, the left input hangs below it.
 		base := c.depth
 		c.depth = base + len(conds) + 1
-		l, err := c.compile(ln)
+		l, lp, err := c.compile(ln)
 		c.depth = base
 		if err != nil {
-			return nil, err
+			return nil, rowProps{}, err
 		}
 		r, err := resolve(c.st, sc.TP)
 		if err != nil {
-			return nil, err
+			return nil, rowProps{}, err
 		}
 		op := "extend"
 		if leftOuter {
 			op = "extendleft"
 		}
+		props := joinProps(lp, scanProps(r.vars()), l.Vars(), r.vars(), leftOuter)
 		c.depth = base + len(conds)
-		var it Iterator = newExtendIter(c.st, l, r, leftOuter)
+		var it Iterator = newExtendIter(c.st, l, r, leftOuter, c.slab)
 		it = c.counted(op, sc.TP.String(), sc.Est, it)
 		for i := len(conds) - 1; i >= 0; i-- {
 			c.depth--
 			it = c.counted("filter", conds[i].String(), 0, newFilterIter(c.st, it, conds[i]))
 		}
 		c.depth = base
-		return it, nil
+		return it, props, nil
 	}
-	l, err := c.child(ln)
+	l, lp, err := c.child(ln)
 	if err != nil {
-		return nil, err
+		return nil, rowProps{}, err
 	}
-	r, err := c.child(rn)
+	r, rp, err := c.child(rn)
 	if err != nil {
-		return nil, err
+		return nil, rowProps{}, err
 	}
 	op := "hashjoin"
 	if leftOuter {
 		op = "leftjoin"
 	}
-	h := newHashJoinIter(l, r, leftOuter)
+	h := newHashJoinIter(l, r, leftOuter, c.slab)
 	h.acct = c.acct
 	it := c.counted(op, "", 0, h)
 	h.stats = c.lastStats()
-	return it, nil
+	return it, joinProps(lp, rp, l.Vars(), r.Vars(), leftOuter), nil
 }
 
 func limitDetail(x plan.Limit) string {
@@ -462,6 +471,7 @@ func (c *countedIter) Open(ctx context.Context) error { c.ctx = ctx; return c.in
 func (c *countedIter) Close() error                   { return c.in.Close() }
 func (c *countedIter) Vars() []string                 { return c.in.Vars() }
 
+//dualsim:hotpath
 func (c *countedIter) Next() ([]storage.NodeID, bool, error) {
 	if c.n++; c.n%rowCheckInterval == 0 {
 		if err := ctxErr(c.ctx); err != nil {
@@ -486,27 +496,33 @@ func (c *countedIter) Next() ([]storage.NodeID, bool, error) {
 }
 
 // unitIter produces the single empty mapping.
-type unitIter struct{ done bool }
+type unitIter struct {
+	slab *slab
+	done bool
+}
 
 func (u *unitIter) Open(ctx context.Context) error { u.done = false; return nil }
 func (u *unitIter) Close() error                   { return nil }
 func (u *unitIter) Vars() []string                 { return nil }
 
+//dualsim:hotpath
 func (u *unitIter) Next() ([]storage.NodeID, bool, error) {
 	if u.done {
 		return nil, false, nil
 	}
 	u.done = true
-	return []storage.NodeID{}, true, nil
+	return u.slab.alloc(0), true, nil
 }
 
 // scanIter streams the matches of one resolved triple pattern straight
 // from the store's per-predicate indexes — a cursor over the PSO run via
-// PairAt for the unbound case, a posting-list walk when one side is a
-// constant. Nothing is materialized.
+// PairAt for the unbound case, a posting-list walk (the index's own
+// column, read in place) when one side is a constant. Nothing is
+// materialized.
 type scanIter struct {
 	st   *storage.Store
 	r    resolved
+	slab *slab
 	ctx  context.Context
 	i    int // cursor: pair index or posting-list index
 	list []storage.NodeID
@@ -536,6 +552,7 @@ func (s *scanIter) Open(ctx context.Context) error {
 	return nil
 }
 
+//dualsim:hotpath
 func (s *scanIter) Next() ([]storage.NodeID, bool, error) {
 	if s.done {
 		return nil, false, nil
@@ -545,19 +562,20 @@ func (s *scanIter) Next() ([]storage.NodeID, bool, error) {
 			return nil, false, err
 		}
 	}
-	r := s.r
+	r := &s.r
 	switch {
 	case r.sVar == "" && r.oVar == "":
 		s.done = true
 		if s.st.HasTriple(r.sID, r.pred, r.oID) {
-			return []storage.NodeID{}, true, nil
+			return s.slab.alloc(0), true, nil
 		}
 		return nil, false, nil
 	case r.sVar == "" || r.oVar == "":
 		if s.i < len(s.list) {
-			v := s.list[s.i]
+			row := s.slab.alloc(1)
+			row[0] = s.list[s.i]
 			s.i++
-			return []storage.NodeID{v}, true, nil
+			return row, true, nil
 		}
 		s.done = true
 		return nil, false, nil
@@ -570,9 +588,13 @@ func (s *scanIter) Next() ([]storage.NodeID, bool, error) {
 				if sub != obj {
 					continue
 				}
-				return []storage.NodeID{sub}, true, nil
+				row := s.slab.alloc(1)
+				row[0] = sub
+				return row, true, nil
 			}
-			return []storage.NodeID{sub, obj}, true, nil
+			row := s.slab.alloc(2)
+			row[0], row[1] = sub, obj
+			return row, true, nil
 		}
 		s.done = true
 		return nil, false, nil
@@ -591,14 +613,22 @@ type extendIter struct {
 	in        Iterator
 	r         resolved
 	leftOuter bool
+	slab      *slab
 
 	vars   []string
-	varCol map[string]int
 	inVars int // input schema width (a prefix of vars)
+	// Output columns of the pattern's subject and object, resolved once:
+	// -1 for a constant. sameVar is the ?x p ?x pattern.
+	sCol, oCol int
+	sameVar    bool
 
-	// Cursor over the extensions of the current input row.
-	cur        []storage.NodeID // widened current input row; nil = pull next
-	list       []storage.NodeID // posting list (one side known)
+	// Cursor over the extensions of the current input row. cur is the
+	// input row widened to the output schema: operator-owned scratch that
+	// is never handed out (emitted rows are slab copies), valid while
+	// have is set.
+	cur        []storage.NodeID
+	have       bool
+	list       []storage.NodeID // posting list (one side known), read in place
 	li         int
 	pi         int // pair cursor (neither side known)
 	sVal, oVal storage.NodeID
@@ -610,20 +640,24 @@ type extendIter struct {
 	n   int
 }
 
-func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool) *extendIter {
-	e := &extendIter{st: st, in: in, r: r, leftOuter: leftOuter}
-	e.vars = append(e.vars, in.Vars()...)
+func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool, sl *slab) *extendIter {
+	e := &extendIter{st: st, in: in, r: r, leftOuter: leftOuter, slab: sl, sCol: -1, oCol: -1}
+	e.vars = slices.Clone(in.Vars())
 	e.inVars = len(e.vars)
-	e.varCol = make(map[string]int, len(e.vars)+2)
-	for i, v := range e.vars {
-		e.varCol[v] = i
-	}
-	for _, v := range r.vars() {
-		if _, ok := e.varCol[v]; !ok {
-			e.varCol[v] = len(e.vars)
+	col := func(v string) int {
+		if v == "" {
+			return -1
+		}
+		i := slices.Index(e.vars, v)
+		if i < 0 {
+			i = len(e.vars)
 			e.vars = append(e.vars, v)
 		}
+		return i
 	}
+	e.sCol, e.oCol = col(r.sVar), col(r.oVar)
+	e.sameVar = r.sVar != "" && r.sVar == r.oVar
+	e.cur = make([]storage.NodeID, len(e.vars))
 	return e
 }
 
@@ -632,78 +666,89 @@ func (e *extendIter) Close() error   { return e.in.Close() }
 
 func (e *extendIter) Open(ctx context.Context) error {
 	e.ctx = ctx
-	e.cur = nil
+	e.have = false
 	return e.in.Open(ctx)
 }
 
-// emitExt builds an output row extending the current input row with the
-// pattern's subject/object values.
-func (e *extendIter) emitExt(s, o storage.NodeID) []storage.NodeID {
-	nr := append([]storage.NodeID(nil), e.cur...)
-	if e.r.sVar != "" {
-		nr[e.varCol[e.r.sVar]] = s
+// emit builds an output row: the current input row, with the pattern's
+// variables set to (s, o) when ext is true.
+//
+//dualsim:hotpath
+func (e *extendIter) emit(ext bool, s, o storage.NodeID) []storage.NodeID {
+	nr := e.slab.alloc(len(e.cur))
+	copy(nr, e.cur)
+	if ext {
+		if e.sCol >= 0 {
+			nr[e.sCol] = s
+		}
+		if e.oCol >= 0 {
+			nr[e.oCol] = o
+		}
 	}
-	if e.r.oVar != "" {
-		nr[e.varCol[e.r.oVar]] = o
-	}
-	e.matched = true
 	return nr
 }
 
+// known resolves a pattern position against the current input row: the
+// constant, or the row's binding of the variable when it has one.
+func (e *extendIter) known(col int, constID storage.NodeID) (storage.NodeID, bool) {
+	if col < 0 {
+		return constID, true
+	}
+	if v := e.cur[col]; v != Unbound {
+		return v, true
+	}
+	return 0, false
+}
+
+//dualsim:hotpath
 func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
-	r := e.r
+	r := &e.r
 	for {
 		if e.n++; e.n%rowCheckInterval == 0 {
 			if err := ctxErr(e.ctx); err != nil {
 				return nil, false, err
 			}
 		}
-		if e.cur != nil {
+		if e.have {
 			switch {
 			case e.sKnown && e.oKnown:
-				row := e.cur
-				e.cur = nil
-				if r.ok && e.st.HasTriple(e.sVal, r.pred, e.oVal) {
-					e.matched = true
-					return e.emitExtKnown(row), true, nil
+				e.have = false
+				if e.st.HasTriple(e.sVal, r.pred, e.oVal) {
+					return e.emit(true, e.sVal, e.oVal), true, nil
 				}
 				if e.leftOuter {
-					return row, true, nil
+					return e.emit(false, 0, 0), true, nil
 				}
 				continue
 			case e.sKnown:
 				if e.li < len(e.list) {
 					o := e.list[e.li]
 					e.li++
-					if r.sVar == r.oVar && o != e.sVal {
-						continue
-					}
-					return e.emitExt(e.sVal, o), true, nil
+					e.matched = true
+					return e.emit(true, e.sVal, o), true, nil
 				}
 			case e.oKnown:
 				if e.li < len(e.list) {
 					s := e.list[e.li]
 					e.li++
-					if r.sVar == r.oVar && s != e.oVal {
-						continue
-					}
-					return e.emitExt(s, e.oVal), true, nil
+					e.matched = true
+					return e.emit(true, s, e.oVal), true, nil
 				}
 			default:
 				if e.pi < e.st.PredCount(r.pred) {
 					s, o := e.st.PairAt(r.pred, e.pi)
 					e.pi++
-					if r.sVar == r.oVar && s != o {
+					if e.sameVar && s != o {
 						continue
 					}
-					return e.emitExt(s, o), true, nil
+					e.matched = true
+					return e.emit(true, s, o), true, nil
 				}
 			}
 			// Cursor exhausted.
-			row := e.cur
-			e.cur = nil
+			e.have = false
 			if e.leftOuter && !e.matched {
-				return row, true, nil
+				return e.emit(false, 0, 0), true, nil
 			}
 			continue
 		}
@@ -713,23 +758,22 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 			return nil, false, err
 		}
 		// Widen the input row to the output schema.
-		row := make([]storage.NodeID, len(e.vars))
-		copy(row, in)
-		for i := e.inVars; i < len(row); i++ {
-			row[i] = Unbound
+		copy(e.cur, in)
+		for i := e.inVars; i < len(e.cur); i++ {
+			e.cur[i] = Unbound
 		}
 		if !r.ok {
 			// Unsatisfiable pattern: no extensions ever.
 			if e.leftOuter {
-				return row, true, nil
+				return e.emit(false, 0, 0), true, nil
 			}
 			continue
 		}
-		e.cur = row
+		e.have = true
 		e.matched = false
 		e.li, e.pi = 0, 0
-		e.sVal, e.sKnown = constOrBinding(r.sVar, r.sID, row, e.varCol)
-		e.oVal, e.oKnown = constOrBinding(r.oVar, r.oID, row, e.varCol)
+		e.sVal, e.sKnown = e.known(e.sCol, r.sID)
+		e.oVal, e.oKnown = e.known(e.oCol, r.oID)
 		switch {
 		case e.sKnown && e.oKnown:
 		case e.sKnown:
@@ -740,43 +784,41 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 	}
 }
 
-// emitExtKnown is emitExt for the both-known case, where e.cur has
-// already been cleared.
-func (e *extendIter) emitExtKnown(row []storage.NodeID) []storage.NodeID {
-	nr := append([]storage.NodeID(nil), row...)
-	if e.r.sVar != "" {
-		nr[e.varCol[e.r.sVar]] = e.sVal
-	}
-	if e.r.oVar != "" {
-		nr[e.varCol[e.r.oVar]] = e.oVal
-	}
-	return nr
-}
-
 // hashJoinIter is the generic compatibility join: Open drains the right
-// side into hash buckets (rows with unbound shared variables go to a
-// wildcard list), then the left side streams through, probing. With
-// leftOuter, unmatched left rows survive padded.
+// side and buckets it on a 64-bit hash of the shared columns (rows with
+// an unbound shared variable go to a wildcard list), then the left side
+// streams through, probing. A bucket is a chain through an index array,
+// and every candidate is verified by compatible, so neither a hash
+// collision nor two hashes sharing a bucket can produce a wrong match.
+// With leftOuter, unmatched left rows survive padded.
 type hashJoinIter struct {
 	l, r      Iterator
 	leftOuter bool
+	slab      *slab
 
-	vars   []string
-	shared []string
-	lres   *Result // schema carrier for compatible()
-	rres   *Result // drained right side
-
+	vars []string
+	// Column maps, computed once: the shared variables' columns on each
+	// side (position-aligned), and the output column of each right column.
 	lIdx, rIdx []int
-	buckets    map[string][]int
-	wildcards  []int
+	rOut       []int
 
-	// probe state
+	// Build side: the drained right rows; heads[bucket] and next[row] hold
+	// row index + 1 (0 ends a chain).
+	rows      [][]storage.NodeID
+	heads     []int32
+	next      []int32
+	wildcards []int32
+
+	// Probe state: the candidates of the current left row are, in order,
+	// its bucket chain and then the wildcards — or every right row when
+	// the left row itself has an unbound shared variable.
 	lrow    []storage.NodeID
-	cands   []int
-	ci      int
+	haveL   bool
+	chain   int32 // next chain candidate + 1
+	wi      int   // wildcard cursor
 	scanAll bool
+	ci      int // scanAll cursor
 	matched bool
-	pending []storage.NodeID // left-outer padded row to emit
 	n       int
 	ctx     context.Context
 
@@ -786,15 +828,15 @@ type hashJoinIter struct {
 	stats *OperatorStats
 }
 
-func newHashJoinIter(l, r Iterator, leftOuter bool) *hashJoinIter {
-	h := &hashJoinIter{l: l, r: r, leftOuter: leftOuter}
+func newHashJoinIter(l, r Iterator, leftOuter bool, sl *slab) *hashJoinIter {
+	h := &hashJoinIter{l: l, r: r, leftOuter: leftOuter, slab: sl}
 	lres := NewResult(l.Vars()...)
 	rres := NewResult(r.Vars()...)
-	h.lres, h.rres = lres, rres
-	h.shared = sharedVars(lres, rres)
+	shared := sharedVars(lres, rres)
 	h.vars = unionVars(lres, rres)
-	h.lIdx = varIndexes(lres, h.shared)
-	h.rIdx = varIndexes(rres, h.shared)
+	h.lIdx = varIndexes(lres, shared)
+	h.rIdx = varIndexes(rres, shared)
+	h.rOut = varIndexes(NewResult(h.vars...), rres.Vars)
 	return h
 }
 
@@ -810,14 +852,10 @@ func (h *hashJoinIter) Close() error {
 
 func (h *hashJoinIter) Open(ctx context.Context) error {
 	h.ctx = ctx
-	h.lrow = nil
-	h.pending = nil
-	h.rres.Rows = h.rres.Rows[:0]
-	h.buckets = make(map[string][]int)
-	h.wildcards = nil
-	if h.acct != nil {
-		h.acct.release(h.stats)
-	}
+	h.haveL = false
+	h.rows = h.rows[:0]
+	h.wildcards = h.wildcards[:0]
+	h.acct.release(h.stats)
 	if err := h.l.Open(ctx); err != nil {
 		return err
 	}
@@ -832,18 +870,10 @@ func (h *hashJoinIter) Open(ctx context.Context) error {
 		if !ok {
 			break
 		}
-		i := len(h.rres.Rows)
-		h.rres.Rows = append(h.rres.Rows, row)
-		if allBound(row, h.rIdx) {
-			k := keyOf(row, h.rIdx)
-			h.buckets[k] = append(h.buckets[k], i)
-		} else {
-			h.wildcards = append(h.wildcards, i)
-		}
-		if h.acct != nil {
-			if err := h.acct.charge(h.stats, 1, rowCostBytes(row)); err != nil {
-				return err
-			}
+		i := len(h.rows)
+		h.rows = append(h.rows, row)
+		if err := h.acct.charge(h.stats, 1, rowCostBytes(row)); err != nil {
+			return err
 		}
 		if i%rowCheckInterval == 0 {
 			if err := ctxErr(ctx); err != nil {
@@ -851,70 +881,87 @@ func (h *hashJoinIter) Open(ctx context.Context) error {
 			}
 		}
 	}
+	// Bucket the drained rows. Linking back to front keeps every chain
+	// (and, reversed once, the wildcard list) in arrival order.
+	nb := 1
+	for nb < 2*len(h.rows) {
+		nb <<= 1
+	}
+	h.heads = make([]int32, nb)
+	h.next = make([]int32, len(h.rows))
+	for i := len(h.rows) - 1; i >= 0; i-- {
+		if !allBound(h.rows[i], h.rIdx) {
+			h.wildcards = append(h.wildcards, int32(i))
+			continue
+		}
+		b := hashCols(h.rows[i], h.rIdx) & uint64(nb-1)
+		h.next[i] = h.heads[b]
+		h.heads[b] = int32(i + 1)
+	}
+	slices.Reverse(h.wildcards)
 	return nil
 }
 
-// merge builds the output row from a left row and a right row (l's vars
-// are a prefix of the output schema; bound right values win over padding).
-func (h *hashJoinIter) merge(lrow, rrow []storage.NodeID) []storage.NodeID {
-	merged := make([]storage.NodeID, len(h.vars))
-	for k := range merged {
-		merged[k] = Unbound
-	}
-	copy(merged, lrow)
-	for j, v := range rrow {
-		if v == Unbound {
-			continue
+// compatible implements µ1 ⇋ µ2 over the precomputed shared columns:
+// agreement on every shared variable bound in both mappings.
+//
+//dualsim:hotpath
+func (h *hashJoinIter) compatible(lrow, rrow []storage.NodeID) bool {
+	for k, li := range h.lIdx {
+		lv, rv := lrow[li], rrow[h.rIdx[k]]
+		if lv != Unbound && rv != Unbound && lv != rv {
+			return false
 		}
-		oj := rTargetIndex(h.vars, h.rres.Vars[j])
-		merged[oj] = v
 	}
-	return merged
+	return true
 }
 
-func (h *hashJoinIter) pad(lrow []storage.NodeID) []storage.NodeID {
-	merged := make([]storage.NodeID, len(h.vars))
-	for k := range merged {
+// merge builds the output row from a left row and a right row (l's vars
+// are a prefix of the output schema; bound right values win over
+// padding). A nil rrow pads the left row only.
+//
+//dualsim:hotpath
+func (h *hashJoinIter) merge(lrow, rrow []storage.NodeID) []storage.NodeID {
+	merged := h.slab.alloc(len(h.vars))
+	copy(merged, lrow)
+	for k := len(lrow); k < len(merged); k++ {
 		merged[k] = Unbound
 	}
-	copy(merged, lrow)
+	for j, v := range rrow {
+		if v != Unbound {
+			merged[h.rOut[j]] = v
+		}
+	}
 	return merged
 }
 
+//dualsim:hotpath
 func (h *hashJoinIter) Next() ([]storage.NodeID, bool, error) {
 	for {
-		if h.pending != nil {
-			row := h.pending
-			h.pending = nil
-			return row, true, nil
-		}
-		if h.lrow != nil {
-			for {
-				var ri int
-				if h.scanAll {
-					if h.ci >= len(h.rres.Rows) {
-						break
-					}
-					ri = h.ci
-				} else if h.ci < len(h.cands) {
-					ri = h.cands[h.ci]
-				} else if h.ci < len(h.cands)+len(h.wildcards) {
-					ri = h.wildcards[h.ci-len(h.cands)]
-				} else {
-					break
-				}
+		for h.haveL {
+			var ri int
+			switch {
+			case h.scanAll && h.ci < len(h.rows):
+				ri = h.ci
 				h.ci++
-				if compatible(h.lres, h.rres, h.lrow, h.rres.Rows[ri], h.shared) {
-					h.matched = true
-					return h.merge(h.lrow, h.rres.Rows[ri]), true, nil
+			case h.chain != 0:
+				ri = int(h.chain - 1)
+				h.chain = h.next[ri]
+			case !h.scanAll && h.wi < len(h.wildcards):
+				ri = int(h.wildcards[h.wi])
+				h.wi++
+			default:
+				// Candidates exhausted.
+				h.haveL = false
+				if h.leftOuter && !h.matched {
+					return h.merge(h.lrow, nil), true, nil
 				}
+				continue
 			}
-			if h.leftOuter && !h.matched {
-				row := h.pad(h.lrow)
-				h.lrow = nil
-				return row, true, nil
+			if h.compatible(h.lrow, h.rows[ri]) {
+				h.matched = true
+				return h.merge(h.lrow, h.rows[ri]), true, nil
 			}
-			h.lrow = nil
 		}
 		lrow, ok, err := h.l.Next()
 		if err != nil || !ok {
@@ -925,15 +972,12 @@ func (h *hashJoinIter) Next() ([]storage.NodeID, bool, error) {
 				return nil, false, err
 			}
 		}
-		h.lrow = lrow
-		h.ci = 0
+		h.lrow, h.haveL = lrow, true
+		h.ci, h.wi, h.chain = 0, 0, 0
 		h.matched = false
-		if allBound(lrow, h.lIdx) {
-			h.scanAll = false
-			h.cands = h.buckets[keyOf(lrow, h.lIdx)]
-		} else {
-			h.scanAll = true
-			h.cands = nil
+		h.scanAll = !allBound(lrow, h.lIdx)
+		if !h.scanAll {
+			h.chain = h.heads[hashCols(lrow, h.lIdx)&uint64(len(h.heads)-1)]
 		}
 	}
 }
@@ -958,6 +1002,7 @@ func (f *filterIter) Vars() []string                 { return f.in.Vars() }
 func (f *filterIter) Open(ctx context.Context) error { return f.in.Open(ctx) }
 func (f *filterIter) Close() error                   { return f.in.Close() }
 
+//dualsim:hotpath
 func (f *filterIter) Next() ([]storage.NodeID, bool, error) {
 	for {
 		row, ok, err := f.in.Next()
@@ -974,26 +1019,19 @@ func (f *filterIter) Next() ([]storage.NodeID, bool, error) {
 // union schema.
 type unionIter struct {
 	l, r    Iterator
+	slab    *slab
 	vars    []string
 	lMap    []int // output column of each left column
 	rMap    []int
 	onRight bool
 }
 
-func newUnionIter(l, r Iterator) *unionIter {
+func newUnionIter(l, r Iterator, sl *slab) *unionIter {
 	lres := NewResult(l.Vars()...)
 	rres := NewResult(r.Vars()...)
-	vars := unionVars(lres, rres)
-	u := &unionIter{l: l, r: r, vars: vars}
-	u.lMap = make([]int, len(lres.Vars))
-	for i, v := range lres.Vars {
-		u.lMap[i] = rTargetIndex(vars, v)
-	}
-	u.rMap = make([]int, len(rres.Vars))
-	for i, v := range rres.Vars {
-		u.rMap[i] = rTargetIndex(vars, v)
-	}
-	return u
+	out := NewResult(unionVars(lres, rres)...)
+	return &unionIter{l: l, r: r, slab: sl, vars: out.Vars,
+		lMap: varIndexes(out, lres.Vars), rMap: varIndexes(out, rres.Vars)}
 }
 
 func (u *unionIter) Vars() []string { return u.vars }
@@ -1014,8 +1052,9 @@ func (u *unionIter) Close() error {
 	return err
 }
 
+//dualsim:hotpath
 func (u *unionIter) project(row []storage.NodeID, m []int) []storage.NodeID {
-	out := make([]storage.NodeID, len(u.vars))
+	out := u.slab.alloc(len(u.vars))
 	for k := range out {
 		out[k] = Unbound
 	}
@@ -1025,6 +1064,7 @@ func (u *unionIter) project(row []storage.NodeID, m []int) []storage.NodeID {
 	return out
 }
 
+//dualsim:hotpath
 func (u *unionIter) Next() ([]storage.NodeID, bool, error) {
 	if !u.onRight {
 		row, ok, err := u.l.Next()
@@ -1044,10 +1084,12 @@ func (u *unionIter) Next() ([]storage.NodeID, bool, error) {
 }
 
 // distinctIter drops rows already seen (set semantics). Its seen-set is
-// a buffering point: every distinct row charges the execution account.
+// a buffering point: every distinct row is retained and charged to the
+// execution account. The compiler adds it only above a plan whose rows
+// may repeat (rowProps).
 type distinctIter struct {
 	in    Iterator
-	seen  map[string]bool
+	seen  *rowSet
 	acct  *account
 	stats *OperatorStats
 }
@@ -1056,28 +1098,23 @@ func (d *distinctIter) Vars() []string { return d.in.Vars() }
 func (d *distinctIter) Close() error   { return d.in.Close() }
 
 func (d *distinctIter) Open(ctx context.Context) error {
-	d.seen = make(map[string]bool)
-	if d.acct != nil {
-		d.acct.release(d.stats)
-	}
+	d.seen = newRowSet()
+	d.acct.release(d.stats)
 	return d.in.Open(ctx)
 }
 
+//dualsim:hotpath
 func (d *distinctIter) Next() ([]storage.NodeID, bool, error) {
 	for {
 		row, ok, err := d.in.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		k := rowKey(row)
-		if d.seen[k] {
+		if !d.seen.add(row) {
 			continue
 		}
-		d.seen[k] = true
-		if d.acct != nil {
-			if err := d.acct.charge(d.stats, 1, keyCostBytes(k)); err != nil {
-				return nil, false, err
-			}
+		if err := d.acct.charge(d.stats, 1, rowCostBytes(row)); err != nil {
+			return nil, false, err
 		}
 		return row, true, nil
 	}
@@ -1087,12 +1124,14 @@ func (d *distinctIter) Next() ([]storage.NodeID, bool, error) {
 // distinct rows, then stops pulling from its input — the early-exit that
 // makes LIMIT queries cheap under streaming execution. Counting distinct
 // rows (rather than raw ones) keeps per-branch LIMIT pushdown sound
-// under set semantics.
+// under set semantics; with dedup false the input is known to be a set
+// and the window just counts, buffering nothing.
 type limitIter struct {
 	in      Iterator
 	limit   int // 0 = unlimited
 	offset  int
-	seen    map[string]bool
+	dedup   bool
+	seen    *rowSet
 	skipped int
 	emitted int
 	acct    *account
@@ -1103,15 +1142,16 @@ func (l *limitIter) Vars() []string { return l.in.Vars() }
 func (l *limitIter) Close() error   { return l.in.Close() }
 
 func (l *limitIter) Open(ctx context.Context) error {
-	l.seen = make(map[string]bool)
+	if l.dedup {
+		l.seen = newRowSet()
+	}
 	l.skipped = 0
 	l.emitted = 0
-	if l.acct != nil {
-		l.acct.release(l.stats)
-	}
+	l.acct.release(l.stats)
 	return l.in.Open(ctx)
 }
 
+//dualsim:hotpath
 func (l *limitIter) Next() ([]storage.NodeID, bool, error) {
 	if l.limit > 0 && l.emitted >= l.limit {
 		return nil, false, nil
@@ -1121,13 +1161,11 @@ func (l *limitIter) Next() ([]storage.NodeID, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		k := rowKey(row)
-		if l.seen[k] {
-			continue
-		}
-		l.seen[k] = true
-		if l.acct != nil {
-			if err := l.acct.charge(l.stats, 1, keyCostBytes(k)); err != nil {
+		if l.dedup {
+			if !l.seen.add(row) {
+				continue
+			}
+			if err := l.acct.charge(l.stats, 1, rowCostBytes(row)); err != nil {
 				return nil, false, err
 			}
 		}

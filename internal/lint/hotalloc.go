@@ -20,14 +20,19 @@ const HotpathAnnotation = "//dualsim:hotpath"
 //   - map or slice composite literals (per-call heap allocation);
 //   - boxing a basic numeric or boolean value into an interface
 //     parameter or conversion (each box is a heap allocation once it
-//     escapes).
+//     escapes);
+//   - string(b) of a byte slice (the conversion copies the bytes to the
+//     heap — the string-row-key idiom the executor's hashed row set
+//     replaced);
+//   - append([]T(nil), …), the clone idiom (one fresh backing array per
+//     call; hot paths carve rows from a slab or reuse a buffer).
 //
 // The annotation goes on the function's doc comment; the analyzer
 // follows the body including its closures (a closure called on the hot
 // path allocates on the hot path).
 var HotallocAnalyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc:  "//dualsim:hotpath functions must not call fmt, concatenate strings in loops, build map/slice literals or box scalars into interfaces",
+	Doc:  "//dualsim:hotpath functions must not call fmt, concatenate strings in loops, build map/slice literals, box scalars into interfaces, convert byte slices to strings or clone slices with append([]T(nil), …)",
 	Run:  runHotalloc,
 }
 
@@ -98,10 +103,19 @@ func checkHotCall(pass *analysis.Pass, name string, call *ast.CallExpr) {
 		pass.Reportf(call.Pos(), "hot path %s calls fmt.%s; formatting allocates — precompute or use strconv.Append*", name, fn.Name())
 		return
 	}
+	if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) > 0 && isNilConversion(pass, call.Args[0]) {
+		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+			pass.Reportf(call.Pos(), "hot path %s clones a slice with append(%s, …); carve the copy from a preallocated buffer", name, types.ExprString(call.Args[0]))
+			return
+		}
+	}
 	// Boxing: a basic (numeric/bool) argument passed to an interface
 	// parameter heap-allocates once it escapes.
 	sig := callSignature(pass, call)
 	if sig == nil {
+		if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 && isStringType(pass, call) && isByteSlice(pass, call.Args[0]) {
+			pass.Reportf(call.Pos(), "hot path %s converts a byte slice to a string; the copy allocates — hash the bytes or keep them as a slice", name)
+		}
 		// A conversion like any(x) still boxes.
 		if t := pass.TypesInfo.TypeOf(call); t != nil && types.IsInterface(t) && len(call.Args) == 1 {
 			if isBoxableBasic(pass, call.Args[0]) {
@@ -128,6 +142,35 @@ func checkHotCall(pass *analysis.Pass, name string, call *ast.CallExpr) {
 			pass.Reportf(arg.Pos(), "hot path %s boxes a %s into an interface argument of %s; keep scalars unboxed on the hot path", name, pass.TypesInfo.TypeOf(arg), fnName(fn))
 		}
 	}
+}
+
+// isNilConversion reports whether e is a conversion of nil to a slice
+// type — the []T(nil) of the append clone idiom.
+func isNilConversion(pass *analysis.Pass, e ast.Expr) bool {
+	conv, ok := e.(*ast.CallExpr)
+	if !ok || len(conv.Args) != 1 {
+		return false
+	}
+	if tv, ok := pass.TypesInfo.Types[conv.Fun]; !ok || !tv.IsType() {
+		return false
+	}
+	if _, ok := pass.TypesInfo.TypeOf(conv).Underlying().(*types.Slice); !ok {
+		return false
+	}
+	return pass.TypesInfo.Types[conv.Args[0]].IsNil()
+}
+
+func isByteSlice(pass *analysis.Pass, e ast.Expr) bool {
+	t := pass.TypesInfo.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	sl, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := sl.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Uint8
 }
 
 func fnName(fn *types.Func) string {

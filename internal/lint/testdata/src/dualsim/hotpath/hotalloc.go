@@ -51,6 +51,47 @@ func passthrough(vs ...any) {
 	sink(vs...)
 }
 
+// stringKey turns a byte buffer into a map key: the conversion copies
+// the bytes to the heap, once per probe.
+//
+//dualsim:hotpath
+func stringKey(seen map[string]bool, buf []byte) bool {
+	k := string(buf) // want `converts a byte slice to a string`
+	return seen[k]
+}
+
+// hashKey mixes the same bytes into an integer key, and converts only
+// things that are not byte slices: clean.
+//
+//dualsim:hotpath
+func hashKey(seen map[uint64]bool, buf []byte, r rune, s string) bool {
+	h := uint64(len(string(r)) + len([]byte(s)))
+	for _, b := range buf {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return seen[h]
+}
+
+// cloneRow copies a row the idiomatic way: a fresh backing array per
+// call.
+//
+//dualsim:hotpath
+func cloneRow(row []uint32) []uint32 {
+	return append([]uint32(nil), row...) // want `clones a slice with append\(\[\]uint32\(nil\), …\)`
+}
+
+// carveRow takes the copy from a caller-owned buffer, and appends onto
+// real slices: clean.
+//
+//dualsim:hotpath
+func carveRow(buf, row []uint32) (out, rest []uint32) {
+	out = buf[:len(row):len(row)]
+	copy(out, row)
+	var grown []uint32
+	grown = append(grown, row...)
+	return append(out[:0], grown...), buf[len(row):]
+}
+
 // plain is unannotated and may allocate freely: clean.
 func plain(n int) string {
 	return fmt.Sprintf("%d", n)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dualsim/internal/core"
 	"dualsim/internal/engine"
+	"dualsim/internal/proptest"
 	"dualsim/internal/rdf"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
@@ -261,6 +261,10 @@ func randomTriples(r *rand.Rand, nodes, preds, edges int) []rdf.Triple {
 	return ts
 }
 
+// regressionSeeds are the counterexamples the pruning properties have
+// found so far (none yet); proptest.Check replays them before exploring.
+var regressionSeeds []int64
+
 // TestPropertyPrunedEvaluationSound is the repository's central soundness
 // invariant (Theorem 2 put to work): for random data and random queries
 // over BGP/AND/OPTIONAL/UNION, every full-store mapping's mandatory core
@@ -289,9 +293,7 @@ func TestPropertyPrunedEvaluationSound(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 400, regressionSeeds)
 	if exactChecked < 50 {
 		t.Fatalf("only %d well-designed exactness checks; generator drifted", exactChecked)
 	}
@@ -325,9 +327,7 @@ func TestPropertyRequiredSubsetOfKept(t *testing.T) {
 		}
 		return p.Kept >= len(refs)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 300, regressionSeeds)
 }
 
 // TestRequiredPromotedRowCoincidence is a regression test: a promoted

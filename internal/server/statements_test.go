@@ -169,14 +169,27 @@ func TestQueryMemoryBudget413(t *testing.T) {
 		db.Close()
 	})
 
-	// The join buffers its build side: any row exceeds a 1-byte budget.
-	resp := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
+	// A UNION's rows may repeat, so its plan keeps a seen-set: the first
+	// retained row exceeds a 1-byte budget.
+	resp := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{
+		Query: `SELECT * WHERE { { ?d <directed> ?m . } UNION { ?d <worked_with> ?m . } }`})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
 	}
 	out := decode[wire.ErrorResponse](t, resp)
 	if !strings.Contains(out.Error, "memory budget") {
 		t.Fatalf("error = %q", out.Error)
+	}
+
+	// The converse: a plain BGP streams — no seen-set, no build side — so
+	// it answers under the same budget with a zero peak.
+	resp = postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain BGP status = %d, want 200", resp.StatusCode)
+	}
+	bgp := decode[wire.QueryResponse](t, resp)
+	if len(bgp.Rows) == 0 || bgp.Stats == nil || bgp.Stats.Resources == nil || bgp.Stats.Resources.PeakBytes != 0 {
+		t.Fatalf("plain BGP: %d rows, stats %+v; want rows and peakBytes 0", len(bgp.Rows), bgp.Stats)
 	}
 
 	// A zero-row single-pattern query buffers nothing and still serves.

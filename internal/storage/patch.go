@@ -152,12 +152,13 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 		if len(ch.adds) == 0 && len(ch.dels) == 0 {
 			continue // every change of this predicate cancelled out
 		}
-		var old []pair
+		var old predIndex
 		if int(p) < len(st.byPred) {
-			old = st.byPred[p].pso
+			old = st.byPred[p]
 		}
-		kept := make([]pair, 0, len(old)+len(ch.adds)-len(ch.dels))
-		for _, e := range old {
+		kept := make([]pair, 0, len(old.psoS)+len(ch.adds)-len(ch.dels))
+		for i, sub := range old.psoS {
+			e := pair{a: sub, b: old.psoO[i]}
 			if ch.dels[e] {
 				touchedNodes[e.a] = true
 				touchedNodes[e.b] = true
@@ -169,19 +170,8 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 			touchedNodes[e.a] = true
 			touchedNodes[e.b] = true
 		}
-		pso := dedupSorted(append(kept, ch.adds...))
-		pos := make([]pair, len(pso))
-		for i, e := range pso {
-			pos[i] = pair{a: e.b, b: e.a}
-		}
-		sortPairs(pos)
-		out.byPred[p] = predIndex{
-			pso:       pso,
-			pos:       pos,
-			distinctS: countDistinctFirst(pso),
-			distinctO: countDistinctFirst(pos),
-		}
-		out.nTrip += len(pso) - len(old)
+		out.byPred[p] = newPredIndexFromPairs(dedupSorted(append(kept, ch.adds...)))
+		out.nTrip += len(out.byPred[p].psoS) - len(old.psoS)
 		stats.Added += len(ch.adds)
 		stats.Deleted += len(ch.dels)
 		stats.TouchedPreds++

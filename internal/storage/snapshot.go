@@ -24,8 +24,8 @@ import (
 //	subject delta-encoded against the previous pair's subject and the
 //	object raw
 //
-// Only the PSO order is stored; DecodeSnapshot rebuilds the POS order,
-// the distinct counts and the dictionary maps — still far cheaper than
+// Only the PSO order is stored; DecodeSnapshot rebuilds the POS order and
+// the distinct counts (newPredIndex) and the dictionary maps — still far cheaper than
 // re-parsing and re-interning an N-Triples dump (see bench.Persist).
 
 // Sanity bounds for decoding untrusted bytes: a count beyond these is
@@ -59,13 +59,13 @@ func (st *Store) EncodeSnapshot(w io.Writer) error {
 		putString(p)
 	}
 	for p := range st.byPred {
-		pso := st.byPred[p].pso
-		putUvarint(uint64(len(pso)))
+		ix := &st.byPred[p]
+		putUvarint(uint64(len(ix.psoS)))
 		prev := NodeID(0)
-		for _, e := range pso {
-			putUvarint(uint64(e.a - prev))
-			putUvarint(uint64(e.b))
-			prev = e.a
+		for i, sub := range ix.psoS {
+			putUvarint(uint64(sub - prev))
+			putUvarint(uint64(ix.psoO[i]))
+			prev = sub
 		}
 	}
 	return bw.Flush()
@@ -137,13 +137,13 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 	st := &Store{d: d, mats: make(map[PredID]bitmat.Pair), built: true}
 	st.terms, st.preds = d.views()
 	st.byPred = make([]predIndex, nPreds)
-	var counts []uint32 // counting-sort scratch, shared across predicates
 	for p := range st.byPred {
 		n, err := dec.uvarint("pair count", min(maxSnapshotElems, uint64(dec.remaining())/2))
 		if err != nil {
 			return nil, err
 		}
-		pso := make([]pair, n)
+		cols := make([]NodeID, 2*n)
+		s, o := cols[:n:n], cols[n:]
 		prev := uint64(0)
 		for i := uint64(0); i < n; i++ {
 			da, err := dec.uvarint("subject delta", maxSnapshotElems)
@@ -158,63 +158,16 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 			if a >= nTerms || b >= nTerms {
 				return nil, fmt.Errorf("storage: snapshot pair (%d, %d) of predicate %d outside the %d-term universe", a, b, p, nTerms)
 			}
-			if i > 0 && da == 0 && pso[i-1].b >= NodeID(b) {
+			if i > 0 && da == 0 && o[i-1] >= NodeID(b) {
 				return nil, fmt.Errorf("storage: snapshot PSO run of predicate %d is not strictly sorted at pair %d", p, i)
 			}
-			pso[i] = pair{a: NodeID(a), b: NodeID(b)}
+			s[i], o[i] = NodeID(a), NodeID(b)
 			prev = a
 		}
-		pos := make([]pair, len(pso))
-		if countingSortWins(len(pso), int(nTerms)) {
-			if counts == nil {
-				counts = make([]uint32, nTerms)
-			}
-			buildPOSCounting(pso, pos, counts)
-		} else {
-			for i, e := range pso {
-				pos[i] = pair{a: e.b, b: e.a}
-			}
-			sortPairs(pos)
-		}
-		st.byPred[p] = predIndex{
-			pso:       pso,
-			pos:       pos,
-			distinctS: countDistinctFirst(pso),
-			distinctO: countDistinctFirst(pos),
-		}
-		st.nTrip += len(pso)
+		st.byPred[p] = newPredIndex(s, o)
+		st.nTrip += int(n)
 	}
 	return st, nil
-}
-
-// countingSortWins decides whether the O(n + |terms|) counting sort
-// beats the O(n log n) comparison sort for one POS run: the linear pass
-// over the term space must stay comparable to the run itself, or a
-// store with many tiny predicates over a huge node universe would pay
-// |preds|·|terms| in scratch sweeps.
-func countingSortWins(pairs, terms int) bool {
-	return terms <= 8*pairs+1024
-}
-
-// buildPOSCounting fills pos with the (object, subject) reordering of a
-// sorted PSO run via a stable counting sort: PSO order is ascending
-// (subject, object), so for one object the subjects arrive ascending
-// and land in order — pos comes out sorted by (object, subject) in one
-// linear placement pass, no comparisons.
-func buildPOSCounting(pso, pos []pair, counts []uint32) {
-	clear(counts)
-	for _, e := range pso {
-		counts[e.b]++
-	}
-	sum := uint32(0)
-	for i, c := range counts {
-		counts[i] = sum
-		sum += c
-	}
-	for _, e := range pso {
-		pos[counts[e.b]] = pair{a: e.b, b: e.a}
-		counts[e.b]++
-	}
 }
 
 // snapDecoder walks a snapshot body slice.

@@ -8,13 +8,23 @@
 // DB = (O_DB, Σ, E_DB): the node universe O_DB contains every subject and
 // object term, the alphabet Σ is the predicate set, and E_DB is the triple
 // relation.
+//
+// Index layout (index.go): each predicate holds its triples twice, in PSO
+// and in POS order, each order as two parallel id columns — 16 bytes per
+// triple in all. A lookup is a binary search over one dense key column;
+// the posting list it finds is a contiguous run of the other column,
+// which Objects and Subjects return as a read-only sub-slice (no copy).
+// Every index — Build, Restrict, RestrictByMask, Patch, the snapshot
+// decoder — is laid out by the one constructor newPredIndex, which takes
+// the sorted, deduplicated PSO run and derives the POS order with a
+// stable distribution pass on the object id, so building a per-query
+// pruned store is linear in what it keeps.
 package storage
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"dualsim/internal/bitmat"
@@ -28,17 +38,10 @@ type NodeID = uint32
 // PredID indexes the predicate alphabet Σ.
 type PredID = uint32
 
-// pair is one (subject, object) edge of a predicate.
+// pair is one (subject, object) edge of a predicate — the form triples
+// are staged, sorted and deduplicated in before newPredIndex lays them out
+// as columns.
 type pair struct{ a, b NodeID }
-
-// predIndex holds one predicate's triples in the two sort orders plus
-// statistics.
-type predIndex struct {
-	pso       []pair // sorted by (subject, object)
-	pos       []pair // sorted by (object, subject)
-	distinctS int
-	distinctO int
-}
 
 // dict is the shared, append-only term and predicate dictionary of a
 // store lineage. Snapshots derived from one another (Build, Restrict,
@@ -206,19 +209,8 @@ func (st *Store) Build() {
 	st.staged = nil
 	st.nTrip = 0
 	for p := range perPred {
-		pso := dedupSorted(perPred[p])
-		pos := make([]pair, len(pso))
-		for i, e := range pso {
-			pos[i] = pair{a: e.b, b: e.a}
-		}
-		sortPairs(pos)
-		st.byPred[p] = predIndex{
-			pso:       pso,
-			pos:       pos,
-			distinctS: countDistinctFirst(pso),
-			distinctO: countDistinctFirst(pos),
-		}
-		st.nTrip += len(pso)
+		st.byPred[p] = newPredIndexFromPairs(dedupSorted(perPred[p]))
+		st.nTrip += len(st.byPred[p].psoS)
 	}
 	st.built = true
 }
@@ -244,16 +236,6 @@ func dedupSorted(ps []pair) []pair {
 		}
 	}
 	return out
-}
-
-func countDistinctFirst(ps []pair) int {
-	n := 0
-	for i, e := range ps {
-		if i == 0 || e.a != ps[i-1].a {
-			n++
-		}
-	}
-	return n
 }
 
 func (st *Store) mustBeBuilt() {
@@ -301,7 +283,7 @@ func (st *Store) PredIDOf(p string) (PredID, bool) {
 // PredCount returns the number of p-triples.
 func (st *Store) PredCount(p PredID) int {
 	st.mustBeBuilt()
-	return len(st.byPred[p].pso)
+	return len(st.byPred[p].psoS)
 }
 
 // DistinctSubjects returns the number of distinct subjects under p.
@@ -316,51 +298,44 @@ func (st *Store) DistinctObjects(p PredID) int {
 	return st.byPred[p].distinctO
 }
 
-// lookup returns the sub-slice of ps whose first component equals key.
-func lookup(ps []pair, key NodeID) []pair {
-	lo := sort.Search(len(ps), func(i int) bool { return ps[i].a >= key })
-	hi := sort.Search(len(ps), func(i int) bool { return ps[i].a > key })
-	return ps[lo:hi]
-}
-
 // Objects returns the sorted objects o with (s, p, o) ∈ E_DB — the forward
-// map F_p(s).
+// map F_p(s). The result aliases the index: it is read-only and valid for
+// the store's lifetime.
+//
+//dualsim:hotpath
 func (st *Store) Objects(p PredID, s NodeID) []NodeID {
 	st.mustBeBuilt()
-	sub := lookup(st.byPred[p].pso, s)
-	out := make([]NodeID, len(sub))
-	for i, e := range sub {
-		out[i] = e.b
-	}
-	return out
+	ix := &st.byPred[p]
+	lo, hi := equalRun(ix.psoS, s)
+	return ix.psoO[lo:hi:hi]
 }
 
 // Subjects returns the sorted subjects s with (s, p, o) ∈ E_DB — the
-// backward map B_p(o).
+// backward map B_p(o). The result aliases the index: it is read-only and
+// valid for the store's lifetime.
+//
+//dualsim:hotpath
 func (st *Store) Subjects(p PredID, o NodeID) []NodeID {
 	st.mustBeBuilt()
-	sub := lookup(st.byPred[p].pos, o)
-	out := make([]NodeID, len(sub))
-	for i, e := range sub {
-		out[i] = e.b
-	}
-	return out
+	ix := &st.byPred[p]
+	lo, hi := equalRun(ix.posO, o)
+	return ix.posS[lo:hi:hi]
 }
 
 // HasTriple reports whether (s, p, o) ∈ E_DB.
+//
+//dualsim:hotpath
 func (st *Store) HasTriple(s NodeID, p PredID, o NodeID) bool {
-	st.mustBeBuilt()
-	sub := lookup(st.byPred[p].pso, s)
-	i := sort.Search(len(sub), func(i int) bool { return sub[i].b >= o })
-	return i < len(sub) && sub[i].b == o
+	return st.FindPair(p, s, o) >= 0
 }
 
 // ForEachPair calls fn for every (s, o) pair of predicate p in PSO order;
 // stops early if fn returns false.
 func (st *Store) ForEachPair(p PredID, fn func(s, o NodeID) bool) {
 	st.mustBeBuilt()
-	for _, e := range st.byPred[p].pso {
-		if !fn(e.a, e.b) {
+	ix := &st.byPred[p]
+	for i, s := range ix.psoS {
+		if !fn(s, ix.psoO[i]) {
 			return
 		}
 	}
@@ -371,8 +346,9 @@ func (st *Store) ForEachPair(p PredID, fn func(s, o NodeID) bool) {
 func (st *Store) ForEachTriple(fn func(s NodeID, p PredID, o NodeID) bool) {
 	st.mustBeBuilt()
 	for p := range st.byPred {
-		for _, e := range st.byPred[p].pso {
-			if !fn(e.a, PredID(p), e.b) {
+		ix := &st.byPred[p]
+		for i, s := range ix.psoS {
+			if !fn(s, PredID(p), ix.psoO[i]) {
 				return
 			}
 		}
@@ -401,9 +377,10 @@ func (st *Store) Matrices(p PredID) bitmat.Pair {
 	if m, ok := st.mats[p]; ok {
 		return m
 	}
-	cells := make([]bitmat.Cell, len(st.byPred[p].pso))
-	for i, e := range st.byPred[p].pso {
-		cells[i] = bitmat.Cell{Row: e.a, Col: e.b}
+	ix := &st.byPred[p]
+	cells := make([]bitmat.Cell, len(ix.psoS))
+	for i, s := range ix.psoS {
+		cells[i] = bitmat.Cell{Row: s, Col: ix.psoO[i]}
 	}
 	m := bitmat.NewPair(st.NumNodes(), cells)
 	st.mats[p] = m
@@ -425,24 +402,15 @@ func (st *Store) Restrict(keep func(s NodeID, p PredID, o NodeID) bool) *Store {
 	}
 	out.byPred = make([]predIndex, len(st.preds))
 	for p := range st.byPred {
-		var kept []pair
-		for _, e := range st.byPred[p].pso {
-			if keep(e.a, PredID(p), e.b) {
-				kept = append(kept, e)
+		src := &st.byPred[p]
+		var s, o []NodeID
+		for i, sub := range src.psoS {
+			if keep(sub, PredID(p), src.psoO[i]) {
+				s, o = append(s, sub), append(o, src.psoO[i])
 			}
 		}
-		pos := make([]pair, len(kept))
-		for i, e := range kept {
-			pos[i] = pair{a: e.b, b: e.a}
-		}
-		sortPairs(pos)
-		out.byPred[p] = predIndex{
-			pso:       kept,
-			pos:       pos,
-			distinctS: countDistinctFirst(kept),
-			distinctO: countDistinctFirst(pos),
-		}
-		out.nTrip += len(kept)
+		out.byPred[p] = newPredIndex(s, o)
+		out.nTrip += len(s)
 	}
 	out.built = true
 	return out
@@ -452,21 +420,21 @@ func (st *Store) Restrict(keep func(s NodeID, p PredID, o NodeID) bool) *Store {
 // order; 0 ≤ i < PredCount(p).
 func (st *Store) PairAt(p PredID, i int) (NodeID, NodeID) {
 	st.mustBeBuilt()
-	e := st.byPred[p].pso[i]
-	return e.a, e.b
+	ix := &st.byPred[p]
+	return ix.psoS[i], ix.psoO[i]
 }
 
 // FindPair returns the PSO position of (s, p, o), or -1 if absent. The
 // position is stable for the lifetime of the store and is used to address
 // triples in pruning masks.
+//
+//dualsim:hotpath
 func (st *Store) FindPair(p PredID, s, o NodeID) int {
 	st.mustBeBuilt()
-	ps := st.byPred[p].pso
-	lo := sort.Search(len(ps), func(i int) bool {
-		return ps[i].a > s || (ps[i].a == s && ps[i].b >= o)
-	})
-	if lo < len(ps) && ps[lo].a == s && ps[lo].b == o {
-		return lo
+	ix := &st.byPred[p]
+	lo, hi := equalRun(ix.psoS, s)
+	if i := lowerBound(ix.psoO, lo, hi, o); i < hi && ix.psoO[i] == o {
+		return i
 	}
 	return -1
 }
@@ -484,26 +452,21 @@ func (st *Store) RestrictByMask(masks []*bitvec.Vector) *Store {
 	}
 	out.byPred = make([]predIndex, len(st.preds))
 	for p := range st.byPred {
-		var kept []pair
-		if p < len(masks) && masks[p] != nil {
-			src := st.byPred[p].pso
-			masks[p].ForEach(func(i int) bool {
-				kept = append(kept, src[i])
-				return true
-			})
+		if p >= len(masks) || masks[p] == nil {
+			continue
 		}
-		pos := make([]pair, len(kept))
-		for i, e := range kept {
-			pos[i] = pair{a: e.b, b: e.a}
-		}
-		sortPairs(pos)
-		out.byPred[p] = predIndex{
-			pso:       kept,
-			pos:       pos,
-			distinctS: countDistinctFirst(kept),
-			distinctO: countDistinctFirst(pos),
-		}
-		out.nTrip += len(kept)
+		n := masks[p].Count()
+		src := &st.byPred[p]
+		cols := make([]NodeID, 2*n)
+		s, o := cols[:n:n], cols[n:]
+		k := 0
+		masks[p].ForEach(func(i int) bool {
+			s[k], o[k] = src.psoS[i], src.psoO[i]
+			k++
+			return true
+		})
+		out.byPred[p] = newPredIndex(s, o)
+		out.nTrip += n
 	}
 	out.built = true
 	return out

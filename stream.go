@@ -58,7 +58,9 @@ func (r *Rows) Next() bool {
 
 // Row returns the current row: positional over Vars, Unbound for
 // positions outside dom(µ), same encoding as Result.Rows. The slice is
-// owned by the caller and not reused by the cursor.
+// the caller's to keep — the cursor never reuses it — but it is carved
+// from the execution's row slab: treat it as read-only (a deduplicating
+// operator may hold the same slice) and copy it before appending to it.
 func (r *Rows) Row() []storage.NodeID { return r.row }
 
 // Err returns the error that terminated iteration, if any.
