@@ -568,19 +568,21 @@ func (s *Stream) Next() bool {
 		return false
 	}
 	for s.sc.Scan() {
+		// Row lines go through the wire codec; what it declines — the
+		// trailer, an error event, a row some other server spelled
+		// differently — is one reflected decode.
+		line := s.sc.Bytes()
+		if epoch, values, ok := wire.DecodeRowEvent(line); ok {
+			return s.row(epoch, values)
+		}
 		var ev wire.Event
-		if err := json.Unmarshal(s.sc.Bytes(), &ev); err != nil {
+		if err := json.Unmarshal(line, &ev); err != nil {
 			s.err = fmt.Errorf("client: bad stream line: %w", err)
 			return false
 		}
 		switch ev.Kind {
 		case wire.EventRow:
-			if ev.Epoch != s.epoch {
-				s.err = fmt.Errorf("client: epoch tear: header %d, row %d", s.epoch, ev.Epoch)
-				return false
-			}
-			s.cur = Row(ev.Values)
-			return true
+			return s.row(ev.Epoch, ev.Values)
 		case wire.EventStats:
 			s.stats = ev.Stats
 			s.rows = ev.Rows
@@ -588,9 +590,11 @@ func (s *Stream) Next() bool {
 			if s.stats != nil && s.stats.Epoch != s.epoch {
 				s.err = fmt.Errorf("client: epoch tear: header %d, stats %d", s.epoch, s.stats.Epoch)
 			}
+			s.drain()
 			return false
 		case wire.EventError:
-			s.err = fmt.Errorf("dualsimd: mid-stream: %s", ev.Error)
+			s.err = &StreamError{Message: ev.Error}
+			s.drain()
 			return false
 		default:
 			s.err = fmt.Errorf("client: unexpected stream event %q", ev.Kind)
@@ -611,6 +615,36 @@ func (s *Stream) Next() bool {
 	}
 	return false
 }
+
+// row makes one decoded row event current, unless it gives away a torn
+// stream: every event carries the header's epoch.
+func (s *Stream) row(epoch uint64, values []*string) bool {
+	if epoch != s.epoch {
+		s.err = fmt.Errorf("client: epoch tear: header %d, row %d", s.epoch, epoch)
+		return false
+	}
+	s.cur = Row(values)
+	return true
+}
+
+// drain reads the body to EOF once the last event is in. Nothing but
+// the chunked terminator should follow it, but until that is read the
+// body is not at EOF, and closing it would make net/http drop the
+// connection instead of pooling it. Bounded like every other drain.
+func (s *Stream) drain() {
+	_, _ = io.Copy(io.Discard, io.LimitReader(s.body, maxDrainBytes))
+}
+
+// StreamError is an execution that failed after the server had
+// committed the 200: the stream's in-band error event. The server is
+// alive and judged the execution — a deadline, a memory budget — which
+// is what sets it apart from a transport error.
+type StreamError struct {
+	// Message is the server's error string.
+	Message string
+}
+
+func (e *StreamError) Error() string { return "dualsimd: mid-stream: " + e.Message }
 
 // Row returns the current row after a true Next.
 func (s *Stream) Row() Row { return s.cur }
@@ -655,7 +689,9 @@ func (c *Client) QueryStream(ctx context.Context, src string, opts ...QueryOpt) 
 		return nil, err
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	// Most answers are a handful of short lines; the buffer grows on
+	// demand up to the cap, which bounds one row.
+	sc.Buffer(make([]byte, 4<<10), 16<<20)
 	st := &Stream{body: resp.Body, sc: sc, ctx: ctx}
 	// Watch the context for the stream's whole lifetime — started before
 	// the header read, because a server can stall before the first line

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dualsim"
+	"dualsim/client"
 	"dualsim/internal/cluster"
 	"dualsim/internal/queries"
 	"dualsim/internal/server"
@@ -335,5 +336,122 @@ func TestSaturatedAdmission(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0], got[1]) {
 		t.Errorf("backends disagree:\n daemon %+v\n router %+v", got[0], got[1])
+	}
+}
+
+// TestEscapedTermsConformance serves terms that need every escape the
+// row codec knows — and an unbound column — and requires the same
+// decoded values from the buffered envelope, the NDJSON stream and a
+// /v1/batch member, on both backends: three shapes, one rendering. The
+// stream is read twice, by the typed client and line by line with plain
+// json.Unmarshal, the way a third-party consumer would.
+func TestEscapedTermsConformance(t *testing.T) {
+	lits := []string{
+		`plain`, `say "hi"`, `back\slash`, "line\nbreak", "tab\there", "cr\rhere",
+		"ctl\x01byte", "ünï — 日本 😀", `<&>`, "sep\u2028sep", "bad\xffutf8", `\"`, "",
+	}
+	var triples []dualsim.Triple
+	for i, l := range lits {
+		s := fmt.Sprintf("http://example.org/s%d?a=1&b=<2>", i)
+		triples = append(triples, dualsim.TL(s, "has", l), dualsim.T(s, "sees", `quote"in\iri`))
+		if i%2 == 0 {
+			triples = append(triples, dualsim.TL(s, "opt", l+l))
+		}
+	}
+	full, err := dualsim.FromTriples(triples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := dualsim.Open(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	for _, q := range []string{
+		`SELECT * WHERE { ?s <has> ?o . }`,
+		`SELECT * WHERE { ?s <has> ?o . ?s <sees> ?i . OPTIONAL { ?s <opt> ?x . } }`,
+		`SELECT * WHERE { { ?s <has> ?o . } UNION { ?s <sees> ?i . } }`,
+	} {
+		// What a decoded value must be: the term's N-Triples rendering,
+		// as a JSON round trip hands it back (invalid bytes are U+FFFD).
+		res, _, err := ref.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantRows [][]*string
+		for _, row := range res.Rows {
+			vals := make([]*string, len(row))
+			for i, v := range row {
+				if v != dualsim.Unbound {
+					s := string([]rune(full.Term(v).String()))
+					vals[i] = &s
+				}
+			}
+			wantRows = append(wantRows, vals)
+		}
+		want := canonRows(wantRows)
+		if len(want) < len(lits) {
+			t.Fatalf("%s: only %d reference rows", q, len(want))
+		}
+
+		for _, b := range startPair(t, triples) {
+			c, err := client.New(b.url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			check := func(shape string, rows [][]*string) {
+				t.Helper()
+				if got := canonRows(rows); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %s, %s:\n got  %q\n want %q", b.name, shape, q, got, want)
+				}
+			}
+
+			buffered, err := c.Query(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("buffered", buffered.Rows)
+
+			st, err := c.QueryStream(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var streamed [][]*string
+			for st.Next() {
+				streamed = append(streamed, st.Row())
+			}
+			if err := st.Err(); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			check("streamed, typed client", streamed)
+
+			batch, err := c.Batch(ctx, []string{q})
+			if err != nil || len(batch.Results) != 1 || batch.Results[0].Error != "" {
+				t.Fatalf("%s: batch: %v %+v", b.name, err, batch)
+			}
+			check("batch", batch.Results[0].Rows)
+
+			resp, err := http.Post(b.url+"/v1/query?stream=1", wire.ContentTypeJSON,
+				strings.NewReader(fmt.Sprintf(`{"query":%q}`, q)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lines [][]*string
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				var ev wire.Event
+				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+					t.Fatalf("%s: line %q is not plain JSON: %v", b.name, sc.Text(), err)
+				}
+				if ev.Kind == wire.EventRow {
+					lines = append(lines, ev.Values)
+				}
+			}
+			resp.Body.Close()
+			check("streamed, json.Unmarshal per line", lines)
+		}
 	}
 }

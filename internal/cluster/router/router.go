@@ -51,6 +51,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net/http"
 	"runtime"
 	"sort"
@@ -539,8 +540,9 @@ func onShard[T any](ctx context.Context, r *Router, si int, call func(*endpoint)
 		}
 		lastErr = err
 		var ae *client.APIError
-		if errors.As(err, &ae) && ae.StatusCode < 500 {
-			break
+		var se *client.StreamError
+		if errors.As(err, &ae) && ae.StatusCode < 500 || errors.As(err, &se) {
+			break // the shard answered and judged the request; it is not down
 		}
 		ep.markDown(err)
 	}
@@ -561,7 +563,7 @@ func shardFailure(si int, err error) error {
 }
 
 // pushDown sends the branch verbatim to the single shard owning all its
-// predicates.
+// predicates and drains the shard's row stream.
 func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResult, error) {
 	// A traced fan-out propagates its identity on the wire: the shard
 	// Continues the trace under the same ID and ships its pipeline +
@@ -573,17 +575,25 @@ func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResul
 		qopts = append(qopts, client.Trace(), client.Traceparent(tp))
 	}
 	return onShard(ctx, r, si, func(ep *endpoint) (*branchResult, error) {
-		out, err := ep.c.Query(ctx, src, qopts...)
+		st, err := ep.c.QueryStream(ctx, src, qopts...)
 		if err != nil {
+			return nil, err
+		}
+		defer st.Close()
+		out := &branchResult{vars: st.Vars(), rows: [][]*string{}, epoch: st.Epoch()}
+		for st.Next() {
+			out.rows = append(out.rows, st.Row())
+		}
+		if err := st.Err(); err != nil {
 			return nil, err
 		}
 		if sp != nil {
 			sp.SetAttr("endpoint", ep.url)
-			if out.Stats != nil {
-				sp.Attach(out.Stats.Trace)
+			if stats := st.Stats(); stats != nil {
+				sp.Attach(stats.Trace)
 			}
 		}
-		return &branchResult{vars: out.Vars, rows: out.Rows, epoch: out.Epoch}, nil
+		return out, nil
 	})
 }
 
@@ -660,7 +670,13 @@ func evalLocal(ctx context.Context, ts []dualsim.Triple, src string, epoch uint6
 	}
 	rows := make([][]*string, len(res.Rows))
 	for i, row := range res.Rows {
-		rows[i] = server.DecodeRow(st, row)
+		rows[i] = make([]*string, len(row))
+		for j, v := range row {
+			if v != dualsim.Unbound {
+				s := st.Term(v).String()
+				rows[i][j] = &s
+			}
+		}
 	}
 	return &branchResult{vars: append([]string{}, res.Vars...), rows: rows, epoch: epoch}, nil
 }
@@ -697,30 +713,46 @@ func mergeUnion(l, r *branchResult) *branchResult {
 	merged := project(l.rows, l.vars)
 	merged = append(merged, project(r.rows, r.vars)...)
 
-	seen := make(map[string]bool, len(merged))
+	// Set semantics over whole rows: hash the values, chain the rows of
+	// one hash through next, compare values on every hash match.
+	var h maphash.Hash
+	heads := make(map[uint64]int32, len(merged)) // hash → 1 + newest kept row with it
+	next := make([]int32, 0, len(merged))        // kept row → 1 + the previous one of its hash
 	dedup := merged[:0]
-	var sb strings.Builder
+rows:
 	for _, row := range merged {
-		sb.Reset()
+		h.Reset()
 		for _, v := range row {
-			if v == nil {
-				sb.WriteString("N")
-			} else {
-				sb.WriteString("V")
-				sb.WriteString(strconv.Quote(*v))
+			if v != nil {
+				h.WriteString(*v)
 			}
-			sb.WriteByte('\x1f')
+			h.WriteByte(0xff) // in no UTF-8 text: keeps ("ab","c") and ("a","bc") apart
 		}
-		if k := sb.String(); !seen[k] {
-			seen[k] = true
-			dedup = append(dedup, row)
+		sum := h.Sum64()
+		for k := heads[sum]; k != 0; k = next[k-1] {
+			if sameRow(dedup[k-1], row) {
+				continue rows
+			}
 		}
+		dedup = append(dedup, row)
+		next = append(next, heads[sum])
+		heads[sum] = int32(len(dedup))
 	}
 	epoch := l.epoch
 	if r.epoch > epoch {
 		epoch = r.epoch
 	}
 	return &branchResult{vars: vars, rows: dedup, epoch: epoch}
+}
+
+// sameRow compares two rows of one schema value by value.
+func sameRow(a, b []*string) bool {
+	for i := range a {
+		if (a[i] == nil) != (b[i] == nil) || a[i] != nil && *a[i] != *b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -741,7 +773,8 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 		Epoch: res.epoch, Duration: time.Since(start), Results: len(res.rows),
 		Fingerprint: qstats.OfSource(src).ID,
 	}
-	return server.Materialized(res.vars, len(res.rows), func(i int) []*string { return res.rows[i] }, stats), nil
+	return server.Materialized(res.vars, len(res.rows),
+		func(dst []byte, i int) []byte { return wire.Values(res.rows[i]).AppendRow(dst) }, stats), nil
 }
 
 // Explain forwards to the owning shard when the whole query pushes down

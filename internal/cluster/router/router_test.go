@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -703,5 +704,47 @@ func TestRouterBatchBoundedFanOut(t *testing.T) {
 	}
 	if got := peak.Load(); got > int64(width) {
 		t.Fatalf("%d shard queries in flight at once, want at most GOMAXPROCS = %d", got, width)
+	}
+}
+
+// A shard that answers 200 and then reports, in-band, that the
+// execution died (a deadline, a memory budget) has judged the request;
+// it is not down. The router relays the failure as a bad gateway and
+// keeps routing to the endpoint.
+func TestRouterRelaysInBandFailure(t *testing.T) {
+	var seen atomic.Int64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			io.WriteString(w, `{"status":"ready","epoch":3}`)
+			return
+		}
+		seen.Add(1)
+		w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+		io.WriteString(w, `{"kind":"header","vars":["s","o"],"epoch":3}`+"\n"+
+			`{"kind":"row","epoch":3,"values":["<a>","<b>"]}`+"\n"+
+			`{"kind":"error","epoch":3,"error":"query exceeded its memory budget"}`+"\n")
+	}))
+	defer shard.Close()
+	rt, err := New([][]string{{shard.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(context.Background())
+	rs := httptest.NewServer(rt.Handler())
+	defer rs.Close()
+	c, err := client.New(rs.URL, client.WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Query(context.Background(), `SELECT * WHERE { ?s <p> ?o . }`)
+	var ae *client.APIError
+	if !asAPIError(err, &ae) || ae.StatusCode != http.StatusBadGateway || !strings.Contains(ae.Message, "memory budget") {
+		t.Fatalf("routed query: %v, want 502 carrying the shard's message", err)
+	}
+	if got := seen.Load(); got != 1 {
+		t.Errorf("the shard saw %d queries, want 1 (no failover on a verdict)", got)
+	}
+	if err := rt.Ready(); err != nil {
+		t.Errorf("the shard was marked down by its own verdict: %v", err)
 	}
 }

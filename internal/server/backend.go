@@ -43,17 +43,18 @@ type Backend interface {
 	Ready() error
 }
 
-// Cursor is one execution's rows, decoded to wire form, pulled one at a
-// time. The contract follows dualsim.Rows: Next until false, then Err;
+// Cursor is one execution's rows, rendered in wire form, pulled one at
+// a time. The contract follows dualsim.Rows: Next until false, then Err;
 // Close is idempotent and finalizes Stats.
 type Cursor interface {
 	Vars() []string
 	// Epoch is the store epoch every row of the cursor answers from.
 	Epoch() uint64
 	Next() bool
-	// Row returns the current row, positional over Vars, nil for
-	// unbound positions.
-	Row() []*string
+	// AppendRow appends the current row to dst as the JSON array of its
+	// values, positional over Vars, null for unbound positions: the one
+	// rendering all three response shapes carry.
+	wire.RowAppender
 	Err() error
 	Close()
 	Stats() *dualsim.ExecStats
@@ -65,27 +66,27 @@ type BatchResult struct {
 	Err  error
 }
 
-// Materialized returns a cursor over n already computed rows; row(i)
-// renders the i-th in wire form, so rows past a request's limit are
-// never decoded.
-func Materialized(vars []string, n int, row func(i int) []*string, stats *dualsim.ExecStats) Cursor {
-	return &materialized{vars: vars, n: n, row: row, stats: stats}
+// Materialized returns a cursor over n already computed rows;
+// appendRow(dst, i) renders the i-th as Cursor.AppendRow does, so rows
+// past a request's limit are never rendered.
+func Materialized(vars []string, n int, appendRow func(dst []byte, i int) []byte, stats *dualsim.ExecStats) Cursor {
+	return &materialized{vars: vars, n: n, appendRow: appendRow, stats: stats}
 }
 
 type materialized struct {
-	vars  []string
-	n, i  int
-	row   func(i int) []*string
-	stats *dualsim.ExecStats
+	vars      []string
+	n, i      int
+	appendRow func(dst []byte, i int) []byte
+	stats     *dualsim.ExecStats
 }
 
-func (m *materialized) Vars() []string            { return m.vars }
-func (m *materialized) Epoch() uint64             { return m.stats.Epoch }
-func (m *materialized) Next() bool                { m.i++; return m.i <= m.n }
-func (m *materialized) Row() []*string            { return m.row(m.i - 1) }
-func (m *materialized) Err() error                { return nil }
-func (m *materialized) Close()                    {}
-func (m *materialized) Stats() *dualsim.ExecStats { return m.stats }
+func (m *materialized) Vars() []string              { return m.vars }
+func (m *materialized) Epoch() uint64               { return m.stats.Epoch }
+func (m *materialized) Next() bool                  { m.i++; return m.i <= m.n }
+func (m *materialized) AppendRow(dst []byte) []byte { return m.appendRow(dst, m.i-1) }
+func (m *materialized) Err() error                  { return nil }
+func (m *materialized) Close()                      {}
+func (m *materialized) Stats() *dualsim.ExecStats   { return m.stats }
 
 // Error is a backend failure that names its own HTTP status — a shard's
 // relayed verdict, an unroutable request, a dead shard.

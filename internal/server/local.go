@@ -175,7 +175,8 @@ func (b *local) Query(ctx context.Context, src string) (Cursor, error) {
 	return &sessionCursor{Rows: rows, st: snap.Store(), epoch: snap.Epoch(), b: b}, nil
 }
 
-// sessionCursor renders a session's row cursor in wire form.
+// sessionCursor renders a session's row cursor in wire form, straight
+// off the pinned snapshot's dictionary.
 type sessionCursor struct {
 	*dualsim.Rows
 	st     *dualsim.Store
@@ -184,8 +185,10 @@ type sessionCursor struct {
 	closed bool
 }
 
-func (c *sessionCursor) Epoch() uint64  { return c.epoch }
-func (c *sessionCursor) Row() []*string { return DecodeRow(c.st, c.Rows.Row()) }
+func (c *sessionCursor) Epoch() uint64 { return c.epoch }
+
+//dualsim:hotpath
+func (c *sessionCursor) AppendRow(dst []byte) []byte { return appendRow(dst, c.st, c.Rows.Row()) }
 
 func (c *sessionCursor) Close() {
 	if c.closed {
@@ -243,7 +246,7 @@ func (b *local) Batch(ctx context.Context, srcs []string, failFast bool) ([]Batc
 		// session's current one: an Apply may land mid-batch.
 		st, rows := out[i].Store, out[i].Result.Rows
 		res[i].Rows = Materialized(out[i].Result.Vars, len(rows),
-			func(j int) []*string { return DecodeRow(st, rows[j]) }, out[i].Stats)
+			func(dst []byte, j int) []byte { return appendRow(dst, st, rows[j]) }, out[i].Stats)
 	}
 	return res, nil
 }
@@ -289,18 +292,66 @@ func (b *local) Epoch() uint64 { return b.session().Epoch() }
 // and the WithReadiness hook are resolved there).
 func (b *local) Ready() error { return nil }
 
-// decodeRow renders one result row against the snapshot dictionary it
-// was computed on: N-Triples term rendering, nil for unbound positions.
-func DecodeRow(st *dualsim.Store, row []storage.NodeID) []*string {
-	out := make([]*string, len(row))
+// appendRow renders one result row against the snapshot dictionary it
+// was computed on, as Cursor.AppendRow specifies: each term in
+// N-Triples rendering (<iri> / "literal") as a JSON string, null for
+// unbound positions. Terms go from the dictionary into dst without an
+// intermediate string; the result decodes to exactly Term.String().
+//
+//dualsim:hotpath
+func appendRow(dst []byte, st *dualsim.Store, row []storage.NodeID) []byte {
+	dst = append(dst, '[')
 	for i, v := range row {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
 		if v == dualsim.Unbound {
+			dst = append(dst, "null"...)
 			continue
 		}
-		s := st.Term(v).String()
-		out[i] = &s
+		if t := st.Term(v); t.IsLiteral() {
+			dst = appendLiteral(dst, t.Value)
+		} else {
+			dst = append(dst, '"', '<')
+			dst = wire.AppendEscaped(dst, t.Value)
+			dst = append(dst, '>', '"')
+		}
 	}
-	return out
+	return append(dst, ']')
+}
+
+// appendLiteral appends the JSON string of a literal's N-Triples
+// rendering. Two escapings compose: N-Triples turns the quote, the
+// backslash, \n, \t and \r into backslash pairs, JSON then escapes
+// those backslashes (and the quote) again; everything between such
+// bytes is only JSON-escaped.
+//
+//dualsim:hotpath
+func appendLiteral(dst []byte, v string) []byte {
+	dst = append(dst, `"\"`...)
+	from := 0
+	for i := 0; i < len(v); i++ {
+		var esc string
+		switch v[i] {
+		case '"':
+			esc = `\\\"`
+		case '\\':
+			esc = `\\\\`
+		case '\n':
+			esc = `\\n`
+		case '\t':
+			esc = `\\t`
+		case '\r':
+			esc = `\\r`
+		default:
+			continue
+		}
+		dst = wire.AppendEscaped(dst, v[from:i])
+		dst = append(dst, esc...)
+		from = i + 1
+	}
+	dst = wire.AppendEscaped(dst, v[from:])
+	return append(dst, `\""`...)
 }
 
 // ---------------------------------------------------------------------------

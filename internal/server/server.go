@@ -43,11 +43,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -66,6 +66,11 @@ import (
 // large enough to amortize the chunked-encoding overhead, small enough
 // that a slow consumer sees steady progress.
 const streamChunk = 256
+
+// streamChunkBytes flushes earlier when the pending events are this
+// large, so the per-response buffer is bounded by bytes too and not
+// only by a row count (a row has no size limit).
+const streamChunkBytes = 64 << 10
 
 // maxBodyBytes bounds request bodies (applies included); beyond it the
 // decoder fails with 413 rather than buffering an unbounded upload.
@@ -384,7 +389,7 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// buffered envelope collects them.
 	var enc rowEncoder = &envelopeEncoder{c: c, w: w}
 	if wantsStream(r, req) {
-		enc = &ndjsonEncoder{w: w, enc: json.NewEncoder(w)}
+		enc = &ndjsonEncoder{w: w}
 	}
 	if enc.begin(cur.Vars(), cur.Epoch()) != nil {
 		return // client gone; nothing to salvage mid-stream
@@ -409,12 +414,12 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 // pump pulls rows off cur into emit until the cursor is exhausted, emit
 // fails, or limit rows went out (0: unbounded). truncated reports that
 // a row past the limit existed; the peek proves it, the row is dropped.
-func pump(cur Cursor, limit int, emit func([]*string) error) (n int, truncated bool, err error) {
+func pump(cur Cursor, limit int, emit func(Cursor) error) (n int, truncated bool, err error) {
 	for cur.Next() {
 		if limit > 0 && n >= limit {
 			return n, true, nil
 		}
-		if err := emit(cur.Row()); err != nil {
+		if err := emit(cur); err != nil {
 			return n, false, err
 		}
 		n++
@@ -425,7 +430,8 @@ func pump(cur Cursor, limit int, emit func([]*string) error) (n int, truncated b
 // rowEncoder is one of the two /v1/query response shapes.
 type rowEncoder interface {
 	begin(vars []string, epoch uint64) error
-	row(values []*string) error
+	// row encodes cur's current row.
+	row(cur Cursor) error
 	// abort reports an execution that died after begin.
 	abort(err error)
 	end(stats *dualsim.ExecStats, n int, truncated bool)
@@ -434,18 +440,34 @@ type rowEncoder interface {
 // ndjsonEncoder writes the streamed shape: header first (flushed before
 // any row is computed), then row events with incremental flushes, then
 // the stats trailer — or an error event if the execution dies
-// mid-stream, after the 200 was committed.
+// mid-stream, after the 200 was committed. Events collect in buf and
+// reach the ResponseWriter once per flush point.
 type ndjsonEncoder struct {
 	w     http.ResponseWriter
-	enc   *json.Encoder
+	buf   []byte
 	epoch uint64
 	n     int
 }
 
-func (e *ndjsonEncoder) flush() {
+// flush hands the pending events to the connection.
+func (e *ndjsonEncoder) flush() error {
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
 	if f, ok := e.w.(http.Flusher); ok {
 		f.Flush()
 	}
+	return err
+}
+
+// event appends one of the once-per-response events (header, stats,
+// error) and flushes.
+func (e *ndjsonEncoder) event(ev wire.Event) error {
+	line, err := json.Marshal(ev)
+	if err != nil {
+		return err
+	}
+	e.buf = append(append(e.buf, line...), '\n')
+	return e.flush()
 }
 
 func (e *ndjsonEncoder) begin(vars []string, epoch uint64) error {
@@ -453,55 +475,91 @@ func (e *ndjsonEncoder) begin(vars []string, epoch uint64) error {
 	e.w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(epoch, 10))
 	e.w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 	e.w.WriteHeader(http.StatusOK)
-	err := e.enc.Encode(wire.Event{Kind: wire.EventHeader, Vars: vars, Epoch: epoch})
-	e.flush()
-	return err
+	return e.event(wire.Event{Kind: wire.EventHeader, Vars: vars, Epoch: epoch})
 }
 
-func (e *ndjsonEncoder) row(values []*string) error {
-	err := e.enc.Encode(wire.Event{Kind: wire.EventRow, Values: values, Epoch: e.epoch})
-	if e.n++; e.n == 1 || e.n%streamChunk == 0 {
-		e.flush()
+//dualsim:hotpath
+func (e *ndjsonEncoder) row(cur Cursor) error {
+	e.buf = wire.AppendRowEvent(e.buf, e.epoch, cur)
+	if e.n++; e.n == 1 || e.n%streamChunk == 0 || len(e.buf) >= streamChunkBytes {
+		return e.flush()
 	}
-	return err
+	return nil
 }
 
 func (e *ndjsonEncoder) abort(err error) {
 	// The status line is long gone; the in-band error event is the only
 	// way to tell the client the stream is dead, not complete.
-	_ = e.enc.Encode(wire.Event{Kind: wire.EventError, Error: err.Error(), Epoch: e.epoch})
-	e.flush()
+	_ = e.event(wire.Event{Kind: wire.EventError, Error: err.Error(), Epoch: e.epoch})
 }
 
 func (e *ndjsonEncoder) end(stats *dualsim.ExecStats, n int, truncated bool) {
-	_ = e.enc.Encode(wire.Event{Kind: wire.EventStats, Stats: stats, Rows: n, Truncated: truncated, Epoch: e.epoch})
-	e.flush()
+	_ = e.event(wire.Event{Kind: wire.EventStats, Stats: stats, Rows: n, Truncated: truncated, Epoch: e.epoch})
 }
+
+// rawRows collects rows as the JSON array of their value arrays — the
+// "rows" member of the buffered shapes, built by the same
+// Cursor.AppendRow the stream's row events carry.
+type rawRows []byte
+
+func (r *rawRows) add(cur Cursor) error {
+	sep := byte(',')
+	if len(*r) == 0 {
+		sep = '['
+	}
+	*r = cur.AppendRow(append(*r, sep))
+	return nil
+}
+
+func (r rawRows) json() json.RawMessage {
+	if len(r) == 0 {
+		return json.RawMessage("[]")
+	}
+	return json.RawMessage(append(r, ']'))
+}
+
+// The buffered shapes with their rows already rendered: each embeds its
+// wire type, whose own Rows the raw field shadows, so the two cannot
+// drift apart.
+//
+//dualsim:wire
+type (
+	queryEnvelope struct {
+		wire.QueryResponse
+		Rows json.RawMessage `json:"rows"`
+	}
+	batchItem struct {
+		wire.BatchItem
+		Rows json.RawMessage `json:"rows,omitempty"`
+	}
+	batchEnvelope struct {
+		Results []batchItem        `json:"results"`
+		Stats   dualsim.BatchStats `json:"stats"`
+	}
+)
 
 // envelopeEncoder collects the buffered shape; nothing is committed
 // before end, so a failed execution still gets its own status.
 type envelopeEncoder struct {
-	c   *Core
-	w   http.ResponseWriter
-	out wire.QueryResponse
+	c    *Core
+	w    http.ResponseWriter
+	out  wire.QueryResponse
+	rows rawRows
 }
 
 func (e *envelopeEncoder) begin(vars []string, epoch uint64) error {
-	e.out = wire.QueryResponse{Vars: append([]string{}, vars...), Rows: [][]*string{}, Epoch: epoch}
+	e.out = wire.QueryResponse{Vars: append([]string{}, vars...), Epoch: epoch}
 	return nil
 }
 
-func (e *envelopeEncoder) row(values []*string) error {
-	e.out.Rows = append(e.out.Rows, values)
-	return nil
-}
+func (e *envelopeEncoder) row(cur Cursor) error { return e.rows.add(cur) }
 
 func (e *envelopeEncoder) abort(err error) { e.c.FailExec(e.w, err) }
 
 func (e *envelopeEncoder) end(stats *dualsim.ExecStats, _ int, truncated bool) {
 	e.out.Stats, e.out.Truncated = stats, truncated
 	e.w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(e.out.Epoch, 10))
-	e.c.WriteJSON(e.w, http.StatusOK, &e.out)
+	e.c.WriteJSON(e.w, http.StatusOK, &queryEnvelope{QueryResponse: e.out, Rows: e.rows.json()})
 }
 
 // handleExplain answers an EXPLAIN / EXPLAIN ANALYZE request: the
@@ -598,34 +656,35 @@ func (c *Core) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	elapsed := time.Since(start)
-	resp := &wire.BatchResponse{Results: make([]wire.BatchItem, len(out))}
+	resp := batchEnvelope{Results: make([]batchItem, len(out))}
 	summary := make([]dualsim.BatchResult, len(out))
 	for i, res := range out {
 		if res.Err != nil {
 			// Reported in the item's error slot; the HTTP reply is still
 			// 200, so errors_total (non-2xx responses) does not move.
 			c.recordStatement(req.Queries[i], nil, 0, res.Err)
-			resp.Results[i] = wire.BatchItem{Error: res.Err.Error()}
+			resp.Results[i].Error = res.Err.Error()
 			summary[i].Err = res.Err
 			continue
 		}
-		item := wire.BatchItem{Vars: res.Rows.Vars(), Epoch: res.Rows.Epoch()}
-		_, item.Truncated, _ = pump(res.Rows, req.Limit, func(row []*string) error {
-			item.Rows = append(item.Rows, row)
-			return nil
-		})
+		item := &resp.Results[i]
+		item.Vars, item.Epoch = res.Rows.Vars(), res.Rows.Epoch()
+		var rows rawRows
+		var n int
+		n, item.Truncated, _ = pump(res.Rows, req.Limit, rows.add)
+		item.Rows = rows.json()
 		res.Rows.Close()
 		item.Stats = res.Rows.Stats()
 		c.recordStatement(req.Queries[i], item.Stats, item.Stats.Duration, nil)
-		c.rows.Add(int64(len(item.Rows)))
-		resp.Results[i], summary[i].Stats = item, item.Stats
+		c.rows.Add(int64(n))
+		summary[i].Stats = item.Stats
 	}
 	resp.Stats = dualsim.SummarizeBatch(summary, elapsed)
 	if tr != nil {
 		tr.Root().End()
 		resp.Stats.Trace = tr.Root()
 	}
-	c.WriteJSON(w, http.StatusOK, resp)
+	c.WriteJSON(w, http.StatusOK, &resp)
 }
 
 func (c *Core) handleApply(w http.ResponseWriter, r *http.Request) {
@@ -874,10 +933,14 @@ func (c *Core) Fail(w http.ResponseWriter, status int, msg string) {
 	c.WriteJSON(w, status, &wire.ErrorResponse{Error: msg})
 }
 
-// WriteJSON answers with body as one JSON document.
+// WriteJSON answers with body as one JSON document and a newline.
 func (c *Core) WriteJSON(w http.ResponseWriter, status int, body any) {
-	buf, err := json.Marshal(body)
-	if err != nil { // a wire type failed to marshal: a programming error
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	// Rows the codec rendered pass through as they are; escaping their
+	// '<' and '>' again would only put the bytes back.
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(body); err != nil { // a wire type failed to marshal: a programming error
 		http.Error(w, `{"error":"internal: response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
@@ -885,8 +948,7 @@ func (c *Core) WriteJSON(w http.ResponseWriter, status int, body any) {
 		w.Header().Set("Content-Type", wire.ContentTypeJSON)
 	}
 	w.WriteHeader(status)
-	_, _ = w.Write(buf)
-	_, _ = io.WriteString(w, "\n")
+	_, _ = w.Write(buf.Bytes())
 }
 
 // wantsStream resolves the three ways a client can request NDJSON.

@@ -9,6 +9,8 @@
 //     line — a "header" first (vars + epoch), then one "row" per
 //     solution mapping in chunks, a final "stats" trailer, or an
 //     "error" if execution fails after the HTTP status was committed.
+//     The row event, whose count scales with the answer, is written and
+//     read by the codec in row.go; everything else is encoding/json.
 //
 // Every response is epoch-tagged: the header/envelope carries the store
 // epoch the execution answered from, and the stats trailer repeats it,
