@@ -190,7 +190,10 @@ const (
 //
 //dualsim:wire
 type Stats struct {
-	// Rounds is the number of solver rounds ("iterations" in the paper).
+	// Rounds is the depth of the fixpoint iteration ("iterations" in the
+	// paper): the largest number of times any one inequality was
+	// evaluated, summed over UNION branches. The solver's worklist has no
+	// round barrier; a barrier schedule takes at least this many rounds.
 	Rounds int `json:"rounds"`
 	// Evaluations counts individual inequality evaluations.
 	Evaluations int `json:"evaluations"`

@@ -2,6 +2,7 @@ package dualsim_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -153,5 +154,50 @@ func TestExecSpanTree(t *testing.T) {
 		if op.Time != 0 {
 			t.Errorf("untraced exec timed operator %s: %+v", op.Op, op)
 		}
+	}
+}
+
+// The prune span of a traced execution says what the solver did, and on
+// a constant-anchored query the χ-driven mask walk tests the constant's
+// handful of triples, not the store.
+func TestPruneSpanReportsSolverWork(t *testing.T) {
+	var ts []dualsim.Triple
+	for i := 0; i < 500; i++ {
+		ts = append(ts,
+			dualsim.T(fmt.Sprintf("film%d", i), "director", fmt.Sprintf("person%d", i%50)),
+			dualsim.T(fmt.Sprintf("person%d", i%50), "bornIn", fmt.Sprintf("city%d", i%50%7)))
+	}
+	st, err := dualsim.FromTriples(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dualsim.Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	tr := trace.New("query")
+	ctx := trace.ContextWithSpan(context.Background(), tr.Root())
+	res, stats, err := db.Query(ctx, `SELECT * WHERE { <film7> <director> ?p . ?p <bornIn> ?c . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d, want 1", res.Len())
+	}
+	sp := tr.Root().Find("prune")
+	if sp == nil {
+		t.Fatal("traced exec misses the prune span")
+	}
+	c := sp.Counters
+	if c["chi.init"] <= c["chi.final"] || c["chi.final"] != 3 {
+		t.Errorf("chi.init %d → chi.final %d, want a decay to the 3 matched nodes", c["chi.init"], c["chi.final"])
+	}
+	if evals := c["eval.rowwise"] + c["eval.colwise"] + c["eval.copy"]; evals == 0 || evals > int64(stats.Solver.Evaluations) {
+		t.Errorf("eval.* = %+v against %d evaluations", c, stats.Solver.Evaluations)
+	}
+	if c["in"] != int64(st.NumTriples()) || c["mask.visited"] == 0 || c["mask.visited"]*50 > c["in"] {
+		t.Errorf("mask.visited = %d of in = %d; the walk must stay with the candidates", c["mask.visited"], c["in"])
 	}
 }

@@ -23,8 +23,9 @@
 package bitmat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dualsim/internal/bitvec"
 )
@@ -66,46 +67,51 @@ type CSR struct {
 // Cell is one set matrix cell (an edge endpoint pair).
 type Cell struct{ Row, Col uint32 }
 
+func compareCells(a, b Cell) int {
+	if c := cmp.Compare(a.Row, b.Row); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Col, b.Col)
+}
+
 // NewCSR builds a CSR matrix of dimension n from the given cells.
-// Duplicate cells are collapsed.
+// Duplicate cells are collapsed. Cells that arrive in (row, column) order
+// — a store's PSO run — are read in place; any other order is copied and
+// sorted first.
 func NewCSR(n int, cells []Cell) *CSR {
 	for _, c := range cells {
 		if int(c.Row) >= n || int(c.Col) >= n {
 			panic(fmt.Sprintf("bitmat: cell (%d,%d) out of range for dim %d", c.Row, c.Col, n))
 		}
 	}
-	sorted := make([]Cell, len(cells))
-	copy(sorted, cells)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	// Dedup in place.
-	uniq := sorted[:0]
-	for i, c := range sorted {
-		if i == 0 || c != sorted[i-1] {
-			uniq = append(uniq, c)
+	if !slices.IsSortedFunc(cells, compareCells) {
+		cells = slices.Clone(cells)
+		slices.SortFunc(cells, compareCells)
+	}
+	m := &CSR{n: n, ptr: make([]uint32, n+1), cols: make([]uint32, 0, len(cells))}
+	for i, c := range cells {
+		if i == 0 || c != cells[i-1] {
+			m.ptr[c.Row+1]++
+			m.cols = append(m.cols, c.Col)
 		}
 	}
+	m.finish()
+	return m
+}
 
-	m := &CSR{n: n, ptr: make([]uint32, n+1), cols: make([]uint32, len(uniq))}
-	for i, c := range uniq {
-		m.ptr[c.Row+1]++
-		m.cols[i] = c.Col
-	}
-	for i := 1; i <= n; i++ {
+// finish turns the per-row counts in ptr[1:] into row offsets and derives
+// the non-empty-row summary.
+func (m *CSR) finish() {
+	for i := 1; i <= m.n; i++ {
 		m.ptr[i] += m.ptr[i-1]
 	}
-	m.summary = bitvec.New(n)
-	for i := 0; i < n; i++ {
+	m.summary = bitvec.New(m.n)
+	for i := 0; i < m.n; i++ {
 		if m.ptr[i+1] > m.ptr[i] {
 			m.summary.Set(i)
 			m.nonEmpty++
 		}
 	}
-	return m
 }
 
 // Dim implements Mat.
@@ -121,12 +127,18 @@ func (m *CSR) Row(i int) []uint32 { return m.cols[m.ptr[i]:m.ptr[i+1]] }
 //
 //dualsim:hotpath
 func (m *CSR) UnionRows(x, dst *bitvec.Vector) {
+	// Adjacent rows are adjacent in cols: a run of set bits of x is one
+	// slice of column ids.
+	lo, hi := 0, 0
 	x.ForEach(func(i int) bool {
-		for _, j := range m.Row(i) {
-			dst.Set(int(j))
+		if i != hi {
+			dst.SetAll(m.cols[m.ptr[lo]:m.ptr[hi]])
+			lo = i
 		}
+		hi = i + 1
 		return true
 	})
+	dst.SetAll(m.cols[m.ptr[lo]:m.ptr[hi]])
 }
 
 // RowIntersects implements Mat.
@@ -147,15 +159,27 @@ func (m *CSR) NonEmptyRows() *bitvec.Vector { return m.summary }
 // NonEmptyRowCount implements Mat.
 func (m *CSR) NonEmptyRowCount() int { return m.nonEmpty }
 
-// Transpose returns the transposed CSR matrix.
+// Transpose returns the transposed CSR matrix, built by a counting pass
+// over the column ids: walking the rows in order fills every transposed
+// row in ascending order, so nothing is sorted.
 func (m *CSR) Transpose() *CSR {
-	cells := make([]Cell, 0, len(m.cols))
+	t := &CSR{n: m.n, ptr: make([]uint32, m.n+1), cols: make([]uint32, len(m.cols))}
+	for _, j := range m.cols {
+		t.ptr[j+1]++
+	}
+	t.finish()
+	// Fill with ptr[j] as row j's write cursor: afterwards it sits at the
+	// row's end, which is the next row's start, so shifting the array by
+	// one restores the offsets without a second n-sized array.
 	for i := 0; i < m.n; i++ {
 		for _, j := range m.Row(i) {
-			cells = append(cells, Cell{Row: j, Col: uint32(i)})
+			t.cols[t.ptr[j]] = uint32(i)
+			t.ptr[j]++
 		}
 	}
-	return NewCSR(m.n, cells)
+	copy(t.ptr[1:], t.ptr)
+	t.ptr[0] = 0
+	return t
 }
 
 // Compressed stores each non-empty row as a gap-length encoded bit-vector
@@ -271,43 +295,67 @@ const (
 	ColWise
 )
 
-// Multiply computes r = (x ×b A) ∧ cand into dst (which is zeroed first),
-// where A is p.F when dir is Forward and p.B when dir is Backward. cand
-// restricts the interesting columns (the current χS of the constrained
-// variable); restricting is sound because the result is immediately ∧-ed
-// with cand by the SOI update rule.
+// Resolve returns the strategy an evaluation with |x| = xCount set
+// multiplier bits and candCount candidate columns runs under: s itself
+// when it is fixed, and for Auto row-wise iff the multiplier has fewer
+// set bits than the candidate set.
+func (s Strategy) Resolve(xCount, candCount int) Strategy {
+	if s == Auto {
+		if xCount < candCount {
+			return RowWise
+		}
+		return ColWise
+	}
+	return s
+}
+
+// Update is the SOI update step in place: cand ∧= x ×b A, where A is p.F
+// when dir is Forward and p.B when dir is Backward. xCount and candCount
+// are the callers' cached population counts of x and cand; the result is
+// cand's new count, so cand changed iff it differs from candCount.
+//
+// Column-wise, the candidates are walked and those whose transposed row
+// misses x are cleared — no scratch, no compare, no copy. x and cand may
+// be the same vector (a self-loop pattern edge): a candidate is then
+// tested against a set that only shrinks, which removes no node that has
+// a partner in the fixpoint. Row-wise, and for every parallel evaluation,
+// the product is accumulated into scratch and ∧-ed into cand once.
+//
+//dualsim:hotpath
+func (p Pair) Update(dir Direction, x, cand *bitvec.Vector, xCount, candCount int, scratch *bitvec.Vector, s Strategy, workers int) int {
+	a, at := p.F, p.B
+	if dir == Backward {
+		a, at = p.B, p.F
+	}
+	rowwise := s.Resolve(xCount, candCount) == RowWise
+	if !rowwise && workers <= 1 {
+		return cand.Retain(func(j int) bool { return at.RowIntersects(j, x) })
+	}
+	scratch.Zero()
+	switch {
+	case workers <= 1:
+		a.UnionRows(x, scratch)
+	case rowwise:
+		parallelUnionRows(a, x, scratch, workers)
+	default:
+		parallelProbeColumns(at, x, cand, scratch, workers)
+	}
+	if cand.And(scratch) {
+		return cand.Count()
+	}
+	return candCount
+}
+
+// Multiply computes r = (x ×b A) ∧ cand into dst: Update applied to a
+// copy of cand. cand restricts the interesting columns (the current χS of
+// the constrained variable); restricting is sound because the result is
+// immediately ∧-ed with cand by the SOI update rule.
 //
 // It returns the number of set bits of x ("work left") purely as a metric.
 //
 //dualsim:hotpath
 func (p Pair) Multiply(dir Direction, x, cand, dst *bitvec.Vector, s Strategy) int {
-	a, at := p.F, p.B
-	if dir == Backward {
-		a, at = p.B, p.F
-	}
-	dst.Zero()
-	xCount := x.Count()
-	rowwise := false
-	switch s {
-	case RowWise:
-		rowwise = true
-	case ColWise:
-		rowwise = false
-	default:
-		rowwise = xCount < cand.Count()
-	}
-	if rowwise {
-		a.UnionRows(x, dst)
-		dst.And(cand)
-	} else {
-		cand.ForEach(func(j int) bool {
-			if at.RowIntersects(j, x) {
-				dst.Set(j)
-			}
-			return true
-		})
-	}
-	return xCount
+	return p.MultiplyParallel(dir, x, cand, dst, s, 1)
 }
 
 // Direction selects which of the two adjacency maps ×b runs against.

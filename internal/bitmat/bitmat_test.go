@@ -3,6 +3,7 @@ package bitmat
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +89,39 @@ func TestTranspose(t *testing.T) {
 	}
 	if m.NNZ() != mt.NNZ() {
 		t.Fatal("transpose changed NNZ")
+	}
+}
+
+// TestPropertyCSRConstruction: a matrix does not depend on the order its
+// cells arrive in — the sorted run NewCSR reads in place, the same cells
+// shuffled (and duplicated), and the counting transpose of the transpose
+// are the same matrix, and the transpose holds exactly the mirrored cells
+// with sorted rows.
+func TestPropertyCSRConstruction(t *testing.T) {
+	sameCSR := func(a, b *CSR) bool {
+		return reflect.DeepEqual(a.ptr, b.ptr) && reflect.DeepEqual(a.cols, b.cols) &&
+			a.summary.Equal(b.summary) && a.nonEmpty == b.nonEmpty
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := r.Intn(80) + 1
+		cells := randomCells(r, n, r.Intn(5*n))
+		sorted := slices.Clone(cells)
+		slices.SortFunc(sorted, compareCells)
+		sorted = slices.Compact(sorted)
+		shuffled := append(slices.Clone(cells), cells[:len(cells)/3]...)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		m := NewCSR(n, sorted)
+		mt := m.Transpose()
+		mirrored := make([]Cell, len(sorted))
+		for i, c := range sorted {
+			mirrored[i] = Cell{Row: c.Col, Col: c.Row}
+		}
+		return sameCSR(m, NewCSR(n, shuffled)) && sameCSR(m, mt.Transpose()) && sameCSR(mt, NewCSR(n, mirrored))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -36,34 +36,15 @@ func putVec(v *bitvec.Vector) { vecPool.Put(v) }
 
 // MultiplyParallel computes r = (x ×b A) ∧ cand into dst like Multiply,
 // distributing the work over the given number of goroutines. workers ≤ 1
-// falls back to the serial kernel.
+// runs the serial kernel.
 //
 //dualsim:hotpath
 func (p Pair) MultiplyParallel(dir Direction, x, cand, dst *bitvec.Vector, s Strategy, workers int) int {
-	if workers <= 1 {
-		return p.Multiply(dir, x, cand, dst, s)
-	}
-	a, at := p.F, p.B
-	if dir == Backward {
-		a, at = p.B, p.F
-	}
-	dst.Zero()
 	xCount := x.Count()
-	rowwise := false
-	switch s {
-	case RowWise:
-		rowwise = true
-	case ColWise:
-		rowwise = false
-	default:
-		rowwise = xCount < cand.Count()
-	}
-	if rowwise {
-		parallelUnionRows(a, x, dst, workers)
-		dst.And(cand)
-	} else {
-		parallelProbeColumns(at, x, cand, dst, workers)
-	}
+	dst.CopyFrom(cand)
+	scratch := getVec(x.Len())
+	p.Update(dir, x, dst, xCount, cand.Count(), scratch, s, workers)
+	putVec(scratch)
 	return xCount
 }
 
@@ -170,5 +151,5 @@ func wordRanges(n, workers int) [][2]int {
 //
 //dualsim:hotpath
 func sliceInto(dst, v *bitvec.Vector, lo, hi int) {
-	copy(dst.Words()[lo:hi], v.Words()[lo:hi])
+	dst.CopyWordRange(v, lo, hi)
 }

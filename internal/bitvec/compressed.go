@@ -84,7 +84,7 @@ func Compress(v *Vector) *Compressed {
 // Decompress expands c into a fresh dense Vector.
 func (c *Compressed) Decompress() *Vector {
 	v := New(c.n)
-	c.expandInto(v, false)
+	c.OrInto(v)
 	return v
 }
 
@@ -95,58 +95,32 @@ func (c *Compressed) Len() int { return c.n }
 // for memory accounting (cf. the paper's §5.1 space report).
 func (c *Compressed) SizeWords() int { return len(c.words) }
 
-// expandInto writes the decoded words into v. With or=true the words are
-// OR-ed instead of overwritten (and v may be longer than c).
-func (c *Compressed) expandInto(v *Vector, or bool) {
-	if !or && v.n != c.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, c.n))
-	}
-	w := 0
-	i := 0
-	for i < len(c.words) {
-		fill, fc, lc := decodeMarker(c.words[i])
-		i++
-		if fill {
-			for k := 0; k < fc; k++ {
-				v.words[w] = ^uint64(0) // OR with all-ones is all-ones
-				w++
-			}
-		} else {
-			if !or {
-				for k := 0; k < fc; k++ {
-					v.words[w] = 0
-					w++
-				}
-			} else {
-				w += fc
-			}
-		}
-		for k := 0; k < lc; k++ {
-			if or {
-				v.words[w] |= c.words[i]
-			} else {
-				v.words[w] = c.words[i]
-			}
-			i++
-			w++
-		}
-	}
-	if !or {
-		for ; w < len(v.words); w++ {
-			v.words[w] = 0
-		}
-	}
-	v.trim()
-}
-
 // OrInto ORs the compressed contents into the dense vector v, which must
 // have the same logical length. Used to accumulate row unions during
-// row-wise ×b multiplication.
+// row-wise ×b multiplication. It writes v's words directly and so marks
+// every word it may have made non-zero in v's summary.
 func (c *Compressed) OrInto(v *Vector) {
 	if v.n != c.n {
 		panic(fmt.Sprintf("bitvec: OrInto length mismatch %d vs %d", v.n, c.n))
 	}
-	c.expandInto(v, true)
+	w := 0
+	for i := 0; i < len(c.words); {
+		fill, fc, lc := decodeMarker(c.words[i])
+		i++
+		if fill {
+			for k := 0; k < fc; k++ {
+				v.words[w+k] = full
+				v.sum[(w+k)>>wordLog] |= 1 << uint((w+k)&wordMask)
+			}
+		}
+		w += fc
+		for k := 0; k < lc; k++ {
+			v.words[w] |= c.words[i]
+			v.sum[w>>wordLog] |= 1 << uint(w&wordMask)
+			i++
+			w++
+		}
+	}
 }
 
 // Count returns the number of set bits.

@@ -16,7 +16,8 @@ type Config struct {
 	PlainInit bool
 	// Strategy is the ×b evaluation strategy (Auto by default).
 	Strategy bitmat.Strategy
-	// Order is the inequality processing order (SparsestFirst by default).
+	// Order is the worklist's pick rule (SparsestFirst — cheapest
+	// inequality first — by default).
 	Order soi.Order
 	// ShortCircuit stops the solver once a mandatory variable empties.
 	ShortCircuit bool

@@ -9,6 +9,7 @@ import (
 	"dualsim/internal/soi"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
+	"dualsim/internal/trace"
 )
 
 // This file implements the paper's Sect. 4: translating queries of the
@@ -427,6 +428,22 @@ func (p *QueryPlan) SolveRestricted(ctx context.Context, cfg Config, restrict []
 		rel.Stats.Evaluations += sol.Stats.Evaluations
 		rel.Stats.Updates += sol.Stats.Updates
 		rel.Stats.ShortCircuited = rel.Stats.ShortCircuited || sol.Stats.ShortCircuited
+		rel.Stats.ChiInit += sol.Stats.ChiInit
+		rel.Stats.ChiFinal += sol.Stats.ChiFinal
+		rel.Stats.RowWise += sol.Stats.RowWise
+		rel.Stats.ColWise += sol.Stats.ColWise
+		rel.Stats.Copies += sol.Stats.Copies
+		rel.Stats.Skipped += sol.Stats.Skipped
+	}
+	// A traced request sees what the solver did on its stage span; the
+	// untraced path carries no span and pays nothing.
+	if sp := trace.SpanFromContext(ctx); sp != nil {
+		sp.Add("chi.init", int64(rel.Stats.ChiInit))
+		sp.Add("chi.final", int64(rel.Stats.ChiFinal))
+		sp.Add("eval.rowwise", int64(rel.Stats.RowWise))
+		sp.Add("eval.colwise", int64(rel.Stats.ColWise))
+		sp.Add("eval.copy", int64(rel.Stats.Copies))
+		sp.Add("eval.skipped", int64(rel.Stats.Skipped))
 	}
 	return rel, nil
 }

@@ -18,12 +18,14 @@ package prune
 
 import (
 	"context"
+	"slices"
 
 	"dualsim/internal/bitvec"
 	"dualsim/internal/core"
 	"dualsim/internal/engine"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
+	"dualsim/internal/trace"
 )
 
 // Pruning is the outcome of dual-simulation pruning for one query.
@@ -34,6 +36,9 @@ type Pruning struct {
 	Kept int
 	// Total is the store size before pruning.
 	Total int
+	// Visited is the number of triples the mask walk tested — against
+	// Total, how far the walk stayed from a scan of the store.
+	Visited int
 
 	store *storage.Store
 }
@@ -53,9 +58,9 @@ func (p *Pruning) Store() *storage.Store {
 	return p.store.RestrictByMask(p.Masks)
 }
 
-// tripleCheckInterval is the number of triples the mask scan visits
-// between two context-cancellation checks.
-const tripleCheckInterval = 1 << 16
+// subjectCheckInterval is the number of candidate subjects the mask walk
+// visits between two context-cancellation checks.
+const subjectCheckInterval = 1 << 16
 
 // Prune computes the kept-triple masks from a solved query relation.
 func Prune(st *storage.Store, rel *core.QueryRelation) *Pruning {
@@ -63,15 +68,22 @@ func Prune(st *storage.Store, rel *core.QueryRelation) *Pruning {
 	return p
 }
 
-// PruneCtx is Prune honouring cancellation: the O(|D|) mask scan checks
-// ctx every tripleCheckInterval triples and returns (nil, ctx.Err()).
+// PruneCtx is Prune honouring cancellation: ctx is checked per pattern
+// edge and every subjectCheckInterval candidate subjects, and an expired
+// one returns (nil, ctx.Err()).
+//
+// For a pattern edge (v, a, w) the walk is driven by χS(v): one forward
+// pass over the a-triples' sorted subject column that gallops from run to
+// run of the candidate subjects and tests only their objects against
+// χS(w). It costs O(|χS(v)|·log gap + Σ deg) — what the candidates cost —
+// and degrades to a linear scan of the predicate when χS(v) holds most of
+// its subjects.
 func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (*Pruning, error) {
 	out := &Pruning{
 		Masks: make([]*bitvec.Vector, st.NumPreds()),
 		Total: st.NumTriples(),
 		store: st,
 	}
-	sinceCheck := 0
 	for _, bs := range rel.Branches {
 		if bs.MandatoryEmpty {
 			// Theorem 1: no match exists in this branch; it retains
@@ -83,28 +95,19 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 			if !ok {
 				continue
 			}
-			chiS := bs.Sol.Chi[e.From]
-			chiO := bs.Sol.Chi[e.To]
+			chiS, chiO := bs.Sol.Chi[e.From], bs.Sol.Chi[e.To]
 			if chiS.IsEmpty() || chiO.IsEmpty() {
 				continue
 			}
-			mask := out.Masks[pid]
-			if mask == nil {
-				mask = bitvec.New(st.PredCount(pid))
-				out.Masks[pid] = mask
+			if out.Masks[pid] == nil {
+				out.Masks[pid] = bitvec.New(st.PredCount(pid))
 			}
-			for i := 0; i < st.PredCount(pid); i++ {
-				if sinceCheck++; sinceCheck >= tripleCheckInterval {
-					sinceCheck = 0
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				s, o := st.PairAt(pid, i)
-				if chiS.Get(int(s)) && chiO.Get(int(o)) {
-					mask.Set(i)
-				}
+			subjects, objects := st.PSO(pid)
+			visited, err := markEdge(ctx, subjects, objects, chiS, chiO, out.Masks[pid])
+			if err != nil {
+				return nil, err
 			}
+			out.Visited += visited
 		}
 	}
 	for _, m := range out.Masks {
@@ -112,7 +115,62 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 			out.Kept += m.Count()
 		}
 	}
+	if sp := trace.SpanFromContext(ctx); sp != nil {
+		sp.Add("mask.visited", int64(out.Visited))
+	}
 	return out, nil
+}
+
+// markEdge sets the mask bit of every position i with subjects[i] ∈ chiS
+// and objects[i] ∈ chiO and returns the number of positions it tested.
+// subjects is sorted and chiS is walked in ascending order, so the
+// position only moves forward.
+//
+//dualsim:hotpath
+func markEdge(ctx context.Context, subjects, objects []storage.NodeID, chiS, chiO, mask *bitvec.Vector) (visited int, err error) {
+	pos, sinceCheck := 0, 0
+	chiS.ForEach(func(s int) bool {
+		if sinceCheck++; sinceCheck >= subjectCheckInterval {
+			sinceCheck = 0
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+		}
+		// A walk over most of the subjects finds the next run where the
+		// last one ended; only a gap is worth a search.
+		id, start := storage.NodeID(s), pos
+		if start < len(subjects) && subjects[start] < id {
+			start = gallop(subjects, start+1, id)
+		}
+		end := start
+		for ; end < len(subjects) && subjects[end] == id; end++ {
+			if chiO.Get(int(objects[end])) {
+				mask.Set(end)
+			}
+		}
+		visited += end - start
+		pos = end
+		return end < len(subjects)
+	})
+	return visited, err
+}
+
+// gallop returns the first position at or after from whose value is ≥ key
+// in the sorted column, or len(col): doubling probes bracket it, a
+// bisection pins it, so a nearby target costs O(1) and a far one
+// O(log distance).
+//
+//dualsim:hotpath
+func gallop(col []storage.NodeID, from int, key storage.NodeID) int {
+	lo, step := from, 1
+	for lo+step <= len(col) && col[lo+step-1] < key {
+		lo += step
+		step *= 2
+	}
+	// Everything before lo is < key, and col[lo+step-1], if it exists, is
+	// not: the answer lies in [lo, lo+step-1].
+	i, _ := slices.BinarySearch(col[lo:min(lo+step-1, len(col))], key)
+	return lo + i
 }
 
 // PruneQuery is the one-call convenience wrapper: translate, solve, prune.

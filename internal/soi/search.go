@@ -3,7 +3,6 @@ package soi
 import (
 	"context"
 	"math/rand"
-	"sort"
 )
 
 // This file implements the order-space exploration behind the paper's
@@ -20,8 +19,8 @@ type OrderStats struct {
 	WorstRounds int
 	// BestPermutation is the inequality permutation achieving BestRounds.
 	BestPermutation []int
-	// HeuristicRounds is the round count of the default sparsest-first
-	// heuristic, for comparison.
+	// HeuristicRounds is the round count of the default cheapest-first
+	// worklist, for comparison.
 	HeuristicRounds int
 }
 
@@ -66,16 +65,4 @@ func (s *System) SearchOrders(ctx context.Context, trials int, seed int64, opts 
 		}
 	}
 	return stats
-}
-
-// sortByPermutation orders a worklist by the rank a permutation assigns
-// to each inequality.
-func sortByPermutation(queue []int, perm []int) {
-	rank := make([]int, len(perm))
-	for pos, idx := range perm {
-		rank[idx] = pos
-	}
-	sort.SliceStable(queue, func(a, b int) bool {
-		return rank[queue[a]] < rank[queue[b]]
-	})
 }

@@ -13,19 +13,26 @@
 //   - copy inequalities `x ≤ y` — inequalities (14)/(15) linking optional
 //     variable copies to their mandatory originals.
 //
-// Solve computes the largest solution with the round-based worklist
-// algorithm of Sect. 3.2, step 2: evaluate unstable inequalities, shrink
-// the left-hand variable by the ∧-update, and destabilize every inequality
-// whose right-hand side mentions the shrunken variable. The evaluation
-// strategy for each ×b (row-wise vs. column-wise) and the processing order
-// of unstable inequalities follow the heuristics of Sect. 3.3 and can be
-// overridden for ablation experiments.
+// Solve computes the largest solution with the worklist algorithm of
+// Sect. 3.2, step 2: evaluate an unstable inequality, shrink the left-hand
+// variable by the ∧-update, and destabilize every inequality whose
+// right-hand side mentions the shrunken variable. The largest solution is
+// unique, so the order of evaluation is free to follow cost: there is one
+// worklist and no round barrier, and the next inequality evaluated is
+// always the cheapest unstable one — copy inequalities first, then edge
+// inequalities by the smaller of their two candidate counts (kept per
+// variable, updated by every evaluation), ties by the empty-column count
+// of Sect. 3.3, then by index. A constant's singleton therefore
+// propagates before any wide union runs, and a cheap inequality that was
+// destabilized again runs before an expensive stale one. The evaluation
+// strategy for each ×b (row-wise vs. column-wise) follows the popcount
+// heuristic of Sect. 3.3; both it and the order can be overridden for
+// ablation experiments.
 package soi
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"dualsim/internal/bitmat"
@@ -57,7 +64,8 @@ type Ineq struct {
 	Label string // predicate name, for diagnostics
 
 	// emptyCols caches the number of empty columns of the effective
-	// matrix — the static ordering heuristic key (§3.3).
+	// matrix — the static ordering heuristic of §3.3, the tie-break
+	// between inequalities of equal cost.
 	emptyCols int
 }
 
@@ -84,7 +92,7 @@ type System struct {
 	finalize  sync.Once
 	finalized bool
 
-	// pool recycles per-solve workspaces (χ rows, scratch, worklists)
+	// pool recycles per-solve workspaces (χ rows, scratch, worklist)
 	// between SolveCtx calls — a finalized system's dimensions are frozen,
 	// so a released workspace always fits the next solve exactly.
 	pool sync.Pool
@@ -93,27 +101,26 @@ type System struct {
 // workspace is the mutable per-solve state. Every concurrent solve owns
 // one exclusively; Solution.Release returns it to the system's pool.
 type workspace struct {
-	chi     []*bitvec.Vector
-	scratch *bitvec.Vector
-	queueA  []int
-	queueB  []int
-	inQueue []bool
+	chi      []*bitvec.Vector
+	count    []int // count[v] = |χ(v)|, kept current by every evaluation
+	scratch  *bitvec.Vector
+	unstable []bool // the worklist: unstable[i] ⇔ inequality i must be evaluated
+	evals    []int  // evaluations per inequality, for Stats.Rounds
 }
 
-// acquire returns a ready workspace: pooled when available (with the
-// stale inQueue flags of an interrupted previous solve cleared),
-// freshly allocated otherwise. Must be called after Finalize.
+// acquire returns a workspace, pooled when available and freshly
+// allocated otherwise; SolveCtx initializes every field it reads. Must be
+// called after Finalize.
 func (s *System) acquire() *workspace {
 	if w, _ := s.pool.Get().(*workspace); w != nil {
-		clear(w.inQueue)
 		return w
 	}
 	w := &workspace{
-		chi:     make([]*bitvec.Vector, len(s.names)),
-		scratch: bitvec.New(s.n),
-		queueA:  make([]int, 0, len(s.ineqs)),
-		queueB:  make([]int, 0, len(s.ineqs)),
-		inQueue: make([]bool, len(s.ineqs)),
+		chi:      make([]*bitvec.Vector, len(s.names)),
+		count:    make([]int, len(s.names)),
+		scratch:  bitvec.New(s.n),
+		unstable: make([]bool, len(s.ineqs)),
+		evals:    make([]int, len(s.ineqs)),
 	}
 	for v := range w.chi {
 		w.chi[v] = bitvec.New(s.n)
@@ -195,14 +202,17 @@ func (s *System) mustBeOpen() {
 	}
 }
 
-// Order selects the processing order of unstable inequalities in a round.
+// Order selects which unstable inequality the worklist evaluates next.
 type Order uint8
 
 const (
-	// SparsestFirst processes inequalities whose matrices have more empty
-	// columns first — the paper's static heuristic (§3.3).
+	// SparsestFirst evaluates the cheapest unstable inequality: a copy
+	// inequality before any edge inequality, edge inequalities by the
+	// smaller of |χ(X)| and |χ(Y)|, ties by more empty columns first (the
+	// paper's static heuristic, §3.3), then by index.
 	SparsestFirst Order = iota
-	// DeclarationOrder keeps insertion order (ablation baseline).
+	// DeclarationOrder evaluates the unstable inequality declared first
+	// (ablation baseline).
 	DeclarationOrder
 )
 
@@ -211,7 +221,7 @@ type Options struct {
 	// Strategy is the ×b evaluation strategy (default Auto, the paper's
 	// popcount heuristic).
 	Strategy bitmat.Strategy
-	// Order is the per-round inequality ordering (default SparsestFirst).
+	// Order is the worklist's pick rule (default SparsestFirst).
 	Order Order
 	// ShortCircuit stops as soon as a required variable becomes empty.
 	// Sound for query processing: an empty mandatory variable means the
@@ -220,8 +230,9 @@ type Options struct {
 	// Workers > 1 evaluates each ×b multiplication with that many
 	// goroutines (the bit-matrix parallelization of Sect. 1).
 	Workers int
-	// Permutation, when non-nil, fixes an explicit inequality evaluation
-	// order (overriding Order) — used by SearchOrders to explore the
+	// Permutation, when non-nil, ranks the inequalities explicitly
+	// (overriding Order): the unstable inequality that comes first in it
+	// is evaluated next — used by SearchOrders to explore the
 	// order space the way the paper's §5.3 brute-force analysis does.
 	// Must be a permutation of [0, NumIneqs()).
 	Permutation []int
@@ -238,8 +249,10 @@ type Options struct {
 
 // Stats reports solver effort, the quantities discussed in §5.2/§5.3.
 type Stats struct {
-	// Rounds counts worklist rounds (the paper's "iterations"): all
-	// inequalities unstable at the start of a round are evaluated once.
+	// Rounds is the largest number of times any one inequality was
+	// evaluated — the depth of the fixpoint iteration (the paper's
+	// "iterations") for a worklist without a round barrier, and never
+	// more than the number of rounds a barrier schedule would take.
 	Rounds int
 	// Evaluations counts individual inequality evaluations.
 	Evaluations int
@@ -248,6 +261,18 @@ type Stats struct {
 	// ShortCircuited reports whether Solve stopped early on an empty
 	// required variable.
 	ShortCircuited bool
+
+	// ChiInit and ChiFinal are Σ|χ(v)| after initialization (with
+	// Restrict applied) and when the solve stopped — the decay §5.3
+	// discusses.
+	ChiInit, ChiFinal int
+	// RowWise, ColWise and Copies split Evaluations by what ran: a
+	// row-wise or a column-wise ×b, or a copy inequality's ∧. An edge
+	// inequality whose right side was already empty counts under none.
+	RowWise, ColWise, Copies int
+	// Skipped counts unstable inequalities retired without an evaluation
+	// because their left side was already empty.
+	Skipped int
 }
 
 // Solution is the largest solution of the system: one χS row per variable.
@@ -304,20 +329,18 @@ func (s *System) Solve(ctx context.Context, opts Options) *Solution {
 	return sol
 }
 
-// ctxCheckInterval bounds how many inequality evaluations may pass
-// between two cancellation checks. Each evaluation is a bit-matrix
-// multiplication over the full node universe, so checking every
-// evaluation is already cheap relative to the work it gates; the
-// interval exists only to keep the copy-inequality fast path tight.
+// ctxCheckInterval bounds how many copy-inequality evaluations may pass
+// between two cancellation checks; every edge evaluation is preceded by
+// one.
 const ctxCheckInterval = 8
 
 // SolveCtx computes the largest solution, honouring cancellation and
-// deadlines: the round loop checks ctx between inequality evaluations
+// deadlines: the worklist loop checks ctx between inequality evaluations
 // and returns (nil, ctx.Err()) without completing the fixpoint. The
 // system itself is not modified (Finalize is invoked on first use) and
 // may be solved repeatedly and concurrently.
 //
-// The per-solve state (χ rows, scratch, worklists) comes from a
+// The per-solve state (χ rows, counts, scratch, worklist) comes from a
 // system-owned pool; call Solution.Release when done with the solution
 // to make steady-state solving allocation-free.
 func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) {
@@ -334,124 +357,133 @@ func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) 
 	}
 	s.Finalize()
 	w := s.acquire()
-	chi := w.chi
+	chi, count := w.chi, w.count
+	sol := &Solution{Chi: chi, sys: s, ws: w}
+	st := &sol.Stats
 	for v := range chi {
 		if s.init[v] == nil {
 			chi[v].Fill()
 		} else {
 			chi[v].CopyFrom(s.init[v])
 		}
-	}
-	for v, r := range opts.Restrict {
-		if r != nil {
-			chi[v].And(r)
+		if v < len(opts.Restrict) && opts.Restrict[v] != nil {
+			chi[v].And(opts.Restrict[v])
 		}
+		count[v] = chi[v].Count()
+		st.ChiInit += count[v]
 	}
-
-	sol := &Solution{Chi: chi, sys: s, ws: w}
+	st.ChiFinal = st.ChiInit
 	if opts.ShortCircuit {
 		// The initialization (13) or a constant binding may already have
 		// emptied a required variable.
 		for v, req := range s.reqVars {
-			if req && chi[v].IsEmpty() {
-				sol.Stats.ShortCircuited = true
+			if req && count[v] == 0 {
+				st.ShortCircuited = true
 				return sol, nil
 			}
 		}
 	}
-	scratch := w.scratch
-
-	// current/next worklists of inequality indices; inQueue de-duplicates.
-	current := w.queueA[:0]
-	for i := range s.ineqs {
-		current = append(current, i)
+	for i := range w.unstable {
+		w.unstable[i], w.evals[i] = true, 0
 	}
-	reorder := func(queue []int) {
-		switch {
-		case opts.Permutation != nil:
-			sortByPermutation(queue, opts.Permutation)
-		case opts.Order == SparsestFirst:
-			// Sparsest first (§3.3), ties broken by inequality index: the
-			// comparison is a total order, so the processing order — and
-			// with it the round count a plan reports — is reproducible
-			// run-to-run regardless of the arrival order of equal keys.
-			sort.Slice(queue, func(a, b int) bool {
-				ea, eb := s.ineqs[queue[a]].emptyCols, s.ineqs[queue[b]].emptyCols
-				if ea != eb {
-					return ea > eb
-				}
-				return queue[a] < queue[b]
-			})
+	var rank []int // rank[i] = position of inequality i in opts.Permutation
+	if opts.Permutation != nil {
+		rank = make([]int, len(opts.Permutation))
+		for pos, idx := range opts.Permutation {
+			rank[idx] = pos
 		}
 	}
-	reorder(current)
-	inQueue := w.inQueue
-	for _, i := range current {
-		inQueue[i] = true
-	}
-	spare := w.queueB[:0]
 
 	sinceCheck := 0
-	for len(current) > 0 {
-		sol.Stats.Rounds++
-		next := spare[:0]
-		for _, idx := range current {
-			// Edge inequalities are full bit-matrix multiplications; check
-			// for cancellation before each, and at least every
-			// ctxCheckInterval evaluations on copy-only stretches.
-			sinceCheck++
-			if s.ineqs[idx].Kind == Edge || sinceCheck >= ctxCheckInterval {
-				sinceCheck = 0
-				select {
-				case <-ctx.Done():
-					w.queueA, w.queueB = current[:0], next[:0]
-					s.pool.Put(w)
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			inQueue[idx] = false
-			iq := &s.ineqs[idx]
-			sol.Stats.Evaluations++
-
-			changed := false
-			switch iq.Kind {
-			case Copy:
-				changed = chi[iq.X].And(chi[iq.Y])
-			case Edge:
-				iq.Mats.MultiplyParallel(iq.Dir, chi[iq.Y], chi[iq.X], scratch, opts.Strategy, opts.Workers)
-				if !scratch.Equal(chi[iq.X]) {
-					chi[iq.X].CopyFrom(scratch)
-					changed = true
-				}
-			}
-			if !changed {
-				continue
-			}
-			sol.Stats.Updates++
-			if opts.ShortCircuit && s.reqVars[iq.X] && chi[iq.X].IsEmpty() {
-				sol.Stats.ShortCircuited = true
-				w.queueA, w.queueB = current[:0], next[:0]
-				return sol, nil
-			}
-			// Re-enqueue every inequality whose right-hand side mentions
-			// the shrunken variable — including this one when X == Y
-			// (self-loop pattern edges), which may shrink further.
-			for _, dep := range s.deps[iq.X] {
-				if !inQueue[dep] {
-					inQueue[dep] = true
-					next = append(next, dep)
-				}
+	for idx := s.pick(w, opts.Order, rank); idx >= 0; idx = s.pick(w, opts.Order, rank) {
+		iq := &s.ineqs[idx]
+		w.unstable[idx] = false
+		if count[iq.X] == 0 {
+			// Nothing left to remove: the inequality holds.
+			st.Skipped++
+			continue
+		}
+		sinceCheck++
+		if iq.Kind == Edge || sinceCheck >= ctxCheckInterval {
+			sinceCheck = 0
+			select {
+			case <-ctx.Done():
+				s.pool.Put(w)
+				return nil, ctx.Err()
+			default:
 			}
 		}
-		reorder(next)
-		spare = current
-		current = next
+		st.Evaluations++
+		w.evals[idx]++
+		st.Rounds = max(st.Rounds, w.evals[idx])
+
+		was := count[iq.X]
+		switch {
+		case iq.Kind == Copy:
+			st.Copies++
+			if chi[iq.X].And(chi[iq.Y]) {
+				count[iq.X] = chi[iq.X].Count()
+			}
+		case count[iq.Y] == 0:
+			// Nothing to multiply: the product is empty.
+			chi[iq.X].Zero()
+			count[iq.X] = 0
+		default:
+			strategy := opts.Strategy.Resolve(count[iq.Y], was)
+			if strategy == bitmat.RowWise {
+				st.RowWise++
+			} else {
+				st.ColWise++
+			}
+			count[iq.X] = iq.Mats.Update(iq.Dir, chi[iq.Y], chi[iq.X], count[iq.Y], was, w.scratch, strategy, opts.Workers)
+		}
+		if count[iq.X] == was {
+			continue
+		}
+		st.Updates++
+		st.ChiFinal -= was - count[iq.X]
+		if opts.ShortCircuit && s.reqVars[iq.X] && count[iq.X] == 0 {
+			st.ShortCircuited = true
+			return sol, nil
+		}
+		// Destabilize every inequality whose right-hand side mentions
+		// the shrunken variable — including this one when X == Y
+		// (self-loop pattern edges), which may shrink further.
+		for _, dep := range s.deps[iq.X] {
+			w.unstable[dep] = true
+		}
 	}
-	// Hand the (possibly grown) worklists back so the next solve reuses
-	// their capacity.
-	w.queueA, w.queueB = current[:0], spare[:0]
 	return sol, nil
+}
+
+// pick returns the unstable inequality to evaluate next, or -1 when the
+// system is stable. The key is a total order (ties fall to the lower
+// index), so the schedule — and with it the effort a plan reports — is
+// reproducible run-to-run. A query has a handful of inequalities; a scan
+// beats maintaining a heap under changing counts.
+//
+//dualsim:hotpath
+func (s *System) pick(w *workspace, order Order, rank []int) int {
+	best, bestKey, bestTie := -1, 0, 0
+	for i, unstable := range w.unstable {
+		if !unstable {
+			continue
+		}
+		key, tie := i, 0
+		switch iq := &s.ineqs[i]; {
+		case rank != nil:
+			key = rank[i]
+		case order == DeclarationOrder:
+		case iq.Kind == Copy:
+			key = 0
+		default:
+			key, tie = 1+min(w.count[iq.X], w.count[iq.Y]), -iq.emptyCols
+		}
+		if best < 0 || key < bestKey || key == bestKey && tie < bestTie {
+			best, bestKey, bestTie = i, key, tie
+		}
+	}
+	return best
 }
 
 func (s *System) buildDeps() {

@@ -322,6 +322,16 @@ func (st *Store) Subjects(p PredID, o NodeID) []NodeID {
 	return ix.posS[lo:hi:hi]
 }
 
+// PSO returns the subject and object columns of predicate p in PSO order:
+// position i is the triple (subjects[i], p, objects[i]), the position
+// pruning masks address. Both alias the index: read-only and valid for the
+// store's lifetime.
+func (st *Store) PSO(p PredID) (subjects, objects []NodeID) {
+	st.mustBeBuilt()
+	ix := &st.byPred[p]
+	return ix.psoS, ix.psoO
+}
+
 // HasTriple reports whether (s, p, o) ∈ E_DB.
 //
 //dualsim:hotpath

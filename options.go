@@ -93,9 +93,11 @@ func WithStrategy(st Strategy) Option {
 	}
 }
 
-// WithDeclarationOrder disables the sparsest-first inequality ordering
-// (ablation switch; the ordering itself is planned once per prepared
-// query).
+// WithDeclarationOrder makes the solver's worklist evaluate the unstable
+// inequality declared first instead of the cheapest one — by default a
+// copy inequality before any edge inequality, edge inequalities by the
+// smaller of their two candidate counts, ties by the paper's empty-column
+// count (ablation switch).
 func WithDeclarationOrder() Option {
 	return func(s *settings) error { s.declOrder = true; return nil }
 }

@@ -271,8 +271,9 @@ type PrepareStats struct {
 }
 
 // PreparedQuery is a query planned once against a session: parsed,
-// translated to per-branch systems of inequalities (with their
-// sparsest-first ordering keys), finalized for concurrent solving, and
+// translated to per-branch systems of inequalities (with the
+// empty-column counts that break ties in the solver's cheapest-first
+// worklist), finalized for concurrent solving, and
 // — when the session has a fingerprint — pre-filtered to summary-lifted
 // candidate bounds. It is safe for concurrent use; every Exec runs the
 // pipeline on private state.
