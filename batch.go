@@ -196,6 +196,12 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
+	// The timer behind a deadline can fire tens of milliseconds late —
+	// after a short batch has finished, its tail failed by the executor's
+	// own wall-clock check. The batch reports the deadline then too.
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return out, context.DeadlineExceeded
+	}
 	if cfg.failFast && firstErr != nil {
 		return out, firstErr
 	}

@@ -26,8 +26,9 @@
 //     the fingerprint lookup when the session has one;
 //   - execution: pq.Stream(ctx) runs the one fixed pipeline — optional
 //     fingerprint pre-filter, dual-simulation pruning (the paper's
-//     headline application), evaluation by the Volcano executor — and
-//     returns a row cursor; pq.Exec(ctx) is the same drained into a
+//     headline application), evaluation by the Volcano executor on the
+//     store seen through the solved candidate sets — and returns a row
+//     cursor; pq.Exec(ctx) is the same drained into a
 //     Result, with per-stage ExecStats. Cancellation and deadlines on
 //     ctx interrupt the solver between inequality evaluations and the
 //     executor between row batches;

@@ -41,8 +41,9 @@ type Explain struct {
 // snapshot without executing it. The render is deterministic: the same
 // plan (same query text, same epoch) explains identically, cached or
 // not. Note the plan is compiled over the full snapshot store — the
-// executed plan runs on the dual-simulation-pruned store, so ANALYZE
-// estimates can differ from the plain EXPLAIN's.
+// executed plan is costed against that store seen through the solved
+// dual simulation, so ANALYZE estimates can differ from the plain
+// EXPLAIN's.
 func (pq *PreparedQuery) Explain(ctx context.Context) (*Explain, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -53,7 +54,7 @@ func (pq *PreparedQuery) Explain(ctx context.Context) (*Explain, error) {
 	if pq.db.closed.Load() {
 		return nil, ErrClosed
 	}
-	ex, err := pq.db.compile(pq.snap.st, pq.q)
+	ex, err := pq.db.compile(pq.snap.st, nil, pq.q)
 	if err != nil {
 		return nil, err
 	}
@@ -176,6 +177,9 @@ func (e *Explain) renderNode(b *strings.Builder, n *explainNode, depth int) {
 	}
 	if e.Analyzed {
 		fmt.Fprintf(b, " [rows=%d nextCalls=%d", n.op.Rows, n.op.NextCalls)
+		if n.op.Filtered > 0 {
+			fmt.Fprintf(b, " filtered=%d", n.op.Filtered)
+		}
 		if n.op.Time > 0 {
 			fmt.Fprintf(b, " time=%s", n.op.Time)
 		}

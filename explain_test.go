@@ -201,3 +201,57 @@ func TestPruneSpanReportsSolverWork(t *testing.T) {
 		t.Errorf("mask.visited = %d of in = %d; the walk must stay with the candidates", c["mask.visited"], c["in"])
 	}
 }
+
+// The filtered counter says what χ rejected and where. L0's core is a
+// cycle, on which dual simulation is not a full reducer: the extends read
+// neighbours the candidate sets then rule out. The leaf scan walks the
+// kept-triple mask and so never meets a rejected triple. EXPLAIN ANALYZE
+// and the op.* spans show the counter beside rows.
+func TestFilteredCounter(t *testing.T) {
+	st, err := dualsim.GenerateLUBMStore(3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dualsim.Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	l0, err := queries.ByID("L0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := db.ExplainAnalyze(context.Background(), l0.Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rejected int64
+	for _, op := range ex.Operators {
+		switch {
+		case op.Op == "scan" && op.Filtered != 0:
+			t.Errorf("leaf scan %s reports filtered=%d; it reads kept positions only", op.Detail, op.Filtered)
+		case strings.HasPrefix(op.Op, "extend"):
+			rejected += op.Filtered
+		}
+	}
+	if rejected == 0 {
+		t.Fatalf("no extend of L0 reports a filtered neighbour:\n%s", ex.Text())
+	}
+	if !strings.Contains(ex.Text(), " filtered=") {
+		t.Errorf("analyzed render misses the filtered counter:\n%s", ex.Text())
+	}
+	var spanned int64
+	var walk func(sp *trace.Span)
+	walk = func(sp *trace.Span) {
+		if strings.HasPrefix(sp.Name, "op.") {
+			spanned += sp.Counters["filtered"]
+		}
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	walk(ex.Stats.Trace)
+	if spanned != rejected {
+		t.Errorf("op.* spans report filtered=%d, the operators %d", spanned, rejected)
+	}
+}

@@ -452,8 +452,11 @@ func (p *QueryPlan) SolveRestricted(ctx context.Context, cfg Config, restrict []
 // solver pools, making steady-state repeated solving of a prepared plan
 // allocation-free. The relation and its solutions must not be used
 // afterwards; Release is optional (skipping it just leaves the work to
-// the GC) and idempotent.
+// the GC), idempotent, and a no-op on a nil relation.
 func (r *QueryRelation) Release() {
+	if r == nil {
+		return
+	}
 	for _, bs := range r.Branches {
 		bs.Sol.Release()
 	}

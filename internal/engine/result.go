@@ -38,8 +38,14 @@
 //     out capacity-limited and never recycled: a row returned by Next is
 //     the caller's to keep, but it is read-only — a buffering operator
 //     may retain the same slice.
-//   - Posting lists (Store.Objects/Subjects) are sub-slices of the
-//     store's index columns, read in place.
+//   - Posting lists are read in place. Compiled through a solved dual
+//     simulation (plan.Options.Filter — the session's path), a list is a
+//     row of the adjacency the solver cached on the unpruned store
+//     (bitmat.CSR.Row, addressed by offset), each neighbour tested
+//     against the candidate sets χ, and a leaf scan walks the kept-triple
+//     mask. Without a filter it is a sub-slice of the store's index
+//     columns (Store.Objects/Subjects), found by binary search. The two
+//     views differ only inside resolved's accessors (scan.go).
 //
 // The memory account (Resources) charges the rows buffering operators
 // retain; a plan of scans and extends retains none.

@@ -9,6 +9,8 @@ import (
 	"time"
 	"unsafe"
 
+	"dualsim/internal/bitmat"
+	"dualsim/internal/bitvec"
 	"dualsim/internal/plan"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
@@ -55,6 +57,11 @@ type OperatorStats struct {
 	Detail  string  `json:"detail,omitempty"`
 	EstRows float64 `json:"estRows,omitempty"`
 	Rows    int64   `json:"rows"`
+	// Filtered counts what the operator read and the dual-simulation
+	// filter rejected: neighbours outside every candidate set, closing
+	// edges the store holds but pruning dropped. A leaf scan walks kept
+	// positions only and reads 0, as does everything without a filter.
+	Filtered int64 `json:"filtered,omitempty"`
 	// MemBytes and RowsBuffered estimate the operator's build-side
 	// footprint: hash-join right sides and the seen-sets of distinct and
 	// of a limit over a possibly-duplicating input are the buffering
@@ -205,6 +212,10 @@ func rowCostBytes(row []storage.NodeID) int64 {
 // Compile lowers and optimizes q against st and compiles the plan to an
 // iterator tree. The result streams distinct rows (set semantics) and
 // honours the query's LIMIT/OFFSET.
+//
+// With opt.Filter set, st is the unpruned store read through the filter:
+// the rows are those of a Compile on the materialized pruned store, and
+// Next must not run once the relation behind the filter is released.
 func Compile(st *storage.Store, q *sparql.Query, opt plan.Options) (*Exec, error) {
 	return compilePlan(st, plan.Build(st, q, opt))
 }
@@ -212,7 +223,7 @@ func Compile(st *storage.Store, q *sparql.Query, opt plan.Options) (*Exec, error
 // compilePlan compiles an optimized plan tree — any tree the node types
 // can express, not only the shapes today's planner emits.
 func compilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
-	c := &compiler{st: st, acct: &account{}, slab: &slab{}}
+	c := &compiler{st: st, filter: pl.Filter, acct: &account{}, slab: &slab{}}
 	root, props, err := c.compile(pl.Root)
 	if err != nil {
 		return nil, err
@@ -235,12 +246,31 @@ func compilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
 // Compiler.
 
 type compiler struct {
-	st    *storage.Store
-	ops   []*OperatorStats
-	its   []*countedIter
-	depth int // plan-tree depth of the node currently being compiled
-	acct  *account
-	slab  *slab // the execution's row allocator, shared by every operator
+	st     *storage.Store
+	filter storage.Filter // nil: the patterns read st's index columns
+	ops    []*OperatorStats
+	its    []*countedIter
+	depth  int // plan-tree depth of the node currently being compiled
+	acct   *account
+	slab   *slab // the execution's row allocator, shared by every operator
+}
+
+// resolve resolves a pattern and, when the execution runs through a
+// filter, binds it to the filtered view: the predicate's candidate filter
+// (none: pruning kept nothing of it, the pattern is unsatisfiable) and
+// the adjacency pair the solve has already built and cached on the store.
+func (c *compiler) resolve(tp sparql.TriplePattern) (resolved, error) {
+	r, err := resolve(c.st, tp)
+	if err != nil || !r.ok || c.filter == nil {
+		return r, err
+	}
+	if r.keep = c.filter[r.pred]; r.keep == nil {
+		r.ok = false
+		return r, nil
+	}
+	m := c.st.Matrices(r.pred) // a store caches CSR pairs
+	r.fwd, r.bwd = m.F.(*bitmat.CSR), m.B.(*bitmat.CSR)
+	return r, nil
 }
 
 // lastStats returns the stats slot counted just registered — the hook
@@ -274,11 +304,14 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 	case plan.Unit:
 		return c.counted("unit", "", 1, &unitIter{slab: c.slab}), scanProps(nil), nil
 	case plan.Scan:
-		r, err := resolve(c.st, x.TP)
+		r, err := c.resolve(x.TP)
 		if err != nil {
 			return nil, rowProps{}, err
 		}
-		return c.counted("scan", x.TP.String(), x.Est, &scanIter{st: c.st, r: r, slab: c.slab}), scanProps(r.vars()), nil
+		sc := &scanIter{st: c.st, r: r, slab: c.slab}
+		it := c.counted("scan", x.TP.String(), x.Est, sc)
+		sc.filtered = &c.lastStats().Filtered
+		return it, scanProps(r.vars()), nil
 	case plan.Join:
 		return c.compileJoin(x.L, x.R, false)
 	case plan.LeftJoin:
@@ -348,7 +381,7 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowP
 		if err != nil {
 			return nil, rowProps{}, err
 		}
-		r, err := resolve(c.st, sc.TP)
+		r, err := c.resolve(sc.TP)
 		if err != nil {
 			return nil, rowProps{}, err
 		}
@@ -358,8 +391,9 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowP
 		}
 		props := joinProps(lp, scanProps(r.vars()), l.Vars(), r.vars(), leftOuter)
 		c.depth = base + len(conds)
-		var it Iterator = newExtendIter(c.st, l, r, leftOuter, c.slab)
-		it = c.counted(op, sc.TP.String(), sc.Est, it)
+		ext := newExtendIter(c.st, l, r, leftOuter, c.slab)
+		it := c.counted(op, sc.TP.String(), sc.Est, ext)
+		ext.filtered = &c.lastStats().Filtered
 		for i := len(conds) - 1; i >= 0; i-- {
 			c.depth--
 			it = c.counted("filter", conds[i].String(), 0, newFilterIter(c.st, it, conds[i]))
@@ -515,19 +549,21 @@ func (u *unitIter) Next() ([]storage.NodeID, bool, error) {
 }
 
 // scanIter streams the matches of one resolved triple pattern straight
-// from the store's per-predicate indexes — a cursor over the PSO run via
-// PairAt for the unbound case, a posting-list walk (the index's own
-// column, read in place) when one side is a constant. Nothing is
-// materialized.
+// from the store — a cursor over the PSO positions the view holds for the
+// unbound case (every position, or the kept-triple mask's set bits), a
+// posting-list walk (the neighbour row, read in place) when one side is a
+// constant. Nothing is materialized.
 type scanIter struct {
-	st   *storage.Store
-	r    resolved
-	slab *slab
-	ctx  context.Context
-	i    int // cursor: pair index or posting-list index
-	list []storage.NodeID
-	done bool
-	n    int // checked rows since last ctx poll
+	st       *storage.Store
+	r        resolved
+	slab     *slab
+	filtered *int64 // the operator's Filtered counter
+	ctx      context.Context
+	i        int // cursor: pair index or posting-list index
+	list     []storage.NodeID
+	alive    []*bitvec.Vector // see resolved.postings
+	done     bool
+	n        int // checked rows since last ctx poll
 }
 
 func (s *scanIter) Vars() []string { return s.r.vars() }
@@ -545,9 +581,9 @@ func (s *scanIter) Open(ctx context.Context) error {
 	switch {
 	case s.r.sVar == "" && s.r.oVar == "":
 	case s.r.sVar == "":
-		s.list = s.st.Objects(s.r.pred, s.r.sID)
+		s.list, s.alive = s.r.postings(s.st, s.r.sID, true, s.alive[:0])
 	case s.r.oVar == "":
-		s.list = s.st.Subjects(s.r.pred, s.r.oID)
+		s.list, s.alive = s.r.postings(s.st, s.r.oID, false, s.alive[:0])
 	}
 	return nil
 }
@@ -566,24 +602,28 @@ func (s *scanIter) Next() ([]storage.NodeID, bool, error) {
 	switch {
 	case r.sVar == "" && r.oVar == "":
 		s.done = true
-		if s.st.HasTriple(r.sID, r.pred, r.oID) {
+		if r.has(s.st, r.sID, r.oID, s.filtered) {
 			return s.slab.alloc(0), true, nil
 		}
 		return nil, false, nil
 	case r.sVar == "" || r.oVar == "":
-		if s.i < len(s.list) {
-			row := s.slab.alloc(1)
-			row[0] = s.list[s.i]
+		for s.i < len(s.list) {
+			id := s.list[s.i]
 			s.i++
+			if !admits(s.alive, id) {
+				*s.filtered++
+				continue
+			}
+			row := s.slab.alloc(1)
+			row[0] = id
 			return row, true, nil
 		}
 		s.done = true
 		return nil, false, nil
 	default:
-		n := s.st.PredCount(r.pred)
-		for s.i < n {
-			sub, obj := s.st.PairAt(r.pred, s.i)
-			s.i++
+		for i := r.nextPos(s.st, s.i); i >= 0; i = r.nextPos(s.st, s.i) {
+			sub, obj := s.st.PairAt(r.pred, i)
+			s.i = i + 1
 			if r.sVar == r.oVar {
 				if sub != obj {
 					continue
@@ -614,6 +654,7 @@ type extendIter struct {
 	r         resolved
 	leftOuter bool
 	slab      *slab
+	filtered  *int64 // the operator's Filtered counter
 
 	vars   []string
 	inVars int // input schema width (a prefix of vars)
@@ -629,6 +670,7 @@ type extendIter struct {
 	cur        []storage.NodeID
 	have       bool
 	list       []storage.NodeID // posting list (one side known), read in place
+	alive      []*bitvec.Vector // see resolved.postings
 	li         int
 	pi         int // pair cursor (neither side known)
 	sVal, oVal storage.NodeID
@@ -713,31 +755,31 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 			switch {
 			case e.sKnown && e.oKnown:
 				e.have = false
-				if e.st.HasTriple(e.sVal, r.pred, e.oVal) {
+				if r.has(e.st, e.sVal, e.oVal, e.filtered) {
 					return e.emit(true, e.sVal, e.oVal), true, nil
 				}
 				if e.leftOuter {
 					return e.emit(false, 0, 0), true, nil
 				}
 				continue
-			case e.sKnown:
-				if e.li < len(e.list) {
-					o := e.list[e.li]
+			case e.sKnown || e.oKnown:
+				for e.li < len(e.list) {
+					id := e.list[e.li]
 					e.li++
+					if !admits(e.alive, id) {
+						*e.filtered++
+						continue
+					}
 					e.matched = true
-					return e.emit(true, e.sVal, o), true, nil
-				}
-			case e.oKnown:
-				if e.li < len(e.list) {
-					s := e.list[e.li]
-					e.li++
-					e.matched = true
-					return e.emit(true, s, e.oVal), true, nil
+					if e.sKnown {
+						return e.emit(true, e.sVal, id), true, nil
+					}
+					return e.emit(true, id, e.oVal), true, nil
 				}
 			default:
-				if e.pi < e.st.PredCount(r.pred) {
-					s, o := e.st.PairAt(r.pred, e.pi)
-					e.pi++
+				if i := r.nextPos(e.st, e.pi); i >= 0 {
+					s, o := e.st.PairAt(r.pred, i)
+					e.pi = i + 1
 					if e.sameVar && s != o {
 						continue
 					}
@@ -777,9 +819,9 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 		switch {
 		case e.sKnown && e.oKnown:
 		case e.sKnown:
-			e.list = e.st.Objects(r.pred, e.sVal)
+			e.list, e.alive = r.postings(e.st, e.sVal, true, e.alive[:0])
 		case e.oKnown:
-			e.list = e.st.Subjects(r.pred, e.oVal)
+			e.list, e.alive = r.postings(e.st, e.oVal, false, e.alive[:0])
 		}
 	}
 }

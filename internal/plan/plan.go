@@ -66,6 +66,9 @@ func (Limit) isNode()    {}
 type Plan struct {
 	Root      Node
 	Decisions []string
+	// Filter is the view of the store the plan was costed against
+	// (Options.Filter) and must execute through; nil for the bare store.
+	Filter storage.Filter
 }
 
 // Options tune the optimizer; the zero value enables everything.
@@ -75,11 +78,16 @@ type Options struct {
 	DisableReorder bool
 	// DisablePushdown leaves filters and LIMIT where the query wrote them.
 	DisablePushdown bool
+	// Filter is not a switch: it is the solved dual simulation the plan
+	// will execute through (prune.Pruning.Filter), when there is one. The
+	// planner then costs that view — each predicate's kept count and
+	// candidate-set sizes — and the executor reads the store through it.
+	Filter storage.Filter
 }
 
 // Build lowers q to an optimized plan tree over st.
 func Build(st *storage.Store, q *sparql.Query, opt Options) *Plan {
-	p := &Plan{}
+	p := &Plan{Filter: opt.Filter}
 	b := &builder{st: st, opt: opt, plan: p}
 	root := b.lower(q.Expr)
 	if q.Limit > 0 || q.Offset > 0 {
@@ -141,7 +149,7 @@ func (b *builder) lowerBGP(bgp sparql.BGP) Node {
 					continue
 				}
 				connected := len(bound) == 0 || sharesBound(tp, bound)
-				cost := estimateTP(b.st, tp, bound)
+				cost := b.estimateTP(tp, bound)
 				if best < 0 || (connected && !bestConnected) ||
 					(connected == bestConnected && cost < bestCost) {
 					best, bestCost, bestConnected = i, cost, connected
@@ -163,7 +171,7 @@ func (b *builder) lowerBGP(bgp sparql.BGP) Node {
 		if i != pos {
 			reordered = true
 		}
-		sc := Scan{TP: bgp[i], Est: estimateTP(b.st, bgp[i], bound)}
+		sc := Scan{TP: bgp[i], Est: b.estimateTP(bgp[i], bound)}
 		if root == nil {
 			root = sc
 		} else {
@@ -284,8 +292,10 @@ func pushLimitBranches(n Node, k int) Node {
 
 // estimateTP is the expected cardinality of a triple pattern given the
 // variables bound upstream — the same statistics the engines' resolved
-// patterns use (PredCount, DistinctSubjects, DistinctObjects).
-func estimateTP(st *storage.Store, tp sparql.TriplePattern, bound map[string]bool) float64 {
+// patterns use (PredCount, DistinctSubjects, DistinctObjects), or their
+// counterparts in the filtered view when the plan executes through one.
+func (b *builder) estimateTP(tp sparql.TriplePattern, bound map[string]bool) float64 {
+	st := b.st
 	if tp.P.IsVar() {
 		// Variable predicates are rejected by every engine; rank them last.
 		return float64(st.NumTriples())
@@ -304,7 +314,14 @@ func estimateTP(st *storage.Store, tp sparql.TriplePattern, bound map[string]boo
 			return 0
 		}
 	}
-	n := float64(st.PredCount(pid))
+	count, distS, distO := st.PredCount(pid), st.DistinctSubjects(pid), st.DistinctObjects(pid)
+	if b.opt.Filter != nil {
+		count, distS, distO = 0, 0, 0
+		if pf := b.opt.Filter[pid]; pf != nil {
+			count, distS, distO = pf.Kept, pf.DistS, pf.DistO
+		}
+	}
+	n := float64(count)
 	if n == 0 {
 		return 0
 	}
@@ -314,9 +331,9 @@ func estimateTP(st *storage.Store, tp sparql.TriplePattern, bound map[string]boo
 	case sBound && oBound:
 		return 1
 	case sBound:
-		return n / math.Max(1, float64(st.DistinctSubjects(pid)))
+		return n / math.Max(1, float64(distS))
 	case oBound:
-		return n / math.Max(1, float64(st.DistinctObjects(pid)))
+		return n / math.Max(1, float64(distO))
 	default:
 		return n
 	}

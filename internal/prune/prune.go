@@ -40,7 +40,8 @@ type Pruning struct {
 	// Total, how far the walk stayed from a scan of the store.
 	Visited int
 
-	store *storage.Store
+	store  *storage.Store
+	filter storage.Filter
 }
 
 // Ratio returns the pruned fraction (1 = everything removed), the
@@ -57,6 +58,13 @@ func (p *Pruning) Ratio() float64 {
 func (p *Pruning) Store() *storage.Store {
 	return p.store.RestrictByMask(p.Masks)
 }
+
+// Filter returns the pruning as a view of the unpruned store: per
+// predicate the candidate-set pairs that define its mask, the mask and the
+// kept cardinalities. It selects exactly the triples Store materializes,
+// without copying them. The pairs alias the relation's χ rows, so the
+// filter is valid only until the relation is released.
+func (p *Pruning) Filter() storage.Filter { return p.filter }
 
 // subjectCheckInterval is the number of candidate subjects the mask walk
 // visits between two context-cancellation checks.
@@ -80,9 +88,10 @@ func Prune(st *storage.Store, rel *core.QueryRelation) *Pruning {
 // its subjects.
 func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (*Pruning, error) {
 	out := &Pruning{
-		Masks: make([]*bitvec.Vector, st.NumPreds()),
-		Total: st.NumTriples(),
-		store: st,
+		Masks:  make([]*bitvec.Vector, st.NumPreds()),
+		Total:  st.NumTriples(),
+		store:  st,
+		filter: make(storage.Filter, st.NumPreds()),
 	}
 	for _, bs := range rel.Branches {
 		if bs.MandatoryEmpty {
@@ -99,20 +108,27 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 			if chiS.IsEmpty() || chiO.IsEmpty() {
 				continue
 			}
-			if out.Masks[pid] == nil {
-				out.Masks[pid] = bitvec.New(st.PredCount(pid))
+			pf := out.filter[pid]
+			if pf == nil {
+				pf = &storage.PredFilter{Mask: bitvec.New(st.PredCount(pid))}
+				out.filter[pid], out.Masks[pid] = pf, pf.Mask
 			}
+			pf.Pairs = append(pf.Pairs, storage.ChiPair{S: chiS, O: chiO})
+			pf.DistS += chiS.Count()
+			pf.DistO += chiO.Count()
 			subjects, objects := st.PSO(pid)
-			visited, err := markEdge(ctx, subjects, objects, chiS, chiO, out.Masks[pid])
+			visited, err := markEdge(ctx, subjects, objects, chiS, chiO, pf.Mask)
 			if err != nil {
 				return nil, err
 			}
 			out.Visited += visited
 		}
 	}
-	for _, m := range out.Masks {
-		if m != nil {
-			out.Kept += m.Count()
+	for _, pf := range out.filter {
+		if pf != nil {
+			pf.Kept = pf.Mask.Count()
+			pf.DistS, pf.DistO = min(pf.DistS, pf.Kept), min(pf.DistO, pf.Kept)
+			out.Kept += pf.Kept
 		}
 	}
 	if sp := trace.SpanFromContext(ctx); sp != nil {

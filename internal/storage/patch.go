@@ -110,11 +110,9 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 	// even when the add turns out to be a duplicate; the ids stay
 	// consistent for every later snapshot of the lineage.
 	for _, t := range adds {
-		ids := tripleIDs{
-			s: st.d.internTerm(t.S),
-			p: st.d.internPred(t.P),
-			o: st.d.internTerm(t.O),
-		}
+		st.d.mu.Lock()
+		ids := st.d.intern(t)
+		st.d.mu.Unlock()
 		pr := pair{a: ids.s, b: ids.o}
 		ch := touched[ids.p]
 		switch {

@@ -118,7 +118,7 @@ func TestPatchAtomicValidation(t *testing.T) {
 		t.Fatal("Patch accepted an invalid add")
 	}
 	// The valid prefix must not have leaked into the dictionary.
-	if _, ok := base.d.lookupTerm(rdf.NewIRI("New_Subject").Key()); ok {
+	if _, ok := base.d.lookupTerm(rdf.NewIRI("New_Subject")); ok {
 		t.Fatal("failed Patch interned terms")
 	}
 }

@@ -101,7 +101,7 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 	}
 	d := newDict()
 	d.terms = make([]rdf.Term, 0, nTerms)
-	d.termID = make(map[string]NodeID, nTerms)
+	nLits := 0
 	for i := uint64(0); i < nTerms; i++ {
 		kind, err := dec.byte("term kind")
 		if err != nil {
@@ -114,9 +114,17 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := rdf.Term{Kind: rdf.Kind(kind), Value: val}
-		d.termID[t.Key()] = NodeID(len(d.terms))
-		d.terms = append(d.terms, t)
+		if rdf.Kind(kind) == rdf.Literal {
+			nLits++
+		}
+		d.terms = append(d.terms, rdf.Term{Kind: rdf.Kind(kind), Value: val})
+	}
+	// The id maps are sized exactly, once the split between the two node
+	// universes is known.
+	d.iris = make(map[string]NodeID, len(d.terms)-nLits)
+	d.lits = make(map[string]NodeID, nLits)
+	for id, t := range d.terms {
+		d.termIDs(t.Kind)[t.Value] = NodeID(id)
 	}
 
 	nPreds, err := dec.uvarint("predicate count", min(maxSnapshotElems, uint64(dec.remaining())))

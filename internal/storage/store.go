@@ -19,6 +19,11 @@
 // the sorted, deduplicated PSO run and derives the POS order with a
 // stable distribution pass on the object id, so building a per-query
 // pruned store is linear in what it keeps.
+//
+// The serving path does not build that pruned store: it reads this one
+// through a Filter (filter.go) and takes its neighbour lists from
+// Matrices' cached rows. RestrictByMask remains for the paper's tables,
+// the CLI's dump and the oracles.
 package storage
 
 import (
@@ -53,37 +58,53 @@ type pair struct{ a, b NodeID }
 // Interning takes the write lock; lookups take the read lock. Slice
 // elements, once appended, are never mutated, so snapshots may keep
 // lock-free prefix views of terms and preds.
+//
+// Terms are keyed by Value in one map per rdf.Kind, so a key shares its
+// bytes with terms[id].Value and neither interning nor lookup builds a
+// string.
 type dict struct {
 	mu     sync.RWMutex
 	terms  []rdf.Term
-	termID map[string]NodeID
+	iris   map[string]NodeID
+	lits   map[string]NodeID
 	preds  []string
 	predID map[string]PredID
 }
 
 func newDict() *dict {
 	return &dict{
-		termID: make(map[string]NodeID),
+		iris:   make(map[string]NodeID),
+		lits:   make(map[string]NodeID),
 		predID: make(map[string]PredID),
 	}
 }
 
+// termIDs returns the id map of one node universe.
+func (d *dict) termIDs(k rdf.Kind) map[string]NodeID {
+	if k == rdf.IRI {
+		return d.iris
+	}
+	return d.lits
+}
+
+// intern, internTerm and internPred require d.mu held for writing: once
+// per staged batch, once per patched triple.
+func (d *dict) intern(t rdf.Triple) tripleIDs {
+	return tripleIDs{s: d.internTerm(t.S), p: d.internPred(t.P), o: d.internTerm(t.O)}
+}
+
 func (d *dict) internTerm(t rdf.Term) NodeID {
-	key := t.Key()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if id, ok := d.termID[key]; ok {
+	ids := d.termIDs(t.Kind)
+	if id, ok := ids[t.Value]; ok {
 		return id
 	}
 	id := NodeID(len(d.terms))
 	d.terms = append(d.terms, t)
-	d.termID[key] = id
+	ids[t.Value] = id
 	return id
 }
 
 func (d *dict) internPred(p string) PredID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if id, ok := d.predID[p]; ok {
 		return id
 	}
@@ -93,10 +114,10 @@ func (d *dict) internPred(p string) PredID {
 	return id
 }
 
-func (d *dict) lookupTerm(key string) (NodeID, bool) {
+func (d *dict) lookupTerm(t rdf.Term) (NodeID, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	id, ok := d.termID[key]
+	id, ok := d.termIDs(t.Kind)[t.Value]
 	return id, ok
 }
 
@@ -175,23 +196,22 @@ func (st *Store) AddAll(ts []rdf.Triple) error {
 			return fmt.Errorf("storage: triple %d of %d: %w", i, len(ts), err)
 		}
 	}
-	for _, t := range ts {
-		st.stage(t)
-	}
+	st.stage(ts...)
 	st.terms, st.preds = st.d.views()
 	return nil
 }
 
-// stage interns a validated triple and appends it to the staging area.
-// Callers refresh the snapshot's dictionary views once per batch, not
-// per triple (staging is single-owner: the dict cannot be shared before
-// Build, so the views only serve the store's own pre-Build accessors).
-func (st *Store) stage(t rdf.Triple) {
-	st.staged = append(st.staged, tripleIDs{
-		s: st.d.internTerm(t.S),
-		p: st.d.internPred(t.P),
-		o: st.d.internTerm(t.O),
-	})
+// stage interns validated triples — the whole batch under one acquisition
+// of the dictionary lock — and appends them to the staging area. Callers
+// refresh the snapshot's dictionary views once per batch, not per triple
+// (staging is single-owner: the dict cannot be shared before Build, so the
+// views only serve the store's own pre-Build accessors).
+func (st *Store) stage(ts ...rdf.Triple) {
+	st.d.mu.Lock()
+	defer st.d.mu.Unlock()
+	for _, t := range ts {
+		st.staged = append(st.staged, st.d.intern(t))
+	}
 }
 
 // Build finalizes the store: triples are deduplicated, both index orders
@@ -260,7 +280,7 @@ func (st *Store) Term(id NodeID) rdf.Term { return st.terms[id] }
 // after this snapshot was taken (by a Patch on a derived store) are
 // reported as absent — they cannot occur in this snapshot's triples.
 func (st *Store) TermID(t rdf.Term) (NodeID, bool) {
-	id, ok := st.d.lookupTerm(t.Key())
+	id, ok := st.d.lookupTerm(t)
 	if !ok || int(id) >= len(st.terms) {
 		return 0, false
 	}

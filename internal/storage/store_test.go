@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -125,6 +126,37 @@ func TestLiteralAndIRIDistinct(t *testing.T) {
 	}
 	if st.Term(lit).Kind != rdf.Literal || st.Term(iri).Kind != rdf.IRI {
 		t.Fatal("decode kind mismatch")
+	}
+	// The snapshot codec rebuilds both id maps: same ids, same kinds.
+	var buf bytes.Buffer
+	if err := st.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshotBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := got.TermID(rdf.NewLiteral("70063")); !ok || id != lit {
+		t.Fatalf("decoded literal id = %d (%v), want %d", id, ok, lit)
+	}
+	if id, ok := got.TermID(rdf.NewIRI("70063")); !ok || id != iri {
+		t.Fatalf("decoded IRI id = %d (%v), want %d", id, ok, iri)
+	}
+}
+
+// A dictionary lookup is keyed by the term's own Value: no key string is
+// built, found or not.
+func TestTermIDDoesNotAllocate(t *testing.T) {
+	st := mustStore(t, fig1a())
+	present, absent := fig1a()[0].S, rdf.NewLiteral("no such term")
+	if _, ok := st.TermID(present); !ok {
+		t.Fatal("fixture term missing")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		st.TermID(present)
+		st.TermID(absent)
+	}); n != 0 {
+		t.Fatalf("TermID allocates %.0f times per present+absent lookup, want 0", n)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"time"
 
 	"dualsim/internal/bitvec"
+	"dualsim/internal/core"
 	"dualsim/internal/engine"
 	"dualsim/internal/plan"
 	"dualsim/internal/prune"
+	"dualsim/internal/storage"
 	"dualsim/internal/trace"
 )
 
@@ -31,14 +33,15 @@ type OperatorStats = engine.OperatorStats
 
 // compile is the one place the session turns (store, query) into an
 // execution: the Volcano iterator tree of the cost-based plan, under the
-// session's memory budget. On an oracle session (WithEngine(IndexNL)) the
-// oracle's materialized answer stands behind the same cursor type, so
+// session's memory budget, reading st through filter when the pipeline
+// pruned (nil: st as it is). On an oracle session (WithEngine(IndexNL))
+// the oracle's materialized answer stands behind the same cursor type, so
 // Exec, Stream, Explain and Evaluate need no second path for it.
-func (db *DB) compile(st *Store, q *Query) (*engine.Exec, error) {
+func (db *DB) compile(st *Store, filter storage.Filter, q *Query) (*engine.Exec, error) {
 	if db.set.engine != Volcano {
 		return engine.AsExec(db.set.engine.engine(), st, q), nil
 	}
-	ex, err := engine.Compile(st, q, plan.Options{})
+	ex, err := engine.Compile(st, q, plan.Options{Filter: filter})
 	if err != nil {
 		return nil, err
 	}
@@ -51,17 +54,21 @@ func (db *DB) compile(st *Store, q *Query) (*engine.Exec, error) {
 // Stream runs the session's pipeline for this query and returns a cursor
 // over its rows. The pipeline is fixed: install the fingerprint-lifted
 // solver bounds (when the session has a fingerprint), solve the system of
-// inequalities and prune the store to the surviving triples (when pruning
-// is on), then compile the query against what is left. Those steps run
-// eagerly, here; the rows are computed incrementally as the caller pulls
-// them. A nil ctx is treated as context.Background(). Cancellation and
+// inequalities and mark the surviving triples (when pruning is on), then
+// compile the query against the store seen through that solution: the
+// candidate sets χ filter every triple the executor reads, the kept-triple
+// masks are its leaf scans, the adjacency the solver cached its posting
+// lists — no pruned copy of the store is built. Those steps run eagerly,
+// here; the rows are computed as the caller pulls them, and the pooled χ
+// rows are recycled when the cursor finishes (exhaustion, Close, error).
+// A nil ctx is treated as context.Background(). Cancellation and
 // deadlines interrupt the solver between inequality evaluations and the
 // executor between row batches.
 //
 // Stats is usable immediately for the epoch and the pre-evaluation
 // stages; the evaluation stage's numbers and the operator counters
 // finalize when the cursor is exhausted or closed.
-func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
+func (pq *PreparedQuery) Stream(ctx context.Context) (rows *Rows, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -82,7 +89,17 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 	parent := trace.SpanFromContext(ctx)
 	begin := time.Now()
 
-	target := full                  // what the evaluation reads
+	// What the evaluation reads: target through filter. rel owns the χ
+	// rows the filter aliases; it goes to the cursor, or back to the
+	// solver pool on every return without one.
+	target := full
+	var filter storage.Filter
+	var rel *core.QueryRelation
+	defer func() {
+		if rows == nil {
+			rel.Release()
+		}
+	}()
 	var restrict [][]*bitvec.Vector // solver bounds handed from fingerprint to prune
 	steps := [...]struct {
 		name string
@@ -105,14 +122,10 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 			return nil
 		}},
 		{"prune", pq.db.set.pruning, func(ctx context.Context, ss *StageStats) error {
-			rel, err := pq.plan.SolveRestricted(ctx, pq.db.set.coreConfig(), restrict)
-			if err != nil {
+			var err error
+			if rel, err = pq.plan.SolveRestricted(ctx, pq.db.set.coreConfig(), restrict); err != nil {
 				return err
 			}
-			// The solved relation's χ rows live in the plan's solver pool;
-			// once the pruned store is materialized only scalars escape, so
-			// they are recycled before the evaluation starts.
-			defer rel.Release()
 			stats.Solver = Stats{
 				Rounds:      rel.Stats.Rounds,
 				Evaluations: rel.Stats.Evaluations,
@@ -125,7 +138,13 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 			}
 			stats.TriplesAfter = p.Kept
 			ss.In, ss.Out = p.Total, p.Kept
-			target = p.Store()
+			if pq.db.set.engine != Volcano {
+				// An oracle evaluates the materialized pruned store: it is
+				// what the filtered execution is checked against.
+				target = p.Store()
+			} else {
+				filter = p.Filter()
+			}
 			return nil
 		}},
 	}
@@ -161,7 +180,7 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 
 	eval := time.Now()
 	sp := parent.StartChild("evaluate")
-	ex, err := pq.db.compile(target, pq.q)
+	ex, err := pq.db.compile(target, filter, pq.q)
 	if err == nil {
 		if parent != nil {
 			// A traced execution pays for per-operator clocks; the default
@@ -177,7 +196,7 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 		sp.End()
 		return nil, err
 	}
-	return &Rows{ex: ex, st: full, stats: stats, begin: begin, eval: eval, in: target.NumTriples(), sp: sp}, nil
+	return &Rows{ex: ex, st: full, rel: rel, stats: stats, begin: begin, eval: eval, in: stats.TriplesAfter, sp: sp}, nil
 }
 
 // Exec is Stream drained: it runs the same pipeline and materializes the
@@ -188,13 +207,17 @@ func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, *ExecStats, error) 
 		return nil, nil, err
 	}
 	defer rows.Close()
+	// A prepared query is pinned to one snapshot, so its row count repeats:
+	// the slice is sized by the last drain and grows only on the first.
 	res := engine.NewResult(rows.Vars()...)
+	res.Rows = make([][]storage.NodeID, 0, pq.lastRows.Load())
 	for rows.Next() {
 		res.Rows = append(res.Rows, rows.Row())
 	}
 	if err := rows.Err(); err != nil {
 		return nil, nil, err
 	}
+	pq.lastRows.Store(int64(len(res.Rows)))
 	return res, rows.Stats(), nil
 }
 
@@ -215,6 +238,9 @@ func attachOperatorSpans(sp *trace.Span, ops []OperatorStats) {
 			s.Attrs = map[string]string{"detail": op.Detail}
 		}
 		s.Counters = map[string]int64{"rows": op.Rows, "nextCalls": op.NextCalls}
+		if op.Filtered > 0 {
+			s.Counters["filtered"] = op.Filtered
+		}
 		if op.EstRows > 0 {
 			s.Counters["estRows"] = int64(op.EstRows)
 		}

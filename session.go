@@ -292,6 +292,7 @@ type PreparedQuery struct {
 	fpTightest int                // smallest lifted candidate-set size (fingerprint stage's Out)
 	fprint     stats.Fingerprint  // normalized statement identity, computed once at Prepare
 	prep       PrepareStats
+	lastRows   atomic.Int64 // rows of the last drained Exec: the next one's capacity
 }
 
 // Fingerprint returns the query's normalized statement fingerprint: the
@@ -549,7 +550,7 @@ func (db *DB) Evaluate(ctx context.Context, st *Store, q *Query) (*Result, error
 	if err := requireStore(st); err != nil {
 		return nil, err
 	}
-	ex, err := db.compile(st, q)
+	ex, err := db.compile(st, nil, q)
 	if err != nil {
 		return nil, err
 	}

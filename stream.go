@@ -3,6 +3,7 @@ package dualsim
 import (
 	"time"
 
+	"dualsim/internal/core"
 	"dualsim/internal/engine"
 	"dualsim/internal/storage"
 	"dualsim/internal/trace"
@@ -19,8 +20,12 @@ import (
 // Close when done (Close is idempotent and implied by exhaustion).
 // A Rows is single-goroutine; concurrent executions each call Stream.
 type Rows struct {
-	ex    *engine.Exec
-	st    *Store // decode dictionary of the pinned snapshot
+	ex *engine.Exec
+	st *Store // decode dictionary of the pinned snapshot
+	// rel is the solved relation whose χ rows ex reads through its filter
+	// (nil when the pipeline did not prune). finish returns them to the
+	// solver pool, so ex must not be pulled afterwards: Next checks done.
+	rel   *core.QueryRelation
 	stats *ExecStats
 	begin time.Time   // Stream entry, for the end-to-end duration
 	eval  time.Time   // evaluate-stage start (before compile), for its StageStats
@@ -89,11 +94,12 @@ func (r *Rows) Stats() *ExecStats {
 	return r.stats
 }
 
-// finish seals the stats: the evaluation StageStats, the operator
-// counters and the end-to-end duration.
+// finish seals the stats — the evaluation StageStats, the operator
+// counters and the end-to-end duration — and releases the solved relation.
 func (r *Rows) finish() {
 	r.done = true
 	r.row = nil
+	r.rel.Release()
 	r.stats.Stages = append(r.stats.Stages, StageStats{
 		Name:     "evaluate",
 		Duration: time.Since(r.eval),
