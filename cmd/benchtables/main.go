@@ -6,19 +6,14 @@
 //	benchtables -table 4          # Volcano executor, full vs. pruned
 //	benchtables -table 5          # index-nested-loop oracle, full vs. pruned
 //	benchtables -table iters      # SOI convergence shapes (§5.3)
-//	benchtables -table updates    # live-update layer (apply / re-query / compact)
-//	benchtables -table serving    # loopback HTTP serving (p50/p95, hit rate, shed)
-//	benchtables -table persist    # durability layer (snapshot MB/s, WAL replay, cold boot)
-//	benchtables -table cluster    # scale-out (router fan-out p50/p95, replica catch-up)
-//	benchtables -table planner    # cost-based planner ablations + streamed first-row p50
-//	benchtables -table trace      # tracing overhead (untraced vs ?trace=1 p50/p95)
-//	benchtables -table stats      # workload statistics overhead (accounting off vs on, scrape cost)
+//	benchtables -table orders     # heuristic vs. random inequality orders (§5.3), in evaluations
 //	benchtables -table all
 //
 // Scale knobs: -universities (LUBM-like), -kgscale (DBpedia-like), -seed,
 // -repeats (timing repetitions, minimum is reported). -json FILE
 // additionally dumps every computed table as a JSON report (durations in
-// nanoseconds) — the machine-readable artifact CI archives per PR.
+// nanoseconds). The serving layers (plan cache, HTTP, WAL, router) are
+// measured by the benchmark module under benchmark/, not here.
 package main
 
 import (
@@ -33,7 +28,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "comma-separated tables to regenerate: 2, 3, 4, 5, iters, orders, throughput, updates, serving, persist, cluster, planner, trace, stats, all")
+	table := flag.String("table", "all", "comma-separated tables to regenerate: 2, 3, 4, 5, iters, orders, all")
 	universities := flag.Int("universities", 3, "LUBM-like scale (number of universities)")
 	kgScale := flag.Int("kgscale", 1, "DBpedia-like scale factor")
 	seed := flag.Int64("seed", 42, "generator seed")
@@ -64,15 +59,13 @@ func run(table string, universities, kgScale int, seed int64, repeats int, jsonP
 	// typo must fail loudly, not silently produce a partial report.
 	known := map[string]bool{
 		"all": true, "2": true, "3": true, "4": true, "5": true,
-		"iters": true, "orders": true, "throughput": true, "updates": true,
-		"serving": true, "persist": true, "cluster": true, "planner": true,
-		"trace": true, "stats": true,
+		"iters": true, "orders": true,
 	}
 	wanted := make(map[string]bool)
 	for _, t := range strings.Split(table, ",") {
 		name := strings.TrimSpace(t)
 		if !known[name] {
-			return fmt.Errorf("unknown table %q (want 2, 3, 4, 5, iters, orders, throughput, updates, serving, persist, cluster, planner, trace, stats or all)", name)
+			return fmt.Errorf("unknown table %q (want 2, 3, 4, 5, iters, orders or all)", name)
 		}
 		wanted[name] = true
 	}
@@ -142,88 +135,8 @@ func run(table string, universities, kgScale int, seed int64, repeats int, jsonP
 		fmt.Println()
 		rep.Tables["iters"] = rows
 	}
-	if want("throughput") {
-		fmt.Println("Throughput: cold vs. cached serving path (plan cache + pooled execution, seconds)")
-		rows, err := bench.Throughput(d, repeats)
-		if err != nil {
-			return err
-		}
-		bench.RenderThroughput(os.Stdout, rows)
-		fmt.Println()
-		rep.Tables["throughput"] = rows
-	}
-	if want("updates") {
-		fmt.Println("Updates: live-update layer (apply latency, epoch-miss re-query, compaction, seconds)")
-		rows, err := bench.Updates(d, repeats)
-		if err != nil {
-			return err
-		}
-		bench.RenderUpdates(os.Stdout, rows)
-		fmt.Println()
-		rep.Tables["updates"] = rows
-	}
-	if want("serving") {
-		fmt.Println("Serving: loopback HTTP load (concurrent clients + interleaved applies, seconds)")
-		rows, err := bench.Serving(d, repeats)
-		if err != nil {
-			return err
-		}
-		bench.RenderServing(os.Stdout, rows)
-		fmt.Println()
-		rep.Tables["serving"] = rows
-	}
-	if want("trace") {
-		fmt.Println("Trace: tracing overhead on the serving path (untraced vs ?trace=1 p50/p95)")
-		rows, err := bench.Trace(d, repeats)
-		if err != nil {
-			return err
-		}
-		bench.RenderTrace(os.Stdout, rows)
-		fmt.Println()
-		rep.Tables["trace"] = rows
-	}
-	if want("stats") {
-		fmt.Println("Stats: workload statistics overhead on the serving path (accounting off vs on p50/p95)")
-		rows, err := bench.Stats(d, repeats)
-		if err != nil {
-			return err
-		}
-		bench.RenderStats(os.Stdout, rows)
-		fmt.Println()
-		rep.Tables["stats"] = rows
-	}
-	if want("persist") {
-		fmt.Println("Persist: durability layer (snapshot save/load, cold boot vs. re-parse, WAL rates)")
-		rows, err := bench.Persist(d, repeats)
-		if err != nil {
-			return err
-		}
-		bench.RenderPersist(os.Stdout, rows)
-		fmt.Println()
-		rep.Tables["persist"] = rows
-	}
-	if want("cluster") {
-		fmt.Println("Cluster: scatter-gather router over 2 shards + replica WAL catch-up")
-		rows, err := bench.Cluster(d, repeats)
-		if err != nil {
-			return err
-		}
-		bench.RenderCluster(os.Stdout, rows)
-		fmt.Println()
-		rep.Tables["cluster"] = rows
-	}
-	if want("planner") {
-		fmt.Println("Planner: cost-based ablations (reorder, pushdown) + streamed first-row p50 (seconds)")
-		rows, err := bench.Planner(d, repeats)
-		if err != nil {
-			return err
-		}
-		bench.RenderPlanner(os.Stdout, rows)
-		fmt.Println()
-		rep.Tables["planner"] = rows
-	}
 	if want("orders") {
-		fmt.Println("Order-space search (§5.3 brute-force analysis), 40 random orders")
+		fmt.Println("Order-space search (§5.3 brute-force analysis): inequality evaluations over 40 random orders")
 		rows, err := bench.OrderSearch(d, 40, seed)
 		if err != nil {
 			return err

@@ -6,8 +6,6 @@
 //	dualsim -data db.nt -q '…' -mode simulate                           # candidate sets
 //	dualsim -data db.nt -q '…' -limit 20                                # first 20 result rows
 //	dualsim -data db.nt -q '…' -prune -fingerprint 2 -timeout 30s       # full pipeline, bounded
-//	dualsim -data db.nt -q '…' -repeat 100                              # serve repeats via the plan cache
-//	dualsim -data db.nt -query batch.rq -batch                          # batched concurrent execution
 //	dualsim -data db.nt -q '…' -apply new.nt -del gone.nt               # live update: query, apply, re-query
 //	dualsim -top -server http://localhost:8080 -interval 2s             # live workload statistics view
 //
@@ -17,12 +15,6 @@
 //	simulate  print per-variable dual simulation candidate counts
 //	prune     print pruning statistics; with -out, dump the pruned store
 //	analyze   print the query's structural analysis (no -data needed)
-//
-// -repeat n executes the query n times through the session's plan cache
-// (capacity -plancache) and reports steady-state serving latency plus
-// cache traffic. -batch treats the query input as several queries
-// separated by lines containing only ";" and fans them across the
-// session's batch worker pool.
 //
 // -apply and -del read N-Triples files as a live delta: the query runs
 // once against the loaded store (epoch 0), the delta is applied —
@@ -42,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"dualsim"
@@ -60,10 +51,6 @@ func main() {
 	fingerprintK := flag.Int("fingerprint", 0, "with -prune: pre-filter via a k-bounded bisimulation fingerprint (0 = off)")
 	workers := flag.Int("workers", 0, "parallelize bit-matrix multiplications over this many goroutines")
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = no deadline)")
-	repeat := flag.Int("repeat", 1, "evaluate mode: execute the query this many times through the plan cache")
-	batch := flag.Bool("batch", false, "treat the query input as ';'-separated queries and execute them concurrently")
-	planCache := flag.Int("plancache", 64, "LRU plan cache capacity for -repeat/-batch (0 disables)")
-	batchWorkers := flag.Int("batchworkers", 0, "batch pool width (0 = GOMAXPROCS)")
 	applyFile := flag.String("apply", "", "N-Triples file of triples to add as a live delta after the first run")
 	delFile := flag.String("del", "", "N-Triples file of triples to delete as a live delta after the first run")
 	compactAt := flag.Int("compactat", 0, "auto-compact the update overlay at this ledger size (0 = manual)")
@@ -97,9 +84,7 @@ func main() {
 		data: *data, queryFile: *queryFile, queryText: *queryText,
 		mode: *mode, limit: *limit, out: *out,
 		prune: *doPrune, fingerprintK: *fingerprintK, workers: *workers,
-		repeat: *repeat, batch: *batch, planCache: *planCache,
-		batchWorkers: *batchWorkers,
-		applyFile:    *applyFile, delFile: *delFile, compactAt: *compactAt,
+		applyFile: *applyFile, delFile: *delFile, compactAt: *compactAt,
 	}
 	// Every failure — parse, exec, apply, I/O — exits non-zero with the
 	// error on stderr; a clean run exits 0. TestMainExitCodes pins this
@@ -119,10 +104,6 @@ type cliConfig struct {
 	prune                      bool
 	fingerprintK               int
 	workers                    int
-	repeat                     int
-	batch                      bool
-	planCache                  int
-	batchWorkers               int
 	applyFile, delFile         string
 	compactAt                  int
 }
@@ -139,25 +120,15 @@ func run(ctx context.Context, cfg cliConfig) error {
 		}
 		src = string(b)
 	}
-	// The batch and repeat paths hand raw text to the session (ExecBatch /
-	// the plan cache parse it there); every other path parses here.
-	repeatServe := cfg.mode == "evaluate" && cfg.repeat > 1
 	liveUpdate := cfg.applyFile != "" || cfg.delFile != ""
-	if liveUpdate && (cfg.batch || repeatServe || cfg.mode != "evaluate") {
-		return fmt.Errorf("-apply/-del run the query-update-requery flow; they require the plain evaluate mode (no -batch, no -repeat)")
+	if liveUpdate && cfg.mode != "evaluate" {
+		return fmt.Errorf("-apply/-del run the query-update-requery flow; they require the evaluate mode")
 	}
-	var q *dualsim.Query
-	if !cfg.batch && !repeatServe {
-		var err error
-		q, err = dualsim.ParseQuery(src)
-		if err != nil {
-			return err
-		}
+	q, err := dualsim.ParseQuery(src)
+	if err != nil {
+		return err
 	}
 	if cfg.mode == "analyze" {
-		if cfg.batch {
-			return fmt.Errorf("-batch is an execution mode; analyze one query at a time")
-		}
 		return runAnalyze(q)
 	}
 
@@ -183,12 +154,6 @@ func run(ctx context.Context, cfg cliConfig) error {
 	}
 	defer db.Close()
 
-	if cfg.batch {
-		if cfg.mode != "evaluate" {
-			return fmt.Errorf("-batch requires the evaluate mode")
-		}
-		return runBatch(ctx, db, src, cfg.limit)
-	}
 	switch cfg.mode {
 	case "simulate":
 		return runSimulate(ctx, db, q)
@@ -197,9 +162,6 @@ func run(ctx context.Context, cfg cliConfig) error {
 	case "evaluate":
 		if liveUpdate {
 			return runLiveUpdate(ctx, db, src, cfg)
-		}
-		if repeatServe {
-			return runRepeat(ctx, db, src, cfg.repeat, cfg.limit)
 		}
 		return runEvaluate(ctx, db, q, cfg.limit)
 	default:
@@ -265,9 +227,16 @@ func runLiveUpdate(ctx context.Context, db *dualsim.DB, src string, cfg cliConfi
 	return nil
 }
 
+// liveUpdatePlanCache is the plan cache the -apply/-del flow re-queries
+// through; its epoch-scoped keys force the re-plan the flow reports.
+const liveUpdatePlanCache = 64
+
 // openSession maps the flags onto session options.
 func openSession(st *dualsim.Store, cfg cliConfig) (*dualsim.DB, error) {
-	opts := []dualsim.Option{dualsim.WithPruning(cfg.prune || cfg.mode == "prune")}
+	opts := []dualsim.Option{
+		dualsim.WithPruning(cfg.prune || cfg.mode == "prune"),
+		dualsim.WithPlanCache(liveUpdatePlanCache),
+	}
 	if cfg.workers > 0 {
 		opts = append(opts, dualsim.WithWorkers(cfg.workers))
 	}
@@ -277,104 +246,10 @@ func openSession(st *dualsim.Store, cfg cliConfig) (*dualsim.DB, error) {
 		}
 		opts = append(opts, dualsim.WithFingerprint(cfg.fingerprintK))
 	}
-	if cfg.planCache > 0 {
-		opts = append(opts, dualsim.WithPlanCache(cfg.planCache))
-	}
-	if cfg.batchWorkers > 0 {
-		opts = append(opts, dualsim.WithBatchWorkers(cfg.batchWorkers))
-	}
 	if cfg.compactAt > 0 {
 		opts = append(opts, dualsim.WithCompactionThreshold(cfg.compactAt))
 	}
 	return dualsim.Open(st, opts...)
-}
-
-// splitBatch splits a batch file into query texts at lines containing
-// only ";" (surrounding whitespace allowed).
-func splitBatch(src string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if s := strings.TrimSpace(cur.String()); s != "" {
-			out = append(out, s)
-		}
-		cur.Reset()
-	}
-	for _, line := range strings.Split(src, "\n") {
-		if strings.TrimSpace(line) == ";" {
-			flush()
-			continue
-		}
-		cur.WriteString(line)
-		cur.WriteByte('\n')
-	}
-	flush()
-	return out
-}
-
-// runBatch executes the ';'-separated queries of src concurrently over
-// the session's batch pool, collecting per-request outcomes.
-func runBatch(ctx context.Context, db *dualsim.DB, src string, limit int) error {
-	srcs := splitBatch(src)
-	if len(srcs) == 0 {
-		return fmt.Errorf("batch input contains no queries")
-	}
-	reqs := make([]dualsim.BatchRequest, len(srcs))
-	for i, s := range srcs {
-		reqs[i] = dualsim.BatchRequest{Src: s}
-	}
-	start := time.Now()
-	out, err := db.ExecBatch(ctx, reqs)
-	if err != nil {
-		return err
-	}
-	failed := 0
-	for i, r := range out {
-		if r.Err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "[%d] error: %v\n", i, r.Err)
-			continue
-		}
-		hit := ""
-		if r.Stats.CacheHit {
-			hit = " (cached plan)"
-		}
-		fmt.Fprintf(os.Stderr, "[%d] %d results in %v%s\n",
-			i, r.Result.Len(), r.Stats.Duration.Round(time.Microsecond), hit)
-		printRows(r.Result, db.Store(), limit)
-	}
-	fmt.Fprintf(os.Stderr, "batch: %d queries (%d failed) in %v\n",
-		len(out), failed, time.Since(start).Round(time.Microsecond))
-	if failed > 0 {
-		return fmt.Errorf("%d of %d batch queries failed", failed, len(out))
-	}
-	return nil
-}
-
-// runRepeat serves the query n times through the plan cache and reports
-// steady-state latency plus cache traffic.
-func runRepeat(ctx context.Context, db *dualsim.DB, src string, n, limit int) error {
-	var last *dualsim.Result
-	var total, best time.Duration
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		res, _, err := db.Query(ctx, src)
-		if err != nil {
-			return err
-		}
-		d := time.Since(start)
-		total += d
-		if i == 0 || d < best {
-			best = d
-		}
-		last = res
-	}
-	cs := db.CacheStats()
-	fmt.Fprintf(os.Stderr, "%d executions in %v (avg %v, best %v); plan cache: %d hits, %d misses, %d plans built\n",
-		n, total.Round(time.Microsecond), (total / time.Duration(n)).Round(time.Microsecond),
-		best.Round(time.Microsecond), cs.Hits, cs.Misses, db.PlanBuilds())
-	printRows(last, db.Store(), limit)
-	return nil
 }
 
 // printRows renders up to limit result rows (0 = all).

@@ -102,57 +102,6 @@ func TestRunQueryFromFile(t *testing.T) {
 	}
 }
 
-func TestRunRepeatMode(t *testing.T) {
-	data := fixture(t)
-	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate",
-		repeat: 5, planCache: 4, limit: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Parse errors surface through the serving path too.
-	if err := do(t, cliConfig{data: data, queryText: "SELECT broken", mode: "evaluate",
-		repeat: 3, planCache: 4}); err == nil {
-		t.Fatal("repeat mode accepted a broken query")
-	}
-}
-
-func TestRunBatchMode(t *testing.T) {
-	data := fixture(t)
-	qf := filepath.Join(t.TempDir(), "batch.rq")
-	batch := queries.QueryX1 + "\n;\n" + queries.QueryX2 + "\n;\n"
-	if err := os.WriteFile(qf, []byte(batch), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := do(t, cliConfig{data: data, queryFile: qf, mode: "evaluate",
-		batch: true, planCache: 4, batchWorkers: 2, limit: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// A failing query inside the batch surfaces as an error after the
-	// rest completed.
-	bad := queries.QueryX1 + "\n;\nSELECT broken\n"
-	if err := os.WriteFile(qf, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := do(t, cliConfig{data: data, queryFile: qf, mode: "evaluate",
-		batch: true}); err == nil {
-		t.Fatal("batch with a broken query reported success")
-	}
-	// Batch is evaluate-only.
-	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "prune",
-		batch: true}); err == nil {
-		t.Fatal("batch accepted a non-evaluate mode")
-	}
-}
-
-func TestSplitBatch(t *testing.T) {
-	got := splitBatch("a\nb\n ; \nc\n;\n\n;\n")
-	if len(got) != 2 || got[0] != "a\nb" || got[1] != "c" {
-		t.Fatalf("splitBatch = %q", got)
-	}
-	if got := splitBatch("\n;\n \n"); len(got) != 0 {
-		t.Fatalf("empty batch = %q", got)
-	}
-}
-
 func TestRunAnalyzeMode(t *testing.T) {
 	// analyze needs no data file.
 	if err := do(t, cliConfig{queryText: queries.QueryX3, mode: "analyze"}); err != nil {
@@ -240,12 +189,26 @@ func TestMainExitCodes(t *testing.T) {
 			t.Errorf("%s: error not printed to stderr, got %q", c.name, stderr)
 		}
 	}
+}
 
-	// The evaluator is not selectable: -engine is gone, so passing it is a
-	// flag-parse error (exit 2), not a silently ignored knob.
-	code, stderr = cli(t, "-data", data, "-q", queries.QueryX1, "-engine", "index")
-	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -engine") {
-		t.Errorf("-engine: exit %d, stderr %q; want a flag-parse error", code, stderr)
+// TestRetiredFlagsAreParseErrors pins the flags that are gone: the
+// evaluator is not selectable (-engine), and the benchmark drivers
+// (-repeat, -batch, -plancache, -batchworkers) are superseded by the
+// benchmark module. Passing one is a flag-parse error (exit 2), not a
+// silently ignored knob.
+func TestRetiredFlagsAreParseErrors(t *testing.T) {
+	data := fixture(t)
+	for _, flag := range [][2]string{
+		{"-engine", "index"},
+		{"-repeat", "3"},
+		{"-batch", "true"},
+		{"-plancache", "8"},
+		{"-batchworkers", "2"},
+	} {
+		code, stderr := cli(t, "-data", data, "-q", queries.QueryX1, flag[0]+"="+flag[1])
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flag[0]) {
+			t.Errorf("%s: exit %d, stderr %q; want a flag-parse error", flag[0], code, stderr)
+		}
 	}
 }
 
@@ -277,15 +240,14 @@ func TestRunLiveUpdate(t *testing.T) {
 	})
 	if err := do(t, cliConfig{
 		data: data, queryText: queries.QueryX1, mode: "evaluate",
-		planCache: 8, applyFile: apply, delFile: del,
+		applyFile: apply, delFile: del,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// -apply with -repeat is rejected.
+	// -apply outside the evaluate mode is rejected.
 	if err := do(t, cliConfig{
-		data: data, queryText: queries.QueryX1, mode: "evaluate",
-		planCache: 8, repeat: 3, applyFile: apply,
+		data: data, queryText: queries.QueryX1, mode: "prune", applyFile: apply,
 	}); err == nil {
-		t.Fatal("-apply with -repeat was accepted")
+		t.Fatal("-apply with -mode prune was accepted")
 	}
 }

@@ -11,14 +11,14 @@
 //	Table 5 — the same on the index-nested-loop oracle (the Virtuoso
 //	          stand-in);
 //	Iters   — per-query SOI rounds, the §5.3 convergence discussion
-//	          (L0 slow / L1 two-iteration shape).
-//
-// Beyond the paper, Throughput measures the serving layer (plan cache +
-// pooled execution) in the repeated-workload regime the ROADMAP targets.
+//	          (L0 slow / L1 two-iteration shape);
+//	Orders  — heuristic vs. best vs. worst of random inequality orders,
+//	          the §5.3 brute-force remark, counted in evaluations.
 //
 // Absolute numbers differ from the paper (their testbed: 384 GB Xeon
 // server, billions of triples); the comparisons reproduce the paper's
-// qualitative shape. EXPERIMENTS.md records paper-vs-measured.
+// qualitative shape. The serving layers are measured by the benchmark
+// module under benchmark/, not here.
 package bench
 
 import (
@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"dualsim"
 	"dualsim/internal/baseline"
 	"dualsim/internal/core"
 	"dualsim/internal/datagen"
@@ -36,7 +35,6 @@ import (
 	"dualsim/internal/prune"
 	"dualsim/internal/queries"
 	"dualsim/internal/soi"
-	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
 )
 
@@ -294,214 +292,18 @@ func IterationShapes(d *Datasets) ([]IterRow, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Throughput: the serving layer (plan cache + pooled execution)
-
-// ThroughputRow reports repeated-workload serving metrics for one query:
-// the cost of a cold Query (parse + plan + execute) versus the
-// steady-state cached path, the repeated-traffic regime the ROADMAP's
-// serving goal cares about.
-//
-//dualsim:wire
-type ThroughputRow struct {
-	Query string `json:"query"`
-	// TCold is the first Query on a fresh session: full planning plus
-	// execution.
-	TCold time.Duration `json:"tCold"`
-	// THot is the steady-state cached Query (minimum over repeats): the
-	// plan comes from the LRU cache and the solver reuses pooled state.
-	THot time.Duration `json:"tHot"`
-	// Hits is the cache hit count accumulated over the hot runs.
-	Hits int64 `json:"hits"`
-}
-
-// Speedup returns TCold / THot.
-func (r ThroughputRow) Speedup() float64 {
-	if r.THot <= 0 {
-		return 0
-	}
-	return float64(r.TCold) / float64(r.THot)
-}
-
-// Throughput measures the cached serving path for a representative query
-// subset (one per convergence class, as in the ablations).
-func Throughput(d *Datasets, repeats int) ([]ThroughputRow, error) {
-	var rows []ThroughputRow
-	for _, id := range []string{"L0", "L2", "B14", "B17"} {
-		spec, err := queries.ByID(id)
-		if err != nil {
-			return nil, err
-		}
-		db, err := dualsim.Open(d.StoreFor(spec), dualsim.WithPlanCache(4))
-		if err != nil {
-			return nil, err
-		}
-		row := ThroughputRow{Query: spec.ID}
-		start := time.Now()
-		if _, _, err := db.Query(context.Background(), spec.Text); err != nil {
-			return nil, err
-		}
-		row.TCold = time.Since(start)
-		var hotErr error
-		row.THot = timeIt(repeats, func() {
-			if _, _, err := db.Query(context.Background(), spec.Text); err != nil {
-				hotErr = err
-			}
-		})
-		if hotErr != nil {
-			return nil, hotErr
-		}
-		row.Hits = db.CacheStats().Hits
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RenderThroughput formats the throughput rows.
-func RenderThroughput(w io.Writer, rows []ThroughputRow) {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Query, Millis(r.TCold), Millis(r.THot),
-			fmt.Sprintf("%.1fx", r.Speedup()), fmt.Sprint(r.Hits),
-		})
-	}
-	WriteTable(w, []string{"Query", "t_cold", "t_hot_cached", "speedup", "cache_hits"}, cells)
-}
-
-// ---------------------------------------------------------------------------
-// Updates: the live-update layer (delta overlay + epoch snapshots)
-
-// UpdateRow reports the read/write serving metrics for one query: the
-// cost of a small Apply, the first Query after it (an epoch-keyed cache
-// miss: re-plan + execute on the new snapshot), the steady-state cached
-// Query between updates, and an on-demand compaction of the final state.
-//
-//dualsim:wire
-type UpdateRow struct {
-	Query string `json:"query"`
-	// THot is the cached Query with no intervening update (minimum over
-	// repeats) — the baseline the update costs compare against.
-	THot time.Duration `json:"tHot"`
-	// TApply is a two-triple Apply (one add, one delete), minimum over
-	// repeats: ledger staging plus per-predicate incremental re-indexing
-	// plus cache invalidation.
-	TApply time.Duration `json:"tApply"`
-	// TRequery is the first Query after an Apply: the epoch-scoped plan
-	// cache misses and the query re-plans against the new snapshot.
-	TRequery time.Duration `json:"tRequery"`
-	// TCompact is the on-demand compaction after all applies.
-	TCompact time.Duration `json:"tCompact"`
-	// Applies is the number of updates performed; OverlaySize the ledger
-	// size just before compaction.
-	Applies     int `json:"applies"`
-	OverlaySize int `json:"overlaySize"`
-}
-
-// Updates measures the live-update path for one query per dataset. The
-// applied triples use a dedicated upd: predicate, so query answers are
-// untouched while the maintenance machinery (dictionary growth,
-// predicate re-index, epoch swap, invalidation) runs at full cost.
-func Updates(d *Datasets, repeats int) ([]UpdateRow, error) {
-	ctx := context.Background()
-	var rows []UpdateRow
-	for _, id := range []string{"L0", "B14"} {
-		spec, err := queries.ByID(id)
-		if err != nil {
-			return nil, err
-		}
-		db, err := dualsim.Open(d.StoreFor(spec), dualsim.WithPlanCache(4))
-		if err != nil {
-			return nil, err
-		}
-		row := UpdateRow{Query: spec.ID}
-		if _, _, err := db.Query(ctx, spec.Text); err != nil {
-			return nil, err
-		}
-		var runErr error
-		row.THot = timeIt(repeats, func() {
-			if _, _, err := db.Query(ctx, spec.Text); err != nil {
-				runErr = err
-			}
-		})
-		seq := 0
-		nextDelta := func() dualsim.Delta {
-			seq++
-			return dualsim.Delta{
-				Adds: []dualsim.Triple{dualsim.T(fmt.Sprintf("upd:s%d", seq), "upd:edge", fmt.Sprintf("upd:o%d", seq))},
-				Dels: []dualsim.Triple{dualsim.T(fmt.Sprintf("upd:s%d", seq-1), "upd:edge", fmt.Sprintf("upd:o%d", seq-1))},
-			}
-		}
-		row.TApply = timeIt(repeats, func() {
-			if _, err := db.Apply(ctx, nextDelta()); err != nil {
-				runErr = err
-			}
-		})
-		// Each repeat applies first (untimed) so the timed Query is a
-		// guaranteed epoch-keyed cache miss; only the re-plan + execute
-		// is measured.
-		requeryReps := repeats
-		if requeryReps < 1 {
-			requeryReps = 1
-		}
-		for r := 0; r < requeryReps; r++ {
-			if _, err := db.Apply(ctx, nextDelta()); err != nil {
-				runErr = err
-				break
-			}
-			start := time.Now()
-			_, stats, err := db.Query(ctx, spec.Text)
-			elapsed := time.Since(start)
-			if err != nil {
-				runErr = err
-				break
-			}
-			if stats.CacheHit {
-				runErr = fmt.Errorf("bench: post-update query hit a stale plan (%s)", spec.ID)
-				break
-			}
-			if r == 0 || elapsed < row.TRequery {
-				row.TRequery = elapsed
-			}
-		}
-		row.Applies = seq
-		row.OverlaySize = db.OverlaySize()
-		start := time.Now()
-		if _, err := db.Compact(ctx); err != nil {
-			return nil, err
-		}
-		row.TCompact = time.Since(start)
-		if runErr != nil {
-			return nil, runErr
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RenderUpdates formats the update rows.
-func RenderUpdates(w io.Writer, rows []UpdateRow) {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Query, Millis(r.THot), Millis(r.TApply), Millis(r.TRequery),
-			Millis(r.TCompact), fmt.Sprint(r.Applies), fmt.Sprint(r.OverlaySize),
-		})
-	}
-	WriteTable(w, []string{"Query", "t_hot_cached", "t_apply", "t_requery", "t_compact", "applies", "overlay"}, cells)
-}
-
-// ---------------------------------------------------------------------------
 // Order-space search (§5.3 brute-force analysis)
 
-// OrderRow reports the round-count spread over random inequality orders
-// for one query's mandatory core.
+// OrderRow reports the evaluation-count spread over random inequality
+// orders for one query's mandatory core. Every order reaches the same
+// fixpoint (the largest solution is unique); only the effort differs.
 //
 //dualsim:wire
 type OrderRow struct {
-	Query           string `json:"query"`
-	HeuristicRounds int    `json:"heuristicRounds"`
-	BestRounds      int    `json:"bestRounds"`
-	WorstRounds     int    `json:"worstRounds"`
+	Query                string `json:"query"`
+	HeuristicEvaluations int    `json:"heuristicEvaluations"`
+	BestEvaluations      int    `json:"bestEvaluations"`
+	WorstEvaluations     int    `json:"worstEvaluations"`
 }
 
 // OrderSearch reproduces the paper's §5.3 brute-force remark ("the
@@ -524,10 +326,10 @@ func OrderSearch(d *Datasets, trials int, seed int64) ([]OrderRow, error) {
 		sys := core.BuildSystem(st, pat, core.Config{})
 		stats := sys.SearchOrders(context.Background(), trials, seed, soi.Options{})
 		rows = append(rows, OrderRow{
-			Query:           spec.ID,
-			HeuristicRounds: stats.HeuristicRounds,
-			BestRounds:      stats.BestRounds,
-			WorstRounds:     stats.WorstRounds,
+			Query:                spec.ID,
+			HeuristicEvaluations: stats.HeuristicEvaluations,
+			BestEvaluations:      stats.BestEvaluations,
+			WorstEvaluations:     stats.WorstEvaluations,
 		})
 	}
 	return rows, nil
@@ -538,10 +340,10 @@ func RenderOrderSearch(w io.Writer, rows []OrderRow) {
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
-			r.Query, fmt.Sprint(r.HeuristicRounds), fmt.Sprint(r.BestRounds), fmt.Sprint(r.WorstRounds),
+			r.Query, fmt.Sprint(r.HeuristicEvaluations), fmt.Sprint(r.BestEvaluations), fmt.Sprint(r.WorstEvaluations),
 		})
 	}
-	WriteTable(w, []string{"Query", "heuristic_rounds", "best_rounds", "worst_rounds"}, cells)
+	WriteTable(w, []string{"Query", "heuristic_evaluations", "best_evaluations", "worst_evaluations"}, cells)
 }
 
 // ---------------------------------------------------------------------------
@@ -641,20 +443,4 @@ func DatasetSummary(w io.Writer, d *Datasets) {
 		d.LUBM.NumTriples(), d.LUBM.NumNodes(), d.LUBM.NumPreds())
 	fmt.Fprintf(w, "DBpedia-like: %d triples, %d nodes, %d predicates\n",
 		d.KG.NumTriples(), d.KG.NumNodes(), d.KG.NumPreds())
-}
-
-// StripOptionalQuery builds the Table 2 input for one spec (exported for
-// the root-level benchmarks).
-func StripOptionalQuery(spec queries.Spec) (*core.Pattern, error) {
-	return queries.ToPattern(queries.StripOptional(spec.Query().Expr))
-}
-
-// ParseAll is a convenience guard used by tests: every spec must parse.
-func ParseAll() error {
-	for _, s := range queries.All() {
-		if _, err := sparql.Parse(s.Text); err != nil {
-			return fmt.Errorf("%s: %w", s.ID, err)
-		}
-	}
-	return nil
 }

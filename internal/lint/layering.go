@@ -11,15 +11,14 @@ import (
 )
 
 // rootImporters are the only internal packages that may import the root
-// dualsim package: the serving layers built ON the session API, and the
-// benchmark tables that drive it. Everything else sits below the root
-// package and is imported BY it — an upward import is a cycle waiting
-// to happen and a sign that engine code grew a dependency on the API.
+// dualsim package: the serving layers built ON the session API.
+// Everything else sits below the root package and is imported BY it — an
+// upward import is a cycle waiting to happen and a sign that engine code
+// grew a dependency on the API.
 var rootImporters = []string{
 	"internal/server",
 	"internal/cluster",
 	"internal/wire",
-	"internal/bench",
 }
 
 // routerRoute is the one route the scatter-gather backend registers
@@ -43,7 +42,7 @@ var servingPackages = []string{
 //  1. the kernels import nothing upward — internal/bitvec imports no
 //     package of this module, internal/bitmat only internal/bitvec;
 //  2. no internal package imports the root dualsim package except the
-//     serving layers and bench (rootImporters);
+//     serving layers (rootImporters);
 //  3. internal/cluster/router registers no route but /v1/cluster and
 //     declares no ServeHTTP: the protocol's handlers live in
 //     internal/server, once;
@@ -53,7 +52,7 @@ var servingPackages = []string{
 var LayeringAnalyzer = &analysis.Analyzer{
 	Name: "layering",
 	Doc: "pin import direction (kernels import nothing upward; internal/* does not import the root package " +
-		"except server, cluster, wire, bench), keep protocol handlers out of internal/cluster/router " +
+		"except server, cluster, wire), keep protocol handlers out of internal/cluster/router " +
 		"and oracles out of the serving packages",
 	Run: runLayering,
 }
@@ -72,7 +71,7 @@ func runLayering(pass *analysis.Pass) error {
 			case inScope(path, "internal/bitmat") && target != Module+"/internal/bitvec":
 				pass.Reportf(imp.Pos(), "internal/bitmat imports %s; the bit-matrix kernel imports only internal/bitvec", target)
 			case target == Module && inScope(path, "internal") && !inScope(path, rootImporters...):
-				pass.Reportf(imp.Pos(), "internal package imports the root %s package; only server, cluster, wire and bench sit above the session API", Module)
+				pass.Reportf(imp.Pos(), "internal package imports the root %s package; only server, cluster and wire sit above the session API", Module)
 			}
 		}
 	}

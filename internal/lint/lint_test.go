@@ -200,6 +200,7 @@ var layeringFixtures = []string{
 	"internal/plan/layering.go",
 	"internal/cluster/router/layering.go",
 	"internal/server/oracle.go",
+	"internal/bench/oracle.go",
 }
 
 func TestLayering(t *testing.T) {

@@ -1,10 +1,12 @@
-// Package bench is a layering fixture: the offline tables sit above the
-// session API and are where oracles belong, so the same references that
-// are flagged in internal/server draw no diagnostic here.
+// Package bench is a layering fixture: the offline tables are where
+// oracles belong, so the same references that are flagged in
+// internal/server draw no diagnostic here. The tables reproduce the
+// paper on the packages below the session API, so an import of the root
+// package is flagged like any other internal package's.
 package bench
 
 import (
-	"dualsim"
+	"dualsim" // want `internal package imports the root dualsim package; only server, cluster and wire sit above the session API`
 	"dualsim/internal/engine"
 )
 

@@ -282,7 +282,7 @@ func (l *Log) Checkpoint(st *storage.Store, epoch uint64) (CheckpointStats, erro
 // replay order, together with the last checkpoint epoch — the primary
 // side of WAL-streaming replication. The read runs under the log mutex,
 // so it can never observe a half-appended frame or race a checkpoint's
-// truncation (unlike ReadWALTail, which reads the file cold).
+// truncation.
 //
 // When afterEpoch predates the last checkpoint, the records bridging
 // the gap were truncated away and the caller cannot catch up from the

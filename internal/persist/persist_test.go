@@ -261,9 +261,9 @@ func TestCheckpointTruncatesWALAndPrunesSnapshots(t *testing.T) {
 	if _, err := lg2.AppendApply(5, []rdf.Triple{rdf.T("s5", "p", "o")}, nil); err != nil {
 		t.Fatal(err)
 	}
-	tail, err := ReadWALTail(dir, 4)
+	tail, _, err := lg2.TailSince(4)
 	if err != nil || len(tail) != 1 || tail[0].Epoch != 5 {
-		t.Fatalf("ReadWALTail: %v %v", tail, err)
+		t.Fatalf("TailSince: %v %v", tail, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"dualsim/internal/rdf"
 )
@@ -236,23 +235,6 @@ func scanWAL(path string) (recs []Record, goodLen int64, torn bool, err error) {
 		off += walFrameLen + int(n)
 	}
 	return recs, int64(off), torn, nil
-}
-
-// ReadWALTail returns the intact records with Epoch > afterEpoch, in log
-// order, without touching the file — the read-only half of recovery
-// (bench.Persist uses it to time replay in isolation).
-func ReadWALTail(dir string, afterEpoch uint64) ([]Record, error) {
-	recs, _, _, err := scanWAL(filepath.Join(dir, walName))
-	if err != nil {
-		return nil, err
-	}
-	tail := recs[:0]
-	for _, r := range recs {
-		if r.Epoch > afterEpoch {
-			tail = append(tail, r)
-		}
-	}
-	return tail, nil
 }
 
 // createWAL writes a fresh log containing only the header.

@@ -71,17 +71,12 @@ type Plan struct {
 	Filter storage.Filter
 }
 
-// Options tune the optimizer; the zero value enables everything.
+// Options carry what the optimizer plans against beyond the store.
 type Options struct {
-	// DisableReorder keeps basic graph patterns in written order — the
-	// baseline the planner benchmark compares against.
-	DisableReorder bool
-	// DisablePushdown leaves filters and LIMIT where the query wrote them.
-	DisablePushdown bool
-	// Filter is not a switch: it is the solved dual simulation the plan
-	// will execute through (prune.Pruning.Filter), when there is one. The
-	// planner then costs that view — each predicate's kept count and
-	// candidate-set sizes — and the executor reads the store through it.
+	// Filter is the solved dual simulation the plan will execute through
+	// (prune.Pruning.Filter), when there is one. The planner then costs
+	// that view — each predicate's kept count and candidate-set sizes —
+	// and the executor reads the store through it.
 	Filter storage.Filter
 }
 
@@ -136,30 +131,24 @@ func (b *builder) lowerBGP(bgp sparql.BGP) Node {
 	}
 	order := make([]int, 0, len(bgp))
 	bound := make(map[string]bool)
-	if b.opt.DisableReorder {
-		for i := range bgp {
-			order = append(order, i)
+	used := make([]bool, len(bgp))
+	for len(order) < len(bgp) {
+		best, bestCost, bestConnected := -1, 0.0, false
+		for i, tp := range bgp {
+			if used[i] {
+				continue
+			}
+			connected := len(bound) == 0 || sharesBound(tp, bound)
+			cost := b.estimateTP(tp, bound)
+			if best < 0 || (connected && !bestConnected) ||
+				(connected == bestConnected && cost < bestCost) {
+				best, bestCost, bestConnected = i, cost, connected
+			}
 		}
-	} else {
-		used := make([]bool, len(bgp))
-		for len(order) < len(bgp) {
-			best, bestCost, bestConnected := -1, 0.0, false
-			for i, tp := range bgp {
-				if used[i] {
-					continue
-				}
-				connected := len(bound) == 0 || sharesBound(tp, bound)
-				cost := b.estimateTP(tp, bound)
-				if best < 0 || (connected && !bestConnected) ||
-					(connected == bestConnected && cost < bestCost) {
-					best, bestCost, bestConnected = i, cost, connected
-				}
-			}
-			order = append(order, best)
-			used[best] = true
-			for _, v := range tpVars(bgp[best]) {
-				bound[v] = true
-			}
+		order = append(order, best)
+		used[best] = true
+		for _, v := range tpVars(bgp[best]) {
+			bound[v] = true
 		}
 	}
 
@@ -190,9 +179,6 @@ func (b *builder) lowerBGP(bgp sparql.BGP) Node {
 // lowerFilter pushes each top-level conjunct of cond as far down the tree
 // as is sound, leaving the rest in place.
 func (b *builder) lowerFilter(n Node, cond sparql.Condition) Node {
-	if b.opt.DisablePushdown {
-		return Filter{Input: n, Cond: cond}
-	}
 	for _, c := range sparql.Conjuncts(cond) {
 		n = b.pushFilter(n, c)
 	}
@@ -270,7 +256,7 @@ func canPushSide(cv map[string]bool, into, other Node) bool {
 // rows then still contain at least min(limit+offset, |full|) rows, so the
 // outer Limit produces a correct answer while each branch stops early.
 func (b *builder) lowerLimit(root Node, limit, offset int) Node {
-	if !b.opt.DisablePushdown && limit > 0 {
+	if limit > 0 {
 		if u, ok := root.(Union); ok {
 			k := limit + offset
 			root = pushLimitBranches(u, k)

@@ -9,32 +9,34 @@ import (
 // §5.3 remark: "From a brute force analysis we learn that the number of
 // iterations may be reduced by 16, but only resulting in half the time".
 // SearchOrders solves the system under many random inequality
-// permutations and reports the spread of round counts, quantifying how
-// much the evaluation order matters for a given query/database pair.
+// permutations and reports the spread of inequality evaluations — the
+// effort the paper's iterations count — quantifying how much the
+// evaluation order matters for a given query/database pair.
 
 // OrderStats summarizes an order-space search.
 type OrderStats struct {
-	Trials      int
-	BestRounds  int
-	WorstRounds int
-	// BestPermutation is the inequality permutation achieving BestRounds.
+	Trials           int
+	BestEvaluations  int
+	WorstEvaluations int
+	// BestPermutation is the inequality permutation achieving
+	// BestEvaluations.
 	BestPermutation []int
-	// HeuristicRounds is the round count of the default cheapest-first
-	// worklist, for comparison.
-	HeuristicRounds int
+	// HeuristicEvaluations is the evaluation count of the default
+	// cheapest-first worklist, for comparison.
+	HeuristicEvaluations int
 }
 
 // SearchOrders runs `trials` random permutations (deterministic in seed)
-// plus the built-in heuristic and reports the observed round counts. The
-// solution itself is identical in every case (the largest solution is
-// unique); only the effort differs.
+// plus the built-in heuristic and reports the observed evaluation
+// counts. The solution itself is identical in every case (the largest
+// solution is unique); only the effort differs.
 func (s *System) SearchOrders(ctx context.Context, trials int, seed int64, opts Options) OrderStats {
 	stats := OrderStats{Trials: trials}
 
 	heur := s.Solve(ctx, opts)
-	stats.HeuristicRounds = heur.Stats.Rounds
-	stats.BestRounds = heur.Stats.Rounds
-	stats.WorstRounds = heur.Stats.Rounds
+	stats.HeuristicEvaluations = heur.Stats.Evaluations
+	stats.BestEvaluations = heur.Stats.Evaluations
+	stats.WorstEvaluations = heur.Stats.Evaluations
 	heur.Release()
 
 	r := rand.New(rand.NewSource(seed))
@@ -47,14 +49,14 @@ func (s *System) SearchOrders(ctx context.Context, trials int, seed int64, opts 
 		o := opts
 		o.Permutation = append([]int(nil), perm...)
 		sol := s.Solve(ctx, o)
-		rounds := sol.Stats.Rounds
+		evals := sol.Stats.Evaluations
 		sol.Release()
-		if rounds < stats.BestRounds {
-			stats.BestRounds = rounds
+		if evals < stats.BestEvaluations {
+			stats.BestEvaluations = evals
 			stats.BestPermutation = append([]int(nil), perm...)
 		}
-		if rounds > stats.WorstRounds {
-			stats.WorstRounds = rounds
+		if evals > stats.WorstEvaluations {
+			stats.WorstEvaluations = evals
 		}
 	}
 	if stats.BestPermutation == nil {

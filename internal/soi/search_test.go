@@ -32,11 +32,11 @@ func TestSearchOrdersFindsSpread(t *testing.T) {
 	if stats.Trials != 30 {
 		t.Fatalf("trials = %d", stats.Trials)
 	}
-	if stats.BestRounds > stats.HeuristicRounds {
-		t.Fatalf("best %d > heuristic %d", stats.BestRounds, stats.HeuristicRounds)
+	if stats.BestEvaluations > stats.HeuristicEvaluations {
+		t.Fatalf("best %d > heuristic %d", stats.BestEvaluations, stats.HeuristicEvaluations)
 	}
-	if stats.BestRounds > stats.WorstRounds {
-		t.Fatalf("best %d > worst %d", stats.BestRounds, stats.WorstRounds)
+	if stats.BestEvaluations > stats.WorstEvaluations {
+		t.Fatalf("best %d > worst %d", stats.BestEvaluations, stats.WorstEvaluations)
 	}
 	if len(stats.BestPermutation) != s.NumIneqs() {
 		t.Fatalf("permutation length %d", len(stats.BestPermutation))

@@ -25,8 +25,9 @@ import (
 //	object raw
 //
 // Only the PSO order is stored; DecodeSnapshot rebuilds the POS order and
-// the distinct counts (newPredIndex) and the dictionary maps — still far cheaper than
-// re-parsing and re-interning an N-Triples dump (see bench.Persist).
+// the distinct counts (newPredIndex) and the dictionary maps — still far
+// cheaper than re-parsing and re-interning an N-Triples dump (the
+// benchmark's persist.coldboot_s row).
 
 // Sanity bounds for decoding untrusted bytes: a count beyond these is
 // corruption (the CRC upstream should have caught it), not a real store.

@@ -256,8 +256,8 @@ func attachOperatorSpans(sp *trace.Span, ops []OperatorStats) {
 // StageStats reports one pipeline stage of one execution.
 //
 // The JSON encoding (lowerCamel tags, durations in nanoseconds) is the
-// stable wire form served by dualsimd and archived by benchtables -json;
-// it does not follow Go field renames.
+// stable wire form served by dualsimd; it does not follow Go field
+// renames.
 //
 //dualsim:wire
 type StageStats struct {

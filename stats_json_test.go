@@ -12,8 +12,8 @@ import (
 )
 
 // TestStatsJSONFieldNames pins the wire-stable lowerCamel JSON keys of
-// the stats types served by dualsimd and archived by benchtables -json:
-// renaming a Go field must not silently rename the wire field.
+// the stats types served by dualsimd: renaming a Go field must not
+// silently rename the wire field.
 func TestStatsJSONFieldNames(t *testing.T) {
 	keysOf := func(v any) map[string]bool {
 		t.Helper()
