@@ -5,7 +5,7 @@
 //	dualsim -data db.nt -query q.rq -prune                              # pruned evaluation
 //	dualsim -data db.nt -q '…' -mode simulate                           # candidate sets
 //	dualsim -data db.nt -q '…' -limit 20                                # first 20 result rows
-//	dualsim -data db.nt -q '…' -prune -fingerprint 2 -timeout 30s       # full pipeline, bounded
+//	dualsim -data db.nt -q '…' -prune -workers 2 -timeout 30s           # full pipeline, bounded
 //	dualsim -data db.nt -q '…' -apply new.nt -del gone.nt               # live update: query, apply, re-query
 //	dualsim -top -server http://localhost:8080 -interval 2s             # live workload statistics view
 //
@@ -48,7 +48,6 @@ func main() {
 	limit := flag.Int("limit", 0, "print at most this many result rows (0 = all)")
 	out := flag.String("out", "", "prune mode: write the pruned store here")
 	doPrune := flag.Bool("prune", false, "evaluate through the pruning pipeline instead of directly")
-	fingerprintK := flag.Int("fingerprint", 0, "with -prune: pre-filter via a k-bounded bisimulation fingerprint (0 = off)")
 	workers := flag.Int("workers", 0, "parallelize bit-matrix multiplications over this many goroutines")
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = no deadline)")
 	applyFile := flag.String("apply", "", "N-Triples file of triples to add as a live delta after the first run")
@@ -83,7 +82,7 @@ func main() {
 	cfg := cliConfig{
 		data: *data, queryFile: *queryFile, queryText: *queryText,
 		mode: *mode, limit: *limit, out: *out,
-		prune: *doPrune, fingerprintK: *fingerprintK, workers: *workers,
+		prune: *doPrune, workers: *workers,
 		applyFile: *applyFile, delFile: *delFile, compactAt: *compactAt,
 	}
 	// Every failure — parse, exec, apply, I/O — exits non-zero with the
@@ -102,7 +101,6 @@ type cliConfig struct {
 	limit                      int
 	out                        string
 	prune                      bool
-	fingerprintK               int
 	workers                    int
 	applyFile, delFile         string
 	compactAt                  int
@@ -240,12 +238,6 @@ func openSession(st *dualsim.Store, cfg cliConfig) (*dualsim.DB, error) {
 	if cfg.workers > 0 {
 		opts = append(opts, dualsim.WithWorkers(cfg.workers))
 	}
-	if cfg.fingerprintK != 0 {
-		if !cfg.prune && cfg.mode != "prune" {
-			return nil, fmt.Errorf("-fingerprint pre-filters the pruning solve; combine it with -prune")
-		}
-		opts = append(opts, dualsim.WithFingerprint(cfg.fingerprintK))
-	}
 	if cfg.compactAt > 0 {
 		opts = append(opts, dualsim.WithCompactionThreshold(cfg.compactAt))
 	}
@@ -334,9 +326,6 @@ func runEvaluate(ctx context.Context, db *dualsim.DB, q *dualsim.Query, limit in
 		return err
 	}
 	for _, ss := range stats.Stages {
-		if ss.Skipped {
-			continue
-		}
 		fmt.Fprintf(os.Stderr, "%-11s %8v  %d -> %d\n", ss.Name, ss.Duration.Round(time.Microsecond), ss.In, ss.Out)
 	}
 	fmt.Fprintf(os.Stderr, "%d results in %v (epoch %d)\n",

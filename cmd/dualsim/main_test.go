@@ -58,8 +58,8 @@ func TestRunEvaluateModes(t *testing.T) {
 	if err := do(t, cliConfig{data: data, queryText: queries.QueryX2, mode: "evaluate", prune: true}); err != nil {
 		t.Fatal(err)
 	}
-	// Full pipeline: fingerprint pre-filter + pruning + workers.
-	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", prune: true, fingerprintK: 2, workers: 2}); err != nil {
+	// Full pipeline: pruning + workers.
+	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", prune: true, workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,9 +192,10 @@ func TestMainExitCodes(t *testing.T) {
 }
 
 // TestRetiredFlagsAreParseErrors pins the flags that are gone: the
-// evaluator is not selectable (-engine), and the benchmark drivers
+// evaluator is not selectable (-engine), the benchmark drivers
 // (-repeat, -batch, -plancache, -batchworkers) are superseded by the
-// benchmark module. Passing one is a flag-parse error (exit 2), not a
+// benchmark module, and the pipeline has no pre-filter stage
+// (-fingerprint). Passing one is a flag-parse error (exit 2), not a
 // silently ignored knob.
 func TestRetiredFlagsAreParseErrors(t *testing.T) {
 	data := fixture(t)
@@ -204,6 +205,7 @@ func TestRetiredFlagsAreParseErrors(t *testing.T) {
 		{"-batch", "true"},
 		{"-plancache", "8"},
 		{"-batchworkers", "2"},
+		{"-fingerprint", "2"},
 	} {
 		code, stderr := cli(t, "-data", data, "-q", queries.QueryX1, flag[0]+"="+flag[1])
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flag[0]) {

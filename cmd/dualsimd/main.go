@@ -8,7 +8,7 @@
 //	dualsimd -follow http://primary:8321 -maxlag 2   # WAL-streaming read replica
 //	dualsimd -store db.nt -addr 127.0.0.1:0 -plancache 256 -maxinflight 16
 //	dualsimd -store db.nt -prune=false
-//	dualsimd -store db.nt -compactat 4096 -fingerprint 2
+//	dualsimd -store db.nt -compactat 4096 -workers 2
 //
 // Endpoints (see internal/server for the wire format):
 //
@@ -90,7 +90,6 @@ type daemonConfig struct {
 	store           string
 	data            string
 	prune           bool
-	fingerprintK    int
 	workers         int
 	planCache       int
 	batchWorkers    int
@@ -119,7 +118,6 @@ func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
 	fs.StringVar(&cfg.store, "store", "", "N-Triples database file (required unless -data holds state)")
 	fs.StringVar(&cfg.data, "data", "", "durable data dir: snapshot + WAL; warm restart when it holds state")
 	fs.BoolVar(&cfg.prune, "prune", true, "evaluate through the dual-simulation pruning pipeline")
-	fs.IntVar(&cfg.fingerprintK, "fingerprint", 0, "pre-filter via a k-bounded bisimulation fingerprint (0 = off)")
 	fs.IntVar(&cfg.workers, "workers", 0, "parallelize bit-matrix multiplications over this many goroutines")
 	fs.IntVar(&cfg.planCache, "plancache", 128, "LRU plan cache capacity (0 disables)")
 	fs.IntVar(&cfg.batchWorkers, "batchworkers", 0, "batch pool width (0 = GOMAXPROCS)")
@@ -190,10 +188,7 @@ func run(ctx context.Context, cfg daemonConfig, logw *os.File, ready chan<- stri
 // catches up. No final checkpoint on shutdown — the replica's
 // durability IS the primary's WAL.
 func runFollower(ctx context.Context, cfg daemonConfig, logw *os.File, ready chan<- string) (err error) {
-	sessOpts, err := sessionOptions(cfg)
-	if err != nil {
-		return err
-	}
+	sessOpts := sessionOptions(cfg)
 	empty, err := dualsim.FromTriples(nil)
 	if err != nil {
 		return err
@@ -301,10 +296,7 @@ func serveAndDrain(ctx context.Context, cfg daemonConfig, srv *server.Server, lo
 // plus the WAL tail, preserving the epoch sequence, without re-parsing
 // the N-Triples input.
 func openSession(cfg daemonConfig, logw *os.File) (*dualsim.DB, error) {
-	opts, err := sessionOptions(cfg)
-	if err != nil {
-		return nil, err
-	}
+	opts := sessionOptions(cfg)
 	if cfg.data != "" && persist.HasState(cfg.data) {
 		start := time.Now()
 		db, err := dualsim.OpenDir(cfg.data, opts...)
@@ -362,16 +354,10 @@ func openSession(cfg daemonConfig, logw *os.File) (*dualsim.DB, error) {
 
 // sessionOptions maps the flags onto session options (mirrors
 // cmd/dualsim).
-func sessionOptions(cfg daemonConfig) ([]dualsim.Option, error) {
+func sessionOptions(cfg daemonConfig) []dualsim.Option {
 	opts := []dualsim.Option{dualsim.WithPruning(cfg.prune)}
 	if cfg.workers > 0 {
 		opts = append(opts, dualsim.WithWorkers(cfg.workers))
-	}
-	if cfg.fingerprintK != 0 {
-		if !cfg.prune {
-			return nil, fmt.Errorf("-fingerprint pre-filters the pruning solve; it requires -prune")
-		}
-		opts = append(opts, dualsim.WithFingerprint(cfg.fingerprintK))
 	}
 	if cfg.planCache > 0 {
 		opts = append(opts, dualsim.WithPlanCache(cfg.planCache))
@@ -392,5 +378,5 @@ func sessionOptions(cfg daemonConfig) ([]dualsim.Option, error) {
 		// Passed through even when negative for loud validation.
 		opts = append(opts, dualsim.WithMaxQueryMemory(cfg.maxQueryMem))
 	}
-	return opts, nil
+	return opts
 }

@@ -447,16 +447,15 @@ func TestDaemonConfigErrors(t *testing.T) {
 	defer devnull.Close()
 	emptyDir := t.TempDir()
 	cases := []daemonConfig{
-		{},                     // missing -store and -data
-		{store: "/no/such.nt"}, // unreadable store
-		{store: "fixture", fingerprintK: 2, prune: false}, // fingerprint without prune
-		{store: "fixture", queueDepth: -1},                // negative queue depth fails loudly
-		{store: "fixture", checkpointEvery: -1},           // negative checkpoint interval fails loudly
-		{data: emptyDir},                                  // -data without state needs -store
-		{store: "fixture", shard: "2/2"},                  // shard index out of range
-		{store: "fixture", shard: "nope"},                 // malformed shard spec
-		{store: "fixture", follow: "http://x"},            // -follow conflicts with -store
-		{maxLag: 3},                                       // -maxlag requires -follow
+		{},                                      // missing -store and -data
+		{store: "/no/such.nt"},                  // unreadable store
+		{store: "fixture", queueDepth: -1},      // negative queue depth fails loudly
+		{store: "fixture", checkpointEvery: -1}, // negative checkpoint interval fails loudly
+		{data: emptyDir},                        // -data without state needs -store
+		{store: "fixture", shard: "2/2"},        // shard index out of range
+		{store: "fixture", shard: "nope"},       // malformed shard spec
+		{store: "fixture", follow: "http://x"},  // -follow conflicts with -store
+		{maxLag: 3},                             // -maxlag requires -follow
 	}
 	fix := fixture(t)
 	for i := range cases {
@@ -486,13 +485,18 @@ func TestParseFlagsDefaults(t *testing.T) {
 	}
 }
 
-// TestEngineFlagGone: the daemon's evaluator is not selectable, so
-// -engine is a flag-parse error rather than a knob /v1/query ignores.
+// TestEngineFlagGone: the daemon's evaluator is not selectable (-engine)
+// and its pipeline has no pre-filter stage (-fingerprint), so either is
+// a flag-parse error rather than a knob /v1/query ignores.
 func TestEngineFlagGone(t *testing.T) {
-	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "flag provided but not defined: -engine") {
-			t.Fatalf("-engine parsed; recovered %q", msg)
-		}
-	}()
-	parseFlags([]string{"-store", "x.nt", "-engine", "index"}, flag.PanicOnError)
+	for _, name := range []string{"-engine", "-fingerprint"} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "flag provided but not defined: "+name) {
+					t.Errorf("%s parsed; recovered %q", name, msg)
+				}
+			}()
+			parseFlags([]string{"-store", "x.nt", name, "2"}, flag.PanicOnError)
+		}()
+	}
 }

@@ -16,22 +16,19 @@
 //   - a graph database: an in-memory dictionary-encoded triple store with
 //     per-predicate indexes and adjacency bit-matrices
 //     (NewStore/LoadNTriples/FromTriples);
-//   - a session: Open(st, ...Option) fixes the solver switches and the
-//     pipeline switches (pruning, fingerprint) for a store; sessions are
-//     safe for concurrent use;
+//   - a session: Open(st, ...Option) fixes solver parallelism and the
+//     pruning switch for a store; sessions are safe for concurrent use;
 //   - prepared queries: db.Prepare(src) parses the SPARQL fragment
 //     (SELECT * over basic graph patterns with AND (.), OPTIONAL and
-//     UNION) and plans it exactly once — pattern extraction, lowering to
-//     per-branch systems of inequalities with their ordering keys, and
-//     the fingerprint lookup when the session has one;
-//   - execution: pq.Stream(ctx) runs the one fixed pipeline — optional
-//     fingerprint pre-filter, dual-simulation pruning (the paper's
-//     headline application), evaluation by the Volcano executor on the
-//     store seen through the solved candidate sets — and returns a row
-//     cursor; pq.Exec(ctx) is the same drained into a
-//     Result, with per-stage ExecStats. Cancellation and deadlines on
-//     ctx interrupt the solver between inequality evaluations and the
-//     executor between row batches;
+//     UNION) and plans it exactly once — pattern extraction and lowering
+//     to per-branch systems of inequalities with their ordering keys;
+//   - execution: pq.Stream(ctx) runs the one fixed pipeline —
+//     dual-simulation pruning (the paper's headline application), then
+//     evaluation by the Volcano executor on the store seen through the
+//     solved candidate sets — and returns a row cursor; pq.Exec(ctx) is
+//     the same drained into a Result, with per-stage ExecStats.
+//     Cancellation and deadlines on ctx interrupt the solver between
+//     inequality evaluations and the executor between row batches;
 //   - serving: with WithPlanCache(n), db.Query(ctx, text) resolves
 //     repeated query text through an LRU plan cache, and
 //     db.ExecBatch(ctx, reqs) fans a slice of queries across a worker
@@ -41,8 +38,7 @@
 //   - updates: the database is live. db.Apply(ctx, Delta{Adds, Dels})
 //     publishes a new epoch-numbered snapshot (MVCC-lite: in-flight
 //     executions finish on their epoch, plan cache keys carry the epoch,
-//     index maintenance is incremental in the touched predicates and a
-//     fingerprint's partition is advanced around the touched nodes),
+//     index maintenance is incremental in the touched predicates),
 //     db.Snapshot() pins an epoch for repeatable reads, and
 //     WithCompactionThreshold/db.Compact consolidate the update overlay
 //     into a pristine store;
@@ -66,9 +62,8 @@
 //	fmt.Println(res.Len(), stats.PrunedRatio())
 //
 // The pipeline's stages are also callable one at a time on a session
-// (db.DualSimulate, db.Prune, db.Evaluate). Pattern-graph level dual
-// simulation (NewPattern/db.SimulatePattern), strong simulation and the
-// fingerprint index are exposed alongside (see extensions.go).
+// (db.DualSimulate, db.Prune, db.Evaluate), and pattern-graph level dual
+// simulation is exposed alongside (NewPattern/db.SimulatePattern).
 package dualsim
 
 import (
@@ -173,18 +168,6 @@ func (k EngineKind) engine() engine.Engine {
 
 // String returns the evaluator's report name.
 func (k EngineKind) String() string { return k.engine().Name() }
-
-// Strategy selects the bit-matrix multiplication strategy.
-type Strategy int
-
-const (
-	// AutoStrategy picks row- or column-wise per evaluation by popcount.
-	AutoStrategy Strategy = iota
-	// RowWiseStrategy always unions matrix rows.
-	RowWiseStrategy
-	// ColWiseStrategy always probes candidate columns.
-	ColWiseStrategy
-)
 
 // Stats reports solver effort. JSON tags are part of the serving wire
 // format (see ExecStats).

@@ -3,6 +3,12 @@ package dualsim_test
 import (
 	"bytes"
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -131,14 +137,7 @@ func TestPublicAPIAllOptions(t *testing.T) {
 	q := dualsim.MustParseQuery(queries.QueryX2)
 	variants := [][]dualsim.Option{
 		{},
-		{dualsim.WithStrategy(dualsim.RowWiseStrategy)},
-		{dualsim.WithStrategy(dualsim.ColWiseStrategy)},
-		{dualsim.WithDeclarationOrder()},
-		{dualsim.WithPlainInit()},
-		{dualsim.WithCompressed()},
-		{dualsim.WithShortCircuit()},
 		{dualsim.WithWorkers(4)},
-		{dualsim.WithWorkers(4), dualsim.WithStrategy(dualsim.ColWiseStrategy)},
 	}
 	var baselineCount int
 	for i, opts := range variants {
@@ -153,6 +152,53 @@ func TestPublicAPIAllOptions(t *testing.T) {
 		}
 		if c != baselineCount {
 			t.Fatalf("option variant %d changed the relation: %d vs %d", i, c, baselineCount)
+		}
+	}
+}
+
+// TestEveryOptionHasACaller is the session-option ledger: every exported
+// With* function in options.go must be referenced as dualsim.WithX by a
+// non-test Go file under cmd/, internal/ or benchmark/ — a command, the
+// server or the benchmark. An option only tests and examples set is a
+// knob nobody turns; the paper's ablations run on core.Config instead.
+func TestEveryOptionHasACaller(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var options []string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "With") {
+			options = append(options, fn.Name.Name)
+		}
+	}
+	if len(options) == 0 {
+		t.Fatal("no With* options found in options.go")
+	}
+	var callers strings.Builder
+	for _, root := range []string{"cmd", "internal", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			b, err := os.ReadFile(path)
+			callers.Write(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := callers.String()
+	for _, name := range options {
+		if !strings.Contains(src, "dualsim."+name+"(") {
+			t.Errorf("%s has no caller outside tests and examples; delete it or give it one", name)
 		}
 	}
 }

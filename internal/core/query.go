@@ -73,25 +73,6 @@ type QueryPlan struct {
 	Branches []*Branch
 }
 
-// PatternGraph rebuilds the branch as a pattern graph over its SOI
-// variables (copy inequalities are dropped — they only tighten the
-// solution, so the pattern over-approximates the branch). Used by the
-// fingerprint pre-filter, which lifts summary-level candidates per
-// pattern variable.
-func (b *Branch) PatternGraph() *Pattern {
-	p := NewPattern()
-	for _, qv := range b.Vars {
-		p.Var(qv.Name)
-		if qv.Const != nil {
-			p.Bind(qv.Name, *qv.Const)
-		}
-	}
-	for _, e := range b.Edges {
-		p.Edge(b.Vars[e.From].Name, e.Pred, b.Vars[e.To].Name)
-	}
-	return p
-}
-
 // ---------------------------------------------------------------------------
 // Bottom-up fragment construction.
 
@@ -402,9 +383,11 @@ func (p *QueryPlan) Solve(cfg Config) *QueryRelation {
 // SolveRestricted computes the largest solution of every branch,
 // honouring ctx cancellation. restrict, when non-nil, carries one
 // per-branch slice of initial-bound intersections (indexed like
-// Branch.Vars, nil entries skipped) — the hook through which a
-// fingerprint pre-filter tightens the solver's starting point without
-// mutating the shared plan.
+// Branch.Vars, nil entries skipped) that tightens the solver's starting
+// point without mutating the shared plan. Any superset of the largest
+// solution leaves the result unchanged — the supplement's theorem on
+// solving under restricted bounds — so a bound known to hold, such as a
+// χ computed before a deletion-only update, may be passed here.
 func (p *QueryPlan) SolveRestricted(ctx context.Context, cfg Config, restrict [][]*bitvec.Vector) (*QueryRelation, error) {
 	rel := &QueryRelation{Plan: p}
 	for i, br := range p.Branches {

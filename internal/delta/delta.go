@@ -209,7 +209,7 @@ func (o *Overlay) Apply(d Delta) (*storage.Store, Result, error) {
 // fresh dictionary (reclaiming tombstoned triples' and dead terms'
 // space), resets the ledger, and publishes it at the next epoch. Node
 // ids are NOT stable across a compaction — anything keyed by them
-// (plans, partitions, lifted candidate vectors) must be rebuilt.
+// (plans, candidate sets, restricted solver bounds) must be rebuilt.
 func (o *Overlay) Compact() (*storage.Store, Result, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()

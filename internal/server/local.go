@@ -90,9 +90,8 @@ func New(db *dualsim.DB, opts ...Option) (*Server, error) {
 	}
 	be.solverRounds = reg.Counter("dualsimd_solver_rounds_total", "dual-simulation solver rounds executed")
 	be.stageSeconds = map[string]*metrics.Histogram{
-		"fingerprint": reg.Histogram("dualsimd_stage_fingerprint_seconds", "fingerprint pre-filter stage latency", metrics.DefLatencyBuckets),
-		"prune":       reg.Histogram("dualsimd_stage_prune_seconds", "dual-simulation pruning stage latency", metrics.DefLatencyBuckets),
-		"evaluate":    reg.Histogram("dualsimd_stage_evaluate_seconds", "engine evaluation stage latency", metrics.DefLatencyBuckets),
+		"prune":    reg.Histogram("dualsimd_stage_prune_seconds", "dual-simulation pruning stage latency", metrics.DefLatencyBuckets),
+		"evaluate": reg.Histogram("dualsimd_stage_evaluate_seconds", "engine evaluation stage latency", metrics.DefLatencyBuckets),
 	}
 	s.registerStatementMetrics(reg)
 	reg.GaugeFunc("dualsimd_epoch", "current store epoch", func() float64 {

@@ -239,8 +239,8 @@ type Options struct {
 	// Restrict, when non-nil, intersects the initial bound of variable v
 	// with Restrict[v] for every non-nil entry. It tightens a single Solve
 	// call without mutating the system, so a finalized System stays safe
-	// for concurrent reuse; any superset of the largest solution (e.g.
-	// fingerprint-lifted candidate sets) leaves the fixpoint unchanged.
+	// for concurrent reuse; by the supplement's restricted-bounds theorem
+	// any superset of the largest solution leaves the fixpoint unchanged.
 	// SolveCtx rejects a Restrict with more entries than NumVars(), or a
 	// non-nil entry whose length differs from Dim(), with a descriptive
 	// error — a mis-sized restrict is a caller bug, not a no-op.

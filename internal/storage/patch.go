@@ -25,11 +25,6 @@ type PatchStats struct {
 	// when the node universe did not grow — the matrix dimension is the
 	// node count).
 	ReusedMatrices int
-	// TouchedNodes lists the node ids occurring in an effective add or
-	// delete (subjects and objects, deduplicated). Incremental index
-	// maintenance downstream — e.g. partition advance — re-examines
-	// exactly these.
-	TouchedNodes []NodeID
 }
 
 // ValidateBatch checks every triple of a patch batch up front — the
@@ -145,7 +140,6 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 	out.byPred = make([]predIndex, len(out.preds))
 	copy(out.byPred, st.byPred)
 
-	touchedNodes := make(map[NodeID]bool)
 	for p, ch := range touched {
 		if len(ch.adds) == 0 && len(ch.dels) == 0 {
 			continue // every change of this predicate cancelled out
@@ -156,17 +150,9 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 		}
 		kept := make([]pair, 0, len(old.psoS)+len(ch.adds)-len(ch.dels))
 		for i, sub := range old.psoS {
-			e := pair{a: sub, b: old.psoO[i]}
-			if ch.dels[e] {
-				touchedNodes[e.a] = true
-				touchedNodes[e.b] = true
-				continue
+			if e := (pair{a: sub, b: old.psoO[i]}); !ch.dels[e] {
+				kept = append(kept, e)
 			}
-			kept = append(kept, e)
-		}
-		for _, e := range ch.adds {
-			touchedNodes[e.a] = true
-			touchedNodes[e.b] = true
 		}
 		out.byPred[p] = newPredIndexFromPairs(dedupSorted(append(kept, ch.adds...)))
 		out.nTrip += len(out.byPred[p].psoS) - len(old.psoS)
@@ -175,9 +161,6 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 		stats.TouchedPreds++
 	}
 	stats.ReusedIndexes = len(out.preds) - stats.TouchedPreds
-	for id := range touchedNodes {
-		stats.TouchedNodes = append(stats.TouchedNodes, id)
-	}
 
 	// Adjacency matrices are dimensioned by the node count; carrying a
 	// cached pair over is sound only for an untouched predicate in an

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"dualsim/internal/rdf"
@@ -144,17 +143,6 @@ func TestPatchIndexAndMatrixReuse(t *testing.T) {
 	}
 	if stats.NewTerms != 0 {
 		t.Fatalf("NewTerms = %d, want 0", stats.NewTerms)
-	}
-	wantTouched := []NodeID{}
-	for _, v := range []string{"D._Koepp", "Mortdecai"} {
-		id, _ := base.TermID(rdf.NewIRI(v))
-		wantTouched = append(wantTouched, id)
-	}
-	gotTouched := append([]NodeID(nil), stats.TouchedNodes...)
-	sort.Slice(gotTouched, func(i, j int) bool { return gotTouched[i] < gotTouched[j] })
-	sort.Slice(wantTouched, func(i, j int) bool { return wantTouched[i] < wantTouched[j] })
-	if !reflect.DeepEqual(gotTouched, wantTouched) {
-		t.Fatalf("TouchedNodes = %v, want %v", gotTouched, wantTouched)
 	}
 	if next.NumTriples() != base.NumTriples()-1 {
 		t.Fatalf("delete not applied: %d triples", next.NumTriples())

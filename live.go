@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dualsim/internal/delta"
-	"dualsim/internal/partition"
 	"dualsim/internal/persist"
 	"dualsim/internal/storage"
 	"dualsim/internal/trace"
@@ -72,20 +71,13 @@ type ApplyStats struct {
 	// fresh snapshot afterwards (Compact always does on a durable
 	// session; Apply does when WithCheckpointEvery triggered).
 	Checkpointed bool `json:"checkpointed,omitempty"`
-	// FingerprintRebuilt reports that the session's fingerprint summary
-	// was maintained across the update: the partition is advanced
-	// incrementally around the touched nodes (re-refined in full only
-	// after a compaction), but condensing it back into a summary graph
-	// re-scans the store — an O(|E_DB|) write amplification per Apply on
-	// fingerprinted sessions.
-	FingerprintRebuilt bool `json:"fingerprintRebuilt,omitempty"`
-	// Duration is the end-to-end apply time, including index and
-	// fingerprint maintenance and cache invalidation.
+	// Duration is the end-to-end apply time, including index maintenance
+	// and cache invalidation.
 	Duration time.Duration `json:"duration"`
 	// Trace is the operation's span tree when tracing was enabled on the
 	// serving request: wal.append (fsync latency, framed bytes), patch
-	// (index maintenance), publish (snapshot swap and fingerprint) and
-	// checkpoint. Nil by default.
+	// (index maintenance), publish (snapshot swap) and checkpoint. Nil by
+	// default.
 	Trace *trace.Span `json:"trace,omitempty"`
 }
 
@@ -99,9 +91,8 @@ type ApplyStats struct {
 // snapshot. Plans of superseded epochs are dropped from the plan cache
 // (they could never be served anyway — cache keys carry the epoch).
 // Index maintenance is incremental: only predicates the delta touches
-// are re-indexed, and a session fingerprint is advanced around the
-// touched nodes rather than re-refined — until the overlay crosses
-// WithCompactionThreshold, when the whole store is consolidated.
+// are re-indexed — until the overlay crosses WithCompactionThreshold,
+// when the whole store is consolidated.
 //
 // Applying an empty Delta is a no-op: no epoch bump, no snapshot swap,
 // no plan-cache invalidation — ApplyStats.NoOp reports it.
@@ -165,16 +156,14 @@ func (db *DB) Apply(ctx context.Context, d Delta) (ApplyStats, error) {
 	}
 	if res.NoOp {
 		// Empty delta: nothing to publish — the current snapshot stays
-		// live, cached plans stay valid, the fingerprint is untouched.
+		// live, cached plans stay valid.
 		stats.Duration = time.Since(start)
 		return stats, nil
 	}
 	pb0 := time.Now()
-	err = db.publish(st, res, &stats)
-	if fsp := sp.Record("publish", time.Since(pb0)); fsp != nil && stats.FingerprintRebuilt {
-		fsp.SetAttr("fingerprint", "rebuilt")
-	}
-	if err == nil && db.pers != nil && db.set.checkpointEvery > 0 &&
+	db.publish(st, res.Epoch)
+	sp.Record("publish", time.Since(pb0))
+	if db.pers != nil && db.set.checkpointEvery > 0 &&
 		db.pers.RecordsSinceCheckpoint() >= int64(db.set.checkpointEvery) {
 		// A checkpoint failure must not fail the Apply: the delta is
 		// already WAL-acked, applied and published — durability holds,
@@ -191,7 +180,7 @@ func (db *DB) Apply(ctx context.Context, d Delta) (ApplyStats, error) {
 		}
 	}
 	stats.Duration = time.Since(start)
-	return stats, err
+	return stats, nil
 }
 
 // Compact consolidates the live store on demand: the current snapshot is
@@ -236,11 +225,9 @@ func (db *DB) Compact(ctx context.Context) (ApplyStats, error) {
 		return stats, err
 	}
 	pb0 := time.Now()
-	err = db.publish(st, res, &stats)
-	if fsp := sp.Record("publish", time.Since(pb0)); fsp != nil && stats.FingerprintRebuilt {
-		fsp.SetAttr("fingerprint", "rebuilt")
-	}
-	if err == nil && db.pers != nil {
+	db.publish(st, res.Epoch)
+	sp.Record("publish", time.Since(pb0))
+	if db.pers != nil {
 		// A compaction already rebuilt the whole store — the natural
 		// moment to checkpoint: the fresh snapshot makes every WAL record
 		// redundant, and the next boot loads it directly instead of
@@ -256,7 +243,7 @@ func (db *DB) Compact(ctx context.Context) (ApplyStats, error) {
 		}
 	}
 	stats.Duration = time.Since(start)
-	return stats, err
+	return stats, nil
 }
 
 // CheckpointStats reports one Checkpoint. JSON tags are part of the
@@ -367,51 +354,13 @@ func (db *DB) PersistStats() PersistStats {
 	}
 }
 
-// publish maintains the fingerprint across the update, swaps in the new
-// snapshot and invalidates superseded plans. Called with applyMu held.
-func (db *DB) publish(st *storage.Store, res delta.Result, stats *ApplyStats) error {
-	snap := &dbSnapshot{st: st, epoch: res.Epoch}
-	var fpErr error
-	if db.wantFP {
-		snap.fp, fpErr = db.maintainFingerprint(st, res)
-		stats.FingerprintRebuilt = snap.fp != nil
-	}
-	db.snap.Store(snap)
+// publish swaps in the new snapshot and invalidates superseded plans.
+// Called with applyMu held.
+func (db *DB) publish(st *storage.Store, epoch uint64) {
+	db.snap.Store(&dbSnapshot{st: st, epoch: epoch})
 	if db.cache != nil {
-		db.cache.dropStaleEpochs(res.Epoch)
+		db.cache.dropStaleEpochs(epoch)
 	}
-	if fpErr != nil {
-		// The snapshot is live and correct — the fingerprint is purely an
-		// optimization — but the session degraded; surface it.
-		return fmt.Errorf("dualsim: fingerprint maintenance: %w (snapshot %d published without pre-filter)", fpErr, res.Epoch)
-	}
-	return nil
-}
-
-// maintainFingerprint carries the session fingerprint across an update.
-// Small incremental patches advance the previous epoch's partition
-// around the touched nodes (sound for any partition — see
-// partition.Advance), skipping the k refinement rounds; a compaction
-// renumbers every node, so the partition is re-refined from scratch
-// there, restoring full precision. Condensing the partition into the
-// summary graph is not incremental: partition.Fingerprint re-scans the
-// store, so fingerprinted sessions pay O(|E_DB|) per Apply.
-func (db *DB) maintainFingerprint(st *storage.Store, res delta.Result) (*Fingerprint, error) {
-	if res.Compacted || db.fpPart == nil {
-		fp, err := BuildFingerprint(st, db.set.fingerprintK)
-		if err != nil {
-			return nil, err
-		}
-		db.fpPart = fp.sum.Part
-		return fp, nil
-	}
-	part := partition.Advance(st, db.fpPart, res.Patch.TouchedNodes)
-	sum, err := partition.Fingerprint(st, part)
-	if err != nil {
-		return nil, err
-	}
-	db.fpPart = part
-	return &Fingerprint{sum: sum, st: st}, nil
 }
 
 // OverlaySize returns the live-update ledger size: staged adds plus

@@ -3,35 +3,12 @@ package dualsim_test
 import (
 	"context"
 	"fmt"
-	"reflect"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"dualsim"
 )
-
-// decodedRows renders a result as sorted decoded binding rows, so
-// results from sessions with different dictionaries (e.g. one compacted,
-// one not) compare by content.
-func decodedRows(st *dualsim.Store, res *dualsim.Result) []string {
-	rows := make([]string, 0, res.Len())
-	for _, row := range res.Rows {
-		parts := make([]string, len(row))
-		for j, v := range row {
-			if v == dualsim.Unbound {
-				parts[j] = "—"
-			} else {
-				parts[j] = st.Term(v).String()
-			}
-		}
-		rows = append(rows, strings.Join(parts, "\t"))
-	}
-	sort.Strings(rows)
-	return rows
-}
 
 // TestApplyInvalidatesCachedQuery is the headline live-update
 // acceptance path: after Apply of a delta that changes a query's
@@ -277,66 +254,6 @@ func TestApplyCompaction(t *testing.T) {
 	}
 	if !as.Compacted || as.Epoch != 3 {
 		t.Fatalf("Compact stats = %+v", as)
-	}
-}
-
-// TestApplyMaintainsFingerprint: a WithFingerprint session stays sound
-// across incremental applies (partition advanced around the touched
-// nodes) and across compaction (full re-refinement).
-func TestApplyMaintainsFingerprint(t *testing.T) {
-	ctx := context.Background()
-	db, err := dualsim.Open(fig1a(t), dualsim.WithFingerprint(2), dualsim.WithCompactionThreshold(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	// Reference session without a fingerprint, fed the same deltas.
-	ref, err := dualsim.Open(fig1a(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-
-	const q = `SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }`
-	deltas := []dualsim.Delta{
-		{Adds: []dualsim.Triple{
-			dualsim.T("J._McTiernan", "directed", "Die_Hard"),
-			dualsim.T("J._McTiernan", "worked_with", "S._de_Souza"),
-		}},
-		{Dels: []dualsim.Triple{dualsim.T("G._Hamilton", "worked_with", "H._Saltzman")}},
-		{Adds: []dualsim.Triple{dualsim.T("G._Hamilton", "worked_with", "R._Maibaum")}},
-	}
-	for i, d := range deltas {
-		as, err := db.Apply(ctx, d)
-		if err != nil {
-			t.Fatalf("delta %d: %v", i, err)
-		}
-		if !as.FingerprintRebuilt {
-			t.Fatalf("delta %d: fingerprint not maintained", i)
-		}
-		if _, err := ref.Apply(ctx, d); err != nil {
-			t.Fatalf("delta %d (ref): %v", i, err)
-		}
-		got, gotStats, err := db.Exec(ctx, q)
-		if err != nil {
-			t.Fatalf("delta %d: %v", i, err)
-		}
-		want, _, err := ref.Exec(ctx, q)
-		if err != nil {
-			t.Fatalf("delta %d (ref): %v", i, err)
-		}
-		// Compare decoded content: the fingerprinted session may have
-		// compacted (fresh dictionary), so node ids need not line up.
-		gotRows := decodedRows(db.Store(), got)
-		wantRows := decodedRows(ref.Store(), want)
-		if !reflect.DeepEqual(gotRows, wantRows) {
-			t.Fatalf("delta %d: fingerprinted session diverged at epoch %d:\n got %v\nwant %v",
-				i, gotStats.Epoch, gotRows, wantRows)
-		}
-	}
-	if db.Fingerprint() == nil {
-		t.Fatal("session lost its fingerprint")
 	}
 }
 

@@ -3,30 +3,20 @@ package dualsim
 import (
 	"fmt"
 
-	"dualsim/internal/bitmat"
 	"dualsim/internal/core"
-	"dualsim/internal/soi"
 )
 
-// Option configures a session opened with Open: the solver switches
-// (strategy, ordering, initialization, compression, parallelism) and the
-// pipeline switches (pruning, fingerprint pre-filter) are all fixed per
-// session, so every query prepared on the session inherits them.
+// Option configures a session opened with Open: solver parallelism, the
+// pruning switch, the plan cache, compaction, durability and the memory
+// budget are all fixed per session, so every query prepared on the
+// session inherits them.
 type Option func(*settings) error
 
 // settings is the resolved session configuration.
 type settings struct {
-	engine       EngineKind
-	strategy     Strategy
-	declOrder    bool
-	plainInit    bool
-	compressed   bool
-	shortCircuit bool
-	workers      int
-
-	pruning      bool
-	fingerprint  bool
-	fingerprintK int
+	engine  EngineKind
+	workers int
+	pruning bool
 
 	planCache    int // > 0 enables the LRU plan cache with that capacity
 	batchWorkers int // > 0 fixes the ExecBatch pool width
@@ -45,22 +35,7 @@ func defaultSettings() settings {
 
 // coreConfig lowers the session settings to the solver configuration.
 func (s settings) coreConfig() core.Config {
-	cfg := core.Config{
-		PlainInit:    s.plainInit,
-		Compressed:   s.compressed,
-		ShortCircuit: s.shortCircuit,
-		Workers:      s.workers,
-	}
-	switch s.strategy {
-	case RowWiseStrategy:
-		cfg.Strategy = bitmat.RowWise
-	case ColWiseStrategy:
-		cfg.Strategy = bitmat.ColWise
-	}
-	if s.declOrder {
-		cfg.Order = soi.DeclarationOrder
-	}
-	return cfg
+	return core.Config{Workers: s.workers}
 }
 
 // WithEngine is the oracle hook: WithEngine(IndexNL) opens a session whose
@@ -77,46 +52,6 @@ func WithEngine(k EngineKind) Option {
 			return fmt.Errorf("dualsim: unknown engine kind %d", k)
 		}
 	}
-}
-
-// WithStrategy selects the ×b evaluation strategy of the solver (default
-// AutoStrategy, the paper's popcount heuristic).
-func WithStrategy(st Strategy) Option {
-	return func(s *settings) error {
-		switch st {
-		case AutoStrategy, RowWiseStrategy, ColWiseStrategy:
-			s.strategy = st
-			return nil
-		default:
-			return fmt.Errorf("dualsim: unknown strategy %d", st)
-		}
-	}
-}
-
-// WithDeclarationOrder makes the solver's worklist evaluate the unstable
-// inequality declared first instead of the cheapest one — by default a
-// copy inequality before any edge inequality, edge inequalities by the
-// smaller of their two candidate counts, ties by the paper's empty-column
-// count (ablation switch).
-func WithDeclarationOrder() Option {
-	return func(s *settings) error { s.declOrder = true; return nil }
-}
-
-// WithPlainInit disables the summary-vector initialization (13).
-func WithPlainInit() Option {
-	return func(s *settings) error { s.plainInit = true; return nil }
-}
-
-// WithCompressed solves on gap-length encoded matrices (§5.1 storage
-// ablation).
-func WithCompressed() Option {
-	return func(s *settings) error { s.compressed = true; return nil }
-}
-
-// WithShortCircuit stops a solve as soon as the query is proven
-// unsatisfiable (an empty mandatory variable, Theorem 1).
-func WithShortCircuit() Option {
-	return func(s *settings) error { s.shortCircuit = true; return nil }
 }
 
 // WithWorkers parallelizes each bit-matrix multiplication over n
@@ -139,28 +74,12 @@ func WithPruning(enabled bool) Option {
 	return func(s *settings) error { s.pruning = enabled; return nil }
 }
 
-// WithFingerprint enables the fingerprint pre-filter stage: Open
-// refines the store into k-bounded bisimulation classes (k < 0 refines
-// to the fixpoint) and condenses it into a summary graph once; Prepare
-// then lifts summary-level candidates per query variable, and Exec
-// starts the exact solver from those tightened bounds. Sound: the
-// lifted sets over-approximate the largest dual simulation.
-// The pre-filter feeds the pruning stage and is ignored when pruning is
-// disabled.
-func WithFingerprint(k int) Option {
-	return func(s *settings) error {
-		s.fingerprint = true
-		s.fingerprintK = k
-		return nil
-	}
-}
-
 // WithPlanCache equips the session with an LRU cache of up to n prepared
 // plans, keyed by whitespace-normalized query text. DB.Query (and
-// ExecBatch requests given as text) consult it: a hit skips parsing, SOI
-// lowering and fingerprint lifting and executes the cached PreparedQuery
-// directly; a miss plans once and caches. n = 0 (the default) disables
-// the cache. Inspect traffic with DB.CacheStats.
+// ExecBatch requests given as text) consult it: a hit skips parsing and
+// SOI lowering and executes the cached PreparedQuery directly; a miss
+// plans once and caches. n = 0 (the default) disables the cache. Inspect
+// traffic with DB.CacheStats.
 func WithPlanCache(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {

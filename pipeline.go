@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"dualsim/internal/bitvec"
 	"dualsim/internal/core"
 	"dualsim/internal/engine"
 	"dualsim/internal/plan"
@@ -52,22 +51,21 @@ func (db *DB) compile(st *Store, filter storage.Filter, q *Query) (*engine.Exec,
 }
 
 // Stream runs the session's pipeline for this query and returns a cursor
-// over its rows. The pipeline is fixed: install the fingerprint-lifted
-// solver bounds (when the session has a fingerprint), solve the system of
-// inequalities and mark the surviving triples (when pruning is on), then
-// compile the query against the store seen through that solution: the
-// candidate sets χ filter every triple the executor reads, the kept-triple
-// masks are its leaf scans, the adjacency the solver cached its posting
-// lists — no pruned copy of the store is built. Those steps run eagerly,
-// here; the rows are computed as the caller pulls them, and the pooled χ
-// rows are recycled when the cursor finishes (exhaustion, Close, error).
+// over its rows. The pipeline is fixed: solve the system of inequalities
+// and mark the surviving triples (when pruning is on), then compile the
+// query against the store seen through that solution: the candidate sets
+// χ filter every triple the executor reads, the kept-triple masks are its
+// leaf scans, the adjacency the solver cached its posting lists — no
+// pruned copy of the store is built. Those steps run eagerly, here; the
+// rows are computed as the caller pulls them, and the pooled χ rows are
+// recycled when the cursor finishes (exhaustion, Close, error).
 // A nil ctx is treated as context.Background(). Cancellation and
 // deadlines interrupt the solver between inequality evaluations and the
 // executor between row batches.
 //
-// Stats is usable immediately for the epoch and the pre-evaluation
-// stages; the evaluation stage's numbers and the operator counters
-// finalize when the cursor is exhausted or closed.
+// Stats is usable immediately for the epoch and the prune stage; the
+// evaluation stage's numbers and the operator counters finalize when the
+// cursor is exhausted or closed.
 func (pq *PreparedQuery) Stream(ctx context.Context) (rows *Rows, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -100,81 +98,41 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (rows *Rows, err error) {
 			rel.Release()
 		}
 	}()
-	var restrict [][]*bitvec.Vector // solver bounds handed from fingerprint to prune
-	steps := [...]struct {
-		name string
-		on   bool
-		run  func(ctx context.Context, ss *StageStats) error
-	}{
-		// The fingerprint pre-filter only tightens the pruning solve, so a
-		// snapshot carries one only on a session that prunes (DB.wantFP).
-		{"fingerprint", pq.snap.fp != nil, func(_ context.Context, ss *StageStats) error {
-			n := full.NumNodes()
-			ss.In, ss.Out = n, n
-			if pq.restrict == nil {
-				// Lifting restricted nothing at Prepare: report the stage
-				// skipped rather than advertise a bound that does not exist.
-				ss.Skipped = true
-				return nil
-			}
-			restrict = pq.restrict
-			ss.Out = pq.fpTightest
-			return nil
-		}},
-		{"prune", pq.db.set.pruning, func(ctx context.Context, ss *StageStats) error {
-			var err error
-			if rel, err = pq.plan.SolveRestricted(ctx, pq.db.set.coreConfig(), restrict); err != nil {
-				return err
-			}
-			stats.Solver = Stats{
-				Rounds:      rel.Stats.Rounds,
-				Evaluations: rel.Stats.Evaluations,
-				Updates:     rel.Stats.Updates,
-			}
-			stats.Unsatisfiable = rel.Empty()
-			p, err := prune.PruneCtx(ctx, full, rel)
-			if err != nil {
-				return err
-			}
-			stats.TriplesAfter = p.Kept
-			ss.In, ss.Out = p.Total, p.Kept
-			if pq.db.set.engine != Volcano {
-				// An oracle evaluates the materialized pruned store: it is
-				// what the filtered execution is checked against.
-				target = p.Store()
-			} else {
-				filter = p.Filter()
-			}
-			return nil
-		}},
-	}
-	for _, step := range steps {
-		if !step.on {
-			continue
-		}
+	if pq.db.set.pruning {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ss := StageStats{Name: step.name}
 		sctx := ctx
-		sp := parent.StartChild(step.name)
+		sp := parent.StartChild("prune")
 		if sp != nil {
 			sctx = trace.ContextWithSpan(ctx, sp)
 		}
 		s0 := time.Now()
-		err := step.run(sctx, &ss)
-		ss.Duration = time.Since(s0)
-		sp.End()
-		if sp != nil {
-			sp.Add("in", int64(ss.In))
-			sp.Add("out", int64(ss.Out))
-			if ss.Skipped {
-				sp.SetAttr("skipped", "true")
-			}
+		var p *prune.Pruning
+		if rel, err = pq.plan.SolveRestricted(sctx, pq.db.set.coreConfig(), nil); err == nil {
+			p, err = prune.PruneCtx(sctx, full, rel)
 		}
-		stats.Stages = append(stats.Stages, ss)
+		d := time.Since(s0)
+		sp.End()
 		if err != nil {
 			return nil, err
+		}
+		sp.Add("in", int64(p.Total))
+		sp.Add("out", int64(p.Kept))
+		stats.Stages = append(stats.Stages, StageStats{Name: "prune", Duration: d, In: p.Total, Out: p.Kept})
+		stats.Solver = Stats{
+			Rounds:      rel.Stats.Rounds,
+			Evaluations: rel.Stats.Evaluations,
+			Updates:     rel.Stats.Updates,
+		}
+		stats.Unsatisfiable = rel.Empty()
+		stats.TriplesAfter = p.Kept
+		if pq.db.set.engine != Volcano {
+			// An oracle evaluates the materialized pruned store: it is what
+			// the filtered execution is checked against.
+			target = p.Store()
+		} else {
+			filter = p.Filter()
 		}
 	}
 
@@ -261,19 +219,15 @@ func attachOperatorSpans(sp *trace.Span, ops []OperatorStats) {
 //
 //dualsim:wire
 type StageStats struct {
-	// Name is the stage name ("fingerprint", "prune", "evaluate").
+	// Name is the stage name ("prune", "evaluate").
 	Name string `json:"name"`
 	// Duration is the stage's wall-clock time.
 	Duration time.Duration `json:"duration"`
-	// In and Out are the stage's cardinality effect: nodes (tightest
-	// candidate bound) for the fingerprint stage, triples before/after
+	// In and Out are the stage's cardinality effect: triples before/after
 	// for the pruning stage, triples in / result rows out for the
 	// evaluation stage.
 	In  int `json:"in"`
 	Out int `json:"out"`
-	// Skipped reports that the stage had nothing to do (e.g. the
-	// fingerprint stage on a session without a fingerprint).
-	Skipped bool `json:"skipped,omitempty"`
 }
 
 // ExecStats reports one execution of a prepared query, stage by stage.

@@ -8,11 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dualsim/internal/bitvec"
 	"dualsim/internal/core"
 	"dualsim/internal/delta"
 	"dualsim/internal/engine"
-	"dualsim/internal/partition"
 	"dualsim/internal/persist"
 	"dualsim/internal/prune"
 	"dualsim/internal/stats"
@@ -23,24 +21,21 @@ import (
 var ErrClosed = errors.New("dualsim: session is closed")
 
 // dbSnapshot is one epoch of the session's graph database: an immutable
-// store, its epoch number, and the fingerprint summary built for it (nil
-// when the session has none). Snapshots are fully constructed before
+// store and its epoch number. Snapshots are fully constructed before
 // publication and never mutated after, so readers need no locking.
 type dbSnapshot struct {
 	st    *Store
 	epoch uint64
-	fp    *Fingerprint
 }
 
 // DB is a session over one graph database: a store plus a fixed
-// configuration (solver switches, pruning, fingerprint) under which
-// queries are prepared and executed, in the database/sql mould.
-// A DB is safe for concurrent use by multiple goroutines.
+// configuration (solver parallelism, pruning, plan cache, durability)
+// under which queries are prepared and executed, in the database/sql
+// mould. A DB is safe for concurrent use by multiple goroutines.
 //
-// Open cost is paid once per session — notably the fingerprint summary
-// when WithFingerprint is set — and Prepare cost once per query; Exec
-// then runs only the per-execution pipeline (solve, prune, evaluate)
-// and honours its context.
+// Prepare cost is paid once per query; Exec then runs only the
+// per-execution pipeline (solve, prune, evaluate) and honours its
+// context.
 //
 // The database is live: Apply mutates it by publishing a new
 // epoch-numbered snapshot, with MVCC-lite read semantics — in-flight
@@ -51,17 +46,12 @@ type dbSnapshot struct {
 type DB struct {
 	set     settings
 	cache   *planCache   // non-nil iff WithPlanCache was given
-	wantFP  bool         // the pipeline consumes a fingerprint (WithFingerprint and pruning on)
 	pers    *persist.Log // non-nil iff the session is durable (WithDataDir/OpenDir)
 	overlay *delta.Overlay
 	snap    atomic.Pointer[dbSnapshot] // current epoch; swapped by Apply/Compact
 
 	applyMu   sync.Mutex   // serializes Apply/Compact (single writer)
 	ckptFails atomic.Int64 // automatic checkpoints that failed (see PersistStats)
-	// fpPart is the partition behind the current snapshot's fingerprint,
-	// kept for incremental advance across applies. Guarded by applyMu
-	// (written once more in Open, before any concurrency).
-	fpPart *partition.Partition
 
 	prepMu     sync.Mutex   // serializes planning (lazy matrix builds)
 	planBuilds atomic.Int64 // number of query plans built on this session
@@ -197,19 +187,7 @@ func openAt(st *Store, epoch uint64, tail []persist.Record, lg *persist.Log, set
 	}
 	db.overlay = overlay
 	cur, curEpoch := overlay.Current()
-	// The summary refinement is expensive; build it only when the pipeline
-	// can consume it — the fingerprint bounds feed the pruning solve.
-	db.wantFP = set.fingerprint && set.pruning
-	snap := &dbSnapshot{st: cur, epoch: curEpoch}
-	if db.wantFP {
-		fp, err := BuildFingerprint(cur, set.fingerprintK)
-		if err != nil {
-			return nil, fmt.Errorf("dualsim: building fingerprint: %w", err)
-		}
-		snap.fp = fp
-		db.fpPart = fp.sum.Part
-	}
-	db.snap.Store(snap)
+	db.snap.Store(&dbSnapshot{st: cur, epoch: curEpoch})
 	return db, nil
 }
 
@@ -237,10 +215,6 @@ func (db *DB) Store() *Store { return db.snap.Load().st }
 // Compact.
 func (db *DB) Epoch() uint64 { return db.snap.Load().epoch }
 
-// Fingerprint returns the current snapshot's fingerprint summary, or nil
-// when the session was opened without WithFingerprint.
-func (db *DB) Fingerprint() *Fingerprint { return db.snap.Load().fp }
-
 // PlanBuilds returns how many query plans this session has built — one
 // per Prepare call, never per Exec. Exposed so services (and tests) can
 // assert that prepared queries reuse their plan.
@@ -252,8 +226,8 @@ func (db *DB) PlanBuilds() int64 { return db.planBuilds.Load() }
 //dualsim:wire
 type PrepareStats struct {
 	// PlanTime is the total planning duration: parsing (when Prepare was
-	// given source text), pattern extraction, SOI lowering with the
-	// inequality-ordering keys, and the fingerprint lookup.
+	// given source text), pattern extraction and SOI lowering with the
+	// inequality-ordering keys.
 	PlanTime time.Duration `json:"planTime"`
 	// ParseTime is the slice of PlanTime spent parsing the source text
 	// (0 when the query arrived pre-parsed). Split out so the tracer's
@@ -265,18 +239,13 @@ type PrepareStats struct {
 	// summed over branches.
 	Variables    int `json:"variables"`
 	Inequalities int `json:"inequalities"`
-	// RestrictedVars counts the solver variables the fingerprint lookup
-	// tightened (0 without WithFingerprint).
-	RestrictedVars int `json:"restrictedVars,omitempty"`
 }
 
 // PreparedQuery is a query planned once against a session: parsed,
 // translated to per-branch systems of inequalities (with the
 // empty-column counts that break ties in the solver's cheapest-first
-// worklist), finalized for concurrent solving, and
-// — when the session has a fingerprint — pre-filtered to summary-lifted
-// candidate bounds. It is safe for concurrent use; every Exec runs the
-// pipeline on private state.
+// worklist) and finalized for concurrent solving. It is safe for
+// concurrent use; every Exec runs the pipeline on private state.
 //
 // A PreparedQuery is pinned to the store epoch it was planned on: its
 // executions keep answering from that (immutable) snapshot even after a
@@ -284,15 +253,13 @@ type PrepareStats struct {
 // Query/ExecBatch, whose epoch-keyed plan cache re-plans on the first
 // request after an update.
 type PreparedQuery struct {
-	db         *DB
-	snap       *dbSnapshot // pinned store + epoch + fingerprint
-	q          *Query
-	plan       *core.QueryPlan
-	restrict   [][]*bitvec.Vector // per branch, indexed like Branch.Vars; nil when nothing restricted
-	fpTightest int                // smallest lifted candidate-set size (fingerprint stage's Out)
-	fprint     stats.Fingerprint  // normalized statement identity, computed once at Prepare
-	prep       PrepareStats
-	lastRows   atomic.Int64 // rows of the last drained Exec: the next one's capacity
+	db       *DB
+	snap     *dbSnapshot // pinned store + epoch
+	q        *Query
+	plan     *core.QueryPlan
+	fprint   stats.Fingerprint // normalized statement identity, computed once at Prepare
+	prep     PrepareStats
+	lastRows atomic.Int64 // rows of the last drained Exec: the next one's capacity
 }
 
 // Fingerprint returns the query's normalized statement fingerprint: the
@@ -337,9 +304,9 @@ func (db *DB) prepareParsed(snap *dbSnapshot, q *Query, start time.Time, parse t
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	// Planning triggers the store's lazy per-predicate matrix builds and
-	// (with a fingerprint) a solve on the summary store; serialize it so
-	// concurrent Prepare calls stay race-free. Exec never takes this lock.
+	// Planning reads the store's per-predicate matrices, building the
+	// ones no earlier plan asked for; serialize it so concurrent Prepare
+	// calls stay race-free. Exec never takes this lock.
 	db.prepMu.Lock()
 	defer db.prepMu.Unlock()
 
@@ -354,29 +321,6 @@ func (db *DB) prepareParsed(snap *dbSnapshot, q *Query, start time.Time, parse t
 	for _, br := range plan.Branches {
 		pq.prep.Variables += br.Sys.NumVars()
 		pq.prep.Inequalities += br.Sys.NumIneqs()
-	}
-
-	if snap.fp != nil { // only built when the pipeline consumes it (wantFP)
-		restrict := make([][]*bitvec.Vector, len(plan.Branches))
-		tightest := snap.st.NumNodes()
-		restricted := 0
-		for i, br := range plan.Branches {
-			restrict[i] = snap.fp.sum.LiftedVectors(snap.st, br.PatternGraph())
-			for _, vec := range restrict[i] {
-				if vec == nil {
-					continue
-				}
-				restricted++
-				if c := vec.Count(); c < tightest {
-					tightest = c
-				}
-			}
-		}
-		if restricted > 0 {
-			pq.restrict = restrict
-			pq.fpTightest = tightest
-			pq.prep.RestrictedVars = restricted
-		}
 	}
 
 	pq.prep.PlanTime = time.Since(start)
@@ -426,10 +370,10 @@ func (db *DB) Exec(ctx context.Context, src string) (*Result, *ExecStats, error)
 
 // Query is the one-shot serving entry point: it resolves src through the
 // session's plan cache (WithPlanCache) and executes the pipeline. A
-// cache hit skips parse, SOI lowering and fingerprint lifting entirely
-// and is reported in ExecStats.CacheHit; a miss plans once and caches the
-// prepared query for subsequent calls with the same (whitespace-
-// normalized) text. Without a configured cache, Query degrades to Exec.
+// cache hit skips parse and SOI lowering entirely and is reported in
+// ExecStats.CacheHit; a miss plans once and caches the prepared query
+// for subsequent calls with the same (whitespace-normalized) text.
+// Without a configured cache, Query degrades to Exec.
 // Safe for concurrent use; concurrent misses of one text build its plan
 // once.
 //

@@ -54,8 +54,8 @@ func TestSessionPipeline(t *testing.T) {
 	if es := stats.Stage("evaluate"); es == nil || es.In != 4 || es.Out != 2 {
 		t.Fatalf("evaluate stage stats = %+v", es)
 	}
-	if stats.Stage("fingerprint") != nil {
-		t.Fatal("fingerprint stage present without WithFingerprint")
+	if len(stats.Stages) != 2 {
+		t.Fatalf("stages = %+v, want prune and evaluate only", stats.Stages)
 	}
 	if stats.Results != 2 || stats.Unsatisfiable {
 		t.Fatalf("stats = %+v", stats)
@@ -175,31 +175,58 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 	}
 }
 
-// TestConcurrentPrepare: concurrent Prepare calls on one session (run
-// under -race) — planning is serialized internally over the store's
-// lazily built matrices.
+// TestConcurrentPrepare: concurrent Prepare + Exec calls on one session
+// over a fresh store (run under -race). Every text reads a different
+// predicate, so the store's first-time matrix builds race with each
+// other and with the executions — the work the session's planning lock
+// and the store's matrix lock guard — and each answer must equal a
+// sequential run's.
 func TestConcurrentPrepare(t *testing.T) {
-	st := fig1a(t)
-	db, err := dualsim.Open(st, dualsim.WithFingerprint(2))
-	if err != nil {
-		t.Fatal(err)
+	texts := []string{
+		`SELECT * WHERE { ?d <directed> ?m . }`,
+		`SELECT * WHERE { ?x <awarded> ?a . }`,
+		`SELECT * WHERE { ?x <born_in> ?c . }`,
+		`SELECT * WHERE { ?x <worked_with> ?y . }`,
+		`SELECT * WHERE { ?m <genre> ?g . }`,
+		`SELECT * WHERE { ?m <sequel_of> ?p . }`,
+		`SELECT * WHERE { ?m <prequel_of> ?s . }`,
+		queries.QueryX1,
 	}
+	seq := open(t, fig1a(t))
+	want := make([]*dualsim.Result, len(texts))
+	for i, src := range texts {
+		res, _, err := seq.Exec(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+
+	db := open(t, fig1a(t))
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for i, src := range texts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pq, err := db.Prepare(queries.QueryX1)
+			pq, err := db.Prepare(src)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, _, err := pq.Exec(context.Background()); err != nil {
+			res, _, err := pq.Exec(context.Background())
+			if err != nil {
 				t.Error(err)
+				return
+			}
+			if !res.Equal(want[i]) {
+				t.Errorf("%s: %d rows concurrently, %d sequentially", src, res.Len(), want[i].Len())
 			}
 		}()
 	}
 	wg.Wait()
+	if got := db.PlanBuilds(); got != int64(len(texts)) {
+		t.Fatalf("PlanBuilds = %d, want %d", got, len(texts))
+	}
 }
 
 // TestExecCancellation: a cancelled context aborts Exec before any work,
@@ -285,54 +312,6 @@ func TestSolverCancellation(t *testing.T) {
 	}
 }
 
-// TestFingerprintPipeline: WithFingerprint adds the pre-filter stage;
-// results are identical (the lifting is sound) and the stage reports a
-// tightened candidate bound.
-func TestFingerprintPipeline(t *testing.T) {
-	st := fig1a(t)
-	plain, err := dualsim.Open(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := dualsim.Open(st, dualsim.WithFingerprint(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp.Fingerprint() == nil || plain.Fingerprint() != nil {
-		t.Fatal("Fingerprint() accessor wrong")
-	}
-
-	for _, src := range []string{queries.QueryX1, queries.QueryX2} {
-		want, _, err := plain.Exec(context.Background(), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pq, err := fp.Prepare(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := pq.Exec(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("%s: fingerprint pipeline changed the result set", src)
-		}
-		fs := stats.Stage("fingerprint")
-		if fs == nil {
-			t.Fatal("fingerprint stage missing")
-		}
-		if !fs.Skipped {
-			if pq.PrepareStats().RestrictedVars == 0 {
-				t.Fatal("stage ran but no vars restricted")
-			}
-			if fs.Out >= fs.In {
-				t.Fatalf("fingerprint did not tighten: %d -> %d", fs.In, fs.Out)
-			}
-		}
-	}
-}
-
 // TestSessionOptionsEquivalence: every solver option accepted by Open
 // leaves the pipeline result unchanged (they are heuristics, not
 // semantics), and the oracle hook answers the same.
@@ -340,17 +319,9 @@ func TestSessionOptionsEquivalence(t *testing.T) {
 	st := fig1a(t)
 	variants := [][]dualsim.Option{
 		{},
-		{dualsim.WithStrategy(dualsim.RowWiseStrategy)},
-		{dualsim.WithStrategy(dualsim.ColWiseStrategy)},
-		{dualsim.WithDeclarationOrder()},
-		{dualsim.WithPlainInit()},
-		{dualsim.WithCompressed()},
-		{dualsim.WithShortCircuit()},
 		{dualsim.WithWorkers(4)},
 		{dualsim.WithEngine(dualsim.IndexNL)},
 		{dualsim.WithPruning(false)},
-		{dualsim.WithFingerprint(-1)},
-		{dualsim.WithWorkers(2), dualsim.WithCompressed()},
 	}
 	var want *dualsim.Result
 	for i, opts := range variants {

@@ -164,7 +164,7 @@ func TestStatsJSONFieldNames(t *testing.T) {
 		"checkpointFailures")
 
 	// omitempty drops flags whose zero value carries no information…
-	if keys := keysOf(dualsim.ApplyStats{}); keys["noOp"] || keys["compacted"] || keys["fingerprintRebuilt"] ||
+	if keys := keysOf(dualsim.ApplyStats{}); keys["noOp"] || keys["compacted"] ||
 		keys["walBytes"] || keys["fsyncLatency"] || keys["checkpointed"] {
 		t.Errorf("ApplyStats zero flags not omitted: %v", keys)
 	}
