@@ -48,7 +48,6 @@ type (
 	CheckpointResponse = wire.CheckpointResponse
 	SnapshotResponse   = wire.SnapshotResponse
 	HealthResponse     = wire.HealthResponse
-	ExportResponse     = wire.ExportResponse
 	WALEvent           = wire.WALEvent
 	ExplainResponse    = wire.ExplainResponse
 	SlowLogResponse    = wire.SlowLogResponse
@@ -370,16 +369,14 @@ func (c *Client) Ready(ctx context.Context) (*HealthResponse, error) {
 
 // Export fetches every triple of the named predicates at one pinned
 // epoch (GET /v1/export) — the cluster router's cross-shard gather path.
-func (c *Client) Export(ctx context.Context, preds []string) (*ExportResponse, error) {
+// The slice arrives in the snapshot container and decodes into a store
+// of its own, holding exactly those triples and the terms they use;
+// size is the container's length on the wire.
+func (c *Client) Export(ctx context.Context, preds []string) (st *dualsim.Store, epoch uint64, size int, err error) {
 	if len(preds) == 0 {
-		return nil, fmt.Errorf("client: export needs at least one predicate")
+		return nil, 0, 0, fmt.Errorf("client: export needs at least one predicate")
 	}
-	q := url.Values{"pred": preds}
-	var out ExportResponse
-	if err := c.doJSON(ctx, "GET", "/v1/export?"+q.Encode(), nil, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return c.fetchSnapshot(ctx, "/v1/export?"+url.Values{"pred": preds}.Encode())
 }
 
 // BootstrapSnapshot downloads the server's streamed bootstrap snapshot
@@ -387,16 +384,24 @@ func (c *Client) Export(ctx context.Context, preds []string) (*ExportResponse, e
 // it represents. A replica opens a session at that epoch and tails the
 // WAL from there.
 func (c *Client) BootstrapSnapshot(ctx context.Context) (*dualsim.Store, uint64, error) {
-	resp, err := c.do(ctx, "GET", "/v1/wal/snapshot", nil, "", true)
+	st, epoch, _, err := c.fetchSnapshot(ctx, "/v1/wal/snapshot")
+	return st, epoch, err
+}
+
+// fetchSnapshot GETs one snapshot container and decodes it with the
+// reader checkpoints use: magic, version, CRC and the body's bounds.
+func (c *Client) fetchSnapshot(ctx context.Context, path string) (*dualsim.Store, uint64, int, error) {
+	resp, err := c.do(ctx, "GET", path, nil, "", true)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	defer resp.Body.Close()
 	blob, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return persist.DecodeSnapshot(blob)
+	st, epoch, err := persist.DecodeSnapshot(blob)
+	return st, epoch, len(blob), err
 }
 
 // ErrWALGap reports a 410 from GET /v1/wal: the records after the

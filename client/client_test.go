@@ -509,14 +509,15 @@ func TestClientReplication(t *testing.T) {
 		t.Fatalf("tail events = %+v", got)
 	}
 
-	ex, err := c.Export(ctx, []string{"directed"})
+	ex, exEpoch, size, err := c.Export(ctx, []string{"directed", "directed"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Epoch != 1 || len(ex.Triples) == 0 {
-		t.Fatalf("export: %+v", ex)
+	pid, _ := db.Store().PredIDOf("directed")
+	if exEpoch != 1 || ex.NumPreds() != 1 || ex.NumTriples() != db.Store().PredCount(pid) || size == 0 {
+		t.Fatalf("export: epoch %d, %d predicates, %d triples, %d bytes", exEpoch, ex.NumPreds(), ex.NumTriples(), size)
 	}
-	for _, tr := range ex.Triples {
+	for _, tr := range ex.Triples() {
 		if tr.P != "directed" {
 			t.Fatalf("export leaked predicate %q", tr.P)
 		}

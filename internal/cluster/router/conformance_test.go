@@ -413,6 +413,32 @@ func TestEscapedTermsConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("buffered", buffered.Rows)
+			if b.name == "router" && strings.Contains(q, "OPTIONAL") {
+				// <has>, <sees> and <opt> do not share a shard of 2, so the
+				// literals cross the wire in the export's snapshot codec.
+				traced, err := c.Query(ctx, q, client.Trace())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if br := traced.Stats.Trace.Find("branch"); br == nil || br.Attrs["mode"] != "gather" {
+					t.Fatalf("%s: branch span %+v, want mode=gather", q, br)
+				} else {
+					exports, triples := 0, int64(0)
+					for _, e := range br.Children {
+						if e.Name == "export" {
+							exports++
+							triples += e.Counters["triples"]
+							if e.Counters["bytes"] <= 0 {
+								t.Errorf("export span %+v carries no bytes counter", e)
+							}
+						}
+					}
+					if exports != 2 || triples != int64(full.NumTriples()) {
+						t.Errorf("%d export spans counting %d triples, want 2 and %d", exports, triples, full.NumTriples())
+					}
+				}
+				check("buffered, traced", traced.Rows)
+			}
 
 			st, err := c.QueryStream(ctx, q)
 			if err != nil {

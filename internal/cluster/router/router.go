@@ -21,8 +21,10 @@
 //     effective store a single node would.
 //
 //   - spread over several shards → data-gather: the router exports the
-//     predicate slices (GET /v1/export), assembles a scratch store and
-//     evaluates the branch locally with the ordinary dualsim pipeline.
+//     predicate slices (GET /v1/export, each the DSIMSNP1 snapshot
+//     container of one shard's slice, ids renumbered to the terms it
+//     uses), unions them by dictionary (storage.Union) and evaluates the
+//     branch locally with the ordinary dualsim pipeline.
 //     Shipping partial RESULTS instead would be wrong: a cross-shard
 //     join cannot be merged row-wise, and OPTIONAL over partial data
 //     manufactures spurious unextended rows.
@@ -67,6 +69,7 @@ import (
 	"dualsim/internal/server"
 	"dualsim/internal/sparql"
 	qstats "dualsim/internal/stats"
+	"dualsim/internal/storage"
 	"dualsim/internal/trace"
 	"dualsim/internal/wire"
 )
@@ -494,7 +497,7 @@ func (r *Router) execBranch(ctx context.Context, b sparql.Expr, pushLimit int) (
 	if len(preds) == 0 {
 		// A constant-free pattern touches no shard; evaluate over an
 		// empty scratch store for exact (usually empty) semantics.
-		return evalLocal(ctx, nil, src, 0)
+		return evalLocal(ctx, src, 0)
 	}
 	owners := make(map[int][]string) // shard index → its preds
 	for _, p := range preds {
@@ -597,20 +600,21 @@ func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResul
 	})
 }
 
-// gather exports each owning shard's predicate slices, assembles a
-// scratch store and evaluates the branch locally — the exact path for
-// branches whose predicates span shards.
+// gather exports each owning shard's predicate slices and evaluates the
+// branch over their union — the exact path for branches whose
+// predicates span shards.
 func (r *Router) gather(ctx context.Context, owners map[int][]string, src string) (*branchResult, error) {
 	type slice struct {
-		triples []dualsim.Triple
-		epoch   uint64
+		st    *dualsim.Store
+		epoch uint64
+		size  int
 	}
 	idxs := make([]int, 0, len(owners))
 	for si := range owners {
 		idxs = append(idxs, si)
 	}
 	sort.Ints(idxs)
-	slices := make([]slice, len(idxs))
+	got := make([]slice, len(idxs))
 	errs := make([]error, len(idxs))
 	sp := trace.SpanFromContext(ctx)
 	var wg sync.WaitGroup
@@ -619,43 +623,35 @@ func (r *Router) gather(ctx context.Context, owners map[int][]string, src string
 		go func(k, si int) {
 			defer wg.Done()
 			e0 := time.Now()
-			out, err := onShard(ctx, r, si, func(ep *endpoint) (*wire.ExportResponse, error) {
-				return ep.c.Export(ctx, owners[si])
+			got[k], errs[k] = onShard(ctx, r, si, func(ep *endpoint) (slice, error) {
+				st, epoch, size, err := ep.c.Export(ctx, owners[si])
+				return slice{st, epoch, size}, err
 			})
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			if es := sp.Record("export", time.Since(e0)); es != nil {
+			if es := sp.Record("export", time.Since(e0)); errs[k] == nil && es != nil {
 				es.SetAttr("shard", strconv.Itoa(si))
-				es.Add("triples", int64(len(out.Triples)))
+				es.Add("triples", int64(got[k].st.NumTriples()))
+				es.Add("bytes", int64(got[k].size))
 			}
-			ts := make([]dualsim.Triple, len(out.Triples))
-			for i, t := range out.Triples {
-				ts[i] = t.ToTriple()
-			}
-			slices[k] = slice{triples: ts, epoch: out.Epoch}
 		}(k, si)
 	}
 	wg.Wait()
-	var all []dualsim.Triple
+	parts := make([]*dualsim.Store, len(got))
 	var epoch uint64
-	for k, err := range errs {
-		if err != nil {
-			return nil, err
+	for k, s := range got {
+		if errs[k] != nil {
+			return nil, errs[k]
 		}
-		all = append(all, slices[k].triples...)
-		if slices[k].epoch > epoch {
-			epoch = slices[k].epoch
-		}
+		parts[k], epoch = s.st, max(epoch, s.epoch)
 	}
-	return evalLocal(ctx, all, src, epoch)
+	return evalLocal(ctx, src, epoch, parts...)
 }
 
-// evalLocal runs a branch over a scratch store through the ordinary
-// dualsim pipeline and decodes rows into wire form.
-func evalLocal(ctx context.Context, ts []dualsim.Triple, src string, epoch uint64) (*branchResult, error) {
-	st, err := dualsim.FromTriples(ts)
+// evalLocal runs a branch through the ordinary dualsim pipeline over the
+// union of the given slices (storage.Union; none is the empty store).
+// Each distinct node is rendered to its wire string once per branch,
+// however many cells hold it.
+func evalLocal(ctx context.Context, src string, epoch uint64, parts ...*dualsim.Store) (*branchResult, error) {
+	st, err := storage.Union(parts...)
 	if err != nil {
 		return nil, server.Errorf(http.StatusBadGateway, "assembling gather store: %v", err)
 	}
@@ -668,14 +664,19 @@ func evalLocal(ctx context.Context, ts []dualsim.Triple, src string, epoch uint6
 	if err != nil {
 		return nil, err
 	}
+	names := make([]*string, st.NumNodes())
 	rows := make([][]*string, len(res.Rows))
 	for i, row := range res.Rows {
 		rows[i] = make([]*string, len(row))
 		for j, v := range row {
-			if v != dualsim.Unbound {
-				s := st.Term(v).String()
-				rows[i][j] = &s
+			if v == dualsim.Unbound {
+				continue
 			}
+			if names[v] == nil {
+				s := st.Term(v).String()
+				names[v] = &s
+			}
+			rows[i][j] = names[v]
 		}
 	}
 	return &branchResult{vars: append([]string{}, res.Vars...), rows: rows, epoch: epoch}, nil

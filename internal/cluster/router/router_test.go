@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -746,5 +747,73 @@ func TestRouterRelaysInBandFailure(t *testing.T) {
 	}
 	if err := rt.Ready(); err != nil {
 		t.Errorf("the shard was marked down by its own verdict: %v", err)
+	}
+}
+
+// TestGatherRejectsBadSlices: a gather fails with 502 and names the
+// cause when a shard answers the export in anything but the snapshot
+// container — a shard of an older build sending JSON is never misread —
+// and when two shards hand back the same predicate.
+func TestGatherRejectsBadSlices(t *testing.T) {
+	ctx := context.Background()
+	full, err := dualsim.FromTriples(queries.Fig1aTriples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `SELECT * WHERE { ?d <directed> ?m . ?m <genre> ?g . }` // shard 1 and shard 0 of 2
+
+	// Shard 1 answers /v1/export with the JSON body older builds sent.
+	st, err := cluster.ShardStore(full, cluster.ShardSpec{Index: 1, N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dualsim.Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	srv, err := server.New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/export" {
+			w.Header().Set("Content-Type", wire.ContentTypeJSON)
+			io.WriteString(w, `{"epoch":0,"triples":[{"s":"a","p":"directed","o":"b"}]}`)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(legacy.Close)
+	st0, err := cluster.ShardStore(full, cluster.ShardSpec{Index: 0, N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New([][]string{{startShard(t, st0).URL}, {legacy.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(ctx)
+	rs := httptest.NewServer(rt.Handler())
+	t.Cleanup(rs.Close)
+	c, err := client.New(rs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ae *client.APIError
+	if _, err := c.Query(ctx, src); !errors.As(err, &ae) || ae.StatusCode != http.StatusBadGateway || !strings.Contains(ae.Message, "bad magic") {
+		t.Fatalf("gather over a JSON-speaking shard: %v, want 502 naming the bad magic", err)
+	}
+
+	// Two shards that both hold <directed>, both asked for it.
+	rt2, err := New([][]string{{startShard(t, full).URL}, {startShard(t, full).URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt2.Probe(ctx)
+	_, err = rt2.gather(ctx, map[int][]string{0: {"directed"}, 1: {"directed", "genre"}}, src)
+	var se *server.Error
+	if !errors.As(err, &se) || se.Status != http.StatusBadGateway || !strings.Contains(se.Msg, "two parts") {
+		t.Fatalf("gather of one predicate from two shards: %v, want 502 naming two parts", err)
 	}
 }

@@ -93,6 +93,17 @@ func HasState(dir string) bool {
 // over HTTP for replica bootstrap, so a replica's decoder and the
 // crash-recovery reader exercise one format.
 func EncodeSnapshotTo(w io.Writer, st *storage.Store, epoch uint64) error {
+	return encodeContainer(w, epoch, st.EncodeSnapshot)
+}
+
+// EncodeSliceTo writes the same container around the body of the store
+// cut down to the given predicates (storage.EncodeSlice) — the answer of
+// a predicate export, decoded by the same DecodeSnapshot.
+func EncodeSliceTo(w io.Writer, st *storage.Store, preds []storage.PredID, epoch uint64) error {
+	return encodeContainer(w, epoch, func(w io.Writer) error { return st.EncodeSlice(w, preds) })
+}
+
+func encodeContainer(w io.Writer, epoch uint64, body func(io.Writer) error) error {
 	crc := crc32.NewIEEE()
 	cw := io.MultiWriter(w, crc) // everything after the magic is checksummed
 	var hdr [12]byte
@@ -104,7 +115,7 @@ func EncodeSnapshotTo(w io.Writer, st *storage.Store, epoch uint64) error {
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("persist: snapshot header: %w", err)
 	}
-	if err := st.EncodeSnapshot(cw); err != nil {
+	if err := body(cw); err != nil {
 		return fmt.Errorf("persist: snapshot body: %w", err)
 	}
 	var sum [4]byte
@@ -118,7 +129,8 @@ func EncodeSnapshotTo(w io.Writer, st *storage.Store, epoch uint64) error {
 // DecodeSnapshot parses one DSIMSNP1 container from memory, verifying
 // magic, version and checksum before decoding the store body. It is
 // ReadSnapshot without the file I/O — the entry point for a replica
-// decoding a bootstrap snapshot it fetched over the network.
+// decoding a bootstrap snapshot and for a router decoding an exported
+// predicate slice, both fetched over the network.
 func DecodeSnapshot(buf []byte) (*storage.Store, uint64, error) {
 	const minLen = len(snapMagic) + 12 + 4
 	if len(buf) < minLen {

@@ -501,34 +501,33 @@ func toWireTriples(ts []dualsim.Triple) []wire.Triple {
 }
 
 // handleExport serves every triple of the requested predicates
-// (?pred=…, repeatable) at one pinned epoch — the router's cross-shard
-// gather path. Predicates this shard does not hold export as nothing,
-// which is exactly right: the router unions slices across shards. Like
-// the WAL endpoints it skips admission: a gather is part of an
-// already-admitted query on the router, and shedding it would deadlock
-// the fan-out under load.
+// (?pred=…, repeatable; a repeat exports once) at one pinned epoch —
+// the router's cross-shard gather path — as the DSIMSNP1 container of
+// that predicate slice, the format /v1/wal/snapshot streams, epoch in
+// the X-Dualsim-Epoch header and inside the container. Predicates this
+// shard does not hold export as nothing, which is exactly right: the
+// router unions slices across shards. Like the WAL endpoints it skips
+// admission: a gather is part of an already-admitted query on the
+// router, and shedding it would deadlock the fan-out under load.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	preds := r.URL.Query()["pred"]
-	if len(preds) == 0 {
+	names := r.URL.Query()["pred"]
+	if len(names) == 0 {
 		s.Fail(w, http.StatusBadRequest, "export needs at least one pred parameter")
 		return
 	}
 	s.exports.Inc()
 	snap := s.be.session().Snapshot()
 	st := snap.Store()
-	out := wire.ExportResponse{Epoch: snap.Epoch()}
-	for _, p := range preds {
-		pid, ok := st.PredIDOf(p)
-		if !ok {
-			continue // not on this shard (or not in the data): empty slice
+	var preds []storage.PredID
+	for _, p := range names {
+		if pid, ok := st.PredIDOf(p); ok { // not on this shard: empty slice
+			preds = append(preds, pid)
 		}
-		st.ForEachPair(pid, func(sub, obj storage.NodeID) bool {
-			out.Triples = append(out.Triples, wire.FromTriple(dualsim.Triple{
-				S: st.Term(sub), P: p, O: st.Term(obj),
-			}))
-			return true
-		})
 	}
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(out.Epoch, 10))
-	s.WriteJSON(w, http.StatusOK, &out)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(snap.Epoch(), 10))
+	w.WriteHeader(http.StatusOK)
+	// As for the bootstrap snapshot: a torn container fails its CRC at
+	// the router, so a write failure needs no handling here.
+	_ = persist.EncodeSliceTo(w, st, preds, snap.Epoch())
 }

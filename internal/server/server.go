@@ -23,7 +23,7 @@
 //
 //	POST /v1/compact   on-demand overlay compaction
 //	POST /v1/checkpoint roll the durable session's WAL into a snapshot
-//	GET  /v1/export    predicate slices at a pinned epoch (router gather)
+//	GET  /v1/export    DSIMSNP1 container of predicate slices at a pinned epoch (router gather)
 //	GET  /v1/wal       replication tail: WAL records after an epoch (NDJSON)
 //	GET  /v1/wal/snapshot  streamed DSIMSNP1 bootstrap snapshot
 //

@@ -817,32 +817,69 @@ func TestWALTailNotDurableIs409(t *testing.T) {
 }
 
 // TestExportEndpoint: the router's gather path gets exactly the
-// requested predicate slices, pinned to one epoch; unknown predicates
-// export as nothing.
+// requested predicate slices as one snapshot container, pinned to one
+// epoch (header and container agree); a repeated predicate exports
+// once, unknown predicates export as nothing, and no predicate is 400.
 func TestExportEndpoint(t *testing.T) {
 	_, hs, db := newTestServer(t)
-	resp, err := http.Get(hs.URL + "/v1/export?pred=directed&pred=no_such_predicate")
-	if err != nil {
+	if _, err := db.Apply(context.Background(), dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("n1", "directed", "m1")}}); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("export status = %d", resp.StatusCode)
+	export := func(query string) (*dualsim.Store, uint64) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/v1/export?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("export %s: status %d", query, resp.StatusCode)
+		}
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, epoch, err := persist.DecodeSnapshot(blob)
+		if err != nil {
+			t.Fatalf("export %s: %v", query, err)
+		}
+		if h := resp.Header.Get("X-Dualsim-Epoch"); h != strconv.FormatUint(epoch, 10) {
+			t.Fatalf("export %s: header epoch %q, container epoch %d", query, h, epoch)
+		}
+		return st, epoch
 	}
-	out := decode[wire.ExportResponse](t, resp)
-	pid, ok := db.Store().PredIDOf("directed")
-	if !ok {
-		t.Fatal("fixture lost the directed predicate")
-	}
-	if out.Epoch != 0 || len(out.Triples) != db.Store().PredCount(pid) {
-		t.Fatalf("export = epoch %d, %d triples; want 0, %d", out.Epoch, len(out.Triples), db.Store().PredCount(pid))
-	}
-	for _, tr := range out.Triples {
-		if tr.P != "directed" {
-			t.Fatalf("export leaked predicate %q", tr.P)
+
+	full := db.Snapshot().Store()
+	want := map[string]bool{}
+	for _, tr := range full.Triples() {
+		if tr.P == "directed" || tr.P == "genre" {
+			want[tr.String()] = true
 		}
 	}
+	st, epoch := export("pred=directed&pred=no_such_predicate&pred=genre&pred=directed")
+	if epoch != 1 {
+		t.Fatalf("export epoch %d, want 1", epoch)
+	}
+	if st.NumPreds() != 2 || st.NumTriples() != len(want) {
+		t.Fatalf("export: %d predicates, %d triples; want 2, %d", st.NumPreds(), st.NumTriples(), len(want))
+	}
+	used := map[dualsim.Term]bool{}
+	for _, tr := range st.Triples() {
+		if !want[tr.String()] {
+			t.Fatalf("export holds %s, not a directed/genre triple of the store", tr)
+		}
+		used[tr.S], used[tr.O] = true, true
+	}
+	if st.NumNodes() != len(used) {
+		t.Fatalf("export carries %d terms, its triples use %d", st.NumNodes(), len(used))
+	}
+
+	if st, _ := export("pred=no_such_predicate"); st.NumPreds() != 0 || st.NumNodes() != 0 {
+		t.Fatalf("unknown predicate exported %d predicates, %d terms", st.NumPreds(), st.NumNodes())
+	}
+
 	// No predicates asked for → a routing bug on the caller side; 400.
-	resp, err = http.Get(hs.URL + "/v1/export")
+	resp, err := http.Get(hs.URL + "/v1/export")
 	if err != nil {
 		t.Fatal(err)
 	}

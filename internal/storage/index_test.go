@@ -70,23 +70,41 @@ func TestNewPredIndexMatchesSort(t *testing.T) {
 	}
 }
 
-// checkIndexes verifies every predicate index of st against the
-// sort-based construction over its own PSO run, and the store's triple
-// set against want.
-func checkIndexes(t *testing.T, what string, st *Store, want []rdf.Triple) {
-	t.Helper()
+// indexInvariants checks what every built store must hold, whatever
+// produced it: each predicate's PSO run strictly sorted with ids inside
+// the node universe, its POS order and counts equal to the sort-based
+// construction over that run, and NumTriples the sum of the runs.
+func indexInvariants(st *Store) error {
+	n := 0
 	for p := range st.byPred {
 		ix := st.byPred[p]
 		pso := make([]pair, len(ix.psoS))
 		for i := range pso {
 			pso[i] = pair{a: ix.psoS[i], b: ix.psoO[i]}
+			if int(pso[i].a) >= st.NumNodes() || int(pso[i].b) >= st.NumNodes() {
+				return fmt.Errorf("predicate %d pair %d outside the %d-node universe", p, i, st.NumNodes())
+			}
 			if i > 0 && !(pso[i-1].a < pso[i].a || pso[i-1].a == pso[i].a && pso[i-1].b < pso[i].b) {
-				t.Fatalf("%s: predicate %d PSO run not strictly sorted at %d", what, p, i)
+				return fmt.Errorf("predicate %d PSO run not strictly sorted at %d", p, i)
 			}
 		}
 		if !sameIndex(ix, sortedIndex(pso)) {
-			t.Fatalf("%s: predicate %d index differs from the sort-based construction", what, p)
+			return fmt.Errorf("predicate %d index differs from the sort-based construction", p)
 		}
+		n += len(pso)
+	}
+	if len(st.byPred) != st.NumPreds() || n != st.NumTriples() {
+		return fmt.Errorf("%d indexes holding %d triples for %d predicates, NumTriples %d", len(st.byPred), n, st.NumPreds(), st.NumTriples())
+	}
+	return nil
+}
+
+// checkIndexes verifies the index invariants of st and its triple set
+// against want.
+func checkIndexes(t *testing.T, what string, st *Store, want []rdf.Triple) {
+	t.Helper()
+	if err := indexInvariants(st); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
 	ref, err := FromTriples(want)
 	if err != nil {

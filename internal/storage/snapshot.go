@@ -5,13 +5,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 
 	"dualsim/internal/bitmat"
 	"dualsim/internal/rdf"
 )
 
 // This file implements the binary serialization of a built Store — the
-// payload of the durable snapshot files written by internal/persist.
+// payload of the durable snapshot files written by internal/persist, and
+// (EncodeSlice) of the predicate slices a shard exports to the router.
 // The codec lives here because it walks the store's internals (the
 // dictionary tables and the per-predicate PSO runs); file framing,
 // versioning, epochs and integrity checks are the persist layer's job.
@@ -39,33 +42,98 @@ const (
 // EncodeSnapshot writes the store body to w. The store must be built.
 func (st *Store) EncodeSnapshot(w io.Writer) error {
 	st.mustBeBuilt()
+	preds := make([]PredID, len(st.preds))
+	for p := range preds {
+		preds[p] = PredID(p)
+	}
+	return st.encodeBody(w, preds, nil)
+}
+
+// EncodeSlice writes, in the EncodeSnapshot layout, the body of the
+// store cut down to the given predicates: each once however often it is
+// listed, with exactly the terms their triples use. A term's id in the
+// slice is its rank among those terms in this store's id order, a
+// monotone map, so every PSO run is written in the order the index
+// already holds — no sort and no intermediate store.
+func (st *Store) EncodeSlice(w io.Writer, preds []PredID) error {
+	st.mustBeBuilt()
+	preds = slices.Compact(slices.Sorted(slices.Values(preds)))
+	r := termRanks{used: make([]uint64, (len(st.terms)+63)/64)}
+	for _, p := range preds {
+		ix := &st.byPred[p]
+		for i, s := range ix.psoS {
+			o := ix.psoO[i]
+			r.used[s/64] |= 1 << (s % 64)
+			r.used[o/64] |= 1 << (o % 64)
+		}
+	}
+	r.before = make([]uint32, len(r.used))
+	for i, w := range r.used {
+		r.before[i] = uint32(r.n)
+		r.n += bits.OnesCount64(w)
+	}
+	return st.encodeBody(w, preds, &r)
+}
+
+// termRanks numbers the n node ids a slice uses by rank in id order: one
+// bit per id and, per 64-id word, the count of used ids before it.
+type termRanks struct {
+	used   []uint64
+	before []uint32
+	n      int
+}
+
+// of returns id's slice id; a nil receiver is the identity (the full
+// snapshot keeps every id).
+func (r *termRanks) of(id NodeID) NodeID {
+	if r == nil {
+		return id
+	}
+	w := id / 64
+	return NodeID(r.before[w]) + NodeID(bits.OnesCount64(r.used[w]&(1<<(id%64)-1)))
+}
+
+// encodeBody writes the body layout over the given predicates, keeping
+// every term (ranks nil) or the used ones renumbered by ranks.
+func (st *Store) encodeBody(w io.Writer, preds []PredID, ranks *termRanks) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var scratch [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {
 		n := binary.PutUvarint(scratch[:], v)
 		bw.Write(scratch[:n]) // bufio latches the first error; Flush reports it
 	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		bw.WriteString(s)
+	putTerm := func(t rdf.Term) {
+		bw.WriteByte(byte(t.Kind))
+		putUvarint(uint64(len(t.Value)))
+		bw.WriteString(t.Value)
 	}
 
-	putUvarint(uint64(len(st.terms)))
-	for _, t := range st.terms {
-		bw.WriteByte(byte(t.Kind))
-		putString(t.Value)
+	if ranks == nil {
+		putUvarint(uint64(len(st.terms)))
+		for _, t := range st.terms {
+			putTerm(t)
+		}
+	} else {
+		putUvarint(uint64(ranks.n))
+		for i, word := range ranks.used {
+			for ; word != 0; word &= word - 1 {
+				putTerm(st.terms[i*64+bits.TrailingZeros64(word)])
+			}
+		}
 	}
-	putUvarint(uint64(len(st.preds)))
-	for _, p := range st.preds {
-		putString(p)
+	putUvarint(uint64(len(preds)))
+	for _, p := range preds {
+		putUvarint(uint64(len(st.preds[p])))
+		bw.WriteString(st.preds[p])
 	}
-	for p := range st.byPred {
+	for _, p := range preds {
 		ix := &st.byPred[p]
 		putUvarint(uint64(len(ix.psoS)))
 		prev := NodeID(0)
 		for i, sub := range ix.psoS {
+			sub = ranks.of(sub)
 			putUvarint(uint64(sub - prev))
-			putUvarint(uint64(ix.psoO[i]))
+			putUvarint(uint64(ranks.of(ix.psoO[i])))
 			prev = sub
 		}
 	}
@@ -127,6 +195,9 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 	for id, t := range d.terms {
 		d.termIDs(t.Kind)[t.Value] = NodeID(id)
 	}
+	if len(d.iris)+len(d.lits) != len(d.terms) {
+		return nil, fmt.Errorf("storage: snapshot dictionary lists a term twice")
+	}
 
 	nPreds, err := dec.uvarint("predicate count", min(maxSnapshotElems, uint64(dec.remaining())))
 	if err != nil {
@@ -141,6 +212,9 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 		}
 		d.predID[p] = PredID(len(d.preds))
 		d.preds = append(d.preds, p)
+	}
+	if len(d.predID) != len(d.preds) {
+		return nil, fmt.Errorf("storage: snapshot dictionary lists a predicate twice")
 	}
 
 	st := &Store{d: d, mats: make(map[PredID]bitmat.Pair), built: true}

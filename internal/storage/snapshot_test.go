@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"dualsim/internal/rdf"
@@ -80,6 +81,20 @@ func TestSnapshotCodecRejectsGarbage(t *testing.T) {
 			// A prefix that happens to decode fully is only legal if it is
 			// the complete body.
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(raw))
+		}
+	}
+}
+
+// TestSnapshotCodecRejectsDuplicates: a dictionary listing one term or
+// one predicate twice would make id lookups ambiguous (and a Union of
+// such a slice would map two ids to one); the decoder refuses it.
+func TestSnapshotCodecRejectsDuplicates(t *testing.T) {
+	for _, body := range [][]byte{
+		{2, 0, 1, 'a', 0, 1, 'a', 0}, // IRI "a" twice, no predicates
+		{0, 2, 1, 'p', 1, 'p', 0, 0}, // predicate "p" twice, empty runs
+	} {
+		if _, err := DecodeSnapshotBytes(body); err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Fatalf("body %v: err %v, want a duplicate rejected", body, err)
 		}
 	}
 }

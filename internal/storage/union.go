@@ -1,0 +1,73 @@
+package storage
+
+import (
+	"fmt"
+
+	"dualsim/internal/bitmat"
+)
+
+// Union merges built stores whose predicate sets are disjoint — the
+// per-shard slices of a gathered query — into one built store. The
+// result shares the first part's dictionary, so the first part's ids and
+// indexes carry over untouched; every later part interns each of its
+// terms once, then remaps, re-sorts and re-indexes only its own runs. A
+// predicate present in two parts is an error: placement by predicate
+// says no two shards hold one, and merging runs is not what this does.
+// Union of no parts is the empty store, of one part that part.
+func Union(parts ...*Store) (*Store, error) {
+	if len(parts) == 0 {
+		st := New()
+		st.Build()
+		return st, nil
+	}
+	base := parts[0]
+	base.mustBeBuilt()
+	if len(parts) == 1 {
+		return base, nil
+	}
+	d := base.d
+	byPred := append([]predIndex(nil), base.byPred...)
+	claimed := make([]bool, len(byPred))
+	for p := range claimed {
+		claimed[p] = true
+	}
+	nTrip := base.nTrip
+	for _, part := range parts[1:] {
+		part.mustBeBuilt()
+		ids := make([]NodeID, len(part.terms))
+		pids := make([]PredID, len(part.preds))
+		d.mu.Lock()
+		for i, t := range part.terms {
+			ids[i] = d.internTerm(t)
+		}
+		for i, p := range part.preds {
+			pids[i] = d.internPred(p)
+		}
+		n := len(d.preds)
+		d.mu.Unlock()
+		for len(byPred) < n {
+			byPred, claimed = append(byPred, predIndex{}), append(claimed, false)
+		}
+		for i, p := range pids {
+			if claimed[p] {
+				return nil, fmt.Errorf("storage: union: predicate %q is in two parts", part.preds[i])
+			}
+			claimed[p] = true
+			src := &part.byPred[i]
+			run := make([]pair, len(src.psoS))
+			for j, s := range src.psoS {
+				run[j] = pair{a: ids[s], b: ids[src.psoO[j]]}
+			}
+			sortPairs(run) // the remap is injective: no duplicates to drop
+			byPred[p] = newPredIndexFromPairs(run)
+			nTrip += len(run)
+		}
+	}
+	out := &Store{d: d, mats: make(map[PredID]bitmat.Pair), nTrip: nTrip, built: true}
+	out.terms, out.preds = d.views()
+	for len(byPred) < len(out.preds) { // predicates another store of the lineage interned meanwhile
+		byPred = append(byPred, predIndex{})
+	}
+	out.byPred = byPred
+	return out, nil
+}

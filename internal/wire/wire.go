@@ -253,17 +253,6 @@ const (
 	WALEnd     = "end"
 )
 
-// ExportResponse is the body of GET /v1/export?pred=…: every triple of
-// the requested predicates at one pinned epoch. The router's
-// cross-shard gather path uses it to assemble a scratch store when a
-// query's predicates span shards. The response is buffered JSON —
-// acceptable because a gather only ships the slices a query mentions,
-// and bounded by the predicates' cardinality, not the store size.
-type ExportResponse struct {
-	Epoch   uint64   `json:"epoch"`
-	Triples []Triple `json:"triples"`
-}
-
 // EndpointStatus is the router's live view of one shard endpoint.
 type EndpointStatus struct {
 	URL  string `json:"url"`
