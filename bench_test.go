@@ -6,9 +6,10 @@
 //	BenchmarkTable4…     Volcano executor, full vs. pruned, per query
 //	BenchmarkTable5…     index-NL oracle, full vs. pruned, per query
 //	BenchmarkFig6…       the L0/L1 mandatory cores (§5.3 convergence)
-//	BenchmarkAblation…   §3.3 strategy/ordering/encoding/init switches
-//	BenchmarkMicro…      the ×b kernels
+//	BenchmarkMicro…      the ×b kernels, row-wise and column-wise
 //
+// The solver runs in its one configuration throughout; the order space
+// it searches is measured by `go run ./cmd/benchtables -table orders`.
 // Absolute numbers are laptop-scale. Run `go run ./cmd/benchtables` for
 // the table-formatted view; the serving layers are measured by the
 // benchmark module under benchmark/.
@@ -16,7 +17,6 @@ package dualsim_test
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -28,7 +28,6 @@ import (
 	"dualsim/internal/engine"
 	"dualsim/internal/prune"
 	"dualsim/internal/queries"
-	"dualsim/internal/soi"
 	"dualsim/internal/storage"
 )
 
@@ -181,113 +180,6 @@ func BenchmarkFig6Cores(b *testing.B) {
 			}
 			b.ReportMetric(float64(rounds), "rounds")
 		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (§3.3 and §5.1).
-
-// ablationSpecs picks one query per convergence class.
-func ablationSpecs(b *testing.B) []queries.Spec {
-	var out []queries.Spec
-	for _, id := range []string{"L0", "L1", "L2", "B14", "B17"} {
-		s, err := queries.ByID(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-func BenchmarkAblationStrategy(b *testing.B) {
-	strategies := map[string]bitmat.Strategy{
-		"auto": bitmat.Auto, "rowwise": bitmat.RowWise, "colwise": bitmat.ColWise,
-	}
-	for _, spec := range ablationSpecs(b) {
-		st := storeFor(b, spec)
-		q := spec.Query()
-		for name, strat := range strategies {
-			b.Run(spec.ID+"/"+name, func(b *testing.B) {
-				cfg := core.Config{Strategy: strat}
-				for i := 0; i < b.N; i++ {
-					if _, err := core.QueryDualSimulation(st, q, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkAblationOrdering(b *testing.B) {
-	orders := map[string]soi.Order{
-		"sparsest-first": soi.SparsestFirst, "declaration": soi.DeclarationOrder,
-	}
-	for _, spec := range ablationSpecs(b) {
-		st := storeFor(b, spec)
-		q := spec.Query()
-		for name, ord := range orders {
-			b.Run(spec.ID+"/"+name, func(b *testing.B) {
-				cfg := core.Config{Order: ord}
-				for i := 0; i < b.N; i++ {
-					if _, err := core.QueryDualSimulation(st, q, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkAblationInit(b *testing.B) {
-	for _, spec := range ablationSpecs(b) {
-		st := storeFor(b, spec)
-		q := spec.Query()
-		for name, plain := range map[string]bool{"summary13": false, "plain12": true} {
-			b.Run(spec.ID+"/"+name, func(b *testing.B) {
-				cfg := core.Config{PlainInit: plain}
-				for i := 0; i < b.N; i++ {
-					if _, err := core.QueryDualSimulation(st, q, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkAblationParallel(b *testing.B) {
-	for _, spec := range ablationSpecs(b) {
-		st := storeFor(b, spec)
-		q := spec.Query()
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers%d", spec.ID, workers), func(b *testing.B) {
-				cfg := core.Config{Workers: workers}
-				for i := 0; i < b.N; i++ {
-					if _, err := core.QueryDualSimulation(st, q, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkAblationEncoding(b *testing.B) {
-	for _, spec := range ablationSpecs(b) {
-		st := storeFor(b, spec)
-		q := spec.Query()
-		for name, compressed := range map[string]bool{"csr": false, "compressed": true} {
-			b.Run(spec.ID+"/"+name, func(b *testing.B) {
-				cfg := core.Config{Compressed: compressed}
-				for i := 0; i < b.N; i++ {
-					if _, err := core.QueryDualSimulation(st, q, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -5,7 +5,7 @@
 //	dualsim -data db.nt -query q.rq -prune                              # pruned evaluation
 //	dualsim -data db.nt -q '…' -mode simulate                           # candidate sets
 //	dualsim -data db.nt -q '…' -limit 20                                # first 20 result rows
-//	dualsim -data db.nt -q '…' -prune -workers 2 -timeout 30s           # full pipeline, bounded
+//	dualsim -data db.nt -q '…' -prune -timeout 30s                      # full pipeline, bounded
 //	dualsim -data db.nt -q '…' -apply new.nt -del gone.nt               # live update: query, apply, re-query
 //	dualsim -top -server http://localhost:8080 -interval 2s             # live workload statistics view
 //
@@ -48,7 +48,6 @@ func main() {
 	limit := flag.Int("limit", 0, "print at most this many result rows (0 = all)")
 	out := flag.String("out", "", "prune mode: write the pruned store here")
 	doPrune := flag.Bool("prune", false, "evaluate through the pruning pipeline instead of directly")
-	workers := flag.Int("workers", 0, "parallelize bit-matrix multiplications over this many goroutines")
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = no deadline)")
 	applyFile := flag.String("apply", "", "N-Triples file of triples to add as a live delta after the first run")
 	delFile := flag.String("del", "", "N-Triples file of triples to delete as a live delta after the first run")
@@ -81,8 +80,7 @@ func main() {
 
 	cfg := cliConfig{
 		data: *data, queryFile: *queryFile, queryText: *queryText,
-		mode: *mode, limit: *limit, out: *out,
-		prune: *doPrune, workers: *workers,
+		mode: *mode, limit: *limit, out: *out, prune: *doPrune,
 		applyFile: *applyFile, delFile: *delFile, compactAt: *compactAt,
 	}
 	// Every failure — parse, exec, apply, I/O — exits non-zero with the
@@ -101,7 +99,6 @@ type cliConfig struct {
 	limit                      int
 	out                        string
 	prune                      bool
-	workers                    int
 	applyFile, delFile         string
 	compactAt                  int
 }
@@ -234,9 +231,6 @@ func openSession(st *dualsim.Store, cfg cliConfig) (*dualsim.DB, error) {
 	opts := []dualsim.Option{
 		dualsim.WithPruning(cfg.prune || cfg.mode == "prune"),
 		dualsim.WithPlanCache(liveUpdatePlanCache),
-	}
-	if cfg.workers > 0 {
-		opts = append(opts, dualsim.WithWorkers(cfg.workers))
 	}
 	if cfg.compactAt > 0 {
 		opts = append(opts, dualsim.WithCompactionThreshold(cfg.compactAt))

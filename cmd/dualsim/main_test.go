@@ -58,10 +58,6 @@ func TestRunEvaluateModes(t *testing.T) {
 	if err := do(t, cliConfig{data: data, queryText: queries.QueryX2, mode: "evaluate", prune: true}); err != nil {
 		t.Fatal(err)
 	}
-	// Full pipeline: pruning + workers.
-	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "evaluate", prune: true, workers: 2}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRunSimulateMode(t *testing.T) {
@@ -194,9 +190,9 @@ func TestMainExitCodes(t *testing.T) {
 // TestRetiredFlagsAreParseErrors pins the flags that are gone: the
 // evaluator is not selectable (-engine), the benchmark drivers
 // (-repeat, -batch, -plancache, -batchworkers) are superseded by the
-// benchmark module, and the pipeline has no pre-filter stage
-// (-fingerprint). Passing one is a flag-parse error (exit 2), not a
-// silently ignored knob.
+// benchmark module, the pipeline has no pre-filter stage (-fingerprint)
+// and the solver no parallel kernels (-workers). Passing one is a
+// flag-parse error (exit 2), not a silently ignored knob.
 func TestRetiredFlagsAreParseErrors(t *testing.T) {
 	data := fixture(t)
 	for _, flag := range [][2]string{
@@ -206,6 +202,7 @@ func TestRetiredFlagsAreParseErrors(t *testing.T) {
 		{"-plancache", "8"},
 		{"-batchworkers", "2"},
 		{"-fingerprint", "2"},
+		{"-workers", "2"},
 	} {
 		code, stderr := cli(t, "-data", data, "-q", queries.QueryX1, flag[0]+"="+flag[1])
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flag[0]) {

@@ -8,7 +8,7 @@
 //	dualsimd -follow http://primary:8321 -maxlag 2   # WAL-streaming read replica
 //	dualsimd -store db.nt -addr 127.0.0.1:0 -plancache 256 -maxinflight 16
 //	dualsimd -store db.nt -prune=false
-//	dualsimd -store db.nt -compactat 4096 -workers 2
+//	dualsimd -store db.nt -compactat 4096
 //
 // Endpoints (see internal/server for the wire format):
 //
@@ -90,7 +90,6 @@ type daemonConfig struct {
 	store           string
 	data            string
 	prune           bool
-	workers         int
 	planCache       int
 	batchWorkers    int
 	compactAt       int
@@ -118,7 +117,6 @@ func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
 	fs.StringVar(&cfg.store, "store", "", "N-Triples database file (required unless -data holds state)")
 	fs.StringVar(&cfg.data, "data", "", "durable data dir: snapshot + WAL; warm restart when it holds state")
 	fs.BoolVar(&cfg.prune, "prune", true, "evaluate through the dual-simulation pruning pipeline")
-	fs.IntVar(&cfg.workers, "workers", 0, "parallelize bit-matrix multiplications over this many goroutines")
 	fs.IntVar(&cfg.planCache, "plancache", 128, "LRU plan cache capacity (0 disables)")
 	fs.IntVar(&cfg.batchWorkers, "batchworkers", 0, "batch pool width (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.compactAt, "compactat", 0, "auto-compact the update overlay at this ledger size (0 = manual)")
@@ -356,9 +354,6 @@ func openSession(cfg daemonConfig, logw *os.File) (*dualsim.DB, error) {
 // cmd/dualsim).
 func sessionOptions(cfg daemonConfig) []dualsim.Option {
 	opts := []dualsim.Option{dualsim.WithPruning(cfg.prune)}
-	if cfg.workers > 0 {
-		opts = append(opts, dualsim.WithWorkers(cfg.workers))
-	}
 	if cfg.planCache > 0 {
 		opts = append(opts, dualsim.WithPlanCache(cfg.planCache))
 	}

@@ -485,11 +485,12 @@ func TestParseFlagsDefaults(t *testing.T) {
 	}
 }
 
-// TestEngineFlagGone: the daemon's evaluator is not selectable (-engine)
-// and its pipeline has no pre-filter stage (-fingerprint), so either is
-// a flag-parse error rather than a knob /v1/query ignores.
+// TestEngineFlagGone: the daemon's evaluator is not selectable (-engine),
+// its pipeline has no pre-filter stage (-fingerprint) and its solver no
+// parallel kernels (-workers), so each is a flag-parse error rather than
+// a knob /v1/query ignores.
 func TestEngineFlagGone(t *testing.T) {
-	for _, name := range []string{"-engine", "-fingerprint"} {
+	for _, name := range []string{"-engine", "-fingerprint", "-workers"} {
 		func() {
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "flag provided but not defined: "+name) {

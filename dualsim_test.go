@@ -137,7 +137,8 @@ func TestPublicAPIAllOptions(t *testing.T) {
 	q := dualsim.MustParseQuery(queries.QueryX2)
 	variants := [][]dualsim.Option{
 		{},
-		{dualsim.WithWorkers(4)},
+		{dualsim.WithPruning(false)},
+		{dualsim.WithEngine(dualsim.IndexNL)},
 	}
 	var baselineCount int
 	for i, opts := range variants {
@@ -160,7 +161,7 @@ func TestPublicAPIAllOptions(t *testing.T) {
 // With* function in options.go must be referenced as dualsim.WithX by a
 // non-test Go file under cmd/, internal/ or benchmark/ — a command, the
 // server or the benchmark. An option only tests and examples set is a
-// knob nobody turns; the paper's ablations run on core.Config instead.
+// knob nobody turns.
 func TestEveryOptionHasACaller(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, 0)
 	if err != nil {

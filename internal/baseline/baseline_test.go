@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dualsim/internal/core"
+	"dualsim/internal/proptest"
 	"dualsim/internal/rdf"
 	"dualsim/internal/storage"
 )
+
+// regressionSeeds pins the counterexamples the properties have found so
+// far (none yet); proptest.Check replays them before exploring.
+var regressionSeeds []int64
 
 func mustStore(t *testing.T, ts []rdf.Triple) *storage.Store {
 	t.Helper()
@@ -169,9 +173,7 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 		// And the agreed relation is a dual simulation per Definition 2.
 		return pat.VerifyDualSimulation(st, soiSets) == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 250, regressionSeeds)
 }
 
 // TestPropertyMaximality: adding any disqualified pair to the computed
@@ -208,9 +210,7 @@ func TestPropertyMaximality(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 150, regressionSeeds)
 }
 
 // TestPropertyHomomorphicMatchesContained is Theorem 1: every homomorphic
@@ -234,9 +234,7 @@ func TestPropertyHomomorphicMatchesContained(t *testing.T) {
 		})
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 120, regressionSeeds)
 }
 
 // forEachMatch enumerates all homomorphic matches of pat by brute force.

@@ -17,9 +17,7 @@
 // counts; Pair bundles a matrix with its transpose so both strategies are
 // always available.
 //
-// Matrices are stored sparsely. Two encodings implement the Mat interface:
-// CSR (sorted adjacency rows, the default working encoding) and Compressed
-// (gap-length encoded rows, the paper's at-rest encoding, cf. §5.1).
+// Matrices are stored sparsely, as CSR: one sorted adjacency row per node.
 package bitmat
 
 import (
@@ -30,32 +28,9 @@ import (
 	"dualsim/internal/bitvec"
 )
 
-// Mat is a boolean matrix with enough structure to run both ×b strategies.
-// Rows and columns range over [0, Dim()); all implementations are immutable
-// after construction and safe for concurrent reads.
-type Mat interface {
-	// Dim returns the number of rows (= columns; matrices are square over
-	// the node universe).
-	Dim() int
-	// NNZ returns the number of set cells, i.e. the number of a-labeled
-	// edges.
-	NNZ() int
-	// UnionRows ORs every row indexed by a set bit of x into dst:
-	// dst ∨= ⋃_{i ∈ x} A(i,·). This is the row-wise ×b kernel.
-	UnionRows(x, dst *bitvec.Vector)
-	// RowIntersects reports whether row i shares a set bit with x. Applied
-	// to the transpose it is the column-wise ×b kernel (equation (4)).
-	RowIntersects(i int, x *bitvec.Vector) bool
-	// NonEmptyRows returns the summary vector with bit i set iff row i has
-	// any set cell — f_a (resp. b_a for the transpose) of inequality (13).
-	// The returned vector is shared; callers must not modify it.
-	NonEmptyRows() *bitvec.Vector
-	// NonEmptyRowCount returns NonEmptyRows().Count() without recounting.
-	NonEmptyRowCount() int
-}
-
 // CSR is a compressed-sparse-row boolean matrix: row i holds the sorted
-// column indices of its set cells.
+// column indices of its set cells. Rows and columns range over [0, Dim());
+// a matrix is immutable after construction and safe for concurrent reads.
 type CSR struct {
 	n        int
 	ptr      []uint32
@@ -114,16 +89,18 @@ func (m *CSR) finish() {
 	}
 }
 
-// Dim implements Mat.
+// Dim returns the number of rows (= columns; matrices are square over the
+// node universe).
 func (m *CSR) Dim() int { return m.n }
 
-// NNZ implements Mat.
+// NNZ returns the number of set cells, i.e. the number of a-labeled edges.
 func (m *CSR) NNZ() int { return len(m.cols) }
 
 // Row returns the sorted column indices of row i. The slice is shared.
 func (m *CSR) Row(i int) []uint32 { return m.cols[m.ptr[i]:m.ptr[i+1]] }
 
-// UnionRows implements Mat.
+// UnionRows ORs every row indexed by a set bit of x into dst:
+// dst ∨= ⋃_{i ∈ x} A(i,·). This is the row-wise ×b kernel.
 //
 //dualsim:hotpath
 func (m *CSR) UnionRows(x, dst *bitvec.Vector) {
@@ -141,7 +118,8 @@ func (m *CSR) UnionRows(x, dst *bitvec.Vector) {
 	dst.SetAll(m.cols[m.ptr[lo]:m.ptr[hi]])
 }
 
-// RowIntersects implements Mat.
+// RowIntersects reports whether row i shares a set bit with x. Applied to
+// the transpose it is the column-wise ×b kernel (equation (4)).
 //
 //dualsim:hotpath
 func (m *CSR) RowIntersects(i int, x *bitvec.Vector) bool {
@@ -153,10 +131,12 @@ func (m *CSR) RowIntersects(i int, x *bitvec.Vector) bool {
 	return false
 }
 
-// NonEmptyRows implements Mat.
+// NonEmptyRows returns the summary vector with bit i set iff row i has any
+// set cell — f_a (resp. b_a for the transpose) of inequality (13). The
+// returned vector is shared; callers must not modify it.
 func (m *CSR) NonEmptyRows() *bitvec.Vector { return m.summary }
 
-// NonEmptyRowCount implements Mat.
+// NonEmptyRowCount returns NonEmptyRows().Count() without recounting.
 func (m *CSR) NonEmptyRowCount() int { return m.nonEmpty }
 
 // Transpose returns the transposed CSR matrix, built by a counting pass
@@ -182,89 +162,12 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// Compressed stores each non-empty row as a gap-length encoded bit-vector
-// (bitvec.Compressed). It trades multiplication speed for memory — the
-// paper's BitMat-style at-rest representation.
-type Compressed struct {
-	n        int
-	rows     map[int]*bitvec.Compressed
-	nnz      int
-	summary  *bitvec.Vector
-	nonEmpty int
-}
-
-// CompressCSR converts a CSR matrix into the compressed encoding.
-func CompressCSR(m *CSR) *Compressed {
-	c := &Compressed{
-		n:        m.n,
-		rows:     make(map[int]*bitvec.Compressed),
-		nnz:      m.NNZ(),
-		summary:  m.summary,
-		nonEmpty: m.nonEmpty,
-	}
-	scratch := bitvec.New(m.n)
-	for i := 0; i < m.n; i++ {
-		row := m.Row(i)
-		if len(row) == 0 {
-			continue
-		}
-		scratch.Zero()
-		for _, j := range row {
-			scratch.Set(int(j))
-		}
-		c.rows[i] = bitvec.Compress(scratch)
-	}
-	return c
-}
-
-// Dim implements Mat.
-func (c *Compressed) Dim() int { return c.n }
-
-// NNZ implements Mat.
-func (c *Compressed) NNZ() int { return c.nnz }
-
-// UnionRows implements Mat.
-//
-//dualsim:hotpath
-func (c *Compressed) UnionRows(x, dst *bitvec.Vector) {
-	x.ForEach(func(i int) bool {
-		if row, ok := c.rows[i]; ok {
-			row.OrInto(dst)
-		}
-		return true
-	})
-}
-
-// RowIntersects implements Mat.
-//
-//dualsim:hotpath
-func (c *Compressed) RowIntersects(i int, x *bitvec.Vector) bool {
-	row, ok := c.rows[i]
-	return ok && row.Intersects(x)
-}
-
-// NonEmptyRows implements Mat.
-func (c *Compressed) NonEmptyRows() *bitvec.Vector { return c.summary }
-
-// NonEmptyRowCount implements Mat.
-func (c *Compressed) NonEmptyRowCount() int { return c.nonEmpty }
-
-// SizeWords reports the total encoded size of all rows in 64-bit words,
-// for the §5.1-style memory accounting.
-func (c *Compressed) SizeWords() int {
-	total := 0
-	for _, r := range c.rows {
-		total += r.SizeWords()
-	}
-	return total
-}
-
 // Pair bundles the forward matrix of a label with its transpose (the
 // backward matrix) so that both ×b strategies are available for both edge
 // directions.
 type Pair struct {
-	F Mat // F_a: row v holds the a-successors of v
-	B Mat // B_a = F_aᵀ: row w holds the a-predecessors of w
+	F *CSR // F_a: row v holds the a-successors of v
+	B *CSR // B_a = F_aᵀ: row w holds the a-predecessors of w
 }
 
 // NewPair builds the F/B pair of CSR matrices for one label from the
@@ -274,12 +177,13 @@ func NewPair(n int, edges []Cell) Pair {
 	return Pair{F: f, B: f.Transpose()}
 }
 
-// CompressPair converts both matrices to the compressed encoding.
-func CompressPair(p Pair) Pair {
-	return Pair{
-		F: CompressCSR(p.F.(*CSR)),
-		B: CompressCSR(p.B.(*CSR)),
+// oriented returns the matrix ×b multiplies against in direction dir and
+// its transpose.
+func (p Pair) oriented(dir Direction) (a, at *CSR) {
+	if dir == Backward {
+		return p.B, p.F
 	}
+	return p.F, p.B
 }
 
 // Strategy selects the ×b evaluation strategy.
@@ -314,48 +218,47 @@ func (s Strategy) Resolve(xCount, candCount int) Strategy {
 // are the callers' cached population counts of x and cand; the result is
 // cand's new count, so cand changed iff it differs from candCount.
 //
-// Column-wise, the candidates are walked and those whose transposed row
-// misses x are cleared — no scratch, no compare, no copy. x and cand may
-// be the same vector (a self-loop pattern edge): a candidate is then
-// tested against a set that only shrinks, which removes no node that has
-// a partner in the fixpoint. Row-wise, and for every parallel evaluation,
-// the product is accumulated into scratch and ∧-ed into cand once.
+// The strategy is Auto's choice. Column-wise, the candidates are walked
+// and those whose transposed row misses x are cleared — no scratch, no
+// compare, no copy. x and cand may be the same vector (a self-loop pattern
+// edge): a candidate is then tested against a set that only shrinks, which
+// removes no node that has a partner in the fixpoint. Row-wise, the
+// product is accumulated into scratch and ∧-ed into cand once.
 //
 //dualsim:hotpath
-func (p Pair) Update(dir Direction, x, cand *bitvec.Vector, xCount, candCount int, scratch *bitvec.Vector, s Strategy, workers int) int {
-	a, at := p.F, p.B
-	if dir == Backward {
-		a, at = p.B, p.F
-	}
-	rowwise := s.Resolve(xCount, candCount) == RowWise
-	if !rowwise && workers <= 1 {
+func (p Pair) Update(dir Direction, x, cand *bitvec.Vector, xCount, candCount int, scratch *bitvec.Vector) int {
+	a, at := p.oriented(dir)
+	if Auto.Resolve(xCount, candCount) == ColWise {
 		return cand.Retain(func(j int) bool { return at.RowIntersects(j, x) })
 	}
 	scratch.Zero()
-	switch {
-	case workers <= 1:
-		a.UnionRows(x, scratch)
-	case rowwise:
-		parallelUnionRows(a, x, scratch, workers)
-	default:
-		parallelProbeColumns(at, x, cand, scratch, workers)
-	}
+	a.UnionRows(x, scratch)
 	if cand.And(scratch) {
 		return cand.Count()
 	}
 	return candCount
 }
 
-// Multiply computes r = (x ×b A) ∧ cand into dst: Update applied to a
-// copy of cand. cand restricts the interesting columns (the current χS of
-// the constrained variable); restricting is sound because the result is
-// immediately ∧-ed with cand by the SOI update rule.
+// Multiply computes r = (x ×b A) ∧ cand into dst under strategy s. cand
+// restricts the interesting columns (the current χS of the constrained
+// variable); restricting is sound because the result is immediately ∧-ed
+// with cand by the SOI update rule. dst must be distinct from x and cand.
 //
 // It returns the number of set bits of x ("work left") purely as a metric.
 //
 //dualsim:hotpath
 func (p Pair) Multiply(dir Direction, x, cand, dst *bitvec.Vector, s Strategy) int {
-	return p.MultiplyParallel(dir, x, cand, dst, s, 1)
+	a, at := p.oriented(dir)
+	xCount := x.Count()
+	if s.Resolve(xCount, cand.Count()) == RowWise {
+		dst.Zero()
+		a.UnionRows(x, dst)
+		dst.And(cand)
+	} else {
+		dst.CopyFrom(cand)
+		dst.Retain(func(j int) bool { return at.RowIntersects(j, x) })
+	}
+	return xCount
 }
 
 // Direction selects which of the two adjacency maps ×b runs against.

@@ -5,10 +5,14 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"dualsim/internal/bitvec"
+	"dualsim/internal/proptest"
 )
+
+// regressionSeeds pins the counterexamples the properties have found so
+// far (none yet); proptest.Check replays them before exploring.
+var regressionSeeds []int64
 
 // fig2aBornIn is the born_in adjacency of the paper's Fig. 2(a) with node
 // order v1=place, v2=director1, v3=director2, v4=coworker, v5=movie
@@ -120,9 +124,7 @@ func TestPropertyCSRConstruction(t *testing.T) {
 		}
 		return sameCSR(m, NewCSR(n, shuffled)) && sameCSR(m, mt.Transpose()) && sameCSR(mt, NewCSR(n, mirrored))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 200, regressionSeeds)
 }
 
 func randomCells(r *rand.Rand, n, e int) []Cell {
@@ -180,49 +182,22 @@ func TestPropertyMultiplyMatchesSpec(t *testing.T) {
 		p.Multiply(Backward, x, cand, dst, Auto)
 		return dst.Equal(wantB)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 150, regressionSeeds)
 }
 
-func TestPropertyCompressedAgreesWithCSR(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(80) + 2
-		cells := randomCells(r, n, r.Intn(5*n))
-		csr := NewPair(n, cells)
-		comp := CompressPair(csr)
-
-		if comp.F.NNZ() != csr.F.NNZ() || comp.F.NonEmptyRowCount() != csr.F.NonEmptyRowCount() {
-			return false
+// TestMultiplyAllocs: Multiply runs its kernel straight into dst and
+// allocates nothing, whichever strategy it resolves to.
+func TestMultiplyAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const n = 1 << 14
+	p := NewPair(n, randomCells(r, n, 4*n))
+	x := randomVec(r, n)
+	cand := randomVec(r, n)
+	dst := bitvec.New(n)
+	for _, s := range []Strategy{RowWise, ColWise} {
+		if allocs := testing.AllocsPerRun(50, func() { p.Multiply(Forward, x, cand, dst, s) }); allocs > 0 {
+			t.Errorf("strategy %v: %.1f allocs/op, want 0", s, allocs)
 		}
-		x := randomVec(r, n)
-		cand := randomVec(r, n)
-		d1, d2 := bitvec.New(n), bitvec.New(n)
-		for _, dir := range []Direction{Forward, Backward} {
-			for _, s := range []Strategy{RowWise, ColWise} {
-				csr.Multiply(dir, x, cand, d1, s)
-				comp.Multiply(dir, x, cand, d2, s)
-				if !d1.Equal(d2) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompressedSizeWords(t *testing.T) {
-	// A sparse matrix over a large universe must compress far below the
-	// dense footprint n*(n/64) words.
-	n := 4096
-	cells := []Cell{{0, 4000}, {1000, 1}, {4095, 4095}}
-	c := CompressCSR(NewCSR(n, cells))
-	if c.SizeWords() > 32 {
-		t.Fatalf("SizeWords = %d, want tiny", c.SizeWords())
 	}
 }
 

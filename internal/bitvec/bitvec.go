@@ -9,8 +9,8 @@
 //     representation for χS rows and multiplication results.
 //   - Compressed: a run-length ("gap-length") encoded bit-vector in the
 //     spirit of EWAH/WAH. The paper (§3.3, §5.1) points out that gap-length
-//     encoded storage keeps the adjacency matrices small; Compressed is the
-//     at-rest format for matrix rows and summaries.
+//     encoding keeps sparse node sets small; Compressed is the compact form
+//     of a vector for storage or transfer, not a working representation.
 //
 // All operations treat vectors as having a fixed logical length Len; bits
 // at positions ≥ Len are always zero.
@@ -23,8 +23,8 @@
 // full summary word is served by a straight 64-word loop, so dense vectors
 // pay nothing for it. Mutators that visit a word anyway clear its summary
 // bit when the word becomes zero, which keeps the summary tight as a
-// candidate set decays. Only this package writes words (Words is a
-// read-only view), so the invariant has one owner.
+// candidate set decays. Only this package touches words, so the
+// invariant has one owner.
 package bitvec
 
 import (
@@ -180,25 +180,6 @@ func (v *Vector) trim() {
 	}
 }
 
-// Reset reinitializes v to a zeroed vector of n bits, reusing the
-// backing array when it is large enough. It is the re-use hook for
-// pooled vectors (sync.Pool arenas hand out vectors of varying length).
-func (v *Vector) Reset(n int) {
-	if n < 0 {
-		panic("bitvec: negative length")
-	}
-	if w := wordsFor(n); cap(v.words) < w {
-		v.words, v.sum = alloc(n)
-	} else {
-		// Words and summary beyond the current length are zero (they were
-		// zeroed before every earlier shrink), so zeroing what is visible
-		// leaves the whole backing array clean.
-		v.Zero()
-		v.words, v.sum = v.words[:w], v.sum[:wordsFor(w)]
-	}
-	v.n = n
-}
-
 // Clone returns a deep copy.
 func (v *Vector) Clone() *Vector {
 	w := &Vector{n: v.n}
@@ -223,21 +204,6 @@ func (v *Vector) CopyFrom(w *Vector) {
 		for ; m != 0; m &= m - 1 {
 			i := k<<wordLog | bits.TrailingZeros64(m)
 			v.words[i] = w.words[i]
-		}
-	}
-}
-
-// CopyWordRange overwrites the 64-bit words [lo, hi) of v with those of
-// w and leaves the rest of v alone — how the parallel kernels hand each
-// worker its slice of a driving vector. The lengths must match.
-//
-//dualsim:hotpath
-func (v *Vector) CopyWordRange(w *Vector, lo, hi int) {
-	v.sameLen(w)
-	for i := lo; i < hi; i++ {
-		v.words[i] = w.words[i]
-		if w.words[i] != 0 {
-			v.sum[i>>wordLog] |= 1 << uint(i&wordMask)
 		}
 	}
 }
@@ -486,11 +452,6 @@ func (v *Vector) Bits() []int {
 	v.ForEach(func(i int) bool { out = append(out, i); return true })
 	return out
 }
-
-// Words exposes the backing words, read-only: a caller that wrote a word
-// would break the summary invariant. The parallel kernels use it to size
-// their word ranges.
-func (v *Vector) Words() []uint64 { return v.words }
 
 // String renders the vector as a brace-enclosed list of set positions,
 // e.g. "{0, 3, 17}".

@@ -3,7 +3,8 @@ package bitvec
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+
+	"dualsim/internal/proptest"
 )
 
 func TestNewAndLen(t *testing.T) {
@@ -76,7 +77,7 @@ func TestFillAndTrim(t *testing.T) {
 		}
 		// No bits beyond the logical length may leak into words.
 		total := 0
-		for _, w := range v.Words() {
+		for _, w := range v.words {
 			for ; w != 0; w &= w - 1 {
 				total++
 			}
@@ -283,7 +284,6 @@ func randomVector(r *rand.Rand, n int) *Vector {
 }
 
 func TestPropertyDeMorgan(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		n := rr.Intn(300) + 1
@@ -303,9 +303,7 @@ func TestPropertyDeMorgan(t *testing.T) {
 		recon.Or(anb)
 		return recon.Equal(a)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: r}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 200, regressionSeeds)
 }
 
 func TestPropertyCountAgreesWithBits(t *testing.T) {
@@ -315,9 +313,7 @@ func TestPropertyCountAgreesWithBits(t *testing.T) {
 		v := randomVector(rr, n)
 		return v.Count() == len(v.Bits())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 200, regressionSeeds)
 }
 
 func TestPropertySubsetIffAndFixed(t *testing.T) {
@@ -331,49 +327,5 @@ func TestPropertySubsetIffAndFixed(t *testing.T) {
 		ab.And(b)
 		return a.SubsetOf(b) == ab.Equal(a)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReset: a reset vector is indistinguishable from a fresh New(n) —
-// zeroed, with the right logical length — whether it shrinks (backing
-// array reused, stale bits cleared) or grows.
-func TestReset(t *testing.T) {
-	v := New(200)
-	v.Fill()
-	words := &v.Words()[0]
-
-	v.Reset(70) // shrink: reuse backing array
-	if v.Len() != 70 || !v.IsEmpty() {
-		t.Fatalf("Reset(70): len=%d empty=%v", v.Len(), v.IsEmpty())
-	}
-	if &v.Words()[0] != words {
-		t.Fatal("shrinking Reset reallocated the backing array")
-	}
-	if !v.Equal(New(70)) {
-		t.Fatal("reset vector differs from a fresh one")
-	}
-	v.Set(69)
-	v.Reset(66) // shrink within the same word: stale bit 69 must go
-	v.Reset(70)
-	if !v.IsEmpty() {
-		t.Fatalf("stale bits survived Reset: %v", v)
-	}
-
-	v.Reset(1000) // grow: reallocate
-	if v.Len() != 1000 || !v.IsEmpty() {
-		t.Fatalf("Reset(1000): len=%d empty=%v", v.Len(), v.IsEmpty())
-	}
-	v.Set(999)
-	if v.Count() != 1 {
-		t.Fatal("grown vector unusable")
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on negative Reset")
-		}
-	}()
-	v.Reset(-1)
+	proptest.Check(t, f, 200, regressionSeeds)
 }

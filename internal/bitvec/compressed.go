@@ -15,9 +15,9 @@ import (
 //
 // Long gaps of zeros (the common case for adjacency-matrix rows over large
 // node universes) therefore cost a single word. Compressed vectors are
-// immutable once built; they support the read-side operations the SOI
-// solver needs (iteration, intersection tests, OR-expansion into a dense
-// Vector) and full round-tripping to and from Vector.
+// immutable once built; they support read-side operations (iteration,
+// intersection tests, OR-expansion into a dense Vector) and full
+// round-tripping to and from Vector.
 type Compressed struct {
 	words []uint64 // marker/literal stream
 	n     int      // logical bit length
@@ -96,8 +96,7 @@ func (c *Compressed) Len() int { return c.n }
 func (c *Compressed) SizeWords() int { return len(c.words) }
 
 // OrInto ORs the compressed contents into the dense vector v, which must
-// have the same logical length. Used to accumulate row unions during
-// row-wise ×b multiplication. It writes v's words directly and so marks
+// have the same logical length. It writes v's words directly and so marks
 // every word it may have made non-zero in v's summary.
 func (c *Compressed) OrInto(v *Vector) {
 	if v.n != c.n {

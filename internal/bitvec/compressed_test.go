@@ -3,7 +3,8 @@ package bitvec
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+
+	"dualsim/internal/proptest"
 )
 
 func TestCompressedRoundTrip(t *testing.T) {
@@ -50,9 +51,7 @@ func TestCompressedCount(t *testing.T) {
 		v := randomVector(rr, n)
 		return Compress(v).Count() == v.Count()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 300, regressionSeeds)
 }
 
 func TestCompressedIsEmpty(t *testing.T) {
@@ -76,9 +75,7 @@ func TestCompressedOrInto(t *testing.T) {
 		Compress(b).OrInto(got)
 		return got.Equal(want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 300, regressionSeeds)
 }
 
 func TestCompressedIntersects(t *testing.T) {
@@ -89,9 +86,7 @@ func TestCompressedIntersects(t *testing.T) {
 		b := randomVector(rr, n)
 		return Compress(a).Intersects(b) == a.Intersects(b)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 300, regressionSeeds)
 }
 
 func TestCompressedForEach(t *testing.T) {
@@ -112,9 +107,7 @@ func TestCompressedForEach(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 300, regressionSeeds)
 }
 
 func TestCompressedForEachEarlyStop(t *testing.T) {
@@ -132,7 +125,7 @@ func TestCompressedSavesSpaceOnSparse(t *testing.T) {
 		v.Set(i * 9999)
 	}
 	c := Compress(v)
-	dense := len(v.Words())
+	dense := len(v.words)
 	if c.SizeWords() >= dense/10 {
 		t.Fatalf("compression ineffective: %d words vs %d dense", c.SizeWords(), dense)
 	}

@@ -114,19 +114,6 @@ func WithSessionOptions(opts ...dualsim.Option) FollowerOption {
 	}
 }
 
-// WithFollowerHTTP forwards client options (transport, retries) to the
-// follower's primary connection.
-func WithFollowerHTTP(opts ...client.Option) FollowerOption {
-	return func(f *Follower) error {
-		c, err := client.New(f.url, opts...)
-		if err != nil {
-			return err
-		}
-		f.c = c
-		return nil
-	}
-}
-
 // Follow builds a follower of the primary at primaryURL. Nothing is
 // fetched yet — Bootstrap (or Run, which bootstraps as needed) makes
 // the first contact.

@@ -9,25 +9,13 @@ import (
 	"dualsim/internal/storage"
 )
 
-// Config controls the SOI construction and solving.
-type Config struct {
-	// PlainInit disables the sharpened initialization (13) and uses the
-	// unconstrained v ≤ 1 of (12) — ablation switch.
-	PlainInit bool
-	// Strategy is the ×b evaluation strategy (Auto by default).
-	Strategy bitmat.Strategy
-	// Order is the worklist's pick rule (SparsestFirst — cheapest
-	// inequality first — by default).
-	Order soi.Order
-	// ShortCircuit stops the solver once a mandatory variable empties.
-	ShortCircuit bool
-	// Compressed solves against gap-length encoded matrices instead of
-	// CSR — the §5.1 storage ablation.
-	Compressed bool
-	// Workers > 1 parallelizes each ×b multiplication over that many
-	// goroutines.
-	Workers int
-}
+// Config is the solver configuration, and it has no fields: the system is
+// always built with the sharpened initialization (13) over the CSR
+// matrices and solved cheapest-first under the popcount strategy of §3.3,
+// and the largest solution depends on none of these choices. The type
+// stays because the repository benchmark passes Config{} to the entry
+// points below.
+type Config struct{}
 
 // Relation is the largest dual simulation between a pattern and a store,
 // presented through the characteristic function χS: one node set per
@@ -108,14 +96,12 @@ func BuildSystem(st *storage.Store, p *Pattern, cfg Config) *soi.System {
 	}
 
 	for _, e := range p.Edges() {
-		mats := predMatrices(st, e.Pred, cfg.Compressed)
+		mats := predMatrices(st, e.Pred)
 		sys.AddEdge(vars[e.From], vars[e.To], mats, e.Pred)
-		if !cfg.PlainInit {
-			// Inequality (13): v ≤ ⋀ f_a over outgoing edges ∧ ⋀ b_a over
-			// incoming edges.
-			sys.ConstrainInit(vars[e.From], mats.F.NonEmptyRows())
-			sys.ConstrainInit(vars[e.To], mats.B.NonEmptyRows())
-		}
+		// Inequality (13): v ≤ ⋀ f_a over outgoing edges ∧ ⋀ b_a over
+		// incoming edges.
+		sys.ConstrainInit(vars[e.From], mats.F.NonEmptyRows())
+		sys.ConstrainInit(vars[e.To], mats.B.NonEmptyRows())
 	}
 	return sys
 }
@@ -123,16 +109,12 @@ func BuildSystem(st *storage.Store, p *Pattern, cfg Config) *soi.System {
 // predMatrices fetches the (F_a, B_a) pair for a predicate; an unknown
 // predicate yields an empty pair, which correctly forces incident
 // variables to the empty set.
-func predMatrices(st *storage.Store, pred string, compressed bool) bitmat.Pair {
+func predMatrices(st *storage.Store, pred string) bitmat.Pair {
 	pid, ok := st.PredIDOf(pred)
 	if !ok {
 		return bitmat.NewPair(st.NumNodes(), nil)
 	}
-	m := st.Matrices(pid)
-	if compressed {
-		m = bitmat.CompressPair(m)
-	}
-	return m
+	return st.Matrices(pid)
 }
 
 // DualSimulation computes the largest dual simulation between pattern p
@@ -146,22 +128,9 @@ func DualSimulation(st *storage.Store, p *Pattern, cfg Config) *Relation {
 // aborts between inequality evaluations and the ctx error is returned.
 func DualSimulationCtx(ctx context.Context, st *storage.Store, p *Pattern, cfg Config) (*Relation, error) {
 	sys := BuildSystem(st, p, cfg)
-	sol, err := sys.SolveCtx(ctx, soi.Options{
-		Strategy:     cfg.Strategy,
-		Order:        cfg.Order,
-		ShortCircuit: cfg.ShortCircuit,
-		Workers:      cfg.Workers,
-	})
+	sol, err := sys.SolveCtx(ctx, soi.Options{})
 	if err != nil {
 		return nil, err
 	}
-	chi := sol.Chi[:p.NumVars()]
-	if sol.Stats.ShortCircuited {
-		// An empty mandatory variable certifies the empty result; expose
-		// the canonical empty relation rather than a half-converged one.
-		for _, c := range chi {
-			c.Zero()
-		}
-	}
-	return &Relation{Pattern: p, Chi: chi, Stats: sol.Stats}, nil
+	return &Relation{Pattern: p, Chi: sol.Chi[:p.NumVars()], Stats: sol.Stats}, nil
 }

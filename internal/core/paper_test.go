@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"dualsim/internal/bitmat"
 	"dualsim/internal/rdf"
 	"dualsim/internal/soi"
 	"dualsim/internal/storage"
@@ -83,36 +82,19 @@ func sameSet(a, b map[storage.NodeID]bool) bool {
 // of the two homomorphic result subgraphs.
 func TestRelation2(t *testing.T) {
 	st := fig1a(t)
-	for _, cfg := range allConfigs() {
-		rel := DualSimulation(st, patternX1(), cfg)
-		if got, want := rel.Set("director"), nodeSet(t, st, "B._De_Palma", "G._Hamilton"); !sameSet(got, want) {
-			t.Fatalf("cfg %+v: director = %v, want %v", cfg, got, want)
-		}
-		if got, want := rel.Set("movie"), nodeSet(t, st, "Mission:_Impossible", "Goldfinger"); !sameSet(got, want) {
-			t.Fatalf("cfg %+v: movie = %v, want %v", cfg, got, want)
-		}
-		if got, want := rel.Set("coworker"), nodeSet(t, st, "D._Koepp", "H._Saltzman"); !sameSet(got, want) {
-			t.Fatalf("cfg %+v: coworker = %v, want %v", cfg, got, want)
-		}
-		if err := rel.Pattern.VerifyDualSimulation(st, rel.Sets()); err != nil {
-			t.Fatalf("cfg %+v: not a dual simulation: %v", cfg, err)
-		}
+	rel := DualSimulation(st, patternX1(), Config{})
+	if got, want := rel.Set("director"), nodeSet(t, st, "B._De_Palma", "G._Hamilton"); !sameSet(got, want) {
+		t.Fatalf("director = %v, want %v", got, want)
 	}
-}
-
-// allConfigs enumerates solver configurations so every strategy and
-// encoding computes the same relation.
-func allConfigs() []Config {
-	var out []Config
-	for _, plain := range []bool{false, true} {
-		for _, s := range []bitmat.Strategy{bitmat.Auto, bitmat.RowWise, bitmat.ColWise} {
-			for _, o := range []soi.Order{soi.SparsestFirst, soi.DeclarationOrder} {
-				out = append(out, Config{PlainInit: plain, Strategy: s, Order: o})
-			}
-		}
+	if got, want := rel.Set("movie"), nodeSet(t, st, "Mission:_Impossible", "Goldfinger"); !sameSet(got, want) {
+		t.Fatalf("movie = %v, want %v", got, want)
 	}
-	out = append(out, Config{Compressed: true})
-	return out
+	if got, want := rel.Set("coworker"), nodeSet(t, st, "D._Koepp", "H._Saltzman"); !sameSet(got, want) {
+		t.Fatalf("coworker = %v, want %v", got, want)
+	}
+	if err := rel.Pattern.VerifyDualSimulation(st, rel.Sets()); err != nil {
+		t.Fatalf("not a dual simulation: %v", err)
+	}
 }
 
 // fig2b is the data graph of Fig. 2(b) loaded as a store.
@@ -298,31 +280,23 @@ func mustLit(t *testing.T, st *storage.Store, v string) storage.NodeID {
 	return id
 }
 
-// TestShortCircuit: with ShortCircuit enabled an unsatisfiable pattern
-// yields the canonical empty relation and reports the short circuit.
-func TestShortCircuit(t *testing.T) {
+// TestUnsatisfiableComponent: the largest dual simulation is
+// per-component (see Sect. 2 discussion), so an unsatisfiable component
+// empties its own variables while a satisfiable one survives.
+func TestUnsatisfiableComponent(t *testing.T) {
 	st := fig1a(t)
 	p := NewPattern()
 	p.Edge("a", "no_such_predicate", "b")
 	p.Edge("c", "directed", "d") // separate satisfiable component
-	rel := DualSimulation(st, p, Config{ShortCircuit: true})
-	if !rel.Stats.ShortCircuited {
-		t.Fatal("expected short circuit")
+	rel := DualSimulation(st, p, Config{})
+	if len(rel.Set("c")) == 0 {
+		t.Fatal("component c should be non-empty")
 	}
-	if !rel.IsEmpty() {
-		t.Fatal("short-circuited relation must be empty")
-	}
-	// Without short-circuiting, the satisfiable component survives: the
-	// largest dual simulation is per-component (see Sect. 2 discussion).
-	rel2 := DualSimulation(st, p, Config{})
-	if rel2.Set("c") == nil || len(rel2.Set("c")) == 0 {
-		t.Fatal("component c should be non-empty without short circuit")
-	}
-	if len(rel2.Set("a")) != 0 {
+	if len(rel.Set("a")) != 0 {
 		t.Fatal("component a should be empty")
 	}
-	if !rel2.AnyVarEmpty() {
-		t.Fatal("AnyVarEmpty should hold")
+	if !rel.AnyVarEmpty() || rel.IsEmpty() {
+		t.Fatal("AnyVarEmpty should hold and IsEmpty should not")
 	}
 }
 

@@ -291,7 +291,7 @@ func BuildQueryPlan(st *storage.Store, q *sparql.Query, cfg Config) (*QueryPlan,
 		if err != nil {
 			return nil, err
 		}
-		br, err := lowerFragment(st, branchExpr, frag, cfg)
+		br, err := lowerFragment(st, branchExpr, frag)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +300,7 @@ func BuildQueryPlan(st *storage.Store, q *sparql.Query, cfg Config) (*QueryPlan,
 	return plan, nil
 }
 
-func lowerFragment(st *storage.Store, e sparql.Expr, f *fragment, cfg Config) (*Branch, error) {
+func lowerFragment(st *storage.Store, e sparql.Expr, f *fragment) (*Branch, error) {
 	n := st.NumNodes()
 	sys := soi.NewSystem(n)
 	br := &Branch{Expr: e, Sys: sys}
@@ -327,13 +327,11 @@ func lowerFragment(st *storage.Store, e sparql.Expr, f *fragment, cfg Config) (*
 		})
 	}
 	for _, e := range f.edges {
-		mats := predMatrices(st, e.Pred, cfg.Compressed)
+		mats := predMatrices(st, e.Pred)
 		from, to := idx[e.From], idx[e.To]
 		sys.AddEdge(vars[from], vars[to], mats, e.Pred)
-		if !cfg.PlainInit {
-			sys.ConstrainInit(vars[from], mats.F.NonEmptyRows())
-			sys.ConstrainInit(vars[to], mats.B.NonEmptyRows())
-		}
+		sys.ConstrainInit(vars[from], mats.F.NonEmptyRows())
+		sys.ConstrainInit(vars[to], mats.B.NonEmptyRows())
 		br.Edges = append(br.Edges, BranchEdge{From: from, To: to, Pred: e.Pred})
 	}
 	for _, c := range f.copies {
@@ -391,12 +389,7 @@ func (p *QueryPlan) Solve(cfg Config) *QueryRelation {
 func (p *QueryPlan) SolveRestricted(ctx context.Context, cfg Config, restrict [][]*bitvec.Vector) (*QueryRelation, error) {
 	rel := &QueryRelation{Plan: p}
 	for i, br := range p.Branches {
-		opts := soi.Options{
-			Strategy:     cfg.Strategy,
-			Order:        cfg.Order,
-			ShortCircuit: cfg.ShortCircuit,
-			Workers:      cfg.Workers,
-		}
+		var opts soi.Options
 		if restrict != nil && i < len(restrict) {
 			opts.Restrict = restrict[i]
 		}
@@ -405,12 +398,11 @@ func (p *QueryPlan) SolveRestricted(ctx context.Context, cfg Config, restrict []
 			return nil, err
 		}
 		bs := &BranchSolution{Branch: br, Sol: sol}
-		bs.MandatoryEmpty = sol.Stats.ShortCircuited || sol.EmptyRequired(br.Sys)
+		bs.MandatoryEmpty = sol.EmptyRequired(br.Sys)
 		rel.Branches = append(rel.Branches, bs)
 		rel.Stats.Rounds += sol.Stats.Rounds
 		rel.Stats.Evaluations += sol.Stats.Evaluations
 		rel.Stats.Updates += sol.Stats.Updates
-		rel.Stats.ShortCircuited = rel.Stats.ShortCircuited || sol.Stats.ShortCircuited
 		rel.Stats.ChiInit += sol.Stats.ChiInit
 		rel.Stats.ChiFinal += sol.Stats.ChiFinal
 		rel.Stats.RowWise += sol.Stats.RowWise

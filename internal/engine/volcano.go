@@ -9,7 +9,6 @@ import (
 	"time"
 	"unsafe"
 
-	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
 	"dualsim/internal/plan"
 	"dualsim/internal/sparql"
@@ -269,7 +268,7 @@ func (c *compiler) resolve(tp sparql.TriplePattern) (resolved, error) {
 		return r, nil
 	}
 	m := c.st.Matrices(r.pred) // a store caches CSR pairs
-	r.fwd, r.bwd = m.F.(*bitmat.CSR), m.B.(*bitmat.CSR)
+	r.fwd, r.bwd = m.F, m.B
 	return r, nil
 }
 

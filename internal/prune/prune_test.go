@@ -440,20 +440,3 @@ func TestNonWellDesignedPromotionNuance(t *testing.T) {
 		}
 	}
 }
-
-// TestPruneWithShortCircuit: the ShortCircuit configuration must not
-// change what is kept for satisfiable queries.
-func TestPruneWithShortCircuit(t *testing.T) {
-	st := fig1a(t)
-	p1, _, err := PruneQuery(st, sparql.MustParse(queryX2), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, _, err := PruneQuery(st, sparql.MustParse(queryX2), core.Config{ShortCircuit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.Kept != p2.Kept {
-		t.Fatalf("short-circuit changed kept: %d vs %d", p1.Kept, p2.Kept)
-	}
-}

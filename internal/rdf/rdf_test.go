@@ -7,8 +7,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
+
+	"dualsim/internal/proptest"
 )
+
+// regressionSeeds pins the counterexamples the properties have found so
+// far (none yet); proptest.Check replays them before exploring.
+var regressionSeeds []int64
 
 func TestTermBasics(t *testing.T) {
 	i := NewIRI("B._De_Palma")
@@ -188,7 +193,5 @@ func TestPropertyLiteralEscapeRoundTrip(t *testing.T) {
 		}
 		return got.O.Value == lit
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 400, regressionSeeds)
 }

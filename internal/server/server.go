@@ -83,7 +83,6 @@ type Option func(*config) error
 type config struct {
 	maxInFlight    int
 	queueDepth     int
-	retryAfter     time.Duration
 	defaultTimeout time.Duration
 	registry       *metrics.Registry
 	readiness      func() error
@@ -97,7 +96,6 @@ func resolve(opts []Option) (config, error) {
 	cfg := config{
 		maxInFlight: 2 * runtime.GOMAXPROCS(0),
 		queueDepth:  64,
-		retryAfter:  time.Second,
 		// The statistics table is on unless WithStatementStats(0).
 		stmtCapacity: qstats.DefaultCapacity,
 	}
@@ -131,18 +129,6 @@ func WithQueueDepth(n int) Option {
 			return fmt.Errorf("server: negative queue depth %d", n)
 		}
 		c.queueDepth = n
-		return nil
-	}
-}
-
-// WithRetryAfter sets the Retry-After hint attached to shed responses
-// (default 1s).
-func WithRetryAfter(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("server: retry-after must be positive, got %v", d)
-		}
-		c.retryAfter = d
 		return nil
 	}
 }
@@ -848,14 +834,10 @@ func (c *Core) admitOr429(w http.ResponseWriter, r *http.Request) (release func(
 	case errors.Is(err, ErrOverloaded):
 		c.shed.Inc()
 		c.errors.Inc()
-		secs := int64(c.cfg.retryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		c.WriteJSON(w, http.StatusTooManyRequests, &wire.ErrorResponse{
 			Error:        "overloaded: in-flight and queue limits reached",
-			RetryAfterMs: c.cfg.retryAfter.Milliseconds(),
+			RetryAfterMs: retryAfter.Milliseconds(),
 		})
 		return nil, false
 	default: // the client went away while queued; Fail counts the error
@@ -863,6 +845,10 @@ func (c *Core) admitOr429(w http.ResponseWriter, r *http.Request) (release func(
 		return nil, false
 	}
 }
+
+// retryAfter is the hint a shed response carries, in whole seconds as
+// the Retry-After header requires.
+const retryAfter = time.Second
 
 // statusClientClosedRequest is nginx's conventional status for a client
 // that disconnected before the response; no standard code exists.

@@ -405,7 +405,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestOverloadSheds deterministically fills every slot and the queue,
 // then asserts the next request is shed with 429 + Retry-After.
 func TestOverloadSheds(t *testing.T) {
-	srv, hs, _ := newTestServer(t, WithMaxInFlight(1), WithQueueDepth(1), WithRetryAfter(2*time.Second))
+	srv, hs, _ := newTestServer(t, WithMaxInFlight(1), WithQueueDepth(1))
 	// Occupy the single execution slot and the single queue spot
 	// directly on the admission controller (white box — the HTTP path
 	// cannot hold a slot open deterministically with fast queries).
@@ -437,11 +437,11 @@ func TestOverloadSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overloaded status = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want 2", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want 1", ra)
 	}
 	out := decode[wire.ErrorResponse](t, resp)
-	if out.RetryAfterMs != 2000 {
+	if out.RetryAfterMs != 1000 {
 		t.Fatalf("retryAfterMs = %d", out.RetryAfterMs)
 	}
 	if srv.Registry().Snapshot()["dualsimd_shed_total"] != 1 {
@@ -585,7 +585,7 @@ func TestOptionValidation(t *testing.T) {
 	}
 	defer db.Close()
 	for _, opt := range []Option{
-		WithMaxInFlight(0), WithQueueDepth(-1), WithRetryAfter(0),
+		WithMaxInFlight(0), WithQueueDepth(-1),
 		WithDefaultTimeout(-time.Second), WithRegistry(nil),
 	} {
 		if _, err := New(db, opt); err == nil {

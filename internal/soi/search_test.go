@@ -4,10 +4,10 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
+	"dualsim/internal/proptest"
 )
 
 // chainSystem builds a pattern cycle over a long data chain — a system
@@ -79,9 +79,7 @@ func TestPropertyPermutationInvariantSolution(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
+	proptest.Check(t, f, 80, regressionSeeds)
 }
 
 func TestSearchOrdersRespectsBounds(t *testing.T) {

@@ -26,8 +26,9 @@
 // propagates before any wide union runs, and a cheap inequality that was
 // destabilized again runs before an expensive stale one. The evaluation
 // strategy for each ×b (row-wise vs. column-wise) follows the popcount
-// heuristic of Sect. 3.3; both it and the order can be overridden for
-// ablation experiments.
+// heuristic of Sect. 3.3. The largest solution does not depend on either,
+// so neither is configurable; Options.Permutation replaces the order only
+// to measure it (§5.3).
 package soi
 
 import (
@@ -202,38 +203,12 @@ func (s *System) mustBeOpen() {
 	}
 }
 
-// Order selects which unstable inequality the worklist evaluates next.
-type Order uint8
-
-const (
-	// SparsestFirst evaluates the cheapest unstable inequality: a copy
-	// inequality before any edge inequality, edge inequalities by the
-	// smaller of |χ(X)| and |χ(Y)|, ties by more empty columns first (the
-	// paper's static heuristic, §3.3), then by index.
-	SparsestFirst Order = iota
-	// DeclarationOrder evaluates the unstable inequality declared first
-	// (ablation baseline).
-	DeclarationOrder
-)
-
 // Options control Solve.
 type Options struct {
-	// Strategy is the ×b evaluation strategy (default Auto, the paper's
-	// popcount heuristic).
-	Strategy bitmat.Strategy
-	// Order is the worklist's pick rule (default SparsestFirst).
-	Order Order
-	// ShortCircuit stops as soon as a required variable becomes empty.
-	// Sound for query processing: an empty mandatory variable means the
-	// query has no matches at all (Theorem 1).
-	ShortCircuit bool
-	// Workers > 1 evaluates each ×b multiplication with that many
-	// goroutines (the bit-matrix parallelization of Sect. 1).
-	Workers int
 	// Permutation, when non-nil, ranks the inequalities explicitly
-	// (overriding Order): the unstable inequality that comes first in it
-	// is evaluated next — used by SearchOrders to explore the
-	// order space the way the paper's §5.3 brute-force analysis does.
+	// (overriding the cheapest-first pick): the unstable inequality that
+	// comes first in it is evaluated next — used by SearchOrders to explore
+	// the order space the way the paper's §5.3 brute-force analysis does.
 	// Must be a permutation of [0, NumIneqs()).
 	Permutation []int
 	// Restrict, when non-nil, intersects the initial bound of variable v
@@ -258,9 +233,6 @@ type Stats struct {
 	Evaluations int
 	// Updates counts evaluations that shrank a variable.
 	Updates int
-	// ShortCircuited reports whether Solve stopped early on an empty
-	// required variable.
-	ShortCircuited bool
 
 	// ChiInit and ChiFinal are Σ|χ(v)| after initialization (with
 	// Restrict applied) and when the solve stopped — the decay §5.3
@@ -373,16 +345,6 @@ func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) 
 		st.ChiInit += count[v]
 	}
 	st.ChiFinal = st.ChiInit
-	if opts.ShortCircuit {
-		// The initialization (13) or a constant binding may already have
-		// emptied a required variable.
-		for v, req := range s.reqVars {
-			if req && count[v] == 0 {
-				st.ShortCircuited = true
-				return sol, nil
-			}
-		}
-	}
 	for i := range w.unstable {
 		w.unstable[i], w.evals[i] = true, 0
 	}
@@ -395,7 +357,7 @@ func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) 
 	}
 
 	sinceCheck := 0
-	for idx := s.pick(w, opts.Order, rank); idx >= 0; idx = s.pick(w, opts.Order, rank) {
+	for idx := s.pick(w, rank); idx >= 0; idx = s.pick(w, rank) {
 		iq := &s.ineqs[idx]
 		w.unstable[idx] = false
 		if count[iq.X] == 0 {
@@ -429,23 +391,18 @@ func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) 
 			chi[iq.X].Zero()
 			count[iq.X] = 0
 		default:
-			strategy := opts.Strategy.Resolve(count[iq.Y], was)
-			if strategy == bitmat.RowWise {
+			if bitmat.Auto.Resolve(count[iq.Y], was) == bitmat.RowWise {
 				st.RowWise++
 			} else {
 				st.ColWise++
 			}
-			count[iq.X] = iq.Mats.Update(iq.Dir, chi[iq.Y], chi[iq.X], count[iq.Y], was, w.scratch, strategy, opts.Workers)
+			count[iq.X] = iq.Mats.Update(iq.Dir, chi[iq.Y], chi[iq.X], count[iq.Y], was, w.scratch)
 		}
 		if count[iq.X] == was {
 			continue
 		}
 		st.Updates++
 		st.ChiFinal -= was - count[iq.X]
-		if opts.ShortCircuit && s.reqVars[iq.X] && count[iq.X] == 0 {
-			st.ShortCircuited = true
-			return sol, nil
-		}
 		// Destabilize every inequality whose right-hand side mentions
 		// the shrunken variable — including this one when X == Y
 		// (self-loop pattern edges), which may shrink further.
@@ -457,13 +414,16 @@ func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) 
 }
 
 // pick returns the unstable inequality to evaluate next, or -1 when the
-// system is stable. The key is a total order (ties fall to the lower
-// index), so the schedule — and with it the effort a plan reports — is
-// reproducible run-to-run. A query has a handful of inequalities; a scan
-// beats maintaining a heap under changing counts.
+// system is stable: the cheapest one — a copy inequality before any edge
+// inequality, edge inequalities by the smaller of |χ(X)| and |χ(Y)|, ties
+// by more empty columns first (the paper's static heuristic, §3.3) — or,
+// given rank, the one ranked first. The key is a total order (ties fall to
+// the lower index), so the schedule — and with it the effort a plan
+// reports — is reproducible run-to-run. A query has a handful of
+// inequalities; a scan beats maintaining a heap under changing counts.
 //
 //dualsim:hotpath
-func (s *System) pick(w *workspace, order Order, rank []int) int {
+func (s *System) pick(w *workspace, rank []int) int {
 	best, bestKey, bestTie := -1, 0, 0
 	for i, unstable := range w.unstable {
 		if !unstable {
@@ -473,7 +433,6 @@ func (s *System) pick(w *workspace, order Order, rank []int) int {
 		switch iq := &s.ineqs[i]; {
 		case rank != nil:
 			key = rank[i]
-		case order == DeclarationOrder:
 		case iq.Kind == Copy:
 			key = 0
 		default:

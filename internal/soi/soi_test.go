@@ -65,19 +65,22 @@ func TestFig3LargestSolution(t *testing.T) {
 	}
 }
 
-// TestAllOptionsSameFixpoint: every strategy/order combination reaches
-// the same largest solution.
+// TestAllOptionsSameFixpoint: the cheapest-first order, declaration order
+// (the identity permutation) and its reverse reach the same largest
+// solution.
 func TestAllOptionsSameFixpoint(t *testing.T) {
 	ref, _ := fig3System()
 	want := ref.Solve(context.Background(), Options{})
-	for _, strat := range []bitmat.Strategy{bitmat.Auto, bitmat.RowWise, bitmat.ColWise} {
-		for _, ord := range []Order{SparsestFirst, DeclarationOrder} {
-			s, _ := fig3System()
-			sol := s.Solve(context.Background(), Options{Strategy: strat, Order: ord})
-			for v := range want.Chi {
-				if !sol.Chi[v].Equal(want.Chi[v]) {
-					t.Fatalf("strategy %v order %v: χ(x%d) differs", strat, ord, v)
-				}
+	identity, reverse := make([]int, ref.NumIneqs()), make([]int, ref.NumIneqs())
+	for i := range identity {
+		identity[i], reverse[i] = i, len(reverse)-1-i
+	}
+	for _, perm := range [][]int{identity, reverse} {
+		s, _ := fig3System()
+		sol := s.Solve(context.Background(), Options{Permutation: perm})
+		for v := range want.Chi {
+			if !sol.Chi[v].Equal(want.Chi[v]) {
+				t.Fatalf("permutation %v: χ(x%d) differs", perm, v)
 			}
 		}
 	}
@@ -143,30 +146,24 @@ func TestSelfLoopCycleKept(t *testing.T) {
 	}
 }
 
-// TestShortCircuitOnInitialEmpty: a required variable with an empty
-// initial bound short-circuits immediately.
-func TestShortCircuitOnInitialEmpty(t *testing.T) {
+// TestEmptyRequiredOnInitialEmpty: a required variable with an empty
+// initial bound certifies an unsatisfiable system.
+func TestEmptyRequiredOnInitialEmpty(t *testing.T) {
 	s := NewSystem(3)
 	s.AddVar("v", bitvec.New(3), true)
-	sol := s.Solve(context.Background(), Options{ShortCircuit: true})
-	if !sol.Stats.ShortCircuited {
-		t.Fatal("expected short circuit")
-	}
+	sol := s.Solve(context.Background(), Options{})
 	if !sol.EmptyRequired(s) {
 		t.Fatal("EmptyRequired should hold")
 	}
 }
 
-// TestShortCircuitIgnoresOptionalVars: an empty non-required variable
-// does not short-circuit.
-func TestShortCircuitIgnoresOptionalVars(t *testing.T) {
+// TestEmptyRequiredIgnoresOptionalVars: an empty non-required variable
+// does not make the system unsatisfiable.
+func TestEmptyRequiredIgnoresOptionalVars(t *testing.T) {
 	s := NewSystem(3)
 	s.AddVar("opt", bitvec.New(3), false)
 	s.AddVar("mand", nil, true)
-	sol := s.Solve(context.Background(), Options{ShortCircuit: true})
-	if sol.Stats.ShortCircuited {
-		t.Fatal("optional emptiness must not short-circuit")
-	}
+	sol := s.Solve(context.Background(), Options{})
 	if sol.EmptyRequired(s) {
 		t.Fatal("no required variable is empty")
 	}
@@ -221,7 +218,7 @@ func TestIneqString(t *testing.T) {
 func TestSolveIsRepeatable(t *testing.T) {
 	s, _ := fig3System()
 	a := s.Solve(context.Background(), Options{})
-	b := s.Solve(context.Background(), Options{Strategy: bitmat.ColWise})
+	b := s.Solve(context.Background(), Options{})
 	for v := range a.Chi {
 		if !a.Chi[v].Equal(b.Chi[v]) {
 			t.Fatalf("second solve differs at x%d", v)

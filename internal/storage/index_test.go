@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"dualsim/internal/bitvec"
 	"dualsim/internal/rdf"
 )
 
@@ -133,7 +132,7 @@ func checkIndexes(t *testing.T, what string, st *Store, want []rdf.Triple) {
 	}
 }
 
-// TestDerivedStoresUseTheConstructor: Restrict, RestrictByMask, Patch and
+// TestDerivedStoresUseTheConstructor: RestrictByMask, Patch and
 // a snapshot round-trip each produce indexes equal to FromTriples of the
 // same triples.
 func TestDerivedStoresUseTheConstructor(t *testing.T) {
@@ -152,31 +151,19 @@ func TestDerivedStoresUseTheConstructor(t *testing.T) {
 			kept = append(kept, tr)
 		}
 	}
-	restricted := st.Restrict(func(s NodeID, p PredID, o NodeID) bool {
+	masks := maskWhere(st, func(s NodeID, p PredID, o NodeID) bool {
 		return keep(rdf.Triple{S: st.Term(s), P: st.Pred(p), O: st.Term(o)})
 	})
-	checkIndexes(t, "Restrict", restricted, kept)
+	checkIndexes(t, "RestrictByMask", st.RestrictByMask(masks), kept)
 
-	masks := make([]*bitvec.Vector, st.NumPreds())
-	for p := range masks {
-		if p == 1 {
-			continue // a nil mask drops the predicate
-		}
-		masks[p] = bitvec.New(st.PredCount(PredID(p)))
-		for i := 0; i < st.PredCount(PredID(p)); i++ {
-			s, o := st.PairAt(PredID(p), i)
-			if keep(rdf.Triple{S: st.Term(s), P: st.Pred(PredID(p)), O: st.Term(o)}) {
-				masks[p].Set(i)
-			}
-		}
-	}
+	masks[1] = nil // a nil mask drops the predicate
 	var masked []rdf.Triple
 	for _, tr := range kept {
 		if tr.P != st.Pred(1) {
 			masked = append(masked, tr)
 		}
 	}
-	checkIndexes(t, "RestrictByMask", st.RestrictByMask(masks), masked)
+	checkIndexes(t, "RestrictByMask (nil mask)", st.RestrictByMask(masks), masked)
 
 	adds := []rdf.Triple{rdf.T("n1", "p0", "fresh"), rdf.T("fresh", "p9", "n2"), rdf.T("n3", "p2", "n3")}
 	dels := all[:200]

@@ -417,35 +417,6 @@ func (st *Store) Matrices(p PredID) bitmat.Pair {
 	return m
 }
 
-// Restrict builds a new store over the same dictionaries containing only
-// the triples accepted by keep. Node and predicate ids remain valid across
-// the restriction, so solution mappings computed against the restricted
-// store compare directly with ones from the original — this is how the
-// pruned database of the paper's Sect. 5 is represented.
-func (st *Store) Restrict(keep func(s NodeID, p PredID, o NodeID) bool) *Store {
-	st.mustBeBuilt()
-	out := &Store{
-		d:     st.d,
-		terms: st.terms,
-		preds: st.preds,
-		mats:  make(map[PredID]bitmat.Pair),
-	}
-	out.byPred = make([]predIndex, len(st.preds))
-	for p := range st.byPred {
-		src := &st.byPred[p]
-		var s, o []NodeID
-		for i, sub := range src.psoS {
-			if keep(sub, PredID(p), src.psoO[i]) {
-				s, o = append(s, sub), append(o, src.psoO[i])
-			}
-		}
-		out.byPred[p] = newPredIndex(s, o)
-		out.nTrip += len(s)
-	}
-	out.built = true
-	return out
-}
-
 // PairAt returns the i-th (subject, object) pair of predicate p in PSO
 // order; 0 ≤ i < PredCount(p).
 func (st *Store) PairAt(p PredID, i int) (NodeID, NodeID) {
@@ -469,9 +440,12 @@ func (st *Store) FindPair(p PredID, s, o NodeID) int {
 	return -1
 }
 
-// RestrictByMask builds a restricted store (shared dictionaries, cf.
-// Restrict) keeping exactly the triples whose PSO position is set in the
-// predicate's mask. A nil mask drops the whole predicate.
+// RestrictByMask builds a new store over the same dictionaries keeping
+// exactly the triples whose PSO position is set in the predicate's mask;
+// a nil mask drops the whole predicate. Node and predicate ids remain
+// valid across the restriction, so solution mappings computed against the
+// restricted store compare directly with ones from the original — this is
+// how the pruned database of the paper's Sect. 5 is represented.
 func (st *Store) RestrictByMask(masks []*bitvec.Vector) *Store {
 	st.mustBeBuilt()
 	out := &Store{

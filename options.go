@@ -1,21 +1,15 @@
 package dualsim
 
-import (
-	"fmt"
+import "fmt"
 
-	"dualsim/internal/core"
-)
-
-// Option configures a session opened with Open: solver parallelism, the
-// pruning switch, the plan cache, compaction, durability and the memory
-// budget are all fixed per session, so every query prepared on the
-// session inherits them.
+// Option configures a session opened with Open: the pruning switch, the
+// plan cache, compaction, durability and the memory budget are all fixed
+// per session, so every query prepared on the session inherits them.
 type Option func(*settings) error
 
 // settings is the resolved session configuration.
 type settings struct {
 	engine  EngineKind
-	workers int
 	pruning bool
 
 	planCache    int // > 0 enables the LRU plan cache with that capacity
@@ -33,11 +27,6 @@ func defaultSettings() settings {
 	return settings{engine: Volcano, pruning: true}
 }
 
-// coreConfig lowers the session settings to the solver configuration.
-func (s settings) coreConfig() core.Config {
-	return core.Config{Workers: s.workers}
-}
-
 // WithEngine is the oracle hook: WithEngine(IndexNL) opens a session whose
 // evaluation is answered by the IndexNL oracle instead of the Volcano
 // executor, for checking the executor's answers (the repository benchmark
@@ -51,18 +40,6 @@ func WithEngine(k EngineKind) Option {
 		default:
 			return fmt.Errorf("dualsim: unknown engine kind %d", k)
 		}
-	}
-}
-
-// WithWorkers parallelizes each bit-matrix multiplication over n
-// goroutines.
-func WithWorkers(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("dualsim: negative worker count %d", n)
-		}
-		s.workers = n
-		return nil
 	}
 }
 

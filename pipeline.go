@@ -109,7 +109,7 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (rows *Rows, err error) {
 		}
 		s0 := time.Now()
 		var p *prune.Pruning
-		if rel, err = pq.plan.SolveRestricted(sctx, pq.db.set.coreConfig(), nil); err == nil {
+		if rel, err = pq.plan.SolveRestricted(sctx, core.Config{}, nil); err == nil {
 			p, err = prune.PruneCtx(sctx, full, rel)
 		}
 		d := time.Since(s0)

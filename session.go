@@ -310,7 +310,7 @@ func (db *DB) prepareParsed(snap *dbSnapshot, q *Query, start time.Time, parse t
 	db.prepMu.Lock()
 	defer db.prepMu.Unlock()
 
-	plan, err := core.BuildQueryPlan(snap.st, q, db.set.coreConfig())
+	plan, err := core.BuildQueryPlan(snap.st, q, core.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +440,7 @@ func (db *DB) DualSimulate(ctx context.Context, q *Query) (*Relation, error) {
 		ctx = context.Background()
 	}
 	st := db.snap.Load().st
-	rel, err := core.QueryDualSimulationCtx(ctx, st, q, db.set.coreConfig())
+	rel, err := core.QueryDualSimulationCtx(ctx, st, q, core.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +456,7 @@ func (db *DB) Prune(ctx context.Context, q *Query) (*Pruning, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p, rel, err := prune.PruneQueryCtx(ctx, db.snap.Load().st, q, db.set.coreConfig())
+	p, rel, err := prune.PruneQueryCtx(ctx, db.snap.Load().st, q, core.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -474,7 +474,7 @@ func (db *DB) SimulatePattern(ctx context.Context, p *Pattern) (*PatternRelation
 		ctx = context.Background()
 	}
 	st := db.snap.Load().st
-	rel, err := core.DualSimulationCtx(ctx, st, p.p, db.set.coreConfig())
+	rel, err := core.DualSimulationCtx(ctx, st, p.p, core.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -124,7 +124,7 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := dualsim.Open(st, dualsim.WithWorkers(2))
+	db, err := dualsim.Open(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,14 +312,12 @@ func TestSolverCancellation(t *testing.T) {
 	}
 }
 
-// TestSessionOptionsEquivalence: every solver option accepted by Open
-// leaves the pipeline result unchanged (they are heuristics, not
-// semantics), and the oracle hook answers the same.
+// TestSessionOptionsEquivalence: the pipeline result does not depend on
+// the pruning switch, and the oracle hook answers the same.
 func TestSessionOptionsEquivalence(t *testing.T) {
 	st := fig1a(t)
 	variants := [][]dualsim.Option{
 		{},
-		{dualsim.WithWorkers(4)},
 		{dualsim.WithEngine(dualsim.IndexNL)},
 		{dualsim.WithPruning(false)},
 	}
@@ -348,8 +346,8 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := dualsim.Open(nil); err == nil {
 		t.Fatal("Open(nil) accepted")
 	}
-	if _, err := dualsim.Open(fig1a(t), dualsim.WithWorkers(-1)); err == nil {
-		t.Fatal("negative workers accepted")
+	if _, err := dualsim.Open(fig1a(t), dualsim.WithPlanCache(-1)); err == nil {
+		t.Fatal("negative plan cache capacity accepted")
 	}
 	if _, err := dualsim.Open(fig1a(t), dualsim.WithEngine(dualsim.EngineKind(99))); err == nil {
 		t.Fatal("unknown engine accepted")
