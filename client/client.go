@@ -534,7 +534,9 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // Streaming
 
 // Row is one streamed solution mapping: decoded bindings positional
-// over Stream.Vars, nil for unbound variables.
+// over Stream.Vars, nil for unbound variables. Rows are read-only and
+// carved from per-stream chunks (up to 64 KB) that are never recycled:
+// a Row stays valid after later calls to Next and keeps its chunk alive.
 type Row []*string
 
 // Stream is an in-flight NDJSON query response. Iterate with Next until
@@ -548,6 +550,8 @@ type Stream struct {
 	stats  *dualsim.ExecStats
 	rows   int
 	trunc  bool
+	reader wire.RowReader
+	cells  [][]byte
 	cur    Row
 	err    error
 	closed bool
@@ -566,9 +570,19 @@ func (s *Stream) Vars() []string { return s.vars }
 // Epoch returns the store epoch the execution answers from.
 func (s *Stream) Epoch() uint64 { return s.epoch }
 
-// Next advances to the next row. It returns false at the end of the
-// stream or on error — check Err.
+// Next advances to the next row and decodes it (Row). It returns false
+// at the end of the stream or on error — check Err.
 func (s *Stream) Next() bool {
+	if !s.NextCells() {
+		return false
+	}
+	s.cur = s.reader.Decode(s.cells)
+	return true
+}
+
+// NextCells advances like Next without decoding the row (Row is not
+// updated), for a consumer that forwards rows unread: see Cells.
+func (s *Stream) NextCells() bool {
 	if s.err != nil || s.closed || s.stats != nil {
 		return false
 	}
@@ -577,8 +591,8 @@ func (s *Stream) Next() bool {
 		// trailer, an error event, a row some other server spelled
 		// differently — is one reflected decode.
 		line := s.sc.Bytes()
-		if epoch, values, ok := wire.DecodeRowEvent(line); ok {
-			return s.row(epoch, values)
+		if epoch, cells, ok := s.reader.Split(line); ok {
+			return s.row(epoch, cells)
 		}
 		var ev wire.Event
 		if err := json.Unmarshal(line, &ev); err != nil {
@@ -586,8 +600,10 @@ func (s *Stream) Next() bool {
 			return false
 		}
 		switch ev.Kind {
-		case wire.EventRow:
-			return s.row(ev.Epoch, ev.Values)
+		case wire.EventRow: // respelled in the canonical shape
+			values, _ := json.Marshal(append([]*string{}, ev.Values...))
+			epoch, cells, _ := s.reader.Split(fmt.Appendf(nil, `{"kind":"row","epoch":%d,"values":%s}`, ev.Epoch, values))
+			return s.row(epoch, cells)
 		case wire.EventStats:
 			s.stats = ev.Stats
 			s.rows = ev.Rows
@@ -621,16 +637,21 @@ func (s *Stream) Next() bool {
 	return false
 }
 
-// row makes one decoded row event current, unless it gives away a torn
-// stream: every event carries the header's epoch.
-func (s *Stream) row(epoch uint64, values []*string) bool {
+// row makes one split row current, unless it gives away a torn stream:
+// every event carries the header's epoch.
+func (s *Stream) row(epoch uint64, cells [][]byte) bool {
 	if epoch != s.epoch {
 		s.err = fmt.Errorf("client: epoch tear: header %d, row %d", s.epoch, epoch)
 		return false
 	}
-	s.cur = Row(values)
+	s.cells = cells
 	return true
 }
+
+// Cells returns the current row as its values' JSON texts, each spelled
+// as the server's row codec spells it, so equal values have equal
+// cells. They are valid until the next advance.
+func (s *Stream) Cells() [][]byte { return s.cells }
 
 // drain reads the body to EOF once the last event is in. Nothing but
 // the chunked terminator should follow it, but until that is read the

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -126,18 +127,21 @@ func TestStreamEarlyCloseAborts(t *testing.T) {
 	}
 }
 
-// TestStreamReadsEncodingJSONServer replays what a server before the
-// row codec wrote — encoding/json over a reflected Event, so '<', '>'
-// and '&' arrive as \u003c, \u003e and \u0026 and a zero-width row has
-// no "values" at all — plus a row whose keys come in another order.
-func TestStreamReadsEncodingJSONServer(t *testing.T) {
-	const recorded = `{"kind":"header","vars":["s","o","x"],"epoch":4}
+// recordedStream is what a server before the row codec wrote —
+// encoding/json over a reflected Event, so '<', '>' and '&' arrive as
+// \u003c, \u003e and \u0026 — plus a row whose keys come in another
+// order.
+const recordedStream = `{"kind":"header","vars":["s","o","x"],"epoch":4}
 {"kind":"row","epoch":4,"values":["\u003chttp://example.org/s?a=1\u0026b=2\u003e","\"say \\\"hi\\\"\\n\"",null]}
 {"kind":"row","epoch":4,"values":["\u003cs2\u003e","\"\u00fc \ud83d\ude00 \u2028\"","\u003cx\u003e"]}
 {"values":["\u003cs3\u003e",null,null],"epoch":4,"kind":"row"}
 {"kind":"stats","epoch":4,"stats":{"epoch":4},"rows":3}
 `
-	st, err := serveBody(t, []byte(recorded)).QueryStream(context.Background(), queryX1)
+
+// TestStreamReadsEncodingJSONServer replays recordedStream, and a
+// zero-width row with no "values" at all, as encoding/json wrote it.
+func TestStreamReadsEncodingJSONServer(t *testing.T) {
+	st, err := serveBody(t, []byte(recordedStream)).QueryStream(context.Background(), queryX1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,15 +175,48 @@ func TestStreamReadsEncodingJSONServer(t *testing.T) {
 	}
 }
 
-// rowsBody is a well-formed stream of n rows with the given values.
-func rowsBody(n int, values ...string) []byte {
-	row := make(wire.Values, len(values))
-	for i := range values {
-		row[i] = &values[i]
+// TestStreamNextCells: the cells-only advance reads the same recorded
+// encoding/json stream as Next, through the same trailer handling, and
+// hands every value over in its canonical spelling — whatever escapes
+// the line used and whatever order its keys came in.
+func TestStreamNextCells(t *testing.T) {
+	st, err := serveBody(t, []byte(recordedStream)).QueryStream(context.Background(), queryX1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer st.Close()
+	var rows []string
+	for st.NextCells() {
+		rows = append(rows, string(bytes.Join(st.Cells(), []byte{','})))
+		if st.Row() != nil {
+			t.Fatal("NextCells decoded the row")
+		}
+	}
+	if err := st.Err(); err != nil || st.Rows() != 3 {
+		t.Fatalf("%v, trailer %d", err, st.Rows())
+	}
+	want := []string{
+		`"<http://example.org/s?a=1&b=2>","\"say \\\"hi\\\"\\n\"",null`,
+		"\"<s2>\",\"\\\"ü 😀 \u2028\\\"\",\"<x>\"",
+		`"<s3>",null,null`,
+	}
+	if strings.Join(rows, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("cells:\n%s\nwant\n%s", strings.Join(rows, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// rowsBody is a well-formed stream of n rows with the given values,
+// each line built from the values' cells.
+func rowsBody(n int, values ...string) []byte {
+	cells := make([][]byte, len(values))
+	for i, v := range values {
+		cells[i] = wire.AppendCell(nil, v)
+	}
+	line := append([]byte(`{"kind":"row","epoch":0,"values":[`), bytes.Join(cells, []byte{','})...)
+	line = append(line, "]}\n"...)
 	body := []byte(`{"kind":"header","vars":["a","b","c"],"epoch":0}` + "\n")
 	for i := 0; i < n; i++ {
-		body = wire.AppendRowEvent(body, 0, row)
+		body = append(body, line...)
 	}
 	return append(body, fmt.Sprintf(`{"kind":"stats","epoch":0,"rows":%d}`+"\n", n)...)
 }
@@ -197,8 +234,9 @@ func TestStreamLargeRow(t *testing.T) {
 	}
 }
 
-// TestStreamDecodeAllocsPerRow guards the client's row path: a row
-// costs its values' backing text and its slices, not a reflected event.
+// TestStreamDecodeAllocsPerRow guards the client's row path: rows are
+// carved from per-stream chunks, so a row costs a share of a chunk, not
+// allocations of its own and not a reflected event.
 func TestStreamDecodeAllocsPerRow(t *testing.T) {
 	const rows = 10_000
 	c := serveBody(t, rowsBody(rows, "<http://example.org/subject/1234>", "<http://example.org/object/56>", `"label 1234"`))
@@ -218,7 +256,7 @@ func TestStreamDecodeAllocsPerRow(t *testing.T) {
 		st.Close()
 	})
 	t.Logf("%.0f allocations per %d-row stream", perRun, rows)
-	if perRow := perRun / rows; perRow > 4 {
-		t.Errorf("decoding costs %.2f allocations per row, want <= 4", perRow)
+	if perRow := perRun / rows; perRow > 0.1 {
+		t.Errorf("decoding costs %.2f allocations per row, want <= 0.1", perRow)
 	}
 }

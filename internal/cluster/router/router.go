@@ -36,6 +36,12 @@
 // deduplicated (set semantics). The merged epoch is the maximum over
 // the shard epochs that answered — per-shard reads are individually
 // epoch-consistent, and X-Dualsim-Epoch reports the freshest of them.
+// A branch that fails cancels the others and fails the query.
+//
+// Rows stay in wire form: values are canonical cells (one spelling per
+// value), split from a shard's stream or rendered once per gathered
+// node, so the merge compares and hashes bytes, only for branches whose
+// rows can collide (mayMeet), and renders by copying them.
 //
 // EXPLAIN is forwarded when the whole query pushes down to one shard;
 // a scattered query has no single plan and is refused with 400.
@@ -50,12 +56,16 @@
 package router
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -389,47 +399,41 @@ func branchPreds(e sparql.Expr) (preds []string, hasVarPred bool) {
 	return preds, false
 }
 
-// branchResult is one branch's decoded result, ready to merge.
+// branchResult is one branch's answer in wire form, canonical cells in
+// text, never decoded: row r is cells[r*len(vars):(r+1)*len(vars)].
 type branchResult struct {
 	vars  []string
-	rows  [][]*string
+	text  []byte // the cells, back to back
+	cells []span
+	rows  int
 	epoch uint64
 }
 
-// applyLimit slices the deduplicated merge to the query's LIMIT/OFFSET
-// window. Rows are ordered canonically first (nil-first, then decoded
-// term text), so the window is deterministic across routings — set
-// semantics fixes no order, but a repeated query should not flap.
-func (b *branchResult) applyLimit(limit, offset int) {
-	if limit == 0 && offset == 0 {
-		return
-	}
-	sort.Slice(b.rows, func(i, j int) bool {
-		ri, rj := b.rows[i], b.rows[j]
-		for k := range ri {
-			li, lj := ri[k], rj[k]
-			switch {
-			case li == nil && lj == nil:
-				continue
-			case li == nil:
-				return true
-			case lj == nil:
-				return false
-			case *li != *lj:
-				return *li < *lj
-			}
+// span is one cell in its branch's text, empty if unbound (execQuery bounds the text).
+type span struct{ lo, hi int32 }
+
+// addRow appends one row of cells as a shard's stream split them.
+//
+//dualsim:hotpath
+func (b *branchResult) addRow(cells [][]byte) {
+	b.cells = reserve(b.cells, len(cells))
+	for _, c := range cells {
+		lo := int32(len(b.text))
+		if c[0] == '"' { // null stays an empty span
+			b.text = append(reserve(b.text, len(c)), c...)
 		}
-		return false
-	})
-	lo := offset
-	if lo > len(b.rows) {
-		lo = len(b.rows)
+		b.cells = append(b.cells, span{lo, int32(len(b.text))})
 	}
-	hi := len(b.rows)
-	if limit > 0 && lo+limit < hi {
-		hi = lo + limit
+	b.rows++
+}
+
+// reserve makes room for n more elements by doubling s: append alone
+// grows a large slice by a quarter, copying an arena four times over.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, max(n, cap(s)))
 	}
-	b.rows = b.rows[lo:hi]
+	return s
 }
 
 // execQuery routes one query end-to-end: decompose, execute each branch
@@ -438,7 +442,7 @@ func (b *branchResult) applyLimit(limit, offset int) {
 // cannot starve the merged answer, because the post-merge dedup only
 // shrinks row counts — and is re-applied (with the OFFSET) over the
 // deduplicated merge.
-func (r *Router) execQuery(ctx context.Context, src string) (*branchResult, error) {
+func (r *Router) execQuery(ctx context.Context, src string) (*answer, error) {
 	q, err := dualsim.ParseQuery(src)
 	if err != nil {
 		return nil, err
@@ -449,8 +453,11 @@ func (r *Router) execQuery(ctx context.Context, src string) (*branchResult, erro
 	}
 	branches := topBranches(q.Expr)
 	results := make([]*branchResult, len(branches))
-	errs := make([]error, len(branches))
 	parent := trace.SpanFromContext(ctx)
+	// The first failure cancels the other branches: a dead shard's answer
+	// must not wait behind a slow sibling's reply.
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	var wg sync.WaitGroup
 	for i, b := range branches {
 		wg.Add(1)
@@ -462,24 +469,51 @@ func (r *Router) execQuery(ctx context.Context, src string) (*branchResult, erro
 				sp.SetAttr("branch", strconv.Itoa(i))
 				bctx = trace.ContextWithSpan(ctx, sp)
 			}
-			results[i], errs[i] = r.execBranch(bctx, b, pushLimit)
+			var err error
+			if results[i], err = r.execBranch(bctx, b, pushLimit); err != nil {
+				cancel(err)
+			}
 			sp.End()
 		}(i, b)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
+	}
+	for i, br := range results {
+		if len(br.text) > math.MaxInt32 {
+			return nil, server.Errorf(http.StatusBadGateway, "branch %d: the answer holds more than 2 GiB of values", i)
 		}
 	}
-	// Fold with the engine's union: left vars first, then unseen right
-	// vars; rows padded to the merged schema; full-row set dedup.
-	merged := results[0]
-	for _, br := range results[1:] {
-		merged = mergeUnion(merged, br)
+	a := merge(results, mayMeet(branches))
+	a.window(q.Limit, q.Offset)
+	return a, nil
+}
+
+// mayMeet reports which branches have rows that can equal another
+// branch's once padded; only those need the dedup (a branch's own rows
+// are a set). A row of A binds all of mand(A) (Sect. 4.3), a padded row
+// of B nothing outside vars(B): they can meet only if mand(A) ⊆ vars(B)
+// and mand(B) ⊆ vars(A).
+func mayMeet(branches []sparql.Expr) []bool {
+	covers := func(a, b sparql.Expr) bool {
+		vars := sparql.VarSet(b)
+		for v := range sparql.Mand(a) {
+			if !vars[v] {
+				return false
+			}
+		}
+		return true
 	}
-	merged.applyLimit(q.Limit, q.Offset)
-	return merged, nil
+	out := make([]bool, len(branches))
+	for i := range branches {
+		for j := i + 1; j < len(branches); j++ {
+			if covers(branches[i], branches[j]) && covers(branches[j], branches[i]) {
+				out[i], out[j] = true, true
+			}
+		}
+	}
+	return out
 }
 
 func (r *Router) execBranch(ctx context.Context, b sparql.Expr, pushLimit int) (*branchResult, error) {
@@ -566,7 +600,7 @@ func shardFailure(si int, err error) error {
 }
 
 // pushDown sends the branch verbatim to the single shard owning all its
-// predicates and drains the shard's row stream.
+// predicates and copies the cells of the shard's row stream, undecoded.
 func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResult, error) {
 	// A traced fan-out propagates its identity on the wire: the shard
 	// Continues the trace under the same ID and ships its pipeline +
@@ -583,9 +617,12 @@ func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResul
 			return nil, err
 		}
 		defer st.Close()
-		out := &branchResult{vars: st.Vars(), rows: [][]*string{}, epoch: st.Epoch()}
-		for st.Next() {
-			out.rows = append(out.rows, st.Row())
+		out := &branchResult{vars: st.Vars(), epoch: st.Epoch()}
+		for st.NextCells() {
+			if len(st.Cells()) != len(out.vars) {
+				return nil, fmt.Errorf("a row of %d values under %d variables", len(st.Cells()), len(out.vars))
+			}
+			out.addRow(st.Cells())
 		}
 		if err := st.Err(); err != nil {
 			return nil, err
@@ -615,19 +652,24 @@ func (r *Router) gather(ctx context.Context, owners map[int][]string, src string
 	}
 	sort.Ints(idxs)
 	got := make([]slice, len(idxs))
-	errs := make([]error, len(idxs))
 	sp := trace.SpanFromContext(ctx)
+	ctx, cancel := context.WithCancelCause(ctx) // one failed export fails the gather
+	defer cancel(nil)
 	var wg sync.WaitGroup
 	for k, si := range idxs {
 		wg.Add(1)
 		go func(k, si int) {
 			defer wg.Done()
 			e0 := time.Now()
-			got[k], errs[k] = onShard(ctx, r, si, func(ep *endpoint) (slice, error) {
+			var err error
+			got[k], err = onShard(ctx, r, si, func(ep *endpoint) (slice, error) {
 				st, epoch, size, err := ep.c.Export(ctx, owners[si])
 				return slice{st, epoch, size}, err
 			})
-			if es := sp.Record("export", time.Since(e0)); errs[k] == nil && es != nil {
+			if err != nil {
+				cancel(err)
+			}
+			if es := sp.Record("export", time.Since(e0)); err == nil && es != nil {
 				es.SetAttr("shard", strconv.Itoa(si))
 				es.Add("triples", int64(got[k].st.NumTriples()))
 				es.Add("bytes", int64(got[k].size))
@@ -635,12 +677,12 @@ func (r *Router) gather(ctx context.Context, owners map[int][]string, src string
 		}(k, si)
 	}
 	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
+	}
 	parts := make([]*dualsim.Store, len(got))
 	var epoch uint64
 	for k, s := range got {
-		if errs[k] != nil {
-			return nil, errs[k]
-		}
 		parts[k], epoch = s.st, max(epoch, s.epoch)
 	}
 	return evalLocal(ctx, src, epoch, parts...)
@@ -648,8 +690,7 @@ func (r *Router) gather(ctx context.Context, owners map[int][]string, src string
 
 // evalLocal runs a branch through the ordinary dualsim pipeline over the
 // union of the given slices (storage.Union; none is the empty store).
-// Each distinct node is rendered to its wire string once per branch,
-// however many cells hold it.
+// Each distinct node is rendered to its cell once; its rows share it.
 func evalLocal(ctx context.Context, src string, epoch uint64, parts ...*dualsim.Store) (*branchResult, error) {
 	st, err := storage.Union(parts...)
 	if err != nil {
@@ -664,96 +705,162 @@ func evalLocal(ctx context.Context, src string, epoch uint64, parts ...*dualsim.
 	if err != nil {
 		return nil, err
 	}
-	names := make([]*string, st.NumNodes())
-	rows := make([][]*string, len(res.Rows))
-	for i, row := range res.Rows {
-		rows[i] = make([]*string, len(row))
-		for j, v := range row {
-			if v == dualsim.Unbound {
-				continue
-			}
-			if names[v] == nil {
-				s := st.Term(v).String()
-				names[v] = &s
-			}
-			rows[i][j] = names[v]
-		}
-	}
-	return &branchResult{vars: append([]string{}, res.Vars...), rows: rows, epoch: epoch}, nil
-}
-
-// mergeUnion folds two branch results with the engine's union operator
-// semantics: unionVars column order, padded projection, set dedup.
-func mergeUnion(l, r *branchResult) *branchResult {
-	vars := append([]string{}, l.vars...)
-	idx := make(map[string]int, len(vars))
-	for i, v := range vars {
-		idx[v] = i
-	}
-	for _, v := range r.vars {
-		if _, ok := idx[v]; !ok {
-			idx[v] = len(vars)
-			vars = append(vars, v)
-		}
-	}
-	project := func(rows [][]*string, rowVars []string) [][]*string {
-		cols := make([]int, len(rowVars))
-		for i, v := range rowVars {
-			cols[i] = idx[v]
-		}
-		out := make([][]*string, len(rows))
-		for i, row := range rows {
-			p := make([]*string, len(vars))
-			for j, v := range row {
-				p[cols[j]] = v
-			}
-			out[i] = p
-		}
-		return out
-	}
-	merged := project(l.rows, l.vars)
-	merged = append(merged, project(r.rows, r.vars)...)
-
-	// Set semantics over whole rows: hash the values, chain the rows of
-	// one hash through next, compare values on every hash match.
-	var h maphash.Hash
-	heads := make(map[uint64]int32, len(merged)) // hash → 1 + newest kept row with it
-	next := make([]int32, 0, len(merged))        // kept row → 1 + the previous one of its hash
-	dedup := merged[:0]
-rows:
-	for _, row := range merged {
-		h.Reset()
+	out := &branchResult{vars: append([]string{}, res.Vars...), cells: make([]span, 0, len(res.Rows)*len(res.Vars)), rows: len(res.Rows), epoch: epoch}
+	names := make([]span, st.NumNodes()) // a cell is never empty: the zero span is "not rendered yet"
+	for _, row := range res.Rows {
 		for _, v := range row {
-			if v != nil {
-				h.WriteString(*v)
+			var c span
+			if v != dualsim.Unbound {
+				if names[v].hi == 0 {
+					lo, term := int32(len(out.text)), st.Term(v).String()
+					out.text = wire.AppendCell(reserve(out.text, len(term)+2), term)
+					names[v] = span{lo, int32(len(out.text))}
+				}
+				c = names[v]
 			}
-			h.WriteByte(0xff) // in no UTF-8 text: keeps ("ab","c") and ("a","bc") apart
+			out.cells = append(out.cells, c)
 		}
-		sum := h.Sum64()
-		for k := heads[sum]; k != 0; k = next[k-1] {
-			if sameRow(dedup[k-1], row) {
-				continue rows
-			}
-		}
-		dedup = append(dedup, row)
-		next = append(next, heads[sum])
-		heads[sum] = int32(len(dedup))
 	}
-	epoch := l.epoch
-	if r.epoch > epoch {
-		epoch = r.epoch
-	}
-	return &branchResult{vars: vars, rows: dedup, epoch: epoch}
+	return out, nil
 }
 
-// sameRow compares two rows of one schema value by value.
-func sameRow(a, b []*string) bool {
-	for i := range a {
-		if (a[i] == nil) != (b[i] == nil) || a[i] != nil && *a[i] != *b[i] {
+// answer is the union of the branch answers in wire form: columns fold
+// left to right like the engine's union operator, and each row refers to
+// the branch row it pads.
+type answer struct {
+	vars     []string
+	branches []*branchResult
+	cols     [][]int // cols[b][j]: branch b's column of merged column j, -1 if none
+	rows     []rowRef
+	epoch    uint64
+}
+
+type rowRef struct{ b, r int32 } // row r of branch b
+
+// merge folds the branch answers with union semantics, in branch order,
+// keeping the first of equal rows; it hashes the rows of meeting branches.
+func merge(results []*branchResult, meets []bool) *answer {
+	a := &answer{branches: results, cols: make([][]int, len(results))}
+	n := 0
+	for _, br := range results {
+		for _, v := range br.vars {
+			if !slices.Contains(a.vars, v) {
+				a.vars = append(a.vars, v)
+			}
+		}
+		a.epoch, n = max(a.epoch, br.epoch), n+br.rows
+	}
+	for b, br := range results {
+		a.cols[b] = slices.Repeat([]int{-1}, len(a.vars))
+		for c, v := range br.vars {
+			a.cols[b][slices.Index(a.vars, v)] = c
+		}
+	}
+
+	a.rows = make([]rowRef, 0, n)
+	var h maphash.Hash
+	heads := make(map[uint64]int32) // hash → 1 + newest kept row with it
+	var next []int32                // kept row → 1 + the previous one of its hash
+	if slices.Contains(meets, true) {
+		next = make([]int32, n)
+	}
+	for b, br := range results {
+	rows:
+		for r := 0; r < br.rows; r++ {
+			ref := rowRef{int32(b), int32(r)}
+			if meets[b] {
+				h.Reset()
+				for j := range a.vars {
+					h.Write(a.cell(ref, j))
+					h.WriteByte(0xff) // in no cell: keeps ("ab","c") and ("a","bc") apart
+				}
+				sum := h.Sum64()
+				for k := heads[sum]; k != 0; k = next[k-1] {
+					if a.sameRow(a.rows[k-1], ref) {
+						continue rows
+					}
+				}
+				next[len(a.rows)] = heads[sum]
+				heads[sum] = int32(len(a.rows) + 1)
+			}
+			a.rows = append(a.rows, ref)
+		}
+	}
+	return a
+}
+
+// cell returns merged column j of row ref, empty when unbound.
+func (a *answer) cell(ref rowRef, j int) []byte {
+	br, c := a.branches[ref.b], a.cols[ref.b][j]
+	if c < 0 {
+		return nil
+	}
+	sp := br.cells[int(ref.r)*len(br.vars)+c]
+	return br.text[sp.lo:sp.hi]
+}
+
+// sameRow compares two rows of the merged schema cell by cell.
+func (a *answer) sameRow(x, y rowRef) bool {
+	for j := range a.vars {
+		if !bytes.Equal(a.cell(x, j), a.cell(y, j)) {
 			return false
 		}
 	}
 	return true
+}
+
+// appendRow renders row i as the JSON array of its cells.
+//
+//dualsim:hotpath
+func (a *answer) appendRow(dst []byte, i int) []byte {
+	dst = append(dst, '[')
+	for j := range a.vars {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		if c := a.cell(a.rows[i], j); len(c) > 0 {
+			dst = append(dst, c...)
+		} else {
+			dst = append(dst, "null"...)
+		}
+	}
+	return append(dst, ']')
+}
+
+// window slices the answer to the query's LIMIT/OFFSET over a canonical
+// order (unbound first, then decoded text), so a repeated query does not
+// flap across routings.
+func (a *answer) window(limit, offset int) {
+	if limit == 0 && offset == 0 {
+		return
+	}
+	var r wire.RowReader // one for the sort: its chunks amortize the decoding
+	sort.Slice(a.rows, func(i, j int) bool {
+		for k := range a.vars {
+			if c := compareCells(&r, a.cell(a.rows[i], k), a.cell(a.rows[j], k)); c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	lo, hi := min(offset, len(a.rows)), len(a.rows)
+	if limit > 0 {
+		hi = min(hi, lo+limit)
+	}
+	a.rows = a.rows[lo:hi]
+}
+
+// compareCells orders cells by decoded text, unbound first; a cell
+// without a backslash holds its text verbatim between its quotes.
+func compareCells(r *wire.RowReader, x, y []byte) int {
+	switch {
+	case len(x) == 0 || len(y) == 0:
+		return cmp.Compare(len(x), len(y))
+	case bytes.IndexByte(x, '\\') < 0 && bytes.IndexByte(y, '\\') < 0:
+		return bytes.Compare(x[1:len(x)-1], y[1:len(y)-1])
+	}
+	v := r.Decode([][]byte{x, y})
+	return strings.Compare(*v[0], *v[1])
 }
 
 // ---------------------------------------------------------------------------
@@ -774,8 +881,7 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 		Epoch: res.epoch, Duration: time.Since(start), Results: len(res.rows),
 		Fingerprint: qstats.OfSource(src).ID,
 	}
-	return server.Materialized(res.vars, len(res.rows),
-		func(dst []byte, i int) []byte { return wire.Values(res.rows[i]).AppendRow(dst) }, stats), nil
+	return server.Materialized(res.vars, len(res.rows), res.appendRow, stats), nil
 }
 
 // Explain forwards to the owning shard when the whole query pushes down

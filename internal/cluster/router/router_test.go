@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -815,5 +816,116 @@ func TestGatherRejectsBadSlices(t *testing.T) {
 	var se *server.Error
 	if !errors.As(err, &se) || se.Status != http.StatusBadGateway || !strings.Contains(se.Msg, "two parts") {
 		t.Fatalf("gather of one predicate from two shards: %v, want 502 naming two parts", err)
+	}
+}
+
+// TestFailedBranchCancelsSiblings: a branch whose shard fails ends the
+// query at once. Its sibling, pushed down to a shard that answers only
+// when its request ends, is cancelled rather than waited for, and that
+// shard sees the cancellation. The failing shard answers 503 (draining)
+// only once the slow request has arrived, so the order is fixed.
+func TestFailedBranchCancelsSiblings(t *testing.T) {
+	preds := []string{"directed", "worked_with", "genre", "population", "born_in", "awarded"}
+	var slowPred, deadPred string
+	for _, p := range preds[1:] {
+		if cluster.ShardOf(p, 2) != cluster.ShardOf(preds[0], 2) {
+			slowPred, deadPred = preds[0], p
+			break
+		}
+	}
+	arrived, ended := make(chan struct{}), make(chan struct{})
+	ready := func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path != "/readyz" {
+			return false
+		}
+		io.WriteString(w, `{"status":"ready","epoch":0}`)
+		return true
+	}
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ready(w, r) {
+			return
+		}
+		io.Copy(io.Discard, r.Body) // a server notices a client leaving only once the body is read
+		close(arrived)
+		select {
+		case <-r.Context().Done():
+			close(ended)
+		case <-time.After(30 * time.Second):
+		}
+	}))
+	defer slow.Close()
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ready(w, r) {
+			return
+		}
+		select {
+		case <-arrived:
+		case <-time.After(5 * time.Second):
+		}
+		w.WriteHeader(http.StatusServiceUnavailable)
+		io.WriteString(w, `{"error":"draining"}`)
+	}))
+	defer dead.Close()
+
+	endpoints := make([][]string, 2)
+	endpoints[cluster.ShardOf(slowPred, 2)] = []string{slow.URL}
+	endpoints[cluster.ShardOf(deadPred, 2)] = []string{dead.URL}
+	rt, err := New(endpoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(context.Background())
+	rs := httptest.NewServer(rt.Handler())
+	defer rs.Close()
+	c, err := client.New(rs.URL, client.WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	_, err = c.Query(context.Background(), fmt.Sprintf(`SELECT * WHERE { { ?a <%s> ?b . } UNION { ?c <%s> ?d . } }`, slowPred, deadPred))
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadGateway || !strings.Contains(ae.Message, "draining") {
+		t.Fatalf("routed query over a draining shard: %v, want 502 carrying its reason", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("the router answered after %v: it waited for the slow sibling", took)
+	}
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the slow shard never saw its request end")
+	}
+}
+
+// TestMayMeet pins the static collision test the merge dedups by: rows
+// of two branches can be equal only if each one's mandatory variables
+// are columns of the other.
+func TestMayMeet(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want []bool
+	}{
+		// Disjoint schemas (U0–U3).
+		{`{ ?a <p> ?b . } UNION { ?c <q> ?d . }`, []bool{false, false}},
+		// The same schema (U5, U7).
+		{`{ ?a <p> ?b . ?b <q> ?c . } UNION { ?a <r> ?b . ?b <q> ?c . }`, []bool{true, true}},
+		// Shared variables, but a mandatory one missing on the other side (U4, U6).
+		{`{ ?a <p> ?b . ?b <q> ?c . } UNION { ?a <p> ?b . ?a <r> ?d . }`, []bool{false, false}},
+		// A row of the first branch without its OPTIONAL ?c can equal one of the second.
+		{`{ ?a <p> ?b . OPTIONAL { ?b <q> ?c . } } UNION { ?a <r> ?b . }`, []bool{true, true}},
+		{`{ ?a <p> ?b . OPTIONAL { ?b <q> ?c . } } UNION { ?a <r> ?c . }`, []bool{false, false}},
+		// Zero-width rows are all equal.
+		{`{ <x> <p> <y> . } UNION { <x> <q> <y> . }`, []bool{true, true}},
+		// Only the first and the last of three.
+		{`{ ?a <p> ?b . } UNION { ?c <q> ?d . } UNION { ?b <r> ?a . }`, []bool{true, false, true}},
+	} {
+		q, err := dualsim.ParseQuery("SELECT * WHERE { " + tc.src + " }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mayMeet(topBranches(q.Expr)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: mayMeet = %v, want %v", tc.src, got, tc.want)
+		}
 	}
 }

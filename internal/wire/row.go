@@ -15,16 +15,16 @@ import (
 //	{"kind":"row","epoch":N,"values":["<iri>","\"literal\"",null]}
 //
 // in exactly that key order with no whitespace. The encoder escapes only
-// what RFC 8259 requires; the decoder accepts every valid JSON string
+// what RFC 8259 requires; the reader accepts every valid JSON string
 // escape, so it also reads the lines an encoding/json server writes
 // (reflected Event, HTML-escaped) as long as the keys come in this order.
+// A value's JSON text is a cell, canonical when AppendCell spells it so.
 
 var (
 	rowOpen   = []byte(`{"kind":"row","epoch":`)
 	rowValues = []byte(`,"values":`)
 	rowClose  = []byte("]}")
 	null      = []byte("null")
-	comma     = []byte{','}
 )
 
 // plain marks the bytes a JSON string carries as themselves: ASCII
@@ -55,30 +55,6 @@ func AppendRowEvent(dst []byte, epoch uint64, row RowAppender) []byte {
 	dst = append(dst, rowValues...)
 	dst = row.AppendRow(dst)
 	return append(dst, '}', '\n')
-}
-
-// Values is a row held as decoded strings; it renders through the same
-// escaping as every other RowAppender.
-type Values []*string
-
-// AppendRow implements RowAppender.
-//
-//dualsim:hotpath
-func (v Values) AppendRow(dst []byte) []byte {
-	dst = append(dst, '[')
-	for i, s := range v {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if s == nil {
-			dst = append(dst, "null"...)
-			continue
-		}
-		dst = append(dst, '"')
-		dst = AppendEscaped(dst, *s)
-		dst = append(dst, '"')
-	}
-	return append(dst, ']')
 }
 
 // AppendEscaped appends s as the inside of a JSON string (the caller
@@ -126,16 +102,39 @@ func AppendEscaped(dst []byte, s string) []byte {
 	return append(dst, s[start:]...)
 }
 
-// DecodeRowEvent decodes one line (with or without its newline) if it
-// is a row event in the canonical shape. ok false means "not mine", not
-// "malformed": headers, trailers, error events, other key orders,
-// interior whitespace and broken lines all go to json.Unmarshal, which
-// decodes or rejects them. Whenever ok is true the result equals what
-// json.Unmarshal into an Event yields. The values share one backing
-// string and do not alias line.
+// AppendCell appends the canonical cell of s: AppendEscaped in quotes.
+func AppendCell(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	dst = AppendEscaped(dst, s)
+	return append(dst, '"')
+}
+
+// maxChunk caps Decode's chunks, in values (text chunks: 16× in bytes).
+const maxChunk = 4096
+
+// RowReader reads row lines: Split cuts one into canonical cells and
+// Decode turns cells into values. Use one per stream.
+type RowReader struct {
+	cells [][]byte        // the last split line's cells
+	buf   []byte          // the cells Split re-escaped
+	tmp   strings.Builder // the values of the cells Split re-escaped
+
+	vals chunk[*string]
+	strs chunk[string]
+	text strings.Builder // the current text chunk
+	last int             // the size of the current text chunk
+}
+
+// Split cuts one line (with or without its newline) into its cells if
+// it is a row event in the canonical shape. ok false means "not mine",
+// not "malformed": other events, key orders, interior whitespace and
+// broken lines go to json.Unmarshal, which decodes or rejects them.
+// Canonical cells alias line, the others (\/, \b, \u0041, invalid UTF-8)
+// are re-escaped; equal values have equal cells. They are valid until
+// the next Split, and while line is.
 //
 //dualsim:hotpath
-func DecodeRowEvent(line []byte) (epoch uint64, values []*string, ok bool) {
+func (r *RowReader) Split(line []byte) (epoch uint64, cells [][]byte, ok bool) {
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]
 	}
@@ -158,31 +157,24 @@ func DecodeRowEvent(line []byte) (epoch uint64, values []*string, ok bool) {
 	if !ok || len(rest) < 2 || rest[0] != '[' {
 		return 0, nil, false
 	}
-
-	// Every value but the first follows a comma, so the comma count
-	// bounds the width (commas inside strings only over-reserve) and
-	// neither slice below is ever regrown — the pointers stay valid.
-	width := bytes.Count(rest, comma) + 1
-	values = make([]*string, 0, width)
-	var strs []string
-	var text strings.Builder
-	text.Grow(len(rest))
+	cells, r.buf = r.cells[:0], r.buf[:0]
+	r.tmp.Reset()
 	i = 1
 	for rest[i] != ']' { // only an empty array skips the loop; it ends by break
+		start := i
 		switch {
-		case bytes.HasPrefix(rest[i:], null):
-			values = append(values, nil)
-			i += len(null)
-		case rest[i] == '"':
-			from := text.Len()
-			if i = unquote(&text, rest, i+1); i < 0 {
+		case rest[i] == '"' && canonical(rest, &i):
+			cells = append(cells, rest[start:i])
+		case rest[i] == '"': // re-escaped into r.buf by way of its value in r.tmp
+			from, at := len(r.buf), r.tmp.Len()
+			if i = unquote(&r.tmp, rest, start+1); i < 0 {
 				return 0, nil, false
 			}
-			if strs == nil {
-				strs = make([]string, 0, width-len(values))
-			}
-			strs = append(strs, text.String()[from:])
-			values = append(values, &strs[len(strs)-1])
+			r.buf = AppendCell(r.buf, r.tmp.String()[at:])
+			cells = append(cells, r.buf[from:])
+		case bytes.HasPrefix(rest[i:], null):
+			i += len(null)
+			cells = append(cells, rest[start:i])
 		default:
 			return 0, nil, false
 		}
@@ -193,10 +185,89 @@ func DecodeRowEvent(line []byte) (epoch uint64, values []*string, ok bool) {
 			return 0, nil, false
 		}
 	}
+	r.cells = cells
 	if !bytes.Equal(rest[i:], rowClose) {
 		return 0, nil, false
 	}
-	return epoch, values, true
+	return epoch, cells, true
+}
+
+// canonical reports whether the JSON string opening at s[*i] is
+// canonical without a \u escape (a control byte's rare \u00XX is
+// re-escaped as it was) and, if so, moves *i past its closing quote.
+//
+//dualsim:hotpath
+func canonical(s []byte, i *int) bool {
+	for j := *i + 1; ; j++ {
+		for j < len(s) && plain[s[j]] {
+			j++
+		}
+		if j == len(s) {
+			return false
+		}
+		switch c := s[j]; {
+		case c == '"':
+			*i = j + 1
+			return true
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(s[j:])
+			if r == utf8.RuneError && size == 1 {
+				return false
+			}
+			j += size - 1
+		case c == '\\' && j+1 < len(s) && strings.IndexByte(`"\nrt`, s[j+1]) >= 0:
+			j++
+		default: // a raw control byte, or an escape AppendEscaped does not write
+			return false
+		}
+	}
+}
+
+// Decode returns the values of cells from Split as json.Unmarshal reads
+// them, nil for null. Values, string headers and text are carved from
+// chunks that start at the first row's size and double; nothing is
+// recycled, so values stay valid and keep their chunks alive.
+//
+//dualsim:hotpath
+func (r *RowReader) Decode(cells [][]byte) []*string {
+	strs, size := 0, 0
+	for _, c := range cells {
+		if c[0] == '"' {
+			strs++
+			size += len(c) - 2 // a canonical value is never longer than its cell's body
+		}
+	}
+	values, headers := r.vals.carve(len(cells)), r.strs.carve(strs)
+	if r.text.Cap()-r.text.Len() < size {
+		r.last = max(size, min(2*r.last, 16*maxChunk))
+		r.text = strings.Builder{}
+		r.text.Grow(r.last)
+	}
+	for i, c := range cells {
+		if c[0] == '"' {
+			from := r.text.Len()
+			unquote(&r.text, c, 1)
+			headers[0] = r.text.String()[from:]
+			values[i], headers = &headers[0], headers[1:]
+		}
+	}
+	return values
+}
+
+// chunk carves zeroed slices from blocks that double up to maxChunk.
+type chunk[T any] struct {
+	free []T
+	last int
+}
+
+func (c *chunk[T]) carve(n int) []T {
+	if n > len(c.free) {
+		c.last = max(n, min(2*c.last, maxChunk))
+		c.free = make([]T, c.last)
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
 }
 
 // unquote appends the JSON string whose body starts at s[i] (just past
