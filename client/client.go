@@ -276,8 +276,8 @@ func Traceparent(tp string) QueryOpt {
 	return func(r *reqOpts) { r.traceparent = tp }
 }
 
-// Batch executes queries concurrently on the server's batch pool and
-// returns positional results, each with its own error slot — a failing
+// Batch executes queries concurrently on the server, at most GOMAXPROCS
+// at a time, and returns positional results, each with its own error slot — a failing
 // query does not fail the batch (unless FailFast is given, which
 // cancels the rest after the first failure).
 func (c *Client) Batch(ctx context.Context, srcs []string, opts ...QueryOpt) (*BatchResponse, error) {

@@ -13,7 +13,7 @@
 // Endpoints (see internal/server for the wire format):
 //
 //	POST /v1/query        query via the plan cache; ?stream=1 for NDJSON rows
-//	POST /v1/batch        concurrent query batch
+//	POST /v1/batch        query batch, members at most GOMAXPROCS at a time
 //	POST /v1/apply        live delta (dels before adds, atomic, epoch++)
 //	POST /v1/compact      consolidate the update overlay
 //	POST /v1/checkpoint   roll the WAL into a fresh on-disk snapshot
@@ -91,7 +91,6 @@ type daemonConfig struct {
 	data            string
 	prune           bool
 	planCache       int
-	batchWorkers    int
 	compactAt       int
 	checkpointEvery int
 	maxInFlight     int
@@ -118,7 +117,6 @@ func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
 	fs.StringVar(&cfg.data, "data", "", "durable data dir: snapshot + WAL; warm restart when it holds state")
 	fs.BoolVar(&cfg.prune, "prune", true, "evaluate through the dual-simulation pruning pipeline")
 	fs.IntVar(&cfg.planCache, "plancache", 128, "LRU plan cache capacity (0 disables)")
-	fs.IntVar(&cfg.batchWorkers, "batchworkers", 0, "batch pool width (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.compactAt, "compactat", 0, "auto-compact the update overlay at this ledger size (0 = manual)")
 	fs.IntVar(&cfg.checkpointEvery, "checkpointevery", 1024, "with -data, checkpoint every n WAL records (0 = only on compact/demand)")
 	fs.IntVar(&cfg.maxInFlight, "maxinflight", 0, "concurrently executing requests (0 = 2×GOMAXPROCS)")
@@ -356,9 +354,6 @@ func sessionOptions(cfg daemonConfig) []dualsim.Option {
 	opts := []dualsim.Option{dualsim.WithPruning(cfg.prune)}
 	if cfg.planCache > 0 {
 		opts = append(opts, dualsim.WithPlanCache(cfg.planCache))
-	}
-	if cfg.batchWorkers > 0 {
-		opts = append(opts, dualsim.WithBatchWorkers(cfg.batchWorkers))
 	}
 	if cfg.compactAt > 0 {
 		opts = append(opts, dualsim.WithCompactionThreshold(cfg.compactAt))

@@ -486,11 +486,12 @@ func TestParseFlagsDefaults(t *testing.T) {
 }
 
 // TestEngineFlagGone: the daemon's evaluator is not selectable (-engine),
-// its pipeline has no pre-filter stage (-fingerprint) and its solver no
-// parallel kernels (-workers), so each is a flag-parse error rather than
-// a knob /v1/query ignores.
+// its pipeline has no pre-filter stage (-fingerprint), its solver no
+// parallel kernels (-workers) and /v1/batch no pool of its own
+// (-batchworkers), so each is a flag-parse error rather than a knob the
+// daemon ignores.
 func TestEngineFlagGone(t *testing.T) {
-	for _, name := range []string{"-engine", "-fingerprint", "-workers"} {
+	for _, name := range []string{"-engine", "-fingerprint", "-workers", "-batchworkers"} {
 		func() {
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "flag provided but not defined: "+name) {

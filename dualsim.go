@@ -16,8 +16,9 @@
 //   - a graph database: an in-memory dictionary-encoded triple store with
 //     per-predicate indexes and adjacency bit-matrices
 //     (NewStore/LoadNTriples/FromTriples);
-//   - a session: Open(st, ...Option) fixes solver parallelism and the
-//     pruning switch for a store; sessions are safe for concurrent use;
+//   - a session: Open(st, ...Option) fixes the pruning switch, the plan
+//     cache and durability for a store; sessions are safe for concurrent
+//     use;
 //   - prepared queries: db.Prepare(src) parses the SPARQL fragment
 //     (SELECT * over basic graph patterns with AND (.), OPTIONAL and
 //     UNION) and plans it exactly once — pattern extraction and lowering
@@ -30,11 +31,9 @@
 //     Cancellation and deadlines on ctx interrupt the solver between
 //     inequality evaluations and the executor between row batches;
 //   - serving: with WithPlanCache(n), db.Query(ctx, text) resolves
-//     repeated query text through an LRU plan cache, and
-//     db.ExecBatch(ctx, reqs) fans a slice of queries across a worker
-//     pool with per-request stats. Execution state (the solver's χ rows,
-//     scratch and the parallel-kernel accumulators) is pooled, so the
-//     steady-state hot path performs near-zero solver allocation;
+//     repeated query text through an LRU plan cache. Execution state
+//     (the solver's χ rows and scratch) is pooled, so the steady-state
+//     hot path performs near-zero solver allocation;
 //   - updates: the database is live. db.Apply(ctx, Delta{Adds, Dels})
 //     publishes a new epoch-numbered snapshot (MVCC-lite: in-flight
 //     executions finish on their epoch, plan cache keys carry the epoch,
@@ -44,8 +43,9 @@
 //     into a pristine store;
 //   - network serving: internal/server (behind cmd/dualsimd) exposes a
 //     session over HTTP/JSON with NDJSON row streaming, admission
-//     control and epoch-tagged responses; the client package is the
-//     typed Go client;
+//     control and epoch-tagged responses (a /v1/batch member is one
+//     more QueryStream cursor); the client package is the typed Go
+//     client;
 //   - durability: with WithDataDir the database lives in a data
 //     directory — every Apply is recorded in an fsync'd write-ahead log
 //     before acknowledgement, Checkpoint (or WithCheckpointEvery) rolls

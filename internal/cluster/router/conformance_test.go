@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -74,10 +75,12 @@ type reply struct {
 	StatsTrace bool     // the stats carry a span tree
 	Results    int      // the stats' result count
 
-	// Not compared across backends: IDs are minted per request, and the
-	// router's stats are the merge's, which has no operator list.
+	// Not compared across backends: IDs are minted per request, the
+	// router's stats are the merge's, which has no operator list, and
+	// error texts are only required to be present.
 	traceID   string
-	operators bool // the stats carry a non-empty operator list
+	operators bool   // the stats carry a non-empty operator list
+	errMsg    string // the body's "error"
 }
 
 func do(t *testing.T, method, url string, hdr map[string]string, body io.Reader) reply {
@@ -136,7 +139,7 @@ func do(t *testing.T, method, url string, hdr map[string]string, body io.Reader)
 	}
 	buf, _ := io.ReadAll(resp.Body)
 	if json.Unmarshal(buf, &env) == nil {
-		out.HasError = env.Error != ""
+		out.HasError, out.errMsg = env.Error != "", env.Error
 		out.Rows = canonRows(env.Rows)
 		if env.Stats != nil {
 			out.stats(env.Stats)
@@ -151,11 +154,10 @@ func (r *reply) stats(s *dualsim.ExecStats) {
 	r.Results = s.Results
 }
 
-// batchMember posts a one-member /v1/batch and returns the member's
-// rows and stats in reply form.
-func batchMember(t *testing.T, url, query string) reply {
+// postBatch posts req to /v1/batch and decodes the reply.
+func postBatch(t *testing.T, url string, req wire.BatchRequest) (int, wire.BatchResponse) {
 	t.Helper()
-	body, _ := json.Marshal(wire.BatchRequest{Queries: []string{query}})
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/v1/batch", wire.ContentTypeJSON, strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +167,15 @@ func batchMember(t *testing.T, url, query string) reply {
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
-	out := reply{Status: resp.StatusCode}
+	return resp.StatusCode, br
+}
+
+// batchMember posts a one-member /v1/batch and returns the member's
+// rows and stats in reply form.
+func batchMember(t *testing.T, url, query string) reply {
+	t.Helper()
+	status, br := postBatch(t, url, wire.BatchRequest{Queries: []string{query}})
+	out := reply{Status: status}
 	if len(br.Results) != 1 || br.Results[0].Stats == nil {
 		t.Fatalf("/v1/batch: %d members, want one with stats: %+v", len(br.Results), br.Results)
 	}
@@ -240,6 +250,37 @@ func TestProtocolConformance(t *testing.T) {
 					t.Errorf("operators missing: /v1/batch member %v, /v1/query trailer %v", m.operators, r.operators)
 				}
 			}},
+		// One batch runner behind both: a traced batch hangs one
+		// batch.query span per member under its root.
+		{name: "traced batch", body: q(""), status: 200, check: func(t *testing.T, b backend, _ reply) {
+			status, br := postBatch(t, b.url, wire.BatchRequest{Queries: []string{x1, x1}, Trace: true})
+			root := br.Stats.Trace
+			if status != 200 || root == nil || root.Name != "batch" {
+				t.Fatalf("traced batch: status %d, root %+v", status, root)
+			}
+			var idx []string
+			for _, sp := range root.Children {
+				if sp.Name == "batch.query" {
+					idx = append(idx, sp.Attrs["index"])
+				}
+			}
+			slices.Sort(idx)
+			if len(root.Children) != 2 || !slices.Equal(idx, []string{"0", "1"}) {
+				t.Errorf("batch children %d, batch.query indexes %v; want exactly two, indexed 0 and 1", len(root.Children), idx)
+			}
+		}},
+		// failFast cancels the rest, but the batch still answers 200
+		// with each member's outcome in its slot.
+		{name: "failFast batch", body: q(""), status: 200, check: func(t *testing.T, b backend, _ reply) {
+			status, br := postBatch(t, b.url, wire.BatchRequest{Queries: []string{"SELECT broken", x1}, FailFast: true})
+			want := do(t, "POST", b.url+"/v1/query", nil, strings.NewReader(`{"query":"SELECT broken"}`))
+			if status != 200 || len(br.Results) != 2 || br.Results[0].Error == "" || br.Stats.Failed < 1 {
+				t.Fatalf("failFast batch: status %d, %+v", status, br)
+			}
+			if want.Status != 400 || br.Results[0].Error != want.errMsg {
+				t.Errorf("slot 0 error %q, /v1/query answers %d %q", br.Results[0].Error, want.Status, want.errMsg)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []reply
@@ -260,7 +301,7 @@ func TestProtocolConformance(t *testing.T) {
 				if tc.check != nil {
 					tc.check(t, b, r)
 				}
-				r.traceID, r.operators = "", false
+				r.traceID, r.operators, r.errMsg = "", false, ""
 				got = append(got, r)
 			}
 			if !reflect.DeepEqual(got[0], got[1]) {

@@ -64,7 +64,6 @@ import (
 	"hash/maphash"
 	"math"
 	"net/http"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -916,35 +915,6 @@ func (r *Router) Explain(ctx context.Context, src string, analyze bool) (*dualsi
 		}
 		return out.Explain, nil
 	})
-}
-
-// Batch routes each member independently, at most GOMAXPROCS at a time
-// (the width of a session's batch pool): every member fans out over the
-// shards itself, so an unbounded member count would turn one request
-// into that many concurrent shard RPCs. failFast is a single-session
-// notion and does not apply.
-func (r *Router) Batch(ctx context.Context, srcs []string, _ bool) ([]server.BatchResult, error) {
-	out := make([]server.BatchResult, len(srcs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(srcs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i].Rows, out[i].Err = r.Query(ctx, srcs[i])
-			}
-		}()
-	}
-	for i := range srcs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Apply splits the delta by predicate placement. Writes go to primaries

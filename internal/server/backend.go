@@ -17,15 +17,11 @@ import (
 // memory budget → 413, anything else → 400).
 type Backend interface {
 	// Query starts one execution and returns a cursor over its rows.
-	// The core closes the cursor.
+	// The core closes the cursor. It serves /v1/query and every member
+	// of a /v1/batch, so it must be safe for concurrent use.
 	Query(ctx context.Context, src string) (Cursor, error)
 	// Explain returns src's compiled plan; analyze executes it too.
 	Explain(ctx context.Context, src string, analyze bool) (*dualsim.Explain, error)
-	// Batch executes srcs concurrently and reports positionally. The
-	// error is non-nil only when the call as a whole failed (deadline,
-	// cancellation, closed session); per-query failures sit in their
-	// BatchResult.
-	Batch(ctx context.Context, srcs []string, failFast bool) ([]BatchResult, error)
 	// Apply applies one delta and returns the reply body with the epoch
 	// it produced. A traced request's root span is in ctx; a body that
 	// reports the trace may reference it — the core ends the span before
@@ -58,12 +54,6 @@ type Cursor interface {
 	Err() error
 	Close()
 	Stats() *dualsim.ExecStats
-}
-
-// BatchResult is one positional outcome of Backend.Batch.
-type BatchResult struct {
-	Rows Cursor // nil when Err is set
-	Err  error
 }
 
 // Materialized returns a cursor over n already computed rows;

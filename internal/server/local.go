@@ -218,38 +218,6 @@ func (b *local) Explain(ctx context.Context, src string, analyze bool) (*dualsim
 	return b.session().Explain(ctx, src)
 }
 
-func (b *local) Batch(ctx context.Context, srcs []string, failFast bool) ([]BatchResult, error) {
-	reqs := make([]dualsim.BatchRequest, len(srcs))
-	for i, src := range srcs {
-		reqs[i] = dualsim.BatchRequest{Src: src}
-	}
-	var opts []dualsim.BatchOption
-	if failFast {
-		opts = append(opts, dualsim.BatchFailFast())
-	}
-	out, err := b.session().ExecBatch(ctx, reqs, opts...)
-	// A context failure (deadline, client gone, closed session) fails
-	// the call; a fail-fast first error is still reported per item, with
-	// the per-request outcomes that did complete.
-	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) || errors.Is(err, dualsim.ErrClosed)) {
-		return nil, err
-	}
-	res := make([]BatchResult, len(out))
-	for i := range out {
-		if out[i].Err != nil {
-			res[i].Err = out[i].Err
-			continue
-		}
-		b.observe(out[i].Stats)
-		// Decode against the store the member answered from, not the
-		// session's current one: an Apply may land mid-batch.
-		st, rows := out[i].Store, out[i].Result.Rows
-		res[i].Rows = Materialized(out[i].Result.Vars, len(rows),
-			func(dst []byte, j int) []byte { return appendRow(dst, st, rows[j]) }, out[i].Stats)
-	}
-	return res, nil
-}
-
 func (b *local) Apply(ctx context.Context, d dualsim.Delta) (any, uint64, error) {
 	stats, err := b.session().Apply(ctx, d)
 	if err != nil {

@@ -7,7 +7,8 @@
 //	POST /v1/query     one query; buffered JSON or chunked NDJSON row
 //	                   streaming (?stream=1, Accept: application/x-ndjson,
 //	                   or "stream": true); "explain" returns the plan
-//	POST /v1/batch     a query slice, executed concurrently
+//	POST /v1/batch     a query slice, each member one Backend.Query,
+//	                   at most GOMAXPROCS at a time
 //	POST /v1/apply     a live delta (dels before adds)
 //	GET  /v1/snapshot  current epoch + store shape
 //	GET  /v1/debug/slow        slow-query ring (WithSlowQueryLog)
@@ -52,6 +53,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dualsim"
@@ -339,7 +342,7 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		c.Fail(w, http.StatusBadRequest, "empty query")
+		c.FailExec(w, errEmptyQuery)
 		return
 	}
 	c.queries.Inc()
@@ -608,9 +611,9 @@ func (c *Core) finishTrace(tr *trace.Trace, wantTrace bool, stats *dualsim.ExecS
 
 func (c *Core) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One admission slot covers the whole batch (decode included): its
-	// internal fan-out runs on the backend's own bounded worker pool, and
-	// counting each member against maxInFlight would let one caller
-	// starve the server.
+	// members run inside it, at most GOMAXPROCS at a time, and counting
+	// each member against maxInFlight would let one caller starve the
+	// server.
 	release, ok := c.admitOr429(w, r)
 	if !ok {
 		return
@@ -636,41 +639,132 @@ func (c *Core) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ctx, tr = startTrace(ctx, w, tp, "batch")
 	}
 	start := time.Now()
-	out, err := c.backend.Batch(ctx, req.Queries, req.FailFast)
-	if err != nil {
+	out := c.runBatch(ctx, &req)
+	if err := batchFailure(ctx, out); err != nil {
 		c.FailExec(w, err)
 		return
 	}
-	elapsed := time.Since(start)
-	resp := batchEnvelope{Results: make([]batchItem, len(out))}
-	summary := make([]dualsim.BatchResult, len(out))
-	for i, res := range out {
-		if res.Err != nil {
+	resp := batchEnvelope{
+		Results: make([]batchItem, len(out)),
+		Stats:   dualsim.BatchStats{Requests: len(out), Duration: time.Since(start)},
+	}
+	for i, m := range out {
+		if m.err != nil {
 			// Reported in the item's error slot; the HTTP reply is still
 			// 200, so errors_total (non-2xx responses) does not move.
-			c.recordStatement(req.Queries[i], nil, 0, res.Err)
-			resp.Results[i].Error = res.Err.Error()
-			summary[i].Err = res.Err
+			c.recordStatement(req.Queries[i], nil, 0, m.err)
+			resp.Results[i].Error = m.err.Error()
+			resp.Stats.Failed++
 			continue
 		}
-		item := &resp.Results[i]
-		item.Vars, item.Epoch = res.Rows.Vars(), res.Rows.Epoch()
-		var rows rawRows
-		var n int
-		n, item.Truncated, _ = pump(res.Rows, req.Limit, rows.add)
-		item.Rows = rows.json()
-		res.Rows.Close()
-		item.Stats = res.Rows.Stats()
-		c.recordStatement(req.Queries[i], item.Stats, item.Stats.Duration, nil)
-		c.rows.Add(int64(n))
-		summary[i].Stats = item.Stats
+		resp.Results[i] = m.item
+		stats := m.item.Stats
+		c.recordStatement(req.Queries[i], stats, stats.Duration, nil)
+		c.rows.Add(int64(m.n))
+		if stats.CacheHit {
+			resp.Stats.CacheHits++
+		}
+		resp.Stats.Results += stats.Results
 	}
-	resp.Stats = dualsim.SummarizeBatch(summary, elapsed)
 	if tr != nil {
 		tr.Root().End()
 		resp.Stats.Trace = tr.Root()
 	}
 	c.WriteJSON(w, http.StatusOK, &resp)
+}
+
+// batchMember is one member's outcome: its rendered item, or err.
+type batchMember struct {
+	item batchItem
+	n    int // rows rendered
+	err  error
+}
+
+// runBatch runs the members of one batch through Backend.Query, at most
+// GOMAXPROCS at a time: a member may fan out on its own (over the
+// shards, on a router), so an unbounded member count would turn one
+// request into that many concurrent executions. A failFast batch
+// cancels the members still running or waiting on the first member
+// error; they report the cancellation in their own slots.
+func (c *Core) runBatch(ctx context.Context, req *wire.BatchRequest) []batchMember {
+	out := make([]batchMember, len(req.Queries))
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	parent := trace.SpanFromContext(ctx)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(out)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(out); i = int(next.Add(1)) - 1 {
+				out[i] = c.runMember(ctx, parent, i, req.Queries[i], req.Limit)
+				if out[i].err != nil && req.FailFast {
+					cancel()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// runMember executes member i of a batch and renders it into the
+// buffered shape with the code buffered /v1/query uses, pulling at most
+// limit+1 rows. A traced batch gets one batch.query span per member.
+func (c *Core) runMember(ctx context.Context, parent *trace.Span, i int, src string, limit int) batchMember {
+	if err := ctx.Err(); err != nil {
+		return batchMember{err: err} // the batch was aborted before this member started
+	}
+	if sp := parent.StartChild("batch.query"); sp != nil {
+		sp.SetAttr("index", strconv.Itoa(i))
+		ctx = trace.ContextWithSpan(ctx, sp)
+		defer sp.End()
+	}
+	if strings.TrimSpace(src) == "" {
+		return batchMember{err: errEmptyQuery}
+	}
+	cur, err := c.backend.Query(ctx, src)
+	if err != nil {
+		return batchMember{err: err}
+	}
+	defer cur.Close()
+	vars, epoch := cur.Vars(), cur.Epoch()
+	var rows rawRows
+	n, truncated, _ := pump(cur, limit, rows.add)
+	if err := cur.Err(); err != nil {
+		return batchMember{err: err}
+	}
+	cur.Close()
+	m := batchMember{n: n}
+	m.item.Vars, m.item.Epoch, m.item.Truncated = vars, epoch, truncated
+	m.item.Stats, m.item.Rows = cur.Stats(), rows.json()
+	return m
+}
+
+// errEmptyQuery answers a blank query text: a 400 on /v1/query, the
+// member's own slot in a batch.
+var errEmptyQuery = errors.New("empty query")
+
+// batchFailure reports what fails a batch as a whole rather than member
+// by member: the request's deadline or cancellation, or a closed
+// session.
+func batchFailure(ctx context.Context, out []batchMember) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	// The timer behind a deadline can fire tens of milliseconds late —
+	// after a short batch has finished, its tail failed by the executor's
+	// own wall-clock check. The batch reports the deadline then too.
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	for _, m := range out {
+		if errors.Is(m.err, dualsim.ErrClosed) {
+			return m.err
+		}
+	}
+	return nil
 }
 
 func (c *Core) handleApply(w http.ResponseWriter, r *http.Request) {

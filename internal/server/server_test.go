@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -220,6 +221,154 @@ func TestBatch(t *testing.T) {
 	// hit the cache.
 	if out.Stats.CacheHits < 1 {
 		t.Fatalf("batch stats report no cache hits: %+v", out.Stats)
+	}
+
+	// A member with a limit stops pulling at limit+1 rows, as /v1/query
+	// does: the peek that proves truncation is the last row computed.
+	var adds []wire.Triple
+	for i := 0; i < 12; i++ {
+		adds = append(adds, wire.Triple{S: "lim:s" + strconv.Itoa(i), P: "lim:edge", O: "lim:o" + strconv.Itoa(i)})
+	}
+	postJSON(t, hs.URL+"/v1/apply", wire.ApplyRequest{Adds: adds}).Body.Close()
+	out = decode[wire.BatchResponse](t, postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{
+		Queries: []string{`SELECT * WHERE { ?s <lim:edge> ?o . }`}, Limit: 1,
+	}))
+	if m := out.Results[0]; m.Error != "" || len(m.Rows) != 1 || !m.Truncated || m.Stats.Results > 2 {
+		t.Fatalf("limit 1 over 12 rows: %d rows, truncated %v, error %q, stats %+v; want 1 row, truncated, stats.results ≤ 2",
+			len(m.Rows), m.Truncated, m.Error, m.Stats)
+	}
+}
+
+// TestBatchMembers: members answer by position, a blank member fails in
+// its own slot, repeated texts plan once, and a closed session fails the
+// whole batch with 503.
+func TestBatchMembers(t *testing.T) {
+	_, hs, db := newTestServer(t)
+	resp := postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{
+		Queries: []string{queryX1, queries.QueryX2, queryX1, "  "},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	out := decode[wire.BatchResponse](t, resp)
+	for i, want := range []int{2, 4, 2} {
+		if m := out.Results[i]; m.Error != "" || len(m.Rows) != want || m.Stats.Results != want {
+			t.Fatalf("member %d: %d rows, error %q, stats %+v; want %d rows", i, len(m.Rows), m.Error, m.Stats, want)
+		}
+	}
+	if got := out.Results[3].Error; got != "empty query" {
+		t.Fatalf("blank member: error %q, want \"empty query\"", got)
+	}
+	if out.Stats.Requests != 4 || out.Stats.Failed != 1 || out.Stats.Results != 8 {
+		t.Fatalf("batch stats: %+v", out.Stats)
+	}
+	if got := db.PlanBuilds(); got != 2 {
+		t.Fatalf("PlanBuilds = %d after [X1, X2, X1], want 2", got)
+	}
+
+	db.Close()
+	resp = postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{Queries: []string{queryX1, queries.QueryX2}})
+	if e := decode[wire.ErrorResponse](t, resp); resp.StatusCode != http.StatusServiceUnavailable || e.Error == "" {
+		t.Fatalf("batch on a closed session: %d %+v, want 503", resp.StatusCode, e)
+	}
+}
+
+// TestBatchDeadline: a timeoutMs that expires mid-batch fails the whole
+// batch with 504, and promptly — the members still to run never start.
+func TestBatchDeadline(t *testing.T) {
+	st, err := dualsim.GenerateLUBMStore(24, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dualsim.Open(st, dualsim.WithPlanCache(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv, err := New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+
+	src := `SELECT * WHERE {
+		?publication <rdf:type> <ub:Publication> .
+		?publication <ub:publicationAuthor> ?student .
+		?student <ub:memberOf> ?department . }`
+	// The cost of one warm member, to place the deadline mid-batch: the
+	// first call pays for parse, plan and the lazy matrix builds.
+	batch := func(n int, timeoutMs int64) (*http.Response, time.Duration) {
+		srcs := make([]string, n)
+		for i := range srcs {
+			srcs[i] = src
+		}
+		start := time.Now()
+		resp := postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{Queries: srcs, TimeoutMs: timeoutMs})
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp, time.Since(start)
+	}
+	batch(1, 0)
+	_, one := batch(1, 0)
+
+	// Every worker runs eight members in a row: the batch needs at least
+	// eight times one member's time, four times its deadline.
+	n := 8 * runtime.GOMAXPROCS(0)
+	resp, elapsed := batch(n, max(1, 2*one.Milliseconds()))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("batch of %d past its deadline: status %d, want 504 (one member: %v)", n, resp.StatusCode, one)
+	}
+	if limit := time.Duration(n)*one + time.Second; elapsed > limit {
+		t.Fatalf("cancelled batch ran %v (one member: %v) — not aborted", elapsed, one)
+	}
+}
+
+// TestBatchConcurrentCallers (-race): several clients post batches through
+// one session and its shared plan cache at once; every member answers by
+// position and each distinct text is planned once.
+func TestBatchConcurrentCallers(t *testing.T) {
+	_, hs, db := newTestServer(t)
+	srcs := []string{queryX1, queries.QueryX2, `SELECT * WHERE { ?director <awarded> ?prize . }`, queryX1}
+	body, err := json.Marshal(wire.BatchRequest{Queries: srcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 6)
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(hs.URL+"/v1/batch", wire.ContentTypeJSON, bytes.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			var out wire.BatchResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				errs <- err
+				return
+			}
+			if resp.StatusCode != http.StatusOK || len(out.Results) != len(srcs) {
+				errs <- fmt.Errorf("concurrent batch: status %d, %d results", resp.StatusCode, len(out.Results))
+				return
+			}
+			for i, want := range []int{2, 4} {
+				if m := out.Results[i]; m.Error != "" || len(m.Rows) != want {
+					errs <- fmt.Errorf("concurrent batch member %d: %d rows, error %q; want %d rows", i, len(m.Rows), m.Error, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if builds := db.PlanBuilds(); builds != 3 {
+		t.Fatalf("PlanBuilds = %d across concurrent batches, want 3", builds)
 	}
 }
 
@@ -472,9 +621,10 @@ func TestQueryDeadline(t *testing.T) {
 }
 
 // TestConcurrentQueriesAndApplies is the end-to-end acceptance test: N
-// concurrent clients issue buffered and streamed queries while a writer
-// interleaves Apply/Compact. Every response must be internally
-// epoch-consistent (header epoch == stats epoch, bindings decodable) and
+// concurrent clients issue buffered and streamed queries, and one more
+// batches, while a writer interleaves Apply/Compact. Every response (every
+// batch member) must be internally epoch-consistent (header epoch ==
+// stats epoch, bindings decodable) and
 // every status must be 200 or 429 — never a hang, tear or race (run
 // under -race).
 func TestConcurrentQueriesAndApplies(t *testing.T) {
@@ -485,7 +635,7 @@ func TestConcurrentQueriesAndApplies(t *testing.T) {
 		applies   = 40
 	)
 	var wg sync.WaitGroup
-	errc := make(chan error, clients+1)
+	errc := make(chan error, clients+2)
 
 	// Writer: live deltas on a dedicated predicate, with a compaction in
 	// the middle (which renumbers node ids — the decode-against-pinned-
@@ -564,6 +714,40 @@ func TestConcurrentQueriesAndApplies(t *testing.T) {
 			}
 		}(c)
 	}
+
+	// Batch client: every member answers from one epoch of its own, even
+	// when an apply or the compaction lands mid-batch.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < perClient; i++ {
+			resp := postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{Queries: []string{queryX1, queryX1, queryX1, queryX1}})
+			if resp.StatusCode == http.StatusTooManyRequests {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				resp.Body.Close()
+				errc <- fmt.Errorf("batch: status %d", resp.StatusCode)
+				return
+			}
+			for j, m := range decode[wire.BatchResponse](t, resp).Results {
+				if m.Error != "" || m.Stats == nil || m.Epoch != m.Stats.Epoch || len(m.Rows) < 2 {
+					errc <- fmt.Errorf("batch member %d: inconsistent %+v", j, m)
+					return
+				}
+				for _, row := range m.Rows {
+					for _, v := range row {
+						if v == nil || !strings.HasPrefix(*v, "<") {
+							errc <- fmt.Errorf("batch member %d: undecodable binding %v at epoch %d", j, row, m.Epoch)
+							return
+						}
+					}
+				}
+			}
+		}
+	}()
 	wg.Wait()
 	close(errc)
 	for err := range errc {

@@ -59,14 +59,15 @@ type QueryRequest struct {
 
 // BatchRequest is the body of POST /v1/batch.
 type BatchRequest struct {
-	// Queries are executed concurrently over the session's batch pool;
+	// Queries are executed concurrently, at most GOMAXPROCS at a time;
 	// results are positional.
 	Queries []string `json:"queries"`
 	// TimeoutMs bounds the whole batch.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 	// Limit truncates each result's rows.
 	Limit int `json:"limit,omitempty"`
-	// FailFast aborts the batch on the first per-query error.
+	// FailFast cancels the members still running or waiting on the first
+	// per-query error; the reply is still 200, each member in its slot.
 	FailFast bool `json:"failFast,omitempty"`
 	// Trace requests the batch's span tree in the response stats (see
 	// QueryRequest.Trace).

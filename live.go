@@ -22,8 +22,8 @@ var ErrNotDurable = errors.New("dualsim: session has no data dir; open with With
 // repeatable reads, Compact consolidates the overlay on demand.
 //
 // Consistency model (MVCC-lite, single writer): snapshots are immutable
-// and swapped atomically. Every request — Exec, Query, each ExecBatch
-// request — resolves a snapshot exactly once, at planning, and answers
+// and swapped atomically. Every request — Exec, Query, QueryStream —
+// resolves a snapshot exactly once, at planning, and answers
 // entirely from it; ExecStats.Epoch reports which. Applies are
 // serialized; readers are never blocked and never observe a half-applied
 // delta.
@@ -87,7 +87,7 @@ type ApplyStats struct {
 // serialized with other Apply/Compact calls; readers are never blocked.
 //
 // In-flight executions and PreparedQuery/Snapshot handles keep answering
-// from the epoch they pinned; new Exec/Query/ExecBatch calls see the new
+// from the epoch they pinned; new Exec/Query/QueryStream calls see the new
 // snapshot. Plans of superseded epochs are dropped from the plan cache
 // (they could never be served anyway — cache keys carry the epoch).
 // Index maintenance is incremental: only predicates the delta touches

@@ -337,8 +337,7 @@ func checkEpochRow(st *dualsim.Store, res *dualsim.Result, stats *dualsim.ExecSt
 	return nil
 }
 
-// TestLiveStress interleaves Apply with concurrent Query and ExecBatch
-// under -race. No compaction here, so node ids are stable across the
+// TestLiveStress interleaves Apply with concurrent Query under -race. No compaction here, so node ids are stable across the
 // whole lineage and any later snapshot decodes earlier results.
 func TestLiveStress(t *testing.T) {
 	ctx := context.Background()
@@ -373,34 +372,6 @@ func TestLiveStress(t *testing.T) {
 			}
 		}()
 	}
-	// One batch reader: the same text fanned out; every request must be
-	// individually consistent even when an Apply lands mid-batch.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		reqs := make([]dualsim.BatchRequest, 4)
-		for i := range reqs {
-			reqs[i] = dualsim.BatchRequest{Src: stressQuery}
-		}
-		for !stop.Load() {
-			out, err := db.ExecBatch(ctx, reqs)
-			if err != nil {
-				errc <- err
-				return
-			}
-			for _, br := range out {
-				if br.Err != nil {
-					errc <- br.Err
-					return
-				}
-				if err := checkEpochRow(db.Store(), br.Result, br.Stats); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}
-	}()
-
 	// The single writer. The query between applies guarantees a cached
 	// plan exists at every epoch, so each following apply must invalidate
 	// it — and exercises the read-your-writes path.

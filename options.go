@@ -12,8 +12,7 @@ type settings struct {
 	engine  EngineKind
 	pruning bool
 
-	planCache    int // > 0 enables the LRU plan cache with that capacity
-	batchWorkers int // > 0 fixes the ExecBatch pool width
+	planCache int // > 0 enables the LRU plan cache with that capacity
 
 	compactThreshold int // > 0 arms automatic overlay compaction
 
@@ -53,7 +52,7 @@ func WithPruning(enabled bool) Option {
 
 // WithPlanCache equips the session with an LRU cache of up to n prepared
 // plans, keyed by whitespace-normalized query text. DB.Query (and
-// ExecBatch requests given as text) consult it: a hit skips parsing and
+// Snapshot.Query/QueryStream) consult it: a hit skips parsing and
 // SOI lowering and executes the cached PreparedQuery directly; a miss
 // plans once and caches. n = 0 (the default) disables the cache. Inspect
 // traffic with DB.CacheStats.
@@ -132,18 +131,6 @@ func WithMaxQueryMemory(n int64) Option {
 			return fmt.Errorf("dualsim: negative query memory budget %d", n)
 		}
 		s.maxQueryMemory = n
-		return nil
-	}
-}
-
-// WithBatchWorkers fixes the width of the session's ExecBatch worker
-// pool (default GOMAXPROCS). Per call, BatchWorkers overrides it.
-func WithBatchWorkers(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("dualsim: negative batch worker count %d", n)
-		}
-		s.batchWorkers = n
 		return nil
 	}
 }

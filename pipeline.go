@@ -273,8 +273,8 @@ type ExecStats struct {
 	// UNION branch has an empty mandatory variable, Theorem 1).
 	Unsatisfiable bool `json:"unsatisfiable,omitempty"`
 	// CacheHit reports that the execution reused a plan from the
-	// session's plan cache (set by Query and ExecBatch; always false for
-	// Prepare/Exec, which bypass the cache).
+	// session's plan cache (set by Query and QueryStream; always false
+	// for Prepare/Exec, which bypass the cache).
 	CacheHit bool `json:"cacheHit"`
 	// Epoch is the store epoch this execution answered from — the one
 	// its plan was prepared on. Requests issued after an Apply report
@@ -325,4 +325,26 @@ func (s *ExecStats) PrunedRatio() float64 {
 		return 0
 	}
 	return 1 - float64(s.TriplesAfter)/float64(s.TriplesBefore)
+}
+
+// BatchStats aggregates the members of one /v1/batch request, each an
+// execution with its own ExecStats. JSON tags are part of the serving
+// wire format (see ExecStats).
+//
+//dualsim:wire
+type BatchStats struct {
+	// Requests is the number of members in the batch; Failed how many
+	// carried an error.
+	Requests int `json:"requests"`
+	Failed   int `json:"failed,omitempty"`
+	// CacheHits counts members served from the plan cache.
+	CacheHits int `json:"cacheHits"`
+	// Results is the total number of solution mappings across the batch.
+	Results int `json:"results"`
+	// Duration is the wall time of the whole batch.
+	Duration time.Duration `json:"duration"`
+	// Trace is the batch's span tree when tracing was enabled on the
+	// serving request: one batch.query child per member, each carrying
+	// its pipeline and operator spans. Nil by default.
+	Trace *trace.Span `json:"trace,omitempty"`
 }

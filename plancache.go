@@ -18,7 +18,7 @@ type PlanCacheStats struct {
 	Capacity int `json:"capacity"`
 	// Size is the current number of cached plans.
 	Size int `json:"size"`
-	// Hits and Misses count Query/ExecBatch lookups by outcome.
+	// Hits and Misses count Query/QueryStream lookups by outcome.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Evictions counts plans dropped by the LRU policy.

@@ -250,8 +250,8 @@ type PrepareStats struct {
 // A PreparedQuery is pinned to the store epoch it was planned on: its
 // executions keep answering from that (immutable) snapshot even after a
 // later Apply. Callers serving live traffic should route text through
-// Query/ExecBatch, whose epoch-keyed plan cache re-plans on the first
-// request after an update.
+// Query (or a Snapshot's QueryStream), whose epoch-keyed plan cache
+// re-plans on the first request after an update.
 type PreparedQuery struct {
 	db       *DB
 	snap     *dbSnapshot // pinned store + epoch

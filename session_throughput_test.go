@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"dualsim"
 	"dualsim/internal/queries"
@@ -172,173 +171,5 @@ func TestQueryPlanCacheConcurrent(t *testing.T) {
 	// build; builds can never exceed misses).
 	if db.PlanBuilds()-3 > cs.Misses {
 		t.Fatalf("plan builds %d exceed recorded misses %d", db.PlanBuilds()-3, cs.Misses)
-	}
-}
-
-// TestExecBatch: positional results, plan-cache reuse across requests,
-// prepared-query requests, and collect-by-default error semantics.
-func TestExecBatch(t *testing.T) {
-	db, err := dualsim.Open(fig1a(t), dualsim.WithPlanCache(8), dualsim.WithBatchWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	pq, err := db.Prepare(throughputQ3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []dualsim.BatchRequest{
-		{Src: throughputQ1},
-		{Src: throughputQ2},
-		{Src: throughputQ1}, // repeat: served by the cached plan
-		{Prepared: pq},
-		{Src: "SELECT broken"}, // parse error, isolated to this slot
-		{},                     // neither Src nor Prepared
-	}
-	out, err := db.ExecBatch(context.Background(), reqs)
-	if err != nil {
-		t.Fatalf("collecting batch returned %v", err)
-	}
-	if len(out) != len(reqs) {
-		t.Fatalf("got %d results for %d requests", len(out), len(reqs))
-	}
-	for i, wantLen := range map[int]int{0: 2, 1: 4, 2: 2, 3: 3} {
-		r := out[i]
-		if r.Err != nil || r.Result == nil || r.Result.Len() != wantLen {
-			t.Fatalf("request %d = {len=%v err=%v}, want %d rows", i, r.Result, r.Err, wantLen)
-		}
-		if r.Stats == nil || r.Stats.Results != wantLen {
-			t.Fatalf("request %d missing per-request ExecStats: %+v", i, r.Stats)
-		}
-	}
-	if out[4].Err == nil || out[5].Err == nil {
-		t.Fatalf("bad requests not reported: %v / %v", out[4].Err, out[5].Err)
-	}
-	// Requests 0 and 2 share a text: whichever worker gets there first
-	// plans it, the other is served from the cache.
-	if out[0].Stats.CacheHit == out[2].Stats.CacheHit {
-		t.Fatalf("repeated batch text: cache hits %v/%v, want exactly one", out[0].Stats.CacheHit, out[2].Stats.CacheHit)
-	}
-	if builds := db.PlanBuilds(); builds != 3 { // Q1, Q2, and the explicit Prepare
-		t.Fatalf("PlanBuilds = %d, want 3 (batch must reuse plans)", builds)
-	}
-
-	// Fail-fast: the parse error aborts the batch and surfaces as the
-	// call error.
-	_, err = db.ExecBatch(context.Background(),
-		[]dualsim.BatchRequest{{Src: "SELECT broken"}, {Src: throughputQ1}},
-		dualsim.BatchFailFast(), dualsim.BatchWorkers(1))
-	if err == nil {
-		t.Fatal("fail-fast batch returned nil error")
-	}
-
-	// Empty batch and closed session.
-	if out, err := db.ExecBatch(context.Background(), nil); err != nil || len(out) != 0 {
-		t.Fatalf("empty batch = %v, %v", out, err)
-	}
-	db.Close()
-	if _, err := db.ExecBatch(context.Background(), reqs); !errors.Is(err, dualsim.ErrClosed) {
-		t.Fatalf("ExecBatch on closed session: %v", err)
-	}
-}
-
-// TestExecBatchCancellation (-race): cancelling the context mid-batch on
-// a large store aborts promptly; ExecBatch reports ctx.Err() and every
-// request either completed or carries the cancellation error.
-func TestExecBatchCancellation(t *testing.T) {
-	st, err := dualsim.GenerateLUBMStore(24, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := dualsim.Open(st, dualsim.WithPlanCache(4), dualsim.WithBatchWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	src := `SELECT * WHERE {
-		?publication <rdf:type> <ub:Publication> .
-		?publication <ub:publicationAuthor> ?student .
-		?student <ub:memberOf> ?department . }`
-
-	// Baseline duration of one execution, to place the deadline mid-batch.
-	// The batch runs warm from the plan cache, so the baseline must too:
-	// the first call pays for parse, plan and the lazy matrix builds, and
-	// 16 warm requests on 2 workers can all finish inside twice that.
-	if _, _, err := db.Query(context.Background(), src); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, _, err := db.Query(context.Background(), src); err != nil {
-		t.Fatal(err)
-	}
-	one := time.Since(start)
-
-	reqs := make([]dualsim.BatchRequest, 16)
-	for i := range reqs {
-		reqs[i] = dualsim.BatchRequest{Src: src}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), one*2)
-	defer cancel()
-	start = time.Now()
-	out, err := db.ExecBatch(ctx, reqs)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ExecBatch(deadline) err = %v, want DeadlineExceeded", err)
-	}
-	if elapsed > 16*one+time.Second {
-		t.Fatalf("cancelled batch ran %v (one exec: %v) — not aborted", elapsed, one)
-	}
-	completed, cancelled := 0, 0
-	for i, r := range out {
-		switch {
-		case r.Err == nil && r.Result != nil:
-			completed++
-		case errors.Is(r.Err, context.DeadlineExceeded):
-			cancelled++
-		default:
-			t.Fatalf("request %d in limbo: result=%v err=%v", i, r.Result, r.Err)
-		}
-	}
-	if cancelled == 0 {
-		t.Fatalf("deadline cancelled nothing (%d completed) — test window too long?", completed)
-	}
-}
-
-// TestExecBatchConcurrentCallers (-race): several goroutines issue
-// batches through one session and shared cache simultaneously.
-func TestExecBatchConcurrentCallers(t *testing.T) {
-	db, err := dualsim.Open(fig1a(t), dualsim.WithPlanCache(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	reqs := []dualsim.BatchRequest{
-		{Src: throughputQ1}, {Src: throughputQ2}, {Src: throughputQ3}, {Src: throughputQ1},
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 6)
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out, err := db.ExecBatch(context.Background(), reqs)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if out[0].Err != nil || out[0].Result.Len() != 2 || out[1].Result.Len() != 4 {
-				errs <- errors.New("concurrent batch results wrong")
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if builds := db.PlanBuilds(); builds != 3 {
-		t.Fatalf("PlanBuilds = %d across concurrent batches, want 3", builds)
 	}
 }

@@ -173,19 +173,3 @@ func TestStatsJSONFieldNames(t *testing.T) {
 		t.Errorf("ExecStats.cacheHit must serialize when false: %v", keys)
 	}
 }
-
-// TestBatchStatsSummarize covers the aggregate the /v1/batch endpoint
-// reports.
-func TestBatchStatsSummarize(t *testing.T) {
-	hit := &dualsim.ExecStats{CacheHit: true, Results: 3}
-	miss := &dualsim.ExecStats{Results: 1}
-	out := []dualsim.BatchResult{
-		{Stats: hit, Result: &dualsim.Result{}},
-		{Stats: miss, Result: &dualsim.Result{}},
-		{Err: dualsim.ErrClosed},
-	}
-	bs := dualsim.SummarizeBatch(out, 2*time.Second)
-	if bs.Requests != 3 || bs.Failed != 1 || bs.CacheHits != 1 || bs.Results != 4 || bs.Duration != 2*time.Second {
-		t.Fatalf("BatchStats = %+v", bs)
-	}
-}
