@@ -78,8 +78,8 @@ import (
 )
 
 // Store is the in-memory graph database (Definition 1): a finite set of
-// triples over disjoint object and literal universes, with per-predicate
-// indexes and lazily built adjacency bit-matrices.
+// triples over disjoint object and literal universes, whose per-predicate
+// indexes are the adjacency bit-matrices the solver multiplies against.
 type Store = storage.Store
 
 // Triple is one RDF triple (s, p, o).

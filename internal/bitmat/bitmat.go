@@ -17,76 +17,92 @@
 // counts; Pair bundles a matrix with its transpose so both strategies are
 // always available.
 //
-// Matrices are stored sparsely, as CSR: one sorted adjacency row per node.
+// Matrices are stored sparsely, as CSR over the non-empty rows only: the
+// column ids of the set cells, row after row, and a row directory — the
+// non-empty-row summary, one prefix count per 64-bit summary word and one
+// offset per non-empty row. Reading a row is a bit test, a popcount and
+// two offset loads; the directory costs n/8 + n/16 bytes however few rows
+// are set. A store hands its own id columns in as the column ids, so the
+// matrices are its index, not a copy of it.
 package bitmat
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"dualsim/internal/bitvec"
 )
 
 // CSR is a compressed-sparse-row boolean matrix: row i holds the sorted
-// column indices of its set cells. Rows and columns range over [0, Dim());
-// a matrix is immutable after construction and safe for concurrent reads.
+// column indices of its set cells, and only non-empty rows take space
+// beyond the directory. Rows and columns range over [0, Dim()); a matrix
+// is immutable after construction and safe for concurrent reads.
 type CSR struct {
-	n        int
-	ptr      []uint32
-	cols     []uint32
-	summary  *bitvec.Vector
-	nonEmpty int
+	n       int
+	cols    []uint32       // column ids, row after row
+	summary *bitvec.Vector // bit i set iff row i is non-empty
+	before  []uint32       // before[w]: non-empty rows in summary words 0 … w-1
+	off     []uint32       // off[k]: start in cols of the k-th non-empty row; off[last] = len(cols)
 }
 
-// Cell is one set matrix cell (an edge endpoint pair).
-type Cell struct{ Row, Col uint32 }
-
-func compareCells(a, b Cell) int {
-	if c := cmp.Compare(a.Row, b.Row); c != 0 {
-		return c
+// NewCSR builds the n×n matrix whose cells are (rows[i], cols[i]). The
+// cells must arrive in strictly ascending (row, column) order — a store's
+// PSO run, or its POS run for the transpose. The matrix keeps cols as its
+// column ids (the caller must not modify it afterwards) and reads rows
+// only while building the directory.
+func NewCSR(n int, rows, cols []uint32) *CSR {
+	if len(rows) != len(cols) {
+		panic(fmt.Sprintf("bitmat: %d row ids for %d column ids", len(rows), len(cols)))
 	}
-	return cmp.Compare(a.Col, b.Col)
-}
-
-// NewCSR builds a CSR matrix of dimension n from the given cells.
-// Duplicate cells are collapsed. Cells that arrive in (row, column) order
-// — a store's PSO run — are read in place; any other order is copied and
-// sorted first.
-func NewCSR(n int, cells []Cell) *CSR {
-	for _, c := range cells {
-		if int(c.Row) >= n || int(c.Col) >= n {
-			panic(fmt.Sprintf("bitmat: cell (%d,%d) out of range for dim %d", c.Row, c.Col, n))
+	nonEmpty := 0
+	for i, r := range rows {
+		if int(r) >= n || int(cols[i]) >= n {
+			panic(fmt.Sprintf("bitmat: cell (%d,%d) out of range for dim %d", r, cols[i], n))
+		}
+		if i > 0 && (r < rows[i-1] || r == rows[i-1] && cols[i] <= cols[i-1]) {
+			panic(fmt.Sprintf("bitmat: cell %d (%d,%d) not after (%d,%d)", i, r, cols[i], rows[i-1], cols[i-1]))
+		}
+		if i == 0 || r != rows[i-1] {
+			nonEmpty++
 		}
 	}
-	if !slices.IsSortedFunc(cells, compareCells) {
-		cells = slices.Clone(cells)
-		slices.SortFunc(cells, compareCells)
+	words := (n + 63) / 64
+	m := &CSR{
+		n:       n,
+		cols:    cols,
+		summary: bitvec.New(n),
+		before:  make([]uint32, words+1),
+		off:     make([]uint32, 0, nonEmpty+1),
 	}
-	m := &CSR{n: n, ptr: make([]uint32, n+1), cols: make([]uint32, 0, len(cells))}
-	for i, c := range cells {
-		if i == 0 || c != cells[i-1] {
-			m.ptr[c.Row+1]++
-			m.cols = append(m.cols, c.Col)
+	for i, r := range rows {
+		if i == 0 || r != rows[i-1] {
+			m.summary.Set(int(r))
+			m.off = append(m.off, uint32(i))
 		}
 	}
-	m.finish()
+	m.off = append(m.off, uint32(len(cols)))
+	for w := 0; w < words; w++ {
+		m.before[w+1] = m.before[w] + uint32(bits.OnesCount64(m.summary.Word(w)))
+	}
 	return m
 }
 
-// finish turns the per-row counts in ptr[1:] into row offsets and derives
-// the non-empty-row summary.
-func (m *CSR) finish() {
-	for i := 1; i <= m.n; i++ {
-		m.ptr[i] += m.ptr[i-1]
+// Widen returns the matrix over an n ≥ Dim() node universe: the same
+// cells, with the column ids and offsets shared and only the directory's
+// summary and prefix counts extended over the new rows, which are empty.
+func (m *CSR) Widen(n int) *CSR {
+	if n == m.n {
+		return m
 	}
-	m.summary = bitvec.New(m.n)
-	for i := 0; i < m.n; i++ {
-		if m.ptr[i+1] > m.ptr[i] {
-			m.summary.Set(i)
-			m.nonEmpty++
+	w := &CSR{n: n, cols: m.cols, summary: m.summary.Widen(n), before: m.before, off: m.off}
+	if words := (n + 63) / 64; words+1 > len(m.before) {
+		w.before = make([]uint32, words+1)
+		last := copy(w.before, m.before) - 1
+		for i := last + 1; i < len(w.before); i++ {
+			w.before[i] = m.before[last]
 		}
 	}
+	return w
 }
 
 // Dim returns the number of rows (= columns; matrices are square over the
@@ -96,26 +112,64 @@ func (m *CSR) Dim() int { return m.n }
 // NNZ returns the number of set cells, i.e. the number of a-labeled edges.
 func (m *CSR) NNZ() int { return len(m.cols) }
 
-// Row returns the sorted column indices of row i. The slice is shared.
-func (m *CSR) Row(i int) []uint32 { return m.cols[m.ptr[i]:m.ptr[i+1]] }
+// slot returns row i's index in the directory, or -1 when the row is
+// empty: a bit test and a popcount of the summary word below it.
+//
+//dualsim:hotpath
+func (m *CSR) slot(i int) int {
+	w, b := i>>6, uint(i&63)
+	word := m.summary.Word(w)
+	if word>>b&1 == 0 {
+		return -1
+	}
+	// The bits of word at or below b, less row i's own.
+	return int(m.before[w]) + bits.OnesCount64(word<<(63-b)) - 1
+}
+
+// Span returns the bounds [lo, hi) of row i within the column ids — the
+// positions of its cells in the run the matrix was built from. An empty
+// row spans nothing.
+//
+//dualsim:hotpath
+func (m *CSR) Span(i int) (lo, hi int) {
+	k := m.slot(i)
+	if k < 0 {
+		return 0, 0
+	}
+	return int(m.off[k]), int(m.off[k+1])
+}
+
+// Row returns the sorted column indices of row i. The slice is shared and
+// capacity-limited: callers must not write to or append onto it.
+//
+//dualsim:hotpath
+func (m *CSR) Row(i int) []uint32 {
+	lo, hi := m.Span(i)
+	return m.cols[lo:hi:hi]
+}
 
 // UnionRows ORs every row indexed by a set bit of x into dst:
 // dst ∨= ⋃_{i ∈ x} A(i,·). This is the row-wise ×b kernel.
 //
 //dualsim:hotpath
 func (m *CSR) UnionRows(x, dst *bitvec.Vector) {
-	// Adjacent rows are adjacent in cols: a run of set bits of x is one
-	// slice of column ids.
+	// Rows with adjacent directory slots are adjacent in cols, whatever
+	// empty rows lie between them: a run of slots is one slice of column
+	// ids.
 	lo, hi := 0, 0
 	x.ForEach(func(i int) bool {
-		if i != hi {
-			dst.SetAll(m.cols[m.ptr[lo]:m.ptr[hi]])
-			lo = i
+		k := m.slot(i)
+		if k < 0 {
+			return true
 		}
-		hi = i + 1
+		if k != hi {
+			dst.SetAll(m.cols[m.off[lo]:m.off[hi]])
+			lo = k
+		}
+		hi = k + 1
 		return true
 	})
-	dst.SetAll(m.cols[m.ptr[lo]:m.ptr[hi]])
+	dst.SetAll(m.cols[m.off[lo]:m.off[hi]])
 }
 
 // RowIntersects reports whether row i shares a set bit with x. Applied to
@@ -137,30 +191,7 @@ func (m *CSR) RowIntersects(i int, x *bitvec.Vector) bool {
 func (m *CSR) NonEmptyRows() *bitvec.Vector { return m.summary }
 
 // NonEmptyRowCount returns NonEmptyRows().Count() without recounting.
-func (m *CSR) NonEmptyRowCount() int { return m.nonEmpty }
-
-// Transpose returns the transposed CSR matrix, built by a counting pass
-// over the column ids: walking the rows in order fills every transposed
-// row in ascending order, so nothing is sorted.
-func (m *CSR) Transpose() *CSR {
-	t := &CSR{n: m.n, ptr: make([]uint32, m.n+1), cols: make([]uint32, len(m.cols))}
-	for _, j := range m.cols {
-		t.ptr[j+1]++
-	}
-	t.finish()
-	// Fill with ptr[j] as row j's write cursor: afterwards it sits at the
-	// row's end, which is the next row's start, so shifting the array by
-	// one restores the offsets without a second n-sized array.
-	for i := 0; i < m.n; i++ {
-		for _, j := range m.Row(i) {
-			t.cols[t.ptr[j]] = uint32(i)
-			t.ptr[j]++
-		}
-	}
-	copy(t.ptr[1:], t.ptr)
-	t.ptr[0] = 0
-	return t
-}
+func (m *CSR) NonEmptyRowCount() int { return len(m.off) - 1 }
 
 // Pair bundles the forward matrix of a label with its transpose (the
 // backward matrix) so that both ×b strategies are available for both edge
@@ -170,11 +201,16 @@ type Pair struct {
 	B *CSR // B_a = F_aᵀ: row w holds the a-predecessors of w
 }
 
-// NewPair builds the F/B pair of CSR matrices for one label from the
-// label's (subject, object) pairs over an n-node universe.
-func NewPair(n int, edges []Cell) Pair {
-	f := NewCSR(n, edges)
-	return Pair{F: f, B: f.Transpose()}
+// EmptyPair is the adjacency of a label without edges over an n-node
+// universe: one empty matrix serves as both directions.
+func EmptyPair(n int) Pair {
+	e := NewCSR(n, nil, nil)
+	return Pair{F: e, B: e}
+}
+
+// Widen returns the pair over an n ≥ Dim() node universe (see CSR.Widen).
+func (p Pair) Widen(n int) Pair {
+	return Pair{F: p.F.Widen(n), B: p.B.Widen(n)}
 }
 
 // oriented returns the matrix ×b multiplies against in direction dir and

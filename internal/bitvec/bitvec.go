@@ -88,6 +88,27 @@ func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
 // Len returns the logical number of bits.
 func (v *Vector) Len() int { return v.n }
 
+// Word returns the k-th 64-bit word: bits 64k … 64k+63, lowest bit first.
+//
+//dualsim:hotpath
+func (v *Vector) Word(k int) uint64 { return v.words[k] }
+
+// Widen returns a vector of length n ≥ Len() holding v's bits. When v's
+// words already cover n bits the result shares them, so neither vector may
+// be written afterwards; otherwise the words are copied.
+func (v *Vector) Widen(n int) *Vector {
+	if n < v.n {
+		panic(fmt.Sprintf("bitvec: cannot widen %d bits to %d", v.n, n))
+	}
+	if wordsFor(n) == len(v.words) {
+		return &Vector{words: v.words, sum: v.sum, n: n}
+	}
+	w := New(n)
+	copy(w.words, v.words)
+	copy(w.sum, v.sum)
+	return w
+}
+
 // Set sets bit i to 1.
 //
 //dualsim:hotpath

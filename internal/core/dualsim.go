@@ -107,12 +107,12 @@ func BuildSystem(st *storage.Store, p *Pattern, cfg Config) *soi.System {
 }
 
 // predMatrices fetches the (F_a, B_a) pair for a predicate; an unknown
-// predicate yields an empty pair, which correctly forces incident
-// variables to the empty set.
+// predicate yields an empty pair — a summary of the node universe and no
+// rows — which correctly forces incident variables to the empty set.
 func predMatrices(st *storage.Store, pred string) bitmat.Pair {
 	pid, ok := st.PredIDOf(pred)
 	if !ok {
-		return bitmat.NewPair(st.NumNodes(), nil)
+		return bitmat.EmptyPair(st.NumNodes())
 	}
 	return st.Matrices(pid)
 }

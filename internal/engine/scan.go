@@ -2,9 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
-	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
@@ -15,11 +13,10 @@ import (
 // unsatisfiable (ok == false).
 //
 // An execution compiled through a solved dual simulation (see
-// compiler.resolve) additionally carries what the solve left behind, all
-// three or none: keep, the predicate's candidate filter, and fwd/bwd, the
-// adjacency the solver cached on the store — neighbour rows addressed by
-// offset. The three accessors below are the only places that tell the
-// two views apart; without a filter they read the store's index columns.
+// compiler.resolve) additionally carries keep, the predicate's candidate
+// filter. Neighbour rows come from the store's adjacency either way —
+// one row read, addressed by offset — and the accessors below apply the
+// filter when there is one.
 type resolved struct {
 	sVar, oVar string         // variable names; "" for constants
 	sID, oID   storage.NodeID // constant ids (valid when the name is "")
@@ -27,8 +24,7 @@ type resolved struct {
 	ok         bool
 	src        sparql.TriplePattern
 
-	keep     *storage.PredFilter
-	fwd, bwd *bitmat.CSR
+	keep *storage.PredFilter
 }
 
 // nextPos returns the first PSO position at or after from that the view
@@ -49,25 +45,21 @@ func (r *resolved) nextPos(st *storage.Store, from int) int {
 // postings returns the neighbours of a bound endpoint — the objects of a
 // subject, or the subjects of an object — read in place, and in alive
 // (appended to the caller's scratch) the candidate sets one of which a
-// neighbour must be in. The bound endpoint is tested against the filter
-// here, once: if no pair admits it there are no neighbours. Without a
-// filter alive stays empty and every neighbour counts.
+// neighbour must be in. With a filter the bound endpoint is tested here,
+// once: if no pair admits it there are no neighbours. Without a filter
+// alive stays empty and every neighbour counts.
 //
 //dualsim:hotpath
 func (r *resolved) postings(st *storage.Store, id storage.NodeID, subject bool, alive []*bitvec.Vector) ([]storage.NodeID, []*bitvec.Vector) {
-	switch {
-	case r.keep == nil && subject:
-		return st.Objects(r.pred, id), alive
-	case r.keep == nil:
-		return st.Subjects(r.pred, id), alive
-	}
-	if alive = r.keep.Admit(alive, id, subject); len(alive) == 0 {
-		return nil, alive
+	if r.keep != nil {
+		if alive = r.keep.Admit(alive, id, subject); len(alive) == 0 {
+			return nil, alive
+		}
 	}
 	if subject {
-		return r.fwd.Row(int(id)), alive
+		return st.Objects(r.pred, id), alive
 	}
-	return r.bwd.Row(int(id)), alive
+	return st.Subjects(r.pred, id), alive
 }
 
 // has reports whether the view holds (s, pred, o): a search inside the
@@ -76,13 +68,10 @@ func (r *resolved) postings(st *storage.Store, id storage.NodeID, subject bool, 
 //
 //dualsim:hotpath
 func (r *resolved) has(st *storage.Store, s, o storage.NodeID, filtered *int64) bool {
-	if r.keep == nil {
-		return st.HasTriple(s, r.pred, o)
-	}
-	if _, found := slices.BinarySearch(r.fwd.Row(int(s)), o); !found {
+	if !st.HasTriple(s, r.pred, o) {
 		return false
 	}
-	if !r.keep.Keep(s, o) {
+	if r.keep != nil && !r.keep.Keep(s, o) {
 		*filtered++
 		return false
 	}

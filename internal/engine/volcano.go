@@ -255,9 +255,8 @@ type compiler struct {
 }
 
 // resolve resolves a pattern and, when the execution runs through a
-// filter, binds it to the filtered view: the predicate's candidate filter
-// (none: pruning kept nothing of it, the pattern is unsatisfiable) and
-// the adjacency pair the solve has already built and cached on the store.
+// filter, binds it to the predicate's candidate filter (none: pruning
+// kept nothing of it, the pattern is unsatisfiable).
 func (c *compiler) resolve(tp sparql.TriplePattern) (resolved, error) {
 	r, err := resolve(c.st, tp)
 	if err != nil || !r.ok || c.filter == nil {
@@ -265,10 +264,7 @@ func (c *compiler) resolve(tp sparql.TriplePattern) (resolved, error) {
 	}
 	if r.keep = c.filter[r.pred]; r.keep == nil {
 		r.ok = false
-		return r, nil
 	}
-	m := c.st.Matrices(r.pred) // a store caches CSR pairs
-	r.fwd, r.bwd = m.F, m.B
 	return r, nil
 }
 

@@ -18,8 +18,8 @@ package prune
 
 import (
 	"context"
-	"slices"
 
+	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
 	"dualsim/internal/core"
 	"dualsim/internal/engine"
@@ -80,12 +80,10 @@ func Prune(st *storage.Store, rel *core.QueryRelation) *Pruning {
 // edge and every subjectCheckInterval candidate subjects, and an expired
 // one returns (nil, ctx.Err()).
 //
-// For a pattern edge (v, a, w) the walk is driven by χS(v): one forward
-// pass over the a-triples' sorted subject column that gallops from run to
-// run of the candidate subjects and tests only their objects against
-// χS(w). It costs O(|χS(v)|·log gap + Σ deg) — what the candidates cost —
-// and degrades to a linear scan of the predicate when χS(v) holds most of
-// its subjects.
+// For a pattern edge (v, a, w) the walk is driven by χS(v): each
+// candidate subject's run of a-triples comes from F_a's row directory (a
+// bit test and a popcount, no search), and only their objects are tested
+// against χS(w). It costs O(|χS(v)| + Σ deg) — what the candidates cost.
 func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (*Pruning, error) {
 	out := &Pruning{
 		Masks:  make([]*bitvec.Vector, st.NumPreds()),
@@ -116,8 +114,8 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 			pf.Pairs = append(pf.Pairs, storage.ChiPair{S: chiS, O: chiO})
 			pf.DistS += chiS.Count()
 			pf.DistO += chiO.Count()
-			subjects, objects := st.PSO(pid)
-			visited, err := markEdge(ctx, subjects, objects, chiS, chiO, pf.Mask)
+			_, objects := st.PSO(pid)
+			visited, err := markEdge(ctx, st.Matrices(pid).F, objects, chiS, chiO, pf.Mask)
 			if err != nil {
 				return nil, err
 			}
@@ -137,14 +135,15 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 	return out, nil
 }
 
-// markEdge sets the mask bit of every position i with subjects[i] ∈ chiS
-// and objects[i] ∈ chiO and returns the number of positions it tested.
-// subjects is sorted and chiS is walked in ascending order, so the
-// position only moves forward.
+// markEdge sets the mask bit of every PSO position i whose subject is in
+// chiS and whose object objects[i] is in chiO, and returns the number of
+// positions it tested. f is the predicate's forward matrix, whose column
+// ids are objects: each candidate subject's run of positions is its row's
+// span, read from the row directory.
 //
 //dualsim:hotpath
-func markEdge(ctx context.Context, subjects, objects []storage.NodeID, chiS, chiO, mask *bitvec.Vector) (visited int, err error) {
-	pos, sinceCheck := 0, 0
+func markEdge(ctx context.Context, f *bitmat.CSR, objects []storage.NodeID, chiS, chiO, mask *bitvec.Vector) (visited int, err error) {
+	sinceCheck := 0
 	chiS.ForEach(func(s int) bool {
 		if sinceCheck++; sinceCheck >= subjectCheckInterval {
 			sinceCheck = 0
@@ -152,41 +151,16 @@ func markEdge(ctx context.Context, subjects, objects []storage.NodeID, chiS, chi
 				return false
 			}
 		}
-		// A walk over most of the subjects finds the next run where the
-		// last one ended; only a gap is worth a search.
-		id, start := storage.NodeID(s), pos
-		if start < len(subjects) && subjects[start] < id {
-			start = gallop(subjects, start+1, id)
-		}
-		end := start
-		for ; end < len(subjects) && subjects[end] == id; end++ {
-			if chiO.Get(int(objects[end])) {
-				mask.Set(end)
+		lo, hi := f.Span(s)
+		for i := lo; i < hi; i++ {
+			if chiO.Get(int(objects[i])) {
+				mask.Set(i)
 			}
 		}
-		visited += end - start
-		pos = end
-		return end < len(subjects)
+		visited += hi - lo
+		return true
 	})
 	return visited, err
-}
-
-// gallop returns the first position at or after from whose value is ≥ key
-// in the sorted column, or len(col): doubling probes bracket it, a
-// bisection pins it, so a nearby target costs O(1) and a far one
-// O(log distance).
-//
-//dualsim:hotpath
-func gallop(col []storage.NodeID, from int, key storage.NodeID) int {
-	lo, step := from, 1
-	for lo+step <= len(col) && col[lo+step-1] < key {
-		lo += step
-		step *= 2
-	}
-	// Everything before lo is < key, and col[lo+step-1], if it exists, is
-	// not: the answer lies in [lo, lo+step-1].
-	i, _ := slices.BinarySearch(col[lo:min(lo+step-1, len(col))], key)
-	return lo + i
 }
 
 // PruneQuery is the one-call convenience wrapper: translate, solve, prune.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
 	"dualsim/internal/proptest"
 	"dualsim/internal/storage"
@@ -59,7 +60,7 @@ func TestPropertyWalkMatchesScan(t *testing.T) {
 			chiS, chiO := draw(), draw()
 			got, want := bitvec.New(st.PredCount(pid)), bitvec.New(st.PredCount(pid))
 			subjects, objects := st.PSO(pid)
-			visited, err := markEdge(ctx, subjects, objects, chiS, chiO, got)
+			visited, err := markEdge(ctx, st.Matrices(pid).F, objects, chiS, chiO, got)
 			scanEdge(st, pid, chiS, chiO, want)
 			candidatePairs := 0
 			for _, s := range subjects {
@@ -77,23 +78,6 @@ func TestPropertyWalkMatchesScan(t *testing.T) {
 	proptest.Check(t, f, 400, regressionSeeds)
 }
 
-// TestGallop pins the search the walk advances with: first position at or
-// after from holding a value ≥ key, from every starting point.
-func TestGallop(t *testing.T) {
-	col := []storage.NodeID{1, 1, 3, 3, 3, 4, 9, 9, 12, 40, 40, 41}
-	for from := 0; from <= len(col); from++ {
-		for key := storage.NodeID(0); key < 45; key++ {
-			want := from
-			for want < len(col) && col[want] < key {
-				want++
-			}
-			if got := gallop(col, from, key); got != want {
-				t.Fatalf("gallop(from %d, key %d) = %d, want %d", from, key, got, want)
-			}
-		}
-	}
-}
-
 // TestWalkHonoursCancellation: an expired context stops the walk at its
 // next check and surfaces as PruneCtx's error.
 func TestWalkHonoursCancellation(t *testing.T) {
@@ -102,9 +86,10 @@ func TestWalkHonoursCancellation(t *testing.T) {
 	for i := range subjects {
 		subjects[i] = storage.NodeID(i)
 	}
+	f := bitmat.NewCSR(n, subjects, objects)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	visited, err := markEdge(ctx, subjects, objects, bitvec.NewFull(n), bitvec.NewFull(n), bitvec.New(n))
+	visited, err := markEdge(ctx, f, objects, bitvec.NewFull(n), bitvec.NewFull(n), bitvec.New(n))
 	if err != context.Canceled || visited >= n {
 		t.Fatalf("visited %d of %d, err %v; want an early context.Canceled", visited, n, err)
 	}

@@ -297,7 +297,7 @@ func TestBatchDeadline(t *testing.T) {
 		?publication <ub:publicationAuthor> ?student .
 		?student <ub:memberOf> ?department . }`
 	// The cost of one warm member, to place the deadline mid-batch: the
-	// first call pays for parse, plan and the lazy matrix builds.
+	// first call pays for parse and plan.
 	batch := func(n int, timeoutMs int64) (*http.Response, time.Duration) {
 		srcs := make([]string, n)
 		for i := range srcs {

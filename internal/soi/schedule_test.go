@@ -21,11 +21,11 @@ func randomSystem(r *rand.Rand) (*System, []*bitvec.Vector) {
 	n := r.Intn(150) + 2
 	mats := make([]bitmat.Pair, r.Intn(3)+1)
 	for i := range mats {
-		cells := make([]bitmat.Cell, r.Intn(4*n)+1)
-		for j := range cells {
-			cells[j] = bitmat.Cell{Row: uint32(r.Intn(n)), Col: uint32(r.Intn(n))}
+		edges := make([][2]uint32, r.Intn(4*n)+1)
+		for j := range edges {
+			edges[j] = [2]uint32{uint32(r.Intn(n)), uint32(r.Intn(n))}
 		}
-		mats[i] = bitmat.NewPair(n, cells)
+		mats[i] = pairOf(n, edges...)
 	}
 	s := NewSystem(n)
 	vars := make([]Var, r.Intn(5)+1)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
 	"dualsim/internal/proptest"
 )
@@ -13,11 +12,11 @@ import (
 // chainSystem builds a pattern cycle over a long data chain — a system
 // whose convergence speed is highly order-sensitive.
 func chainSystem(n int) *System {
-	cells := make([]bitmat.Cell, 0, n-1)
+	edges := make([][2]uint32, 0, n-1)
 	for i := 0; i < n-1; i++ {
-		cells = append(cells, bitmat.Cell{Row: uint32(i), Col: uint32(i + 1)})
+		edges = append(edges, [2]uint32{uint32(i), uint32(i + 1)})
 	}
-	mats := bitmat.NewPair(n, cells)
+	mats := pairOf(n, edges...)
 	s := NewSystem(n)
 	v := s.AddVar("v", nil, true)
 	w := s.AddVar("w", nil, true)
@@ -50,11 +49,11 @@ func TestPropertyPermutationInvariantSolution(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(30) + 4
-		var cells []bitmat.Cell
+		var edges [][2]uint32
 		for i := 0; i < r.Intn(3*n)+2; i++ {
-			cells = append(cells, bitmat.Cell{Row: uint32(r.Intn(n)), Col: uint32(r.Intn(n))})
+			edges = append(edges, [2]uint32{uint32(r.Intn(n)), uint32(r.Intn(n))})
 		}
-		mats := bitmat.NewPair(n, cells)
+		mats := pairOf(n, edges...)
 		s := NewSystem(n)
 		a := s.AddVar("a", nil, true)
 		b := s.AddVar("b", nil, true)
@@ -85,7 +84,7 @@ func TestPropertyPermutationInvariantSolution(t *testing.T) {
 func TestSearchOrdersRespectsBounds(t *testing.T) {
 	// A system with constants: search must not disturb initial bounds.
 	n := 6
-	mats := bitmat.NewPair(n, []bitmat.Cell{{Row: 0, Col: 1}, {Row: 2, Col: 3}})
+	mats := pairOf(n, [2]uint32{0, 1}, [2]uint32{2, 3})
 	s := NewSystem(n)
 	v := s.AddVar("v", bitvec.FromBits(n, 0), true)
 	w := s.AddVar("w", nil, true)

@@ -2,12 +2,36 @@ package soi
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
 )
+
+// pairOf builds the F/B pair of an edge list over n nodes the way a store
+// does from its PSO and POS runs: F from the edges, B from the mirrored
+// edges, each sorted and deduplicated into the run bitmat.NewCSR takes.
+func pairOf(n int, edges ...[2]uint32) bitmat.Pair {
+	run := func(flip bool) (rows, cols []uint32) {
+		keys := make([]uint64, len(edges))
+		for i, e := range edges {
+			if flip {
+				e[0], e[1] = e[1], e[0]
+			}
+			keys[i] = uint64(e[0])<<32 | uint64(e[1])
+		}
+		slices.Sort(keys)
+		for _, k := range slices.Compact(keys) {
+			rows, cols = append(rows, uint32(k>>32)), append(cols, uint32(k))
+		}
+		return rows, cols
+	}
+	fr, fc := run(false)
+	br, bc := run(true)
+	return bitmat.Pair{F: bitmat.NewCSR(n, fr, fc), B: bitmat.NewCSR(n, br, bc)}
+}
 
 // fig3System hand-builds the system of Fig. 3: the SOI characterizing the
 // largest dual simulation between the pattern of Fig. 2(a) and the data
@@ -18,9 +42,9 @@ import (
 // coworker, director -directed-> movie.
 func fig3System() (*System, map[string]Var) {
 	n := 4
-	born := bitmat.NewPair(n, []bitmat.Cell{{Row: 1, Col: 0}})
-	worked := bitmat.NewPair(n, []bitmat.Cell{{Row: 1, Col: 2}})
-	directed := bitmat.NewPair(n, []bitmat.Cell{{Row: 1, Col: 3}})
+	born := pairOf(n, [2]uint32{1, 0})
+	worked := pairOf(n, [2]uint32{1, 2})
+	directed := pairOf(n, [2]uint32{1, 3})
 
 	s := NewSystem(n)
 	vars := map[string]Var{}
@@ -111,7 +135,7 @@ func TestSelfLoopEdgeConverges(t *testing.T) {
 	// each one only removes the nodes whose partner the previous one
 	// removed (3 has no successor, then 2, …).
 	n := 4
-	chain := bitmat.NewPair(n, []bitmat.Cell{{Row: 0, Col: 1}, {Row: 1, Col: 2}, {Row: 2, Col: 3}})
+	chain := pairOf(n, [2]uint32{0, 1}, [2]uint32{1, 2}, [2]uint32{2, 3})
 	s := NewSystem(n)
 	v := s.AddVar("v", nil, true)
 	s.AddEdge(v, v, chain, "next")
@@ -133,10 +157,10 @@ func TestSelfLoopEdgeConverges(t *testing.T) {
 // TestSelfLoopCycleKept: with a data cycle, the cycle nodes survive.
 func TestSelfLoopCycleKept(t *testing.T) {
 	n := 5
-	cyc := bitmat.NewPair(n, []bitmat.Cell{
-		{Row: 0, Col: 1}, {Row: 1, Col: 0}, // 2-cycle
-		{Row: 2, Col: 3}, {Row: 3, Col: 4}, // dead-end chain
-	})
+	cyc := pairOf(n,
+		[2]uint32{0, 1}, [2]uint32{1, 0}, // 2-cycle
+		[2]uint32{2, 3}, [2]uint32{3, 4}, // dead-end chain
+	)
 	s := NewSystem(n)
 	v := s.AddVar("v", nil, true)
 	s.AddEdge(v, v, cyc, "next")

@@ -1,48 +1,62 @@
 package storage
 
-import "math/bits"
+import (
+	"math/bits"
 
-// predIndex holds one predicate's triples in the two sort orders, each as
-// a pair of parallel columns, plus statistics. Position i of the PSO
-// order is the triple (psoS[i], p, psoO[i]); position i of the POS order
-// is (posS[i], p, posO[i]). The column a lookup searches is therefore a
-// dense 4-byte-stride array, and the posting list it finds is a
-// contiguous run of the other column that callers read in place.
+	"dualsim/internal/bitmat"
+)
+
+// predIndex holds one predicate's triples once, as its adjacency pair: F's
+// rows are the subjects and its column ids psoO, the PSO order's object
+// column; B's rows are the objects and its column ids the POS order's
+// subject column. psoS completes the PSO order — position i is the triple
+// (psoS[i], p, psoO[i]), the position pruning masks address — and the row
+// directories replace a search of a sorted key column: a posting list is
+// a contiguous run of a column, found by offset and read in place. A
+// predicate without triples has no adjacency of its own (Store.Matrices
+// hands out the store's shared empty pair).
 type predIndex struct {
 	psoS, psoO []NodeID // sorted by (subject, object)
-	posO, posS []NodeID // sorted by (object, subject)
-	distinctS  int
-	distinctO  int
+	adj        bitmat.Pair
 }
 
-// newPredIndex is the one index constructor: Build, Restrict,
-// RestrictByMask, Patch and the snapshot decoder all hand it a
-// predicate's PSO run as two parallel columns — sorted by (subject,
-// object), deduplicated, owned by the index from here on — and it lays
-// out the POS order and the statistics.
-func newPredIndex(s, o []NodeID) predIndex {
-	n := len(s)
-	if n == 0 {
+// newPredIndex is the one index constructor: Build, RestrictByMask,
+// Patch, Union and the snapshot decoder all hand it a predicate's PSO run
+// as two parallel columns — sorted by (subject, object), deduplicated,
+// owned by the index from here on — and the size n of the node universe.
+// It lays out the POS order and both row directories; the POS order's
+// object column is only the input of B's directory.
+func newPredIndex(n int, s, o []NodeID) predIndex {
+	if len(s) == 0 {
 		return predIndex{}
 	}
-	pos := make([]NodeID, 2*n)
-	ix := predIndex{psoS: s, psoO: o, posO: pos[:n:n], posS: pos[n:]}
-	sortByObject(s, o, ix.posO, ix.posS)
-	ix.distinctS = countRuns(ix.psoS)
-	ix.distinctO = countRuns(ix.posO)
-	return ix
+	objKeys, posS := make([]NodeID, len(s)), make([]NodeID, len(s))
+	sortByObject(s, o, objKeys, posS)
+	return predIndex{psoS: s, psoO: o, adj: bitmat.Pair{
+		F: bitmat.NewCSR(n, s, o),
+		B: bitmat.NewCSR(n, objKeys, posS),
+	}}
 }
 
 // newPredIndexFromPairs splits a sorted, deduplicated pair run into
 // columns for newPredIndex — the form Build and Patch sort in.
-func newPredIndexFromPairs(pso []pair) predIndex {
-	n := len(pso)
-	cols := make([]NodeID, 2*n)
-	s, o := cols[:n:n], cols[n:]
+func newPredIndexFromPairs(n int, pso []pair) predIndex {
+	cols := make([]NodeID, 2*len(pso))
+	s, o := cols[:len(pso):len(pso)], cols[len(pso):]
 	for i, e := range pso {
 		s[i], o[i] = e.a, e.b
 	}
-	return newPredIndex(s, o)
+	return newPredIndex(n, s, o)
+}
+
+// widen extends every index's adjacency to an n-node universe, sharing
+// its columns and offsets (bitmat.CSR.Widen).
+func widen(byPred []predIndex, n int) {
+	for p := range byPred {
+		if byPred[p].adj.F != nil {
+			byPred[p].adj = byPred[p].adj.Widen(n)
+		}
+	}
 }
 
 const (
@@ -55,23 +69,23 @@ const (
 )
 
 // sortByObject writes the (object, subject) order of a PSO run into
-// (posO, posS). PSO order is ascending (s, o), so a stable sort on the
+// (outO, outS). PSO order is ascending (s, o), so a stable sort on the
 // object alone yields ascending (o, s): no comparison of pairs is needed.
 // The sort is an LSD radix sort whose digit is sized by the run — about
 // log2(n) bits, at most posMaxDigitBits — over the bits the largest
 // object id actually uses, so a per-query pruned store with a handful of
 // kept triples pays O(kept), never a sweep over the term space.
-func sortByObject(s, o, posO, posS []NodeID) {
+func sortByObject(s, o, outO, outS []NodeID) {
 	n := len(s)
 	if n < posInsertionMax {
 		for i := 0; i < n; i++ {
 			ko, ks := o[i], s[i]
 			j := i
-			for j > 0 && posO[j-1] > ko {
-				posO[j], posS[j] = posO[j-1], posS[j-1]
+			for j > 0 && outO[j-1] > ko {
+				outO[j], outS[j] = outO[j-1], outS[j-1]
 				j--
 			}
-			posO[j], posS[j] = ko, ks
+			outO[j], outS[j] = ko, ks
 		}
 		return
 	}
@@ -98,7 +112,7 @@ func sortByObject(s, o, posO, posS []NodeID) {
 	for p := 0; p < passes; p++ {
 		dstO, dstS := tmpO, tmpS
 		if toOutput {
-			dstO, dstS = posO, posS
+			dstO, dstS = outO, outS
 		}
 		shift := uint(p * digit)
 		c := counts[:1<<digit]
@@ -120,59 +134,4 @@ func sortByObject(s, o, posO, posS []NodeID) {
 		srcO, srcS = dstO, dstS
 		toOutput = !toOutput
 	}
-}
-
-// countRuns returns the number of distinct values of a sorted column.
-func countRuns(col []NodeID) int {
-	n := 0
-	for i, v := range col {
-		if i == 0 || v != col[i-1] {
-			n++
-		}
-	}
-	return n
-}
-
-// lowerBound returns the first position in col[lo:hi] (sorted) whose
-// value is ≥ key, or hi.
-//
-//dualsim:hotpath
-func lowerBound(col []NodeID, lo, hi int, key NodeID) int {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if col[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// runScanMax bounds the forward scan of equalRun before it falls back
-// to a second binary search: posting lists are mostly a handful of
-// entries, but a hub node's run can be most of the column.
-const runScanMax = 16
-
-// equalRun returns the bounds [lo, hi) of the run of key in the sorted
-// column: one binary search for its start and a short forward scan for
-// its end.
-//
-//dualsim:hotpath
-func equalRun(col []NodeID, key NodeID) (lo, hi int) {
-	lo = lowerBound(col, 0, len(col), key)
-	hi = lo
-	stop := min(len(col), lo+runScanMax)
-	for hi < stop && col[hi] == key {
-		hi++
-	}
-	if hi == stop && hi < len(col) && col[hi] == key {
-		// Long run: bisect for the first larger id (none is larger than
-		// the largest id).
-		if key == ^NodeID(0) {
-			return lo, len(col)
-		}
-		hi = lowerBound(col, hi, len(col), key+1)
-	}
-	return lo, hi
 }

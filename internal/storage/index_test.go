@@ -7,38 +7,85 @@ import (
 	"slices"
 	"testing"
 
+	"dualsim/internal/bitmat"
 	"dualsim/internal/rdf"
 )
 
-// sortedIndex is the construction newPredIndex replaced — swap every
-// pair, comparison-sort, count first components — kept here as the
-// oracle of the distribution sort.
-func sortedIndex(pso []pair) predIndex {
-	var ix predIndex
+// swappedRun is the POS order the distribution sort replaced — swap every
+// pair of a PSO run, comparison-sort — kept as the oracle of the sort and
+// of B's rows.
+func swappedRun(pso []pair) []pair {
 	swapped := make([]pair, len(pso))
 	for i, e := range pso {
-		ix.psoS, ix.psoO = append(ix.psoS, e.a), append(ix.psoO, e.b)
 		swapped[i] = pair{a: e.b, b: e.a}
 	}
 	sortPairs(swapped)
-	for _, e := range swapped {
-		ix.posO, ix.posS = append(ix.posO, e.a), append(ix.posS, e.b)
-	}
-	ix.distinctS, ix.distinctO = countRuns(ix.psoS), countRuns(ix.posO)
-	return ix
+	return swapped
 }
 
-func sameIndex(a, b predIndex) bool {
-	return slices.Equal(a.psoS, b.psoS) && slices.Equal(a.psoO, b.psoO) &&
-		slices.Equal(a.posO, b.posO) && slices.Equal(a.posS, b.posS) &&
-		a.distinctS == b.distinctS && a.distinctO == b.distinctO
+// rowsMatch checks one matrix over an n-node universe against a sorted,
+// deduplicated run of its cells (row, column): every row holds exactly
+// the run's cells of that row, its summary bit is set iff it holds any,
+// and the non-empty rows' spans tile the column ids in row order — every
+// offset inside the column, none decreasing.
+func rowsMatch(m *bitmat.CSR, n int, run []pair) error {
+	if m.Dim() != n || m.NNZ() != len(run) || m.NonEmptyRows().Len() != n {
+		return fmt.Errorf("dim %d holding %d cells, want %d holding %d", m.Dim(), m.NNZ(), n, len(run))
+	}
+	if len(run) == 0 { // no row to read: the summary alone says so
+		if m.NonEmptyRowCount() != 0 || !m.NonEmptyRows().IsEmpty() {
+			return fmt.Errorf("an empty matrix has non-empty rows %v", m.NonEmptyRows())
+		}
+		return nil
+	}
+	rows, i := 0, 0
+	for id := 0; id < n; id++ {
+		j := i
+		for j < len(run) && run[j].a == NodeID(id) {
+			j++
+		}
+		row := m.Row(id)
+		if len(row) != j-i || m.NonEmptyRows().Get(id) != (j > i) {
+			return fmt.Errorf("row %d holds %d cells (summary bit %v), want %d", id, len(row), m.NonEmptyRows().Get(id), j-i)
+		}
+		for k, c := range row {
+			if c != run[i+k].b {
+				return fmt.Errorf("row %d is %v, want the run's cells from position %d", id, row, i)
+			}
+		}
+		if lo, hi := m.Span(id); j > i && (lo != i || hi != j) {
+			return fmt.Errorf("row %d spans [%d, %d), want [%d, %d)", id, lo, hi, i, j)
+		}
+		if j > i {
+			rows++
+		}
+		i = j
+	}
+	if i != len(run) || rows != m.NonEmptyRowCount() {
+		return fmt.Errorf("%d of %d cells in rows below %d; %d non-empty rows counted as %d", i, len(run), n, rows, m.NonEmptyRowCount())
+	}
+	return nil
+}
+
+// indexMatches checks a predicate's adjacency against the sort-based
+// construction over its PSO run: F against the run, B against the
+// swapped run.
+func indexMatches(m bitmat.Pair, n int, pso []pair) error {
+	if err := rowsMatch(m.F, n, pso); err != nil {
+		return fmt.Errorf("F: %w", err)
+	}
+	if err := rowsMatch(m.B, n, swappedRun(pso)); err != nil {
+		return fmt.Errorf("B: %w", err)
+	}
+	return nil
 }
 
 // TestNewPredIndexMatchesSort drives the one index constructor against
-// the old sort-based construction on random pair sets: empty, one pair,
-// the sizes around the insertion-sort cutoff, runs needing one, two and
-// three distribution passes, heavy duplication of object ids, and ids up
-// to the top of a large node universe.
+// the sort-based construction on random pair sets: empty, one pair, the
+// sizes around the insertion-sort cutoff, runs needing one, two and three
+// distribution passes, and heavy duplication of object ids. Universes of
+// up to 2^20 nodes build the whole index; at the top of the 32-bit id
+// space, where no directory fits, the POS sort is checked alone.
 func TestNewPredIndexMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	sizes := []int{0, 1, 2, posInsertionMax - 1, posInsertionMax, posInsertionMax + 1, 300, 5000, 70000}
@@ -59,10 +106,27 @@ func TestNewPredIndexMatchesSort(t *testing.T) {
 					pso = append(pso, e)
 				}
 				pso = dedupSorted(pso)
-				got, want := newPredIndexFromPairs(pso), sortedIndex(pso)
-				if !sameIndex(got, want) {
-					t.Fatalf("n=%d nodes=%d objects=%d: index differs from the sort-based construction\n got %+v\nwant %+v",
-						len(pso), nodes, objects, got, want)
+				if nodes > 1<<20 {
+					s, o := make([]NodeID, len(pso)), make([]NodeID, len(pso))
+					for i, e := range pso {
+						s[i], o[i] = e.a, e.b
+					}
+					posO, posS := make([]NodeID, len(pso)), make([]NodeID, len(pso))
+					sortByObject(s, o, posO, posS)
+					for i, e := range swappedRun(pso) {
+						if posO[i] != e.a || posS[i] != e.b {
+							t.Fatalf("n=%d nodes=%d objects=%d: POS position %d is (%d, %d), want (%d, %d)",
+								len(pso), nodes, objects, i, posO[i], posS[i], e.a, e.b)
+						}
+					}
+					continue
+				}
+				m := newPredIndexFromPairs(nodes, pso).adj
+				if m.F == nil {
+					m = bitmat.EmptyPair(nodes)
+				}
+				if err := indexMatches(m, nodes, pso); err != nil {
+					t.Fatalf("n=%d nodes=%d objects=%d: %v", len(pso), nodes, objects, err)
 				}
 			}
 		}
@@ -71,8 +135,10 @@ func TestNewPredIndexMatchesSort(t *testing.T) {
 
 // indexInvariants checks what every built store must hold, whatever
 // produced it: each predicate's PSO run strictly sorted with ids inside
-// the node universe, its POS order and counts equal to the sort-based
-// construction over that run, and NumTriples the sum of the runs.
+// the node universe; its adjacency equal to the sort-based construction
+// over that run — rows of F and B for every id below NumNodes, summary
+// bits, offsets — with F's column ids the PSO object column itself; and
+// NumTriples the sum of the runs.
 func indexInvariants(st *Store) error {
 	n := 0
 	for p := range st.byPred {
@@ -87,8 +153,15 @@ func indexInvariants(st *Store) error {
 				return fmt.Errorf("predicate %d PSO run not strictly sorted at %d", p, i)
 			}
 		}
-		if !sameIndex(ix, sortedIndex(pso)) {
-			return fmt.Errorf("predicate %d index differs from the sort-based construction", p)
+		m := st.Matrices(PredID(p))
+		if err := indexMatches(m, st.NumNodes(), pso); err != nil {
+			return fmt.Errorf("predicate %d: %w", p, err)
+		}
+		if len(pso) > 0 {
+			s := int(pso[0].a)
+			if lo, _ := m.F.Span(s); &m.F.Row(s)[0] != &ix.psoO[lo] {
+				return fmt.Errorf("predicate %d: F's rows are not read from the PSO object column", p)
+			}
 		}
 		n += len(pso)
 	}
@@ -196,8 +269,7 @@ func TestDerivedStoresUseTheConstructor(t *testing.T) {
 
 // TestPostingListsReadInPlace: Objects, Subjects and HasTriple allocate
 // nothing — the lists alias the index (capacity-limited, so an append
-// cannot reach the neighbouring run) — and a hub's run, longer than the
-// forward scan, is still returned whole.
+// cannot reach the neighbouring run) — and a hub's run is returned whole.
 func TestPostingListsReadInPlace(t *testing.T) {
 	var ts []rdf.Triple
 	for i := 0; i < 200; i++ {

@@ -91,8 +91,8 @@ func TestRestrictByMaskEmpty(t *testing.T) {
 	}
 }
 
-// TestMatricesConcurrent guards the lazy matrix cache against races
-// (run with -race).
+// TestMatricesConcurrent: concurrent readers of the adjacency need no
+// lock — it is built with the store (run with -race).
 func TestMatricesConcurrent(t *testing.T) {
 	st := maskFixture(t)
 	var wg sync.WaitGroup

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 
-	"dualsim/internal/bitmat"
 	"dualsim/internal/rdf"
 )
 
@@ -20,11 +19,6 @@ type PatchStats struct {
 	// NewTerms and NewPreds count dictionary growth: terms and
 	// predicates first interned by this patch.
 	NewTerms, NewPreds int
-	// ReusedMatrices counts cached adjacency bit-matrix pairs carried
-	// over from the receiver (possible only for untouched predicates
-	// when the node universe did not grow — the matrix dimension is the
-	// node count).
-	ReusedMatrices int
 }
 
 // ValidateBatch checks every triple of a patch batch up front — the
@@ -62,8 +56,8 @@ type predChange struct {
 // predicate ids are stable across the patch and new terms extend the id
 // space. Index maintenance is incremental at predicate granularity: only
 // predicates named by an effective change are re-indexed; every other
-// predicate shares the receiver's index (and, when no new term was
-// interned, its cached bit-matrix pair).
+// predicate shares the receiver's columns and row offsets, its directory
+// widened to the new node count when the patch interned terms.
 //
 // Patch is atomic: both triple slices are validated before anything is
 // interned, so an invalid triple leaves the dictionary untouched.
@@ -129,16 +123,18 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 
 	out := &Store{
 		d:     st.d,
-		mats:  make(map[PredID]bitmat.Pair),
 		built: true,
 		nTrip: st.nTrip,
 	}
 	out.terms, out.preds = st.d.views()
-	stats.NewTerms = len(out.terms) - oldTerms
+	n := len(out.terms)
+	stats.NewTerms = n - oldTerms
 	stats.NewPreds = len(out.preds) - oldPreds
 
 	out.byPred = make([]predIndex, len(out.preds))
 	copy(out.byPred, st.byPred)
+	widen(out.byPred, n)
+	out.empty = st.empty.Widen(n)
 
 	for p, ch := range touched {
 		if len(ch.adds) == 0 && len(ch.dels) == 0 {
@@ -154,26 +150,12 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 				kept = append(kept, e)
 			}
 		}
-		out.byPred[p] = newPredIndexFromPairs(dedupSorted(append(kept, ch.adds...)))
+		out.byPred[p] = newPredIndexFromPairs(n, dedupSorted(append(kept, ch.adds...)))
 		out.nTrip += len(out.byPred[p].psoS) - len(old.psoS)
 		stats.Added += len(ch.adds)
 		stats.Deleted += len(ch.dels)
 		stats.TouchedPreds++
 	}
 	stats.ReusedIndexes = len(out.preds) - stats.TouchedPreds
-
-	// Adjacency matrices are dimensioned by the node count; carrying a
-	// cached pair over is sound only for an untouched predicate in an
-	// unchanged universe.
-	if stats.NewTerms == 0 {
-		st.matMu.Lock()
-		for p, m := range st.mats {
-			if ch := touched[p]; ch == nil || (len(ch.adds) == 0 && len(ch.dels) == 0) {
-				out.mats[p] = m
-				stats.ReusedMatrices++
-			}
-		}
-		st.matMu.Unlock()
-	}
 	return out, stats, nil
 }

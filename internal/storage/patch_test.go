@@ -126,20 +126,14 @@ func TestPatchIndexAndMatrixReuse(t *testing.T) {
 	base := mustStore(t, fig1a())
 	dirID, _ := base.PredIDOf("directed")
 	genreID, _ := base.PredIDOf("genre")
-	base.Matrices(dirID)   // warm the to-be-touched predicate's cache
-	base.Matrices(genreID) // warm an untouched predicate's cache
 
-	// A delete touches only "directed"; no new terms, so untouched
-	// matrices carry over.
+	// A delete touches only "directed".
 	next, stats, err := base.Patch(nil, []rdf.Triple{rdf.T("D._Koepp", "directed", "Mortdecai")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.TouchedPreds != 1 {
 		t.Fatalf("TouchedPreds = %d, want 1", stats.TouchedPreds)
-	}
-	if stats.ReusedMatrices != 1 {
-		t.Fatalf("ReusedMatrices = %d, want 1 (genre)", stats.ReusedMatrices)
 	}
 	if stats.NewTerms != 0 {
 		t.Fatalf("NewTerms = %d, want 0", stats.NewTerms)
@@ -156,6 +150,49 @@ func TestPatchIndexAndMatrixReuse(t *testing.T) {
 	}
 	if next.DistinctSubjects(dirID) != fresh.DistinctSubjects(mustPred(t, fresh, "directed")) {
 		t.Fatal("per-predicate statistics not maintained")
+	}
+
+	// An add that interns a new term and touches only "directed" again:
+	// the universe grows, and genre keeps its rows — the receiver's
+	// arrays — under a directory widened to the new node count.
+	grown, stats, err := next.Patch([]rdf.Triple{rdf.T("J._McTiernan", "directed", "Die_Hard")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.NewTerms != 2 || stats.TouchedPreds != 1 {
+		t.Fatalf("stats = %+v, want 2 new terms and 1 touched predicate", stats)
+	}
+	sameRows(t, "Patch", next, grown, genreID)
+
+	// Union keeps the first part's rows the same way while the second
+	// part's terms grow the universe.
+	other := mustStore(t, []rdf.Triple{rdf.T("Die_Hard", "rated", "R"), rdf.T("Heat", "rated", "R")})
+	u, err := Union(grown, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.NumNodes() <= grown.NumNodes() {
+		t.Fatalf("union has %d nodes, the first part %d: the universe did not grow", u.NumNodes(), grown.NumNodes())
+	}
+	for p := 0; p < grown.NumPreds(); p++ {
+		sameRows(t, "Union", grown, u, PredID(p))
+	}
+}
+
+// sameRows fails unless every non-empty row of predicate p in derived is
+// the very array it is in from, and derived's matrices span derived's
+// node universe.
+func sameRows(t *testing.T, what string, from, derived *Store, p PredID) {
+	t.Helper()
+	subjects, _ := from.PSO(p)
+	for _, s := range subjects {
+		a, b := from.Matrices(p).F.Row(int(s)), derived.Matrices(p).F.Row(int(s))
+		if &a[0] != &b[0] {
+			t.Fatalf("%s: row %d of %s is a copy, not the receiver's array", what, s, from.Pred(p))
+		}
+	}
+	if m := derived.Matrices(p); m.F.Dim() != derived.NumNodes() || m.B.Dim() != derived.NumNodes() {
+		t.Fatalf("%s: %s spans %d/%d nodes, the store %d", what, from.Pred(p), m.F.Dim(), m.B.Dim(), derived.NumNodes())
 	}
 }
 

@@ -37,7 +37,18 @@ import (
 const (
 	maxSnapshotElems = 1 << 31
 	maxSnapshotValue = 1 << 28
+	// maxSnapshotDirs, plus 64 bytes per body byte, bounds the row
+	// directories a decoded body may build. Each non-empty predicate
+	// costs dirBytesPerPred of the universe, so without a bound a body
+	// listing many one-pair predicates over many terms would cost
+	// memory quadratic in its length.
+	maxSnapshotDirs = 16 << 20
 )
+
+// dirBytesPerPred is the size of one predicate's two row directories
+// over an n-term universe: per direction a summary bit and a 4-byte
+// prefix count per 64 terms.
+func dirBytesPerPred(n uint64) uint64 { return 2 * (n/8 + n/16 + 8) }
 
 // EncodeSnapshot writes the store body to w. The store must be built.
 func (st *Store) EncodeSnapshot(w io.Writer) error {
@@ -217,13 +228,19 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 		return nil, fmt.Errorf("storage: snapshot dictionary lists a predicate twice")
 	}
 
-	st := &Store{d: d, mats: make(map[PredID]bitmat.Pair), built: true}
+	st := &Store{d: d, empty: bitmat.EmptyPair(len(d.terms)), built: true}
 	st.terms, st.preds = d.views()
 	st.byPred = make([]predIndex, nPreds)
+	dirBudget, dirBytes := 64*uint64(len(buf))+maxSnapshotDirs, uint64(0)
 	for p := range st.byPred {
 		n, err := dec.uvarint("pair count", min(maxSnapshotElems, uint64(dec.remaining())/2))
 		if err != nil {
 			return nil, err
+		}
+		if n > 0 {
+			if dirBytes += dirBytesPerPred(nTerms); dirBytes > dirBudget {
+				return nil, fmt.Errorf("storage: snapshot row directories of %d+ predicates over %d terms exceed %d bytes for a %d-byte body", p+1, nTerms, dirBudget, len(buf))
+			}
 		}
 		cols := make([]NodeID, 2*n)
 		s, o := cols[:n:n], cols[n:]
@@ -247,7 +264,7 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 			s[i], o[i] = NodeID(a), NodeID(b)
 			prev = a
 		}
-		st.byPred[p] = newPredIndex(s, o)
+		st.byPred[p] = newPredIndex(len(st.terms), s, o)
 		st.nTrip += int(n)
 	}
 	return st, nil

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -96,5 +98,37 @@ func TestSnapshotCodecRejectsDuplicates(t *testing.T) {
 		if _, err := DecodeSnapshotBytes(body); err == nil || !strings.Contains(err.Error(), "twice") {
 			t.Fatalf("body %v: err %v, want a duplicate rejected", body, err)
 		}
+	}
+}
+
+// TestSnapshotDirectoryBudget: every non-empty predicate builds row
+// directories sized by the whole universe, so a body of many one-pair
+// predicates over many terms would cost memory quadratic in its length.
+// The decoder refuses it before building them; a body under the budget
+// decodes.
+func TestSnapshotDirectoryBudget(t *testing.T) {
+	body := func(terms, preds int) []byte {
+		b := binary.AppendUvarint(nil, uint64(terms))
+		for i := 0; i < terms; i++ {
+			v := strconv.Itoa(i)
+			b = append(binary.AppendUvarint(append(b, byte(rdf.IRI)), uint64(len(v))), v...)
+		}
+		b = binary.AppendUvarint(b, uint64(preds))
+		for i := 0; i < preds; i++ {
+			v := strconv.Itoa(i)
+			b = append(binary.AppendUvarint(b, uint64(len(v))), v...)
+		}
+		for i := 0; i < preds; i++ {
+			b = append(b, 1, 0, 0) // one pair: (term 0, term 0)
+		}
+		return b
+	}
+	huge := body(100_000, 3_000)
+	if _, err := DecodeSnapshotBytes(huge); err == nil || !strings.Contains(err.Error(), "row directories") {
+		t.Fatalf("%d-byte body over 3000 predicates: err %v, want the directory budget", len(huge), err)
+	}
+	st, err := DecodeSnapshotBytes(body(100_000, 30))
+	if err != nil || st.NumTriples() != 30 {
+		t.Fatalf("a body under the budget: err %v", err)
 	}
 }

@@ -1,29 +1,31 @@
 // Package storage implements the in-memory graph database the rest of the
-// system runs on: a dictionary-encoded triple store with per-predicate
-// sorted indexes (PSO and POS order), per-predicate statistics for join
-// ordering, and lazily built per-predicate adjacency bit-matrix pairs for
-// the SOI solver.
+// system runs on: a dictionary-encoded triple store whose per-predicate
+// index is the predicate's adjacency bit-matrix pair — the rows the SOI
+// solver multiplies against are the posting lists every lookup reads —
+// plus per-predicate statistics for join ordering.
 //
 // A Store is the concrete realization of the paper's graph database
 // DB = (O_DB, Σ, E_DB): the node universe O_DB contains every subject and
 // object term, the alphabet Σ is the predicate set, and E_DB is the triple
 // relation.
 //
-// Index layout (index.go): each predicate holds its triples twice, in PSO
-// and in POS order, each order as two parallel id columns — 16 bytes per
-// triple in all. A lookup is a binary search over one dense key column;
-// the posting list it finds is a contiguous run of the other column,
-// which Objects and Subjects return as a read-only sub-slice (no copy).
-// Every index — Build, Restrict, RestrictByMask, Patch, the snapshot
-// decoder — is laid out by the one constructor newPredIndex, which takes
-// the sorted, deduplicated PSO run and derives the POS order with a
-// stable distribution pass on the object id, so building a per-query
-// pruned store is linear in what it keeps.
+// Index layout (index.go): each predicate holds its triples once in PSO
+// order, as a subject and an object column, and once more as the POS
+// order's subject column — 12 bytes per triple. The object column is the
+// forward matrix F's column ids and the POS subject column the backward
+// matrix B's; each matrix finds a row through a directory over the
+// non-empty rows (a summary bit per node, a prefix count per 64 nodes and
+// an offset per non-empty row), so Objects, Subjects and Matrices(p).F.Row
+// are one read of one array, returned as a read-only sub-slice (no copy).
+// Every index — Build, RestrictByMask, Patch, Union, the snapshot decoder
+// — is laid out by the one constructor newPredIndex, which takes the
+// sorted, deduplicated PSO run and derives the POS order with a stable
+// distribution pass on the object id, so building a per-query pruned
+// store is linear in what it keeps plus the directories.
 //
 // The serving path does not build that pruned store: it reads this one
-// through a Filter (filter.go) and takes its neighbour lists from
-// Matrices' cached rows. RestrictByMask remains for the paper's tables,
-// the CLI's dump and the oracles.
+// through a Filter (filter.go). RestrictByMask remains for the paper's
+// tables, the CLI's dump and the oracles.
 package storage
 
 import (
@@ -147,11 +149,9 @@ type Store struct {
 	preds []string   // prefix view of d.preds visible to this snapshot
 
 	byPred []predIndex
+	empty  bitmat.Pair // the adjacency of every predicate without triples
 	nTrip  int
 	built  bool
-
-	matMu sync.Mutex
-	mats  map[PredID]bitmat.Pair
 
 	// staging, discarded by Build
 	staged []tripleIDs
@@ -165,10 +165,7 @@ type tripleIDs struct {
 
 // New returns an empty store with a fresh dictionary.
 func New() *Store {
-	return &Store{
-		d:    newDict(),
-		mats: make(map[PredID]bitmat.Pair),
-	}
+	return &Store{d: newDict()}
 }
 
 // Add stages one triple. Must be called before Build.
@@ -229,9 +226,10 @@ func (st *Store) Build() {
 	st.staged = nil
 	st.nTrip = 0
 	for p := range perPred {
-		st.byPred[p] = newPredIndexFromPairs(dedupSorted(perPred[p]))
+		st.byPred[p] = newPredIndexFromPairs(len(st.terms), dedupSorted(perPred[p]))
 		st.nTrip += len(st.byPred[p].psoS)
 	}
+	st.empty = bitmat.EmptyPair(len(st.terms))
 	st.built = true
 }
 
@@ -308,38 +306,30 @@ func (st *Store) PredCount(p PredID) int {
 
 // DistinctSubjects returns the number of distinct subjects under p.
 func (st *Store) DistinctSubjects(p PredID) int {
-	st.mustBeBuilt()
-	return st.byPred[p].distinctS
+	return st.Matrices(p).F.NonEmptyRowCount()
 }
 
 // DistinctObjects returns the number of distinct objects under p.
 func (st *Store) DistinctObjects(p PredID) int {
-	st.mustBeBuilt()
-	return st.byPred[p].distinctO
+	return st.Matrices(p).B.NonEmptyRowCount()
 }
 
 // Objects returns the sorted objects o with (s, p, o) ∈ E_DB — the forward
-// map F_p(s). The result aliases the index: it is read-only and valid for
-// the store's lifetime.
+// map F_p(s), row s of Matrices(p).F. The result aliases the index: it is
+// read-only and valid for the store's lifetime.
 //
 //dualsim:hotpath
 func (st *Store) Objects(p PredID, s NodeID) []NodeID {
-	st.mustBeBuilt()
-	ix := &st.byPred[p]
-	lo, hi := equalRun(ix.psoS, s)
-	return ix.psoO[lo:hi:hi]
+	return st.Matrices(p).F.Row(int(s))
 }
 
 // Subjects returns the sorted subjects s with (s, p, o) ∈ E_DB — the
-// backward map B_p(o). The result aliases the index: it is read-only and
-// valid for the store's lifetime.
+// backward map B_p(o), row o of Matrices(p).B. The result aliases the
+// index: it is read-only and valid for the store's lifetime.
 //
 //dualsim:hotpath
 func (st *Store) Subjects(p PredID, o NodeID) []NodeID {
-	st.mustBeBuilt()
-	ix := &st.byPred[p]
-	lo, hi := equalRun(ix.posO, o)
-	return ix.posS[lo:hi:hi]
+	return st.Matrices(p).B.Row(int(o))
 }
 
 // PSO returns the subject and object columns of predicate p in PSO order:
@@ -397,24 +387,18 @@ func (st *Store) Triples() []rdf.Triple {
 	return out
 }
 
-// Matrices returns the adjacency bit-matrix pair (F_p, B_p) for predicate
-// p, building and caching it on first use — per §3.3 only the matrices a
-// pattern actually mentions are ever materialized.
+// Matrices returns the adjacency bit-matrix pair (F_p, B_p) of predicate
+// p, dimensioned by NumNodes. It is the predicate's index itself — no
+// copy, no lock, no allocation — so the solver's ×b kernels, the
+// executor's posting lists and Objects/Subjects read the same rows.
+//
+//dualsim:hotpath
 func (st *Store) Matrices(p PredID) bitmat.Pair {
 	st.mustBeBuilt()
-	st.matMu.Lock()
-	defer st.matMu.Unlock()
-	if m, ok := st.mats[p]; ok {
+	if m := st.byPred[p].adj; m.F != nil {
 		return m
 	}
-	ix := &st.byPred[p]
-	cells := make([]bitmat.Cell, len(ix.psoS))
-	for i, s := range ix.psoS {
-		cells[i] = bitmat.Cell{Row: s, Col: ix.psoO[i]}
-	}
-	m := bitmat.NewPair(st.NumNodes(), cells)
-	st.mats[p] = m
-	return m
+	return st.empty
 }
 
 // PairAt returns the i-th (subject, object) pair of predicate p in PSO
@@ -431,11 +415,9 @@ func (st *Store) PairAt(p PredID, i int) (NodeID, NodeID) {
 //
 //dualsim:hotpath
 func (st *Store) FindPair(p PredID, s, o NodeID) int {
-	st.mustBeBuilt()
-	ix := &st.byPred[p]
-	lo, hi := equalRun(ix.psoS, s)
-	if i := lowerBound(ix.psoO, lo, hi, o); i < hi && ix.psoO[i] == o {
-		return i
+	lo, hi := st.Matrices(p).F.Span(int(s))
+	if i, found := slices.BinarySearch(st.byPred[p].psoO[lo:hi], o); found {
+		return lo + i
 	}
 	return -1
 }
@@ -452,7 +434,7 @@ func (st *Store) RestrictByMask(masks []*bitvec.Vector) *Store {
 		d:     st.d,
 		terms: st.terms,
 		preds: st.preds,
-		mats:  make(map[PredID]bitmat.Pair),
+		empty: st.empty,
 	}
 	out.byPred = make([]predIndex, len(st.preds))
 	for p := range st.byPred {
@@ -469,7 +451,7 @@ func (st *Store) RestrictByMask(masks []*bitvec.Vector) *Store {
 			k++
 			return true
 		})
-		out.byPred[p] = newPredIndex(s, o)
+		out.byPred[p] = newPredIndex(len(st.terms), s, o)
 		out.nTrip += n
 	}
 	out.built = true

@@ -241,10 +241,16 @@ func TestMatricesAgreeWithIndexes(t *testing.T) {
 			t.Fatal("b_a summary mismatch")
 		}
 	}
-	// Cache must return the identical pair.
+	// Matrices is the index itself: the identical pair every time, and
+	// F's rows — Objects' lists — read in place from the PSO object column.
 	p0 := st.Matrices(0)
 	if p1 := st.Matrices(0); p1 != p0 {
-		t.Fatal("matrix cache miss")
+		t.Fatal("Matrices returned another pair")
+	}
+	subjects, objects := st.PSO(0)
+	s := subjects[0]
+	if lo, _ := p0.F.Span(int(s)); &p0.F.Row(int(s))[0] != &objects[lo] || &st.Objects(0, s)[0] != &objects[lo] {
+		t.Fatal("F's rows are a copy of the PSO object column")
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 // Union merges built stores whose predicate sets are disjoint — the
 // per-shard slices of a gathered query — into one built store. The
 // result shares the first part's dictionary, so the first part's ids and
-// indexes carry over untouched; every later part interns each of its
-// terms once, then remaps, re-sorts and re-indexes only its own runs. A
-// predicate present in two parts is an error: placement by predicate
-// says no two shards hold one, and merging runs is not what this does.
-// Union of no parts is the empty store, of one part that part.
+// indexes carry over untouched (their directories widened to the union's
+// node count); every later part interns each of its terms once, then
+// remaps, re-sorts and re-indexes only its own runs. A predicate present
+// in two parts is an error: placement by predicate says no two shards
+// hold one, and merging runs is not what this does. Union of no parts is
+// the empty store, of one part that part.
 func Union(parts ...*Store) (*Store, error) {
 	if len(parts) == 0 {
 		st := New()
@@ -43,7 +44,7 @@ func Union(parts ...*Store) (*Store, error) {
 		for i, p := range part.preds {
 			pids[i] = d.internPred(p)
 		}
-		n := len(d.preds)
+		nodes, n := len(d.terms), len(d.preds)
 		d.mu.Unlock()
 		for len(byPred) < n {
 			byPred, claimed = append(byPred, predIndex{}), append(claimed, false)
@@ -59,15 +60,17 @@ func Union(parts ...*Store) (*Store, error) {
 				run[j] = pair{a: ids[s], b: ids[src.psoO[j]]}
 			}
 			sortPairs(run) // the remap is injective: no duplicates to drop
-			byPred[p] = newPredIndexFromPairs(run)
+			byPred[p] = newPredIndexFromPairs(nodes, run)
 			nTrip += len(run)
 		}
 	}
-	out := &Store{d: d, mats: make(map[PredID]bitmat.Pair), nTrip: nTrip, built: true}
+	out := &Store{d: d, nTrip: nTrip, built: true}
 	out.terms, out.preds = d.views()
 	for len(byPred) < len(out.preds) { // predicates another store of the lineage interned meanwhile
 		byPred = append(byPred, predIndex{})
 	}
+	widen(byPred, len(out.terms))
 	out.byPred = byPred
+	out.empty = bitmat.EmptyPair(len(out.terms))
 	return out, nil
 }

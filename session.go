@@ -35,7 +35,9 @@ type dbSnapshot struct {
 //
 // Prepare cost is paid once per query; Exec then runs only the
 // per-execution pipeline (solve, prune, evaluate) and honours its
-// context.
+// context. Neither takes a session lock: what planning and execution
+// read of the store — its index, which is also the solver's adjacency —
+// is built with the store and never changes.
 //
 // The database is live: Apply mutates it by publishing a new
 // epoch-numbered snapshot, with MVCC-lite read semantics — in-flight
@@ -53,7 +55,6 @@ type DB struct {
 	applyMu   sync.Mutex   // serializes Apply/Compact (single writer)
 	ckptFails atomic.Int64 // automatic checkpoints that failed (see PersistStats)
 
-	prepMu     sync.Mutex   // serializes planning (lazy matrix builds)
 	planBuilds atomic.Int64 // number of query plans built on this session
 	closed     atomic.Bool
 }
@@ -304,12 +305,6 @@ func (db *DB) prepareParsed(snap *dbSnapshot, q *Query, start time.Time, parse t
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	// Planning reads the store's per-predicate matrices, building the
-	// ones no earlier plan asked for; serialize it so concurrent Prepare
-	// calls stay race-free. Exec never takes this lock.
-	db.prepMu.Lock()
-	defer db.prepMu.Unlock()
-
 	plan, err := core.BuildQueryPlan(snap.st, q, core.Config{})
 	if err != nil {
 		return nil, err

@@ -3,12 +3,15 @@ package dualsim_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"dualsim"
 	"dualsim/internal/queries"
+	"dualsim/internal/rdf"
 )
 
 // TestSessionPipeline: the Open → Prepare → Exec(ctx) flow on the
@@ -177,10 +180,9 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 
 // TestConcurrentPrepare: concurrent Prepare + Exec calls on one session
 // over a fresh store (run under -race). Every text reads a different
-// predicate, so the store's first-time matrix builds race with each
-// other and with the executions — the work the session's planning lock
-// and the store's matrix lock guard — and each answer must equal a
-// sequential run's.
+// predicate, and planning takes no lock: the adjacency each plan reads is
+// the store's index, built with it, so the goroutines only read shared
+// state. Each answer must equal a sequential run's.
 func TestConcurrentPrepare(t *testing.T) {
 	texts := []string{
 		`SELECT * WHERE { ?d <directed> ?m . }`,
@@ -226,6 +228,34 @@ func TestConcurrentPrepare(t *testing.T) {
 	wg.Wait()
 	if got := db.PlanBuilds(); got != int64(len(texts)) {
 		t.Fatalf("PlanBuilds = %d, want %d", got, len(texts))
+	}
+}
+
+// TestPrepareAbsentPredicateAllocatesLittle: planning a pattern over a
+// predicate the store lacks hands the solver an empty adjacency — the
+// universe's summary, no row pointers — instead of building two
+// universe-sized matrices on every plan.
+func TestPrepareAbsentPredicateAllocatesLittle(t *testing.T) {
+	ts := make([]dualsim.Triple, 50_000)
+	for i := range ts {
+		ts[i] = rdf.T(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i))
+	}
+	st, err := dualsim.FromTriples(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NumNodes() < 100_000 {
+		t.Fatalf("store has %d nodes, want ≥ 100 000", st.NumNodes())
+	}
+	db := open(t, st)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := db.Prepare(`SELECT * WHERE { ?x <absent> ?y . }`); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("Prepare allocated %d KB over a %d-node store, want < 256 KB", got>>10, st.NumNodes())
 	}
 }
 
