@@ -711,8 +711,8 @@ func evalLocal(ctx context.Context, src string, epoch uint64, parts ...*dualsim.
 			var c span
 			if v != dualsim.Unbound {
 				if names[v].hi == 0 {
-					lo, term := int32(len(out.text)), st.Term(v).String()
-					out.text = wire.AppendCell(reserve(out.text, len(term)+2), term)
+					lo, t := int32(len(out.text)), st.Term(v)
+					out.text = wire.AppendTerm(reserve(out.text, len(t.Value)+6), t, st.Plain(v))
 					names[v] = span{lo, int32(len(out.text))}
 				}
 				c = names[v]

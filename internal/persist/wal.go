@@ -152,25 +152,28 @@ func decodeTriples(buf []byte) ([]rdf.Triple, []byte, error) {
 			return nil, nil, fmt.Errorf("persist: WAL triple truncated at object kind")
 		}
 		kind := rdf.Kind(buf[0])
-		buf = buf[1:]
-		var o string
-		if o, buf, err = decodeString(buf); err != nil {
-			return nil, nil, err
+		if kind != rdf.IRI && kind != rdf.Literal {
+			return nil, nil, fmt.Errorf("persist: WAL triple %d has unknown object kind %d", i, kind)
 		}
-		if kind == rdf.Literal {
-			t.O = rdf.NewLiteral(o)
-		} else {
-			t.O = rdf.NewIRI(o)
+		t.O.Kind = kind
+		if t.O.Value, buf, err = decodeString(buf[1:]); err != nil {
+			return nil, nil, err
 		}
 		ts = append(ts, t)
 	}
 	return ts, buf, nil
 }
 
+// decodeUvarint reads one varint in the minimal spelling encodeRecord
+// writes: a longer one (a zero last byte) would decode to a record that
+// re-encodes to other bytes.
 func decodeUvarint(buf []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("persist: WAL varint truncated")
+	}
+	if n > 1 && buf[n-1] == 0 {
+		return 0, nil, fmt.Errorf("persist: WAL varint not minimally encoded")
 	}
 	return v, buf[n:], nil
 }

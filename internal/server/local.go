@@ -262,8 +262,9 @@ func (b *local) Ready() error { return nil }
 // appendRow renders one result row against the snapshot dictionary it
 // was computed on, as Cursor.AppendRow specifies: each term in
 // N-Triples rendering (<iri> / "literal") as a JSON string, null for
-// unbound positions. Terms go from the dictionary into dst without an
-// intermediate string; the result decodes to exactly Term.String().
+// unbound positions. Terms go from the dictionary's arena into dst
+// without an intermediate string, plain values verbatim; the result
+// decodes to exactly Term.String().
 //
 //dualsim:hotpath
 func appendRow(dst []byte, st *dualsim.Store, row []storage.NodeID) []byte {
@@ -276,49 +277,9 @@ func appendRow(dst []byte, st *dualsim.Store, row []storage.NodeID) []byte {
 			dst = append(dst, "null"...)
 			continue
 		}
-		if t := st.Term(v); t.IsLiteral() {
-			dst = appendLiteral(dst, t.Value)
-		} else {
-			dst = append(dst, '"', '<')
-			dst = wire.AppendEscaped(dst, t.Value)
-			dst = append(dst, '>', '"')
-		}
+		dst = wire.AppendTerm(dst, st.Term(v), st.Plain(v))
 	}
 	return append(dst, ']')
-}
-
-// appendLiteral appends the JSON string of a literal's N-Triples
-// rendering. Two escapings compose: N-Triples turns the quote, the
-// backslash, \n, \t and \r into backslash pairs, JSON then escapes
-// those backslashes (and the quote) again; everything between such
-// bytes is only JSON-escaped.
-//
-//dualsim:hotpath
-func appendLiteral(dst []byte, v string) []byte {
-	dst = append(dst, `"\"`...)
-	from := 0
-	for i := 0; i < len(v); i++ {
-		var esc string
-		switch v[i] {
-		case '"':
-			esc = `\\\"`
-		case '\\':
-			esc = `\\\\`
-		case '\n':
-			esc = `\\n`
-		case '\t':
-			esc = `\\t`
-		case '\r':
-			esc = `\\r`
-		default:
-			continue
-		}
-		dst = wire.AppendEscaped(dst, v[from:i])
-		dst = append(dst, esc...)
-		from = i + 1
-	}
-	dst = wire.AppendEscaped(dst, v[from:])
-	return append(dst, `\""`...)
 }
 
 // ---------------------------------------------------------------------------

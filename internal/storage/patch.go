@@ -71,7 +71,7 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 		return nil, stats, err
 	}
 
-	oldTerms, oldPreds := len(st.terms), len(st.preds)
+	oldTerms, oldPreds := st.terms.len(), len(st.preds)
 
 	// Deletes resolve against the receiver's view only: a term or
 	// predicate this snapshot cannot see cannot occur in its triples, so
@@ -100,8 +100,11 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 	// consistent for every later snapshot of the lineage.
 	for _, t := range adds {
 		st.d.mu.Lock()
-		ids := st.d.intern(t)
+		ids, err := st.d.intern(t)
 		st.d.mu.Unlock()
+		if err != nil {
+			return nil, stats, err
+		}
 		pr := pair{a: ids.s, b: ids.o}
 		ch := touched[ids.p]
 		switch {
@@ -127,7 +130,7 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 		nTrip: st.nTrip,
 	}
 	out.terms, out.preds = st.d.views()
-	n := len(out.terms)
+	n := out.terms.len()
 	stats.NewTerms = n - oldTerms
 	stats.NewPreds = len(out.preds) - oldPreds
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -27,10 +28,13 @@ import (
 //	subject delta-encoded against the previous pair's subject and the
 //	object raw
 //
-// Only the PSO order is stored; DecodeSnapshot rebuilds the POS order and
-// the distinct counts (newPredIndex) and the dictionary maps — still far
-// cheaper than re-parsing and re-interning an N-Triples dump (the
-// benchmark's persist.coldboot_s row).
+// The term section is the dictionary's arena spelled out: DecodeSnapshot
+// copies each length-checked value straight into a fresh arena sized by
+// a first pass, fills the offset and kind columns and builds the id
+// table once, with no string or map entry per term. Only the PSO order
+// is stored; the decoder rebuilds the POS order and the row directories
+// (newPredIndex) — still far cheaper than re-parsing and re-interning an
+// N-Triples dump (the benchmark's persist.coldboot_s row).
 
 // Sanity bounds for decoding untrusted bytes: a count beyond these is
 // corruption (the CRC upstream should have caught it), not a real store.
@@ -69,7 +73,7 @@ func (st *Store) EncodeSnapshot(w io.Writer) error {
 func (st *Store) EncodeSlice(w io.Writer, preds []PredID) error {
 	st.mustBeBuilt()
 	preds = slices.Compact(slices.Sorted(slices.Values(preds)))
-	r := termRanks{used: make([]uint64, (len(st.terms)+63)/64)}
+	r := termRanks{used: make([]uint64, (st.NumNodes()+63)/64)}
 	for _, p := range preds {
 		ix := &st.byPred[p]
 		for i, s := range ix.psoS {
@@ -113,22 +117,23 @@ func (st *Store) encodeBody(w io.Writer, preds []PredID, ranks *termRanks) error
 		n := binary.PutUvarint(scratch[:], v)
 		bw.Write(scratch[:n]) // bufio latches the first error; Flush reports it
 	}
-	putTerm := func(t rdf.Term) {
-		bw.WriteByte(byte(t.Kind))
-		putUvarint(uint64(len(t.Value)))
-		bw.WriteString(t.Value)
+	putTerm := func(id NodeID) {
+		bw.WriteByte(byte(st.terms.kind(id)))
+		v := st.terms.value(id)
+		putUvarint(uint64(len(v)))
+		bw.WriteString(v)
 	}
 
 	if ranks == nil {
-		putUvarint(uint64(len(st.terms)))
-		for _, t := range st.terms {
-			putTerm(t)
+		putUvarint(uint64(st.terms.len()))
+		for id := range NodeID(st.terms.len()) {
+			putTerm(id)
 		}
 	} else {
 		putUvarint(uint64(ranks.n))
 		for i, word := range ranks.used {
 			for ; word != 0; word &= word - 1 {
-				putTerm(st.terms[i*64+bits.TrailingZeros64(word)])
+				putTerm(NodeID(i*64 + bits.TrailingZeros64(word)))
 			}
 		}
 	}
@@ -179,34 +184,40 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Two walks over the term section: the first validates it and sizes
+	// the arena, the second copies the values in.
+	termsAt := dec.off
+	walkTerms := func(fn func(k rdf.Kind, v []byte)) error {
+		dec.off = termsAt
+		for i := uint64(0); i < nTerms; i++ {
+			kind, err := dec.byte("term kind")
+			if err != nil {
+				return err
+			}
+			if rdf.Kind(kind) != rdf.IRI && rdf.Kind(kind) != rdf.Literal {
+				return fmt.Errorf("storage: snapshot term %d has unknown kind %d", i, kind)
+			}
+			v, err := dec.bytes("term")
+			if err != nil {
+				return err
+			}
+			fn(rdf.Kind(kind), v)
+		}
+		return nil
+	}
+	size := uint64(0)
+	if err := walkTerms(func(_ rdf.Kind, v []byte) { size += uint64(len(v)) }); err != nil {
+		return nil, err
+	}
+	if size > math.MaxUint32 {
+		return nil, fmt.Errorf("storage: snapshot term values total %d bytes, over the dictionary's %d", size, uint64(math.MaxUint32))
+	}
 	d := newDict()
-	d.terms = make([]rdf.Term, 0, nTerms)
-	nLits := 0
-	for i := uint64(0); i < nTerms; i++ {
-		kind, err := dec.byte("term kind")
-		if err != nil {
-			return nil, err
-		}
-		if rdf.Kind(kind) != rdf.IRI && rdf.Kind(kind) != rdf.Literal {
-			return nil, fmt.Errorf("storage: snapshot term %d has unknown kind %d", i, kind)
-		}
-		val, err := dec.string("term")
-		if err != nil {
-			return nil, err
-		}
-		if rdf.Kind(kind) == rdf.Literal {
-			nLits++
-		}
-		d.terms = append(d.terms, rdf.Term{Kind: rdf.Kind(kind), Value: val})
-	}
-	// The id maps are sized exactly, once the split between the two node
-	// universes is known.
-	d.iris = make(map[string]NodeID, len(d.terms)-nLits)
-	d.lits = make(map[string]NodeID, nLits)
-	for id, t := range d.terms {
-		d.termIDs(t.Kind)[t.Value] = NodeID(id)
-	}
-	if len(d.iris)+len(d.lits) != len(d.terms) {
+	d.arena = make([]byte, 0, size)
+	d.offsets = make([]uint32, 1, nTerms+1)
+	d.kinds = make([]byte, 0, nTerms)
+	_ = walkTerms(func(k rdf.Kind, v []byte) { push(d, k, v) }) // the first walk validated every term
+	if !d.reindex(tableSize(int(nTerms))) {
 		return nil, fmt.Errorf("storage: snapshot dictionary lists a term twice")
 	}
 
@@ -217,10 +228,11 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 	d.preds = make([]string, 0, nPreds)
 	d.predID = make(map[string]PredID, nPreds)
 	for i := uint64(0); i < nPreds; i++ {
-		p, err := dec.string("predicate")
+		b, err := dec.bytes("predicate")
 		if err != nil {
 			return nil, err
 		}
+		p := string(b)
 		d.predID[p] = PredID(len(d.preds))
 		d.preds = append(d.preds, p)
 	}
@@ -228,7 +240,7 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 		return nil, fmt.Errorf("storage: snapshot dictionary lists a predicate twice")
 	}
 
-	st := &Store{d: d, empty: bitmat.EmptyPair(len(d.terms)), built: true}
+	st := &Store{d: d, empty: bitmat.EmptyPair(int(nTerms)), built: true}
 	st.terms, st.preds = d.views()
 	st.byPred = make([]predIndex, nPreds)
 	dirBudget, dirBytes := 64*uint64(len(buf))+maxSnapshotDirs, uint64(0)
@@ -264,7 +276,7 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 			s[i], o[i] = NodeID(a), NodeID(b)
 			prev = a
 		}
-		st.byPred[p] = newPredIndex(len(st.terms), s, o)
+		st.byPred[p] = newPredIndex(st.terms.len(), s, o)
 		st.nTrip += int(n)
 	}
 	return st, nil
@@ -299,15 +311,18 @@ func (d *snapDecoder) byte(what string) (byte, error) {
 	return b, nil
 }
 
-func (d *snapDecoder) string(what string) (string, error) {
-	n, err := d.uvarint(what+" length", maxSnapshotValue)
+// bytes returns the next length-prefixed value, aliasing the body. It
+// labels a bad length with what alone: the label is built per call, and
+// a concatenation here would allocate once per term.
+func (d *snapDecoder) bytes(what string) ([]byte, error) {
+	n, err := d.uvarint(what, maxSnapshotValue)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if uint64(len(d.buf)-d.off) < n {
-		return "", fmt.Errorf("storage: snapshot %s: truncated (want %d bytes, have %d)", what, n, len(d.buf)-d.off)
+		return nil, fmt.Errorf("storage: snapshot %s: truncated (want %d bytes, have %d)", what, n, len(d.buf)-d.off)
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s, nil
+	return b, nil
 }

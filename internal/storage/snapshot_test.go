@@ -101,6 +101,29 @@ func TestSnapshotCodecRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestSnapshotCodecAcceptsEmptyAndSharedValues: a term whose value is
+// empty decodes, and an IRI and a literal of one value are two terms
+// with distinct ids — the bodies FuzzDecodeSnapshot's corpus seeds with.
+func TestSnapshotCodecAcceptsEmptyAndSharedValues(t *testing.T) {
+	for _, c := range []struct {
+		body  []byte
+		terms []rdf.Term
+	}{
+		{[]byte{2, 0, 1, 'a', 1, 0, 0}, []rdf.Term{rdf.NewIRI("a"), rdf.NewLiteral("")}},
+		{[]byte{2, 0, 1, 'a', 1, 1, 'a', 0}, []rdf.Term{rdf.NewIRI("a"), rdf.NewLiteral("a")}},
+	} {
+		st, err := DecodeSnapshotBytes(c.body)
+		if err != nil {
+			t.Fatalf("body %v: %v", c.body, err)
+		}
+		for want, term := range c.terms {
+			if id, ok := st.TermID(term); !ok || id != NodeID(want) || st.Term(id) != term {
+				t.Fatalf("body %v: %v looks up as %d (%v), want %d", c.body, term, id, ok, want)
+			}
+		}
+	}
+}
+
 // TestSnapshotDirectoryBudget: every non-empty predicate builds row
 // directories sized by the whole universe, so a body of many one-pair
 // predicates over many terms would cost memory quadratic in its length.

@@ -26,13 +26,22 @@
 // The serving path does not build that pruned store: it reads this one
 // through a Filter (filter.go). RestrictByMask remains for the paper's
 // tables, the CLI's dump and the oracles.
+//
+// Dictionary layout (dict.go): node ids are handed out in insertion
+// order. The term values sit back to back in one byte arena, found
+// through a uint32 offset column, with one byte per term for its kind
+// and a plain flag (the value renders verbatim in N-Triples and in a
+// JSON string); an open-addressed uint32 id table keyed by a maphash of
+// (kind, value) maps a term back to its id, comparing through the
+// arena. There is no Go string, pointer or map entry per term: Term
+// returns a Value aliasing the arena, and Build, Patch, Union and the
+// snapshot decoder all intern through the one table.
 package storage
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
@@ -50,103 +59,14 @@ type PredID = uint32
 // as columns.
 type pair struct{ a, b NodeID }
 
-// dict is the shared, append-only term and predicate dictionary of a
-// store lineage. Snapshots derived from one another (Build, Restrict,
-// Patch) all point at the same dict, so a node or predicate id decodes
-// to the same term in every snapshot; each snapshot additionally records
-// how much of the dictionary it can see, so terms interned by a later
-// patch are invisible to (and unreachable from) earlier snapshots.
-//
-// Interning takes the write lock; lookups take the read lock. Slice
-// elements, once appended, are never mutated, so snapshots may keep
-// lock-free prefix views of terms and preds.
-//
-// Terms are keyed by Value in one map per rdf.Kind, so a key shares its
-// bytes with terms[id].Value and neither interning nor lookup builds a
-// string.
-type dict struct {
-	mu     sync.RWMutex
-	terms  []rdf.Term
-	iris   map[string]NodeID
-	lits   map[string]NodeID
-	preds  []string
-	predID map[string]PredID
-}
-
-func newDict() *dict {
-	return &dict{
-		iris:   make(map[string]NodeID),
-		lits:   make(map[string]NodeID),
-		predID: make(map[string]PredID),
-	}
-}
-
-// termIDs returns the id map of one node universe.
-func (d *dict) termIDs(k rdf.Kind) map[string]NodeID {
-	if k == rdf.IRI {
-		return d.iris
-	}
-	return d.lits
-}
-
-// intern, internTerm and internPred require d.mu held for writing: once
-// per staged batch, once per patched triple.
-func (d *dict) intern(t rdf.Triple) tripleIDs {
-	return tripleIDs{s: d.internTerm(t.S), p: d.internPred(t.P), o: d.internTerm(t.O)}
-}
-
-func (d *dict) internTerm(t rdf.Term) NodeID {
-	ids := d.termIDs(t.Kind)
-	if id, ok := ids[t.Value]; ok {
-		return id
-	}
-	id := NodeID(len(d.terms))
-	d.terms = append(d.terms, t)
-	ids[t.Value] = id
-	return id
-}
-
-func (d *dict) internPred(p string) PredID {
-	if id, ok := d.predID[p]; ok {
-		return id
-	}
-	id := PredID(len(d.preds))
-	d.preds = append(d.preds, p)
-	d.predID[p] = id
-	return id
-}
-
-func (d *dict) lookupTerm(t rdf.Term) (NodeID, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	id, ok := d.termIDs(t.Kind)[t.Value]
-	return id, ok
-}
-
-func (d *dict) lookupPred(p string) (PredID, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	id, ok := d.predID[p]
-	return id, ok
-}
-
-// views returns prefix snapshots of the term and predicate tables. The
-// returned slice headers are stable: later appends may grow the shared
-// backing array beyond their length but never touch the prefix.
-func (d *dict) views() ([]rdf.Term, []string) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.terms, d.preds
-}
-
 // Store is an immutable-after-Build triple store snapshot. The zero
 // value is not usable; call New. Snapshots derived via Restrict or Patch
 // share the receiver's dictionary (see dict); the snapshot itself never
 // changes after Build, so concurrent readers need no locking.
 type Store struct {
 	d     *dict
-	terms []rdf.Term // prefix view of d.terms visible to this snapshot
-	preds []string   // prefix view of d.preds visible to this snapshot
+	terms termView // prefix view of d's term columns visible to this snapshot
+	preds []string // prefix view of d.preds visible to this snapshot
 
 	byPred []predIndex
 	empty  bitmat.Pair // the adjacency of every predicate without triples
@@ -176,14 +96,16 @@ func (st *Store) Add(t rdf.Triple) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	st.stage(t)
+	err := st.stage(t)
 	st.terms, st.preds = st.d.views()
-	return nil
+	return err
 }
 
 // AddAll stages a batch of triples, atomically: the whole batch is
 // validated up front, and on error nothing is staged and no term of the
 // batch is interned — the store is exactly as it was before the call.
+// (A batch that would take the dictionary's term values past 4 GiB
+// stages nothing either, but may leave some of its terms interned.)
 func (st *Store) AddAll(ts []rdf.Triple) error {
 	if st.built {
 		return fmt.Errorf("storage: Add after Build")
@@ -193,9 +115,9 @@ func (st *Store) AddAll(ts []rdf.Triple) error {
 			return fmt.Errorf("storage: triple %d of %d: %w", i, len(ts), err)
 		}
 	}
-	st.stage(ts...)
+	err := st.stage(ts...)
 	st.terms, st.preds = st.d.views()
-	return nil
+	return err
 }
 
 // stage interns validated triples — the whole batch under one acquisition
@@ -203,12 +125,19 @@ func (st *Store) AddAll(ts []rdf.Triple) error {
 // refresh the snapshot's dictionary views once per batch, not per triple
 // (staging is single-owner: the dict cannot be shared before Build, so the
 // views only serve the store's own pre-Build accessors).
-func (st *Store) stage(ts ...rdf.Triple) {
+func (st *Store) stage(ts ...rdf.Triple) error {
 	st.d.mu.Lock()
 	defer st.d.mu.Unlock()
+	staged := len(st.staged)
 	for _, t := range ts {
-		st.staged = append(st.staged, st.d.intern(t))
+		ids, err := st.d.intern(t)
+		if err != nil {
+			st.staged = st.staged[:staged]
+			return err
+		}
+		st.staged = append(st.staged, ids)
 	}
+	return nil
 }
 
 // Build finalizes the store: triples are deduplicated, both index orders
@@ -226,10 +155,10 @@ func (st *Store) Build() {
 	st.staged = nil
 	st.nTrip = 0
 	for p := range perPred {
-		st.byPred[p] = newPredIndexFromPairs(len(st.terms), dedupSorted(perPred[p]))
+		st.byPred[p] = newPredIndexFromPairs(st.terms.len(), dedupSorted(perPred[p]))
 		st.nTrip += len(st.byPred[p].psoS)
 	}
-	st.empty = bitmat.EmptyPair(len(st.terms))
+	st.empty = bitmat.EmptyPair(st.terms.len())
 	st.built = true
 }
 
@@ -266,20 +195,33 @@ func (st *Store) mustBeBuilt() {
 func (st *Store) NumTriples() int { st.mustBeBuilt(); return st.nTrip }
 
 // NumNodes returns |O_DB|, the dimension of all bit-vectors and matrices.
-func (st *Store) NumNodes() int { return len(st.terms) }
+func (st *Store) NumNodes() int { return st.terms.len() }
 
 // NumPreds returns |Σ|.
 func (st *Store) NumPreds() int { return len(st.preds) }
 
-// Term decodes a node id.
-func (st *Store) Term(id NodeID) rdf.Term { return st.terms[id] }
+// Term decodes a node id. The term's Value aliases the dictionary's
+// arena — no allocation, valid for good, and never to be modified.
+//
+//dualsim:hotpath
+func (st *Store) Term(id NodeID) rdf.Term {
+	return rdf.Term{Kind: st.terms.kind(id), Value: st.terms.value(id)}
+}
 
-// TermID looks up a term. Terms interned into the shared dictionary
-// after this snapshot was taken (by a Patch on a derived store) are
-// reported as absent — they cannot occur in this snapshot's triples.
+// Plain reports whether node id's value is printable ASCII other than
+// `"` and `\`: such a value renders as itself in N-Triples and inside a
+// JSON string, so a renderer may copy its bytes verbatim.
+func (st *Store) Plain(id NodeID) bool { return st.terms.kinds[id]&plainTerm != 0 }
+
+// TermID looks up a term without allocating. Terms interned into the
+// shared dictionary after this snapshot was taken (by a Patch on a
+// derived store) are reported as absent — they cannot occur in this
+// snapshot's triples.
+//
+//dualsim:hotpath
 func (st *Store) TermID(t rdf.Term) (NodeID, bool) {
-	id, ok := st.d.lookupTerm(t)
-	if !ok || int(id) >= len(st.terms) {
+	id, ok := st.d.lookupTerm(t.Kind, t.Value)
+	if !ok || int(id) >= st.terms.len() {
 		return 0, false
 	}
 	return id, true
@@ -381,7 +323,7 @@ func (st *Store) Triples() []rdf.Triple {
 	st.mustBeBuilt()
 	out := make([]rdf.Triple, 0, st.nTrip)
 	st.ForEachTriple(func(s NodeID, p PredID, o NodeID) bool {
-		out = append(out, rdf.Triple{S: st.terms[s], P: st.preds[p], O: st.terms[o]})
+		out = append(out, rdf.Triple{S: st.Term(s), P: st.preds[p], O: st.Term(o)})
 		return true
 	})
 	return out
@@ -451,7 +393,7 @@ func (st *Store) RestrictByMask(masks []*bitvec.Vector) *Store {
 			k++
 			return true
 		})
-		out.byPred[p] = newPredIndex(len(st.terms), s, o)
+		out.byPred[p] = newPredIndex(st.terms.len(), s, o)
 		out.nTrip += n
 	}
 	out.built = true

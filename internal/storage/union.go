@@ -35,16 +35,20 @@ func Union(parts ...*Store) (*Store, error) {
 	nTrip := base.nTrip
 	for _, part := range parts[1:] {
 		part.mustBeBuilt()
-		ids := make([]NodeID, len(part.terms))
+		ids := make([]NodeID, part.terms.len())
 		pids := make([]PredID, len(part.preds))
 		d.mu.Lock()
-		for i, t := range part.terms {
-			ids[i] = d.internTerm(t)
+		for i := range ids {
+			var err error
+			if ids[i], err = d.internTerm(part.terms.kind(NodeID(i)), part.terms.value(NodeID(i))); err != nil {
+				d.mu.Unlock()
+				return nil, err
+			}
 		}
 		for i, p := range part.preds {
 			pids[i] = d.internPred(p)
 		}
-		nodes, n := len(d.terms), len(d.preds)
+		nodes, n := len(d.kinds), len(d.preds)
 		d.mu.Unlock()
 		for len(byPred) < n {
 			byPred, claimed = append(byPred, predIndex{}), append(claimed, false)
@@ -69,8 +73,8 @@ func Union(parts ...*Store) (*Store, error) {
 	for len(byPred) < len(out.preds) { // predicates another store of the lineage interned meanwhile
 		byPred = append(byPred, predIndex{})
 	}
-	widen(byPred, len(out.terms))
+	widen(byPred, out.terms.len())
 	out.byPred = byPred
-	out.empty = bitmat.EmptyPair(len(out.terms))
+	out.empty = bitmat.EmptyPair(out.terms.len())
 	return out, nil
 }

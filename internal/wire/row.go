@@ -6,6 +6,8 @@ import (
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"dualsim/internal/rdf"
 )
 
 // The row event is the only message whose count scales with the answer,
@@ -107,6 +109,57 @@ func AppendCell(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	dst = AppendEscaped(dst, s)
 	return append(dst, '"')
+}
+
+// AppendTerm appends the cell of t's N-Triples rendering (<iri> or
+// "literal"): the JSON string that decodes to t.String(). A plain value
+// (printable ASCII other than the quote and the backslash, which the
+// store flags per term) is copied verbatim. Any other is escaped twice
+// over without an intermediate string: N-Triples turns a literal's
+// quote, backslash, \n, \t and \r into backslash pairs, JSON then
+// escapes those backslashes (and the quote) again; everything else is
+// only JSON-escaped.
+//
+//dualsim:hotpath
+func AppendTerm(dst []byte, t rdf.Term, plain bool) []byte {
+	v := t.Value
+	if t.Kind == rdf.IRI {
+		dst = append(dst, '"', '<')
+		if plain {
+			dst = append(dst, v...)
+		} else {
+			dst = AppendEscaped(dst, v)
+		}
+		return append(dst, '>', '"')
+	}
+	dst = append(dst, `"\"`...)
+	if plain {
+		dst = append(dst, v...)
+		return append(dst, `\""`...)
+	}
+	from := 0
+	for i := 0; i < len(v); i++ {
+		var esc string
+		switch v[i] {
+		case '"':
+			esc = `\\\"`
+		case '\\':
+			esc = `\\\\`
+		case '\n':
+			esc = `\\n`
+		case '\t':
+			esc = `\\t`
+		case '\r':
+			esc = `\\r`
+		default:
+			continue
+		}
+		dst = AppendEscaped(dst, v[from:i])
+		dst = append(dst, esc...)
+		from = i + 1
+	}
+	dst = AppendEscaped(dst, v[from:])
+	return append(dst, `\""`...)
 }
 
 // maxChunk caps Decode's chunks, in values (text chunks: 16× in bytes).
