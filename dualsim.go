@@ -69,6 +69,7 @@ package dualsim
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"dualsim/internal/core"
 	"dualsim/internal/engine"
@@ -194,11 +195,14 @@ type Relation struct {
 }
 
 // Candidates returns the node set for a query variable as decoded terms.
+// Each value is a copy, so a kept Term does not hold the store's
+// dictionary in memory.
 func (r *Relation) Candidates(varName string) []Term {
 	set := r.rel.VarSet(varName)
 	out := make([]Term, 0, set.Count())
 	set.ForEach(func(i int) bool {
-		out = append(out, r.st.Term(storage.NodeID(i)))
+		t := r.st.Term(storage.NodeID(i))
+		out = append(out, Term{Kind: t.Kind, Value: strings.Clone(t.Value)})
 		return true
 	})
 	return out

@@ -712,7 +712,7 @@ func evalLocal(ctx context.Context, src string, epoch uint64, parts ...*dualsim.
 			if v != dualsim.Unbound {
 				if names[v].hi == 0 {
 					lo, t := int32(len(out.text)), st.Term(v)
-					out.text = wire.AppendTerm(reserve(out.text, len(t.Value)+6), t, st.Plain(v))
+					out.text = wire.AppendTerm(reserve(out.text, len(t.Value)+6), t)
 					names[v] = span{lo, int32(len(out.text))}
 				}
 				c = names[v]

@@ -263,8 +263,8 @@ func (b *local) Ready() error { return nil }
 // was computed on, as Cursor.AppendRow specifies: each term in
 // N-Triples rendering (<iri> / "literal") as a JSON string, null for
 // unbound positions. Terms go from the dictionary's arena into dst
-// without an intermediate string, plain values verbatim; the result
-// decodes to exactly Term.String().
+// without an intermediate string; the result decodes to exactly
+// Term.String().
 //
 //dualsim:hotpath
 func appendRow(dst []byte, st *dualsim.Store, row []storage.NodeID) []byte {
@@ -277,7 +277,7 @@ func appendRow(dst []byte, st *dualsim.Store, row []storage.NodeID) []byte {
 			dst = append(dst, "null"...)
 			continue
 		}
-		dst = wire.AppendTerm(dst, st.Term(v), st.Plain(v))
+		dst = wire.AppendTerm(dst, st.Term(v))
 	}
 	return append(dst, ']')
 }

@@ -47,71 +47,26 @@ func TestAppendRowRendersTerms(t *testing.T) {
 	}
 }
 
-// TestAppendRowPlainValuesVerbatim holds the verbatim path to the
-// escaping one: a value of printable ASCII other than the quote and the
-// backslash renders as the cell wire.AppendCell writes for the term's
-// N-Triples rendering, byte for byte.
-func TestAppendRowPlainValuesVerbatim(t *testing.T) {
-	var ascii []byte
-	for c := byte(0x20); c < 0x7f; c++ {
-		if c != '"' && c != '\\' {
-			ascii = append(ascii, c)
-		}
-	}
-	values := []string{"", " ", "plain", `<&>`, "'single'", "http://example.org/a?b=c&d=%20#f", string(ascii)}
-	var triples []dualsim.Triple
-	for i, v := range values {
-		triples = append(triples, dualsim.TL(fmt.Sprintf("s%d", i), "lit", v), dualsim.T("iri:"+v, "iri", "o"))
-	}
-	st, err := dualsim.FromTriples(triples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < st.NumNodes(); id++ {
-		got := appendRow(nil, st, []storage.NodeID{storage.NodeID(id)})
-		want := append(wire.AppendCell([]byte{'['}, st.Term(storage.NodeID(id)).String()), ']')
-		if !bytes.Equal(got, want) {
-			t.Errorf("term %d renders as %s, want %s", id, got, want)
-		}
-	}
-}
-
-// TestPlainRuleAgreesWithRenderers pins the store's plain flag to the
-// renderers it licenses to copy verbatim: over every byte, in both
-// universes, a term is plain exactly when its byte is printable ASCII
-// other than the quote and the backslash, a plain value is left as it
-// is by both N-Triples and JSON escaping, and every term renders as the
-// escaping path does.
-func TestPlainRuleAgreesWithRenderers(t *testing.T) {
+// TestAppendRowWritesCanonicalCells holds appendRow to the canonical
+// cell, byte for byte: over every byte value, in both universes, a term
+// renders as wire.AppendCell of its N-Triples rendering, the spelling
+// the router compares cells by.
+func TestAppendRowWritesCanonicalCells(t *testing.T) {
 	var triples []dualsim.Triple
 	for b := 0; b < 256; b++ {
 		v := "a" + string([]byte{byte(b)}) + "z"
 		triples = append(triples, dualsim.TL("s", "lit", v), dualsim.T("iri:"+v, "iri", "o"))
 	}
+	triples = append(triples, dualsim.TL("s", "lit", ""), dualsim.T("http://example.org/a?b=c&d=%20#f", "iri", "o"))
 	st, err := dualsim.FromTriples(triples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := range storage.NodeID(st.NumNodes()) {
-		term, plain := st.Term(id), st.Plain(id)
-		v := term.Value
-		if v != "s" && v != "o" {
-			c := v[len(v)-2]
-			if want := c >= 0x20 && c < 0x7f && c != '"' && c != '\\'; plain != want {
-				t.Errorf("term %q: plain %v, want %v", v, plain, want)
-			}
-		}
-		if plain {
-			if esc := string(wire.AppendEscaped(nil, v)); esc != v {
-				t.Errorf("plain %q JSON-escapes to %q", v, esc)
-			}
-			if s := term.String(); s[1:len(s)-1] != v {
-				t.Errorf("plain %q renders as %s in N-Triples", v, s)
-			}
-		}
+		term := st.Term(id)
 		got := appendRow(nil, st, []storage.NodeID{id})
 		if want := append(wire.AppendCell([]byte{'['}, term.String()), ']'); !bytes.Equal(got, want) {
-			t.Errorf("term %q renders as %s, want %s", v, got, want)
+			t.Errorf("term %q renders as %s, want %s", term.Value, got, want)
 		}
 	}
 }

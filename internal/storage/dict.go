@@ -19,31 +19,26 @@ import (
 //
 // Terms live in four flat columns, with no Go string or pointer per term:
 // the values back to back in one byte arena, a uint32 offset column
-// (term id's value is arena[offsets[id]:offsets[id+1]]), one byte per
-// term holding its kind and its plain flag, and an open-addressed table
-// of id+1 per slot (0 is empty), keyed by a maphash of (kind, value) and
-// compared through the arena. Ids are handed out in insertion order.
+// (term id's value is arena[offsets[id]:offsets[id+1]]), one kind byte
+// per term, and an open-addressed table of id+1 per slot (0 is empty),
+// keyed by a maphash of (kind, value) and compared through the arena.
+// Ids are handed out in insertion order.
 //
 // Interning takes the write lock; lookups take the read lock. Column
 // elements, once appended, are never mutated, so snapshots keep
-// lock-free prefix views (termView) of them and of preds — which is why
-// the plain flag is a byte of its own and not a bit of a shared word.
+// lock-free prefix views (termView) of them and of preds.
 type dict struct {
 	mu sync.RWMutex
 
 	arena   []byte
 	offsets []uint32 // one more than there are terms; offsets[0] is 0
-	kinds   []byte   // rdf.Kind, | plainTerm when the value is plain
+	kinds   []rdf.Kind
 	table   []uint32 // a power of two long, at most 3/4 full
 	seed    maphash.Seed
 
 	preds  []string
 	predID map[string]PredID
 }
-
-// plainTerm marks, in a term's kind byte, a value that renders as itself
-// in N-Triples and inside a JSON string.
-const plainTerm = 0x80
 
 // minTable is the id table's length in an empty dictionary.
 const minTable = 16
@@ -57,29 +52,17 @@ func newDict() *dict {
 	}
 }
 
-// isPlain reports whether v is printable ASCII other than `"` and `\`:
-// the bytes that neither N-Triples nor a JSON string escapes, so the
-// renderers may copy such a value verbatim.
-func isPlain[V string | []byte](v V) bool {
-	for i := 0; i < len(v); i++ {
-		if c := v[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
-			return false
-		}
-	}
-	return true
-}
-
 // termView is a prefix view of a dictionary's term columns: the first
 // len(kinds) terms, as one snapshot sees them.
 type termView struct {
 	arena   []byte
 	offsets []uint32
-	kinds   []byte
+	kinds   []rdf.Kind
 }
 
 func (v termView) len() int { return len(v.kinds) }
 
-func (v termView) kind(id NodeID) rdf.Kind { return rdf.Kind(v.kinds[id] &^ plainTerm) }
+func (v termView) kind(id NodeID) rdf.Kind { return v.kinds[id] }
 
 // value returns term id's value, aliasing the arena: the bytes under a
 // published prefix never change, so the string stays valid for good.
@@ -176,11 +159,7 @@ func push[V string | []byte](d *dict, k rdf.Kind, v V) NodeID {
 	id := NodeID(len(d.kinds))
 	d.arena = append(d.arena, v...)
 	d.offsets = append(d.offsets, uint32(len(d.arena)))
-	b := byte(k)
-	if isPlain(v) {
-		b |= plainTerm
-	}
-	d.kinds = append(d.kinds, b)
+	d.kinds = append(d.kinds, k)
 	return id
 }
 

@@ -215,7 +215,7 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 	d := newDict()
 	d.arena = make([]byte, 0, size)
 	d.offsets = make([]uint32, 1, nTerms+1)
-	d.kinds = make([]byte, 0, nTerms)
+	d.kinds = make([]rdf.Kind, 0, nTerms)
 	_ = walkTerms(func(k rdf.Kind, v []byte) { push(d, k, v) }) // the first walk validated every term
 	if !d.reindex(tableSize(int(nTerms))) {
 		return nil, fmt.Errorf("storage: snapshot dictionary lists a term twice")

@@ -29,9 +29,8 @@
 //
 // Dictionary layout (dict.go): node ids are handed out in insertion
 // order. The term values sit back to back in one byte arena, found
-// through a uint32 offset column, with one byte per term for its kind
-// and a plain flag (the value renders verbatim in N-Triples and in a
-// JSON string); an open-addressed uint32 id table keyed by a maphash of
+// through a uint32 offset column, with one byte per term for its kind;
+// an open-addressed uint32 id table keyed by a maphash of
 // (kind, value) maps a term back to its id, comparing through the
 // arena. There is no Go string, pointer or map entry per term: Term
 // returns a Value aliasing the arena, and Build, Patch, Union and the
@@ -207,11 +206,6 @@ func (st *Store) NumPreds() int { return len(st.preds) }
 func (st *Store) Term(id NodeID) rdf.Term {
 	return rdf.Term{Kind: st.terms.kind(id), Value: st.terms.value(id)}
 }
-
-// Plain reports whether node id's value is printable ASCII other than
-// `"` and `\`: such a value renders as itself in N-Triples and inside a
-// JSON string, so a renderer may copy its bytes verbatim.
-func (st *Store) Plain(id NodeID) bool { return st.terms.kinds[id]&plainTerm != 0 }
 
 // TermID looks up a term without allocating. Terms interned into the
 // shared dictionary after this snapshot was taken (by a Patch on a

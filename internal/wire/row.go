@@ -112,31 +112,21 @@ func AppendCell(dst []byte, s string) []byte {
 }
 
 // AppendTerm appends the cell of t's N-Triples rendering (<iri> or
-// "literal"): the JSON string that decodes to t.String(). A plain value
-// (printable ASCII other than the quote and the backslash, which the
-// store flags per term) is copied verbatim. Any other is escaped twice
-// over without an intermediate string: N-Triples turns a literal's
-// quote, backslash, \n, \t and \r into backslash pairs, JSON then
-// escapes those backslashes (and the quote) again; everything else is
-// only JSON-escaped.
+// "literal"): the JSON string that decodes to t.String(), written
+// without an intermediate string. Two escapings compose: N-Triples
+// turns a literal's quote, backslash, \n, \t and \r into backslash
+// pairs, JSON then escapes those backslashes (and the quote) again;
+// everything else is only JSON-escaped.
 //
 //dualsim:hotpath
-func AppendTerm(dst []byte, t rdf.Term, plain bool) []byte {
+func AppendTerm(dst []byte, t rdf.Term) []byte {
 	v := t.Value
 	if t.Kind == rdf.IRI {
 		dst = append(dst, '"', '<')
-		if plain {
-			dst = append(dst, v...)
-		} else {
-			dst = AppendEscaped(dst, v)
-		}
+		dst = AppendEscaped(dst, v)
 		return append(dst, '>', '"')
 	}
 	dst = append(dst, `"\"`...)
-	if plain {
-		dst = append(dst, v...)
-		return append(dst, `\""`...)
-	}
 	from := 0
 	for i := 0; i < len(v); i++ {
 		var esc string

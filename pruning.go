@@ -3,6 +3,7 @@ package dualsim
 import (
 	"context"
 	"io"
+	"strings"
 
 	"dualsim/internal/core"
 	"dualsim/internal/prune"
@@ -76,7 +77,8 @@ type PatternRelation struct {
 
 // Candidates returns the simulating nodes of a pattern variable in
 // deterministic (ascending node id) order, or nil for an unknown
-// variable — mirroring VarIndex.
+// variable — mirroring VarIndex. Each value is a copy, so a kept Term
+// does not hold the store's dictionary in memory.
 func (r *PatternRelation) Candidates(varName string) []Term {
 	i, ok := r.rel.Pattern.VarIndex(varName)
 	if !ok {
@@ -85,7 +87,8 @@ func (r *PatternRelation) Candidates(varName string) []Term {
 	chi := r.rel.Chi[i]
 	out := make([]Term, 0, chi.Count())
 	chi.ForEach(func(n int) bool {
-		out = append(out, r.st.Term(uint32(n)))
+		t := r.st.Term(uint32(n))
+		out = append(out, Term{Kind: t.Kind, Value: strings.Clone(t.Value)})
 		return true
 	})
 	return out
