@@ -316,7 +316,7 @@ func (c *Client) ApplyDelta(ctx context.Context, d dualsim.Delta) (*ApplyRespons
 	return c.Apply(ctx, adds, dels)
 }
 
-// Compact asks the server to consolidate the live-update overlay.
+// Compact asks the server to rebuild its store (fresh dictionary).
 func (c *Client) Compact(ctx context.Context) (*ApplyResponse, error) {
 	var out ApplyResponse
 	if err := c.doJSON(ctx, "POST", "/v1/compact", nil, &out, false); err != nil {

@@ -51,7 +51,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = no deadline)")
 	applyFile := flag.String("apply", "", "N-Triples file of triples to add as a live delta after the first run")
 	delFile := flag.String("del", "", "N-Triples file of triples to delete as a live delta after the first run")
-	compactAt := flag.Int("compactat", 0, "auto-compact the update overlay at this ledger size (0 = manual)")
+	compactAt := flag.Int("compactat", 0, "auto-compact once this many effective triple changes accumulate since the last compaction (0 = manual)")
 	top := flag.Bool("top", false, "show a server's workload statistics table (GET /v1/debug/statements) instead of running a query")
 	serverURL := flag.String("server", "http://localhost:8080", "with -top: daemon or router base URL")
 	interval := flag.Duration("interval", 0, "with -top: refresh period (0 = print once and exit)")

@@ -15,7 +15,7 @@
 //	POST /v1/query        query via the plan cache; ?stream=1 for NDJSON rows
 //	POST /v1/batch        query batch, members at most GOMAXPROCS at a time
 //	POST /v1/apply        live delta (dels before adds, atomic, epoch++)
-//	POST /v1/compact      consolidate the update overlay
+//	POST /v1/compact      rebuild the store (fresh dictionary)
 //	POST /v1/checkpoint   roll the WAL into a fresh on-disk snapshot
 //	GET  /v1/snapshot     epoch + store shape
 //	GET  /v1/export       predicate slices as a DSIMSNP1 container (the router's gather path)
@@ -117,7 +117,7 @@ func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
 	fs.StringVar(&cfg.data, "data", "", "durable data dir: snapshot + WAL; warm restart when it holds state")
 	fs.BoolVar(&cfg.prune, "prune", true, "evaluate through the dual-simulation pruning pipeline")
 	fs.IntVar(&cfg.planCache, "plancache", 128, "LRU plan cache capacity (0 disables)")
-	fs.IntVar(&cfg.compactAt, "compactat", 0, "auto-compact the update overlay at this ledger size (0 = manual)")
+	fs.IntVar(&cfg.compactAt, "compactat", 0, "auto-compact once this many effective triple changes accumulate since the last compaction (0 = manual)")
 	fs.IntVar(&cfg.checkpointEvery, "checkpointevery", 1024, "with -data, checkpoint every n WAL records (0 = only on compact/demand)")
 	fs.IntVar(&cfg.maxInFlight, "maxinflight", 0, "concurrently executing requests (0 = 2×GOMAXPROCS)")
 	fs.IntVar(&cfg.queueDepth, "queuedepth", 64, "requests waiting for a slot before shedding with 429")

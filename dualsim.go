@@ -39,8 +39,8 @@
 //     executions finish on their epoch, plan cache keys carry the epoch,
 //     index maintenance is incremental in the touched predicates),
 //     db.Snapshot() pins an epoch for repeatable reads, and
-//     WithCompactionThreshold/db.Compact consolidate the update overlay
-//     into a pristine store;
+//     WithCompactionThreshold/db.Compact rebuild the patched store into
+//     a pristine one with a fresh dictionary;
 //   - network serving: internal/server (behind cmd/dualsimd) exposes a
 //     session over HTTP/JSON with NDJSON row streaming, admission
 //     control and epoch-tagged responses (a /v1/batch member is one

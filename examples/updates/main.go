@@ -33,7 +33,7 @@ func main() {
 
 	// --- Step 1: a serving session over the store ----------------------
 	// The plan cache makes repeated texts cheap; the compaction threshold
-	// arms automatic consolidation of the update overlay.
+	// arms an automatic store rebuild once enough triples have changed.
 	db, err := dualsim.Open(st,
 		dualsim.WithPlanCache(16),
 		dualsim.WithCompactionThreshold(1<<14))
@@ -106,8 +106,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("compacted in %v: epoch %d, %d triples, overlay ledger reset\n",
-		cs.Duration, cs.Epoch, db.Store().NumTriples())
+	fmt.Printf("compacted in %v: epoch %d, %d triples, change count reset to %d\n",
+		cs.Duration, cs.Epoch, db.Store().NumTriples(), cs.OverlaySize)
 
 	fmt.Printf("\nplan cache: %+v\n", db.CacheStats())
 

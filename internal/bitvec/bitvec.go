@@ -3,14 +3,8 @@
 // relation, as well as per-label node summaries (the vectors f_a and b_a of
 // the paper's inequality (13)).
 //
-// Two representations are provided:
-//
-//   - Vector: a dense, word-packed bit-vector. This is the working
-//     representation for χS rows and multiplication results.
-//   - Compressed: a run-length ("gap-length") encoded bit-vector in the
-//     spirit of EWAH/WAH. The paper (§3.3, §5.1) points out that gap-length
-//     encoding keeps sparse node sets small; Compressed is the compact form
-//     of a vector for storage or transfer, not a working representation.
+// Vector is a dense, word-packed bit-vector: the working representation
+// for χS rows and multiplication results.
 //
 // All operations treat vectors as having a fixed logical length Len; bits
 // at positions ≥ Len are always zero.

@@ -118,7 +118,7 @@ func TestPropertyVectorMatchesModel(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			op := ""
 			w, wm := modelOperand(r, n)
-			switch k := r.Intn(14); {
+			switch k := r.Intn(13); {
 			case k == 0 && n > 0:
 				op = "Set"
 				i := r.Intn(n)
@@ -211,12 +211,6 @@ func TestPropertyVectorMatchesModel(t *testing.T) {
 				OrInto(v, a, w)
 				for i := range model {
 					model[i] = am[i] || wm[i]
-				}
-			case k == 12:
-				op = "Compressed.OrInto"
-				Compress(w).OrInto(v)
-				for i := range model {
-					model[i] = model[i] || wm[i]
 				}
 			default:
 				op = "Clone"

@@ -17,7 +17,7 @@ type RecordKind uint8
 const (
 	// RecordApply is one delta batch: dels before adds, epoch++.
 	RecordApply RecordKind = 1
-	// RecordCompact is an on-demand overlay compaction: epoch++ with no
+	// RecordCompact is an on-demand compaction: epoch++ with no
 	// triple payload (the rebuild is deterministic from the state the
 	// preceding records produce).
 	RecordCompact RecordKind = 2

@@ -109,8 +109,8 @@ func New(db *dualsim.DB, opts ...Option) (*Server, error) {
 	reg.GaugeFunc("dualsimd_plan_cache_hit_rate", "plan cache hit rate in [0,1]", func() float64 {
 		return be.session().CacheStats().HitRate()
 	})
-	reg.GaugeFunc("dualsimd_overlay_size", "live-update overlay ledger size", func() float64 {
-		return float64(be.session().OverlaySize())
+	reg.GaugeFunc("dualsimd_overlay_size", "effective triple changes since the last compaction", func() float64 {
+		return float64(be.session().Snapshot().OverlaySize())
 	})
 	reg.GaugeFunc("dualsimd_triples", "triples in the current snapshot", func() float64 {
 		return float64(be.session().Store().NumTriples())
@@ -228,29 +228,18 @@ func (b *local) Apply(ctx context.Context, d dualsim.Delta) (any, uint64, error)
 }
 
 func (b *local) Snapshot(context.Context) (*wire.SnapshotResponse, error) {
-	// The store shape comes from a pinned snapshot; the overlay counters
-	// are live session reads. Re-read until the epoch is stable around
-	// them so a concurrent Apply/Compact cannot tear the response into a
-	// combination that never existed (e.g. the old epoch with the
-	// post-compaction overlay size).
-	var out wire.SnapshotResponse
-	db := b.session()
-	for i := 0; i < 4; i++ {
-		snap := db.Snapshot()
-		st := snap.Store()
-		out = wire.SnapshotResponse{
-			Epoch:       snap.Epoch(),
-			Triples:     st.NumTriples(),
-			Nodes:       st.NumNodes(),
-			Predicates:  st.NumPreds(),
-			OverlaySize: db.OverlaySize(),
-			Compactions: db.Compactions(),
-		}
-		if db.Epoch() == snap.Epoch() {
-			break
-		}
-	}
-	return &out, nil
+	// One pinned snapshot carries the store and its lineage counters, so
+	// a concurrent Apply/Compact cannot tear the response.
+	snap := b.session().Snapshot()
+	st := snap.Store()
+	return &wire.SnapshotResponse{
+		Epoch:       snap.Epoch(),
+		Triples:     st.NumTriples(),
+		Nodes:       st.NumNodes(),
+		Predicates:  st.NumPreds(),
+		OverlaySize: snap.OverlaySize(),
+		Compactions: snap.Compactions(),
+	}, nil
 }
 
 func (b *local) Epoch() uint64 { return b.session().Epoch() }

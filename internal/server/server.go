@@ -22,7 +22,7 @@
 // slow-log feeding and request metrics; a backend only executes. The
 // local backend additionally mounts the routes that need a session:
 //
-//	POST /v1/compact   on-demand overlay compaction
+//	POST /v1/compact   on-demand compaction (store rebuild)
 //	POST /v1/checkpoint roll the durable session's WAL into a snapshot
 //	GET  /v1/export    DSIMSNP1 container of predicate slices at a pinned epoch (router gather)
 //	GET  /v1/wal       replication tail: WAL records after an epoch (NDJSON)

@@ -416,6 +416,91 @@ func TestApplyCompactSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotNeverTearsUnderApplies: /v1/snapshot reads the epoch and
+// the lineage counters from one published value. Every apply adds one
+// fresh triple at threshold T, so epoch e has compacted e/T times and
+// carries e%T changes; a response mixing two epochs breaks the identity.
+func TestSnapshotNeverTearsUnderApplies(t *testing.T) {
+	const (
+		threshold = 4
+		writers   = 3
+		applies   = 25
+		readers   = 3
+	)
+	st, err := dualsim.FromTriples(queries.Fig1aTriples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dualsim.Open(st, dualsim.WithCompactionThreshold(threshold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv, err := New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+
+	errc := make(chan error, writers+readers)
+	var writersWG, readersWG sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < writers; w++ {
+		writersWG.Add(1)
+		go func() {
+			defer writersWG.Done()
+			for k := 0; k < applies; k++ {
+				body, _ := json.Marshal(wire.ApplyRequest{Adds: []wire.Triple{{S: fmt.Sprintf("w%d", w), P: "wrote", O: fmt.Sprintf("n%d", k)}}})
+				resp, err := http.Post(hs.URL+"/v1/apply", wire.ContentTypeJSON, bytes.NewReader(body))
+				if err == nil {
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						err = fmt.Errorf("apply: status %d", resp.StatusCode)
+					}
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		readersWG.Add(1)
+		go func() {
+			defer readersWG.Done()
+			for !done.Load() {
+				resp, err := http.Get(hs.URL + "/v1/snapshot")
+				if err != nil {
+					errc <- err
+					return
+				}
+				var snap wire.SnapshotResponse
+				err = json.NewDecoder(resp.Body).Decode(&snap)
+				resp.Body.Close()
+				if err == nil && (snap.Compactions != int(snap.Epoch/threshold) || snap.OverlaySize != int(snap.Epoch%threshold)) {
+					err = fmt.Errorf("torn snapshot: epoch %d, %d compactions, overlay %d", snap.Epoch, snap.Compactions, snap.OverlaySize)
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	writersWG.Wait()
+	done.Store(true)
+	readersWG.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if e := db.Epoch(); e != writers*applies {
+		t.Fatalf("epoch %d after %d applies", e, writers*applies)
+	}
+}
+
 func TestApplyMalformedTriple(t *testing.T) {
 	_, hs, db := newTestServer(t)
 	for name, bad := range map[string]wire.Triple{

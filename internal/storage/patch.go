@@ -63,7 +63,7 @@ type predChange struct {
 // interned, so an invalid triple leaves the dictionary untouched.
 // Concurrent Patch calls on snapshots of one lineage are safe with
 // respect to the shared dictionary, but the caller is responsible for
-// ordering them (the delta overlay serializes).
+// ordering them (the session's single writer serializes).
 func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 	st.mustBeBuilt()
 	var stats PatchStats

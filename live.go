@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"dualsim/internal/delta"
 	"dualsim/internal/persist"
 	"dualsim/internal/storage"
 	"dualsim/internal/trace"
@@ -16,10 +15,9 @@ import (
 // data dir (WithDataDir/OpenDir).
 var ErrNotDurable = errors.New("dualsim: session has no data dir; open with WithDataDir or OpenDir")
 
-// This file is the session surface of the live-update subsystem
-// (internal/delta): Apply mutates the database by publishing a new
-// epoch-numbered snapshot, Snapshot pins the current epoch for
-// repeatable reads, Compact consolidates the overlay on demand.
+// This file is the session's write path: Apply mutates the database by
+// publishing a new epoch-numbered snapshot, Snapshot pins the current
+// epoch for repeatable reads, Compact rebuilds the store on demand.
 //
 // Consistency model (MVCC-lite, single writer): snapshots are immutable
 // and swapped atomically. Every request — Exec, Query, QueryStream —
@@ -27,6 +25,12 @@ var ErrNotDurable = errors.New("dualsim: session has no data dir; open with With
 // entirely from it; ExecStats.Epoch reports which. Applies are
 // serialized; readers are never blocked and never observe a half-applied
 // delta.
+//
+// The published snapshot is the whole store lineage: the store, its
+// epoch, the effective triple changes since the last compaction and the
+// compaction count. Apply and Compact are one writer over a WAL record
+// kind; the writer and OpenDir's WAL replay advance the lineage by the
+// same step.
 
 // Delta is one batch of mutations for Apply. Dels are applied before
 // Adds: a triple occurring in both ends up present. Deleting an absent
@@ -47,9 +51,10 @@ type ApplyStats struct {
 	// elimination.
 	Added   int `json:"added"`
 	Deleted int `json:"deleted"`
-	// OverlaySize is the overlay ledger size after the operation —
-	// staged adds plus tombstoned deletes relative to the last
-	// compacted base. Reaching WithCompactionThreshold resets it to 0.
+	// OverlaySize is the number of effective triple changes (Added +
+	// Deleted, summed over applies) since the last compaction, after the
+	// operation. Reaching WithCompactionThreshold, or Compact, resets it
+	// to 0.
 	OverlaySize int `json:"overlaySize"`
 	// Compacted reports that the store was rebuilt from scratch (the
 	// threshold was crossed, or Compact was called).
@@ -76,27 +81,46 @@ type ApplyStats struct {
 	Duration time.Duration `json:"duration"`
 	// Trace is the operation's span tree when tracing was enabled on the
 	// serving request: wal.append (fsync latency, framed bytes), patch
-	// (index maintenance), publish (snapshot swap) and checkpoint. Nil by
-	// default.
+	// or compact (index maintenance), publish (snapshot swap) and
+	// checkpoint. Nil by default.
 	Trace *trace.Span `json:"trace,omitempty"`
 }
 
 // Apply mutates the database: deletes d.Dels, then adds d.Adds, and
 // publishes the result as the next epoch's snapshot. The call is atomic
-// — an invalid triple fails the whole delta with nothing changed — and
-// serialized with other Apply/Compact calls; readers are never blocked.
+// — an invalid triple fails the whole delta with nothing changed, not
+// the epoch, not the change count, not the dictionary — and serialized
+// with other Apply/Compact calls; readers are never blocked.
 //
 // In-flight executions and PreparedQuery/Snapshot handles keep answering
 // from the epoch they pinned; new Exec/Query/QueryStream calls see the new
 // snapshot. Plans of superseded epochs are dropped from the plan cache
 // (they could never be served anyway — cache keys carry the epoch).
 // Index maintenance is incremental: only predicates the delta touches
-// are re-indexed — until the overlay crosses WithCompactionThreshold,
-// when the whole store is consolidated.
+// are re-indexed — until the effective changes since the last compaction
+// reach WithCompactionThreshold, when the store is rebuilt in the same
+// epoch step.
 //
 // Applying an empty Delta is a no-op: no epoch bump, no snapshot swap,
 // no plan-cache invalidation — ApplyStats.NoOp reports it.
 func (db *DB) Apply(ctx context.Context, d Delta) (ApplyStats, error) {
+	return db.write(ctx, persist.Record{Kind: persist.RecordApply, Adds: d.Adds, Dels: d.Dels})
+}
+
+// Compact rebuilds the live store on demand into a pristine store (fresh
+// dictionary, reclaiming the space of deleted triples and dead terms),
+// resets the change count and publishes the result as the next epoch.
+// Node ids are not stable across a compaction. See
+// WithCompactionThreshold for the automatic variant.
+func (db *DB) Compact(ctx context.Context) (ApplyStats, error) {
+	return db.write(ctx, persist.Record{Kind: persist.RecordCompact})
+}
+
+// write is the one writer: it logs rec at the next epoch on a durable
+// session, advances the lineage by step, publishes the result and runs
+// the checkpoint policy. Every failure leaves the published snapshot as
+// it was.
+func (db *DB) write(ctx context.Context, rec persist.Record) (ApplyStats, error) {
 	if db.closed.Load() {
 		return ApplyStats{}, ErrClosed
 	}
@@ -111,68 +135,77 @@ func (db *DB) Apply(ctx context.Context, d Delta) (ApplyStats, error) {
 	db.applyMu.Lock()
 	defer db.applyMu.Unlock()
 
-	// Durability comes first: the delta is validated (so the log never
-	// holds a record the replay would reject) and WAL-appended with an
-	// fsync before it is applied — an acknowledged Apply survives a
-	// crash, an unacknowledged one is at worst a torn tail record that
-	// recovery truncates away. Empty deltas are no-ops and are not
-	// logged (they would not advance the epoch on replay either).
-	var walStats persist.AppendStats
-	if db.pers != nil && (len(d.Adds) > 0 || len(d.Dels) > 0) {
-		// Pre-validate with the exact check the apply (and any later
-		// replay) performs, so the WAL never records a rejectable batch.
-		if err := storage.ValidateBatch(d.Adds, d.Dels); err != nil {
-			return ApplyStats{Epoch: db.overlay.Epoch(), OverlaySize: db.overlay.Size()}, err
+	cur := db.snap.Load()
+	stats := ApplyStats{Epoch: cur.epoch, OverlaySize: cur.pending}
+	compact := rec.Kind == persist.RecordCompact
+	if !compact && len(rec.Adds) == 0 && len(rec.Dels) == 0 {
+		// An empty delta is a no-op: publishing a fresh epoch for it would
+		// only invalidate cached plans for a bit-identical snapshot. It is
+		// not logged either (it would not advance the epoch on replay).
+		stats.NoOp = true
+		stats.Duration = time.Since(start)
+		return stats, nil
+	}
+
+	// Durability comes first: the record is validated (so the log never
+	// holds one the replay would reject) and WAL-appended with an fsync
+	// before it is applied — an acknowledged write survives a crash, an
+	// unacknowledged one is at worst a torn tail record that recovery
+	// truncates away.
+	rec.Epoch = cur.epoch + 1
+	if db.pers != nil {
+		if err := storage.ValidateBatch(rec.Adds, rec.Dels); err != nil {
+			return stats, err
 		}
-		ws, err := db.pers.AppendApply(db.overlay.Epoch()+1, d.Adds, d.Dels)
+		var ws persist.AppendStats
+		var err error
+		if compact {
+			ws, err = db.pers.AppendCompact(rec.Epoch)
+		} else {
+			ws, err = db.pers.AppendApply(rec.Epoch, rec.Adds, rec.Dels)
+		}
 		if err != nil {
-			return ApplyStats{Epoch: db.overlay.Epoch(), OverlaySize: db.overlay.Size()},
-				fmt.Errorf("dualsim: WAL append: %w", err)
+			return stats, fmt.Errorf("dualsim: WAL append: %w", err)
 		}
-		walStats = ws
-		sp.Record("wal.append", walStats.FsyncLatency).Add("walBytes", walStats.Bytes)
+		stats.WALBytes, stats.FsyncLatency = ws.Bytes, ws.FsyncLatency
+		sp.Record("wal.append", ws.FsyncLatency).Add("walBytes", ws.Bytes)
 	}
 
 	p0 := time.Now()
-	st, res, err := db.overlay.Apply(delta.Delta{Adds: d.Adds, Dels: d.Dels})
-	if ps := sp.Record("patch", time.Since(p0)); ps != nil {
-		ps.Add("touchedPreds", int64(res.Patch.TouchedPreds))
-		ps.Add("newTerms", int64(res.Patch.NewTerms))
-	}
-	stats := ApplyStats{
-		Epoch:        res.Epoch,
-		Added:        res.Added,
-		Deleted:      res.Deleted,
-		OverlaySize:  res.OverlaySize,
-		Compacted:    res.Compacted,
-		NoOp:         res.NoOp,
-		TouchedPreds: res.Patch.TouchedPreds,
-		NewTerms:     res.Patch.NewTerms,
-		WALBytes:     walStats.Bytes,
-		FsyncLatency: walStats.FsyncLatency,
+	next, ps, err := db.step(cur, rec)
+	if compact {
+		sp.Record("compact", time.Since(p0))
+	} else if s := sp.Record("patch", time.Since(p0)); s != nil {
+		s.Add("touchedPreds", int64(ps.TouchedPreds))
+		s.Add("newTerms", int64(ps.NewTerms))
 	}
 	if err != nil {
 		return stats, err
 	}
-	if res.NoOp {
-		// Empty delta: nothing to publish — the current snapshot stays
-		// live, cached plans stay valid.
-		stats.Duration = time.Since(start)
-		return stats, nil
-	}
+	stats.Epoch, stats.OverlaySize = next.epoch, next.pending
+	stats.Added, stats.Deleted = ps.Added, ps.Deleted
+	stats.TouchedPreds, stats.NewTerms = ps.TouchedPreds, ps.NewTerms
+	stats.Compacted = next.compactions != cur.compactions
+
 	pb0 := time.Now()
-	db.publish(st, res.Epoch)
+	db.snap.Store(next)
+	if db.cache != nil {
+		db.cache.dropStaleEpochs(next.epoch)
+	}
 	sp.Record("publish", time.Since(pb0))
-	if db.pers != nil && db.set.checkpointEvery > 0 &&
-		db.pers.RecordsSinceCheckpoint() >= int64(db.set.checkpointEvery) {
-		// A checkpoint failure must not fail the Apply: the delta is
-		// already WAL-acked, applied and published — durability holds,
-		// recovery just replays a longer log. Count the degradation
-		// (PersistStats.CheckpointFailures, a dualsimd gauge) instead of
-		// turning a healthy write into a caller-visible error on every
-		// subsequent Apply.
+
+	// A compaction already rebuilt the whole store — the natural moment to
+	// checkpoint: the fresh snapshot makes every WAL record redundant. An
+	// Apply checkpoints when WithCheckpointEvery says so. A checkpoint
+	// failure must not fail the write: the record is already WAL-acked,
+	// applied and published — durability holds, recovery just replays a
+	// longer log. Count the degradation (PersistStats.CheckpointFailures,
+	// a dualsimd gauge) instead of turning a healthy write into a
+	// caller-visible error.
+	if db.pers != nil && (compact || db.set.checkpointEvery > 0 &&
+		db.pers.RecordsSinceCheckpoint() >= int64(db.set.checkpointEvery)) {
 		c0 := time.Now()
-		if _, cerr := db.pers.Checkpoint(st, res.Epoch); cerr != nil {
+		if _, cerr := db.pers.Checkpoint(next.st, next.epoch); cerr != nil {
 			db.ckptFails.Add(1)
 		} else {
 			stats.Checkpointed = true
@@ -183,67 +216,41 @@ func (db *DB) Apply(ctx context.Context, d Delta) (ApplyStats, error) {
 	return stats, nil
 }
 
-// Compact consolidates the live store on demand: the current snapshot is
-// rebuilt into a pristine store (fresh dictionary, reclaiming the space
-// of tombstoned triples and dead terms), the overlay ledger resets, and
-// the result is published as the next epoch. See
-// WithCompactionThreshold for the automatic variant.
-func (db *DB) Compact(ctx context.Context) (ApplyStats, error) {
-	if db.closed.Load() {
-		return ApplyStats{}, ErrClosed
+// step advances the lineage by one WAL record and returns the next
+// epoch's snapshot, unpublished. An apply patches the store and, once
+// the effective changes since the last compaction reach
+// WithCompactionThreshold, rebuilds it; a compact rebuilds it. cur is
+// never modified, so a failed step changes nothing.
+func (db *DB) step(cur *dbSnapshot, rec persist.Record) (*dbSnapshot, storage.PatchStats, error) {
+	next := *cur
+	next.epoch++
+	var ps storage.PatchStats
+	var rebuild bool
+	switch rec.Kind {
+	case persist.RecordApply:
+		var err error
+		if next.st, ps, err = cur.st.Patch(rec.Adds, rec.Dels); err != nil {
+			return nil, ps, err
+		}
+		next.pending += ps.Added + ps.Deleted
+		rebuild = db.set.compactThreshold > 0 && next.pending >= db.set.compactThreshold
+	case persist.RecordCompact:
+		rebuild = true
+	default:
+		return nil, ps, fmt.Errorf("unknown WAL record kind %d", rec.Kind)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return ApplyStats{}, err
-	}
-	sp := trace.SpanFromContext(ctx)
-	start := time.Now()
-	db.applyMu.Lock()
-	defer db.applyMu.Unlock()
-
-	var walStats persist.AppendStats
-	if db.pers != nil {
-		ws, err := db.pers.AppendCompact(db.overlay.Epoch() + 1)
+	if rebuild {
+		st, err := storage.FromTriples(next.st.Triples())
 		if err != nil {
-			return ApplyStats{Epoch: db.overlay.Epoch()}, fmt.Errorf("dualsim: WAL append: %w", err)
+			return nil, ps, fmt.Errorf("dualsim: compaction rebuild: %w", err)
 		}
-		walStats = ws
-		sp.Record("wal.append", walStats.FsyncLatency).Add("walBytes", walStats.Bytes)
+		next.st, next.pending = st, 0
+		next.compactions++
+		// The rebuild subsumes the patch: its index counters (and node
+		// ids) no longer describe the published store.
+		ps = storage.PatchStats{Added: ps.Added, Deleted: ps.Deleted}
 	}
-	p0 := time.Now()
-	st, res, err := db.overlay.Compact()
-	sp.Record("compact", time.Since(p0))
-	stats := ApplyStats{
-		Epoch:        res.Epoch,
-		Compacted:    true,
-		WALBytes:     walStats.Bytes,
-		FsyncLatency: walStats.FsyncLatency,
-	}
-	if err != nil {
-		return stats, err
-	}
-	pb0 := time.Now()
-	db.publish(st, res.Epoch)
-	sp.Record("publish", time.Since(pb0))
-	if db.pers != nil {
-		// A compaction already rebuilt the whole store — the natural
-		// moment to checkpoint: the fresh snapshot makes every WAL record
-		// redundant, and the next boot loads it directly instead of
-		// replaying the log and re-compacting. Like the auto-checkpoint in
-		// Apply, a failure here is degradation, not an error: the compact
-		// record is WAL-acked, so recovery replays it.
-		c0 := time.Now()
-		if _, cerr := db.pers.Checkpoint(st, res.Epoch); cerr != nil {
-			db.ckptFails.Add(1)
-		} else {
-			stats.Checkpointed = true
-			sp.Record("checkpoint", time.Since(c0))
-		}
-	}
-	stats.Duration = time.Since(start)
-	return stats, nil
+	return &next, ps, nil
 }
 
 // CheckpointStats reports one Checkpoint. JSON tags are part of the
@@ -354,23 +361,6 @@ func (db *DB) PersistStats() PersistStats {
 	}
 }
 
-// publish swaps in the new snapshot and invalidates superseded plans.
-// Called with applyMu held.
-func (db *DB) publish(st *storage.Store, epoch uint64) {
-	db.snap.Store(&dbSnapshot{st: st, epoch: epoch})
-	if db.cache != nil {
-		db.cache.dropStaleEpochs(epoch)
-	}
-}
-
-// OverlaySize returns the live-update ledger size: staged adds plus
-// tombstoned deletes relative to the last compacted base.
-func (db *DB) OverlaySize() int { return db.overlay.Size() }
-
-// Compactions returns how many times the session's store has been
-// compacted (automatically or via Compact).
-func (db *DB) Compactions() int { return db.overlay.Compactions() }
-
 // Snapshot pins the session's current epoch for repeatable reads: every
 // query through the returned handle answers from exactly this snapshot,
 // regardless of later Apply calls. Snapshots are cheap (a pointer), safe
@@ -394,6 +384,15 @@ type Snapshot struct {
 
 // Epoch returns the pinned epoch.
 func (s *Snapshot) Epoch() uint64 { return s.snap.epoch }
+
+// OverlaySize returns the effective triple changes (adds and deletes
+// that changed the store) from the last compaction up to the pinned
+// epoch; ApplyStats.OverlaySize reports the same count.
+func (s *Snapshot) OverlaySize() int { return s.snap.pending }
+
+// Compactions returns how many times the session's store had been
+// compacted, automatically or via Compact, up to the pinned epoch.
+func (s *Snapshot) Compactions() int { return s.snap.compactions }
 
 // Store returns the pinned store.
 func (s *Snapshot) Store() *Store { return s.snap.st }

@@ -98,7 +98,9 @@ func TestApplyInvalidatesCachedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if as.Deleted != 1 || as.OverlaySize != 1 {
+	// OverlaySize counts effective changes since the last compaction:
+	// two adds, then one delete.
+	if as.Deleted != 1 || as.OverlaySize != 3 {
 		t.Fatalf("delete ApplyStats = %+v", as)
 	}
 	res, stats, err = db.Query(ctx, q)
@@ -211,7 +213,7 @@ func TestPreparedQueryPinsEpoch(t *testing.T) {
 }
 
 // TestApplyCompaction: crossing WithCompactionThreshold consolidates the
-// store mid-Apply; answers stay correct and the ledger resets.
+// store mid-Apply; answers stay correct and the change count resets.
 func TestApplyCompaction(t *testing.T) {
 	ctx := context.Background()
 	db, err := dualsim.Open(fig1a(t), dualsim.WithCompactionThreshold(3))
@@ -232,8 +234,8 @@ func TestApplyCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !as.Compacted || as.OverlaySize != 0 || db.Compactions() != 1 {
-		t.Fatalf("threshold crossing did not compact: %+v (compactions %d)", as, db.Compactions())
+	if n := db.Snapshot().Compactions(); !as.Compacted || as.OverlaySize != 0 || n != 1 {
+		t.Fatalf("threshold crossing did not compact: %+v (compactions %d)", as, n)
 	}
 
 	res, stats, err := db.Exec(ctx, `SELECT * WHERE { ?d <directed> ?m . }`)
@@ -258,7 +260,8 @@ func TestApplyCompaction(t *testing.T) {
 }
 
 // TestApplyAtomicDelta: an invalid triple anywhere in the delta fails
-// the whole Apply with nothing changed.
+// the whole Apply with nothing changed: not the epoch, not the change
+// count, not the dictionary.
 func TestApplyAtomicDelta(t *testing.T) {
 	ctx := context.Background()
 	db, err := dualsim.Open(fig1a(t))
@@ -266,6 +269,7 @@ func TestApplyAtomicDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	nodes := db.Store().NumNodes()
 	bad := dualsim.Delta{Adds: []dualsim.Triple{
 		dualsim.T("fine", "p", "ok"),
 		{S: dualsim.Literal("bad"), P: "p", O: dualsim.IRI("x")},
@@ -273,11 +277,13 @@ func TestApplyAtomicDelta(t *testing.T) {
 	if _, err := db.Apply(ctx, bad); err == nil {
 		t.Fatal("Apply accepted an invalid delta")
 	}
-	if db.Epoch() != 0 || db.OverlaySize() != 0 {
-		t.Fatalf("failed Apply left state: epoch %d, overlay %d", db.Epoch(), db.OverlaySize())
+	snap := db.Snapshot()
+	if snap.Epoch() != 0 || snap.OverlaySize() != 0 {
+		t.Fatalf("failed Apply left state: epoch %d, overlay %d", snap.Epoch(), snap.OverlaySize())
 	}
-	if db.Store().NumTriples() != 20 {
-		t.Fatalf("failed Apply changed the store: %d triples", db.Store().NumTriples())
+	if snap.Store().NumTriples() != 20 || snap.Store().NumNodes() != nodes {
+		t.Fatalf("failed Apply changed the store: %d triples, %d nodes (want 20, %d)",
+			snap.Store().NumTriples(), snap.Store().NumNodes(), nodes)
 	}
 }
 
@@ -309,9 +315,9 @@ func stressDelta(k int) dualsim.Delta {
 	return dualsim.Delta{
 		Adds: []dualsim.Triple{
 			dualsim.T("counter", "value", fmt.Sprintf("v%d", k)),
-			// A persistent log edge per apply, so the overlay ledger
-			// actually grows (the value swap alone oscillates at size 2)
-			// and compaction thresholds are crossed.
+			// A persistent log edge per apply, so the store grows across
+			// epochs; with the swap, each apply makes three effective
+			// changes toward the compaction threshold.
 			dualsim.T("log", "entry", fmt.Sprintf("e%d", k)),
 		},
 		Dels: []dualsim.Triple{dualsim.T("counter", "value", fmt.Sprintf("v%d", k-1))},
@@ -469,7 +475,7 @@ func TestLiveStressCompaction(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if db.Compactions() == 0 {
+	if db.Snapshot().Compactions() == 0 {
 		t.Fatal("compaction threshold never crossed")
 	}
 	res, stats, err := db.Query(ctx, stressQuery)
@@ -478,5 +484,125 @@ func TestLiveStressCompaction(t *testing.T) {
 	}
 	if err := checkEpochRow(db.Store(), res, stats); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// liveTerms counts the distinct subject and object terms of st's triples:
+// the dictionary a rebuild from scratch would hold.
+func liveTerms(st *dualsim.Store) int {
+	seen := map[string]bool{}
+	for _, tr := range st.Triples() {
+		seen[tr.S.Key()] = true
+		seen[tr.O.Key()] = true
+	}
+	return len(seen)
+}
+
+// TestChurnCompacts: compaction follows churn, not net deviation. Each
+// apply swaps the one <counter> <value> triple for a fresh value, so the
+// store's size never changes while every apply interns a term; the
+// threshold must still fire and keep the dictionary near the live terms.
+func TestChurnCompacts(t *testing.T) {
+	ctx := context.Background()
+	db, err := dualsim.Open(stressStore(t), dualsim.WithCompactionThreshold(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for k := 1; k <= 200; k++ {
+		if _, err := db.Apply(ctx, dualsim.Delta{
+			Adds: []dualsim.Triple{dualsim.T("counter", "value", fmt.Sprintf("v%d", k))},
+			Dels: []dualsim.Triple{dualsim.T("counter", "value", fmt.Sprintf("v%d", k-1))},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		st := db.Store()
+		if n, live := st.NumNodes(), liveTerms(st); n > 2*live {
+			t.Fatalf("apply %d: %d nodes for %d live terms", k, n, live)
+		}
+	}
+	if n := db.Snapshot().Compactions(); n == 0 {
+		t.Fatal("200 swaps at threshold 3 never compacted")
+	}
+}
+
+// TestExplicitCompactReclaimsDictionary: terms of a deleted triple stay
+// interned until Compact rebuilds the dictionary from the live triples.
+func TestExplicitCompactReclaimsDictionary(t *testing.T) {
+	ctx := context.Background()
+	st, err := dualsim.FromTriples([]dualsim.Triple{
+		dualsim.T("a", "p", "b"), dualsim.T("b", "p", "c"), dualsim.T("c", "q", "a"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dualsim.Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tmp := []dualsim.Triple{dualsim.T("tmp", "p", "tmp2")}
+	if _, err := db.Apply(ctx, dualsim.Delta{Adds: tmp}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Apply(ctx, dualsim.Delta{Dels: tmp}); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Store().NumNodes(); n != 5 {
+		t.Fatalf("pre-compaction NumNodes = %d, want 5 (a b c tmp tmp2)", n)
+	}
+	as, err := db.Compact(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !as.Compacted || as.Epoch != 3 || as.OverlaySize != 0 {
+		t.Fatalf("Compact stats = %+v", as)
+	}
+	if n := db.Store().NumNodes(); n != 3 {
+		t.Fatalf("post-compaction NumNodes = %d, want 3 (a b c)", n)
+	}
+}
+
+// TestPinnedSnapshotKeepsDeletedTriple: a snapshot pinned before an
+// Apply keeps serving a triple the Apply deleted.
+func TestPinnedSnapshotKeepsDeletedTriple(t *testing.T) {
+	ctx := context.Background()
+	db, err := dualsim.Open(fig1a(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const q = `SELECT * WHERE { ?d <directed> ?m . }`
+	pinned := db.Snapshot()
+	before, _, err := pinned.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := before.Rows[0]
+	gone := dualsim.Triple{
+		S: pinned.Store().Term(row[before.VarIndex("d")]),
+		P: "directed",
+		O: pinned.Store().Term(row[before.VarIndex("m")]),
+	}
+	as, err := db.Apply(ctx, dualsim.Delta{Dels: []dualsim.Triple{gone}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if as.Deleted != 1 {
+		t.Fatalf("delete ApplyStats = %+v", as)
+	}
+	live, _, err := db.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Len() != before.Len()-1 {
+		t.Fatalf("live query after the delete: %d rows, want %d", live.Len(), before.Len()-1)
+	}
+	again, stats, err := pinned.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Epoch != 0 || again.Len() != before.Len() {
+		t.Fatalf("pinned snapshot at epoch %d serves %d rows, want epoch 0 and %d", stats.Epoch, again.Len(), before.Len())
 	}
 }

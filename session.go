@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dualsim/internal/core"
-	"dualsim/internal/delta"
 	"dualsim/internal/engine"
 	"dualsim/internal/persist"
 	"dualsim/internal/prune"
@@ -20,12 +19,17 @@ import (
 // ErrClosed is returned by session operations after Close.
 var ErrClosed = errors.New("dualsim: session is closed")
 
-// dbSnapshot is one epoch of the session's graph database: an immutable
-// store and its epoch number. Snapshots are fully constructed before
-// publication and never mutated after, so readers need no locking.
+// dbSnapshot is one epoch of the session's graph database and the whole
+// record of its lineage: an immutable store, its epoch number, the
+// effective triple changes since the last compaction (the count
+// WithCompactionThreshold tests) and the compactions since the session
+// opened. Snapshots are fully constructed before publication and never
+// mutated after, so readers need no locking.
 type dbSnapshot struct {
-	st    *Store
-	epoch uint64
+	st          *Store
+	epoch       uint64
+	pending     int
+	compactions int
 }
 
 // DB is a session over one graph database: a store plus a fixed
@@ -46,11 +50,10 @@ type dbSnapshot struct {
 // keys on the epoch so a stale plan can never serve a post-update query.
 // See Apply, Snapshot and WithCompactionThreshold.
 type DB struct {
-	set     settings
-	cache   *planCache   // non-nil iff WithPlanCache was given
-	pers    *persist.Log // non-nil iff the session is durable (WithDataDir/OpenDir)
-	overlay *delta.Overlay
-	snap    atomic.Pointer[dbSnapshot] // current epoch; swapped by Apply/Compact
+	set   settings
+	cache *planCache                 // non-nil iff WithPlanCache was given
+	pers  *persist.Log               // non-nil iff the session is durable (WithDataDir/OpenDir)
+	snap  atomic.Pointer[dbSnapshot] // current epoch; swapped by Apply/Compact
 
 	applyMu   sync.Mutex   // serializes Apply/Compact (single writer)
 	ckptFails atomic.Int64 // automatic checkpoints that failed (see PersistStats)
@@ -165,30 +168,18 @@ func openAt(st *Store, epoch uint64, tail []persist.Record, lg *persist.Log, set
 	if set.planCache > 0 {
 		db.cache = newPlanCache(set.planCache)
 	}
-	overlay, err := delta.NewAt(st, set.compactThreshold, epoch)
-	if err != nil {
-		return nil, fmt.Errorf("dualsim: %w", err)
-	}
+	cur := &dbSnapshot{st: st, epoch: epoch}
 	for _, r := range tail {
-		var res delta.Result
-		switch r.Kind {
-		case persist.RecordApply:
-			_, res, err = overlay.Apply(delta.Delta{Adds: r.Adds, Dels: r.Dels})
-		case persist.RecordCompact:
-			_, res, err = overlay.Compact()
-		default:
-			err = fmt.Errorf("unknown WAL record kind %d", r.Kind)
-		}
+		next, _, err := db.step(cur, r)
 		if err != nil {
 			return nil, fmt.Errorf("dualsim: replaying WAL record for epoch %d: %w", r.Epoch, err)
 		}
-		if res.Epoch != r.Epoch {
-			return nil, fmt.Errorf("dualsim: WAL replay diverged: record stamped epoch %d, replay reached epoch %d (missing or reordered records)", r.Epoch, res.Epoch)
+		if next.epoch != r.Epoch {
+			return nil, fmt.Errorf("dualsim: WAL replay diverged: record stamped epoch %d, replay reached epoch %d (missing or reordered records)", r.Epoch, next.epoch)
 		}
+		cur = next
 	}
-	db.overlay = overlay
-	cur, curEpoch := overlay.Current()
-	db.snap.Store(&dbSnapshot{st: cur, epoch: curEpoch})
+	db.snap.Store(cur)
 	return db, nil
 }
 
