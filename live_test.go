@@ -3,6 +3,7 @@ package dualsim_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,6 +288,123 @@ func TestApplyAtomicDelta(t *testing.T) {
 	}
 }
 
+// abcStore is a three-node cycle: a -p-> b -p-> c -q-> a.
+func abcStore(t *testing.T) *dualsim.Store {
+	t.Helper()
+	st, err := dualsim.FromTriples([]dualsim.Triple{
+		dualsim.T("a", "p", "b"), dualsim.T("b", "p", "c"), dualsim.T("c", "q", "a"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestApplyAtomicOnError: an invalid triple among the deletes fails the
+// valid adds with it, and the next valid Apply starts from the untouched
+// lineage: epoch 1, a change count of its own changes only.
+func TestApplyAtomicOnError(t *testing.T) {
+	ctx := context.Background()
+	db, err := dualsim.Open(abcStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	bad := dualsim.Delta{
+		Adds: []dualsim.Triple{dualsim.T("ok", "p", "fine")},
+		Dels: []dualsim.Triple{{S: dualsim.Literal("nope"), P: "p", O: dualsim.IRI("x")}},
+	}
+	if _, err := db.Apply(ctx, bad); err == nil {
+		t.Fatal("Apply accepted an invalid delta")
+	}
+	if e := db.Epoch(); e != 0 {
+		t.Fatalf("failed Apply advanced the epoch to %d", e)
+	}
+	if s := db.Snapshot().OverlaySize(); s != 0 {
+		t.Fatalf("failed Apply counted %d changes", s)
+	}
+	if n := db.Store().NumNodes(); n != 3 {
+		t.Fatalf("failed Apply grew the dictionary to %d terms", n)
+	}
+	as, err := db.Apply(ctx, dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("d", "p", "a")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if as.Epoch != 1 || as.Added != 1 || as.OverlaySize != 1 || as.NewTerms != 1 {
+		t.Fatalf("apply after a failed one: %+v", as)
+	}
+}
+
+// TestApplyEmptyDeltaKeepsOverlay: an empty delta after a real one
+// publishes nothing — same store, same epoch — and reports the change
+// count of the pending changes unchanged.
+func TestApplyEmptyDeltaKeepsOverlay(t *testing.T) {
+	ctx := context.Background()
+	db, err := dualsim.Open(abcStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Apply(ctx, dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("d", "p", "a")}}); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Store()
+	as, err := db.Apply(ctx, dualsim.Delta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !as.NoOp || as.Epoch != 1 || as.Added != 0 || as.Deleted != 0 || as.OverlaySize != 1 {
+		t.Fatalf("empty apply stats: %+v", as)
+	}
+	if db.Store() != before {
+		t.Fatal("empty apply published a new snapshot")
+	}
+	if e, s := db.Epoch(), db.Snapshot().OverlaySize(); e != 1 || s != 1 {
+		t.Fatalf("after the empty apply: epoch %d, overlay %d (want 1, 1)", e, s)
+	}
+}
+
+// TestAutoCompaction: the apply that brings the change count to the
+// threshold rebuilds the store in the same epoch step, with a fresh
+// dictionary holding exactly the live terms.
+func TestAutoCompaction(t *testing.T) {
+	ctx := context.Background()
+	db, err := dualsim.Open(abcStore(t), dualsim.WithCompactionThreshold(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	as, err := db.Apply(ctx, dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("x1", "p", "y1")}})
+	if err != nil || as.Compacted {
+		t.Fatalf("below-threshold apply compacted: %+v err %v", as, err)
+	}
+	as, err = db.Apply(ctx, dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("x2", "p", "y2")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !as.Compacted || as.OverlaySize != 0 || as.Epoch != 2 {
+		t.Fatalf("threshold apply did not compact: %+v", as)
+	}
+	snap := db.Snapshot()
+	if n := snap.Compactions(); n != 1 {
+		t.Fatalf("Compactions = %d, want 1", n)
+	}
+	got := map[string]bool{}
+	for _, tr := range snap.Store().Triples() {
+		got[tr.S.Key()+"|"+tr.P+"|"+tr.O.Key()] = true
+	}
+	want := map[string]bool{
+		"i:a|p|i:b": true, "i:b|p|i:c": true, "i:c|q|i:a": true,
+		"i:x1|p|i:y1": true, "i:x2|p|i:y2": true,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compacted store wrong:\n got %v\nwant %v", got, want)
+	}
+	if n := snap.Store().NumNodes(); n != 7 {
+		t.Fatalf("compacted NumNodes = %d, want 7", n)
+	}
+}
+
 // The stress tests share one shape: the store holds exactly one
 // <counter> <value> ?v triple at any epoch, and apply k swaps v(k-1)
 // for v(k). A request is consistent iff its single row's ?v binding is
@@ -530,13 +648,7 @@ func TestChurnCompacts(t *testing.T) {
 // interned until Compact rebuilds the dictionary from the live triples.
 func TestExplicitCompactReclaimsDictionary(t *testing.T) {
 	ctx := context.Background()
-	st, err := dualsim.FromTriples([]dualsim.Triple{
-		dualsim.T("a", "p", "b"), dualsim.T("b", "p", "c"), dualsim.T("c", "q", "a"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := dualsim.Open(st)
+	db, err := dualsim.Open(abcStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}
