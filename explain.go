@@ -37,13 +37,13 @@ type Explain struct {
 	Stats *ExecStats `json:"stats,omitempty"`
 }
 
-// Explain compiles the prepared query's plan against its pinned
-// snapshot without executing it. The render is deterministic: the same
-// plan (same query text, same epoch) explains identically, cached or
-// not. Note the plan is compiled over the full snapshot store — the
-// executed plan is costed against that store seen through the solved
-// dual simulation, so ANALYZE estimates can differ from the plain
-// EXPLAIN's.
+// Explain compiles the plan the prepared query executes, without
+// executing it: the plan of its stored view (see Stream), costed against
+// the pinned snapshot seen through the solved dual simulation. Before any
+// execution has stored a view, Explain solves once and stores it. The
+// render is deterministic — the largest dual simulation is unique, so
+// the same query text on the same epoch explains identically, cached or
+// not — and its estimates are those an EXPLAIN ANALYZE reports.
 func (pq *PreparedQuery) Explain(ctx context.Context) (*Explain, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -54,7 +54,21 @@ func (pq *PreparedQuery) Explain(ctx context.Context) (*Explain, error) {
 	if pq.db.closed.Load() {
 		return nil, ErrClosed
 	}
-	ex, err := pq.db.compile(pq.snap.st, nil, pq.q)
+	v := pq.view.Load()
+	if v == nil {
+		v = &preparedView{}
+		if pq.db.set.pruning {
+			if err := v.solve(ctx, pq.plan, pq.snap.st); err != nil {
+				return nil, err
+			}
+		}
+		v.plan = pq.db.planFor(pq.snap.st, v.filter(), pq.q)
+		if !pq.view.CompareAndSwap(nil, v) {
+			v.rel.Release()
+			v = pq.view.Load()
+		}
+	}
+	ex, err := pq.compile(v)
 	if err != nil {
 		return nil, err
 	}

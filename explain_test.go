@@ -3,6 +3,7 @@ package dualsim_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -65,11 +66,17 @@ func TestExplainDeterministic(t *testing.T) {
 }
 
 // EXPLAIN ANALYZE reports the executed plan: its operator rows are the
-// execution's counters, and its stats carry the span tree.
+// execution's counters, and its stats carry the span tree. A plain
+// EXPLAIN shows that same plan — the one costed through the solved dual
+// simulation — with the same estimates.
 func TestExplainAnalyzeMatchesExecution(t *testing.T) {
 	db := openFig1a(t)
 	ctx := context.Background()
 
+	plain, err := db.Explain(ctx, explainSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ex, err := db.ExplainAnalyze(ctx, explainSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +86,15 @@ func TestExplainAnalyzeMatchesExecution(t *testing.T) {
 	}
 	if len(ex.Operators) != len(ex.Stats.Operators) {
 		t.Fatalf("operator lists diverge: %d vs %d", len(ex.Operators), len(ex.Stats.Operators))
+	}
+	if len(plain.Operators) != len(ex.Operators) {
+		t.Fatalf("EXPLAIN has %d operators, ANALYZE %d", len(plain.Operators), len(ex.Operators))
+	}
+	for i, op := range plain.Operators {
+		if got := ex.Operators[i]; got.Op != op.Op || got.Detail != op.Detail || got.EstRows != op.EstRows {
+			t.Errorf("operator %d: EXPLAIN %s %s (est %v), ANALYZE %s %s (est %v)",
+				i, op.Op, op.Detail, op.EstRows, got.Op, got.Detail, got.EstRows)
+		}
 	}
 	// A plain re-execution of the same query must reproduce the analyzed
 	// row counts — they are real counters, not estimates.
@@ -159,7 +175,8 @@ func TestExecSpanTree(t *testing.T) {
 
 // The prune span of a traced execution says what the solver did, and on
 // a constant-anchored query the χ-driven mask walk tests the constant's
-// handful of triples, not the store.
+// handful of triples, not the store. A reused execution's span says where
+// its χ came from: the stored solve, whose counters it repeats.
 func TestPruneSpanReportsSolverWork(t *testing.T) {
 	var ts []dualsim.Triple
 	for i := 0; i < 500; i++ {
@@ -177,28 +194,48 @@ func TestPruneSpanReportsSolverWork(t *testing.T) {
 	}
 	defer db.Close()
 
-	tr := trace.New("query")
-	ctx := trace.ContextWithSpan(context.Background(), tr.Root())
-	res, stats, err := db.Query(ctx, `SELECT * WHERE { <film7> <director> ?p . ?p <bornIn> ?c . }`)
+	pq, err := db.Prepare(`SELECT * WHERE { <film7> <director> ?p . ?p <bornIn> ?c . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 {
-		t.Fatalf("rows = %d, want 1", res.Len())
-	}
-	sp := tr.Root().Find("prune")
-	if sp == nil {
-		t.Fatal("traced exec misses the prune span")
-	}
-	c := sp.Counters
-	if c["chi.init"] <= c["chi.final"] || c["chi.final"] != 3 {
-		t.Errorf("chi.init %d → chi.final %d, want a decay to the 3 matched nodes", c["chi.init"], c["chi.final"])
-	}
-	if evals := c["eval.rowwise"] + c["eval.colwise"] + c["eval.copy"]; evals == 0 || evals > int64(stats.Solver.Evaluations) {
-		t.Errorf("eval.* = %+v against %d evaluations", c, stats.Solver.Evaluations)
-	}
-	if c["in"] != int64(st.NumTriples()) || c["mask.visited"] == 0 || c["mask.visited"]*50 > c["in"] {
-		t.Errorf("mask.visited = %d of in = %d; the walk must stay with the candidates", c["mask.visited"], c["in"])
+	// The second execution reuses the first one's view: its prune span
+	// says so and carries the stored solve's counters unchanged.
+	var first map[string]int64
+	for i, reused := range []bool{false, true} {
+		tr := trace.New("query")
+		ctx := trace.ContextWithSpan(context.Background(), tr.Root())
+		res, stats, err := pq.Exec(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 1 {
+			t.Fatalf("execution %d: rows = %d, want 1", i, res.Len())
+		}
+		if stats.Reused != reused {
+			t.Errorf("execution %d: Reused = %v, want %v", i, stats.Reused, reused)
+		}
+		sp := tr.Root().Find("prune")
+		if sp == nil {
+			t.Fatalf("execution %d: traced exec misses the prune span", i)
+		}
+		if got := sp.Attrs["reused"] == "true"; got != reused {
+			t.Errorf("execution %d: prune span attrs %v, want reused=%v", i, sp.Attrs, reused)
+		}
+		c := sp.Counters
+		if !reused {
+			first = c
+		} else if !maps.Equal(c, first) {
+			t.Errorf("reused execution's prune counters %v, the solving one's %v", c, first)
+		}
+		if c["chi.init"] <= c["chi.final"] || c["chi.final"] != 3 {
+			t.Errorf("chi.init %d → chi.final %d, want a decay to the 3 matched nodes", c["chi.init"], c["chi.final"])
+		}
+		if evals := c["eval.rowwise"] + c["eval.colwise"] + c["eval.copy"]; evals == 0 || evals > int64(stats.Solver.Evaluations) {
+			t.Errorf("eval.* = %+v against %d evaluations", c, stats.Solver.Evaluations)
+		}
+		if c["in"] != int64(st.NumTriples()) || c["mask.visited"] == 0 || c["mask.visited"]*50 > c["in"] {
+			t.Errorf("mask.visited = %d of in = %d; the walk must stay with the candidates", c["mask.visited"], c["in"])
+		}
 	}
 }
 

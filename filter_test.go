@@ -351,13 +351,22 @@ func (c countdownCtx) Err() error {
 	return nil
 }
 
-// TestChiReleasedOnEveryPath: one Release per solve, however the execution
-// ends. A solved relation that is not handed back costs the next solve of
-// the plan a fresh workspace — one universe-wide vector per variable — so
-// in the steady state no way of ending an execution may allocate even one
-// such vector: exhaustion, Close after a prefix, a cancellation at every
-// single context check of Stream (which sweeps the gap between the prune
-// and evaluate stages), and a memory budget that fails Open.
+// TestChiReleasedOnEveryPath: a prepared query solves once and keeps the
+// view its first execution opened a cursor on; every χ it does not keep
+// goes back to the solver pool. A χ workspace that is neither kept nor
+// handed back costs the next solve of the plan a fresh one — one
+// universe-wide vector per variable — so:
+//   - in the steady state an execution, reused, allocates less than one
+//     such vector: exhaustion, Close after a prefix, and a memory budget
+//     that fails Open every time (such a query never stores a view, so it
+//     solves, and must release, on every execution);
+//   - a first execution cancelled at any one context check — before,
+//     inside or after the solve, or while its rows are pulled — stores no
+//     view unless it opened its cursor, and a cancelled first execution
+//     followed by a good one allocates less than one vector more than the
+//     good one alone;
+//   - the execution after a cancelled first one solves, stores its view
+//     and answers correctly, and the one after that reuses it.
 func TestChiReleasedOnEveryPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are not meaningful under the race detector")
@@ -384,77 +393,133 @@ func TestChiReleasedOnEveryPath(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	steady := func(name string, run func()) {
-		t.Helper()
-		run() // warm the pools and the prepared query's row count
-		run()
+	allocated := func(run func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got >= oneVector {
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	steady := func(name string, run func()) {
+		t.Helper()
+		run() // store the view, warm the pools and the prepared query's row count
+		run()
+		if got := allocated(run); got >= oneVector {
 			t.Errorf("%s: %d bytes allocated in the steady state, a χ vector is %d: a workspace leaked", name, got, oneVector)
 		}
 	}
-	open := func(opts ...dualsim.Option) *dualsim.PreparedQuery {
+	open := func(opts ...dualsim.Option) *dualsim.DB {
 		t.Helper()
 		db, err := dualsim.Open(st, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	db := open()
+	prepare := func(db *dualsim.DB) *dualsim.PreparedQuery {
+		t.Helper()
 		pq, err := db.Prepare(lifetimeQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pq
 	}
-	pq := open()
-	stream := func(ctx context.Context, pull int) error {
+	want, _, err := prepare(db).Exec(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stream pulls up to pull rows (all: pull < 0) and reports whether
+	// Stream itself opened a cursor.
+	stream := func(pq *dualsim.PreparedQuery, ctx context.Context, pull int) (bool, error) {
 		rows, err := pq.Stream(ctx)
 		if err != nil {
-			return err
+			return false, err
 		}
 		defer rows.Close()
 		for n := 0; (pull < 0 || n < pull) && rows.Next(); n++ {
 		}
-		return rows.Err()
+		return true, rows.Err()
 	}
+	pq := prepare(db)
 	for name, pull := range map[string]int{"prefix then Close": 10, "drained": -1} {
 		steady(name, func() {
-			if err := stream(context.Background(), pull); err != nil {
+			if _, err := stream(pq, context.Background(), pull); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 
-	// How many times does a whole Stream consult its context?
+	// How many times does a whole first execution consult its context?
 	budget := 1 << 30
-	if err := stream(countdownCtx{context.Background(), &budget}, 10); err != nil {
+	if _, err := stream(prepare(db), countdownCtx{context.Background(), &budget}, 10); err != nil {
 		t.Fatal(err)
 	}
 	checks := 1<<30 - budget
 	if checks < 4 {
-		t.Fatalf("Stream consulted its context %d times; the sweep is vacuous", checks)
+		t.Fatalf("a first execution consulted its context %d times; the sweep is vacuous", checks)
 	}
-	failed := 0
+	// What a good first execution allocates, χ workspace included.
+	fresh := prepare(db)
+	alone := allocated(func() {
+		if _, err := stream(fresh, context.Background(), -1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if alone < oneVector {
+		t.Fatalf("a first execution allocated %d bytes, less than one χ vector (%d): nothing to measure", alone, oneVector)
+	}
+	failedStreams := 0
 	for k := 0; k <= checks; k++ {
-		steady(fmt.Sprintf("cancelled at context check %d of %d", k, checks), func() {
+		pq := prepare(db)
+		var opened bool
+		var cancelErr error
+		var first, second *dualsim.ExecStats
+		var res *dualsim.Result
+		got := allocated(func() {
 			left := k
-			err := stream(countdownCtx{context.Background(), &left}, 10)
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("check %d: %v", k, err)
-			}
-			if err != nil {
-				failed++
+			opened, cancelErr = stream(pq, countdownCtx{context.Background(), &left}, 10)
+			var err error
+			if res, first, err = pq.Exec(context.Background()); err != nil {
+				t.Fatalf("check %d: the execution after the cancelled one: %v", k, err)
 			}
 		})
+		if cancelErr != nil && !errors.Is(cancelErr, context.Canceled) {
+			t.Fatalf("check %d: %v", k, cancelErr)
+		}
+		if !opened {
+			failedStreams++
+		}
+		if k < checks && cancelErr == nil {
+			t.Errorf("check %d of %d: the cancellation went unnoticed", k, checks)
+		}
+		if got >= alone+oneVector {
+			t.Errorf("cancelled at context check %d of %d, then run: %d bytes, a good first execution alone %d, a χ vector %d: a workspace leaked",
+				k, checks, got, alone, oneVector)
+		}
+		if first.Reused == !opened {
+			t.Errorf("check %d: cursor opened %v, yet the next execution reports Reused=%v", k, opened, first.Reused)
+		}
+		if !opened && first.Solver.Evaluations == 0 {
+			t.Errorf("check %d: the execution after a cancelled first one did not solve: %+v", k, first.Solver)
+		}
+		if !res.Equal(want) {
+			t.Errorf("check %d: %d rows after the cancelled execution, want %d", k, res.Len(), want.Len())
+		}
+		_, second, err = pq.Exec(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !second.Reused || second.Solver != first.Solver {
+			t.Errorf("check %d: the third execution: Reused=%v solver %+v, want the stored %+v", k, second.Reused, second.Solver, first.Solver)
+		}
 	}
-	if failed < 3*(checks-1) {
-		t.Fatalf("only %d of %d cancelled streams failed", failed, 3*(checks+1))
+	if failedStreams < 3 {
+		t.Fatalf("only %d of %d cancellations failed Stream itself: the solve and Open are not swept", failedStreams, checks+1)
 	}
 
-	tight := open(dualsim.WithMaxQueryMemory(1))
+	tight := prepare(open(dualsim.WithMaxQueryMemory(1)))
 	steady("memory budget fails Open", func() {
 		if _, err := tight.Stream(context.Background()); !errors.Is(err, dualsim.ErrQueryMemoryExceeded) {
 			t.Fatalf("Stream under a 1-byte budget: %v", err)

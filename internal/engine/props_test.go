@@ -127,9 +127,9 @@ func dedupUnions(r *rand.Rand, n plan.Node) plan.Node {
 	case plan.LeftJoin:
 		return plan.LeftJoin{L: dedupUnions(r, x.L), R: dedupUnions(r, x.R)}
 	case plan.Filter:
-		return plan.Filter{Input: dedupUnions(r, x.Input), Cond: x.Cond}
+		return plan.Filter{Input: dedupUnions(r, x.Input), Cond: x.Cond, Detail: x.Detail}
 	case plan.Limit:
-		return plan.Limit{Input: dedupUnions(r, x.Input), Limit: x.Limit, Offset: x.Offset}
+		return plan.Limit{Input: dedupUnions(r, x.Input), Limit: x.Limit, Offset: x.Offset, Detail: x.Detail}
 	case plan.Union:
 		u := plan.Union{L: dedupUnions(r, x.L), R: dedupUnions(r, x.R)}
 		if r.Intn(2) == 0 {
@@ -168,7 +168,7 @@ func TestPropertyVolcanoResultsAreSets(t *testing.T) {
 		}
 		pl := plan.Build(st, q, plan.Options{})
 		for _, root := range []plan.Node{pl.Root, dedupUnions(r, pl.Root)} {
-			ex, err := compilePlan(st, &plan.Plan{Root: root})
+			ex, err := CompilePlan(st, &plan.Plan{Root: root})
 			if err != nil {
 				t.Logf("seed %d: %v", seed, err)
 				return false

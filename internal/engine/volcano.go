@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 	"unsafe"
 
@@ -209,19 +208,22 @@ func rowCostBytes(row []storage.NodeID) int64 {
 }
 
 // Compile lowers and optimizes q against st and compiles the plan to an
-// iterator tree. The result streams distinct rows (set semantics) and
-// honours the query's LIMIT/OFFSET.
-//
-// With opt.Filter set, st is the unpruned store read through the filter:
-// the rows are those of a Compile on the materialized pruned store, and
-// Next must not run once the relation behind the filter is released.
+// iterator tree: CompilePlan of plan.Build.
 func Compile(st *storage.Store, q *sparql.Query, opt plan.Options) (*Exec, error) {
-	return compilePlan(st, plan.Build(st, q, opt))
+	return CompilePlan(st, plan.Build(st, q, opt))
 }
 
-// compilePlan compiles an optimized plan tree — any tree the node types
-// can express, not only the shapes today's planner emits.
-func compilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
+// CompilePlan compiles an optimized plan tree — any tree the node types
+// can express, not only the shapes today's planner emits — to an
+// iterator tree. The result streams distinct rows (set semantics) and
+// honours the plan's LIMIT/OFFSET. The plan is only read, so one plan
+// may be compiled for any number of executions, concurrently.
+//
+// With pl.Filter set, st is the unpruned store read through the filter:
+// the rows are those of the same query compiled on the materialized
+// pruned store, and the relation behind the filter must outlive the
+// execution.
+func CompilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
 	c := &compiler{st: st, filter: pl.Filter, acct: &account{}, slab: &slab{}}
 	root, props, err := c.compile(pl.Root)
 	if err != nil {
@@ -304,7 +306,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 			return nil, rowProps{}, err
 		}
 		sc := &scanIter{st: c.st, r: r, slab: c.slab}
-		it := c.counted("scan", x.TP.String(), x.Est, sc)
+		it := c.counted("scan", x.Detail, x.Est, sc)
 		sc.filtered = &c.lastStats().Filtered
 		return it, scanProps(r.vars()), nil
 	case plan.Join:
@@ -326,7 +328,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 		if err != nil {
 			return nil, rowProps{}, err
 		}
-		return c.counted("filter", x.Cond.String(), 0, newFilterIter(c.st, in, x.Cond)), props, nil
+		return c.counted("filter", x.Detail, 0, newFilterIter(c.st, in, x.Cond)), props, nil
 	case plan.Limit:
 		in, props, err := c.child(x.Input)
 		if err != nil {
@@ -335,7 +337,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 		// The window counts distinct rows: over a set it just counts,
 		// otherwise it keeps a seen-set. Either way its output is a set.
 		li := &limitIter{in: in, limit: x.Limit, offset: x.Offset, dedup: !props.distinct, acct: c.acct}
-		it := c.counted("limit", limitDetail(x), 0, li)
+		it := c.counted("limit", x.Detail, 0, li)
 		li.stats = c.lastStats()
 		props.distinct = true
 		return it, props, nil
@@ -355,14 +357,14 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowP
 	// For a left join the filter must apply before the outer padding, so
 	// only a bare scan takes the extend path there.
 	rs := rn
-	var conds []sparql.Condition
+	var conds []plan.Filter
 	if !leftOuter {
 		for {
 			f, ok := rs.(plan.Filter)
 			if !ok {
 				break
 			}
-			conds = append(conds, f.Cond)
+			conds = append(conds, f)
 			rs = f.Input
 		}
 	}
@@ -387,11 +389,11 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowP
 		props := joinProps(lp, scanProps(r.vars()), l.Vars(), r.vars(), leftOuter)
 		c.depth = base + len(conds)
 		ext := newExtendIter(c.st, l, r, leftOuter, c.slab)
-		it := c.counted(op, sc.TP.String(), sc.Est, ext)
+		it := c.counted(op, sc.Detail, sc.Est, ext)
 		ext.filtered = &c.lastStats().Filtered
 		for i := len(conds) - 1; i >= 0; i-- {
 			c.depth--
-			it = c.counted("filter", conds[i].String(), 0, newFilterIter(c.st, it, conds[i]))
+			it = c.counted("filter", conds[i].Detail, 0, newFilterIter(c.st, it, conds[i].Cond))
 		}
 		c.depth = base
 		return it, props, nil
@@ -413,20 +415,6 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowP
 	it := c.counted(op, "", 0, h)
 	h.stats = c.lastStats()
 	return it, joinProps(lp, rp, l.Vars(), r.Vars(), leftOuter), nil
-}
-
-func limitDetail(x plan.Limit) string {
-	d := ""
-	if x.Limit > 0 {
-		d = "limit " + strconv.Itoa(x.Limit)
-	}
-	if x.Offset > 0 {
-		if d != "" {
-			d += " "
-		}
-		d += "offset " + strconv.Itoa(x.Offset)
-	}
-	return d
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ package plan
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
@@ -26,8 +28,9 @@ type Unit struct{}
 // Est is the cardinality estimate at the scan's position in the plan,
 // given the variables bound upstream.
 type Scan struct {
-	TP  sparql.TriplePattern
-	Est float64
+	TP     sparql.TriplePattern
+	Est    float64
+	Detail string // TP rendered for EXPLAIN and the operator counters
 }
 
 // Join is the compatibility join (AND).
@@ -41,8 +44,9 @@ type Union struct{ L, R Node }
 
 // Filter keeps the rows whose condition evaluates to true.
 type Filter struct {
-	Input Node
-	Cond  sparql.Condition
+	Input  Node
+	Cond   sparql.Condition
+	Detail string // Cond rendered
 }
 
 // Limit truncates to the first Limit distinct rows after skipping Offset
@@ -51,6 +55,7 @@ type Limit struct {
 	Input  Node
 	Limit  int
 	Offset int
+	Detail string // "limit n offset m", the zero parts left out
 }
 
 func (Unit) isNode()     {}
@@ -62,7 +67,9 @@ func (Filter) isNode()   {}
 func (Limit) isNode()    {}
 
 // Plan is an optimized operator tree plus the decision log explaining how
-// it differs from the written query.
+// it differs from the written query. A plan is immutable once built, so
+// one plan serves any number of executions, concurrently: the builder
+// renders each node's Detail once, not the executor per execution.
 type Plan struct {
 	Root      Node
 	Decisions []string
@@ -160,7 +167,7 @@ func (b *builder) lowerBGP(bgp sparql.BGP) Node {
 		if i != pos {
 			reordered = true
 		}
-		sc := Scan{TP: bgp[i], Est: b.estimateTP(bgp[i], bound)}
+		sc := Scan{TP: bgp[i], Est: b.estimateTP(bgp[i], bound), Detail: bgp[i].String()}
 		if root == nil {
 			root = sc
 		} else {
@@ -196,6 +203,7 @@ func (b *builder) lowerFilter(n Node, cond sparql.Condition) Node {
 func (b *builder) pushFilter(n Node, c sparql.Condition) Node {
 	cv := make(map[string]bool)
 	sparql.CondVars(c, cv)
+	detail := c.String()
 	var rec func(n Node) (Node, bool)
 	rec = func(n Node) (Node, bool) {
 		switch x := n.(type) {
@@ -220,14 +228,14 @@ func (b *builder) pushFilter(n Node, c sparql.Condition) Node {
 		case Filter:
 			in, pushed := rec(x.Input)
 			if pushed {
-				return Filter{Input: in, Cond: x.Cond}, true
+				return Filter{Input: in, Cond: x.Cond, Detail: x.Detail}, true
 			}
 		}
-		return Filter{Input: n, Cond: c}, false
+		return Filter{Input: n, Cond: c, Detail: detail}, false
 	}
 	out, pushed := rec(n)
 	if pushed {
-		b.note("filter: pushed %s below join/union", c.String())
+		b.note("filter: pushed %s below join/union", detail)
 	}
 	return out
 }
@@ -263,14 +271,25 @@ func (b *builder) lowerLimit(root Node, limit, offset int) Node {
 			b.note("limit: pushed LIMIT %d into union branches", k)
 		}
 	}
-	return Limit{Input: root, Limit: limit, Offset: offset}
+	return newLimit(root, limit, offset)
 }
 
 func pushLimitBranches(n Node, k int) Node {
 	if u, ok := n.(Union); ok {
 		return Union{L: pushLimitBranches(u.L, k), R: pushLimitBranches(u.R, k)}
 	}
-	return Limit{Input: n, Limit: k}
+	return newLimit(n, k, 0)
+}
+
+func newLimit(in Node, limit, offset int) Limit {
+	var parts []string
+	if limit > 0 {
+		parts = append(parts, "limit "+strconv.Itoa(limit))
+	}
+	if offset > 0 {
+		parts = append(parts, "offset "+strconv.Itoa(offset))
+	}
+	return Limit{Input: in, Limit: limit, Offset: offset, Detail: strings.Join(parts, " ")}
 }
 
 // ---------------------------------------------------------------------------

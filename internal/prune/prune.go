@@ -25,7 +25,6 @@ import (
 	"dualsim/internal/engine"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
-	"dualsim/internal/trace"
 )
 
 // Pruning is the outcome of dual-simulation pruning for one query.
@@ -63,7 +62,9 @@ func (p *Pruning) Store() *storage.Store {
 // predicate the candidate-set pairs that define its mask, the mask and the
 // kept cardinalities. It selects exactly the triples Store materializes,
 // without copying them. The pairs alias the relation's χ rows, so the
-// filter is valid only until the relation is released.
+// filter is valid as long as the relation is not released: the session
+// keeps both for the lifetime of the prepared query, which plans and
+// executes through the one filter every time.
 func (p *Pruning) Filter() storage.Filter { return p.filter }
 
 // subjectCheckInterval is the number of candidate subjects the mask walk
@@ -128,9 +129,6 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 			pf.DistS, pf.DistO = min(pf.DistS, pf.Kept), min(pf.DistO, pf.Kept)
 			out.Kept += pf.Kept
 		}
-	}
-	if sp := trace.SpanFromContext(ctx); sp != nil {
-		sp.Add("mask.visited", int64(out.Visited))
 	}
 	return out, nil
 }

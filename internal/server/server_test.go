@@ -275,6 +275,9 @@ func TestBatchMembers(t *testing.T) {
 
 // TestBatchDeadline: a timeoutMs that expires mid-batch fails the whole
 // batch with 504, and promptly — the members still to run never start.
+// Every member is a text of its own (a distinct variable name), so each
+// pays for its own plan and solve: a prepared query that runs again
+// reuses both, and a batch of repeats would cost less than its first.
 func TestBatchDeadline(t *testing.T) {
 	st, err := dualsim.GenerateLUBMStore(24, 42)
 	if err != nil {
@@ -292,16 +295,16 @@ func TestBatchDeadline(t *testing.T) {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
-	src := `SELECT * WHERE {
+	member := func(name string) string {
+		return `SELECT * WHERE {
 		?publication <rdf:type> <ub:Publication> .
 		?publication <ub:publicationAuthor> ?student .
-		?student <ub:memberOf> ?department . }`
-	// The cost of one warm member, to place the deadline mid-batch: the
-	// first call pays for parse and plan.
-	batch := func(n int, timeoutMs int64) (*http.Response, time.Duration) {
+		?student <ub:memberOf> ?` + name + ` . }`
+	}
+	batch := func(tag string, n int, timeoutMs int64) (*http.Response, time.Duration) {
 		srcs := make([]string, n)
 		for i := range srcs {
-			srcs[i] = src
+			srcs[i] = member(fmt.Sprintf("%s%d", tag, i))
 		}
 		start := time.Now()
 		resp := postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{Queries: srcs, TimeoutMs: timeoutMs})
@@ -309,13 +312,15 @@ func TestBatchDeadline(t *testing.T) {
 		resp.Body.Close()
 		return resp, time.Since(start)
 	}
-	batch(1, 0)
-	_, one := batch(1, 0)
+	// The cost of one member, to place the deadline mid-batch: the first
+	// call warms the server, the second times a text of its own.
+	batch("warm", 1, 0)
+	_, one := batch("one", 1, 0)
 
 	// Every worker runs eight members in a row: the batch needs at least
 	// eight times one member's time, four times its deadline.
 	n := 8 * runtime.GOMAXPROCS(0)
-	resp, elapsed := batch(n, max(1, 2*one.Milliseconds()))
+	resp, elapsed := batch("department", n, max(1, 2*one.Milliseconds()))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("batch of %d past its deadline: status %d, want 504 (one member: %v)", n, resp.StatusCode, one)
 	}

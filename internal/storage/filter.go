@@ -10,8 +10,9 @@ type ChiPair struct{ S, O *bitvec.Vector }
 // the triple at PSO position i survives iff some pattern edge (v, a, w)
 // has its subject in χ(v) and its object in χ(w). Pairs is that
 // definition, Mask the positions it selects. The vectors in Pairs alias
-// the solver's pooled χ rows: a PredFilter is valid only until the
-// relation it was derived from is released.
+// the solver's χ rows: a PredFilter is valid as long as the relation it
+// was derived from is not released — for the session, the lifetime of
+// the prepared query that keeps both.
 type PredFilter struct {
 	Pairs []ChiPair
 	Mask  *bitvec.Vector

@@ -30,17 +30,86 @@ type Resources = engine.Resources
 // actually produced. Reported in ExecStats.Operators.
 type OperatorStats = engine.OperatorStats
 
-// compile is the one place the session turns (store, query) into an
-// execution: the Volcano iterator tree of the cost-based plan, under the
-// session's memory budget, reading st through filter when the pipeline
-// pruned (nil: st as it is). On an oracle session (WithEngine(IndexNL))
-// the oracle's materialized answer stands behind the same cursor type, so
-// Exec, Stream, Explain and Evaluate need no second path for it.
-func (db *DB) compile(st *Store, filter storage.Filter, q *Query) (*engine.Exec, error) {
+// preparedView is what a prepared query computes once for its snapshot
+// and every later execution reads: the largest dual simulation χ, the
+// kept-triple masks and filter derived from it, and the physical plan
+// costed through that filter. The largest solution is unique and
+// independent of the evaluation order, and the snapshot never changes,
+// so none of the three can differ between two executions. A view lives
+// as long as its prepared query: it is dropped with it — plan-cache
+// eviction, an Apply's sweep of stale epochs — and collected, never
+// returned to the solver pool, since a cursor may still read it.
+type preparedView struct {
+	rel     *core.QueryRelation // nil when the session does not prune
+	pruning *prune.Pruning      // masks and filter over rel's χ rows; nil with rel
+	plan    *plan.Plan          // built through pruning's filter; nil on an oracle session
+}
+
+// solve fills the view's pruning half: the solve and the mask walk.
+// On failure the relation is released and the view keeps neither.
+func (v *preparedView) solve(ctx context.Context, qp *core.QueryPlan, st *Store) error {
+	rel, err := qp.SolveRestricted(ctx, core.Config{}, nil)
+	if err != nil {
+		return err
+	}
+	p, err := prune.PruneCtx(ctx, st, rel)
+	if err != nil {
+		rel.Release()
+		return err
+	}
+	v.rel, v.pruning = rel, p
+	return nil
+}
+
+// filter is the store seen through the solved relation; nil when the
+// session does not prune.
+func (v *preparedView) filter() storage.Filter {
+	if v.pruning == nil {
+		return nil
+	}
+	return v.pruning.Filter()
+}
+
+// record writes what the view's solve and mask walk did on the prune
+// span — whether this execution ran them or, reused, found them stored.
+func (v *preparedView) record(sp *trace.Span, reused bool) {
+	if sp == nil {
+		return
+	}
+	s := v.rel.Stats
+	sp.Add("in", int64(v.pruning.Total))
+	sp.Add("out", int64(v.pruning.Kept))
+	sp.Add("chi.init", int64(s.ChiInit))
+	sp.Add("chi.final", int64(s.ChiFinal))
+	sp.Add("eval.rowwise", int64(s.RowWise))
+	sp.Add("eval.colwise", int64(s.ColWise))
+	sp.Add("eval.copy", int64(s.Copies))
+	sp.Add("eval.skipped", int64(s.Skipped))
+	sp.Add("mask.visited", int64(v.pruning.Visited))
+	if reused {
+		sp.SetAttr("reused", "true")
+	}
+}
+
+// planFor builds the physical plan of q over st seen through filter (nil:
+// st as it is); nil on an oracle session, which plans nothing.
+func (db *DB) planFor(st *Store, filter storage.Filter, q *Query) *plan.Plan {
+	if db.set.engine != Volcano {
+		return nil
+	}
+	return plan.Build(st, q, plan.Options{Filter: filter})
+}
+
+// compile is the one place the session turns a plan into an execution:
+// the Volcano iterator tree of pl over st, under the session's memory
+// budget. On an oracle session (WithEngine(IndexNL)), pl is nil and the
+// oracle's materialized answer of q over st stands behind the same cursor
+// type, so Exec, Stream, Explain and Evaluate need no second path for it.
+func (db *DB) compile(st *Store, pl *plan.Plan, q *Query) (*engine.Exec, error) {
 	if db.set.engine != Volcano {
 		return engine.AsExec(db.set.engine.engine(), st, q), nil
 	}
-	ex, err := engine.Compile(st, q, plan.Options{Filter: filter})
+	ex, err := engine.CompilePlan(st, pl)
 	if err != nil {
 		return nil, err
 	}
@@ -50,15 +119,47 @@ func (db *DB) compile(st *Store, filter storage.Filter, q *Query) (*engine.Exec,
 	return ex, nil
 }
 
+// compile turns the view into this query's execution over its snapshot.
+// An oracle evaluates the materialized pruned store, rebuilt per
+// execution: it is what the filtered execution is checked against.
+func (pq *PreparedQuery) compile(v *preparedView) (*engine.Exec, error) {
+	st := pq.snap.st
+	if pq.db.set.engine != Volcano && v.pruning != nil {
+		st = v.pruning.Store()
+	}
+	return pq.db.compile(st, v.plan, pq.q)
+}
+
+// open compiles the view and opens the iterator tree, closing it again
+// when Open fails. A traced execution pays for per-operator clocks; the
+// default path never reads the clock per row.
+func (pq *PreparedQuery) open(ctx context.Context, v *preparedView, timed bool) (*engine.Exec, error) {
+	ex, err := pq.compile(v)
+	if err != nil {
+		return nil, err
+	}
+	if timed {
+		ex.EnableTiming()
+	}
+	if err := ex.Open(ctx); err != nil {
+		ex.Close()
+		return nil, err
+	}
+	return ex, nil
+}
+
 // Stream runs the session's pipeline for this query and returns a cursor
 // over its rows. The pipeline is fixed: solve the system of inequalities
-// and mark the surviving triples (when pruning is on), then compile the
-// query against the store seen through that solution: the candidate sets
-// χ filter every triple the executor reads, the kept-triple masks are its
-// leaf scans, the adjacency the solver cached its posting lists — no
-// pruned copy of the store is built. Those steps run eagerly, here; the
-// rows are computed as the caller pulls them, and the pooled χ rows are
-// recycled when the cursor finishes (exhaustion, Close, error).
+// and mark the surviving triples (when pruning is on), plan the query
+// against the store seen through that solution — the candidate sets χ
+// filter every triple the executor reads, the kept-triple masks are its
+// leaf scans; no pruned copy of the store is built — and open the plan's
+// iterator tree. The first execution that opens its cursor stores that
+// view (χ, masks, plan) on the prepared query; every later one only
+// compiles and opens the stored plan, and reports ExecStats.Reused. A
+// first execution that fails stores nothing and hands its χ rows back
+// to the solver pool; one that loses a race to store reads the view that
+// won. The rows are computed as the caller pulls them.
 // A nil ctx is treated as context.Background(). Cancellation and
 // deadlines interrupt the solver between inequality evaluations and the
 // executor between row batches.
@@ -66,7 +167,7 @@ func (db *DB) compile(st *Store, filter storage.Filter, q *Query) (*engine.Exec,
 // Stats is usable immediately for the epoch and the prune stage; the
 // evaluation stage's numbers and the operator counters finalize when the
 // cursor is exhausted or closed.
-func (pq *PreparedQuery) Stream(ctx context.Context) (rows *Rows, err error) {
+func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -87,38 +188,29 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (rows *Rows, err error) {
 	parent := trace.SpanFromContext(ctx)
 	begin := time.Now()
 
-	// What the evaluation reads: target through filter. rel owns the χ
-	// rows the filter aliases; it goes to the cursor, or back to the
-	// solver pool on every return without one.
-	target := full
-	var filter storage.Filter
-	var rel *core.QueryRelation
-	defer func() {
-		if rows == nil {
-			rel.Release()
-		}
-	}()
+	v := pq.view.Load()
+	fresh := v == nil
+	if fresh {
+		v = &preparedView{}
+	}
+	stats.Reused = !fresh
 	if pq.db.set.pruning {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sctx := ctx
 		sp := parent.StartChild("prune")
-		if sp != nil {
-			sctx = trace.ContextWithSpan(ctx, sp)
-		}
 		s0 := time.Now()
-		var p *prune.Pruning
-		if rel, err = pq.plan.SolveRestricted(sctx, core.Config{}, nil); err == nil {
-			p, err = prune.PruneCtx(sctx, full, rel)
+		var err error
+		if fresh {
+			err = v.solve(ctx, pq.plan, full)
 		}
 		d := time.Since(s0)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
-		sp.Add("in", int64(p.Total))
-		sp.Add("out", int64(p.Kept))
+		v.record(sp, !fresh)
+		p, rel := v.pruning, v.rel
 		stats.Stages = append(stats.Stages, StageStats{Name: "prune", Duration: d, In: p.Total, Out: p.Kept})
 		stats.Solver = Stats{
 			Rounds:      rel.Stats.Rounds,
@@ -127,34 +219,32 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (rows *Rows, err error) {
 		}
 		stats.Unsatisfiable = rel.Empty()
 		stats.TriplesAfter = p.Kept
-		if pq.db.set.engine != Volcano {
-			// An oracle evaluates the materialized pruned store: it is what
-			// the filtered execution is checked against.
-			target = p.Store()
-		} else {
-			filter = p.Filter()
-		}
 	}
 
 	eval := time.Now()
 	sp := parent.StartChild("evaluate")
-	ex, err := pq.db.compile(target, filter, pq.q)
-	if err == nil {
-		if parent != nil {
-			// A traced execution pays for per-operator clocks; the default
-			// path never reads the clock per row.
-			ex.EnableTiming()
-		}
-		stats.PlanDecisions = ex.Decisions()
-		if err = ex.Open(ctx); err != nil {
+	if fresh {
+		v.plan = pq.db.planFor(full, v.filter(), pq.q)
+	}
+	ex, err := pq.open(ctx, v, parent != nil)
+	if fresh {
+		switch {
+		case err != nil:
+			v.rel.Release()
+		case !pq.view.CompareAndSwap(nil, v):
+			// A concurrent first execution stored its view first. It holds
+			// the same relation (χ is unique): read it, hand ours back.
 			ex.Close()
+			v.rel.Release()
+			ex, err = pq.open(ctx, pq.view.Load(), parent != nil)
 		}
 	}
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	return &Rows{ex: ex, st: full, rel: rel, stats: stats, begin: begin, eval: eval, in: stats.TriplesAfter, sp: sp}, nil
+	stats.PlanDecisions = ex.Decisions()
+	return &Rows{ex: ex, st: full, stats: stats, begin: begin, eval: eval, in: stats.TriplesAfter, sp: sp}, nil
 }
 
 // Exec is Stream drained: it runs the same pipeline and materializes the
@@ -276,6 +366,13 @@ type ExecStats struct {
 	// session's plan cache (set by Query and QueryStream; always false
 	// for Prepare/Exec, which bypass the cache).
 	CacheHit bool `json:"cacheHit"`
+	// Reused reports that the execution read the solved relation, the
+	// kept-triple filter and the physical plan an earlier execution of
+	// the same prepared query stored: it neither solved, walked the masks
+	// nor planned. Solver, Unsatisfiable, TriplesAfter and the prune
+	// span's counters then describe that earlier solve, and the prune
+	// stage's Duration is the lookup.
+	Reused bool `json:"reused"`
 	// Epoch is the store epoch this execution answered from — the one
 	// its plan was prepared on. Requests issued after an Apply report
 	// the new epoch; executions of queries prepared (or pinned via

@@ -37,11 +37,12 @@ type dbSnapshot struct {
 // under which queries are prepared and executed, in the database/sql
 // mould. A DB is safe for concurrent use by multiple goroutines.
 //
-// Prepare cost is paid once per query; Exec then runs only the
-// per-execution pipeline (solve, prune, evaluate) and honours its
-// context. Neither takes a session lock: what planning and execution
-// read of the store — its index, which is also the solver's adjacency —
-// is built with the store and never changes.
+// Prepare cost is paid once per query. The first Exec of a prepared
+// query solves, prunes and plans, and keeps that view; every later Exec
+// only compiles the kept plan and evaluates it, honouring its context.
+// Neither takes a session lock: what planning and execution read of the
+// store — its index, which is also the solver's adjacency — is built
+// with the store and never changes.
 //
 // The database is live: Apply mutates it by publishing a new
 // epoch-numbered snapshot, with MVCC-lite read semantics — in-flight
@@ -236,8 +237,14 @@ type PrepareStats struct {
 // PreparedQuery is a query planned once against a session: parsed,
 // translated to per-branch systems of inequalities (with the
 // empty-column counts that break ties in the solver's cheapest-first
-// worklist) and finalized for concurrent solving. It is safe for
-// concurrent use; every Exec runs the pipeline on private state.
+// worklist) and finalized for concurrent solving. Its first execution
+// that opens a cursor also keeps what depends only on the query and the
+// snapshot — the largest dual simulation, the kept-triple filter and the
+// physical plan costed through it — so later executions neither solve
+// nor plan (see Stream; ExecStats.Reused). The kept χ rows live as long
+// as the prepared query: one universe-wide vector per query variable and
+// branch, dropped with the query (or its plan-cache entry). It is safe
+// for concurrent use; every execution evaluates on private state.
 //
 // A PreparedQuery is pinned to the store epoch it was planned on: its
 // executions keep answering from that (immutable) snapshot even after a
@@ -252,6 +259,9 @@ type PreparedQuery struct {
 	fprint   stats.Fingerprint // normalized statement identity, computed once at Prepare
 	prep     PrepareStats
 	lastRows atomic.Int64 // rows of the last drained Exec: the next one's capacity
+	// view is the pruned view and physical plan of the first execution
+	// that opened a cursor; nil until then. Stored once, never replaced.
+	view atomic.Pointer[preparedView]
 }
 
 // Fingerprint returns the query's normalized statement fingerprint: the
@@ -480,7 +490,7 @@ func (db *DB) Evaluate(ctx context.Context, st *Store, q *Query) (*Result, error
 	if err := requireStore(st); err != nil {
 		return nil, err
 	}
-	ex, err := db.compile(st, nil, q)
+	ex, err := db.compile(st, db.planFor(st, nil, q), q)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package dualsim
 import (
 	"time"
 
-	"dualsim/internal/core"
 	"dualsim/internal/engine"
 	"dualsim/internal/storage"
 	"dualsim/internal/trace"
@@ -19,13 +18,12 @@ import (
 // false, then consult Err to distinguish exhaustion from failure, and
 // Close when done (Close is idempotent and implied by exhaustion).
 // A Rows is single-goroutine; concurrent executions each call Stream.
+// It owns only its iterator tree: the solved relation and the plan the
+// tree reads belong to the prepared query's view (see Stream), so no
+// way of ending a cursor hands anything back to the solver.
 type Rows struct {
-	ex *engine.Exec
-	st *Store // decode dictionary of the pinned snapshot
-	// rel is the solved relation whose χ rows ex reads through its filter
-	// (nil when the pipeline did not prune). finish returns them to the
-	// solver pool, so ex must not be pulled afterwards: Next checks done.
-	rel   *core.QueryRelation
+	ex    *engine.Exec
+	st    *Store // decode dictionary of the pinned snapshot
 	stats *ExecStats
 	begin time.Time   // Stream entry, for the end-to-end duration
 	eval  time.Time   // evaluate-stage start (before compile), for its StageStats
@@ -95,11 +93,10 @@ func (r *Rows) Stats() *ExecStats {
 }
 
 // finish seals the stats — the evaluation StageStats, the operator
-// counters and the end-to-end duration — and releases the solved relation.
+// counters and the end-to-end duration.
 func (r *Rows) finish() {
 	r.done = true
 	r.row = nil
-	r.rel.Release()
 	r.stats.Stages = append(r.stats.Stages, StageStats{
 		Name:     "evaluate",
 		Duration: time.Since(r.eval),
