@@ -330,7 +330,7 @@ func main() {
 	// ExecStats documents each decision plus per-operator row counters.
 	// pq.Stream returns a cursor — the first row is available before the
 	// last one is computed; dualsimd's ?stream=1 path pulls from the same
-	// iterator. See examples/filters for the full query-language surface.
+	// iterator.
 	vdb, err := dualsim.Open(st)
 	if err != nil {
 		log.Fatal(err)

@@ -62,11 +62,7 @@ func (pq *PreparedQuery) Explain(ctx context.Context) (*Explain, error) {
 				return nil, err
 			}
 		}
-		v.plan = pq.db.planFor(pq.snap.st, v.filter(), pq.q)
-		if !pq.view.CompareAndSwap(nil, v) {
-			v.rel.Release()
-			v = pq.view.Load()
-		}
+		v = pq.store(v)
 	}
 	ex, err := pq.compile(v)
 	if err != nil {

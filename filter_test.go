@@ -352,21 +352,22 @@ func (c countdownCtx) Err() error {
 }
 
 // TestChiReleasedOnEveryPath: a prepared query solves once and keeps the
-// view its first execution opened a cursor on; every χ it does not keep
-// goes back to the solver pool. A χ workspace that is neither kept nor
+// view of its first execution that finished its solve; every χ a failed
+// solve or mask walk leaves behind goes back to the solver pool. A χ workspace that is neither kept nor
 // handed back costs the next solve of the plan a fresh one — one
 // universe-wide vector per variable — so:
 //   - in the steady state an execution, reused, allocates less than one
 //     such vector: exhaustion, Close after a prefix, and a memory budget
-//     that fails Open every time (such a query never stores a view, so it
-//     solves, and must release, on every execution);
+//     that fails Open every time (the first execution stores its view
+//     all the same, so later ones reuse it and do not solve);
 //   - a first execution cancelled at any one context check — before,
 //     inside or after the solve, or while its rows are pulled — stores no
-//     view unless it opened its cursor, and a cancelled first execution
+//     view unless it finished its solve, and a cancelled first execution
 //     followed by a good one allocates less than one vector more than the
 //     good one alone;
-//   - the execution after a cancelled first one solves, stores its view
-//     and answers correctly, and the one after that reuses it.
+//   - the execution after a cancelled first one solves and stores its
+//     view unless the cancelled one stored it, answers correctly, and the
+//     one after that reuses the view.
 func TestChiReleasedOnEveryPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are not meaningful under the race detector")
@@ -460,6 +461,17 @@ func TestChiReleasedOnEveryPath(t *testing.T) {
 	if checks < 4 {
 		t.Fatalf("a first execution consulted its context %d times; the sweep is vacuous", checks)
 	}
+	// How many of them come before the view is stored? Explain makes the
+	// same checks up to the store — one before the solve, then the solve's
+	// and the mask walk's — and none after it.
+	budget = 1 << 30
+	if _, err := prepare(db).Explain(countdownCtx{context.Background(), &budget}); err != nil {
+		t.Fatal(err)
+	}
+	stored := 1<<30 - budget
+	if stored < 2 || stored >= checks {
+		t.Fatalf("the view is stored after %d of %d context checks", stored, checks)
+	}
 	// What a good first execution allocates, χ workspace included.
 	fresh := prepare(db)
 	alone := allocated(func() {
@@ -498,10 +510,11 @@ func TestChiReleasedOnEveryPath(t *testing.T) {
 			t.Errorf("cancelled at context check %d of %d, then run: %d bytes, a good first execution alone %d, a χ vector %d: a workspace leaked",
 				k, checks, got, alone, oneVector)
 		}
-		if first.Reused == !opened {
-			t.Errorf("check %d: cursor opened %v, yet the next execution reports Reused=%v", k, opened, first.Reused)
+		solved := k >= stored
+		if first.Reused != solved {
+			t.Errorf("check %d: solve finished %v, yet the next execution reports Reused=%v", k, solved, first.Reused)
 		}
-		if !opened && first.Solver.Evaluations == 0 {
+		if !solved && first.Solver.Evaluations == 0 {
 			t.Errorf("check %d: the execution after a cancelled first one did not solve: %+v", k, first.Solver)
 		}
 		if !res.Equal(want) {

@@ -281,27 +281,6 @@ func (v *Vector) Or(w *Vector) bool {
 	return diff != 0
 }
 
-// AndNot replaces v with v ∧ ¬w and reports whether v changed.
-//
-//dualsim:hotpath
-func (v *Vector) AndNot(w *Vector) bool {
-	v.sameLen(w)
-	diff := uint64(0)
-	for k, s := range v.sum {
-		for m := s & w.sum[k]; m != 0; m &= m - 1 {
-			i := k<<wordLog | bits.TrailingZeros64(m)
-			old := v.words[i]
-			v.words[i] = old &^ w.words[i]
-			diff |= old ^ v.words[i]
-			if v.words[i] == 0 {
-				s &^= m & -m
-			}
-		}
-		v.sum[k] = s
-	}
-	return diff != 0
-}
-
 // Retain clears every set bit i for which keep(i) is false and returns
 // the number of bits left — the in-place form of the column-wise ×b
 // update, which walks the candidates and drops those without a partner.
@@ -329,22 +308,6 @@ func (v *Vector) Retain(keep func(i int) bool) int {
 		v.sum[k] = s
 	}
 	return count
-}
-
-// Intersects reports whether v ∧ w has any set bit, i.e. the non-disjointness
-// test of the paper's equation (4): F_a(v') ∩ χS(w) ≠ ∅.
-//
-//dualsim:hotpath
-func (v *Vector) Intersects(w *Vector) bool {
-	v.sameLen(w)
-	for k, s := range v.sum {
-		for s &= w.sum[k]; s != 0; s &= s - 1 {
-			if i := k<<wordLog | bits.TrailingZeros64(s); v.words[i]&w.words[i] != 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // SubsetOf reports whether every set bit of v is also set in w — the
@@ -461,13 +424,6 @@ func (v *Vector) ForEach(fn func(i int) bool) {
 	}
 }
 
-// Bits returns the positions of all set bits in ascending order.
-func (v *Vector) Bits() []int {
-	out := make([]int, 0, v.Count())
-	v.ForEach(func(i int) bool { out = append(out, i); return true })
-	return out
-}
-
 // String renders the vector as a brace-enclosed list of set positions,
 // e.g. "{0, 3, 17}".
 func (v *Vector) String() string {
@@ -510,14 +466,4 @@ func AndInto(dst, a, b *Vector) {
 			dst.words[i] = a.words[i] & b.words[i]
 		}
 	}
-}
-
-// OrInto computes dst = a ∨ b without modifying a or b (unless dst is
-// one of them).
-func OrInto(dst, a, b *Vector) {
-	if dst == b {
-		a, b = b, a
-	}
-	dst.CopyFrom(a)
-	dst.Or(b)
 }

@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dualsim/internal/proptest"
@@ -95,7 +96,7 @@ func TestNewFull(t *testing.T) {
 	}
 }
 
-func TestAndOrAndNot(t *testing.T) {
+func TestAndOr(t *testing.T) {
 	a := FromBits(10, 1, 3, 5, 7)
 	b := FromBits(10, 3, 4, 5, 8)
 
@@ -117,14 +118,6 @@ func TestAndOrAndNot(t *testing.T) {
 	if want := FromBits(10, 1, 3, 4, 5, 7, 8); !x.Equal(want) {
 		t.Fatalf("Or = %v, want %v", x, want)
 	}
-
-	x = a.Clone()
-	if changed := x.AndNot(b); !changed {
-		t.Fatal("AndNot reported no change")
-	}
-	if want := FromBits(10, 1, 7); !x.Equal(want) {
-		t.Fatalf("AndNot = %v, want %v", x, want)
-	}
 }
 
 func TestSubsetIntersect(t *testing.T) {
@@ -136,11 +129,12 @@ func TestSubsetIntersect(t *testing.T) {
 	if b.SubsetOf(a) {
 		t.Fatal("b ⊆ a unexpected")
 	}
-	if !a.Intersects(b) {
+	c := FromBits(100, 1, 2, 3)
+	meet := New(100)
+	if AndInto(meet, a, b); meet.IsEmpty() {
 		t.Fatal("a ∩ b ≠ ∅ expected")
 	}
-	c := FromBits(100, 1, 2, 3)
-	if a.Intersects(c) {
+	if AndInto(meet, a, c); !meet.IsEmpty() {
 		t.Fatal("a ∩ c = ∅ expected")
 	}
 	empty := New(100)
@@ -179,14 +173,10 @@ func TestAnyNextSet(t *testing.T) {
 func TestForEachAndBits(t *testing.T) {
 	positions := []int{0, 1, 64, 65, 190}
 	v := FromBits(191, positions...)
-	if got := v.Bits(); len(got) != len(positions) {
-		t.Fatalf("Bits = %v", got)
-	} else {
-		for i, p := range positions {
-			if got[i] != p {
-				t.Fatalf("Bits[%d] = %d, want %d", i, got[i], p)
-			}
-		}
+	var got []int
+	v.ForEach(func(i int) bool { got = append(got, i); return true })
+	if !slices.Equal(got, positions) {
+		t.Fatalf("ForEach visited %v, want %v", got, positions)
 	}
 	// Early termination.
 	seen := 0
@@ -220,7 +210,7 @@ func TestCopyFromCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestAndIntoOrInto(t *testing.T) {
+func TestAndInto(t *testing.T) {
 	a := FromBits(70, 1, 3, 69)
 	b := FromBits(70, 3, 4, 69)
 	dst := New(70)
@@ -228,20 +218,15 @@ func TestAndIntoOrInto(t *testing.T) {
 	if want := FromBits(70, 3, 69); !dst.Equal(want) {
 		t.Fatalf("AndInto = %v", dst)
 	}
-	OrInto(dst, a, b)
-	if want := FromBits(70, 1, 3, 4, 69); !dst.Equal(want) {
-		t.Fatalf("OrInto = %v", dst)
-	}
 }
 
 func TestLengthMismatchPanics(t *testing.T) {
 	a, b := New(10), New(11)
 	for name, fn := range map[string]func(){
-		"And":        func() { a.And(b) },
-		"Or":         func() { a.Or(b) },
-		"SubsetOf":   func() { a.SubsetOf(b) },
-		"Intersects": func() { a.Intersects(b) },
-		"CopyFrom":   func() { a.CopyFrom(b) },
+		"And":      func() { a.And(b) },
+		"Or":       func() { a.Or(b) },
+		"SubsetOf": func() { a.SubsetOf(b) },
+		"CopyFrom": func() { a.CopyFrom(b) },
 	} {
 		func() {
 			defer func() {
@@ -298,7 +283,7 @@ func TestPropertyDeMorgan(t *testing.T) {
 			return false
 		}
 		anb := a.Clone()
-		anb.AndNot(b)
+		anb.Retain(func(i int) bool { return !b.Get(i) })
 		recon := ab.Clone()
 		recon.Or(anb)
 		return recon.Equal(a)
@@ -311,7 +296,9 @@ func TestPropertyCountAgreesWithBits(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		n := rr.Intn(500) + 1
 		v := randomVector(rr, n)
-		return v.Count() == len(v.Bits())
+		set := 0
+		v.ForEach(func(int) bool { set++; return true })
+		return v.Count() == set
 	}
 	proptest.Check(t, f, 200, regressionSeeds)
 }

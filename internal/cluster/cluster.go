@@ -75,20 +75,6 @@ func ParseShardSpec(s string) (ShardSpec, error) {
 	return spec, nil
 }
 
-// PartitionTriples splits triples into n slices by predicate placement.
-// Triple order within a shard follows input order.
-func PartitionTriples(ts []dualsim.Triple, n int) ([][]dualsim.Triple, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("cluster: shard count %d < 1", n)
-	}
-	out := make([][]dualsim.Triple, n)
-	for _, t := range ts {
-		i := ShardOf(t.P, n)
-		out[i] = append(out[i], t)
-	}
-	return out, nil
-}
-
 // ShardStore builds the shard's slice of a full store: every triple
 // whose predicate places on spec.Index. The result is a fully built,
 // independent store — the state a shard daemon serves.

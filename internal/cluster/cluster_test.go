@@ -64,54 +64,40 @@ func TestParseShardSpec(t *testing.T) {
 	}
 }
 
-// Partitioning must be a disjoint cover that keeps whole predicates
-// together, and ShardStore must agree with PartitionTriples.
+// The shard stores must partition the full store: a disjoint cover that
+// keeps whole predicates together, each triple on the shard its
+// predicate places on.
 func TestPartitionAndShardStore(t *testing.T) {
 	ts := queries.Fig1aTriples()
 	const n = 3
-	parts, err := PartitionTriples(ts, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i, part := range parts {
-		total += len(part)
-		for _, tr := range part {
-			if ShardOf(tr.P, n) != i {
-				t.Errorf("triple with predicate %q landed on shard %d, places on %d", tr.P, i, ShardOf(tr.P, n))
-			}
-		}
-	}
-	if total != len(ts) {
-		t.Fatalf("partition covers %d of %d triples", total, len(ts))
-	}
-
 	full, err := dualsim.FromTriples(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seen := make(map[dualsim.Triple]bool, len(ts))
 	for i := 0; i < n; i++ {
 		st, err := ShardStore(full, ShardSpec{Index: i, N: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := st.Triples()
-		if len(got) != len(parts[i]) {
-			t.Fatalf("shard %d store has %d triples, partition has %d", i, len(got), len(parts[i]))
-		}
-		want := make(map[dualsim.Triple]bool, len(parts[i]))
-		for _, tr := range parts[i] {
-			want[tr] = true
-		}
-		for _, tr := range got {
-			if !want[tr] {
-				t.Errorf("shard %d store holds unexpected triple %v", i, tr)
+		for _, tr := range st.Triples() {
+			if ShardOf(tr.P, n) != i {
+				t.Errorf("triple with predicate %q landed on shard %d, places on %d", tr.P, i, ShardOf(tr.P, n))
 			}
+			if seen[tr] {
+				t.Errorf("triple %v on two shards", tr)
+			}
+			seen[tr] = true
+		}
+	}
+	for _, tr := range full.Triples() {
+		if !seen[tr] {
+			t.Errorf("triple %v on no shard", tr)
 		}
 	}
 
-	if _, err := PartitionTriples(ts, 0); err == nil {
-		t.Error("PartitionTriples with 0 shards accepted")
+	if _, err := ShardStore(full, ShardSpec{Index: 0, N: 0}); err == nil {
+		t.Error("ShardStore with 0 shards accepted")
 	}
 }
 

@@ -37,18 +37,6 @@ func (r *Relation) IsEmpty() bool {
 	return true
 }
 
-// AnyVarEmpty reports whether some variable has no simulating node; for a
-// connected pattern this coincides with IsEmpty, and for query processing
-// it certifies an empty result set (Theorem 1).
-func (r *Relation) AnyVarEmpty() bool {
-	for _, c := range r.Chi {
-		if c.IsEmpty() {
-			return true
-		}
-	}
-	return false
-}
-
 // Set returns χS of the named variable as a map, for inspection and the
 // Definition-2 verifier.
 func (r *Relation) Set(name string) map[storage.NodeID]bool {

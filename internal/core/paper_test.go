@@ -295,8 +295,8 @@ func TestUnsatisfiableComponent(t *testing.T) {
 	if len(rel.Set("a")) != 0 {
 		t.Fatal("component a should be empty")
 	}
-	if !rel.AnyVarEmpty() || rel.IsEmpty() {
-		t.Fatal("AnyVarEmpty should hold and IsEmpty should not")
+	if rel.IsEmpty() {
+		t.Fatal("IsEmpty should not hold: component c survives")
 	}
 }
 

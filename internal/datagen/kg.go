@@ -169,16 +169,13 @@ func (g *kgGen) peopleLayer() {
 			g.emit(p, KGSpouse, g.people[g.zipf(len(g.people))])
 		}
 		if g.r.Intn(5) == 0 && i > 0 {
-			g.emit(p, KGInfluencedBy(), g.people[g.zipf(i)])
+			g.emit(p, KGInfluenced, g.people[g.zipf(i)])
 		}
 		if g.r.Intn(6) == 0 {
 			g.emit(p, KGAward, g.awards[g.zipf(len(g.awards))])
 		}
 	}
 }
-
-// KGInfluencedBy exists so the constant keeps one canonical spelling.
-func KGInfluencedBy() string { return KGInfluenced }
 
 func (g *kgGen) filmLayer() {
 	directors := g.people[:len(g.people)/6+1] // a minority directs

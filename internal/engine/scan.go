@@ -22,7 +22,6 @@ type resolved struct {
 	sID, oID   storage.NodeID // constant ids (valid when the name is "")
 	pred       storage.PredID
 	ok         bool
-	src        sparql.TriplePattern
 
 	keep *storage.PredFilter
 }
@@ -95,7 +94,7 @@ func resolve(st *storage.Store, tp sparql.TriplePattern) (resolved, error) {
 	if tp.P.IsVar() {
 		return resolved{}, fmt.Errorf("engine: variable predicate %s unsupported (pattern graphs are edge-labeled)", tp.P)
 	}
-	r := resolved{ok: true, src: tp}
+	r := resolved{ok: true}
 	pid, ok := st.PredIDOf(tp.P.Const.Value)
 	if !ok {
 		r.ok = false

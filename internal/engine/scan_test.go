@@ -28,50 +28,6 @@ func mustResolve(t *testing.T, st *storage.Store, tp sparql.TriplePattern) resol
 	return r
 }
 
-func TestScanAccessPaths(t *testing.T) {
-	st := scanFixture(t)
-	cases := []struct {
-		tp   sparql.TriplePattern
-		rows int
-		vars int
-	}{
-		{sparql.TriplePattern{S: sparql.V("x"), P: sparql.C("p"), O: sparql.V("y")}, 3, 2},
-		{sparql.TriplePattern{S: sparql.C("a"), P: sparql.C("p"), O: sparql.V("y")}, 2, 1},
-		{sparql.TriplePattern{S: sparql.V("x"), P: sparql.C("p"), O: sparql.C("c")}, 2, 1},
-		{sparql.TriplePattern{S: sparql.C("a"), P: sparql.C("p"), O: sparql.C("b")}, 1, 0},
-		{sparql.TriplePattern{S: sparql.C("a"), P: sparql.C("p"), O: sparql.C("a")}, 0, 0},
-		{sparql.TriplePattern{S: sparql.V("x"), P: sparql.C("q"), O: sparql.V("x")}, 1, 1},
-		{sparql.TriplePattern{S: sparql.V("x"), P: sparql.C("nope"), O: sparql.V("y")}, 0, 2},
-		{sparql.TriplePattern{S: sparql.C("zz"), P: sparql.C("p"), O: sparql.V("y")}, 0, 1},
-	}
-	for i, c := range cases {
-		it := &scanIter{st: st, r: mustResolve(t, st, c.tp), slab: &slab{}}
-		if err := it.Open(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		rows := 0
-		for {
-			row, ok, err := it.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			if len(row) != c.vars {
-				t.Fatalf("case %d: row %v, want width %d", i, row, c.vars)
-			}
-			rows++
-		}
-		if rows != c.rows {
-			t.Fatalf("case %d (%v): rows = %d, want %d", i, c.tp, rows, c.rows)
-		}
-		if len(it.Vars()) != c.vars {
-			t.Fatalf("case %d: vars = %v, want %d", i, it.Vars(), c.vars)
-		}
-	}
-}
-
 func TestEstimates(t *testing.T) {
 	st := scanFixture(t)
 	free := mustResolve(t, st, sparql.TriplePattern{S: sparql.V("x"), P: sparql.C("p"), O: sparql.V("y")})

@@ -57,8 +57,9 @@ type OperatorStats struct {
 	Rows    int64   `json:"rows"`
 	// Filtered counts what the operator read and the dual-simulation
 	// filter rejected: neighbours outside every candidate set, closing
-	// edges the store holds but pruning dropped. A leaf scan walks kept
-	// positions only and reads 0, as does everything without a filter.
+	// edges the store holds but pruning dropped. A scan of two variables
+	// walks kept positions only and reads 0, as does everything without
+	// a filter.
 	Filtered int64 `json:"filtered,omitempty"`
 	// MemBytes and RowsBuffered estimate the operator's build-side
 	// footprint: hash-join right sides and the seen-sets of distinct and
@@ -305,7 +306,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 		if err != nil {
 			return nil, rowProps{}, err
 		}
-		sc := &scanIter{st: c.st, r: r, slab: c.slab}
+		sc := newExtendIter(c.st, nil, r, false, c.slab)
 		it := c.counted("scan", x.Detail, x.Est, sc)
 		sc.filtered = &c.lastStats().Filtered
 		return it, scanProps(r.vars()), nil
@@ -346,10 +347,10 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 	}
 }
 
-// compileJoin picks the physical join: a pipelined index-nested-loop
-// extend when the right side is a scan (optionally with pushed-down
-// filters — the streaming fast path: no materialization on either side),
-// and a hash join that drains only the right side otherwise.
+// compileJoin picks the physical join: when the right side is a scan
+// (optionally under pushed-down filters), the extend that runs every leaf
+// scan, fed the left input instead of the unit row — no materialization
+// on either side; otherwise a hash join that drains only the right side.
 func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowProps, error) {
 	// Peel pushed-down filters off a scan right side: for an inner join,
 	// filtering the extensions after the merge is equivalent to filtering
@@ -531,109 +532,19 @@ func (u *unitIter) Next() ([]storage.NodeID, bool, error) {
 	return u.slab.alloc(0), true, nil
 }
 
-// scanIter streams the matches of one resolved triple pattern straight
-// from the store — a cursor over the PSO positions the view holds for the
-// unbound case (every position, or the kept-triple mask's set bits), a
-// posting-list walk (the neighbour row, read in place) when one side is a
-// constant. Nothing is materialized.
-type scanIter struct {
-	st       *storage.Store
-	r        resolved
-	slab     *slab
-	filtered *int64 // the operator's Filtered counter
-	ctx      context.Context
-	i        int // cursor: pair index or posting-list index
-	list     []storage.NodeID
-	alive    []*bitvec.Vector // see resolved.postings
-	done     bool
-	n        int // checked rows since last ctx poll
-}
-
-func (s *scanIter) Vars() []string { return s.r.vars() }
-func (s *scanIter) Close() error   { return nil }
-
-func (s *scanIter) Open(ctx context.Context) error {
-	s.ctx = ctx
-	s.i = 0
-	s.done = false
-	s.list = nil
-	if !s.r.ok {
-		s.done = true
-		return nil
-	}
-	switch {
-	case s.r.sVar == "" && s.r.oVar == "":
-	case s.r.sVar == "":
-		s.list, s.alive = s.r.postings(s.st, s.r.sID, true, s.alive[:0])
-	case s.r.oVar == "":
-		s.list, s.alive = s.r.postings(s.st, s.r.oID, false, s.alive[:0])
-	}
-	return nil
-}
-
-//dualsim:hotpath
-func (s *scanIter) Next() ([]storage.NodeID, bool, error) {
-	if s.done {
-		return nil, false, nil
-	}
-	if s.n++; s.n%rowCheckInterval == 0 {
-		if err := ctxErr(s.ctx); err != nil {
-			return nil, false, err
-		}
-	}
-	r := &s.r
-	switch {
-	case r.sVar == "" && r.oVar == "":
-		s.done = true
-		if r.has(s.st, r.sID, r.oID, s.filtered) {
-			return s.slab.alloc(0), true, nil
-		}
-		return nil, false, nil
-	case r.sVar == "" || r.oVar == "":
-		for s.i < len(s.list) {
-			id := s.list[s.i]
-			s.i++
-			if !admits(s.alive, id) {
-				*s.filtered++
-				continue
-			}
-			row := s.slab.alloc(1)
-			row[0] = id
-			return row, true, nil
-		}
-		s.done = true
-		return nil, false, nil
-	default:
-		for i := r.nextPos(s.st, s.i); i >= 0; i = r.nextPos(s.st, s.i) {
-			sub, obj := s.st.PairAt(r.pred, i)
-			s.i = i + 1
-			if r.sVar == r.oVar {
-				if sub != obj {
-					continue
-				}
-				row := s.slab.alloc(1)
-				row[0] = sub
-				return row, true, nil
-			}
-			row := s.slab.alloc(2)
-			row[0], row[1] = sub, obj
-			return row, true, nil
-		}
-		s.done = true
-		return nil, false, nil
-	}
-}
-
 // extendIter is the pipelined index-nested-loop join of an input stream
-// with one triple pattern: each input row is extended through the
-// cheapest applicable index access path, cursor-style, so rows flow from
-// the leftmost scan to the client without materializing any intermediate
-// — and without unbounded work per Next call, keeping cancellation
-// prompt. With leftOuter it implements OPTIONAL against a scan: input
-// rows with no extension survive padded.
+// with one triple pattern, and the one operator that reads triples. Each
+// input row is extended through the cheapest access path — a membership
+// test, a posting-list walk, or a cursor over the PSO positions the view
+// holds (the kept-triple mask's set bits under a filter) — cursor-style,
+// with bounded work per Next call, so rows reach the client unmaterialized
+// and cancellation stays prompt. A leaf scan is its unit-input case: the
+// extension of the single empty mapping µ∅. With leftOuter it implements
+// OPTIONAL against a scan: input rows with no extension survive padded.
 type extendIter struct {
 	st        *storage.Store
 	in        Iterator
+	unit      unitIter // the input of a leaf scan
 	r         resolved
 	leftOuter bool
 	slab      *slab
@@ -665,9 +576,15 @@ type extendIter struct {
 	n   int
 }
 
+// newExtendIter extends in's rows by r; a nil in is the unit row, which
+// makes the operator a leaf scan of r.
 func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool, sl *slab) *extendIter {
 	e := &extendIter{st: st, in: in, r: r, leftOuter: leftOuter, slab: sl, sCol: -1, oCol: -1}
-	e.vars = slices.Clone(in.Vars())
+	if in == nil {
+		e.unit.slab = sl
+		e.in = &e.unit
+	}
+	e.vars = slices.Clone(e.in.Vars())
 	e.inVars = len(e.vars)
 	col := func(v string) int {
 		if v == "" {

@@ -121,20 +121,14 @@ func (h *Histogram) Buckets() ([]float64, []int64) {
 	return bounds, counts
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed values
-// by linear interpolation inside the winning bucket. An empty histogram
-// reports 0; a quantile landing in the +Inf bucket reports the last
-// finite bound (there is no upper edge to interpolate toward).
-func (h *Histogram) Quantile(q float64) float64 {
-	bounds, cum := h.Buckets()
-	return BucketQuantile(bounds, cum, q)
-}
-
-// BucketQuantile estimates the q-quantile from a cumulative bucket
-// rendering as returned by Buckets (ascending upper bounds with +Inf
-// last, cumulative counts). It exists separately from Histogram.Quantile
+// BucketQuantile estimates the q-quantile (0 ≤ q ≤ 1) from a cumulative
+// bucket rendering as returned by Buckets (ascending upper bounds with
+// +Inf last, cumulative counts) by linear interpolation inside the
+// winning bucket. An empty rendering reports 0; a quantile landing in the
+// +Inf bucket reports the last finite bound (there is no upper edge to
+// interpolate toward). It reads renderings rather than a live histogram
 // so merged bucket counts — e.g. statement histograms summed across
-// shards — can be interrogated without rebuilding a live histogram.
+// shards — can be interrogated the same way.
 func BucketQuantile(bounds []float64, cum []int64, q float64) float64 {
 	if len(bounds) == 0 || len(cum) != len(bounds) {
 		return 0

@@ -34,8 +34,10 @@ func TestTailSinceReturnsRecordsBeyondEpoch(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("TailSince(0) returned %d records, want 4", len(recs))
 	}
-	if err := VerifyTail(0, recs); err != nil {
-		t.Fatalf("full tail should be contiguous: %v", err)
+	for i, r := range recs {
+		if r.Epoch != uint64(i+1) {
+			t.Fatalf("TailSince(0) record %d has epoch %d, want %d", i, r.Epoch, i+1)
+		}
 	}
 	recs, _, err = lg.TailSince(2)
 	if err != nil {
@@ -43,9 +45,6 @@ func TestTailSinceReturnsRecordsBeyondEpoch(t *testing.T) {
 	}
 	if len(recs) != 2 || recs[0].Epoch != 3 || recs[1].Epoch != 4 {
 		t.Fatalf("TailSince(2) = %v records starting at %d, want [3 4]", len(recs), recs[0].Epoch)
-	}
-	if err := VerifyTail(2, recs); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -91,34 +90,6 @@ func TestTailSinceEpochGapAfterCheckpoint(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Epoch != 4 {
 		t.Fatalf("TailSince(3) = %+v, want the single epoch-4 record", recs)
-	}
-}
-
-// TestVerifyTailDetectsSkips is the replica-side check: a record whose
-// epoch skips ahead of the replay position must be refused as a gap
-// (the replica re-bootstraps), and a stale or reordered record as
-// disorder — applying either would diverge from the primary.
-func TestVerifyTailDetectsSkips(t *testing.T) {
-	rec := func(e uint64) Record { return Record{Kind: RecordApply, Epoch: e} }
-	if err := VerifyTail(5, []Record{rec(6), rec(7), rec(8)}); err != nil {
-		t.Fatalf("contiguous tail rejected: %v", err)
-	}
-	if err := VerifyTail(5, nil); err != nil {
-		t.Fatalf("empty tail rejected: %v", err)
-	}
-	err := VerifyTail(5, []Record{rec(6), rec(8)})
-	if !errors.Is(err, ErrEpochGap) {
-		t.Fatalf("skip 6→8 = %v, want ErrEpochGap", err)
-	}
-	err = VerifyTail(5, []Record{rec(9)})
-	if !errors.Is(err, ErrEpochGap) {
-		t.Fatalf("jump past replay position = %v, want ErrEpochGap", err)
-	}
-	if err := VerifyTail(5, []Record{rec(6), rec(6)}); err == nil || errors.Is(err, ErrEpochGap) {
-		t.Fatalf("duplicate epoch = %v, want a disorder error (not a gap)", err)
-	}
-	if err := VerifyTail(5, []Record{rec(4)}); err == nil || errors.Is(err, ErrEpochGap) {
-		t.Fatalf("stale record = %v, want a disorder error (not a gap)", err)
 	}
 }
 

@@ -46,28 +46,6 @@ const (
 // re-bootstrap from a snapshot at or beyond the gap.
 var ErrEpochGap = errors.New("persist: WAL records for the requested epochs were checkpointed away")
 
-// VerifyTail checks that recs form the contiguous epoch sequence
-// from+1, from+2, …: the invariant WAL replay and replica catch-up rely
-// on. Apply records are only ever logged for non-empty deltas (empty
-// deltas are no-ops that do not advance the epoch), so a hole or a
-// jump always means records are missing or reordered — applying across
-// it would silently diverge from the primary. A skip ahead is reported
-// as ErrEpochGap; any other disorder as a plain error.
-func VerifyTail(from uint64, recs []Record) error {
-	e := from
-	for i, r := range recs {
-		if r.Epoch == e+1 {
-			e = r.Epoch
-			continue
-		}
-		if r.Epoch > e+1 {
-			return fmt.Errorf("%w: record %d jumps from epoch %d to %d", ErrEpochGap, i, e, r.Epoch)
-		}
-		return fmt.Errorf("persist: WAL tail disordered: record %d has epoch %d at replay position %d", i, r.Epoch, e+1)
-	}
-	return nil
-}
-
 // encodeRecord appends the payload of r to buf.
 func encodeRecord(buf []byte, r Record) []byte {
 	buf = append(buf, byte(r.Kind))

@@ -29,8 +29,6 @@ import (
 
 // Pruning is the outcome of dual-simulation pruning for one query.
 type Pruning struct {
-	// Masks marks the kept triples per predicate by PSO position.
-	Masks []*bitvec.Vector
 	// Kept is the number of triples after pruning.
 	Kept int
 	// Total is the store size before pruning.
@@ -55,7 +53,13 @@ func (p *Pruning) Ratio() float64 {
 // Store materializes the pruned database (shared dictionaries, so node
 // ids remain comparable with the original).
 func (p *Pruning) Store() *storage.Store {
-	return p.store.RestrictByMask(p.Masks)
+	masks := make([]*bitvec.Vector, len(p.filter))
+	for pid, pf := range p.filter {
+		if pf != nil {
+			masks[pid] = pf.Mask
+		}
+	}
+	return p.store.RestrictByMask(masks)
 }
 
 // Filter returns the pruning as a view of the unpruned store: per
@@ -87,7 +91,6 @@ func Prune(st *storage.Store, rel *core.QueryRelation) *Pruning {
 // against χS(w). It costs O(|χS(v)| + Σ deg) — what the candidates cost.
 func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (*Pruning, error) {
 	out := &Pruning{
-		Masks:  make([]*bitvec.Vector, st.NumPreds()),
 		Total:  st.NumTriples(),
 		store:  st,
 		filter: make(storage.Filter, st.NumPreds()),
@@ -110,7 +113,7 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 			pf := out.filter[pid]
 			if pf == nil {
 				pf = &storage.PredFilter{Mask: bitvec.New(st.PredCount(pid))}
-				out.filter[pid], out.Masks[pid] = pf, pf.Mask
+				out.filter[pid] = pf
 			}
 			pf.Pairs = append(pf.Pairs, storage.ChiPair{S: chiS, O: chiO})
 			pf.DistS += chiS.Count()

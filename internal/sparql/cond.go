@@ -103,16 +103,3 @@ func Conjuncts(c Condition) []Condition {
 	}
 	return []Condition{c}
 }
-
-// ConjoinConds folds a non-empty list of conditions into one right-leaning
-// && chain; it returns nil for an empty list.
-func ConjoinConds(cs []Condition) Condition {
-	if len(cs) == 0 {
-		return nil
-	}
-	c := cs[len(cs)-1]
-	for i := len(cs) - 2; i >= 0; i-- {
-		c = CondAnd{L: cs[i], R: c}
-	}
-	return c
-}

@@ -244,19 +244,6 @@ func (s *Span) Add(name string, n int64) {
 	s.unlock()
 }
 
-// SetDuration overrides the span's duration (for spans whose cost was
-// measured elsewhere, e.g. an fsync latency reported by the WAL).
-//
-//dualsim:hotpath
-func (s *Span) SetDuration(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.lock()
-	s.Duration = d
-	s.unlock()
-}
-
 //dualsim:hotpath
 func (s *Span) lock() {
 	if s.tr != nil {

@@ -100,6 +100,19 @@ func (db *DB) planFor(st *Store, filter storage.Filter, q *Query) *plan.Plan {
 	return plan.Build(st, q, plan.Options{Filter: filter})
 }
 
+// store plans a freshly solved view and stores it on the prepared query,
+// unless a concurrent first execution stored one first; it returns the
+// stored view. A loser's relation is left to the GC: once a view is
+// stored, the plan's systems are never solved again, so the solver pool
+// would never reuse it.
+func (pq *PreparedQuery) store(v *preparedView) *preparedView {
+	v.plan = pq.db.planFor(pq.snap.st, v.filter(), pq.q)
+	if pq.view.CompareAndSwap(nil, v) {
+		return v
+	}
+	return pq.view.Load()
+}
+
 // compile is the one place the session turns a plan into an execution:
 // the Volcano iterator tree of pl over st, under the session's memory
 // budget. On an oracle session (WithEngine(IndexNL)), pl is nil and the
@@ -154,12 +167,14 @@ func (pq *PreparedQuery) open(ctx context.Context, v *preparedView, timed bool) 
 // against the store seen through that solution — the candidate sets χ
 // filter every triple the executor reads, the kept-triple masks are its
 // leaf scans; no pruned copy of the store is built — and open the plan's
-// iterator tree. The first execution that opens its cursor stores that
-// view (χ, masks, plan) on the prepared query; every later one only
-// compiles and opens the stored plan, and reports ExecStats.Reused. A
-// first execution that fails stores nothing and hands its χ rows back
-// to the solver pool; one that loses a race to store reads the view that
-// won. The rows are computed as the caller pulls them.
+// iterator tree. The first execution whose solve and plan finish stores
+// that view (χ, masks, plan) on the prepared query before it opens its
+// cursor; every later one only compiles and opens the stored plan, and
+// reports ExecStats.Reused — also after a first execution whose Open
+// failed. A first execution that fails in the solve or the mask walk
+// stores nothing and hands its χ rows back to the solver pool; one that
+// loses a race to store reads the view that won. The rows are computed
+// as the caller pulls them.
 // A nil ctx is treated as context.Background(). Cancellation and
 // deadlines interrupt the solver between inequality evaluations and the
 // executor between row batches.
@@ -224,21 +239,9 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 	eval := time.Now()
 	sp := parent.StartChild("evaluate")
 	if fresh {
-		v.plan = pq.db.planFor(full, v.filter(), pq.q)
+		v = pq.store(v)
 	}
 	ex, err := pq.open(ctx, v, parent != nil)
-	if fresh {
-		switch {
-		case err != nil:
-			v.rel.Release()
-		case !pq.view.CompareAndSwap(nil, v):
-			// A concurrent first execution stored its view first. It holds
-			// the same relation (χ is unique): read it, hand ours back.
-			ex.Close()
-			v.rel.Release()
-			ex, err = pq.open(ctx, pq.view.Load(), parent != nil)
-		}
-	}
 	if err != nil {
 		sp.End()
 		return nil, err

@@ -238,7 +238,7 @@ type PrepareStats struct {
 // translated to per-branch systems of inequalities (with the
 // empty-column counts that break ties in the solver's cheapest-first
 // worklist) and finalized for concurrent solving. Its first execution
-// that opens a cursor also keeps what depends only on the query and the
+// that finishes its solve also keeps what depends only on the query and the
 // snapshot — the largest dual simulation, the kept-triple filter and the
 // physical plan costed through it — so later executions neither solve
 // nor plan (see Stream; ExecStats.Reused). The kept χ rows live as long
@@ -260,7 +260,7 @@ type PreparedQuery struct {
 	prep     PrepareStats
 	lastRows atomic.Int64 // rows of the last drained Exec: the next one's capacity
 	// view is the pruned view and physical plan of the first execution
-	// that opened a cursor; nil until then. Stored once, never replaced.
+	// that finished its solve; nil until then. Stored once, never replaced.
 	view atomic.Pointer[preparedView]
 }
 
