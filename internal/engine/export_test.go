@@ -5,7 +5,17 @@ package engine
 // imports this package).
 var (
 	RandomFilteredExpr = randomFilteredExpr
+	RandomQuery        = randomQuery
 	RandomTriples      = randomTriples
+	DedupUnions        = dedupUnions
 	CheckWindow        = checkWindow
 	IsSet              = isSet
 )
+
+// SetBatchRows moves every pull window boundary: operators and consumers
+// pull at most n rows at a time until the returned func restores the
+// default. A test hook, not an option.
+func SetBatchRows(n int) (restore func()) {
+	batchRows = n
+	return func() { batchRows = batchMax }
+}

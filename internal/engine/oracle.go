@@ -483,7 +483,7 @@ func referenceBGP(ctx context.Context, st *storage.Store, b sparql.BGP) (*Result
 // has no operators and no planner decisions, and buffers nothing the
 // accounting would meter.
 func AsExec(eng Engine, st *storage.Store, q *sparql.Query) *Exec {
-	return &Exec{root: &materializedIter{eng: eng, st: st, q: q}, acct: &account{}}
+	return &Exec{root: input{it: &materializedIter{eng: eng, st: st, q: q}}, acct: &account{}}
 }
 
 type materializedIter struct {
@@ -500,12 +500,14 @@ func (m *materializedIter) Open(ctx context.Context) error {
 	return err
 }
 
-func (m *materializedIter) Next() ([]storage.NodeID, bool, error) {
-	if m.res == nil || m.i >= len(m.res.Rows) {
-		return nil, false, nil
+func (m *materializedIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+	if m.res == nil {
+		return dst, nil
 	}
-	m.i++
-	return m.res.Rows[m.i-1], true, nil
+	k := min(cap(dst)-len(dst), len(m.res.Rows)-m.i)
+	dst = append(dst, m.res.Rows[m.i:m.i+k]...)
+	m.i += k
+	return dst, nil
 }
 
 func (m *materializedIter) Close() error { return nil }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -29,17 +30,18 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// Iterator is the Volcano operator interface: Open prepares the operator,
-// Next produces one row at a time (rows are positional over Vars, with
-// Unbound for positions outside dom(µ)), Close releases resources. The
-// row returned by Next is owned by the caller: operators never reuse or
-// rewrite a row they handed out. Rows are carved from the execution's
+// Iterator is the Volcano operator interface, a batch at a time: Open
+// prepares the operator, Close releases resources, and Next appends at
+// most cap(dst)−len(dst) rows to dst (so the result shares dst's array)
+// and appends none only at end of stream. Rows are positional over Vars,
+// with Unbound for positions outside dom(µ). The window and the rows are
+// the caller's: an operator writes only past len(dst), and never reuses
+// or rewrites a row it handed out. Rows are carved from the execution's
 // slab, so they are capacity-limited (an append copies) and may be
 // retained by a buffering operator downstream — treat them as read-only.
 type Iterator interface {
 	Open(ctx context.Context) error
-	// Next returns the next row; ok is false at end of stream.
-	Next() (row []storage.NodeID, ok bool, err error)
+	Next(dst [][]storage.NodeID) ([][]storage.NodeID, error)
 	Close() error
 	Vars() []string
 }
@@ -67,8 +69,8 @@ type OperatorStats struct {
 	// points of the tree; streaming operators stay 0.
 	MemBytes     int64 `json:"memBytes,omitempty"`
 	RowsBuffered int64 `json:"rowsBuffered,omitempty"`
-	// NextCalls counts Next invocations on the operator, including the
-	// final end-of-stream one — rows plus the pull overhead.
+	// NextCalls counts pulls on the operator: one per window it was
+	// asked to fill, plus the final end-of-stream one that appends none.
 	NextCalls int64 `json:"nextCalls,omitempty"`
 	// Time is wall-clock time spent inside the operator's subtree
 	// (inclusive of children), collected only when the execution was
@@ -83,15 +85,15 @@ type OperatorStats struct {
 
 // Exec is a compiled streaming execution: the iterator tree of an
 // optimized plan, plus the plan metadata (per-operator counters and the
-// optimizer's decision log). It implements Iterator; Operators reads the
-// counters accumulated so far, so it is meaningful both mid-stream and
-// after exhaustion.
+// optimizer's decision log). Pull and Append are its consumers' ends of
+// the batch contract. Operators reads the counters accumulated so far,
+// so it is meaningful both mid-stream and after exhaustion.
 type Exec struct {
-	root      Iterator
-	ops       []*OperatorStats
-	its       []*countedIter
+	root      input          // the tree, and Pull's window over it
+	its       []*countedIter // the operators, in registration order
 	decisions []string
 	acct      *account
+	window    int // size of Pull's last window
 }
 
 // Open prepares the tree. An already expired context fails here, before
@@ -100,28 +102,62 @@ func (e *Exec) Open(ctx context.Context) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	return e.root.Open(ctx)
+	e.window, e.root.rows = 0, nil
+	return e.root.it.Open(ctx)
 }
 
-func (e *Exec) Next() ([]storage.NodeID, bool, error) { return e.root.Next() }
-func (e *Exec) Close() error                          { return e.root.Close() }
-func (e *Exec) Vars() []string                        { return e.root.Vars() }
+func (e *Exec) Vars() []string { return e.root.it.Vars() }
+func (e *Exec) Close() error   { e.root.release(); return e.root.it.Close() }
+
+// Pull returns the next window of rows, empty at end of stream: 1, 2, 4
+// … up to batchRows rows, so the first row costs one row of work. The
+// window is overwritten by the next Pull; its rows are the caller's.
+func (e *Exec) Pull() ([][]storage.NodeID, error) {
+	e.window = min(max(2*e.window, 1), batchRows)
+	_, err := e.root.pull(e.window)
+	return e.root.rows, err
+}
+
+// Append pulls every remaining row straight into dst's spare capacity,
+// a batch at a time, and returns the extended slice. A full dst grows
+// only when Pull's window holds more rows, not to see the end, and then
+// row by row, so it takes the capacities a row-at-a-time append would.
+func (e *Exec) Append(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+	for {
+		n := len(dst)
+		if n == cap(dst) {
+			ok, err := e.root.pull(batchRows)
+			if !ok {
+				return dst, err
+			}
+			for _, row := range e.root.rows {
+				dst = append(dst, row)
+			}
+			continue
+		}
+		got, err := e.root.it.Next(dst[:n:min(cap(dst), n+batchRows)])
+		dst = dst[:len(got)]
+		if err != nil || len(dst) == n {
+			return dst, err
+		}
+	}
+}
 
 // Operators returns a snapshot of the per-operator counters in
 // registration order — post-order over the plan tree (children before
 // their parent, the outermost operator last). Together with each entry's
 // Depth this is enough to rebuild the tree shape.
 func (e *Exec) Operators() []OperatorStats {
-	out := make([]OperatorStats, len(e.ops))
-	for i, op := range e.ops {
-		out[i] = *op
+	out := make([]OperatorStats, len(e.its))
+	for i, it := range e.its {
+		out[i] = it.stats
 	}
 	return out
 }
 
 // EnableTiming turns on per-operator wall-clock collection for this
 // execution (OperatorStats.Time). Call before Open: timing costs two
-// monotonic clock reads per Next per operator, so it is opt-in — the
+// monotonic clock reads per pull per operator, so it is opt-in — the
 // tracer and EXPLAIN ANALYZE enable it, the default path does not.
 func (e *Exec) EnableTiming() {
 	for _, it := range e.its {
@@ -234,14 +270,14 @@ func CompilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
 	// rowProps) gets an explicit distinct, which then is the real tree
 	// root — the plan's operators move one level down.
 	if !props.distinct {
-		for _, op := range c.ops {
-			op.Depth++
+		for _, it := range c.its {
+			it.stats.Depth++
 		}
 		d := &distinctIter{in: root, acct: c.acct}
 		root = c.counted("distinct", "", 0, d)
 		d.stats = c.lastStats()
 	}
-	return &Exec{root: root, ops: c.ops, its: c.its, decisions: pl.Decisions, acct: c.acct}, nil
+	return &Exec{root: input{it: root}, its: c.its, decisions: pl.Decisions, acct: c.acct}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +286,6 @@ func CompilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
 type compiler struct {
 	st     *storage.Store
 	filter storage.Filter // nil: the patterns read st's index columns
-	ops    []*OperatorStats
 	its    []*countedIter
 	depth  int // plan-tree depth of the node currently being compiled
 	acct   *account
@@ -273,15 +308,13 @@ func (c *compiler) resolve(tp sparql.TriplePattern) (resolved, error) {
 
 // lastStats returns the stats slot counted just registered — the hook
 // buffering iterators use to attribute their memory charges.
-func (c *compiler) lastStats() *OperatorStats { return c.ops[len(c.ops)-1] }
+func (c *compiler) lastStats() *OperatorStats { return &c.its[len(c.its)-1].stats }
 
 // counted registers an operator's stats slot (tagged with the current
 // tree depth) and wraps it with the row-counting shim. Registration
 // order is post-order: children before their parent.
 func (c *compiler) counted(op, detail string, est float64, it Iterator) Iterator {
-	st := &OperatorStats{Op: op, Detail: detail, EstRows: est, Depth: c.depth}
-	c.ops = append(c.ops, st)
-	ci := &countedIter{in: it, stats: st}
+	ci := &countedIter{in: it, stats: OperatorStats{Op: op, Detail: detail, EstRows: est, Depth: c.depth}}
 	c.its = append(c.its, ci)
 	return ci
 }
@@ -300,7 +333,7 @@ func (c *compiler) child(n plan.Node) (Iterator, rowProps, error) {
 func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 	switch x := n.(type) {
 	case plan.Unit:
-		return c.counted("unit", "", 1, &unitIter{slab: c.slab}), scanProps(nil), nil
+		return c.counted("unit", "", 1, &unitIter{}), scanProps(nil), nil
 	case plan.Scan:
 		r, err := c.resolve(x.TP)
 		if err != nil {
@@ -441,9 +474,9 @@ func (volcanoEngine) Evaluate(ctx context.Context, st *storage.Store, q *sparql.
 	return Drain(ctx, ex)
 }
 
-// Drain opens the execution, materializes every row into a Result and
-// closes it, polling ctx between row batches. The Exec's operator
-// counters remain readable after Drain returns.
+// Drain opens the execution, materializes every row into a Result (see
+// Append) and closes it; the tree polls ctx once per pull. The Exec's
+// operator counters remain readable after Drain returns.
 func Drain(ctx context.Context, ex *Exec) (*Result, error) {
 	if err := ex.Open(ctx); err != nil {
 		ex.Close()
@@ -451,38 +484,65 @@ func Drain(ctx context.Context, ex *Exec) (*Result, error) {
 	}
 	defer ex.Close()
 	out := NewResult(ex.Vars()...)
-	n := 0
-	for {
-		if n%rowCheckInterval == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		row, ok, err := ex.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.Rows = append(out.Rows, row)
-		n++
+	var err error
+	if out.Rows, err = ex.Append(out.Rows); err != nil {
+		return nil, err
 	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
 // Operators.
 
-// countedIter bumps its operator's row counter on every emitted row and
-// polls ctx every rowCheckInterval rows, so cancellation reaches every
-// operator boundary of the tree. With timed set (tracing/EXPLAIN
-// ANALYZE) it additionally accumulates inclusive wall-clock time.
+// batchMax is the most rows a pull moves: 256 row headers, 6 KB.
+// batchRows is the limit in force, shrunk only by tests to move the
+// window boundaries.
+const batchMax = 256
+
+var batchRows = batchMax
+
+// batchPool recycles input windows' header buffers across executions:
+// a small query allocates none.
+var batchPool = sync.Pool{New: func() any { return new([batchMax][]storage.NodeID) }}
+
+// input is an operator's read side of its child (and Pull's of the
+// tree): a batchPool buffer, taken at the first pull, returned at Close.
+type input struct {
+	it   Iterator
+	buf  *[batchMax][]storage.NodeID
+	rows [][]storage.NodeID // the unread rest of the current window
+	hw   int                // high-water mark of buf: what release clears
+}
+
+// pull reads the child's next window of at most n rows; false: the end.
+func (in *input) pull(n int) (bool, error) {
+	if in.buf == nil {
+		in.buf = batchPool.Get().(*[batchMax][]storage.NodeID)
+	}
+	rows, err := in.it.Next(in.buf[:0:min(n, batchRows)])
+	in.rows, in.hw = rows, max(in.hw, len(rows))
+	return len(rows) > 0 && err == nil, err
+}
+
+// release returns the buffer, cleared so that the pool retains no row.
+func (in *input) release() {
+	if in.buf != nil {
+		clear(in.buf[:in.hw])
+		batchPool.Put(in.buf)
+		in.buf, in.hw = nil, 0
+	}
+	in.rows = nil
+}
+
+// countedIter counts its operator's pulls and rows, and polls ctx once
+// per pull, so cancellation reaches every operator boundary of the tree.
+// With timed set (tracing/EXPLAIN ANALYZE) it also accumulates inclusive
+// wall-clock time.
 type countedIter struct {
 	in    Iterator
-	stats *OperatorStats
 	ctx   context.Context
-	n     int
 	timed bool
+	stats OperatorStats
 }
 
 func (c *countedIter) Open(ctx context.Context) error { c.ctx = ctx; return c.in.Open(ctx) }
@@ -490,101 +550,92 @@ func (c *countedIter) Close() error                   { return c.in.Close() }
 func (c *countedIter) Vars() []string                 { return c.in.Vars() }
 
 //dualsim:hotpath
-func (c *countedIter) Next() ([]storage.NodeID, bool, error) {
-	if c.n++; c.n%rowCheckInterval == 0 {
-		if err := ctxErr(c.ctx); err != nil {
-			return nil, false, err
-		}
+func (c *countedIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+	if err := ctxErr(c.ctx); err != nil {
+		return dst, err
 	}
 	c.stats.NextCalls++
+	n := len(dst)
+	var t0 time.Time
 	if c.timed {
-		t0 := time.Now()
-		row, ok, err := c.in.Next()
+		t0 = time.Now()
+	}
+	dst, err := c.in.Next(dst)
+	if c.timed {
 		c.stats.Time += time.Since(t0)
-		if ok {
-			c.stats.Rows++
-		}
-		return row, ok, err
 	}
-	row, ok, err := c.in.Next()
-	if ok {
-		c.stats.Rows++
-	}
-	return row, ok, err
+	c.stats.Rows += int64(len(dst) - n)
+	return dst, err
 }
 
+// unitRow is the empty mapping: with no capacity, nobody can write it.
+var unitRow = make([]storage.NodeID, 0)
+
 // unitIter produces the single empty mapping.
-type unitIter struct {
-	slab *slab
-	done bool
-}
+type unitIter struct{ done bool }
 
 func (u *unitIter) Open(ctx context.Context) error { u.done = false; return nil }
 func (u *unitIter) Close() error                   { return nil }
 func (u *unitIter) Vars() []string                 { return nil }
 
 //dualsim:hotpath
-func (u *unitIter) Next() ([]storage.NodeID, bool, error) {
+func (u *unitIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
 	if u.done {
-		return nil, false, nil
+		return dst, nil
 	}
 	u.done = true
-	return u.slab.alloc(0), true, nil
+	return append(dst, unitRow), nil
 }
 
 // extendIter is the pipelined index-nested-loop join of an input stream
 // with one triple pattern, and the one operator that reads triples. Each
 // input row is extended through the cheapest access path — a membership
 // test, a posting-list walk, or a cursor over the PSO positions the view
-// holds (the kept-triple mask's set bits under a filter) — cursor-style,
-// with bounded work per Next call, so rows reach the client unmaterialized
-// and cancellation stays prompt. A leaf scan is its unit-input case: the
-// extension of the single empty mapping µ∅. With leftOuter it implements
-// OPTIONAL against a scan: input rows with no extension survive padded.
+// holds (the kept-triple mask's set bits under a filter) — cursor-style:
+// a full window ends a pull, the next resumes the cursor, and ctx is
+// polled every rowCheckInterval steps inside a window too. A leaf scan is
+// its unit-input case: the extension of the single empty mapping µ∅. With
+// leftOuter it implements OPTIONAL against a scan: input rows with no
+// extension survive padded.
 type extendIter struct {
-	st        *storage.Store
-	in        Iterator
-	unit      unitIter // the input of a leaf scan
-	r         resolved
-	leftOuter bool
-	slab      *slab
-	filtered  *int64 // the operator's Filtered counter
+	st       *storage.Store
+	in       input
+	r        resolved
+	slab     *slab
+	filtered *int64 // the operator's Filtered counter
 
 	vars   []string
 	inVars int // input schema width (a prefix of vars)
 	// Output columns of the pattern's subject and object, resolved once:
 	// -1 for a constant. sameVar is the ?x p ?x pattern.
 	sCol, oCol int
-	sameVar    bool
 
-	// Cursor over the extensions of the current input row. cur is the
-	// input row widened to the output schema: operator-owned scratch that
-	// is never handed out (emitted rows are slab copies), valid while
-	// have is set.
-	cur        []storage.NodeID
-	have       bool
+	// Cursor over the extensions of the current input row, which is read
+	// in place (the input's rows are never rewritten).
+	row        []storage.NodeID
 	list       []storage.NodeID // posting list (one side known), read in place
 	alive      []*bitvec.Vector // see resolved.postings
 	li         int
 	pi         int // pair cursor (neither side known)
 	sVal, oVal storage.NodeID
-	sKnown     bool
-	oKnown     bool
-	matched    bool
 
 	ctx context.Context
 	n   int
+
+	// The flags come last, so that they share one word.
+	unit                          unitIter // the input of a leaf scan
+	leftOuter, sameVar            bool
+	have, sKnown, oKnown, matched bool
 }
 
 // newExtendIter extends in's rows by r; a nil in is the unit row, which
 // makes the operator a leaf scan of r.
 func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool, sl *slab) *extendIter {
-	e := &extendIter{st: st, in: in, r: r, leftOuter: leftOuter, slab: sl, sCol: -1, oCol: -1}
+	e := &extendIter{st: st, in: input{it: in}, r: r, leftOuter: leftOuter, slab: sl, sCol: -1, oCol: -1}
 	if in == nil {
-		e.unit.slab = sl
-		e.in = &e.unit
+		e.in.it = &e.unit
 	}
-	e.vars = slices.Clone(e.in.Vars())
+	e.vars = slices.Clone(e.in.it.Vars())
 	e.inVars = len(e.vars)
 	col := func(v string) int {
 		if v == "" {
@@ -599,33 +650,37 @@ func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool, s
 	}
 	e.sCol, e.oCol = col(r.sVar), col(r.oVar)
 	e.sameVar = r.sVar != "" && r.sVar == r.oVar
-	e.cur = make([]storage.NodeID, len(e.vars))
 	return e
 }
 
 func (e *extendIter) Vars() []string { return e.vars }
-func (e *extendIter) Close() error   { return e.in.Close() }
+func (e *extendIter) Close() error   { e.in.release(); return e.in.it.Close() }
 
 func (e *extendIter) Open(ctx context.Context) error {
 	e.ctx = ctx
-	e.have = false
-	return e.in.Open(ctx)
+	e.have, e.in.rows = false, nil
+	return e.in.it.Open(ctx)
 }
 
 // emit builds an output row: the current input row, with the pattern's
-// variables set to (s, o) when ext is true.
+// variables set to (s, o) when ext is true — which binds every column
+// past the input's — and padded with Unbound otherwise.
 //
 //dualsim:hotpath
 func (e *extendIter) emit(ext bool, s, o storage.NodeID) []storage.NodeID {
-	nr := e.slab.alloc(len(e.cur))
-	copy(nr, e.cur)
-	if ext {
-		if e.sCol >= 0 {
-			nr[e.sCol] = s
+	nr := e.slab.alloc(len(e.vars))
+	copy(nr, e.row)
+	if !ext {
+		for i := e.inVars; i < len(nr); i++ {
+			nr[i] = Unbound
 		}
-		if e.oCol >= 0 {
-			nr[e.oCol] = o
-		}
+		return nr
+	}
+	if e.sCol >= 0 {
+		nr[e.sCol] = s
+	}
+	if e.oCol >= 0 {
+		nr[e.oCol] = o
 	}
 	return nr
 }
@@ -636,19 +691,19 @@ func (e *extendIter) known(col int, constID storage.NodeID) (storage.NodeID, boo
 	if col < 0 {
 		return constID, true
 	}
-	if v := e.cur[col]; v != Unbound {
-		return v, true
+	if col < e.inVars && e.row[col] != Unbound {
+		return e.row[col], true
 	}
 	return 0, false
 }
 
 //dualsim:hotpath
-func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
+func (e *extendIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
 	r := &e.r
-	for {
+	for len(dst) < cap(dst) {
 		if e.n++; e.n%rowCheckInterval == 0 {
 			if err := ctxErr(e.ctx); err != nil {
-				return nil, false, err
+				return dst, err
 			}
 		}
 		if e.have {
@@ -656,58 +711,66 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 			case e.sKnown && e.oKnown:
 				e.have = false
 				if r.has(e.st, e.sVal, e.oVal, e.filtered) {
-					return e.emit(true, e.sVal, e.oVal), true, nil
-				}
-				if e.leftOuter {
-					return e.emit(false, 0, 0), true, nil
+					dst = append(dst, e.emit(true, e.sVal, e.oVal))
+				} else if e.leftOuter {
+					dst = append(dst, e.emit(false, 0, 0))
 				}
 				continue
 			case e.sKnown || e.oKnown:
-				for e.li < len(e.list) {
-					id := e.list[e.li]
-					e.li++
+				// The posting-list walk: its cursor stays in locals.
+				list, li, n := e.list, e.li, e.n
+				for li < len(list) && len(dst) < cap(dst) {
+					id := list[li]
+					li++
+					if n++; n%rowCheckInterval == 0 {
+						if err := ctxErr(e.ctx); err != nil {
+							e.li, e.n = li, n
+							return dst, err
+						}
+					}
 					if !admits(e.alive, id) {
 						*e.filtered++
 						continue
 					}
-					e.matched = true
-					if e.sKnown {
-						return e.emit(true, e.sVal, id), true, nil
+					s, o := e.sVal, id
+					if e.matched = true; !e.sKnown {
+						s, o = id, e.oVal
 					}
-					return e.emit(true, id, e.oVal), true, nil
+					dst = append(dst, e.emit(true, s, o))
+				}
+				e.li, e.n = li, n
+				if li < len(list) {
+					return dst, nil
 				}
 			default:
 				if i := r.nextPos(e.st, e.pi); i >= 0 {
 					s, o := e.st.PairAt(r.pred, i)
 					e.pi = i + 1
-					if e.sameVar && s != o {
-						continue
+					if !e.sameVar || s == o {
+						e.matched = true
+						dst = append(dst, e.emit(true, s, o))
 					}
-					e.matched = true
-					return e.emit(true, s, o), true, nil
+					continue
 				}
 			}
-			// Cursor exhausted.
+			// Cursor exhausted; the window has room for the padding.
 			e.have = false
 			if e.leftOuter && !e.matched {
-				return e.emit(false, 0, 0), true, nil
+				dst = append(dst, e.emit(false, 0, 0))
 			}
 			continue
 		}
 
-		in, ok, err := e.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		if len(e.in.rows) == 0 {
+			if ok, err := e.in.pull(cap(dst) - len(dst)); !ok {
+				return dst, err
+			}
 		}
-		// Widen the input row to the output schema.
-		copy(e.cur, in)
-		for i := e.inVars; i < len(e.cur); i++ {
-			e.cur[i] = Unbound
-		}
+		e.row, e.in.rows = e.in.rows[0], e.in.rows[1:]
 		if !r.ok {
 			// Unsatisfiable pattern: no extensions ever.
 			if e.leftOuter {
-				return e.emit(false, 0, 0), true, nil
+				dst = append(dst, e.emit(false, 0, 0))
 			}
 			continue
 		}
@@ -724,6 +787,7 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 			e.list, e.alive = r.postings(e.st, e.oVal, false, e.alive[:0])
 		}
 	}
+	return dst, nil
 }
 
 // hashJoinIter is the generic compatibility join: Open drains the right
@@ -734,7 +798,7 @@ func (e *extendIter) Next() ([]storage.NodeID, bool, error) {
 // collision nor two hashes sharing a bucket can produce a wrong match.
 // With leftOuter, unmatched left rows survive padded.
 type hashJoinIter struct {
-	l, r      Iterator
+	l, r      input
 	leftOuter bool
 	slab      *slab
 
@@ -753,7 +817,8 @@ type hashJoinIter struct {
 
 	// Probe state: the candidates of the current left row are, in order,
 	// its bucket chain and then the wildcards — or every right row when
-	// the left row itself has an unbound shared variable.
+	// the left row itself has an unbound shared variable. It survives a
+	// full window: the next pull resumes the same left row.
 	lrow    []storage.NodeID
 	haveL   bool
 	chain   int32 // next chain candidate + 1
@@ -761,8 +826,6 @@ type hashJoinIter struct {
 	scanAll bool
 	ci      int // scanAll cursor
 	matched bool
-	n       int
-	ctx     context.Context
 
 	// resource accounting: the drained right side is the build-side
 	// buffer this operator charges against the execution's budget.
@@ -771,7 +834,7 @@ type hashJoinIter struct {
 }
 
 func newHashJoinIter(l, r Iterator, leftOuter bool, sl *slab) *hashJoinIter {
-	h := &hashJoinIter{l: l, r: r, leftOuter: leftOuter, slab: sl}
+	h := &hashJoinIter{l: input{it: l}, r: input{it: r}, leftOuter: leftOuter, slab: sl}
 	lres := NewResult(l.Vars()...)
 	rres := NewResult(r.Vars()...)
 	shared := sharedVars(lres, rres)
@@ -785,44 +848,39 @@ func newHashJoinIter(l, r Iterator, leftOuter bool, sl *slab) *hashJoinIter {
 func (h *hashJoinIter) Vars() []string { return h.vars }
 
 func (h *hashJoinIter) Close() error {
-	err := h.l.Close()
-	if err2 := h.r.Close(); err == nil {
+	h.l.release()
+	h.r.release()
+	err := h.l.it.Close()
+	if err2 := h.r.it.Close(); err == nil {
 		err = err2
 	}
 	return err
 }
 
 func (h *hashJoinIter) Open(ctx context.Context) error {
-	h.ctx = ctx
-	h.haveL = false
+	h.haveL, h.l.rows = false, nil
 	h.rows = h.rows[:0]
 	h.wildcards = h.wildcards[:0]
 	h.acct.release(h.stats)
-	if err := h.l.Open(ctx); err != nil {
+	if err := h.l.it.Open(ctx); err != nil {
 		return err
 	}
-	if err := h.r.Open(ctx); err != nil {
+	if err := h.r.it.Open(ctx); err != nil {
 		return err
 	}
-	for {
-		row, ok, err := h.r.Next()
-		if err != nil {
+	for ok := true; ok; {
+		var err error
+		if ok, err = h.r.pull(batchRows); err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		i := len(h.rows)
-		h.rows = append(h.rows, row)
-		if err := h.acct.charge(h.stats, 1, rowCostBytes(row)); err != nil {
-			return err
-		}
-		if i%rowCheckInterval == 0 {
-			if err := ctxErr(ctx); err != nil {
+		for _, row := range h.r.rows {
+			if err := h.acct.charge(h.stats, 1, rowCostBytes(row)); err != nil {
 				return err
 			}
 		}
+		h.rows = append(h.rows, h.r.rows...)
 	}
+	h.r.release() // the probe side takes it from the pool again
 	// Bucket the drained rows. Linking back to front keeps every chain
 	// (and, reversed once, the wildcard list) in arrival order.
 	nb := 1
@@ -878,9 +936,23 @@ func (h *hashJoinIter) merge(lrow, rrow []storage.NodeID) []storage.NodeID {
 }
 
 //dualsim:hotpath
-func (h *hashJoinIter) Next() ([]storage.NodeID, bool, error) {
-	for {
-		for h.haveL {
+func (h *hashJoinIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+	for len(dst) < cap(dst) {
+		if !h.haveL {
+			if len(h.l.rows) == 0 {
+				if ok, err := h.l.pull(cap(dst) - len(dst)); !ok {
+					return dst, err
+				}
+			}
+			h.lrow, h.l.rows, h.haveL = h.l.rows[0], h.l.rows[1:], true
+			h.ci, h.wi, h.chain = 0, 0, 0
+			h.matched = false
+			h.scanAll = !allBound(h.lrow, h.lIdx)
+			if !h.scanAll {
+				h.chain = h.heads[hashCols(h.lrow, h.lIdx)&uint64(len(h.heads)-1)]
+			}
+		}
+		for h.haveL && len(dst) < cap(dst) {
 			var ri int
 			switch {
 			case h.scanAll && h.ci < len(h.rows):
@@ -893,35 +965,20 @@ func (h *hashJoinIter) Next() ([]storage.NodeID, bool, error) {
 				ri = int(h.wildcards[h.wi])
 				h.wi++
 			default:
-				// Candidates exhausted.
+				// Candidates exhausted; the window has room for the padding.
 				h.haveL = false
 				if h.leftOuter && !h.matched {
-					return h.merge(h.lrow, nil), true, nil
+					dst = append(dst, h.merge(h.lrow, nil))
 				}
 				continue
 			}
 			if h.compatible(h.lrow, h.rows[ri]) {
 				h.matched = true
-				return h.merge(h.lrow, h.rows[ri]), true, nil
+				dst = append(dst, h.merge(h.lrow, h.rows[ri]))
 			}
-		}
-		lrow, ok, err := h.l.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if h.n++; h.n%rowCheckInterval == 0 {
-			if err := ctxErr(h.ctx); err != nil {
-				return nil, false, err
-			}
-		}
-		h.lrow, h.haveL = lrow, true
-		h.ci, h.wi, h.chain = 0, 0, 0
-		h.matched = false
-		h.scanAll = !allBound(lrow, h.lIdx)
-		if !h.scanAll {
-			h.chain = h.heads[hashCols(lrow, h.lIdx)&uint64(len(h.heads)-1)]
 		}
 	}
+	return dst, nil
 }
 
 // filterIter keeps the rows whose condition evaluates to true.
@@ -945,14 +1002,39 @@ func (f *filterIter) Open(ctx context.Context) error { return f.in.Open(ctx) }
 func (f *filterIter) Close() error                   { return f.in.Close() }
 
 //dualsim:hotpath
-func (f *filterIter) Next() ([]storage.NodeID, bool, error) {
+func (f *filterIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+	return pullKept(f.in, dst, f.keep)
+}
+
+func (f *filterIter) keep(row []storage.NodeID) (bool, error) {
+	v, e := evalCond(f.st, f.cond, f.cols, row)
+	return v && !e, nil
+}
+
+// pullKept pulls windows of in into dst until keep retains a row or the
+// stream ends, compacting the kept rows in place.
+//
+//dualsim:hotpath
+func pullKept(in Iterator, dst [][]storage.NodeID, keep func([]storage.NodeID) (bool, error)) ([][]storage.NodeID, error) {
+	n := len(dst)
 	for {
-		row, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		got, err := in.Next(dst)
+		if err != nil || len(got) == n {
+			return got, err
 		}
-		if v, e := evalCond(f.st, f.cond, f.cols, row); v && !e {
-			return row, true, nil
+		k := n
+		for _, row := range got[n:] {
+			ok, err := keep(row)
+			if err != nil {
+				return got[:k], err
+			}
+			if ok {
+				got[k] = row
+				k++
+			}
+		}
+		if k > n {
+			return got[:k], nil
 		}
 	}
 }
@@ -994,35 +1076,40 @@ func (u *unionIter) Close() error {
 	return err
 }
 
+// project replaces each row of a window, in place, by its padding to
+// the union schema.
+//
 //dualsim:hotpath
-func (u *unionIter) project(row []storage.NodeID, m []int) []storage.NodeID {
-	out := u.slab.alloc(len(u.vars))
-	for k := range out {
-		out[k] = Unbound
+func (u *unionIter) project(rows [][]storage.NodeID, m []int) {
+	for r, row := range rows {
+		out := u.slab.alloc(len(u.vars))
+		for k := range out {
+			out[k] = Unbound
+		}
+		for i, oj := range m {
+			out[oj] = row[i]
+		}
+		rows[r] = out
 	}
-	for i, oj := range m {
-		out[oj] = row[i]
-	}
-	return out
 }
 
 //dualsim:hotpath
-func (u *unionIter) Next() ([]storage.NodeID, bool, error) {
+func (u *unionIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+	n := len(dst)
 	if !u.onRight {
-		row, ok, err := u.l.Next()
+		got, err := u.l.Next(dst)
 		if err != nil {
-			return nil, false, err
+			return got, err
 		}
-		if ok {
-			return u.project(row, u.lMap), true, nil
+		if len(got) > n {
+			u.project(got[n:], u.lMap)
+			return got, nil
 		}
 		u.onRight = true
 	}
-	row, ok, err := u.r.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return u.project(row, u.rMap), true, nil
+	got, err := u.r.Next(dst)
+	u.project(got[n:], u.rMap)
+	return got, err
 }
 
 // distinctIter drops rows already seen (set semantics). Its seen-set is
@@ -1046,28 +1133,25 @@ func (d *distinctIter) Open(ctx context.Context) error {
 }
 
 //dualsim:hotpath
-func (d *distinctIter) Next() ([]storage.NodeID, bool, error) {
-	for {
-		row, ok, err := d.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if !d.seen.add(row) {
-			continue
-		}
-		if err := d.acct.charge(d.stats, 1, rowCostBytes(row)); err != nil {
-			return nil, false, err
-		}
-		return row, true, nil
+func (d *distinctIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+	return pullKept(d.in, dst, d.keep)
+}
+
+// keep admits a row's first sighting, charging it to the account.
+func (d *distinctIter) keep(row []storage.NodeID) (bool, error) {
+	if !d.seen.add(row) {
+		return false, nil
 	}
+	return true, d.acct.charge(d.stats, 1, rowCostBytes(row))
 }
 
 // limitIter emits the first limit distinct rows after skipping offset
 // distinct rows, then stops pulling from its input — the early-exit that
-// makes LIMIT queries cheap under streaming execution. Counting distinct
-// rows (rather than raw ones) keeps per-branch LIMIT pushdown sound
-// under set semantics; with dedup false the input is known to be a set
-// and the window just counts, buffering nothing.
+// makes LIMIT queries cheap under streaming execution; it never asks its
+// input for more rows than the offset and limit still need. Counting
+// distinct rows (rather than raw ones) keeps per-branch LIMIT pushdown
+// sound under set semantics; with dedup false the input is known to be a
+// set and the window just counts, buffering nothing.
 type limitIter struct {
 	in      Iterator
 	limit   int // 0 = unlimited
@@ -1094,28 +1178,38 @@ func (l *limitIter) Open(ctx context.Context) error {
 }
 
 //dualsim:hotpath
-func (l *limitIter) Next() ([]storage.NodeID, bool, error) {
-	if l.limit > 0 && l.emitted >= l.limit {
-		return nil, false, nil
-	}
-	for {
-		row, ok, err := l.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
+func (l *limitIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+	n := len(dst)
+	for l.limit == 0 || l.emitted < l.limit {
+		w := cap(dst)
+		if l.limit > 0 {
+			w = min(w, n+l.offset-l.skipped+l.limit-l.emitted)
 		}
-		if l.dedup {
-			if !l.seen.add(row) {
+		got, err := l.in.Next(dst[:n:w])
+		if err != nil || len(got) == n {
+			return dst[:len(got)], err
+		}
+		k := n
+		for _, row := range got[n:] {
+			if l.dedup {
+				if !l.seen.add(row) {
+					continue
+				}
+				if err := l.acct.charge(l.stats, 1, rowCostBytes(row)); err != nil {
+					return dst[:k], err
+				}
+			}
+			if l.skipped < l.offset {
+				l.skipped++
 				continue
 			}
-			if err := l.acct.charge(l.stats, 1, rowCostBytes(row)); err != nil {
-				return nil, false, err
-			}
+			got[k] = row
+			k++
+			l.emitted++
 		}
-		if l.skipped < l.offset {
-			l.skipped++
-			continue
+		if k > n {
+			return dst[:k], nil
 		}
-		l.emitted++
-		return row, true, nil
 	}
+	return dst, nil
 }

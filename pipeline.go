@@ -261,11 +261,8 @@ func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, *ExecStats, error) 
 	// A prepared query is pinned to one snapshot, so its row count repeats:
 	// the slice is sized by the last drain and grows only on the first.
 	res := engine.NewResult(rows.Vars()...)
-	res.Rows = make([][]storage.NodeID, 0, pq.lastRows.Load())
-	for rows.Next() {
-		res.Rows = append(res.Rows, rows.Row())
-	}
-	if err := rows.Err(); err != nil {
+	res.Rows, err = rows.appendAll(make([][]storage.NodeID, 0, pq.lastRows.Load()))
+	if err != nil {
 		return nil, nil, err
 	}
 	pq.lastRows.Store(int64(len(res.Rows)))

@@ -264,6 +264,9 @@ func TestPrepareAbsentPredicateAllocatesLittle(t *testing.T) {
 // promptly instead of completing it. Each timed execution is the first of
 // a prepared query of its own: a later one reuses the solve and the plan,
 // so it costs less than the first and would finish before the deadline.
+// Inside one pull window the executor still polls: a bound subject whose
+// 10⁵ neighbours χ rejects sees a cancellation within 1024 of them (the
+// executor's rowCheckInterval), though the window fills with no row.
 func TestExecCancellation(t *testing.T) {
 	st, err := dualsim.GenerateLUBMStore(32, 42)
 	if err != nil {
@@ -327,6 +330,65 @@ func TestExecCancellation(t *testing.T) {
 	}
 	if interrupted > full/2+50*time.Millisecond {
 		t.Fatalf("Exec(deadline %v) returned after %v — not prompt (full run %v)", full/8, interrupted, full)
+	}
+
+	// hub —p→ o0 … o99999 and hub —p→ m —q→ z: χ(y) = {m}, so the extend
+	// of ?x <p> ?y, fed x = hub, walks 10⁵ neighbours that χ rejects and
+	// then emits one row. Cancelled at each context check in turn, its
+	// Filtered counter may advance by at most one poll interval per check.
+	ts := []rdf.Triple{rdf.T("hub", "r", "w"), rdf.T("hub", "p", "m"), rdf.T("m", "q", "z")}
+	for i := 0; i < 100_000; i++ {
+		ts = append(ts, rdf.T("hub", "p", fmt.Sprintf("o%d", i)))
+	}
+	hubStore, err := dualsim.FromTriples(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubDB, err := dualsim.Open(hubStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hubDB.Close()
+	hub, err := hubDB.Prepare(`SELECT * WHERE { ?x <r> ?w . ?x <p> ?y . ?y <q> ?z . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := hub.Exec(context.Background()); err != nil || res.Len() != 1 {
+		t.Fatalf("hub query: %v, %v", res, err) // and the view is stored: no solve below
+	}
+	const pollEvery = 1024
+	rejected := func(checks int) (int64, error) {
+		rows, err := hub.Stream(countdownCtx{context.Background(), &checks})
+		if err != nil {
+			return 0, err
+		}
+		for rows.Next() {
+		}
+		rows.Close()
+		for _, op := range rows.Stats().Operators {
+			if op.Detail == "?x <p> ?y ." {
+				return op.Filtered, rows.Err()
+			}
+		}
+		t.Fatalf("no extend of ?x <p> ?y in %+v", rows.Stats().Operators)
+		return 0, nil
+	}
+	var last int64
+	for k := 0; ; k++ {
+		got, err := rejected(k)
+		if got-last > pollEvery {
+			t.Fatalf("cancelled at context check %d: %d more neighbours walked than at check %d, want ≤ %d", k, got-last, k-1, pollEvery)
+		}
+		last = got
+		if err == nil {
+			if got != 100_000 {
+				t.Fatalf("uncancelled: filtered = %d, want 100000", got)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at context check %d: %v", k, err)
+		}
 	}
 }
 
@@ -431,5 +493,43 @@ func TestExecNilContext(t *testing.T) {
 	res, _, err := pq.Exec(nil)
 	if err != nil || res.Len() != 2 {
 		t.Fatalf("Exec(nil) = %v, %v", res, err)
+	}
+}
+
+// TestReusedExecAllocs pins the allocations of a reused prepared query
+// with a small result — L3, constant-anchored, one row on LUBM(1). The
+// row-at-a-time executor made 49; the batch executor makes 40 (per
+// operator, its counters live in the counting shim, and an extend reads
+// its input row in place instead of widening it into scratch). The pull
+// windows' header buffers come from a pool, so a buffer made per
+// execution would show here as one more allocation per operator.
+func TestReusedExecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	st, err := dualsim.GenerateLUBMStore(1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := open(t, st)
+	l3, err := queries.ByID("L3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := db.Prepare(l3.Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if res, _, err := pq.Exec(ctx); err != nil || res.Len() != 1 {
+		t.Fatalf("L3 on LUBM(1): %v, %v; want one row", res, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := pq.Exec(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Fatalf("a reused execution of L3 makes %.0f allocations, want ≤ 40", allocs)
 	}
 }

@@ -25,10 +25,11 @@ type Rows struct {
 	ex    *engine.Exec
 	st    *Store // decode dictionary of the pinned snapshot
 	stats *ExecStats
-	begin time.Time   // Stream entry, for the end-to-end duration
-	eval  time.Time   // evaluate-stage start (before compile), for its StageStats
-	in    int         // evaluate-stage input cardinality
-	sp    *trace.Span // evaluate span of a traced stream; nil otherwise
+	begin time.Time          // Stream entry, for the end-to-end duration
+	eval  time.Time          // evaluate-stage start (before compile), for its StageStats
+	in    int                // evaluate-stage input cardinality
+	sp    *trace.Span        // evaluate span of a traced stream; nil otherwise
+	batch [][]storage.NodeID // the unread rest of the window last pulled
 	row   []storage.NodeID
 	n     int
 	err   error
@@ -39,24 +40,36 @@ type Rows struct {
 func (r *Rows) Vars() []string { return r.ex.Vars() }
 
 // Next advances to the next row, reporting whether one is available.
-// After false, Err distinguishes exhaustion (nil) from failure.
+// After false, Err distinguishes exhaustion (nil) from failure. Rows are
+// pulled in windows of 1, 2, 4 … up to 256 (engine.Exec.Pull): the first
+// row costs one row of work, and a caller that stops after k rows has
+// asked the executor for fewer than 2k.
 func (r *Rows) Next() bool {
 	if r.done || r.err != nil {
 		return false
 	}
-	row, ok, err := r.ex.Next()
-	if err != nil {
-		r.err = err
-		r.finish()
-		return false
+	if len(r.batch) == 0 {
+		batch, err := r.ex.Pull()
+		if err != nil || len(batch) == 0 {
+			r.err = err
+			r.finish()
+			return false
+		}
+		r.batch = batch
 	}
-	if !ok {
-		r.finish()
-		return false
-	}
-	r.row = row
+	r.row, r.batch = r.batch[0], r.batch[1:]
 	r.n++
 	return true
+}
+
+// appendAll drains the cursor onto dst (engine.Exec.Append) and
+// finishes it.
+func (r *Rows) appendAll(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+	n := len(dst)
+	dst, r.err = r.ex.Append(dst)
+	r.n += len(dst) - n
+	r.finish()
+	return dst, r.err
 }
 
 // Row returns the current row: positional over Vars, Unbound for
@@ -96,7 +109,7 @@ func (r *Rows) Stats() *ExecStats {
 // counters and the end-to-end duration.
 func (r *Rows) finish() {
 	r.done = true
-	r.row = nil
+	r.row, r.batch = nil, nil
 	r.stats.Stages = append(r.stats.Stages, StageStats{
 		Name:     "evaluate",
 		Duration: time.Since(r.eval),

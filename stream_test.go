@@ -3,6 +3,7 @@ package dualsim_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"dualsim"
@@ -208,6 +209,54 @@ func TestStreamEarlyClose(t *testing.T) {
 	}
 	if stats := rows.Stats(); stats.Results != 1 {
 		t.Fatalf("stats.Results = %d, want the 1 row pulled before Close", stats.Results)
+	}
+}
+
+// TestStreamEarlyCloseBoundsWork: a cursor pulls windows of 1, 2, 4 …
+// rows, so one closed after k rows leaves no operator with more than
+// 2k+1 rows computed, on a 10⁴-row chain where every row extends 10 ways.
+func TestStreamEarlyCloseBoundsWork(t *testing.T) {
+	var ts []dualsim.Triple
+	for i := 0; i < 100; i++ {
+		for j := 0; j < 10; j++ {
+			ts = append(ts, dualsim.T(fmt.Sprintf("a%d", i), "p", fmt.Sprintf("b%d", 10*i+j)))
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		for j := 0; j < 10; j++ {
+			ts = append(ts, dualsim.T(fmt.Sprintf("b%d", i), "q", fmt.Sprintf("c%d", j)))
+		}
+	}
+	st, err := dualsim.FromTriples(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := open(t, st)
+	pq, err := db.Prepare(`SELECT * WHERE { ?a <p> ?b . ?b <q> ?c . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := pq.Exec(context.Background()); err != nil || res.Len() != 10_000 {
+		t.Fatalf("fixture: %v rows, %v", res, err)
+	}
+	for _, k := range []int{1, 2, 3, 7, 100} {
+		rows, err := pq.Stream(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < k; n++ {
+			if !rows.Next() {
+				t.Fatalf("k=%d: no row %d: %v", k, n, rows.Err())
+			}
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range rows.Stats().Operators {
+			if op.Rows > int64(2*k+1) {
+				t.Errorf("closed after %d rows: %s %s computed %d rows, want ≤ %d", k, op.Op, op.Detail, op.Rows, 2*k+1)
+			}
+		}
 	}
 }
 
