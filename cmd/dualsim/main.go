@@ -13,7 +13,7 @@
 //
 //	evaluate  (default) print the solution mappings
 //	simulate  print per-variable dual simulation candidate counts
-//	prune     print pruning statistics; with -out, dump the pruned store
+//	prune     print pruning statistics; with -out, write the kept triples
 //	analyze   print the query's structural analysis (no -data needed)
 //
 // -apply and -del read N-Triples files as a live delta: the query runs
@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +47,7 @@ func main() {
 	queryText := flag.String("q", "", "inline query text")
 	mode := flag.String("mode", "evaluate", "evaluate, simulate, prune or analyze")
 	limit := flag.Int("limit", 0, "print at most this many result rows (0 = all)")
-	out := flag.String("out", "", "prune mode: write the pruned store here")
+	out := flag.String("out", "", "prune mode: write the kept triples (the pruned database) here as N-Triples")
 	doPrune := flag.Bool("prune", false, "evaluate through the pruning pipeline instead of directly")
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = no deadline)")
 	applyFile := flag.String("apply", "", "N-Triples file of triples to add as a live delta after the first run")
@@ -301,11 +302,12 @@ func runPrune(ctx context.Context, db *dualsim.DB, q *dualsim.Query, out string)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := dualsim.DumpNTriples(f, p.Store()); err != nil {
+		// A full disk may only show when the buffered tail is flushed or
+		// the file closed: both errors reach the exit status.
+		if err := errors.Join(p.WriteNTriples(f), f.Close()); err != nil {
 			return err
 		}
-		fmt.Printf("  pruned store written to %s\n", out)
+		fmt.Printf("  pruned database written to %s\n", out)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -10,7 +11,10 @@ import (
 	"testing"
 
 	"dualsim"
+	"dualsim/internal/core"
+	"dualsim/internal/prune"
 	"dualsim/internal/queries"
+	"dualsim/internal/sparql"
 )
 
 // TestMain doubles the test binary as the dualsim CLI when re-executed
@@ -24,15 +28,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func fixture(t *testing.T) string {
+// writeNT dumps the triples, as a store dumps them, to an N-Triples file
+// in a fresh directory and returns its path.
+func writeNT(t *testing.T, name string, ts []dualsim.Triple) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "fig1a.nt")
+	path := filepath.Join(t.TempDir(), name)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	st, err := dualsim.FromTriples(queries.Fig1aTriples())
+	st, err := dualsim.FromTriples(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +47,8 @@ func fixture(t *testing.T) string {
 	}
 	return path
 }
+
+func fixture(t *testing.T) string { return writeNT(t, "fig1a.nt", queries.Fig1aTriples()) }
 
 // do runs the CLI with a background context and defaults for the fields
 // a test does not care about.
@@ -67,23 +75,57 @@ func TestRunSimulateMode(t *testing.T) {
 	}
 }
 
+// TestRunPruneMode: -out writes, from the masks, exactly the bytes of
+// the materialized pruned store the paper's tables evaluate on — on
+// Fig. 1(a) the 4 triples (X1) of Sect. 5, nothing for an unsatisfiable
+// query.
 func TestRunPruneMode(t *testing.T) {
-	data := fixture(t)
-	out := filepath.Join(t.TempDir(), "pruned.nt")
-	if err := do(t, cliConfig{data: data, queryText: queries.QueryX1, mode: "prune", out: out}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(out)
+	fig1a := fixture(t)
+	lubm := writeNT(t, "lubm1.nt", dualsim.GenerateLUBM(1, 42))
+	l1, err := queries.ByID("L1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	st, err := dualsim.LoadNTriples(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.NumTriples() != 4 {
-		t.Fatalf("pruned dump has %d triples, want 4", st.NumTriples())
+	for _, c := range []struct {
+		name, data, query string
+		kept              int
+	}{
+		{"X1", fig1a, queries.QueryX1, 4},
+		{"X2", fig1a, queries.QueryX2, 6},
+		{"L1", lubm, l1.Text, 188},
+		{"unsatisfiable", fig1a, `SELECT * WHERE { ?d <directed> ?m . ?m <directed> ?x . }`, 0},
+	} {
+		out := filepath.Join(t.TempDir(), c.name+".nt")
+		if err := do(t, cliConfig{data: c.data, queryText: c.query, mode: "prune", out: out}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(c.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := dualsim.LoadNTriples(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _, err := prune.PruneQuery(st, sparql.MustParse(c.query), core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := dualsim.DumpNTriples(&want, p.Store()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: -out wrote %d bytes, the materialized pruned store dumps %d", c.name, len(got), want.Len())
+		}
+		if n := bytes.Count(got, []byte("\n")); n != c.kept {
+			t.Errorf("%s: -out wrote %d triples, want %d", c.name, n, c.kept)
+		}
 	}
 }
 
@@ -175,6 +217,7 @@ func TestMainExitCodes(t *testing.T) {
 		{"missing data", []string{"-q", queries.QueryX1}},
 		{"apply error", []string{"-data", data, "-q", queries.QueryX1, "-apply", "/no/such.nt"}},
 		{"bad data path", []string{"-data", "/no/such.nt", "-q", queries.QueryX1}},
+		{"full disk", []string{"-data", data, "-q", queries.QueryX1, "-mode", "prune", "-out", "/dev/full"}},
 	}
 	for _, c := range cases {
 		code, stderr := cli(t, c.args...)
@@ -213,28 +256,11 @@ func TestRetiredFlagsAreParseErrors(t *testing.T) {
 
 func TestRunLiveUpdate(t *testing.T) {
 	data := fixture(t)
-	writeNT := func(name string, ts []dualsim.Triple) string {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		st, err := dualsim.FromTriples(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dualsim.DumpNTriples(f, st); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	apply := writeNT("adds.nt", []dualsim.Triple{
+	apply := writeNT(t, "adds.nt", []dualsim.Triple{
 		dualsim.T("J._McTiernan", "directed", "Die_Hard"),
 		dualsim.T("J._McTiernan", "worked_with", "S._de_Souza"),
 	})
-	del := writeNT("dels.nt", []dualsim.Triple{
+	del := writeNT(t, "dels.nt", []dualsim.Triple{
 		dualsim.T("G._Hamilton", "worked_with", "H._Saltzman"),
 	})
 	if err := do(t, cliConfig{

@@ -61,19 +61,21 @@
 //	res, stats, _ := pq.Exec(ctx) // prune + evaluate; reusable, concurrent
 //	fmt.Println(res.Len(), stats.PrunedRatio())
 //
-// The pipeline's stages are also callable one at a time on a session
-// (db.DualSimulate, db.Prune, db.Evaluate), and pattern-graph level dual
-// simulation is exposed alongside (NewPattern/db.SimulatePattern).
+// The pipeline's first stages are also callable on their own: db.DualSimulate
+// returns the candidate sets (a pattern graph is the basic graph pattern
+// that spells it, constants where it binds a node) and db.Prune the kept
+// triples (Pruning.WriteNTriples dumps them). Evaluation without the
+// pruning stage is a session opened WithPruning(false).
 package dualsim
 
 import (
-	"fmt"
 	"io"
 	"strings"
 
 	"dualsim/internal/core"
 	"dualsim/internal/engine"
 	"dualsim/internal/rdf"
+	"dualsim/internal/soi"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
 )
@@ -143,7 +145,7 @@ type Result = engine.Result
 const Unbound = engine.Unbound
 
 // EngineKind names an evaluator. The session has one executor, Volcano;
-// IndexNL is an oracle kept to check it (see WithEngine, RequiredTriples).
+// IndexNL is an oracle kept to check it (see WithEngine).
 type EngineKind int
 
 const (
@@ -186,6 +188,11 @@ type Stats struct {
 	Updates int `json:"updates"`
 }
 
+// solverStats reports the solver's counters the way the API does.
+func solverStats(s soi.Stats) Stats {
+	return Stats{Rounds: s.Rounds, Evaluations: s.Evaluations, Updates: s.Updates}
+}
+
 // Relation is the largest dual simulation of a query: per original query
 // variable, the set of candidate database nodes (unioned over UNION
 // branches and optional copies).
@@ -218,18 +225,4 @@ func (r *Relation) CandidateCount(varName string) int {
 func (r *Relation) Empty() bool { return r.rel.Empty() }
 
 // Stats returns aggregated solver statistics.
-func (r *Relation) Stats() Stats {
-	return Stats{
-		Rounds:      r.rel.Stats.Rounds,
-		Evaluations: r.rel.Stats.Evaluations,
-		Updates:     r.rel.Stats.Updates,
-	}
-}
-
-// requireStore guards the exported entry points against nil stores.
-func requireStore(st *Store) error {
-	if st == nil {
-		return fmt.Errorf("dualsim: nil store")
-	}
-	return nil
-}
+func (r *Relation) Stats() Stats { return solverStats(r.rel.Stats) }

@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"dualsim"
+	"dualsim/internal/engine"
+	"dualsim/internal/prune"
 	"dualsim/internal/queries"
 )
 
@@ -78,12 +80,21 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("ratio = %f", p.Ratio())
 	}
 
-	// 3. Evaluation, full vs. pruned: identical results.
-	full, err := db.Evaluate(ctx, st, q)
+	// 3. The pruned database, written from the masks: the 4 kept triples.
+	var buf bytes.Buffer
+	if err := p.WriteNTriples(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if kept, err := dualsim.LoadNTriples(&buf); err != nil || kept.NumTriples() != 4 {
+		t.Fatalf("written pruned database: %v, %v", kept, err)
+	}
+
+	// 4. Evaluation, pruned vs. full: identical results (Theorem 2).
+	pruned, _, err := db.Exec(ctx, queries.QueryX1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := open(t, st, dualsim.WithEngine(dualsim.IndexNL)).Evaluate(ctx, p.Store(), q)
+	full, _, err := open(t, st, dualsim.WithPruning(false)).Exec(ctx, queries.QueryX1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +102,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("full %d rows vs pruned %d rows", full.Len(), pruned.Len())
 	}
 
-	// 4. Required triples = kept triples on this example.
-	req, err := dualsim.RequiredTriples(st, q, dualsim.IndexNL)
+	// 5. Required triples = kept triples on this example.
+	req, err := prune.RequiredCount(ctx, st, q, engine.NewIndexNL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,28 +119,6 @@ func termValues(ts []dualsim.Term) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func TestPublicAPIPattern(t *testing.T) {
-	st := fig1a(t)
-	p := dualsim.NewPattern().
-		Edge("director", "directed", "movie").
-		Edge("movie", "genre", "g")
-	p.Bind("g", dualsim.IRI("Action"))
-	if p.IsCyclic() {
-		t.Fatal("pattern is acyclic")
-	}
-	rel, err := open(t, st).SimulatePattern(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Empty() {
-		t.Fatal("relation should be non-empty")
-	}
-	movies := termValues(rel.Candidates("movie"))
-	if strings.Join(movies, ",") != "Goldfinger,Mission:_Impossible" {
-		t.Fatalf("movies = %v", movies)
-	}
 }
 
 func TestPublicAPIAllOptions(t *testing.T) {
@@ -217,9 +206,9 @@ func TestPublicAPINTriplesRoundTrip(t *testing.T) {
 	if st2.NumTriples() != st.NumTriples() {
 		t.Fatalf("roundtrip lost triples: %d vs %d", st2.NumTriples(), st.NumTriples())
 	}
-	ts, err := dualsim.ReadTriples(strings.NewReader("<a> <p> <b> ."))
+	ts, err := dualsim.ReadNTriples(strings.NewReader("<a> <p> <b> ."))
 	if err != nil || len(ts) != 1 {
-		t.Fatalf("ReadTriples = %v, %v", ts, err)
+		t.Fatalf("ReadNTriples = %v, %v", ts, err)
 	}
 }
 
@@ -240,14 +229,14 @@ func TestPublicAPIQueryAnalyses(t *testing.T) {
 }
 
 func TestPublicAPIGenerators(t *testing.T) {
-	lubm, err := dualsim.GenerateLUBMStore(1, 3)
+	lubm, err := dualsim.FromTriples(dualsim.GenerateLUBM(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lubm.NumTriples() < 500 {
 		t.Fatalf("LUBM too small: %d", lubm.NumTriples())
 	}
-	kg, err := dualsim.GenerateKGStore(1, 3)
+	kg, err := dualsim.FromTriples(dualsim.GenerateKG(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,14 +256,10 @@ func TestPublicAPIGenerators(t *testing.T) {
 }
 
 func TestPublicAPINilStore(t *testing.T) {
-	q := dualsim.MustParseQuery(`SELECT * WHERE { ?s <p> ?o }`)
 	if _, err := dualsim.Open(nil); err == nil {
 		t.Fatal("nil store accepted")
 	}
-	if _, err := open(t, fig1a(t)).Evaluate(context.Background(), nil, q); err == nil {
-		t.Fatal("nil store accepted")
-	}
-	if _, err := dualsim.RequiredTriples(nil, q, dualsim.IndexNL); err == nil {
+	if _, err := dualsim.OpenAt(nil, 1); err == nil {
 		t.Fatal("nil store accepted")
 	}
 }

@@ -79,52 +79,54 @@ func ExampleDB_DualSimulate() {
 }
 
 // ExampleDB_Prune reduces the database to the triples that can
-// participate in a match.
+// participate in a match; the pipeline evaluates on that view and answers
+// as the full store does (Theorem 2).
 func ExampleDB_Prune() {
 	st := movieGraph()
 	db, _ := dualsim.Open(st)
 	defer db.Close()
 	ctx := context.Background()
-	q := dualsim.MustParseQuery(`SELECT * WHERE {
+	const x1 = `SELECT * WHERE {
 	  ?director <directed> ?movie .
-	  ?director <worked_with> ?coworker . }`)
+	  ?director <worked_with> ?coworker . }`
 
-	p, _ := db.Prune(ctx, q)
+	p, _ := db.Prune(ctx, dualsim.MustParseQuery(x1))
 	fmt.Printf("%d of %d triples survive\n", p.Kept(), p.Total())
 
-	full, _ := db.Evaluate(ctx, st, q)
-	pruned, _ := db.Evaluate(ctx, p.Store(), q)
+	unpruned, _ := dualsim.Open(st, dualsim.WithPruning(false))
+	defer unpruned.Close()
+	pruned, _, _ := db.Exec(ctx, x1)
+	full, _, _ := unpruned.Exec(ctx, x1)
 	fmt.Println("identical results:", full.Equal(pruned))
 	// Output:
 	// 4 of 6 triples survive
 	// identical results: true
 }
 
-// ExampleDB_Evaluate runs an OPTIONAL query under the formal set
+// ExampleWithPruning runs an OPTIONAL query under the formal set
 // semantics, without the pruning stage.
-func ExampleDB_Evaluate() {
-	st := movieGraph()
-	db, _ := dualsim.Open(st)
+func ExampleWithPruning() {
+	db, _ := dualsim.Open(movieGraph(), dualsim.WithPruning(false))
 	defer db.Close()
-	q := dualsim.MustParseQuery(`SELECT * WHERE {
+
+	res, _, _ := db.Exec(context.Background(), `SELECT * WHERE {
 	  ?director <directed> ?movie .
 	  OPTIONAL { ?director <worked_with> ?coworker . } }`)
-
-	res, _ := db.Evaluate(context.Background(), st, q)
 	fmt.Println("rows:", res.Len())
 	// Output: rows: 4
 }
 
-// ExampleDB_SimulatePattern uses the pattern-graph API directly,
-// without SPARQL.
-func ExampleDB_SimulatePattern() {
+// ExampleDB_DualSimulate_pattern simulates a pattern graph without
+// SPARQL operators: the basic graph pattern whose triple patterns are its
+// edges (a constant would stand where the pattern binds a node).
+func ExampleDB_DualSimulate_pattern() {
 	db, _ := dualsim.Open(movieGraph())
 	defer db.Close()
-	p := dualsim.NewPattern().
-		Edge("director", "directed", "movie").
-		Edge("director", "worked_with", "coworker")
+	q := dualsim.MustParseQuery(`SELECT * WHERE {
+	  ?director <directed> ?movie .
+	  ?director <worked_with> ?coworker . }`)
 
-	rel, _ := db.SimulatePattern(context.Background(), p)
+	rel, _ := db.DualSimulate(context.Background(), q)
 	fmt.Println("movies:", len(rel.Candidates("movie")))
 	// Output: movies: 2
 }

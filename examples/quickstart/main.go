@@ -118,8 +118,14 @@ func main() {
 		stats.TriplesAfter, stats.TriplesBefore, 100*stats.PrunedRatio())
 	fmt.Printf("(X1) results (pruned pipeline, %d rows):\n%s", res.Len(), res.Format(st))
 
-	// Identical to evaluating the full store directly (Theorem 2).
-	full, err := db.Evaluate(ctx, st, q)
+	// Identical to evaluating the full store directly (Theorem 2): a
+	// session without the pruning stage.
+	unpruned, err := dualsim.Open(st, dualsim.WithPruning(false))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer unpruned.Close()
+	full, _, err := unpruned.Exec(ctx, queryX1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -133,8 +139,8 @@ func main() {
 	fmt.Printf("\n(X2) results (%d rows — D. Koepp and T. Young join without a coworker):\n%s",
 		res2.Len(), res2.Format(st))
 
-	if res.Len() != 2 || res2.Len() != 4 {
-		fmt.Fprintln(os.Stderr, "unexpected result sizes")
+	if res.Len() != 2 || res2.Len() != 4 || !full.Equal(res) {
+		fmt.Fprintln(os.Stderr, "unexpected results")
 		os.Exit(1)
 	}
 

@@ -245,7 +245,7 @@ func TestPruneSpanReportsSolverWork(t *testing.T) {
 // kept-triple mask and so never meets a rejected triple. EXPLAIN ANALYZE
 // and the op.* spans show the counter beside rows.
 func TestFilteredCounter(t *testing.T) {
-	st, err := dualsim.GenerateLUBMStore(3, 42)
+	st, err := dualsim.FromTriples(dualsim.GenerateLUBM(3, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

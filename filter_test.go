@@ -268,7 +268,7 @@ const lifetimeQuery = `SELECT * WHERE {
 // their own χ until they finish: every row any of them sees is the row
 // Exec returns at that position.
 func TestChiLifetimeConcurrentStreams(t *testing.T) {
-	st, err := dualsim.GenerateLUBMStore(12, 42)
+	st, err := dualsim.FromTriples(dualsim.GenerateLUBM(12, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
+	"dualsim/internal/rdf"
 	"dualsim/internal/soi"
 	"dualsim/internal/storage"
 )
@@ -68,30 +69,40 @@ func vecToSet(v *bitvec.Vector) map[storage.NodeID]bool {
 // (11) per pattern edge. The returned variable order matches the pattern's
 // variable order.
 func BuildSystem(st *storage.Store, p *Pattern, cfg Config) *soi.System {
-	n := st.NumNodes()
-	sys := soi.NewSystem(n)
-
+	sys := soi.NewSystem(st.NumNodes())
 	vars := make([]soi.Var, p.NumVars())
 	for i, pv := range p.Vars() {
-		var init *bitvec.Vector
-		if pv.Const != nil {
-			init = bitvec.New(n)
-			if id, ok := st.TermID(*pv.Const); ok {
-				init.Set(int(id))
-			}
-		}
-		vars[i] = sys.AddVar(pv.Name, init, true)
+		vars[i] = addVar(st, sys, pv.Name, pv.Const, true)
 	}
-
 	for _, e := range p.Edges() {
-		mats := predMatrices(st, e.Pred)
-		sys.AddEdge(vars[e.From], vars[e.To], mats, e.Pred)
-		// Inequality (13): v ≤ ⋀ f_a over outgoing edges ∧ ⋀ b_a over
-		// incoming edges.
-		sys.ConstrainInit(vars[e.From], mats.F.NonEmptyRows())
-		sys.ConstrainInit(vars[e.To], mats.B.NonEmptyRows())
+		addEdge(st, sys, vars[e.From], vars[e.To], e.Pred)
 	}
 	return sys
+}
+
+// addVar adds a variable whose initial bound is the full vector (12) or,
+// for a constant, its singleton — empty when the store lacks the term.
+// With addEdge it is the one lowering of pattern nodes and edges, shared
+// by pattern graphs (BuildSystem) and SPARQL branches (lowerFragment).
+func addVar(st *storage.Store, sys *soi.System, name string, konst *rdf.Term, required bool) soi.Var {
+	var init *bitvec.Vector
+	if konst != nil {
+		init = bitvec.New(st.NumNodes())
+		if id, ok := st.TermID(*konst); ok {
+			init.Set(int(id))
+		}
+	}
+	return sys.AddVar(name, init, required)
+}
+
+// addEdge installs the inequality pair (11) of the pattern edge (from,
+// pred, to) and, by (13), bounds each end by the predicate's non-empty
+// rows: v ≤ ⋀ f_a over outgoing edges ∧ ⋀ b_a over incoming edges.
+func addEdge(st *storage.Store, sys *soi.System, from, to soi.Var, pred string) {
+	mats := predMatrices(st, pred)
+	sys.AddEdge(from, to, mats, pred)
+	sys.ConstrainInit(from, mats.F.NonEmptyRows())
+	sys.ConstrainInit(to, mats.B.NonEmptyRows())
 }
 
 // predMatrices fetches the (F_a, B_a) pair for a predicate; an unknown
@@ -108,17 +119,6 @@ func predMatrices(st *storage.Store, pred string) bitmat.Pair {
 // DualSimulation computes the largest dual simulation between pattern p
 // and the store, the central operation of the paper.
 func DualSimulation(st *storage.Store, p *Pattern, cfg Config) *Relation {
-	rel, _ := DualSimulationCtx(context.Background(), st, p, cfg)
-	return rel
-}
-
-// DualSimulationCtx is DualSimulation honouring cancellation: the solver
-// aborts between inequality evaluations and the ctx error is returned.
-func DualSimulationCtx(ctx context.Context, st *storage.Store, p *Pattern, cfg Config) (*Relation, error) {
-	sys := BuildSystem(st, p, cfg)
-	sol, err := sys.SolveCtx(ctx, soi.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &Relation{Pattern: p, Chi: sol.Chi[:p.NumVars()], Stats: sol.Stats}, nil
+	sol := BuildSystem(st, p, cfg).Solve(context.Background(), soi.Options{})
+	return &Relation{Pattern: p, Chi: sol.Chi[:p.NumVars()], Stats: sol.Stats}
 }

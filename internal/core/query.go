@@ -300,24 +300,15 @@ func BuildQueryPlan(st *storage.Store, q *sparql.Query, cfg Config) (*QueryPlan,
 }
 
 func lowerFragment(st *storage.Store, e sparql.Expr, f *fragment) (*Branch, error) {
-	n := st.NumNodes()
-	sys := soi.NewSystem(n)
+	sys := soi.NewSystem(st.NumNodes())
 	br := &Branch{Expr: e, Sys: sys}
 
 	idx := make(map[string]int, len(f.order))
 	vars := make([]soi.Var, 0, len(f.order))
 	for _, name := range f.order {
 		fv := f.vars[name]
-		var init *bitvec.Vector
-		if fv.konst != nil {
-			init = bitvec.New(n)
-			if id, ok := st.TermID(*fv.konst); ok {
-				init.Set(int(id))
-			}
-		}
-		v := sys.AddVar(name, init, fv.mandatory)
 		idx[name] = len(vars)
-		vars = append(vars, v)
+		vars = append(vars, addVar(st, sys, name, fv.konst, fv.mandatory))
 		br.Vars = append(br.Vars, QueryVar{
 			Name:      name,
 			Orig:      fv.orig,
@@ -326,11 +317,8 @@ func lowerFragment(st *storage.Store, e sparql.Expr, f *fragment) (*Branch, erro
 		})
 	}
 	for _, e := range f.edges {
-		mats := predMatrices(st, e.Pred)
 		from, to := idx[e.From], idx[e.To]
-		sys.AddEdge(vars[from], vars[to], mats, e.Pred)
-		sys.ConstrainInit(vars[from], mats.F.NonEmptyRows())
-		sys.ConstrainInit(vars[to], mats.B.NonEmptyRows())
+		addEdge(st, sys, vars[from], vars[to], e.Pred)
 		br.Edges = append(br.Edges, BranchEdge{From: from, To: to, Pred: e.Pred})
 	}
 	for _, c := range f.copies {

@@ -36,6 +36,18 @@ var servingPackages = []string{
 	"cmd/dualsimrouter",
 }
 
+// storeRebuilders may build a pruned copy of a store: the packages that
+// own the two methods and the paper's tables, which time evaluation on
+// the materialized pruned database. The benchmark module replays them.
+// Everything else reads the pruned database through its masks and
+// filter (prune.Pruning.Filter).
+var storeRebuilders = []string{
+	"internal/bench",
+	"internal/prune",
+	"internal/storage",
+	"benchmark",
+}
+
 // LayeringAnalyzer pins the import direction and the protocol split so
 // the collapsed designs stay collapsed:
 //
@@ -48,12 +60,15 @@ var servingPackages = []string{
 //     internal/server, once;
 //  4. the serving packages (servingPackages) never name an oracle —
 //     engine.NewIndexNL, engine.NewReference or dualsim.WithEngine: the
-//     Volcano executor is the only evaluator behind a served request.
+//     Volcano executor is the only evaluator behind a served request;
+//  5. no non-test code outside storeRebuilders calls
+//     (*prune.Pruning).Store or (*storage.Store).RestrictByMask: the
+//     session and the commands read the pruned database as a view.
 var LayeringAnalyzer = &analysis.Analyzer{
 	Name: "layering",
 	Doc: "pin import direction (kernels import nothing upward; internal/* does not import the root package " +
 		"except server, cluster, wire), keep protocol handlers out of internal/cluster/router " +
-		"and oracles out of the serving packages",
+		"and oracles out of the serving packages, and build pruned stores only in the paper's tables",
 	Run: runLayering,
 }
 
@@ -81,25 +96,49 @@ func runLayering(pass *analysis.Pass) error {
 	if inScope(path, servingPackages...) {
 		checkNoOracle(pass)
 	}
+	if !inScope(path, storeRebuilders...) {
+		checkNoRebuild(pass)
+	}
 	return nil
+}
+
+// rebuildMethods are the methods rule 5 keeps to storeRebuilders, keyed
+// by types.Func.FullName.
+var rebuildMethods = map[string]string{
+	"(*" + Module + "/internal/prune.Pruning).Store":          "prune.Pruning.Store",
+	"(*" + Module + "/internal/storage.Store).RestrictByMask": "storage.Store.RestrictByMask",
+}
+
+// checkNoRebuild applies rule 5: every use of a rebuild method — a call,
+// a method value or a method expression — is flagged.
+func checkNoRebuild(pass *analysis.Pass) {
+	forEachFuncUse(pass, func(id *ast.Ident, fn *types.Func) {
+		if name, ok := rebuildMethods[fn.FullName()]; ok {
+			pass.Reportf(id.Pos(), "non-test code rebuilds the pruned store through %s; read the pruned database through its masks and filter (only internal/bench, internal/prune, internal/storage and the benchmark build it)", name)
+		}
+	})
 }
 
 // checkNoOracle applies rule 4 to a serving package.
 func checkNoOracle(pass *analysis.Pass) {
+	forEachFuncUse(pass, func(id *ast.Ident, fn *types.Func) {
+		pkg, name := fn.Pkg().Path(), fn.Name()
+		if fn.Parent() == fn.Pkg().Scope() &&
+			(pkg == Module+"/internal/engine" && (name == "NewIndexNL" || name == "NewReference") || pkg == Module && name == "WithEngine") {
+			pass.Reportf(id.Pos(), "serving package references %s.%s; oracles check the executor offline, served requests run Volcano only", fn.Pkg().Name(), name)
+		}
+	})
+}
+
+// forEachFuncUse calls f for every identifier of the pass's non-test
+// files that refers to a function or method of a package.
+func forEachFuncUse(pass *analysis.Pass, f func(*ast.Ident, *types.Func)) {
 	for _, file := range pass.SourceFiles() {
 		ast.Inspect(file, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Parent() != fn.Pkg().Scope() {
-				return true
-			}
-			pkg, name := fn.Pkg().Path(), fn.Name()
-			if pkg == Module+"/internal/engine" && (name == "NewIndexNL" || name == "NewReference") ||
-				pkg == Module && name == "WithEngine" {
-				pass.Reportf(id.Pos(), "serving package references %s.%s; oracles check the executor offline, served requests run Volcano only", fn.Pkg().Name(), name)
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := pass.TypesInfo.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
+					f(id, fn)
+				}
 			}
 			return true
 		})

@@ -192,8 +192,10 @@ func TestErrsync(t *testing.T) {
 }
 
 // layeringFixtures are the files carrying layering expectations; the
-// allowed root import in internal/server and the oracle references in
-// internal/bench are part of the module run and must stay silent.
+// allowed root import in internal/server, the oracle references and the
+// pruned-store rebuild in internal/bench, and the rebuilds in
+// internal/prune, internal/storage, benchmark/ and cmd/dualsim/prune_test.go are
+// part of the module run and must stay silent.
 var layeringFixtures = []string{
 	"internal/bitvec/layering.go",
 	"internal/bitmat/layering.go",
@@ -201,6 +203,7 @@ var layeringFixtures = []string{
 	"internal/cluster/router/layering.go",
 	"internal/server/oracle.go",
 	"internal/bench/oracle.go",
+	"cmd/dualsim/prune.go",
 }
 
 func TestLayering(t *testing.T) {

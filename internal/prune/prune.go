@@ -75,15 +75,10 @@ func (p *Pruning) Filter() storage.Filter { return p.filter }
 // visits between two context-cancellation checks.
 const subjectCheckInterval = 1 << 16
 
-// Prune computes the kept-triple masks from a solved query relation.
-func Prune(st *storage.Store, rel *core.QueryRelation) *Pruning {
-	p, _ := PruneCtx(context.Background(), st, rel)
-	return p
-}
-
-// PruneCtx is Prune honouring cancellation: ctx is checked per pattern
-// edge and every subjectCheckInterval candidate subjects, and an expired
-// one returns (nil, ctx.Err()).
+// PruneCtx computes the kept-triple masks from a solved query relation,
+// honouring cancellation: ctx is checked per pattern edge and every
+// subjectCheckInterval candidate subjects, and an expired one returns
+// (nil, ctx.Err()).
 //
 // For a pattern edge (v, a, w) the walk is driven by χS(v): each
 // candidate subject's run of a-triples comes from F_a's row directory (a

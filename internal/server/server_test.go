@@ -279,7 +279,7 @@ func TestBatchMembers(t *testing.T) {
 // pays for its own plan and solve: a prepared query that runs again
 // reuses both, and a batch of repeats would cost less than its first.
 func TestBatchDeadline(t *testing.T) {
-	st, err := dualsim.GenerateLUBMStore(24, 42)
+	st, err := dualsim.FromTriples(dualsim.GenerateLUBM(24, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,11 @@ func defaultSettings() settings {
 }
 
 // WithEngine is the oracle hook: WithEngine(IndexNL) opens a session whose
-// evaluation is answered by the IndexNL oracle instead of the Volcano
-// executor, for checking the executor's answers (the repository benchmark
-// pins its expected rows this way). Serving code never passes it.
+// evaluation is answered by the IndexNL oracle over the unpruned snapshot
+// instead of the Volcano executor, for checking the executor's answers
+// (the repository benchmark pins its expected rows this way). With
+// pruning on it still solves and reports the prune stage; by soundness
+// its rows are the pruned execution's. Serving code never passes it.
 func WithEngine(k EngineKind) Option {
 	return func(s *settings) error {
 		switch k {

@@ -61,15 +61,6 @@ func (v *preparedView) solve(ctx context.Context, qp *core.QueryPlan, st *Store)
 	return nil
 }
 
-// filter is the store seen through the solved relation; nil when the
-// session does not prune.
-func (v *preparedView) filter() storage.Filter {
-	if v.pruning == nil {
-		return nil
-	}
-	return v.pruning.Filter()
-}
-
 // record writes what the view's solve and mask walk did on the prune
 // span — whether this execution ran them or, reused, found them stored.
 func (v *preparedView) record(sp *trace.Span, reused bool) {
@@ -91,38 +82,40 @@ func (v *preparedView) record(sp *trace.Span, reused bool) {
 	}
 }
 
-// planFor builds the physical plan of q over st seen through filter (nil:
-// st as it is); nil on an oracle session, which plans nothing.
-func (db *DB) planFor(st *Store, filter storage.Filter, q *Query) *plan.Plan {
-	if db.set.engine != Volcano {
-		return nil
-	}
-	return plan.Build(st, q, plan.Options{Filter: filter})
-}
-
-// store plans a freshly solved view and stores it on the prepared query,
-// unless a concurrent first execution stored one first; it returns the
-// stored view. A loser's relation is left to the GC: once a view is
-// stored, the plan's systems are never solved again, so the solver pool
-// would never reuse it.
+// store plans a freshly solved view — the physical plan of the query over
+// the pinned snapshot seen through the view's filter; an oracle session
+// plans nothing — and stores it on the prepared query, unless a
+// concurrent first execution stored one first; it returns the stored
+// view. A loser's relation is left to the GC: once a view is stored, the
+// plan's systems are never solved again, so the solver pool would never
+// reuse it.
 func (pq *PreparedQuery) store(v *preparedView) *preparedView {
-	v.plan = pq.db.planFor(pq.snap.st, v.filter(), pq.q)
+	if pq.db.set.engine == Volcano {
+		var opts plan.Options
+		if v.pruning != nil {
+			opts.Filter = v.pruning.Filter()
+		}
+		v.plan = plan.Build(pq.snap.st, pq.q, opts)
+	}
 	if pq.view.CompareAndSwap(nil, v) {
 		return v
 	}
 	return pq.view.Load()
 }
 
-// compile is the one place the session turns a plan into an execution:
-// the Volcano iterator tree of pl over st, under the session's memory
-// budget. On an oracle session (WithEngine(IndexNL)), pl is nil and the
-// oracle's materialized answer of q over st stands behind the same cursor
-// type, so Exec, Stream, Explain and Evaluate need no second path for it.
-func (db *DB) compile(st *Store, pl *plan.Plan, q *Query) (*engine.Exec, error) {
+// compile is the one place the session turns a view into an execution:
+// the Volcano iterator tree of the view's plan over the pinned snapshot,
+// under the session's memory budget. On an oracle session
+// (WithEngine(IndexNL)) the oracle's materialized answer over the same
+// unpruned snapshot stands behind the same cursor type, so Exec, Stream
+// and Explain need no second path for it; by soundness (Theorem 2) it
+// equals the pruned execution's.
+func (pq *PreparedQuery) compile(v *preparedView) (*engine.Exec, error) {
+	db := pq.db
 	if db.set.engine != Volcano {
-		return engine.AsExec(db.set.engine.engine(), st, q), nil
+		return engine.AsExec(db.set.engine.engine(), pq.snap.st, pq.q), nil
 	}
-	ex, err := engine.CompilePlan(st, pl)
+	ex, err := engine.CompilePlan(pq.snap.st, v.plan)
 	if err != nil {
 		return nil, err
 	}
@@ -130,17 +123,6 @@ func (db *DB) compile(st *Store, pl *plan.Plan, q *Query) (*engine.Exec, error) 
 		ex.SetMaxMemory(n)
 	}
 	return ex, nil
-}
-
-// compile turns the view into this query's execution over its snapshot.
-// An oracle evaluates the materialized pruned store, rebuilt per
-// execution: it is what the filtered execution is checked against.
-func (pq *PreparedQuery) compile(v *preparedView) (*engine.Exec, error) {
-	st := pq.snap.st
-	if pq.db.set.engine != Volcano && v.pruning != nil {
-		st = v.pruning.Store()
-	}
-	return pq.db.compile(st, v.plan, pq.q)
 }
 
 // open compiles the view and opens the iterator tree, closing it again
@@ -227,11 +209,7 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 		v.record(sp, !fresh)
 		p, rel := v.pruning, v.rel
 		stats.Stages = append(stats.Stages, StageStats{Name: "prune", Duration: d, In: p.Total, Out: p.Kept})
-		stats.Solver = Stats{
-			Rounds:      rel.Stats.Rounds,
-			Evaluations: rel.Stats.Evaluations,
-			Updates:     rel.Stats.Updates,
-		}
+		stats.Solver = solverStats(rel.Stats)
 		stats.Unsatisfiable = rel.Empty()
 		stats.TriplesAfter = p.Kept
 	}
@@ -247,7 +225,7 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 		return nil, err
 	}
 	stats.PlanDecisions = ex.Decisions()
-	return &Rows{ex: ex, st: full, stats: stats, begin: begin, eval: eval, in: stats.TriplesAfter, sp: sp}, nil
+	return &Rows{ex: ex, stats: stats, begin: begin, eval: eval, in: stats.TriplesAfter, sp: sp}, nil
 }
 
 // Exec is Stream drained: it runs the same pipeline and materializes the

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dualsim/internal/core"
-	"dualsim/internal/engine"
 	"dualsim/internal/persist"
 	"dualsim/internal/prune"
 	"dualsim/internal/stats"
@@ -18,6 +17,9 @@ import (
 
 // ErrClosed is returned by session operations after Close.
 var ErrClosed = errors.New("dualsim: session is closed")
+
+// errNilStore is returned by Open and OpenAt for a nil store.
+var errNilStore = errors.New("dualsim: nil store")
 
 // dbSnapshot is one epoch of the session's graph database and the whole
 // record of its lineage: an immutable store, its epoch number, the
@@ -73,8 +75,8 @@ type DB struct {
 // WAL-logged before it is acknowledged. A dir that already holds a
 // durable store is refused — restart from it with OpenDir instead.
 func Open(st *Store, opts ...Option) (*DB, error) {
-	if err := requireStore(st); err != nil {
-		return nil, err
+	if st == nil {
+		return nil, errNilStore
 	}
 	set, err := resolveSettings(opts)
 	if err != nil {
@@ -136,8 +138,8 @@ func OpenDir(dir string, opts ...Option) (*DB, error) {
 // primary — on divergence or a WAL gap it re-bootstraps from a fresh
 // snapshot instead of recovering local state.
 func OpenAt(st *Store, epoch uint64, opts ...Option) (*DB, error) {
-	if err := requireStore(st); err != nil {
-		return nil, err
+	if st == nil {
+		return nil, errNilStore
 	}
 	set, err := resolveSettings(opts)
 	if err != nil {
@@ -452,47 +454,10 @@ func (db *DB) Prune(ctx context.Context, q *Query) (*Pruning, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p, rel, err := prune.PruneQueryCtx(ctx, db.snap.Load().st, q, core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return &Pruning{p: p, rel: rel}, nil
-}
-
-// SimulatePattern computes the largest dual simulation between a
-// hand-built pattern graph and the session's current snapshot, honouring
-// ctx.
-func (db *DB) SimulatePattern(ctx context.Context, p *Pattern) (*PatternRelation, error) {
-	if db.closed.Load() {
-		return nil, ErrClosed
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	st := db.snap.Load().st
-	rel, err := core.DualSimulationCtx(ctx, st, p.p, core.Config{})
+	p, _, err := prune.PruneQueryCtx(ctx, st, q, core.Config{})
 	if err != nil {
 		return nil, err
 	}
-	return &PatternRelation{rel: rel, st: st}, nil
-}
-
-// Evaluate runs the session's evaluator over an explicit store —
-// normally a pruned store — honouring ctx. Exec composes this for you;
-// Evaluate exists for callers orchestrating the stages by hand.
-func (db *DB) Evaluate(ctx context.Context, st *Store, q *Query) (*Result, error) {
-	if db.closed.Load() {
-		return nil, ErrClosed
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := requireStore(st); err != nil {
-		return nil, err
-	}
-	ex, err := db.compile(st, db.planFor(st, nil, q), q)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Drain(ctx, ex)
+	return &Pruning{p: p, st: st}, nil
 }

@@ -66,7 +66,7 @@ func TestSessionPipeline(t *testing.T) {
 
 	// The pipeline matches the oracle's bare evaluation of the unpruned
 	// store.
-	bare, err := open(t, st, dualsim.WithEngine(dualsim.IndexNL)).Evaluate(context.Background(), st, pq.Query())
+	bare, _, err := open(t, st, dualsim.WithEngine(dualsim.IndexNL), dualsim.WithPruning(false)).Exec(context.Background(), queries.QueryX1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPreparedQueryPlansOnce(t *testing.T) {
 // goroutines (run under -race) yields identical results, with no plan
 // rebuilds.
 func TestPreparedQueryConcurrentExec(t *testing.T) {
-	st, err := dualsim.GenerateKGStore(1, 7)
+	st, err := dualsim.FromTriples(dualsim.GenerateKG(1, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestPrepareAbsentPredicateAllocatesLittle(t *testing.T) {
 // 10⁵ neighbours χ rejects sees a cancellation within 1024 of them (the
 // executor's rowCheckInterval), though the window fills with no row.
 func TestExecCancellation(t *testing.T) {
-	st, err := dualsim.GenerateLUBMStore(32, 42)
+	st, err := dualsim.FromTriples(dualsim.GenerateLUBM(32, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestReusedExecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	st, err := dualsim.GenerateLUBMStore(1, 42)
+	st, err := dualsim.FromTriples(dualsim.GenerateLUBM(1, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

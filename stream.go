@@ -23,7 +23,6 @@ import (
 // way of ending a cursor hands anything back to the solver.
 type Rows struct {
 	ex    *engine.Exec
-	st    *Store // decode dictionary of the pinned snapshot
 	stats *ExecStats
 	begin time.Time          // Stream entry, for the end-to-end duration
 	eval  time.Time          // evaluate-stage start (before compile), for its StageStats

@@ -90,11 +90,11 @@ func TestStreamMatchesExec(t *testing.T) {
 // return the same mapping set, the same stages with the same In/Out, and
 // both carry the executor's operator counters and resource accounting.
 func TestExecIsStreamDrained(t *testing.T) {
-	lubm, err := dualsim.GenerateLUBMStore(3, 42)
+	lubm, err := dualsim.FromTriples(dualsim.GenerateLUBM(3, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kg, err := dualsim.GenerateKGStore(1, 42)
+	kg, err := dualsim.FromTriples(dualsim.GenerateKG(1, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // and every solver report must be the same, the query must end up holding
 // one intact view, and every later execution must read that view.
 func TestConcurrentFirstExecutions(t *testing.T) {
-	st, err := GenerateLUBMStore(6, 42)
+	st, err := FromTriples(GenerateLUBM(6, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
