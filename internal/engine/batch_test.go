@@ -26,7 +26,10 @@ import (
 // order, and report the default's per-operator Rows and Filtered. Under a
 // LIMIT only the limit and its input are compared: the limit asks its
 // input for no more than it still needs, so their counts are exact, while
-// an operator further down may compute up to a window ahead.
+// an operator further down may compute up to a window ahead. Every
+// execution is drained twice, the second time re-Opened as a kept tree
+// is: the second drain must repeat the fresh compile's rows and every
+// counter, and leave the first drain's rows untouched.
 func TestPropertyBatchBoundaries(t *testing.T) {
 	ctx := context.Background()
 	type drained struct {
@@ -39,11 +42,28 @@ func TestPropertyBatchBoundaries(t *testing.T) {
 		if err != nil {
 			return drained{}, err
 		}
-		res, err := engine.Drain(ctx, ex)
+		fresh, err := engine.Drain(ctx, ex)
 		if err != nil {
 			return drained{}, err
 		}
-		return drained{res.Rows, ex.Operators()}, nil
+		kept := make([][]storage.NodeID, len(fresh.Rows))
+		for i, row := range fresh.Rows {
+			kept[i] = slices.Clone(row)
+		}
+		ops := ex.Operators()
+		again, err := engine.Drain(ctx, ex)
+		if err != nil {
+			return drained{}, err
+		}
+		switch {
+		case !slices.EqualFunc(again.Rows, fresh.Rows, slices.Equal):
+			return drained{}, fmt.Errorf("window %d: re-opened drain streamed %v, fresh %v", window, again.Rows, fresh.Rows)
+		case !slices.Equal(ex.Operators(), ops):
+			return drained{}, fmt.Errorf("window %d: re-opened operators %+v, fresh %+v", window, ex.Operators(), ops)
+		case !slices.EqualFunc(fresh.Rows, kept, slices.Equal):
+			return drained{}, fmt.Errorf("window %d: the re-opened drain rewrote the fresh drain's rows", window)
+		}
+		return drained{fresh.Rows, ops}, nil
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

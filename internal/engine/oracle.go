@@ -490,7 +490,7 @@ type materializedIter struct {
 	eng Engine
 	st  *storage.Store
 	q   *sparql.Query
-	res *Result // nil until Open succeeded
+	res *Result // nil until Open succeeded, and again after Close
 	i   int
 }
 
@@ -510,7 +510,7 @@ func (m *materializedIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, err
 	return dst, nil
 }
 
-func (m *materializedIter) Close() error { return nil }
+func (m *materializedIter) Close() error { m.res = nil; return nil }
 
 func (m *materializedIter) Vars() []string {
 	if m.res == nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"dualsim/internal/plan"
@@ -150,5 +151,57 @@ func TestBudgetZeroRowQueryPasses(t *testing.T) {
 	res, err := Drain(context.Background(), ex)
 	if err != nil || res.Len() != 0 {
 		t.Fatalf("zero-row budgeted query: rows %v err %v", res, err)
+	}
+}
+
+// TestReopenIsAFullReset: an Exec re-Opened after a drain starts a new
+// execution from nothing — what a reused tree relies on. Each plan is
+// compiled once, drained with timing on, re-Opened untimed and drained
+// again: the second drain's rows, operator counters and resources must
+// equal a fresh compile's, with every Time 0. The plans cover each
+// operator that keeps state across pulls: hash join, union, filter,
+// left extend, a deduplicating limit and the root distinct.
+func TestReopenIsAFullReset(t *testing.T) {
+	st := mustStore(t, resourceFixture(t))
+	ctx := context.Background()
+	for _, src := range []string{
+		bufferingQuery,
+		`SELECT * WHERE { { ?x <p> ?y . } UNION { ?x <q> ?y . } { ?x <p> ?z . } UNION { ?x <q> ?z . }
+			OPTIONAL { ?z <p> ?w . } FILTER(?y != <ok>) } LIMIT 30 OFFSET 2`,
+	} {
+		pl := plan.Build(st, sparql.MustParse(src), plan.Options{})
+		fresh, err := CompilePlan(st, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Drain(ctx, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := CompilePlan(st, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.EnableTiming()
+		if _, err := Drain(ctx, ex); err != nil {
+			t.Fatal(err)
+		}
+		ops := ex.Operators()
+		if ops[len(ops)-1].Time == 0 {
+			t.Fatalf("%s: timed drain reports no root time: %+v", src, ops)
+		}
+		got, err := Drain(ctx, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%s: re-opened drain streamed %v, fresh %v", src, got.Rows, want.Rows)
+		}
+		if got, want := ex.Operators(), fresh.Operators(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: re-opened operators\n %+v\nfresh\n %+v", src, got, want)
+		}
+		if got, want := ex.Resources(), fresh.Resources(); got != want || got.PeakBytes == 0 {
+			t.Fatalf("%s: re-opened resources %+v, fresh %+v", src, got, want)
+		}
 	}
 }

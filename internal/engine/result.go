@@ -34,10 +34,15 @@
 //     mix of the row's columns and verified against the stored row
 //     (rowSet in rows.go; hashJoinIter chains buckets through index
 //     arrays and verifies with compatible). No string keys.
-//   - Output rows are carved from a per-execution slab (rows.go), handed
-//     out capacity-limited and never recycled: a row returned by Next is
-//     the caller's to keep, but it is read-only — a buffering operator
-//     may retain the same slice.
+//   - Output rows are carved from the tree's slab (rows.go), handed out
+//     capacity-limited and never recycled: a row returned by Next is the
+//     caller's to keep, but it is read-only — a buffering operator may
+//     retain the same slice. A compiled tree runs many executions: Open
+//     resets its counters and account, Close drops every row it buffered,
+//     and the session keeps a closed tree on each prepared view, so a
+//     reused execution re-Opens a tree instead of compiling one. Its slab
+//     keeps carving where the last execution stopped, so rows handed out
+//     earlier stay valid.
 //   - Posting lists are read in place. Compiled through a solved dual
 //     simulation (plan.Options.Filter — the session's path), a list is a
 //     row of the adjacency the solver cached on the unpruned store

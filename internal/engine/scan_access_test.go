@@ -110,7 +110,7 @@ func TestScanAccessPaths(t *testing.T) {
 				if len(ops) != 1 || ops[0].Op != "scan" || ops[0].Detail != c.tp.String() {
 					t.Fatalf("case %d (%v, %s): operators %+v, want one scan", i, c.tp, view.name, ops)
 				}
-				if got, want := ops[0].Filtered, int64(pass*c.filtered[vi]); got != want {
+				if got, want := ops[0].Filtered, int64(c.filtered[vi]); got != want {
 					t.Fatalf("case %d (%v, %s) pass %d: filtered = %d, want %d", i, c.tp, view.name, pass, got, want)
 				}
 			}

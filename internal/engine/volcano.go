@@ -88,26 +88,45 @@ type OperatorStats struct {
 // optimizer's decision log). Pull and Append are its consumers' ends of
 // the batch contract. Operators reads the counters accumulated so far,
 // so it is meaningful both mid-stream and after exhaustion.
+//
+// An Exec runs any number of executions, one at a time: each Open starts
+// a new one from zero counters and an empty account, and Close drops
+// every row the tree buffered, so a closed Exec can be kept for its next
+// Open. Rows handed out by an earlier execution stay valid: the slab
+// never carves memory twice.
 type Exec struct {
 	root      input          // the tree, and Pull's window over it
 	its       []*countedIter // the operators, in registration order
 	decisions []string
 	acct      *account
-	window    int // size of Pull's last window
+	window    int  // size of Pull's last window
+	timed     bool // the next Open times its operators (EnableTiming)
 }
 
-// Open prepares the tree. An already expired context fails here, before
-// any operator builds its buffers.
+// Open starts an execution: it resets every operator's counters and the
+// memory account, arms the per-operator clocks only if EnableTiming was
+// called since the last Open, and prepares the tree. An already expired
+// context fails here, before any operator builds its buffers.
 func (e *Exec) Open(ctx context.Context) error {
+	for _, it := range e.its {
+		s := &it.stats
+		*s = OperatorStats{Op: s.Op, Detail: s.Detail, EstRows: s.EstRows, Depth: s.Depth}
+		it.timed = e.timed
+	}
+	e.timed = false
+	*e.acct = account{limit: e.acct.limit}
+	e.window, e.root.rows = 0, nil
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	e.window, e.root.rows = 0, nil
 	return e.root.it.Open(ctx)
 }
 
 func (e *Exec) Vars() []string { return e.root.it.Vars() }
-func (e *Exec) Close() error   { e.root.release(); return e.root.it.Close() }
+
+// Close ends the execution. The counters stay readable until the next
+// Open; the rows the operators buffered are dropped.
+func (e *Exec) Close() error { e.root.release(); return e.root.it.Close() }
 
 // Pull returns the next window of rows, empty at end of stream: 1, 2, 4
 // … up to batchRows rows, so the first row costs one row of work. The
@@ -155,15 +174,12 @@ func (e *Exec) Operators() []OperatorStats {
 	return out
 }
 
-// EnableTiming turns on per-operator wall-clock collection for this
-// execution (OperatorStats.Time). Call before Open: timing costs two
-// monotonic clock reads per pull per operator, so it is opt-in — the
-// tracer and EXPLAIN ANALYZE enable it, the default path does not.
-func (e *Exec) EnableTiming() {
-	for _, it := range e.its {
-		it.timed = true
-	}
-}
+// EnableTiming turns on per-operator wall-clock collection for the next
+// execution (OperatorStats.Time). Call before Open, which consumes it:
+// timing costs two monotonic clock reads per pull per operator, so it is
+// opt-in per execution — the tracer and EXPLAIN ANALYZE enable it, the
+// default path does not.
+func (e *Exec) EnableTiming() { e.timed = true }
 
 // Decisions returns the planner's decision log.
 func (e *Exec) Decisions() []string { return e.decisions }
@@ -224,14 +240,6 @@ func (a *account) charge(st *OperatorStats, rows, bytes int64) error {
 		return fmt.Errorf("%w: %d bytes buffered, budget %d", ErrQueryMemoryExceeded, a.cur, a.limit)
 	}
 	return nil
-}
-
-// release returns an operator's booked bytes to the pool (on re-Open).
-func (a *account) release(st *OperatorStats) {
-	a.cur -= st.MemBytes
-	a.rows -= st.RowsBuffered
-	st.MemBytes = 0
-	st.RowsBuffered = 0
 }
 
 // Buffered-row cost model: a retained []NodeID row plus its slice header
@@ -546,7 +554,7 @@ type countedIter struct {
 }
 
 func (c *countedIter) Open(ctx context.Context) error { c.ctx = ctx; return c.in.Open(ctx) }
-func (c *countedIter) Close() error                   { return c.in.Close() }
+func (c *countedIter) Close() error                   { c.ctx = nil; return c.in.Close() }
 func (c *countedIter) Vars() []string                 { return c.in.Vars() }
 
 //dualsim:hotpath
@@ -654,10 +662,15 @@ func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool, s
 }
 
 func (e *extendIter) Vars() []string { return e.vars }
-func (e *extendIter) Close() error   { e.in.release(); return e.in.it.Close() }
+
+func (e *extendIter) Close() error {
+	e.in.release()
+	e.ctx, e.row = nil, nil
+	return e.in.it.Close()
+}
 
 func (e *extendIter) Open(ctx context.Context) error {
-	e.ctx = ctx
+	e.ctx, e.n = ctx, 0
 	e.have, e.in.rows = false, nil
 	return e.in.it.Open(ctx)
 }
@@ -847,9 +860,11 @@ func newHashJoinIter(l, r Iterator, leftOuter bool, sl *slab) *hashJoinIter {
 
 func (h *hashJoinIter) Vars() []string { return h.vars }
 
+// Close drops the build side and the probe cursor with the windows.
 func (h *hashJoinIter) Close() error {
 	h.l.release()
 	h.r.release()
+	h.rows, h.heads, h.next, h.wildcards, h.lrow = nil, nil, nil, nil, nil
 	err := h.l.it.Close()
 	if err2 := h.r.it.Close(); err == nil {
 		err = err2
@@ -861,7 +876,6 @@ func (h *hashJoinIter) Open(ctx context.Context) error {
 	h.haveL, h.l.rows = false, nil
 	h.rows = h.rows[:0]
 	h.wildcards = h.wildcards[:0]
-	h.acct.release(h.stats)
 	if err := h.l.it.Open(ctx); err != nil {
 		return err
 	}
@@ -1124,11 +1138,10 @@ type distinctIter struct {
 }
 
 func (d *distinctIter) Vars() []string { return d.in.Vars() }
-func (d *distinctIter) Close() error   { return d.in.Close() }
+func (d *distinctIter) Close() error   { d.seen = nil; return d.in.Close() }
 
 func (d *distinctIter) Open(ctx context.Context) error {
 	d.seen = newRowSet()
-	d.acct.release(d.stats)
 	return d.in.Open(ctx)
 }
 
@@ -1165,7 +1178,7 @@ type limitIter struct {
 }
 
 func (l *limitIter) Vars() []string { return l.in.Vars() }
-func (l *limitIter) Close() error   { return l.in.Close() }
+func (l *limitIter) Close() error   { l.seen = nil; return l.in.Close() }
 
 func (l *limitIter) Open(ctx context.Context) error {
 	if l.dedup {
@@ -1173,7 +1186,6 @@ func (l *limitIter) Open(ctx context.Context) error {
 	}
 	l.skipped = 0
 	l.emitted = 0
-	l.acct.release(l.stats)
 	return l.in.Open(ctx)
 }
 

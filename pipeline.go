@@ -2,6 +2,7 @@ package dualsim
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"dualsim/internal/core"
@@ -32,17 +33,26 @@ type OperatorStats = engine.OperatorStats
 
 // preparedView is what a prepared query computes once for its snapshot
 // and every later execution reads: the largest dual simulation χ, the
-// kept-triple masks and filter derived from it, and the physical plan
-// costed through that filter. The largest solution is unique and
-// independent of the evaluation order, and the snapshot never changes,
-// so none of the three can differ between two executions. A view lives
-// as long as its prepared query: it is dropped with it — plan-cache
-// eviction, an Apply's sweep of stale epochs — and collected, never
-// returned to the solver pool, since a cursor may still read it.
+// kept-triple masks and filter derived from it, the physical plan
+// costed through that filter, and the iterator trees compiled from that
+// plan. The largest solution is unique and independent of the evaluation
+// order, and the snapshot never changes, so none of them can differ
+// between two executions. An execution takes the view's idle tree and
+// re-Opens it; only when another execution holds it does it compile one.
+// Its cursor's Close hands the tree back, having dropped every row the
+// tree buffered, so an idle tree holds no rows. A view lives as long as
+// its prepared query: it is dropped with it — plan-cache eviction, an
+// Apply's sweep of stale epochs — and collected, never returned to the
+// solver pool, since a cursor may still read it. (A sync.Pool would
+// register the view with the runtime until two GCs had passed, keeping a
+// dropped view and the snapshot its trees read alive one collection
+// longer; under a plan cache that churns, that costs more GC than the
+// pool saves.)
 type preparedView struct {
-	rel     *core.QueryRelation // nil when the session does not prune
-	pruning *prune.Pruning      // masks and filter over rel's χ rows; nil with rel
-	plan    *plan.Plan          // built through pruning's filter; nil on an oracle session
+	rel     *core.QueryRelation         // nil when the session does not prune
+	pruning *prune.Pruning              // masks and filter over rel's χ rows; nil with rel
+	plan    *plan.Plan                  // built through pruning's filter; nil on an oracle session
+	idle    atomic.Pointer[engine.Exec] // a closed tree of plan, ready to re-Open; nil while taken
 }
 
 // solve fills the view's pruning half: the solve and the mask walk.
@@ -125,13 +135,17 @@ func (pq *PreparedQuery) compile(v *preparedView) (*engine.Exec, error) {
 	return ex, nil
 }
 
-// open compiles the view and opens the iterator tree, closing it again
-// when Open fails. A traced execution pays for per-operator clocks; the
+// open takes the view's idle tree — compiling one only when there is
+// none — and opens it, closing it again when Open fails (such a tree is
+// left to the GC). A traced execution pays for per-operator clocks; the
 // default path never reads the clock per row.
 func (pq *PreparedQuery) open(ctx context.Context, v *preparedView, timed bool) (*engine.Exec, error) {
-	ex, err := pq.compile(v)
-	if err != nil {
-		return nil, err
+	ex := v.idle.Swap(nil)
+	if ex == nil {
+		var err error
+		if ex, err = pq.compile(v); err != nil {
+			return nil, err
+		}
 	}
 	if timed {
 		ex.EnableTiming()
@@ -151,12 +165,14 @@ func (pq *PreparedQuery) open(ctx context.Context, v *preparedView, timed bool) 
 // leaf scans; no pruned copy of the store is built — and open the plan's
 // iterator tree. The first execution whose solve and plan finish stores
 // that view (χ, masks, plan) on the prepared query before it opens its
-// cursor; every later one only compiles and opens the stored plan, and
-// reports ExecStats.Reused — also after a first execution whose Open
-// failed. A first execution that fails in the solve or the mask walk
-// stores nothing and hands its χ rows back to the solver pool; one that
-// loses a race to store reads the view that won. The rows are computed
-// as the caller pulls them.
+// cursor; every later one reports ExecStats.Reused — also after a first
+// execution whose Open failed — and only re-Opens a compiled tree of the
+// stored plan, which the cursor's Close hands back to the view for the
+// next execution (one that finds no idle tree compiles one). A first
+// execution that fails in the solve or the mask walk stores nothing and
+// hands its χ rows back to the solver pool; one that loses a race to
+// store reads the view that won. The rows are computed as the caller
+// pulls them.
 // A nil ctx is treated as context.Background(). Cancellation and
 // deadlines interrupt the solver between inequality evaluations and the
 // executor between row batches.
@@ -173,6 +189,7 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 	}
 	full := pq.snap.st
 	stats := &ExecStats{
+		Stages:        make([]StageStats, 0, 2), // prune, evaluate
 		Epoch:         pq.snap.epoch,
 		TriplesBefore: full.NumTriples(),
 		TriplesAfter:  full.NumTriples(),
@@ -225,7 +242,11 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 		return nil, err
 	}
 	stats.PlanDecisions = ex.Decisions()
-	return &Rows{ex: ex, stats: stats, begin: begin, eval: eval, in: stats.TriplesAfter, sp: sp}, nil
+	in := stats.TriplesAfter
+	if pq.db.set.engine != Volcano {
+		in = stats.TriplesBefore // the oracle reads the whole snapshot
+	}
+	return &Rows{ex: ex, view: v, vars: ex.Vars(), stats: stats, begin: begin, eval: eval, in: in, sp: sp}, nil
 }
 
 // Exec is Stream drained: it runs the same pipeline and materializes the
@@ -347,9 +368,10 @@ type ExecStats struct {
 	// Reused reports that the execution read the solved relation, the
 	// kept-triple filter and the physical plan an earlier execution of
 	// the same prepared query stored: it neither solved, walked the masks
-	// nor planned. Solver, Unsatisfiable, TriplesAfter and the prune
-	// span's counters then describe that earlier solve, and the prune
-	// stage's Duration is the lookup.
+	// nor planned, and it compiled nothing when the view had an idle
+	// iterator tree. Solver, Unsatisfiable, TriplesAfter and the
+	// prune span's counters then describe that earlier solve, and the
+	// prune stage's Duration is the lookup.
 	Reused bool `json:"reused"`
 	// Epoch is the store epoch this execution answered from — the one
 	// its plan was prepared on. Requests issued after an Apply report

@@ -2,7 +2,7 @@ package dualsim
 
 import (
 	"container/list"
-	"strconv"
+	"hash/maphash"
 	"strings"
 	"sync"
 	"unicode"
@@ -39,20 +39,25 @@ func (s PlanCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// cacheKey scopes a normalized query text to a store epoch, so a plan
-// built before an Apply structurally misses afterwards instead of
-// serving candidates of a superseded store.
-func cacheKey(epoch uint64, normalized string) string {
-	return strconv.FormatUint(epoch, 10) + "\x00" + normalized
+// planKey scopes a query text to a store epoch, so a plan built before
+// an Apply structurally misses afterwards instead of serving candidates
+// of a superseded store. The text enters as the hash of its normalized
+// token stream (see normTokens), computed in place; the entry keeps the
+// normalized text, and a lookup compares it token by token — as in the
+// executor's row sets, a hash alone is never a key.
+type planKey struct {
+	epoch uint64
+	hash  uint64
 }
 
-// planCache is a mutex-guarded LRU of prepared queries keyed by
-// normalized query text.
+// planCache is a mutex-guarded LRU of prepared queries keyed by epoch
+// and normalized query text.
 type planCache struct {
 	mu            sync.Mutex
 	cap           int
+	seed          maphash.Seed
 	ll            *list.List // front = most recently used; Value is *planEntry
-	items         map[string]*list.Element
+	items         map[planKey]*list.Element
 	hits          int64
 	misses        int64
 	evictions     int64
@@ -70,25 +75,43 @@ type planCache struct {
 }
 
 type planEntry struct {
-	key string
-	pq  *PreparedQuery
+	key  planKey
+	text string // normalizeQuery of the text the plan was built from
+	pq   *PreparedQuery
 }
 
 func newPlanCache(capacity int) *planCache {
 	return &planCache{
 		cap:   capacity,
+		seed:  maphash.MakeSeed(),
 		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
+		items: make(map[planKey]*list.Element, capacity),
 	}
 }
 
-// lookup returns the cached plan for key (updating recency), or nil.
+// key hashes src's normalized token stream without building it: two
+// texts with equal normalizeQuery outputs get equal keys.
+func (c *planCache) key(epoch uint64, src string) planKey {
+	var h maphash.Hash
+	h.SetSeed(c.seed)
+	for t := (normTokens{src: src}); ; {
+		p, ok := t.next()
+		if !ok {
+			break
+		}
+		h.WriteString(p)
+	}
+	return planKey{epoch: epoch, hash: h.Sum64()}
+}
+
+// lookup returns the cached plan of src under key (updating recency), or
+// nil — also when the entry under key was built from another text.
 // record controls whether the hit/miss counters move — the double-check
 // probe under buildMu must not count the same miss twice.
-func (c *planCache) lookup(key string, record bool) *PreparedQuery {
+func (c *planCache) lookup(key planKey, src string, record bool) *PreparedQuery {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[key]; ok && sameNormalized(src, el.Value.(*planEntry).text) {
 		c.ll.MoveToFront(el)
 		if record {
 			c.hits++
@@ -112,23 +135,25 @@ func (c *planCache) promoteMiss() {
 	c.mu.Unlock()
 }
 
-// insert adds (or refreshes) a plan and evicts the least recently used
-// entries beyond capacity. Unpinned plans of epochs below the
-// invalidation fence are refused (see minEpoch); pinned inserts — from
-// Snapshot handles deliberately reading an old epoch — bypass the fence
-// and live until the next sweep or LRU eviction.
-func (c *planCache) insert(key string, pq *PreparedQuery, pinned bool) {
+// insert adds (or refreshes) the plan of a normalized text and evicts
+// the least recently used entries beyond capacity. An entry of another
+// text under the same key — a hash collision — is replaced. Unpinned
+// plans of epochs below the invalidation fence are refused (see
+// minEpoch); pinned inserts — from Snapshot handles deliberately reading
+// an old epoch — bypass the fence and live until the next sweep or LRU
+// eviction.
+func (c *planCache) insert(key planKey, text string, pq *PreparedQuery, pinned bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !pinned && pq.snap.epoch < c.minEpoch {
 		return
 	}
 	if el, ok := c.items[key]; ok {
-		el.Value.(*planEntry).pq = pq
+		*el.Value.(*planEntry) = planEntry{key: key, text: text, pq: pq}
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&planEntry{key: key, pq: pq})
+	c.items[key] = c.ll.PushFront(&planEntry{key: key, text: text, pq: pq})
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
 		c.ll.Remove(back)
@@ -169,62 +194,128 @@ func (c *planCache) stats() PlanCacheStats {
 	}
 }
 
-// normalizeQuery derives the plan-cache key: whitespace runs collapse to
-// single spaces and comments drop, but only where the lexer itself would
-// ignore them — quoted literals and <…> IRIs are copied verbatim, so two
-// texts share a key only when they lex identically. Anything deeper
-// (variable renaming, pattern reordering) would change plan identity and
-// is deliberately out of scope.
+// normalizeQuery is the text a plan-cache entry keeps: whitespace runs
+// collapse to single spaces and comments drop, but only where the lexer
+// itself would ignore them — quoted literals and <…> IRIs are copied
+// verbatim, so two texts share an entry only when they lex identically.
+// Anything deeper (variable renaming, pattern reordering) would change
+// plan identity and is deliberately out of scope.
 func normalizeQuery(src string) string {
 	var b strings.Builder
 	b.Grow(len(src))
-	pendingSpace := false
-	emit := func(s string) {
-		if pendingSpace {
-			if b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
+	for t := (normTokens{src: src}); ; {
+		p, ok := t.next()
+		if !ok {
+			return b.String()
 		}
-		b.WriteString(s)
+		b.WriteString(p)
 	}
-	for i, n := 0, len(src); i < n; {
-		c := src[i]
-		switch {
-		case c == '#': // comment to end of line: dropped, but separates tokens
-			for i < n && src[i] != '\n' {
-				i++
+}
+
+// sameNormalized reports whether normalizeQuery(src) == norm, walking
+// src's token stream against norm without building the former.
+func sameNormalized(src, norm string) bool {
+	for t := (normTokens{src: src}); ; {
+		p, ok := t.next()
+		if !ok {
+			return norm == ""
+		}
+		if !strings.HasPrefix(norm, p) {
+			return false
+		}
+		norm = norm[len(p):]
+	}
+}
+
+// normTokens walks the normalized form of a query text in pieces whose
+// concatenation is normalizeQuery's output: verbatim stretches of the
+// source, and the single spaces that stand for the whitespace runs and
+// comments between two stretches. A stretch runs through IRIs, literals
+// and lone ' ' separators, which the normalized form keeps as they are,
+// so typical text comes in a few long pieces. Building, hashing and
+// comparing the normalized text all read this one stream.
+type normTokens struct {
+	src     string
+	i       int
+	space   bool // whitespace or a comment was skipped since the last piece
+	started bool // a stretch was returned: a separator before the first is dropped
+}
+
+// next returns the next piece; false at the end of src.
+func (t *normTokens) next() (string, bool) {
+	src, n := t.src, len(t.src)
+	for t.i < n {
+		c := src[t.i]
+		if c == '#' { // comment to end of line: dropped, but separates tokens
+			for t.i < n && src[t.i] != '\n' {
+				t.i++
 			}
-			pendingSpace = true
-		case unicode.IsSpace(rune(c)):
-			pendingSpace = true
-			i++
+		} else if byteClass[c] == spaceByte {
+			t.i++
+		} else {
+			break
+		}
+		t.space = true
+	}
+	if t.i == n {
+		return "", false
+	}
+	if t.space {
+		t.space = false
+		if t.started {
+			return " ", true
+		}
+	}
+	t.started = true
+	start, j := t.i, t.i
+stretch:
+	for j < n {
+		switch c := src[j]; {
+		case byteClass[c] == plainByte:
+			j++
 		case c == '<': // IRI: verbatim through '>' ('#' and spaces inside are significant)
-			j := strings.IndexByte(src[i:], '>')
-			if j < 0 {
-				emit(src[i:])
-				i = n
-				break
+			if k := strings.IndexByte(src[j:], '>'); k >= 0 {
+				j += k + 1
+			} else {
+				j = n
 			}
-			emit(src[i : i+j+1])
-			i += j + 1
 		case c == '"' || c == '\'': // literal: verbatim through the matching quote, honoring escapes
-			j := i + 1
-			for j < n && src[j] != c {
+			for j++; j < n && src[j] != c; j++ {
 				if src[j] == '\\' && j+1 < n {
 					j++
 				}
-				j++
 			}
 			if j < n {
 				j++ // include the closing quote
 			}
-			emit(src[i:j])
-			i = j
-		default:
-			emit(src[i : i+1])
-			i++
+		case c == ' ' && j+1 < n && src[j+1] != '#' && byteClass[src[j+1]] != spaceByte:
+			j++ // a lone space between two tokens is already normalized
+		default: // a whitespace run or a comment: the separator is the next piece
+			break stretch
 		}
 	}
-	return b.String()
+	t.i = j
+	return src[start:j], true
 }
+
+// byteClass sorts the bytes for normTokens: whitespace (each byte
+// unicode.IsSpace accepts as a rune), the bytes that open a comment, an
+// IRI or a literal, and the plain rest, which a verbatim run continues
+// through.
+var byteClass = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case unicode.IsSpace(rune(c)):
+			t[c] = spaceByte
+		case c == '#' || c == '<' || c == '"' || c == '\'':
+			t[c] = openByte
+		}
+	}
+	return t
+}()
+
+const (
+	plainByte = iota
+	spaceByte
+	openByte
+)

@@ -1,22 +1,40 @@
 package dualsim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestNormalizeQuery: the cache key collapses only whitespace the lexer
 // ignores — quoted literals and IRIs keep theirs, comments drop but
 // still separate tokens. Two texts share a key iff they lex identically.
 func TestNormalizeQuery(t *testing.T) {
-	same := [][2]string{
-		{"SELECT * WHERE { ?a <p> ?b . }", "  SELECT\n*\tWHERE  {\n?a <p> ?b\n.\n} "},
-		{"SELECT * WHERE { ?a <p> ?b . }", "SELECT * WHERE { # comment\n ?a <p> ?b . }"},
-		{"a b", "a#x\nb"}, // a comment separates tokens like whitespace
-	}
+	same, distinct := normalizeTable()
 	for _, c := range same {
 		if normalizeQuery(c[0]) != normalizeQuery(c[1]) {
 			t.Errorf("keys differ:\n  %q -> %q\n  %q -> %q", c[0], normalizeQuery(c[0]), c[1], normalizeQuery(c[1]))
 		}
 	}
-	distinct := [][2]string{
+	for _, c := range distinct {
+		if normalizeQuery(c[0]) == normalizeQuery(c[1]) {
+			t.Errorf("distinct queries collide on key %q:\n  %q\n  %q", normalizeQuery(c[0]), c[0], c[1])
+		}
+	}
+	// Unterminated trailing regions must not panic or loop.
+	for _, src := range []string{`{ "unterminated`, `{ <unterminated`, `x \`, "#only a comment", ""} {
+		_ = normalizeQuery(src)
+	}
+}
+
+// normalizeTable is TestNormalizeQuery's table: pairs that must share a
+// key, and pairs that must not.
+func normalizeTable() (same, distinct [][2]string) {
+	same = [][2]string{
+		{"SELECT * WHERE { ?a <p> ?b . }", "  SELECT\n*\tWHERE  {\n?a <p> ?b\n.\n} "},
+		{"SELECT * WHERE { ?a <p> ?b . }", "SELECT * WHERE { # comment\n ?a <p> ?b . }"},
+		{"a b", "a#x\nb"}, // a comment separates tokens like whitespace
+	}
+	distinct = [][2]string{
 		// Whitespace inside a literal is significant.
 		{`{ ?x <name> "a b" . }`, `{ ?x <name> "a  b" . }`},
 		{`{ ?x <name> "a b" . }`, `{ ?x <name> 'a  b' . }`},
@@ -28,14 +46,63 @@ func TestNormalizeQuery(t *testing.T) {
 		// A commented-out pattern is not an active one.
 		{"{ ?a <p> ?b . ?c <q> ?d . }", "{ ?a <p> ?b . # ?c <q> ?d .\n}"},
 	}
-	for _, c := range distinct {
-		if normalizeQuery(c[0]) == normalizeQuery(c[1]) {
-			t.Errorf("distinct queries collide on key %q:\n  %q\n  %q", normalizeQuery(c[0]), c[0], c[1])
+	return same, distinct
+}
+
+// TestPlanKeyMatchesNormalizedText: the plan-cache key hashes the
+// normalized token stream in place, and a lookup compares it against
+// the stored text in place. Over random whitespace, comment, IRI and
+// literal perturbations of TestNormalizeQuery's texts, two texts must
+// share a key exactly when their normalizeQuery outputs are equal, and
+// the in-place comparison must agree with comparing those outputs.
+func TestPlanKeyMatchesNormalizedText(t *testing.T) {
+	same, distinct := normalizeTable()
+	// Each edit inserts at a random position, so it lands in whitespace,
+	// inside a token, a comment, an IRI or a literal; the last two open
+	// or close such regions.
+	edits := []string{" ", "\t", "\n  ", "# c\n", "#", " # x", "<", ">", "<i j>", `"`, "'", `\`, `" s "`, "x", "."}
+	r := rand.New(rand.NewSource(1))
+	var texts []string
+	for _, pair := range append(same, distinct...) {
+		for _, src := range pair {
+			texts = append(texts, src)
+			for range 40 {
+				p := src
+				for range 1 + r.Intn(3) {
+					i := r.Intn(len(p) + 1)
+					p = p[:i] + edits[r.Intn(len(edits))] + p[i:]
+				}
+				texts = append(texts, p)
+			}
 		}
 	}
-	// Unterminated trailing regions must not panic or loop.
-	for _, src := range []string{`{ "unterminated`, `{ <unterminated`, `x \`, "#only a comment", ""} {
-		_ = normalizeQuery(src)
+	c := newPlanCache(1)
+	keys := make([]planKey, len(texts))
+	norms := make([]string, len(texts))
+	for i, src := range texts {
+		keys[i], norms[i] = c.key(0, src), normalizeQuery(src)
+	}
+	shared := 0
+	for i := range texts {
+		for j := range texts {
+			equal := norms[i] == norms[j]
+			if (keys[i] == keys[j]) != equal {
+				t.Fatalf("key equality %v, normalized equality %v:\n  %q -> %q\n  %q -> %q",
+					keys[i] == keys[j], equal, texts[i], norms[i], texts[j], norms[j])
+			}
+			if sameNormalized(texts[i], norms[j]) != equal {
+				t.Fatalf("sameNormalized(%q, %q) = %v, want %v", texts[i], norms[j], !equal, equal)
+			}
+			if equal && i != j {
+				shared++
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two perturbed texts share a key: the property is vacuous")
+	}
+	if c.key(0, texts[0]) == c.key(1, texts[0]) {
+		t.Fatal("one text under two epochs shares a key")
 	}
 }
 

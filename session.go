@@ -41,10 +41,10 @@ type dbSnapshot struct {
 //
 // Prepare cost is paid once per query. The first Exec of a prepared
 // query solves, prunes and plans, and keeps that view; every later Exec
-// only compiles the kept plan and evaluates it, honouring its context.
-// Neither takes a session lock: what planning and execution read of the
-// store — its index, which is also the solver's adjacency — is built
-// with the store and never changes.
+// only re-opens a compiled tree of the kept plan and evaluates it,
+// honouring its context. Neither takes a session lock: what planning
+// and execution read of the store — its index, which is also the
+// solver's adjacency — is built with the store and never changes.
 //
 // The database is live: Apply mutates it by publishing a new
 // epoch-numbered snapshot, with MVCC-lite read semantics — in-flight
@@ -384,10 +384,11 @@ func (db *DB) Query(ctx context.Context, src string) (*Result, *ExecStats, error
 
 // prepareCached resolves query text to a prepared query for the given
 // snapshot through the plan cache, reporting whether it was a hit. Keys
-// combine the snapshot epoch with the normalized text, so plans of
-// superseded epochs structurally miss. Cache misses for the same key are
-// single-flighted: the plan is built once, concurrent callers block on
-// buildMu and pick up the freshly inserted entry.
+// combine the snapshot epoch with a hash of the normalized text, so
+// plans of superseded epochs structurally miss; a hit hashes and
+// compares the text in place and allocates nothing. Cache misses for
+// the same key are single-flighted: the plan is built once, concurrent
+// callers block on buildMu and pick up the freshly inserted entry.
 //
 // pinned distinguishes deliberate reads of an old epoch (Snapshot
 // handles) from live traffic: a live caller whose snapshot was
@@ -399,13 +400,13 @@ func (db *DB) prepareCached(snap *dbSnapshot, src string, pinned bool) (*Prepare
 		pq, err := db.prepareSrc(snap, src)
 		return pq, false, err
 	}
-	key := cacheKey(snap.epoch, normalizeQuery(src))
-	if pq := db.cache.lookup(key, true); pq != nil {
+	key := db.cache.key(snap.epoch, src)
+	if pq := db.cache.lookup(key, src, true); pq != nil {
 		return pq, true, nil
 	}
 	db.cache.buildMu.Lock()
 	defer db.cache.buildMu.Unlock()
-	if pq := db.cache.lookup(key, false); pq != nil {
+	if pq := db.cache.lookup(key, src, false); pq != nil {
 		// A concurrent caller built the plan while we waited: the recorded
 		// miss was in fact served from the cache.
 		db.cache.promoteMiss()
@@ -415,7 +416,7 @@ func (db *DB) prepareCached(snap *dbSnapshot, src string, pinned bool) (*Prepare
 	if err != nil {
 		return nil, false, err
 	}
-	db.cache.insert(key, pq, pinned)
+	db.cache.insert(key, normalizeQuery(src), pq, pinned)
 	return pq, false, nil
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,8 @@ import (
 	"dualsim"
 	"dualsim/internal/queries"
 	"dualsim/internal/rdf"
+	"dualsim/internal/storage"
+	"dualsim/internal/trace"
 )
 
 // TestSessionPipeline: the Open → Prepare → Exec(ctx) flow on the
@@ -121,7 +125,14 @@ func TestPreparedQueryPlansOnce(t *testing.T) {
 
 // TestPreparedQueryConcurrentExec: one PreparedQuery shared by many
 // goroutines (run under -race) yields identical results, with no plan
-// rebuilds.
+// rebuilds. The executions share the view's idle compiled tree, so
+// the goroutines mix every way of ending one: a drained Exec, a traced
+// Exec, a Stream closed after k rows, and a Stream drained but abandoned
+// without Close (its tree never returns to the view). Every answer must
+// be the sequential run's — a cut stream its first k rows — and every
+// drained execution must report the sequential run's operators. A result
+// kept from the first execution must still hold its rows after all the
+// others have run: a re-Opened tree never rewrites a row it handed out.
 func TestPreparedQueryConcurrentExec(t *testing.T) {
 	st, err := dualsim.FromTriples(dualsim.GenerateKG(1, 7))
 	if err != nil {
@@ -142,9 +153,63 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want.Len() < 8 {
+		t.Fatalf("fixture yields %d rows, want ≥ 8", want.Len())
+	}
+	kept := &dualsim.Result{Vars: want.Vars}
+	for _, row := range want.Rows {
+		kept.Rows = append(kept.Rows, append([]storage.NodeID(nil), row...))
+	}
+	// sameOps compares operator counters, ignoring the clock a traced
+	// execution reads.
+	sameOps := func(got, want []dualsim.OperatorStats) bool {
+		return slices.EqualFunc(got, want, func(a, b dualsim.OperatorStats) bool {
+			a.Time, b.Time = 0, 0
+			return a == b
+		})
+	}
+	// run executes one of the four ways, returning the rows it delivered
+	// and the operators of a drained execution (nil for a cut stream).
+	run := func(way, k int) ([][]storage.NodeID, []dualsim.OperatorStats, error) {
+		ctx := context.Background()
+		switch way {
+		case 0, 1:
+			if way == 1 {
+				ctx = trace.ContextWithSpan(ctx, trace.New("query").Root())
+			}
+			res, stats, err := pq.Exec(ctx)
+			if err != nil {
+				return nil, nil, err
+			}
+			return res.Rows, stats.Operators, nil
+		default:
+			rows, err := pq.Stream(ctx)
+			if err != nil {
+				return nil, nil, err
+			}
+			var got [][]storage.NodeID
+			for (way == 3 || len(got) < k) && rows.Next() {
+				got = append(got, rows.Row())
+			}
+			if way == 2 {
+				return got, nil, rows.Close() // cut after k rows
+			}
+			return got, rows.Stats().Operators, rows.Err() // abandoned
+		}
+	}
+
+	// The sequential run of each way: Exec fills a slice sized by the
+	// previous drain and Stream pulls growing windows, so their pull
+	// counts differ from each other, but not between runs of one way.
+	var wantOps [4][]dualsim.OperatorStats
+	for way := range wantOps {
+		if _, wantOps[way], err = run(way, want.Len()); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const goroutines = 8
-	const execs = 4
+	const execs = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*execs)
 	for g := 0; g < goroutines; g++ {
@@ -152,17 +217,22 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < execs; i++ {
-				res, stats, err := pq.Exec(context.Background())
+				way, k := (g+i)%4, 1+(g*execs+i)%(want.Len()-1)
+				got, ops, err := run(way, k)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if !res.Equal(want) {
-					errs <- errors.New("concurrent Exec result mismatch")
+				wantRows := want.Rows
+				if way == 2 {
+					wantRows = wantRows[:k]
+				}
+				if !slices.EqualFunc(got, wantRows, slices.Equal) {
+					errs <- fmt.Errorf("way %d (k %d): concurrent result mismatch: %d rows, want %d", way, k, len(got), len(wantRows))
 					return
 				}
-				if stats.TriplesAfter > stats.TriplesBefore {
-					errs <- errors.New("nonsense pruning stats")
+				if way != 2 && !sameOps(ops, wantOps[way]) {
+					errs <- fmt.Errorf("way %d: operators %+v, sequential %+v", way, ops, wantOps[way])
 					return
 				}
 			}
@@ -172,6 +242,9 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, kept) {
+		t.Fatal("a result kept from the first execution changed while later executions ran")
 	}
 	if got := db.PlanBuilds(); got != 1 {
 		t.Fatalf("PlanBuilds = %d after concurrent Execs, want 1", got)
@@ -497,12 +570,13 @@ func TestExecNilContext(t *testing.T) {
 }
 
 // TestReusedExecAllocs pins the allocations of a reused prepared query
-// with a small result — L3, constant-anchored, one row on LUBM(1). The
-// row-at-a-time executor made 49; the batch executor makes 40 (per
-// operator, its counters live in the counting shim, and an extend reads
-// its input row in place instead of widening it into scratch). The pull
-// windows' header buffers come from a pool, so a buffer made per
-// execution would show here as one more allocation per operator.
+// with a small result — L3, constant-anchored, one row on LUBM(1) — on
+// both ways in: PreparedQuery.Exec, and a plan-cache hit through
+// db.Query. The row-at-a-time executor made 49; the batch executor made
+// 40, 28 of them compiling the plan. A reused execution now re-Opens a
+// tree its view kept, and a hit hashes and compares the text in place,
+// so what is left is the result, the stats and the cursor. A compile per
+// execution, or a key string per lookup, would show here.
 func TestReusedExecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -511,7 +585,7 @@ func TestReusedExecAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := open(t, st)
+	db := open(t, st, dualsim.WithPlanCache(4))
 	l3, err := queries.ByID("L3")
 	if err != nil {
 		t.Fatal(err)
@@ -524,12 +598,25 @@ func TestReusedExecAllocs(t *testing.T) {
 	if res, _, err := pq.Exec(ctx); err != nil || res.Len() != 1 {
 		t.Fatalf("L3 on LUBM(1): %v, %v; want one row", res, err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := pq.Exec(ctx); err != nil {
-			t.Fatal(err)
+	if res, _, err := db.Query(ctx, l3.Text); err != nil || res.Len() != 1 {
+		t.Fatalf("L3 on LUBM(1) through the cache: %v, %v; want one row", res, err)
+	}
+	for _, c := range []struct {
+		name string
+		hit  bool // served from the plan cache
+		run  func() (*dualsim.ExecStats, error)
+	}{
+		{"PreparedQuery.Exec", false, func() (*dualsim.ExecStats, error) { _, s, err := pq.Exec(ctx); return s, err }},
+		{"DB.Query cache hit", true, func() (*dualsim.ExecStats, error) { _, s, err := db.Query(ctx, l3.Text); return s, err }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if s, err := c.run(); err != nil || !s.Reused || s.CacheHit != c.hit {
+				t.Fatalf("%s: %v, stats %+v", c.name, err, s)
+			}
+		})
+		t.Logf("%s: %.0f allocations", c.name, allocs)
+		if allocs > 10 {
+			t.Fatalf("%s: a reused execution of L3 makes %.0f allocations, want ≤ 10", c.name, allocs)
 		}
-	})
-	if allocs > 40 {
-		t.Fatalf("a reused execution of L3 makes %.0f allocations, want ≤ 40", allocs)
 	}
 }

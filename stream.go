@@ -18,11 +18,15 @@ import (
 // false, then consult Err to distinguish exhaustion from failure, and
 // Close when done (Close is idempotent and implied by exhaustion).
 // A Rows is single-goroutine; concurrent executions each call Stream.
-// It owns only its iterator tree: the solved relation and the plan the
-// tree reads belong to the prepared query's view (see Stream), so no
-// way of ending a cursor hands anything back to the solver.
+// It borrows its iterator tree from the prepared query's view and Close
+// hands it back; the solved relation and the plan the tree reads belong
+// to the view too (see Stream), so no way of ending a cursor hands
+// anything back to the solver. A cursor abandoned without Close only
+// costs the view its idle tree, which the next execution compiles anew.
 type Rows struct {
-	ex    *engine.Exec
+	ex    *engine.Exec  // nil once Close handed it back to view
+	view  *preparedView // the view the tree goes back to
+	vars  []string
 	stats *ExecStats
 	begin time.Time          // Stream entry, for the end-to-end duration
 	eval  time.Time          // evaluate-stage start (before compile), for its StageStats
@@ -36,7 +40,7 @@ type Rows struct {
 }
 
 // Vars returns the result columns, in row order.
-func (r *Rows) Vars() []string { return r.ex.Vars() }
+func (r *Rows) Vars() []string { return r.vars }
 
 // Next advances to the next row, reporting whether one is available.
 // After false, Err distinguishes exhaustion (nil) from failure. Rows are
@@ -81,12 +85,19 @@ func (r *Rows) Row() []storage.NodeID { return r.row }
 // Err returns the error that terminated iteration, if any.
 func (r *Rows) Err() error { return r.err }
 
-// Close releases the cursor. Idempotent; safe after exhaustion.
+// Close releases the cursor and hands its iterator tree back to the
+// view, after which the cursor never touches it again. Idempotent; safe
+// after exhaustion.
 func (r *Rows) Close() error {
+	if r.ex == nil {
+		return nil
+	}
 	err := r.ex.Close()
 	if !r.done {
 		r.finish()
 	}
+	r.view.idle.Store(r.ex)
+	r.ex = nil
 	if r.err == nil && err != nil {
 		r.err = err
 	}

@@ -146,7 +146,8 @@ func TestExecIsStreamDrained(t *testing.T) {
 
 // TestOracleSessionExecAndStream: a WithEngine(IndexNL) session answers
 // Exec and Stream from the oracle — the same rows as the executor, and no
-// Volcano operators in either's stats.
+// Volcano operators in either's stats. The oracle reads the whole
+// snapshot, not the kept triples, so that is its evaluate stage's In.
 func TestOracleSessionExecAndStream(t *testing.T) {
 	st := fig1a(t)
 	want, _, err := open(t, st).Exec(context.Background(), queries.QueryX2)
@@ -175,6 +176,14 @@ func TestOracleSessionExecAndStream(t *testing.T) {
 	}
 	if es.Results != want.Len() || rows.Stats().Results != want.Len() {
 		t.Fatalf("oracle session results: exec %d, stream %d, want %d", es.Results, rows.Stats().Results, want.Len())
+	}
+	if es.TriplesAfter == es.TriplesBefore {
+		t.Fatalf("fixture prunes nothing (%d triples): the stage check below is vacuous", es.TriplesBefore)
+	}
+	for _, s := range []*dualsim.ExecStats{es, rows.Stats()} {
+		if in := s.Stage("evaluate").In; in != s.TriplesBefore {
+			t.Fatalf("oracle session evaluate stage reads %d triples, want the snapshot's %d (kept %d)", in, s.TriplesBefore, s.TriplesAfter)
+		}
 	}
 }
 
