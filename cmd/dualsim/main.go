@@ -241,11 +241,13 @@ func openSession(st *dualsim.Store, cfg cliConfig) (*dualsim.DB, error) {
 
 // printRows renders up to limit result rows (0 = all).
 func printRows(res *dualsim.Result, st *dualsim.Store, limit int) {
-	rows := res.Rows
-	if limit > 0 && len(rows) > limit {
-		rows = rows[:limit]
+	shown := res
+	if limit > 0 && res.Len() > limit {
+		shown = &dualsim.Result{Vars: res.Vars}
+		for i := range limit {
+			shown.Append(res.Row(i))
+		}
 	}
-	shown := &dualsim.Result{Vars: res.Vars, Rows: rows}
 	fmt.Print(shown.Format(st))
 }
 

@@ -136,8 +136,8 @@ func TestRouterDaemonServesAndDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != len(res.Rows) || len(out.Rows) == 0 {
-		t.Fatalf("router answered %d rows, single node %d", len(out.Rows), len(res.Rows))
+	if len(out.Rows) != res.Len() || len(out.Rows) == 0 {
+		t.Fatalf("router answered %d rows, single node %d", len(out.Rows), res.Len())
 	}
 	var vars []string
 	vars = append(vars, out.Vars...)

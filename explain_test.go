@@ -111,8 +111,8 @@ func TestExplainAnalyzeMatchesExecution(t *testing.T) {
 				i, op.Op, op.Rows, got.Op, got.Rows)
 		}
 	}
-	if ex.Stats.Results != len(res.Rows) {
-		t.Errorf("analyze results %d, execution rows %d", ex.Stats.Results, len(res.Rows))
+	if ex.Stats.Results != res.Len() {
+		t.Errorf("analyze results %d, execution rows %d", ex.Stats.Results, res.Len())
 	}
 	if sp := ex.Stats.Trace; sp == nil || sp.Find("evaluate") == nil {
 		t.Errorf("analyze stats carry no evaluate span: %+v", ex.Stats.Trace)

@@ -217,7 +217,7 @@ func TestPropertyFilteredMatchesMaterialized(t *testing.T) {
 			t.Logf("seed %d query %s: filtered %d rows, materialized %d rows", seed, q, filtered.Len(), materialized.Len())
 			return false
 		}
-		if len(filtered.Canonical().Rows) != filtered.Len() {
+		if filtered.Canonical().Len() != filtered.Len() {
 			t.Logf("seed %d query %s: filtered answer repeats a row", seed, q)
 			return false
 		}
@@ -306,7 +306,7 @@ func TestChiLifetimeConcurrentStreams(t *testing.T) {
 				mode, stop := r.Intn(3), r.Intn(want.Len())
 				n := 0
 				for rows.Next() {
-					if n >= want.Len() || !slices.Equal(rows.Row(), want.Rows[n]) {
+					if n >= want.Len() || !slices.Equal(rows.Row(), want.Row(n)) {
 						t.Errorf("goroutine %d iteration %d: row %d = %v differs from Exec's", g, iter, n, rows.Row())
 						break
 					}

@@ -118,8 +118,8 @@ func TestFollowerBootstrapAndCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(want.Rows) || len(res.Rows) == 0 {
-		t.Fatalf("replica answered %d rows, primary %d", len(res.Rows), len(want.Rows))
+	if res.Len() != want.Len() || res.Len() == 0 {
+		t.Fatalf("replica answered %d rows, primary %d", res.Len(), want.Len())
 	}
 
 	cancel()

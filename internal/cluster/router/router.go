@@ -704,7 +704,7 @@ func evalLocal(ctx context.Context, src string, epoch uint64, parts ...*dualsim.
 	if err != nil {
 		return nil, err
 	}
-	out := &branchResult{vars: append([]string{}, res.Vars...), cells: make([]span, 0, len(res.Rows)*len(res.Vars)), rows: len(res.Rows), epoch: epoch}
+	out := &branchResult{vars: append([]string{}, res.Vars...), cells: make([]span, 0, res.Len()*len(res.Vars)), rows: res.Len(), epoch: epoch}
 	names := make([]span, st.NumNodes()) // a cell is never empty: the zero span is "not rendered yet"
 	for _, row := range res.Rows {
 		for _, v := range row {

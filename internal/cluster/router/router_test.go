@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -140,6 +141,57 @@ func TestRouterRowIdenticalToSingleNode(t *testing.T) {
 			}
 		}
 		_ = rt
+	}
+}
+
+// TestSelectStarColumnOrder: SELECT * columns come in the order their
+// variables first occur in the text, whatever order the plan binds them
+// in — in process (Result and Rows), from a daemon, and through a router
+// over 2 shards, which inherits the order from its shards and from its
+// local evaluation of a gathered branch. The plan of the text scans the
+// constant-anchored pattern first and so binds ?b before ?a.
+func TestSelectStarColumnOrder(t *testing.T) {
+	const src = `SELECT * WHERE { ?a <worked_with> ?b . ?b <directed> <Mortdecai> . }`
+	want := []string{"a", "b"}
+	full, err := dualsim.FromTriples(queries.Fig1aTriples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dualsim.Open(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	ex, err := db.Explain(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf := ex.Operators[0]; leaf.Op != "scan" || !strings.HasPrefix(leaf.Detail, "?b ") {
+		t.Fatalf("the plan starts with %s %s, not with the scan binding ?b", leaf.Op, leaf.Detail)
+	}
+	res, _, err := db.Query(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Vars, want) || res.Len() != 2 {
+		t.Fatalf("in process: vars %v, %d rows; want %v, 2 rows", res.Vars, res.Len(), want)
+	}
+	rows, err := db.Snapshot().QueryStream(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rows.Vars(), want) || !rows.Next() || !slices.Equal(rows.Row(), res.Row(0)) {
+		t.Fatalf("in-process stream: vars %v, want %v; or its first row is not Query's", rows.Vars(), want)
+	}
+	rows.Close()
+
+	_, rs, single := startCluster(t, 2)
+	for _, via := range []struct{ name, url string }{{"daemon", single.URL}, {"router over 2 shards", rs.URL}} {
+		got := queryVia(t, via.url, src)
+		if !slices.Equal(got.Vars, want) || len(got.Rows) != 2 {
+			t.Errorf("%s: vars %v, %d rows; want %v, 2 rows", via.name, got.Vars, len(got.Rows), want)
+		}
 	}
 }
 

@@ -117,23 +117,23 @@ func TestDifferentialLimitAgainstReference(t *testing.T) {
 // drawn from full.
 func checkWindow(got, full *Result, limit, offset int) error {
 	fullC := full.Canonical()
-	want := len(fullC.Rows) - offset
+	want := fullC.Len() - offset
 	if want < 0 {
 		want = 0
 	}
 	if want > limit {
 		want = limit
 	}
-	inFull := make(map[string]bool, len(fullC.Rows))
+	inFull := make(map[string]bool, fullC.Len())
 	for _, row := range fullC.Rows {
-		inFull[rowKey(row)] = true
+		inFull[fmt.Sprint(row)] = true
 	}
 	gotC := got.Canonical()
-	if len(gotC.Rows) != want {
-		return fmt.Errorf("%d distinct rows, want %d (full %d)", len(gotC.Rows), want, len(fullC.Rows))
+	if gotC.Len() != want {
+		return fmt.Errorf("%d distinct rows, want %d (full %d)", gotC.Len(), want, fullC.Len())
 	}
 	for _, row := range gotC.Rows {
-		if !inFull[rowKey(row)] {
+		if !inFull[fmt.Sprint(row)] {
 			return fmt.Errorf("row %v is outside the full answer", row)
 		}
 	}

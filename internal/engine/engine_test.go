@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +114,15 @@ func TestX2Results(t *testing.T) {
 			t.Fatalf("%s: %d unbound coworkers, want 2", e.Name(), unbound)
 		}
 	}
+}
+
+// rowsOf copies res's rows out, in order.
+func rowsOf(res *Result) [][]storage.NodeID {
+	out := make([][]storage.NodeID, 0, res.Len())
+	for _, row := range res.Rows {
+		out = append(out, slices.Clone(row))
+	}
+	return out
 }
 
 func bindings(t *testing.T, st *storage.Store, res *Result, v string) map[string]bool {
@@ -290,14 +300,16 @@ func TestCartesianProduct(t *testing.T) {
 // TestResultHelpers covers the Result utility surface.
 func TestResultHelpers(t *testing.T) {
 	r := NewResult("a", "b")
-	r.Rows = append(r.Rows, []storage.NodeID{0, 1}, []storage.NodeID{0, 1}, []storage.NodeID{1, Unbound})
+	r.Append([]storage.NodeID{0, 1})
+	r.Append([]storage.NodeID{0, 1})
+	r.Append([]storage.NodeID{1, Unbound})
 	r.Dedup()
 	if r.Len() != 2 {
 		t.Fatalf("Dedup left %d rows", r.Len())
 	}
 	p := r.Project([]string{"b", "a", "c"})
-	if p.Rows[0][0] != 1 || p.Rows[0][1] != 0 || p.Rows[0][2] != Unbound {
-		t.Fatalf("Project = %v", p.Rows[0])
+	if row := p.Row(0); row[0] != 1 || row[1] != 0 || row[2] != Unbound {
+		t.Fatalf("Project = %v", row)
 	}
 	if !r.Equal(r.Canonical()) {
 		t.Fatal("Canonical changed semantics")

@@ -10,6 +10,7 @@ var (
 	DedupUnions        = dedupUnions
 	CheckWindow        = checkWindow
 	IsSet              = isSet
+	RowsOf             = rowsOf
 )
 
 // SetBatchRows moves every pull window boundary: operators and consumers

@@ -14,6 +14,7 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -88,7 +89,7 @@ func join(ctx context.Context, l, r *Result, leftOuter bool) (*Result, error) {
 
 	// Hash r rows whose shared variables are all bound; rows with unbound
 	// shared variables are compatibility wildcards and go to a scan list.
-	buckets := make(map[string][]int, len(r.Rows))
+	buckets := make(map[string][]int, r.Len())
 	var wildcards []int
 	for i, row := range r.Rows {
 		if allBound(row, rIdx) {
@@ -98,8 +99,8 @@ func join(ctx context.Context, l, r *Result, leftOuter bool) (*Result, error) {
 		}
 	}
 
+	merged := make([]storage.NodeID, len(outVars))
 	emit := func(lrow, rrow []storage.NodeID) {
-		merged := make([]storage.NodeID, len(outVars))
 		for k := range merged {
 			merged[k] = Unbound
 		}
@@ -113,7 +114,7 @@ func join(ctx context.Context, l, r *Result, leftOuter bool) (*Result, error) {
 			oj := slices.Index(outVars, r.Vars[j])
 			merged[oj] = v
 		}
-		out.Rows = append(out.Rows, merged)
+		out.Append(merged)
 	}
 
 	for li, lrow := range l.Rows {
@@ -125,33 +126,28 @@ func join(ctx context.Context, l, r *Result, leftOuter bool) (*Result, error) {
 		matched := false
 		if allBound(lrow, lIdx) {
 			for _, ri := range buckets[keyOf(lrow, lIdx)] {
-				if compatible(l, r, lrow, r.Rows[ri], shared) {
-					emit(lrow, r.Rows[ri])
+				if compatible(l, r, lrow, r.Row(ri), shared) {
+					emit(lrow, r.Row(ri))
 					matched = true
 				}
 			}
 			for _, ri := range wildcards {
-				if compatible(l, r, lrow, r.Rows[ri], shared) {
-					emit(lrow, r.Rows[ri])
+				if compatible(l, r, lrow, r.Row(ri), shared) {
+					emit(lrow, r.Row(ri))
 					matched = true
 				}
 			}
 		} else {
 			// l row itself has unbound shared vars: scan everything.
-			for ri := range r.Rows {
-				if compatible(l, r, lrow, r.Rows[ri], shared) {
-					emit(lrow, r.Rows[ri])
+			for ri := range r.Len() {
+				if compatible(l, r, lrow, r.Row(ri), shared) {
+					emit(lrow, r.Row(ri))
 					matched = true
 				}
 			}
 		}
 		if leftOuter && !matched {
-			merged := make([]storage.NodeID, len(outVars))
-			for k := range merged {
-				merged[k] = Unbound
-			}
-			copy(merged, lrow)
-			out.Rows = append(out.Rows, merged)
+			emit(lrow, nil)
 		}
 	}
 	out.Dedup()
@@ -162,8 +158,9 @@ func join(ctx context.Context, l, r *Result, leftOuter bool) (*Result, error) {
 func union(l, r *Result) *Result {
 	outVars := unionVars(l, r)
 	out := l.Project(outVars)
-	rp := r.Project(outVars)
-	out.Rows = append(out.Rows, rp.Rows...)
+	for _, row := range r.Project(outVars).Rows {
+		out.Append(row)
+	}
 	out.Dedup()
 	return out
 }
@@ -177,7 +174,7 @@ func applyFilter(st *storage.Store, cond sparql.Condition, res *Result) *Result 
 	out := NewResult(res.Vars...)
 	for _, row := range res.Rows {
 		if v, e := evalCond(st, cond, cols, row); v && !e {
-			out.Rows = append(out.Rows, row)
+			out.Append(row)
 		}
 	}
 	return out
@@ -185,24 +182,21 @@ func applyFilter(st *storage.Store, cond sparql.Condition, res *Result) *Result 
 
 // applyLimit applies the query's LIMIT/OFFSET solution modifier to a
 // materialized result. Set semantics have no inherent order, so rows are
-// deduplicated and canonically sorted first — every engine then truncates
-// to the same row set, keeping the engines comparable and the output
-// deterministic.
+// deduplicated, which sorts them canonically — every engine then
+// truncates to the same row set, keeping the engines comparable and the
+// output deterministic.
 func applyLimit(res *Result, q *sparql.Query) *Result {
 	if q.Limit == 0 && q.Offset == 0 {
 		return res
 	}
 	res.Dedup()
-	res.Sort()
-	lo := q.Offset
-	if lo > len(res.Rows) {
-		lo = len(res.Rows)
-	}
-	hi := len(res.Rows)
+	lo := min(q.Offset, res.n)
+	hi := res.n
 	if q.Limit > 0 && lo+q.Limit < hi {
 		hi = lo + q.Limit
 	}
-	res.Rows = res.Rows[lo:hi]
+	w := len(res.Vars)
+	res.block = block{n: hi - lo, ids: res.ids[lo*w : hi*w]}
 	return res
 }
 
@@ -301,34 +295,28 @@ func indexNLBGP(ctx context.Context, st *storage.Store, b sparql.BGP) (*Result, 
 			}
 		}
 	}
-	out := NewResult(varOrder...)
-	current := [][]storage.NodeID{make([]storage.NodeID, len(varOrder))}
-	for i := range current[0] {
-		current[0][i] = Unbound
-	}
+	current := NewResult(varOrder...)
+	current.Append(slices.Repeat([]storage.NodeID{Unbound}, len(varOrder)))
 	for _, r := range order {
 		if !r.ok {
-			return out, nil
+			return NewResult(varOrder...), nil
 		}
-		var next [][]storage.NodeID
-		for i, row := range current {
+		next := NewResult(varOrder...)
+		for i, row := range current.Rows {
 			if i%rowCheckInterval == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			extendRow(st, r, row, varCol, func(nr []storage.NodeID) {
-				next = append(next, nr)
-			})
+			extendRow(st, r, row, varCol, next.Append)
 		}
 		current = next
-		if len(current) == 0 {
+		if current.Len() == 0 {
 			break
 		}
 	}
-	out.Rows = current
-	out.Dedup()
-	return out, nil
+	current.Dedup()
+	return current, nil
 }
 
 func sharesBound(r resolved, bound map[string]bool) bool {
@@ -457,7 +445,7 @@ func referenceBGP(ctx context.Context, st *storage.Store, b sparql.BGP) (*Result
 					return nil
 				}
 			}
-			out.Rows = append(out.Rows, append([]storage.NodeID(nil), assign...))
+			out.Append(assign)
 			return nil
 		}
 		for n := 0; n < st.NumNodes(); n++ {
@@ -479,9 +467,10 @@ func referenceBGP(ctx context.Context, st *storage.Store, b sparql.BGP) (*Result
 
 // AsExec presents a materializing evaluator as an *Exec, so a caller that
 // holds the executor's cursor needs no second code path to consult an
-// oracle: Open runs the evaluation, Next replays its rows. Such an Exec
-// has no operators and no planner decisions, and buffers nothing the
-// accounting would meter.
+// oracle: Open runs the evaluation, Next replays its rows, in the
+// query's SELECT * column order as the executor's. Such an Exec has no
+// operators and no planner decisions, and buffers nothing the accounting
+// would meter.
 func AsExec(eng Engine, st *storage.Store, q *sparql.Query) *Exec {
 	return &Exec{root: input{it: &materializedIter{eng: eng, st: st, q: q}}, acct: &account{}}
 }
@@ -496,18 +485,25 @@ type materializedIter struct {
 
 func (m *materializedIter) Open(ctx context.Context) error {
 	res, err := m.eng.Evaluate(ctx, m.st, m.q)
+	if err == nil {
+		if vars := selectOrder(sparql.SelectVars(m.q.Expr), res.Vars); !slices.Equal(vars, res.Vars) {
+			res = res.Project(vars)
+		}
+	}
 	m.res, m.i = res, 0
 	return err
 }
 
-func (m *materializedIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+func (m *materializedIter) Next(dst *block, limit int) error {
 	if m.res == nil {
-		return dst, nil
+		return nil
 	}
-	k := min(cap(dst)-len(dst), len(m.res.Rows)-m.i)
-	dst = append(dst, m.res.Rows[m.i:m.i+k]...)
+	w := len(m.res.Vars)
+	k := min(limit-dst.n, m.res.n-m.i)
+	dst.ids = append(dst.ids, m.res.ids[m.i*w:(m.i+k)*w]...)
+	dst.n += k
 	m.i += k
-	return dst, nil
+	return nil
 }
 
 func (m *materializedIter) Close() error { m.res = nil; return nil }
@@ -524,12 +520,13 @@ func (m *materializedIter) Vars() []string {
 // name-resolved on purpose: they share nothing with the executor's hashed,
 // column-mapped operators they are the check for.
 
+// keyOf is the byte string of the columns idx of a row.
 func keyOf(row []storage.NodeID, idx []int) string {
-	key := make([]storage.NodeID, len(idx))
+	key := make([]byte, 4*len(idx))
 	for i, j := range idx {
-		key[i] = row[j]
+		binary.LittleEndian.PutUint32(key[4*i:], uint32(row[j]))
 	}
-	return rowKey(key)
+	return string(key)
 }
 
 // compatible implements µ1 ⇋ µ2: agreement on every shared variable bound

@@ -14,7 +14,7 @@ import (
 
 // isSet reports whether res holds no mapping twice.
 func isSet(res *Result) bool {
-	c := &Result{Vars: res.Vars, Rows: append([][]storage.NodeID(nil), res.Rows...)}
+	c := res.Project(res.Vars)
 	c.Dedup()
 	return c.Len() == res.Len()
 }
@@ -201,7 +201,7 @@ func TestRowSetCollisions(t *testing.T) {
 		func([]storage.NodeID) uint64 { return ^uint64(0) },
 		func(row []storage.NodeID) uint64 { return uint64(row[0] % 2) }, // two clusters
 	} {
-		s := newRowSet()
+		s := newRowSet(3)
 		s.hash = hash
 		const n = 500
 		for i := 0; i < n; i++ {
@@ -217,12 +217,12 @@ func TestRowSetCollisions(t *testing.T) {
 				t.Fatalf("row %d with a differing column taken for a duplicate", i)
 			}
 		}
-		if len(s.rows) != 2*n {
-			t.Fatalf("set holds %d rows, want %d", len(s.rows), 2*n)
+		if s.rows.n != 2*n {
+			t.Fatalf("set holds %d rows, want %d", s.rows.n, 2*n)
 		}
 	}
 	// The real hash: zero-width rows are all equal.
-	s := newRowSet()
+	s := newRowSet(0)
 	if !s.add(nil) || s.add([]storage.NodeID{}) {
 		t.Fatal("the empty row must be inserted exactly once")
 	}

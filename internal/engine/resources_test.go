@@ -64,9 +64,9 @@ func TestResourceAccountingAlwaysOn(t *testing.T) {
 
 func TestHashJoinChargesBuildSide(t *testing.T) {
 	st := mustStore(t, resourceFixture(t))
-	// Disjoint variable sets force the generic hash join (no extend fast
-	// path): the right side is drained and charged.
-	q := sparql.MustParse(`SELECT * WHERE { ?x <p> ?y . ?z <q> ?w . }`)
+	// A group that is not a scan forces the generic hash join (no extend
+	// fast path): the right side is drained and charged.
+	q := sparql.MustParse(`SELECT * WHERE { ?x <p> ?y . { ?x <q> ?z . OPTIONAL { ?z <p> ?w . } } }`)
 	ex, err := Compile(st, q, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +83,38 @@ func TestHashJoinChargesBuildSide(t *testing.T) {
 		}
 	}
 	t.Skip("plan did not use a hash join")
+}
+
+// TestPeakBytesPinned pins the cost model: a retained row costs its ids,
+// 4 bytes per column, plus one 8-byte table slot. The fixture holds 20
+// distinct (s, o) pairs under each of p and q, so the root distinct of
+// the UNION retains 20 rows of (x, y): 20 · (4·2 + 8) = 320 bytes. The
+// hash join's build side is its OPTIONAL group, 20 rows of (x, z, w)
+// with w unbound: 20 · (4·3 + 8) = 400 bytes.
+func TestPeakBytesPinned(t *testing.T) {
+	st := mustStore(t, resourceFixture(t))
+	for _, c := range []struct {
+		src, op string
+		bytes   int64
+	}{
+		{bufferingQuery, "distinct", 320},
+		{`SELECT * WHERE { ?x <p> ?y . { ?x <q> ?z . OPTIONAL { ?z <p> ?w . } } }`, "hashjoin", 400},
+	} {
+		ex, err := Compile(st, sparql.MustParse(c.src), plan.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Drain(context.Background(), ex); err != nil {
+			t.Fatal(err)
+		}
+		if r := ex.Resources(); r.PeakBytes != c.bytes || r.RowsBuffered != 20 {
+			t.Errorf("%s: resources %+v, want peakBytes %d over 20 rows", c.src, r, c.bytes)
+		}
+		ops := ex.Operators()
+		if op := ops[len(ops)-1]; op.Op != c.op || op.MemBytes != c.bytes || op.RowsBuffered != 20 {
+			t.Errorf("%s: root operator %+v, want a %s charged %d bytes for 20 rows", c.src, op, c.op, c.bytes)
+		}
+	}
 }
 
 func TestQueryMemoryBudgetExceeded(t *testing.T) {
@@ -194,8 +226,8 @@ func TestReopenIsAFullReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Fatalf("%s: re-opened drain streamed %v, fresh %v", src, got.Rows, want.Rows)
+		if g, w := rowsOf(got), rowsOf(want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: re-opened drain streamed %v, fresh %v", src, g, w)
 		}
 		if got, want := ex.Operators(), fresh.Operators(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: re-opened operators\n %+v\nfresh\n %+v", src, got, want)

@@ -34,15 +34,20 @@
 //     mix of the row's columns and verified against the stored row
 //     (rowSet in rows.go; hashJoinIter chains buckets through index
 //     arrays and verifies with compatible). No string keys.
-//   - Output rows are carved from the tree's slab (rows.go), handed out
-//     capacity-limited and never recycled: a row returned by Next is the
-//     caller's to keep, but it is read-only — a buffering operator may
-//     retain the same slice. A compiled tree runs many executions: Open
-//     resets its counters and account, Close drops every row it buffered,
-//     and the session keeps a closed tree on each prepared view, so a
-//     reused execution re-Opens a tree instead of compiling one. Its slab
-//     keeps carving where the last execution stopped, so rows handed out
-//     earlier stay valid.
+//   - Rows are flat blocks of ids (rows.go): a window an operator fills,
+//     a hash join's build side, a seen-set and a Result each hold their
+//     rows in one []NodeID array, row i at offset i·w for the schema
+//     width w, and count them explicitly so that zero-width rows exist.
+//     There is no per-row object and no row header: an operator reads its
+//     input row by offset into the input's window, writes its output row
+//     straight into the consumer's window, and a buffering operator copies
+//     the rows it retains into a block it owns. A row handed out is valid
+//     until its window is refilled; Result owns its block, so rows read
+//     from a Result stay valid. A compiled tree runs many executions: Open
+//     resets its counters and account, Close drops every row it buffered
+//     (the windows' arrays stay, for the next execution), and the session
+//     keeps a closed tree on each prepared view, so a reused execution
+//     re-Opens a tree instead of compiling one.
 //   - Posting lists are read in place. Compiled through a solved dual
 //     simulation (plan.Options.Filter — the session's path), a list is a
 //     row of the adjacency the solver cached on the unpruned store
@@ -53,13 +58,14 @@
 //     views differ only inside resolved's accessors (scan.go).
 //
 // The memory account (Resources) charges the rows buffering operators
-// retain; a plan of scans and extends retains none.
+// retain, at the bytes their blocks and tables hold; a plan of scans and
+// extends retains none.
 package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -80,11 +86,19 @@ type Engine interface {
 // Unbound marks an unbound variable in a mapping row (µ is partial).
 const Unbound = ^storage.NodeID(0)
 
-// Result is a set of solution mappings. Rows are positional over Vars;
-// Unbound encodes positions outside dom(µ).
+// Result is a set of solution mappings. Rows are positional over Vars,
+// with Unbound at positions outside dom(µ), and stored as one flat block
+// the Result owns: Row(i) is a view of it, and stays valid for as long as
+// the Result does. Read every row with
+//
+//	for i, row := range res.Rows {
+//		…
+//	}
+//
+// or by index with Len and Row. Rows are read-only: Append adds one.
 type Result struct {
 	Vars []string
-	Rows [][]storage.NodeID
+	block
 }
 
 // NewResult returns an empty result over the given variables.
@@ -95,11 +109,41 @@ func NewResult(vars ...string) *Result {
 // unitResult returns the result containing only the empty mapping µ∅ —
 // the evaluation of the empty BGP.
 func unitResult() *Result {
-	return &Result{Vars: nil, Rows: [][]storage.NodeID{{}}}
+	return &Result{block: block{n: 1}}
 }
 
 // Len returns the number of mappings.
-func (r *Result) Len() int { return len(r.Rows) }
+func (r *Result) Len() int { return r.n }
+
+// Row returns mapping i, positional over Vars.
+func (r *Result) Row(i int) []storage.NodeID { return r.row(i, len(r.Vars)) }
+
+// Rows yields every mapping with its index, in order.
+func (r *Result) Rows(yield func(int, []storage.NodeID) bool) {
+	w := len(r.Vars)
+	for i := range r.n {
+		if !yield(i, r.row(i, w)) {
+			return
+		}
+	}
+}
+
+// Append adds a copy of row, which must be positional over Vars.
+func (r *Result) Append(row []storage.NodeID) {
+	if len(row) != len(r.Vars) {
+		panic(fmt.Sprintf("engine: appending a %d-column row to a %d-column result", len(row), len(r.Vars)))
+	}
+	r.add(row)
+}
+
+// Grow reserves room for exactly n more rows, so that appending them
+// does not reallocate and a drain into r (Exec.Append) fills it to the
+// last row before it pulls past the end.
+func (r *Result) Grow(n int) {
+	if w := len(r.Vars); cap(r.ids)-len(r.ids) < n*w {
+		r.ids = append(make([]storage.NodeID, 0, len(r.ids)+n*w), r.ids...)
+	}
+}
 
 // VarIndex returns the column of the named variable.
 func (r *Result) VarIndex(v string) int {
@@ -111,40 +155,41 @@ func (r *Result) VarIndex(v string) int {
 	return -1
 }
 
-// rowKey builds a canonical byte-string key of a row for set semantics.
-func rowKey(row []storage.NodeID) string {
-	buf := make([]byte, 4*len(row))
-	for i, v := range row {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	return string(buf)
-}
-
-// Dedup removes duplicate mappings in place (set semantics).
+// Dedup removes duplicate mappings in place (set semantics), leaving
+// the rest in canonical order (Sort). It neither hashes nor shares code
+// with the executor's seen-sets, which the oracles built on it check.
 func (r *Result) Dedup() {
-	seen := make(map[string]bool, len(r.Rows))
-	out := r.Rows[:0]
-	for _, row := range r.Rows {
-		k := rowKey(row)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, row)
+	r.Sort()
+	w := len(r.Vars)
+	k := min(r.n, 1)
+	for i := 1; i < r.n; i++ {
+		if row := r.row(i, w); !slices.Equal(row, r.row(k-1, w)) {
+			copy(r.ids[k*w:], row)
+			k++
 		}
 	}
-	r.Rows = out
+	r.truncate(k, w)
 }
 
-// Sort orders rows canonically (for comparisons and goldens).
-func (r *Result) Sort() {
-	sort.Slice(r.Rows, func(i, j int) bool {
-		a, b := r.Rows[i], r.Rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+// Sort orders rows canonically (for comparisons and goldens): by their
+// columns, left to right.
+func (r *Result) Sort() { sort.Sort(rowOrder{r.block, len(r.Vars)}) }
+
+// rowOrder sorts a block's rows in place.
+type rowOrder struct {
+	b block
+	w int
+}
+
+func (o rowOrder) Len() int { return o.b.n }
+func (o rowOrder) Less(i, j int) bool {
+	return slices.Compare(o.b.row(i, o.w), o.b.row(j, o.w)) < 0
+}
+func (o rowOrder) Swap(i, j int) {
+	a, b := o.b.row(i, o.w), o.b.row(j, o.w)
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
 }
 
 // Project reorders/renames columns to the given variable order; missing
@@ -154,9 +199,10 @@ func (r *Result) Project(vars []string) *Result {
 	for i, v := range vars {
 		idx[i] = r.VarIndex(v)
 	}
-	out := &Result{Vars: vars, Rows: make([][]storage.NodeID, len(r.Rows))}
-	for i, row := range r.Rows {
-		nr := make([]storage.NodeID, len(vars))
+	out := NewResult(vars...)
+	out.Grow(r.n)
+	for _, row := range r.Rows {
+		nr := out.push(len(vars))
 		for j, k := range idx {
 			if k < 0 {
 				nr[j] = Unbound
@@ -164,7 +210,6 @@ func (r *Result) Project(vars []string) *Result {
 				nr[j] = row[k]
 			}
 		}
-		out.Rows[i] = nr
 	}
 	return out
 }
@@ -173,36 +218,20 @@ func (r *Result) Project(vars []string) *Result {
 // variable list — two results are semantically equal iff their Canonical
 // forms are deep-equal.
 func (r *Result) Canonical() *Result {
-	vars := append([]string(nil), r.Vars...)
+	vars := slices.Clone(r.Vars)
 	sort.Strings(vars)
 	out := r.Project(vars)
 	out.Dedup()
-	out.Sort()
 	return out
 }
 
 // Equal reports semantic equality (same mapping set).
 func (r *Result) Equal(other *Result) bool {
 	a, b := r.Canonical(), other.Canonical()
-	if len(a.Vars) != len(b.Vars) || len(a.Rows) != len(b.Rows) {
-		return false
-	}
-	for i, v := range a.Vars {
-		if b.Vars[i] != v {
-			return false
-		}
-	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(a.Vars, b.Vars) && a.n == b.n && slices.Equal(a.ids, b.ids)
 }
 
-// String renders the result as a table of decoded bindings (requires the
+// Format renders the result as a table of decoded bindings (requires the
 // originating store).
 func (r *Result) Format(st *storage.Store) string {
 	var sb strings.Builder
@@ -225,5 +254,5 @@ func (r *Result) Format(st *storage.Store) string {
 }
 
 func (r *Result) String() string {
-	return fmt.Sprintf("result(%d vars, %d rows)", len(r.Vars), len(r.Rows))
+	return fmt.Sprintf("result(%d vars, %d rows)", len(r.Vars), r.n)
 }

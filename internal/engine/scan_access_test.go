@@ -103,8 +103,8 @@ func TestScanAccessPaths(t *testing.T) {
 				}
 				if first == nil {
 					first = got
-				} else if !slices.EqualFunc(got.Rows, first.Rows, slices.Equal) {
-					t.Fatalf("case %d (%v, %s): re-opened, the scan streamed %v, first %v", i, c.tp, view.name, got.Rows, first.Rows)
+				} else if g, f := engine.RowsOf(got), engine.RowsOf(first); !slices.EqualFunc(g, f, slices.Equal) {
+					t.Fatalf("case %d (%v, %s): re-opened, the scan streamed %v, first %v", i, c.tp, view.name, g, f)
 				}
 				ops := ex.Operators()
 				if len(ops) != 1 || ops[0].Op != "scan" || ops[0].Detail != c.tp.String() {

@@ -81,10 +81,12 @@ func TestUnionSchemaAlignment(t *testing.T) {
 
 func TestSortDeterminism(t *testing.T) {
 	r := NewResult("a")
-	r.Rows = [][]storage.NodeID{{3}, {1}, {2}, {Unbound}}
+	for _, v := range []storage.NodeID{3, 1, 2, Unbound} {
+		r.Append([]storage.NodeID{v})
+	}
 	r.Sort()
-	if r.Rows[0][0] != 1 || r.Rows[1][0] != 2 || r.Rows[2][0] != 3 || r.Rows[3][0] != Unbound {
-		t.Fatalf("Sort = %v", r.Rows)
+	if r.Row(0)[0] != 1 || r.Row(1)[0] != 2 || r.Row(2)[0] != 3 || r.Row(3)[0] != Unbound {
+		t.Fatalf("Sort = %v", rowsOf(r))
 	}
 }
 
@@ -106,9 +108,11 @@ func TestJoinOnUnboundSharedVars(t *testing.T) {
 	a, _ := st.TermID(rdf.NewIRI("a"))
 	b, _ := st.TermID(rdf.NewIRI("b"))
 	c, _ := st.TermID(rdf.NewIRI("c"))
-	l.Rows = [][]storage.NodeID{{a, Unbound}, {b, c}}
+	l.Append([]storage.NodeID{a, Unbound})
+	l.Append([]storage.NodeID{b, c})
 	r := NewResult("y", "z")
-	r.Rows = [][]storage.NodeID{{c, a}, {b, b}}
+	r.Append([]storage.NodeID{c, a})
+	r.Append([]storage.NodeID{b, b})
 
 	joined := mustJoin(t, l, r, false)
 	// Row (a, unbound) joins both r rows; row (b, c) joins only (c, a).

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -31,17 +30,20 @@ func ctxErr(ctx context.Context) error {
 }
 
 // Iterator is the Volcano operator interface, a batch at a time: Open
-// prepares the operator, Close releases resources, and Next appends at
-// most cap(dst)−len(dst) rows to dst (so the result shares dst's array)
-// and appends none only at end of stream. Rows are positional over Vars,
-// with Unbound for positions outside dom(µ). The window and the rows are
-// the caller's: an operator writes only past len(dst), and never reuses
-// or rewrites a row it handed out. Rows are carved from the execution's
-// slab, so they are capacity-limited (an append copies) and may be
-// retained by a buffering operator downstream — treat them as read-only.
+// prepares the operator, Close releases resources, and Next appends rows
+// to dst until dst holds limit rows, appending none only at end of
+// stream. Every row has the operator's compile-time width len(Vars()),
+// is positional over Vars with Unbound for positions outside dom(µ), and
+// is laid out flat in dst (block), which has room for limit rows of the
+// operator's width: Next never grows it. The window is the caller's: an
+// operator writes only past the rows dst held when Next was called —
+// which may be of another width, see block.tail — and keeps no reference
+// into it; a row it must retain, it copies into a block of its own. The
+// rows of an operator's own input window are valid until it pulls that
+// input again.
 type Iterator interface {
 	Open(ctx context.Context) error
-	Next(dst [][]storage.NodeID) ([][]storage.NodeID, error)
+	Next(dst *block, limit int) error
 	Close() error
 	Vars() []string
 }
@@ -92,15 +94,22 @@ type OperatorStats struct {
 // An Exec runs any number of executions, one at a time: each Open starts
 // a new one from zero counters and an empty account, and Close drops
 // every row the tree buffered, so a closed Exec can be kept for its next
-// Open. Rows handed out by an earlier execution stay valid: the slab
-// never carves memory twice.
+// Open. Rows an earlier execution appended to a Result stay valid: the
+// Result owns them.
 type Exec struct {
 	root      input          // the tree, and Pull's window over it
 	its       []*countedIter // the operators, in registration order
 	decisions []string
 	acct      *account
-	window    int  // size of Pull's last window
-	timed     bool // the next Open times its operators (EnableTiming)
+	// The output columns are the root's, reordered into the query's
+	// SELECT * order: root column c is output column cols[c]. A nil cols
+	// is the identity and costs nothing; otherwise each window is
+	// remapped in place through scratch, a window of ids.
+	vars    []string
+	cols    []int
+	scratch []storage.NodeID
+	window  int  // size of Pull's last window
+	timed   bool // the next Open times its operators (EnableTiming)
 }
 
 // Open starts an execution: it resets every operator's counters and the
@@ -115,50 +124,77 @@ func (e *Exec) Open(ctx context.Context) error {
 	}
 	e.timed = false
 	*e.acct = account{limit: e.acct.limit}
-	e.window, e.root.rows = 0, nil
+	e.window = 0
+	e.root.reset()
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	return e.root.it.Open(ctx)
+	if err := e.root.it.Open(ctx); err != nil {
+		return err
+	}
+	e.root.w = len(e.root.it.Vars()) // an oracle's columns are known once it ran
+	return nil
 }
 
-func (e *Exec) Vars() []string { return e.root.it.Vars() }
+// Vars returns the output columns, in row order.
+func (e *Exec) Vars() []string {
+	if e.cols == nil {
+		return e.root.it.Vars()
+	}
+	return e.vars
+}
 
 // Close ends the execution. The counters stay readable until the next
 // Open; the rows the operators buffered are dropped.
-func (e *Exec) Close() error { e.root.release(); return e.root.it.Close() }
+func (e *Exec) Close() error { e.root.reset(); return e.root.it.Close() }
 
-// Pull returns the next window of rows, empty at end of stream: 1, 2, 4
-// … up to batchRows rows, so the first row costs one row of work. The
-// window is overwritten by the next Pull; its rows are the caller's.
-func (e *Exec) Pull() ([][]storage.NodeID, error) {
+// Pull returns the next window of rows, n == 0 at end of stream: 1, 2, 4
+// … up to batchRows rows, so the first row costs one row of work. The n
+// rows are laid out flat in ids, len(Vars()) ids each; the window is the
+// Exec's and is overwritten by the next Pull, so a caller that keeps a
+// row copies it.
+func (e *Exec) Pull() (ids []storage.NodeID, n int, err error) {
 	e.window = min(max(2*e.window, 1), batchRows)
-	_, err := e.root.pull(e.window)
-	return e.root.rows, err
+	_, err = e.root.pull(e.window)
+	e.project(&e.root.win, 0)
+	return e.root.win.ids, e.root.win.n, err
 }
 
-// Append pulls every remaining row straight into dst's spare capacity,
-// a batch at a time, and returns the extended slice. A full dst grows
-// only when Pull's window holds more rows, not to see the end, and then
-// row by row, so it takes the capacities a row-at-a-time append would.
-func (e *Exec) Append(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+// Append pulls every remaining row straight into dst's block, a batch at
+// a time; dst's Vars must be Vars. A full block grows only when Pull's
+// window holds more rows, not to see the end, so a dst sized by Grow to
+// the execution's row count never reallocates.
+func (e *Exec) Append(dst *Result) error {
+	w := len(dst.Vars)
 	for {
-		n := len(dst)
-		if n == cap(dst) {
+		n := dst.n
+		room := batchRows
+		if w > 0 {
+			room = min(room, (cap(dst.ids)-len(dst.ids))/w)
+		}
+		if room == 0 {
 			ok, err := e.root.pull(batchRows)
 			if !ok {
-				return dst, err
+				return err
 			}
-			for _, row := range e.root.rows {
-				dst = append(dst, row)
-			}
+			e.project(&e.root.win, 0)
+			dst.ids = append(dst.ids, e.root.win.ids...)
+			dst.n += e.root.win.n
 			continue
 		}
-		got, err := e.root.it.Next(dst[:n:min(cap(dst), n+batchRows)])
-		dst = dst[:len(got)]
-		if err != nil || len(dst) == n {
-			return dst, err
+		err := e.root.it.Next(&dst.block, n+room)
+		e.project(&dst.block, n)
+		if err != nil || dst.n == n {
+			return err
 		}
+	}
+}
+
+// project puts the rows of b from row from on into the output column
+// order.
+func (e *Exec) project(b *block, from int) {
+	if w := len(e.cols); w > 0 {
+		b.remap(from, from*w, w, w, e.cols, e.scratch)
 	}
 }
 
@@ -242,14 +278,17 @@ func (a *account) charge(st *OperatorStats, rows, bytes int64) error {
 	return nil
 }
 
-// Buffered-row cost model: a retained []NodeID row plus its slice header
-// and table slot. An estimate, not an exact heap size — stable across
-// runs, cheap to maintain, good enough to rank statements and to bound
-// runaway queries.
-const rowOverheadBytes = 48
+// Buffered-row cost model: the bytes a retained row holds — its ids in
+// the buffering operator's block, 4 bytes each, plus one 8-byte slot: its
+// entry in a seen-set's table, or its chain link and bucket head in a
+// hash join's build side. An estimate of what the blocks and tables
+// hold, not an exact heap size (tables run at most half full) — stable
+// across runs, cheap to maintain, good enough to rank statements and to
+// bound runaway queries.
+const rowSlotBytes = 8
 
-func rowCostBytes(row []storage.NodeID) int64 {
-	return rowOverheadBytes + int64(len(row))*int64(unsafe.Sizeof(storage.NodeID(0)))
+func rowCostBytes(w int) int64 {
+	return int64(w)*int64(unsafe.Sizeof(storage.NodeID(0))) + rowSlotBytes
 }
 
 // Compile lowers and optimizes q against st and compiles the plan to an
@@ -269,7 +308,7 @@ func Compile(st *storage.Store, q *sparql.Query, opt plan.Options) (*Exec, error
 // pruned store, and the relation behind the filter must outlive the
 // execution.
 func CompilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
-	c := &compiler{st: st, filter: pl.Filter, acct: &account{}, slab: &slab{}}
+	c := &compiler{st: st, filter: pl.Filter, acct: &account{}}
 	root, props, err := c.compile(pl.Root)
 	if err != nil {
 		return nil, err
@@ -281,11 +320,37 @@ func CompilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
 		for _, it := range c.its {
 			it.stats.Depth++
 		}
-		d := &distinctIter{in: root, acct: c.acct}
+		d := &distinctIter{in: root, w: len(root.Vars()), acct: c.acct}
 		root = c.counted("distinct", "", 0, d)
 		d.stats = c.lastStats()
 	}
-	return &Exec{root: input{it: root}, its: c.its, decisions: pl.Decisions, acct: c.acct}, nil
+	ex := &Exec{root: input{it: root, w: len(root.Vars())}, its: c.its, decisions: pl.Decisions, acct: c.acct}
+	if ex.vars = selectOrder(pl.Vars, root.Vars()); !slices.Equal(ex.vars, root.Vars()) {
+		ex.cols = make([]int, len(ex.vars))
+		for c, v := range root.Vars() {
+			ex.cols[c] = slices.Index(ex.vars, v)
+		}
+		ex.scratch = make([]storage.NodeID, batchMax*len(ex.vars))
+	}
+	return ex, nil
+}
+
+// selectOrder returns the columns have in the order of want: want's
+// variables that have holds, then any others have holds, in its order.
+// A nil want keeps have's order.
+func selectOrder(want, have []string) []string {
+	out := make([]string, 0, len(have))
+	for _, v := range want {
+		if slices.Contains(have, v) && !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	for _, v := range have {
+		if !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +362,6 @@ type compiler struct {
 	its    []*countedIter
 	depth  int // plan-tree depth of the node currently being compiled
 	acct   *account
-	slab   *slab // the execution's row allocator, shared by every operator
 }
 
 // resolve resolves a pattern and, when the execution runs through a
@@ -347,7 +411,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 		if err != nil {
 			return nil, rowProps{}, err
 		}
-		sc := newExtendIter(c.st, nil, r, false, c.slab)
+		sc := newExtendIter(c.st, nil, r, false)
 		it := c.counted("scan", x.Detail, x.Est, sc)
 		sc.filtered = &c.lastStats().Filtered
 		return it, scanProps(r.vars()), nil
@@ -364,7 +428,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 		if err != nil {
 			return nil, rowProps{}, err
 		}
-		return c.counted("union", "", 0, newUnionIter(l, r, c.slab)), unionProps(lp, rp), nil
+		return c.counted("union", "", 0, newUnionIter(l, r)), unionProps(lp, rp), nil
 	case plan.Filter:
 		in, props, err := c.child(x.Input)
 		if err != nil {
@@ -378,7 +442,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 		}
 		// The window counts distinct rows: over a set it just counts,
 		// otherwise it keeps a seen-set. Either way its output is a set.
-		li := &limitIter{in: in, limit: x.Limit, offset: x.Offset, dedup: !props.distinct, acct: c.acct}
+		li := &limitIter{in: in, w: len(in.Vars()), limit: x.Limit, offset: x.Offset, dedup: !props.distinct, acct: c.acct}
 		it := c.counted("limit", x.Detail, 0, li)
 		li.stats = c.lastStats()
 		props.distinct = true
@@ -430,7 +494,7 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowP
 		}
 		props := joinProps(lp, scanProps(r.vars()), l.Vars(), r.vars(), leftOuter)
 		c.depth = base + len(conds)
-		ext := newExtendIter(c.st, l, r, leftOuter, c.slab)
+		ext := newExtendIter(c.st, l, r, leftOuter)
 		it := c.counted(op, sc.Detail, sc.Est, ext)
 		ext.filtered = &c.lastStats().Filtered
 		for i := len(conds) - 1; i >= 0; i-- {
@@ -452,7 +516,7 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowP
 	if leftOuter {
 		op = "leftjoin"
 	}
-	h := newHashJoinIter(l, r, leftOuter, c.slab)
+	h := newHashJoinIter(l, r, leftOuter)
 	h.acct = c.acct
 	it := c.counted(op, "", 0, h)
 	h.stats = c.lastStats()
@@ -492,8 +556,7 @@ func Drain(ctx context.Context, ex *Exec) (*Result, error) {
 	}
 	defer ex.Close()
 	out := NewResult(ex.Vars()...)
-	var err error
-	if out.Rows, err = ex.Append(out.Rows); err != nil {
+	if err := ex.Append(out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -502,45 +565,44 @@ func Drain(ctx context.Context, ex *Exec) (*Result, error) {
 // ---------------------------------------------------------------------------
 // Operators.
 
-// batchMax is the most rows a pull moves: 256 row headers, 6 KB.
+// batchMax is the most rows a pull moves: 256 rows, 1 KB per column.
 // batchRows is the limit in force, shrunk only by tests to move the
 // window boundaries.
 const batchMax = 256
 
 var batchRows = batchMax
 
-// batchPool recycles input windows' header buffers across executions:
-// a small query allocates none.
-var batchPool = sync.Pool{New: func() any { return new([batchMax][]storage.NodeID) }}
-
 // input is an operator's read side of its child (and Pull's of the
-// tree): a batchPool buffer, taken at the first pull, returned at Close.
+// tree): the child's last window, whose rows the operator reads by
+// offset. The window's array belongs to the operator; it is sized by the
+// largest pull and kept across executions, so a re-Opened tree pulls
+// without allocating.
 type input struct {
-	it   Iterator
-	buf  *[batchMax][]storage.NodeID
-	rows [][]storage.NodeID // the unread rest of the current window
-	hw   int                // high-water mark of buf: what release clears
+	it  Iterator
+	w   int   // the child's row width
+	win block // the child's last window
+	pos int   // rows of win already read
 }
 
 // pull reads the child's next window of at most n rows; false: the end.
 func (in *input) pull(n int) (bool, error) {
-	if in.buf == nil {
-		in.buf = batchPool.Get().(*[batchMax][]storage.NodeID)
+	n = min(n, batchRows)
+	if cap(in.win.ids) < n*in.w {
+		in.win.ids = make([]storage.NodeID, 0, n*in.w)
 	}
-	rows, err := in.it.Next(in.buf[:0:min(n, batchRows)])
-	in.rows, in.hw = rows, max(in.hw, len(rows))
-	return len(rows) > 0 && err == nil, err
+	in.reset()
+	err := in.it.Next(&in.win, n)
+	return in.win.n > 0 && err == nil, err
 }
 
-// release returns the buffer, cleared so that the pool retains no row.
-func (in *input) release() {
-	if in.buf != nil {
-		clear(in.buf[:in.hw])
-		batchPool.Put(in.buf)
-		in.buf, in.hw = nil, 0
-	}
-	in.rows = nil
-}
+// reset empties the window, keeping its array.
+func (in *input) reset() { in.win.truncate(0, in.w); in.pos = 0 }
+
+// drained reports whether every row of the window has been read.
+func (in *input) drained() bool { return in.pos == in.win.n }
+
+// take reads the next row of the window and returns its offset.
+func (in *input) take() int { in.pos++; return (in.pos - 1) * in.w }
 
 // countedIter counts its operator's pulls and rows, and polls ctx once
 // per pull, so cancellation reaches every operator boundary of the tree.
@@ -558,28 +620,25 @@ func (c *countedIter) Close() error                   { c.ctx = nil; return c.in
 func (c *countedIter) Vars() []string                 { return c.in.Vars() }
 
 //dualsim:hotpath
-func (c *countedIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+func (c *countedIter) Next(dst *block, limit int) error {
 	if err := ctxErr(c.ctx); err != nil {
-		return dst, err
+		return err
 	}
 	c.stats.NextCalls++
-	n := len(dst)
+	n := dst.n
 	var t0 time.Time
 	if c.timed {
 		t0 = time.Now()
 	}
-	dst, err := c.in.Next(dst)
+	err := c.in.Next(dst, limit)
 	if c.timed {
 		c.stats.Time += time.Since(t0)
 	}
-	c.stats.Rows += int64(len(dst) - n)
-	return dst, err
+	c.stats.Rows += int64(dst.n - n)
+	return err
 }
 
-// unitRow is the empty mapping: with no capacity, nobody can write it.
-var unitRow = make([]storage.NodeID, 0)
-
-// unitIter produces the single empty mapping.
+// unitIter produces the single empty mapping: one row of width 0.
 type unitIter struct{ done bool }
 
 func (u *unitIter) Open(ctx context.Context) error { u.done = false; return nil }
@@ -587,12 +646,12 @@ func (u *unitIter) Close() error                   { return nil }
 func (u *unitIter) Vars() []string                 { return nil }
 
 //dualsim:hotpath
-func (u *unitIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
-	if u.done {
-		return dst, nil
+func (u *unitIter) Next(dst *block, limit int) error {
+	if !u.done {
+		u.done = true
+		dst.push(0)
 	}
-	u.done = true
-	return append(dst, unitRow), nil
+	return nil
 }
 
 // extendIter is the pipelined index-nested-loop join of an input stream
@@ -609,18 +668,18 @@ type extendIter struct {
 	st       *storage.Store
 	in       input
 	r        resolved
-	slab     *slab
 	filtered *int64 // the operator's Filtered counter
 
 	vars   []string
+	w      int // output width, len(vars)
 	inVars int // input schema width (a prefix of vars)
 	// Output columns of the pattern's subject and object, resolved once:
 	// -1 for a constant. sameVar is the ?x p ?x pattern.
 	sCol, oCol int
 
 	// Cursor over the extensions of the current input row, which is read
-	// in place (the input's rows are never rewritten).
-	row        []storage.NodeID
+	// by its offset cur into the input's window.
+	cur        int
 	list       []storage.NodeID // posting list (one side known), read in place
 	alive      []*bitvec.Vector // see resolved.postings
 	li         int
@@ -638,8 +697,8 @@ type extendIter struct {
 
 // newExtendIter extends in's rows by r; a nil in is the unit row, which
 // makes the operator a leaf scan of r.
-func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool, sl *slab) *extendIter {
-	e := &extendIter{st: st, in: input{it: in}, r: r, leftOuter: leftOuter, slab: sl, sCol: -1, oCol: -1}
+func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool) *extendIter {
+	e := &extendIter{st: st, in: input{it: in}, r: r, leftOuter: leftOuter, sCol: -1, oCol: -1}
 	if in == nil {
 		e.in.it = &e.unit
 	}
@@ -658,36 +717,38 @@ func newExtendIter(st *storage.Store, in Iterator, r resolved, leftOuter bool, s
 	}
 	e.sCol, e.oCol = col(r.sVar), col(r.oVar)
 	e.sameVar = r.sVar != "" && r.sVar == r.oVar
+	e.in.w, e.w = e.inVars, len(e.vars)
 	return e
 }
 
 func (e *extendIter) Vars() []string { return e.vars }
 
 func (e *extendIter) Close() error {
-	e.in.release()
-	e.ctx, e.row = nil, nil
+	e.in.reset()
+	e.ctx, e.list = nil, nil
 	return e.in.it.Close()
 }
 
 func (e *extendIter) Open(ctx context.Context) error {
 	e.ctx, e.n = ctx, 0
-	e.have, e.in.rows = false, nil
+	e.have = false
+	e.in.reset()
 	return e.in.it.Open(ctx)
 }
 
-// emit builds an output row: the current input row, with the pattern's
-// variables set to (s, o) when ext is true — which binds every column
-// past the input's — and padded with Unbound otherwise.
+// emit appends an output row to dst: the current input row, with the
+// pattern's variables set to (s, o) when ext is true — which binds every
+// column past the input's — and padded with Unbound otherwise.
 //
 //dualsim:hotpath
-func (e *extendIter) emit(ext bool, s, o storage.NodeID) []storage.NodeID {
-	nr := e.slab.alloc(len(e.vars))
-	copy(nr, e.row)
+func (e *extendIter) emit(dst *block, ext bool, s, o storage.NodeID) {
+	nr := dst.push(e.w)
+	copy(nr, e.in.win.ids[e.cur:e.cur+e.inVars])
 	if !ext {
 		for i := e.inVars; i < len(nr); i++ {
 			nr[i] = Unbound
 		}
-		return nr
+		return
 	}
 	if e.sCol >= 0 {
 		nr[e.sCol] = s
@@ -695,7 +756,6 @@ func (e *extendIter) emit(ext bool, s, o storage.NodeID) []storage.NodeID {
 	if e.oCol >= 0 {
 		nr[e.oCol] = o
 	}
-	return nr
 }
 
 // known resolves a pattern position against the current input row: the
@@ -704,19 +764,21 @@ func (e *extendIter) known(col int, constID storage.NodeID) (storage.NodeID, boo
 	if col < 0 {
 		return constID, true
 	}
-	if col < e.inVars && e.row[col] != Unbound {
-		return e.row[col], true
+	if col < e.inVars {
+		if v := e.in.win.ids[e.cur+col]; v != Unbound {
+			return v, true
+		}
 	}
 	return 0, false
 }
 
 //dualsim:hotpath
-func (e *extendIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
+func (e *extendIter) Next(dst *block, limit int) error {
 	r := &e.r
-	for len(dst) < cap(dst) {
+	for dst.n < limit {
 		if e.n++; e.n%rowCheckInterval == 0 {
 			if err := ctxErr(e.ctx); err != nil {
-				return dst, err
+				return err
 			}
 		}
 		if e.have {
@@ -724,36 +786,42 @@ func (e *extendIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
 			case e.sKnown && e.oKnown:
 				e.have = false
 				if r.has(e.st, e.sVal, e.oVal, e.filtered) {
-					dst = append(dst, e.emit(true, e.sVal, e.oVal))
+					e.emit(dst, true, e.sVal, e.oVal)
 				} else if e.leftOuter {
-					dst = append(dst, e.emit(false, 0, 0))
+					e.emit(dst, false, 0, 0)
 				}
 				continue
 			case e.sKnown || e.oKnown:
-				// The posting-list walk: its cursor stays in locals.
+				// The posting-list walk: its cursor stays in locals. The
+				// known side is a constant or bound by the input row, so
+				// an extension is the input row with the other side's
+				// column set.
 				list, li, n := e.list, e.li, e.n
-				for li < len(list) && len(dst) < cap(dst) {
+				in, w, col := e.in.win.ids[e.cur:e.cur+e.inVars], e.w, e.oCol
+				if !e.sKnown {
+					col = e.sCol
+				}
+				for li < len(list) && dst.n < limit {
 					id := list[li]
 					li++
 					if n++; n%rowCheckInterval == 0 {
 						if err := ctxErr(e.ctx); err != nil {
 							e.li, e.n = li, n
-							return dst, err
+							return err
 						}
 					}
 					if !admits(e.alive, id) {
 						*e.filtered++
 						continue
 					}
-					s, o := e.sVal, id
-					if e.matched = true; !e.sKnown {
-						s, o = id, e.oVal
-					}
-					dst = append(dst, e.emit(true, s, o))
+					e.matched = true
+					nr := dst.push(w)
+					copy(nr, in)
+					nr[col] = id
 				}
 				e.li, e.n = li, n
 				if li < len(list) {
-					return dst, nil
+					return nil
 				}
 			default:
 				if i := r.nextPos(e.st, e.pi); i >= 0 {
@@ -761,7 +829,7 @@ func (e *extendIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
 					e.pi = i + 1
 					if !e.sameVar || s == o {
 						e.matched = true
-						dst = append(dst, e.emit(true, s, o))
+						e.emit(dst, true, s, o)
 					}
 					continue
 				}
@@ -769,21 +837,21 @@ func (e *extendIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
 			// Cursor exhausted; the window has room for the padding.
 			e.have = false
 			if e.leftOuter && !e.matched {
-				dst = append(dst, e.emit(false, 0, 0))
+				e.emit(dst, false, 0, 0)
 			}
 			continue
 		}
 
-		if len(e.in.rows) == 0 {
-			if ok, err := e.in.pull(cap(dst) - len(dst)); !ok {
-				return dst, err
+		if e.in.drained() {
+			if ok, err := e.in.pull(limit - dst.n); !ok {
+				return err
 			}
 		}
-		e.row, e.in.rows = e.in.rows[0], e.in.rows[1:]
+		e.cur = e.in.take()
 		if !r.ok {
 			// Unsatisfiable pattern: no extensions ever.
 			if e.leftOuter {
-				dst = append(dst, e.emit(false, 0, 0))
+				e.emit(dst, false, 0, 0)
 			}
 			continue
 		}
@@ -795,27 +863,43 @@ func (e *extendIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
 		switch {
 		case e.sKnown && e.oKnown:
 		case e.sKnown:
-			e.list, e.alive = r.postings(e.st, e.sVal, true, e.alive[:0])
+			e.walk(e.sVal, true)
 		case e.oKnown:
-			e.list, e.alive = r.postings(e.st, e.oVal, false, e.alive[:0])
+			e.walk(e.oVal, false)
 		}
 	}
-	return dst, nil
+	return nil
+}
+
+// walk starts the posting-list walk from the known endpoint id. The
+// candidate sets are appended to the operator's scratch, which is stored
+// back only when it grew: a slice stored whole stores a pointer.
+//
+//dualsim:hotpath
+func (e *extendIter) walk(id storage.NodeID, subject bool) {
+	list, alive := e.r.postings(e.st, id, subject, e.alive[:0])
+	e.list = list
+	if cap(alive) == cap(e.alive) {
+		e.alive = e.alive[:len(alive)]
+	} else {
+		e.alive = alive
+	}
 }
 
 // hashJoinIter is the generic compatibility join: Open drains the right
-// side and buckets it on a 64-bit hash of the shared columns (rows with
-// an unbound shared variable go to a wildcard list), then the left side
-// streams through, probing. A bucket is a chain through an index array,
-// and every candidate is verified by compatible, so neither a hash
-// collision nor two hashes sharing a bucket can produce a wrong match.
-// With leftOuter, unmatched left rows survive padded.
+// side into a block of its own and buckets it on a 64-bit hash of the
+// shared columns (rows with an unbound shared variable go to a wildcard
+// list), then the left side streams through, probing. A bucket is a chain
+// through an index array, and every candidate is verified by compatible,
+// so neither a hash collision nor two hashes sharing a bucket can produce
+// a wrong match. With leftOuter, unmatched left rows survive padded.
 type hashJoinIter struct {
-	l, r      input
+	l         input
+	r         Iterator
 	leftOuter bool
-	slab      *slab
 
-	vars []string
+	vars  []string
+	w, rw int // output and right row widths
 	// Column maps, computed once: the shared variables' columns on each
 	// side (position-aligned), and the output column of each right column.
 	lIdx, rIdx []int
@@ -823,16 +907,17 @@ type hashJoinIter struct {
 
 	// Build side: the drained right rows; heads[bucket] and next[row] hold
 	// row index + 1 (0 ends a chain).
-	rows      [][]storage.NodeID
+	build     block
 	heads     []int32
 	next      []int32
 	wildcards []int32
 
-	// Probe state: the candidates of the current left row are, in order,
-	// its bucket chain and then the wildcards — or every right row when
-	// the left row itself has an unbound shared variable. It survives a
-	// full window: the next pull resumes the same left row.
-	lrow    []storage.NodeID
+	// Probe state: the candidates of the current left row (at offset lrow
+	// of the left window) are, in order, its bucket chain and then the
+	// wildcards — or every right row when the left row itself has an
+	// unbound shared variable. It survives a full window: the next pull
+	// resumes the same left row.
+	lrow    int
 	haveL   bool
 	chain   int32 // next chain candidate + 1
 	wi      int   // wildcard cursor
@@ -846,12 +931,13 @@ type hashJoinIter struct {
 	stats *OperatorStats
 }
 
-func newHashJoinIter(l, r Iterator, leftOuter bool, sl *slab) *hashJoinIter {
-	h := &hashJoinIter{l: input{it: l}, r: input{it: r}, leftOuter: leftOuter, slab: sl}
+func newHashJoinIter(l, r Iterator, leftOuter bool) *hashJoinIter {
+	h := &hashJoinIter{l: input{it: l, w: len(l.Vars())}, r: r, leftOuter: leftOuter, rw: len(r.Vars())}
 	lres := NewResult(l.Vars()...)
 	rres := NewResult(r.Vars()...)
 	shared := sharedVars(lres, rres)
 	h.vars = unionVars(lres, rres)
+	h.w = len(h.vars)
 	h.lIdx = varIndexes(lres, shared)
 	h.rIdx = varIndexes(rres, shared)
 	h.rOut = varIndexes(NewResult(h.vars...), rres.Vars)
@@ -860,55 +946,58 @@ func newHashJoinIter(l, r Iterator, leftOuter bool, sl *slab) *hashJoinIter {
 
 func (h *hashJoinIter) Vars() []string { return h.vars }
 
-// Close drops the build side and the probe cursor with the windows.
+// Close drops the build side and the probe cursor.
 func (h *hashJoinIter) Close() error {
-	h.l.release()
-	h.r.release()
-	h.rows, h.heads, h.next, h.wildcards, h.lrow = nil, nil, nil, nil, nil
+	h.l.reset()
+	h.build, h.heads, h.next, h.wildcards = block{}, nil, nil, nil
 	err := h.l.it.Close()
-	if err2 := h.r.it.Close(); err == nil {
+	if err2 := h.r.Close(); err == nil {
 		err = err2
 	}
 	return err
 }
 
 func (h *hashJoinIter) Open(ctx context.Context) error {
-	h.haveL, h.l.rows = false, nil
-	h.rows = h.rows[:0]
+	h.haveL = false
+	h.l.reset()
+	h.build.truncate(0, h.rw)
 	h.wildcards = h.wildcards[:0]
 	if err := h.l.it.Open(ctx); err != nil {
 		return err
 	}
-	if err := h.r.it.Open(ctx); err != nil {
+	if err := h.r.Open(ctx); err != nil {
 		return err
 	}
-	for ok := true; ok; {
-		var err error
-		if ok, err = h.r.pull(batchRows); err != nil {
+	// The right side appends its windows straight onto the build block.
+	for {
+		n := h.build.n
+		h.build.ids = slices.Grow(h.build.ids, batchRows*h.rw)
+		if err := h.r.Next(&h.build, n+batchRows); err != nil {
 			return err
 		}
-		for _, row := range h.r.rows {
-			if err := h.acct.charge(h.stats, 1, rowCostBytes(row)); err != nil {
-				return err
-			}
+		k := int64(h.build.n - n)
+		if k == 0 {
+			break
 		}
-		h.rows = append(h.rows, h.r.rows...)
+		if err := h.acct.charge(h.stats, k, k*rowCostBytes(h.rw)); err != nil {
+			return err
+		}
 	}
-	h.r.release() // the probe side takes it from the pool again
 	// Bucket the drained rows. Linking back to front keeps every chain
 	// (and, reversed once, the wildcard list) in arrival order.
 	nb := 1
-	for nb < 2*len(h.rows) {
+	for nb < 2*h.build.n {
 		nb <<= 1
 	}
 	h.heads = make([]int32, nb)
-	h.next = make([]int32, len(h.rows))
-	for i := len(h.rows) - 1; i >= 0; i-- {
-		if !allBound(h.rows[i], h.rIdx) {
+	h.next = make([]int32, h.build.n)
+	for i := h.build.n - 1; i >= 0; i-- {
+		row := h.build.row(i, h.rw)
+		if !allBound(row, h.rIdx) {
 			h.wildcards = append(h.wildcards, int32(i))
 			continue
 		}
-		b := hashCols(h.rows[i], h.rIdx) & uint64(nb-1)
+		b := hashCols(row, h.rIdx) & uint64(nb-1)
 		h.next[i] = h.heads[b]
 		h.heads[b] = int32(i + 1)
 	}
@@ -930,13 +1019,13 @@ func (h *hashJoinIter) compatible(lrow, rrow []storage.NodeID) bool {
 	return true
 }
 
-// merge builds the output row from a left row and a right row (l's vars
-// are a prefix of the output schema; bound right values win over
+// merge appends to dst the output row of a left row and a right row (l's
+// vars are a prefix of the output schema; bound right values win over
 // padding). A nil rrow pads the left row only.
 //
 //dualsim:hotpath
-func (h *hashJoinIter) merge(lrow, rrow []storage.NodeID) []storage.NodeID {
-	merged := h.slab.alloc(len(h.vars))
+func (h *hashJoinIter) merge(dst *block, lrow, rrow []storage.NodeID) {
+	merged := dst.push(h.w)
 	copy(merged, lrow)
 	for k := len(lrow); k < len(merged); k++ {
 		merged[k] = Unbound
@@ -946,30 +1035,32 @@ func (h *hashJoinIter) merge(lrow, rrow []storage.NodeID) []storage.NodeID {
 			merged[h.rOut[j]] = v
 		}
 	}
-	return merged
 }
 
 //dualsim:hotpath
-func (h *hashJoinIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
-	for len(dst) < cap(dst) {
+func (h *hashJoinIter) Next(dst *block, limit int) error {
+	lw := h.l.w
+	for dst.n < limit {
 		if !h.haveL {
-			if len(h.l.rows) == 0 {
-				if ok, err := h.l.pull(cap(dst) - len(dst)); !ok {
-					return dst, err
+			if h.l.drained() {
+				if ok, err := h.l.pull(limit - dst.n); !ok {
+					return err
 				}
 			}
-			h.lrow, h.l.rows, h.haveL = h.l.rows[0], h.l.rows[1:], true
+			h.lrow, h.haveL = h.l.take(), true
 			h.ci, h.wi, h.chain = 0, 0, 0
 			h.matched = false
-			h.scanAll = !allBound(h.lrow, h.lIdx)
+			lrow := h.l.win.ids[h.lrow : h.lrow+lw]
+			h.scanAll = !allBound(lrow, h.lIdx)
 			if !h.scanAll {
-				h.chain = h.heads[hashCols(h.lrow, h.lIdx)&uint64(len(h.heads)-1)]
+				h.chain = h.heads[hashCols(lrow, h.lIdx)&uint64(len(h.heads)-1)]
 			}
 		}
-		for h.haveL && len(dst) < cap(dst) {
+		lrow := h.l.win.ids[h.lrow : h.lrow+lw]
+		for h.haveL && dst.n < limit {
 			var ri int
 			switch {
-			case h.scanAll && h.ci < len(h.rows):
+			case h.scanAll && h.ci < h.build.n:
 				ri = h.ci
 				h.ci++
 			case h.chain != 0:
@@ -982,23 +1073,24 @@ func (h *hashJoinIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) 
 				// Candidates exhausted; the window has room for the padding.
 				h.haveL = false
 				if h.leftOuter && !h.matched {
-					dst = append(dst, h.merge(h.lrow, nil))
+					h.merge(dst, lrow, nil)
 				}
 				continue
 			}
-			if h.compatible(h.lrow, h.rows[ri]) {
+			if rrow := h.build.row(ri, h.rw); h.compatible(lrow, rrow) {
 				h.matched = true
-				dst = append(dst, h.merge(h.lrow, h.rows[ri]))
+				h.merge(dst, lrow, rrow)
 			}
 		}
 	}
-	return dst, nil
+	return nil
 }
 
 // filterIter keeps the rows whose condition evaluates to true.
 type filterIter struct {
 	st   *storage.Store
 	in   Iterator
+	w    int
 	cond sparql.Condition
 	cols map[string]int
 }
@@ -1008,7 +1100,7 @@ func newFilterIter(st *storage.Store, in Iterator, cond sparql.Condition) *filte
 	for i, v := range in.Vars() {
 		cols[v] = i
 	}
-	return &filterIter{st: st, in: in, cond: cond, cols: cols}
+	return &filterIter{st: st, in: in, w: len(in.Vars()), cond: cond, cols: cols}
 }
 
 func (f *filterIter) Vars() []string                 { return f.in.Vars() }
@@ -1016,8 +1108,8 @@ func (f *filterIter) Open(ctx context.Context) error { return f.in.Open(ctx) }
 func (f *filterIter) Close() error                   { return f.in.Close() }
 
 //dualsim:hotpath
-func (f *filterIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
-	return pullKept(f.in, dst, f.keep)
+func (f *filterIter) Next(dst *block, limit int) error {
+	return pullKept(f.in, f.w, dst, limit, f.keep)
 }
 
 func (f *filterIter) keep(row []storage.NodeID) (bool, error) {
@@ -1026,50 +1118,59 @@ func (f *filterIter) keep(row []storage.NodeID) (bool, error) {
 }
 
 // pullKept pulls windows of in into dst until keep retains a row or the
-// stream ends, compacting the kept rows in place.
+// stream ends, compacting the kept rows (of width w) in place.
 //
 //dualsim:hotpath
-func pullKept(in Iterator, dst [][]storage.NodeID, keep func([]storage.NodeID) (bool, error)) ([][]storage.NodeID, error) {
-	n := len(dst)
+func pullKept(in Iterator, w int, dst *block, limit int, keep func([]storage.NodeID) (bool, error)) error {
+	n, base := dst.n, len(dst.ids)
 	for {
-		got, err := in.Next(dst)
-		if err != nil || len(got) == n {
-			return got, err
+		if err := in.Next(dst, limit); err != nil || dst.n == n {
+			return err
 		}
-		k := n
-		for _, row := range got[n:] {
+		k := 0
+		for i := range dst.n - n {
+			row := dst.tail(base, i, w)
 			ok, err := keep(row)
 			if err != nil {
-				return got[:k], err
+				dst.cut(n, base, k, w)
+				return err
 			}
 			if ok {
-				got[k] = row
+				copy(dst.ids[base+k*w:], row)
 				k++
 			}
 		}
-		if k > n {
-			return got[:k], nil
+		dst.cut(n, base, k, w)
+		if k > 0 {
+			return nil
 		}
 	}
 }
 
-// unionIter streams the left side, then the right, both padded to the
-// union schema.
+// unionIter streams the left side, then the right: each side appends its
+// rows to the window at its own width, and the union remaps them there,
+// in place, to the union schema.
 type unionIter struct {
-	l, r    Iterator
-	slab    *slab
-	vars    []string
-	lMap    []int // output column of each left column
-	rMap    []int
-	onRight bool
+	l, r   Iterator
+	vars   []string
+	lw, rw int
+	lMap   []int // output column of each left column
+	rMap   []int
+	// lSame and rSame: that side's rows already are union rows.
+	lSame, rSame bool
+	scratch      []storage.NodeID // a window of input rows, for remap
+	onRight      bool
 }
 
-func newUnionIter(l, r Iterator, sl *slab) *unionIter {
+func newUnionIter(l, r Iterator) *unionIter {
 	lres := NewResult(l.Vars()...)
 	rres := NewResult(r.Vars()...)
 	out := NewResult(unionVars(lres, rres)...)
-	return &unionIter{l: l, r: r, slab: sl, vars: out.Vars,
+	u := &unionIter{l: l, r: r, vars: out.Vars, lw: len(lres.Vars), rw: len(rres.Vars),
 		lMap: varIndexes(out, lres.Vars), rMap: varIndexes(out, rres.Vars)}
+	u.lSame, u.rSame = isIdentity(u.lMap, len(u.vars)), isIdentity(u.rMap, len(u.vars))
+	u.scratch = make([]storage.NodeID, batchMax*max(u.lw, u.rw))
+	return u
 }
 
 func (u *unionIter) Vars() []string { return u.vars }
@@ -1090,48 +1191,44 @@ func (u *unionIter) Close() error {
 	return err
 }
 
-// project replaces each row of a window, in place, by its padding to
-// the union schema.
-//
 //dualsim:hotpath
-func (u *unionIter) project(rows [][]storage.NodeID, m []int) {
-	for r, row := range rows {
-		out := u.slab.alloc(len(u.vars))
-		for k := range out {
-			out[k] = Unbound
-		}
-		for i, oj := range m {
-			out[oj] = row[i]
-		}
-		rows[r] = out
-	}
-}
-
-//dualsim:hotpath
-func (u *unionIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
-	n := len(dst)
+func (u *unionIter) Next(dst *block, limit int) error {
+	n, base := dst.n, len(dst.ids)
 	if !u.onRight {
-		got, err := u.l.Next(dst)
-		if err != nil {
-			return got, err
+		err := u.l.Next(dst, limit)
+		if !u.lSame {
+			dst.remap(n, base, u.lw, len(u.vars), u.lMap, u.scratch)
 		}
-		if len(got) > n {
-			u.project(got[n:], u.lMap)
-			return got, nil
+		if err != nil || dst.n > n {
+			return err
 		}
 		u.onRight = true
 	}
-	got, err := u.r.Next(dst)
-	u.project(got[n:], u.rMap)
-	return got, err
+	err := u.r.Next(dst, limit)
+	if !u.rSame {
+		dst.remap(n, base, u.rw, len(u.vars), u.rMap, u.scratch)
+	}
+	return err
+}
+
+// isIdentity reports whether the column map m sends a row of width w to
+// itself.
+func isIdentity(m []int, w int) bool {
+	for i, j := range m {
+		if i != j {
+			return false
+		}
+	}
+	return len(m) == w
 }
 
 // distinctIter drops rows already seen (set semantics). Its seen-set is
-// a buffering point: every distinct row is retained and charged to the
-// execution account. The compiler adds it only above a plan whose rows
-// may repeat (rowProps).
+// a buffering point: every distinct row is copied into it and charged to
+// the execution account. The compiler adds it only above a plan whose
+// rows may repeat (rowProps).
 type distinctIter struct {
 	in    Iterator
+	w     int
 	seen  *rowSet
 	acct  *account
 	stats *OperatorStats
@@ -1141,13 +1238,13 @@ func (d *distinctIter) Vars() []string { return d.in.Vars() }
 func (d *distinctIter) Close() error   { d.seen = nil; return d.in.Close() }
 
 func (d *distinctIter) Open(ctx context.Context) error {
-	d.seen = newRowSet()
+	d.seen = newRowSet(d.w)
 	return d.in.Open(ctx)
 }
 
 //dualsim:hotpath
-func (d *distinctIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
-	return pullKept(d.in, dst, d.keep)
+func (d *distinctIter) Next(dst *block, limit int) error {
+	return pullKept(d.in, d.w, dst, limit, d.keep)
 }
 
 // keep admits a row's first sighting, charging it to the account.
@@ -1155,7 +1252,7 @@ func (d *distinctIter) keep(row []storage.NodeID) (bool, error) {
 	if !d.seen.add(row) {
 		return false, nil
 	}
-	return true, d.acct.charge(d.stats, 1, rowCostBytes(row))
+	return true, d.acct.charge(d.stats, 1, rowCostBytes(d.w))
 }
 
 // limitIter emits the first limit distinct rows after skipping offset
@@ -1167,6 +1264,7 @@ func (d *distinctIter) keep(row []storage.NodeID) (bool, error) {
 // set and the window just counts, buffering nothing.
 type limitIter struct {
 	in      Iterator
+	w       int
 	limit   int // 0 = unlimited
 	offset  int
 	dedup   bool
@@ -1182,7 +1280,7 @@ func (l *limitIter) Close() error   { l.seen = nil; return l.in.Close() }
 
 func (l *limitIter) Open(ctx context.Context) error {
 	if l.dedup {
-		l.seen = newRowSet()
+		l.seen = newRowSet(l.w)
 	}
 	l.skipped = 0
 	l.emitted = 0
@@ -1190,38 +1288,41 @@ func (l *limitIter) Open(ctx context.Context) error {
 }
 
 //dualsim:hotpath
-func (l *limitIter) Next(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
-	n := len(dst)
+func (l *limitIter) Next(dst *block, limit int) error {
+	n, base, w := dst.n, len(dst.ids), l.w
 	for l.limit == 0 || l.emitted < l.limit {
-		w := cap(dst)
+		win := limit
 		if l.limit > 0 {
-			w = min(w, n+l.offset-l.skipped+l.limit-l.emitted)
+			win = min(win, n+l.offset-l.skipped+l.limit-l.emitted)
 		}
-		got, err := l.in.Next(dst[:n:w])
-		if err != nil || len(got) == n {
-			return dst[:len(got)], err
+		if err := l.in.Next(dst, win); err != nil || dst.n == n {
+			dst.cut(n, base, 0, w)
+			return err
 		}
-		k := n
-		for _, row := range got[n:] {
+		k := 0
+		for i := range dst.n - n {
+			row := dst.tail(base, i, w)
 			if l.dedup {
 				if !l.seen.add(row) {
 					continue
 				}
-				if err := l.acct.charge(l.stats, 1, rowCostBytes(row)); err != nil {
-					return dst[:k], err
+				if err := l.acct.charge(l.stats, 1, rowCostBytes(w)); err != nil {
+					dst.cut(n, base, k, w)
+					return err
 				}
 			}
 			if l.skipped < l.offset {
 				l.skipped++
 				continue
 			}
-			got[k] = row
+			copy(dst.ids[base+k*w:], row)
 			k++
 			l.emitted++
 		}
-		if k > n {
-			return dst[:k], nil
+		dst.cut(n, base, k, w)
+		if k > 0 {
+			return nil
 		}
 	}
-	return dst, nil
+	return nil
 }

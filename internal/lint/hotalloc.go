@@ -25,7 +25,7 @@ const HotpathAnnotation = "//dualsim:hotpath"
 //     heap — the string-row-key idiom the executor's hashed row set
 //     replaced);
 //   - append([]T(nil), …), the clone idiom (one fresh backing array per
-//     call; hot paths carve rows from a slab or reuse a buffer).
+//     call; hot paths write rows into a window or block they reuse).
 //
 // The annotation goes on the function's doc comment; the analyzer
 // follows the body including its closures (a closure called on the hot

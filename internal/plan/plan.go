@@ -73,6 +73,10 @@ func (Limit) isNode()    {}
 type Plan struct {
 	Root      Node
 	Decisions []string
+	// Vars is the order of the result columns: the query's SELECT *
+	// columns (sparql.SelectVars), whatever order the plan binds them
+	// in. Nil keeps the root's order.
+	Vars []string
 	// Filter is the view of the store the plan was costed against
 	// (Options.Filter) and must execute through; nil for the bare store.
 	Filter storage.Filter
@@ -89,7 +93,7 @@ type Options struct {
 
 // Build lowers q to an optimized plan tree over st.
 func Build(st *storage.Store, q *sparql.Query, opt Options) *Plan {
-	p := &Plan{Filter: opt.Filter}
+	p := &Plan{Filter: opt.Filter, Vars: sparql.SelectVars(q.Expr)}
 	b := &builder{st: st, opt: opt, plan: p}
 	root := b.lower(q.Expr)
 	if q.Limit > 0 || q.Offset > 0 {

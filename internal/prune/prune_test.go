@@ -186,7 +186,7 @@ func prunedOutcome(t testing.TB, st *storage.Store, q *sparql.Query) (sound, exa
 func projectionSubset(a, b *engine.Result, vars []string) bool {
 	pa := a.Project(vars)
 	pb := b.Project(vars)
-	seen := make(map[string]bool, len(pb.Rows))
+	seen := make(map[string]bool, pb.Len())
 	for _, row := range pb.Rows {
 		seen[fmt.Sprint(row)] = true
 	}
@@ -407,7 +407,7 @@ func TestNonWellDesignedPromotionNuance(t *testing.T) {
 	}
 	// On the full store, B2's (x,p1,y) is incompatible with v3=b, v0=c,
 	// and since B1 × B2 has no compatible row, v2 stays unbound.
-	if full.Len() != 1 || full.Rows[0][full.VarIndex("v2")] != engine.Unbound {
+	if full.Len() != 1 || full.Row(0)[full.VarIndex("v2")] != engine.Unbound {
 		t.Fatalf("unexpected full result:\n%s", full.Format(st))
 	}
 	p, _, err := PruneQuery(st, q, core.Config{})
@@ -419,7 +419,7 @@ func TestNonWellDesignedPromotionNuance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// On the pruned store the p1 filter is gone and v2 binds to d.
-	if pruned.Len() != 1 || pruned.Rows[0][pruned.VarIndex("v2")] == engine.Unbound {
+	if pruned.Len() != 1 || pruned.Row(0)[pruned.VarIndex("v2")] == engine.Unbound {
 		t.Fatalf("unexpected pruned result:\n%s", pruned.Format(st))
 	}
 	// The paper's soundness: mandatory-core bindings are preserved.

@@ -41,7 +41,8 @@ type Backend interface {
 
 // Cursor is one execution's rows, rendered in wire form, pulled one at
 // a time. The contract follows dualsim.Rows: Next until false, then Err;
-// Close is idempotent and finalizes Stats.
+// Close is idempotent and finalizes Stats. The current row is valid
+// until the next Next — render it with AppendRow before moving on.
 type Cursor interface {
 	Vars() []string
 	// Epoch is the store epoch every row of the cursor answers from.

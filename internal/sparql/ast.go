@@ -9,6 +9,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -155,6 +156,39 @@ func Vars(e Expr) []string {
 		out = append(out, v)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// SelectVars returns the SELECT * columns of e: the variables its
+// triple patterns mention, in the order they first occur in the text. A
+// variable only a FILTER names binds nothing and has no column.
+func SelectVars(e Expr) []string {
+	var out []string
+	var walk func(Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case BGP:
+			for _, tp := range x {
+				for _, t := range []Term{tp.S, tp.P, tp.O} {
+					if t.IsVar() && !slices.Contains(out, t.Var) {
+						out = append(out, t.Var)
+					}
+				}
+			}
+		case And:
+			walk(x.L)
+			walk(x.R)
+		case Optional:
+			walk(x.L)
+			walk(x.R)
+		case Union:
+			walk(x.L)
+			walk(x.R)
+		case Filter:
+			walk(x.Inner)
+		}
+	}
+	walk(e)
 	return out
 }
 

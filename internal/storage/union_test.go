@@ -54,7 +54,7 @@ func rows(t *testing.T, st *storage.Store, src string) []string {
 	vars := slices.Clone(res.Vars)
 	sort.Strings(vars)
 	res = res.Project(vars)
-	out := make([]string, len(res.Rows))
+	out := make([]string, res.Len())
 	for i, row := range res.Rows {
 		cells := make([]string, len(row))
 		for j, v := range row {

@@ -454,7 +454,7 @@ func checkEpochRow(st *dualsim.Store, res *dualsim.Result, stats *dualsim.ExecSt
 		return fmt.Errorf("epoch %d: variable v missing from %v", stats.Epoch, res.Vars)
 	}
 	want := fmt.Sprintf("v%d", stats.Epoch)
-	got := st.Term(res.Rows[0][vi]).Value
+	got := st.Term(res.Row(0)[vi]).Value
 	if got != want {
 		return fmt.Errorf("answer %q served with epoch %d stats (want %q): stale or mixed-epoch read", got, stats.Epoch, want)
 	}
@@ -690,7 +690,7 @@ func TestPinnedSnapshotKeepsDeletedTriple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := before.Rows[0]
+	row := before.Row(0)
 	gone := dualsim.Triple{
 		S: pinned.Store().Term(row[before.VarIndex("d")]),
 		P: "directed",

@@ -9,7 +9,6 @@ import (
 	"dualsim/internal/engine"
 	"dualsim/internal/plan"
 	"dualsim/internal/prune"
-	"dualsim/internal/storage"
 	"dualsim/internal/trace"
 )
 
@@ -246,7 +245,8 @@ func (pq *PreparedQuery) Stream(ctx context.Context) (*Rows, error) {
 	if pq.db.set.engine != Volcano {
 		in = stats.TriplesBefore // the oracle reads the whole snapshot
 	}
-	return &Rows{ex: ex, view: v, vars: ex.Vars(), stats: stats, begin: begin, eval: eval, in: in, sp: sp}, nil
+	vars := ex.Vars()
+	return &Rows{ex: ex, view: v, vars: vars, w: len(vars), stats: stats, begin: begin, eval: eval, in: in, sp: sp}, nil
 }
 
 // Exec is Stream drained: it runs the same pipeline and materializes the
@@ -258,13 +258,13 @@ func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, *ExecStats, error) 
 	}
 	defer rows.Close()
 	// A prepared query is pinned to one snapshot, so its row count repeats:
-	// the slice is sized by the last drain and grows only on the first.
+	// the block is sized by the last drain and grows only on the first.
 	res := engine.NewResult(rows.Vars()...)
-	res.Rows, err = rows.appendAll(make([][]storage.NodeID, 0, pq.lastRows.Load()))
-	if err != nil {
+	res.Grow(int(pq.lastRows.Load()))
+	if err := rows.appendAll(res); err != nil {
 		return nil, nil, err
 	}
-	pq.lastRows.Store(int64(len(res.Rows)))
+	pq.lastRows.Store(int64(res.Len()))
 	return res, rows.Stats(), nil
 }
 

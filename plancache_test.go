@@ -134,6 +134,6 @@ func TestQueryLiteralWhitespaceDistinct(t *testing.T) {
 		t.Fatal("literal-differing query served from the cache")
 	}
 	if r1.Len() != 1 || r2.Len() != 1 || r1.Equal(r2) {
-		t.Fatalf("results wrong: %v / %v", r1.Rows, r2.Rows)
+		t.Fatalf("results wrong: %v / %v", r1, r2)
 	}
 }

@@ -158,7 +158,7 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 	}
 	kept := &dualsim.Result{Vars: want.Vars}
 	for _, row := range want.Rows {
-		kept.Rows = append(kept.Rows, append([]storage.NodeID(nil), row...))
+		kept.Append(row)
 	}
 	// sameOps compares operator counters, ignoring the clock a traced
 	// execution reads.
@@ -181,7 +181,7 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			return res.Rows, stats.Operators, nil
+			return rowsOf(res), stats.Operators, nil
 		default:
 			rows, err := pq.Stream(ctx)
 			if err != nil {
@@ -189,7 +189,7 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 			}
 			var got [][]storage.NodeID
 			for (way == 3 || len(got) < k) && rows.Next() {
-				got = append(got, rows.Row())
+				got = append(got, slices.Clone(rows.Row())) // valid until the next Next
 			}
 			if way == 2 {
 				return got, nil, rows.Close() // cut after k rows
@@ -223,7 +223,7 @@ func TestPreparedQueryConcurrentExec(t *testing.T) {
 					errs <- err
 					return
 				}
-				wantRows := want.Rows
+				wantRows := rowsOf(want)
 				if way == 2 {
 					wantRows = wantRows[:k]
 				}

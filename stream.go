@@ -28,15 +28,18 @@ type Rows struct {
 	view  *preparedView // the view the tree goes back to
 	vars  []string
 	stats *ExecStats
-	begin time.Time          // Stream entry, for the end-to-end duration
-	eval  time.Time          // evaluate-stage start (before compile), for its StageStats
-	in    int                // evaluate-stage input cardinality
-	sp    *trace.Span        // evaluate span of a traced stream; nil otherwise
-	batch [][]storage.NodeID // the unread rest of the window last pulled
-	row   []storage.NodeID
-	n     int
-	err   error
-	done  bool // root iterator exhausted; stats finalized
+	begin time.Time   // Stream entry, for the end-to-end duration
+	eval  time.Time   // evaluate-stage start (before compile), for its StageStats
+	in    int         // evaluate-stage input cardinality
+	sp    *trace.Span // evaluate span of a traced stream; nil otherwise
+	// The window last pulled, flat: left rows of width w are unread, and
+	// the current row starts at offset off.
+	win    []storage.NodeID
+	left   int
+	off, w int
+	n      int
+	err    error
+	done   bool // root iterator exhausted; stats finalized
 }
 
 // Vars returns the result columns, in row order.
@@ -51,36 +54,43 @@ func (r *Rows) Next() bool {
 	if r.done || r.err != nil {
 		return false
 	}
-	if len(r.batch) == 0 {
-		batch, err := r.ex.Pull()
-		if err != nil || len(batch) == 0 {
+	if r.left == 0 {
+		win, n, err := r.ex.Pull()
+		if err != nil || n == 0 {
 			r.err = err
 			r.finish()
 			return false
 		}
-		r.batch = batch
+		r.win, r.left, r.off = win, n, -r.w
 	}
-	r.row, r.batch = r.batch[0], r.batch[1:]
+	r.left--
+	r.off += r.w
 	r.n++
 	return true
 }
 
-// appendAll drains the cursor onto dst (engine.Exec.Append) and
-// finishes it.
-func (r *Rows) appendAll(dst [][]storage.NodeID) ([][]storage.NodeID, error) {
-	n := len(dst)
-	dst, r.err = r.ex.Append(dst)
-	r.n += len(dst) - n
+// appendAll drains the rest of the cursor into res (engine.Exec.Append)
+// and finishes it.
+func (r *Rows) appendAll(res *Result) error {
+	n := res.Len()
+	r.err = r.ex.Append(res)
+	r.n += res.Len() - n
 	r.finish()
-	return dst, r.err
+	return r.err
 }
 
 // Row returns the current row: positional over Vars, Unbound for
-// positions outside dom(µ), same encoding as Result.Rows. The slice is
-// the caller's to keep — the cursor never reuses it — but it is carved
-// from the execution's row slab: treat it as read-only (a deduplicating
-// operator may hold the same slice) and copy it before appending to it.
-func (r *Rows) Row() []storage.NodeID { return r.row }
+// positions outside dom(µ), same encoding as Result.Row. The slice is a
+// view of the cursor's current window, like bufio.Scanner.Bytes: it is
+// valid until the next call to Next, which may overwrite it, and is
+// read-only. A caller that keeps a row copies it (slices.Clone). Before
+// the first Next and after the last it is nil.
+func (r *Rows) Row() []storage.NodeID {
+	if r.win == nil {
+		return nil
+	}
+	return r.win[r.off : r.off+r.w : r.off+r.w]
+}
 
 // Err returns the error that terminated iteration, if any.
 func (r *Rows) Err() error { return r.err }
@@ -119,7 +129,7 @@ func (r *Rows) Stats() *ExecStats {
 // counters and the end-to-end duration.
 func (r *Rows) finish() {
 	r.done = true
-	r.row, r.batch = nil, nil
+	r.win, r.left = nil, 0
 	r.stats.Stages = append(r.stats.Stages, StageStats{
 		Name:     "evaluate",
 		Duration: time.Since(r.eval),

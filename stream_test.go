@@ -4,22 +4,34 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dualsim"
 	"dualsim/internal/queries"
+	"dualsim/internal/storage"
 )
 
 // drainRows pulls every row off the cursor into a Result for set
-// comparison against the materializing path.
+// comparison against the materializing path. Append copies each row:
+// Row is valid only until the next Next.
 func drainRows(t *testing.T, rows *dualsim.Rows) *dualsim.Result {
 	t.Helper()
 	out := &dualsim.Result{Vars: append([]string{}, rows.Vars()...)}
 	for rows.Next() {
-		out.Rows = append(out.Rows, rows.Row())
+		out.Append(rows.Row())
 	}
 	if err := rows.Err(); err != nil {
 		t.Fatal(err)
+	}
+	return out
+}
+
+// rowsOf copies res's rows out, in order.
+func rowsOf(res *dualsim.Result) [][]storage.NodeID {
+	out := make([][]storage.NodeID, 0, res.Len())
+	for _, row := range res.Rows {
+		out = append(out, slices.Clone(row))
 	}
 	return out
 }
@@ -52,6 +64,20 @@ func TestStreamMatchesExec(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatalf("stream rows != exec rows: %d vs %d", got.Len(), want.Len())
 	}
+	// A row copied before the next Next is the row Exec delivers in its
+	// place: the cursor streams Exec's rows in Exec's order.
+	again, err := pq.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Next() {
+		t.Fatalf("second stream is empty: %v", again.Err())
+	}
+	first := slices.Clone(again.Row())
+	if !again.Next() || !slices.Equal(first, want.Row(0)) || !slices.Equal(again.Row(), want.Row(1)) {
+		t.Fatalf("streamed rows %v, %v; Exec's first two %v, %v", first, again.Row(), want.Row(0), want.Row(1))
+	}
+	again.Close()
 
 	stats := rows.Stats()
 	if stats.Results != want.Len() {
