@@ -141,7 +141,7 @@ func (db *DB) ExplainAnalyze(ctx context.Context, src string) (*Explain, error) 
 }
 
 // explainNode is one operator with its children resolved, for the text
-// render.
+// render and the traced span tree.
 type explainNode struct {
 	op       OperatorStats
 	children []*explainNode

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,6 +146,43 @@ func TestExecSpanTree(t *testing.T) {
 	}
 	if ev.Counters["out"] == 0 {
 		t.Errorf("evaluate span reports no output rows: %+v", ev.Counters)
+	}
+
+	// On a UNION with an OPTIONAL branch, two levels deep and more, the
+	// op.* spans under evaluate have the shape of the EXPLAIN render.
+	const nested = `SELECT * WHERE {
+	  { ?d <directed> ?m . OPTIONAL { ?d <worked_with> ?c . } }
+	  UNION { ?d <awarded> ?a . ?d <born_in> ?p . } }`
+	ex, err := db.Explain(ctx, nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(strings.TrimSuffix(ex.Text(), "\n"), "\n") {
+		if !strings.HasPrefix(line, "--") {
+			want = append(want, strings.Fields(line)[0]+"@"+fmt.Sprint((len(line)-len(strings.TrimLeft(line, " ")))/2))
+		}
+	}
+	tr3 := trace.New("query")
+	if _, _, err := db.Query(trace.ContextWithSpan(ctx, tr3.Root()), nested); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	var walk func(sp *trace.Span, depth int)
+	walk = func(sp *trace.Span, depth int) {
+		for _, c := range sp.Children {
+			if name, ok := strings.CutPrefix(c.Name, "op."); ok {
+				got = append(got, name+"@"+fmt.Sprint(depth))
+				walk(c, depth+1)
+			}
+		}
+	}
+	walk(tr3.Root().Find("evaluate"), 0)
+	if !slices.Equal(got, want) {
+		t.Errorf("span tree %v, EXPLAIN tree %v\n%s", got, want, ex.Text())
+	}
+	if !slices.ContainsFunc(want, func(s string) bool { return strings.HasSuffix(s, "@2") }) {
+		t.Errorf("plan is less than three levels deep:\n%s", ex.Text())
 	}
 
 	// Second run hits the plan cache: the plan span must say so.

@@ -8,6 +8,7 @@ import (
 	"dualsim/internal/core"
 	"dualsim/internal/proptest"
 	"dualsim/internal/rdf"
+	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
 )
 
@@ -36,43 +37,69 @@ func fig4(t *testing.T) *storage.Store {
 	})
 }
 
-func twoCycle() *core.Pattern {
-	p := core.NewPattern()
-	p.Edge("v", "knows", "w")
-	p.Edge("w", "knows", "v")
-	return p
+// solve lowers the pattern graph spelled by the basic graph pattern e
+// over st and solves its one branch with the SOI solver; the baselines
+// read the same branch as their pattern.
+func solve(t *testing.T, st *storage.Store, e sparql.Expr) *core.BranchSolution {
+	t.Helper()
+	rel, err := core.QueryDualSimulation(st, &sparql.Query{Expr: e}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Branches) != 1 {
+		t.Fatalf("branches = %d, want 1", len(rel.Branches))
+	}
+	return rel.Branches[0]
 }
+
+// lower is the pattern graph of the basic graph pattern src over st.
+func lower(t *testing.T, st *storage.Store, src string) *core.Branch {
+	return solve(t, st, sparql.MustParse(src).Expr).Branch
+}
+
+// chiSets returns a solution's χ rows as node sets, indexed like the
+// branch's Vars.
+func chiSets(bs *core.BranchSolution) []map[storage.NodeID]bool {
+	out := make([]map[storage.NodeID]bool, len(bs.Sol.Chi))
+	for i, c := range bs.Sol.Chi {
+		out[i] = make(map[storage.NodeID]bool, c.Count())
+		c.ForEach(func(n int) bool { out[i][storage.NodeID(n)] = true; return true })
+	}
+	return out
+}
+
+const twoCycle = `SELECT * WHERE { ?v <knows> ?w . ?w <knows> ?v . }`
 
 func TestMaFig4(t *testing.T) {
 	st := fig4(t)
-	res := MaEtAl(st, twoCycle())
+	pat := lower(t, st, twoCycle)
+	res := MaEtAl(st, pat)
 	if len(res.Sim[0]) != 4 || len(res.Sim[1]) != 4 {
 		t.Fatalf("sim sizes = %d/%d, want 4/4", len(res.Sim[0]), len(res.Sim[1]))
 	}
 	if res.Iterations < 1 {
 		t.Fatal("no iterations counted")
 	}
-	if err := twoCycle().VerifyDualSimulation(st, res.Sim); err != nil {
+	if err := pat.VerifyDualSimulation(st, res.Sim); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHHKFig4(t *testing.T) {
 	st := fig4(t)
-	res := HHK(st, twoCycle())
+	pat := lower(t, st, twoCycle)
+	res := HHK(st, pat)
 	if len(res.Sim[0]) != 4 || len(res.Sim[1]) != 4 {
 		t.Fatalf("sim sizes = %d/%d, want 4/4", len(res.Sim[0]), len(res.Sim[1]))
 	}
-	if err := twoCycle().VerifyDualSimulation(st, res.Sim); err != nil {
+	if err := pat.VerifyDualSimulation(st, res.Sim); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMaUnknownPredicate(t *testing.T) {
 	st := fig4(t)
-	p := core.NewPattern()
-	p.Edge("a", "nope", "b")
-	res := MaEtAl(st, p)
+	res := MaEtAl(st, lower(t, st, `SELECT * WHERE { ?a <nope> ?b . }`))
 	if len(res.Sim[0]) != 0 || len(res.Sim[1]) != 0 {
 		t.Fatal("unknown predicate must empty the relation")
 	}
@@ -80,9 +107,7 @@ func TestMaUnknownPredicate(t *testing.T) {
 
 func TestHHKUnknownPredicate(t *testing.T) {
 	st := fig4(t)
-	p := core.NewPattern()
-	p.Edge("a", "nope", "b")
-	res := HHK(st, p)
+	res := HHK(st, lower(t, st, `SELECT * WHERE { ?a <nope> ?b . }`))
 	if len(res.Sim[0]) != 0 || len(res.Sim[1]) != 0 {
 		t.Fatal("unknown predicate must empty the relation")
 	}
@@ -93,13 +118,14 @@ func TestConstantsRespected(t *testing.T) {
 		rdf.T("a", "p", "b"),
 		rdf.T("c", "p", "d"),
 	})
-	pat := core.NewPattern()
-	pat.Edge("x", "p", "y")
-	pat.Bind("x", rdf.NewIRI("a"))
+	// The pattern edge x -p-> y with x bound to the constant a.
+	pat := lower(t, st, `SELECT * WHERE { <a> <p> ?y . }`)
+	const xi, yi = 0, 1
+	if pat.Vars[xi].Const == nil || pat.Vars[yi].Orig != "y" {
+		t.Fatalf("vars = %+v, want the constant, then y", pat.Vars)
+	}
 	for algo, run := range algorithms() {
 		res := run(st, pat)
-		xi, _ := pat.VarIndex("x")
-		yi, _ := pat.VarIndex("y")
 		aID, _ := st.TermID(rdf.NewIRI("a"))
 		bID, _ := st.TermID(rdf.NewIRI("b"))
 		if len(res.Sim[xi]) != 1 || !res.Sim[xi][aID] {
@@ -111,8 +137,8 @@ func TestConstantsRespected(t *testing.T) {
 	}
 }
 
-func algorithms() map[string]func(*storage.Store, *core.Pattern) *Result {
-	return map[string]func(*storage.Store, *core.Pattern) *Result{
+func algorithms() map[string]func(*storage.Store, *core.Branch) *Result {
+	return map[string]func(*storage.Store, *core.Branch) *Result{
 		"ma":  MaEtAl,
 		"hhk": HHK,
 	}
@@ -136,18 +162,17 @@ func randomStore(r *rand.Rand, maxNodes, maxPreds, maxEdges int) *storage.Store 
 	return st
 }
 
-// randomPattern draws a small random pattern over the same label space.
-func randomPattern(r *rand.Rand, maxVars, maxPreds, maxEdges int) *core.Pattern {
-	p := core.NewPattern()
+// randomPattern draws a small random pattern over the same label space,
+// spelled as a basic graph pattern.
+func randomPattern(r *rand.Rand, maxVars, maxPreds, maxEdges int) sparql.BGP {
 	nv := r.Intn(maxVars) + 1
-	ne := r.Intn(maxEdges) + 1
-	for i := 0; i < ne; i++ {
-		from := fmt.Sprintf("v%d", r.Intn(nv))
-		to := fmt.Sprintf("v%d", r.Intn(nv))
-		pred := fmt.Sprintf("p%d", r.Intn(maxPreds))
-		p.Edge(from, pred, to)
+	bgp := make(sparql.BGP, r.Intn(maxEdges)+1)
+	for i := range bgp {
+		from := sparql.V(fmt.Sprintf("v%d", r.Intn(nv)))
+		to := sparql.V(fmt.Sprintf("v%d", r.Intn(nv)))
+		bgp[i] = sparql.TriplePattern{S: from, P: sparql.C(fmt.Sprintf("p%d", r.Intn(maxPreds))), O: to}
 	}
-	return p
+	return bgp
 }
 
 // TestPropertyAllAlgorithmsAgree is the central equivalence invariant: the
@@ -156,10 +181,9 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		st := randomStore(r, 25, 3, 60)
-		pat := randomPattern(r, 4, 3, 5)
-
-		soiRel := core.DualSimulation(st, pat, core.Config{})
-		soiSets := soiRel.Sets()
+		soiRel := solve(t, st, randomPattern(r, 4, 3, 5))
+		pat := soiRel.Branch
+		soiSets := chiSets(soiRel)
 		ma := MaEtAl(st, pat)
 		hhk := HHK(st, pat)
 
@@ -183,12 +207,12 @@ func TestPropertyMaximality(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		st := randomStore(r, 15, 2, 40)
-		pat := randomPattern(r, 3, 2, 4)
+		pat := solve(t, st, randomPattern(r, 3, 2, 4)).Branch
 		res := MaEtAl(st, pat)
 
 		// Pick a handful of rejected pairs and check each breaks Def. 2.
 		for trial := 0; trial < 5; trial++ {
-			v := r.Intn(pat.NumVars())
+			v := r.Intn(len(pat.Vars))
 			n := storage.NodeID(r.Intn(st.NumNodes()))
 			if res.Sim[v][n] {
 				continue
@@ -220,9 +244,9 @@ func TestPropertyHomomorphicMatchesContained(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		st := randomStore(r, 12, 2, 30)
-		pat := randomPattern(r, 3, 2, 3)
-		rel := core.DualSimulation(st, pat, core.Config{})
-		sets := rel.Sets()
+		rel := solve(t, st, randomPattern(r, 3, 2, 3))
+		pat := rel.Branch
+		sets := chiSets(rel)
 
 		ok := true
 		forEachMatch(st, pat, func(assign []storage.NodeID) {
@@ -238,24 +262,24 @@ func TestPropertyHomomorphicMatchesContained(t *testing.T) {
 }
 
 // forEachMatch enumerates all homomorphic matches of pat by brute force.
-func forEachMatch(st *storage.Store, pat *core.Pattern, fn func([]storage.NodeID)) {
-	assign := make([]storage.NodeID, pat.NumVars())
+func forEachMatch(st *storage.Store, pat *core.Branch, fn func([]storage.NodeID)) {
+	assign := make([]storage.NodeID, len(pat.Vars))
 	var rec func(v int)
 	rec = func(v int) {
-		if v == pat.NumVars() {
+		if v == len(pat.Vars) {
 			fn(append([]storage.NodeID(nil), assign...))
 			return
 		}
 		for n := 0; n < st.NumNodes(); n++ {
 			assign[v] = storage.NodeID(n)
-			if pv := pat.Vars()[v]; pv.Const != nil {
+			if pv := pat.Vars[v]; pv.Const != nil {
 				id, ok := st.TermID(*pv.Const)
 				if !ok || id != assign[v] {
 					continue
 				}
 			}
 			ok := true
-			for _, e := range pat.Edges() {
+			for _, e := range pat.Edges {
 				if e.From > v || e.To > v {
 					continue
 				}

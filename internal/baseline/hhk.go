@@ -18,7 +18,6 @@ type combo struct {
 
 type hhkState struct {
 	st  *storage.Store
-	p   *core.Pattern
 	res *Result
 
 	combos    []combo
@@ -35,18 +34,18 @@ type hhkState struct {
 // HHK computes the largest dual simulation with remove-set propagation in
 // the style of Henzinger, Henzinger and Kopke, adapted to labeled graphs
 // and duality: one remove set per (pattern variable, label, direction)
-// triple, maintained through support counters.
-func HHK(st *storage.Store, p *core.Pattern) *Result {
+// triple, maintained through support counters. It takes the same branch
+// as MaEtAl.
+func HHK(st *storage.Store, p *core.Branch) *Result {
 	h := &hhkState{
 		st:       st,
-		p:        p,
 		res:      &Result{Sim: initialCandidates(st, p)},
 		comboIdx: make(map[combo]int),
 	}
-	h.byVar = make([][]int, p.NumVars())
+	h.byVar = make([][]int, len(p.Vars))
 
 	// Register tracked combos and their consumers from the pattern edges.
-	for _, e := range p.Edges() {
+	for _, e := range p.Edges {
 		pid, ok := st.PredIDOf(e.Pred)
 		if !ok {
 			// initialCandidates already emptied both endpoints.

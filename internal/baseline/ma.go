@@ -34,14 +34,17 @@ type Result struct {
 }
 
 // MaEtAl computes the largest dual simulation with the passive
-// re-checking strategy of Ma et al., adjusted to labeled graphs.
-func MaEtAl(st *storage.Store, p *core.Pattern) *Result {
+// re-checking strategy of Ma et al., adjusted to labeled graphs. The
+// pattern graph is the branch of an OPTIONAL-free basic graph pattern
+// (its Vars, with their constants, and its Edges); Sim is indexed like
+// its Vars.
+func MaEtAl(st *storage.Store, p *core.Branch) *Result {
 	res := &Result{Sim: initialCandidates(st, p)}
 
 	for {
 		res.Iterations++
 		changed := false
-		for _, e := range p.Edges() {
+		for _, e := range p.Edges {
 			pid, ok := st.PredIDOf(e.Pred)
 			if !ok {
 				// No a-labeled edge exists: both endpoints lose all
@@ -90,12 +93,13 @@ func anySupported(ns []storage.NodeID, sim map[storage.NodeID]bool) bool {
 // initialCandidates seeds sim(v) for every pattern variable with the nodes
 // that support v's incident edge labels (and with the constant singleton
 // for bound variables) — the label-match initialization of Ma et al.,
-// transposed to the edge-labeled setting.
-func initialCandidates(st *storage.Store, p *core.Pattern) []map[storage.NodeID]bool {
-	sim := make([]map[storage.NodeID]bool, p.NumVars())
+// transposed to the edge-labeled setting. Every variable of a branch has
+// an incident edge, so every set is seeded.
+func initialCandidates(st *storage.Store, p *core.Branch) []map[storage.NodeID]bool {
+	sim := make([]map[storage.NodeID]bool, len(p.Vars))
 
 	// Constants first.
-	for i, pv := range p.Vars() {
+	for i, pv := range p.Vars {
 		if pv.Const == nil {
 			continue
 		}
@@ -121,7 +125,7 @@ func initialCandidates(st *storage.Store, p *core.Pattern) []map[storage.NodeID]
 		}
 	}
 
-	for _, e := range p.Edges() {
+	for _, e := range p.Edges {
 		pid, ok := st.PredIDOf(e.Pred)
 		if !ok {
 			sim[e.From] = map[storage.NodeID]bool{}
@@ -137,17 +141,6 @@ func initialCandidates(st *storage.Store, p *core.Pattern) []map[storage.NodeID]
 		})
 		constrain(e.From, subs)
 		constrain(e.To, objs)
-	}
-
-	// Isolated variables (no incident edge, no constant) are simulated by
-	// every node.
-	for i := range sim {
-		if sim[i] == nil {
-			sim[i] = make(map[storage.NodeID]bool, st.NumNodes())
-			for n := 0; n < st.NumNodes(); n++ {
-				sim[i][storage.NodeID(n)] = true
-			}
-		}
 	}
 	return sim
 }

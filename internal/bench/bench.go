@@ -35,6 +35,7 @@ import (
 	"dualsim/internal/prune"
 	"dualsim/internal/queries"
 	"dualsim/internal/soi"
+	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
 )
 
@@ -102,35 +103,38 @@ type Table2Row struct {
 }
 
 // Table2 runs the B queries (OPTIONAL stripped, as in §5.2) through
-// SPARQLSIM, Ma et al. and HHK.
+// SPARQLSIM, Ma et al. and HHK. The stripped query is one basic graph
+// pattern, so its plan has a single branch: SOI lowers and solves it, and
+// the baselines read that branch as their pattern graph.
 func Table2(d *Datasets, repeats int) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, spec := range queries.BenchmarkQueries() {
 		st := d.StoreFor(spec)
-		stripped := queries.StripOptional(spec.Query().Expr)
-		pat, err := queries.ToPattern(stripped)
+		q := &sparql.Query{Expr: queries.StripOptional(spec.Query().Expr)}
+		row := Table2Row{Query: spec.ID}
+
+		var rel *core.QueryRelation
+		var err error
+		row.TSOI = timeIt(repeats, func() {
+			rel, err = core.QueryDualSimulation(st, q, core.Config{})
+		})
 		if err != nil {
 			return nil, err
 		}
-		row := Table2Row{Query: spec.ID}
-
-		var rel *core.Relation
-		row.TSOI = timeIt(repeats, func() {
-			rel = core.DualSimulation(st, pat, core.Config{})
-		})
 		row.SOIRounds = rel.Stats.Rounds
-		for _, chi := range rel.Chi {
+		for _, chi := range rel.Branches[0].Sol.Chi {
 			row.Candidates += chi.Count()
 		}
 
+		br := rel.Plan.Branches[0]
 		var ma *baseline.Result
 		row.TMa = timeIt(repeats, func() {
-			ma = baseline.MaEtAl(st, pat)
+			ma = baseline.MaEtAl(st, br)
 		})
 		row.MaIters = ma.Iterations
 
 		row.THHK = timeIt(repeats, func() {
-			baseline.HHK(st, pat)
+			baseline.HHK(st, br)
 		})
 		rows = append(rows, row)
 	}
@@ -319,12 +323,11 @@ func OrderSearch(d *Datasets, trials int, seed int64) ([]OrderRow, error) {
 			return nil, err
 		}
 		st := d.StoreFor(spec)
-		pat, err := queries.ToPattern(queries.MandatoryCore(spec.Query().Expr))
+		plan, err := core.BuildQueryPlan(st, &sparql.Query{Expr: queries.MandatoryCore(spec.Query().Expr)}, core.Config{})
 		if err != nil {
 			return nil, err
 		}
-		sys := core.BuildSystem(st, pat, core.Config{})
-		stats := sys.SearchOrders(context.Background(), trials, seed, soi.Options{})
+		stats := plan.Branches[0].Sys.SearchOrders(context.Background(), trials, seed, soi.Options{})
 		rows = append(rows, OrderRow{
 			Query:                spec.ID,
 			HeuristicEvaluations: stats.HeuristicEvaluations,

@@ -2,13 +2,17 @@ package bench
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 	"time"
 
+	"dualsim/internal/baseline"
+	"dualsim/internal/core"
 	"dualsim/internal/engine"
 	"dualsim/internal/queries"
 	"dualsim/internal/sparql"
+	"dualsim/internal/storage"
 )
 
 // tiny builds a minimal dataset pair once per test run.
@@ -219,14 +223,61 @@ func TestParseAll(t *testing.T) {
 }
 
 // TestStripOptionalQuery pins the Table 2 input preparation: B0 with its
-// OPTIONAL flattened keeps all three triple patterns.
+// OPTIONAL flattened keeps all three triple patterns as pattern edges of
+// one branch.
 func TestStripOptionalQuery(t *testing.T) {
 	spec, _ := queries.ByID("B0")
-	pat, err := queries.ToPattern(queries.StripOptional(spec.Query().Expr))
+	q := &sparql.Query{Expr: queries.StripOptional(spec.Query().Expr)}
+	plan, err := core.BuildQueryPlan(storage.New(), q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pat.NumEdges() != 3 {
-		t.Fatalf("edges = %d, want 3 (2 mandatory + 1 formerly optional)", pat.NumEdges())
+	if len(plan.Branches) != 1 || len(plan.Branches[0].Edges) != 3 {
+		t.Fatalf("%d branches, want 1 with 3 edges (2 mandatory + 1 formerly optional)", len(plan.Branches))
+	}
+}
+
+// TestTable2AlgorithmsAgree checks the agreement Table 2 presumes on the
+// paper's own queries: for every OPTIONAL-stripped B query, SOI, Ma et
+// al. and HHK compute the same relation, variable by variable, its size
+// is the row's Σ|χ|, and it passes the Definition-2 check.
+func TestTable2AlgorithmsAgree(t *testing.T) {
+	d := tiny(t)
+	rows, err := Table2(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range queries.BenchmarkQueries() {
+		st := d.StoreFor(spec)
+		q := &sparql.Query{Expr: queries.StripOptional(spec.Query().Expr)}
+		rel, err := core.QueryDualSimulation(st, q, core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := rel.Branches[0]
+		sets := make([]map[storage.NodeID]bool, len(bs.Sol.Chi))
+		total := 0
+		for v, chi := range bs.Sol.Chi {
+			sets[v] = make(map[storage.NodeID]bool, chi.Count())
+			chi.ForEach(func(n int) bool { sets[v][storage.NodeID(n)] = true; return true })
+			total += len(sets[v])
+		}
+		if total != rows[i].Candidates {
+			t.Fatalf("%s: Σ|χ| = %d, Table 2 row says %d", spec.ID, total, rows[i].Candidates)
+		}
+		for name, res := range map[string]*baseline.Result{
+			"Ma et al.": baseline.MaEtAl(st, bs.Branch),
+			"HHK":       baseline.HHK(st, bs.Branch),
+		} {
+			for v := range sets {
+				if !maps.Equal(sets[v], res.Sim[v]) {
+					t.Fatalf("%s: %s differs from SOI on %s: %d vs %d nodes",
+						spec.ID, name, bs.Branch.Vars[v].Name, len(res.Sim[v]), len(sets[v]))
+				}
+			}
+		}
+		if err := bs.Branch.VerifyDualSimulation(st, sets); err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
 	}
 }

@@ -1,7 +1,19 @@
+// Package core implements the paper's primary contribution: computing the
+// largest dual simulation between a query and a graph database via the
+// system-of-inequalities formulation (Sect. 3), and its conservative
+// extension to SPARQL queries with AND, UNION and OPTIONAL operators
+// (Sect. 4).
+//
+// There is one translation: BuildQueryPlan lowers each union-free branch
+// of a query to a system of inequalities (Sect. 4), and every pattern node
+// and edge it meets goes through addVar and addEdge (Sect. 3.2). A pattern
+// graph is the basic graph pattern that spells it, constants where it
+// binds a node; for such an OPTIONAL-free BGP the branch's system is
+// exactly the Sect. 3 system of the pattern graph (Lemma 3).
 package core
 
 import (
-	"context"
+	"fmt"
 
 	"dualsim/internal/bitmat"
 	"dualsim/internal/bitvec"
@@ -18,72 +30,9 @@ import (
 // points below.
 type Config struct{}
 
-// Relation is the largest dual simulation between a pattern and a store,
-// presented through the characteristic function χS: one node set per
-// pattern variable.
-type Relation struct {
-	Pattern *Pattern
-	Chi     []*bitvec.Vector
-	Stats   soi.Stats
-}
-
-// IsEmpty reports whether the relation is the empty dual simulation —
-// every variable's χS row is empty.
-func (r *Relation) IsEmpty() bool {
-	for _, c := range r.Chi {
-		if !c.IsEmpty() {
-			return false
-		}
-	}
-	return true
-}
-
-// Set returns χS of the named variable as a map, for inspection and the
-// Definition-2 verifier.
-func (r *Relation) Set(name string) map[storage.NodeID]bool {
-	i, ok := r.Pattern.VarIndex(name)
-	if !ok {
-		return nil
-	}
-	return vecToSet(r.Chi[i])
-}
-
-// Sets returns all χS rows as maps, indexed like Pattern.Vars.
-func (r *Relation) Sets() []map[storage.NodeID]bool {
-	out := make([]map[storage.NodeID]bool, len(r.Chi))
-	for i, c := range r.Chi {
-		out[i] = vecToSet(c)
-	}
-	return out
-}
-
-func vecToSet(v *bitvec.Vector) map[storage.NodeID]bool {
-	m := make(map[storage.NodeID]bool, v.Count())
-	v.ForEach(func(i int) bool { m[storage.NodeID(i)] = true; return true })
-	return m
-}
-
-// BuildSystem translates a pattern graph into its system of inequalities
-// over the store (Sect. 3.2): one variable per pattern node, initial
-// bounds (12)/(13) plus constant singletons, and the edge inequality pair
-// (11) per pattern edge. The returned variable order matches the pattern's
-// variable order.
-func BuildSystem(st *storage.Store, p *Pattern, cfg Config) *soi.System {
-	sys := soi.NewSystem(st.NumNodes())
-	vars := make([]soi.Var, p.NumVars())
-	for i, pv := range p.Vars() {
-		vars[i] = addVar(st, sys, pv.Name, pv.Const, true)
-	}
-	for _, e := range p.Edges() {
-		addEdge(st, sys, vars[e.From], vars[e.To], e.Pred)
-	}
-	return sys
-}
-
 // addVar adds a variable whose initial bound is the full vector (12) or,
 // for a constant, its singleton — empty when the store lacks the term.
-// With addEdge it is the one lowering of pattern nodes and edges, shared
-// by pattern graphs (BuildSystem) and SPARQL branches (lowerFragment).
+// With addEdge it is the one lowering of pattern nodes and edges.
 func addVar(st *storage.Store, sys *soi.System, name string, konst *rdf.Term, required bool) soi.Var {
 	var init *bitvec.Vector
 	if konst != nil {
@@ -116,9 +65,85 @@ func predMatrices(st *storage.Store, pred string) bitmat.Pair {
 	return st.Matrices(pid)
 }
 
-// DualSimulation computes the largest dual simulation between pattern p
-// and the store, the central operation of the paper.
-func DualSimulation(st *storage.Store, p *Pattern, cfg Config) *Relation {
-	sol := BuildSystem(st, p, cfg).Solve(context.Background(), soi.Options{})
-	return &Relation{Pattern: p, Chi: sol.Chi[:p.NumVars()], Stats: sol.Stats}
+// IsCyclic reports whether the branch's pattern edges contain an
+// undirected cycle — the paper's §5.3 distinguishes cyclic queries (L0,
+// L1) from acyclic ones when discussing convergence behaviour. Parallel
+// edges between the same variable pair count as a cycle.
+func (b *Branch) IsCyclic() bool {
+	parent := make([]int, len(b.Vars))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range b.Edges {
+		x, y := find(e.From), find(e.To)
+		if x == y {
+			return true
+		}
+		parent[x] = y
+	}
+	return false
+}
+
+// VerifyDualSimulation checks Definition 2 directly against the store: for
+// the candidate relation given as per-variable node sets (indexed like
+// Vars), every pair must have all its pattern edges supported in both
+// directions, and a constant may only contain its own node. It returns an
+// error describing the first violation, or nil if the relation is a dual
+// simulation of the branch's pattern graph. Tests use it as the reference
+// every solver implementation is checked against.
+func (b *Branch) VerifyDualSimulation(st *storage.Store, sets []map[storage.NodeID]bool) error {
+	if len(sets) != len(b.Vars) {
+		return fmt.Errorf("core: %d sets for %d variables", len(sets), len(b.Vars))
+	}
+	for _, e := range b.Edges {
+		pid, ok := st.PredIDOf(e.Pred)
+		if !ok {
+			if len(sets[e.From]) > 0 || len(sets[e.To]) > 0 {
+				return fmt.Errorf("core: predicate %q absent but endpoints non-empty", e.Pred)
+			}
+			continue
+		}
+		// Def. 2(i): v2 ∈ S(From) needs an a-successor in S(To).
+		for v2 := range sets[e.From] {
+			if !anyIn(st.Objects(pid, v2), sets[e.To]) {
+				return fmt.Errorf("core: %s=%d lacks %s-successor in %s",
+					b.Vars[e.From].Name, v2, e.Pred, b.Vars[e.To].Name)
+			}
+		}
+		// Def. 2(ii): w2 ∈ S(To) needs an a-predecessor in S(From).
+		for w2 := range sets[e.To] {
+			if !anyIn(st.Subjects(pid, w2), sets[e.From]) {
+				return fmt.Errorf("core: %s=%d lacks %s-predecessor in %s",
+					b.Vars[e.To].Name, w2, e.Pred, b.Vars[e.From].Name)
+			}
+		}
+	}
+	for i, v := range b.Vars {
+		if v.Const == nil {
+			continue
+		}
+		id, ok := st.TermID(*v.Const)
+		for n := range sets[i] {
+			if !ok || n != id {
+				return fmt.Errorf("core: constant %s contains foreign node %d", v.Name, n)
+			}
+		}
+	}
+	return nil
+}
+
+func anyIn(xs []storage.NodeID, set map[storage.NodeID]bool) bool {
+	for _, x := range xs {
+		if set[x] {
+			return true
+		}
+	}
+	return false
 }

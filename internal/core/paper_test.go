@@ -1,11 +1,12 @@
 package core
 
 import (
-	"context"
+	"slices"
 	"testing"
 
+	"dualsim/internal/bitvec"
 	"dualsim/internal/rdf"
-	"dualsim/internal/soi"
+	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
 )
 
@@ -44,13 +45,51 @@ func fig1a(t *testing.T) *storage.Store {
 	return st
 }
 
-// patternX1 is the graph representation of query (X1), Fig. 1(b).
-func patternX1() *Pattern {
-	p := NewPattern()
-	p.Edge("director", "directed", "movie")
-	p.Edge("director", "worked_with", "coworker")
-	return p
+// queryX1 spells the graph representation of query (X1), Fig. 1(b).
+const queryX1 = `SELECT * WHERE { ?director <directed> ?movie . ?director <worked_with> ?coworker . }`
+
+// simulate lowers the pattern graph spelled by the basic graph pattern
+// src and solves its one branch.
+func simulate(t *testing.T, st *storage.Store, src string) *BranchSolution {
+	t.Helper()
+	rel, err := QueryDualSimulation(st, sparql.MustParse(src), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Branches) != 1 {
+		t.Fatalf("branches = %d, want 1", len(rel.Branches))
+	}
+	return rel.Branches[0]
 }
+
+// set returns χ of the named SOI variable as a node set (nil when the
+// branch has no such variable).
+func (bs *BranchSolution) set(name string) map[storage.NodeID]bool {
+	i, ok := bs.Branch.varNamed(name)
+	if !ok {
+		return nil
+	}
+	return bs.sets()[i]
+}
+
+// sets returns every χ row as a node set, indexed like Branch.Vars.
+func (bs *BranchSolution) sets() []map[storage.NodeID]bool {
+	out := make([]map[storage.NodeID]bool, len(bs.Sol.Chi))
+	for i, c := range bs.Sol.Chi {
+		out[i] = make(map[storage.NodeID]bool, c.Count())
+		c.ForEach(func(n int) bool { out[i][storage.NodeID(n)] = true; return true })
+	}
+	return out
+}
+
+// isEmpty reports whether the relation is the empty dual simulation —
+// every variable's χ row is empty.
+func (bs *BranchSolution) isEmpty() bool {
+	return !slices.ContainsFunc(bs.Sol.Chi, func(c *bitvec.Vector) bool { return !c.IsEmpty() })
+}
+
+// constName is the SOI variable name of a constant endpoint.
+func constName(t rdf.Term) string { return "const:" + t.Key() }
 
 func nodeSet(t *testing.T, st *storage.Store, names ...string) map[storage.NodeID]bool {
 	t.Helper()
@@ -82,17 +121,17 @@ func sameSet(a, b map[storage.NodeID]bool) bool {
 // of the two homomorphic result subgraphs.
 func TestRelation2(t *testing.T) {
 	st := fig1a(t)
-	rel := DualSimulation(st, patternX1(), Config{})
-	if got, want := rel.Set("director"), nodeSet(t, st, "B._De_Palma", "G._Hamilton"); !sameSet(got, want) {
+	rel := simulate(t, st, queryX1)
+	if got, want := rel.set("director"), nodeSet(t, st, "B._De_Palma", "G._Hamilton"); !sameSet(got, want) {
 		t.Fatalf("director = %v, want %v", got, want)
 	}
-	if got, want := rel.Set("movie"), nodeSet(t, st, "Mission:_Impossible", "Goldfinger"); !sameSet(got, want) {
+	if got, want := rel.set("movie"), nodeSet(t, st, "Mission:_Impossible", "Goldfinger"); !sameSet(got, want) {
 		t.Fatalf("movie = %v, want %v", got, want)
 	}
-	if got, want := rel.Set("coworker"), nodeSet(t, st, "D._Koepp", "H._Saltzman"); !sameSet(got, want) {
+	if got, want := rel.set("coworker"), nodeSet(t, st, "D._Koepp", "H._Saltzman"); !sameSet(got, want) {
 		t.Fatalf("coworker = %v, want %v", got, want)
 	}
-	if err := rel.Pattern.VerifyDualSimulation(st, rel.Sets()); err != nil {
+	if err := rel.Branch.VerifyDualSimulation(st, rel.sets()); err != nil {
 		t.Fatalf("not a dual simulation: %v", err)
 	}
 }
@@ -111,21 +150,16 @@ func fig2b(t *testing.T) *storage.Store {
 	return st
 }
 
-// patternFig2a is the pattern of Fig. 2(a).
-func patternFig2a() *Pattern {
-	p := NewPattern()
-	p.Edge("director1", "born_in", "place")
-	p.Edge("director2", "born_in", "place")
-	p.Edge("director1", "worked_with", "coworker")
-	p.Edge("director2", "directed", "movie")
-	return p
-}
+// queryFig2a spells the pattern of Fig. 2(a).
+const queryFig2a = `SELECT * WHERE {
+  ?director1 <born_in> ?place . ?director2 <born_in> ?place .
+  ?director1 <worked_with> ?coworker . ?director2 <directed> ?movie . }`
 
 // TestRelation1 reproduces the paper's dual simulation (1) between
 // Fig. 2(a) and Fig. 2(b).
 func TestRelation1(t *testing.T) {
 	st := fig2b(t)
-	rel := DualSimulation(st, patternFig2a(), Config{})
+	rel := simulate(t, st, queryFig2a)
 	want := map[string][]string{
 		"place":     {"place"},
 		"director1": {"director"},
@@ -134,7 +168,7 @@ func TestRelation1(t *testing.T) {
 		"movie":     {"movie"},
 	}
 	for v, nodes := range want {
-		if got := rel.Set(v); !sameSet(got, nodeSet(t, st, nodes...)) {
+		if got := rel.set(v); !sameSet(got, nodeSet(t, st, nodes...)) {
 			t.Fatalf("%s = %v, want %v", v, got, nodes)
 		}
 	}
@@ -143,8 +177,7 @@ func TestRelation1(t *testing.T) {
 // TestFig2bDualSimulatesX1 verifies "the graph in Fig. 2(b) dual simulates
 // the graph representation of (X1)" — place is simply not a pattern node.
 func TestFig2bDualSimulatesX1(t *testing.T) {
-	rel := DualSimulation(fig2b(t), patternX1(), Config{})
-	if rel.IsEmpty() {
+	if simulate(t, fig2b(t), queryX1).isEmpty() {
 		t.Fatal("expected non-empty dual simulation")
 	}
 }
@@ -163,8 +196,8 @@ func TestFig2aVsX1Empty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := DualSimulation(st, patternX1(), Config{}); !rel.IsEmpty() {
-		t.Fatalf("expected empty, got director=%v", rel.Set("director"))
+	if rel := simulate(t, st, queryX1); !rel.isEmpty() {
+		t.Fatalf("expected empty, got director=%v", rel.set("director"))
 	}
 	// X1's graph as data, Fig. 2(a) as pattern: no born_in edges at all.
 	st2, err := storage.FromTriples([]rdf.Triple{
@@ -174,7 +207,7 @@ func TestFig2aVsX1Empty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := DualSimulation(st2, patternFig2a(), Config{}); !rel.IsEmpty() {
+	if !simulate(t, st2, queryFig2a).isEmpty() {
 		t.Fatal("expected empty dual simulation")
 	}
 }
@@ -194,16 +227,12 @@ func TestFig4Counterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPattern()
-	p.Edge("v", "knows", "w")
-	p.Edge("w", "knows", "v")
-
-	rel := DualSimulation(st, p, Config{})
+	rel := simulate(t, st, `SELECT * WHERE { ?v <knows> ?w . ?w <knows> ?v . }`)
 	all := nodeSet(t, st, "p1", "p2", "p3", "p4")
-	if got := rel.Set("v"); !sameSet(got, all) {
+	if got := rel.set("v"); !sameSet(got, all) {
 		t.Fatalf("v = %v, want all four nodes", got)
 	}
-	if got := rel.Set("w"); !sameSet(got, all) {
+	if got := rel.set("w"); !sameSet(got, all) {
 		t.Fatalf("w = %v, want all four nodes", got)
 	}
 	// p4 is in no match: matches need mutual knows pairs, and p4 has none.
@@ -217,20 +246,16 @@ func TestFig4Counterexample(t *testing.T) {
 }
 
 // TestConstants exercises the Sect. 4.5 constant-node extension: binding
-// ?g to the constant Action restricts movies to those with genre Action.
+// the genre node to the constant Action restricts movies to those with
+// genre Action.
 func TestConstants(t *testing.T) {
 	st := fig1a(t)
-	p := NewPattern()
-	p.Edge("director", "directed", "movie")
-	p.Edge("movie", "genre", "g")
-	p.Bind("g", rdf.NewIRI("Action"))
-
-	rel := DualSimulation(st, p, Config{})
-	if got, want := rel.Set("movie"), nodeSet(t, st, "Mission:_Impossible", "Goldfinger"); !sameSet(got, want) {
+	rel := simulate(t, st, `SELECT * WHERE { ?director <directed> ?movie . ?movie <genre> <Action> . }`)
+	if got, want := rel.set("movie"), nodeSet(t, st, "Mission:_Impossible", "Goldfinger"); !sameSet(got, want) {
 		t.Fatalf("movie = %v, want %v", got, want)
 	}
-	if got, want := rel.Set("g"), nodeSet(t, st, "Action"); !sameSet(got, want) {
-		t.Fatalf("g = %v, want %v", got, want)
+	if got, want := rel.set(constName(rdf.NewIRI("Action"))), nodeSet(t, st, "Action"); !sameSet(got, want) {
+		t.Fatalf("<Action> = %v, want %v", got, want)
 	}
 }
 
@@ -238,10 +263,7 @@ func TestConstants(t *testing.T) {
 // the relation.
 func TestConstantAbsentFromDB(t *testing.T) {
 	st := fig1a(t)
-	p := NewPattern()
-	p.Edge("director", "directed", "movie")
-	p.Bind("movie", rdf.NewIRI("Nonexistent_Movie"))
-	if rel := DualSimulation(st, p, Config{}); !rel.IsEmpty() {
+	if !simulate(t, st, `SELECT * WHERE { ?director <directed> <Nonexistent_Movie> . }`).isEmpty() {
 		t.Fatal("expected empty relation for absent constant")
 	}
 }
@@ -250,9 +272,7 @@ func TestConstantAbsentFromDB(t *testing.T) {
 // variables.
 func TestUnknownPredicate(t *testing.T) {
 	st := fig1a(t)
-	p := NewPattern()
-	p.Edge("a", "no_such_predicate", "b")
-	if rel := DualSimulation(st, p, Config{}); !rel.IsEmpty() {
+	if !simulate(t, st, `SELECT * WHERE { ?a <no_such_predicate> ?b . }`).isEmpty() {
 		t.Fatal("expected empty relation for unknown predicate")
 	}
 }
@@ -260,13 +280,11 @@ func TestUnknownPredicate(t *testing.T) {
 // TestLiteralEndpoints: literals participate as objects (population).
 func TestLiteralEndpoints(t *testing.T) {
 	st := fig1a(t)
-	p := NewPattern()
-	p.Edge("city", "population", "pop")
-	rel := DualSimulation(st, p, Config{})
-	if got, want := rel.Set("city"), nodeSet(t, st, "Newark", "Paris", "Saint_John"); !sameSet(got, want) {
+	rel := simulate(t, st, `SELECT * WHERE { ?city <population> ?pop . }`)
+	if got, want := rel.set("city"), nodeSet(t, st, "Newark", "Paris", "Saint_John"); !sameSet(got, want) {
 		t.Fatalf("city = %v, want %v", got, want)
 	}
-	if rel.Set("pop")[mustLit(t, st, "70063")] != true {
+	if rel.set("pop")[mustLit(t, st, "70063")] != true {
 		t.Fatal("literal 70063 missing from pop")
 	}
 }
@@ -285,18 +303,16 @@ func mustLit(t *testing.T, st *storage.Store, v string) storage.NodeID {
 // empties its own variables while a satisfiable one survives.
 func TestUnsatisfiableComponent(t *testing.T) {
 	st := fig1a(t)
-	p := NewPattern()
-	p.Edge("a", "no_such_predicate", "b")
-	p.Edge("c", "directed", "d") // separate satisfiable component
-	rel := DualSimulation(st, p, Config{})
-	if len(rel.Set("c")) == 0 {
+	// c directed d is a separate satisfiable component.
+	rel := simulate(t, st, `SELECT * WHERE { ?a <no_such_predicate> ?b . ?c <directed> ?d . }`)
+	if len(rel.set("c")) == 0 {
 		t.Fatal("component c should be non-empty")
 	}
-	if len(rel.Set("a")) != 0 {
+	if len(rel.set("a")) != 0 {
 		t.Fatal("component a should be empty")
 	}
-	if rel.IsEmpty() {
-		t.Fatal("IsEmpty should not hold: component c survives")
+	if rel.isEmpty() {
+		t.Fatal("isEmpty should not hold: component c survives")
 	}
 }
 
@@ -311,10 +327,8 @@ func TestSelfLoopPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPattern()
-	p.Edge("v", "knows", "v")
-	rel := DualSimulation(st, p, Config{})
-	if got, want := rel.Set("v"), nodeSet(t, st, "a"); !sameSet(got, want) {
+	rel := simulate(t, st, `SELECT * WHERE { ?v <knows> ?v . }`)
+	if got, want := rel.set("v"), nodeSet(t, st, "a"); !sameSet(got, want) {
 		t.Fatalf("v = %v, want {a}", got)
 	}
 }
@@ -322,49 +336,27 @@ func TestSelfLoopPattern(t *testing.T) {
 // TestIsCyclic covers the shape classifier used by the experiment
 // harness.
 func TestIsCyclic(t *testing.T) {
-	if patternX1().IsCyclic() {
-		t.Fatal("X1 is acyclic")
-	}
-	cyc := NewPattern()
-	cyc.Edge("a", "p", "b")
-	cyc.Edge("b", "q", "c")
-	cyc.Edge("a", "r", "c")
-	if !cyc.IsCyclic() {
-		t.Fatal("triangle not detected")
-	}
-	par := NewPattern()
-	par.Edge("a", "p", "b")
-	par.Edge("a", "q", "b")
-	if !par.IsCyclic() {
-		t.Fatal("parallel edges not detected as cycle")
-	}
-	two := NewPattern()
-	two.Edge("v", "knows", "w")
-	two.Edge("w", "knows", "v")
-	if !two.IsCyclic() {
-		t.Fatal("2-cycle not detected")
+	st := fig1a(t)
+	for _, c := range []struct {
+		name, src string
+		cyclic    bool
+	}{
+		{"X1", queryX1, false},
+		{"triangle", `SELECT * WHERE { ?a <p> ?b . ?b <q> ?c . ?a <r> ?c . }`, true},
+		{"parallel edges", `SELECT * WHERE { ?a <p> ?b . ?a <q> ?b . }`, true},
+		{"2-cycle", `SELECT * WHERE { ?v <knows> ?w . ?w <knows> ?v . }`, true},
+	} {
+		if got := branchOf(t, c.src, st).IsCyclic(); got != c.cyclic {
+			t.Fatalf("%s: IsCyclic = %v, want %v", c.name, got, c.cyclic)
+		}
 	}
 }
 
 // TestVerifySolutionAgainstSOI: the solver's output satisfies the system
 // it was built from (Sect. 4.5 PTIME validity check).
 func TestVerifySolutionAgainstSOI(t *testing.T) {
-	st := fig1a(t)
-	p := patternX1()
-	sys := BuildSystem(st, p, Config{})
-	sol := sys.Solve(context.Background(), soi.Options{})
-	if bad := sys.Verify(sol); bad != nil {
+	rel := simulate(t, fig1a(t), queryX1)
+	if bad := rel.Branch.Sys.Verify(rel.Sol); bad != nil {
 		t.Fatalf("solution violates %v", bad)
-	}
-}
-
-// TestPatternString covers diagnostics rendering.
-func TestPatternString(t *testing.T) {
-	p := NewPattern()
-	p.Edge("director", "directed", "movie")
-	p.Bind("movie", rdf.NewIRI("Goldfinger"))
-	want := "?director directed <Goldfinger> ."
-	if got := p.String(); got != want {
-		t.Fatalf("String = %q, want %q", got, want)
 	}
 }

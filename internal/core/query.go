@@ -84,12 +84,12 @@ type fragVar struct {
 type fragment struct {
 	vars   map[string]*fragVar
 	order  []string // deterministic variable order
-	edges  []BranchEdge2
+	edges  []fragEdge
 	copies [][2]string
 }
 
-// BranchEdge2 is a fragment edge over names (pre-index-resolution).
-type BranchEdge2 struct {
+// fragEdge is a fragment edge over names (pre-index-resolution).
+type fragEdge struct {
 	From, To string
 	Pred     string
 }
@@ -175,7 +175,7 @@ func (b *builder) buildBGP(bgp sparql.BGP) (*fragment, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.edges = append(f.edges, BranchEdge2{From: from, To: to, Pred: tp.P.Const.Value})
+		f.edges = append(f.edges, fragEdge{From: from, To: to, Pred: tp.P.Const.Value})
 	}
 	return f, nil
 }
@@ -238,7 +238,7 @@ func (b *builder) combine(l, r *fragment, optional bool) *fragment {
 		}
 		out.addVar(n, v)
 	}
-	out.edges = append(append([]BranchEdge2{}, lr.edges...), rr.edges...)
+	out.edges = append(append([]fragEdge{}, lr.edges...), rr.edges...)
 	out.copies = append(append(out.copies, lr.copies...), rr.copies...)
 	out.copies = append(out.copies, newCopies...)
 	return out
@@ -269,7 +269,7 @@ func applyRename(f *fragment, ren map[string]string) *fragment {
 		out.addVar(nm(n), *f.vars[n])
 	}
 	for _, e := range f.edges {
-		out.edges = append(out.edges, BranchEdge2{From: nm(e.From), To: nm(e.To), Pred: e.Pred})
+		out.edges = append(out.edges, fragEdge{From: nm(e.From), To: nm(e.To), Pred: e.Pred})
 	}
 	for _, c := range f.copies {
 		out.copies = append(out.copies, [2]string{nm(c[0]), nm(c[1])})

@@ -275,6 +275,16 @@ SELECT * WHERE { ?m genre <Action> . ?d directed ?m }`), Config{})
 	}
 }
 
+// TestLoweringSharesConstants: every occurrence of one constant in a
+// basic graph pattern is the same pattern node.
+func TestLoweringSharesConstants(t *testing.T) {
+	br := branchOf(t, `SELECT * WHERE { ?a <p> <k> . ?b <q> <k> }`, fig1a(t))
+	// a, b and one shared constant node for <k>.
+	if len(br.Vars) != 3 {
+		t.Fatalf("vars = %d, want 3 (constant shared)", len(br.Vars))
+	}
+}
+
 // TestEmptyQueryRelation: an unsatisfiable mandatory core yields an empty
 // relation over every branch.
 func TestEmptyQueryRelation(t *testing.T) {

@@ -15,7 +15,6 @@ package queries
 import (
 	"fmt"
 
-	"dualsim/internal/core"
 	"dualsim/internal/sparql"
 )
 
@@ -293,33 +292,4 @@ func MandatoryCore(e sparql.Expr) sparql.Expr {
 		return sparql.Union{L: MandatoryCore(x.L), R: MandatoryCore(x.R)}
 	}
 	return e
-}
-
-// ToPattern converts a UNION- and OPTIONAL-free expression into a pattern
-// graph for the baseline algorithms (Ma et al. and HHK take plain BGPs).
-func ToPattern(e sparql.Expr) (*core.Pattern, error) {
-	p := core.NewPattern()
-	constNames := make(map[string]string)
-	for _, tp := range sparql.Triples(e) {
-		if tp.P.IsVar() {
-			return nil, fmt.Errorf("queries: variable predicate in pattern")
-		}
-		name := func(t sparql.Term) string {
-			if t.IsVar() {
-				return t.Var
-			}
-			key := t.Const.Key()
-			if n, ok := constNames[key]; ok {
-				return n
-			}
-			n := fmt.Sprintf("const%d", len(constNames))
-			constNames[key] = n
-			p.Bind(n, *t.Const)
-			return n
-		}
-		from := name(tp.S)
-		to := name(tp.O)
-		p.Edge(from, tp.P.Const.Value, to)
-	}
-	return p, nil
 }

@@ -52,14 +52,25 @@ func TestDocumentedShapes(t *testing.T) {
 		if got := hasOptional(q.Expr); got != s.HasOptional {
 			t.Fatalf("%s: HasOptional = %v, spec says %v", s.ID, got, s.HasOptional)
 		}
-		corePat, err := ToPattern(MandatoryCore(q.Expr))
-		if err != nil {
-			t.Fatalf("%s: %v", s.ID, err)
-		}
-		if got := corePat.IsCyclic(); got != s.Cyclic {
+		if got := branchOf(t, MandatoryCore(q.Expr)).IsCyclic(); got != s.Cyclic {
 			t.Fatalf("%s: Cyclic = %v, spec says %v", s.ID, got, s.Cyclic)
 		}
 	}
+}
+
+// branchOf lowers an OPTIONAL- and UNION-free expression to its one
+// branch — the pattern graph it spells. The shape does not depend on the
+// data, so an empty store will do.
+func branchOf(t *testing.T, e sparql.Expr) *core.Branch {
+	t.Helper()
+	plan, err := core.BuildQueryPlan(storage.New(), &sparql.Query{Expr: e}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Branches) != 1 {
+		t.Fatalf("branches = %d, want 1", len(plan.Branches))
+	}
+	return plan.Branches[0]
 }
 
 func hasOptional(e sparql.Expr) bool {
@@ -78,27 +89,21 @@ func hasOptional(e sparql.Expr) bool {
 // of the paper's Fig. 6.
 func TestL0L1MatchFig6(t *testing.T) {
 	l0, _ := ByID("L0")
-	core0, err := ToPattern(MandatoryCore(l0.Query().Expr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core0.NumVars() != 3 || core0.NumEdges() != 3 || !core0.IsCyclic() {
+	core0 := branchOf(t, MandatoryCore(l0.Query().Expr))
+	if len(core0.Vars) != 3 || len(core0.Edges) != 3 || !core0.IsCyclic() {
 		t.Fatalf("L0 core: %d vars, %d edges, cyclic=%v; want the Fig. 6(a) triangle",
-			core0.NumVars(), core0.NumEdges(), core0.IsCyclic())
+			len(core0.Vars), len(core0.Edges), core0.IsCyclic())
 	}
 
 	l1, _ := ByID("L1")
-	core1, err := ToPattern(MandatoryCore(l1.Query().Expr))
-	if err != nil {
-		t.Fatal(err)
-	}
+	core1 := branchOf(t, MandatoryCore(l1.Query().Expr))
 	// Fig. 6(b): 5 variables + 1 constant (ub:Publication), 7 edges.
-	if core1.NumVars() != 6 || core1.NumEdges() != 7 || !core1.IsCyclic() {
+	if len(core1.Vars) != 6 || len(core1.Edges) != 7 || !core1.IsCyclic() {
 		t.Fatalf("L1 core: %d vars, %d edges, cyclic=%v; want Fig. 6(b)",
-			core1.NumVars(), core1.NumEdges(), core1.IsCyclic())
+			len(core1.Vars), len(core1.Edges), core1.IsCyclic())
 	}
 	hasConst := false
-	for _, v := range core1.Vars() {
+	for _, v := range core1.Vars {
 		if v.Const != nil && v.Const.Value == "ub:Publication" {
 			hasConst = true
 		}
@@ -206,24 +211,6 @@ func TestSpecsAgainstGenerators(t *testing.T) {
 	}
 }
 
-func TestToPatternRejectsVariablePredicate(t *testing.T) {
-	if _, err := ToPattern(sparql.MustParse(`SELECT * WHERE { ?s ?p ?o }`).Expr); err == nil {
-		t.Fatal("variable predicate accepted")
-	}
-}
-
-func TestToPatternSharesConstants(t *testing.T) {
-	pat, err := ToPattern(sparql.MustParse(
-		`SELECT * WHERE { ?a <p> <k> . ?b <q> <k> }`).Expr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a, b and one shared constant node for <k>.
-	if pat.NumVars() != 3 {
-		t.Fatalf("vars = %d, want 3 (constant shared)", pat.NumVars())
-	}
-}
-
 func TestRewritersOnUnion(t *testing.T) {
 	q := sparql.MustParse(`SELECT * WHERE {
 	  { ?a <p> ?b OPTIONAL { ?b <q> ?c } } UNION { ?a <r> ?b } }`)
@@ -241,16 +228,12 @@ func TestRewritersOnUnion(t *testing.T) {
 }
 
 // TestTable2Preparation: stripping OPTIONAL from every B query yields a
-// plain BGP convertible for the baseline algorithms.
+// plain BGP, one branch whose pattern graph the baseline algorithms read.
 func TestTable2Preparation(t *testing.T) {
 	for _, s := range BenchmarkQueries() {
-		stripped := StripOptional(s.Query().Expr)
-		pat, err := ToPattern(stripped)
-		if err != nil {
-			t.Fatalf("%s: %v", s.ID, err)
-		}
-		if pat.NumEdges() != len(sparql.Triples(s.Query().Expr)) {
-			t.Fatalf("%s: edge count mismatch", s.ID)
+		pat := branchOf(t, StripOptional(s.Query().Expr))
+		if len(pat.Edges) != len(sparql.Triples(s.Query().Expr)) || len(pat.Copies) != 0 {
+			t.Fatalf("%s: %d edges, %d copies; want %d edges, no copies", s.ID, len(pat.Edges), len(pat.Copies), len(sparql.Triples(s.Query().Expr)))
 		}
 	}
 }

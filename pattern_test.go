@@ -3,16 +3,16 @@ package dualsim_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"dualsim"
-	"dualsim/internal/bitvec"
+	"dualsim/internal/baseline"
 	"dualsim/internal/core"
 	"dualsim/internal/proptest"
-	"dualsim/internal/queries"
 	"dualsim/internal/rdf"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
@@ -45,26 +45,38 @@ func candidateIDs(st *dualsim.Store, rel *dualsim.Relation, v string) []storage.
 	return ids
 }
 
-// patternIDs is a pattern relation's χ row of a variable as node ids.
-func patternIDs(rel *core.Relation, v string) []storage.NodeID {
-	var ids []storage.NodeID
-	for id := range rel.Set(v) {
-		ids = append(ids, id)
-	}
+// simIDs is a baseline's sim set as sorted node ids.
+func simIDs(sim map[storage.NodeID]bool) []storage.NodeID {
+	ids := slices.Collect(maps.Keys(sim))
 	slices.Sort(ids)
 	return ids
 }
 
-// TestPropertyDualSimulateMatchesPattern pins the equivalence that stands
-// in for a pattern-graph entry point on the session: DB.DualSimulate of a
-// basic graph pattern, constants in place of bound nodes, is the largest
-// dual simulation core.DualSimulation computes for the pattern graph it
-// spells (queries.ToPattern, also Table 2's path). Per variable the χ
+// patternBranch is the one branch of a basic graph pattern: the pattern
+// graph it spells, constants where it binds a node.
+func patternBranch(tb testing.TB, st *storage.Store, bgp sparql.Expr) *core.Branch {
+	tb.Helper()
+	plan, err := core.BuildQueryPlan(st, &sparql.Query{Expr: bgp}, core.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(plan.Branches) != 1 {
+		tb.Fatalf("%v: %d branches, want 1", bgp, len(plan.Branches))
+	}
+	return plan.Branches[0]
+}
+
+// TestPropertyDualSimulateMatchesBaselines pins the equivalence that
+// stands in for a pattern-graph entry point on the session: DB.DualSimulate
+// of a basic graph pattern, constants in place of bound nodes, is the
+// largest dual simulation of the pattern graph it spells, as Ma et al.
+// and HHK compute it on the pattern's branch (Table 2's path) — two
+// implementations that share no code with the solver. Per variable the χ
 // sets are equal, and the session reports the query empty exactly when a
-// pattern node's χ is empty (Theorem 1) — then it reports every variable
-// empty, while the pattern relation keeps the rows of any component that
+// pattern node's set is empty (Theorem 1) — then it reports every
+// variable empty, while the baselines keep the sets of any component that
 // is not.
-func TestPropertyDualSimulateMatchesPattern(t *testing.T) {
+func TestPropertyDualSimulateMatchesBaselines(t *testing.T) {
 	ctx := context.Background()
 
 	// Fig. 1(a): the movies of the directors of action movies.
@@ -80,11 +92,7 @@ func TestPropertyDualSimulateMatchesPattern(t *testing.T) {
 	if movies := termValues(rel.Candidates("movie")); strings.Join(movies, ",") != "Goldfinger,Mission:_Impossible" {
 		t.Fatalf("movies = %v", movies)
 	}
-	pat, err := queries.ToPattern(bound.Expr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pat.IsCyclic() {
+	if patternBranch(t, st, bound.Expr).IsCyclic() {
 		t.Fatal("pattern is acyclic")
 	}
 
@@ -117,13 +125,10 @@ func TestPropertyDualSimulateMatchesPattern(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pat, err := queries.ToPattern(bgp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := core.DualSimulation(st, pat, core.Config{})
+		pat := patternBranch(t, st, bgp)
+		ma, hhk := baseline.MaEtAl(st, pat), baseline.HHK(st, pat)
 
-		unsat := slices.ContainsFunc(want.Chi, (*bitvec.Vector).IsEmpty)
+		unsat := slices.ContainsFunc(ma.Sim, func(s map[storage.NodeID]bool) bool { return len(s) == 0 })
 		if got.Empty() != unsat {
 			t.Logf("seed %d: %v: session empty %v, a pattern node empty %v", seed, bgp, got.Empty(), unsat)
 			return false
@@ -132,16 +137,23 @@ func TestPropertyDualSimulateMatchesPattern(t *testing.T) {
 		if unsat {
 			empty++
 		}
-		if len(sparql.Vars(bgp)) < len(pat.Vars()) {
+		if len(sparql.Vars(bgp)) < len(pat.Vars) {
 			constants++
 		}
-		for _, v := range sparql.Vars(bgp) {
-			g, w := candidateIDs(st, got, v), patternIDs(want, v)
+		for i, pv := range pat.Vars {
+			w, h := simIDs(ma.Sim[i]), simIDs(hhk.Sim[i])
+			if !slices.Equal(w, h) {
+				t.Logf("seed %d: %v: sim(%s) = %v by Ma et al., %v by HHK", seed, bgp, pv.Name, w, h)
+				return false
+			}
+			if pv.Const != nil {
+				continue
+			}
 			if unsat {
 				w = nil
 			}
-			if !slices.Equal(g, w) || got.CandidateCount(v) != len(w) {
-				t.Logf("seed %d: %v: χ(%s) = %v, pattern %v", seed, bgp, v, g, w)
+			if g := candidateIDs(st, got, pv.Orig); !slices.Equal(g, w) || got.CandidateCount(pv.Orig) != len(w) {
+				t.Logf("seed %d: %v: χ(%s) = %v, baselines %v", seed, bgp, pv.Orig, g, w)
 				return false
 			}
 		}

@@ -269,35 +269,35 @@ func (pq *PreparedQuery) Exec(ctx context.Context) (*Result, *ExecStats, error) 
 }
 
 // attachOperatorSpans grafts the executor's per-operator counters as a
-// span tree under the evaluate span, rebuilding the plan-tree shape from
-// the post-order operator list and each entry's Depth. No-op when sp is
-// nil (tracing disabled).
+// span tree under the evaluate span, in the plan-tree shape operatorTree
+// rebuilds for EXPLAIN. No-op when sp is nil (tracing disabled).
 func attachOperatorSpans(sp *trace.Span, ops []OperatorStats) {
-	if sp == nil || len(ops) == 0 {
+	if sp == nil {
 		return
 	}
-	// In a post-order walk, a node's children are exactly the pending
-	// subtrees one level deeper when the node appears.
-	pending := make(map[int][]*trace.Span)
-	for _, op := range ops {
-		s := &trace.Span{Name: "op." + op.Op, Duration: op.Time}
-		if op.Detail != "" {
-			s.Attrs = map[string]string{"detail": op.Detail}
-		}
-		s.Counters = map[string]int64{"rows": op.Rows, "nextCalls": op.NextCalls}
-		if op.Filtered > 0 {
-			s.Counters["filtered"] = op.Filtered
-		}
-		if op.EstRows > 0 {
-			s.Counters["estRows"] = int64(op.EstRows)
-		}
-		s.Children = pending[op.Depth+1]
-		delete(pending, op.Depth+1)
-		pending[op.Depth] = append(pending[op.Depth], s)
+	for _, n := range operatorTree(ops) {
+		sp.Attach(n.span())
 	}
-	for _, s := range pending[0] {
-		sp.Attach(s)
+}
+
+// span renders the operator and its subtree as "op.*" spans.
+func (n *explainNode) span() *trace.Span {
+	op := n.op
+	s := &trace.Span{Name: "op." + op.Op, Duration: op.Time}
+	if op.Detail != "" {
+		s.Attrs = map[string]string{"detail": op.Detail}
 	}
+	s.Counters = map[string]int64{"rows": op.Rows, "nextCalls": op.NextCalls}
+	if op.Filtered > 0 {
+		s.Counters["filtered"] = op.Filtered
+	}
+	if op.EstRows > 0 {
+		s.Counters["estRows"] = int64(op.EstRows)
+	}
+	for _, c := range n.children {
+		s.Children = append(s.Children, c.span())
+	}
+	return s
 }
 
 // StageStats reports one pipeline stage of one execution.
