@@ -2,6 +2,7 @@ package queries
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"dualsim/internal/core"
@@ -207,6 +208,22 @@ func TestSpecsAgainstGenerators(t *testing.T) {
 		}
 		if sparql.IsWellDesigned(q.Expr) && !pres.Equal(res) {
 			t.Fatalf("%s: pruned result differs (%d vs %d rows)", s.ID, pres.Len(), res.Len())
+		}
+	}
+}
+
+// TestToPatternRejectsVariablePredicate: lowering a BGP to its pattern
+// graph (the one branch branchOf reads) needs constant predicates, also
+// after StripOptional.
+func TestToPatternRejectsVariablePredicate(t *testing.T) {
+	for _, text := range []string{
+		`SELECT * WHERE { ?s ?p ?o }`,
+		`SELECT * WHERE { ?s <p> ?o OPTIONAL { ?o ?q ?r } }`,
+	} {
+		e := StripOptional(sparql.MustParse(text).Expr)
+		_, err := core.BuildQueryPlan(storage.New(), &sparql.Query{Expr: e}, core.Config{})
+		if err == nil || !strings.Contains(err.Error(), "predicate") {
+			t.Fatalf("%s: err = %v, want a variable-predicate rejection", text, err)
 		}
 	}
 }
