@@ -367,16 +367,55 @@ func (c *Client) Ready(ctx context.Context) (*HealthResponse, error) {
 	return &out, nil
 }
 
+// ExportedSlice is one answer of Export.
+type ExportedSlice struct {
+	// Store holds the slice: exactly the triples of the named predicates
+	// and the terms they use. Nil when NotModified.
+	Store *dualsim.Store
+	// Epoch is the epoch the slice was taken at.
+	Epoch uint64
+	// ETag is the slice's validator, "<session nonce>-<epoch>" quoted:
+	// it names this state of this served session and no other.
+	ETag string
+	// Size is the container's length on the wire, 0 when NotModified.
+	Size int
+	// NotModified reports a 304: the server's current validator, ETag,
+	// is one of those the caller holds, so its slice is still current.
+	NotModified bool
+}
+
 // Export fetches every triple of the named predicates at one pinned
 // epoch (GET /v1/export) — the cluster router's cross-shard gather path.
 // The slice arrives in the snapshot container and decodes into a store
-// of its own, holding exactly those triples and the terms they use;
-// size is the container's length on the wire.
-func (c *Client) Export(ctx context.Context, preds []string) (st *dualsim.Store, epoch uint64, size int, err error) {
+// of its own. held lists validators (ETags of earlier answers for the
+// same predicates) the caller still has the slice of; when the server's
+// current validator is among them it answers 304 without encoding
+// anything, and the result reports NotModified with that validator.
+func (c *Client) Export(ctx context.Context, preds []string, held ...string) (*ExportedSlice, error) {
 	if len(preds) == 0 {
-		return nil, 0, 0, fmt.Errorf("client: export needs at least one predicate")
+		return nil, fmt.Errorf("client: export needs at least one predicate")
 	}
-	return c.fetchSnapshot(ctx, "/v1/export?"+url.Values{"pred": preds}.Encode())
+	var hdr http.Header
+	if len(held) > 0 {
+		hdr = http.Header{"If-None-Match": {strings.Join(held, ", ")}}
+	}
+	resp, err := c.doHdr(ctx, "GET", "/v1/export?"+url.Values{"pred": preds}.Encode(), nil, "", true, hdr)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	out := &ExportedSlice{ETag: resp.Header.Get("ETag"), NotModified: resp.StatusCode == http.StatusNotModified}
+	if out.NotModified {
+		if out.Epoch, err = strconv.ParseUint(resp.Header.Get("X-Dualsim-Epoch"), 10, 64); err != nil {
+			return nil, fmt.Errorf("client: export not modified, with a malformed epoch header: %w", err)
+		}
+		return out, nil
+	}
+	out.Store, out.Epoch, out.Size, err = decodeSnapshot(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // BootstrapSnapshot downloads the server's streamed bootstrap snapshot
@@ -384,19 +423,19 @@ func (c *Client) Export(ctx context.Context, preds []string) (st *dualsim.Store,
 // it represents. A replica opens a session at that epoch and tails the
 // WAL from there.
 func (c *Client) BootstrapSnapshot(ctx context.Context) (*dualsim.Store, uint64, error) {
-	st, epoch, _, err := c.fetchSnapshot(ctx, "/v1/wal/snapshot")
+	resp, err := c.do(ctx, "GET", "/v1/wal/snapshot", nil, "", true)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer resp.Body.Close()
+	st, epoch, _, err := decodeSnapshot(resp.Body)
 	return st, epoch, err
 }
 
-// fetchSnapshot GETs one snapshot container and decodes it with the
+// decodeSnapshot reads one snapshot container and decodes it with the
 // reader checkpoints use: magic, version, CRC and the body's bounds.
-func (c *Client) fetchSnapshot(ctx context.Context, path string) (*dualsim.Store, uint64, int, error) {
-	resp, err := c.do(ctx, "GET", path, nil, "", true)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(resp.Body)
+func decodeSnapshot(body io.Reader) (*dualsim.Store, uint64, int, error) {
+	blob, err := io.ReadAll(body)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -824,7 +863,9 @@ func (c *Client) doHdr(ctx context.Context, method, path string, body []byte, co
 			if !idempotent || attempt >= c.retries {
 				return nil, lastErr
 			}
-		case resp.StatusCode < 300:
+		case resp.StatusCode < 300, resp.StatusCode == http.StatusNotModified:
+			// 304 answers a conditional request (Export): the caller's
+			// copy is current, which is a success.
 			return resp, nil
 		default:
 			ae := readAPIError(resp)

@@ -509,18 +509,27 @@ func TestClientReplication(t *testing.T) {
 		t.Fatalf("tail events = %+v", got)
 	}
 
-	ex, exEpoch, size, err := c.Export(ctx, []string{"directed", "directed"})
+	ex, err := c.Export(ctx, []string{"directed", "directed"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pid, _ := db.Store().PredIDOf("directed")
-	if exEpoch != 1 || ex.NumPreds() != 1 || ex.NumTriples() != db.Store().PredCount(pid) || size == 0 {
-		t.Fatalf("export: epoch %d, %d predicates, %d triples, %d bytes", exEpoch, ex.NumPreds(), ex.NumTriples(), size)
+	if ex.NotModified || ex.ETag == "" || ex.Epoch != 1 || ex.Store.NumPreds() != 1 || ex.Store.NumTriples() != db.Store().PredCount(pid) || ex.Size == 0 {
+		t.Fatalf("export: %+v, %d predicates, %d triples", ex, ex.Store.NumPreds(), ex.Store.NumTriples())
 	}
-	for _, tr := range ex.Triples() {
+	for _, tr := range ex.Store.Triples() {
 		if tr.P != "directed" {
 			t.Fatalf("export leaked predicate %q", tr.P)
 		}
+	}
+	// Holding the current validator (beside one that names nothing), the
+	// export reports not modified, with the same validator and epoch.
+	again, err := c.Export(ctx, []string{"directed"}, `"stale-0"`, ex.ETag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.NotModified || again.Store != nil || again.ETag != ex.ETag || again.Epoch != 1 || again.Size != 0 {
+		t.Fatalf("conditional export holding the current validator: %+v", again)
 	}
 
 	if _, err := db.Checkpoint(ctx); err != nil {

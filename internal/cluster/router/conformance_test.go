@@ -449,36 +449,55 @@ func TestEscapedTermsConformance(t *testing.T) {
 				}
 			}
 
-			buffered, err := c.Query(ctx, q)
+			gathered := b.name == "router" && strings.Contains(q, "OPTIONAL")
+			var qopts []client.QueryOpt
+			if gathered {
+				qopts = append(qopts, client.Trace())
+			}
+			buffered, err := c.Query(ctx, q, qopts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("buffered", buffered.Rows)
-			if b.name == "router" && strings.Contains(q, "OPTIONAL") {
+			if gathered {
 				// <has>, <sees> and <opt> do not share a shard of 2, so the
-				// literals cross the wire in the export's snapshot codec.
+				// literals cross the wire in the export's snapshot codec:
+				// the first execution ships every triple, the repeat none.
+				exports := func(traced *client.QueryResponse, unchanged bool) {
+					t.Helper()
+					br := traced.Stats.Trace.Find("branch")
+					if br == nil || br.Attrs["mode"] != "gather" {
+						t.Fatalf("%s: branch span %+v, want mode=gather", q, br)
+					}
+					n, triples := 0, int64(0)
+					for _, e := range br.Children {
+						if e.Name != "export" {
+							continue
+						}
+						n++
+						triples += e.Counters["triples"]
+						if got := e.Attrs["unchanged"] == "true"; got != unchanged {
+							t.Errorf("export span %+v: unchanged %v, want %v", e, got, unchanged)
+						}
+						if (e.Counters["bytes"] > 0) == unchanged {
+							t.Errorf("export span %+v: bytes counter wrong for unchanged=%v", e, unchanged)
+						}
+					}
+					want := int64(full.NumTriples())
+					if unchanged {
+						want = 0
+					}
+					if n != 2 || triples != want {
+						t.Errorf("%d export spans counting %d triples, want 2 and %d", n, triples, want)
+					}
+				}
+				exports(buffered, false)
 				traced, err := c.Query(ctx, q, client.Trace())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if br := traced.Stats.Trace.Find("branch"); br == nil || br.Attrs["mode"] != "gather" {
-					t.Fatalf("%s: branch span %+v, want mode=gather", q, br)
-				} else {
-					exports, triples := 0, int64(0)
-					for _, e := range br.Children {
-						if e.Name == "export" {
-							exports++
-							triples += e.Counters["triples"]
-							if e.Counters["bytes"] <= 0 {
-								t.Errorf("export span %+v carries no bytes counter", e)
-							}
-						}
-					}
-					if exports != 2 || triples != int64(full.NumTriples()) {
-						t.Errorf("%d export spans counting %d triples, want 2 and %d", exports, triples, full.NumTriples())
-					}
-				}
-				check("buffered, traced", traced.Rows)
+				exports(traced, true)
+				check("buffered, repeated", traced.Rows)
 			}
 
 			st, err := c.QueryStream(ctx, q)

@@ -18,9 +18,10 @@ import (
 	"dualsim/internal/proptest"
 )
 
-// regressionSeeds pins the counterexamples TestPropertyRouterMatchesSingleNode
-// has found; proptest.Check replays them before exploring.
-var regressionSeeds []int64
+// regressionSeeds and epochSeeds pin the counterexamples
+// TestPropertyRouterMatchesSingleNode and TestPropertyRouterAcrossEpochs
+// have found; proptest.Check replays them before exploring.
+var regressionSeeds, epochSeeds []int64
 
 // Odd terms: the literals need every escape of the row codec, the IRIs
 // carry a quote, a backslash and the bytes encoding/json escapes for HTML.
@@ -148,6 +149,31 @@ func canonicalLess(x, y []*string) bool {
 	return false
 }
 
+// startRouters serves full over 2 and over 3 predicate-hash shards, each
+// behind a probed router, keyed by the shard count.
+func startRouters(t *testing.T, full *dualsim.Store) (map[int]*Router, map[int]string) {
+	routers, urls := map[int]*Router{}, map[int]string{}
+	for _, n := range []int{2, 3} {
+		var endpoints [][]string
+		for i := 0; i < n; i++ {
+			st, err := cluster.ShardStore(full, cluster.ShardSpec{Index: i, N: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			endpoints = append(endpoints, []string{startShard(t, st).URL})
+		}
+		rt, err := New(endpoints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Probe(context.Background())
+		hs := httptest.NewServer(rt.Handler())
+		t.Cleanup(hs.Close)
+		routers[n], urls[n] = rt, hs.URL
+	}
+	return routers, urls
+}
+
 // TestPropertyRouterMatchesSingleNode is the router's differential
 // property: over 2 and 3 predicate-hash shards, a random top-level UNION
 // — branches whose answers overlap, branches that differ only in an
@@ -159,7 +185,6 @@ func canonicalLess(x, y []*string) bool {
 // by the pushed-down limit, and otherwise as many distinct rows of the
 // answer, in that order.
 func TestPropertyRouterMatchesSingleNode(t *testing.T) {
-	ctx := context.Background()
 	var overlaps, windows, gathers, zeroWidth int
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -169,25 +194,7 @@ func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 			return false
 		}
 		single := startShard(t, full).URL
-		routers, urls := map[int]*Router{}, map[int]string{}
-		for _, n := range []int{2, 3} {
-			var endpoints [][]string
-			for i := 0; i < n; i++ {
-				st, err := cluster.ShardStore(full, cluster.ShardSpec{Index: i, N: n})
-				if err != nil {
-					t.Fatal(err)
-				}
-				endpoints = append(endpoints, []string{startShard(t, st).URL})
-			}
-			rt, err := New(endpoints)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt.Probe(ctx)
-			hs := httptest.NewServer(rt.Handler())
-			t.Cleanup(hs.Close)
-			routers[n], urls[n] = rt, hs.URL
-		}
+		routers, urls := startRouters(t, full)
 
 		for qi := 0; qi < 4; qi++ {
 			src, branches := diffQuery(r)
@@ -279,5 +286,158 @@ func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 	if overlaps == 0 || windows == 0 || gathers == 0 || zeroWidth == 0 {
 		t.Errorf("generator coverage: %d overlapping unions, %d windows, %d gathered branches, %d zero-width branches; want each > 0",
 			overlaps, windows, gathers, zeroWidth)
+	}
+}
+
+// diffDelta draws a delta over one predicate (now and then two), so it
+// moves one shard's epoch and leaves the others': adds over the
+// generator's nodes and literals, and deletes of triples the store holds.
+func diffDelta(r *rand.Rand, have []dualsim.Triple) dualsim.Delta {
+	preds := []string{"p" + strconv.Itoa(r.Intn(5))}
+	if p := "p" + strconv.Itoa(r.Intn(5)); r.Intn(4) == 0 && p != preds[0] {
+		preds = append(preds, p)
+	}
+	var d dualsim.Delta
+	for _, p := range preds {
+		for range 1 + r.Intn(3) {
+			s := diffNodes[r.Intn(len(diffNodes))]
+			if r.Intn(4) == 0 {
+				d.Adds = append(d.Adds, dualsim.TL(s, p, diffLiterals[r.Intn(len(diffLiterals))]))
+			} else {
+				d.Adds = append(d.Adds, dualsim.T(s, p, diffNodes[r.Intn(len(diffNodes))]))
+			}
+		}
+		for _, tr := range have {
+			if tr.P == p && r.Intn(3) == 0 && !slices.Contains(d.Adds, tr) {
+				d.Dels = append(d.Dels, tr)
+			}
+		}
+	}
+	return d
+}
+
+// applied is ts after d (whose adds and deletes are disjoint), in order,
+// without repeats.
+func applied(ts []dualsim.Triple, d dualsim.Delta) []dualsim.Triple {
+	var out []dualsim.Triple
+	for _, tr := range append(ts, d.Adds...) {
+		if !slices.Contains(d.Dels, tr) && !slices.Contains(out, tr) {
+			out = append(out, tr)
+		}
+	}
+	return out
+}
+
+// heldExactly checks that every gather the router holds has exactly the
+// terms its triples use, as a union of fresh slices has. Gathers are
+// assembled over the held slices of earlier ones; were storage.Union to
+// intern into its first part, a later union over that part would carry
+// the terms of an earlier one too.
+func heldExactly(rt *Router) error {
+	rt.held.mu.Lock()
+	defer rt.held.mu.Unlock()
+	for _, h := range rt.held.held {
+		st := h.db.Store()
+		used := map[dualsim.Term]bool{}
+		for _, tr := range st.Triples() {
+			used[tr.S], used[tr.O] = true, true
+		}
+		if st.NumNodes() != len(used) {
+			return fmt.Errorf("held gather %v has %d terms, its %d triples use %d", h.key, st.NumNodes(), st.NumTriples(), len(used))
+		}
+	}
+	return nil
+}
+
+// TestPropertyRouterAcrossEpochs is the differential property across
+// epochs: the same texts run again and again over 2 and 3 shards, with a
+// random delta applied through each router and to the single node
+// between the rounds, and every execution answers the single node's
+// rows at that epoch (as a set, vars in some order). A repeat meets held
+// gathers; a delta moves one or two predicates' shards, so the next
+// gather finds some slices unchanged and others not.
+func TestPropertyRouterAcrossEpochs(t *testing.T) {
+	ctx := context.Background()
+	var gathers, reuses int
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		have := diffStore(r)
+		full, err := dualsim.FromTriples(have)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		single := startShard(t, full).URL
+		routers, urls := startRouters(t, full)
+		texts := make([]string, 3)
+		for i := range texts {
+			src, _ := diffQuery(r)
+			if i := strings.Index(src, " LIMIT "); i >= 0 {
+				src = src[:i]
+			}
+			texts[i] = src
+		}
+		sc, err := client.New(single)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 5; round++ {
+			for rep := 0; rep < 2; rep++ {
+				for _, src := range texts {
+					want := queryVia(t, single, src)
+					for _, n := range []int{2, 3} {
+						got := queryVia(t, urls[n], src)
+						rows, ok := inOrder(want, got.Vars)
+						if !ok {
+							t.Logf("seed %d, round %d, %d shards, %s: vars %v, single node %v", seed, round, n, src, got.Vars, want.Vars)
+							return false
+						}
+						keys, wantKeys := make([]string, len(got.Rows)), make([]string, len(rows))
+						for i, row := range got.Rows {
+							keys[i] = rowKey(row)
+						}
+						for i, row := range rows {
+							wantKeys[i] = rowKey(row)
+						}
+						sort.Strings(keys)
+						sort.Strings(wantKeys)
+						if !reflect.DeepEqual(keys, wantKeys) {
+							t.Logf("seed %d, round %d, %d shards, %s:\n router %q\n single %q", seed, round, n, src, keys, wantKeys)
+							return false
+						}
+					}
+				}
+			}
+			for n, rt := range routers {
+				if err := heldExactly(rt); err != nil {
+					t.Logf("seed %d, round %d, %d shards: %v", seed, round, n, err)
+					return false
+				}
+			}
+			d := diffDelta(r, have)
+			have = applied(have, d)
+			for _, n := range []int{2, 3} {
+				rc, err := client.New(urls[n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rc.ApplyDelta(ctx, d); err != nil {
+					t.Fatalf("seed %d: apply via %d shards: %v", seed, n, err)
+				}
+			}
+			if _, err := sc.ApplyDelta(ctx, d); err != nil {
+				t.Fatalf("seed %d: apply: %v", seed, err)
+			}
+		}
+		for _, rt := range routers {
+			gathers += int(rt.gathers.Value())
+			reuses += int(rt.reuses.Value())
+		}
+		return true
+	}
+	proptest.Check(t, f, 20, epochSeeds)
+	t.Logf("%d gathered branches, %d answered on a held session", gathers, reuses)
+	if reuses == 0 || reuses == gathers {
+		t.Errorf("generator coverage: %d gathered branches, %d reuses; want reuses and misses", gathers, reuses)
 	}
 }

@@ -28,6 +28,17 @@
 //     Shipping partial RESULTS instead would be wrong: a cross-shard
 //     join cannot be merged row-wise, and OPTIONAL over partial data
 //     manufactures spurious unextended rows.
+//     The assembled union is held, open as a session, keyed by the
+//     shards and predicates it gathered and by each slice's validator
+//     (the export's ETag, "<session nonce>-<epoch>"), together with the
+//     slices it was built from. Every export is conditional on the
+//     validators of the slices held for it, so a gather is one round
+//     whatever it finds: a shard that answers 304 names a held slice,
+//     the others send theirs. When one held union was built from
+//     exactly the slices named, the branch runs on it; otherwise the
+//     named slices are united anew (storage.Union modifies no part).
+//     That is exact: a 304 proves that the same served session is at
+//     the same epoch, so its slice is the one held.
 //
 // Deeper UNIONs stay inside their branch and are evaluated natively by
 // whichever engine runs the branch. Branch results merge exactly like
@@ -220,8 +231,14 @@ type Router struct {
 	shards []*shard
 	cfg    config
 
+	// held are the assembled gathers; empty is the session over the empty
+	// store a constant-free branch runs on.
+	held  gatherCache
+	empty *dualsim.DB
+
 	pushdowns *metrics.Counter
 	gathers   *metrics.Counter
+	reuses    *metrics.Counter
 	failovers *metrics.Counter
 }
 
@@ -238,7 +255,15 @@ func New(shardEndpoints [][]string, opts ...Option) (*Router, error) {
 			return nil, err
 		}
 	}
-	r := &Router{cfg: cfg}
+	none, err := storage.Union()
+	if err != nil {
+		return nil, err
+	}
+	empty, err := dualsim.Open(none)
+	if err != nil {
+		return nil, err
+	}
+	r := &Router{cfg: cfg, empty: empty}
 	// A traced query gets a "router.fanout" root span; each branch hangs
 	// under it with its mode and, for push-downs, the shard's own subtree
 	// Continued under the same trace ID.
@@ -250,6 +275,7 @@ func New(shardEndpoints [][]string, opts ...Option) (*Router, error) {
 	reg := core.Registry()
 	r.pushdowns = reg.Counter("dualsimrouter_pushdowns_total", "single-shard branches pushed down verbatim")
 	r.gathers = reg.Counter("dualsimrouter_gathers_total", "cross-shard branches evaluated via data gather")
+	r.reuses = reg.Counter("dualsimrouter_gather_reuses_total", "gathers answered on a held union: the shards named exactly its slices")
 	r.failovers = reg.Counter("dualsimrouter_failovers_total", "reads failed over to another endpoint")
 	for si, urls := range shardEndpoints {
 		if len(urls) == 0 {
@@ -530,7 +556,7 @@ func (r *Router) execBranch(ctx context.Context, b sparql.Expr, pushLimit int) (
 	if len(preds) == 0 {
 		// A constant-free pattern touches no shard; evaluate over an
 		// empty scratch store for exact (usually empty) semantics.
-		return evalLocal(ctx, src, 0)
+		return evalLocal(ctx, r.empty, src, 0)
 	}
 	owners := make(map[int][]string) // shard index → its preds
 	for _, p := range preds {
@@ -636,74 +662,222 @@ func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResul
 	})
 }
 
-// gather exports each owning shard's predicate slices and evaluates the
-// branch over their union — the exact path for branches whose
-// predicates span shards.
-func (r *Router) gather(ctx context.Context, owners map[int][]string, src string) (*branchResult, error) {
-	type slice struct {
-		st    *dualsim.Store
-		epoch uint64
-		size  int
-	}
-	idxs := make([]int, 0, len(owners))
+// The gathers a Router holds are bounded twice, least recently used
+// evicted first: by count (each one is a session with its own plan
+// cache, of gatherPlans entries) and by the triples of their unions
+// (the parts an entry keeps hold as many again). A union larger than
+// heldTriples is queried once and not held.
+const (
+	heldGathers = 16
+	heldTriples = 1 << 19
+	gatherPlans = 16
+)
+
+// gatherKey names what a gather fetches: the owning shards, ascending,
+// and each one's predicates, sorted.
+type gatherKey struct {
+	shards []int
+	preds  [][]string
+}
+
+func keyOf(owners map[int][]string) gatherKey {
+	var k gatherKey
 	for si := range owners {
-		idxs = append(idxs, si)
+		k.shards = append(k.shards, si)
 	}
-	sort.Ints(idxs)
-	got := make([]slice, len(idxs))
+	sort.Ints(k.shards)
+	for _, si := range k.shards {
+		k.preds = append(k.preds, slices.Sorted(slices.Values(owners[si])))
+	}
+	return k
+}
+
+func (k gatherKey) equal(o gatherKey) bool {
+	return slices.Equal(k.shards, o.shards) && slices.EqualFunc(k.preds, o.preds, slices.Equal[[]string])
+}
+
+// heldGather is one assembled gather: its slices as they were decoded
+// (storage.Union modifies no part, so a later gather of the key may
+// unite one again) and their union, open as a session whose plan cache
+// turns repeated texts into hits.
+type heldGather struct {
+	key   gatherKey
+	tags  []string         // tags[k]: the validator slice k came with
+	parts []*dualsim.Store // parts[k]: slice k
+	db    *dualsim.DB
+}
+
+// triples is what the gather counts against heldTriples.
+func (h *heldGather) triples() int { return h.db.Store().NumTriples() }
+
+// gatherCache holds assembled gathers, most recently used first, and
+// the sum of their triples. An evicted session is dropped, not closed:
+// it is in memory only, and a query may still be reading it.
+type gatherCache struct {
+	mu      sync.Mutex
+	held    []*heldGather
+	triples int
+}
+
+// heldPart is a slice a held gather was assembled from, and its
+// validator.
+type heldPart struct {
+	tag string
+	st  *dualsim.Store
+}
+
+// parts returns, per slice of key, every distinct held part of it.
+func (c *gatherCache) parts(key gatherKey) [][]heldPart {
+	out := make([][]heldPart, len(key.shards))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, h := range c.held {
+		if !h.key.equal(key) {
+			continue
+		}
+		for k, tag := range h.tags {
+			if !slices.ContainsFunc(out[k], func(p heldPart) bool { return p.tag == tag }) {
+				out[k] = append(out[k], heldPart{tag, h.parts[k]})
+			}
+		}
+	}
+	return out
+}
+
+// lookup returns the gather of key assembled from slices with exactly
+// these validators, and marks it most recently used.
+func (c *gatherCache) lookup(key gatherKey, tags []string) *heldGather {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, h := range c.held {
+		if h.key.equal(key) && slices.Equal(h.tags, tags) {
+			copy(c.held[1:i+1], c.held[:i])
+			c.held[0] = h
+			return h
+		}
+	}
+	return nil
+}
+
+// add holds h as the most recently used gather, in place of one of the
+// same slices, and evicts from the least recently used end until both
+// bounds hold.
+func (c *gatherCache) add(h *heldGather) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.held = slices.DeleteFunc(c.held, func(o *heldGather) bool {
+		if o.key.equal(h.key) && slices.Equal(o.tags, h.tags) {
+			c.triples -= o.triples()
+			return true
+		}
+		return false
+	})
+	c.held = slices.Insert(c.held, 0, h)
+	c.triples += h.triples()
+	for n := len(c.held); n > 0 && (n > heldGathers || c.triples > heldTriples); n-- {
+		c.triples -= c.held[n-1].triples()
+		c.held[n-1] = nil
+		c.held = c.held[:n-1]
+	}
+}
+
+// gather evaluates a branch whose predicates span shards over the union
+// of the owning shards' predicate slices. It asks every owning shard
+// once, listing the validators of the slices held for it. When one held
+// gather was built from exactly the slices the shards name, the branch
+// runs on its session. Otherwise a shard that answered 304 named a held
+// slice, the others sent theirs, and the union of those is assembled,
+// held and queried.
+func (r *Router) gather(ctx context.Context, owners map[int][]string, src string) (*branchResult, error) {
+	key := keyOf(owners)
+	held := r.held.parts(key)
+	got, err := r.export(ctx, key, held)
+	if err != nil {
+		return nil, err
+	}
+	var epoch uint64
+	h := &heldGather{key: key, tags: make([]string, len(got)), parts: make([]*dualsim.Store, len(got))}
+	for k, f := range got {
+		h.tags[k], h.parts[k], epoch = f.ETag, f.Store, max(epoch, f.Epoch)
+	}
+	if prev := r.held.lookup(key, h.tags); prev != nil {
+		r.reuses.Inc()
+		return evalLocal(ctx, prev.db, src, epoch)
+	}
+	for k, f := range got {
+		if !f.NotModified {
+			continue
+		}
+		i := slices.IndexFunc(held[k], func(p heldPart) bool { return p.tag == f.ETag })
+		if i < 0 {
+			return nil, server.Errorf(http.StatusBadGateway, "shard %d: export answered 304 for validator %s, which was not sent", key.shards[k], f.ETag)
+		}
+		h.parts[k] = held[k][i].st
+	}
+	st, err := storage.Union(h.parts...)
+	if err != nil {
+		return nil, server.Errorf(http.StatusBadGateway, "assembling gather store: %v", err)
+	}
+	if h.db, err = dualsim.Open(st, dualsim.WithPlanCache(gatherPlans)); err != nil {
+		return nil, server.Errorf(http.StatusBadGateway, "opening gather session: %v", err)
+	}
+	r.held.add(h)
+	return evalLocal(ctx, h.db, src, epoch)
+}
+
+// export sends every owning shard of key one export of its slice,
+// conditional on the validators of held[k], concurrently; the first
+// failure cancels the others.
+func (r *Router) export(ctx context.Context, key gatherKey, held [][]heldPart) ([]*client.ExportedSlice, error) {
+	got := make([]*client.ExportedSlice, len(key.shards))
 	sp := trace.SpanFromContext(ctx)
-	ctx, cancel := context.WithCancelCause(ctx) // one failed export fails the gather
+	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	var wg sync.WaitGroup
-	for k, si := range idxs {
+	for k, si := range key.shards {
+		tags := make([]string, len(held[k]))
+		for i, p := range held[k] {
+			tags[i] = p.tag
+		}
 		wg.Add(1)
 		go func(k, si int) {
 			defer wg.Done()
 			e0 := time.Now()
-			var err error
-			got[k], err = onShard(ctx, r, si, func(ep *endpoint) (slice, error) {
-				st, epoch, size, err := ep.c.Export(ctx, owners[si])
-				return slice{st, epoch, size}, err
+			f, err := onShard(ctx, r, si, func(ep *endpoint) (*client.ExportedSlice, error) {
+				return ep.c.Export(ctx, key.preds[k], tags...)
 			})
 			if err != nil {
 				cancel(err)
+				return
 			}
-			if es := sp.Record("export", time.Since(e0)); err == nil && es != nil {
+			got[k] = f
+			if es := sp.Record("export", time.Since(e0)); es != nil {
 				es.SetAttr("shard", strconv.Itoa(si))
-				es.Add("triples", int64(got[k].st.NumTriples()))
-				es.Add("bytes", int64(got[k].size))
+				triples := 0
+				if f.NotModified {
+					es.SetAttr("unchanged", "true")
+				} else {
+					triples = f.Store.NumTriples()
+				}
+				es.Add("triples", int64(triples))
+				es.Add("bytes", int64(f.Size))
 			}
 		}(k, si)
 	}
 	wg.Wait()
-	if err := context.Cause(ctx); err != nil {
-		return nil, err
-	}
-	parts := make([]*dualsim.Store, len(got))
-	var epoch uint64
-	for k, s := range got {
-		parts[k], epoch = s.st, max(epoch, s.epoch)
-	}
-	return evalLocal(ctx, src, epoch, parts...)
+	return got, context.Cause(ctx)
 }
 
-// evalLocal runs a branch through the ordinary dualsim pipeline over the
-// union of the given slices (storage.Union; none is the empty store).
-// Each distinct node is rendered to its cell once; its rows share it.
-func evalLocal(ctx context.Context, src string, epoch uint64, parts ...*dualsim.Store) (*branchResult, error) {
-	st, err := storage.Union(parts...)
-	if err != nil {
-		return nil, server.Errorf(http.StatusBadGateway, "assembling gather store: %v", err)
-	}
-	db, err := dualsim.Open(st)
-	if err != nil {
-		return nil, server.Errorf(http.StatusBadGateway, "opening gather session: %v", err)
-	}
-	defer db.Close()
-	res, _, err := db.Snapshot().Query(ctx, src)
+// evalLocal runs a branch on a gather's session (or the router's empty
+// one) and renders its rows; each distinct node is rendered to its cell
+// once, and its rows share it.
+func evalLocal(ctx context.Context, db *dualsim.DB, src string, epoch uint64) (*branchResult, error) {
+	snap := db.Snapshot()
+	res, _, err := snap.Query(ctx, src)
 	if err != nil {
 		return nil, err
 	}
+	st := snap.Store()
 	out := &branchResult{vars: append([]string{}, res.Vars...), cells: make([]span, 0, res.Len()*len(res.Vars)), rows: res.Len(), epoch: epoch}
 	names := make([]span, st.NumNodes()) // a cell is never empty: the zero span is "not rendered yet"
 	for _, row := range res.Rows {

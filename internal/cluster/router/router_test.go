@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -229,11 +230,27 @@ func TestRouterStreaming(t *testing.T) {
 // Writes split by placement, land on the owning primaries, and the
 // cluster keeps answering like a single node that applied the same delta.
 func TestRouterApply(t *testing.T) {
-	_, rs, single := startCluster(t, 2)
+	rt, rs, single := startCluster(t, 2)
 	adds := []dualsim.Triple{
 		dualsim.T("N._Roeg", "directed", "Walkabout"),
 		dualsim.T("N._Roeg", "awarded", "BAFTA_Awards"),
 		dualsim.T("Walkabout", "genre", "Drama"),
+	}
+	src := `SELECT * WHERE { ?d <directed> ?m . ?d <awarded> ?a . ?m <genre> ?g . }` // shards 1 and 0 of 2
+	same := func(when string) *wire.QueryResponse {
+		t.Helper()
+		got, want := queryVia(t, rs.URL, src), queryVia(t, single.URL, src)
+		if fmt.Sprint(canonRows(got.Rows)) != fmt.Sprint(canonRows(want.Rows)) {
+			t.Fatalf("%s rows %v, single node %v", when, canonRows(got.Rows), canonRows(want.Rows))
+		}
+		return got
+	}
+	// Gathered before the apply: the router holds the slices of epoch 0,
+	// and a repeat answers from them.
+	before := len(same("pre-apply").Rows)
+	same("pre-apply, repeated")
+	if rt.gathers.Value() != 2 || rt.reuses.Value() != 1 {
+		t.Fatalf("pre-apply: %d gathers, %d reuses; want 2 and 1", rt.gathers.Value(), rt.reuses.Value())
 	}
 
 	rc, err := client.New(rs.URL)
@@ -251,13 +268,11 @@ func TestRouterApply(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	src := `SELECT * WHERE { ?d <directed> ?m . ?d <awarded> ?a . }`
-	got, want := queryVia(t, rs.URL, src), queryVia(t, single.URL, src)
-	if fmt.Sprint(canonRows(got.Rows)) != fmt.Sprint(canonRows(want.Rows)) {
-		t.Fatalf("post-apply rows %v, single node %v", canonRows(got.Rows), canonRows(want.Rows))
+	if got := same("post-apply"); got.Epoch == 0 || len(got.Rows) <= before {
+		t.Fatalf("post-apply: epoch %d, %d rows (%d before); want a new epoch and more rows", got.Epoch, len(got.Rows), before)
 	}
-	if got.Epoch == 0 {
-		t.Fatal("router reports epoch 0 after an apply")
+	if rt.reuses.Value() != 1 {
+		t.Fatalf("the gather after the apply reused a held session (%d reuses)", rt.reuses.Value())
 	}
 }
 
@@ -979,5 +994,447 @@ func TestMayMeet(t *testing.T) {
 		if got := mayMeet(topBranches(q.Expr)); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: mayMeet = %v, want %v", tc.src, got, tc.want)
 		}
+	}
+}
+
+// genreVariant is Fig. 1(a) with every film's genre replaced by genre,
+// plus one film more of that genre: <genre> lives on shard 0 of 2,
+// <directed> on shard 1, so only shard 0's slice differs per variant.
+func genreVariant(genre string) []dualsim.Triple {
+	var out []dualsim.Triple
+	for _, tr := range queries.Fig1aTriples() {
+		if tr.P == "genre" {
+			tr = dualsim.T(tr.S.Value, "genre", genre)
+		}
+		out = append(out, tr)
+	}
+	return append(out, dualsim.T("Mortdecai", "genre", genre))
+}
+
+// shardOfTriples is shard i of 2 of a store built from ts.
+func shardOfTriples(t *testing.T, ts []dualsim.Triple, i int) *dualsim.Store {
+	t.Helper()
+	full, err := dualsim.FromTriples(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cluster.ShardStore(full, cluster.ShardSpec{Index: i, N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestGatherValidatorIdentity: a held gather is reused only while the
+// session that served each slice still serves it at the same epoch. A
+// URL whose daemon is replaced by one holding different triples at the
+// same epoch 0 answers under a new validator, and so does the daemon
+// after a SwapDB; either way the next gather answers from the new data.
+func TestGatherValidatorIdentity(t *testing.T) {
+	ctx := context.Background()
+	const src = `SELECT * WHERE { ?d <directed> ?m . ?m <genre> ?g . }` // shard 1 and shard 0 of 2
+	var h atomic.Pointer[server.Server]
+	serve := func(genre string) (*server.Server, *dualsim.DB) {
+		db, err := dualsim.Open(shardOfTriples(t, genreVariant(genre), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		srv, err := server.New(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, db
+	}
+	action, _ := serve("Action")
+	h.Store(action)
+	swappable := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(swappable.Close)
+	shard1 := startShard(t, shardOfTriples(t, genreVariant("Action"), 1)).URL
+	rt, err := New([][]string{{swappable.URL}, {shard1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(ctx)
+	rs := httptest.NewServer(rt.Handler())
+	t.Cleanup(rs.Close)
+
+	var extra []dualsim.Triple // applied to shard 1
+	check := func(genre string, reuses int64) {
+		t.Helper()
+		full, err := dualsim.FromTriples(append(genreVariant(genre), extra...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := queryVia(t, rs.URL, src), queryVia(t, startShard(t, full).URL, src)
+		if fmt.Sprint(canonRows(got.Rows)) != fmt.Sprint(canonRows(want.Rows)) || !strings.Contains(fmt.Sprint(canonRows(got.Rows)), genre) {
+			t.Fatalf("genre %s: router %v, single node %v", genre, canonRows(got.Rows), canonRows(want.Rows))
+		}
+		if got.Epoch != uint64(len(extra)) || rt.reuses.Value() != reuses {
+			t.Fatalf("genre %s: epoch %d, %d reuses; want %d and %d", genre, got.Epoch, rt.reuses.Value(), len(extra), reuses)
+		}
+	}
+	check("Action", 0)
+	check("Action", 1)
+
+	// Another daemon behind the same URL, at the same epoch.
+	srv, db := serve("Comedy")
+	h.Store(srv)
+	check("Comedy", 1)
+	check("Comedy", 2)
+
+	// The same daemon serving another session at the same epoch.
+	sc, err := client.New(swappable.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := sc.Export(ctx, []string{"genre"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2, err := dualsim.OpenAt(shardOfTriples(t, genreVariant("Drama"), 0), db.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db2.Close() })
+	srv.SwapDB(db2)
+	after, err := sc.Export(ctx, []string{"genre"}, before.ETag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.NotModified || after.ETag == before.ETag || after.Epoch != before.Epoch {
+		t.Fatalf("export across SwapDB: %+v, then %+v; want a new validator at the same epoch", before, after)
+	}
+	check("Drama", 2)
+	check("Drama", 3)
+
+	// The first daemon again, still at epoch 0, while shard 1 moves on:
+	// its 304 names the Action slice among the three held for shard 0,
+	// and the new union is assembled over that one.
+	h.Store(action)
+	extra = []dualsim.Triple{dualsim.T("N._Roeg", "directed", "Mortdecai")}
+	c1, err := client.New(shard1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.ApplyDelta(ctx, dualsim.Delta{Adds: extra}); err != nil {
+		t.Fatal(err)
+	}
+	check("Action", 3)
+	check("Action", 4)
+}
+
+// TestGatherMissIsOneRound: a gather after a write to one owning shard
+// still sends one export to each shard. The unchanged shard answers 304
+// and the new union is assembled over the slice held for it; only the
+// changed shard ships its slice.
+func TestGatherMissIsOneRound(t *testing.T) {
+	ctx := context.Background()
+	const src = `SELECT * WHERE { ?d <directed> ?m . ?m <genre> ?g . }` // shard 1 and shard 0 of 2
+	var exports [2]atomic.Int64
+	var srvs [2]*server.Server
+	var urls [][]string
+	for i := range srvs {
+		db, err := dualsim.Open(shardOfTriples(t, genreVariant("Action"), i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		if srvs[i], err = server.New(db); err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/export" {
+				exports[i].Add(1)
+			}
+			srvs[i].ServeHTTP(w, r)
+		}))
+		t.Cleanup(hs.Close)
+		urls = append(urls, []string{hs.URL})
+	}
+	rt, err := New(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(ctx)
+	rs := httptest.NewServer(rt.Handler())
+	t.Cleanup(rs.Close)
+	full, err := dualsim.FromTriples(genreVariant("Action"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := startShard(t, full)
+	notModified := func(i int) float64 {
+		return srvs[i].Registry().Snapshot()["dualsimd_exports_not_modified_total"]
+	}
+	step := func(when string, gathers int64, notMod0, notMod1 float64, reuses int64) {
+		t.Helper()
+		got, want := queryVia(t, rs.URL, src), queryVia(t, single.URL, src)
+		if fmt.Sprint(canonRows(got.Rows)) != fmt.Sprint(canonRows(want.Rows)) {
+			t.Fatalf("%s: router %v, single node %v", when, canonRows(got.Rows), canonRows(want.Rows))
+		}
+		if exports[0].Load() != gathers || exports[1].Load() != gathers {
+			t.Fatalf("%s: %d and %d exports after %d gathers; want one per shard and gather", when, exports[0].Load(), exports[1].Load(), gathers)
+		}
+		if notModified(0) != notMod0 || notModified(1) != notMod1 || rt.reuses.Value() != reuses {
+			t.Fatalf("%s: 304s %v and %v, %d reuses; want %v, %v and %d", when, notModified(0), notModified(1), rt.reuses.Value(), notMod0, notMod1, reuses)
+		}
+	}
+	step("first", 1, 0, 0, 0)
+	step("repeat", 2, 1, 1, 1)
+	directed := rt.held.held[0].parts[1] // shard 1 holds <directed>
+
+	d := dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("Mortdecai", "genre", "Comedy")}} // shard 0 only
+	for _, url := range []string{rs.URL, single.URL} {
+		c, err := client.New(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ApplyDelta(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("after the apply", 3, 1, 2, 1)
+	if rt.held.held[0].parts[1] != directed {
+		t.Fatal("the union after the apply was not assembled over the held slice of the unchanged shard")
+	}
+	step("after the apply, repeated", 4, 2, 3, 2)
+}
+
+// TestGatherReplicaRoundRobin: shard 0 of a 2-shard gather has a primary
+// and a live replica, and reads alternate between them. Each answers
+// under its own validator, so the router holds one gather per endpoint:
+// after one miss on each, every gather is a reuse, both endpoints answer
+// 304, and the answers stay the single node's, across an apply too.
+func TestGatherReplicaRoundRobin(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const src = `SELECT * WHERE { ?d <directed> ?m . ?m <genre> ?g . }` // shard 1 and shard 0 of 2
+	pdb, err := dualsim.Open(shardOfTriples(t, genreVariant("Action"), 0), dualsim.WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pdb.Close()
+	psrv, err := server.New(pdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := httptest.NewServer(psrv)
+	defer primary.Close()
+	f, err := cluster.Follow(primary.URL, cluster.WithPollWait(20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	followed := make(chan error, 1)
+	go func() { followed <- f.Run(ctx) }()
+	defer func() { cancel(); <-followed }()
+	rsrv, err := server.New(f.DB(), server.WithReadOnly(), server.WithReadiness(f.Ready))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(rsrv)
+	defer replica.Close()
+
+	rt, err := New([][]string{{primary.URL, replica.URL}, {startShard(t, shardOfTriples(t, genreVariant("Action"), 1)).URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(ctx)
+	rs := httptest.NewServer(rt.Handler())
+	defer rs.Close()
+	full, err := dualsim.FromTriples(genreVariant("Action"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := startShard(t, full)
+	same := func() {
+		t.Helper()
+		got, want := queryVia(t, rs.URL, src), queryVia(t, single.URL, src)
+		if fmt.Sprint(canonRows(got.Rows)) != fmt.Sprint(canonRows(want.Rows)) {
+			t.Fatalf("router %v, single node %v", canonRows(got.Rows), canonRows(want.Rows))
+		}
+	}
+	notModified := func(s *server.Server) float64 {
+		return s.Registry().Snapshot()["dualsimd_exports_not_modified_total"]
+	}
+
+	same()
+	same()
+	warm := rt.reuses.Value()
+	const reads = 6
+	for range reads {
+		same()
+	}
+	if got := rt.reuses.Value() - warm; got != reads {
+		t.Fatalf("%d of %d gathers after warm-up reused a held session", got, reads)
+	}
+	if notModified(psrv) == 0 || notModified(rsrv) == 0 {
+		t.Fatalf("304s: primary %v, replica %v; want both > 0", notModified(psrv), notModified(rsrv))
+	}
+
+	// An apply moves shard 0 on the primary, then on the replica.
+	d := dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("Mortdecai", "genre", "Comedy")}}
+	rc, err := client.New(rs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.ApplyDelta(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := client.New(single.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.ApplyDelta(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); f.Stats().Epoch != pdb.Epoch(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica stuck at epoch %d, primary at %d", f.Stats().Epoch, pdb.Epoch())
+		}
+	}
+	rt.Probe(ctx)
+	for range reads {
+		same()
+	}
+}
+
+// TestGatherConcurrent: gathers of two texts run from several goroutines
+// at once while a writer flips one triple in and out through the router.
+// Each answer is the single node's answer with or without that triple —
+// never a mix, never a held gather of another text or state.
+func TestGatherConcurrent(t *testing.T) {
+	ctx := context.Background()
+	rt, rs, single := startCluster(t, 2)
+	texts := []string{
+		`SELECT * WHERE { ?d <directed> ?m . ?m <genre> ?g . }`,
+		`SELECT * WHERE { ?d <directed> ?m . OPTIONAL { ?m <genre> ?g . } }`,
+	}
+	flip := dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("Mortdecai", "genre", "Comedy")}}
+	sc, err := client.New(single.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := func() []string {
+		out := make([]string, len(texts))
+		for i, src := range texts {
+			out[i] = fmt.Sprint(canonRows(queryVia(t, single.URL, src).Rows))
+		}
+		return out
+	}
+	without := answers()
+	if _, err := sc.ApplyDelta(ctx, flip); err != nil {
+		t.Fatal(err)
+	}
+	with := answers()
+
+	rc, err := client.New(rs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				wrote <- nil
+				return
+			default:
+			}
+			d := flip
+			if i%2 == 1 {
+				d = dualsim.Delta{Dels: flip.Adds}
+			}
+			if _, err := rc.ApplyDelta(ctx, d); err != nil {
+				wrote <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 30 {
+				k := (g + i) % len(texts)
+				res, err := rc.Query(ctx, texts[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := fmt.Sprint(canonRows(res.Rows)); got != with[k] && got != without[k] {
+					t.Errorf("%s: %s, want %s or %s", texts[k], got, with[k], without[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if rt.gathers.Value() != 120 {
+		t.Fatalf("%d gathers, want 120", rt.gathers.Value())
+	}
+	t.Logf("%d of the gathers reused a held session", rt.reuses.Value())
+}
+
+// TestGatherCacheBounds: the cache keeps at most heldGathers entries,
+// most recently used first, replaces an entry of the same slices instead
+// of holding it twice, and its triple count is the sum over what it
+// holds.
+func TestGatherCacheBounds(t *testing.T) {
+	key := keyOf(map[int][]string{0: {"genre"}, 1: {"directed"}})
+	entry := func(tag string, ts ...dualsim.Triple) *heldGather {
+		st, err := dualsim.FromTriples(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := dualsim.Open(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &heldGather{key: key, tags: []string{tag, `"b-0"`}, parts: []*dualsim.Store{st, st}, db: db}
+	}
+	var c gatherCache
+	check := func(n int) {
+		t.Helper()
+		sum := 0
+		for _, h := range c.held {
+			sum += h.triples()
+		}
+		if len(c.held) != n || c.triples != sum {
+			t.Fatalf("%d held, %d triples counted; want %d held, %d triples", len(c.held), c.triples, n, sum)
+		}
+	}
+	for i := range heldGathers + 4 {
+		ts := []dualsim.Triple{dualsim.T("a", "genre", "b")}
+		for j := range i {
+			ts = append(ts, dualsim.T("a", "genre", fmt.Sprint(j)))
+		}
+		c.add(entry(fmt.Sprintf(`"a-%d"`, i), ts...))
+	}
+	check(heldGathers)
+	if got := c.held[heldGathers-1].tags[0]; got != `"a-4"` {
+		t.Fatalf("least recently used entry %s, want \"a-4\"", got)
+	}
+	if c.lookup(key, []string{`"a-4"`, `"b-0"`}) == nil || c.held[0].tags[0] != `"a-4"` {
+		t.Fatal("a lookup did not find the entry or did not mark it most recently used")
+	}
+	c.add(entry(`"a-4"`, dualsim.T("x", "genre", "y")))
+	check(heldGathers)
+	if c.held[0].triples() != 1 {
+		t.Fatal("an entry of the same slices was not replaced")
+	}
+	if parts := c.parts(key); len(parts[0]) != heldGathers || len(parts[1]) != 1 {
+		t.Fatalf("held parts per slice %d and %d, want %d distinct and 1", len(parts[0]), len(parts[1]), heldGathers)
 	}
 }

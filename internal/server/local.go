@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -33,15 +35,16 @@ type Server struct {
 	// /metrics gauges.
 	topStmts topCache
 
-	checkpoints *metrics.Counter
-	walStreams  *metrics.Counter
-	exports     *metrics.Counter
+	checkpoints        *metrics.Counter
+	walStreams         *metrics.Counter
+	exports            *metrics.Counter
+	exportsNotModified *metrics.Counter
 }
 
 // local is the Backend over a *dualsim.DB.
 type local struct {
-	db    atomic.Pointer[dualsim.DB] // swappable: a replica re-bootstrap replaces the session
-	stmts *qstats.Store              // nil when WithStatementStats(0) disabled it
+	cur   atomic.Pointer[served] // swappable: a replica re-bootstrap replaces the session
+	stmts *qstats.Store          // nil when WithStatementStats(0) disabled it
 
 	// stageSeconds are the per-pipeline-stage latency histograms, keyed
 	// by stage name; fixed at construction so Observe stays lock-free.
@@ -49,9 +52,22 @@ type local struct {
 	solverRounds *metrics.Counter
 }
 
+// served is one served session and the nonce drawn when it began to be
+// served. The export validator is "<nonce>-<epoch>": an epoch names one
+// store state only within one session, so another process, replica or
+// re-bootstrapped session never matches a validator it did not hand out.
+type served struct {
+	db    *dualsim.DB
+	nonce string
+}
+
+func (b *local) serve(db *dualsim.DB) {
+	b.cur.Store(&served{db: db, nonce: strconv.FormatUint(rand.Uint64(), 16)})
+}
+
 // session returns the current session. Callers resolve it once per
 // request; a concurrent SwapDB affects only later requests.
-func (b *local) session() *dualsim.DB { return b.db.Load() }
+func (b *local) session() *dualsim.DB { return b.cur.Load().db }
 
 // SwapDB atomically replaces the served session — the replica
 // re-bootstrap path: a follower that hit a WAL epoch gap builds a fresh
@@ -62,7 +78,7 @@ func (b *local) session() *dualsim.DB { return b.db.Load() }
 // memory, which the GC reclaims once the last pin drops.
 func (s *Server) SwapDB(db *dualsim.DB) {
 	if db != nil {
-		s.be.db.Store(db)
+		s.be.serve(db)
 	}
 }
 
@@ -77,7 +93,7 @@ func New(db *dualsim.DB, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	be := &local{stmts: newStatementStore(cfg)}
-	be.db.Store(db)
+	be.serve(db)
 	core := newCore(be, "dualsimd", "query", cfg, be.stmts)
 	reg := core.reg
 	s := &Server{
@@ -87,6 +103,8 @@ func New(db *dualsim.DB, opts ...Option) (*Server, error) {
 		checkpoints: reg.Counter("dualsimd_checkpoint_requests_total", "checkpoints completed via /v1/checkpoint"),
 		walStreams:  reg.Counter("dualsimd_wal_streams_total", "WAL tail requests served to replicas"),
 		exports:     reg.Counter("dualsimd_exports_total", "predicate-slice exports served to routers"),
+		exportsNotModified: reg.Counter("dualsimd_exports_not_modified_total",
+			"exports answered 304 because the router holds the current slice"),
 	}
 	be.solverRounds = reg.Counter("dualsimd_solver_rounds_total", "dual-simulation solver rounds executed")
 	be.stageSeconds = map[string]*metrics.Histogram{
@@ -427,6 +445,11 @@ func toWireTriples(ts []dualsim.Triple) []wire.Triple {
 // router unions slices across shards. Like the WAL endpoints it skips
 // admission: a gather is part of an already-admitted query on the
 // router, and shedding it would deadlock the fan-out under load.
+//
+// The answer carries the validator ETag: "<session nonce>-<epoch>". A
+// request whose If-None-Match lists the current validator gets 304 and
+// no body: the slice it holds is the one this session serves at this
+// epoch, so nothing is encoded.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	names := r.URL.Query()["pred"]
 	if len(names) == 0 {
@@ -434,7 +457,17 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.exports.Inc()
-	snap := s.be.session().Snapshot()
+	cur := s.be.cur.Load()
+	snap := cur.db.Snapshot()
+	epoch := strconv.FormatUint(snap.Epoch(), 10)
+	etag := `"` + cur.nonce + "-" + epoch + `"`
+	w.Header().Set("ETag", etag)
+	w.Header().Set("X-Dualsim-Epoch", epoch)
+	if holds(r.Header.Values("If-None-Match"), etag) {
+		s.exportsNotModified.Inc()
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
 	st := snap.Store()
 	var preds []storage.PredID
 	for _, p := range names {
@@ -443,9 +476,22 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(snap.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
 	// As for the bootstrap snapshot: a torn container fails its CRC at
 	// the router, so a write failure needs no handling here.
 	_ = persist.EncodeSliceTo(w, st, preds, snap.Epoch())
+}
+
+// holds reports whether the If-None-Match lists name etag: comma-separated
+// entity tags, weak ones compared by their opaque part. Anything else,
+// "*" included, matches nothing, so a malformed list costs a full export.
+func holds(lists []string, etag string) bool {
+	for _, list := range lists {
+		for _, tag := range strings.Split(list, ",") {
+			if strings.TrimPrefix(strings.TrimSpace(tag), "W/") == etag {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -24,7 +24,8 @@
 //
 //	POST /v1/compact   on-demand compaction (store rebuild)
 //	POST /v1/checkpoint roll the durable session's WAL into a snapshot
-//	GET  /v1/export    DSIMSNP1 container of predicate slices at a pinned epoch (router gather)
+//	GET  /v1/export    DSIMSNP1 container of predicate slices at a pinned epoch (router gather);
+//	                   ETag "<session nonce>-<epoch>", 304 when If-None-Match lists it
 //	GET  /v1/wal       replication tail: WAL records after an epoch (NDJSON)
 //	GET  /v1/wal/snapshot  streamed DSIMSNP1 bootstrap snapshot
 //

@@ -1163,6 +1163,96 @@ func TestExportEndpoint(t *testing.T) {
 	}
 }
 
+// TestExportConditional pins the export validator: a 200 carries the
+// ETag "<nonce>-<epoch>"; an If-None-Match naming it (alone, or in a
+// list, weak or not) gets 304 with no body and the ETag and epoch
+// headers, and encodes nothing; after an apply the old validator gets
+// the new slice under a new ETag; a malformed If-None-Match is ignored.
+// A swapped-in session at the same epoch answers under a new validator.
+func TestExportConditional(t *testing.T) {
+	srv, hs, db := newTestServer(t)
+	export := func(inm ...string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest("GET", hs.URL+"/v1/export?pred=directed&pred=genre", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range inm {
+			req.Header.Add("If-None-Match", v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	full := func(resp *http.Response, epoch uint64) string {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("export: status %d, want 200", resp.StatusCode)
+		}
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got, err := persist.DecodeSnapshot(blob); err != nil || got != epoch {
+			t.Fatalf("export body: epoch %d, %v; want epoch %d", got, err, epoch)
+		}
+		etag := resp.Header.Get("ETag")
+		if !strings.HasPrefix(etag, `"`) || !strings.HasSuffix(etag, fmt.Sprintf(`-%d"`, epoch)) {
+			t.Fatalf("ETag %q, want \"<nonce>-%d\"", etag, epoch)
+		}
+		return etag
+	}
+	unchanged := func(resp *http.Response, etag, epoch string) {
+		t.Helper()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Fatalf("export: status %d with %d body bytes, want 304 and none", resp.StatusCode, len(body))
+		}
+		if resp.Header.Get("ETag") != etag || resp.Header.Get("X-Dualsim-Epoch") != epoch {
+			t.Fatalf("304 headers: ETag %q, epoch %q; want %q, %s", resp.Header.Get("ETag"), resp.Header.Get("X-Dualsim-Epoch"), etag, epoch)
+		}
+	}
+	notModified := func() float64 { return srv.Registry().Snapshot()["dualsimd_exports_not_modified_total"] }
+
+	v0 := full(export(), 0)
+	unchanged(export(v0), v0, "0")
+	unchanged(export(`"other-0", W/`+v0), v0, "0")
+	unchanged(export(`"other-0"`, v0), v0, "0") // one validator per header line
+	if n := notModified(); n != 3 {
+		t.Fatalf("dualsimd_exports_not_modified_total = %v, want 3", n)
+	}
+	for _, bad := range []string{`*`, `garbage`, strings.Trim(v0, `"`), v0 + "x", `"` + v0} {
+		full(export(bad), 0)
+	}
+
+	if _, err := db.Apply(context.Background(), dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("n1", "directed", "m1")}}); err != nil {
+		t.Fatal(err)
+	}
+	v1 := full(export(v0), 1)
+	if v1 == v0 {
+		t.Fatalf("validator %s did not change across an apply", v1)
+	}
+	unchanged(export(v0+", "+v1), v1, "1")
+
+	// The same store at the same epoch, served by another session: the
+	// validator is the session's, so the old one no longer matches.
+	db2, err := dualsim.OpenAt(db.Store(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db2.Close() })
+	srv.SwapDB(db2)
+	if v2 := full(export(v1), 1); v2 == v1 {
+		t.Fatalf("validator %s survived SwapDB", v2)
+	}
+	if n := notModified(); n != 4 {
+		t.Fatalf("dualsimd_exports_not_modified_total = %v, want 4", n)
+	}
+}
+
 // TestSwapDB: the replica re-bootstrap path swaps the served session
 // atomically; later requests answer from the new session and epoch.
 func TestSwapDB(t *testing.T) {

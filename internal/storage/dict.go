@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -12,7 +13,7 @@ import (
 
 // dict is the shared, append-only term and predicate dictionary of a
 // store lineage. Snapshots derived from one another (Build, Restrict,
-// Patch, Union) all point at the same dict, so a node or predicate id
+// Patch) all point at the same dict, so a node or predicate id
 // decodes to the same term in every snapshot; each snapshot additionally
 // records how much of the dictionary it can see, so terms interned by a
 // later patch are invisible to (and unreachable from) earlier snapshots.
@@ -50,6 +51,34 @@ func newDict() *dict {
 		seed:    maphash.MakeSeed(),
 		predID:  make(map[string]PredID),
 	}
+}
+
+// fork returns a dictionary of its own holding exactly the terms and
+// predicates of the views, under the same ids: a new lineage that
+// starts where a snapshot of d stands. Interning into the fork leaves d
+// as it was.
+func (d *dict) fork(terms termView, preds []string) *dict {
+	n := terms.len()
+	f := &dict{
+		arena:   slices.Clone(terms.arena[:terms.offsets[n]]),
+		offsets: slices.Clone(terms.offsets[:n+1]),
+		kinds:   slices.Clone(terms.kinds),
+		preds:   slices.Clone(preds),
+		predID:  make(map[string]PredID, len(preds)),
+	}
+	for id, p := range f.preds {
+		f.predID[p] = PredID(id)
+	}
+	d.mu.RLock()
+	if len(d.kinds) == n { // d's id table indexes exactly these terms
+		f.table, f.seed = slices.Clone(d.table), d.seed
+	}
+	d.mu.RUnlock()
+	if f.table == nil {
+		f.seed = maphash.MakeSeed()
+		f.reindex(tableSize(n))
+	}
+	return f
 }
 
 // termView is a prefix view of a dictionary's term columns: the first

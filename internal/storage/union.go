@@ -8,13 +8,15 @@ import (
 
 // Union merges built stores whose predicate sets are disjoint — the
 // per-shard slices of a gathered query — into one built store. The
-// result shares the first part's dictionary, so the first part's ids and
-// indexes carry over untouched (their directories widened to the union's
-// node count); every later part interns each of its terms once, then
-// remaps, re-sorts and re-indexes only its own runs. A predicate present
-// in two parts is an error: placement by predicate says no two shards
-// hold one, and merging runs is not what this does. Union of no parts is
-// the empty store, of one part that part.
+// result's dictionary starts as a copy of what the first part sees, so
+// the first part's ids and indexes carry over untouched (their
+// directories widened to the union's node count); every later part
+// interns each of its terms once, then remaps, re-sorts and re-indexes
+// only its own runs. No part is modified, so a part may be united again
+// with others. A predicate present in two parts is an error: placement
+// by predicate says no two shards hold one, and merging runs is not what
+// this does. Union of no parts is the empty store, of one part that
+// part.
 func Union(parts ...*Store) (*Store, error) {
 	if len(parts) == 0 {
 		st := New()
@@ -26,7 +28,7 @@ func Union(parts ...*Store) (*Store, error) {
 	if len(parts) == 1 {
 		return base, nil
 	}
-	d := base.d
+	d := base.d.fork(base.terms, base.preds)
 	byPred := append([]predIndex(nil), base.byPred...)
 	claimed := make([]bool, len(byPred))
 	for p := range claimed {

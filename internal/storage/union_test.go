@@ -181,3 +181,57 @@ func TestUnionRejectsSharedPredicate(t *testing.T) {
 		t.Fatalf("first part changed shape: %d triples, %d nodes, %d preds", a.NumTriples(), a.NumNodes(), a.NumPreds())
 	}
 }
+
+// TestUnionLeavesItsParts: a part united once can be united again with
+// other parts, and each union holds exactly the terms its triples use,
+// as a union of fresh parts does — Union writes into no part.
+func TestUnionLeavesItsParts(t *testing.T) {
+	mk := func(ts ...rdf.Triple) *storage.Store {
+		st, err := storage.FromTriples(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a := mk(rdf.T("a", "p", "b"), rdf.T("b", "p", "c"))
+	b := mk(rdf.T("c", "q", "d"), rdf.T("x", "q", "y"))
+	b2 := mk(rdf.T("c", "q", "e"))
+	u1, err := storage.Union(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u2, err := storage.Union(a, b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u3, err := storage.Union(b2, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		st    *storage.Store
+		nodes int
+		want  []rdf.Triple
+	}{
+		{"a", a, 3, []rdf.Triple{rdf.T("a", "p", "b"), rdf.T("b", "p", "c")}},
+		{"b2", b2, 2, []rdf.Triple{rdf.T("c", "q", "e")}},
+		{"a+b", u1, 6, []rdf.Triple{rdf.T("a", "p", "b"), rdf.T("b", "p", "c"), rdf.T("c", "q", "d"), rdf.T("x", "q", "y")}},
+		{"a+b2", u2, 4, []rdf.Triple{rdf.T("a", "p", "b"), rdf.T("b", "p", "c"), rdf.T("c", "q", "e")}},
+		{"b2+a", u3, 4, []rdf.Triple{rdf.T("a", "p", "b"), rdf.T("b", "p", "c"), rdf.T("c", "q", "e")}},
+	} {
+		got := c.st.Triples()
+		sortTriples(got)
+		sortTriples(c.want)
+		if c.st.NumNodes() != c.nodes || !slices.Equal(got, c.want) {
+			t.Errorf("%s: %d terms, triples %v; want %d terms, %v", c.name, c.st.NumNodes(), got, c.nodes, c.want)
+		}
+		if err := storage.IndexInvariants(c.st); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+func sortTriples(ts []rdf.Triple) {
+	slices.SortFunc(ts, func(x, y rdf.Triple) int { return strings.Compare(x.String(), y.String()) })
+}
