@@ -48,7 +48,6 @@ type (
 	CheckpointResponse = wire.CheckpointResponse
 	SnapshotResponse   = wire.SnapshotResponse
 	HealthResponse     = wire.HealthResponse
-	WALEvent           = wire.WALEvent
 	ExplainResponse    = wire.ExplainResponse
 	SlowLogResponse    = wire.SlowLogResponse
 	StatementsResponse = wire.StatementsResponse
@@ -448,13 +447,22 @@ func decodeSnapshot(body io.Reader) (*dualsim.Store, uint64, int, error) {
 // the replica must re-bootstrap from BootstrapSnapshot.
 var ErrWALGap = errors.New("client: requested WAL epochs were checkpointed away; re-bootstrap from a snapshot")
 
-// TailWAL opens the replication tail: every WAL record with epoch >
-// fromEpoch as a WALStream. wait > 0 asks the server to long-poll an
-// empty tail for that long before answering, so an idle primary does
-// not force tight client-side polling. Returns ErrWALGap (wrapped) when
-// the range is gone, and an *APIError with StatusCode 409 when the
-// server has no WAL at all (not durable).
-func (c *Client) TailWAL(ctx context.Context, fromEpoch uint64, wait time.Duration) (*WALStream, error) {
+// TailWAL fetches the replication tail: the WAL records with epoch >
+// fromEpoch, read by persist.ReadWAL, the frame reader recovery uses,
+// so every record has passed its CRC. It also returns the primary's
+// epoch when the tail was cut, the catch-up target, and returns it
+// with the error when a tail that answered 200 is refused, so a
+// replica stuck behind a damaged tail still sees how far it lags.
+// wait > 0 asks the server to long-poll an empty tail for that long
+// before answering, so an idle primary does not force tight
+// client-side polling. A body without Content-Length, or one that
+// stops short of it, is an error: a tail cut at a frame boundary would
+// otherwise read as complete. The whole tail is decoded before it is
+// returned, so a catch-up holds every record after fromEpoch in memory
+// at once. Returns ErrWALGap (wrapped) when the range is gone, and an
+// *APIError with StatusCode 409 when the server has no WAL at all (not
+// durable).
+func (c *Client) TailWAL(ctx context.Context, fromEpoch uint64, wait time.Duration) ([]persist.Record, uint64, error) {
 	path := fmt.Sprintf("/v1/wal?fromEpoch=%d", fromEpoch)
 	if wait > 0 {
 		path += fmt.Sprintf("&waitMs=%d", wait.Milliseconds())
@@ -463,99 +471,23 @@ func (c *Client) TailWAL(ctx context.Context, fromEpoch uint64, wait time.Durati
 	if err != nil {
 		var ae *APIError
 		if errors.As(err, &ae) && ae.StatusCode == http.StatusGone {
-			return nil, fmt.Errorf("%w: %s", ErrWALGap, ae.Message)
+			return nil, 0, fmt.Errorf("%w: %s", ErrWALGap, ae.Message)
 		}
-		return nil, err
+		return nil, 0, err
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 256<<20)
-	ws := &WALStream{body: resp.Body, sc: sc}
-	if !sc.Scan() {
-		resp.Body.Close()
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("client: empty WAL stream")
+	defer resp.Body.Close()
+	primary, err := strconv.ParseUint(resp.Header.Get("X-Dualsim-Epoch"), 10, 64)
+	if err != nil {
+		return nil, 0, fmt.Errorf("client: WAL tail with a malformed epoch header: %w", err)
 	}
-	var header wire.WALEvent
-	if err := json.Unmarshal(sc.Bytes(), &header); err != nil || header.Kind != wire.WALHeader {
-		resp.Body.Close()
-		return nil, fmt.Errorf("client: WAL stream did not start with a header (%v)", err)
+	if resp.ContentLength < 0 {
+		return nil, primary, errors.New("client: WAL tail without Content-Length")
 	}
-	ws.primaryEpoch, ws.ckptEpoch = header.Epoch, header.CheckpointEpoch
-	return ws, nil
-}
-
-// WALStream is an in-flight replication tail. Iterate with Next until
-// false, then check Err; Close releases the connection. Not safe for
-// concurrent use.
-type WALStream struct {
-	body   io.ReadCloser
-	sc     *bufio.Scanner
-	cur    wire.WALEvent
-	err    error
-	done   bool
-	closed bool
-
-	primaryEpoch uint64
-	ckptEpoch    uint64
-}
-
-// PrimaryEpoch is the primary's current epoch when the tail was cut —
-// the catch-up target (available immediately from the header).
-func (s *WALStream) PrimaryEpoch() uint64 { return s.primaryEpoch }
-
-// CheckpointEpoch is the primary's last checkpoint epoch: the oldest
-// epoch a fresh bootstrap snapshot can start from.
-func (s *WALStream) CheckpointEpoch() uint64 { return s.ckptEpoch }
-
-// Next advances to the next WAL record event ("apply" or "compact").
-// It returns false at the end trailer or on error — check Err.
-func (s *WALStream) Next() bool {
-	if s.err != nil || s.closed || s.done {
-		return false
+	recs, _, err := persist.ReadWAL(bufio.NewReader(resp.Body))
+	if err != nil {
+		return nil, primary, fmt.Errorf("client: WAL tail: %w", err)
 	}
-	for s.sc.Scan() {
-		var ev wire.WALEvent
-		if err := json.Unmarshal(s.sc.Bytes(), &ev); err != nil {
-			s.err = fmt.Errorf("client: bad WAL stream line: %w", err)
-			return false
-		}
-		switch ev.Kind {
-		case wire.WALApply, wire.WALCompact:
-			s.cur = ev
-			return true
-		case wire.WALEnd:
-			s.done = true
-			return false
-		default:
-			s.err = fmt.Errorf("client: unexpected WAL stream event %q", ev.Kind)
-			return false
-		}
-	}
-	if err := s.sc.Err(); err != nil {
-		s.err = err
-	} else {
-		// A tail that just stops is torn — the primary always writes the
-		// end trailer; applying a possibly-truncated tail could diverge.
-		s.err = fmt.Errorf("client: WAL stream ended without end trailer")
-	}
-	return false
-}
-
-// Event returns the current record event after a true Next.
-func (s *WALStream) Event() WALEvent { return s.cur }
-
-// Err returns the terminal error, nil on a clean end of stream.
-func (s *WALStream) Err() error { return s.err }
-
-// Close releases the connection. Safe to call twice.
-func (s *WALStream) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.body.Close()
+	return recs, primary, nil
 }
 
 // Metrics fetches the raw Prometheus-style metrics page.

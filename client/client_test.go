@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dualsim"
+	"dualsim/internal/persist"
 	"dualsim/internal/queries"
 	"dualsim/internal/server"
 )
@@ -490,23 +491,15 @@ func TestClientReplication(t *testing.T) {
 		t.Fatalf("bootstrap: epoch %d, %d triples", epoch, bst.NumTriples())
 	}
 
-	ws, err := c.TailWAL(ctx, 0, 0)
+	recs, primary, err := c.TailWAL(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Close()
-	if ws.PrimaryEpoch() != 1 {
-		t.Fatalf("primary epoch = %d", ws.PrimaryEpoch())
+	if primary != 1 {
+		t.Fatalf("primary epoch = %d", primary)
 	}
-	var got []WALEvent
-	for ws.Next() {
-		got = append(got, ws.Event())
-	}
-	if err := ws.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Epoch != 1 || len(got[0].Adds) != 1 {
-		t.Fatalf("tail events = %+v", got)
+	if len(recs) != 1 || recs[0].Kind != persist.RecordApply || recs[0].Epoch != 1 || len(recs[0].Adds) != 1 {
+		t.Fatalf("tail records = %+v", recs)
 	}
 
 	ex, err := c.Export(ctx, []string{"directed", "directed"})
@@ -535,7 +528,58 @@ func TestClientReplication(t *testing.T) {
 	if _, err := db.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.TailWAL(ctx, 0, 0); !errors.Is(err, ErrWALGap) {
+	if _, _, err := c.TailWAL(ctx, 0, 0); !errors.Is(err, ErrWALGap) {
 		t.Fatalf("tail across checkpoint = %v, want ErrWALGap", err)
+	}
+}
+
+// TestTailWALRefusesACutBody: a tail is read whole or not at all. A
+// body cut exactly at a frame boundary, short of its Content-Length,
+// and a body without Content-Length are errors, never a shorter tail.
+func TestTailWALRefusesACutBody(t *testing.T) {
+	recs := []persist.Record{
+		{Kind: persist.RecordApply, Epoch: 1, Adds: []dualsim.Triple{dualsim.T("n1", "directed", "m1")}},
+		{Kind: persist.RecordApply, Epoch: 2, Adds: []dualsim.Triple{dualsim.T("n2", "directed", "m2")}},
+	}
+	body := persist.EncodeWAL(recs)
+	// The second frame starts where a file of the first record ends.
+	cut := len(persist.EncodeWAL(recs[:1]))
+	var serve atomic.Value
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Dualsim-Epoch", "2")
+		serve.Load().(func(http.ResponseWriter))(w)
+	}))
+	defer hs.Close()
+	c, err := New(hs.URL, WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		serve func(http.ResponseWriter)
+		want  int // records, or -1 for an error
+	}{
+		{"whole", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body)
+		}, 2},
+		{"cut at a frame boundary", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body[:cut])
+		}, -1},
+		{"no Content-Length", func(w http.ResponseWriter) {
+			w.Write(body[:cut])
+			w.(http.Flusher).Flush()
+		}, -1},
+	} {
+		serve.Store(tc.serve)
+		recs, _, err := c.TailWAL(ctx, 0, 0)
+		if tc.want < 0 && err == nil {
+			t.Errorf("%s: TailWAL accepted %d records, want an error", tc.name, len(recs))
+		}
+		if tc.want >= 0 && (err != nil || len(recs) != tc.want) {
+			t.Errorf("%s: TailWAL = %d records, %v; want %d", tc.name, len(recs), err, tc.want)
+		}
 	}
 }

@@ -19,7 +19,7 @@
 //	POST /v1/checkpoint   roll the WAL into a fresh on-disk snapshot
 //	GET  /v1/snapshot     epoch + store shape
 //	GET  /v1/export       predicate slices as a DSIMSNP1 container (the router's gather path)
-//	GET  /v1/wal          WAL tail from an epoch (replica streaming; durable only)
+//	GET  /v1/wal          a WAL file of the records after fromEpoch, CRC per record (replica streaming; durable only)
 //	GET  /v1/wal/snapshot binary snapshot (replica bootstrap)
 //	GET  /healthz         liveness (always 200 while the process runs)
 //	GET  /readyz          readiness (503 while draining, bootstrapping or lagging)

@@ -9,7 +9,7 @@ import (
 
 	"dualsim"
 	"dualsim/client"
-	"dualsim/internal/wire"
+	"dualsim/internal/persist"
 )
 
 // Follower is a WAL-streaming read replica of one primary dualsimd: it
@@ -269,18 +269,21 @@ func (f *Follower) Run(ctx context.Context) error {
 // (long-polling when the primary is idle) and replay them in order.
 func (f *Follower) tailOnce(ctx context.Context) error {
 	db := f.db.Load()
-	ws, err := f.c.TailWAL(ctx, db.Epoch(), f.pollWait)
+	recs, primary, err := f.c.TailWAL(ctx, db.Epoch(), f.pollWait)
+	// A refused tail still names the primary's epoch: keep it when it
+	// is ahead, so the lag (and Ready) shows a replica stuck behind it.
+	if err == nil || primary > f.primaryEpoch.Load() {
+		f.primaryEpoch.Store(primary)
+	}
 	if err != nil {
 		return err
 	}
-	defer ws.Close()
-	f.primaryEpoch.Store(ws.PrimaryEpoch())
-	for ws.Next() {
-		if err := f.applyEvent(ctx, db, ws.Event()); err != nil {
+	for _, rec := range recs {
+		if err := f.applyEvent(ctx, db, rec); err != nil {
 			return err
 		}
 	}
-	return ws.Err()
+	return nil
 }
 
 // applyEvent replays one WAL record with the epoch discipline replicas
@@ -289,35 +292,28 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 // a gap (reported as client.ErrWALGap so Run re-bootstraps); and after
 // the replay the session MUST sit at the record's epoch, or the replica
 // has diverged from the primary.
-func (f *Follower) applyEvent(ctx context.Context, db *dualsim.DB, ev client.WALEvent) error {
+func (f *Follower) applyEvent(ctx context.Context, db *dualsim.DB, rec persist.Record) error {
 	cur := db.Epoch()
-	if ev.Epoch <= cur {
+	if rec.Epoch <= cur {
 		return nil
 	}
-	if ev.Epoch != cur+1 {
-		return fmt.Errorf("%w: tail at epoch %d jumps to %d", client.ErrWALGap, cur, ev.Epoch)
+	if rec.Epoch != cur+1 {
+		return fmt.Errorf("%w: tail at epoch %d jumps to %d", client.ErrWALGap, cur, rec.Epoch)
 	}
-	switch ev.Kind {
-	case wire.WALApply:
-		var d dualsim.Delta
-		for _, t := range ev.Adds {
-			d.Adds = append(d.Adds, t.ToTriple())
+	switch rec.Kind {
+	case persist.RecordApply:
+		if _, err := db.Apply(ctx, dualsim.Delta{Adds: rec.Adds, Dels: rec.Dels}); err != nil {
+			return fmt.Errorf("cluster: replaying apply of epoch %d: %w", rec.Epoch, err)
 		}
-		for _, t := range ev.Dels {
-			d.Dels = append(d.Dels, t.ToTriple())
-		}
-		if _, err := db.Apply(ctx, d); err != nil {
-			return fmt.Errorf("cluster: replaying apply of epoch %d: %w", ev.Epoch, err)
-		}
-	case wire.WALCompact:
+	case persist.RecordCompact:
 		if _, err := db.Compact(ctx); err != nil {
-			return fmt.Errorf("cluster: replaying compact of epoch %d: %w", ev.Epoch, err)
+			return fmt.Errorf("cluster: replaying compact of epoch %d: %w", rec.Epoch, err)
 		}
 	default:
-		return fmt.Errorf("cluster: unknown WAL event kind %q at epoch %d", ev.Kind, ev.Epoch)
+		return fmt.Errorf("cluster: unknown WAL record kind %d at epoch %d", rec.Kind, rec.Epoch)
 	}
-	if got := db.Epoch(); got != ev.Epoch {
-		return fmt.Errorf("cluster: replica diverged: record of epoch %d left the session at %d", ev.Epoch, got)
+	if got := db.Epoch(); got != rec.Epoch {
+		return fmt.Errorf("cluster: replica diverged: record of epoch %d left the session at %d", rec.Epoch, got)
 	}
 	f.applied.Add(1)
 	return nil

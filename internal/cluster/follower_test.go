@@ -1,18 +1,29 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"log"
+	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dualsim"
 	"dualsim/client"
+	"dualsim/internal/persist"
 	"dualsim/internal/queries"
 	"dualsim/internal/server"
-	"dualsim/internal/wire"
 )
 
 // newPrimary starts a durable dualsimd over Fig. 1(a) — the only kind a
@@ -177,10 +188,10 @@ func TestFollowerApplyEventEpochDiscipline(t *testing.T) {
 	defer db.Close()
 	f := &Follower{}
 	ctx := context.Background()
-	add := []wire.Triple{wire.FromTriple(dualsim.T("N._Roeg", "directed", "Walkabout"))}
+	add := []dualsim.Triple{dualsim.T("N._Roeg", "directed", "Walkabout")}
 
 	// Epoch 0 record against an epoch-0 session: duplicate, skipped.
-	if err := f.applyEvent(ctx, db, client.WALEvent{Kind: wire.WALApply, Epoch: 0, Adds: add}); err != nil {
+	if err := f.applyEvent(ctx, db, persist.Record{Kind: persist.RecordApply, Epoch: 0, Adds: add}); err != nil {
 		t.Fatalf("duplicate record: %v", err)
 	}
 	if db.Epoch() != 0 || f.applied.Load() != 0 {
@@ -188,7 +199,7 @@ func TestFollowerApplyEventEpochDiscipline(t *testing.T) {
 	}
 
 	// Epoch 2 against epoch 0: a gap — must refuse, not apply.
-	err = f.applyEvent(ctx, db, client.WALEvent{Kind: wire.WALApply, Epoch: 2, Adds: add})
+	err = f.applyEvent(ctx, db, persist.Record{Kind: persist.RecordApply, Epoch: 2, Adds: add})
 	if !errors.Is(err, client.ErrWALGap) {
 		t.Fatalf("gap record returned %v, want ErrWALGap", err)
 	}
@@ -197,17 +208,142 @@ func TestFollowerApplyEventEpochDiscipline(t *testing.T) {
 	}
 
 	// Epoch 1: exactly next — applies and lands the session there.
-	if err := f.applyEvent(ctx, db, client.WALEvent{Kind: wire.WALApply, Epoch: 1, Adds: add}); err != nil {
+	if err := f.applyEvent(ctx, db, persist.Record{Kind: persist.RecordApply, Epoch: 1, Adds: add}); err != nil {
 		t.Fatal(err)
 	}
 	if db.Epoch() != 1 || f.applied.Load() != 1 {
 		t.Fatalf("in-order record: epoch %d, applied %d", db.Epoch(), f.applied.Load())
 	}
+	if !slices.Contains(db.Store().Triples(), add[0]) {
+		t.Fatalf("in-order record did not add %v", add[0])
+	}
 
 	// Unknown kinds are a divergence signal, not a silent skip.
-	if err := f.applyEvent(ctx, db, client.WALEvent{Kind: "mystery", Epoch: 2}); err == nil {
+	if err := f.applyEvent(ctx, db, persist.Record{Kind: 9, Epoch: 2}); err == nil {
 		t.Fatal("unknown record kind accepted")
 	}
+}
+
+// sortedTriples is a snapshot's store as sorted N-Triples-like lines.
+func sortedTriples(snap *dualsim.Snapshot) []string {
+	var out []string
+	for _, tr := range snap.Store().Triples() {
+		out = append(out, fmt.Sprint(tr))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// without returns the lines of a missing from b.
+func without(a, b []string) []string {
+	var out []string
+	for _, l := range a {
+		if !slices.Contains(b, l) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// TestFollowerRefusesACorruptTail puts a proxy between a replica and a
+// durable primary that flips one byte inside a tail record's triple.
+// The replica must apply nothing from that record on, stay at its
+// epoch and report the error; at every epoch it reports, its store is
+// the primary's store at that epoch.
+func TestFollowerRefusesACorruptTail(t *testing.T) {
+	db, hs := newPrimary(t)
+	target, err := url.Parse(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corrupt atomic.Bool
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	proxy.ErrorLog = log.New(io.Discard, "", 0) // the replica's polls end with the test
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		if !corrupt.Load() || resp.Request.URL.Path != "/v1/wal" || resp.StatusCode != http.StatusOK {
+			return nil
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if i := bytes.Index(body, []byte("Corrupt_Me")); i >= 0 {
+			body[i] ^= 'C' ^ 'K' // the same length, another subject
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		return nil
+	}
+	ps := httptest.NewServer(proxy)
+	defer ps.Close()
+
+	var mu sync.Mutex
+	primary := map[uint64][]string{0: sortedTriples(db.Snapshot())}
+	var logs []string
+	apply := func(s, p, o string) {
+		applyOne(t, db, s, p, o)
+		snap := db.Snapshot()
+		mu.Lock()
+		primary[snap.Epoch()] = sortedTriples(snap)
+		mu.Unlock()
+	}
+	// consistent compares the replica with the primary at the epoch the
+	// replica reports, and returns that epoch.
+	consistent := func(f *Follower) uint64 {
+		rdb := f.DB()
+		if rdb == nil {
+			return 0
+		}
+		snap := rdb.Snapshot()
+		got := sortedTriples(snap)
+		mu.Lock()
+		want, ok := primary[snap.Epoch()]
+		mu.Unlock()
+		if !ok || !slices.Equal(got, want) {
+			t.Fatalf("replica at epoch %d holds %v and lacks %v of the primary's store",
+				snap.Epoch(), without(got, want), without(want, got))
+		}
+		return snap.Epoch()
+	}
+	f, err := Follow(ps.URL, WithPollWait(50*time.Millisecond), WithRetryWait(20*time.Millisecond),
+		WithLogf(func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = f.Run(ctx) }()
+
+	apply("N._Roeg", "directed", "Walkabout") // epoch 1 arrives intact
+	waitFor(t, "catch-up to epoch 1", func() bool { return consistent(f) == 1 })
+	corrupt.Store(true)
+	apply("Corrupt_Me", "directed", "Walkabout")   // epoch 2 is damaged in transit
+	apply("S._Kubrick", "directed", "The_Shining") // and so is the tail holding epoch 3
+	waitFor(t, "the damaged tail reported", func() bool {
+		consistent(f)
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, "CRC") })
+	})
+	// Several more damaged rounds: the replica stays where it was, and
+	// reports the lag: it is not ready at the default bound of 0.
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if e := consistent(f); e != 1 {
+			t.Fatalf("replica moved to epoch %d past a damaged record", e)
+		}
+	}
+	if st := f.Stats(); st.Epoch != 1 || st.Lag < 2 {
+		t.Errorf("stuck replica reports %+v; want epoch 1 and a lag of at least 2", st)
+	}
+	if err := f.Ready(); err == nil {
+		t.Error("a replica stuck behind a damaged tail reports ready")
+	}
+	corrupt.Store(false)
+	waitFor(t, "catch-up to epoch 3", func() bool { return consistent(f) == 3 })
 }
 
 // Bounded staleness: Ready must flip as the lag crosses the bound.

@@ -60,6 +60,12 @@
 // CRC-failing final record from a crash mid-append — is truncated away
 // on recovery; everything before it replays.
 //
+// # Replication
+//
+// GET /v1/wal answers with a WAL file of the records after fromEpoch,
+// CRC per record, in exactly these bytes (EncodeWAL). Replicas read it
+// with ReadWAL, the reader recovery uses, and refuse a torn tail whole.
+//
 // # Versioning rules
 //
 // The magic identifies the file family and never changes; the version

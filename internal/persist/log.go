@@ -1,10 +1,8 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -185,24 +183,19 @@ func (l *Log) append(r Record) (AppendStats, error) {
 	if l.err != nil {
 		return AppendStats{}, fmt.Errorf("persist: log poisoned by an earlier unrecoverable append failure: %w", l.err)
 	}
-	l.buf = l.buf[:0]
-	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	l.buf = encodeRecord(l.buf, r)
-	payload := l.buf[walFrameLen:]
-	// Enforce the bound recovery enforces: a frame beyond maxRecordBytes
-	// would be acknowledged here only to be treated as a torn tail (and
-	// truncated, with everything after it) on the next boot — and past
-	// 4 GB the length field itself would wrap. Refuse before acking.
-	if len(payload) > maxRecordBytes {
-		return AppendStats{}, fmt.Errorf("persist: WAL record of %d bytes exceeds the %d-byte bound; split the delta", len(payload), maxRecordBytes)
-	}
-	binary.LittleEndian.PutUint32(l.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.buf[4:8], crc32.ChecksumIEEE(payload))
+	l.buf = appendFrame(l.buf[:0], r)
 	frame := l.buf
 	if cap(l.buf) > 1<<20 {
 		// Don't let one bulk delta pin a huge scratch buffer for the
 		// session's lifetime; steady-state records are tiny.
 		l.buf = nil
+	}
+	// Enforce the bound recovery enforces: a frame beyond maxRecordBytes
+	// would be acknowledged here only to be treated as a torn tail (and
+	// truncated, with everything after it) on the next boot — and past
+	// 4 GB the length field itself would wrap. Refuse before acking.
+	if n := len(frame) - walFrameLen; n > maxRecordBytes {
+		return AppendStats{}, fmt.Errorf("persist: WAL record of %d bytes exceeds the %d-byte bound; split the delta", n, maxRecordBytes)
 	}
 	if _, err := l.wal.Write(frame); err != nil {
 		l.rollback(err)

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -73,8 +74,7 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// decodeRecord parses one payload. The frame CRC already matched, so a
-// failure here is a format bug or version skew, not bit rot.
+// decodeRecord parses one payload.
 func decodeRecord(payload []byte) (Record, error) {
 	if len(payload) < 9 {
 		return Record{}, fmt.Errorf("persist: WAL payload too short (%d bytes)", len(payload))
@@ -167,12 +167,99 @@ func decodeString(buf []byte) (string, []byte, error) {
 	return string(buf[:n]), buf[n:], nil
 }
 
-// scanWAL parses the log at path. It returns every intact record plus
-// the byte offset of the end of the last intact record — the point a
-// recovery truncates to when the tail is torn (a partial frame or a CRC
-// mismatch from a crash mid-append). A missing file scans as empty. A
-// corrupt header (wrong magic or unknown version) is a hard error: that
-// is not a torn append but the wrong file.
+// errTornWAL marks input that stops short of a whole record: a partial
+// frame or a CRC mismatch.
+var errTornWAL = errors.New("persist: torn WAL")
+
+// appendFrame appends r to buf as one WAL frame: payload length, CRC
+// and payload — the one frame encoder, shared by Log's appends and
+// EncodeWAL.
+func appendFrame(buf []byte, r Record) []byte {
+	start := len(buf)
+	buf = encodeRecord(append(buf, make([]byte, walFrameLen)...), r)
+	payload := buf[start+walFrameLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
+}
+
+// EncodeWAL returns a WAL file holding exactly recs: the bytes a log
+// whose records are recs holds on disk. GET /v1/wal answers with it.
+func EncodeWAL(recs []Record) []byte {
+	buf := binary.LittleEndian.AppendUint32([]byte(walMagic), Version)
+	for _, r := range recs {
+		buf = appendFrame(buf, r)
+	}
+	return buf
+}
+
+// ReadWAL reads a WAL file from r — the one frame reader, shared by
+// recovery and replicas. It returns every intact record and goodLen,
+// the byte length of the header and their frames. Input that stops
+// short of a whole header or frame, or a frame failing its CRC, is an
+// error wrapping errTornWAL, returned with the records before it:
+// recovery truncates there, a replica refuses the tail. A wrong magic
+// or version, or a payload that passes its CRC but does not decode, is
+// a different file or format, and no records come back.
+func ReadWAL(r io.Reader) (recs []Record, goodLen int64, err error) {
+	// short sorts a read that came up short: running out of input is a
+	// torn WAL, anything else an I/O error.
+	short := func(err error, what string) ([]Record, int64, error) {
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, 0, fmt.Errorf("persist: reading WAL: %w", err)
+		}
+		return recs, goodLen, fmt.Errorf("%w at byte %d: %s", errTornWAL, goodLen, what)
+	}
+	// One header buffer, one payload buffer and one limited reader serve
+	// every frame: a tail of many small records allocates per record
+	// only what decodeRecord keeps.
+	hdr := make([]byte, walHeaderLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return short(err, "no header")
+	}
+	if string(hdr[:len(walMagic)]) != walMagic {
+		return nil, 0, errors.New("persist: not a dualsim WAL (bad magic)")
+	}
+	if v := binary.LittleEndian.Uint32(hdr[len(walMagic):]); v != Version {
+		return nil, 0, fmt.Errorf("persist: WAL has unsupported format version %d (reader supports %d)", v, Version)
+	}
+	goodLen = walHeaderLen
+	var payload bytes.Buffer
+	body := &io.LimitedReader{R: r}
+	for frame := hdr[:walFrameLen]; ; {
+		if _, err := io.ReadFull(r, frame); err == io.EOF {
+			return recs, goodLen, nil
+		} else if err != nil {
+			return short(err, "partial frame")
+		}
+		n := int64(binary.LittleEndian.Uint32(frame[0:4]))
+		if n > maxRecordBytes {
+			return short(nil, "frame length beyond the record bound")
+		}
+		// Grow with the bytes read, not the claimed length: a corrupt
+		// length must not size a large allocation.
+		payload.Reset()
+		body.N = n
+		if m, err := payload.ReadFrom(body); err != nil || m < n {
+			return short(err, "partial frame")
+		}
+		if crc32.ChecksumIEEE(payload.Bytes()) != binary.LittleEndian.Uint32(frame[4:8]) {
+			return short(nil, "CRC mismatch")
+		}
+		// The CRC matched, so a decode failure is a format bug or
+		// version skew, not bit rot.
+		rec, err := decodeRecord(payload.Bytes())
+		if err != nil {
+			return nil, 0, err
+		}
+		recs = append(recs, rec)
+		goodLen += walFrameLen + n
+	}
+}
+
+// scanWAL reads the log at path. torn reports bytes past goodLen — a
+// partial or CRC-failing frame from a crash mid-append — which a
+// recovery truncates away. A missing file scans as empty.
 func scanWAL(path string) (recs []Record, goodLen int64, torn bool, err error) {
 	buf, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -181,53 +268,20 @@ func scanWAL(path string) (recs []Record, goodLen int64, torn bool, err error) {
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("persist: %w", err)
 	}
-	if len(buf) < walHeaderLen {
-		// Crash while creating the file: nothing was ever logged.
-		return nil, 0, len(buf) > 0, nil
+	recs, goodLen, err = ReadWAL(bytes.NewReader(buf))
+	if err != nil && !errors.Is(err, errTornWAL) {
+		return nil, 0, false, fmt.Errorf("%w: %s", err, path)
 	}
-	if string(buf[:len(walMagic)]) != walMagic {
-		return nil, 0, false, fmt.Errorf("persist: %s is not a dualsim WAL (bad magic)", path)
-	}
-	if v := binary.LittleEndian.Uint32(buf[len(walMagic):walHeaderLen]); v != Version {
-		return nil, 0, false, fmt.Errorf("persist: WAL %s has unsupported format version %d (reader supports %d)", path, v, Version)
-	}
-	off := walHeaderLen
-	for {
-		if off+walFrameLen > len(buf) {
-			torn = off != len(buf)
-			break
-		}
-		n := binary.LittleEndian.Uint32(buf[off : off+4])
-		sum := binary.LittleEndian.Uint32(buf[off+4 : off+8])
-		if n > maxRecordBytes || off+walFrameLen+int(n) > len(buf) {
-			torn = true
-			break
-		}
-		payload := buf[off+walFrameLen : off+walFrameLen+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			torn = true
-			break
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		recs = append(recs, rec)
-		off += walFrameLen + int(n)
-	}
-	return recs, int64(off), torn, nil
+	return recs, goodLen, goodLen < int64(len(buf)), nil
 }
 
-// createWAL writes a fresh log containing only the header.
+// createWAL writes a fresh log: a WAL file of no records, the header.
 func createWAL(path string) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	var hdr [walHeaderLen]byte
-	copy(hdr[:], walMagic)
-	binary.LittleEndian.PutUint32(hdr[len(walMagic):], Version)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(EncodeWAL(nil)); err != nil {
 		return nil, errors.Join(fmt.Errorf("persist: WAL header: %w", err), f.Close())
 	}
 	if err := f.Sync(); err != nil {

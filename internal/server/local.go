@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -332,15 +331,19 @@ func (s *Server) handleWALSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // walPollInterval paces the long-poll loop of GET /v1/wal?waitMs=…: how
-// often a parked tail request re-checks the log for fresh records.
+// often a parked tail request re-checks the session's epoch.
 const walPollInterval = 25 * time.Millisecond
 
-// handleWAL serves the replication tail: every WAL record with epoch >
-// fromEpoch, as NDJSON WALEvents (header, apply/compact records in
-// replay order, end). waitMs long-polls an empty tail so an idle
-// primary does not force replicas into tight polling. 409 on a
-// non-durable session; 410 (with X-Dualsim-Checkpoint-Epoch) when a
-// checkpoint truncated the requested range — the replica must
+// handleWAL serves the replication tail: a WAL file of the records
+// after fromEpoch, CRC per record — the header and frames
+// internal/persist writes to disk — with Content-Length, the primary's
+// epoch in X-Dualsim-Epoch and its last checkpoint in
+// X-Dualsim-Checkpoint-Epoch. The body is encoded whole before it is
+// sent, so a long catch-up costs the encoded tail in memory on top of
+// the records WALTail already holds. waitMs long-polls an empty tail
+// so an idle primary does not force replicas into tight polling. 409
+// on a non-durable session; 410 (with X-Dualsim-Checkpoint-Epoch) when
+// a checkpoint truncated the requested range — the replica must
 // re-bootstrap from /v1/wal/snapshot.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -374,9 +377,12 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		// Re-resolve the session each round: a SwapDB mid-poll (this
 		// server is itself a re-bootstrapping replica) must not leave the
-		// poll parked on the abandoned session's log.
+		// poll parked on the abandoned session's log. Re-read the log
+		// only once the epoch moved: reading it blocks appends.
 		db = s.be.session()
-		recs, ckpt, err = db.WALTail(from)
+		if db.Epoch() > from {
+			recs, ckpt, err = db.WALTail(from)
+		}
 	}
 	switch {
 	case err == nil:
@@ -394,46 +400,13 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.walStreams.Inc()
-
-	cur := db.Epoch()
-	w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
-	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(cur, 10))
+	body := persist.EncodeWAL(recs)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(db.Epoch(), 10))
+	w.Header().Set("X-Dualsim-Checkpoint-Epoch", strconv.FormatUint(ckpt, 10))
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(wire.WALEvent{Kind: wire.WALHeader, Epoch: cur, CheckpointEpoch: ckpt}); err != nil {
-		return
-	}
-	for _, rec := range recs {
-		ev := wire.WALEvent{Epoch: rec.Epoch}
-		switch rec.Kind {
-		case persist.RecordApply:
-			ev.Kind = wire.WALApply
-			ev.Adds = toWireTriples(rec.Adds)
-			ev.Dels = toWireTriples(rec.Dels)
-		case persist.RecordCompact:
-			ev.Kind = wire.WALCompact
-		default:
-			// Unknown kinds cannot be skipped: the replica's contiguity
-			// check would (correctly) flag the hole. Fail the stream.
-			_ = enc.Encode(wire.WALEvent{Kind: wire.WALEnd, Epoch: rec.Epoch - 1})
-			return
-		}
-		if err := enc.Encode(ev); err != nil {
-			return
-		}
-	}
-	_ = enc.Encode(wire.WALEvent{Kind: wire.WALEnd, Epoch: cur})
-}
-
-func toWireTriples(ts []dualsim.Triple) []wire.Triple {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]wire.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = wire.FromTriple(t)
-	}
-	return out
+	_, _ = w.Write(body) // a torn write fails the replica's read; nothing to clean up
 }
 
 // handleExport serves every triple of the requested predicates

@@ -26,7 +26,7 @@
 //	POST /v1/checkpoint roll the durable session's WAL into a snapshot
 //	GET  /v1/export    DSIMSNP1 container of predicate slices at a pinned epoch (router gather);
 //	                   ETag "<session nonce>-<epoch>", 304 when If-None-Match lists it
-//	GET  /v1/wal       replication tail: WAL records after an epoch (NDJSON)
+//	GET  /v1/wal       replication tail: a WAL file of the records after fromEpoch, CRC per record
 //	GET  /v1/wal/snapshot  streamed DSIMSNP1 bootstrap snapshot
 //
 // Consistency: every query executes against a snapshot pinned for that

@@ -951,30 +951,10 @@ func TestCheckpointNotDurableIs409(t *testing.T) {
 	}
 }
 
-// walEvents reads a full NDJSON /v1/wal response body.
-func walEvents(t *testing.T, resp *http.Response) []wire.WALEvent {
+// newDurableServer serves Fig. 1(a) from a session with a data dir:
+// the only kind with a WAL to tail.
+func newDurableServer(t *testing.T) (*httptest.Server, *dualsim.DB) {
 	t.Helper()
-	defer resp.Body.Close()
-	var evs []wire.WALEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		var ev wire.WALEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("WAL event line %q: %v", sc.Text(), err)
-		}
-		evs = append(evs, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return evs
-}
-
-// TestWALReplicationEndpoints drives the primary half of replication:
-// tail after writes, bootstrap snapshot, and the 410 epoch-gap answer
-// once a checkpoint truncates the requested range.
-func TestWALReplicationEndpoints(t *testing.T) {
 	st, err := dualsim.FromTriples(queries.Fig1aTriples())
 	if err != nil {
 		t.Fatal(err)
@@ -992,6 +972,43 @@ func TestWALReplicationEndpoints(t *testing.T) {
 		hs.Close()
 		db.Close()
 	})
+	return hs, db
+}
+
+// walTail checks a 200 /v1/wal answer — a WAL file with Content-Length
+// and the primary's epoch and last checkpoint in headers — and reads
+// its records with the frame reader recovery uses.
+func walTail(t *testing.T, resp *http.Response, epoch, ckpt string) []persist.Record {
+	t.Helper()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("wal tail status = %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("wal tail Content-Type = %q", ct)
+	}
+	if e, c := resp.Header.Get("X-Dualsim-Epoch"), resp.Header.Get("X-Dualsim-Checkpoint-Epoch"); e != epoch || c != ckpt {
+		t.Fatalf("wal tail epoch headers = %q, %q; want %q, %q", e, c, epoch, ckpt)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Fatalf("wal tail Content-Length = %d for a %d-byte body", resp.ContentLength, len(body))
+	}
+	recs, goodLen, err := persist.ReadWAL(bytes.NewReader(body))
+	if err != nil || goodLen != int64(len(body)) {
+		t.Fatalf("wal tail reads %d of %d bytes: %v", goodLen, len(body), err)
+	}
+	return recs
+}
+
+// TestWALReplicationEndpoints drives the primary half of replication:
+// tail after writes, bootstrap snapshot, and the 410 epoch-gap answer
+// once a checkpoint truncates the requested range.
+func TestWALReplicationEndpoints(t *testing.T) {
+	hs, db := newDurableServer(t)
 	ctx := context.Background()
 	if _, err := db.Apply(ctx, dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("n1", "directed", "m1")}}); err != nil {
 		t.Fatal(err)
@@ -1004,33 +1021,26 @@ func TestWALReplicationEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("wal tail status = %d", resp.StatusCode)
+	recs := walTail(t, resp, "2", "0")
+	if len(recs) != 2 {
+		t.Fatalf("tail records = %+v, want 2 applies", recs)
 	}
-	evs := walEvents(t, resp)
-	if len(evs) != 4 {
-		t.Fatalf("tail events = %+v, want header+2 applies+end", evs)
-	}
-	if evs[0].Kind != wire.WALHeader || evs[0].Epoch != 2 || evs[0].CheckpointEpoch != 0 {
-		t.Fatalf("header = %+v", evs[0])
-	}
-	for i, wantEpoch := range []uint64{1, 2} {
-		ev := evs[1+i]
-		if ev.Kind != wire.WALApply || ev.Epoch != wantEpoch || len(ev.Adds) != 1 {
-			t.Fatalf("apply[%d] = %+v", i, ev)
+	for i, rec := range recs {
+		if rec.Kind != persist.RecordApply || rec.Epoch != uint64(i+1) || len(rec.Adds) != 1 || len(rec.Dels) != 0 {
+			t.Fatalf("apply[%d] = %+v", i, rec)
 		}
 	}
-	if evs[3].Kind != wire.WALEnd || evs[3].Epoch != 2 {
-		t.Fatalf("end = %+v", evs[3])
+	if got := recs[1].Adds[0]; got != dualsim.T("n2", "directed", "m2") {
+		t.Fatalf("apply of epoch 2 adds %v", got)
 	}
 
-	// A caught-up replica's poll: no records, just header+end.
+	// A caught-up replica's poll: no records, just the header.
 	resp, err = http.Get(hs.URL + "/v1/wal?fromEpoch=2&waitMs=10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evs = walEvents(t, resp); len(evs) != 2 || evs[0].Kind != wire.WALHeader || evs[1].Kind != wire.WALEnd {
-		t.Fatalf("caught-up tail = %+v", evs)
+	if recs = walTail(t, resp, "2", "0"); len(recs) != 0 {
+		t.Fatalf("caught-up tail = %+v", recs)
 	}
 
 	// Bootstrap snapshot: the streamed container decodes to the live
@@ -1074,6 +1084,38 @@ func TestWALReplicationEndpoints(t *testing.T) {
 		t.Fatalf("gap checkpoint-epoch header = %q, want 2", got)
 	}
 	resp.Body.Close()
+}
+
+// TestWALLongPollDeliversMidPollApply: a caught-up replica parked on
+// a long-poll gets the record of an apply that lands while it waits,
+// long before the poll window runs out.
+func TestWALLongPollDeliversMidPollApply(t *testing.T) {
+	hs, db := newDurableServer(t)
+	type answer struct {
+		resp *http.Response
+		err  error
+	}
+	got := make(chan answer, 1)
+	start := time.Now()
+	go func() {
+		resp, err := http.Get(hs.URL + "/v1/wal?fromEpoch=0&waitMs=20000")
+		got <- answer{resp, err}
+	}()
+	time.Sleep(100 * time.Millisecond) // let the poll park on the idle log
+	if _, err := db.Apply(context.Background(), dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("n1", "directed", "m1")}}); err != nil {
+		t.Fatal(err)
+	}
+	a := <-got
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	recs := walTail(t, a.resp, "1", "0")
+	if len(recs) != 1 || recs[0].Epoch != 1 || recs[0].Adds[0] != dualsim.T("n1", "directed", "m1") {
+		t.Fatalf("mid-poll tail = %+v, want the apply of epoch 1", recs)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("the apply was delivered after %v, at the end of the poll window", d)
+	}
 }
 
 // TestWALTailNotDurableIs409: without a data dir there is no WAL to

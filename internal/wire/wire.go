@@ -225,35 +225,6 @@ type HealthResponse struct {
 	Revision string `json:"revision,omitempty"`
 }
 
-// WALEvent is one NDJSON line of GET /v1/wal — the replication tail
-// stream. The shape mirrors the query stream: a "header" first (the
-// primary's current epoch plus its last checkpoint epoch), then one
-// "apply"/"compact" event per WAL record in replay order, and an "end"
-// trailer repeating the primary epoch so a replica can compute its lag
-// without a second round-trip.
-type WALEvent struct {
-	// Kind is "header", "apply", "compact" or "end".
-	Kind string `json:"kind"`
-	// Epoch: on header/end, the primary's current epoch; on
-	// apply/compact, the record's post-operation epoch (replaying it
-	// onto epoch N-1 must yield exactly N).
-	Epoch uint64 `json:"epoch"`
-	// CheckpointEpoch (header) is the primary's last checkpoint epoch —
-	// the oldest state a fresh bootstrap snapshot can start from.
-	CheckpointEpoch uint64 `json:"checkpointEpoch,omitempty"`
-	// Adds and Dels (apply) are the record's delta; dels before adds.
-	Adds []Triple `json:"adds,omitempty"`
-	Dels []Triple `json:"dels,omitempty"`
-}
-
-// WALEvent kinds.
-const (
-	WALHeader  = "header"
-	WALApply   = "apply"
-	WALCompact = "compact"
-	WALEnd     = "end"
-)
-
 // EndpointStatus is the router's live view of one shard endpoint.
 type EndpointStatus struct {
 	URL  string `json:"url"`

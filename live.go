@@ -308,7 +308,9 @@ func (db *DB) Durable() bool { return db.pers != nil }
 
 // WALTail returns the durable session's WAL records with epochs beyond
 // afterEpoch, in replay order, plus the last checkpoint epoch — the
-// primary side of WAL-streaming replication (dualsimd's GET /v1/wal).
+// primary side of WAL-streaming replication. dualsimd's GET /v1/wal
+// answers with them as a WAL file of the records after fromEpoch, CRC
+// per record (persist.EncodeWAL).
 // Returns ErrNotDurable without a data dir, and persist.ErrEpochGap
 // when a checkpoint already truncated the requested range (the caller
 // must re-bootstrap from a snapshot instead of tailing).
