@@ -102,25 +102,12 @@ func WithRetries(n int) Option {
 	}
 }
 
-// WithRetryBackoff sets the base backoff between retries when the
-// server sent no Retry-After hint (default 100ms, doubled per attempt
-// with jitter).
-func WithRetryBackoff(d time.Duration) Option {
-	return func(c *Client) error {
-		if d <= 0 {
-			return fmt.Errorf("client: retry backoff must be positive, got %v", d)
-		}
-		c.backoff = d
-		return nil
-	}
-}
-
 // Client talks to one dualsimd server. Safe for concurrent use.
 type Client struct {
 	base    string
 	hc      *http.Client
 	retries int
-	backoff time.Duration
+	backoff time.Duration // base retry backoff without a Retry-After hint, doubled per attempt with jitter
 }
 
 // New returns a client for the server at baseURL (e.g.

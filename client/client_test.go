@@ -232,7 +232,7 @@ func TestClientRetriesShedding(t *testing.T) {
 	}))
 	defer fake.Close()
 
-	c, err := New(fake.URL, WithRetries(3), WithRetryBackoff(time.Millisecond))
+	c, err := New(fake.URL, WithRetries(3), retryBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestClientRetriesShedding(t *testing.T) {
 
 	// With the budget exhausted the 429 surfaces as an APIError.
 	calls.Store(-100)
-	c2, err := New(fake.URL, WithRetries(1), WithRetryBackoff(time.Millisecond))
+	c2, err := New(fake.URL, WithRetries(1), retryBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestClientHealthNoRetryOnDrain(t *testing.T) {
 		w.Write([]byte(`{"error":"draining"}`))
 	}))
 	defer fake.Close()
-	c, err := New(fake.URL, WithRetries(3), WithRetryBackoff(time.Millisecond))
+	c, err := New(fake.URL, WithRetries(3), retryBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +285,19 @@ func TestClientOptionValidation(t *testing.T) {
 	if _, err := New(""); err == nil {
 		t.Fatal("empty base URL accepted")
 	}
-	for _, opt := range []Option{WithHTTPClient(nil), WithRetries(-1), WithRetryBackoff(0)} {
+	for _, opt := range []Option{WithHTTPClient(nil), WithRetries(-1)} {
 		if _, err := New("http://x", opt); err == nil {
 			t.Fatal("invalid option accepted")
 		}
+	}
+}
+
+// retryBackoff sets the base retry backoff, which no option exposes, so
+// the retry tests wait milliseconds rather than the default 100ms.
+func retryBackoff(d time.Duration) Option {
+	return func(c *Client) error {
+		c.backoff = d
+		return nil
 	}
 }
 
@@ -325,7 +334,7 @@ func TestClientRetryReusesConnection(t *testing.T) {
 	// cannot mask (or donate) connections.
 	hc := &http.Client{Transport: &http.Transport{}}
 	defer hc.CloseIdleConnections()
-	c, err := New(fake.URL, WithHTTPClient(hc), WithRetries(3), WithRetryBackoff(time.Millisecond))
+	c, err := New(fake.URL, WithHTTPClient(hc), WithRetries(3), retryBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +359,7 @@ func TestClientRetryReusesConnection(t *testing.T) {
 // TestClientBackoffClampsRetryAfter pins the hint cap: a bogus huge
 // Retry-After must not stall the client past maxBackoff.
 func TestClientBackoffClampsRetryAfter(t *testing.T) {
-	c, err := New("http://x", WithRetryBackoff(50*time.Millisecond))
+	c, err := New("http://x", retryBackoff(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +391,7 @@ func TestClientReadyNoRetryOnNotReady(t *testing.T) {
 		w.Write([]byte(`{"error":"notready"}`))
 	}))
 	defer fake.Close()
-	c, err := New(fake.URL, WithRetries(3), WithRetryBackoff(time.Millisecond))
+	c, err := New(fake.URL, WithRetries(3), retryBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

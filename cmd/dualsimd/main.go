@@ -46,9 +46,11 @@
 //
 // With -follow the daemon is a read replica: it bootstraps a session
 // from the primary's streamed snapshot, tails GET /v1/wal, replays
-// every record, and serves reads only (mutations answer 403). /readyz
-// stays 503 until the first bootstrap completes and whenever the
-// replica lags the primary by more than -maxlag epochs.
+// every record, and serves reads only (mutations answer 403). Every
+// request is answered from the session the replication loop holds when
+// it arrives, so after a re-bootstrap the next request reads the new
+// one. /readyz stays 503 until the first bootstrap completes and
+// whenever the replica lags the primary by more than -maxlag epochs.
 //
 // On SIGINT/SIGTERM it drains: /readyz flips to 503 so load balancers
 // stop routing here (liveness stays green), in-flight queries finish
@@ -67,7 +69,6 @@ import (
 	"dualsim"
 	"dualsim/internal/buildinfo"
 	"dualsim/internal/cluster"
-	"dualsim/internal/metrics"
 	"dualsim/internal/persist"
 	"dualsim/internal/server"
 )
@@ -178,45 +179,16 @@ func run(ctx context.Context, cfg daemonConfig, logw *os.File, ready chan<- stri
 	})
 }
 
-// runFollower serves a WAL-streaming read replica: an empty placeholder
-// session goes live immediately (reporting not-ready), the replication
-// loop bootstraps from the primary and hot-swaps sessions in as it
-// catches up. No final checkpoint on shutdown — the replica's
-// durability IS the primary's WAL.
-func runFollower(ctx context.Context, cfg daemonConfig, logw *os.File, ready chan<- string) (err error) {
-	sessOpts := sessionOptions(cfg)
-	empty, err := dualsim.FromTriples(nil)
-	if err != nil {
-		return err
-	}
-	placeholder, err := dualsim.Open(empty, sessOpts...)
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, placeholder.Close()) }()
-
-	// The follower and the server need each other (readiness hook one
-	// way, session hot-swap the other); the closure breaks the cycle.
-	var f *cluster.Follower
-	reg := metrics.NewRegistry()
-	srvOpts := append(serverOptions(cfg),
-		server.WithRegistry(reg),
-		server.WithReadOnly(),
-		server.WithReadiness(func() error {
-			if f == nil {
-				return errors.New("replica starting")
-			}
-			return f.Ready()
-		}),
-	)
-	srv, err := server.New(placeholder, srvOpts...)
-	if err != nil {
-		return err
-	}
-	f, err = cluster.Follow(cfg.follow,
+// runFollower serves a WAL-streaming read replica: the follower serves
+// an empty session at epoch 0 (reporting not ready) until its
+// replication loop bootstraps from the primary, and the server answers
+// every request from the follower's current session. No final
+// checkpoint on shutdown — the replica's durability IS the primary's
+// WAL.
+func runFollower(ctx context.Context, cfg daemonConfig, logw *os.File, ready chan<- string) error {
+	f, err := cluster.Follow(cfg.follow,
 		cluster.WithMaxLag(cfg.maxLag),
-		cluster.WithSessionOptions(sessOpts...),
-		cluster.WithOnSwap(srv.SwapDB),
+		cluster.WithSessionOptions(sessionOptions(cfg)...),
 		cluster.WithLogf(func(format string, args ...any) {
 			fmt.Fprintf(logw, "dualsimd: "+format+"\n", args...)
 		}),
@@ -224,6 +196,11 @@ func runFollower(ctx context.Context, cfg daemonConfig, logw *os.File, ready cha
 	if err != nil {
 		return err
 	}
+	srv, err := server.NewReplica(f, serverOptions(cfg)...)
+	if err != nil {
+		return err
+	}
+	reg := srv.Registry()
 	reg.GaugeFunc("dualsimd_replica_lag", "epochs behind the primary", func() float64 {
 		return float64(f.Stats().Lag)
 	})
@@ -246,15 +223,11 @@ func runFollower(ctx context.Context, cfg daemonConfig, logw *os.File, ready cha
 	go func() { followErr <- f.Run(fctx) }()
 	fmt.Fprintf(logw, "dualsimd: replica of %s (maxlag %d)\n", cfg.follow, cfg.maxLag)
 
-	err = serveAndDrain(ctx, cfg, srv, logw, ready, func() error {
+	return serveAndDrain(ctx, cfg, srv, logw, ready, func() error {
 		stopFollowing()
 		<-followErr // replication has stopped; sessions are non-durable
-		if db := f.DB(); db != nil {
-			return db.Close()
-		}
-		return nil
+		return f.DB().Close()
 	})
-	return err
 }
 
 // serverOptions maps the serving flags onto server options.

@@ -146,26 +146,15 @@ func TestPublicAPIAllOptions(t *testing.T) {
 	}
 }
 
-// TestEveryOptionHasACaller is the session-option ledger: every exported
-// With* function in options.go must be referenced as dualsim.WithX by a
-// non-test Go file under cmd/, internal/ or benchmark/ — a command, the
-// server or the benchmark. An option only tests and examples set is a
-// knob nobody turns.
+// TestEveryOptionHasACaller is the option ledger: every exported With*
+// function of the root package, internal/server, internal/cluster,
+// internal/cluster/router and client must be called, qualified by its
+// package name (dualsim.WithX(, server.WithX(, …), by a non-test Go
+// file under cmd/, internal/ or benchmark/ outside the declaring
+// package — a command, another layer or the benchmark. An option only
+// tests and examples set is a knob nobody turns.
 func TestEveryOptionHasACaller(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "options.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var options []string
-	for _, d := range f.Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "With") {
-			options = append(options, fn.Name.Name)
-		}
-	}
-	if len(options) == 0 {
-		t.Fatal("no With* options found in options.go")
-	}
-	var callers strings.Builder
+	callers := map[string]string{} // directory → its non-test Go source
 	for _, root := range []string{"cmd", "internal", "benchmark"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -178,17 +167,45 @@ func TestEveryOptionHasACaller(t *testing.T) {
 				return nil
 			}
 			b, err := os.ReadFile(path)
-			callers.Write(b)
+			callers[filepath.Dir(path)] += string(b)
 			return err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	src := callers.String()
-	for _, name := range options {
-		if !strings.Contains(src, "dualsim."+name+"(") {
-			t.Errorf("%s has no caller outside tests and examples; delete it or give it one", name)
+	for _, dir := range []string{".", "internal/server", "internal/cluster", "internal/cluster/router", "client"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Recv != nil || !fn.Name.IsExported() || !strings.HasPrefix(fn.Name.Name, "With") {
+					continue
+				}
+				found++
+				call := f.Name.Name + "." + fn.Name.Name + "("
+				called := false
+				for caller, src := range callers {
+					called = called || caller != dir && strings.Contains(src, call)
+				}
+				if !called {
+					t.Errorf("%s has no caller outside tests, examples and its own package; delete it or give it one", strings.TrimSuffix(call, "("))
+				}
+			}
+		}
+		if found == 0 {
+			t.Errorf("no With* options found in %s", dir)
 		}
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dualsim"
+	"dualsim/internal/persist"
 	"dualsim/internal/queries"
 )
 
@@ -81,6 +83,9 @@ func TestDurableSessionWarmRestart(t *testing.T) {
 	if db2.Epoch() != wantEpoch {
 		t.Fatalf("epoch after restart: %d, want %d", db2.Epoch(), wantEpoch)
 	}
+	if ps := db2.PersistStats(); ps.WALRecords != 6 {
+		t.Fatalf("WAL after recovery holds %d records, want the 6 it replayed", ps.WALRecords)
+	}
 	res, stats, err := db2.Query(ctx, durableQueryX1)
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +101,43 @@ func TestDurableSessionWarmRestart(t *testing.T) {
 	}
 	if as.Epoch != wantEpoch+1 {
 		t.Fatalf("post-restart apply epoch %d, want %d", as.Epoch, wantEpoch+1)
+	}
+}
+
+// TestReplayEpochDiscipline: Replay, record by record and in a batch —
+// duplicates skipped, gaps refused with persist.ErrEpochGap, unknown
+// kinds refused, in-order records applied onto their stamped epochs,
+// and a failure stops the batch after the last record applied.
+func TestReplayEpochDiscipline(t *testing.T) {
+	db := open(t, fig1a(t))
+	ctx := context.Background()
+	add := dualsim.T("N._Roeg", "directed", "Walkabout")
+	replay := func(recs ...persist.Record) error { return db.Replay(ctx, recs) }
+
+	if err := replay(persist.Record{Kind: persist.RecordApply, Epoch: 0, Adds: []dualsim.Triple{add}}); err != nil || db.Epoch() != 0 {
+		t.Fatalf("duplicate record: %v, epoch %d", err, db.Epoch())
+	}
+	if err := replay(persist.Record{Kind: persist.RecordApply, Epoch: 2, Adds: []dualsim.Triple{add}}); !errors.Is(err, persist.ErrEpochGap) || db.Epoch() != 0 {
+		t.Fatalf("gap record: %v, epoch %d; want ErrEpochGap at 0", err, db.Epoch())
+	}
+	if err := replay(persist.Record{Kind: persist.RecordApply, Epoch: 1, Adds: []dualsim.Triple{add}}); err != nil || db.Epoch() != 1 {
+		t.Fatalf("in-order record: %v, epoch %d", err, db.Epoch())
+	}
+	if !slices.Contains(db.Store().Triples(), add) {
+		t.Fatalf("in-order record did not add %v", add)
+	}
+	if err := replay(persist.Record{Kind: 9, Epoch: 2}); err == nil || db.Epoch() != 1 {
+		t.Fatalf("unknown record kind: %v, epoch %d", err, db.Epoch())
+	}
+
+	err := replay(
+		persist.Record{Kind: persist.RecordApply, Epoch: 1, Adds: []dualsim.Triple{add}},
+		persist.Record{Kind: persist.RecordCompact, Epoch: 2},
+		persist.Record{Kind: persist.RecordApply, Epoch: 4, Adds: []dualsim.Triple{add}},
+	)
+	if !errors.Is(err, persist.ErrEpochGap) || db.Epoch() != 2 || db.Snapshot().Compactions() != 1 {
+		t.Fatalf("batch with a gap: %v at epoch %d after %d compactions; want ErrEpochGap at 2 after 1",
+			err, db.Epoch(), db.Snapshot().Compactions())
 	}
 }
 

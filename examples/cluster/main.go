@@ -99,7 +99,7 @@ func main() {
 	}
 
 	// --- Replica: bootstrap + WAL tail of shard 0 -----------------------
-	f, err := cluster.Follow(shard0URL, cluster.WithPollWait(100*time.Millisecond))
+	f, err := cluster.Follow(shard0URL)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func main() {
 	fctx, stopFollowing := context.WithCancel(ctx)
 	defer stopFollowing()
 	go f.Run(fctx)
-	rsrv, err := server.New(f.DB(), server.WithReadOnly(), server.WithReadiness(f.Ready))
+	rsrv, err := server.NewReplica(f)
 	if err != nil {
 		log.Fatal(err)
 	}

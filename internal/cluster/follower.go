@@ -14,12 +14,14 @@ import (
 
 // Follower is a WAL-streaming read replica of one primary dualsimd: it
 // bootstraps a session from the primary's streamed snapshot, then tails
-// GET /v1/wal and replays every record through the ordinary session
-// Apply/Compact path — so a replica's epochs, plan cache and snapshots
+// GET /v1/wal and replays every record through DB.Replay, the writer
+// crash recovery uses — so a replica's epochs, plan cache and snapshots
 // behave exactly like a primary's, just driven by the stream instead of
 // clients. On an epoch gap (the primary checkpointed records away, or
-// the stream skipped) it re-bootstraps and hot-swaps the session while
-// the stale one keeps serving reads.
+// the stream skipped) it re-bootstraps into a fresh session; DB returns
+// the new one from then on, while reads already running finish on the
+// old one. Serve it with server.NewReplica, which resolves DB per
+// request.
 //
 // The replica session is deliberately non-durable: its durability IS
 // the primary's WAL, and re-bootstrapping is always cheaper and safer
@@ -28,9 +30,8 @@ type Follower struct {
 	c        *client.Client
 	url      string
 	maxLag   uint64
-	pollWait time.Duration
-	retry    time.Duration
-	onSwap   func(*dualsim.DB)
+	pollWait time.Duration // long-poll window passed to GET /v1/wal
+	retry    time.Duration // backoff after a failed bootstrap or tail round
 	logf     func(string, ...any)
 	sessOpts []dualsim.Option
 
@@ -54,45 +55,6 @@ func WithMaxLag(n uint64) FollowerOption {
 	}
 }
 
-// WithPollWait sets the long-poll window passed to GET /v1/wal
-// (default 2s): how long the primary parks an empty tail before
-// answering, which bounds how stale an idle replica's primary-epoch
-// view can get.
-func WithPollWait(d time.Duration) FollowerOption {
-	return func(f *Follower) error {
-		if d < 0 {
-			return fmt.Errorf("cluster: negative poll wait %v", d)
-		}
-		f.pollWait = d
-		return nil
-	}
-}
-
-// WithRetryWait sets the backoff after a failed bootstrap or tail
-// round (default 500ms).
-func WithRetryWait(d time.Duration) FollowerOption {
-	return func(f *Follower) error {
-		if d <= 0 {
-			return fmt.Errorf("cluster: retry wait must be positive, got %v", d)
-		}
-		f.retry = d
-		return nil
-	}
-}
-
-// WithOnSwap installs the session hot-swap hook: called with each fresh
-// session after a (re-)bootstrap, before Run continues tailing. A
-// serving daemon wires server.SwapDB through this.
-func WithOnSwap(fn func(*dualsim.DB)) FollowerOption {
-	return func(f *Follower) error {
-		if fn == nil {
-			return fmt.Errorf("cluster: nil swap hook")
-		}
-		f.onSwap = fn
-		return nil
-	}
-}
-
 // WithLogf directs the follower's progress/retry lines (default: silent).
 func WithLogf(fn func(string, ...any)) FollowerOption {
 	return func(f *Follower) error {
@@ -105,8 +67,8 @@ func WithLogf(fn func(string, ...any)) FollowerOption {
 }
 
 // WithSessionOptions forwards session options (plan cache size, …) to
-// every session the follower opens. WithDataDir is rejected at open
-// time — replicas re-bootstrap, they do not recover.
+// every session the follower opens. WithDataDir makes Follow fail —
+// replicas re-bootstrap, they do not recover.
 func WithSessionOptions(opts ...dualsim.Option) FollowerOption {
 	return func(f *Follower) error {
 		f.sessOpts = append(f.sessOpts, opts...)
@@ -114,7 +76,8 @@ func WithSessionOptions(opts ...dualsim.Option) FollowerOption {
 	}
 }
 
-// Follow builds a follower of the primary at primaryURL. Nothing is
+// Follow builds a follower of the primary at primaryURL, serving an
+// empty session at epoch 0 until the first bootstrap. Nothing is
 // fetched yet — Bootstrap (or Run, which bootstraps as needed) makes
 // the first contact.
 func Follow(primaryURL string, opts ...FollowerOption) (*Follower, error) {
@@ -134,24 +97,33 @@ func Follow(primaryURL string, opts ...FollowerOption) (*Follower, error) {
 			return nil, err
 		}
 	}
+	empty, err := dualsim.FromTriples(nil)
+	if err != nil {
+		return nil, err
+	}
+	db, err := dualsim.OpenAt(empty, 0, f.sessOpts...)
+	if err != nil {
+		return nil, err
+	}
+	f.db.Store(db)
 	return f, nil
 }
 
-// DB returns the replica's current session (nil before the first
-// bootstrap). The pointer swaps atomically on re-bootstrap; resolve it
-// once per request like server.Server does.
+// DB returns the replica's current session: the empty epoch-0 session
+// before the first bootstrap, never nil. The pointer swaps atomically
+// on re-bootstrap; resolve it once per request, as
+// server.NewReplica does.
 func (f *Follower) DB() *dualsim.DB { return f.db.Load() }
 
-// Ready is the replica's readiness hook (server.WithReadiness): an
-// error before the first bootstrap completes, and while the replica
-// lags more than the staleness bound behind the primary's last known
-// epoch.
+// Ready is the replica's readiness, which server.NewReplica serves at
+// /readyz: an error before the first bootstrap completes, and while
+// the replica lags more than the staleness bound behind the primary's
+// last known epoch.
 func (f *Follower) Ready() error {
-	db := f.db.Load()
-	if db == nil {
+	if f.bootstraps.Load() == 0 {
 		return errors.New("cluster: replica bootstrapping")
 	}
-	if p, cur := f.primaryEpoch.Load(), db.Epoch(); p > cur && p-cur > f.maxLag {
+	if p, cur := f.primaryEpoch.Load(), f.db.Load().Epoch(); p > cur && p-cur > f.maxLag {
 		return fmt.Errorf("cluster: replica at epoch %d lags the primary at %d beyond the bound of %d", cur, p, f.maxLag)
 	}
 	return nil
@@ -179,13 +151,11 @@ type FollowerStats struct {
 // Stats returns the current replication counters.
 func (f *Follower) Stats() FollowerStats {
 	s := FollowerStats{
+		Epoch:        f.db.Load().Epoch(),
 		PrimaryEpoch: f.primaryEpoch.Load(),
 		Bootstraps:   f.bootstraps.Load(),
 		Applied:      f.applied.Load(),
 		Gaps:         f.gaps.Load(),
-	}
-	if db := f.db.Load(); db != nil {
-		s.Epoch = db.Epoch()
 	}
 	if s.PrimaryEpoch > s.Epoch {
 		s.Lag = s.PrimaryEpoch - s.Epoch
@@ -194,8 +164,8 @@ func (f *Follower) Stats() FollowerStats {
 }
 
 // Bootstrap downloads the primary's snapshot, opens a fresh session at
-// its epoch and hot-swaps it in. The previous session (if any) is NOT
-// closed: in-flight reads may still hold its pinned snapshots, and a
+// its epoch and makes it the one DB returns. The previous session is
+// NOT closed: in-flight reads may still hold its pinned snapshots, and a
 // non-durable session holds nothing the GC cannot reclaim.
 func (f *Follower) Bootstrap(ctx context.Context) error {
 	st, epoch, err := f.c.BootstrapSnapshot(ctx)
@@ -213,9 +183,6 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	if epoch > f.primaryEpoch.Load() {
 		f.primaryEpoch.Store(epoch)
 	}
-	if f.onSwap != nil {
-		f.onSwap(db)
-	}
 	f.logf("cluster: bootstrapped replica of %s at epoch %d", f.url, epoch)
 	return nil
 }
@@ -225,7 +192,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 // It returns only when ctx is cancelled (transient failures back off
 // and retry — a replica's job is to keep following).
 func (f *Follower) Run(ctx context.Context) error {
-	needBootstrap := f.db.Load() == nil
+	needBootstrap := f.bootstraps.Load() == 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -248,7 +215,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		case err == nil:
 		case ctx.Err() != nil:
 			return ctx.Err()
-		case errors.Is(err, client.ErrWALGap):
+		case errors.Is(err, client.ErrWALGap), errors.Is(err, persist.ErrEpochGap):
 			// The records between our epoch and the primary's surviving
 			// WAL are gone (checkpoint truncation), or the stream itself
 			// skipped — either way replaying would diverge. Re-bootstrap;
@@ -278,45 +245,13 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		if err := f.applyEvent(ctx, db, rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyEvent replays one WAL record with the epoch discipline replicas
-// live by: at-or-below the current epoch is a duplicate (a re-sent tail
-// after a reconnect) and is skipped; anything but exactly current+1 is
-// a gap (reported as client.ErrWALGap so Run re-bootstraps); and after
-// the replay the session MUST sit at the record's epoch, or the replica
-// has diverged from the primary.
-func (f *Follower) applyEvent(ctx context.Context, db *dualsim.DB, rec persist.Record) error {
-	cur := db.Epoch()
-	if rec.Epoch <= cur {
-		return nil
-	}
-	if rec.Epoch != cur+1 {
-		return fmt.Errorf("%w: tail at epoch %d jumps to %d", client.ErrWALGap, cur, rec.Epoch)
-	}
-	switch rec.Kind {
-	case persist.RecordApply:
-		if _, err := db.Apply(ctx, dualsim.Delta{Adds: rec.Adds, Dels: rec.Dels}); err != nil {
-			return fmt.Errorf("cluster: replaying apply of epoch %d: %w", rec.Epoch, err)
-		}
-	case persist.RecordCompact:
-		if _, err := db.Compact(ctx); err != nil {
-			return fmt.Errorf("cluster: replaying compact of epoch %d: %w", rec.Epoch, err)
-		}
-	default:
-		return fmt.Errorf("cluster: unknown WAL record kind %d at epoch %d", rec.Kind, rec.Epoch)
-	}
-	if got := db.Epoch(); got != rec.Epoch {
-		return fmt.Errorf("cluster: replica diverged: record of epoch %d left the session at %d", rec.Epoch, got)
-	}
-	f.applied.Add(1)
-	return nil
+	// Replay's epoch discipline: a re-sent record is skipped, a gap
+	// makes Run re-bootstrap, a divergence is an error. Every record
+	// applied moves the epoch by one.
+	before := db.Epoch()
+	err = db.Replay(ctx, recs)
+	f.applied.Add(int64(db.Epoch() - before))
+	return err
 }
 
 // sleepCtx sleeps d or until ctx cancels; reports whether the full

@@ -21,7 +21,6 @@ import (
 
 	"dualsim"
 	"dualsim/client"
-	"dualsim/internal/persist"
 	"dualsim/internal/queries"
 	"dualsim/internal/server"
 )
@@ -57,6 +56,18 @@ func applyOne(t *testing.T, db *dualsim.DB, s, p, o string) {
 	}
 }
 
+// follow builds a follower of url that polls and retries in
+// milliseconds rather than seconds.
+func follow(t *testing.T, url string, opts ...FollowerOption) *Follower {
+	t.Helper()
+	f, err := Follow(url, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.pollWait, f.retry = 50*time.Millisecond, 20*time.Millisecond
+	return f
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -74,18 +85,10 @@ func TestFollowerBootstrapAndCatchUp(t *testing.T) {
 	db, hs := newPrimary(t)
 	applyOne(t, db, "N._Roeg", "directed", "Walkabout") // epoch 1 before the replica exists
 
-	var swaps atomic.Int64
-	f, err := Follow(hs.URL,
-		WithPollWait(50*time.Millisecond),
-		WithRetryWait(20*time.Millisecond),
-		WithOnSwap(func(*dualsim.DB) { swaps.Add(1) }),
-		WithLogf(t.Logf),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.DB() != nil {
-		t.Fatal("replica has a session before bootstrap")
+	f := follow(t, hs.URL, WithLogf(t.Logf))
+	if db := f.DB(); db.Epoch() != 0 || db.Store().NumTriples() != 0 {
+		t.Fatalf("before bootstrap the replica serves epoch %d with %d triples, want an empty epoch-0 session",
+			db.Epoch(), db.Store().NumTriples())
 	}
 	if err := f.Ready(); err == nil {
 		t.Fatal("replica ready before bootstrap")
@@ -96,12 +99,9 @@ func TestFollowerBootstrapAndCatchUp(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- f.Run(ctx) }()
 
-	waitFor(t, "bootstrap", func() bool { return f.DB() != nil })
+	waitFor(t, "bootstrap", func() bool { return f.Stats().Bootstraps > 0 })
 	if got := f.DB().Epoch(); got != 1 {
 		t.Fatalf("bootstrapped at epoch %d, want 1", got)
-	}
-	if got := swaps.Load(); got != 1 {
-		t.Fatalf("swap hook ran %d times, want 1", got)
 	}
 
 	// Live catch-up: records applied on the primary after the bootstrap
@@ -145,10 +145,7 @@ func TestFollowerEpochGapRebootstraps(t *testing.T) {
 	db, hs := newPrimary(t)
 	applyOne(t, db, "N._Roeg", "directed", "Walkabout") // epoch 1
 
-	f, err := Follow(hs.URL, WithPollWait(50*time.Millisecond), WithRetryWait(20*time.Millisecond), WithLogf(t.Logf))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := follow(t, hs.URL, WithLogf(t.Logf))
 	if err := f.Bootstrap(context.Background()); err != nil { // replica parks at epoch 1
 		t.Fatal(err)
 	}
@@ -171,56 +168,6 @@ func TestFollowerEpochGapRebootstraps(t *testing.T) {
 	})
 	if err := f.Ready(); err != nil {
 		t.Fatalf("recovered replica not ready: %v", err)
-	}
-}
-
-// applyEvent's epoch discipline, record by record: duplicates skipped,
-// gaps refused with ErrWALGap, the in-order record applied.
-func TestFollowerApplyEventEpochDiscipline(t *testing.T) {
-	st, err := dualsim.FromTriples(queries.Fig1aTriples())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := dualsim.Open(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	f := &Follower{}
-	ctx := context.Background()
-	add := []dualsim.Triple{dualsim.T("N._Roeg", "directed", "Walkabout")}
-
-	// Epoch 0 record against an epoch-0 session: duplicate, skipped.
-	if err := f.applyEvent(ctx, db, persist.Record{Kind: persist.RecordApply, Epoch: 0, Adds: add}); err != nil {
-		t.Fatalf("duplicate record: %v", err)
-	}
-	if db.Epoch() != 0 || f.applied.Load() != 0 {
-		t.Fatalf("duplicate was applied: epoch %d, applied %d", db.Epoch(), f.applied.Load())
-	}
-
-	// Epoch 2 against epoch 0: a gap — must refuse, not apply.
-	err = f.applyEvent(ctx, db, persist.Record{Kind: persist.RecordApply, Epoch: 2, Adds: add})
-	if !errors.Is(err, client.ErrWALGap) {
-		t.Fatalf("gap record returned %v, want ErrWALGap", err)
-	}
-	if db.Epoch() != 0 {
-		t.Fatalf("gap record moved the session to epoch %d", db.Epoch())
-	}
-
-	// Epoch 1: exactly next — applies and lands the session there.
-	if err := f.applyEvent(ctx, db, persist.Record{Kind: persist.RecordApply, Epoch: 1, Adds: add}); err != nil {
-		t.Fatal(err)
-	}
-	if db.Epoch() != 1 || f.applied.Load() != 1 {
-		t.Fatalf("in-order record: epoch %d, applied %d", db.Epoch(), f.applied.Load())
-	}
-	if !slices.Contains(db.Store().Triples(), add[0]) {
-		t.Fatalf("in-order record did not add %v", add[0])
-	}
-
-	// Unknown kinds are a divergence signal, not a silent skip.
-	if err := f.applyEvent(ctx, db, persist.Record{Kind: 9, Epoch: 2}); err == nil {
-		t.Fatal("unknown record kind accepted")
 	}
 }
 
@@ -290,11 +237,10 @@ func TestFollowerRefusesACorruptTail(t *testing.T) {
 	// consistent compares the replica with the primary at the epoch the
 	// replica reports, and returns that epoch.
 	consistent := func(f *Follower) uint64 {
-		rdb := f.DB()
-		if rdb == nil {
+		if f.Stats().Bootstraps == 0 {
 			return 0
 		}
-		snap := rdb.Snapshot()
+		snap := f.DB().Snapshot()
 		got := sortedTriples(snap)
 		mu.Lock()
 		want, ok := primary[snap.Epoch()]
@@ -305,15 +251,11 @@ func TestFollowerRefusesACorruptTail(t *testing.T) {
 		}
 		return snap.Epoch()
 	}
-	f, err := Follow(ps.URL, WithPollWait(50*time.Millisecond), WithRetryWait(20*time.Millisecond),
-		WithLogf(func(format string, args ...any) {
-			mu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := follow(t, ps.URL, WithLogf(func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() { _ = f.Run(ctx) }()
@@ -360,10 +302,104 @@ func TestFollowerReadyStaleness(t *testing.T) {
 
 	f := &Follower{maxLag: 2}
 	f.db.Store(db)
+	f.bootstraps.Store(1)
 	for primary, wantReady := range map[uint64]bool{5: true, 7: true, 8: false} {
 		f.primaryEpoch.Store(primary)
 		if err := f.Ready(); (err == nil) != wantReady {
 			t.Errorf("replica at 5, primary at %d, maxLag 2: Ready() = %v", primary, err)
 		}
+	}
+}
+
+// TestServedReplicaFollowsRebootstrap serves a follower through
+// server.NewReplica and drives it across an epoch gap: with its tail
+// stopped, the primary applies, checkpoints the needed records away and
+// applies again. Once the tail resumes, the replica re-bootstraps, and
+// the server must answer from the new session: queries at the
+// primary's epoch with the triple applied after the gap, a new export
+// validator, and /readyz 200. Before the first bootstrap it answers
+// /readyz 503 and /v1/apply 403.
+func TestServedReplicaFollowsRebootstrap(t *testing.T) {
+	db, hs := newPrimary(t)
+	f := follow(t, hs.URL, WithLogf(t.Logf))
+	srv, err := server.NewReplica(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := httptest.NewServer(srv)
+	defer rs.Close()
+	rc, err := client.New(rs.URL, client.WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	status := func(method, path, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, rs.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := status("GET", "/readyz", ""); got != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz before the first bootstrap = %d, want 503", got)
+	}
+	if got := status("POST", "/v1/apply", `{"adds":[{"s":"a","p":"b","o":"c"}]}`); got != http.StatusForbidden {
+		t.Fatalf("/v1/apply on a replica = %d, want 403", got)
+	}
+
+	// run tails until the returned stop is called.
+	run := func() (stop func()) {
+		rctx, cancel := context.WithCancel(ctx)
+		done := make(chan error, 1)
+		go func() { done <- f.Run(rctx) }()
+		return func() { cancel(); <-done }
+	}
+	caughtUp := func(what string) {
+		t.Helper()
+		waitFor(t, what, func() bool { return f.Stats().Bootstraps > 0 && f.DB().Epoch() == db.Epoch() })
+	}
+	validator := func() string {
+		t.Helper()
+		ex, err := rc.Export(ctx, []string{"directed"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex.ETag
+	}
+	stop := run()
+	caughtUp("the first bootstrap")
+	before := validator()
+	stop()
+
+	applyOne(t, db, "N._Roeg", "directed", "Walkabout")
+	applyOne(t, db, "N._Roeg", "awarded", "BAFTA_Awards")
+	if _, err := db.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	applyOne(t, db, "S._Kubrick", "directed", "The_Shining") // after the gap
+
+	defer run()()
+	caughtUp("the re-bootstrap past the gap")
+	if s := f.Stats(); s.Gaps == 0 || s.Bootstraps < 2 {
+		t.Fatalf("stats %+v: want a gap and a re-bootstrap", s)
+	}
+	out, err := rc.Query(ctx, `SELECT * WHERE { <S._Kubrick> <directed> ?m . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Epoch != db.Epoch() || len(out.Rows) != 1 || *out.Rows[0][0] != "<The_Shining>" {
+		t.Fatalf("replica answered %v at epoch %d; want The_Shining at the primary's epoch %d", out.Rows, out.Epoch, db.Epoch())
+	}
+	if after := validator(); after == before {
+		t.Fatalf("export validator %s unchanged across a re-bootstrap", after)
+	}
+	if got := status("GET", "/readyz", ""); got != http.StatusOK {
+		t.Fatalf("/readyz after the re-bootstrap = %d, want 200", got)
 	}
 }

@@ -129,7 +129,7 @@ func WithProbeEvery(d time.Duration) Option {
 }
 
 // WithProtocol hands settings to the protocol core the router is served
-// by: server.WithDefaultTimeout, WithSlowQueryLog, WithRegistry, the
+// by: server.WithDefaultTimeout, WithSlowQueryLog, the
 // admission bounds. They are defined once, in internal/server.
 func WithProtocol(opts ...server.Option) Option {
 	return func(c *config) error {
@@ -601,14 +601,20 @@ func onShard[T any](ctx context.Context, r *Router, si int, call func(*endpoint)
 			return zero, ctx.Err()
 		}
 		lastErr = err
-		var ae *client.APIError
-		var se *client.StreamError
-		if errors.As(err, &ae) && ae.StatusCode < 500 || errors.As(err, &se) {
+		if judged(err) {
 			break // the shard answered and judged the request; it is not down
 		}
 		ep.markDown(err)
 	}
 	return zero, shardFailure(si, lastErr)
+}
+
+// judged reports whether err is an endpoint's verdict on the request (a
+// 4xx, a failed row stream) rather than the endpoint failing.
+func judged(err error) bool {
+	var ae *client.APIError
+	var se *client.StreamError
+	return errors.As(err, &ae) && ae.StatusCode < 500 || errors.As(err, &se)
 }
 
 // shardFailure maps a shard's terminal error onto the router's reply.
@@ -1141,28 +1147,46 @@ func (r *Router) Snapshot(ctx context.Context) (*wire.SnapshotResponse, error) {
 	return &out, nil
 }
 
-// Statements serves the cluster-wide workload statistics view: every
-// shard's /v1/debug/statements table, merged by normalized statement
-// fingerprint — calls, rows and bucketed latencies sum across shards,
-// memory peaks take the max, quantiles re-interpolate from the merged
-// buckets. reset is forwarded, clearing every shard's table after this
-// snapshot. One shard with no reachable endpoint fails the view (a
-// partial merge would silently under-count).
+// Statements serves the cluster-wide workload statistics view: the
+// /v1/debug/statements table of every live endpoint of every shard —
+// replicas too, since reads alternate between a shard's endpoints —
+// merged by normalized statement fingerprint: calls, rows and bucketed
+// latencies sum, memory peaks take the max, quantiles re-interpolate
+// from the merged buckets. reset is forwarded to each of them, clearing
+// its table after this snapshot. An endpoint that fails is marked down
+// like a failed read; a shard none of whose endpoints answers fails the
+// view (a partial merge would silently under-count).
 func (r *Router) Statements(ctx context.Context, reset bool) (*wire.StatementsResponse, error) {
-	groups := make([][]qstats.Statement, 0, len(r.shards))
+	var groups [][]qstats.Statement
 	var evicted int64
-	for si := range r.shards {
-		resp, err := onShard(ctx, r, si, func(ep *endpoint) (*wire.StatementsResponse, error) {
-			if reset {
-				return ep.c.StatementsReset(ctx)
+	for si, sh := range r.shards {
+		answered := false
+		var lastErr error
+		for _, ep := range sh.eps {
+			if !ep.status().Up {
+				continue
 			}
-			return ep.c.Statements(ctx)
-		})
-		if err != nil {
-			return nil, err
+			read := ep.c.Statements
+			if reset {
+				read = ep.c.StatementsReset
+			}
+			resp, err := read(ctx)
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			if err != nil {
+				if lastErr = err; !judged(err) {
+					ep.markDown(err)
+				}
+				continue
+			}
+			groups = append(groups, resp.Statements)
+			evicted += resp.Evicted
+			answered = true
 		}
-		groups = append(groups, resp.Statements)
-		evicted += resp.Evicted
+		if !answered {
+			return nil, shardFailure(si, lastErr)
+		}
 	}
 	merged := qstats.Merge(groups...)
 	if merged == nil {
@@ -1173,7 +1197,7 @@ func (r *Router) Statements(ctx context.Context, reset bool) (*wire.StatementsRe
 		Tracked:       len(merged),
 		Evicted:       evicted,
 		LatencyBounds: qstats.LatencyBounds,
-		Shards:        len(groups),
+		Shards:        len(r.shards),
 	}, nil
 }
 

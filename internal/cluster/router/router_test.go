@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -434,14 +435,14 @@ func TestRouterWithLiveReplica(t *testing.T) {
 	primary := httptest.NewServer(psrv)
 	defer primary.Close()
 
-	f, err := cluster.Follow(primary.URL, cluster.WithPollWait(50_000_000))
+	f, err := cluster.Follow(primary.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rsrv, err := server.New(f.DB(), server.WithReadOnly(), server.WithReadiness(f.Ready))
+	rsrv, err := server.NewReplica(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,6 +651,96 @@ func TestRouterStatementsMerged(t *testing.T) {
 	for i, hs := range shards {
 		if got := statements(hs.URL); len(got) != 0 {
 			t.Errorf("shard %d not reset: %v", i, got)
+		}
+	}
+}
+
+// TestRouterStatementsMergeReplicas: reads alternate between a
+// shard's primary and its replica, so each records part of the calls.
+// The merged view must hold every fingerprint of both tables with
+// calls equal to their sum, and a reset must clear both.
+func TestRouterStatementsMergeReplicas(t *testing.T) {
+	ctx := context.Background()
+	pdb, err := dualsim.Open(shardOfTriples(t, queries.Fig1aTriples(), 0), dualsim.WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pdb.Close() })
+	psrv, err := server.New(pdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := httptest.NewServer(psrv)
+	t.Cleanup(primary.Close)
+	f, err := cluster.Follow(primary.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rsrv, err := server.NewReplica(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(rsrv)
+	t.Cleanup(replica.Close)
+	shard1 := startShard(t, shardOfTriples(t, queries.Fig1aTriples(), 1))
+	rt, err := New([][]string{{primary.URL, replica.URL}, {shard1.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(ctx)
+	rs := httptest.NewServer(rt.Handler())
+	t.Cleanup(rs.Close)
+
+	// A text on shard 0's <genre>, run often enough to land on both
+	// endpoints, and one on shard 1's <directed>.
+	for range 4 {
+		queryVia(t, rs.URL, `SELECT * WHERE { ?m <genre> ?g . }`)
+	}
+	queryVia(t, rs.URL, `SELECT * WHERE { ?d <directed> ?m . }`)
+
+	statements := func(url string) map[string]int64 {
+		t.Helper()
+		c, err := client.New(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Statements(ctx)
+		if err != nil {
+			t.Fatalf("statements via %s: %v", url, err)
+		}
+		calls := make(map[string]int64)
+		for _, s := range resp.Statements {
+			calls[s.Fingerprint] += s.Calls
+		}
+		return calls
+	}
+	tables := []map[string]int64{statements(primary.URL), statements(replica.URL), statements(shard1.URL)}
+	if len(tables[0]) == 0 || len(tables[1]) == 0 {
+		t.Fatalf("reads did not reach both shard 0 endpoints: primary %v, replica %v", tables[0], tables[1])
+	}
+	sum := make(map[string]int64)
+	for _, table := range tables {
+		for f, c := range table {
+			sum[f] += c
+		}
+	}
+	if merged := statements(rs.URL); !maps.Equal(merged, sum) {
+		t.Fatalf("merged calls %v, want the endpoints' sum %v", merged, sum)
+	}
+
+	c, err := client.New(rs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.StatementsReset(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, url := range []string{primary.URL, replica.URL, shard1.URL} {
+		if got := statements(url); len(got) != 0 {
+			t.Errorf("%s not reset: %v", url, got)
 		}
 	}
 }
@@ -1025,26 +1116,36 @@ func shardOfTriples(t *testing.T, ts []dualsim.Triple, i int) *dualsim.Store {
 	return st
 }
 
+// movable is a replica's session source that the test moves to another
+// session, as a re-bootstrap does.
+type movable struct{ db atomic.Pointer[dualsim.DB] }
+
+func (m *movable) DB() *dualsim.DB { return m.db.Load() }
+func (m *movable) Ready() error    { return nil }
+
 // TestGatherValidatorIdentity: a held gather is reused only while the
 // session that served each slice still serves it at the same epoch. A
 // URL whose daemon is replaced by one holding different triples at the
-// same epoch 0 answers under a new validator, and so does the daemon
-// after a SwapDB; either way the next gather answers from the new data.
+// same epoch 0 answers under a new validator, and so does a replica
+// daemon whose session a re-bootstrap replaced; either way the next
+// gather answers from the new data.
 func TestGatherValidatorIdentity(t *testing.T) {
 	ctx := context.Background()
 	const src = `SELECT * WHERE { ?d <directed> ?m . ?m <genre> ?g . }` // shard 1 and shard 0 of 2
 	var h atomic.Pointer[server.Server]
-	serve := func(genre string) (*server.Server, *dualsim.DB) {
+	serve := func(genre string) (*server.Server, *movable) {
 		db, err := dualsim.Open(shardOfTriples(t, genreVariant(genre), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.Close() })
-		srv, err := server.New(db)
+		m := &movable{}
+		m.db.Store(db)
+		srv, err := server.NewReplica(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv, db
+		return srv, m
 	}
 	action, _ := serve("Action")
 	h.Store(action)
@@ -1080,12 +1181,13 @@ func TestGatherValidatorIdentity(t *testing.T) {
 	check("Action", 1)
 
 	// Another daemon behind the same URL, at the same epoch.
-	srv, db := serve("Comedy")
+	srv, comedy := serve("Comedy")
 	h.Store(srv)
 	check("Comedy", 1)
 	check("Comedy", 2)
 
-	// The same daemon serving another session at the same epoch.
+	// The same daemon serving another session at the same epoch, as after
+	// a replica's re-bootstrap.
 	sc, err := client.New(swappable.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -1094,18 +1196,18 @@ func TestGatherValidatorIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2, err := dualsim.OpenAt(shardOfTriples(t, genreVariant("Drama"), 0), db.Epoch())
+	db2, err := dualsim.OpenAt(shardOfTriples(t, genreVariant("Drama"), 0), comedy.DB().Epoch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db2.Close() })
-	srv.SwapDB(db2)
+	comedy.db.Store(db2)
 	after, err := sc.Export(ctx, []string{"genre"}, before.ETag)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.NotModified || after.ETag == before.ETag || after.Epoch != before.Epoch {
-		t.Fatalf("export across SwapDB: %+v, then %+v; want a new validator at the same epoch", before, after)
+		t.Fatalf("export across a change of session: %+v, then %+v; want a new validator at the same epoch", before, after)
 	}
 	check("Drama", 2)
 	check("Drama", 3)
@@ -1223,7 +1325,7 @@ func TestGatherReplicaRoundRobin(t *testing.T) {
 	}
 	primary := httptest.NewServer(psrv)
 	defer primary.Close()
-	f, err := cluster.Follow(primary.URL, cluster.WithPollWait(20*time.Millisecond))
+	f, err := cluster.Follow(primary.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1233,7 +1335,7 @@ func TestGatherReplicaRoundRobin(t *testing.T) {
 	followed := make(chan error, 1)
 	go func() { followed <- f.Run(ctx) }()
 	defer func() { cancel(); <-followed }()
-	rsrv, err := server.New(f.DB(), server.WithReadOnly(), server.WithReadiness(f.Ready))
+	rsrv, err := server.NewReplica(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ import (
 // daemon side of the protocol. Beside the core's routes it serves the
 // ones that need the session itself (compaction, checkpoints, the
 // router's predicate export, the replication tail). Safe for concurrent
-// use; construct with New and mount Handler (or the Server itself, it
-// implements http.Handler).
+// use; construct with New (a primary) or NewReplica (a read replica) and
+// mount Handler (or the Server itself, it implements http.Handler).
 type Server struct {
 	*Core
 	be *local
@@ -42,8 +42,9 @@ type Server struct {
 
 // local is the Backend over a *dualsim.DB.
 type local struct {
-	cur   atomic.Pointer[served] // swappable: a replica re-bootstrap replaces the session
-	stmts *qstats.Store          // nil when WithStatementStats(0) disabled it
+	cur   atomic.Pointer[served]
+	src   Replica       // nil on a primary, whose session never changes
+	stmts *qstats.Store // nil when WithStatementStats(0) disabled it
 
 	// stageSeconds are the per-pipeline-stage latency histograms, keyed
 	// by stage name; fixed at construction so Observe stays lock-free.
@@ -60,39 +61,72 @@ type served struct {
 	nonce string
 }
 
-func (b *local) serve(db *dualsim.DB) {
-	b.cur.Store(&served{db: db, nonce: strconv.FormatUint(rand.Uint64(), 16)})
+func newServed(db *dualsim.DB) *served {
+	return &served{db: db, nonce: strconv.FormatUint(rand.Uint64(), 16)}
 }
 
-// session returns the current session. Callers resolve it once per
-// request; a concurrent SwapDB affects only later requests.
-func (b *local) session() *dualsim.DB { return b.cur.Load().db }
-
-// SwapDB atomically replaces the served session — the replica
-// re-bootstrap path: a follower that hit a WAL epoch gap builds a fresh
-// session from a new snapshot and swaps it in while reads keep flowing.
-// In-flight requests finish on the session they resolved; the old
-// session is NOT closed here (its pinned snapshots may still be
-// serving) — a non-durable replica session holds no resources beyond
-// memory, which the GC reclaims once the last pin drops.
-func (s *Server) SwapDB(db *dualsim.DB) {
-	if db != nil {
-		s.be.serve(db)
+// current returns the served session and its nonce, resolved once per
+// request. A replica serves whatever session its source holds now; when
+// that moved since the last request, the new session is served under a
+// fresh nonce.
+func (b *local) current() *served {
+	cur := b.cur.Load()
+	if b.src == nil {
+		return cur
 	}
+	for db := b.src.DB(); db != cur.db; cur = b.cur.Load() {
+		if next := newServed(db); b.cur.CompareAndSwap(cur, next) {
+			return next
+		}
+	}
+	return cur
 }
 
-// New builds a server over an open session. The session stays owned by
-// the caller (Close it after the HTTP server is down).
+// session returns the current session.
+func (b *local) session() *dualsim.DB { return b.current().db }
+
+// Replica is the source a read replica serves: *cluster.Follower, which
+// replays its primary's WAL into a session and re-bootstraps into a
+// fresh one when the tail breaks.
+type Replica interface {
+	// DB returns the session to serve now, never nil.
+	DB() *dualsim.DB
+	// Ready reports why the replica should not be routed to, or nil.
+	Ready() error
+}
+
+// New builds a primary's server over an open session. The session stays
+// owned by the caller (Close it after the HTTP server is down).
 func New(db *dualsim.DB, opts ...Option) (*Server, error) {
 	if db == nil {
 		return nil, fmt.Errorf("server: nil session")
 	}
+	return newServer(&local{}, db, opts)
+}
+
+// NewReplica builds a read replica's server over r. Every request
+// serves the session r.DB() returns when it arrives, /readyz answers
+// r.Ready(), and the mutating endpoints answer 403: a replica's state
+// changes only through its primary's records.
+func NewReplica(r Replica, opts ...Option) (*Server, error) {
+	if r == nil || r.DB() == nil {
+		return nil, fmt.Errorf("server: replica without a session")
+	}
+	s, err := newServer(&local{src: r}, r.DB(), opts)
+	if err != nil {
+		return nil, err
+	}
+	s.readOnly = true
+	return s, nil
+}
+
+func newServer(be *local, db *dualsim.DB, opts []Option) (*Server, error) {
 	cfg, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	be := &local{stmts: newStatementStore(cfg)}
-	be.serve(db)
+	be.stmts = newStatementStore(cfg)
+	be.cur.Store(newServed(db))
 	core := newCore(be, "dualsimd", "query", cfg, be.stmts)
 	reg := core.reg
 	s := &Server{
@@ -261,9 +295,14 @@ func (b *local) Snapshot(context.Context) (*wire.SnapshotResponse, error) {
 
 func (b *local) Epoch() uint64 { return b.session().Epoch() }
 
-// Ready: a local session is routable as long as the core is (draining
-// and the WithReadiness hook are resolved there).
-func (b *local) Ready() error { return nil }
+// Ready: a primary is routable as long as the core is (draining is
+// resolved there); a replica as long as its source is ready too.
+func (b *local) Ready() error {
+	if b.src == nil {
+		return nil
+	}
+	return b.src.Ready()
+}
 
 // appendRow renders one result row against the snapshot dictionary it
 // was computed on, as Cursor.AppendRow specifies: each term in
@@ -375,9 +414,9 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 			return // replica gone; nothing useful to write
 		case <-time.After(walPollInterval):
 		}
-		// Re-resolve the session each round: a SwapDB mid-poll (this
-		// server is itself a re-bootstrapping replica) must not leave the
-		// poll parked on the abandoned session's log. Re-read the log
+		// Re-resolve the session each round: a re-bootstrap mid-poll
+		// (this server is itself a replica) must not leave the poll
+		// parked on the abandoned session's log. Re-read the log
 		// only once the epoch moved: reading it blocks appends.
 		db = s.be.session()
 		if db.Epoch() > from {
@@ -430,7 +469,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.exports.Inc()
-	cur := s.be.cur.Load()
+	cur := s.be.current()
 	snap := cur.db.Snapshot()
 	epoch := strconv.FormatUint(snap.Epoch(), 10)
 	etag := `"` + cur.nonce + "-" + epoch + `"`

@@ -1,8 +1,12 @@
 // Package server is the HTTP/JSON protocol core of the dualsim serving
 // layer: one handler set, written once against the Backend interface
-// and served by both binaries — cmd/dualsimd over a local session (New)
-// and cmd/dualsimrouter over the scatter-gather backend of
-// internal/cluster/router (NewCore).
+// and served by both binaries — cmd/dualsimd over a local session and
+// cmd/dualsimrouter over the scatter-gather backend of
+// internal/cluster/router (NewCore). A local session is served one of
+// two ways: New serves a primary's session; NewReplica serves a read
+// replica, whose source (a *cluster.Follower) hands it the session that
+// replays the primary's records on every request, decides /readyz, and
+// makes the mutating endpoints answer 403.
 //
 //	POST /v1/query     one query; buffered JSON or chunked NDJSON row
 //	                   streaming (?stream=1, Accept: application/x-ndjson,
@@ -88,9 +92,6 @@ type config struct {
 	maxInFlight    int
 	queueDepth     int
 	defaultTimeout time.Duration
-	registry       *metrics.Registry
-	readiness      func() error
-	readOnly       bool
 	slowLogSize    int
 	slowThreshold  time.Duration
 	stmtCapacity   int // statement statistics store capacity; 0 disables
@@ -149,45 +150,6 @@ func WithDefaultTimeout(d time.Duration) Option {
 	}
 }
 
-// WithRegistry shares an existing metrics registry instead of creating a
-// private one — so engine-level series and serving series land on the
-// same /metrics page.
-func WithRegistry(r *metrics.Registry) Option {
-	return func(c *config) error {
-		if r == nil {
-			return fmt.Errorf("server: nil metrics registry")
-		}
-		c.registry = r
-		return nil
-	}
-}
-
-// WithReadiness installs a readiness hook consulted by GET /readyz
-// before the backend's own Ready: a non-nil error makes the endpoint
-// answer 503 with the error as the reason. A replica daemon wires its
-// bootstrap/lag state through this, so the router (and load balancers)
-// stop routing to an instance that would serve stale or no data — while
-// /healthz keeps reporting the process alive.
-func WithReadiness(fn func() error) Option {
-	return func(c *config) error {
-		if fn == nil {
-			return fmt.Errorf("server: nil readiness hook")
-		}
-		c.readiness = fn
-		return nil
-	}
-}
-
-// WithReadOnly refuses the mutating endpoints (/v1/apply, /v1/compact,
-// /v1/checkpoint) with 403 — the serving mode of a WAL-following
-// replica, whose state must change only through the replication stream.
-func WithReadOnly() Option {
-	return func(c *config) error {
-		c.readOnly = true
-		return nil
-	}
-}
-
 // WithSlowQueryLog keeps the n most recent queries that took at least
 // threshold in a bounded in-memory ring, served at GET /v1/debug/slow.
 // Enabling it traces every query internally (so slow entries carry a
@@ -217,6 +179,7 @@ type Core struct {
 	cfg       config
 	reg       *metrics.Registry
 	slow      *trace.SlowLog // nil unless WithSlowQueryLog
+	readOnly  bool           // set by NewReplica only: the mutating endpoints answer 403
 
 	// stmts is the workload statistics store query executions are
 	// recorded in; nil (all methods are nil-safe no-ops then) unless the
@@ -246,10 +209,7 @@ func NewCore(b Backend, metricPrefix, querySpan string, opts ...Option) (*Core, 
 }
 
 func newCore(b Backend, prefix, querySpan string, cfg config, stmts *qstats.Store) *Core {
-	reg := cfg.registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	c := &Core{
 		backend:   b,
 		querySpan: querySpan,
@@ -299,8 +259,8 @@ func (c *Core) Handle(pattern string, h http.HandlerFunc) { c.mux.HandleFunc(pat
 // Handler returns the HTTP handler tree.
 func (c *Core) Handler() http.Handler { return c }
 
-// Registry returns the metrics registry (shared when WithRegistry was
-// given).
+// Registry returns the metrics registry served at /metrics; a caller
+// may register its own series on it.
 func (c *Core) Registry() *metrics.Registry { return c.reg }
 
 // StartDrain flips the instance into draining mode: /readyz answers 503
@@ -843,16 +803,11 @@ func (c *Core) handleSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 // readyErr resolves the readiness state: draining wins (the instance is
-// leaving), then the configured readiness hook (a replica's
-// bootstrap/lag check), then the backend's own view.
+// leaving), then the backend's own view (a replica's bootstrap/lag
+// check, the router's routable shards).
 func (c *Core) readyErr() error {
 	if c.draining.Value() != 0 {
 		return errDraining
-	}
-	if c.cfg.readiness != nil {
-		if err := c.cfg.readiness(); err != nil {
-			return err
-		}
 	}
 	return c.backend.Ready()
 }
@@ -861,8 +816,8 @@ var errDraining = errors.New("draining")
 
 // handleReady is the routing decision: 200 only when the instance wants
 // traffic. Draining flips it to 503 before connections close, giving
-// load balancers a window to move on; a replica's readiness hook keeps
-// it 503 while bootstrapping or lagging beyond its staleness bound.
+// load balancers a window to move on; a replica keeps it 503 while
+// bootstrapping or lagging beyond its staleness bound.
 func (c *Core) handleReady(w http.ResponseWriter, r *http.Request) {
 	if err := c.readyErr(); err != nil {
 		status := "notready"
@@ -893,7 +848,7 @@ func (c *Core) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // request's execution context, and its body is answered under the
 // epoch it produced. An error from op picks the reply as in FailExec.
 func (c *Core) Mutate(w http.ResponseWriter, r *http.Request, op func(ctx context.Context) (body any, epoch uint64, err error)) {
-	if c.cfg.readOnly {
+	if c.readOnly {
 		c.Fail(w, http.StatusForbidden, "read-only replica: writes go to the primary (or arrive via the replication stream)")
 		return
 	}

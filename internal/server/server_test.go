@@ -48,6 +48,33 @@ func newTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server, *du
 	return srv, hs, db
 }
 
+// source is a Replica whose session and readiness the test sets.
+type source struct {
+	db    atomic.Pointer[dualsim.DB]
+	ready atomic.Pointer[error]
+}
+
+func (s *source) DB() *dualsim.DB { return s.db.Load() }
+
+func (s *source) Ready() error {
+	if e := s.ready.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// newTestReplica serves src through NewReplica.
+func newTestReplica(t *testing.T, src *source) (*Server, *httptest.Server) {
+	t.Helper()
+	srv, err := NewReplica(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+	return srv, hs
+}
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	buf, err := json.Marshal(body)
@@ -563,53 +590,48 @@ func TestHealthAndDrain(t *testing.T) {
 	qr.Body.Close()
 }
 
-func TestReadinessHookAndReadOnly(t *testing.T) {
+// TestReplicaReadinessAndReadOnly: a replica's /readyz answers its
+// source's Ready (503 "notready" with the source's reason, then 200),
+// draining still wins over a ready source, every mutating endpoint
+// answers 403, and reads are served.
+func TestReplicaReadinessAndReadOnly(t *testing.T) {
+	_, _, db := newTestServer(t)
+	src := &source{}
+	src.db.Store(db)
 	notReady := errors.New("bootstrap in progress")
-	var gate atomic.Pointer[error]
-	gate.Store(&notReady)
-	_, hs, _ := newTestServer(t,
-		WithReadiness(func() error {
-			if e := gate.Load(); e != nil && *e != nil {
-				return *e
-			}
-			return nil
-		}),
-		WithReadOnly(),
-	)
+	src.ready.Store(&notReady)
+	srv, hs := newTestReplica(t, src)
 
-	resp, err := http.Get(hs.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	readyz := func(wantCode int, wantStatus string) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := decode[wire.HealthResponse](t, resp)
+		if resp.StatusCode != wantCode || h.Status != wantStatus || (wantCode != http.StatusOK) == (h.Reason == "") {
+			t.Fatalf("readyz: %d %+v, want %d %q", resp.StatusCode, h, wantCode, wantStatus)
+		}
 	}
-	h := decode[wire.HealthResponse](t, resp)
-	if resp.StatusCode != http.StatusServiceUnavailable || h.Status != "notready" || h.Reason == "" {
-		t.Fatalf("readyz while not ready: %d %+v", resp.StatusCode, h)
-	}
-	var ready error
-	gate.Store(&ready)
-	resp, err = http.Get(hs.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h = decode[wire.HealthResponse](t, resp)
-	if resp.StatusCode != http.StatusOK || h.Status != "ready" {
-		t.Fatalf("readyz once ready: %d %+v", resp.StatusCode, h)
-	}
+	readyz(http.StatusServiceUnavailable, "notready")
+	src.ready.Store(nil)
+	readyz(http.StatusOK, "ready")
 
-	// Read-only mode: every mutating endpoint refuses with 403, reads
-	// still work.
 	for _, path := range []string{"/v1/apply", "/v1/compact", "/v1/checkpoint"} {
 		resp := postJSON(t, hs.URL+path, wire.ApplyRequest{})
 		out := decode[wire.ErrorResponse](t, resp)
 		if resp.StatusCode != http.StatusForbidden || out.Error == "" {
-			t.Fatalf("%s on read-only server: %d %+v", path, resp.StatusCode, out)
+			t.Fatalf("%s on a replica: %d %+v", path, resp.StatusCode, out)
 		}
 	}
 	qr := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
 	if qr.StatusCode != http.StatusOK {
-		t.Fatalf("query on read-only server = %d", qr.StatusCode)
+		t.Fatalf("query on a replica = %d", qr.StatusCode)
 	}
 	qr.Body.Close()
+
+	srv.StartDrain()
+	readyz(http.StatusServiceUnavailable, "draining")
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -860,7 +882,7 @@ func TestOptionValidation(t *testing.T) {
 	defer db.Close()
 	for _, opt := range []Option{
 		WithMaxInFlight(0), WithQueueDepth(-1),
-		WithDefaultTimeout(-time.Second), WithRegistry(nil),
+		WithDefaultTimeout(-time.Second),
 	} {
 		if _, err := New(db, opt); err == nil {
 			t.Fatal("invalid option accepted")
@@ -868,6 +890,9 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := New(nil); err == nil {
 		t.Fatal("nil session accepted")
+	}
+	if _, err := NewReplica(&source{}); err == nil {
+		t.Fatal("replica without a session accepted")
 	}
 }
 
@@ -1210,12 +1235,14 @@ func TestExportEndpoint(t *testing.T) {
 // list, weak or not) gets 304 with no body and the ETag and epoch
 // headers, and encodes nothing; after an apply the old validator gets
 // the new slice under a new ETag; a malformed If-None-Match is ignored.
-// A swapped-in session at the same epoch answers under a new validator.
+// A replica whose source moved to another session at the same epoch
+// answers under a new validator.
 func TestExportConditional(t *testing.T) {
 	srv, hs, db := newTestServer(t)
+	base := hs.URL
 	export := func(inm ...string) *http.Response {
 		t.Helper()
-		req, err := http.NewRequest("GET", hs.URL+"/v1/export?pred=directed&pred=genre", nil)
+		req, err := http.NewRequest("GET", base+"/v1/export?pred=directed&pred=genre", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1279,47 +1306,147 @@ func TestExportConditional(t *testing.T) {
 	}
 	unchanged(export(v0+", "+v1), v1, "1")
 
-	// The same store at the same epoch, served by another session: the
-	// validator is the session's, so the old one no longer matches.
+	// A replica serving the same session draws its own nonce; once its
+	// source moves to another session holding the same store at the
+	// same epoch, the validator is the new session's, so the old one no
+	// longer matches.
+	src := &source{}
+	src.db.Store(db)
+	_, rhs := newTestReplica(t, src)
+	base = rhs.URL
+	v1r := full(export(v1), 1)
+	if v1r == v1 {
+		t.Fatalf("replica and primary share the validator %s", v1)
+	}
+	unchanged(export(v1r), v1r, "1")
 	db2, err := dualsim.OpenAt(db.Store(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db2.Close() })
-	srv.SwapDB(db2)
-	if v2 := full(export(v1), 1); v2 == v1 {
-		t.Fatalf("validator %s survived SwapDB", v2)
+	src.db.Store(db2)
+	if v2 := full(export(v1r), 1); v2 == v1r {
+		t.Fatalf("validator %s survived a change of session", v2)
 	}
 	if n := notModified(); n != 4 {
-		t.Fatalf("dualsimd_exports_not_modified_total = %v, want 4", n)
+		t.Fatalf("primary dualsimd_exports_not_modified_total = %v, want 4", n)
 	}
 }
 
-// TestSwapDB: the replica re-bootstrap path swaps the served session
-// atomically; later requests answer from the new session and epoch.
-func TestSwapDB(t *testing.T) {
-	srv, hs, _ := newTestServer(t)
+// TestReplicaSourceMovesUnderLoad: exports race the source moving
+// between sessions, each at its own epoch. Every answer must pair a
+// session's nonce with that session's epoch, and no nonce may name two
+// sessions.
+func TestReplicaSourceMovesUnderLoad(t *testing.T) {
 	st, err := dualsim.FromTriples(queries.Fig1aTriples())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2, err := dualsim.OpenAt(st, 7)
+	sessions := make([]*dualsim.DB, 16)
+	for i := range sessions {
+		if sessions[i], err = dualsim.OpenAt(st, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sessions[i].Close() })
+	}
+	src := &source{}
+	src.db.Store(sessions[0])
+	srv, err := NewReplica(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db2.Close() })
-	srv.SwapDB(db2)
-	resp, err := http.Get(hs.URL + "/readyz")
+	var mu sync.Mutex
+	epochOf := map[string]string{} // nonce → the epoch it was served at
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				w := httptest.NewRecorder()
+				srv.ServeHTTP(w, httptest.NewRequest("GET", "/v1/export?pred=directed", nil))
+				nonce, epoch, ok := strings.Cut(strings.Trim(w.Header().Get("ETag"), `"`), "-")
+				if !ok || epoch != w.Header().Get("X-Dualsim-Epoch") {
+					t.Errorf("ETag %s served at epoch %s", w.Header().Get("ETag"), w.Header().Get("X-Dualsim-Epoch"))
+					return
+				}
+				mu.Lock()
+				if prev, seen := epochOf[nonce]; seen && prev != epoch {
+					t.Errorf("nonce %s named epochs %s and %s", nonce, prev, epoch)
+				}
+				epochOf[nonce] = epoch
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := 1; i < len(sessions); i++ {
+		src.db.Store(sessions[i])
+		time.Sleep(time.Millisecond)
+	}
+	wg.Wait()
+}
+
+// TestReplicaServesItsSourceSession: when the replica's source moves
+// to another session (a re-bootstrap), the next request is answered
+// from it — probes, queries and exports report its epoch — and the
+// export validator changes even though the epoch did not.
+func TestReplicaServesItsSourceSession(t *testing.T) {
+	_, _, db := newTestServer(t)
+	src := &source{}
+	src.db.Store(db)
+	srv, hs := newTestReplica(t, src)
+	epochs := func() (probe, query uint64, etag string) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe = decode[wire.HealthResponse](t, resp).Epoch
+		qr := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
+		qr.Body.Close()
+		if query, err = strconv.ParseUint(qr.Header.Get("X-Dualsim-Epoch"), 10, 64); err != nil {
+			t.Fatal(err)
+		}
+		ex, err := http.Get(hs.URL + "/v1/export?pred=directed")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.Body.Close()
+		return probe, query, ex.Header.Get("ETag")
+	}
+	if p, q, _ := epochs(); p != 0 || q != 0 {
+		t.Fatalf("before the swap: probe epoch %d, query epoch %d; want 0", p, q)
+	}
+
+	st, err := dualsim.FromTriples(queries.Fig1aTriples())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := decode[wire.HealthResponse](t, resp)
-	if h.Epoch != 7 {
-		t.Fatalf("epoch after swap = %d, want 7", h.Epoch)
+	db7, err := dualsim.OpenAt(st, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	qr := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
-	if got := qr.Header.Get("X-Dualsim-Epoch"); got != "7" {
-		t.Fatalf("query epoch after swap = %q, want 7", got)
+	t.Cleanup(func() { db7.Close() })
+	src.db.Store(db7)
+	p, q, v7 := epochs()
+	if p != 7 || q != 7 || !strings.HasSuffix(v7, `-7"`) {
+		t.Fatalf("after the swap: probe epoch %d, query epoch %d, ETag %s; want 7", p, q, v7)
 	}
-	qr.Body.Close()
+	if _, _, again := epochs(); again != v7 {
+		t.Fatalf("validator %s changed to %s with the session unchanged", v7, again)
+	}
+	if got := srv.Registry().Snapshot()["dualsimd_epoch"]; got != 7 {
+		t.Fatalf("dualsimd_epoch = %v after the swap, want 7", got)
+	}
+
+	// The same store at the same epoch in another session: a new validator.
+	db7b, err := dualsim.OpenAt(st, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db7b.Close() })
+	src.db.Store(db7b)
+	if _, _, v := epochs(); v == v7 || !strings.HasSuffix(v, `-7"`) {
+		t.Fatalf("validator %s after a change of session at epoch 7, was %s", v, v7)
+	}
 }

@@ -289,8 +289,8 @@ type SlowLogResponse struct {
 // StatementsResponse is the body of GET /v1/debug/statements: the
 // workload statistics rows, ordered by total execution time descending —
 // pg_stat_statements for dualsim. On the router the rows are the
-// fingerprint-keyed merge of every shard's table and Shards counts the
-// sources; on a daemon Shards is 0.
+// fingerprint-keyed merge of the tables of every live endpoint of every
+// shard, and Shards counts the shards; on a daemon Shards is 0.
 type StatementsResponse struct {
 	// Statements are the per-normalized-statement aggregates.
 	Statements []stats.Statement `json:"statements"`
@@ -302,8 +302,8 @@ type StatementsResponse struct {
 	// behind each row's latencyBuckets counts (which carry one extra
 	// +Inf bucket).
 	LatencyBounds []float64 `json:"latencyBounds,omitempty"`
-	// Shards is the number of shard tables merged into this view (router
-	// only).
+	// Shards is the number of shards whose tables were merged into this
+	// view (router only).
 	Shards int `json:"shards,omitempty"`
 }
 

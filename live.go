@@ -28,9 +28,8 @@ var ErrNotDurable = errors.New("dualsim: session has no data dir; open with With
 //
 // The published snapshot is the whole store lineage: the store, its
 // epoch, the effective triple changes since the last compaction and the
-// compaction count. Apply and Compact are one writer over a WAL record
-// kind; the writer and OpenDir's WAL replay advance the lineage by the
-// same step.
+// compaction count. Apply, Compact and Replay (crash recovery and a
+// replica's tail) are one writer over a WAL record kind.
 
 // Delta is one batch of mutations for Apply. Dels are applied before
 // Adds: a triple occurring in both ends up present. Deleting an absent
@@ -114,6 +113,34 @@ func (db *DB) Apply(ctx context.Context, d Delta) (ApplyStats, error) {
 // WithCompactionThreshold for the automatic variant.
 func (db *DB) Compact(ctx context.Context) (ApplyStats, error) {
 	return db.write(ctx, persist.Record{Kind: persist.RecordCompact})
+}
+
+// Replay applies WAL records in epoch order through the one writer — the
+// replay path of crash recovery (OpenDir) and of a replica following
+// its primary's tail. A record at or below the current epoch is a
+// duplicate and is skipped; one past the next epoch is a gap, refused
+// with an error wrapping persist.ErrEpochGap; every other record must
+// land the session on its stamped epoch, or the replay has diverged.
+// A failure stops the replay at the last record applied.
+func (db *DB) Replay(ctx context.Context, recs []persist.Record) error {
+	for _, rec := range recs {
+		cur := db.Epoch()
+		switch {
+		case rec.Epoch <= cur:
+			continue
+		case rec.Epoch != cur+1:
+			return fmt.Errorf("dualsim: replay at epoch %d: %w: next record is stamped %d", cur, persist.ErrEpochGap, rec.Epoch)
+		case rec.Kind != persist.RecordApply && rec.Kind != persist.RecordCompact:
+			return fmt.Errorf("dualsim: unknown WAL record kind %d at epoch %d", rec.Kind, rec.Epoch)
+		}
+		if _, err := db.write(ctx, rec); err != nil {
+			return fmt.Errorf("dualsim: replaying WAL record for epoch %d: %w", rec.Epoch, err)
+		}
+		if got := db.Epoch(); got != rec.Epoch {
+			return fmt.Errorf("dualsim: replay diverged: record stamped epoch %d left the session at epoch %d", rec.Epoch, got)
+		}
+	}
+	return nil
 }
 
 // write is the one writer: it logs rec at the next epoch on a durable

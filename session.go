@@ -91,11 +91,7 @@ func Open(st *Store, opts ...Option) (*DB, error) {
 			return nil, fmt.Errorf("dualsim: initializing data dir: %w", err)
 		}
 	}
-	db, err := openAt(st, 0, nil, lg, set)
-	if err != nil && lg != nil {
-		lg.Close()
-	}
-	return db, err
+	return openAt(st, 0, lg, set), nil
 }
 
 // OpenDir starts a session from a durable data directory written by a
@@ -119,20 +115,21 @@ func OpenDir(dir string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dualsim: opening data dir: %w", err)
 	}
-	db, err := openAt(rec.Store, rec.SnapshotEpoch, rec.Tail, lg, set)
-	if err != nil {
+	// The tail is replayed before the log is attached, so recovery
+	// appends nothing to the WAL it reads.
+	db := openAt(rec.Store, rec.SnapshotEpoch, nil, set)
+	if err := db.Replay(context.Background(), rec.Tail); err != nil {
 		lg.Close()
 		return nil, err
 	}
+	db.pers = lg
 	return db, nil
 }
 
 // OpenAt starts a session over the store at a given epoch — the
 // replication bootstrap entry point. A replica that decoded a primary
 // snapshot stamped with epoch E opens its session here and then applies
-// the primary's WAL records E+1, E+2, … through Apply, each landing on
-// exactly its stamped epoch (Apply bumps by one, and the primary never
-// logs empty deltas).
+// the primary's WAL records E+1, E+2, … through Replay.
 //
 // Durability options are refused: a replica's store of record is its
 // primary — on divergence or a WAL gap it re-bootstraps from a fresh
@@ -148,7 +145,7 @@ func OpenAt(st *Store, epoch uint64, opts ...Option) (*DB, error) {
 	if set.dataDir != "" {
 		return nil, fmt.Errorf("dualsim: OpenAt is for replicas, which re-bootstrap rather than recover; WithDataDir is not supported")
 	}
-	return openAt(st, epoch, nil, nil, set)
+	return openAt(st, epoch, nil, set), nil
 }
 
 func resolveSettings(opts []Option) (settings, error) {
@@ -161,29 +158,15 @@ func resolveSettings(opts []Option) (settings, error) {
 	return set, nil
 }
 
-// openAt wires a session over the store at the given epoch, replaying a
-// recovered WAL tail first (both zero for a plain Open). Each replayed
-// record must land exactly on its stamped epoch — a divergence means
-// the log is missing or reordering records and the boot is refused
-// rather than silently serving a wrong epoch.
-func openAt(st *Store, epoch uint64, tail []persist.Record, lg *persist.Log, set settings) (*DB, error) {
+// openAt wires a session over the store at the given epoch, appending
+// to lg when it is non-nil.
+func openAt(st *Store, epoch uint64, lg *persist.Log, set settings) *DB {
 	db := &DB{set: set, pers: lg}
 	if set.planCache > 0 {
 		db.cache = newPlanCache(set.planCache)
 	}
-	cur := &dbSnapshot{st: st, epoch: epoch}
-	for _, r := range tail {
-		next, _, err := db.step(cur, r)
-		if err != nil {
-			return nil, fmt.Errorf("dualsim: replaying WAL record for epoch %d: %w", r.Epoch, err)
-		}
-		if next.epoch != r.Epoch {
-			return nil, fmt.Errorf("dualsim: WAL replay diverged: record stamped epoch %d, replay reached epoch %d (missing or reordered records)", r.Epoch, next.epoch)
-		}
-		cur = next
-	}
-	db.snap.Store(cur)
-	return db, nil
+	db.snap.Store(&dbSnapshot{st: st, epoch: epoch})
+	return db
 }
 
 // Close releases the session. Prepared queries of a closed session fail
