@@ -164,7 +164,7 @@ func (c *Client) Explain(ctx context.Context, src, mode string, opts ...QueryOpt
 // threshold 0.
 func (c *Client) SlowQueries(ctx context.Context) (*SlowLogResponse, error) {
 	var out SlowLogResponse
-	if err := c.doJSON(ctx, "GET", "/v1/debug/slow", nil, &out, true); err != nil {
+	if err := c.doJSONHdr(ctx, "GET", "/v1/debug/slow", nil, &out, true, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -190,7 +190,7 @@ func (c *Client) statements(ctx context.Context, reset bool) (*StatementsRespons
 		path += "?reset=1"
 	}
 	var out StatementsResponse
-	if err := c.doJSON(ctx, "GET", path, nil, &out, true); err != nil {
+	if err := c.doJSONHdr(ctx, "GET", path, nil, &out, true, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -283,7 +283,7 @@ func (c *Client) Batch(ctx context.Context, srcs []string, opts ...QueryOpt) (*B
 func (c *Client) Apply(ctx context.Context, adds, dels []Triple) (*ApplyResponse, error) {
 	req := wire.ApplyRequest{Adds: adds, Dels: dels}
 	var out ApplyResponse
-	if err := c.doJSON(ctx, "POST", "/v1/apply", &req, &out, false); err != nil {
+	if err := c.doJSONHdr(ctx, "POST", "/v1/apply", &req, &out, false, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -305,7 +305,7 @@ func (c *Client) ApplyDelta(ctx context.Context, d dualsim.Delta) (*ApplyRespons
 // Compact asks the server to rebuild its store (fresh dictionary).
 func (c *Client) Compact(ctx context.Context) (*ApplyResponse, error) {
 	var out ApplyResponse
-	if err := c.doJSON(ctx, "POST", "/v1/compact", nil, &out, false); err != nil {
+	if err := c.doJSONHdr(ctx, "POST", "/v1/compact", nil, &out, false, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -316,7 +316,7 @@ func (c *Client) Compact(ctx context.Context) (*ApplyResponse, error) {
 // 409.
 func (c *Client) Checkpoint(ctx context.Context) (*CheckpointResponse, error) {
 	var out CheckpointResponse
-	if err := c.doJSON(ctx, "POST", "/v1/checkpoint", nil, &out, false); err != nil {
+	if err := c.doJSONHdr(ctx, "POST", "/v1/checkpoint", nil, &out, false, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -325,7 +325,7 @@ func (c *Client) Checkpoint(ctx context.Context) (*CheckpointResponse, error) {
 // Snapshot reports the server's current epoch and store shape.
 func (c *Client) Snapshot(ctx context.Context) (*SnapshotResponse, error) {
 	var out SnapshotResponse
-	if err := c.doJSON(ctx, "GET", "/v1/snapshot", nil, &out, true); err != nil {
+	if err := c.doJSONHdr(ctx, "GET", "/v1/snapshot", nil, &out, true, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -335,7 +335,7 @@ func (c *Client) Snapshot(ctx context.Context) (*SnapshotResponse, error) {
 // StatusCode 503.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	var out HealthResponse
-	if err := c.doJSON(ctx, "GET", "/healthz", nil, &out, true); err != nil {
+	if err := c.doJSONHdr(ctx, "GET", "/healthz", nil, &out, true, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -347,7 +347,7 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 // the answer a prober needs).
 func (c *Client) Ready(ctx context.Context) (*HealthResponse, error) {
 	var out HealthResponse
-	if err := c.doJSON(ctx, "GET", "/readyz", nil, &out, true); err != nil {
+	if err := c.doJSONHdr(ctx, "GET", "/readyz", nil, &out, true, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -409,7 +409,7 @@ func (c *Client) Export(ctx context.Context, preds []string, held ...string) (*E
 // it represents. A replica opens a session at that epoch and tails the
 // WAL from there.
 func (c *Client) BootstrapSnapshot(ctx context.Context) (*dualsim.Store, uint64, error) {
-	resp, err := c.do(ctx, "GET", "/v1/wal/snapshot", nil, "", true)
+	resp, err := c.doHdr(ctx, "GET", "/v1/wal/snapshot", nil, "", true, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -454,7 +454,7 @@ func (c *Client) TailWAL(ctx context.Context, fromEpoch uint64, wait time.Durati
 	if wait > 0 {
 		path += fmt.Sprintf("&waitMs=%d", wait.Milliseconds())
 	}
-	resp, err := c.do(ctx, "GET", path, nil, "", true)
+	resp, err := c.doHdr(ctx, "GET", path, nil, "", true, nil)
 	if err != nil {
 		var ae *APIError
 		if errors.As(err, &ae) && ae.StatusCode == http.StatusGone {
@@ -479,7 +479,7 @@ func (c *Client) TailWAL(ctx context.Context, fromEpoch uint64, wait time.Durati
 
 // Metrics fetches the raw Prometheus-style metrics page.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	resp, err := c.do(ctx, "GET", "/metrics", nil, "", true)
+	resp, err := c.doHdr(ctx, "GET", "/metrics", nil, "", true, nil)
 	if err != nil {
 		return "", err
 	}
@@ -719,13 +719,9 @@ func (c *Client) QueryStream(ctx context.Context, src string, opts ...QueryOpt) 
 // ---------------------------------------------------------------------------
 // Transport
 
-// doJSON runs one round-trip with retries and decodes the JSON reply.
-func (c *Client) doJSON(ctx context.Context, method, path string, in, out any, idempotent bool) error {
-	return c.doJSONHdr(ctx, method, path, in, out, idempotent, nil)
-}
-
-// doJSONHdr is doJSON with extra request headers (the trace-context
-// propagation path).
+// doJSONHdr runs one round-trip with retries, with extra request
+// headers when hdr is non-nil (the trace-context propagation path), and
+// decodes the JSON reply.
 func (c *Client) doJSONHdr(ctx context.Context, method, path string, in, out any, idempotent bool, hdr http.Header) error {
 	var body []byte
 	contentType := ""
@@ -752,14 +748,10 @@ func (c *Client) doJSONHdr(ctx context.Context, method, path string, in, out any
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// do performs the request, retrying shed (429) and unavailable (503)
-// replies — and transport errors when the call is idempotent — up to the
-// configured retry budget. Non-2xx replies come back as *APIError.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, contentType string, idempotent bool) (*http.Response, error) {
-	return c.doHdr(ctx, method, path, body, contentType, idempotent, nil)
-}
-
-// doHdr is do with extra request headers.
+// doHdr performs the request, with extra request headers when hdr is
+// non-nil, retrying shed (429) and unavailable (503) replies — and
+// transport errors when the call is idempotent — up to the configured
+// retry budget. Non-2xx replies come back as *APIError.
 func (c *Client) doHdr(ctx context.Context, method, path string, body []byte, contentType string, idempotent bool, hdr http.Header) (*http.Response, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {

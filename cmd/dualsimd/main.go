@@ -31,12 +31,12 @@
 // (-maxinflight, -queuedepth) sheds overload with 429 + Retry-After.
 //
 // With -data the database is durable: every acknowledged apply is
-// WAL-logged (fsync'd) into the data dir, -checkpointevery rolls the
-// log into binary snapshots, and a restart against the same dir warm
-// starts — latest snapshot + WAL tail, same epoch sequence, no
-// re-parsing of the original N-Triples input (-store is then only
-// needed for the very first boot and is ignored once the dir holds
-// state).
+// WAL-logged (fsync'd) into the data dir, every 1024 records (and
+// every compaction) are rolled into a binary snapshot, and a restart
+// against the same dir warm starts — latest snapshot + WAL tail, same
+// epoch sequence, no re-parsing of the original N-Triples input
+// (-store is then only needed for the very first boot and is ignored
+// once the dir holds state).
 //
 // With -shard i/N the daemon serves shard i of an N-way predicate-hash
 // partitioning: the -store input is filtered to the triples whose
@@ -87,27 +87,25 @@ func main() {
 
 // daemonConfig carries the parsed flags.
 type daemonConfig struct {
-	addr            string
-	store           string
-	data            string
-	prune           bool
-	planCache       int
-	compactAt       int
-	checkpointEvery int
-	maxInFlight     int
-	queueDepth      int
-	timeout         time.Duration
-	drainTimeout    time.Duration
-	maxQueryMem     int64
-	stmtStats       int
-	shard           string
-	follow          string
-	maxLag          uint64
-	debugAddr       string
-	accessLog       string
-	slowLog         int
-	slowThreshold   time.Duration
-	version         bool
+	addr          string
+	store         string
+	data          string
+	prune         bool
+	planCache     int
+	compactAt     int
+	maxInFlight   int
+	queueDepth    int
+	timeout       time.Duration
+	drainTimeout  time.Duration
+	maxQueryMem   int64
+	shard         string
+	follow        string
+	maxLag        uint64
+	debugAddr     string
+	accessLog     string
+	slowLog       int
+	slowThreshold time.Duration
+	version       bool
 }
 
 func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
@@ -119,13 +117,11 @@ func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
 	fs.BoolVar(&cfg.prune, "prune", true, "evaluate through the dual-simulation pruning pipeline")
 	fs.IntVar(&cfg.planCache, "plancache", 128, "LRU plan cache capacity (0 disables)")
 	fs.IntVar(&cfg.compactAt, "compactat", 0, "auto-compact once this many effective triple changes accumulate since the last compaction (0 = manual)")
-	fs.IntVar(&cfg.checkpointEvery, "checkpointevery", 1024, "with -data, checkpoint every n WAL records (0 = only on compact/demand)")
 	fs.IntVar(&cfg.maxInFlight, "maxinflight", 0, "concurrently executing requests (0 = 2×GOMAXPROCS)")
 	fs.IntVar(&cfg.queueDepth, "queuedepth", 64, "requests waiting for a slot before shedding with 429")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "default per-request execution bound (0 = none; requests may set timeoutMs)")
 	fs.DurationVar(&cfg.drainTimeout, "draintimeout", 10*time.Second, "grace period for in-flight queries on shutdown")
 	fs.Int64Var(&cfg.maxQueryMem, "maxquerymem", 0, "per-query memory budget in bytes for executor buffering (0 = unbudgeted; exceeded → 413)")
-	fs.IntVar(&cfg.stmtStats, "stmtstats", -1, "workload statistics capacity at GET /v1/debug/statements (-1 = default 256, 0 disables)")
 	fs.StringVar(&cfg.shard, "shard", "", "serve shard i of an N-way predicate partitioning (\"i/N\"; filters -store)")
 	fs.StringVar(&cfg.follow, "follow", "", "run as a read replica of the primary dualsimd at this URL")
 	fs.Uint64Var(&cfg.maxLag, "maxlag", 0, "with -follow, epochs of staleness before /readyz flips to 503")
@@ -245,9 +241,6 @@ func serverOptions(cfg daemonConfig) []server.Option {
 	if cfg.slowLog > 0 {
 		opts = append(opts, server.WithSlowQueryLog(cfg.slowLog, cfg.slowThreshold))
 	}
-	if cfg.stmtStats >= 0 {
-		opts = append(opts, server.WithStatementStats(cfg.stmtStats))
-	}
 	return opts
 }
 
@@ -316,7 +309,7 @@ func openSession(cfg daemonConfig, logw *os.File) (*dualsim.DB, error) {
 		st.NumTriples(), st.NumNodes(), st.NumPreds(), time.Since(start).Round(time.Millisecond))
 	if cfg.data != "" {
 		opts = append(opts, dualsim.WithDataDir(cfg.data))
-		fmt.Fprintf(logw, "durable: data dir %s (checkpoint every %d applies)\n", cfg.data, cfg.checkpointEvery)
+		fmt.Fprintf(logw, "durable: data dir %s\n", cfg.data)
 	}
 	return dualsim.Open(st, opts...)
 }
@@ -330,12 +323,6 @@ func sessionOptions(cfg daemonConfig) []dualsim.Option {
 	}
 	if cfg.compactAt > 0 {
 		opts = append(opts, dualsim.WithCompactionThreshold(cfg.compactAt))
-	}
-	if cfg.checkpointEvery != 0 {
-		// Harmless on a non-durable session (the option only fires with a
-		// WAL); passed through even when negative so the option's
-		// validation fails loudly instead of silently ignoring the flag.
-		opts = append(opts, dualsim.WithCheckpointEvery(cfg.checkpointEvery))
 	}
 	if cfg.maxQueryMem != 0 {
 		// Passed through even when negative for loud validation.

@@ -147,7 +147,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 
 	c, shutdown := startDaemon(t, daemonConfig{
 		store: fixture(t), data: dataDir, prune: true,
-		planCache: 16, queueDepth: 8, checkpointEvery: 1024,
+		planCache: 16, queueDepth: 8,
 	})
 	if _, err := c.ApplyDelta(ctx, dualsim.Delta{Adds: []dualsim.Triple{
 		dualsim.T("J._McTiernan", "directed", "Die_Hard"),
@@ -248,13 +248,13 @@ func TestDaemonCrashRecovery(t *testing.T) {
 		t.Skip("process-level crash test")
 	}
 	dataDir := t.TempDir()
-	c, cmd := spawnDaemon(t,
-		"-store", fixture(t), "-data", dataDir,
-		"-plancache", "8", "-checkpointevery", "0") // keep everything in the WAL: recovery must replay, not cheat
+	c, cmd := spawnDaemon(t, "-store", fixture(t), "-data", dataDir, "-plancache", "8")
 	ctx := context.Background()
 
 	// Apply continuously; fire the SIGKILL asynchronously after a few
-	// acknowledgements so the kill lands while applies are in flight.
+	// acknowledgements so the kill lands while applies are in flight —
+	// long before the 1024th apply would checkpoint, so recovery replays
+	// every acknowledged record from the WAL.
 	const killAfter = 25
 	acked := 0
 	var lastEpoch uint64
@@ -371,7 +371,7 @@ func TestDaemonFollower(t *testing.T) {
 	ctx := context.Background()
 	pc, shutdownPrimary := startDaemon(t, daemonConfig{
 		store: fixture(t), data: t.TempDir(), prune: true,
-		planCache: 16, queueDepth: 8, checkpointEvery: 1024,
+		planCache: 16, queueDepth: 8,
 	})
 	defer shutdownPrimary()
 	if _, err := pc.ApplyDelta(ctx, dualsim.Delta{Adds: []dualsim.Triple{
@@ -447,15 +447,14 @@ func TestDaemonConfigErrors(t *testing.T) {
 	defer devnull.Close()
 	emptyDir := t.TempDir()
 	cases := []daemonConfig{
-		{},                                      // missing -store and -data
-		{store: "/no/such.nt"},                  // unreadable store
-		{store: "fixture", queueDepth: -1},      // negative queue depth fails loudly
-		{store: "fixture", checkpointEvery: -1}, // negative checkpoint interval fails loudly
-		{data: emptyDir},                        // -data without state needs -store
-		{store: "fixture", shard: "2/2"},        // shard index out of range
-		{store: "fixture", shard: "nope"},       // malformed shard spec
-		{store: "fixture", follow: "http://x"},  // -follow conflicts with -store
-		{maxLag: 3},                             // -maxlag requires -follow
+		{},                                     // missing -store and -data
+		{store: "/no/such.nt"},                 // unreadable store
+		{store: "fixture", queueDepth: -1},     // negative queue depth fails loudly
+		{data: emptyDir},                       // -data without state needs -store
+		{store: "fixture", shard: "2/2"},       // shard index out of range
+		{store: "fixture", shard: "nope"},      // malformed shard spec
+		{store: "fixture", follow: "http://x"}, // -follow conflicts with -store
+		{maxLag: 3},                            // -maxlag requires -follow
 	}
 	fix := fixture(t)
 	for i := range cases {
@@ -476,9 +475,6 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.drainTimeout != 10*time.Second {
 		t.Fatalf("drain default: %v", cfg.drainTimeout)
 	}
-	if cfg.checkpointEvery != 1024 {
-		t.Fatalf("checkpointevery default: %d", cfg.checkpointEvery)
-	}
 	cfg = parseFlags([]string{"-data", "/var/lib/dualsim"}, flag.ContinueOnError)
 	if cfg.data != "/var/lib/dualsim" || cfg.store != "" {
 		t.Fatalf("warm-restart config: %+v", cfg)
@@ -488,10 +484,11 @@ func TestParseFlagsDefaults(t *testing.T) {
 // TestEngineFlagGone: the daemon's evaluator is not selectable (-engine),
 // its pipeline has no pre-filter stage (-fingerprint), its solver no
 // parallel kernels (-workers) and /v1/batch no pool of its own
-// (-batchworkers), so each is a flag-parse error rather than a knob the
-// daemon ignores.
+// (-batchworkers); checkpoints follow a fixed cadence (-checkpointevery)
+// and the statement table is always on (-stmtstats). Each is a
+// flag-parse error rather than a knob the daemon ignores.
 func TestEngineFlagGone(t *testing.T) {
-	for _, name := range []string{"-engine", "-fingerprint", "-workers", "-batchworkers"} {
+	for _, name := range []string{"-engine", "-fingerprint", "-workers", "-batchworkers", "-checkpointevery", "-stmtstats"} {
 		func() {
 			defer func() {
 				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "flag provided but not defined: "+name) {

@@ -48,7 +48,7 @@
 //     client;
 //   - durability: with WithDataDir the database lives in a data
 //     directory — every Apply is recorded in an fsync'd write-ahead log
-//     before acknowledgement, Checkpoint (or WithCheckpointEvery) rolls
+//     before acknowledgement, Checkpoint (and every 1024th record) rolls
 //     the log into versioned binary snapshots, and OpenDir warm-starts
 //     a session from disk at the same epoch without re-ingesting RDF
 //     (see internal/persist for the format).

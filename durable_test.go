@@ -186,8 +186,10 @@ func TestDurableCheckpointSkipsReplay(t *testing.T) {
 }
 
 // TestDurableCheckpointEveryAndCompact covers the two automatic
-// checkpoint triggers: the WithCheckpointEvery record threshold and the
-// checkpoint-on-Compact rule.
+// checkpoint triggers of a session opened with only WithDataDir: the
+// 1024th WAL record since the last checkpoint and every Compact. The
+// records after the last checkpoint stay in the WAL, and a restart
+// replays them.
 func TestDurableCheckpointEveryAndCompact(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -195,20 +197,21 @@ func TestDurableCheckpointEveryAndCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := dualsim.Open(st, dualsim.WithDataDir(dir), dualsim.WithCheckpointEvery(2))
+	db, err := dualsim.Open(st, dualsim.WithDataDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	as, err := db.Apply(ctx, durableDelta(0))
-	if err != nil || as.Checkpointed {
-		t.Fatalf("first apply: %+v, %v", as, err)
+	for i := 0; i < 1023; i++ {
+		if as, err := db.Apply(ctx, durableDelta(i)); err != nil || as.Checkpointed {
+			t.Fatalf("apply %d: %+v, %v", i, as, err)
+		}
 	}
-	as, err = db.Apply(ctx, durableDelta(1))
+	as, err := db.Apply(ctx, durableDelta(1023))
 	if err != nil || !as.Checkpointed {
-		t.Fatalf("second apply should checkpoint: %+v, %v", as, err)
+		t.Fatalf("the 1024th apply should checkpoint: %+v, %v", as, err)
 	}
-	if ps := db.PersistStats(); ps.WALRecords != 0 || ps.LastCheckpointEpoch != 2 {
+	if ps := db.PersistStats(); ps.WALRecords != 0 || ps.LastCheckpointEpoch != 1024 {
 		t.Fatalf("persist stats after auto-checkpoint: %+v", ps)
 	}
 	// Compact always checkpoints on a durable session.
@@ -216,8 +219,27 @@ func TestDurableCheckpointEveryAndCompact(t *testing.T) {
 	if err != nil || !cs.Checkpointed || cs.WALBytes <= 0 {
 		t.Fatalf("compact: %+v, %v", cs, err)
 	}
-	if ps := db.PersistStats(); ps.LastCheckpointEpoch != 3 || ps.WALRecords != 0 {
+	if ps := db.PersistStats(); ps.LastCheckpointEpoch != 1025 || ps.WALRecords != 0 {
 		t.Fatalf("persist stats after compact: %+v", ps)
+	}
+	for i := 1024; i < 1026; i++ {
+		if as, err := db.Apply(ctx, durableDelta(i)); err != nil || as.Checkpointed {
+			t.Fatalf("apply %d: %+v, %v", i, as, err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := dualsim.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if db2.Epoch() != 1027 || db2.Store().NumTriples() != st.NumTriples()+1026 {
+		t.Fatalf("restart: epoch %d, %d triples; want 1027, %d", db2.Epoch(), db2.Store().NumTriples(), st.NumTriples()+1026)
+	}
+	if ps := db2.PersistStats(); ps.LastCheckpointEpoch != 1025 || ps.WALRecords != 2 {
+		t.Fatalf("persist stats after restart: %+v", ps)
 	}
 }
 

@@ -7,18 +7,16 @@
 // steps show the serving paths: db.Query resolves repeated query text
 // through the session's LRU plan cache (only the first call pays parse
 // + planning), Apply publishes live updates as epoch-numbered
-// snapshots, the session is served over HTTP — the dualsimd subsystem —
-// through the typed Go client, the database is made durable (a
-// WAL-logged apply survives Close and OpenDir warm-restarts it from
-// disk at the same epoch), the store scales out — partitioned over two
-// predicate-hash shards with a scatter-gather router answering (X1)
-// exactly like the single node — step 10 runs a FILTER + LIMIT
-// query through the streaming Volcano executor, printing the cost-based
-// planner's decisions and per-operator row counters from ExecStats, and
-// step 11 explains a plan without executing it (EXPLAIN) and with real
-// executed counters and the request's span tree (EXPLAIN ANALYZE), and
-// step 12 reads the server's always-on workload statistics — three
-// spellings of (X1) folding into one normalized fingerprint.
+// snapshots, and the database is made durable (a WAL-logged apply
+// survives Close and OpenDir warm-restarts it from disk at the same
+// epoch). Step 8 runs a FILTER + LIMIT query through the streaming
+// Volcano executor, printing the cost-based planner's decisions and
+// per-operator row counters from ExecStats, step 9 explains a plan
+// without executing it (EXPLAIN) and with real executed counters and
+// the request's span tree (EXPLAIN ANALYZE), and step 10 reads the
+// server's always-on workload statistics — three spellings of (X1)
+// folding into one normalized fingerprint. HTTP serving and scale-out
+// have examples of their own: examples/serving and examples/cluster.
 package main
 
 import (
@@ -32,34 +30,9 @@ import (
 
 	"dualsim"
 	"dualsim/client"
-	"dualsim/internal/cluster"
-	"dualsim/internal/cluster/router"
+	"dualsim/internal/queries"
 	"dualsim/internal/server"
 )
-
-// fig1a is the example graph database of the paper's Fig. 1(a).
-var fig1a = []dualsim.Triple{
-	dualsim.T("B._De_Palma", "directed", "Mission:_Impossible"),
-	dualsim.T("B._De_Palma", "awarded", "Oscar"),
-	dualsim.T("B._De_Palma", "born_in", "Newark"),
-	dualsim.T("B._De_Palma", "worked_with", "D._Koepp"),
-	dualsim.T("Mission:_Impossible", "genre", "Action"),
-	dualsim.T("Goldfinger", "genre", "Action"),
-	dualsim.T("G._Hamilton", "directed", "Goldfinger"),
-	dualsim.T("G._Hamilton", "born_in", "Paris"),
-	dualsim.T("G._Hamilton", "worked_with", "H._Saltzman"),
-	dualsim.T("Thunderball", "sequel_of", "Goldfinger"),
-	dualsim.T("Thunderball", "awarded", "Oscar"),
-	dualsim.T("H._Saltzman", "born_in", "Saint_John"),
-	dualsim.T("From_Russia_with_Love", "prequel_of", "Goldfinger"),
-	dualsim.T("T._Young", "directed", "From_Russia_with_Love"),
-	dualsim.T("T._Young", "awarded", "BAFTA_Awards"),
-	dualsim.T("P.R._Hunt", "worked_with", "D._Koepp"),
-	dualsim.T("D._Koepp", "directed", "Mortdecai"),
-	dualsim.TL("Newark", "population", "277140"),
-	dualsim.TL("Paris", "population", "2220445"),
-	dualsim.TL("Saint_John", "population", "70063"),
-}
 
 const queryX1 = `
 SELECT * WHERE {
@@ -73,7 +46,7 @@ SELECT * WHERE {
 
 func main() {
 	ctx := context.Background()
-	st, err := dualsim.FromTriples(fig1a)
+	st, err := dualsim.FromTriples(queries.Fig1aTriples())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -186,47 +159,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// --- Step 7: serving over the network --------------------------------
-	// The same session behind the dualsimd HTTP subsystem: NDJSON row
-	// streaming, admission control, epoch-tagged responses. In production
-	// this is `dualsimd -store db.nt -addr :8321`; here the server runs
-	// in-process on a loopback listener and the typed Go client streams
-	// (X1). See examples/serving for the full endpoint tour.
-	srv, err := server.New(db)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	cl, err := client.New("http://" + ln.Addr().String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	stream, err := cl.QueryStream(ctx, queryX1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	streamed := 0
-	for stream.Next() {
-		streamed++
-	}
-	if err := stream.Err(); err != nil {
-		log.Fatal(err)
-	}
-	stream.Close()
-	fmt.Printf("\nserving (X1) over HTTP (dualsimd): %d rows streamed from epoch %d\n",
-		streamed, stream.Epoch())
-	if streamed != 3 || stream.Epoch() != as.Epoch {
-		fmt.Fprintln(os.Stderr, "HTTP serving returned inconsistent results")
-		os.Exit(1)
-	}
-	hs.Close()
-
-	// --- Step 8: durable serving ----------------------------------------
+	// --- Step 7: durable serving ----------------------------------------
 	// With a data dir the database survives restarts: every Apply is
 	// WAL-logged (fsync'd) before it is acknowledged, checkpoints roll
 	// the log into binary snapshots, and OpenDir warm starts from disk —
@@ -269,66 +202,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// --- Step 9: scale out ----------------------------------------------
-	// The database partitions over shards by predicate hash — each shard
-	// holds EVERY triple of its predicates — and a scatter-gather router
-	// speaks the single-node protocol in front of them. In production
-	// this is one `dualsimd -store db.nt -shard i/N` per shard behind
-	// `dualsimrouter -shard http://… -shard http://…`; here both shards
-	// and the router run in-process. See examples/cluster for replicas
-	// and failover.
-	var shardURLs [][]string
-	for i := 0; i < 2; i++ {
-		shardStore, err := cluster.ShardStore(st, cluster.ShardSpec{Index: i, N: 2})
-		if err != nil {
-			log.Fatal(err)
-		}
-		sdb, err := dualsim.Open(shardStore, dualsim.WithPlanCache(8))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer sdb.Close()
-		ssrv, err := server.New(sdb)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		shs := &http.Server{Handler: ssrv}
-		go shs.Serve(sln)
-		defer shs.Close()
-		shardURLs = append(shardURLs, []string{"http://" + sln.Addr().String()})
-		fmt.Printf("\nshard %d/2: %d of %d triples", i, shardStore.NumTriples(), st.NumTriples())
-	}
-	rt, err := router.New(shardURLs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rt.Probe(ctx)
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	rhs := &http.Server{Handler: rt.Handler()}
-	go rhs.Serve(rln)
-	defer rhs.Close()
-	rcl, err := client.New("http://" + rln.Addr().String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	routed, err := rcl.Query(ctx, queryX1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nscatter-gather (X1) through the router: %d rows over 2 shards\n", len(routed.Rows))
-	if len(routed.Rows) != 2 { // the original Fig. 1(a) store: De Palma and Hamilton
-		fmt.Fprintln(os.Stderr, "router answers diverge from the single node")
-		os.Exit(1)
-	}
-
-	// --- Step 10: filters, cost-based planning, streaming ---------------
+	// --- Step 8: filters, cost-based planning, streaming ----------------
 	// The session's executor is the streaming Volcano engine behind the
 	// cost-based planner: FILTER and LIMIT/OFFSET are part of the
 	// query surface, the planner orders joins sparsest-first and sinks
@@ -377,7 +251,7 @@ SELECT * WHERE {
 		os.Exit(1)
 	}
 
-	// --- Step 11: observability — EXPLAIN and tracing -------------------
+	// --- Step 9: observability — EXPLAIN and tracing --------------------
 	// db.Explain compiles a query's plan without executing it; the render
 	// is deterministic, so the same text against the same epoch always
 	// explains identically. ExplainAnalyze executes with per-operator
@@ -399,7 +273,7 @@ SELECT * WHERE {
 		fmt.Printf("evaluate stage: %v for %d row(s)\n", ev.Duration.Round(time.Microsecond), ev.Counters["out"])
 	}
 
-	// --- Step 12: workload statistics ------------------------------------
+	// --- Step 10: workload statistics ------------------------------------
 	// Every dualsimd aggregates per-statement workload statistics —
 	// pg_stat_statements for dualsim: executions are keyed by a
 	// normalized fingerprint (whitespace, literal values and variable

@@ -35,32 +35,10 @@ import (
 	"dualsim/client"
 	"dualsim/internal/cluster"
 	"dualsim/internal/cluster/router"
+	"dualsim/internal/queries"
 	"dualsim/internal/server"
 	"dualsim/internal/trace"
 )
-
-var fig1a = []dualsim.Triple{
-	dualsim.T("B._De_Palma", "directed", "Mission:_Impossible"),
-	dualsim.T("B._De_Palma", "awarded", "Oscar"),
-	dualsim.T("B._De_Palma", "born_in", "Newark"),
-	dualsim.T("B._De_Palma", "worked_with", "D._Koepp"),
-	dualsim.T("Mission:_Impossible", "genre", "Action"),
-	dualsim.T("Goldfinger", "genre", "Action"),
-	dualsim.T("G._Hamilton", "directed", "Goldfinger"),
-	dualsim.T("G._Hamilton", "born_in", "Paris"),
-	dualsim.T("G._Hamilton", "worked_with", "H._Saltzman"),
-	dualsim.T("Thunderball", "sequel_of", "Goldfinger"),
-	dualsim.T("Thunderball", "awarded", "Oscar"),
-	dualsim.T("H._Saltzman", "born_in", "Saint_John"),
-	dualsim.T("From_Russia_with_Love", "prequel_of", "Goldfinger"),
-	dualsim.T("T._Young", "directed", "From_Russia_with_Love"),
-	dualsim.T("T._Young", "awarded", "BAFTA_Awards"),
-	dualsim.T("P.R._Hunt", "worked_with", "D._Koepp"),
-	dualsim.T("D._Koepp", "directed", "Mortdecai"),
-	dualsim.TL("Newark", "population", "277140"),
-	dualsim.TL("Paris", "population", "2220445"),
-	dualsim.TL("Saint_John", "population", "70063"),
-}
 
 // Two single-predicate branches: each pushes down verbatim to whichever
 // shard owns its predicate, so each branch span carries a full shard
@@ -71,7 +49,7 @@ SELECT * WHERE {
 
 func main() {
 	ctx := context.Background()
-	st, err := dualsim.FromTriples(fig1a)
+	st, err := dualsim.FromTriples(queries.Fig1aTriples())
 	if err != nil {
 		log.Fatal(err)
 	}

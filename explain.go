@@ -115,7 +115,7 @@ func (db *DB) Explain(ctx context.Context, src string) (*Explain, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	pq, _, err := db.prepareCached(db.snap.Load(), src, false)
+	pq, _, err := db.Snapshot().prepareCached(src)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func (db *DB) ExplainAnalyze(ctx context.Context, src string) (*Explain, error) 
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	pq, hit, err := db.prepareCached(db.snap.Load(), src, false)
+	pq, hit, err := db.Snapshot().prepareCached(src)
 	if err != nil {
 		return nil, err
 	}

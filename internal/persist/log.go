@@ -305,7 +305,8 @@ func (l *Log) TailSince(afterEpoch uint64) ([]Record, uint64, error) {
 }
 
 // RecordsSinceCheckpoint returns how many WAL records the next
-// checkpoint would make redundant — the WithCheckpointEvery trigger.
+// checkpoint would make redundant — the count a durable session's
+// automatic checkpoint tests.
 func (l *Log) RecordsSinceCheckpoint() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -42,9 +42,12 @@ type Server struct {
 
 // local is the Backend over a *dualsim.DB.
 type local struct {
-	cur   atomic.Pointer[served]
-	src   Replica       // nil on a primary, whose session never changes
-	stmts *qstats.Store // nil when WithStatementStats(0) disabled it
+	cur atomic.Pointer[served]
+	src Replica // nil on a primary, whose session never changes
+	// stmts aggregates executions per normalized statement fingerprint
+	// for GET /v1/debug/statements: up to qstats.DefaultCapacity
+	// statements, the least recently executed evicted beyond that.
+	stmts *qstats.Store
 
 	// stageSeconds are the per-pipeline-stage latency histograms, keyed
 	// by stage name; fixed at construction so Observe stays lock-free.
@@ -125,7 +128,7 @@ func newServer(be *local, db *dualsim.DB, opts []Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	be.stmts = newStatementStore(cfg)
+	be.stmts = qstats.NewStore(qstats.DefaultCapacity)
 	be.cur.Store(newServed(db))
 	core := newCore(be, "dualsimd", "query", cfg, be.stmts)
 	reg := core.reg

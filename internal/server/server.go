@@ -94,15 +94,12 @@ type config struct {
 	defaultTimeout time.Duration
 	slowLogSize    int
 	slowThreshold  time.Duration
-	stmtCapacity   int // statement statistics store capacity; 0 disables
 }
 
 func resolve(opts []Option) (config, error) {
 	cfg := config{
 		maxInFlight: 2 * runtime.GOMAXPROCS(0),
 		queueDepth:  64,
-		// The statistics table is on unless WithStatementStats(0).
-		stmtCapacity: qstats.DefaultCapacity,
 	}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
@@ -182,8 +179,8 @@ type Core struct {
 	readOnly  bool           // set by NewReplica only: the mutating endpoints answer 403
 
 	// stmts is the workload statistics store query executions are
-	// recorded in; nil (all methods are nil-safe no-ops then) unless the
-	// backend is a local session with statistics on.
+	// recorded in: the local backend's, or nil (all methods are nil-safe
+	// no-ops then) on a router, whose table merges its shards'.
 	stmts *qstats.Store
 
 	requests *metrics.Counter

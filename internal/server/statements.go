@@ -34,34 +34,6 @@ type topCache struct {
 	rows []qstats.Statement
 }
 
-// WithStatementStats sizes the workload statistics store: per-statement
-// aggregates (calls, errors, rows, latency quantiles, resource peaks)
-// keyed by normalized statement fingerprint, served at
-// GET /v1/debug/statements — pg_stat_statements for dualsim. The store
-// holds up to n distinct statements, evicting least-recently-executed
-// ones beyond that. Statistics are on by default (capacity 256, cheap:
-// the per-execution record path is allocation-free); n = 0 disables
-// them entirely. The store belongs to the local backend: a router's
-// table is the merge of its shards'.
-func WithStatementStats(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("server: negative statement stats capacity %d", n)
-		}
-		c.stmtCapacity = n
-		return nil
-	}
-}
-
-// newStatementStore builds the configured store: nil (disabled, all
-// methods no-ops) for capacity 0.
-func newStatementStore(cfg config) *qstats.Store {
-	if cfg.stmtCapacity == 0 {
-		return nil
-	}
-	return qstats.NewStore(cfg.stmtCapacity)
-}
-
 // recordStatement folds one query execution into the workload
 // statistics. st may be nil (error paths return no ExecStats): the
 // fingerprint is then re-derived from the source text — off the hot
@@ -135,12 +107,8 @@ func (c *Core) handleStatements(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *local) Statements(_ context.Context, reset bool) (*wire.StatementsResponse, error) {
-	rows := b.stmts.Statements()
-	if rows == nil {
-		rows = []qstats.Statement{}
-	}
 	out := &wire.StatementsResponse{
-		Statements:    rows,
+		Statements:    b.stmts.Statements(),
 		Tracked:       b.stmts.Len(),
 		Evicted:       b.stmts.Evicted(),
 		LatencyBounds: qstats.LatencyBounds,
@@ -194,11 +162,7 @@ func (s *Server) topRows() []qstats.Statement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.rows == nil || time.Since(c.at) > topCacheTTL {
-		c.rows = s.be.stmts.Statements()
-		if c.rows == nil {
-			c.rows = []qstats.Statement{}
-		}
-		c.at = time.Now()
+		c.rows, c.at = s.be.stmts.Statements(), time.Now()
 	}
 	return c.rows
 }

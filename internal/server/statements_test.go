@@ -89,15 +89,6 @@ func TestStatementsReset(t *testing.T) {
 	}
 }
 
-func TestStatementsDisabled(t *testing.T) {
-	_, hs, _ := newTestServer(t, WithStatementStats(0))
-	postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}).Body.Close()
-	out := getStatements(t, hs.URL+"/v1/debug/statements")
-	if out.Tracked != 0 || len(out.Statements) != 0 {
-		t.Fatalf("disabled store tracked %d statements", out.Tracked)
-	}
-}
-
 func TestStatementsRecordErrors(t *testing.T) {
 	_, hs, _ := newTestServer(t)
 	resp := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: "SELECT * WHERE { broken"})

@@ -15,6 +15,11 @@ import (
 // data dir (WithDataDir/OpenDir).
 var ErrNotDurable = errors.New("dualsim: session has no data dir; open with WithDataDir or OpenDir")
 
+// checkpointEvery is the WAL records since the last checkpoint at which
+// a durable session's Apply checkpoints by itself, bounding both the
+// log and the replay a recovery runs.
+const checkpointEvery = 1024
+
 // This file is the session's write path: Apply mutates the database by
 // publishing a new epoch-numbered snapshot, Snapshot pins the current
 // epoch for repeatable reads, Compact rebuilds the store on demand.
@@ -73,7 +78,7 @@ type ApplyStats struct {
 	FsyncLatency time.Duration `json:"fsyncLatency,omitempty"`
 	// Checkpointed reports that the operation rolled the WAL into a
 	// fresh snapshot afterwards (Compact always does on a durable
-	// session; Apply does when WithCheckpointEvery triggered).
+	// session; Apply does once checkpointEvery records accumulated).
 	Checkpointed bool `json:"checkpointed,omitempty"`
 	// Duration is the end-to-end apply time, including index maintenance
 	// and cache invalidation.
@@ -223,14 +228,13 @@ func (db *DB) write(ctx context.Context, rec persist.Record) (ApplyStats, error)
 
 	// A compaction already rebuilt the whole store — the natural moment to
 	// checkpoint: the fresh snapshot makes every WAL record redundant. An
-	// Apply checkpoints when WithCheckpointEvery says so. A checkpoint
-	// failure must not fail the write: the record is already WAL-acked,
-	// applied and published — durability holds, recovery just replays a
-	// longer log. Count the degradation (PersistStats.CheckpointFailures,
-	// a dualsimd gauge) instead of turning a healthy write into a
-	// caller-visible error.
-	if db.pers != nil && (compact || db.set.checkpointEvery > 0 &&
-		db.pers.RecordsSinceCheckpoint() >= int64(db.set.checkpointEvery)) {
+	// Apply checkpoints once checkpointEvery records accumulated. A
+	// checkpoint failure must not fail the write: the record is already
+	// WAL-acked, applied and published — durability holds, recovery just
+	// replays a longer log. Count the degradation
+	// (PersistStats.CheckpointFailures, a dualsimd gauge) instead of
+	// turning a healthy write into a caller-visible error.
+	if db.pers != nil && (compact || db.pers.RecordsSinceCheckpoint() >= checkpointEvery) {
 		c0 := time.Now()
 		if _, cerr := db.pers.Checkpoint(next.st, next.epoch); cerr != nil {
 			db.ckptFails.Add(1)
@@ -363,8 +367,8 @@ type PersistStats struct {
 	Checkpoints         int64  `json:"checkpoints"`
 	LastCheckpointEpoch uint64 `json:"lastCheckpointEpoch"`
 	SnapshotBytes       int64  `json:"snapshotBytes"`
-	// CheckpointFailures counts automatic checkpoints (WithCheckpointEvery,
-	// checkpoint-on-Compact) that failed. The writes they followed are
+	// CheckpointFailures counts automatic checkpoints (every 1024 WAL
+	// records, and on Compact) that failed. The writes they followed are
 	// still durable — recovery just replays a longer WAL — but a growing
 	// count means snapshots are not being written (e.g. disk full) and
 	// recovery time is no longer bounded.
@@ -396,7 +400,7 @@ func (db *DB) PersistStats() PersistStats {
 // for concurrent use, and need no release — dropping the handle releases
 // the pin.
 func (db *DB) Snapshot() *Snapshot {
-	return &Snapshot{db: db, snap: db.snap.Load(), pinned: true}
+	return &Snapshot{db: db, snap: db.snap.Load()}
 }
 
 // Snapshot is a read view pinned to one store epoch. It shares the
@@ -405,10 +409,6 @@ func (db *DB) Snapshot() *Snapshot {
 type Snapshot struct {
 	db   *DB
 	snap *dbSnapshot
-	// pinned marks a deliberate read of this epoch, whose plans are cached
-	// even once the epoch is superseded (see prepareCached); the session's
-	// own live view leaves it false.
-	pinned bool
 }
 
 // Epoch returns the pinned epoch.
@@ -443,10 +443,11 @@ func (s *Snapshot) Exec(ctx context.Context, src string) (*Result, *ExecStats, e
 }
 
 // Query resolves src through the session's plan cache — scoped to the
-// pinned epoch — and executes it on the pinned snapshot. Repeated pinned
-// reads of one text plan once, like live ones.
+// pinned epoch — and executes it on the pinned snapshot. The cache keeps
+// only plans of the published epoch: once an Apply supersedes the pinned
+// one, each read through the handle plans afresh.
 func (s *Snapshot) Query(ctx context.Context, src string) (*Result, *ExecStats, error) {
-	pq, hit, err := s.db.prepareCached(s.snap, src, s.pinned)
+	pq, hit, err := s.prepareCached(src)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -465,7 +466,7 @@ func (s *Snapshot) Query(ctx context.Context, src string) (*Result, *ExecStats, 
 // layer's NDJSON streams are built on this — the first row can be on
 // the wire before the last one is computed.
 func (s *Snapshot) QueryStream(ctx context.Context, src string) (*Rows, error) {
-	pq, hit, err := s.db.prepareCached(s.snap, src, s.pinned)
+	pq, hit, err := s.prepareCached(src)
 	if err != nil {
 		return nil, err
 	}

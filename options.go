@@ -16,8 +16,7 @@ type settings struct {
 
 	compactThreshold int // > 0 arms automatic overlay compaction
 
-	dataDir         string // non-empty makes the session durable (snapshot + WAL)
-	checkpointEvery int    // > 0 checkpoints automatically every n WAL records
+	dataDir string // non-empty makes the session durable (snapshot + WAL)
 
 	maxQueryMemory int64 // > 0 caps per-query buffered bytes in the Volcano executor
 }
@@ -91,33 +90,17 @@ func WithCompactionThreshold(n int) Option {
 // checkpoint of the store into dir (refusing a dir that already holds
 // one — warm starts go through OpenDir) and every subsequent Apply or
 // Compact is recorded in an fsync'd write-ahead log before it is
-// acknowledged, so an acknowledged delta survives a crash. Checkpoint —
-// or WithCheckpointEvery — rolls the WAL into a fresh snapshot; a
-// restart via OpenDir loads the latest snapshot and replays the WAL
-// tail instead of re-ingesting the original RDF input. See
-// internal/persist for the on-disk format.
+// acknowledged, so an acknowledged delta survives a crash. Checkpoint,
+// Compact and every 1024th WAL record since the last checkpoint roll the
+// WAL into a fresh snapshot; a restart via OpenDir loads the latest
+// snapshot and replays the WAL tail instead of re-ingesting the original
+// RDF input. See internal/persist for the on-disk format.
 func WithDataDir(dir string) Option {
 	return func(s *settings) error {
 		if dir == "" {
 			return fmt.Errorf("dualsim: empty data dir")
 		}
 		s.dataDir = dir
-		return nil
-	}
-}
-
-// WithCheckpointEvery arms automatic checkpointing on a durable session
-// (WithDataDir/OpenDir): once n WAL records have accumulated since the
-// last checkpoint, the next Apply rolls them into a fresh snapshot and
-// truncates the log, bounding both recovery time and WAL growth. n = 0
-// (the default) leaves checkpointing to explicit Checkpoint calls and
-// Compact. ApplyStats.Checkpointed reports when it ran.
-func WithCheckpointEvery(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("dualsim: negative checkpoint interval %d", n)
-		}
-		s.checkpointEvery = n
 		return nil
 	}
 }

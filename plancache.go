@@ -62,10 +62,10 @@ type planCache struct {
 	misses        int64
 	evictions     int64
 	invalidations int64
-	// minEpoch is the fence dropStaleEpochs leaves behind: unpinned
-	// inserts below it are refused, so a plan built against a snapshot
-	// that was superseded mid-build cannot slip in after the sweep and
-	// keep the dead store alive. Guarded by mu, like the sweep itself.
+	// minEpoch is the fence dropStaleEpochs leaves behind: inserts below
+	// it are refused, so a plan built against a superseded snapshot cannot
+	// slip in after the sweep and keep the dead store alive. Guarded by
+	// mu, like the sweep itself.
 	minEpoch uint64
 
 	// buildMu serializes plan builds after a miss so concurrent Query
@@ -137,15 +137,13 @@ func (c *planCache) promoteMiss() {
 
 // insert adds (or refreshes) the plan of a normalized text and evicts
 // the least recently used entries beyond capacity. An entry of another
-// text under the same key — a hash collision — is replaced. Unpinned
-// plans of epochs below the invalidation fence are refused (see
-// minEpoch); pinned inserts — from Snapshot handles deliberately reading
-// an old epoch — bypass the fence and live until the next sweep or LRU
-// eviction.
-func (c *planCache) insert(key planKey, text string, pq *PreparedQuery, pinned bool) {
+// text under the same key — a hash collision — is replaced. Plans of
+// epochs below the invalidation fence are refused (see minEpoch): the
+// cache only keeps plans of the published epoch.
+func (c *planCache) insert(key planKey, text string, pq *PreparedQuery) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !pinned && pq.snap.epoch < c.minEpoch {
+	if pq.snap.epoch < c.minEpoch {
 		return
 	}
 	if el, ok := c.items[key]; ok {

@@ -1,8 +1,15 @@
 package dualsim
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"dualsim/internal/queries"
 )
 
 // TestNormalizeQuery: the cache key collapses only whitespace the lexer
@@ -135,5 +142,125 @@ func TestQueryLiteralWhitespaceDistinct(t *testing.T) {
 	}
 	if r1.Len() != 1 || r2.Len() != 1 || r1.Equal(r2) {
 		t.Fatalf("results wrong: %v / %v", r1, r2)
+	}
+}
+
+// cachedEpochs returns the store epoch of every cached plan.
+func (c *planCache) cachedEpochs() []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []uint64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*planEntry).pq.snap.epoch)
+	}
+	return out
+}
+
+// TestSupersededSnapshotIsNotCached: a read through a handle taken
+// before an Apply still answers from the handle's epoch, but its plan
+// stays out of the cache, where it would only keep the superseded store
+// alive.
+func TestSupersededSnapshotIsNotCached(t *testing.T) {
+	ctx := context.Background()
+	st, err := FromTriples(queries.Fig1aTriples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(st, WithPlanCache(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	snap := db.Snapshot()
+	if _, err := db.Apply(ctx, Delta{Adds: []Triple{T("x", "directed", "y")}}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := snap.QueryStream(ctx, `SELECT * WHERE { ?d <directed> ?m . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	rows.Close()
+	if rows.Err() != nil || n != 4 || rows.Stats().Epoch != 0 {
+		t.Fatalf("superseded read: %d rows at epoch %d (err %v), want 4 at 0", n, rows.Stats().Epoch, rows.Err())
+	}
+	if cs := db.CacheStats(); cs.Size != 0 {
+		t.Fatalf("a superseded epoch's plan was cached: %+v", cs)
+	}
+}
+
+// TestLiveStressServedReads races served-style reads — a Snapshot handle
+// per request, read through QueryStream, as the server's local backend
+// does — against Apply. Each read answers from its handle's epoch; once
+// the readers stop, every cached plan is of the published epoch.
+func TestLiveStressServedReads(t *testing.T) {
+	ctx := context.Background()
+	st, err := FromTriples(queries.Fig1aTriples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(st, WithPlanCache(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const (
+		q       = `SELECT * WHERE { ?d <directed> ?m . }`
+		applies = 40
+		readers = 4
+	)
+	var (
+		wg    sync.WaitGroup
+		stop  atomic.Bool
+		reads atomic.Int64
+		errc  = make(chan error, readers)
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				snap := db.Snapshot()
+				rows, err := snap.QueryStream(ctx, q)
+				if err != nil {
+					errc <- err
+					return
+				}
+				n := 0
+				for rows.Next() {
+					n++
+				}
+				rows.Close()
+				// Fig. 1(a) has four <directed> triples; apply k adds one.
+				if e := snap.Epoch(); rows.Err() != nil || rows.Stats().Epoch != e || n != 4+int(e) {
+					errc <- fmt.Errorf("read of epoch %d: %d rows at epoch %d (err %v)", e, n, rows.Stats().Epoch, rows.Err())
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	for k := 1; k <= applies; k++ {
+		if _, err := db.Apply(ctx, Delta{Adds: []Triple{T(fmt.Sprintf("d%d", k), "directed", "m")}}); err != nil {
+			t.Fatal(err)
+		}
+		// Let reads of the new epoch, and of the one it superseded, land.
+		for n := reads.Load(); reads.Load() < n+readers && len(errc) == 0; {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	for _, e := range db.cache.cachedEpochs() {
+		if e != db.Epoch() {
+			t.Fatalf("cached plan of epoch %d outlives the sweep; published epoch is %d", e, db.Epoch())
+		}
 	}
 }

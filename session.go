@@ -48,9 +48,9 @@ type dbSnapshot struct {
 //
 // The database is live: Apply mutates it by publishing a new
 // epoch-numbered snapshot, with MVCC-lite read semantics — in-flight
-// executions (and explicitly pinned Snapshot handles) finish against the
-// epoch they started on, new calls see the new epoch, and the plan cache
-// keys on the epoch so a stale plan can never serve a post-update query.
+// executions (and Snapshot handles) finish against the epoch they
+// started on, new calls see the new epoch, and the plan cache keys on
+// the epoch so a stale plan can never serve a post-update query.
 // See Apply, Snapshot and WithCompactionThreshold.
 type DB struct {
 	set   settings
@@ -255,16 +255,12 @@ type PreparedQuery struct {
 // values, variable names — share it; structural changes never do.
 func (pq *PreparedQuery) Fingerprint() string { return pq.fprint.ID }
 
-// view is the session's current epoch as an unpinned read view: the live
-// entry points below are the Snapshot ones on it.
-func (db *DB) view() *Snapshot { return &Snapshot{db: db, snap: db.snap.Load()} }
-
 // Prepare parses the query source and plans it against the session's
 // current snapshot. The returned PreparedQuery may be executed any
 // number of times, concurrently; all parse and planning work happens
 // here, exactly once.
 func (db *DB) Prepare(src string) (*PreparedQuery, error) {
-	return db.view().Prepare(src)
+	return db.Snapshot().Prepare(src)
 }
 
 // PrepareQuery plans an already-parsed query against the session's
@@ -346,7 +342,7 @@ func recordPrepareSpans(ctx context.Context, pq *PreparedQuery, cached bool) {
 // repeated queries — it performs the planning work exactly once — or
 // Query, which reuses plans through the session's cache.
 func (db *DB) Exec(ctx context.Context, src string) (*Result, *ExecStats, error) {
-	return db.view().Exec(ctx, src)
+	return db.Snapshot().Exec(ctx, src)
 }
 
 // Query is the one-shot serving entry point: it resolves src through the
@@ -362,28 +358,25 @@ func (db *DB) Exec(ctx context.Context, src string) (*Result, *ExecStats, error)
 // misses and re-plans on the new snapshot, so a cached plan can never
 // answer from pre-update state.
 func (db *DB) Query(ctx context.Context, src string) (*Result, *ExecStats, error) {
-	return db.view().Query(ctx, src)
+	return db.Snapshot().Query(ctx, src)
 }
 
-// prepareCached resolves query text to a prepared query for the given
+// prepareCached resolves query text to a prepared query for the
 // snapshot through the plan cache, reporting whether it was a hit. Keys
 // combine the snapshot epoch with a hash of the normalized text, so
 // plans of superseded epochs structurally miss; a hit hashes and
 // compares the text in place and allocates nothing. Cache misses for
 // the same key are single-flighted: the plan is built once, concurrent
-// callers block on buildMu and pick up the freshly inserted entry.
-//
-// pinned distinguishes deliberate reads of an old epoch (Snapshot
-// handles) from live traffic: a live caller whose snapshot was
-// superseded mid-build still executes its plan but does not insert it —
-// a superseded entry could never be served to live queries and would
-// only keep the old store pinned past Apply's dropStaleEpochs sweep.
-func (db *DB) prepareCached(snap *dbSnapshot, src string, pinned bool) (*PreparedQuery, bool, error) {
+// callers block on buildMu and pick up the freshly inserted entry. A
+// plan of a superseded epoch still executes but is not cached (see
+// planCache.insert).
+func (s *Snapshot) prepareCached(src string) (*PreparedQuery, bool, error) {
+	db := s.db
 	if db.cache == nil {
-		pq, err := db.prepareSrc(snap, src)
+		pq, err := db.prepareSrc(s.snap, src)
 		return pq, false, err
 	}
-	key := db.cache.key(snap.epoch, src)
+	key := db.cache.key(s.snap.epoch, src)
 	if pq := db.cache.lookup(key, src, true); pq != nil {
 		return pq, true, nil
 	}
@@ -395,11 +388,11 @@ func (db *DB) prepareCached(snap *dbSnapshot, src string, pinned bool) (*Prepare
 		db.cache.promoteMiss()
 		return pq, true, nil
 	}
-	pq, err := db.prepareSrc(snap, src)
+	pq, err := db.prepareSrc(s.snap, src)
 	if err != nil {
 		return nil, false, err
 	}
-	db.cache.insert(key, normalizeQuery(src), pq, pinned)
+	db.cache.insert(key, normalizeQuery(src), pq)
 	return pq, false, nil
 }
 
