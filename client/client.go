@@ -110,11 +110,11 @@ type Client struct {
 	backoff time.Duration // base retry backoff without a Retry-After hint, doubled per attempt with jitter
 }
 
-// New returns a client for the server at baseURL (e.g.
-// "http://127.0.0.1:8321").
+// New returns a client for the server at baseURL, an absolute http or
+// https URL with a host (e.g. "http://127.0.0.1:8321").
 func New(baseURL string, opts ...Option) (*Client, error) {
-	if baseURL == "" {
-		return nil, fmt.Errorf("client: empty base URL")
+	if u, err := url.Parse(baseURL); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return nil, fmt.Errorf("client: base URL %q is not an absolute http(s) URL with a host", baseURL)
 	}
 	c := &Client{
 		base:    strings.TrimRight(baseURL, "/"),

@@ -282,8 +282,15 @@ func TestClientHealthNoRetryOnDrain(t *testing.T) {
 }
 
 func TestClientOptionValidation(t *testing.T) {
-	if _, err := New(""); err == nil {
-		t.Fatal("empty base URL accepted")
+	for _, base := range []string{"", "localhost:8321", "127.0.0.1:8321", "ftp://x", "http://", "/v1", "http://%zz"} {
+		if _, err := New(base); err == nil {
+			t.Fatalf("base URL %q accepted", base)
+		}
+	}
+	for _, base := range []string{"http://x", "https://x:8321/", "http://127.0.0.1:0"} {
+		if _, err := New(base); err != nil {
+			t.Fatalf("base URL %q refused: %v", base, err)
+		}
 	}
 	for _, opt := range []Option{WithHTTPClient(nil), WithRetries(-1)} {
 		if _, err := New("http://x", opt); err == nil {

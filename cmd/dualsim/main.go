@@ -223,15 +223,10 @@ func runLiveUpdate(ctx context.Context, db *dualsim.DB, src string, cfg cliConfi
 	return nil
 }
 
-// liveUpdatePlanCache is the plan cache the -apply/-del flow re-queries
-// through; its epoch-scoped keys force the re-plan the flow reports.
-const liveUpdatePlanCache = 64
-
 // openSession maps the flags onto session options.
 func openSession(st *dualsim.Store, cfg cliConfig) (*dualsim.DB, error) {
 	opts := []dualsim.Option{
 		dualsim.WithPruning(cfg.prune || cfg.mode == "prune"),
-		dualsim.WithPlanCache(liveUpdatePlanCache),
 	}
 	if cfg.compactAt > 0 {
 		opts = append(opts, dualsim.WithCompactionThreshold(cfg.compactAt))

@@ -1,11 +1,14 @@
 // Command dualsimd serves a graph database over HTTP — the network
-// front end of the dual-simulation engine:
+// front end of the dual-simulation engine — or fronts a cluster of them
+// as its scatter-gather router:
 //
 //	dualsimd -store db.nt -addr :8321
 //	dualsimd -store db.nt -data /var/lib/dualsim     # durable serving
 //	dualsimd -data /var/lib/dualsim                  # warm restart
 //	dualsimd -store db.nt -shard 0/2                 # serve one cluster shard
 //	dualsimd -follow http://primary:8321 -maxlag 2   # WAL-streaming read replica
+//	dualsimd -route http://s0:8321,http://s0-replica:8322 \
+//	         -route http://s1:8321 -addr :8320       # cluster router
 //	dualsimd -store db.nt -addr 127.0.0.1:0 -plancache 256 -maxinflight 16
 //	dualsimd -store db.nt -prune=false
 //	dualsimd -store db.nt -compactat 4096
@@ -40,8 +43,8 @@
 //
 // With -shard i/N the daemon serves shard i of an N-way predicate-hash
 // partitioning: the -store input is filtered to the triples whose
-// predicates place on this shard (see internal/cluster), and
-// cmd/dualsimrouter fans queries over the N daemons. A durable shard
+// predicates place on this shard (see internal/cluster), and a
+// dualsimd -route fans queries over the N daemons. A durable shard
 // persists its filtered state, so a warm restart needs no -shard.
 //
 // With -follow the daemon is a read replica: it bootstraps a session
@@ -51,6 +54,17 @@
 // it arrives, so after a re-bootstrap the next request reads the new
 // one. /readyz stays 503 until the first bootstrap completes and
 // whenever the replica lags the primary by more than -maxlag epochs.
+//
+// With -route the daemon holds no session: it is the cluster's router
+// (internal/cluster/router), speaking the same protocol over the
+// shards. Each -route flag lists one shard's endpoints, comma-separated,
+// primary first; the flag order is the shard order and must match the
+// -shard i/N partitioning the shard daemons were loaded with. Writes go
+// to primaries; reads round-robin over endpoints that are up, ready and
+// within -maxlag epochs of the shard's freshest known epoch, failing
+// over when an endpoint dies mid-request. Endpoints are probed once a
+// second; GET /v1/cluster reports their health, epochs and latencies,
+// and /readyz stays 503 until every shard has a routable endpoint.
 //
 // On SIGINT/SIGTERM it drains: /readyz flips to 503 so load balancers
 // stop routing here (liveness stays green), in-flight queries finish
@@ -64,17 +78,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"dualsim"
 	"dualsim/internal/buildinfo"
 	"dualsim/internal/cluster"
+	"dualsim/internal/cluster/router"
 	"dualsim/internal/persist"
 	"dualsim/internal/server"
 )
 
 func main() {
-	cfg := parseFlags(os.Args[1:], flag.ExitOnError)
+	cfg, err := parseFlags(os.Args[1:], flag.ExitOnError)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dualsimd:", err)
+		os.Exit(2)
+	}
 	if cfg.version {
 		fmt.Println(buildinfo.String("dualsimd"))
 		return
@@ -100,22 +120,44 @@ type daemonConfig struct {
 	maxQueryMem   int64
 	shard         string
 	follow        string
+	route         endpointLists
 	maxLag        uint64
 	debugAddr     string
 	accessLog     string
 	slowLog       int
 	slowThreshold time.Duration
 	version       bool
+
+	sessionFlags []string // session flags set on the command line, for -route to refuse
 }
 
-func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
+// endpointLists collects repeated -route flags, each one shard's
+// comma-separated endpoints (primary first).
+type endpointLists [][]string
+
+func (l *endpointLists) String() string { return fmt.Sprint([][]string(*l)) }
+
+func (l *endpointLists) Set(v string) error {
+	var eps []string
+	for _, u := range strings.Split(v, ",") {
+		u = strings.TrimSpace(u)
+		if u == "" {
+			return fmt.Errorf("empty endpoint in %q", v)
+		}
+		eps = append(eps, u)
+	}
+	*l = append(*l, eps)
+	return nil
+}
+
+func parseFlags(args []string, onError flag.ErrorHandling) (daemonConfig, error) {
 	fs := flag.NewFlagSet("dualsimd", onError)
 	cfg := daemonConfig{}
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8321", "listen address (host:port; port 0 picks a free one)")
 	fs.StringVar(&cfg.store, "store", "", "N-Triples database file (required unless -data holds state)")
 	fs.StringVar(&cfg.data, "data", "", "durable data dir: snapshot + WAL; warm restart when it holds state")
 	fs.BoolVar(&cfg.prune, "prune", true, "evaluate through the dual-simulation pruning pipeline")
-	fs.IntVar(&cfg.planCache, "plancache", 128, "LRU plan cache capacity (0 disables)")
+	fs.IntVar(&cfg.planCache, "plancache", 128, "LRU plan cache capacity (at least 1)")
 	fs.IntVar(&cfg.compactAt, "compactat", 0, "auto-compact once this many effective triple changes accumulate since the last compaction (0 = manual)")
 	fs.IntVar(&cfg.maxInFlight, "maxinflight", 0, "concurrently executing requests (0 = 2×GOMAXPROCS)")
 	fs.IntVar(&cfg.queueDepth, "queuedepth", 64, "requests waiting for a slot before shedding with 429")
@@ -124,14 +166,23 @@ func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
 	fs.Int64Var(&cfg.maxQueryMem, "maxquerymem", 0, "per-query memory budget in bytes for executor buffering (0 = unbudgeted; exceeded → 413)")
 	fs.StringVar(&cfg.shard, "shard", "", "serve shard i of an N-way predicate partitioning (\"i/N\"; filters -store)")
 	fs.StringVar(&cfg.follow, "follow", "", "run as a read replica of the primary dualsimd at this URL")
-	fs.Uint64Var(&cfg.maxLag, "maxlag", 0, "with -follow, epochs of staleness before /readyz flips to 503")
+	fs.Var(&cfg.route, "route", "run as the cluster router; one shard's endpoints, comma-separated, primary first (repeat per shard, in shard order)")
+	fs.Uint64Var(&cfg.maxLag, "maxlag", 0, "epochs of replica staleness: -follow reports not ready beyond it, -route reads no replica beyond it")
 	fs.StringVar(&cfg.debugAddr, "debugaddr", "", "serve pprof + /v1/debug/slow on this extra address (off the serving listener)")
 	fs.StringVar(&cfg.accessLog, "accesslog", "", "write a JSON access log to this file (\"-\" for stdout)")
 	fs.IntVar(&cfg.slowLog, "slowlog", 0, "keep this many slow queries at GET /v1/debug/slow (0 disables)")
 	fs.DurationVar(&cfg.slowThreshold, "slowthreshold", 0, "with -slowlog, only record queries at least this slow (0 = all)")
 	fs.BoolVar(&cfg.version, "version", false, "print build version and exit")
-	fs.Parse(args) // ExitOnError in production; tests pass ContinueOnError configs directly
-	return cfg
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "prune", "plancache", "compactat", "maxquerymem":
+			cfg.sessionFlags = append(cfg.sessionFlags, "-"+f.Name)
+		}
+	})
+	return cfg, nil
 }
 
 // run opens the session (cold from -store, or warm from -data), serves
@@ -139,14 +190,22 @@ func parseFlags(args []string, onError flag.ErrorHandling) daemonConfig {
 // and exits. When ready is non-nil, the bound address is sent on it once
 // the listener is up (the hook the tests and -addr :0 users rely on).
 func run(ctx context.Context, cfg daemonConfig, logw *os.File, ready chan<- string) (err error) {
-	if cfg.follow != "" {
+	switch {
+	case len(cfg.route) > 0:
+		if cfg.store != "" || cfg.data != "" || cfg.shard != "" || cfg.follow != "" {
+			return fmt.Errorf("-route runs the cluster router over shard daemons; it conflicts with -store, -data, -shard and -follow")
+		}
+		if len(cfg.sessionFlags) > 0 {
+			return fmt.Errorf("-route opens no session; %s does not apply", strings.Join(cfg.sessionFlags, ", "))
+		}
+		return runRouter(ctx, cfg, logw, ready)
+	case cfg.follow != "":
 		if cfg.store != "" || cfg.data != "" || cfg.shard != "" {
 			return fmt.Errorf("-follow runs a read replica fed by the primary's WAL; it conflicts with -store, -data and -shard")
 		}
 		return runFollower(ctx, cfg, logw, ready)
-	}
-	if cfg.maxLag != 0 {
-		return fmt.Errorf("-maxlag is a replica staleness bound; it requires -follow")
+	case cfg.maxLag != 0:
+		return fmt.Errorf("-maxlag is a replica staleness bound; it requires -follow or -route")
 	}
 	db, err := openSession(cfg, logw)
 	if err != nil {
@@ -160,7 +219,7 @@ func run(ctx context.Context, cfg daemonConfig, logw *os.File, ready chan<- stri
 	if err != nil {
 		return err
 	}
-	return serveAndDrain(ctx, cfg, srv, logw, ready, func() error {
+	return serveAndDrain(ctx, cfg, srv.Core, logw, ready, func() error {
 		// A final checkpoint after the last request finished: the next
 		// boot loads the snapshot directly with nothing to replay.
 		if !db.Durable() {
@@ -219,11 +278,38 @@ func runFollower(ctx context.Context, cfg daemonConfig, logw *os.File, ready cha
 	go func() { followErr <- f.Run(fctx) }()
 	fmt.Fprintf(logw, "dualsimd: replica of %s (maxlag %d)\n", cfg.follow, cfg.maxLag)
 
-	return serveAndDrain(ctx, cfg, srv, logw, ready, func() error {
+	return serveAndDrain(ctx, cfg, srv.Core, logw, ready, func() error {
 		stopFollowing()
 		<-followErr // replication has stopped; sessions are non-durable
 		return f.DB().Close()
 	})
+}
+
+// runRouter serves the scatter-gather router over the -route shards. It
+// probes every endpoint once before listening, so the first request
+// routes on real health, and re-probes once a second while it serves.
+func runRouter(ctx context.Context, cfg daemonConfig, logw *os.File, ready chan<- string) error {
+	rt, err := router.New(cfg.route, router.WithMaxLag(cfg.maxLag), router.WithProtocol(serverOptions(cfg)...))
+	if err != nil {
+		return err
+	}
+	for i, eps := range cfg.route {
+		fmt.Fprintf(logw, "dualsimd: shard %d/%d: %s\n", i, len(cfg.route), strings.Join(eps, ", "))
+	}
+
+	probeCtx, stopProbes := context.WithCancel(ctx)
+	rt.Probe(probeCtx)
+	probing := make(chan struct{})
+	go func() {
+		defer close(probing)
+		_ = rt.Run(probeCtx) // returns only once probeCtx is cancelled
+	}()
+	defer func() {
+		stopProbes()
+		<-probing
+	}()
+
+	return serveAndDrain(ctx, cfg, rt.Core, logw, ready, nil)
 }
 
 // serverOptions maps the serving flags onto server options.
@@ -244,10 +330,10 @@ func serverOptions(cfg daemonConfig) []server.Option {
 	return opts
 }
 
-// serveAndDrain hands the server to the shared listen/serve/drain loop
-// with the daemon's flags.
-func serveAndDrain(ctx context.Context, cfg daemonConfig, srv *server.Server, logw *os.File, ready chan<- string, final func() error) error {
-	return srv.Serve(ctx, server.Listen{
+// serveAndDrain hands the protocol core to the shared listen/serve/drain
+// loop with the daemon's flags.
+func serveAndDrain(ctx context.Context, cfg daemonConfig, core *server.Core, logw *os.File, ready chan<- string, final func() error) error {
+	return core.Serve(ctx, server.Listen{
 		Name: "dualsimd", Addr: cfg.addr, DebugAddr: cfg.debugAddr,
 		AccessLog: cfg.accessLog, DrainTimeout: cfg.drainTimeout,
 	}, logw, ready, final)
@@ -317,10 +403,8 @@ func openSession(cfg daemonConfig, logw *os.File) (*dualsim.DB, error) {
 // sessionOptions maps the flags onto session options (mirrors
 // cmd/dualsim).
 func sessionOptions(cfg daemonConfig) []dualsim.Option {
-	opts := []dualsim.Option{dualsim.WithPruning(cfg.prune)}
-	if cfg.planCache > 0 {
-		opts = append(opts, dualsim.WithPlanCache(cfg.planCache))
-	}
+	// WithPlanCache validates, so -plancache 0 fails loudly.
+	opts := []dualsim.Option{dualsim.WithPruning(cfg.prune), dualsim.WithPlanCache(cfg.planCache)}
 	if cfg.compactAt > 0 {
 		opts = append(opts, dualsim.WithCompactionThreshold(cfg.compactAt))
 	}

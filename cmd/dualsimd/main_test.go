@@ -6,9 +6,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -439,63 +441,175 @@ func TestDaemonFollower(t *testing.T) {
 	}
 }
 
+// TestDaemonConfigErrors: every argument list fails, at parse or at
+// run, before the daemon serves anything.
 func TestDaemonConfigErrors(t *testing.T) {
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer devnull.Close()
-	emptyDir := t.TempDir()
-	cases := []daemonConfig{
-		{},                                     // missing -store and -data
-		{store: "/no/such.nt"},                 // unreadable store
-		{store: "fixture", queueDepth: -1},     // negative queue depth fails loudly
-		{data: emptyDir},                       // -data without state needs -store
-		{store: "fixture", shard: "2/2"},       // shard index out of range
-		{store: "fixture", shard: "nope"},      // malformed shard spec
-		{store: "fixture", follow: "http://x"}, // -follow conflicts with -store
-		{maxLag: 3},                            // -maxlag requires -follow
+	fix, emptyDir := fixture(t), t.TempDir()
+	cases := [][]string{
+		{},                                                 // missing -store and -data
+		{"-store", "/no/such.nt"},                          // unreadable store
+		{"-store", fix, "-queuedepth", "-1"},               // negative queue depth fails loudly
+		{"-store", fix, "-plancache", "0"},                 // every session has a plan cache
+		{"-data", emptyDir},                                // -data without state needs -store
+		{"-store", fix, "-shard", "2/2"},                   // shard index out of range
+		{"-store", fix, "-shard", "nope"},                  // malformed shard spec
+		{"-store", fix, "-follow", "http://x"},             // -follow conflicts with -store
+		{"-follow", "localhost:8321"},                      // not an http(s) URL
+		{"-maxlag", "3"},                                   // -maxlag requires -follow or -route
+		{"-store", fix, "-maxlag", "3"},                    // … also on a primary
+		{"-route", "http://x", "-store", fix},              // -route conflicts with -store
+		{"-route", "http://x", "-data", emptyDir},          // … -data
+		{"-route", "http://x", "-shard", "0/2"},            // … -shard
+		{"-route", "http://x", "-follow", "http://y"},      // … -follow
+		{"-route", "http://x", "-prune=false"},             // … and every explicitly set session flag:
+		{"-route", "http://x", "-prune=true"},              //   -prune, even at its default,
+		{"-route", "http://x", "-plancache", "16"},         //   -plancache,
+		{"-route", "http://x", "-compactat", "5"},          //   -compactat
+		{"-route", "http://x", "-maxquerymem", "1024"},     //   and -maxquerymem
+		{"-route", "http://x,,http://y"},                   // empty endpoint
+		{"-route", "http://x", "-route", "localhost:8321"}, // not an http(s) URL
+		{"-route", "http://x", "-queuedepth", "-1"},        // the router's admission validates too
+		{"-route", "http://x", "-probeevery", "50ms"},      // the probe period is fixed
 	}
-	fix := fixture(t)
-	for i := range cases {
-		if cases[i].store == "fixture" {
-			cases[i].store = fix
+	// A case that wrongly got through would serve until cancelled; with
+	// ctx already done it returns at once instead of hanging the test.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range cases {
+		cfg, err := parseFlags(append([]string{"-addr", "127.0.0.1:0"}, args...), flag.ContinueOnError)
+		if err == nil {
+			err = run(ctx, cfg, devnull, nil)
 		}
-		if err := run(context.Background(), cases[i], devnull, nil); err == nil {
-			t.Fatalf("case %d: expected error", i)
+		if err == nil {
+			t.Errorf("%q: expected error", args)
 		}
 	}
 }
 
 func TestParseFlagsDefaults(t *testing.T) {
-	cfg := parseFlags([]string{"-store", "x.nt", "-maxinflight", "4"}, flag.ContinueOnError)
-	if cfg.store != "x.nt" || cfg.maxInFlight != 4 || !cfg.prune || cfg.planCache != 128 {
+	cfg, err := parseFlags([]string{"-store", "x.nt", "-maxinflight", "4"}, flag.ContinueOnError)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.store != "x.nt" || cfg.maxInFlight != 4 || !cfg.prune || cfg.planCache != 128 || cfg.queueDepth != 64 {
 		t.Fatalf("parsed config: %+v", cfg)
 	}
-	if cfg.drainTimeout != 10*time.Second {
-		t.Fatalf("drain default: %v", cfg.drainTimeout)
+	if cfg.drainTimeout != 10*time.Second || len(cfg.route) != 0 || len(cfg.sessionFlags) != 0 {
+		t.Fatalf("defaults: %+v", cfg)
 	}
-	cfg = parseFlags([]string{"-data", "/var/lib/dualsim"}, flag.ContinueOnError)
-	if cfg.data != "/var/lib/dualsim" || cfg.store != "" {
-		t.Fatalf("warm-restart config: %+v", cfg)
+	cfg, err = parseFlags([]string{"-data", "/var/lib/dualsim", "-prune=false", "-plancache", "8"}, flag.ContinueOnError)
+	if err != nil || cfg.data != "/var/lib/dualsim" || cfg.store != "" {
+		t.Fatalf("warm-restart config: %+v, %v", cfg, err)
 	}
+	if strings.Join(cfg.sessionFlags, " ") != "-plancache -prune" {
+		t.Fatalf("explicit session flags: %v", cfg.sessionFlags)
+	}
+}
+
+// TestParseRoute: each -route flag is one shard's endpoint list, primary
+// first, in shard order; an empty endpoint is a parse error; and
+// without -route the daemon never runs as a router.
+func TestParseRoute(t *testing.T) {
+	cfg, err := parseFlags([]string{
+		"-route", "http://a:1, http://a2:1", "-route", "http://b:1", "-maxlag", "2",
+	}, flag.ContinueOnError)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{"http://a:1", "http://a2:1"}, {"http://b:1"}}
+	if fmt.Sprint(cfg.route) != fmt.Sprint(want) || cfg.maxLag != 2 {
+		t.Fatalf("route config: %v, maxlag %d", cfg.route, cfg.maxLag)
+	}
+	if _, err := parseFlags([]string{"-route", "http://a:1,,http://b:1"}, flag.ContinueOnError); err == nil {
+		t.Fatal("empty endpoint accepted")
+	}
+	if _, err := parseFlags([]string{"-route", ""}, flag.ContinueOnError); err == nil {
+		t.Fatal("empty -route accepted")
+	}
+	// No -route: the maxlag flag makes it a config error, not a router.
+	cfg, err = parseFlags([]string{"-maxlag", "2"}, flag.ContinueOnError)
+	if err != nil || cfg.route != nil {
+		t.Fatalf("route without -route: %v, %v", cfg.route, err)
+	}
+	if err := run(context.Background(), cfg, nil, nil); err == nil || !strings.Contains(err.Error(), "-maxlag") {
+		t.Fatalf("a route config without shards ran: %v", err)
+	}
+}
+
+// TestRouterDaemonServesAndDrains: a -route daemon over two -shard
+// daemons answers a UNION with the rows and vars of a single node over
+// the whole store, then drains on cancel.
+func TestRouterDaemonServesAndDrains(t *testing.T) {
+	shard := daemonConfig{store: fixture(t), prune: true, planCache: 16, queueDepth: 8}
+	var route endpointLists
+	for _, spec := range []string{"0/2", "1/2"} {
+		cfg := shard
+		cfg.shard = spec
+		c, shutdown := startDaemon(t, cfg)
+		defer shutdown()
+		route = append(route, []string{c.BaseURL()})
+	}
+	c, shutdown := startDaemon(t, daemonConfig{route: route, queueDepth: 64})
+	ctx := context.Background()
+	if _, err := c.Ready(ctx); err != nil {
+		t.Fatalf("probed router not ready: %v", err)
+	}
+
+	src := `SELECT * WHERE { { ?d <directed> ?m . ?d <worked_with> ?c . } UNION { ?x <awarded> ?a . } }`
+	out, err := c.Query(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Reference: a single node over the whole store.
+	full, err := dualsim.FromTriples(queries.Fig1aTriples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dualsim.Open(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	res, _, err := db.Query(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Rows) != res.Len() || len(out.Rows) == 0 {
+		t.Fatalf("router answered %d rows, single node %d", len(out.Rows), res.Len())
+	}
+	vars := append([]string{}, out.Vars...)
+	want := append([]string{}, res.Vars...)
+	sort.Strings(vars)
+	sort.Strings(want)
+	if strings.Join(vars, ",") != strings.Join(want, ",") {
+		t.Fatalf("router vars %v, single node %v", out.Vars, res.Vars)
+	}
+	shutdown() // the router drains before its shards do
+	// A parallel fan-out can leave a dialed connection to a shard that no
+	// request used, and a shard's drain waits 5 s before it counts such a
+	// connection as idle. An exiting router process closes it; here the
+	// router shares the test's process, so close it by hand.
+	http.DefaultClient.CloseIdleConnections()
 }
 
 // TestEngineFlagGone: the daemon's evaluator is not selectable (-engine),
 // its pipeline has no pre-filter stage (-fingerprint), its solver no
 // parallel kernels (-workers) and /v1/batch no pool of its own
-// (-batchworkers); checkpoints follow a fixed cadence (-checkpointevery)
-// and the statement table is always on (-stmtstats). Each is a
-// flag-parse error rather than a knob the daemon ignores.
+// (-batchworkers); checkpoints follow a fixed cadence (-checkpointevery),
+// the statement table is always on (-stmtstats) and the router probes
+// its shards once a second (-probeevery). Each is a flag-parse error
+// rather than a knob the daemon ignores.
 func TestEngineFlagGone(t *testing.T) {
-	for _, name := range []string{"-engine", "-fingerprint", "-workers", "-batchworkers", "-checkpointevery", "-stmtstats"} {
-		func() {
-			defer func() {
-				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "flag provided but not defined: "+name) {
-					t.Errorf("%s parsed; recovered %q", name, msg)
-				}
-			}()
-			parseFlags([]string{"-store", "x.nt", name, "2"}, flag.PanicOnError)
-		}()
+	for _, name := range []string{"-engine", "-fingerprint", "-workers", "-batchworkers", "-checkpointevery", "-stmtstats", "-probeevery"} {
+		_, err := parseFlags([]string{"-store", "x.nt", name, "2"}, flag.ContinueOnError)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+name) {
+			t.Errorf("%s parsed: %v", name, err)
+		}
 	}
 }

@@ -30,8 +30,9 @@
 //     the same drained into a Result, with per-stage ExecStats.
 //     Cancellation and deadlines on ctx interrupt the solver between
 //     inequality evaluations and the executor between row batches;
-//   - serving: with WithPlanCache(n), db.Query(ctx, text) resolves
-//     repeated query text through an LRU plan cache. Execution state
+//   - serving: db.Query(ctx, text) resolves repeated query text through
+//     the session's LRU plan cache (128 entries unless WithPlanCache(n)
+//     sizes it). Execution state
 //     (the solver's χ rows and scratch) is pooled, so the steady-state
 //     hot path performs near-zero solver allocation;
 //   - updates: the database is live. db.Apply(ctx, Delta{Adds, Dels})

@@ -12,8 +12,8 @@
 //	dualsimd -store db.nt -shard 0/2 -data /var/lib/shard0 -addr :8321
 //	dualsimd -store db.nt -shard 1/2 -addr :8322
 //	dualsimd -follow http://localhost:8321 -addr :8323
-//	dualsimrouter -shard http://localhost:8321,http://localhost:8323 \
-//	              -shard http://localhost:8322 -addr :8320
+//	dualsimd -route http://localhost:8321,http://localhost:8323 \
+//	         -route http://localhost:8322 -addr :8320
 package main
 
 import (

@@ -12,10 +12,11 @@
 // header. The example prints the stitched tree indented, then reads the
 // router's slow-query ring back through the client.
 //
-// In production the same surfaces hang off the daemons' flags:
+// In production the same surfaces hang off the daemon's flags, on the
+// shards and on the router alike:
 //
-//	dualsimd       -slowlog 64 -slowthreshold 50ms -debugaddr :6060 -accesslog -
-//	dualsimrouter  -slowlog 64 -debugaddr :6061 -accesslog -
+//	dualsimd -store db.nt -shard 0/2 -slowlog 64 -slowthreshold 50ms -debugaddr :6060 -accesslog -
+//	dualsimd -route http://s0:8321 -route http://s1:8321 -slowlog 64 -debugaddr :6061 -accesslog -
 //
 // with pprof at http://…:6060/debug/pprof/ and the ring at
 // GET /v1/debug/slow on both the serving and debug listeners.

@@ -1,5 +1,5 @@
 // Package router is the scatter-gather backend of a sharded dualsimd
-// cluster (cmd/dualsimrouter). It implements server.Backend, so the
+// cluster (dualsimd -route). It implements server.Backend, so the
 // protocol core of internal/server serves it exactly like a single
 // dualsimd — same routes, same admission control, same error mapping —
 // and clients cannot tell a cluster from one node. What lives here is
@@ -97,13 +97,15 @@ import (
 // probeTimeout bounds one /readyz probe round-trip.
 const probeTimeout = 2 * time.Second
 
+// probeEvery is the health-probe period of Run.
+const probeEvery = time.Second
+
 // Option configures a Router.
 type Option func(*config) error
 
 type config struct {
-	maxLag     uint64
-	probeEvery time.Duration
-	protocol   []server.Option
+	maxLag   uint64
+	protocol []server.Option
 }
 
 // WithMaxLag sets the bounded-staleness routing threshold: a replica
@@ -113,17 +115,6 @@ type config struct {
 func WithMaxLag(n uint64) Option {
 	return func(c *config) error {
 		c.maxLag = n
-		return nil
-	}
-}
-
-// WithProbeEvery sets the health-probe period (default 1s).
-func WithProbeEvery(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("router: probe period must be positive, got %v", d)
-		}
-		c.probeEvery = d
 		return nil
 	}
 }
@@ -249,7 +240,7 @@ func New(shardEndpoints [][]string, opts ...Option) (*Router, error) {
 	if len(shardEndpoints) == 0 {
 		return nil, fmt.Errorf("router: no shards")
 	}
-	cfg := config{probeEvery: time.Second}
+	var cfg config
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
@@ -376,10 +367,10 @@ func (r *Router) probeOne(ctx context.Context, ep *endpoint) {
 	}
 }
 
-// Run probes all endpoints on the configured period until ctx cancels
-// (first round immediately).
+// Run probes all endpoints once a second until ctx cancels (first round
+// immediately).
 func (r *Router) Run(ctx context.Context) error {
-	t := time.NewTicker(r.cfg.probeEvery)
+	t := time.NewTicker(probeEvery)
 	defer t.Stop()
 	for {
 		r.Probe(ctx)

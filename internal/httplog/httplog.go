@@ -1,6 +1,6 @@
-// Package httplog is the structured access log shared by dualsimd and
-// dualsimrouter: one JSON line per completed HTTP request, behind the
-// daemons' -accesslog flag. The line carries the request's trace ID and
+// Package httplog is the structured access log of dualsimd, router mode
+// included: one JSON line per completed HTTP request, behind the
+// daemon's -accesslog flag. The line carries the request's trace ID and
 // snapshot epoch when the handler exposed them (the serving layer sets
 // X-Dualsim-Trace / X-Dualsim-Epoch response headers), so a slow access
 // log line can be joined against the trace and slow-query surfaces.

@@ -27,13 +27,12 @@ var rootImporters = []string{
 const routerRoute = "/v1/cluster"
 
 // servingPackages answer traffic: the protocol core, the cluster layer
-// and the two daemons. They run the session's one executor and may not
+// and the daemon. They run the session's one executor and may not
 // reach for an oracle.
 var servingPackages = []string{
 	"internal/server",
 	"internal/cluster",
 	"cmd/dualsimd",
-	"cmd/dualsimrouter",
 }
 
 // storeRebuilders may build a pruned copy of a store: the packages that

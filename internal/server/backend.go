@@ -11,7 +11,7 @@ import (
 // Backend is what the protocol core serves: the operations behind the
 // wire protocol, free of HTTP. Two implementations exist — the local
 // session behind New (cmd/dualsimd) and the scatter-gather router in
-// internal/cluster/router (cmd/dualsimrouter). Every method may return
+// internal/cluster/router (dualsimd -route). Every method may return
 // an *Error to choose the reply status; other errors are mapped by the
 // core (deadline → 504, cancellation → 499, closed session → 503,
 // memory budget → 413, anything else → 400).

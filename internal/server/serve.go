@@ -16,8 +16,8 @@ import (
 	"dualsim/internal/httplog"
 )
 
-// Listen is the process-level half of serving, shared by both binaries:
-// where to listen and how to shut down.
+// Listen is the process-level half of serving, shared by every daemon
+// mode: where to listen and how to shut down.
 type Listen struct {
 	Name         string        // the binary's name, prefixed to log lines
 	Addr         string        // serving listener (host:port; port 0 picks a free one)

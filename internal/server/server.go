@@ -1,7 +1,7 @@
 // Package server is the HTTP/JSON protocol core of the dualsim serving
 // layer: one handler set, written once against the Backend interface
-// and served by both binaries — cmd/dualsimd over a local session and
-// cmd/dualsimrouter over the scatter-gather backend of
+// and served by cmd/dualsimd in every mode — over a local session, or
+// with -route over the scatter-gather backend of
 // internal/cluster/router (NewCore). A local session is served one of
 // two ways: New serves a primary's session; NewReplica serves a read
 // replica, whose source (a *cluster.Follower) hands it the session that

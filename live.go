@@ -221,9 +221,7 @@ func (db *DB) write(ctx context.Context, rec persist.Record) (ApplyStats, error)
 
 	pb0 := time.Now()
 	db.snap.Store(next)
-	if db.cache != nil {
-		db.cache.dropStaleEpochs(next.epoch)
-	}
+	db.cache.dropStaleEpochs(next.epoch)
 	sp.Record("publish", time.Since(pb0))
 
 	// A compaction already rebuilt the whole store — the natural moment to

@@ -12,7 +12,7 @@ type settings struct {
 	engine  EngineKind
 	pruning bool
 
-	planCache int // > 0 enables the LRU plan cache with that capacity
+	planCache int // capacity of the LRU plan cache
 
 	compactThreshold int // > 0 arms automatic overlay compaction
 
@@ -21,8 +21,12 @@ type settings struct {
 	maxQueryMemory int64 // > 0 caps per-query buffered bytes in the Volcano executor
 }
 
+// defaultPlanCache is the plan cache capacity of a session opened
+// without WithPlanCache.
+const defaultPlanCache = 128
+
 func defaultSettings() settings {
-	return settings{engine: Volcano, pruning: true}
+	return settings{engine: Volcano, pruning: true, planCache: defaultPlanCache}
 }
 
 // WithEngine is the oracle hook: WithEngine(IndexNL) opens a session whose
@@ -51,16 +55,16 @@ func WithPruning(enabled bool) Option {
 	return func(s *settings) error { s.pruning = enabled; return nil }
 }
 
-// WithPlanCache equips the session with an LRU cache of up to n prepared
-// plans, keyed by whitespace-normalized query text. DB.Query (and
-// Snapshot.Query/QueryStream) consult it: a hit skips parsing and
-// SOI lowering and executes the cached PreparedQuery directly; a miss
-// plans once and caches. n = 0 (the default) disables the cache. Inspect
-// traffic with DB.CacheStats.
+// WithPlanCache sizes the session's LRU cache of prepared plans, keyed
+// by whitespace-normalized query text, at n entries (default 128; n must
+// be at least 1). DB.Query (and Snapshot.Query/QueryStream) consult it:
+// a hit skips parsing and SOI lowering and executes the cached
+// PreparedQuery directly; a miss plans once and caches. Inspect traffic
+// with DB.CacheStats.
 func WithPlanCache(n int) Option {
 	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("dualsim: negative plan cache capacity %d", n)
+		if n < 1 {
+			return fmt.Errorf("dualsim: plan cache capacity %d < 1", n)
 		}
 		s.planCache = n
 		return nil

@@ -9,8 +9,8 @@ import (
 )
 
 // PlanCacheStats reports the state and traffic of a session's plan cache
-// (see WithPlanCache). The zero value is returned for sessions without a
-// cache. JSON tags are part of the serving wire format (see ExecStats).
+// (see WithPlanCache). JSON tags are part of the serving wire format
+// (see ExecStats).
 //
 //dualsim:wire
 type PlanCacheStats struct {

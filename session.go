@@ -54,7 +54,7 @@ type dbSnapshot struct {
 // See Apply, Snapshot and WithCompactionThreshold.
 type DB struct {
 	set   settings
-	cache *planCache                 // non-nil iff WithPlanCache was given
+	cache *planCache                 // LRU of prepared plans (WithPlanCache)
 	pers  *persist.Log               // non-nil iff the session is durable (WithDataDir/OpenDir)
 	snap  atomic.Pointer[dbSnapshot] // current epoch; swapped by Apply/Compact
 
@@ -161,10 +161,7 @@ func resolveSettings(opts []Option) (settings, error) {
 // openAt wires a session over the store at the given epoch, appending
 // to lg when it is non-nil.
 func openAt(st *Store, epoch uint64, lg *persist.Log, set settings) *DB {
-	db := &DB{set: set, pers: lg}
-	if set.planCache > 0 {
-		db.cache = newPlanCache(set.planCache)
-	}
+	db := &DB{set: set, pers: lg, cache: newPlanCache(set.planCache)}
 	db.snap.Store(&dbSnapshot{st: st, epoch: epoch})
 	return db
 }
@@ -350,7 +347,6 @@ func (db *DB) Exec(ctx context.Context, src string) (*Result, *ExecStats, error)
 // cache hit skips parse and SOI lowering entirely and is reported in
 // ExecStats.CacheHit; a miss plans once and caches the prepared query
 // for subsequent calls with the same (whitespace-normalized) text.
-// Without a configured cache, Query degrades to Exec.
 // Safe for concurrent use; concurrent misses of one text build its plan
 // once.
 //
@@ -372,10 +368,6 @@ func (db *DB) Query(ctx context.Context, src string) (*Result, *ExecStats, error
 // planCache.insert).
 func (s *Snapshot) prepareCached(src string) (*PreparedQuery, bool, error) {
 	db := s.db
-	if db.cache == nil {
-		pq, err := db.prepareSrc(s.snap, src)
-		return pq, false, err
-	}
 	key := db.cache.key(s.snap.epoch, src)
 	if pq := db.cache.lookup(key, src, true); pq != nil {
 		return pq, true, nil
@@ -397,11 +389,8 @@ func (s *Snapshot) prepareCached(src string) (*PreparedQuery, bool, error) {
 }
 
 // CacheStats reports the plan cache's size and hit/miss/eviction
-// counters. Sessions opened without WithPlanCache report the zero value.
+// counters.
 func (db *DB) CacheStats() PlanCacheStats {
-	if db.cache == nil {
-		return PlanCacheStats{}
-	}
 	return db.cache.stats()
 }
 

@@ -518,8 +518,10 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := dualsim.Open(nil); err == nil {
 		t.Fatal("Open(nil) accepted")
 	}
-	if _, err := dualsim.Open(fig1a(t), dualsim.WithPlanCache(-1)); err == nil {
-		t.Fatal("negative plan cache capacity accepted")
+	for _, n := range []int{-1, 0} {
+		if _, err := dualsim.Open(fig1a(t), dualsim.WithPlanCache(n)); err == nil {
+			t.Fatalf("plan cache capacity %d accepted", n)
+		}
 	}
 	if _, err := dualsim.Open(fig1a(t), dualsim.WithEngine(dualsim.EngineKind(99))); err == nil {
 		t.Fatal("unknown engine accepted")

@@ -89,16 +89,18 @@ func TestQueryPlanCache(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 
-	// Without a cache, Query degrades to Exec and reports zero stats.
+	// A session opened without WithPlanCache caches 128 plans.
 	plain, err := dualsim.Open(fig1a(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, stats, err := plain.Query(ctx, throughputQ1); err != nil || stats.CacheHit {
-		t.Fatalf("uncached Query: hit=%v err=%v", stats != nil && stats.CacheHit, err)
+	for i := 0; i < 2; i++ {
+		if _, stats, err := plain.Query(ctx, throughputQ1); err != nil || stats.CacheHit != (i == 1) {
+			t.Fatalf("default-cache Query %d: hit=%v err=%v", i, stats != nil && stats.CacheHit, err)
+		}
 	}
-	if cs := plain.CacheStats(); cs != (dualsim.PlanCacheStats{}) {
-		t.Fatalf("uncached session reported cache stats %+v", cs)
+	if cs := plain.CacheStats(); cs.Capacity != 128 || cs.Size != 1 || cs.Hits != 1 {
+		t.Fatalf("default cache stats %+v, want capacity 128, one plan, one hit", cs)
 	}
 }
 
