@@ -23,7 +23,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dualsim"
@@ -514,11 +513,10 @@ type Stream struct {
 	err    error
 	closed bool
 
-	// ctx is the QueryStream context; a watcher goroutine closes body
-	// when it cancels so a Next blocked on a stalled server returns
-	// promptly. stopWatch retires the watcher (idempotent).
-	ctx       context.Context
-	stopWatch func()
+	// ctx is the QueryStream context. The request carries it, so when it
+	// ends net/http aborts a body read blocked on a stalled server, and
+	// Next reports ctx.Err() rather than the induced read error.
+	ctx context.Context
 }
 
 // Vars returns the result columns (available immediately: the header is
@@ -581,13 +579,13 @@ func (s *Stream) NextCells() bool {
 		}
 	}
 	if err := s.sc.Err(); err != nil {
-		// A cancelled context closes the body out from under the scanner;
+		// A cancelled context aborts the body read under the scanner;
 		// report the cancellation, not the induced read error.
-		if s.ctx != nil && s.ctx.Err() != nil {
+		if s.ctx.Err() != nil {
 			err = s.ctx.Err()
 		}
 		s.err = err
-	} else if s.ctx != nil && s.ctx.Err() != nil {
+	} else if s.ctx.Err() != nil {
 		s.err = s.ctx.Err()
 	} else if s.stats == nil {
 		s.err = fmt.Errorf("client: stream ended without stats trailer")
@@ -652,9 +650,6 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.stopWatch != nil {
-		s.stopWatch()
-	}
 	return s.body.Close()
 }
 
@@ -677,23 +672,7 @@ func (c *Client) QueryStream(ctx context.Context, src string, opts ...QueryOpt) 
 	// demand up to the cap, which bounds one row.
 	sc.Buffer(make([]byte, 4<<10), 16<<20)
 	st := &Stream{body: resp.Body, sc: sc, ctx: ctx}
-	// Watch the context for the stream's whole lifetime — started before
-	// the header read, because a server can stall before the first line
-	// just as well as between rows. Closing the body is the only reliable
-	// way to unblock a Read pinned inside the scanner; without it a
-	// cancelled caller would hang until the server deigns to write.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	st.stopWatch = func() { stopOnce.Do(func() { close(stop) }) }
-	go func() {
-		select {
-		case <-ctx.Done():
-			resp.Body.Close()
-		case <-stop:
-		}
-	}()
 	fail := func(err error) (*Stream, error) {
-		st.stopWatch()
 		resp.Body.Close()
 		return nil, err
 	}

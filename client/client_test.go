@@ -413,53 +413,74 @@ func TestClientReadyNoRetryOnNotReady(t *testing.T) {
 }
 
 // TestQueryStreamCtxCancelMidStream is the regression for a caller
-// cancelling while the server stalls between NDJSON rows: Next must
-// return promptly with the context error instead of hanging on a read
-// the server never finishes.
+// cancelling while the server stalls — before the NDJSON header line,
+// or between rows: QueryStream or Next must return promptly with the
+// context error instead of hanging on a read the server never finishes.
 func TestQueryStreamCtxCancelMidStream(t *testing.T) {
-	unblock := make(chan struct{})
-	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		fl := w.(http.Flusher)
-		io.WriteString(w, `{"kind":"header","vars":["x"],"epoch":0}`+"\n")
-		io.WriteString(w, `{"kind":"row","values":["<a>"],"epoch":0}`+"\n")
-		fl.Flush()
-		<-unblock // stall mid-stream: no further bytes, no trailer
-	}))
-	t.Cleanup(func() {
-		close(unblock)
-		fake.Close()
-	})
-	c, err := New(fake.URL, WithRetries(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	st, err := c.QueryStream(ctx, queryX1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if !st.Next() {
-		t.Fatalf("first row missing: %v", st.Err())
-	}
-	done := make(chan struct{})
-	go func() {
-		for st.Next() {
-		}
-		close(done)
-	}()
-	time.Sleep(20 * time.Millisecond) // let the reader block on the stalled body
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Next hung after ctx cancel while the server stalled")
-	}
-	if !errors.Is(st.Err(), context.Canceled) {
-		t.Fatalf("stream err = %v, want context.Canceled", st.Err())
+	for _, tc := range []struct {
+		name string
+		sent string // the NDJSON lines written before the stall
+		rows int    // rows the caller reads before it cancels
+	}{
+		{"before header", "", 0},
+		{"between rows", `{"kind":"header","vars":["x"],"epoch":0}` + "\n" +
+			`{"kind":"row","values":["<a>"],"epoch":0}` + "\n", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stalled, unblock := make(chan struct{}), make(chan struct{})
+			fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				w.WriteHeader(http.StatusOK)
+				io.WriteString(w, tc.sent)
+				w.(http.Flusher).Flush()
+				close(stalled)
+				<-unblock // stall: no further bytes, no trailer
+			}))
+			t.Cleanup(func() {
+				close(unblock)
+				fake.Close()
+			})
+			c, err := New(fake.URL, WithRetries(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rows := make(chan int, 1)
+			done := make(chan error, 1)
+			go func() {
+				st, err := c.QueryStream(ctx, queryX1)
+				if err != nil {
+					rows <- 0
+					done <- err
+					return
+				}
+				defer st.Close()
+				n := 0
+				for ; n < tc.rows && st.Next(); n++ {
+				}
+				rows <- n
+				for st.Next() {
+				}
+				done <- st.Err()
+			}()
+			<-stalled
+			if tc.rows > 0 {
+				if n := <-rows; n != tc.rows {
+					t.Fatalf("read %d rows before the stall, want %d", n, tc.rows)
+				}
+			}
+			time.Sleep(20 * time.Millisecond) // let the reader block on the stalled body
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("stream err = %v, want context.Canceled", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the stream hung after ctx cancel while the server stalled")
+			}
+		})
 	}
 }
 

@@ -52,7 +52,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = no deadline)")
 	applyFile := flag.String("apply", "", "N-Triples file of triples to add as a live delta after the first run")
 	delFile := flag.String("del", "", "N-Triples file of triples to delete as a live delta after the first run")
-	compactAt := flag.Int("compactat", 0, "auto-compact once this many effective triple changes accumulate since the last compaction (0 = manual)")
 	top := flag.Bool("top", false, "show a server's workload statistics table (GET /v1/debug/statements) instead of running a query")
 	serverURL := flag.String("server", "http://localhost:8080", "with -top: daemon or router base URL")
 	interval := flag.Duration("interval", 0, "with -top: refresh period (0 = print once and exit)")
@@ -82,7 +81,7 @@ func main() {
 	cfg := cliConfig{
 		data: *data, queryFile: *queryFile, queryText: *queryText,
 		mode: *mode, limit: *limit, out: *out, prune: *doPrune,
-		applyFile: *applyFile, delFile: *delFile, compactAt: *compactAt,
+		applyFile: *applyFile, delFile: *delFile,
 	}
 	// Every failure — parse, exec, apply, I/O — exits non-zero with the
 	// error on stderr; a clean run exits 0. TestMainExitCodes pins this
@@ -101,7 +100,6 @@ type cliConfig struct {
 	out                        string
 	prune                      bool
 	applyFile, delFile         string
-	compactAt                  int
 }
 
 func run(ctx context.Context, cfg cliConfig) error {
@@ -203,12 +201,8 @@ func runLiveUpdate(ctx context.Context, db *dualsim.DB, src string, cfg cliConfi
 	if err != nil {
 		return err
 	}
-	compacted := ""
-	if as.Compacted {
-		compacted = ", compacted"
-	}
-	fmt.Fprintf(os.Stderr, "applied delta in %v: epoch %d, +%d/−%d triples, overlay %d%s\n",
-		as.Duration.Round(time.Microsecond), as.Epoch, as.Added, as.Deleted, as.OverlaySize, compacted)
+	fmt.Fprintf(os.Stderr, "applied delta in %v: epoch %d, +%d/−%d triples, overlay %d\n",
+		as.Duration.Round(time.Microsecond), as.Epoch, as.Added, as.Deleted, as.OverlaySize)
 
 	res, stats, err = db.Query(ctx, src)
 	if err != nil {
@@ -225,13 +219,7 @@ func runLiveUpdate(ctx context.Context, db *dualsim.DB, src string, cfg cliConfi
 
 // openSession maps the flags onto session options.
 func openSession(st *dualsim.Store, cfg cliConfig) (*dualsim.DB, error) {
-	opts := []dualsim.Option{
-		dualsim.WithPruning(cfg.prune || cfg.mode == "prune"),
-	}
-	if cfg.compactAt > 0 {
-		opts = append(opts, dualsim.WithCompactionThreshold(cfg.compactAt))
-	}
-	return dualsim.Open(st, opts...)
+	return dualsim.Open(st, dualsim.WithPruning(cfg.prune || cfg.mode == "prune"))
 }
 
 // printRows renders up to limit result rows (0 = all).

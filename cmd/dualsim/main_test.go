@@ -233,9 +233,10 @@ func TestMainExitCodes(t *testing.T) {
 // TestRetiredFlagsAreParseErrors pins the flags that are gone: the
 // evaluator is not selectable (-engine), the benchmark drivers
 // (-repeat, -batch, -plancache, -batchworkers) are superseded by the
-// benchmark module, the pipeline has no pre-filter stage (-fingerprint)
-// and the solver no parallel kernels (-workers). Passing one is a
-// flag-parse error (exit 2), not a silently ignored knob.
+// benchmark module, the pipeline has no pre-filter stage (-fingerprint),
+// the solver no parallel kernels (-workers), and a one-shot run never
+// compacts (-compactat). Passing one is a flag-parse error
+// (exit 2), not a silently ignored knob.
 func TestRetiredFlagsAreParseErrors(t *testing.T) {
 	data := fixture(t)
 	for _, flag := range [][2]string{
@@ -246,6 +247,7 @@ func TestRetiredFlagsAreParseErrors(t *testing.T) {
 		{"-batchworkers", "2"},
 		{"-fingerprint", "2"},
 		{"-workers", "2"},
+		{"-compactat", "5"},
 	} {
 		code, stderr := cli(t, "-data", data, "-q", queries.QueryX1, flag[0]+"="+flag[1])
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flag[0]) {

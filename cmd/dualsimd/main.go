@@ -9,9 +9,8 @@
 //	dualsimd -follow http://primary:8321 -maxlag 2   # WAL-streaming read replica
 //	dualsimd -route http://s0:8321,http://s0-replica:8322 \
 //	         -route http://s1:8321 -addr :8320       # cluster router
-//	dualsimd -store db.nt -addr 127.0.0.1:0 -plancache 256 -maxinflight 16
-//	dualsimd -store db.nt -prune=false
-//	dualsimd -store db.nt -compactat 4096
+//	dualsimd -store db.nt -addr 127.0.0.1:0 -maxinflight 16
+//	dualsimd -store db.nt -slowlog 50ms -debugaddr :6060
 //
 // Endpoints (see internal/server for the wire format):
 //
@@ -30,8 +29,13 @@
 //	GET  /v1/debug/statements  per-statement workload statistics (?reset=1)
 //
 // The daemon is a thin shell over the session layer: one dualsim.DB
-// with a plan cache serves every request; admission control
+// serves every request with the library's session defaults — pruning
+// on, a 128-entry plan cache — compaction every 1024 changed triples
+// (and on POST /v1/compact), and -maxquerymem as the one session
+// setting; admission control
 // (-maxinflight, -queuedepth) sheds overload with 429 + Retry-After.
+// -slowlog D keeps the recent queries that took at least D (0s keeps
+// every query) at GET /v1/debug/slow; without it the log is off.
 //
 // With -data the database is durable: every acknowledged apply is
 // WAL-logged (fsync'd) into the data dir, every 1024 records (and
@@ -107,28 +111,26 @@ func main() {
 
 // daemonConfig carries the parsed flags.
 type daemonConfig struct {
-	addr          string
-	store         string
-	data          string
-	prune         bool
-	planCache     int
-	compactAt     int
-	maxInFlight   int
-	queueDepth    int
-	timeout       time.Duration
-	drainTimeout  time.Duration
-	maxQueryMem   int64
-	shard         string
-	follow        string
-	route         endpointLists
-	maxLag        uint64
-	debugAddr     string
-	accessLog     string
-	slowLog       int
-	slowThreshold time.Duration
-	version       bool
+	addr         string
+	store        string
+	data         string
+	maxInFlight  int
+	queueDepth   int
+	timeout      time.Duration
+	drainTimeout time.Duration
+	maxQueryMem  int64
+	shard        string
+	follow       string
+	route        endpointLists
+	maxLag       uint64
+	debugAddr    string
+	accessLog    string
+	slowLog      time.Duration
+	version      bool
 
-	sessionFlags []string // session flags set on the command line, for -route to refuse
+	// given names the flags set on the command line: -slowlog turns the
+	// log on by its presence, and -route refuses -maxquerymem.
+	given map[string]bool
 }
 
 // endpointLists collects repeated -route flags, each one shard's
@@ -156,9 +158,6 @@ func parseFlags(args []string, onError flag.ErrorHandling) (daemonConfig, error)
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8321", "listen address (host:port; port 0 picks a free one)")
 	fs.StringVar(&cfg.store, "store", "", "N-Triples database file (required unless -data holds state)")
 	fs.StringVar(&cfg.data, "data", "", "durable data dir: snapshot + WAL; warm restart when it holds state")
-	fs.BoolVar(&cfg.prune, "prune", true, "evaluate through the dual-simulation pruning pipeline")
-	fs.IntVar(&cfg.planCache, "plancache", 128, "LRU plan cache capacity (at least 1)")
-	fs.IntVar(&cfg.compactAt, "compactat", 0, "auto-compact once this many effective triple changes accumulate since the last compaction (0 = manual)")
 	fs.IntVar(&cfg.maxInFlight, "maxinflight", 0, "concurrently executing requests (0 = 2×GOMAXPROCS)")
 	fs.IntVar(&cfg.queueDepth, "queuedepth", 64, "requests waiting for a slot before shedding with 429")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "default per-request execution bound (0 = none; requests may set timeoutMs)")
@@ -170,18 +169,19 @@ func parseFlags(args []string, onError flag.ErrorHandling) (daemonConfig, error)
 	fs.Uint64Var(&cfg.maxLag, "maxlag", 0, "epochs of replica staleness: -follow reports not ready beyond it, -route reads no replica beyond it")
 	fs.StringVar(&cfg.debugAddr, "debugaddr", "", "serve pprof + /v1/debug/slow on this extra address (off the serving listener)")
 	fs.StringVar(&cfg.accessLog, "accesslog", "", "write a JSON access log to this file (\"-\" for stdout)")
-	fs.IntVar(&cfg.slowLog, "slowlog", 0, "keep this many slow queries at GET /v1/debug/slow (0 disables)")
-	fs.DurationVar(&cfg.slowThreshold, "slowthreshold", 0, "with -slowlog, only record queries at least this slow (0 = all)")
+	fs.Func("slowlog", "keep the recent queries at least this slow at GET /v1/debug/slow (0s = all; off unless given)", func(v string) (err error) {
+		if strings.Trim(v, "+-") == "0" { // "-slowlog 0" reads as "off"; every query takes 0s
+			return fmt.Errorf("a threshold needs a unit: 0s keeps every query, no -slowlog keeps none")
+		}
+		cfg.slowLog, err = time.ParseDuration(v)
+		return err
+	})
 	fs.BoolVar(&cfg.version, "version", false, "print build version and exit")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "prune", "plancache", "compactat", "maxquerymem":
-			cfg.sessionFlags = append(cfg.sessionFlags, "-"+f.Name)
-		}
-	})
+	cfg.given = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { cfg.given[f.Name] = true })
 	return cfg, nil
 }
 
@@ -195,8 +195,8 @@ func run(ctx context.Context, cfg daemonConfig, logw *os.File, ready chan<- stri
 		if cfg.store != "" || cfg.data != "" || cfg.shard != "" || cfg.follow != "" {
 			return fmt.Errorf("-route runs the cluster router over shard daemons; it conflicts with -store, -data, -shard and -follow")
 		}
-		if len(cfg.sessionFlags) > 0 {
-			return fmt.Errorf("-route opens no session; %s does not apply", strings.Join(cfg.sessionFlags, ", "))
+		if cfg.given["maxquerymem"] {
+			return fmt.Errorf("-route opens no session; -maxquerymem does not apply")
 		}
 		return runRouter(ctx, cfg, logw, ready)
 	case cfg.follow != "":
@@ -324,8 +324,8 @@ func serverOptions(cfg daemonConfig) []server.Option {
 	if cfg.timeout > 0 {
 		opts = append(opts, server.WithDefaultTimeout(cfg.timeout))
 	}
-	if cfg.slowLog > 0 {
-		opts = append(opts, server.WithSlowQueryLog(cfg.slowLog, cfg.slowThreshold))
+	if cfg.given["slowlog"] {
+		opts = append(opts, server.WithSlowQueryLog(cfg.slowLog))
 	}
 	return opts
 }
@@ -400,17 +400,12 @@ func openSession(cfg daemonConfig, logw *os.File) (*dualsim.DB, error) {
 	return dualsim.Open(st, opts...)
 }
 
-// sessionOptions maps the flags onto session options (mirrors
-// cmd/dualsim).
+// compactEvery is the daemon's compaction cadence in changed triples:
+// the value the benchmark's serve_mixed workload runs with.
+const compactEvery = 1024
+
+// sessionOptions is the daemon's session: the library defaults, the
+// fixed compaction cadence and -maxquerymem (0 = unbudgeted).
 func sessionOptions(cfg daemonConfig) []dualsim.Option {
-	// WithPlanCache validates, so -plancache 0 fails loudly.
-	opts := []dualsim.Option{dualsim.WithPruning(cfg.prune), dualsim.WithPlanCache(cfg.planCache)}
-	if cfg.compactAt > 0 {
-		opts = append(opts, dualsim.WithCompactionThreshold(cfg.compactAt))
-	}
-	if cfg.maxQueryMem != 0 {
-		// Passed through even when negative for loud validation.
-		opts = append(opts, dualsim.WithMaxQueryMemory(cfg.maxQueryMem))
-	}
-	return opts
+	return []dualsim.Option{dualsim.WithCompactionThreshold(compactEvery), dualsim.WithMaxQueryMemory(cfg.maxQueryMem)}
 }

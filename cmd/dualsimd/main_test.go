@@ -96,9 +96,7 @@ func startDaemon(t *testing.T, cfg daemonConfig) (*client.Client, func()) {
 const queryX1 = `SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }`
 
 func TestDaemonServesAndDrains(t *testing.T) {
-	c, shutdown := startDaemon(t, daemonConfig{
-		store: fixture(t), prune: true, planCache: 16, queueDepth: 8,
-	})
+	c, shutdown := startDaemon(t, daemonConfig{store: fixture(t), queueDepth: 8})
 	ctx := context.Background()
 
 	h, err := c.Health(ctx)
@@ -147,10 +145,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 	dataDir := t.TempDir()
 	ctx := context.Background()
 
-	c, shutdown := startDaemon(t, daemonConfig{
-		store: fixture(t), data: dataDir, prune: true,
-		planCache: 16, queueDepth: 8,
-	})
+	c, shutdown := startDaemon(t, daemonConfig{store: fixture(t), data: dataDir, queueDepth: 8})
 	if _, err := c.ApplyDelta(ctx, dualsim.Delta{Adds: []dualsim.Triple{
 		dualsim.T("J._McTiernan", "directed", "Die_Hard"),
 		dualsim.T("J._McTiernan", "worked_with", "S._de_Souza"),
@@ -168,9 +163,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 	shutdown() // drains and writes the final checkpoint
 
 	// Second boot: no -store. The dir is the database now.
-	c2, shutdown2 := startDaemon(t, daemonConfig{
-		data: dataDir, prune: true, planCache: 16, queueDepth: 8,
-	})
+	c2, shutdown2 := startDaemon(t, daemonConfig{data: dataDir, queueDepth: 8})
 	defer shutdown2()
 	snap, err := c2.Snapshot(ctx)
 	if err != nil {
@@ -250,7 +243,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 		t.Skip("process-level crash test")
 	}
 	dataDir := t.TempDir()
-	c, cmd := spawnDaemon(t, "-store", fixture(t), "-data", dataDir, "-plancache", "8")
+	c, cmd := spawnDaemon(t, "-store", fixture(t), "-data", dataDir)
 	ctx := context.Background()
 
 	// Apply continuously; fire the SIGKILL asynchronously after a few
@@ -326,7 +319,7 @@ func TestDaemonCrashRecovery(t *testing.T) {
 // each predicate answered by exactly its owning shard.
 func TestDaemonShard(t *testing.T) {
 	fix := fixture(t)
-	base := daemonConfig{store: fix, prune: true, planCache: 16, queueDepth: 8}
+	base := daemonConfig{store: fix, queueDepth: 8}
 	ctx := context.Background()
 
 	cfg0, cfg1 := base, base
@@ -371,10 +364,7 @@ func TestDaemonShard(t *testing.T) {
 // primary's data read-only, and track live applies.
 func TestDaemonFollower(t *testing.T) {
 	ctx := context.Background()
-	pc, shutdownPrimary := startDaemon(t, daemonConfig{
-		store: fixture(t), data: t.TempDir(), prune: true,
-		planCache: 16, queueDepth: 8,
-	})
+	pc, shutdownPrimary := startDaemon(t, daemonConfig{store: fixture(t), data: t.TempDir(), queueDepth: 8})
 	defer shutdownPrimary()
 	if _, err := pc.ApplyDelta(ctx, dualsim.Delta{Adds: []dualsim.Triple{
 		dualsim.T("J._McTiernan", "directed", "Die_Hard"),
@@ -384,9 +374,7 @@ func TestDaemonFollower(t *testing.T) {
 	// The replica needs the primary's URL; recover it from the client.
 	purl := pc.BaseURL()
 
-	rc, shutdownReplica := startDaemon(t, daemonConfig{
-		follow: purl, prune: true, planCache: 16, queueDepth: 8,
-	})
+	rc, shutdownReplica := startDaemon(t, daemonConfig{follow: purl, queueDepth: 8})
 	defer shutdownReplica()
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -454,7 +442,9 @@ func TestDaemonConfigErrors(t *testing.T) {
 		{},                                                 // missing -store and -data
 		{"-store", "/no/such.nt"},                          // unreadable store
 		{"-store", fix, "-queuedepth", "-1"},               // negative queue depth fails loudly
-		{"-store", fix, "-plancache", "0"},                 // every session has a plan cache
+		{"-store", fix, "-slowlog", "-1s"},                 // … and so does a negative slow-log threshold
+		{"-store", fix, "-slowlog", "16"},                  // -slowlog is a duration, not a ring size
+		{"-store", fix, "-slowlog", "0"},                   // a bare 0 reads as "off"; 0s keeps every query
 		{"-data", emptyDir},                                // -data without state needs -store
 		{"-store", fix, "-shard", "2/2"},                   // shard index out of range
 		{"-store", fix, "-shard", "nope"},                  // malformed shard spec
@@ -466,11 +456,8 @@ func TestDaemonConfigErrors(t *testing.T) {
 		{"-route", "http://x", "-data", emptyDir},          // … -data
 		{"-route", "http://x", "-shard", "0/2"},            // … -shard
 		{"-route", "http://x", "-follow", "http://y"},      // … -follow
-		{"-route", "http://x", "-prune=false"},             // … and every explicitly set session flag:
-		{"-route", "http://x", "-prune=true"},              //   -prune, even at its default,
-		{"-route", "http://x", "-plancache", "16"},         //   -plancache,
-		{"-route", "http://x", "-compactat", "5"},          //   -compactat
-		{"-route", "http://x", "-maxquerymem", "1024"},     //   and -maxquerymem
+		{"-route", "http://x", "-maxquerymem", "1024"},     // … and the session's -maxquerymem,
+		{"-route", "http://x", "-maxquerymem", "0"},        //   even at its default
 		{"-route", "http://x,,http://y"},                   // empty endpoint
 		{"-route", "http://x", "-route", "localhost:8321"}, // not an http(s) URL
 		{"-route", "http://x", "-queuedepth", "-1"},        // the router's admission validates too
@@ -496,18 +483,89 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.store != "x.nt" || cfg.maxInFlight != 4 || !cfg.prune || cfg.planCache != 128 || cfg.queueDepth != 64 {
+	if cfg.store != "x.nt" || cfg.maxInFlight != 4 || cfg.queueDepth != 64 || cfg.maxQueryMem != 0 {
 		t.Fatalf("parsed config: %+v", cfg)
 	}
-	if cfg.drainTimeout != 10*time.Second || len(cfg.route) != 0 || len(cfg.sessionFlags) != 0 {
+	if cfg.drainTimeout != 10*time.Second || len(cfg.route) != 0 || cfg.given["slowlog"] || cfg.given["maxquerymem"] {
 		t.Fatalf("defaults: %+v", cfg)
 	}
-	cfg, err = parseFlags([]string{"-data", "/var/lib/dualsim", "-prune=false", "-plancache", "8"}, flag.ContinueOnError)
+	if opts := sessionOptions(cfg); len(opts) != 2 {
+		t.Fatalf("session options: %d, want the compaction cadence and the memory budget", len(opts))
+	}
+	cfg, err = parseFlags([]string{"-data", "/var/lib/dualsim", "-slowlog", "0s", "-maxquerymem", "4096"}, flag.ContinueOnError)
 	if err != nil || cfg.data != "/var/lib/dualsim" || cfg.store != "" {
 		t.Fatalf("warm-restart config: %+v, %v", cfg, err)
 	}
-	if strings.Join(cfg.sessionFlags, " ") != "-plancache -prune" {
-		t.Fatalf("explicit session flags: %v", cfg.sessionFlags)
+	if !cfg.given["slowlog"] || cfg.slowLog != 0 || !cfg.given["maxquerymem"] || cfg.maxQueryMem != 4096 {
+		t.Fatalf("explicit flags: %+v", cfg)
+	}
+}
+
+// TestDaemonSessionCompacts: a daemon session rebuilds its store once
+// compactEvery changed triples accumulated since the last compaction,
+// without a POST /v1/compact.
+func TestDaemonSessionCompacts(t *testing.T) {
+	cfg, err := parseFlags([]string{"-store", fixture(t)}, flag.ContinueOnError)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	db, err := openSession(cfg, devnull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	adds := make([]dualsim.Triple, compactEvery)
+	for i := range adds {
+		adds[i] = dualsim.Triple{S: dualsim.IRI(fmt.Sprintf("s%d", i)), P: "p", O: dualsim.IRI("o")}
+	}
+	ctx := context.Background()
+	st, err := db.Apply(ctx, dualsim.Delta{Adds: adds[:compactEvery-1]})
+	if err != nil || st.Compacted {
+		t.Fatalf("apply of %d changes: compacted %v, %v", compactEvery-1, st.Compacted, err)
+	}
+	st, err = db.Apply(ctx, dualsim.Delta{Adds: adds[compactEvery-1:]})
+	if err != nil || !st.Compacted || st.OverlaySize != 0 {
+		t.Fatalf("apply reaching %d changes: compacted %v, overlay %d, %v", compactEvery, st.Compacted, st.OverlaySize, err)
+	}
+}
+
+// TestSlowLogFlag: without -slowlog the daemon keeps no slow query,
+// -slowlog 0s keeps every query, and a threshold no query reaches keeps
+// none.
+func TestSlowLogFlag(t *testing.T) {
+	fix := fixture(t)
+	ctx := context.Background()
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{nil, 0},
+		{[]string{"-slowlog", "0s"}, 2},
+		{[]string{"-slowlog", "1h"}, 0},
+	} {
+		cfg, err := parseFlags(append([]string{"-store", fix}, c.args...), flag.ContinueOnError)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, shutdown := startDaemon(t, cfg)
+		for range 2 {
+			if _, err := cl.Query(ctx, queryX1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		slow, err := cl.SlowQueries(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slow.Total != int64(c.want) || len(slow.Entries) != c.want {
+			t.Errorf("%q: slow log total %d, %d entries; want %d", c.args, slow.Total, len(slow.Entries), c.want)
+		}
+		shutdown()
 	}
 }
 
@@ -545,7 +603,7 @@ func TestParseRoute(t *testing.T) {
 // daemons answers a UNION with the rows and vars of a single node over
 // the whole store, then drains on cancel.
 func TestRouterDaemonServesAndDrains(t *testing.T) {
-	shard := daemonConfig{store: fixture(t), prune: true, planCache: 16, queueDepth: 8}
+	shard := daemonConfig{store: fixture(t), queueDepth: 8}
 	var route endpointLists
 	for _, spec := range []string{"0/2", "1/2"} {
 		cfg := shard
@@ -603,10 +661,16 @@ func TestRouterDaemonServesAndDrains(t *testing.T) {
 // parallel kernels (-workers) and /v1/batch no pool of its own
 // (-batchworkers); checkpoints follow a fixed cadence (-checkpointevery),
 // the statement table is always on (-stmtstats) and the router probes
-// its shards once a second (-probeevery). Each is a flag-parse error
-// rather than a knob the daemon ignores.
+// its shards once a second (-probeevery). A session prunes, caches 128
+// plans and compacts on request, as the library's defaults do (-prune,
+// -plancache, -compactat), and -slowlog alone sets the slow-log
+// threshold (-slowthreshold). Each is a flag-parse error rather than a
+// knob the daemon ignores.
 func TestEngineFlagGone(t *testing.T) {
-	for _, name := range []string{"-engine", "-fingerprint", "-workers", "-batchworkers", "-checkpointevery", "-stmtstats", "-probeevery"} {
+	for _, name := range []string{
+		"-engine", "-fingerprint", "-workers", "-batchworkers", "-checkpointevery", "-stmtstats", "-probeevery",
+		"-prune", "-plancache", "-compactat", "-slowthreshold",
+	} {
 		_, err := parseFlags([]string{"-store", "x.nt", name, "2"}, flag.ContinueOnError)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+name) {
 			t.Errorf("%s parsed: %v", name, err)

@@ -15,8 +15,8 @@
 // In production the same surfaces hang off the daemon's flags, on the
 // shards and on the router alike:
 //
-//	dualsimd -store db.nt -shard 0/2 -slowlog 64 -slowthreshold 50ms -debugaddr :6060 -accesslog -
-//	dualsimd -route http://s0:8321 -route http://s1:8321 -slowlog 64 -debugaddr :6061 -accesslog -
+//	dualsimd -store db.nt -shard 0/2 -slowlog 50ms -debugaddr :6060 -accesslog -
+//	dualsimd -route http://s0:8321 -route http://s1:8321 -slowlog 0s -debugaddr :6061 -accesslog -
 //
 // with pprof at http://…:6060/debug/pprof/ and the ring at
 // GET /v1/debug/slow on both the serving and debug listeners.
@@ -67,7 +67,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer sdb.Close()
-		ssrv, err := server.New(sdb, server.WithSlowQueryLog(16, 0))
+		ssrv, err := server.New(sdb, server.WithSlowQueryLog(0))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func main() {
 	}
 
 	// The router in front, its own slow-query ring enabled.
-	rt, err := router.New(shardURLs, router.WithProtocol(server.WithSlowQueryLog(16, 0)))
+	rt, err := router.New(shardURLs, router.WithProtocol(server.WithSlowQueryLog(0)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func main() {
 	printSpan(root, 0, root.TraceID)
 
 	// The router's slow-query ring has the same tree (threshold 0 records
-	// everything — production sets -slowthreshold to a real budget).
+	// everything — production sets -slowlog to a real budget).
 	slow, err := c.SlowQueries(ctx)
 	if err != nil {
 		log.Fatal(err)

@@ -539,7 +539,7 @@ func TestRouterTraceStitching(t *testing.T) {
 // The router's slow-query log records routed queries with their fan-out
 // trace even when the client asked for none.
 func TestRouterSlowQueryLog(t *testing.T) {
-	_, rs, _ := startCluster(t, 2, WithProtocol(server.WithSlowQueryLog(4, 0)))
+	_, rs, _ := startCluster(t, 2, WithProtocol(server.WithSlowQueryLog(0)))
 	src := `SELECT * WHERE { ?s <genre> ?g . }`
 	if got := queryVia(t, rs.URL, src); got.Stats.Trace != nil {
 		t.Fatalf("slow-log tracing leaked into an untraced response")

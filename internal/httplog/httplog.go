@@ -7,10 +7,8 @@
 package httplog
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -117,13 +115,4 @@ func (c *captureWriter) Flush() {
 	if f, ok := c.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// Hijack forwards connection hijacking (kept for completeness; the
-// serving API does not hijack today).
-func (c *captureWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	if hj, ok := c.ResponseWriter.(http.Hijacker); ok {
-		return hj.Hijack()
-	}
-	return nil, nil, http.ErrNotSupported
 }

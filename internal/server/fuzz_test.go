@@ -1,10 +1,68 @@
 package server
 
 import (
+	"bytes"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dualsim/internal/wire"
 )
+
+// FuzzDecodeRequest feeds decodeBody — the decoder in front of every
+// /v1/query, /v1/batch and /v1/apply — arbitrary bodies, decoded into
+// each request type, and every decoded apply triple through Validate
+// and ToTriple. It must never panic; every refusal is an *Error the
+// client is to blame for (400, or 413 past the body limit); and a
+// triple Validate accepts reaches the engine with its subject,
+// predicate and object intact.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"query":"SELECT * WHERE { ?s <p> ?o . }","limit":3,"stream":true,"timeoutMs":50}`,
+		`{"queries":["SELECT * WHERE { ?s <p> ?o . }",""],"failFast":true,"trace":true}`,
+		`{"adds":[{"s":"a","p":"b","o":"c"}],"dels":[{"s":"a","p":"b","lit":"","isLit":true}]}`,
+		`{"adds":[{"s":"a","p":"b","o":"c","lit":"x"}]}`,
+		`{"query":1}`,
+		`{"nosuch":true}`,
+		`{"query":"q"}{"query":"r"}`,
+		`[]`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, into := range []any{&wire.QueryRequest{}, &wire.BatchRequest{}, &wire.ApplyRequest{}} {
+			r := httptest.NewRequest("POST", "/", bytes.NewReader(body))
+			if err := decodeBody(httptest.NewRecorder(), r, into); err != nil {
+				var e *Error
+				if !errors.As(err, &e) || e.Status != http.StatusBadRequest && e.Status != http.StatusRequestEntityTooLarge {
+					t.Fatalf("decodeBody(%q) into %T: %v is no 400 or 413", body, into, err)
+				}
+				continue
+			}
+			req, ok := into.(*wire.ApplyRequest)
+			if !ok {
+				continue
+			}
+			for _, tr := range append(req.Adds, req.Dels...) {
+				if tr.Validate() != nil {
+					if tr.O == "" || !tr.IsLit && tr.Lit == "" {
+						t.Fatalf("Validate refused %+v, which sets one object encoding", tr)
+					}
+					continue
+				}
+				back := wire.FromTriple(tr.ToTriple())
+				if back.S != tr.S || back.P != tr.P || back.O != tr.O || back.Lit != tr.Lit {
+					t.Fatalf("%+v reached the engine as %+v", tr, back)
+				}
+			}
+		}
+	})
+}
 
 // FuzzIfNoneMatch feeds holds — the If-None-Match check in front of
 // every conditional export — arbitrary header values against an export

@@ -30,10 +30,6 @@ type Server struct {
 	*Core
 	be *local
 
-	// topStmts memoizes the sorted statement snapshot for the top-rank
-	// /metrics gauges.
-	topStmts topCache
-
 	checkpoints        *metrics.Counter
 	walStreams         *metrics.Counter
 	exports            *metrics.Counter
@@ -71,18 +67,23 @@ func newServed(db *dualsim.DB) *served {
 // current returns the served session and its nonce, resolved once per
 // request. A replica serves whatever session its source holds now; when
 // that moved since the last request, the new session is served under a
-// fresh nonce.
+// fresh nonce. A lost swap re-reads the source: the winner may have
+// installed a newer session than the one read before it.
 func (b *local) current() *served {
 	cur := b.cur.Load()
 	if b.src == nil {
 		return cur
 	}
-	for db := b.src.DB(); db != cur.db; cur = b.cur.Load() {
+	for {
+		db := b.src.DB()
+		if db == cur.db {
+			return cur
+		}
 		if next := newServed(db); b.cur.CompareAndSwap(cur, next) {
 			return next
 		}
+		cur = b.cur.Load()
 	}
-	return cur
 }
 
 // session returns the current session.

@@ -92,8 +92,7 @@ type config struct {
 	maxInFlight    int
 	queueDepth     int
 	defaultTimeout time.Duration
-	slowLogSize    int
-	slowThreshold  time.Duration
+	slow           *trace.SlowLog // nil unless WithSlowQueryLog
 }
 
 func resolve(opts []Option) (config, error) {
@@ -147,21 +146,18 @@ func WithDefaultTimeout(d time.Duration) Option {
 	}
 }
 
-// WithSlowQueryLog keeps the n most recent queries that took at least
-// threshold in a bounded in-memory ring, served at GET /v1/debug/slow.
-// Enabling it traces every query internally (so slow entries carry a
-// full span tree); the trace is still only returned to clients that
-// asked for one. Default off — the untraced hot path stays
-// allocation-free.
-func WithSlowQueryLog(n int, threshold time.Duration) Option {
+// WithSlowQueryLog keeps the trace.SlowLogSize most recent queries
+// that took at least threshold (0 keeps every query) in an in-memory
+// ring, served at GET /v1/debug/slow. Enabling it traces every query
+// internally (so slow entries carry a full span tree); the trace is
+// still only returned to clients that asked for one. Default off — the
+// untraced hot path stays allocation-free.
+func WithSlowQueryLog(threshold time.Duration) Option {
 	return func(c *config) error {
-		if n <= 0 {
-			return fmt.Errorf("server: slow-query log size must be positive, got %d", n)
-		}
 		if threshold < 0 {
 			return fmt.Errorf("server: negative slow-query threshold %v", threshold)
 		}
-		c.slowLogSize, c.slowThreshold = n, threshold
+		c.slow = trace.NewSlowLog(threshold)
 		return nil
 	}
 }
@@ -175,8 +171,7 @@ type Core struct {
 	mux       *http.ServeMux
 	cfg       config
 	reg       *metrics.Registry
-	slow      *trace.SlowLog // nil unless WithSlowQueryLog
-	readOnly  bool           // set by NewReplica only: the mutating endpoints answer 403
+	readOnly  bool // set by NewReplica only: the mutating endpoints answer 403
 
 	// stmts is the workload statistics store query executions are
 	// recorded in: the local backend's, or nil (all methods are nil-safe
@@ -214,7 +209,6 @@ func newCore(b Backend, prefix, querySpan string, cfg config, stmts *qstats.Stor
 		mux:       http.NewServeMux(),
 		cfg:       cfg,
 		reg:       reg,
-		slow:      trace.NewSlowLog(cfg.slowLogSize, cfg.slowThreshold),
 		stmts:     stmts,
 
 		requests: reg.Counter(prefix+"_requests_total", "HTTP requests received"),
@@ -318,7 +312,7 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// carry one, but only explicit requests see it in the response.
 	wantTrace, tp := traceRequested(r, req.Trace)
 	var tr *trace.Trace
-	if wantTrace || c.slow.Enabled() {
+	if wantTrace || c.cfg.slow.Enabled() {
 		ctx, tr = startTrace(ctx, w, tp, c.querySpan)
 	}
 	start := time.Now()
@@ -549,7 +543,7 @@ func (c *Core) finishTrace(tr *trace.Trace, wantTrace bool, stats *dualsim.ExecS
 	if wantTrace {
 		stats.Trace = tr.Root()
 	}
-	recorded := c.slow.Observe(trace.Entry{
+	recorded := c.cfg.slow.Observe(trace.Entry{
 		Time:          time.Now(),
 		TraceID:       tr.ID(),
 		Query:         query,
@@ -789,13 +783,14 @@ func (c *Core) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSlow serves the slow-query ring, newest first. An empty body
-// with threshold 0 means the log is disabled (-slowlog 0, the default).
+// handleSlow serves the slow-query ring, newest first. No entries and
+// a zero total, whatever the traffic, mean the log is off (no -slowlog,
+// the default).
 func (c *Core) handleSlow(w http.ResponseWriter, r *http.Request) {
 	c.WriteJSON(w, http.StatusOK, &wire.SlowLogResponse{
-		ThresholdMs: float64(c.slow.Threshold()) / float64(time.Millisecond),
-		Total:       c.slow.Total(),
-		Entries:     c.slow.Entries(),
+		ThresholdMs: float64(c.cfg.slow.Threshold()) / float64(time.Millisecond),
+		Total:       c.cfg.slow.Total(),
+		Entries:     c.cfg.slow.Entries(),
 	})
 }
 

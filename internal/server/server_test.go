@@ -1386,6 +1386,58 @@ func TestReplicaSourceMovesUnderLoad(t *testing.T) {
 	wg.Wait()
 }
 
+// racingSource is a Replica whose first DB call is overtaken: the call
+// reads the source's session, then lets race run, which may move the
+// source and resolve it elsewhere, before it returns what it read.
+type racingSource struct {
+	source
+	raced atomic.Bool
+	race  func()
+}
+
+func (s *racingSource) DB() *dualsim.DB {
+	db := s.source.DB()
+	if s.raced.CompareAndSwap(false, true) {
+		s.race()
+	}
+	return db
+}
+
+// TestReplicaNeverServesSupersededSession: a request that read the
+// source's session and lost the swap to a request that installed a
+// newer one serves the newer one; it never swaps the older one back in.
+func TestReplicaNeverServesSupersededSession(t *testing.T) {
+	st, err := dualsim.FromTriples(queries.Fig1aTriples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := make([]*dualsim.DB, 3)
+	for i := range sessions {
+		if sessions[i], err = dualsim.OpenAt(st, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sessions[i].Close() })
+	}
+	src := &racingSource{}
+	b := &local{src: src}
+	b.cur.Store(newServed(sessions[0]))
+	src.db.Store(sessions[1])
+	src.race = func() {
+		src.db.Store(sessions[2])
+		resolved := make(chan *served)
+		go func() { resolved <- b.current() }()
+		if got := <-resolved; got.db != sessions[2] {
+			t.Errorf("the concurrent request served epoch %d, want 2", got.db.Epoch())
+		}
+	}
+	if got := b.current(); got.db != sessions[2] {
+		t.Fatalf("the overtaken request served epoch %d, want 2", got.db.Epoch())
+	}
+	if got := b.cur.Load().db; got != sessions[2] {
+		t.Fatalf("the replica now serves epoch %d, want 2", got.Epoch())
+	}
+}
+
 // TestReplicaServesItsSourceSession: when the replica's source moves
 // to another session (a re-bootstrap), the next request is answered
 // from it — probes, queries and exports report its epoch — and the

@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"dualsim"
@@ -16,23 +14,6 @@ import (
 	qstats "dualsim/internal/stats"
 	"dualsim/internal/wire"
 )
-
-// topStatements is how many ranks of the by-total-time statement table
-// are exported as /metrics gauges.
-const topStatements = 5
-
-// topCacheTTL bounds how often a /metrics scrape re-sorts the statement
-// table: the top-rank gauges all read one memoized snapshot, so a scrape
-// costs one Statements() call per TTL window, not one per gauge.
-const topCacheTTL = time.Second
-
-// topCache memoizes the sorted statement snapshot across the top-rank
-// gauge reads of one (or several back-to-back) /metrics scrapes.
-type topCache struct {
-	mu   sync.Mutex
-	at   time.Time
-	rows []qstats.Statement
-}
 
 // recordStatement folds one query execution into the workload
 // statistics. st may be nil (error paths return no ExecStats): the
@@ -119,10 +100,9 @@ func (b *local) Statements(_ context.Context, reset bool) (*wire.StatementsRespo
 	return out, nil
 }
 
-// registerStatementMetrics exports the store's shape and its top ranks
-// by total time as gauges. The registry is label-free, so the ranks are
-// separate series (dualsimd_statement_top1_seconds, …); statement
-// identity lives at /v1/debug/statements.
+// registerStatementMetrics exports the size of the statement table.
+// Statement identity lives at /v1/debug/statements: a label-free
+// series per rank would change what it measures whenever ranks reorder.
 func (s *Server) registerStatementMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("dualsimd_statements_tracked", "distinct statements in the workload statistics store", func() float64 {
 		return float64(s.be.stmts.Len())
@@ -130,39 +110,4 @@ func (s *Server) registerStatementMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("dualsimd_statements_evicted", "statements LRU-evicted from the workload statistics store", func() float64 {
 		return float64(s.be.stmts.Evicted())
 	})
-	for rank := 1; rank <= topStatements; rank++ {
-		rank := rank
-		reg.GaugeFunc(
-			fmt.Sprintf("dualsimd_statement_top%d_seconds", rank),
-			fmt.Sprintf("total execution time of the rank-%d statement by total time", rank),
-			func() float64 {
-				rows := s.topRows()
-				if rank > len(rows) {
-					return 0
-				}
-				return rows[rank-1].TotalTime.Seconds()
-			})
-		reg.GaugeFunc(
-			fmt.Sprintf("dualsimd_statement_top%d_calls", rank),
-			fmt.Sprintf("call count of the rank-%d statement by total time", rank),
-			func() float64 {
-				rows := s.topRows()
-				if rank > len(rows) {
-					return 0
-				}
-				return float64(rows[rank-1].Calls)
-			})
-	}
-}
-
-// topRows returns the memoized sorted statement snapshot for the
-// top-rank gauges, refreshing it at most once per topCacheTTL.
-func (s *Server) topRows() []qstats.Statement {
-	c := &s.topStmts
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rows == nil || time.Since(c.at) > topCacheTTL {
-		c.rows, c.at = s.be.stmts.Statements(), time.Now()
-	}
-	return c.rows
 }

@@ -44,13 +44,14 @@ type SlowLog struct {
 	total     int64   // all observations that crossed the threshold
 }
 
-// NewSlowLog builds a ring keeping the n most recent requests that took
-// at least threshold. n <= 0 returns nil (disabled).
-func NewSlowLog(n int, threshold time.Duration) *SlowLog {
-	if n <= 0 {
-		return nil
-	}
-	return &SlowLog{threshold: threshold, buf: make([]Entry, 0, n)}
+// SlowLogSize is how many entries a slow-query log retains: the most
+// recent ones, the oldest evicted first.
+const SlowLogSize = 64
+
+// NewSlowLog builds a ring keeping the SlowLogSize most recent requests
+// that took at least threshold.
+func NewSlowLog(threshold time.Duration) *SlowLog {
+	return &SlowLog{threshold: threshold, buf: make([]Entry, 0, SlowLogSize)}
 }
 
 // Enabled reports whether observations are being kept.

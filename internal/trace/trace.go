@@ -115,18 +115,20 @@ func (t *Trace) Traceparent() string {
 }
 
 // ParseTraceparent extracts the trace ID of a W3C traceparent header.
-// Only shape and hex-validity are checked; unknown versions are accepted
-// as long as the field widths match (per the spec's forward-compat rule).
+// Shape and hex-validity are checked, and the spec's invalid values
+// refused: version ff, an all-zero trace ID and an all-zero parent ID.
+// Other unknown versions are accepted as long as the field widths match
+// (per the spec's forward-compat rule).
 func ParseTraceparent(h string) (traceID string, ok bool) {
 	// 00-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx-yyyyyyyyyyyyyyyy-zz
 	if len(h) != 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return "", false
 	}
-	id := h[3:35]
-	if !isHex(h[0:2]) || !isHex(id) || !isHex(h[36:52]) || !isHex(h[53:55]) {
+	version, id, parent := h[0:2], h[3:35], h[36:52]
+	if !isHex(version) || !isHex(id) || !isHex(parent) || !isHex(h[53:55]) {
 		return "", false
 	}
-	if id == "00000000000000000000000000000000" {
+	if version == "ff" || id == "00000000000000000000000000000000" || parent == "0000000000000000" {
 		return "", false
 	}
 	return id, true

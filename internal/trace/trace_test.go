@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"encoding/json"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -65,6 +66,8 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		"00-0000000000000000000000000000000g-00f067aa0ba902b7-01", // non-hex
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // all-zero ID
 		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // wrong separator
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // version ff
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // all-zero parent ID
 	} {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("ParseTraceparent(%q) accepted", bad)
@@ -127,33 +130,35 @@ func TestSlowLogRing(t *testing.T) {
 		t.Fatalf("nil slow log is not inert")
 	}
 
-	l := NewSlowLog(3, 10*time.Millisecond)
+	l := NewSlowLog(10 * time.Millisecond)
 	if !l.Enabled() || l.Threshold() != 10*time.Millisecond {
 		t.Fatalf("Enabled/Threshold broken")
 	}
 	if l.Observe(Entry{Query: "fast", Duration: time.Millisecond}) {
 		t.Fatalf("recorded a query under the threshold")
 	}
-	for i, d := range []time.Duration{20, 30, 40, 50} {
-		if !l.Observe(Entry{Query: string(rune('a' + i)), Duration: d * time.Millisecond}) {
+	// One entry more than the ring holds: the wrap evicts the first.
+	for i := 0; i <= SlowLogSize; i++ {
+		if !l.Observe(Entry{Query: strconv.Itoa(i), Duration: 20*time.Millisecond + time.Duration(i)}) {
 			t.Fatalf("slow query %d not recorded", i)
 		}
 	}
-	if l.Total() != 4 {
-		t.Fatalf("Total = %d, want 4", l.Total())
+	if l.Total() != SlowLogSize+1 {
+		t.Fatalf("Total = %d, want %d", l.Total(), SlowLogSize+1)
 	}
 	got := l.Entries()
-	if len(got) != 3 {
-		t.Fatalf("ring kept %d entries, want 3", len(got))
+	if len(got) != SlowLogSize {
+		t.Fatalf("ring kept %d entries, want %d", len(got), SlowLogSize)
 	}
-	// Newest first; the oldest entry ("a") was evicted by the wrap.
-	for i, want := range []string{"d", "c", "b"} {
-		if got[i].Query != want {
-			t.Fatalf("Entries()[%d].Query = %q, want %q (got %+v)", i, got[i].Query, want, got)
+	// Newest first; the oldest entry ("0") was evicted by the wrap.
+	for i, e := range got {
+		if want := strconv.Itoa(SlowLogSize - i); e.Query != want {
+			t.Fatalf("Entries()[%d].Query = %q, want %q", i, e.Query, want)
 		}
 	}
 
-	if NewSlowLog(0, time.Second) != nil || NewSlowLog(-1, 0) != nil {
-		t.Fatalf("non-positive capacity must disable the log")
+	// Threshold 0 keeps every query, however fast.
+	if !NewSlowLog(0).Observe(Entry{Query: "instant"}) {
+		t.Fatalf("a zero threshold dropped a query")
 	}
 }
