@@ -1,6 +1,6 @@
 // Package client is the typed Go client of the dualsimd serving API
 // (internal/server, cmd/dualsimd): queries with buffered or streamed
-// (NDJSON) results, batches, live deltas, compaction, snapshot/health
+// (NDJSON) results, live deltas, compaction, snapshot/health
 // introspection — with bounded retries that honour the server's
 // Retry-After shedding hints.
 //
@@ -37,12 +37,10 @@ type Triple = wire.Triple
 // FromTriple converts an engine triple to wire form.
 func FromTriple(t dualsim.Triple) Triple { return wire.FromTriple(t) }
 
-// QueryResponse, BatchResponse, ApplyResponse, SnapshotResponse and
+// QueryResponse, ApplyResponse, SnapshotResponse and
 // HealthResponse mirror the server's JSON bodies.
 type (
 	QueryResponse      = wire.QueryResponse
-	BatchItem          = wire.BatchItem
-	BatchResponse      = wire.BatchResponse
 	ApplyResponse      = wire.ApplyResponse
 	CheckpointResponse = wire.CheckpointResponse
 	SnapshotResponse   = wire.SnapshotResponse
@@ -199,7 +197,6 @@ func (c *Client) statements(ctx context.Context, reset bool) (*StatementsRespons
 type reqOpts struct {
 	timeoutMs   int64
 	limit       int
-	failFast    bool
 	trace       bool
 	traceparent string
 }
@@ -220,7 +217,7 @@ func collect(opts []QueryOpt) reqOpts {
 	return o
 }
 
-// QueryOpt tweaks one query (or a batch).
+// QueryOpt tweaks one query.
 type QueryOpt func(*reqOpts)
 
 // Timeout asks the server to abort the execution after d (rounded to
@@ -235,16 +232,9 @@ func Timeout(d time.Duration) QueryOpt {
 	}
 }
 
-// Limit truncates the response to n rows (per batch member on Batch).
+// Limit truncates the response to n rows.
 func Limit(n int) QueryOpt {
 	return func(r *reqOpts) { r.limit = n }
-}
-
-// FailFast makes a Batch abort on its first failing query: the
-// remaining members are cancelled and report the cancellation in their
-// error slots. Ignored by Query/QueryStream.
-func FailFast() QueryOpt {
-	return func(r *reqOpts) { r.failFast = true }
 }
 
 // Trace asks the server for the request's span tree, returned in the
@@ -259,20 +249,6 @@ func Trace() QueryOpt {
 // tree (a valid traceparent implies Trace).
 func Traceparent(tp string) QueryOpt {
 	return func(r *reqOpts) { r.traceparent = tp }
-}
-
-// Batch executes queries concurrently on the server, at most GOMAXPROCS
-// at a time, and returns positional results, each with its own error slot — a failing
-// query does not fail the batch (unless FailFast is given, which
-// cancels the rest after the first failure).
-func (c *Client) Batch(ctx context.Context, srcs []string, opts ...QueryOpt) (*BatchResponse, error) {
-	o := collect(opts)
-	req := wire.BatchRequest{Queries: srcs, TimeoutMs: o.timeoutMs, Limit: o.limit, FailFast: o.failFast, Trace: o.trace}
-	var out BatchResponse
-	if err := c.doJSONHdr(ctx, "POST", "/v1/batch", &req, &out, true, o.header()); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // Apply submits a live delta: dels before adds, atomic, publishing the

@@ -15,7 +15,6 @@
 // Endpoints (see internal/server for the wire format):
 //
 //	POST /v1/query        query via the plan cache; ?stream=1 for NDJSON rows
-//	POST /v1/batch        query batch, members at most GOMAXPROCS at a time
 //	POST /v1/apply        live delta (dels before adds, atomic, epoch++)
 //	POST /v1/compact      rebuild the store (fresh dictionary)
 //	POST /v1/checkpoint   roll the WAL into a fresh on-disk snapshot
@@ -167,7 +166,7 @@ func parseFlags(args []string, onError flag.ErrorHandling) (daemonConfig, error)
 	fs.StringVar(&cfg.follow, "follow", "", "run as a read replica of the primary dualsimd at this URL")
 	fs.Var(&cfg.route, "route", "run as the cluster router; one shard's endpoints, comma-separated, primary first (repeat per shard, in shard order)")
 	fs.Uint64Var(&cfg.maxLag, "maxlag", 0, "epochs of replica staleness: -follow reports not ready beyond it, -route reads no replica beyond it")
-	fs.StringVar(&cfg.debugAddr, "debugaddr", "", "serve pprof + /v1/debug/slow on this extra address (off the serving listener)")
+	fs.StringVar(&cfg.debugAddr, "debugaddr", "", "serve pprof, /v1/debug/slow and /v1/debug/statements on this extra address (off the serving listener)")
 	fs.StringVar(&cfg.accessLog, "accesslog", "", "write a JSON access log to this file (\"-\" for stdout)")
 	fs.Func("slowlog", "keep the recent queries at least this slow at GET /v1/debug/slow (0s = all; off unless given)", func(v string) (err error) {
 		if strings.Trim(v, "+-") == "0" { // "-slowlog 0" reads as "off"; every query takes 0s

@@ -658,8 +658,8 @@ func TestRouterDaemonServesAndDrains(t *testing.T) {
 
 // TestEngineFlagGone: the daemon's evaluator is not selectable (-engine),
 // its pipeline has no pre-filter stage (-fingerprint), its solver no
-// parallel kernels (-workers) and /v1/batch no pool of its own
-// (-batchworkers); checkpoints follow a fixed cadence (-checkpointevery),
+// parallel kernels (-workers) and there is no batch pool (-batchworkers;
+// a request carries one query); checkpoints follow a fixed cadence (-checkpointevery),
 // the statement table is always on (-stmtstats) and the router probes
 // its shards once a second (-probeevery). A session prunes, caches 128
 // plans and compacts on request, as the library's defaults do (-prune,

@@ -44,9 +44,8 @@
 //     a pristine one with a fresh dictionary;
 //   - network serving: internal/server (behind cmd/dualsimd) exposes a
 //     session over HTTP/JSON with NDJSON row streaming, admission
-//     control and epoch-tagged responses (a /v1/batch member is one
-//     more QueryStream cursor); the client package is the typed Go
-//     client;
+//     control and epoch-tagged responses, one query per request; the
+//     client package is the typed Go client;
 //   - durability: with WithDataDir the database lives in a data
 //     directory — every Apply is recorded in an fsync'd write-ahead log
 //     before acknowledgement, Checkpoint (and every 1024th record) rolls

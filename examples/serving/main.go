@@ -2,8 +2,8 @@
 // a dualsimd-style HTTP server (internal/server) is started on a
 // loopback listener over the paper's Fig. 1(a) database, and the typed
 // Go client drives every endpoint — health, a buffered query, an NDJSON
-// row stream, a concurrent batch, a live delta with epoch-tagged
-// re-query, compaction, metrics — before the server drains gracefully.
+// row stream, a live delta with epoch-tagged re-query, compaction,
+// metrics — before the server drains gracefully.
 //
 // The same flow works against a standalone daemon:
 //
@@ -106,16 +106,7 @@ func main() {
 	fmt.Printf("\n(X2) streamed: %d rows, header epoch %d == stats epoch %d\n",
 		n, stream.Epoch(), stream.Stats().Epoch)
 
-	// --- Step 5: a concurrent batch ---------------------------------------
-	batch, err := c.Batch(ctx, []string{queryX1, queryX2, queryX1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nbatch: %d queries, %d rows total, %d plan-cache hits in %v\n",
-		batch.Stats.Requests, batch.Stats.Results, batch.Stats.CacheHits,
-		batch.Stats.Duration.Round(time.Microsecond))
-
-	// --- Step 6: a live delta over the wire -------------------------------
+	// --- Step 5: a live delta over the wire -------------------------------
 	ar, err := c.ApplyDelta(ctx, dualsim.Delta{Adds: []dualsim.Triple{
 		dualsim.T("J._McTiernan", "directed", "Die_Hard"),
 		dualsim.T("J._McTiernan", "worked_with", "S._de_Souza"),
@@ -140,7 +131,7 @@ func main() {
 	}
 	fmt.Printf("empty delta: noOp=%v, epoch still %d\n", nop.Stats.NoOp, nop.Stats.Epoch)
 
-	// --- Step 7: compaction and the snapshot view -------------------------
+	// --- Step 6: compaction and the snapshot view -------------------------
 	if _, err := c.Compact(ctx); err != nil {
 		log.Fatal(err)
 	}
@@ -151,7 +142,7 @@ func main() {
 	fmt.Printf("\nsnapshot: epoch %d, %d triples, overlay %d, %d compaction(s)\n",
 		snap.Epoch, snap.Triples, snap.OverlaySize, snap.Compactions)
 
-	// --- Step 8: live metrics ---------------------------------------------
+	// --- Step 7: live metrics ---------------------------------------------
 	page, err := c.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)
@@ -166,7 +157,7 @@ func main() {
 		}
 	}
 
-	// --- Step 9: graceful drain -------------------------------------------
+	// --- Step 8: graceful drain -------------------------------------------
 	srv.StartDrain() // health flips to 503; in-flight work finishes
 	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()

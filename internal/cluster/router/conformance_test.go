@@ -2,6 +2,7 @@ package router
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -154,37 +154,6 @@ func (r *reply) stats(s *dualsim.ExecStats) {
 	r.Results = s.Results
 }
 
-// postBatch posts req to /v1/batch and decodes the reply.
-func postBatch(t *testing.T, url string, req wire.BatchRequest) (int, wire.BatchResponse) {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/v1/batch", wire.ContentTypeJSON, strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var br wire.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, br
-}
-
-// batchMember posts a one-member /v1/batch and returns the member's
-// rows and stats in reply form.
-func batchMember(t *testing.T, url, query string) reply {
-	t.Helper()
-	status, br := postBatch(t, url, wire.BatchRequest{Queries: []string{query}})
-	out := reply{Status: status}
-	if len(br.Results) != 1 || br.Results[0].Stats == nil {
-		t.Fatalf("/v1/batch: %d members, want one with stats: %+v", len(br.Results), br.Results)
-	}
-	out.HasError = br.Results[0].Error != ""
-	out.Rows = canonRows(br.Results[0].Rows)
-	out.stats(br.Results[0].Stats)
-	return out
-}
-
 func TestProtocolConformance(t *testing.T) {
 	// Fig. 1(a) plus a predicate whose triple self-join is far too large
 	// to finish inside the deadline case's timeoutMs.
@@ -203,6 +172,7 @@ func TestProtocolConformance(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
+		route  string // default /v1/query
 		path   string
 		hdr    map[string]string
 		body   string
@@ -224,7 +194,14 @@ func TestProtocolConformance(t *testing.T) {
 			}
 		}},
 		{name: "limit truncates", body: q(`,"limit":1,"stream":true`), status: 200, events: []string{"header", "row×1", "stats"}},
-		{name: "stream by body", body: q(`,"stream":true`), status: 200, events: streamed},
+		// The stats trailer is the executor's: on the daemon (whose stats
+		// are one execution's) it lists the operators.
+		{name: "stream by body", body: q(`,"stream":true`), status: 200, events: streamed,
+			check: func(t *testing.T, b backend, r reply) {
+				if r.Results != 2 || b.name == "daemon" && !r.operators {
+					t.Errorf("stats trailer: %d results, operators %v", r.Results, r.operators)
+				}
+			}},
 		{name: "stream by URL", path: "?stream=1", body: q(""), status: 200, events: streamed},
 		{name: "stream by Accept", hdr: map[string]string{"Accept": wire.ContentTypeNDJSON}, body: q(""), status: 200, events: streamed},
 		{name: "trace by body", body: q(`,"trace":true`), status: 200, traced: true},
@@ -236,60 +213,19 @@ func TestProtocolConformance(t *testing.T) {
 				}
 			}},
 		{name: "streamed trace", path: "?stream=1&trace=1", body: q(""), status: 200, events: streamed, traced: true},
-		// One evaluator behind both routes: a /v1/batch member's stats and
-		// the /v1/query stats trailer agree for one text, and on the daemon
-		// (whose stats are one execution's) both list the executor's
-		// operators.
-		{name: "batch and query share the executor", path: "?stream=1", body: q(""), status: 200, events: streamed,
-			check: func(t *testing.T, b backend, r reply) {
-				m := batchMember(t, b.url, x1)
-				if m.Status != 200 || m.HasError || m.Results != 2 || r.Results != 2 || m.operators != r.operators {
-					t.Errorf("/v1/batch member %+v disagrees with the /v1/query trailer %+v", m, r)
-				}
-				if b.name == "daemon" && !(m.operators && r.operators) {
-					t.Errorf("operators missing: /v1/batch member %v, /v1/query trailer %v", m.operators, r.operators)
-				}
-			}},
-		// One batch runner behind both: a traced batch hangs one
-		// batch.query span per member under its root.
-		{name: "traced batch", body: q(""), status: 200, check: func(t *testing.T, b backend, _ reply) {
-			status, br := postBatch(t, b.url, wire.BatchRequest{Queries: []string{x1, x1}, Trace: true})
-			root := br.Stats.Trace
-			if status != 200 || root == nil || root.Name != "batch" {
-				t.Fatalf("traced batch: status %d, root %+v", status, root)
-			}
-			var idx []string
-			for _, sp := range root.Children {
-				if sp.Name == "batch.query" {
-					idx = append(idx, sp.Attrs["index"])
-				}
-			}
-			slices.Sort(idx)
-			if len(root.Children) != 2 || !slices.Equal(idx, []string{"0", "1"}) {
-				t.Errorf("batch children %d, batch.query indexes %v; want exactly two, indexed 0 and 1", len(root.Children), idx)
-			}
-		}},
-		// failFast cancels the rest, but the batch still answers 200
-		// with each member's outcome in its slot.
-		{name: "failFast batch", body: q(""), status: 200, check: func(t *testing.T, b backend, _ reply) {
-			status, br := postBatch(t, b.url, wire.BatchRequest{Queries: []string{"SELECT broken", x1}, FailFast: true})
-			want := do(t, "POST", b.url+"/v1/query", nil, strings.NewReader(`{"query":"SELECT broken"}`))
-			if status != 200 || len(br.Results) != 2 || br.Results[0].Error == "" || br.Stats.Failed < 1 {
-				t.Fatalf("failFast batch: status %d, %+v", status, br)
-			}
-			if want.Status != 400 || br.Results[0].Error != want.errMsg {
-				t.Errorf("slot 0 error %q, /v1/query answers %d %q", br.Results[0].Error, want.Status, want.errMsg)
-			}
-		}},
+		// No second read protocol: a query slice is N /v1/query requests.
+		{name: "no batch route", route: "/v1/batch", body: fmt.Sprintf(`{"queries":[%q]}`, x1), status: 404},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []reply
+			route := cmp.Or(tc.route, "/v1/query")
 			for _, b := range pair {
-				r := do(t, "POST", b.url+"/v1/query"+tc.path, tc.hdr, strings.NewReader(tc.body))
+				r := do(t, "POST", b.url+route+tc.path, tc.hdr, strings.NewReader(tc.body))
 				if r.Status != tc.status {
 					t.Errorf("%s: status %d, want %d", b.name, r.Status, tc.status)
 				}
-				if r.HasError != (tc.status >= 400) {
+				// A route that does not exist is the mux's plain-text 404.
+				if r.HasError != (tc.status >= 400 && tc.status != http.StatusNotFound) {
 					t.Errorf("%s: error body present = %v on status %d", b.name, r.HasError, r.Status)
 				}
 				if !reflect.DeepEqual(r.Events, tc.events) {
@@ -382,8 +318,8 @@ func TestSaturatedAdmission(t *testing.T) {
 
 // TestEscapedTermsConformance serves terms that need every escape the
 // row codec knows — and an unbound column — and requires the same
-// decoded values from the buffered envelope, the NDJSON stream and a
-// /v1/batch member, on both backends: three shapes, one rendering. The
+// decoded values from the buffered envelope and the NDJSON stream, on
+// both backends: two shapes, one rendering. The
 // stream is read twice, by the typed client and line by line with plain
 // json.Unmarshal, the way a third-party consumer would.
 func TestEscapedTermsConformance(t *testing.T) {
@@ -513,12 +449,6 @@ func TestEscapedTermsConformance(t *testing.T) {
 			}
 			st.Close()
 			check("streamed, typed client", streamed)
-
-			batch, err := c.Batch(ctx, []string{q})
-			if err != nil || len(batch.Results) != 1 || batch.Results[0].Error != "" {
-				t.Fatalf("%s: batch: %v %+v", b.name, err, batch)
-			}
-			check("batch", batch.Results[0].Rows)
 
 			resp, err := http.Post(b.url+"/v1/query?stream=1", wire.ContentTypeJSON,
 				strings.NewReader(fmt.Sprintf(`{"query":%q}`, q)))

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -787,83 +786,6 @@ func TestRouterExplain(t *testing.T) {
 	var ae *client.APIError
 	if err == nil || !asAPIError(err, &ae) || ae.StatusCode != 400 || !strings.Contains(ae.Message, "more than one shard") {
 		t.Fatalf("explain of a scattered query: %v, want 400 naming the reason", err)
-	}
-}
-
-// A routed batch takes one admission slot however many members it has,
-// and fans its members out at most GOMAXPROCS at a time — before, every
-// member got its own goroutine, so one request body could open as many
-// concurrent shard RPCs as it had queries.
-func TestRouterBatchBoundedFanOut(t *testing.T) {
-	full, err := dualsim.FromTriples(queries.Fig1aTriples())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cur, peak atomic.Int64
-	var endpoints [][]string
-	for i := 0; i < 2; i++ {
-		st, err := cluster.ShardStore(full, cluster.ShardSpec{Index: i, N: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := dualsim.Open(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := server.New(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Count the shard queries in flight, holding each long enough
-		// that an unbounded fan-out would pile up.
-		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/query" {
-				n := cur.Add(1)
-				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-				}
-				time.Sleep(5 * time.Millisecond)
-				defer cur.Add(-1)
-			}
-			srv.ServeHTTP(w, r)
-		}))
-		t.Cleanup(func() {
-			hs.Close()
-			db.Close()
-		})
-		endpoints = append(endpoints, []string{hs.URL})
-	}
-	// One slot, no queue: members that took slots of their own would shed.
-	rt, err := New(endpoints, WithProtocol(server.WithMaxInFlight(1), server.WithQueueDepth(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Probe(context.Background())
-	rs := httptest.NewServer(rt.Handler())
-	defer rs.Close()
-
-	width := runtime.GOMAXPROCS(0)
-	srcs := make([]string, 16*width)
-	for i := range srcs {
-		srcs[i] = `SELECT * WHERE { ?s <genre> ?g . }`
-	}
-	c, err := client.New(rs.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Batch(context.Background(), srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Stats.Requests != len(srcs) || out.Stats.Failed != 0 {
-		t.Fatalf("batch stats: %+v", out.Stats)
-	}
-	for i, it := range out.Results {
-		if it.Error != "" || len(it.Rows) != 2 {
-			t.Fatalf("member %d: %+v", i, it)
-		}
-	}
-	if got := peak.Load(); got > int64(width) {
-		t.Fatalf("%d shard queries in flight at once, want at most GOMAXPROCS = %d", got, width)
 	}
 }
 

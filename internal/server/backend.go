@@ -17,8 +17,8 @@ import (
 // memory budget → 413, anything else → 400).
 type Backend interface {
 	// Query starts one execution and returns a cursor over its rows.
-	// The core closes the cursor. It serves /v1/query and every member
-	// of a /v1/batch, so it must be safe for concurrent use.
+	// The core closes the cursor. It serves every /v1/query, so it must
+	// be safe for concurrent use.
 	Query(ctx context.Context, src string) (Cursor, error)
 	// Explain returns src's compiled plan; analyze executes it too.
 	Explain(ctx context.Context, src string, analyze bool) (*dualsim.Explain, error)

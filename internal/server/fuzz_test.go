@@ -2,18 +2,23 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"dualsim"
 	"dualsim/internal/wire"
 )
 
 // FuzzDecodeRequest feeds decodeBody — the decoder in front of every
-// /v1/query, /v1/batch and /v1/apply — arbitrary bodies, decoded into
+// /v1/query and /v1/apply — arbitrary bodies, decoded into
 // each request type, and every decoded apply triple through Validate
 // and ToTriple. It must never panic; every refusal is an *Error the
 // client is to blame for (400, or 413 past the body limit); and a
@@ -22,7 +27,7 @@ import (
 func FuzzDecodeRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"query":"SELECT * WHERE { ?s <p> ?o . }","limit":3,"stream":true,"timeoutMs":50}`,
-		`{"queries":["SELECT * WHERE { ?s <p> ?o . }",""],"failFast":true,"trace":true}`,
+		`{"query":"SELECT * WHERE { ?s <p> ?o . }","explain":"plan","trace":true}`,
 		`{"adds":[{"s":"a","p":"b","o":"c"}],"dels":[{"s":"a","p":"b","lit":"","isLit":true}]}`,
 		`{"adds":[{"s":"a","p":"b","o":"c","lit":"x"}]}`,
 		`{"query":1}`,
@@ -35,7 +40,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, into := range []any{&wire.QueryRequest{}, &wire.BatchRequest{}, &wire.ApplyRequest{}} {
+		for _, into := range []any{&wire.QueryRequest{}, &wire.ApplyRequest{}} {
 			r := httptest.NewRequest("POST", "/", bytes.NewReader(body))
 			if err := decodeBody(httptest.NewRecorder(), r, into); err != nil {
 				var e *Error
@@ -109,6 +114,105 @@ func FuzzIfNoneMatch(f *testing.F) {
 			if !holds(lists, etag) {
 				t.Fatalf("holds(%q, %q) missed the listed validator", lists, etag)
 			}
+		}
+	})
+}
+
+// FuzzWALExportParams sends arbitrary query strings — fromEpoch, waitMs,
+// pred and whatever else a peer puts there — to GET /v1/wal and GET
+// /v1/export on a durable server whose log has a checkpoint behind it
+// and a record after it. Nothing may panic and the server must keep
+// answering /healthz; every status is one the endpoints document
+// (200, 304, 400, 409, 410), and a 400 carries the ErrorResponse shape.
+// The client gives up after 50ms, so a large waitMs parks the poll
+// without stalling the fuzzer.
+func FuzzWALExportParams(f *testing.F) {
+	hs, db := newDurableServer(f)
+	ctx := context.Background()
+	for _, step := range []func() error{
+		func() error {
+			_, err := db.Apply(ctx, dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("n1", "directed", "m1")}})
+			return err
+		},
+		func() error { _, err := db.Checkpoint(ctx); return err },
+		func() error {
+			_, err := db.Apply(ctx, dualsim.Delta{Adds: []dualsim.Triple{dualsim.T("n2", "directed", "m2")}})
+			return err
+		},
+	} {
+		if err := step(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, seed := range []string{
+		"fromEpoch=0",
+		"fromEpoch=1&waitMs=10",
+		"fromEpoch=2&waitMs=60000",
+		"fromEpoch=-1",
+		"fromEpoch=18446744073709551616",
+		"waitMs=-5",
+		"waitMs=9223372036854775807&fromEpoch=1",
+		"pred=directed&pred=directed&pred=nosuch",
+		"pred=",
+		"pred=%3Cdirected%3E&pred=%ZZ",
+		"fromEpoch=1&fromEpoch=x",
+		"",
+	} {
+		f.Add(seed)
+	}
+	get := func(ctx context.Context, target string) (*http.Response, error) {
+		req, err := http.NewRequestWithContext(ctx, "GET", hs.URL+target, nil)
+		if err != nil {
+			return nil, err
+		}
+		return http.DefaultClient.Do(req)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		// Only a valid request target reaches the handler; a byte the
+		// request line cannot carry is net/http's to refuse. Percent
+		// escapes still put every byte into the decoded parameters.
+		if strings.ContainsFunc(raw, func(r rune) bool { return r <= ' ' || r >= 0x7f || r == '#' }) {
+			return
+		}
+		for _, path := range []string{"/v1/wal", "/v1/export"} {
+			rctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+			resp, err := get(rctx, path+"?"+raw)
+			if err != nil {
+				cancel()
+				if errors.Is(err, context.DeadlineExceeded) {
+					continue // a parked long-poll; the client left
+				}
+				t.Fatalf("GET %s?%s: %v", path, raw, err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			cancel()
+			if err != nil {
+				if errors.Is(err, context.DeadlineExceeded) {
+					continue
+				}
+				t.Fatalf("GET %s?%s: reading the body: %v", path, raw, err)
+			}
+			switch resp.StatusCode {
+			case http.StatusOK, http.StatusNotModified, http.StatusConflict, http.StatusGone:
+			case http.StatusBadRequest:
+				var e wire.ErrorResponse
+				if json.Unmarshal(body, &e) != nil || e.Error == "" {
+					t.Fatalf("GET %s?%s: 400 body %q is no ErrorResponse", path, raw, body)
+				}
+			default:
+				t.Fatalf("GET %s?%s: status %d", path, raw, resp.StatusCode)
+			}
+		}
+		hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		resp, err := get(hctx, "/healthz")
+		if err != nil {
+			t.Fatalf("/healthz after %q: %v", raw, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz after %q: status %d", raw, resp.StatusCode)
 		}
 	})
 }

@@ -384,10 +384,10 @@ const walPollInterval = 25 * time.Millisecond
 // X-Dualsim-Checkpoint-Epoch. The body is encoded whole before it is
 // sent, so a long catch-up costs the encoded tail in memory on top of
 // the records WALTail already holds. waitMs long-polls an empty tail
-// so an idle primary does not force replicas into tight polling. 409
-// on a non-durable session; 410 (with X-Dualsim-Checkpoint-Epoch) when
-// a checkpoint truncated the requested range — the replica must
-// re-bootstrap from /v1/wal/snapshot.
+// so an idle primary does not force replicas into tight polling, until
+// the core starts draining. 409 on a non-durable session; 410 (with
+// X-Dualsim-Checkpoint-Epoch) when a checkpoint truncated the requested
+// range — the replica must re-bootstrap from /v1/wal/snapshot.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var from uint64
@@ -412,7 +412,10 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	db := s.be.session()
 	deadline := time.Now().Add(wait)
 	recs, ckpt, err := db.WALTail(from)
-	for err == nil && len(recs) == 0 && time.Now().Before(deadline) {
+	// A draining core ends the poll with the tail it has: Shutdown does
+	// not cancel request contexts, and a parked poll would hold its
+	// connection past the drain grace.
+	for err == nil && len(recs) == 0 && time.Now().Before(deadline) && !s.isDraining() {
 		select {
 		case <-r.Context().Done():
 			return // replica gone; nothing useful to write

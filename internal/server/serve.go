@@ -7,12 +7,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"dualsim/internal/debugserver"
 	"dualsim/internal/httplog"
 )
 
@@ -38,16 +38,23 @@ func (c *Core) Serve(ctx context.Context, l Listen, logw io.Writer, ready chan<-
 	fmt.Fprintf(logw, "%s: listening on http://%s\n", l.Name, ln.Addr())
 
 	// The debug surface (pprof, slow-query log, statements) binds its own
-	// listener so it is never routable from the serving address.
+	// listener so it is never routable from the serving address: profiling
+	// never contends with query traffic for admission, and a serving port
+	// exposed to clients never leaks heap dumps.
 	if l.DebugAddr != "" {
 		dln, err := net.Listen("tcp", l.DebugAddr)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		dbg := &http.Server{Handler: debugserver.Mux(map[string]http.Handler{
-			"/v1/debug/slow":       c,
-			"/v1/debug/statements": c,
-		})}
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux.Handle("/v1/debug/slow", c)
+		mux.Handle("/v1/debug/statements", c)
+		dbg := &http.Server{Handler: mux}
 		go dbg.Serve(dln)
 		defer func() { _ = dbg.Close() }() // debug surface only; serving drain is handled below
 		fmt.Fprintf(logw, "%s: debug surface on http://%s\n", l.Name, dln.Addr())

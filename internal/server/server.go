@@ -11,8 +11,6 @@
 //	POST /v1/query     one query; buffered JSON or chunked NDJSON row
 //	                   streaming (?stream=1, Accept: application/x-ndjson,
 //	                   or "stream": true); "explain" returns the plan
-//	POST /v1/batch     a query slice, each member one Backend.Query,
-//	                   at most GOMAXPROCS at a time
 //	POST /v1/apply     a live delta (dels before adds)
 //	GET  /v1/snapshot  current epoch + store shape
 //	GET  /v1/debug/slow        slow-query ring (WithSlowQueryLog)
@@ -58,8 +56,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dualsim"
@@ -180,7 +176,6 @@ type Core struct {
 
 	requests *metrics.Counter
 	queries  *metrics.Counter
-	batches  *metrics.Counter
 	applies  *metrics.Counter
 	shed     *metrics.Counter
 	errors   *metrics.Counter
@@ -212,8 +207,7 @@ func newCore(b Backend, prefix, querySpan string, cfg config, stmts *qstats.Stor
 		stmts:     stmts,
 
 		requests: reg.Counter(prefix+"_requests_total", "HTTP requests received"),
-		queries:  reg.Counter(prefix+"_queries_total", "queries executed (incl. batch members)"),
-		batches:  reg.Counter(prefix+"_batches_total", "batch requests executed"),
+		queries:  reg.Counter(prefix+"_queries_total", "queries executed"),
 		applies:  reg.Counter(prefix+"_applies_total", "apply/compact operations"),
 		shed:     reg.Counter(prefix+"_shed_total", "requests shed with 429 by admission control"),
 		errors:   reg.Counter(prefix+"_errors_total", "requests answered with a non-2xx status"),
@@ -233,7 +227,6 @@ func newCore(b Backend, prefix, querySpan string, cfg config, stmts *qstats.Stor
 	})
 
 	c.mux.HandleFunc("POST /v1/query", c.handleQuery)
-	c.mux.HandleFunc("POST /v1/batch", c.handleBatch)
 	c.mux.HandleFunc("POST /v1/apply", c.handleApply)
 	c.mux.HandleFunc("GET /v1/snapshot", c.handleSnapshot)
 	c.mux.HandleFunc("GET /v1/debug/slow", c.handleSlow)
@@ -262,6 +255,9 @@ func (c *Core) Registry() *metrics.Registry { return c.reg }
 // termination signal arrives, before http.Server.Shutdown drains the
 // connections.
 func (c *Core) StartDrain() { c.draining.Set(1) }
+
+// isDraining reports whether StartDrain has been called.
+func (c *Core) isDraining() bool { return c.draining.Value() != 0 }
 
 // ServeHTTP implements http.Handler.
 func (c *Core) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -294,7 +290,7 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		c.FailExec(w, errEmptyQuery)
+		c.Fail(w, http.StatusBadRequest, "empty query")
 		return
 	}
 	c.queries.Inc()
@@ -438,54 +434,25 @@ func (e *ndjsonEncoder) end(stats *dualsim.ExecStats, n int, truncated bool) {
 	_ = e.event(wire.Event{Kind: wire.EventStats, Stats: stats, Rows: n, Truncated: truncated, Epoch: e.epoch})
 }
 
-// rawRows collects rows as the JSON array of their value arrays — the
-// "rows" member of the buffered shapes, built by the same
-// Cursor.AppendRow the stream's row events carry.
-type rawRows []byte
-
-func (r *rawRows) add(cur Cursor) error {
-	sep := byte(',')
-	if len(*r) == 0 {
-		sep = '['
-	}
-	*r = cur.AppendRow(append(*r, sep))
-	return nil
-}
-
-func (r rawRows) json() json.RawMessage {
-	if len(r) == 0 {
-		return json.RawMessage("[]")
-	}
-	return json.RawMessage(append(r, ']'))
-}
-
-// The buffered shapes with their rows already rendered: each embeds its
+// The buffered shape with its rows already rendered: it embeds its
 // wire type, whose own Rows the raw field shadows, so the two cannot
 // drift apart.
 //
 //dualsim:wire
-type (
-	queryEnvelope struct {
-		wire.QueryResponse
-		Rows json.RawMessage `json:"rows"`
-	}
-	batchItem struct {
-		wire.BatchItem
-		Rows json.RawMessage `json:"rows,omitempty"`
-	}
-	batchEnvelope struct {
-		Results []batchItem        `json:"results"`
-		Stats   dualsim.BatchStats `json:"stats"`
-	}
-)
+type queryEnvelope struct {
+	wire.QueryResponse
+	Rows json.RawMessage `json:"rows"`
+}
 
 // envelopeEncoder collects the buffered shape; nothing is committed
-// before end, so a failed execution still gets its own status.
+// before end, so a failed execution still gets its own status. rows
+// holds the JSON array of the rows' value arrays, built by the same
+// Cursor.AppendRow the stream's row events carry.
 type envelopeEncoder struct {
 	c    *Core
 	w    http.ResponseWriter
 	out  wire.QueryResponse
-	rows rawRows
+	rows []byte
 }
 
 func (e *envelopeEncoder) begin(vars []string, epoch uint64) error {
@@ -493,14 +460,25 @@ func (e *envelopeEncoder) begin(vars []string, epoch uint64) error {
 	return nil
 }
 
-func (e *envelopeEncoder) row(cur Cursor) error { return e.rows.add(cur) }
+func (e *envelopeEncoder) row(cur Cursor) error {
+	sep := byte(',')
+	if len(e.rows) == 0 {
+		sep = '['
+	}
+	e.rows = cur.AppendRow(append(e.rows, sep))
+	return nil
+}
 
 func (e *envelopeEncoder) abort(err error) { e.c.FailExec(e.w, err) }
 
 func (e *envelopeEncoder) end(stats *dualsim.ExecStats, _ int, truncated bool) {
 	e.out.Stats, e.out.Truncated = stats, truncated
 	e.w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(e.out.Epoch, 10))
-	e.c.WriteJSON(e.w, http.StatusOK, &queryEnvelope{QueryResponse: e.out, Rows: e.rows.json()})
+	rows := json.RawMessage("[]")
+	if len(e.rows) > 0 {
+		rows = append(e.rows, ']')
+	}
+	e.c.WriteJSON(e.w, http.StatusOK, &queryEnvelope{QueryResponse: e.out, Rows: rows})
 }
 
 // handleExplain answers an EXPLAIN / EXPLAIN ANALYZE request: the
@@ -561,164 +539,6 @@ func (c *Core) finishTrace(tr *trace.Trace, wantTrace bool, stats *dualsim.ExecS
 	}
 }
 
-func (c *Core) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// One admission slot covers the whole batch (decode included): its
-	// members run inside it, at most GOMAXPROCS at a time, and counting
-	// each member against maxInFlight would let one caller starve the
-	// server.
-	release, ok := c.admitOr429(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var req wire.BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		c.FailExec(w, err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		c.Fail(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	c.batches.Inc()
-	c.queries.Add(int64(len(req.Queries)))
-
-	ctx, cancel := c.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	var tr *trace.Trace
-	if wantTrace, tp := traceRequested(r, req.Trace); wantTrace {
-		ctx, tr = startTrace(ctx, w, tp, "batch")
-	}
-	start := time.Now()
-	out := c.runBatch(ctx, &req)
-	if err := batchFailure(ctx, out); err != nil {
-		c.FailExec(w, err)
-		return
-	}
-	resp := batchEnvelope{
-		Results: make([]batchItem, len(out)),
-		Stats:   dualsim.BatchStats{Requests: len(out), Duration: time.Since(start)},
-	}
-	for i, m := range out {
-		if m.err != nil {
-			// Reported in the item's error slot; the HTTP reply is still
-			// 200, so errors_total (non-2xx responses) does not move.
-			c.recordStatement(req.Queries[i], nil, 0, m.err)
-			resp.Results[i].Error = m.err.Error()
-			resp.Stats.Failed++
-			continue
-		}
-		resp.Results[i] = m.item
-		stats := m.item.Stats
-		c.recordStatement(req.Queries[i], stats, stats.Duration, nil)
-		c.rows.Add(int64(m.n))
-		if stats.CacheHit {
-			resp.Stats.CacheHits++
-		}
-		resp.Stats.Results += stats.Results
-	}
-	if tr != nil {
-		tr.Root().End()
-		resp.Stats.Trace = tr.Root()
-	}
-	c.WriteJSON(w, http.StatusOK, &resp)
-}
-
-// batchMember is one member's outcome: its rendered item, or err.
-type batchMember struct {
-	item batchItem
-	n    int // rows rendered
-	err  error
-}
-
-// runBatch runs the members of one batch through Backend.Query, at most
-// GOMAXPROCS at a time: a member may fan out on its own (over the
-// shards, on a router), so an unbounded member count would turn one
-// request into that many concurrent executions. A failFast batch
-// cancels the members still running or waiting on the first member
-// error; they report the cancellation in their own slots.
-func (c *Core) runBatch(ctx context.Context, req *wire.BatchRequest) []batchMember {
-	out := make([]batchMember, len(req.Queries))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	parent := trace.SpanFromContext(ctx)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(out)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(out); i = int(next.Add(1)) - 1 {
-				out[i] = c.runMember(ctx, parent, i, req.Queries[i], req.Limit)
-				if out[i].err != nil && req.FailFast {
-					cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// runMember executes member i of a batch and renders it into the
-// buffered shape with the code buffered /v1/query uses, pulling at most
-// limit+1 rows. A traced batch gets one batch.query span per member.
-func (c *Core) runMember(ctx context.Context, parent *trace.Span, i int, src string, limit int) batchMember {
-	if err := ctx.Err(); err != nil {
-		return batchMember{err: err} // the batch was aborted before this member started
-	}
-	if sp := parent.StartChild("batch.query"); sp != nil {
-		sp.SetAttr("index", strconv.Itoa(i))
-		ctx = trace.ContextWithSpan(ctx, sp)
-		defer sp.End()
-	}
-	if strings.TrimSpace(src) == "" {
-		return batchMember{err: errEmptyQuery}
-	}
-	cur, err := c.backend.Query(ctx, src)
-	if err != nil {
-		return batchMember{err: err}
-	}
-	defer cur.Close()
-	vars, epoch := cur.Vars(), cur.Epoch()
-	var rows rawRows
-	n, truncated, _ := pump(cur, limit, rows.add)
-	if err := cur.Err(); err != nil {
-		return batchMember{err: err}
-	}
-	cur.Close()
-	m := batchMember{n: n}
-	m.item.Vars, m.item.Epoch, m.item.Truncated = vars, epoch, truncated
-	m.item.Stats, m.item.Rows = cur.Stats(), rows.json()
-	return m
-}
-
-// errEmptyQuery answers a blank query text: a 400 on /v1/query, the
-// member's own slot in a batch.
-var errEmptyQuery = errors.New("empty query")
-
-// batchFailure reports what fails a batch as a whole rather than member
-// by member: the request's deadline or cancellation, or a closed
-// session.
-func batchFailure(ctx context.Context, out []batchMember) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// The timer behind a deadline can fire tens of milliseconds late —
-	// after a short batch has finished, its tail failed by the executor's
-	// own wall-clock check. The batch reports the deadline then too.
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
-	}
-	for _, m := range out {
-		if errors.Is(m.err, dualsim.ErrClosed) {
-			return m.err
-		}
-	}
-	return nil
-}
-
 func (c *Core) handleApply(w http.ResponseWriter, r *http.Request) {
 	c.Mutate(w, r, func(ctx context.Context) (any, uint64, error) {
 		var req wire.ApplyRequest
@@ -773,7 +593,7 @@ func (c *Core) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // route work here.
 func (c *Core) handleHealth(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
-	if c.draining.Value() != 0 {
+	if c.isDraining() {
 		status = "draining"
 	}
 	bi := buildinfo.Get()
@@ -798,7 +618,7 @@ func (c *Core) handleSlow(w http.ResponseWriter, r *http.Request) {
 // leaving), then the backend's own view (a replica's bootstrap/lag
 // check, the router's routable shards).
 func (c *Core) readyErr() error {
-	if c.draining.Value() != 0 {
+	if c.isDraining() {
 		return errDraining
 	}
 	return c.backend.Ready()

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -192,10 +191,25 @@ func TestQueryLimitTruncates(t *testing.T) {
 	if len(out.Rows) != 1 || !out.Truncated {
 		t.Fatalf("limit: %d rows, truncated %v", len(out.Rows), out.Truncated)
 	}
+
+	// The pull stops at limit+1 rows: the peek that proves truncation is
+	// the last row computed.
+	var adds []wire.Triple
+	for i := 0; i < 12; i++ {
+		adds = append(adds, wire.Triple{S: "lim:s" + strconv.Itoa(i), P: "lim:edge", O: "lim:o" + strconv.Itoa(i)})
+	}
+	postJSON(t, hs.URL+"/v1/apply", wire.ApplyRequest{Adds: adds}).Body.Close()
+	out = decode[wire.QueryResponse](t, postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{
+		Query: `SELECT * WHERE { ?s <lim:edge> ?o . }`, Limit: 1,
+	}))
+	if len(out.Rows) != 1 || !out.Truncated || out.Stats.Results > 2 {
+		t.Fatalf("limit 1 over 12 rows: %d rows, truncated %v, stats %+v; want 1 row, truncated, stats.results ≤ 2",
+			len(out.Rows), out.Truncated, out.Stats)
+	}
 }
 
 func TestQueryErrors(t *testing.T) {
-	_, hs, _ := newTestServer(t)
+	_, hs, db := newTestServer(t)
 	for _, tc := range []struct {
 		name string
 		body string
@@ -224,172 +238,44 @@ func TestQueryErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/query = %d", resp.StatusCode)
 	}
-}
-
-func TestBatch(t *testing.T) {
-	_, hs, _ := newTestServer(t)
-	resp := postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{
-		Queries: []string{queryX1, "SELECT broken", queryX1},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	out := decode[wire.BatchResponse](t, resp)
-	if len(out.Results) != 3 {
-		t.Fatalf("results = %d", len(out.Results))
-	}
-	if len(out.Results[0].Rows) != 2 || out.Results[1].Error == "" || len(out.Results[2].Rows) != 2 {
-		t.Fatalf("batch items: %+v", out.Results)
-	}
-	if out.Stats.Requests != 3 || out.Stats.Failed != 1 || out.Stats.Results != 4 {
-		t.Fatalf("batch stats: %+v", out.Stats)
-	}
-	// The repeated text re-used the plan: one of the two X1 executions
-	// hit the cache.
-	if out.Stats.CacheHits < 1 {
-		t.Fatalf("batch stats report no cache hits: %+v", out.Stats)
-	}
-
-	// A member with a limit stops pulling at limit+1 rows, as /v1/query
-	// does: the peek that proves truncation is the last row computed.
-	var adds []wire.Triple
-	for i := 0; i < 12; i++ {
-		adds = append(adds, wire.Triple{S: "lim:s" + strconv.Itoa(i), P: "lim:edge", O: "lim:o" + strconv.Itoa(i)})
-	}
-	postJSON(t, hs.URL+"/v1/apply", wire.ApplyRequest{Adds: adds}).Body.Close()
-	out = decode[wire.BatchResponse](t, postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{
-		Queries: []string{`SELECT * WHERE { ?s <lim:edge> ?o . }`}, Limit: 1,
-	}))
-	if m := out.Results[0]; m.Error != "" || len(m.Rows) != 1 || !m.Truncated || m.Stats.Results > 2 {
-		t.Fatalf("limit 1 over 12 rows: %d rows, truncated %v, error %q, stats %+v; want 1 row, truncated, stats.results ≤ 2",
-			len(m.Rows), m.Truncated, m.Error, m.Stats)
-	}
-}
-
-// TestBatchMembers: members answer by position, a blank member fails in
-// its own slot, repeated texts plan once, and a closed session fails the
-// whole batch with 503.
-func TestBatchMembers(t *testing.T) {
-	_, hs, db := newTestServer(t)
-	resp := postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{
-		Queries: []string{queryX1, queries.QueryX2, queryX1, "  "},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	out := decode[wire.BatchResponse](t, resp)
-	for i, want := range []int{2, 4, 2} {
-		if m := out.Results[i]; m.Error != "" || len(m.Rows) != want || m.Stats.Results != want {
-			t.Fatalf("member %d: %d rows, error %q, stats %+v; want %d rows", i, len(m.Rows), m.Error, m.Stats, want)
-		}
-	}
-	if got := out.Results[3].Error; got != "empty query" {
-		t.Fatalf("blank member: error %q, want \"empty query\"", got)
-	}
-	if out.Stats.Requests != 4 || out.Stats.Failed != 1 || out.Stats.Results != 8 {
-		t.Fatalf("batch stats: %+v", out.Stats)
-	}
-	if got := db.PlanBuilds(); got != 2 {
-		t.Fatalf("PlanBuilds = %d after [X1, X2, X1], want 2", got)
-	}
-
+	// A closed session answers 503.
 	db.Close()
-	resp = postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{Queries: []string{queryX1, queries.QueryX2}})
+	resp = postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
 	if e := decode[wire.ErrorResponse](t, resp); resp.StatusCode != http.StatusServiceUnavailable || e.Error == "" {
-		t.Fatalf("batch on a closed session: %d %+v, want 503", resp.StatusCode, e)
+		t.Fatalf("query on a closed session: %d %+v, want 503", resp.StatusCode, e)
 	}
 }
 
-// TestBatchDeadline: a timeoutMs that expires mid-batch fails the whole
-// batch with 504, and promptly — the members still to run never start.
-// Every member is a text of its own (a distinct variable name), so each
-// pays for its own plan and solve: a prepared query that runs again
-// reuses both, and a batch of repeats would cost less than its first.
-func TestBatchDeadline(t *testing.T) {
-	st, err := dualsim.FromTriples(dualsim.GenerateLUBM(24, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := dualsim.Open(st, dualsim.WithPlanCache(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	srv, err := New(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-
-	member := func(name string) string {
-		return `SELECT * WHERE {
-		?publication <rdf:type> <ub:Publication> .
-		?publication <ub:publicationAuthor> ?student .
-		?student <ub:memberOf> ?` + name + ` . }`
-	}
-	batch := func(tag string, n int, timeoutMs int64) (*http.Response, time.Duration) {
-		srcs := make([]string, n)
-		for i := range srcs {
-			srcs[i] = member(fmt.Sprintf("%s%d", tag, i))
-		}
-		start := time.Now()
-		resp := postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{Queries: srcs, TimeoutMs: timeoutMs})
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp, time.Since(start)
-	}
-	// The cost of one member, to place the deadline mid-batch: the first
-	// call warms the server, the second times a text of its own.
-	batch("warm", 1, 0)
-	_, one := batch("one", 1, 0)
-
-	// Every worker runs eight members in a row: the batch needs at least
-	// eight times one member's time, four times its deadline.
-	n := 8 * runtime.GOMAXPROCS(0)
-	resp, elapsed := batch("department", n, max(1, 2*one.Milliseconds()))
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("batch of %d past its deadline: status %d, want 504 (one member: %v)", n, resp.StatusCode, one)
-	}
-	if limit := time.Duration(n)*one + time.Second; elapsed > limit {
-		t.Fatalf("cancelled batch ran %v (one member: %v) — not aborted", elapsed, one)
-	}
-}
-
-// TestBatchConcurrentCallers (-race): several clients post batches through
-// one session and its shared plan cache at once; every member answers by
-// position and each distinct text is planned once.
-func TestBatchConcurrentCallers(t *testing.T) {
+// TestQueryConcurrentCallers (-race): several clients post their queries
+// through one session and its shared plan cache at once, each query a
+// request of its own; every query answers in full and each distinct text
+// is planned once.
+func TestQueryConcurrentCallers(t *testing.T) {
 	_, hs, db := newTestServer(t)
 	srcs := []string{queryX1, queries.QueryX2, `SELECT * WHERE { ?director <awarded> ?prize . }`, queryX1}
-	body, err := json.Marshal(wire.BatchRequest{Queries: srcs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := []int{2, 4, 3, 2}
 	var wg sync.WaitGroup
-	errs := make(chan error, 6)
+	errs := make(chan error, 6*len(srcs))
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(hs.URL+"/v1/batch", wire.ContentTypeJSON, bytes.NewReader(body))
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer resp.Body.Close()
-			var out wire.BatchResponse
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				errs <- err
-				return
-			}
-			if resp.StatusCode != http.StatusOK || len(out.Results) != len(srcs) {
-				errs <- fmt.Errorf("concurrent batch: status %d, %d results", resp.StatusCode, len(out.Results))
-				return
-			}
-			for i, want := range []int{2, 4} {
-				if m := out.Results[i]; m.Error != "" || len(m.Rows) != want {
-					errs <- fmt.Errorf("concurrent batch member %d: %d rows, error %q; want %d rows", i, len(m.Rows), m.Error, want)
+			for i, src := range srcs {
+				body, err := json.Marshal(wire.QueryRequest{Query: src})
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp, err := http.Post(hs.URL+"/v1/query", wire.ContentTypeJSON, bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var out wire.QueryResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || len(out.Rows) != want[i] {
+					errs <- fmt.Errorf("concurrent query %d: status %d, %d rows, %v; want %d rows", i, resp.StatusCode, len(out.Rows), err, want[i])
 				}
 			}
 		}()
@@ -400,7 +286,7 @@ func TestBatchConcurrentCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if builds := db.PlanBuilds(); builds != 3 {
-		t.Fatalf("PlanBuilds = %d across concurrent batches, want 3", builds)
+		t.Fatalf("PlanBuilds = %d across concurrent callers, want 3", builds)
 	}
 }
 
@@ -733,10 +619,9 @@ func TestQueryDeadline(t *testing.T) {
 }
 
 // TestConcurrentQueriesAndApplies is the end-to-end acceptance test: N
-// concurrent clients issue buffered and streamed queries, and one more
-// batches, while a writer interleaves Apply/Compact. Every response (every
-// batch member) must be internally epoch-consistent (header epoch ==
-// stats epoch, bindings decodable) and
+// concurrent clients issue buffered and streamed queries while a writer
+// interleaves Apply/Compact. Every response must be internally
+// epoch-consistent (header epoch == stats epoch, bindings decodable) and
 // every status must be 200 or 429 — never a hang, tear or race (run
 // under -race).
 func TestConcurrentQueriesAndApplies(t *testing.T) {
@@ -747,7 +632,7 @@ func TestConcurrentQueriesAndApplies(t *testing.T) {
 		applies   = 40
 	)
 	var wg sync.WaitGroup
-	errc := make(chan error, clients+2)
+	errc := make(chan error, clients+1)
 
 	// Writer: live deltas on a dedicated predicate, with a compaction in
 	// the middle (which renumbers node ids — the decode-against-pinned-
@@ -789,6 +674,13 @@ func TestConcurrentQueriesAndApplies(t *testing.T) {
 						if len(out.Rows) < 2 {
 							errc <- fmt.Errorf("buffered: %d rows", len(out.Rows))
 						}
+						for _, row := range out.Rows {
+							for _, v := range row {
+								if v == nil || !strings.HasPrefix(*v, "<") {
+									errc <- fmt.Errorf("buffered: undecodable binding %v at epoch %d", row, out.Epoch)
+								}
+							}
+						}
 					case http.StatusTooManyRequests:
 						io.Copy(io.Discard, resp.Body)
 						resp.Body.Close()
@@ -827,39 +719,6 @@ func TestConcurrentQueriesAndApplies(t *testing.T) {
 		}(c)
 	}
 
-	// Batch client: every member answers from one epoch of its own, even
-	// when an apply or the compaction lands mid-batch.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < perClient; i++ {
-			resp := postJSON(t, hs.URL+"/v1/batch", wire.BatchRequest{Queries: []string{queryX1, queryX1, queryX1, queryX1}})
-			if resp.StatusCode == http.StatusTooManyRequests {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				continue
-			}
-			if resp.StatusCode != http.StatusOK {
-				resp.Body.Close()
-				errc <- fmt.Errorf("batch: status %d", resp.StatusCode)
-				return
-			}
-			for j, m := range decode[wire.BatchResponse](t, resp).Results {
-				if m.Error != "" || m.Stats == nil || m.Epoch != m.Stats.Epoch || len(m.Rows) < 2 {
-					errc <- fmt.Errorf("batch member %d: inconsistent %+v", j, m)
-					return
-				}
-				for _, row := range m.Rows {
-					for _, v := range row {
-						if v == nil || !strings.HasPrefix(*v, "<") {
-							errc <- fmt.Errorf("batch member %d: undecodable binding %v at epoch %d", j, row, m.Epoch)
-							return
-						}
-					}
-				}
-			}
-		}
-	}()
 	wg.Wait()
 	close(errc)
 	for err := range errc {
@@ -978,7 +837,7 @@ func TestCheckpointNotDurableIs409(t *testing.T) {
 
 // newDurableServer serves Fig. 1(a) from a session with a data dir:
 // the only kind with a WAL to tail.
-func newDurableServer(t *testing.T) (*httptest.Server, *dualsim.DB) {
+func newDurableServer(t testing.TB) (*httptest.Server, *dualsim.DB) {
 	t.Helper()
 	st, err := dualsim.FromTriples(queries.Fig1aTriples())
 	if err != nil {
@@ -1140,6 +999,75 @@ func TestWALLongPollDeliversMidPollApply(t *testing.T) {
 	}
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("the apply was delivered after %v, at the end of the poll window", d)
+	}
+}
+
+// TestWALLongPollEndsOnDrain: a replica's parked long-poll must not hold
+// shutdown. http.Server.Shutdown does not cancel request contexts, so
+// the poll ends on its own once the core drains, answering the empty
+// tail it has; Serve then returns within the grace and runs the final
+// hook (a durable primary's checkpoint).
+func TestWALLongPollEndsOnDrain(t *testing.T) {
+	st, err := dualsim.FromTriples(queries.Fig1aTriples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dualsim.Open(st, dualsim.WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv, err := New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan string, 1)
+	served := make(chan error, 1)
+	var final atomic.Bool
+	go func() {
+		served <- srv.Serve(ctx, Listen{Name: "test", Addr: "127.0.0.1:0", DrainTimeout: time.Second}, io.Discard, ready,
+			func() error { final.Store(true); return nil })
+	}()
+	addr := <-ready
+
+	polled := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr + "/v1/wal?fromEpoch=0&waitMs=60000")
+		if err != nil {
+			t.Error(err)
+		}
+		polled <- resp
+	}()
+	// The poll has reached the core once the request counter moves; it
+	// parks on the idle log from there.
+	for i := 0; srv.Registry().Snapshot()["dualsimd_requests_total"] == 0; i++ {
+		if i == 5000 {
+			t.Fatal("the poll never reached the server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after %v: %v, want a clean drain", time.Since(start), err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve still draining after 10s")
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("drain took %v, the whole grace", d)
+	}
+	if !final.Load() {
+		t.Fatal("the final hook did not run")
+	}
+	if resp := <-polled; resp != nil {
+		if recs := walTail(t, resp, "0", "0"); len(recs) != 0 {
+			t.Fatalf("drained poll answered %+v, want the empty tail", recs)
+		}
 	}
 }
 

@@ -56,8 +56,8 @@ type Span struct {
 }
 
 // Trace is one request's span tree plus its 128-bit identity. Spans of
-// one trace may be created from concurrent goroutines (router fan-out,
-// batch members): tree mutations are serialized on the trace's mutex.
+// one trace may be created from concurrent goroutines (the router's
+// fan-out): tree mutations are serialized on the trace's mutex.
 type Trace struct {
 	mu     sync.Mutex
 	id     string // 32 hex chars

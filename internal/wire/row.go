@@ -42,8 +42,8 @@ const hexDigits = "0123456789abcdef"
 
 // RowAppender renders its current row as the JSON array of the row's
 // values — strings in N-Triples rendering, null for unbound — appended
-// to dst. The same array is the row's form inside the buffered shapes
-// (QueryResponse.Rows, BatchItem.Rows).
+// to dst. The same array is the row's form inside the buffered shape
+// (QueryResponse.Rows).
 type RowAppender interface {
 	AppendRow(dst []byte) []byte
 }

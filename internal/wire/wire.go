@@ -57,23 +57,6 @@ type QueryRequest struct {
 	Explain string `json:"explain,omitempty"`
 }
 
-// BatchRequest is the body of POST /v1/batch.
-type BatchRequest struct {
-	// Queries are executed concurrently, at most GOMAXPROCS at a time;
-	// results are positional.
-	Queries []string `json:"queries"`
-	// TimeoutMs bounds the whole batch.
-	TimeoutMs int64 `json:"timeoutMs,omitempty"`
-	// Limit truncates each result's rows.
-	Limit int `json:"limit,omitempty"`
-	// FailFast cancels the members still running or waiting on the first
-	// per-query error; the reply is still 200, each member in its slot.
-	FailFast bool `json:"failFast,omitempty"`
-	// Trace requests the batch's span tree in the response stats (see
-	// QueryRequest.Trace).
-	Trace bool `json:"trace,omitempty"`
-}
-
 // Triple is the wire form of one RDF triple. O and Lit are mutually
 // exclusive object encodings: O an IRI, Lit a literal value.
 type Triple struct {
@@ -170,23 +153,6 @@ type QueryResponse struct {
 	Epoch     uint64             `json:"epoch"`
 	Truncated bool               `json:"truncated,omitempty"`
 	Stats     *dualsim.ExecStats `json:"stats,omitempty"`
-}
-
-// BatchItem is one positional outcome of a batch response.
-type BatchItem struct {
-	// Error is set instead of the result fields when the query failed.
-	Error     string             `json:"error,omitempty"`
-	Vars      []string           `json:"vars,omitempty"`
-	Rows      [][]*string        `json:"rows,omitempty"`
-	Epoch     uint64             `json:"epoch"`
-	Truncated bool               `json:"truncated,omitempty"`
-	Stats     *dualsim.ExecStats `json:"stats,omitempty"`
-}
-
-// BatchResponse is the body of a POST /v1/batch reply.
-type BatchResponse struct {
-	Results []BatchItem        `json:"results"`
-	Stats   dualsim.BatchStats `json:"stats"`
 }
 
 // ApplyResponse is the body of a POST /v1/apply or /v1/compact reply.

@@ -423,25 +423,3 @@ func (s *ExecStats) PrunedRatio() float64 {
 	}
 	return 1 - float64(s.TriplesAfter)/float64(s.TriplesBefore)
 }
-
-// BatchStats aggregates the members of one /v1/batch request, each an
-// execution with its own ExecStats. JSON tags are part of the serving
-// wire format (see ExecStats).
-//
-//dualsim:wire
-type BatchStats struct {
-	// Requests is the number of members in the batch; Failed how many
-	// carried an error.
-	Requests int `json:"requests"`
-	Failed   int `json:"failed,omitempty"`
-	// CacheHits counts members served from the plan cache.
-	CacheHits int `json:"cacheHits"`
-	// Results is the total number of solution mappings across the batch.
-	Results int `json:"results"`
-	// Duration is the wall time of the whole batch.
-	Duration time.Duration `json:"duration"`
-	// Trace is the batch's span tree when tracing was enabled on the
-	// serving request: one batch.query child per member, each carrying
-	// its pipeline and operator spans. Nil by default.
-	Trace *trace.Span `json:"trace,omitempty"`
-}

@@ -58,21 +58,19 @@ func TestStatsJSONFieldNames(t *testing.T) {
 		"nextCalls", "time", "depth")
 
 	// The trace subtree rides inside the stats trailer under "trace" —
-	// on ExecStats, ApplyStats and BatchStats alike — and drops out
+	// on ExecStats and ApplyStats alike — and drops out
 	// entirely when the request was untraced.
 	tr := trace.New("query")
 	requireKeys("ExecStats(traced)", keysOf(dualsim.ExecStats{Trace: tr.Root()}), "trace")
 	requireKeys("ApplyStats(traced)", keysOf(dualsim.ApplyStats{Trace: tr.Root()}), "trace")
-	requireKeys("BatchStats(traced)", keysOf(dualsim.BatchStats{Trace: tr.Root()}), "trace")
 	requireKeys("trace.Span", keysOf(trace.Span{TraceID: "x", Name: "query", Duration: time.Millisecond,
 		Attrs: map[string]string{"k": "v"}, Counters: map[string]int64{"rows": 1},
 		Children: []*trace.Span{{Name: "c"}}}),
 		"traceID", "name", "duration", "attrs", "counters", "children")
-	for _, name := range []string{"ExecStats", "ApplyStats", "BatchStats"} {
+	for _, name := range []string{"ExecStats", "ApplyStats"} {
 		keys := map[string]map[string]bool{
 			"ExecStats":  keysOf(dualsim.ExecStats{}),
 			"ApplyStats": keysOf(dualsim.ApplyStats{}),
-			"BatchStats": keysOf(dualsim.BatchStats{}),
 		}[name]
 		if keys["trace"] {
 			t.Errorf("%s: untraced stats serialize a trace key", name)
@@ -145,9 +143,6 @@ func TestStatsJSONFieldNames(t *testing.T) {
 
 	requireKeys("PlanCacheStats", keysOf(dualsim.PlanCacheStats{Capacity: 4, Hits: 1, Misses: 1}),
 		"capacity", "size", "hits", "misses")
-
-	requireKeys("BatchStats", keysOf(dualsim.BatchStats{Requests: 2, CacheHits: 1, Results: 3, Duration: time.Second}),
-		"requests", "cacheHits", "results", "duration")
 
 	requireKeys("ApplyStats", keysOf(dualsim.ApplyStats{Epoch: 1, Added: 2, Deleted: 1, Duration: time.Second}),
 		"epoch", "added", "deleted", "overlaySize", "duration")
