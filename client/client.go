@@ -105,6 +105,40 @@ type Client struct {
 	hc      *http.Client
 	retries int
 	backoff time.Duration // base retry backoff without a Retry-After hint, doubled per attempt with jitter
+	tables  chan *wire.TermTable
+}
+
+// A client keeps up to idleTables term tables of closed streams for its
+// next ones, each holding at most maxIdleBytes (the values themselves
+// are never reused), so one large answer does not stay resident. Two
+// idle tables serve two streams read at once, as a router reads two
+// branches from one shard, without the tables of a burst of concurrent
+// streams staying behind.
+const (
+	idleTables   = 2
+	maxIdleBytes = 256 << 10
+)
+
+// getTable returns an idle term table, or a new one.
+func (c *Client) getTable() *wire.TermTable {
+	select {
+	case t := <-c.tables:
+		return t
+	default:
+		return new(wire.TermTable)
+	}
+}
+
+// putTable keeps t for a later stream, if it is small and a slot is free.
+func (c *Client) putTable(t *wire.TermTable) {
+	if t.Size() > maxIdleBytes {
+		return
+	}
+	t.Reset()
+	select {
+	case c.tables <- t:
+	default:
+	}
 }
 
 // New returns a client for the server at baseURL, an absolute http or
@@ -118,6 +152,7 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		hc:      http.DefaultClient,
 		retries: 2,
 		backoff: 100 * time.Millisecond,
+		tables:  make(chan *wire.TermTable, idleTables),
 	}
 	for _, opt := range opts {
 		if err := opt(c); err != nil {
@@ -467,9 +502,11 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // Streaming
 
 // Row is one streamed solution mapping: decoded bindings positional
-// over Stream.Vars, nil for unbound variables. Rows are read-only and
-// carved from per-stream chunks (up to 64 KB) that are never recycled:
-// a Row stays valid after later calls to Next and keeps its chunk alive.
+// over Stream.Vars, nil for unbound variables. Rows are read-only: the
+// rows of one stream share one *string per term (each term is decoded
+// once), and rows and strings are carved from chunks (up to 64 KB) that
+// are never recycled, so a Row stays valid after later calls to Next
+// and after Close, and keeps its chunk alive.
 type Row []*string
 
 // Stream is an in-flight NDJSON query response. Iterate with Next until
@@ -483,11 +520,14 @@ type Stream struct {
 	stats  *dualsim.ExecStats
 	rows   int
 	trunc  bool
-	reader wire.RowReader
+	table  *wire.TermTable // the stream's terms; back to the client on Close
 	cells  [][]byte
+	text   []byte // the current row's cells, back to back
 	cur    Row
 	err    error
 	closed bool
+
+	client *Client
 
 	// ctx is the QueryStream context. The request carries it, so when it
 	// ends net/http aborts a body read blocked on a stalled server, and
@@ -505,26 +545,38 @@ func (s *Stream) Epoch() uint64 { return s.epoch }
 // Next advances to the next row and decodes it (Row). It returns false
 // at the end of the stream or on error — check Err.
 func (s *Stream) Next() bool {
-	if !s.NextCells() {
+	if !s.advance(true) {
 		return false
 	}
-	s.cur = s.reader.Decode(s.cells)
+	s.cur = s.table.Row()
 	return true
 }
 
-// NextCells advances like Next without decoding the row (Row is not
-// updated), for a consumer that forwards rows unread: see Cells.
-func (s *Stream) NextCells() bool {
+// NextCells advances like Next without decoding (Row is not updated),
+// for a consumer that forwards rows: see Cells, and Refs and Term. The
+// terms it reads are kept as cells, not decoded.
+func (s *Stream) NextCells() bool { return s.advance(false) }
+
+// advance reads up to the next row line, adding the terms on the way to
+// the table as values or as cells.
+func (s *Stream) advance(values bool) bool {
 	if s.err != nil || s.closed || s.stats != nil {
 		return false
 	}
 	for s.sc.Scan() {
-		// Row lines go through the wire codec; what it declines — the
-		// trailer, an error event, a row some other server spelled
-		// differently — is one reflected decode.
+		// Term and row lines go through the wire codec; the rest — the
+		// trailer, an error event — is one reflected decode.
 		line := s.sc.Bytes()
-		if epoch, cells, ok := s.reader.Split(line); ok {
-			return s.row(epoch, cells)
+		kind, err := s.table.Read(line, len(s.vars), values)
+		if err != nil {
+			s.err = fmt.Errorf("client: bad stream line: %w", err)
+			return false
+		}
+		switch kind {
+		case wire.LineTerm:
+			continue
+		case wire.LineRow:
+			return true
 		}
 		var ev wire.Event
 		if err := json.Unmarshal(line, &ev); err != nil {
@@ -532,10 +584,6 @@ func (s *Stream) NextCells() bool {
 			return false
 		}
 		switch ev.Kind {
-		case wire.EventRow: // respelled in the canonical shape
-			values, _ := json.Marshal(append([]*string{}, ev.Values...))
-			epoch, cells, _ := s.reader.Split(fmt.Appendf(nil, `{"kind":"row","epoch":%d,"values":%s}`, ev.Epoch, values))
-			return s.row(epoch, cells)
 		case wire.EventStats:
 			s.stats = ev.Stats
 			s.rows = ev.Rows
@@ -569,21 +617,41 @@ func (s *Stream) NextCells() bool {
 	return false
 }
 
-// row makes one split row current, unless it gives away a torn stream:
-// every event carries the header's epoch.
-func (s *Stream) row(epoch uint64, cells [][]byte) bool {
-	if epoch != s.epoch {
-		s.err = fmt.Errorf("client: epoch tear: header %d, row %d", s.epoch, epoch)
-		return false
-	}
-	s.cells = cells
-	return true
-}
-
 // Cells returns the current row as its values' JSON texts, each spelled
 // as the server's row codec spells it, so equal values have equal
 // cells. They are valid until the next advance.
-func (s *Stream) Cells() [][]byte { return s.cells }
+func (s *Stream) Cells() [][]byte {
+	if s.table == nil {
+		return nil
+	}
+	s.cells, s.text = s.cells[:0], s.text[:0]
+	for _, k := range s.table.Refs() {
+		if k < 0 {
+			s.cells = append(s.cells, null)
+			continue
+		}
+		from := len(s.text)
+		s.text = append(s.text, s.table.Cell(k)...)
+		s.cells = append(s.cells, s.text[from:len(s.text):len(s.text)])
+	}
+	return s.cells
+}
+
+var null = []byte("null")
+
+// Refs returns the current row as numbers into the stream's term table,
+// -1 for unbound, valid until the next advance: a consumer that keeps
+// rows undecoded keeps each term once (Terms, Term) and the numbers. A
+// value the server defined twice has two numbers. Refs, Terms and Term
+// may not be called after Close.
+func (s *Stream) Refs() []int32 { return s.table.Refs() }
+
+// Terms returns how many terms the stream has defined so far.
+func (s *Stream) Terms() int { return s.table.Len() }
+
+// Term returns term k's cell, spelled as Cells spells it. The string
+// stays valid after Close.
+func (s *Stream) Term(k int32) string { return s.table.Cell(k) }
 
 // drain reads the body to EOF once the last event is in. Nothing but
 // the chunked terminator should follow it, but until that is read the
@@ -626,6 +694,8 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.client.putTable(s.table)
+	s.table, s.cells, s.text = nil, nil, nil
 	return s.body.Close()
 }
 
@@ -647,7 +717,7 @@ func (c *Client) QueryStream(ctx context.Context, src string, opts ...QueryOpt) 
 	// Most answers are a handful of short lines; the buffer grows on
 	// demand up to the cap, which bounds one row.
 	sc.Buffer(make([]byte, 4<<10), 16<<20)
-	st := &Stream{body: resp.Body, sc: sc, ctx: ctx}
+	st := &Stream{body: resp.Body, sc: sc, ctx: ctx, client: c}
 	fail := func(err error) (*Stream, error) {
 		resp.Body.Close()
 		return nil, err
@@ -668,6 +738,7 @@ func (c *Client) QueryStream(ctx context.Context, src string, opts ...QueryOpt) 
 		return fail(fmt.Errorf("client: stream did not start with a header (%v)", err))
 	}
 	st.vars, st.epoch = header.Vars, header.Epoch
+	st.table = c.getTable()
 	return st, nil
 }
 

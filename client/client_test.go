@@ -401,7 +401,7 @@ func TestQueryStreamCtxCancelMidStream(t *testing.T) {
 	}{
 		{"before header", "", 0},
 		{"between rows", `{"kind":"header","vars":["x"],"epoch":0}` + "\n" +
-			`{"kind":"row","values":["<a>"],"epoch":0}` + "\n", 1},
+			`"<a>"` + "\n[0]\n", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stalled, unblock := make(chan struct{}), make(chan struct{})

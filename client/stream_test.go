@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -102,7 +103,7 @@ func TestStreamEarlyCloseAborts(t *testing.T) {
 		w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 		io.WriteString(w, `{"kind":"header","vars":["x"],"epoch":0}`+"\n")
 		for r.Context().Err() == nil {
-			io.WriteString(w, `{"kind":"row","epoch":0,"values":["<a>"]}`+"\n")
+			io.WriteString(w, `"<a>"`+"\n[0]\n")
 			w.(http.Flusher).Flush()
 		}
 		close(aborted)
@@ -127,19 +128,24 @@ func TestStreamEarlyCloseAborts(t *testing.T) {
 	}
 }
 
-// recordedStream is what a server before the row codec wrote —
-// encoding/json over a reflected Event, so '<', '>' and '&' arrive as
-// \u003c, \u003e and \u0026 — plus a row whose keys come in another
-// order.
+// recordedStream is a stream as an encoding/json writer spells it: the
+// term lines are reflected strings, so '<', '>' and '&' arrive as
+// \u003c, \u003e and \u0026, and other escapes differ from the codec's.
 const recordedStream = `{"kind":"header","vars":["s","o","x"],"epoch":4}
-{"kind":"row","epoch":4,"values":["\u003chttp://example.org/s?a=1\u0026b=2\u003e","\"say \\\"hi\\\"\\n\"",null]}
-{"kind":"row","epoch":4,"values":["\u003cs2\u003e","\"\u00fc \ud83d\ude00 \u2028\"","\u003cx\u003e"]}
-{"values":["\u003cs3\u003e",null,null],"epoch":4,"kind":"row"}
+"\u003chttp://example.org/s?a=1\u0026b=2\u003e"
+"\"say \\\"hi\\\"\\n\""
+[0,1,null]
+"\u003cs2\u003e"
+"\"\u00fc \ud83d\ude00 \u2028\""
+"\u003cx\u003e"
+[2,3,4]
+"\u003cs3\u003e"
+[5,null,null]
 {"kind":"stats","epoch":4,"stats":{"epoch":4},"rows":3}
 `
 
 // TestStreamReadsEncodingJSONServer replays recordedStream, and a
-// zero-width row with no "values" at all, as encoding/json wrote it.
+// zero-width row, as encoding/json wrote them.
 func TestStreamReadsEncodingJSONServer(t *testing.T) {
 	st, err := serveBody(t, []byte(recordedStream)).QueryStream(context.Background(), queryX1)
 	if err != nil {
@@ -166,7 +172,7 @@ func TestStreamReadsEncodingJSONServer(t *testing.T) {
 		}
 	}
 
-	zero := `{"kind":"header","epoch":0}` + "\n" + `{"kind":"row","epoch":0}` + "\n" + `{"kind":"stats","epoch":0,"rows":1}` + "\n"
+	zero := `{"kind":"header","epoch":0}` + "\n[]\n" + `{"kind":"stats","epoch":0,"rows":1}` + "\n"
 	if st, err = serveBody(t, []byte(zero)).QueryStream(context.Background(), queryX1); err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +183,8 @@ func TestStreamReadsEncodingJSONServer(t *testing.T) {
 
 // TestStreamNextCells: the cells-only advance reads the same recorded
 // encoding/json stream as Next, through the same trailer handling, and
-// hands every value over in its canonical spelling — whatever escapes
-// the line used and whatever order its keys came in.
+// hands every value over in its canonical spelling, whatever escapes
+// its term line used.
 func TestStreamNextCells(t *testing.T) {
 	st, err := serveBody(t, []byte(recordedStream)).QueryStream(context.Background(), queryX1)
 	if err != nil {
@@ -205,18 +211,77 @@ func TestStreamNextCells(t *testing.T) {
 	}
 }
 
-// rowsBody is a well-formed stream of n rows with the given values,
-// each line built from the values' cells.
-func rowsBody(n int, values ...string) []byte {
-	cells := make([][]byte, len(values))
-	for i, v := range values {
-		cells[i] = wire.AppendCell(nil, v)
+// TestStreamTermDefinedTwice: a server whose memo forgot a value
+// defines it again under a new number; rows naming either number read
+// the same value and the same cell.
+func TestStreamTermDefinedTwice(t *testing.T) {
+	body := `{"kind":"header","vars":["a","b"],"epoch":0}
+"<a>"
+"\u003ca\u003e"
+[0,1]
+[1,0]
+{"kind":"stats","epoch":0,"rows":2}
+`
+	st, err := serveBody(t, []byte(body)).QueryStream(context.Background(), queryX1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	line := append([]byte(`{"kind":"row","epoch":0,"values":[`), bytes.Join(cells, []byte{','})...)
-	line = append(line, "]}\n"...)
+	defer st.Close()
+	n := 0
+	for ; st.Next(); n++ {
+		row, cells := st.Row(), st.Cells()
+		if *row[0] != "<a>" || *row[1] != "<a>" || !bytes.Equal(cells[0], cells[1]) || string(cells[0]) != `"<a>"` {
+			t.Fatalf("row %d = %q %q, cells %q", n, *row[0], *row[1], cells)
+		}
+	}
+	if err := st.Err(); err != nil || n != 2 {
+		t.Fatalf("%d rows: %v", n, err)
+	}
+}
+
+// TestStreamUndefinedTerm: a row naming a term the stream has not
+// defined is an error that says so, not a panic or a made-up value.
+func TestStreamUndefinedTerm(t *testing.T) {
+	body := `{"kind":"header","vars":["a"],"epoch":0}
+"<a>"
+[0]
+[1]
+"<b>"
+{"kind":"stats","epoch":0,"rows":2}
+`
+	st, err := serveBody(t, []byte(body)).QueryStream(context.Background(), queryX1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	n := 0
+	for st.Next() {
+		n++
+	}
+	if err := st.Err(); n != 1 || err == nil || !strings.Contains(err.Error(), "names term 1, but the stream has defined 1") {
+		t.Fatalf("%d rows, err %v; want 1 row, then the undefined term named", n, err)
+	}
+}
+
+// rowsBody is a well-formed stream of n rows of three values: row i
+// binds value(i, j) in column j, each value defined as a term line
+// before its first row.
+func rowsBody(n int, value func(i, j int) string) []byte {
 	body := []byte(`{"kind":"header","vars":["a","b","c"],"epoch":0}` + "\n")
+	terms := map[string]int{}
 	for i := 0; i < n; i++ {
-		body = append(body, line...)
+		refs := make([]string, 3)
+		for j := range refs {
+			v := value(i, j)
+			k, ok := terms[v]
+			if !ok {
+				k = len(terms)
+				terms[v] = k
+				body = append(wire.AppendCell(body, v), '\n')
+			}
+			refs[j] = strconv.Itoa(k)
+		}
+		body = append(body, "["+strings.Join(refs, ",")+"]\n"...)
 	}
 	return append(body, fmt.Sprintf(`{"kind":"stats","epoch":0,"rows":%d}`+"\n", n)...)
 }
@@ -225,7 +290,7 @@ func rowsBody(n int, values ...string) []byte {
 // take a row far beyond it.
 func TestStreamLargeRow(t *testing.T) {
 	big := "<" + strings.Repeat("x", 1<<20) + ">"
-	st, err := serveBody(t, rowsBody(1, "<a>", big, `"l"`)).QueryStream(context.Background(), queryX1)
+	st, err := serveBody(t, rowsBody(1, func(_, j int) string { return []string{"<a>", big, `"l"`}[j] })).QueryStream(context.Background(), queryX1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,29 +299,47 @@ func TestStreamLargeRow(t *testing.T) {
 	}
 }
 
-// TestStreamDecodeAllocsPerRow guards the client's row path: rows are
-// carved from per-stream chunks, so a row costs a share of a chunk, not
-// allocations of its own and not a reflected event.
+// TestStreamDecodeAllocsPerRow guards the client's row path: rows and
+// terms are carved from per-stream chunks and the term table is pooled,
+// so a row costs a share of a chunk, not allocations of its own and not
+// a reflected event — whether most of its terms are new (a distinct
+// subject and label per row) or all of them repeat.
 func TestStreamDecodeAllocsPerRow(t *testing.T) {
 	const rows = 10_000
-	c := serveBody(t, rowsBody(rows, "<http://example.org/subject/1234>", "<http://example.org/object/56>", `"label 1234"`))
-	ctx := context.Background()
-	perRun := testing.AllocsPerRun(5, func() {
-		st, err := c.QueryStream(ctx, queryX1)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		value func(i, j int) string
+	}{
+		{"new terms", func(i, j int) string {
+			return []string{
+				fmt.Sprintf("<http://example.org/subject/%d>", i),
+				fmt.Sprintf("<http://example.org/object/%d>", i%97),
+				fmt.Sprintf(`"label %d"`, i),
+			}[j]
+		}},
+		{"repeated terms", func(_, j int) string {
+			return []string{"<http://example.org/subject/1234>", "<http://example.org/object/56>", `"label 1234"`}[j]
+		}},
+	} {
+		c := serveBody(t, rowsBody(rows, tc.value))
+		ctx := context.Background()
+		perRun := testing.AllocsPerRun(5, func() {
+			st, err := c.QueryStream(ctx, queryX1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for st.Next() {
+				n++
+			}
+			if st.Err() != nil || n != rows {
+				t.Fatalf("%d rows, %v", n, st.Err())
+			}
+			st.Close()
+		})
+		t.Logf("%s: %.0f allocations per %d-row stream", tc.name, perRun, rows)
+		if perRow := perRun / rows; perRow > 0.1 {
+			t.Errorf("%s: decoding costs %.2f allocations per row, want <= 0.1", tc.name, perRow)
 		}
-		n := 0
-		for st.Next() {
-			n++
-		}
-		if st.Err() != nil || n != rows {
-			t.Fatalf("%d rows, %v", n, st.Err())
-		}
-		st.Close()
-	})
-	t.Logf("%.0f allocations per %d-row stream", perRun, rows)
-	if perRow := perRun / rows; perRow > 0.1 {
-		t.Errorf("decoding costs %.2f allocations per row, want <= 0.1", perRow)
 	}
 }

@@ -67,13 +67,10 @@
 package router
 
 import (
-	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"math"
 	"net/http"
 	"slices"
 	"sort"
@@ -415,32 +412,15 @@ func branchPreds(e sparql.Expr) (preds []string, hasVarPred bool) {
 	return preds, false
 }
 
-// branchResult is one branch's answer in wire form, canonical cells in
-// text, never decoded: row r is cells[r*len(vars):(r+1)*len(vars)].
+// branchResult is one branch's answer in wire form, never decoded: a
+// term table of canonical cells and the rows as term numbers; row r's
+// cell j is terms[refs[r*len(vars)+j]], unbound if the number is -1.
 type branchResult struct {
 	vars  []string
-	text  []byte // the cells, back to back
-	cells []span
+	terms []string
+	refs  []int32
 	rows  int
 	epoch uint64
-}
-
-// span is one cell in its branch's text, empty if unbound (execQuery bounds the text).
-type span struct{ lo, hi int32 }
-
-// addRow appends one row of cells as a shard's stream split them.
-//
-//dualsim:hotpath
-func (b *branchResult) addRow(cells [][]byte) {
-	b.cells = reserve(b.cells, len(cells))
-	for _, c := range cells {
-		lo := int32(len(b.text))
-		if c[0] == '"' { // null stays an empty span
-			b.text = append(reserve(b.text, len(c)), c...)
-		}
-		b.cells = append(b.cells, span{lo, int32(len(b.text))})
-	}
-	b.rows++
 }
 
 // reserve makes room for n more elements by doubling s: append alone
@@ -495,11 +475,6 @@ func (r *Router) execQuery(ctx context.Context, src string) (*answer, error) {
 	wg.Wait()
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
-	}
-	for i, br := range results {
-		if len(br.text) > math.MaxInt32 {
-			return nil, server.Errorf(http.StatusBadGateway, "branch %d: the answer holds more than 2 GiB of values", i)
-		}
 	}
 	a := merge(results, mayMeet(branches))
 	a.window(q.Limit, q.Offset)
@@ -622,7 +597,7 @@ func shardFailure(si int, err error) error {
 }
 
 // pushDown sends the branch verbatim to the single shard owning all its
-// predicates and copies the cells of the shard's row stream, undecoded.
+// predicates and keeps the shard's row stream as it came, undecoded.
 func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResult, error) {
 	// A traced fan-out propagates its identity on the wire: the shard
 	// Continues the trace under the same ID and ships its pipeline +
@@ -639,12 +614,15 @@ func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResul
 			return nil, err
 		}
 		defer st.Close()
+		// The shard's term table is the branch's: each term's cell is
+		// kept once, and a row is its term numbers.
 		out := &branchResult{vars: st.Vars(), epoch: st.Epoch()}
 		for st.NextCells() {
-			if len(st.Cells()) != len(out.vars) {
-				return nil, fmt.Errorf("a row of %d values under %d variables", len(st.Cells()), len(out.vars))
+			for k := len(out.terms); k < st.Terms(); k++ {
+				out.terms = append(out.terms, st.Term(int32(k)))
 			}
-			out.addRow(st.Cells())
+			out.refs = append(reserve(out.refs, len(out.vars)), st.Refs()...)
+			out.rows++
 		}
 		if err := st.Err(); err != nil {
 			return nil, err
@@ -866,8 +844,9 @@ func (r *Router) export(ctx context.Context, key gatherKey, held [][]heldPart) (
 }
 
 // evalLocal runs a branch on a gather's session (or the router's empty
-// one) and renders its rows; each distinct node is rendered to its cell
-// once, and its rows share it.
+// one) and renders its rows into a term table. A node is looked up in a
+// bounded memo, so it is rendered once while it stays there, and again,
+// as a new term, after another node evicted it.
 func evalLocal(ctx context.Context, db *dualsim.DB, src string, epoch uint64) (*branchResult, error) {
 	snap := db.Snapshot()
 	res, _, err := snap.Query(ctx, src)
@@ -875,20 +854,31 @@ func evalLocal(ctx context.Context, db *dualsim.DB, src string, epoch uint64) (*
 		return nil, err
 	}
 	st := snap.Store()
-	out := &branchResult{vars: append([]string{}, res.Vars...), cells: make([]span, 0, res.Len()*len(res.Vars)), rows: res.Len(), epoch: epoch}
-	names := make([]span, st.NumNodes()) // a cell is never empty: the zero span is "not rendered yet"
+	out := &branchResult{vars: append([]string{}, res.Vars...), refs: make([]int32, 0, res.Len()*len(res.Vars)), rows: res.Len(), epoch: epoch}
+	var memo wire.Memo[int32]
+	memo.Reset()
+	var text strings.Builder // the current chunk of cells, never written twice
+	var cell []byte
 	for _, row := range res.Rows {
 		for _, v := range row {
-			var c span
+			k := int32(-1)
 			if v != dualsim.Unbound {
-				if names[v].hi == 0 {
-					lo, t := int32(len(out.text)), st.Term(v)
-					out.text = wire.AppendTerm(reserve(out.text, len(t.Value)+6), t)
-					names[v] = span{lo, int32(len(out.text))}
+				num, ok := memo.Get(wire.Key(v))
+				if !ok {
+					cell = wire.AppendTerm(cell[:0], st.Term(v))
+					if text.Cap()-text.Len() < len(cell) {
+						n := max(len(cell), min(2*text.Cap(), 64<<10))
+						text = strings.Builder{}
+						text.Grow(n)
+					}
+					from := text.Len()
+					text.Write(cell)
+					*num = int32(len(out.terms))
+					out.terms = append(out.terms, text.String()[from:])
 				}
-				c = names[v]
+				k = *num
 			}
-			out.cells = append(out.cells, c)
+			out.refs = append(out.refs, k)
 		}
 	}
 	return out, nil
@@ -941,7 +931,7 @@ func merge(results []*branchResult, meets []bool) *answer {
 			if meets[b] {
 				h.Reset()
 				for j := range a.vars {
-					h.Write(a.cell(ref, j))
+					h.WriteString(a.cell(ref, j))
 					h.WriteByte(0xff) // in no cell: keeps ("ab","c") and ("a","bc") apart
 				}
 				sum := h.Sum64()
@@ -959,55 +949,91 @@ func merge(results []*branchResult, meets []bool) *answer {
 	return a
 }
 
-// cell returns merged column j of row ref, empty when unbound.
-func (a *answer) cell(ref rowRef, j int) []byte {
+// term returns the term number of merged column j of row ref in its
+// branch, -1 when unbound.
+func (a *answer) term(ref rowRef, j int) int32 {
 	br, c := a.branches[ref.b], a.cols[ref.b][j]
 	if c < 0 {
-		return nil
+		return -1
 	}
-	sp := br.cells[int(ref.r)*len(br.vars)+c]
-	return br.text[sp.lo:sp.hi]
+	return br.refs[int(ref.r)*len(br.vars)+c]
+}
+
+// cell returns merged column j of row ref, empty when unbound.
+func (a *answer) cell(ref rowRef, j int) string {
+	if k := a.term(ref, j); k >= 0 {
+		return a.branches[ref.b].terms[k]
+	}
+	return ""
 }
 
 // sameRow compares two rows of the merged schema cell by cell.
 func (a *answer) sameRow(x, y rowRef) bool {
 	for j := range a.vars {
-		if !bytes.Equal(a.cell(x, j), a.cell(y, j)) {
+		if a.cell(x, j) != a.cell(y, j) {
 			return false
 		}
 	}
 	return true
 }
 
-// appendRow renders row i as the JSON array of its cells.
+// appendKeys appends the keys of row i: a cell's key is its branch and
+// its term number there, so the response defines each branch's term
+// once.
 //
 //dualsim:hotpath
-func (a *answer) appendRow(dst []byte, i int) []byte {
-	dst = append(dst, '[')
+func (a *answer) appendKeys(dst []wire.Key, i int) []wire.Key {
+	ref := a.rows[i]
 	for j := range a.vars {
-		if j > 0 {
-			dst = append(dst, ',')
+		k := wire.NoKey
+		if t := a.term(ref, j); t >= 0 {
+			k = wire.Key(ref.b)<<32 | wire.Key(t)
 		}
-		if c := a.cell(a.rows[i], j); len(c) > 0 {
-			dst = append(dst, c...)
-		} else {
-			dst = append(dst, "null"...)
-		}
+		dst = append(dst, k)
 	}
-	return append(dst, ']')
+	return dst
+}
+
+// AppendCell renders a key of appendKeys by copying its cell.
+//
+//dualsim:hotpath
+func (a *answer) AppendCell(dst []byte, k wire.Key) []byte {
+	return append(dst, a.branches[k>>32].terms[uint32(k)]...)
 }
 
 // window slices the answer to the query's LIMIT/OFFSET over a canonical
 // order (unbound first, then decoded text), so a repeated query does not
-// flap across routings.
+// flap across routings. Each term is decoded at most once.
 func (a *answer) window(limit, offset int) {
 	if limit == 0 && offset == 0 {
 		return
 	}
-	var r wire.RowReader // one for the sort: its chunks amortize the decoding
+	values := make([][]*string, len(a.branches))
+	value := func(ref rowRef, j int) *string {
+		k := a.term(ref, j)
+		if k < 0 {
+			return nil
+		}
+		br := a.branches[ref.b]
+		if values[ref.b] == nil {
+			values[ref.b] = make([]*string, len(br.terms))
+		}
+		if values[ref.b][k] == nil {
+			v := wire.Value(br.terms[k])
+			values[ref.b][k] = &v
+		}
+		return values[ref.b][k]
+	}
 	sort.Slice(a.rows, func(i, j int) bool {
 		for k := range a.vars {
-			if c := compareCells(&r, a.cell(a.rows[i], k), a.cell(a.rows[j], k)); c != 0 {
+			x, y := value(a.rows[i], k), value(a.rows[j], k)
+			switch {
+			case x == nil && y == nil:
+				continue
+			case x == nil || y == nil:
+				return x == nil
+			}
+			if c := strings.Compare(*x, *y); c != 0 {
 				return c < 0
 			}
 		}
@@ -1018,19 +1044,6 @@ func (a *answer) window(limit, offset int) {
 		hi = min(hi, lo+limit)
 	}
 	a.rows = a.rows[lo:hi]
-}
-
-// compareCells orders cells by decoded text, unbound first; a cell
-// without a backslash holds its text verbatim between its quotes.
-func compareCells(r *wire.RowReader, x, y []byte) int {
-	switch {
-	case len(x) == 0 || len(y) == 0:
-		return cmp.Compare(len(x), len(y))
-	case bytes.IndexByte(x, '\\') < 0 && bytes.IndexByte(y, '\\') < 0:
-		return bytes.Compare(x[1:len(x)-1], y[1:len(y)-1])
-	}
-	v := r.Decode([][]byte{x, y})
-	return strings.Compare(*v[0], *v[1])
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,7 +1064,7 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 		Epoch: res.epoch, Duration: time.Since(start), Results: len(res.rows),
 		Fingerprint: qstats.OfSource(src).ID,
 	}
-	return server.Materialized(res.vars, len(res.rows), res.appendRow, stats), nil
+	return server.Materialized(res.vars, len(res.rows), res.appendKeys, res, stats), nil
 }
 
 // Explain forwards to the owning shard when the whole query pushes down

@@ -803,7 +803,7 @@ func TestRouterRelaysInBandFailure(t *testing.T) {
 		seen.Add(1)
 		w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
 		io.WriteString(w, `{"kind":"header","vars":["s","o"],"epoch":3}`+"\n"+
-			`{"kind":"row","epoch":3,"values":["<a>","<b>"]}`+"\n"+
+			`"<a>"`+"\n"+`"<b>"`+"\n"+"[0,1]\n"+
 			`{"kind":"error","epoch":3,"error":"query exceeded its memory budget"}`+"\n")
 	}))
 	defer shard.Close()

@@ -39,45 +39,57 @@ type Backend interface {
 	Ready() error
 }
 
-// Cursor is one execution's rows, rendered in wire form, pulled one at
-// a time. The contract follows dualsim.Rows: Next until false, then Err;
-// Close is idempotent and finalizes Stats. The current row is valid
-// until the next Next — render it with AppendRow before moving on.
+// Cursor is one execution's rows, pulled one at a time, each cell named
+// by a key: equal keys of one cursor name equal cells, so a response
+// renders a key's cell once and then refers to it. The contract follows
+// dualsim.Rows: Next until false, then Err; Close is idempotent and
+// finalizes Stats. The current row is valid until the next Next.
 type Cursor interface {
 	Vars() []string
 	// Epoch is the store epoch every row of the cursor answers from.
 	Epoch() uint64
 	Next() bool
-	// AppendRow appends the current row to dst as the JSON array of its
-	// values, positional over Vars, null for unbound positions: the one
-	// rendering all three response shapes carry.
-	wire.RowAppender
+	// Keys returns the current row's keys, positional over Vars,
+	// wire.NoKey for unbound positions, valid until the next Next.
+	Keys() []wire.Key
+	// AppendCell appends the cell a key of this cursor names: the JSON
+	// string of its value's N-Triples rendering, as wire.AppendTerm
+	// writes it. Every response shape renders its values through it.
+	wire.CellAppender
 	Err() error
 	Close()
 	Stats() *dualsim.ExecStats
 }
 
-// Materialized returns a cursor over n already computed rows;
-// appendRow(dst, i) renders the i-th as Cursor.AppendRow does, so rows
-// past a request's limit are never rendered.
-func Materialized(vars []string, n int, appendRow func(dst []byte, i int) []byte, stats *dualsim.ExecStats) Cursor {
-	return &materialized{vars: vars, n: n, appendRow: appendRow, stats: stats}
+// Materialized returns a cursor over n already computed rows:
+// keys(dst, i) appends the keys of the i-th to dst, and cells renders
+// them, so rows past a request's limit are never rendered.
+func Materialized(vars []string, n int, keys func(dst []wire.Key, i int) []wire.Key, cells wire.CellAppender, stats *dualsim.ExecStats) Cursor {
+	return &materialized{vars: vars, n: n, keys: keys, CellAppender: cells, stats: stats}
 }
 
 type materialized struct {
-	vars      []string
-	n, i      int
-	appendRow func(dst []byte, i int) []byte
-	stats     *dualsim.ExecStats
+	wire.CellAppender
+	vars  []string
+	n, i  int
+	keys  func(dst []wire.Key, i int) []wire.Key
+	row   []wire.Key
+	stats *dualsim.ExecStats
 }
 
-func (m *materialized) Vars() []string              { return m.vars }
-func (m *materialized) Epoch() uint64               { return m.stats.Epoch }
-func (m *materialized) Next() bool                  { m.i++; return m.i <= m.n }
-func (m *materialized) AppendRow(dst []byte) []byte { return m.appendRow(dst, m.i-1) }
-func (m *materialized) Err() error                  { return nil }
-func (m *materialized) Close()                      {}
-func (m *materialized) Stats() *dualsim.ExecStats   { return m.stats }
+func (m *materialized) Vars() []string { return m.vars }
+func (m *materialized) Epoch() uint64  { return m.stats.Epoch }
+func (m *materialized) Next() bool {
+	if m.i++; m.i > m.n {
+		return false
+	}
+	m.row = m.keys(m.row[:0], m.i-1)
+	return true
+}
+func (m *materialized) Keys() []wire.Key          { return m.row }
+func (m *materialized) Err() error                { return nil }
+func (m *materialized) Close()                    {}
+func (m *materialized) Stats() *dualsim.ExecStats { return m.stats }
 
 // Error is a backend failure that names its own HTTP status — a shard's
 // relayed verdict, an unroutable request, a dead shard.

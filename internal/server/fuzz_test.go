@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -215,4 +216,112 @@ func FuzzWALExportParams(f *testing.F) {
 			t.Fatalf("/healthz after %q: status %d", raw, resp.StatusCode)
 		}
 	})
+}
+
+// FuzzQueryFlags sends one query to POST /v1/query under arbitrary URL
+// flags (stream, explain, trace and whatever else a client puts there)
+// and Accept headers. Nothing may panic; every status is one the
+// endpoint documents; a streamed 200 is header, term and row lines that
+// a TermTable reads, and it ends in a stats or error event; a buffered
+// 200 decodes as a QueryResponse (an ExplainResponse when explain is
+// set) and every 400 as an ErrorResponse.
+func FuzzQueryFlags(f *testing.F) {
+	_, hs, _ := newTestServer(f)
+	for _, seed := range []struct{ raw, accept string }{
+		{"stream=1", ""},
+		{"", wire.ContentTypeNDJSON},
+		{"stream=true&trace=1", "application/json"},
+		{"explain=plan", ""},
+		{"explain=analyze&stream=1", wire.ContentTypeNDJSON},
+		{"explain=1&trace=true", ""},
+		{"explain=nosuch", ""},
+		{"stream=0&stream=1&trace=%31", "text/html, application/x-ndjson;q=0.5"},
+		{"trace=1&explain=", "*/*"},
+		{"stream=%ZZ", ""},
+	} {
+		f.Add(seed.raw, seed.accept)
+	}
+	body := `{"query":"SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }"}`
+	f.Fuzz(func(t *testing.T, raw, accept string) {
+		// Only a valid request target and header value reach the
+		// handler; the bytes they cannot carry are net/http's to refuse.
+		if strings.ContainsFunc(raw, func(r rune) bool { return r <= ' ' || r >= 0x7f || r == '#' }) ||
+			strings.ContainsFunc(accept, func(r rune) bool { return r < ' ' || r >= 0x7f }) {
+			return
+		}
+		req, err := http.NewRequest("POST", hs.URL+"/v1/query?"+raw, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("?%s, Accept %q: %v", raw, accept, err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("?%s, Accept %q: reading the body: %v", raw, accept, err)
+		}
+		switch resp.StatusCode {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests,
+			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			var e wire.ErrorResponse
+			if json.Unmarshal(data, &e) != nil || e.Error == "" {
+				t.Fatalf("?%s, Accept %q: %d body %q is no ErrorResponse", raw, accept, resp.StatusCode, data)
+			}
+			return
+		default:
+			t.Fatalf("?%s, Accept %q: status %d", raw, accept, resp.StatusCode)
+		}
+		if resp.Header.Get("Content-Type") == wire.ContentTypeNDJSON {
+			checkStreamed(t, data)
+			return
+		}
+		params, _ := url.ParseQuery(raw)
+		if params.Get("explain") != "" {
+			var ex wire.ExplainResponse
+			if err := json.Unmarshal(data, &ex); err != nil || ex.Explain == nil {
+				t.Fatalf("?%s: explain 200 %q: %v", raw, data, err)
+			}
+			return
+		}
+		var out wire.QueryResponse
+		if err := json.Unmarshal(data, &out); err != nil || out.Vars == nil || out.Stats == nil || len(out.Rows) != 2 {
+			t.Fatalf("?%s, Accept %q: buffered 200 %q: %v", raw, accept, data, err)
+		}
+	})
+}
+
+// checkStreamed holds one streamed 200 to the stream's grammar: a header
+// event, then term and row lines a TermTable reads, then a stats or
+// error event, last.
+func checkStreamed(t *testing.T, data []byte) {
+	t.Helper()
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte{'\n'}), []byte{'\n'})
+	var tab wire.TermTable
+	var header wire.Event
+	for i, line := range lines {
+		kind, err := tab.Read(line, len(header.Vars), true)
+		if err != nil || (i == 0 || i == len(lines)-1) && kind != wire.LineEvent {
+			t.Fatalf("stream line %d %q: %v\n%s", i, line, err, data)
+		}
+		if kind != wire.LineEvent {
+			continue
+		}
+		var ev wire.Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("stream line %d %q: %v", i, line, err)
+		}
+		switch {
+		case i == 0 && ev.Kind == wire.EventHeader:
+			header = ev
+		case i == len(lines)-1 && (ev.Kind == wire.EventStats || ev.Kind == wire.EventError):
+		default:
+			t.Fatalf("stream line %d is a %q event\n%s", i, ev.Kind, data)
+		}
+	}
 }

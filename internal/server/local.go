@@ -229,20 +229,27 @@ func (b *local) Query(ctx context.Context, src string) (Cursor, error) {
 	return &sessionCursor{Rows: rows, st: snap.Store(), epoch: snap.Epoch(), b: b}, nil
 }
 
-// sessionCursor renders a session's row cursor in wire form, straight
-// off the pinned snapshot's dictionary.
+// sessionCursor serves a session's row cursor: a cell's key is its
+// node id, rendered straight off the pinned snapshot's dictionary.
 type sessionCursor struct {
 	*dualsim.Rows
 	st     *dualsim.Store
 	epoch  uint64
 	b      *local
+	keys   []wire.Key
 	closed bool
 }
 
 func (c *sessionCursor) Epoch() uint64 { return c.epoch }
 
 //dualsim:hotpath
-func (c *sessionCursor) AppendRow(dst []byte) []byte { return appendRow(dst, c.st, c.Rows.Row()) }
+func (c *sessionCursor) Keys() []wire.Key {
+	c.keys = nodeKeys(c.keys[:0], c.Rows.Row())
+	return c.keys
+}
+
+//dualsim:hotpath
+func (c *sessionCursor) AppendCell(dst []byte, k wire.Key) []byte { return appendNode(dst, c.st, k) }
 
 func (c *sessionCursor) Close() {
 	if c.closed {
@@ -308,27 +315,30 @@ func (b *local) Ready() error {
 	return b.src.Ready()
 }
 
-// appendRow renders one result row against the snapshot dictionary it
-// was computed on, as Cursor.AppendRow specifies: each term in
-// N-Triples rendering (<iri> / "literal") as a JSON string, null for
-// unbound positions. Terms go from the dictionary's arena into dst
-// without an intermediate string; the result decodes to exactly
-// Term.String().
+// nodeKeys appends the keys of a result row: a node's id, wire.NoKey
+// for unbound.
 //
 //dualsim:hotpath
-func appendRow(dst []byte, st *dualsim.Store, row []storage.NodeID) []byte {
-	dst = append(dst, '[')
-	for i, v := range row {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
+func nodeKeys(dst []wire.Key, row []storage.NodeID) []wire.Key {
+	for _, v := range row {
+		k := wire.Key(v)
 		if v == dualsim.Unbound {
-			dst = append(dst, "null"...)
-			continue
+			k = wire.NoKey
 		}
-		dst = wire.AppendTerm(dst, st.Term(v))
+		dst = append(dst, k)
 	}
-	return append(dst, ']')
+	return dst
+}
+
+// appendNode renders node k against the snapshot dictionary it was
+// computed on, as Cursor.AppendCell specifies: the term in N-Triples
+// rendering (<iri> / "literal") as a JSON string, from the dictionary's
+// arena into dst without an intermediate string. The result decodes to
+// exactly Term.String().
+//
+//dualsim:hotpath
+func appendNode(dst []byte, st *dualsim.Store, k wire.Key) []byte {
+	return wire.AppendTerm(dst, st.Term(storage.NodeID(k)))
 }
 
 // ---------------------------------------------------------------------------

@@ -13,13 +13,23 @@ import (
 	"dualsim/internal/wire"
 )
 
+// rowOf is a cursor over one row of node ids, rendered as the session
+// cursor renders it.
+func rowOf(st *dualsim.Store, row []storage.NodeID) Cursor {
+	cur := Materialized(make([]string, len(row)), 1, func(dst []wire.Key, _ int) []wire.Key {
+		return nodeKeys(dst, row)
+	}, &sessionCursor{st: st}, &dualsim.ExecStats{})
+	cur.Next()
+	return cur
+}
+
 // TestAppendRowRendersTerms holds the direct rendering to the rendering
 // it replaced: every value decodes to exactly Term.String(), as a JSON
 // round trip hands that back (invalid bytes are U+FFFD).
 func TestAppendRowRendersTerms(t *testing.T) {
 	values := []string{
 		"", "plain", `say "hi"`, `back\slash`, "line\nbreak", "tab\there", "cr\rhere",
-		"ctl\x01\x1f", "ünï — 日本 😀", `<&>`, " ", "bad\xff", "cut\xe2\x80", "\xe2\x80\"", `\"`, `\\n`,
+		"ctl\x01\x1f", "ünï — 日本 😀", `<&>`, " ", "bad\xff", "cut\xe2\x80", "\xe2\x80\"", `\"`, `\\n`,
 	}
 	var triples []dualsim.Triple
 	for i, v := range values {
@@ -34,8 +44,8 @@ func TestAppendRowRendersTerms(t *testing.T) {
 		row = append(row, storage.NodeID(id))
 	}
 	var got []*string
-	if err := json.Unmarshal(appendRow(nil, st, row), &got); err != nil {
-		t.Fatalf("appendRow wrote %q: %v", appendRow(nil, st, row), err)
+	if err := json.Unmarshal(appendRow(nil, rowOf(st, row)), &got); err != nil {
+		t.Fatalf("appendRow wrote %q: %v", appendRow(nil, rowOf(st, row)), err)
 	}
 	if len(got) != len(row) || got[0] != nil {
 		t.Fatalf("%d values (first %v), want %d with a leading null", len(got), got[0], len(row))
@@ -47,10 +57,11 @@ func TestAppendRowRendersTerms(t *testing.T) {
 	}
 }
 
-// TestAppendRowWritesCanonicalCells holds appendRow to the canonical
-// cell, byte for byte: over every byte value, in both universes, a term
-// renders as wire.AppendCell of its N-Triples rendering, the spelling
-// the router compares cells by.
+// TestAppendRowWritesCanonicalCells holds the session cursor's cells to
+// the canonical cell, byte for byte: over every byte value, in both
+// universes, a term renders as wire.AppendCell of its N-Triples
+// rendering, the spelling the router compares cells by. The stream's
+// term lines are those cells.
 func TestAppendRowWritesCanonicalCells(t *testing.T) {
 	var triples []dualsim.Triple
 	for b := 0; b < 256; b++ {
@@ -64,9 +75,14 @@ func TestAppendRowWritesCanonicalCells(t *testing.T) {
 	}
 	for id := range storage.NodeID(st.NumNodes()) {
 		term := st.Term(id)
-		got := appendRow(nil, st, []storage.NodeID{id})
-		if want := append(wire.AppendCell([]byte{'['}, term.String()), ']'); !bytes.Equal(got, want) {
-			t.Errorf("term %q renders as %s, want %s", term.Value, got, want)
+		cell := wire.AppendCell(nil, term.String())
+		if got := appendRow(nil, rowOf(st, []storage.NodeID{id})); !bytes.Equal(got, append(append([]byte{'['}, cell...), ']')) {
+			t.Errorf("term %q renders as %s, want [%s]", term.Value, got, cell)
+		}
+		var w wire.TermWriter
+		w.Reset()
+		if got := w.AppendRow(nil, []wire.Key{wire.Key(id)}, &sessionCursor{st: st}); !bytes.Equal(got, append(append(cell, '\n'), "[0]\n"...)) {
+			t.Errorf("term %q streams as %q, want %s then [0]", term.Value, got, cell)
 		}
 	}
 }

@@ -56,6 +56,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dualsim"
@@ -66,12 +67,12 @@ import (
 	"dualsim/internal/wire"
 )
 
-// streamChunk is how many NDJSON row events are written between flushes:
+// streamChunk is how many NDJSON rows are written between flushes:
 // large enough to amortize the chunked-encoding overhead, small enough
 // that a slow consumer sees steady progress.
 const streamChunk = 256
 
-// streamChunkBytes flushes earlier when the pending events are this
+// streamChunkBytes flushes earlier when the pending lines are this
 // large, so the per-response buffer is bounded by bytes too and not
 // only by a row count (a row has no size limit).
 const streamChunkBytes = 64 << 10
@@ -375,18 +376,33 @@ type rowEncoder interface {
 }
 
 // ndjsonEncoder writes the streamed shape: header first (flushed before
-// any row is computed), then row events with incremental flushes, then
+// any row is computed), then the rows with incremental flushes, then
 // the stats trailer — or an error event if the execution dies
-// mid-stream, after the 200 was committed. Events collect in buf and
+// mid-stream, after the 200 was committed. A row goes out as term
+// numbers, after a term line for each of its keys the stream has not
+// defined yet (wire.TermWriter). Lines collect in a pooled buffer and
 // reach the ResponseWriter once per flush point.
 type ndjsonEncoder struct {
 	w     http.ResponseWriter
-	buf   []byte
 	epoch uint64
 	n     int
+	*ndjsonBuf
 }
 
-// flush hands the pending events to the connection.
+// ndjsonBuf is what a streamed response reuses from the last one: its
+// line buffer and its term memo (a fixed 4 096 slots, whatever the store).
+type ndjsonBuf struct {
+	buf   []byte
+	terms wire.TermWriter
+}
+
+// ndjsonBufs pools the encoders' buffers; one whose line buffer grew
+// past maxPooledBuf (a huge row) is dropped instead.
+var ndjsonBufs = sync.Pool{New: func() any { return new(ndjsonBuf) }}
+
+const maxPooledBuf = 2 * streamChunkBytes
+
+// flush hands the pending lines to the connection.
 func (e *ndjsonEncoder) flush() error {
 	_, err := e.w.Write(e.buf)
 	e.buf = e.buf[:0]
@@ -408,6 +424,9 @@ func (e *ndjsonEncoder) event(ev wire.Event) error {
 }
 
 func (e *ndjsonEncoder) begin(vars []string, epoch uint64) error {
+	e.ndjsonBuf = ndjsonBufs.Get().(*ndjsonBuf)
+	e.buf = e.buf[:0]
+	e.terms.Reset()
 	e.epoch = epoch
 	e.w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(epoch, 10))
 	e.w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
@@ -417,7 +436,7 @@ func (e *ndjsonEncoder) begin(vars []string, epoch uint64) error {
 
 //dualsim:hotpath
 func (e *ndjsonEncoder) row(cur Cursor) error {
-	e.buf = wire.AppendRowEvent(e.buf, e.epoch, cur)
+	e.buf = e.terms.AppendRow(e.buf, cur.Keys(), cur)
 	if e.n++; e.n == 1 || e.n%streamChunk == 0 || len(e.buf) >= streamChunkBytes {
 		return e.flush()
 	}
@@ -428,10 +447,20 @@ func (e *ndjsonEncoder) abort(err error) {
 	// The status line is long gone; the in-band error event is the only
 	// way to tell the client the stream is dead, not complete.
 	_ = e.event(wire.Event{Kind: wire.EventError, Error: err.Error(), Epoch: e.epoch})
+	e.release()
 }
 
 func (e *ndjsonEncoder) end(stats *dualsim.ExecStats, n int, truncated bool) {
 	_ = e.event(wire.Event{Kind: wire.EventStats, Stats: stats, Rows: n, Truncated: truncated, Epoch: e.epoch})
+	e.release()
+}
+
+// release returns the buffer to the pool once the last line is out.
+func (e *ndjsonEncoder) release() {
+	if cap(e.buf) <= maxPooledBuf {
+		ndjsonBufs.Put(e.ndjsonBuf)
+	}
+	e.ndjsonBuf = nil
 }
 
 // The buffered shape with its rows already rendered: it embeds its
@@ -446,8 +475,8 @@ type queryEnvelope struct {
 
 // envelopeEncoder collects the buffered shape; nothing is committed
 // before end, so a failed execution still gets its own status. rows
-// holds the JSON array of the rows' value arrays, built by the same
-// Cursor.AppendRow the stream's row events carry.
+// holds the JSON array of the rows' value arrays, each value rendered
+// by the cursor's AppendCell, as the stream's term lines are.
 type envelopeEncoder struct {
 	c    *Core
 	w    http.ResponseWriter
@@ -465,8 +494,25 @@ func (e *envelopeEncoder) row(cur Cursor) error {
 	if len(e.rows) == 0 {
 		sep = '['
 	}
-	e.rows = cur.AppendRow(append(e.rows, sep))
+	e.rows = appendRow(append(e.rows, sep), cur)
 	return nil
+}
+
+// appendRow renders the cursor's current row as the JSON array of its
+// cells, null for unbound positions: a row of the buffered shape.
+func appendRow(dst []byte, cur Cursor) []byte {
+	dst = append(dst, '[')
+	for i, k := range cur.Keys() {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if k == wire.NoKey {
+			dst = append(dst, "null"...)
+			continue
+		}
+		dst = cur.AppendCell(dst, k)
+	}
+	return append(dst, ']')
 }
 
 func (e *envelopeEncoder) abort(err error) { e.c.FailExec(e.w, err) }

@@ -25,7 +25,7 @@ import (
 
 const queryX1 = `SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }`
 
-func newTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server, *dualsim.DB) {
+func newTestServer(t testing.TB, opts ...Option) (*Server, *httptest.Server, *dualsim.DB) {
 	t.Helper()
 	st, err := dualsim.FromTriples(queries.Fig1aTriples())
 	if err != nil {
@@ -125,25 +125,37 @@ func TestQueryBuffered(t *testing.T) {
 	}
 }
 
-// readStream decodes an NDJSON response into its events.
-func readStream(t *testing.T, body io.Reader) (header wire.Event, rows []wire.Event, stats wire.Event) {
+// readStream decodes an NDJSON response into its header, its rows
+// (the term table resolved) and its stats trailer.
+func readStream(t *testing.T, body io.Reader) (header wire.Event, rows [][]*string, stats wire.Event) {
 	t.Helper()
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	first := true
+	var tab wire.TermTable
 	for sc.Scan() {
+		kind, err := tab.Read(sc.Bytes(), len(header.Vars), true)
+		if err != nil || first && kind != wire.LineEvent {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		first = false
+		switch kind {
+		case wire.LineTerm:
+			continue
+		case wire.LineRow:
+			rows = append(rows, tab.Row())
+			continue
+		}
 		var ev wire.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
 		switch ev.Kind {
 		case wire.EventHeader:
-			if !first {
-				t.Fatal("header event not first")
+			if header.Kind != "" {
+				t.Fatal("second header event")
 			}
 			header = ev
-		case wire.EventRow:
-			rows = append(rows, ev)
 		case wire.EventStats:
 			stats = ev
 		case wire.EventError:
@@ -151,7 +163,6 @@ func readStream(t *testing.T, body io.Reader) (header wire.Event, rows []wire.Ev
 		default:
 			t.Fatalf("unknown event kind %q", ev.Kind)
 		}
-		first = false
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -700,10 +711,10 @@ func TestConcurrentQueriesAndApplies(t *testing.T) {
 						if len(rows) < 2 {
 							errc <- fmt.Errorf("stream: %d rows", len(rows))
 						}
-						for _, ev := range rows {
-							for _, v := range ev.Values {
+						for _, row := range rows {
+							for _, v := range row {
 								if v == nil || !strings.HasPrefix(*v, "<") {
-									errc <- fmt.Errorf("stream: undecodable binding %v at epoch %d", ev.Values, header.Epoch)
+									errc <- fmt.Errorf("stream: undecodable binding %v at epoch %d", row, header.Epoch)
 								}
 							}
 						}

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
-	"strconv"
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -10,24 +12,26 @@ import (
 	"dualsim/internal/rdf"
 )
 
-// The row event is the only message whose count scales with the answer,
-// so it alone has a hand-written codec; every other event is one
-// encoding/json call per response. The line is
+// A streamed answer's rows are the only lines whose count scales with
+// the answer, so they alone have a hand-written codec; every other
+// event is one encoding/json call per response. Rows name their values
+// through a term table that the stream builds as it goes:
 //
-//	{"kind":"row","epoch":N,"values":["<iri>","\"literal\"",null]}
+//	"<http://example.org/film0>"
+//	"\"a literal\""
+//	[0,1,null]
+//	[0,null,null]
 //
-// in exactly that key order with no whitespace. The encoder escapes only
+// A term line is one JSON string, the cell of a value; the k-th term
+// line of a stream (counting from 0) defines term k. A row line is a
+// JSON array with one element per variable: the number of a term
+// defined above it, or null for unbound. The writer defines each value
+// before the first row that needs it and may define a value twice (its
+// memo is bounded); the reader accepts that. The writer escapes only
 // what RFC 8259 requires; the reader accepts every valid JSON string
-// escape, so it also reads the lines an encoding/json server writes
-// (reflected Event, HTML-escaped) as long as the keys come in this order.
-// A value's JSON text is a cell, canonical when AppendCell spells it so.
-
-var (
-	rowOpen   = []byte(`{"kind":"row","epoch":`)
-	rowValues = []byte(`,"values":`)
-	rowClose  = []byte("]}")
-	null      = []byte("null")
-)
+// escape in a term line, so it also reads what an encoding/json writer
+// emits. A value's JSON text is a cell, canonical when AppendCell spells
+// it so.
 
 // plain marks the bytes a JSON string carries as themselves: ASCII
 // except the control range, the quote and the backslash.
@@ -40,23 +44,18 @@ var plain = func() (t [256]bool) {
 
 const hexDigits = "0123456789abcdef"
 
-// RowAppender renders its current row as the JSON array of the row's
-// values — strings in N-Triples rendering, null for unbound — appended
-// to dst. The same array is the row's form inside the buffered shape
-// (QueryResponse.Rows).
-type RowAppender interface {
-	AppendRow(dst []byte) []byte
-}
+// Key names one cell of a response: within one response, equal keys
+// name equal cells. NoKey marks an unbound position.
+type Key uint64
 
-// AppendRowEvent appends one row event line, newline included.
-//
-//dualsim:hotpath
-func AppendRowEvent(dst []byte, epoch uint64, row RowAppender) []byte {
-	dst = append(dst, rowOpen...)
-	dst = strconv.AppendUint(dst, epoch, 10)
-	dst = append(dst, rowValues...)
-	dst = row.AppendRow(dst)
-	return append(dst, '}', '\n')
+// NoKey is the key of an unbound position (null).
+const NoKey = ^Key(0)
+
+// CellAppender renders the cell a key names: the JSON string of the
+// value's N-Triples rendering (<iri> or "literal"), through AppendTerm
+// or AppendCell.
+type CellAppender interface {
+	AppendCell(dst []byte, k Key) []byte
 }
 
 // AppendEscaped appends s as the inside of a JSON string (the caller
@@ -152,87 +151,371 @@ func AppendTerm(dst []byte, t rdf.Term) []byte {
 	return append(dst, `\""`...)
 }
 
-// maxChunk caps Decode's chunks, in values (text chunks: 16× in bytes).
+// memoSlots is the size of a Memo: 4 096 slots, whatever the universe.
+const memoSlots = 1 << 12
+
+// Memo is a bounded direct-mapped map from keys to values: a key's slot
+// is fixed by its hash, and a key landing on a taken slot evicts the
+// key there. The zero value is empty; its slots are allocated on the
+// first Reset.
+type Memo[V any] struct {
+	slots []memoSlot[V]
+	gen   uint32 // a slot belongs to the current generation or is free
+}
+
+type memoSlot[V any] struct {
+	key Key
+	gen uint32
+	val V
+}
+
+// Reset forgets every key without touching the slots.
+func (m *Memo[V]) Reset() {
+	if m.slots == nil {
+		m.slots = make([]memoSlot[V], memoSlots)
+	}
+	if m.gen++; m.gen == 0 {
+		clear(m.slots)
+		m.gen = 1
+	}
+}
+
+// Get returns k's value and whether k was there. On a miss the slot now
+// belongs to k and the caller fills the value in.
+//
+//dualsim:hotpath
+func (m *Memo[V]) Get(k Key) (*V, bool) {
+	s := &m.slots[uint64(k)*0x9e3779b97f4a7c15>>(64-12)]
+	if s.gen == m.gen && s.key == k {
+		return &s.val, true
+	}
+	s.key, s.gen = k, m.gen
+	return &s.val, false
+}
+
+// termNumber is a term's number as the row lines spell it, in decimal.
+// Ten digits outlast the 2^31-1 terms a TermTable reads.
+type termNumber struct {
+	n      uint8
+	digits [10]byte
+}
+
+// increment adds one to the number.
+func (d *termNumber) increment() {
+	for i := int(d.n) - 1; i >= 0; i-- {
+		if d.digits[i] < '9' {
+			d.digits[i]++
+			return
+		}
+		d.digits[i] = '0'
+	}
+	d.digits[0], d.digits[d.n] = '1', '0' // 9…9 + 1 = 10…0
+	d.n++
+}
+
+// TermWriter writes the term and row lines of one stream: it numbers
+// each key's cell on its first row and then writes only the number.
+// Numbers are looked up in a bounded Memo, so a key evicted from it is
+// defined again under a new number. Call Reset before each stream.
+type TermWriter struct {
+	memo Memo[termNumber]
+	next termNumber // the number of the next term defined
+	row  []byte     // the row line being built while its terms are defined
+}
+
+// Reset starts a new stream: no term is defined.
+func (w *TermWriter) Reset() {
+	w.memo.Reset()
+	w.next = termNumber{n: 1, digits: [10]byte{'0'}}
+}
+
+// AppendRow appends one row line, newline included, after a term line
+// for each of its keys the stream has not defined (or has forgotten).
+// keys holds one key per variable, NoKey for unbound; cells renders
+// the terms.
+//
+//dualsim:hotpath
+func (w *TermWriter) AppendRow(dst []byte, keys []Key, cells CellAppender) []byte {
+	row := append(w.row[:0], '[')
+	for i, k := range keys {
+		if i > 0 {
+			row = append(row, ',')
+		}
+		if k == NoKey {
+			row = append(row, "null"...)
+			continue
+		}
+		num, ok := w.memo.Get(k)
+		if !ok {
+			dst = append(cells.AppendCell(dst, k), '\n')
+			*num = w.next
+			w.next.increment()
+		}
+		row = append(row, num.digits[:num.n]...)
+	}
+	w.row = append(row, ']', '\n')
+	return append(dst, w.row...)
+}
+
+// Line kinds, as TermTable.Read classifies a line.
+const (
+	LineEvent = iota // a JSON object, or anything else: json.Unmarshal's
+	LineTerm         // a term line, added to the table
+	LineRow          // a row line, now the current row
+)
+
+// maxChunk caps a TermTable's chunks, in values (text chunks: 16× in
+// bytes).
 const maxChunk = 4096
 
-// RowReader reads row lines: Split cuts one into canonical cells and
-// Decode turns cells into values. Use one per stream.
-type RowReader struct {
-	cells [][]byte        // the last split line's cells
-	buf   []byte          // the cells Split re-escaped
-	tmp   strings.Builder // the values of the cells Split re-escaped
+// TermTable reads the term and row lines of one stream and keeps each
+// term once, in the form its reader asks for: a reader of values has
+// the term decoded, a reader of cells its canonical cell (the line
+// itself, or re-escaped if the line spelled it otherwise: \/, \b,
+// \u0041, invalid UTF-8), so equal values have equal cells. Either form
+// yields the other on request, once. Values and cells are carved from
+// chunks that are never written twice, so they stay valid after Reset.
+type TermTable struct {
+	n     int       // terms defined so far
+	vals  []*string // vals[k]: term k's value once decoded, else nil or absent
+	cells []string  // cells[k]: term k's cell once kept or rendered, else "" or absent
+	refs  []int32   // the current row: term numbers, -1 for null
 
-	vals chunk[*string]
+	rows chunk[*string]
 	strs chunk[string]
-	text strings.Builder // the current text chunk
+	buf  strings.Builder // the current text chunk
 	last int             // the size of the current text chunk
 }
 
-// Split cuts one line (with or without its newline) into its cells if
-// it is a row event in the canonical shape. ok false means "not mine",
-// not "malformed": other events, key orders, interior whitespace and
-// broken lines go to json.Unmarshal, which decodes or rejects them.
-// Canonical cells alias line, the others (\/, \b, \u0041, invalid UTF-8)
-// are re-escaped; equal values have equal cells. They are valid until
-// the next Split, and while line is.
+var (
+	errTermLine = errors.New("wire: a term line is not exactly one JSON string")
+	errRowLine  = errors.New("wire: a row line is not an array of term numbers and nulls")
+	errTerms    = errors.New("wire: more terms in one stream than a table holds")
+	null        = []byte("null")
+)
+
+// Reset empties the table for the next stream and lets go of its
+// chunks.
+func (t *TermTable) Reset() {
+	clear(t.vals)
+	clear(t.cells)
+	t.n, t.vals, t.cells, t.refs = 0, t.vals[:0], t.cells[:0], t.refs[:0]
+	t.rows, t.strs, t.buf, t.last = chunk[*string]{}, chunk[string]{}, strings.Builder{}, 0
+}
+
+// Len returns the number of terms defined so far.
+func (t *TermTable) Len() int { return t.n }
+
+// Size returns the bytes the table holds on to across Reset, for a pool
+// that keeps only small tables.
+func (t *TermTable) Size() int { return 8*cap(t.vals) + 16*cap(t.cells) + 4*cap(t.refs) }
+
+// Cell returns term k's canonical cell, rendering it from the value the
+// first time if the term was read for its value.
+func (t *TermTable) Cell(k int32) string {
+	if int(k) < len(t.cells) && t.cells[k] != "" {
+		return t.cells[k]
+	}
+	t.cells = pad(t.cells, int(k)+1)
+	t.cells[k] = t.carve(AppendCell(nil, *t.vals[k]))
+	return t.cells[k]
+}
+
+// Refs returns the current row's term numbers, -1 for null, valid until
+// the next Read.
+func (t *TermTable) Refs() []int32 { return t.refs }
+
+// Read reads one line (with or without its newline) of a stream whose
+// rows have width values. A term line is added to the table, as a value
+// if values is set and as a cell if not; a row line becomes the current
+// row. Both are checked, and a malformed one is an error. Any other
+// line is reported as LineEvent, for json.Unmarshal.
 //
 //dualsim:hotpath
-func (r *RowReader) Split(line []byte) (epoch uint64, cells [][]byte, ok bool) {
+func (t *TermTable) Read(line []byte, width int, values bool) (int, error) {
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]
 	}
-	rest, ok := bytes.CutPrefix(line, rowOpen)
-	if !ok {
-		return 0, nil, false
+	if len(line) == 0 {
+		return LineEvent, nil
 	}
-	i := 0
-	for ; i < len(rest) && rest[i] >= '0' && rest[i] <= '9'; i++ {
-		d := uint64(rest[i] - '0')
-		if epoch > (1<<64-1-d)/10 {
-			return 0, nil, false // json.Unmarshal reports the overflow
+	switch line[0] {
+	case '"':
+		return LineTerm, t.readTerm(line, values)
+	case '[':
+		return LineRow, t.readRow(line, width)
+	}
+	return LineEvent, nil
+}
+
+// readTerm adds a term line to the table: its value, or its cell.
+//
+//dualsim:hotpath
+func (t *TermTable) readTerm(line []byte, values bool) error {
+	if t.n == math.MaxInt32 {
+		return errTerms
+	}
+	if values {
+		v := t.decode(line)
+		if v == nil {
+			return errTermLine
 		}
-		epoch = epoch*10 + d
+		t.vals = append(pad(t.vals, t.n), v)
+	} else {
+		cell := ""
+		if i := 0; canonical(line, &i) && i == len(line) {
+			cell = t.carve(line)
+		} else if v := t.decode(line); v != nil {
+			cell = t.carve(AppendCell(nil, *v))
+		} else {
+			return errTermLine
+		}
+		t.cells = append(pad(t.cells, t.n), cell)
 	}
-	if i == 0 || (i > 1 && rest[0] == '0') {
-		return 0, nil, false
+	t.n++
+	return nil
+}
+
+// carve copies b into the current text chunk.
+//
+//dualsim:hotpath
+func (t *TermTable) carve(b []byte) string {
+	t.reserve(len(b))
+	from := t.buf.Len()
+	t.buf.Write(b)
+	return t.buf.String()[from:]
+}
+
+// decode returns the value of the JSON string s, carved from the
+// current text chunk, or nil if s is not exactly one JSON string.
+//
+//dualsim:hotpath
+func (t *TermTable) decode(s []byte) *string {
+	t.reserve(len(s))
+	from := t.buf.Len()
+	if unquote(&t.buf, s, 1) != len(s) {
+		return nil
 	}
-	rest, ok = bytes.CutPrefix(rest[i:], rowValues)
-	if !ok || len(rest) < 2 || rest[0] != '[' {
-		return 0, nil, false
+	h := t.strs.carve(1)
+	h[0] = t.buf.String()[from:]
+	return &h[0]
+}
+
+// reserve starts a new text chunk if the current one has no room for n
+// more bytes; the old one stays with the strings carved from it.
+func (t *TermTable) reserve(n int) {
+	if t.buf.Cap()-t.buf.Len() < n {
+		t.last = max(n, min(2*t.last, 16*maxChunk))
+		t.buf = strings.Builder{}
+		t.buf.Grow(t.last)
 	}
-	cells, r.buf = r.cells[:0], r.buf[:0]
-	r.tmp.Reset()
-	i = 1
-	for rest[i] != ']' { // only an empty array skips the loop; it ends by break
-		start := i
-		switch {
-		case rest[i] == '"' && canonical(rest, &i):
-			cells = append(cells, rest[start:i])
-		case rest[i] == '"': // re-escaped into r.buf by way of its value in r.tmp
-			from, at := len(r.buf), r.tmp.Len()
-			if i = unquote(&r.tmp, rest, start+1); i < 0 {
-				return 0, nil, false
+}
+
+// readRow reads a row line into refs: '[', then width elements, each a
+// term number without sign, fraction, exponent or leading zero, or
+// null, separated by commas, then ']'. No whitespace.
+//
+//dualsim:hotpath
+func (t *TermTable) readRow(line []byte, width int) error {
+	refs, i := t.refs[:0], 1
+	if len(line) > 1 && line[1] == ']' {
+		i = 2
+	} else {
+		for {
+			if i == len(line) {
+				return errRowLine
 			}
-			r.buf = AppendCell(r.buf, r.tmp.String()[at:])
-			cells = append(cells, r.buf[from:])
-		case bytes.HasPrefix(rest[i:], null):
-			i += len(null)
-			cells = append(cells, rest[start:i])
-		default:
-			return 0, nil, false
-		}
-		if i == len(rest) || rest[i] != ',' {
-			break
-		}
-		if i++; i == len(rest) || rest[i] == ']' {
-			return 0, nil, false
+			if c := line[i]; c == 'n' {
+				if !bytes.HasPrefix(line[i:], null) {
+					return errRowLine
+				}
+				i += len(null)
+				refs = append(refs, -1)
+			} else if c-'0' <= 9 {
+				start, k := i, int(c-'0')
+				for i++; i < len(line) && line[i]-'0' <= 9; i++ {
+					k = k*10 + int(line[i]-'0')
+				}
+				switch {
+				case c == '0' && i > start+1, i < len(line) && line[i] != ',' && line[i] != ']':
+					return errRowLine
+				case i > start+10 || k >= t.n: // more than 10 digits may have wrapped k
+					return undefinedTerm(line[start:min(i, start+20)], t.n)
+				}
+				refs = append(refs, int32(k))
+			} else {
+				return errRowLine
+			}
+			if i == len(line) {
+				return errRowLine
+			}
+			if i++; line[i-1] == ']' {
+				break
+			} else if line[i-1] != ',' {
+				return errRowLine
+			}
 		}
 	}
-	r.cells = cells
-	if !bytes.Equal(rest[i:], rowClose) {
-		return 0, nil, false
+	t.refs = refs
+	if i != len(line) {
+		return errRowLine
 	}
-	return epoch, cells, true
+	if len(refs) != width {
+		return wrongWidth(len(refs), width)
+	}
+	return nil
+}
+
+func undefinedTerm(num []byte, defined int) error {
+	return fmt.Errorf("wire: a row names term %s, but the stream has defined %d", num, defined)
+}
+
+func wrongWidth(n, width int) error {
+	return fmt.Errorf("wire: a row of %d values under %d variables", n, width)
+}
+
+// Row returns the current row's values as json.Unmarshal reads them,
+// nil for null; equal term numbers share one *string, decoded once. Rows, string
+// headers and text are carved from chunks that start at the first
+// row's size and double; nothing is recycled, so values stay valid,
+// across Reset too, and keep their chunks alive.
+//
+//dualsim:hotpath
+func (t *TermTable) Row() []*string {
+	values := t.rows.carve(len(t.refs))
+	for i, k := range t.refs {
+		if k >= 0 {
+			values[i] = t.value(k)
+		}
+	}
+	return values
+}
+
+// value returns term k's value, decoding its kept cell the first time.
+func (t *TermTable) value(k int32) *string {
+	if int(k) < len(t.vals) && t.vals[k] != nil {
+		return t.vals[k]
+	}
+	t.vals = pad(t.vals, int(k)+1)
+	t.vals[k] = t.decode([]byte(t.cells[k])) // a cell is valid JSON
+	return t.vals[k]
+}
+
+// pad extends s with zero values to length n: a term read in one form
+// has no slot in the other form's slice until it is asked for.
+func pad[T any](s []T, n int) []T {
+	var zero T
+	for len(s) < n {
+		s = append(s, zero)
+	}
+	return s
+}
+
+// Value returns the value of a canonical cell, as json.Unmarshal reads it.
+func Value(cell string) string {
+	var v strings.Builder
+	unquote(&v, []byte(cell), 1)
+	return v.String()
 }
 
 // canonical reports whether the JSON string opening at s[*i] is
@@ -264,37 +547,6 @@ func canonical(s []byte, i *int) bool {
 			return false
 		}
 	}
-}
-
-// Decode returns the values of cells from Split as json.Unmarshal reads
-// them, nil for null. Values, string headers and text are carved from
-// chunks that start at the first row's size and double; nothing is
-// recycled, so values stay valid and keep their chunks alive.
-//
-//dualsim:hotpath
-func (r *RowReader) Decode(cells [][]byte) []*string {
-	strs, size := 0, 0
-	for _, c := range cells {
-		if c[0] == '"' {
-			strs++
-			size += len(c) - 2 // a canonical value is never longer than its cell's body
-		}
-	}
-	values, headers := r.vals.carve(len(cells)), r.strs.carve(strs)
-	if r.text.Cap()-r.text.Len() < size {
-		r.last = max(size, min(2*r.last, 16*maxChunk))
-		r.text = strings.Builder{}
-		r.text.Grow(r.last)
-	}
-	for i, c := range cells {
-		if c[0] == '"' {
-			from := r.text.Len()
-			unquote(&r.text, c, 1)
-			headers[0] = r.text.String()[from:]
-			values[i], headers = &headers[0], headers[1:]
-		}
-	}
-	return values
 }
 
 // chunk carves zeroed slices from blocks that double up to maxChunk.

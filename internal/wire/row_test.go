@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -25,16 +27,6 @@ func sameValues(t *testing.T, what string, got, want []*string) {
 	}
 }
 
-// decode is the reader's whole decode of one line: Split, then Decode.
-func decode(line []byte) (uint64, [][]byte, []*string, bool) {
-	var r RowReader
-	epoch, cells, ok := r.Split(line)
-	if !ok {
-		return 0, nil, nil, false
-	}
-	return epoch, cells, r.Decode(cells), true
-}
-
 // cellOf is the canonical cell of a decoded value.
 func cellOf(v *string) string {
 	if v == nil {
@@ -43,220 +35,387 @@ func cellOf(v *string) string {
 	return string(AppendCell(nil, *v))
 }
 
-// checkDecode holds the reader to its contract on one arbitrary line:
-// it may decline, but what it accepts json.Unmarshal reads the same way,
-// and every cell it cuts is the canonical cell of its value.
-func checkDecode(t *testing.T, line []byte) {
+// cellsOf renders key k as its k-th cell, the way a server forwarding
+// cells does.
+type cellsOf []string
+
+func (c cellsOf) AppendCell(dst []byte, k Key) []byte { return append(dst, c[k]...) }
+
+// read is a reader's whole pass over a stream: every line through one
+// table, reading values or cells, the rows' cells and values collected.
+// It stops at the first error, and reports an event line as one.
+func read(stream []byte, width int, values bool) (cells [][]string, vals [][]*string, err error) {
+	var tab TermTable
+	for _, line := range bytes.SplitAfter(stream, []byte{'\n'}) {
+		if len(line) == 0 {
+			continue
+		}
+		kind, err := tab.Read(line, width, values)
+		if err != nil {
+			return cells, vals, err
+		}
+		switch kind {
+		case LineEvent:
+			return cells, vals, fmt.Errorf("not a term or row line: %q", line)
+		case LineRow:
+			var row []string
+			for _, k := range tab.Refs() {
+				row = append(row, string(null))
+				if k >= 0 {
+					row[len(row)-1] = tab.Cell(k)
+				}
+			}
+			cells, vals = append(cells, row), append(vals, tab.Row())
+		}
+	}
+	return cells, vals, nil
+}
+
+// readBoth reads a stream for values and for cells; the two readers
+// must agree on every cell, every value and the error.
+func readBoth(t *testing.T, stream []byte, width int) ([][]string, [][]*string, error) {
 	t.Helper()
-	epoch, cells, values, ok := decode(line)
-	if !ok {
-		return
+	cells, vals, err := read(stream, width, true)
+	kept, keptVals, keptErr := read(stream, width, false)
+	if (err == nil) != (keptErr == nil) || len(cells) != len(kept) {
+		t.Fatalf("%q: reading values: %d rows, %v; reading cells: %d rows, %v", stream, len(cells), err, len(kept), keptErr)
 	}
-	var ev Event
-	if err := json.Unmarshal(line, &ev); err != nil {
-		t.Fatalf("reader accepted %q, json.Unmarshal rejects it: %v", line, err)
+	for r := range cells {
+		if strings.Join(cells[r], ",") != strings.Join(kept[r], ",") {
+			t.Fatalf("%q: row %d: cells %q reading values, %q reading cells", stream, r, cells[r], kept[r])
+		}
+		sameValues(t, "reading cells", keptVals[r], vals[r])
 	}
-	if ev.Kind != EventRow || ev.Epoch != epoch {
-		t.Fatalf("%q: reader says row at epoch %d, json.Unmarshal %q at %d", line, epoch, ev.Kind, ev.Epoch)
+	return cells, vals, err
+}
+
+// checkLine holds the reader to its contract on one arbitrary line of a
+// stream, read into a values table and a cells table: the two agree,
+// what they accept json.Unmarshal reads the same way, every term's cell
+// is the canonical cell of its value, and a row line that is a
+// well-formed array of defined term numbers is not refused.
+func checkLine(t *testing.T, tabs *[2]TermTable, line []byte, width int) {
+	t.Helper()
+	kind, err := tabs[0].Read(line, width, true)
+	keptKind, keptErr := tabs[1].Read(line, width, false)
+	if kind != keptKind || (err == nil) != (keptErr == nil) {
+		t.Fatalf("%q: kind %d, %v reading values; kind %d, %v reading cells", line, kind, err, keptKind, keptErr)
 	}
-	sameValues(t, "reader vs json.Unmarshal", values, ev.Values)
-	for i, c := range cells {
-		if want := cellOf(values[i]); string(c) != want {
-			t.Fatalf("%q: cell %d = %q, want the canonical %q", line, i, c, want)
+	tab := &tabs[0]
+	line = bytes.TrimSuffix(line, []byte{'\n'})
+	switch {
+	case kind == LineTerm && err == nil:
+		var v string
+		if jerr := json.Unmarshal(line, &v); jerr != nil {
+			t.Fatalf("reader accepted the term line %q, json.Unmarshal rejects it: %v", line, jerr)
+		}
+		k := int32(tab.Len() - 1)
+		for _, cell := range []string{tab.Cell(k), tabs[1].Cell(k)} {
+			if want := string(AppendCell(nil, v)); cell != want || Value(cell) != v {
+				t.Fatalf("term line %q: cell %s (value %q), want the canonical %s of %q", line, cell, Value(cell), want, v)
+			}
+		}
+	case kind == LineRow:
+		var refs []*uint32
+		jerr := json.Unmarshal(line, &refs)
+		valid := jerr == nil && len(refs) == width && !bytes.ContainsAny(line, " \t\r\n-")
+		for _, r := range refs {
+			valid = valid && (r == nil || int(*r) < tab.Len())
+		}
+		if err == nil && !valid {
+			t.Fatalf("reader accepted the row line %q (width %d, %d terms); json.Unmarshal: %v, %d values", line, width, tab.Len(), jerr, len(refs))
+		}
+		if err != nil && valid {
+			t.Fatalf("reader refused the row line %q (width %d, %d terms): %v", line, width, tab.Len(), err)
+		}
+		if err == nil {
+			for i, r := range refs {
+				if got := tab.Refs()[i]; (r == nil) != (got < 0) || r != nil && int32(*r) != got {
+					t.Fatalf("row line %q: ref %d read as %d", line, i, got)
+				}
+			}
+			sameValues(t, "a row line read for cells", tabs[1].Row(), tab.Row())
 		}
 	}
 }
 
-// cellRow renders a row from its canonical cells, the way a server
-// forwarding cells does.
-type cellRow []string
-
-func (r cellRow) AppendRow(dst []byte) []byte {
-	dst = append(dst, '[')
-	for i, c := range r {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, c...)
-	}
-	return append(dst, ']')
-}
-
-// checkEncode holds the encoder to its contract on one row: the line is
-// a JSON document any client reads back to the same values, and the
-// reader claims it and cuts it back into the very cells it was built of.
-func checkEncode(t *testing.T, epoch uint64, row []*string) {
+// checkEncode holds the writer to its contract: every line it writes is
+// plain JSON, and the reader reads the stream back to the very cells it
+// was built of and to the values json.Unmarshal gives them. Each value
+// gets its own key, so a value repeated in vals is defined twice.
+func checkEncode(t *testing.T, vals []*string, width int) {
 	t.Helper()
-	want := make([]*string, len(row))
-	cells := make(cellRow, len(row))
-	for i, v := range row {
+	cells := make(cellsOf, len(vals))
+	for i, v := range vals {
 		cells[i] = cellOf(v)
-		if v != nil {
-			s := asJSONReads(*v)
-			want[i] = &s
+	}
+	var w TermWriter
+	w.Reset()
+	var stream []byte
+	var wantCells [][]string
+	var wantVals [][]*string
+	for r := 0; r < 2*len(vals)+1; r++ { // every key twice, in rows that overlap
+		keys := make([]Key, width)
+		row, rowVals := make([]string, width), make([]*string, width)
+		for j := range keys {
+			k := (r + j) % len(vals)
+			keys[j], row[j] = Key(k), cells[k]
+			if vals[k] == nil {
+				keys[j] = NoKey
+			} else {
+				s := asJSONReads(*vals[k])
+				rowVals[j] = &s
+			}
+		}
+		stream = w.AppendRow(stream, keys, cells)
+		wantCells, wantVals = append(wantCells, row), append(wantVals, rowVals)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(stream, []byte{'\n'}), []byte{'\n'}) {
+		if !json.Valid(line) {
+			t.Fatalf("the writer wrote %q, not JSON", line)
 		}
 	}
-	line := AppendRowEvent(nil, epoch, cells)
-	var ev Event
-	if err := json.Unmarshal(line, &ev); err != nil {
-		t.Fatalf("encoder wrote %q: %v", line, err)
+	gotCells, gotVals, err := readBoth(t, stream, width)
+	if err != nil {
+		t.Fatalf("reader refuses the writer's stream %q: %v", stream, err)
 	}
-	if ev.Kind != EventRow || ev.Epoch != epoch {
-		t.Fatalf("%q reads back as %q at epoch %d", line, ev.Kind, ev.Epoch)
+	if len(gotCells) != len(wantCells) {
+		t.Fatalf("%d rows read back, %d written", len(gotCells), len(wantCells))
 	}
-	sameValues(t, "json.Unmarshal of the encoder's line", ev.Values, want)
-	gotEpoch, gotCells, got, ok := decode(line)
-	if !ok || gotEpoch != epoch {
-		t.Fatalf("reader declines the encoder's own line %q (ok %v, epoch %d)", line, ok, gotEpoch)
-	}
-	sameValues(t, "reader on the encoder's line", got, want)
-	for i, c := range gotCells {
-		if string(c) != cells[i] {
-			t.Fatalf("%q: cell %d split as %q, written as %q", line, i, c, cells[i])
+	for r := range wantCells {
+		if strings.Join(gotCells[r], ",") != strings.Join(wantCells[r], ",") {
+			t.Fatalf("row %d: cells %q read back, %q written", r, gotCells[r], wantCells[r])
 		}
+		sameValues(t, "a row read back", gotVals[r], wantVals[r])
 	}
 }
 
-// rowOf cuts arbitrary bytes into a row: comma-separated values, the
-// word null for unbound.
-func rowOf(data []byte) []*string {
-	var row []*string
+// valuesOf cuts arbitrary bytes into values: comma-separated, the word
+// null for unbound, one value at least.
+func valuesOf(data []byte) []*string {
+	var vals []*string
 	for _, f := range bytes.Split(data, []byte{','}) {
 		if bytes.Equal(f, null) {
-			row = append(row, nil)
+			vals = append(vals, nil)
 			continue
 		}
 		s := string(f)
-		row = append(row, &s)
+		vals = append(vals, &s)
 	}
-	return row
+	return vals
 }
 
-// codecSeeds are the fuzz corpus; mine says whether the decoder claims
-// the line (what it declines goes to json.Unmarshal).
+// codecSeeds are the fuzz corpus, each a stream fragment read at the
+// given width; ok says whether the reader takes every line of it.
 var codecSeeds = []struct {
-	line string
-	mine bool
+	stream string
+	width  int
+	ok     bool
 }{
-	// What the encoding/json server before this codec wrote: reflected
-	// Event, HTML-escaped; a zero-width row dropped "values" altogether.
-	{`{"kind":"row","epoch":7,"values":["\u003chttp://example.org/a\u003e","\"lit \\\"q\\\" \u0026 \\n\"",null]}`, true},
-	{`{"kind":"row","epoch":7}`, false},
+	// What an encoding/json writer emits: HTML-escaped terms.
+	{`"\u003chttp://example.org/a\u003e"` + "\n" + `"\"lit \\\"q\\\" \u0026 \\n\""` + "\n[0,1,null]", 3, true},
 	// Surrogates: a pair, a lone high half, a lone low half, high + junk.
-	{`{"kind":"row","epoch":0,"values":["\ud83d\ude00","\ud83d","\ude00","\ud83dx","\ud83d\u0041"]}`, true},
+	{`"\ud83d\ude00"` + "\n" + `"\ud83d"` + "\n" + `"\ude00"` + "\n" + `"\ud83dx"` + "\n" + `"\ud83d\u0041"` + "\n[0,1,2,3,4]", 5, true},
 	// Invalid UTF-8, raw and beside valid multi-byte text; U+2028 raw and escaped.
-	{"{\"kind\":\"row\",\"epoch\":1,\"values\":[\"\xff\xfe\",\"é\xe2\x80\",\"\u2028\\u2028\"]}", true},
+	{"\"\xff\xfe\"\n\"é\xe2\x80\"\n\"\u2028\\u2028\"\n[2,1,0]", 3, true},
 	// Every short escape, a control byte as \u00XX, an escaped slash.
-	{`{"kind":"row","epoch":1,"values":["\b\f\n\r\t\/\\\"\u0001"]}`, true},
+	{`"\b\f\n\r\t\/\\\"\u0001"` + "\n[0]", 1, true},
 	// Escapes that need not be: a letter, upper-case hex, a control byte
 	// with a short form; beside cells already canonical.
-	{`{"kind":"row","epoch":2,"values":["<a>","\u0041\u001F\u000a",null,"\u0008é"]}`, true},
-	// Zero-width and all-null rows, the largest epoch.
-	{`{"kind":"row","epoch":18446744073709551615,"values":[]}`, true},
-	{`{"kind":"row","epoch":3,"values":[null,null,null]}`, true},
-	// Not the canonical shape: reordered keys, interior whitespace,
-	// truncated, trailing comma, raw control byte, leading-zero and
-	// overflowing epochs, a non-string value, trailing bytes.
-	{`{"epoch":7,"kind":"row","values":["<a>"]}`, false},
-	{`{"kind":"row", "epoch":7,"values":["<a>"]}`, false},
-	{`{"kind":"row","epoch":7,"values":["<a>",nul`, false},
-	{`{"kind":"row","epoch":7,"values":["<a>",]}`, false},
-	{"{\"kind\":\"row\",\"epoch\":7,\"values\":[\"a\tb\"]}", false},
-	{`{"kind":"row","epoch":07,"values":[]}`, false},
-	{`{"kind":"row","epoch":18446744073709551616,"values":[]}`, false},
-	{`{"kind":"row","epoch":7,"values":[1]}`, false},
-	{`{"kind":"row","epoch":7,"values":[]}}`, false},
-	// The other events, and a line that is only interesting as a row.
-	{`{"kind":"header","vars":["a"],"epoch":3}`, false},
-	{`{"kind":"error","epoch":3,"error":"boom"}`, false},
-	{"<a>,null,\"q\"\\,\x00\x1f\x7f,\xc3", false},
+	{`"<a>"` + "\n" + `"\u0041\u001F\u000a"` + "\n" + `"\u0008é"` + "\n[0,1,null,2]", 4, true},
+	// A value defined twice, rows reading both numbers.
+	{`"<a>"` + "\n" + `"<a>"` + "\n[0,1]\n[1,0]", 2, true},
+	// Zero-width and all-null rows.
+	{"[]\n[]", 0, true},
+	{"[null,null,null]", 3, true},
+	// Rows naming an undefined term, a negative, a fraction, an
+	// exponent, a leading zero, a string, a huge number.
+	{`"<a>"` + "\n[1]", 1, false},
+	{`"<a>"` + "\n[-1]", 1, false},
+	{`"<a>"` + "\n[0.0]", 1, false},
+	{`"<a>"` + "\n[0e0]", 1, false},
+	{`"<a>"` + "\n" + `"<b>"` + "\n[01]", 1, false},
+	{`"<a>"` + "\n" + `["0"]`, 1, false},
+	{`"<a>"` + "\n[18446744073709551616]", 1, false},
+	// Rows of the wrong width, broken arrays, whitespace.
+	{`"<a>"` + "\n[0,0]", 1, false},
+	{`"<a>"` + "\n[0,]\n[0", 2, false},
+	{`"<a>"` + "\n[0, null]", 2, false},
+	// A row before the term it names.
+	{"[0]\n\"<a>\"", 1, false},
+	// Term lines that are not exactly one JSON string: trailing bytes,
+	// a raw control byte, a cut string, a bad escape.
+	{`"<a>" ` + "\n" + `"a"x` + "\n\"a\tb\"\n\"abc\n\"\\x\"", 0, false},
 }
 
 func FuzzRowCodec(f *testing.F) {
 	for _, s := range codecSeeds {
-		f.Add([]byte(s.line), uint64(len(s.line)))
-		f.Add([]byte(s.line+"\n"), uint64(1)<<63)
+		f.Add([]byte(s.stream), uint64(s.width))
+		f.Add([]byte(s.stream+"\n"), uint64(s.width)|1<<63)
 	}
-	// What encoding/json writes today, HTML escapes and all.
-	vals := []string{"<http://example.org/s?a=1&b=2>", "\"q \\\"\" \u2028\u2029 \x01\x1f é 😀"}
-	line, err := json.Marshal(Event{Kind: EventRow, Epoch: 5, Values: []*string{&vals[0], nil, &vals[1]}})
+	// What encoding/json writes for a term and a row.
+	term, err := json.Marshal("\"q \\\"\" <&> \u2028\u2029 \x01\x1f é 😀")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(line, uint64(5))
-	f.Fuzz(func(t *testing.T, data []byte, epoch uint64) {
-		checkDecode(t, data)
-		checkEncode(t, epoch, rowOf(data))
+	row, err := json.Marshal([]any{0, nil})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append(term, '\n'), row...), uint64(2))
+	f.Fuzz(func(t *testing.T, data []byte, n uint64) {
+		width := int(n % 8)
+		var tabs [2]TermTable
+		for _, line := range bytes.SplitAfter(data, []byte{'\n'}) {
+			checkLine(t, &tabs, line, width)
+		}
+		checkEncode(t, valuesOf(data), width)
 	})
 }
 
-// TestRowCodecShape pins what the fuzz properties leave open: which of
-// the seed lines the reader claims, the exact bytes of a line, and which
-// cells Split keeps as the line spells them.
+// TestRowCodecShape pins what the fuzz properties leave open: the exact
+// bytes of a stream, which seed streams the reader takes, the errors it
+// names, and which term lines it keeps as spelled.
 func TestRowCodecShape(t *testing.T) {
-	line := AppendRowEvent(nil, 42, cellRow{`"<http://example.org/a&b>"`, "null", `"\"x\\\"y\"\n\u0001` + "\u2028é" + `"`})
-	want := `{"kind":"row","epoch":42,"values":["<http://example.org/a&b>",null,"\"x\\\"y\"\n\u0001` + "\u2028é" + `"]}` + "\n"
-	if string(line) != want {
-		t.Errorf("line = %q\nwant   %q", line, want)
+	cells := cellsOf{`"<http://example.org/a&b>"`, `"\"x\\\"y\"\n\u0001` + "\u2028é" + `"`}
+	var w TermWriter
+	w.Reset()
+	var stream []byte
+	for _, keys := range [][]Key{{0, NoKey, 1}, {1, 0, 0}, {NoKey, NoKey, NoKey}} {
+		stream = w.AppendRow(stream, keys, cells)
 	}
+	want := cells[0] + "\n" + cells[1] + "\n[0,null,1]\n[1,0,0]\n[null,null,null]\n"
+	if string(stream) != want {
+		t.Errorf("stream = %q\nwant     %q", stream, want)
+	}
+	w.Reset() // a new stream numbers from 0 again
+	if got := w.AppendRow(nil, []Key{1}, cells); string(got) != cells[1]+"\n[0]\n" {
+		t.Errorf("after Reset: %q", got)
+	}
+
 	for _, s := range codecSeeds {
-		if _, _, _, ok := decode([]byte(s.line)); ok != s.mine {
-			t.Errorf("reader on %q: ok = %v, want %v", s.line, ok, s.mine)
+		if _, _, err := readBoth(t, []byte(s.stream), s.width); (err == nil) != s.ok {
+			t.Errorf("reader on %q at width %d: %v, want ok %v", s.stream, s.width, err, s.ok)
 		}
 	}
-	_, _, values, _ := decode([]byte(codecSeeds[2].line))
+	_, values, _ := readBoth(t, []byte(codecSeeds[1].stream), 5)
 	for i, want := range []string{"😀", "\ufffd", "\ufffd", "\ufffdx", "\ufffdA"} {
-		if *values[i] != want {
-			t.Errorf("surrogate case %d = %q, want %q", i, *values[i], want)
+		if *values[0][i] != want {
+			t.Errorf("surrogate case %d = %q, want %q", i, *values[0][i], want)
 		}
 	}
 
 	for _, tc := range []struct {
-		cell, want string // want "" means: kept as spelled
+		stream string
+		width  int
+		want   string // a fragment of the error
+	}{
+		{`"<a>"` + "\n[3]", 1, "names term 3, but the stream has defined 1"},
+		{"[0]", 1, "names term 0, but the stream has defined 0"},
+		{`"<a>"` + "\n[18446744073709551616]", 1, "names term 18446744073709551616,"},
+		{`"<a>"` + "\n[0,0]", 1, "a row of 2 values under 1 variables"},
+		{`"<a>"` + "\n[-1]", 1, "not an array of term numbers"},
+		{`"<a>"` + "\n[1.5]", 1, "not an array of term numbers"},
+		{`"<a>"` + "\n[true]", 1, "not an array of term numbers"},
+		{`"<a>" "<b>"`, 0, "not exactly one JSON string"},
+		{`"<a>`, 0, "not exactly one JSON string"},
+	} {
+		if _, _, err := readBoth(t, []byte(tc.stream), tc.width); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("reader on %q: %v, want an error saying %q", tc.stream, err, tc.want)
+		}
+	}
+
+	for _, tc := range []struct {
+		line, want string // want "" means: kept as spelled
 	}{
 		{`"<a&b> é ` + "\u2028" + `"`, ""},
 		{`"\"\\\n\r\t"`, ""},
-		{`"\u0001\u001f"`, `"\u0001\u001f"`}, // canonical, but copied
+		{`"\u0001\u001f"`, ""}, // canonical, by way of its value
 		{`"\u003ca\u003e \u0026"`, `"<a> &"`},
 		{`"\/\b\f"`, `"/\u0008\u000c"`},
 		{`"\u000a\u0009\u000D\u001F\u0041\u00e9"`, `"\n\t\r\u001fAé"`},
 		{`"\ud83d\ude00 \ud83d"`, "\"😀 \ufffd\""},
 		{"\"a\xffb\"", "\"a\ufffdb\""},
 	} {
-		line := []byte(`{"kind":"row","epoch":1,"values":[null,` + tc.cell + `]}`)
-		var r RowReader
-		_, cells, ok := r.Split(line)
-		if !ok || len(cells) != 2 || string(cells[0]) != "null" {
-			t.Fatalf("Split(%q) = %q, %v", line, cells, ok)
-		}
-		want, aliased := tc.want, &cells[1][0] == &line[len(`{"kind":"row","epoch":1,"values":[null,`)]
+		cells, _, err := readBoth(t, []byte(tc.line+"\n[0]"), 1)
+		want := tc.want
 		if want == "" {
-			want = tc.cell
+			want = tc.line
 		}
-		if string(cells[1]) != want || aliased != (tc.want == "") {
-			t.Errorf("cell %s split as %s (aliasing the line: %v), want %s", tc.cell, cells[1], aliased, want)
+		if err != nil || len(cells) != 1 || cells[0][0] != want {
+			t.Errorf("term line %s read as %q (%v), want %s", tc.line, cells, err, want)
 		}
 	}
 }
 
-// TestDecodeSlab: decoded values are carved from chunks, so a row stays
-// valid while later rows are decoded, and a long stream costs a few
-// dozen allocations, not a few per row.
-func TestDecodeSlab(t *testing.T) {
-	line := []byte(`{"kind":"row","epoch":1,"values":["<http://example.org/s>",null,"\"lit\\n\""]}`)
-	var r RowReader
-	_, cells, _ := r.Split(line)
-	first := r.Decode(cells)
-	allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 1000; i++ {
-			_, cells, _ := r.Split(line)
-			r.Decode(cells)
-		}
-	})
-	if *first[0] != "<http://example.org/s>" || first[1] != nil || *first[2] != `"lit\n"` {
-		t.Fatalf("the first row changed under later decodes: %q %v %q", *first[0], first[1], *first[2])
+// TestTermWriterForgets: past the memo's bound a key is defined again
+// under a new number, and the stream still reads back exactly.
+func TestTermWriterForgets(t *testing.T) {
+	const keys = 3 * memoSlots
+	cells := make(cellsOf, keys)
+	for k := range cells {
+		cells[k] = fmt.Sprintf(`"<http://example.org/%d>"`, k)
 	}
-	if allocs > 10 {
-		t.Errorf("%.0f allocations per 1000 rows, want <= 10", allocs)
+	var w TermWriter
+	w.Reset()
+	var stream []byte
+	for pass := 0; pass < 2; pass++ {
+		for k := 0; k < keys; k++ {
+			stream = w.AppendRow(stream, []Key{Key(k), Key(k / 2)}, cells)
+		}
+	}
+	got, _, err := readBoth(t, stream, 2)
+	if err != nil || len(got) != 2*keys {
+		t.Fatalf("%d rows read back: %v", len(got), err)
+	}
+	for r, row := range got {
+		if k := r % keys; row[0] != cells[k] || row[1] != cells[k/2] {
+			t.Fatalf("row %d = %q, want %s,%s", r, row, cells[k], cells[k/2])
+		}
+	}
+	if terms := bytes.Count(stream, []byte{'"', '\n'}); terms <= keys {
+		t.Errorf("%d term lines for %d keys read twice: the memo was not bounded", terms, keys)
+	}
+}
+
+// TestDecodeSlab: values are carved from chunks, so a row stays valid
+// while later rows are read and after Reset, equal terms share one
+// string whether the term was read as a value or as a cell, and a long
+// stream costs a few dozen allocations, not a few per row.
+func TestDecodeSlab(t *testing.T) {
+	for _, values := range []bool{true, false} {
+		var tab TermTable
+		for _, line := range []string{`"<http://example.org/s>"`, `"\"lit\\n\""`, "[0,null,1]"} {
+			if _, err := tab.Read([]byte(line), 3, values); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := tab.Row()
+		row := []byte("[1,0,0]")
+		allocs := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 1000; i++ {
+				tab.Read(row, 3, values)
+				tab.Row()
+			}
+		})
+		if _, err := tab.Read(row, 3, values); err != nil {
+			t.Fatal(err)
+		}
+		if again := tab.Row(); again[1] != again[2] || again[1] != first[0] {
+			t.Errorf("values %v: equal terms decoded to separate strings", values)
+		}
+		tab.Reset()
+		for _, line := range []string{`"<http://example.org/other>"`, "[0,0,0]"} {
+			if _, err := tab.Read([]byte(line), 3, values); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tab.Row()
+		if *first[0] != "<http://example.org/s>" || first[1] != nil || *first[2] != `"lit\n"` {
+			t.Fatalf("values %v: the first row changed under later decodes: %q %v %q", values, *first[0], first[1], *first[2])
+		}
+		if allocs > 10 {
+			t.Errorf("values %v: %.0f allocations per 1000 rows, want <= 10", values, allocs)
+		}
 	}
 }

@@ -5,17 +5,20 @@
 // Two response shapes exist for queries:
 //
 //   - buffered: one Envelope object carrying vars, all rows and stats;
-//   - streamed (Content-Type application/x-ndjson): one Event object per
-//     line — a "header" first (vars + epoch), then one "row" per
-//     solution mapping in chunks, a final "stats" trailer, or an
-//     "error" if execution fails after the HTTP status was committed.
-//     The row event, whose count scales with the answer, is written and
-//     read by the codec in row.go; everything else is encoding/json.
+//   - streamed (Content-Type application/x-ndjson): one JSON value per
+//     line — a "header" Event first (vars + epoch), then the solution
+//     mappings in chunks, then a final "stats" Event, or an "error"
+//     Event if execution fails after the HTTP status was committed.
+//     The mappings are a term table (row.go): a term line, one JSON
+//     string, defines the next term number; a row line, a JSON array,
+//     names one term number or null per variable. Rows carry no epoch.
+//     The codec in row.go writes and reads those lines; the events are
+//     encoding/json.
 //
 // Every response is epoch-tagged: the header/envelope carries the store
-// epoch the execution answered from, and the stats trailer repeats it,
-// so a client can verify MVCC consistency (header epoch == stats epoch)
-// across concurrent Apply traffic.
+// epoch the execution answered from, every row answers from it, and the
+// stats trailer repeats it, so a client can verify MVCC consistency
+// (header epoch == stats epoch) across concurrent Apply traffic.
 package wire
 
 import (
@@ -106,22 +109,20 @@ type ApplyRequest struct {
 	Dels []Triple `json:"dels,omitempty"`
 }
 
-// Event is one NDJSON line of a streamed query response. Kind selects
-// which of the other fields are set.
+// Event is one object line of a streamed query response: the header,
+// the stats trailer or an error; the rows between them are term and
+// row lines (row.go). Kind selects which of the other fields are set.
 type Event struct {
-	// Kind is "header", "row", "stats" or "error".
+	// Kind is "header", "stats" or "error".
 	Kind string `json:"kind"`
 	// Vars (header) are the result columns, in row order.
 	Vars []string `json:"vars,omitempty"`
 	// Epoch is the store epoch the execution answers from. Every event
 	// of one stream carries the same value (epoch 0 is meaningful, so
-	// the field is never omitted): a consumer can detect a torn stream
-	// from any single line.
+	// the field is never omitted), and every row between them answers
+	// from it: a consumer detects a torn stream by comparing the
+	// header's epoch with the trailer's.
 	Epoch uint64 `json:"epoch"`
-	// Values (row) are the decoded bindings positional over Vars, in
-	// N-Triples rendering (<iri> / "literal"); null marks an unbound
-	// variable (µ is partial).
-	Values []*string `json:"values,omitempty"`
 	// Stats (stats) is the execution's ExecStats; Rows the total row
 	// count, Truncated whether a Limit cut the stream short.
 	Stats     *dualsim.ExecStats `json:"stats,omitempty"`
@@ -138,7 +139,6 @@ type Event struct {
 // Event kinds.
 const (
 	EventHeader = "header"
-	EventRow    = "row"
 	EventStats  = "stats"
 	EventError  = "error"
 )
