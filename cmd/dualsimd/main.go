@@ -16,7 +16,7 @@
 //
 //	POST /v1/query        query via the plan cache; ?stream=1 for NDJSON rows
 //	POST /v1/apply        live delta (dels before adds, atomic, epoch++)
-//	POST /v1/compact      rebuild the store (fresh dictionary)
+//	POST /v1/compact      compact the store (dead terms reclaimed)
 //	POST /v1/checkpoint   roll the WAL into a fresh on-disk snapshot
 //	GET  /v1/snapshot     epoch + store shape
 //	GET  /v1/export       predicate slices as a DSIMSNP1 container (the router's gather path)

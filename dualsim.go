@@ -40,8 +40,9 @@
 //     executions finish on their epoch, plan cache keys carry the epoch,
 //     index maintenance is incremental in the touched predicates),
 //     db.Snapshot() pins an epoch for repeatable reads, and
-//     WithCompactionThreshold/db.Compact rebuild the patched store into
-//     a pristine one with a fresh dictionary;
+//     WithCompactionThreshold/db.Compact reclaim dead terms onto a
+//     dictionary of the live ones, renumbering ids only when some term
+//     was dead;
 //   - network serving: internal/server (behind cmd/dualsimd) exposes a
 //     session over HTTP/JSON with NDJSON row streaming, admission
 //     control and epoch-tagged responses, one query per request; the

@@ -218,8 +218,8 @@ func newServer(be *local, db *dualsim.DB, opts []Option) (*Server, error) {
 
 // Query pins the epoch for the whole request: execution answers from
 // the pinned snapshot and the rows are decoded against the same
-// dictionary, so a concurrent Apply (or even a compaction, which
-// renumbers every node) cannot tear the response.
+// dictionary, so a concurrent Apply (or even a compaction, which may
+// renumber every node) cannot tear the response.
 func (b *local) Query(ctx context.Context, src string) (Cursor, error) {
 	snap := b.session().Snapshot()
 	rows, err := snap.QueryStream(ctx, src)

@@ -24,7 +24,7 @@
 // slow-log feeding and request metrics; a backend only executes. The
 // local backend additionally mounts the routes that need a session:
 //
-//	POST /v1/compact   on-demand compaction (store rebuild)
+//	POST /v1/compact   on-demand compaction (dead terms reclaimed)
 //	POST /v1/checkpoint roll the durable session's WAL into a snapshot
 //	GET  /v1/export    DSIMSNP1 container of predicate slices at a pinned epoch (router gather);
 //	                   ETag "<session nonce>-<epoch>", 304 when If-None-Match lists it

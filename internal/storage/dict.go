@@ -14,7 +14,8 @@ import (
 // dict is the shared, append-only term and predicate dictionary of a
 // store lineage. Snapshots derived from one another (Build, Restrict,
 // Patch) all point at the same dict, so a node or predicate id
-// decodes to the same term in every snapshot; each snapshot additionally
+// decodes to the same term in every snapshot; Compact and Union start a
+// lineage with a dict of their own. Each snapshot additionally
 // records how much of the dictionary it can see, so terms interned by a
 // later patch are invisible to (and unreachable from) earlier snapshots.
 //
@@ -63,22 +64,29 @@ func (d *dict) fork(terms termView, preds []string) *dict {
 		arena:   slices.Clone(terms.arena[:terms.offsets[n]]),
 		offsets: slices.Clone(terms.offsets[:n+1]),
 		kinds:   slices.Clone(terms.kinds),
-		preds:   slices.Clone(preds),
-		predID:  make(map[string]PredID, len(preds)),
-	}
-	for id, p := range f.preds {
-		f.predID[p] = PredID(id)
 	}
 	d.mu.RLock()
 	if len(d.kinds) == n { // d's id table indexes exactly these terms
 		f.table, f.seed = slices.Clone(d.table), d.seed
 	}
 	d.mu.RUnlock()
+	f.finish(preds)
+	return f
+}
+
+// finish completes a dictionary whose term columns are filled: it takes
+// a copy of preds, each under its index as id, and builds the id table
+// over the terms unless f already has one.
+func (f *dict) finish(preds []string) {
+	f.preds = slices.Clone(preds)
+	f.predID = make(map[string]PredID, len(preds))
+	for id, p := range f.preds {
+		f.predID[p] = PredID(id)
+	}
 	if f.table == nil {
 		f.seed = maphash.MakeSeed()
-		f.reindex(tableSize(n))
+		f.reindex(tableSize(len(f.kinds)))
 	}
-	return f
 }
 
 // termView is a prefix view of a dictionary's term columns: the first

@@ -2,7 +2,11 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
+	"slices"
 
+	"dualsim/internal/bitmat"
 	"dualsim/internal/rdf"
 )
 
@@ -39,12 +43,11 @@ func ValidateBatch(adds, dels []rdf.Triple) error {
 	return nil
 }
 
-// predChange accumulates one predicate's effective patch. addSet
-// mirrors adds for O(1) duplicate detection.
+// predChange accumulates one predicate's effective patch: adds may name
+// a pair more than once until Patch sorts and deduplicates them.
 type predChange struct {
-	adds   []pair
-	addSet map[pair]bool
-	dels   map[pair]bool
+	adds []pair
+	dels map[pair]bool
 }
 
 // Patch derives a new snapshot containing the receiver's triples minus
@@ -55,9 +58,11 @@ type predChange struct {
 // The two snapshots share the append-only dictionary, so node and
 // predicate ids are stable across the patch and new terms extend the id
 // space. Index maintenance is incremental at predicate granularity: only
-// predicates named by an effective change are re-indexed; every other
-// predicate shares the receiver's columns and row offsets, its directory
-// widened to the new node count when the patch interned terms.
+// predicates named by an effective change are re-indexed — the delta is
+// sorted and merged into the predicate's PSO run in one linear pass that
+// drops the deleted pairs, and newPredIndex lays out the rest; every
+// other predicate shares the receiver's columns and row offsets, its
+// directory widened to the new node count when the patch interned terms.
 //
 // Patch is atomic: both triple slices are validated before anything is
 // interned, so an invalid triple leaves the dictionary untouched.
@@ -80,7 +85,7 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 	change := func(p PredID) *predChange {
 		ch := touched[p]
 		if ch == nil {
-			ch = &predChange{addSet: make(map[pair]bool), dels: make(map[pair]bool)}
+			ch = &predChange{dels: make(map[pair]bool)}
 			touched[p] = ch
 		}
 		return ch
@@ -106,8 +111,7 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 			return nil, stats, err
 		}
 		pr := pair{a: ids.s, b: ids.o}
-		ch := touched[ids.p]
-		switch {
+		switch ch := touched[ids.p]; {
 		case ch != nil && ch.dels[pr]:
 			// Deleted then re-added in this patch: net zero, cancel the
 			// tombstone.
@@ -115,12 +119,9 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 		case int(ids.p) < oldPreds && int(ids.s) < oldTerms && int(ids.o) < oldTerms &&
 			st.HasTriple(ids.s, ids.p, ids.o):
 			// Already present and not deleted: no-op.
-		case ch != nil && ch.addSet[pr]:
-			// Duplicate add within the patch.
 		default:
 			ch = change(ids.p)
 			ch.adds = append(ch.adds, pr)
-			ch.addSet[pr] = true
 		}
 	}
 
@@ -140,25 +141,97 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 	out.empty = st.empty.Widen(n)
 
 	for p, ch := range touched {
-		if len(ch.adds) == 0 && len(ch.dels) == 0 {
+		adds := dedupSorted(ch.adds)
+		if len(adds) == 0 && len(ch.dels) == 0 {
 			continue // every change of this predicate cancelled out
 		}
+		dels := slices.SortedFunc(maps.Keys(ch.dels), comparePairs)
 		var old predIndex
 		if int(p) < len(st.byPred) {
 			old = st.byPred[p]
 		}
-		kept := make([]pair, 0, len(old.psoS)+len(ch.adds)-len(ch.dels))
-		for i, sub := range old.psoS {
-			if e := (pair{a: sub, b: old.psoO[i]}); !ch.dels[e] {
-				kept = append(kept, e)
-			}
-		}
-		out.byPred[p] = newPredIndexFromPairs(n, dedupSorted(append(kept, ch.adds...)))
-		out.nTrip += len(out.byPred[p].psoS) - len(old.psoS)
-		stats.Added += len(ch.adds)
-		stats.Deleted += len(ch.dels)
+		s, o := old.merge(adds, dels)
+		out.byPred[p] = newPredIndex(n, s, o)
+		out.nTrip += len(adds) - len(dels)
+		stats.Added += len(adds)
+		stats.Deleted += len(dels)
 		stats.TouchedPreds++
 	}
 	stats.ReusedIndexes = len(out.preds) - stats.TouchedPreds
 	return out, stats, nil
+}
+
+// merge returns ix's PSO run minus dels plus adds as two fresh columns,
+// in one pass. Both are sorted and deduplicated; every del is a pair of
+// the run and no add is.
+func (ix *predIndex) merge(adds, dels []pair) (s, o []NodeID) {
+	n := len(ix.psoS) + len(adds) - len(dels)
+	cols := make([]NodeID, 2*n)
+	s, o = cols[:n:n], cols[n:]
+	k := 0
+	for i, sub := range ix.psoS {
+		e := pair{a: sub, b: ix.psoO[i]}
+		for ; len(adds) > 0 && comparePairs(adds[0], e) < 0; adds = adds[1:] {
+			s[k], o[k] = adds[0].a, adds[0].b
+			k++
+		}
+		if len(dels) > 0 && dels[0] == e {
+			dels = dels[1:]
+			continue
+		}
+		s[k], o[k] = e.a, e.b
+		k++
+	}
+	for _, e := range adds {
+		s[k], o[k] = e.a, e.b
+		k++
+	}
+	return s, o
+}
+
+// Compact returns a store with the receiver's triples over a dictionary
+// of its own that holds only the live terms, those some triple uses:
+// terms that only deleted triples used, and terms interned but never
+// used, are reclaimed. The receiver is unchanged.
+//
+// Live terms keep their relative id order, so renumbering every column
+// through that monotone map keeps each PSO run sorted: nothing is
+// re-sorted or re-interned, and newPredIndex lays out the renumbered
+// runs. When every term the receiver sees is live, ids stay as they
+// are: the result shares every predicate index, and only the
+// dictionary is forked down to the receiver's view. Predicate ids never
+// change.
+func (st *Store) Compact() *Store {
+	st.mustBeBuilt()
+	live := st.usedTerms(st.predIDs())
+	out := &Store{nTrip: st.nTrip, built: true}
+	if live.n == st.terms.len() {
+		out.d = st.d.fork(st.terms, st.preds)
+		out.terms, out.preds = out.d.views()
+		out.byPred, out.empty = st.byPred, st.empty
+		return out
+	}
+
+	d := &dict{offsets: make([]uint32, 1, live.n+1), kinds: make([]rdf.Kind, 0, live.n)}
+	for i, word := range live.used {
+		for ; word != 0; word &= word - 1 {
+			id := NodeID(i*64 + bits.TrailingZeros64(word))
+			push(d, st.terms.kind(id), st.terms.value(id))
+		}
+	}
+	d.finish(st.preds)
+	out.d = d
+	out.terms, out.preds = d.views()
+	out.byPred = make([]predIndex, len(st.byPred))
+	for p := range st.byPred {
+		src := &st.byPred[p]
+		cols := make([]NodeID, 2*len(src.psoS))
+		s, o := cols[:len(src.psoS):len(src.psoS)], cols[len(src.psoS):]
+		for i, sub := range src.psoS {
+			s[i], o[i] = live.of(sub), live.of(src.psoO[i])
+		}
+		out.byPred[p] = newPredIndex(live.n, s, o)
+	}
+	out.empty = bitmat.EmptyPair(live.n)
+	return out
 }

@@ -57,11 +57,7 @@ func dirBytesPerPred(n uint64) uint64 { return 2 * (n/8 + n/16 + 8) }
 // EncodeSnapshot writes the store body to w. The store must be built.
 func (st *Store) EncodeSnapshot(w io.Writer) error {
 	st.mustBeBuilt()
-	preds := make([]PredID, len(st.preds))
-	for p := range preds {
-		preds[p] = PredID(p)
-	}
-	return st.encodeBody(w, preds, nil)
+	return st.encodeBody(w, st.predIDs(), nil)
 }
 
 // EncodeSlice writes, in the EncodeSnapshot layout, the body of the
@@ -73,12 +69,28 @@ func (st *Store) EncodeSnapshot(w io.Writer) error {
 func (st *Store) EncodeSlice(w io.Writer, preds []PredID) error {
 	st.mustBeBuilt()
 	preds = slices.Compact(slices.Sorted(slices.Values(preds)))
-	r := termRanks{used: make([]uint64, (st.NumNodes()+63)/64)}
+	return st.encodeBody(w, preds, st.usedTerms(preds))
+}
+
+// termRanks numbers the n node ids some PSO runs use by rank in id
+// order: one bit per id and, per 64-id word, the count of used ids
+// before it.
+type termRanks struct {
+	used   []uint64
+	before []uint32
+	n      int
+}
+
+// usedTerms ranks the node ids that the triples of the given predicates
+// use, marking each run's subject and object column in one pass.
+func (st *Store) usedTerms(preds []PredID) *termRanks {
+	r := &termRanks{used: make([]uint64, (st.NumNodes()+63)/64)}
 	for _, p := range preds {
 		ix := &st.byPred[p]
-		for i, s := range ix.psoS {
-			o := ix.psoO[i]
+		for _, s := range ix.psoS {
 			r.used[s/64] |= 1 << (s % 64)
+		}
+		for _, o := range ix.psoO {
 			r.used[o/64] |= 1 << (o % 64)
 		}
 	}
@@ -87,19 +99,12 @@ func (st *Store) EncodeSlice(w io.Writer, preds []PredID) error {
 		r.before[i] = uint32(r.n)
 		r.n += bits.OnesCount64(w)
 	}
-	return st.encodeBody(w, preds, &r)
+	return r
 }
 
-// termRanks numbers the n node ids a slice uses by rank in id order: one
-// bit per id and, per 64-id word, the count of used ids before it.
-type termRanks struct {
-	used   []uint64
-	before []uint32
-	n      int
-}
-
-// of returns id's slice id; a nil receiver is the identity (the full
-// snapshot keeps every id).
+// of returns id's rank among the used ids, its id in a slice or a
+// compacted store; a nil receiver is the identity (the full snapshot
+// keeps every id).
 func (r *termRanks) of(id NodeID) NodeID {
 	if r == nil {
 		return id

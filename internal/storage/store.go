@@ -17,11 +17,14 @@
 // non-empty rows (a summary bit per node, a prefix count per 64 nodes and
 // an offset per non-empty row), so Objects, Subjects and Matrices(p).F.Row
 // are one read of one array, returned as a read-only sub-slice (no copy).
-// Every index — Build, RestrictByMask, Patch, Union, the snapshot decoder
-// — is laid out by the one constructor newPredIndex, which takes the
-// sorted, deduplicated PSO run and derives the POS order with a stable
-// distribution pass on the object id, so building a per-query pruned
-// store is linear in what it keeps plus the directories.
+// Every index — Build, RestrictByMask, Patch, Compact, Union, the
+// snapshot decoder — is laid out by the one constructor newPredIndex,
+// which takes the sorted, deduplicated PSO run and derives the POS order
+// with a stable distribution pass on the object id, so building a
+// per-query pruned store is linear in what it keeps plus the
+// directories. Patch hands it the touched predicate's run merged with
+// the sorted delta, and Compact each run renumbered through a monotone
+// map of the live terms: neither sorts a run.
 //
 // The serving path does not build that pruned store: it reads this one
 // through a Filter (filter.go). RestrictByMask remains for the paper's
@@ -161,14 +164,15 @@ func (st *Store) Build() {
 	st.built = true
 }
 
-func sortPairs(ps []pair) {
-	slices.SortFunc(ps, func(x, y pair) int {
-		if c := cmp.Compare(x.a, y.a); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.b, y.b)
-	})
+// comparePairs orders pairs by (a, b), the PSO order.
+func comparePairs(x, y pair) int {
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.b, y.b)
 }
+
+func sortPairs(ps []pair) { slices.SortFunc(ps, comparePairs) }
 
 func dedupSorted(ps []pair) []pair {
 	sortPairs(ps)
@@ -198,6 +202,15 @@ func (st *Store) NumNodes() int { return st.terms.len() }
 
 // NumPreds returns |Σ|.
 func (st *Store) NumPreds() int { return len(st.preds) }
+
+// predIDs lists every predicate id in order.
+func (st *Store) predIDs() []PredID {
+	ids := make([]PredID, len(st.preds))
+	for p := range ids {
+		ids[p] = PredID(p)
+	}
+	return ids
+}
 
 // Term decodes a node id. The term's Value aliases the dictionary's
 // arena — no allocation, valid for good, and never to be modified.

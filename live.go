@@ -22,7 +22,7 @@ const checkpointEvery = 1024
 
 // This file is the session's write path: Apply mutates the database by
 // publishing a new epoch-numbered snapshot, Snapshot pins the current
-// epoch for repeatable reads, Compact rebuilds the store on demand.
+// epoch for repeatable reads, Compact reclaims dead terms on demand.
 //
 // Consistency model (MVCC-lite, single writer): snapshots are immutable
 // and swapped atomically. Every request — Exec, Query, QueryStream —
@@ -60,8 +60,9 @@ type ApplyStats struct {
 	// operation. Reaching WithCompactionThreshold, or Compact, resets it
 	// to 0.
 	OverlaySize int `json:"overlaySize"`
-	// Compacted reports that the store was rebuilt from scratch (the
-	// threshold was crossed, or Compact was called).
+	// Compacted reports that the store was compacted (the threshold was
+	// crossed, or Compact was called): its dead terms were reclaimed, and
+	// node ids changed only if some term was dead.
 	Compacted bool `json:"compacted,omitempty"`
 	// NoOp reports that the delta was empty and nothing was published:
 	// no epoch bump, no snapshot swap, no plan-cache invalidation.
@@ -102,8 +103,8 @@ type ApplyStats struct {
 // (they could never be served anyway — cache keys carry the epoch).
 // Index maintenance is incremental: only predicates the delta touches
 // are re-indexed — until the effective changes since the last compaction
-// reach WithCompactionThreshold, when the store is rebuilt in the same
-// epoch step.
+// reach WithCompactionThreshold, when the store is also compacted in the
+// same epoch step.
 //
 // Applying an empty Delta is a no-op: no epoch bump, no snapshot swap,
 // no plan-cache invalidation — ApplyStats.NoOp reports it.
@@ -111,10 +112,11 @@ func (db *DB) Apply(ctx context.Context, d Delta) (ApplyStats, error) {
 	return db.write(ctx, persist.Record{Kind: persist.RecordApply, Adds: d.Adds, Dels: d.Dels})
 }
 
-// Compact rebuilds the live store on demand into a pristine store (fresh
-// dictionary, reclaiming the space of deleted triples and dead terms),
-// resets the change count and publishes the result as the next epoch.
-// Node ids are not stable across a compaction. See
+// Compact reclaims the dictionary space of dead terms — those no live
+// triple uses any more — resets the change count and publishes the
+// result as the next epoch. The live terms keep their relative order
+// under new ids, so node ids change only when some term was dead; with
+// none, every predicate index carries over as it is. See
 // WithCompactionThreshold for the automatic variant.
 func (db *DB) Compact(ctx context.Context) (ApplyStats, error) {
 	return db.write(ctx, persist.Record{Kind: persist.RecordCompact})
@@ -224,14 +226,14 @@ func (db *DB) write(ctx context.Context, rec persist.Record) (ApplyStats, error)
 	db.cache.dropStaleEpochs(next.epoch)
 	sp.Record("publish", time.Since(pb0))
 
-	// A compaction already rebuilt the whole store — the natural moment to
-	// checkpoint: the fresh snapshot makes every WAL record redundant. An
-	// Apply checkpoints once checkpointEvery records accumulated. A
-	// checkpoint failure must not fail the write: the record is already
-	// WAL-acked, applied and published — durability holds, recovery just
-	// replays a longer log. Count the degradation
-	// (PersistStats.CheckpointFailures, a dualsimd gauge) instead of
-	// turning a healthy write into a caller-visible error.
+	// A Compact call is the natural moment to checkpoint: the fresh
+	// snapshot makes every WAL record redundant. An Apply checkpoints
+	// once checkpointEvery records accumulated. A checkpoint failure
+	// must not fail the write: the record is already WAL-acked, applied
+	// and published — durability holds, recovery just replays a longer
+	// log. Count the degradation (PersistStats.CheckpointFailures, a
+	// dualsimd gauge) instead of turning a healthy write into a
+	// caller-visible error.
 	if db.pers != nil && (compact || db.pers.RecordsSinceCheckpoint() >= checkpointEvery) {
 		c0 := time.Now()
 		if _, cerr := db.pers.Checkpoint(next.st, next.epoch); cerr != nil {
@@ -248,13 +250,14 @@ func (db *DB) write(ctx context.Context, rec persist.Record) (ApplyStats, error)
 // step advances the lineage by one WAL record and returns the next
 // epoch's snapshot, unpublished. An apply patches the store and, once
 // the effective changes since the last compaction reach
-// WithCompactionThreshold, rebuilds it; a compact rebuilds it. cur is
-// never modified, so a failed step changes nothing.
+// WithCompactionThreshold, compacts it (storage.Store.Compact); a
+// compact record compacts it. cur is never modified, so a failed step
+// changes nothing.
 func (db *DB) step(cur *dbSnapshot, rec persist.Record) (*dbSnapshot, storage.PatchStats, error) {
 	next := *cur
 	next.epoch++
 	var ps storage.PatchStats
-	var rebuild bool
+	var compact bool
 	switch rec.Kind {
 	case persist.RecordApply:
 		var err error
@@ -262,21 +265,19 @@ func (db *DB) step(cur *dbSnapshot, rec persist.Record) (*dbSnapshot, storage.Pa
 			return nil, ps, err
 		}
 		next.pending += ps.Added + ps.Deleted
-		rebuild = db.set.compactThreshold > 0 && next.pending >= db.set.compactThreshold
+		compact = db.set.compactThreshold > 0 && next.pending >= db.set.compactThreshold
 	case persist.RecordCompact:
-		rebuild = true
+		compact = true
 	default:
 		return nil, ps, fmt.Errorf("unknown WAL record kind %d", rec.Kind)
 	}
-	if rebuild {
-		st, err := storage.FromTriples(next.st.Triples())
-		if err != nil {
-			return nil, ps, fmt.Errorf("dualsim: compaction rebuild: %w", err)
-		}
-		next.st, next.pending = st, 0
+	if compact {
+		next.st, next.pending = next.st.Compact(), 0
 		next.compactions++
-		// The rebuild subsumes the patch: its index counters (and node
-		// ids) no longer describe the published store.
+		// Only the effective changes survive the compaction: when it
+		// renumbers, it lays out every index and may move every id, so
+		// the patch's index and dictionary counters no longer describe
+		// the published store.
 		ps = storage.PatchStats{Added: ps.Added, Deleted: ps.Deleted}
 	}
 	return &next, ps, nil

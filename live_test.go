@@ -365,7 +365,7 @@ func TestApplyEmptyDeltaKeepsOverlay(t *testing.T) {
 }
 
 // TestAutoCompaction: the apply that brings the change count to the
-// threshold rebuilds the store in the same epoch step, with a fresh
+// threshold compacts the store in the same epoch step, onto a
 // dictionary holding exactly the live terms.
 func TestAutoCompaction(t *testing.T) {
 	ctx := context.Background()

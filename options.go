@@ -74,12 +74,12 @@ func WithPlanCache(n int) Option {
 // WithCompactionThreshold arms automatic compaction of the live store:
 // once the effective triple changes since the last compaction (adds and
 // deletes that changed the store, counted over every Apply; see
-// ApplyStats.OverlaySize) reach n, that Apply rebuilds the store into a
-// pristine snapshot — fresh dictionary, no dead terms — as part of the
-// same epoch step. The count follows churn, which is what grows the
-// dictionary, not the net deviation from the last compacted store. n = 0
-// (the default) leaves compaction to explicit Compact calls.
-// ApplyStats.Compacted reports when it ran.
+// ApplyStats.OverlaySize) reach n, that Apply also compacts the store
+// in the same epoch step: dead terms are reclaimed, and node ids change
+// only when some term was dead (see DB.Compact). The count follows
+// churn, which is what grows the dictionary, not the net deviation from
+// the last compacted store. n = 0 (the default) leaves compaction to
+// explicit Compact calls. ApplyStats.Compacted reports when it ran.
 func WithCompactionThreshold(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
