@@ -15,7 +15,7 @@
 //
 //   - a graph database: an in-memory dictionary-encoded triple store with
 //     per-predicate indexes and adjacency bit-matrices
-//     (NewStore/LoadNTriples/FromTriples);
+//     (LoadNTriples/FromTriples);
 //   - a session: Open(st, ...Option) fixes the pruning switch, the plan
 //     cache and durability for a store; sessions are safe for concurrent
 //     use;
@@ -102,9 +102,6 @@ func Literal(v string) Term { return rdf.NewLiteral(v) }
 func T(s, p, o string) Triple  { return rdf.T(s, p, o) }
 func TL(s, p, l string) Triple { return rdf.TL(s, p, l) }
 
-// NewStore returns an empty store; call Add/AddAll then Build.
-func NewStore() *Store { return storage.New() }
-
 // FromTriples builds a store from a triple slice.
 func FromTriples(ts []Triple) (*Store, error) { return storage.FromTriples(ts) }
 
@@ -118,7 +115,7 @@ func LoadNTriples(r io.Reader) (*Store, error) {
 }
 
 // ReadNTriples reads an N-Triples-style stream into a triple slice —
-// the raw form Delta and AddAll consume.
+// the raw form FromTriples and Delta consume.
 func ReadNTriples(r io.Reader) ([]Triple, error) {
 	return rdf.ReadAll(r)
 }

@@ -149,16 +149,17 @@ func randomStore(r *rand.Rand, maxNodes, maxPreds, maxEdges int) *storage.Store 
 	n := r.Intn(maxNodes) + 2
 	p := r.Intn(maxPreds) + 1
 	e := r.Intn(maxEdges) + 1
-	st := storage.New()
-	for i := 0; i < e; i++ {
+	ts := make([]rdf.Triple, e)
+	for i := range ts {
 		s := fmt.Sprintf("n%d", r.Intn(n))
 		o := fmt.Sprintf("n%d", r.Intn(n))
 		pr := fmt.Sprintf("p%d", r.Intn(p))
-		if err := st.Add(rdf.T(s, pr, o)); err != nil {
-			panic(err)
-		}
+		ts[i] = rdf.T(s, pr, o)
 	}
-	st.Build()
+	st, err := storage.FromTriples(ts)
+	if err != nil {
+		panic(err)
+	}
 	return st
 }
 

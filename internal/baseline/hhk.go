@@ -100,16 +100,16 @@ func (h *hhkState) initCounters() {
 			}
 		}
 		// Seed: every node with the right incident edge but zero support.
-		h.st.ForEachPair(c.pred, func(s, o storage.NodeID) bool {
-			y := s
-			if !c.fwd {
-				y = o
-			}
+		subjects, objects := h.st.PSO(c.pred)
+		ys := subjects
+		if !c.fwd {
+			ys = objects
+		}
+		for _, y := range ys {
 			if cnt[y] == 0 {
 				h.remove[ci][y] = true
 			}
-			return true
-		})
+		}
 		if len(h.remove[ci]) > 0 {
 			h.enqueue(ci)
 		}

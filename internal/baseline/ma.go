@@ -134,11 +134,11 @@ func initialCandidates(st *storage.Store, p *core.Branch) []map[storage.NodeID]b
 		}
 		subs := make(map[storage.NodeID]bool)
 		objs := make(map[storage.NodeID]bool)
-		st.ForEachPair(pid, func(s, o storage.NodeID) bool {
+		subjects, objects := st.PSO(pid)
+		for i, s := range subjects {
 			subs[s] = true
-			objs[o] = true
-			return true
-		})
+			objs[objects[i]] = true
+		}
 		constrain(e.From, subs)
 		constrain(e.To, objs)
 	}

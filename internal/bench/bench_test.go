@@ -228,7 +228,11 @@ func TestParseAll(t *testing.T) {
 func TestStripOptionalQuery(t *testing.T) {
 	spec, _ := queries.ByID("B0")
 	q := &sparql.Query{Expr: queries.StripOptional(spec.Query().Expr)}
-	plan, err := core.BuildQueryPlan(storage.New(), q, core.Config{})
+	empty, err := storage.FromTriples(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.BuildQueryPlan(empty, q, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,15 +89,13 @@ func TestLUBMSchemaInvariants(t *testing.T) {
 	// Head of department works for it.
 	head, _ := st.PredIDOf(PredHeadOf)
 	works, _ := st.PredIDOf(PredWorksFor)
-	cnt := 0
-	st.ForEachPair(head, func(h, d storage.NodeID) bool {
-		cnt++
-		if !st.HasTriple(h, works, d) {
+	heads, depts := st.PSO(head)
+	for i, h := range heads {
+		if d := depts[i]; !st.HasTriple(h, works, d) {
 			t.Fatalf("head %s does not work for %s", st.Term(h).Value, st.Term(d).Value)
 		}
-		return true
-	})
-	if cnt == 0 {
+	}
+	if len(heads) == 0 {
 		t.Fatal("no heads generated")
 	}
 }
@@ -163,10 +161,10 @@ func TestKGZipfSkew(t *testing.T) {
 	// median: the paper's selectivity argument depends on the skew.
 	director, _ := st.PredIDOf(KGDirector)
 	counts := make(map[storage.NodeID]int)
-	st.ForEachPair(director, func(f, d storage.NodeID) bool {
+	_, directors := st.PSO(director)
+	for _, d := range directors {
 		counts[d]++
-		return true
-	})
+	}
 	max := 0
 	for _, c := range counts {
 		if c > max {

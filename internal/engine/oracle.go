@@ -365,13 +365,13 @@ func extendRow(st *storage.Store, r resolved, row []storage.NodeID, varCol map[s
 			push(s, oVal)
 		}
 	default:
-		st.ForEachPair(r.pred, func(s, o storage.NodeID) bool {
-			if r.sVar == r.oVar && s != o {
-				return true
+		subjects, objects := st.PSO(r.pred)
+		for i, s := range subjects {
+			if r.sVar == r.oVar && s != objects[i] {
+				continue
 			}
-			push(s, o)
-			return true
-		})
+			push(s, objects[i])
+		}
 	}
 }
 

@@ -825,7 +825,8 @@ func (e *extendIter) Next(dst *block, limit int) error {
 				}
 			default:
 				if i := r.nextPos(e.st, e.pi); i >= 0 {
-					s, o := e.st.PairAt(r.pred, i)
+					subjects, objects := e.st.PSO(r.pred)
+					s, o := subjects[i], objects[i]
 					e.pi = i + 1
 					if !e.sameVar || s == o {
 						e.matched = true

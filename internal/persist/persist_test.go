@@ -309,7 +309,7 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := storage.DecodeSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := storage.DecodeSnapshot(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}

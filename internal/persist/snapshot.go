@@ -149,7 +149,7 @@ func DecodeSnapshot(buf []byte) (*storage.Store, uint64, error) {
 		return nil, 0, fmt.Errorf("persist: snapshot has unsupported format version %d (reader supports %d)", version, Version)
 	}
 	epoch := binary.LittleEndian.Uint64(body[4:12])
-	st, err := storage.DecodeSnapshotBytes(body[12:])
+	st, err := storage.DecodeSnapshot(body[12:])
 	if err != nil {
 		return nil, 0, err
 	}

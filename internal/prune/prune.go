@@ -212,9 +212,9 @@ func Required(ctx context.Context, st *storage.Store, q *sparql.Query, eng engin
 		if m == nil {
 			continue
 		}
+		subjects, objects := st.PSO(storage.PredID(p))
 		m.ForEach(func(i int) bool {
-			s, o := st.PairAt(storage.PredID(p), i)
-			out = append(out, TripleRef{S: s, P: storage.PredID(p), O: o})
+			out = append(out, TripleRef{S: subjects[i], P: storage.PredID(p), O: objects[i]})
 			return true
 		})
 	}

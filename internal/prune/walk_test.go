@@ -14,8 +14,9 @@ import (
 // scanEdge is the reference the χ-driven walk replaced: test every pair
 // of the predicate.
 func scanEdge(st *storage.Store, pid storage.PredID, chiS, chiO, mask *bitvec.Vector) {
-	for i := 0; i < st.PredCount(pid); i++ {
-		if s, o := st.PairAt(pid, i); chiS.Get(int(s)) && chiO.Get(int(o)) {
+	subjects, objects := st.PSO(pid)
+	for i, s := range subjects {
+		if chiS.Get(int(s)) && chiO.Get(int(objects[i])) {
 			mask.Set(i)
 		}
 	}

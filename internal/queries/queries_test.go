@@ -64,7 +64,7 @@ func TestDocumentedShapes(t *testing.T) {
 // data, so an empty store will do.
 func branchOf(t *testing.T, e sparql.Expr) *core.Branch {
 	t.Helper()
-	plan, err := core.BuildQueryPlan(storage.New(), &sparql.Query{Expr: e}, core.Config{})
+	plan, err := core.BuildQueryPlan(emptyStore(t), &sparql.Query{Expr: e}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,21 @@ func TestToPatternRejectsVariablePredicate(t *testing.T) {
 		`SELECT * WHERE { ?s <p> ?o OPTIONAL { ?o ?q ?r } }`,
 	} {
 		e := StripOptional(sparql.MustParse(text).Expr)
-		_, err := core.BuildQueryPlan(storage.New(), &sparql.Query{Expr: e}, core.Config{})
+		_, err := core.BuildQueryPlan(emptyStore(t), &sparql.Query{Expr: e}, core.Config{})
 		if err == nil || !strings.Contains(err.Error(), "predicate") {
 			t.Fatalf("%s: err = %v, want a variable-predicate rejection", text, err)
 		}
 	}
+}
+
+// emptyStore is a store without triples.
+func emptyStore(t *testing.T) *storage.Store {
+	t.Helper()
+	st, err := storage.FromTriples(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestRewritersOnUnion(t *testing.T) {

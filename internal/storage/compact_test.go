@@ -249,9 +249,7 @@ func TestPropertyPatchMatchesBuild(t *testing.T) {
 				t.Log(err)
 				return false
 			}
-			want := expectedIDs(cur, next, adds, dels)
-			ref := &Store{d: next.d, staged: want}
-			ref.Build()
+			ref := layout(next.d, expectedPairs(cur, next, adds, dels))
 			if err := indexInvariants(next); err != nil {
 				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
@@ -291,19 +289,20 @@ func TestPropertyPatchMatchesBuild(t *testing.T) {
 	}
 }
 
-// expectedIDs is cur's triple set minus dels plus adds, as next's ids.
-func expectedIDs(cur, next *Store, adds, dels []rdf.Triple) []tripleIDs {
+// expectedPairs is cur's triple set minus dels plus adds, as next's ids
+// grouped by predicate.
+func expectedPairs(cur, next *Store, adds, dels []rdf.Triple) [][]pair {
 	key := func(t rdf.Triple) string { return t.S.Key() + "|" + t.P + "|" + t.O.Key() }
 	gone := make(map[string]bool)
 	for _, t := range dels {
 		gone[key(t)] = true
 	}
-	var out []tripleIDs
+	out := make([][]pair, next.NumPreds())
 	add := func(t rdf.Triple) {
 		s, _ := next.TermID(t.S)
 		p, _ := next.PredIDOf(t.P)
 		o, _ := next.TermID(t.O)
-		out = append(out, tripleIDs{s: s, p: p, o: o})
+		out[p] = append(out[p], pair{a: s, b: o})
 	}
 	for _, t := range cur.Triples() {
 		if !gone[key(t)] {

@@ -12,12 +12,13 @@ import (
 )
 
 // dict is the shared, append-only term and predicate dictionary of a
-// store lineage. Snapshots derived from one another (Build, Restrict,
-// Patch) all point at the same dict, so a node or predicate id
-// decodes to the same term in every snapshot; Compact and Union start a
-// lineage with a dict of their own. Each snapshot additionally
-// records how much of the dictionary it can see, so terms interned by a
-// later patch are invisible to (and unreachable from) earlier snapshots.
+// store lineage. A store FromTriples makes and the snapshots derived
+// from it by RestrictByMask and Patch all point at the same dict, so a
+// node or predicate id decodes to the same term in every snapshot;
+// Compact and Union start a lineage with a dict of their own. Each
+// snapshot additionally records how much of the dictionary it can see,
+// so terms interned by a later patch are invisible to (and unreachable
+// from) earlier snapshots.
 //
 // Terms live in four flat columns, with no Go string or pointer per term:
 // the values back to back in one byte arena, a uint32 offset column
@@ -160,17 +161,17 @@ func (d *dict) lookupTerm(k rdf.Kind, v string) (NodeID, bool) {
 var errArenaFull = fmt.Errorf("storage: dictionary term values would exceed %d bytes", uint64(math.MaxUint32))
 
 // intern, internTerm and internPred require d.mu held for writing: once
-// per staged batch, once per patched triple, once per united part. A
+// per FromTriples batch, once per patched triple, once per united part. A
 // failed intern may leave earlier terms of its batch interned, which is
 // harmless: the dictionary is append-only and an id no triple uses is
 // never read.
-func (d *dict) intern(t rdf.Triple) (tripleIDs, error) {
+func (d *dict) intern(t rdf.Triple) (PredID, pair, error) {
 	s, err := d.internTerm(t.S.Kind, t.S.Value)
 	if err != nil {
-		return tripleIDs{}, err
+		return 0, pair{}, err
 	}
 	o, err := d.internTerm(t.O.Kind, t.O.Value)
-	return tripleIDs{s: s, p: d.internPred(t.P), o: o}, err
+	return d.internPred(t.P), pair{a: s, b: o}, err
 }
 
 func (d *dict) internTerm(k rdf.Kind, v string) (NodeID, error) {

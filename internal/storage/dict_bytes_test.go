@@ -22,7 +22,7 @@ func TestDictionaryBytesPerTerm(t *testing.T) {
 	if err := st.EncodeSnapshot(&body); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := storage.DecodeSnapshotBytes(body.Bytes())
+	decoded, err := storage.DecodeSnapshot(body.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("EncodeSnapshot wrote %d bytes that differ from the %d-byte golden body", got.Len(), len(want))
 	}
-	st, err := DecodeSnapshotBytes(want)
+	st, err := DecodeSnapshot(want)
 	if err != nil {
 		t.Fatal(err)
 	}

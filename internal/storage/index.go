@@ -20,13 +20,13 @@ type predIndex struct {
 	adj        bitmat.Pair
 }
 
-// newPredIndex is the one index constructor: Build, RestrictByMask,
-// Patch, Compact, Union and the snapshot decoder all hand it a
-// predicate's PSO run as two parallel columns — sorted by (subject,
-// object), deduplicated, owned by the index from here on — and the size
-// n of the node universe. It lays out the POS order and both row
-// directories; the POS order's object column is only the input of B's
-// directory.
+// newPredIndex is the one index constructor: FromTriples,
+// RestrictByMask, Patch, Compact, Union and the snapshot decoder all
+// hand it a predicate's PSO run as two parallel columns — sorted by
+// (subject, object), deduplicated, owned by the index from here on — and
+// the size n of the node universe. It lays out the POS order and both
+// row directories; the POS order's object column is only the input of
+// B's directory.
 func newPredIndex(n int, s, o []NodeID) predIndex {
 	if len(s) == 0 {
 		return predIndex{}
@@ -40,7 +40,7 @@ func newPredIndex(n int, s, o []NodeID) predIndex {
 }
 
 // newPredIndexFromPairs splits a sorted, deduplicated pair run into
-// columns for newPredIndex — the form Build and Union sort in.
+// columns for newPredIndex — the form FromTriples and Union sort in.
 func newPredIndexFromPairs(n int, pso []pair) predIndex {
 	cols := make([]NodeID, 2*len(pso))
 	s, o := cols[:len(pso):len(pso)], cols[len(pso):]

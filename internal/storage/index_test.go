@@ -260,7 +260,7 @@ func TestDerivedStoresUseTheConstructor(t *testing.T) {
 	if err := patched.EncodeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeSnapshot(&buf)
+	decoded, err := DecodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

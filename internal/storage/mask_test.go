@@ -18,28 +18,31 @@ func maskFixture(t *testing.T) *Store {
 	})
 }
 
+// TestPairAtOrder: position i of a predicate's PSO columns is its i-th
+// pair in (subject, object) order.
 func TestPairAtOrder(t *testing.T) {
 	st := maskFixture(t)
 	p, _ := st.PredIDOf("p")
 	// PSO order: (a,b), (a,c), (b,c) — subjects ascending by intern id.
-	s0, o0 := st.PairAt(p, 0)
-	if st.Term(s0).Value != "a" || st.Term(o0).Value != "b" {
-		t.Fatalf("PairAt(0) = %s,%s", st.Term(s0).Value, st.Term(o0).Value)
+	subjects, objects := st.PSO(p)
+	if len(subjects) != 3 || len(objects) != 3 {
+		t.Fatalf("PSO columns hold %d and %d ids, want 3", len(subjects), len(objects))
 	}
-	s2, o2 := st.PairAt(p, 2)
-	if st.Term(s2).Value != "b" || st.Term(o2).Value != "c" {
-		t.Fatalf("PairAt(2) = %s,%s", st.Term(s2).Value, st.Term(o2).Value)
+	if st.Term(subjects[0]).Value != "a" || st.Term(objects[0]).Value != "b" {
+		t.Fatalf("pair 0 = %s,%s", st.Term(subjects[0]).Value, st.Term(objects[0]).Value)
+	}
+	if st.Term(subjects[2]).Value != "b" || st.Term(objects[2]).Value != "c" {
+		t.Fatalf("pair 2 = %s,%s", st.Term(subjects[2]).Value, st.Term(objects[2]).Value)
 	}
 }
 
 func TestFindPair(t *testing.T) {
 	st := maskFixture(t)
 	p, _ := st.PredIDOf("p")
-	count := st.PredCount(p)
-	for i := 0; i < count; i++ {
-		s, o := st.PairAt(p, i)
-		if got := st.FindPair(p, s, o); got != i {
-			t.Fatalf("FindPair(PairAt(%d)) = %d", i, got)
+	subjects, objects := st.PSO(p)
+	for i, s := range subjects {
+		if got := st.FindPair(p, s, objects[i]); got != i {
+			t.Fatalf("FindPair of PSO pair %d = %d", i, got)
 		}
 	}
 	a, _ := st.TermID(rdf.NewIRI("a"))

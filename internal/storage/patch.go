@@ -70,7 +70,6 @@ type predChange struct {
 // respect to the shared dictionary, but the caller is responsible for
 // ordering them (the session's single writer serializes).
 func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
-	st.mustBeBuilt()
 	var stats PatchStats
 	if err := ValidateBatch(adds, dels); err != nil {
 		return nil, stats, err
@@ -105,31 +104,26 @@ func (st *Store) Patch(adds, dels []rdf.Triple) (*Store, PatchStats, error) {
 	// consistent for every later snapshot of the lineage.
 	for _, t := range adds {
 		st.d.mu.Lock()
-		ids, err := st.d.intern(t)
+		p, pr, err := st.d.intern(t)
 		st.d.mu.Unlock()
 		if err != nil {
 			return nil, stats, err
 		}
-		pr := pair{a: ids.s, b: ids.o}
-		switch ch := touched[ids.p]; {
+		switch ch := touched[p]; {
 		case ch != nil && ch.dels[pr]:
 			// Deleted then re-added in this patch: net zero, cancel the
 			// tombstone.
 			delete(ch.dels, pr)
-		case int(ids.p) < oldPreds && int(ids.s) < oldTerms && int(ids.o) < oldTerms &&
-			st.HasTriple(ids.s, ids.p, ids.o):
+		case int(p) < oldPreds && int(pr.a) < oldTerms && int(pr.b) < oldTerms &&
+			st.HasTriple(pr.a, p, pr.b):
 			// Already present and not deleted: no-op.
 		default:
-			ch = change(ids.p)
+			ch = change(p)
 			ch.adds = append(ch.adds, pr)
 		}
 	}
 
-	out := &Store{
-		d:     st.d,
-		built: true,
-		nTrip: st.nTrip,
-	}
+	out := &Store{d: st.d, nTrip: st.nTrip}
 	out.terms, out.preds = st.d.views()
 	n := out.terms.len()
 	stats.NewTerms = n - oldTerms
@@ -202,9 +196,8 @@ func (ix *predIndex) merge(adds, dels []pair) (s, o []NodeID) {
 // dictionary is forked down to the receiver's view. Predicate ids never
 // change.
 func (st *Store) Compact() *Store {
-	st.mustBeBuilt()
 	live := st.usedTerms(st.predIDs())
-	out := &Store{nTrip: st.nTrip, built: true}
+	out := &Store{nTrip: st.nTrip}
 	if live.n == st.terms.len() {
 		out.d = st.d.fork(st.terms, st.preds)
 		out.terms, out.preds = out.d.views()

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dualsim/internal/rdf"
@@ -15,25 +16,25 @@ func tripleSet(st *Store) map[string]bool {
 	return out
 }
 
+// TestAddAllAtomic: FromTriples refuses a batch holding an invalid
+// triple anywhere in it, naming the triple, and builds nothing.
 func TestAddAllAtomic(t *testing.T) {
-	st := New()
 	bad := []rdf.Triple{
 		rdf.T("a", "p", "b"),
 		{S: rdf.NewLiteral("oops"), P: "p", O: rdf.NewIRI("c")}, // invalid: literal subject
 		rdf.T("d", "p", "e"),
 	}
-	if err := st.AddAll(bad); err == nil {
-		t.Fatal("AddAll accepted an invalid batch")
+	st, err := FromTriples(bad)
+	if err == nil || st != nil {
+		t.Fatalf("FromTriples accepted an invalid batch: store %v, err %v", st, err)
 	}
-	// Nothing of the failed batch may be staged or interned: the store
-	// must be exactly as before the call.
-	if n := st.NumNodes(); n != 0 {
-		t.Fatalf("failed AddAll interned %d terms, want 0", n)
+	if !strings.Contains(err.Error(), "triple 1 of 3") {
+		t.Fatalf("error %q does not name the invalid triple", err)
 	}
-	if err := st.AddAll([]rdf.Triple{rdf.T("x", "p", "y")}); err != nil {
+	st, err = FromTriples(bad[:1])
+	if err != nil {
 		t.Fatal(err)
 	}
-	st.Build()
 	if st.NumTriples() != 1 || st.NumNodes() != 2 {
 		t.Fatalf("got %d triples over %d nodes, want 1 over 2", st.NumTriples(), st.NumNodes())
 	}

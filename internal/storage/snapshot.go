@@ -13,7 +13,7 @@ import (
 	"dualsim/internal/rdf"
 )
 
-// This file implements the binary serialization of a built Store — the
+// This file implements the binary serialization of a Store — the
 // payload of the durable snapshot files written by internal/persist, and
 // (EncodeSlice) of the predicate slices a shard exports to the router.
 // The codec lives here because it walks the store's internals (the
@@ -54,9 +54,8 @@ const (
 // prefix count per 64 terms.
 func dirBytesPerPred(n uint64) uint64 { return 2 * (n/8 + n/16 + 8) }
 
-// EncodeSnapshot writes the store body to w. The store must be built.
+// EncodeSnapshot writes the store body to w.
 func (st *Store) EncodeSnapshot(w io.Writer) error {
-	st.mustBeBuilt()
 	return st.encodeBody(w, st.predIDs(), nil)
 }
 
@@ -67,7 +66,6 @@ func (st *Store) EncodeSnapshot(w io.Writer) error {
 // monotone map, so every PSO run is written in the order the index
 // already holds — no sort and no intermediate store.
 func (st *Store) EncodeSlice(w io.Writer, preds []PredID) error {
-	st.mustBeBuilt()
 	preds = slices.Compact(slices.Sorted(slices.Values(preds)))
 	return st.encodeBody(w, preds, st.usedTerms(preds))
 }
@@ -161,24 +159,13 @@ func (st *Store) encodeBody(w io.Writer, preds []PredID, ranks *termRanks) error
 	return bw.Flush()
 }
 
-// DecodeSnapshot reconstructs a built store (with a fresh dictionary)
-// from a body written by EncodeSnapshot. It validates structural
+// DecodeSnapshot reconstructs a store (with a fresh dictionary) from a
+// body written by EncodeSnapshot or EncodeSlice. It validates structural
 // invariants — node ids in range, PSO runs strictly sorted — so a
 // corrupted body fails loudly instead of producing a store with broken
-// binary-search indexes.
-func DecodeSnapshot(r io.Reader) (*Store, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("storage: reading snapshot body: %w", err)
-	}
-	return DecodeSnapshotBytes(buf)
-}
-
-// DecodeSnapshotBytes is DecodeSnapshot over an in-memory body — the
-// fast path the boot-critical persist layer uses (the snapshot file is
-// already in memory for its checksum pass; decoding straight off the
-// slice skips a copy and all buffered-reader overhead).
-func DecodeSnapshotBytes(buf []byte) (*Store, error) {
+// binary-search indexes. It decodes straight off the slice: the persist
+// layer already holds the whole file for its checksum pass.
+func DecodeSnapshot(buf []byte) (*Store, error) {
 	dec := snapDecoder{buf: buf}
 
 	// Element counts are additionally bounded by the bytes actually
@@ -245,7 +232,7 @@ func DecodeSnapshotBytes(buf []byte) (*Store, error) {
 		return nil, fmt.Errorf("storage: snapshot dictionary lists a predicate twice")
 	}
 
-	st := &Store{d: d, empty: bitmat.EmptyPair(int(nTerms)), built: true}
+	st := &Store{d: d, empty: bitmat.EmptyPair(int(nTerms))}
 	st.terms, st.preds = d.views()
 	st.byPred = make([]predIndex, nPreds)
 	dirBudget, dirBytes := 64*uint64(len(buf))+maxSnapshotDirs, uint64(0)

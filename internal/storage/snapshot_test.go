@@ -24,7 +24,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if err := st.EncodeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,12 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotCodecEmptyStore(t *testing.T) {
-	st := New()
-	st.Build()
+	st := mustStore(t, nil)
 	var buf bytes.Buffer
 	if err := st.EncodeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestSnapshotCodecRejectsGarbage(t *testing.T) {
 	// Truncations anywhere must error, never panic or mis-decode.
 	raw := buf.Bytes()
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := DecodeSnapshot(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := DecodeSnapshot(raw[:cut]); err == nil {
 			// A prefix that happens to decode fully is only legal if it is
 			// the complete body.
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(raw))
@@ -95,7 +94,7 @@ func TestSnapshotCodecRejectsDuplicates(t *testing.T) {
 		{2, 0, 1, 'a', 0, 1, 'a', 0}, // IRI "a" twice, no predicates
 		{0, 2, 1, 'p', 1, 'p', 0, 0}, // predicate "p" twice, empty runs
 	} {
-		if _, err := DecodeSnapshotBytes(body); err == nil || !strings.Contains(err.Error(), "twice") {
+		if _, err := DecodeSnapshot(body); err == nil || !strings.Contains(err.Error(), "twice") {
 			t.Fatalf("body %v: err %v, want a duplicate rejected", body, err)
 		}
 	}
@@ -112,7 +111,7 @@ func TestSnapshotCodecAcceptsEmptyAndSharedValues(t *testing.T) {
 		{[]byte{2, 0, 1, 'a', 1, 0, 0}, []rdf.Term{rdf.NewIRI("a"), rdf.NewLiteral("")}},
 		{[]byte{2, 0, 1, 'a', 1, 1, 'a', 0}, []rdf.Term{rdf.NewIRI("a"), rdf.NewLiteral("a")}},
 	} {
-		st, err := DecodeSnapshotBytes(c.body)
+		st, err := DecodeSnapshot(c.body)
 		if err != nil {
 			t.Fatalf("body %v: %v", c.body, err)
 		}
@@ -147,10 +146,10 @@ func TestSnapshotDirectoryBudget(t *testing.T) {
 		return b
 	}
 	huge := body(100_000, 3_000)
-	if _, err := DecodeSnapshotBytes(huge); err == nil || !strings.Contains(err.Error(), "row directories") {
+	if _, err := DecodeSnapshot(huge); err == nil || !strings.Contains(err.Error(), "row directories") {
 		t.Fatalf("%d-byte body over 3000 predicates: err %v, want the directory budget", len(huge), err)
 	}
-	st, err := DecodeSnapshotBytes(body(100_000, 30))
+	st, err := DecodeSnapshot(body(100_000, 30))
 	if err != nil || st.NumTriples() != 30 {
 		t.Fatalf("a body under the budget: err %v", err)
 	}

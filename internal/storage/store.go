@@ -17,11 +17,12 @@
 // non-empty rows (a summary bit per node, a prefix count per 64 nodes and
 // an offset per non-empty row), so Objects, Subjects and Matrices(p).F.Row
 // are one read of one array, returned as a read-only sub-slice (no copy).
-// Every index — Build, RestrictByMask, Patch, Compact, Union, the
-// snapshot decoder — is laid out by the one constructor newPredIndex,
-// which takes the sorted, deduplicated PSO run and derives the POS order
-// with a stable distribution pass on the object id, so building a
-// per-query pruned store is linear in what it keeps plus the
+// A store is made from triples one way, FromTriples, and derived from
+// stores by RestrictByMask, Patch, Compact, Union and the snapshot
+// decoder. Every index they make is laid out by the one constructor
+// newPredIndex, which takes the sorted, deduplicated PSO run and derives
+// the POS order with a stable distribution pass on the object id, so
+// building a per-query pruned store is linear in what it keeps plus the
 // directories. Patch hands it the touched predicate's run merged with
 // the sorted delta, and Compact each run renumbered through a monotone
 // map of the live terms: neither sorts a run.
@@ -36,8 +37,8 @@
 // an open-addressed uint32 id table keyed by a maphash of
 // (kind, value) maps a term back to its id, comparing through the
 // arena. There is no Go string, pointer or map entry per term: Term
-// returns a Value aliasing the arena, and Build, Patch, Union and the
-// snapshot decoder all intern through the one table.
+// returns a Value aliasing the arena, and FromTriples, Patch, Union and
+// the snapshot decoder all intern through the one table.
 package storage
 
 import (
@@ -57,14 +58,15 @@ type NodeID = uint32
 type PredID = uint32
 
 // pair is one (subject, object) edge of a predicate — the form triples
-// are staged, sorted and deduplicated in before newPredIndex lays them out
-// as columns.
+// are grouped, sorted and deduplicated in before newPredIndex lays them
+// out as columns.
 type pair struct{ a, b NodeID }
 
-// Store is an immutable-after-Build triple store snapshot. The zero
-// value is not usable; call New. Snapshots derived via Restrict or Patch
-// share the receiver's dictionary (see dict); the snapshot itself never
-// changes after Build, so concurrent readers need no locking.
+// Store is an immutable triple store snapshot, made by FromTriples or
+// derived from another store (RestrictByMask, Patch, Compact, Union, the
+// snapshot decoder). Snapshots derived via RestrictByMask or Patch share
+// the receiver's dictionary (see dict); a snapshot itself never changes,
+// so concurrent readers need no locking.
 type Store struct {
 	d     *dict
 	terms termView // prefix view of d's term columns visible to this snapshot
@@ -73,95 +75,50 @@ type Store struct {
 	byPred []predIndex
 	empty  bitmat.Pair // the adjacency of every predicate without triples
 	nTrip  int
-	built  bool
-
-	// staging, discarded by Build
-	staged []tripleIDs
 }
 
-type tripleIDs struct {
-	s NodeID
-	p PredID
-	o NodeID
-}
-
-// New returns an empty store with a fresh dictionary.
-func New() *Store {
-	return &Store{d: newDict()}
-}
-
-// Add stages one triple. Must be called before Build.
-func (st *Store) Add(t rdf.Triple) error {
-	if st.built {
-		return fmt.Errorf("storage: Add after Build")
-	}
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	err := st.stage(t)
-	st.terms, st.preds = st.d.views()
-	return err
-}
-
-// AddAll stages a batch of triples, atomically: the whole batch is
-// validated up front, and on error nothing is staged and no term of the
-// batch is interned — the store is exactly as it was before the call.
-// (A batch that would take the dictionary's term values past 4 GiB
-// stages nothing either, but may leave some of its terms interned.)
-func (st *Store) AddAll(ts []rdf.Triple) error {
-	if st.built {
-		return fmt.Errorf("storage: Add after Build")
-	}
+// FromTriples builds a store over a fresh dictionary. The whole batch is
+// validated first, so an invalid triple builds nothing; terms get their
+// ids in order of first occurrence, and duplicate triples count once.
+func FromTriples(ts []rdf.Triple) (*Store, error) {
 	for i, t := range ts {
 		if err := t.Validate(); err != nil {
-			return fmt.Errorf("storage: triple %d of %d: %w", i, len(ts), err)
+			return nil, fmt.Errorf("storage: triple %d of %d: %w", i, len(ts), err)
 		}
 	}
-	err := st.stage(ts...)
-	st.terms, st.preds = st.d.views()
-	return err
-}
-
-// stage interns validated triples — the whole batch under one acquisition
-// of the dictionary lock — and appends them to the staging area. Callers
-// refresh the snapshot's dictionary views once per batch, not per triple
-// (staging is single-owner: the dict cannot be shared before Build, so the
-// views only serve the store's own pre-Build accessors).
-func (st *Store) stage(ts ...rdf.Triple) error {
-	st.d.mu.Lock()
-	defer st.d.mu.Unlock()
-	staged := len(st.staged)
+	d := newDict()
+	var perPred [][]pair
+	d.mu.Lock()
 	for _, t := range ts {
-		ids, err := st.d.intern(t)
+		p, pr, err := d.intern(t)
 		if err != nil {
-			st.staged = st.staged[:staged]
-			return err
+			d.mu.Unlock()
+			return nil, err
 		}
-		st.staged = append(st.staged, ids)
+		if int(p) == len(perPred) {
+			perPred = append(perPred, nil)
+		}
+		perPred[p] = append(perPred[p], pr)
 	}
-	return nil
+	// The layout reads the dictionary through views, which take the read
+	// lock: release the write lock first.
+	d.mu.Unlock()
+	return layout(d, perPred), nil
 }
 
-// Build finalizes the store: triples are deduplicated, both index orders
-// are sorted, and statistics are computed. Build is idempotent.
-func (st *Store) Build() {
-	if st.built {
-		return
-	}
-	st.terms, st.preds = st.d.views()
+// layout builds a store over everything d holds from each predicate's
+// pairs, in any order and with repeats.
+func layout(d *dict, perPred [][]pair) *Store {
+	st := &Store{d: d}
+	st.terms, st.preds = d.views()
+	n := st.terms.len()
 	st.byPred = make([]predIndex, len(st.preds))
-	perPred := make([][]pair, len(st.preds))
-	for _, t := range st.staged {
-		perPred[t.p] = append(perPred[t.p], pair{a: t.s, b: t.o})
-	}
-	st.staged = nil
-	st.nTrip = 0
-	for p := range perPred {
-		st.byPred[p] = newPredIndexFromPairs(st.terms.len(), dedupSorted(perPred[p]))
+	for p, run := range perPred {
+		st.byPred[p] = newPredIndexFromPairs(n, dedupSorted(run))
 		st.nTrip += len(st.byPred[p].psoS)
 	}
-	st.empty = bitmat.EmptyPair(st.terms.len())
-	st.built = true
+	st.empty = bitmat.EmptyPair(n)
+	return st
 }
 
 // comparePairs orders pairs by (a, b), the PSO order.
@@ -188,14 +145,8 @@ func dedupSorted(ps []pair) []pair {
 	return out
 }
 
-func (st *Store) mustBeBuilt() {
-	if !st.built {
-		panic("storage: access before Build")
-	}
-}
-
 // NumTriples returns |E_DB| (after deduplication).
-func (st *Store) NumTriples() int { st.mustBeBuilt(); return st.nTrip }
+func (st *Store) NumTriples() int { return st.nTrip }
 
 // NumNodes returns |O_DB|, the dimension of all bit-vectors and matrices.
 func (st *Store) NumNodes() int { return st.terms.len() }
@@ -249,7 +200,6 @@ func (st *Store) PredIDOf(p string) (PredID, bool) {
 
 // PredCount returns the number of p-triples.
 func (st *Store) PredCount(p PredID) int {
-	st.mustBeBuilt()
 	return len(st.byPred[p].psoS)
 }
 
@@ -285,8 +235,9 @@ func (st *Store) Subjects(p PredID, o NodeID) []NodeID {
 // position i is the triple (subjects[i], p, objects[i]), the position
 // pruning masks address. Both alias the index: read-only and valid for the
 // store's lifetime.
+//
+//dualsim:hotpath
 func (st *Store) PSO(p PredID) (subjects, objects []NodeID) {
-	st.mustBeBuilt()
 	ix := &st.byPred[p]
 	return ix.psoS, ix.psoO
 }
@@ -298,41 +249,16 @@ func (st *Store) HasTriple(s NodeID, p PredID, o NodeID) bool {
 	return st.FindPair(p, s, o) >= 0
 }
 
-// ForEachPair calls fn for every (s, o) pair of predicate p in PSO order;
-// stops early if fn returns false.
-func (st *Store) ForEachPair(p PredID, fn func(s, o NodeID) bool) {
-	st.mustBeBuilt()
-	ix := &st.byPred[p]
-	for i, s := range ix.psoS {
-		if !fn(s, ix.psoO[i]) {
-			return
-		}
-	}
-}
-
-// ForEachTriple calls fn for every triple in (pred, subject, object)
-// order; stops early if fn returns false.
-func (st *Store) ForEachTriple(fn func(s NodeID, p PredID, o NodeID) bool) {
-	st.mustBeBuilt()
-	for p := range st.byPred {
-		ix := &st.byPred[p]
-		for i, s := range ix.psoS {
-			if !fn(s, PredID(p), ix.psoO[i]) {
-				return
-			}
-		}
-	}
-}
-
-// Triples materializes the whole store as decoded rdf triples (test and
-// export helper).
+// Triples materializes the whole store as decoded rdf triples in
+// (predicate, subject, object) order (test and export helper).
 func (st *Store) Triples() []rdf.Triple {
-	st.mustBeBuilt()
 	out := make([]rdf.Triple, 0, st.nTrip)
-	st.ForEachTriple(func(s NodeID, p PredID, o NodeID) bool {
-		out = append(out, rdf.Triple{S: st.Term(s), P: st.preds[p], O: st.Term(o)})
-		return true
-	})
+	for p := range st.byPred {
+		subjects, objects := st.PSO(PredID(p))
+		for i, s := range subjects {
+			out = append(out, rdf.Triple{S: st.Term(s), P: st.preds[p], O: st.Term(objects[i])})
+		}
+	}
 	return out
 }
 
@@ -343,19 +269,10 @@ func (st *Store) Triples() []rdf.Triple {
 //
 //dualsim:hotpath
 func (st *Store) Matrices(p PredID) bitmat.Pair {
-	st.mustBeBuilt()
 	if m := st.byPred[p].adj; m.F != nil {
 		return m
 	}
 	return st.empty
-}
-
-// PairAt returns the i-th (subject, object) pair of predicate p in PSO
-// order; 0 ≤ i < PredCount(p).
-func (st *Store) PairAt(p PredID, i int) (NodeID, NodeID) {
-	st.mustBeBuilt()
-	ix := &st.byPred[p]
-	return ix.psoS[i], ix.psoO[i]
 }
 
 // FindPair returns the PSO position of (s, p, o), or -1 if absent. The
@@ -378,7 +295,6 @@ func (st *Store) FindPair(p PredID, s, o NodeID) int {
 // restricted store compare directly with ones from the original — this is
 // how the pruned database of the paper's Sect. 5 is represented.
 func (st *Store) RestrictByMask(masks []*bitvec.Vector) *Store {
-	st.mustBeBuilt()
 	out := &Store{
 		d:     st.d,
 		terms: st.terms,
@@ -403,16 +319,5 @@ func (st *Store) RestrictByMask(masks []*bitvec.Vector) *Store {
 		out.byPred[p] = newPredIndex(st.terms.len(), s, o)
 		out.nTrip += n
 	}
-	out.built = true
 	return out
-}
-
-// FromTriples is a convenience constructor: stage, build, return.
-func FromTriples(ts []rdf.Triple) (*Store, error) {
-	st := New()
-	if err := st.AddAll(ts); err != nil {
-		return nil, err
-	}
-	st.Build()
-	return st, nil
 }

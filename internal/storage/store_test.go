@@ -20,9 +20,10 @@ var regressionSeeds []int64
 func maskWhere(st *Store, keep func(s NodeID, p PredID, o NodeID) bool) []*bitvec.Vector {
 	masks := make([]*bitvec.Vector, st.NumPreds())
 	for p := range masks {
-		masks[p] = bitvec.New(st.PredCount(PredID(p)))
-		for i := range st.PredCount(PredID(p)) {
-			if s, o := st.PairAt(PredID(p), i); keep(s, PredID(p), o) {
+		subjects, objects := st.PSO(PredID(p))
+		masks[p] = bitvec.New(len(subjects))
+		for i, s := range subjects {
+			if keep(s, PredID(p), objects[i]) {
 				masks[p].Set(i)
 			}
 		}
@@ -152,7 +153,7 @@ func TestLiteralAndIRIDistinct(t *testing.T) {
 	if err := st.EncodeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshotBytes(buf.Bytes())
+	got, err := DecodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,46 +181,10 @@ func TestTermIDDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestAddAfterBuildFails(t *testing.T) {
-	st := mustStore(t, fig1a())
-	if err := st.Add(rdf.T("x", "y", "z")); err == nil {
-		t.Fatal("Add after Build succeeded")
-	}
-}
-
-func TestAccessBeforeBuildPanics(t *testing.T) {
-	st := New()
-	_ = st.Add(rdf.T("a", "p", "b"))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NumTriples before Build did not panic")
-		}
-	}()
-	st.NumTriples()
-}
-
 func TestInvalidTripleRejected(t *testing.T) {
-	st := New()
 	bad := rdf.Triple{S: rdf.NewLiteral("x"), P: "p", O: rdf.NewIRI("y")}
-	if err := st.Add(bad); err == nil {
-		t.Fatal("literal subject accepted")
-	}
-}
-
-func TestForEachTripleOrderAndStop(t *testing.T) {
-	st := mustStore(t, fig1a())
-	n := 0
-	st.ForEachTriple(func(s NodeID, p PredID, o NodeID) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Fatalf("early stop visited %d", n)
-	}
-	total := 0
-	st.ForEachTriple(func(s NodeID, p PredID, o NodeID) bool { total++; return true })
-	if total != st.NumTriples() {
-		t.Fatalf("visited %d of %d", total, st.NumTriples())
+	if st, err := FromTriples([]rdf.Triple{bad}); err == nil || st != nil {
+		t.Fatalf("literal subject accepted: store %v, err %v", st, err)
 	}
 }
 
@@ -317,21 +282,18 @@ func TestPropertyIndexesConsistent(t *testing.T) {
 		}
 		// Every triple enumerated must be found by all lookup paths, and
 		// PSO/POS must be transposes of each other.
-		ok := true
 		count := 0
-		st.ForEachTriple(func(s NodeID, p PredID, o NodeID) bool {
-			count++
-			if !st.HasTriple(s, p, o) {
-				ok = false
-				return false
+		for p := range PredID(st.NumPreds()) {
+			subjects, objects := st.PSO(p)
+			for i, s := range subjects {
+				o := objects[i]
+				if !st.HasTriple(s, p, o) || !contains(st.Objects(p, s), o) || !contains(st.Subjects(p, o), s) {
+					return false
+				}
 			}
-			if !contains(st.Objects(p, s), o) || !contains(st.Subjects(p, o), s) {
-				ok = false
-				return false
-			}
-			return true
-		})
-		return ok && count == st.NumTriples()
+			count += len(subjects)
+		}
+		return count == st.NumTriples()
 	}
 	proptest.Check(t, f, 80, regressionSeeds)
 }
@@ -345,15 +307,15 @@ func TestPropertyRestrictIsSubset(t *testing.T) {
 		}
 		keepPred := PredID(r.Intn(st.NumPreds()))
 		sub := st.RestrictByMask(maskWhere(st, func(s NodeID, p PredID, o NodeID) bool { return p == keepPred }))
-		ok := true
-		sub.ForEachTriple(func(s NodeID, p PredID, o NodeID) bool {
-			if p != keepPred || !st.HasTriple(s, p, o) {
-				ok = false
-				return false
+		for p := range PredID(sub.NumPreds()) {
+			subjects, objects := sub.PSO(p)
+			for i, s := range subjects {
+				if p != keepPred || !st.HasTriple(s, p, objects[i]) {
+					return false
+				}
 			}
-			return true
-		})
-		return ok && sub.NumTriples() == st.PredCount(keepPred)
+		}
+		return sub.NumTriples() == st.PredCount(keepPred)
 	}
 	proptest.Check(t, f, 80, regressionSeeds)
 }

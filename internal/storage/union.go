@@ -6,25 +6,21 @@ import (
 	"dualsim/internal/bitmat"
 )
 
-// Union merges built stores whose predicate sets are disjoint — the
-// per-shard slices of a gathered query — into one built store. The
-// result's dictionary starts as a copy of what the first part sees, so
-// the first part's ids and indexes carry over untouched (their
-// directories widened to the union's node count); every later part
-// interns each of its terms once, then remaps, re-sorts and re-indexes
-// only its own runs. No part is modified, so a part may be united again
-// with others. A predicate present in two parts is an error: placement
-// by predicate says no two shards hold one, and merging runs is not what
-// this does. Union of no parts is the empty store, of one part that
-// part.
+// Union merges stores whose predicate sets are disjoint — the per-shard
+// slices of a gathered query — into one store. The result's dictionary
+// starts as a copy of what the first part sees, so the first part's ids
+// and indexes carry over untouched (their directories widened to the
+// union's node count); every later part interns each of its terms
+// once, then remaps, re-sorts and re-indexes only its own runs. No part
+// is modified, so a part may be united again with others. A predicate
+// present in two parts is an error: placement by predicate says no two
+// shards hold one, and merging runs is not what this does. Union of no
+// parts is the empty store, of one part that part.
 func Union(parts ...*Store) (*Store, error) {
 	if len(parts) == 0 {
-		st := New()
-		st.Build()
-		return st, nil
+		return FromTriples(nil)
 	}
 	base := parts[0]
-	base.mustBeBuilt()
 	if len(parts) == 1 {
 		return base, nil
 	}
@@ -36,7 +32,6 @@ func Union(parts ...*Store) (*Store, error) {
 	}
 	nTrip := base.nTrip
 	for _, part := range parts[1:] {
-		part.mustBeBuilt()
 		ids := make([]NodeID, part.terms.len())
 		pids := make([]PredID, len(part.preds))
 		d.mu.Lock()
@@ -70,7 +65,7 @@ func Union(parts ...*Store) (*Store, error) {
 			nTrip += len(run)
 		}
 	}
-	out := &Store{d: d, nTrip: nTrip, built: true}
+	out := &Store{d: d, nTrip: nTrip}
 	out.terms, out.preds = d.views()
 	for len(byPred) < len(out.preds) { // predicates another store of the lineage interned meanwhile
 		byPred = append(byPred, predIndex{})

@@ -31,7 +31,7 @@ func slice(t *testing.T, st *storage.Store, preds []string) *storage.Store {
 	if err := st.EncodeSlice(&buf, ids); err != nil {
 		t.Fatal(err)
 	}
-	out, err := storage.DecodeSnapshotBytes(buf.Bytes())
+	out, err := storage.DecodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatalf("decoding the slice of %v: %v", preds, err)
 	}

@@ -28,9 +28,9 @@ func (p *Pruning) WriteNTriples(w io.Writer) error {
 			continue
 		}
 		pred := p.st.Pred(storage.PredID(pid))
+		subjects, objects := p.st.PSO(storage.PredID(pid))
 		pf.Mask.ForEach(func(i int) bool {
-			s, o := p.st.PairAt(storage.PredID(pid), i)
-			return wr.Write(rdf.Triple{S: p.st.Term(s), P: pred, O: p.st.Term(o)}) == nil
+			return wr.Write(rdf.Triple{S: p.st.Term(subjects[i]), P: pred, O: p.st.Term(objects[i])}) == nil
 		})
 	}
 	// The writer keeps its first error; Flush returns it.
