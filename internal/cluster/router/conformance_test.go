@@ -2,11 +2,13 @@ package router
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -37,10 +39,19 @@ type backend struct {
 // startPair serves triples once as a single daemon and once as a router
 // over two shards, both with the same protocol settings.
 func startPair(t *testing.T, triples []dualsim.Triple, popts ...server.Option) []backend {
+	return startPairVia(t, triples, nil, popts...)
+}
+
+// startPairVia is startPair with every daemon, the shards included,
+// served through wrap when it is not nil.
+func startPairVia(t *testing.T, triples []dualsim.Triple, wrap func(http.Handler) http.Handler, popts ...server.Option) []backend {
 	t.Helper()
 	full, err := dualsim.FromTriples(triples)
 	if err != nil {
 		t.Fatal(err)
+	}
+	serve := func(st *dualsim.Store, opts ...server.Option) string {
+		return startShardVia(t, st, wrap, opts...).URL
 	}
 	var endpoints [][]string
 	for i := 0; i < 2; i++ {
@@ -48,7 +59,7 @@ func startPair(t *testing.T, triples []dualsim.Triple, popts ...server.Option) [
 		if err != nil {
 			t.Fatal(err)
 		}
-		endpoints = append(endpoints, []string{startShard(t, st).URL})
+		endpoints = append(endpoints, []string{serve(st)})
 	}
 	rt, err := New(endpoints, WithProtocol(popts...))
 	if err != nil {
@@ -58,9 +69,31 @@ func startPair(t *testing.T, triples []dualsim.Triple, popts ...server.Option) [
 	rs := httptest.NewServer(rt.Handler())
 	t.Cleanup(rs.Close)
 	return []backend{
-		{"daemon", startShard(t, full, popts...).URL, "dualsimd"},
+		{"daemon", serve(full, popts...), "dualsimd"},
 		{"router", rs.URL, "dualsimrouter"},
 	}
+}
+
+// cutAfterFirstRow serves h, but ends a streamed answer after its first
+// row with the in-band error event of an execution that died there.
+func cutAfterFirstRow(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		if rec.Header().Get("Content-Type") != wire.ContentTypeNDJSON {
+			w.Write(rec.Body.Bytes())
+			return
+		}
+		for line := range bytes.Lines(rec.Body.Bytes()) {
+			w.Write(line)
+			if line[0] == '[' {
+				io.WriteString(w, `{"kind":"error","epoch":0,"error":"the execution died after its first row"}`+"\n")
+				return
+			}
+		}
+	})
 }
 
 // reply is what the conformance table compares across backends.
@@ -177,6 +210,7 @@ func TestProtocolConformance(t *testing.T) {
 		triples = append(triples, dualsim.T(fmt.Sprintf("n%d", i), "linked", fmt.Sprintf("m%d", i)))
 	}
 	pair := startPair(t, triples)
+	cut := startPairVia(t, triples, cutAfterFirstRow)
 
 	const x1 = `SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }`
 	const slow = `SELECT * WHERE { ?a <linked> ?b . ?c <linked> ?d . ?e <linked> ?f . }`
@@ -194,6 +228,7 @@ func TestProtocolConformance(t *testing.T) {
 		status int
 		events []string // the NDJSON event sequence, when the reply streams
 		traced bool     // the reply must carry a trace header and a span tree
+		cut    bool     // ask the pair whose daemons die after a row
 		check  func(t *testing.T, b backend, r reply)
 	}{
 		{name: "malformed body", body: `{`, status: 400},
@@ -228,13 +263,22 @@ func TestProtocolConformance(t *testing.T) {
 				}
 			}},
 		{name: "streamed trace", path: "?stream=1&trace=1", body: q(""), status: 200, events: streamed, traced: true},
+		// An execution that dies after its first row, on the daemon and on
+		// the shard a router pushes the query down to: the row is out, so
+		// the stream ends with the in-band error event, not a status.
+		{name: "in-band failure after a row", cut: true, body: `{"query":"SELECT * WHERE { ?d <directed> ?m . }","stream":true}`,
+			status: 200, events: []string{"header", "row×1", "error"}},
 		// No second read protocol: a query slice is N /v1/query requests.
 		{name: "no batch route", route: "/v1/batch", body: fmt.Sprintf(`{"queries":[%q]}`, x1), status: 404},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []reply
 			route := cmp.Or(tc.route, "/v1/query")
-			for _, b := range pair {
+			backends := pair
+			if tc.cut {
+				backends = cut
+			}
+			for _, b := range backends {
 				r := do(t, "POST", b.url+route+tc.path, tc.hdr, strings.NewReader(tc.body))
 				if r.Status != tc.status {
 					t.Errorf("%s: status %d, want %d", b.name, r.Status, tc.status)

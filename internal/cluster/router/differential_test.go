@@ -96,6 +96,39 @@ func diffQuery(r *rand.Rand) (string, []string) {
 	return q, branches
 }
 
+// longQuery draws a top-level UNION whose first branch is one
+// predicate's triples three times over, a cross product: one shard owns
+// it, and it runs to hundreds of rows, past the rows the server writes
+// between flushes, so the router flushes in the middle of a branch.
+func longQuery(r *rand.Rand) (string, []string) {
+	p := "<p" + strconv.Itoa(r.Intn(5)) + ">"
+	branches := []string{
+		"{ ?a " + p + " ?b . ?c " + p + " ?d . ?e " + p + " ?f . }",
+		"{ " + diffBranch(r, r.Intn(6)) + " }",
+	}
+	return "SELECT * WHERE { " + strings.Join(branches, " UNION ") + " }", branches
+}
+
+// streamVia reads src through the streamed shape and returns its vars
+// and its rows as rowKey renders them.
+func streamVia(t *testing.T, url, src string) ([]string, []string, error) {
+	t.Helper()
+	c, err := client.New(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.QueryStream(context.Background(), src)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer st.Close()
+	var keys []string
+	for st.Next() {
+		keys = append(keys, rowKey(st.Row()))
+	}
+	return st.Vars(), keys, st.Err()
+}
+
 // rowKey renders a decoded row unambiguously; nil is unbound.
 func rowKey(row []*string) string {
 	parts := make([]string, len(row))
@@ -183,9 +216,11 @@ func startRouters(t *testing.T, full *dualsim.Store) (map[int]*Router, map[int]s
 // inOrder) and the same rows as a set. A window holds exactly the rows
 // the router's canonical order puts there when no branch was cut short
 // by the pushed-down limit, and otherwise as many distinct rows of the
-// answer, in that order.
+// answer, in that order. The streamed shape carries the buffered one's
+// vars and rows, also when the first branch is longer than a flush
+// (longQuery, drawn after the others).
 func TestPropertyRouterMatchesSingleNode(t *testing.T) {
-	var overlaps, windows, gathers, zeroWidth int
+	var overlaps, windows, gathers, zeroWidth, long int
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		full, err := dualsim.FromTriples(diffStore(r))
@@ -196,8 +231,12 @@ func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 		single := startShard(t, full).URL
 		routers, urls := startRouters(t, full)
 
-		for qi := 0; qi < 4; qi++ {
-			src, branches := diffQuery(r)
+		for qi := 0; qi < 5; qi++ {
+			draw := diffQuery
+			if qi == 4 {
+				draw = longQuery
+			}
+			src, branches := draw(r)
 			q, err := dualsim.ParseQuery(src)
 			if err != nil {
 				t.Fatalf("seed %d: generated %q: %v", seed, src, err)
@@ -208,8 +247,11 @@ func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 			}
 			want := queryVia(t, single, whole)
 			sum, cut := 0, false
-			for _, b := range branches {
+			for i, b := range branches {
 				n := len(queryVia(t, single, "SELECT * WHERE "+b).Rows)
+				if i == 0 && n > 256 {
+					long++
+				}
 				sum += n
 				cut = cut || q.Limit > 0 && n > q.Limit+q.Offset
 				if strings.HasPrefix(b, "{ <") {
@@ -232,6 +274,11 @@ func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 				}
 				for i, row := range single {
 					wantKeys[i] = rowKey(row)
+				}
+				vars, streamed, err := streamVia(t, urls[n], src)
+				if err != nil || !slices.Equal(vars, got.Vars) || !slices.Equal(streamed, keys) {
+					t.Logf("seed %d, %d shards, %s: streamed %v %q (%v)\n buffered %v %q", seed, n, src, vars, streamed, err, got.Vars, keys)
+					return false
 				}
 				if q.Limit == 0 {
 					sort.Strings(keys)
@@ -282,10 +329,11 @@ func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 	}
 	proptest.Check(t, f, 40, regressionSeeds)
 	// The generator must reach what the property is about.
-	t.Logf("%d overlapping unions, %d windows, %d gathered branches, %d zero-width branches", overlaps, windows, gathers, zeroWidth)
-	if overlaps == 0 || windows == 0 || gathers == 0 || zeroWidth == 0 {
-		t.Errorf("generator coverage: %d overlapping unions, %d windows, %d gathered branches, %d zero-width branches; want each > 0",
-			overlaps, windows, gathers, zeroWidth)
+	t.Logf("%d overlapping unions, %d windows, %d gathered branches, %d zero-width branches, %d first branches past a flush",
+		overlaps, windows, gathers, zeroWidth, long)
+	if overlaps == 0 || windows == 0 || gathers == 0 || zeroWidth == 0 || long == 0 {
+		t.Errorf("generator coverage: %d overlapping unions, %d windows, %d gathered branches, %d zero-width branches, %d first branches past a flush; want each > 0",
+			overlaps, windows, gathers, zeroWidth, long)
 	}
 }
 

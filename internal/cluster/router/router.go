@@ -41,18 +41,19 @@
 //     the same epoch, so its slice is the one held.
 //
 // Deeper UNIONs stay inside their branch and are evaluated natively by
-// whichever engine runs the branch. Branch results merge exactly like
-// the engine's union operator: columns fold left-to-right (left vars,
-// then unseen right vars), rows are padded to the merged schema and
-// deduplicated (set semantics). The merged epoch is the maximum over
-// the shard epochs that answered — per-shard reads are individually
+// whichever engine runs the branch. The branches are united like the
+// engine's union operator unites them, and streamed: columns fold
+// left-to-right (left vars, then unseen right vars); once every header
+// is in, branch 0's rows are relayed as they arrive, padded to the
+// merged schema, then each later branch's, read ahead meanwhile. Only
+// branches whose rows can collide (mayMeet) are deduplicated, by their
+// cells' bytes. Rows are never decoded: a cell is read in place from a
+// shard stream's term table, or is a gathered node, rendered only when
+// the response defines it. The epoch is the maximum over the shard
+// epochs that answered — per-shard reads are individually
 // epoch-consistent, and X-Dualsim-Epoch reports the freshest of them.
-// A branch that fails cancels the others and fails the query.
-//
-// Rows stay in wire form: values are canonical cells (one spelling per
-// value), split from a shard's stream or rendered once per gathered
-// node, so the merge compares and hashes bytes, only for branches whose
-// rows can collide (mayMeet), and renders by copying them.
+// A branch that fails before its header cancels the others and fails
+// the query; one that fails later ends the answer with the error.
 //
 // EXPLAIN is forwarded when the whole query pushes down to one shard;
 // a scattered query has no single plan and is refused with 400.
@@ -67,16 +68,18 @@
 package router
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
+	"maps"
 	"net/http"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dualsim"
@@ -174,9 +177,7 @@ func (s *shard) maxEpoch() uint64 {
 	var m uint64
 	for _, e := range s.eps {
 		e.mu.Lock()
-		if e.epoch > m {
-			m = e.epoch
-		}
+		m = max(m, e.epoch)
 		e.mu.Unlock()
 	}
 	return m
@@ -205,10 +206,7 @@ func (s *shard) pick(maxLag uint64) []*endpoint {
 		s.mu.Unlock()
 		ready = append(ready[off:], ready[:off]...)
 	}
-	if len(ready) > 0 {
-		return append(ready, up...)
-	}
-	return up
+	return append(ready, up...)
 }
 
 // Router fans queries over the shards of one cluster: a server.Backend
@@ -395,90 +393,94 @@ func topBranches(e sparql.Expr) []sparql.Expr {
 	return []sparql.Expr{e}
 }
 
-// branchPreds returns the distinct predicates a branch mentions, in
-// first-appearance order, and whether any predicate position holds a
-// variable (unroutable — and rejected by the solver core anyway).
-func branchPreds(e sparql.Expr) (preds []string, hasVarPred bool) {
-	seen := make(map[string]bool)
+// owners maps each shard that holds a predicate of the branch to those
+// predicates, in first-appearance order. A variable predicate is
+// unroutable (and rejected by the solver core anyway).
+func (r *Router) owners(e sparql.Expr) (map[int][]string, error) {
+	owners := make(map[int][]string)
 	for _, tp := range sparql.Triples(e) {
 		if tp.P.IsVar() || tp.P.Const == nil {
-			return nil, true
+			return nil, server.Errorf(http.StatusBadRequest, "variable predicates are not supported")
 		}
-		if p := tp.P.Const.Value; !seen[p] {
-			seen[p] = true
-			preds = append(preds, p)
+		p := tp.P.Const.Value
+		if si := cluster.ShardOf(p, len(r.shards)); !slices.Contains(owners[si], p) {
+			owners[si] = append(owners[si], p)
 		}
 	}
-	return preds, false
+	return owners, nil
 }
 
-// branchResult is one branch's answer in wire form, never decoded: a
-// term table of canonical cells and the rows as term numbers; row r's
-// cell j is terms[refs[r*len(vars)+j]], unbound if the number is -1.
-type branchResult struct {
-	vars  []string
-	terms []string
-	refs  []int32
-	rows  int
-	epoch uint64
-}
-
-// reserve makes room for n more elements by doubling s: append alone
-// grows a large slice by a quarter, copying an arena four times over.
-func reserve[T any](s []T, n int) []T {
-	if cap(s)-len(s) < n {
-		s = slices.Grow(s, max(n, cap(s)))
-	}
-	return s
-}
-
-// execQuery routes one query end-to-end: decompose, execute each branch
-// (push-down or gather), merge with union semantics. A LIMIT travels
-// with each branch — truncating a branch to limit+offset distinct rows
-// cannot starve the merged answer, because the post-merge dedup only
-// shrinks row counts — and is re-applied (with the OFFSET) over the
-// deduplicated merge.
-func (r *Router) execQuery(ctx context.Context, src string) (*answer, error) {
+// Query starts every branch at once and returns the cursor once every
+// branch's header is in. A LIMIT travels with each branch — truncating
+// a branch to limit+offset distinct rows cannot starve the union, whose
+// dedup only shrinks row counts — and is re-applied by drain. The stats
+// are the cursor's, with the normalized fingerprint the shards computed,
+// so the trailer cross-references the merged /v1/debug/statements view.
+func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
+	start := time.Now()
 	q, err := dualsim.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	pushLimit := 0
-	if q.Limit > 0 {
-		pushLimit = q.Limit + q.Offset
-	}
-	branches := topBranches(q.Expr)
-	results := make([]*branchResult, len(branches))
-	parent := trace.SpanFromContext(ctx)
-	// The first failure cancels the other branches: a dead shard's answer
-	// must not wait behind a slow sibling's reply.
+	exprs := topBranches(q.Expr)
+	meets := mayMeet(exprs)
 	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	var wg sync.WaitGroup
-	for i, b := range branches {
-		wg.Add(1)
-		go func(i int, b sparql.Expr) {
-			defer wg.Done()
-			bctx := ctx
-			sp := parent.StartChild("branch")
-			if sp != nil {
-				sp.SetAttr("branch", strconv.Itoa(i))
-				bctx = trace.ContextWithSpan(ctx, sp)
+	u := &union{ctx: ctx, cancel: cancel, start: start, seen: map[string]struct{}{},
+		stats: &dualsim.ExecStats{Fingerprint: qstats.OfSource(src).ID}}
+	parent := trace.SpanFromContext(ctx)
+	var headers sync.WaitGroup
+	for i, e := range exprs {
+		b := &branch{
+			meets: meets[i],
+			keep:  meets[i] && slices.Contains(meets[i+1:], true),
+			sp:    parent.StartChild("branch"),
+			done:  make(chan struct{}),
+		}
+		b.sp.SetAttr("branch", strconv.Itoa(i))
+		u.branches = append(u.branches, b)
+		headers.Add(1)
+		go func() {
+			defer close(b.done)
+			if b.rows, b.err = r.open(trace.ContextWithSpan(ctx, b.sp), e, q); b.err != nil {
+				cancel(b.err) // before Done, so that Query sees it
 			}
-			var err error
-			if results[i], err = r.execBranch(bctx, b, pushLimit); err != nil {
-				cancel(err)
+			headers.Done()
+			// Branch 0 is relayed as it arrives; a later one is read ahead
+			// until the cursor takes its stream over.
+			for i > 0 && b.err == nil && !b.stop.Load() && b.next() {
+				b.ahead = b.rows.row(b.ahead)
+				b.n++
 			}
-			sp.End()
-		}(i, b)
+			if b.ended && b.err != nil {
+				cancel(b.err) // a branch that breaks off fails the query at once
+			}
+		}()
 	}
-	wg.Wait()
+	headers.Wait()
 	if err := context.Cause(ctx); err != nil {
+		u.Close()
 		return nil, err
 	}
-	a := merge(results, mayMeet(branches))
-	a.window(q.Limit, q.Offset)
-	return a, nil
+	for _, b := range u.branches {
+		for _, v := range b.rows.Vars() {
+			if !slices.Contains(u.vars, v) {
+				u.vars = append(u.vars, v)
+			}
+		}
+		u.stats.Epoch = max(u.stats.Epoch, b.rows.Epoch())
+	}
+	for _, b := range u.branches {
+		for _, v := range u.vars {
+			b.cols = append(b.cols, slices.Index(b.rows.Vars(), v))
+		}
+	}
+	if q.Limit > 0 || q.Offset > 0 {
+		if err := u.drain(q.Limit, q.Offset); err != nil {
+			u.Close()
+			return nil, err
+		}
+	}
+	return u, nil
 }
 
 // mayMeet reports which branches have rows that can equal another
@@ -507,30 +509,26 @@ func mayMeet(branches []sparql.Expr) []bool {
 	return out
 }
 
-func (r *Router) execBranch(ctx context.Context, b sparql.Expr, pushLimit int) (*branchResult, error) {
-	preds, hasVarPred := branchPreds(b)
-	if hasVarPred {
-		return nil, server.Errorf(http.StatusBadRequest, "variable predicates are not supported")
+// open starts a branch of q and returns its answer once its header is in.
+func (r *Router) open(ctx context.Context, b sparql.Expr, q *dualsim.Query) (rows, error) {
+	owners, err := r.owners(b)
+	if err != nil {
+		return nil, err
 	}
 	src := "SELECT * WHERE " + b.String()
-	if pushLimit > 0 {
+	if q.Limit > 0 {
 		// Single-shard branches carry the bound all the way to the
 		// shard's own executor (which pushes it further down its plan);
 		// gather branches bound the local evaluation the same way.
-		src += fmt.Sprintf(" LIMIT %d", pushLimit)
-	}
-	if len(preds) == 0 {
-		// A constant-free pattern touches no shard; evaluate over an
-		// empty scratch store for exact (usually empty) semantics.
-		return evalLocal(ctx, r.empty, src, 0)
-	}
-	owners := make(map[int][]string) // shard index → its preds
-	for _, p := range preds {
-		i := cluster.ShardOf(p, len(r.shards))
-		owners[i] = append(owners[i], p)
+		src += fmt.Sprintf(" LIMIT %d", q.Limit+q.Offset)
 	}
 	sp := trace.SpanFromContext(ctx)
-	if len(owners) == 1 {
+	switch len(owners) {
+	case 0:
+		// A constant-free pattern touches no shard; evaluate over an
+		// empty scratch store for exact (usually empty) semantics.
+		return openLocal(ctx, r.empty, src, 0)
+	case 1:
 		for si := range owners {
 			r.pushdowns.Inc()
 			if sp != nil {
@@ -597,8 +595,8 @@ func shardFailure(si int, err error) error {
 }
 
 // pushDown sends the branch verbatim to the single shard owning all its
-// predicates and keeps the shard's row stream as it came, undecoded.
-func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResult, error) {
+// predicates and returns the shard's row stream once its header is in.
+func (r *Router) pushDown(ctx context.Context, si int, src string) (rows, error) {
 	// A traced fan-out propagates its identity on the wire: the shard
 	// Continues the trace under the same ID and ships its pipeline +
 	// operator subtree back in the stats trailer, which stitches under
@@ -608,32 +606,13 @@ func (r *Router) pushDown(ctx context.Context, si int, src string) (*branchResul
 	if tp := sp.Traceparent(); tp != "" {
 		qopts = append(qopts, client.Trace(), client.Traceparent(tp))
 	}
-	return onShard(ctx, r, si, func(ep *endpoint) (*branchResult, error) {
+	return onShard(ctx, r, si, func(ep *endpoint) (rows, error) {
 		st, err := ep.c.QueryStream(ctx, src, qopts...)
 		if err != nil {
 			return nil, err
 		}
-		defer st.Close()
-		// The shard's term table is the branch's: each term's cell is
-		// kept once, and a row is its term numbers.
-		out := &branchResult{vars: st.Vars(), epoch: st.Epoch()}
-		for st.NextCells() {
-			for k := len(out.terms); k < st.Terms(); k++ {
-				out.terms = append(out.terms, st.Term(int32(k)))
-			}
-			out.refs = append(reserve(out.refs, len(out.vars)), st.Refs()...)
-			out.rows++
-		}
-		if err := st.Err(); err != nil {
-			return nil, err
-		}
-		if sp != nil {
-			sp.SetAttr("endpoint", ep.url)
-			if stats := st.Stats(); stats != nil {
-				sp.Attach(stats.Trace)
-			}
-		}
-		return out, nil
+		sp.SetAttr("endpoint", ep.url)
+		return &shardRows{Stream: st, si: si, sp: sp}, nil
 	})
 }
 
@@ -763,7 +742,7 @@ func (c *gatherCache) add(h *heldGather) {
 // runs on its session. Otherwise a shard that answered 304 named a held
 // slice, the others sent theirs, and the union of those is assembled,
 // held and queried.
-func (r *Router) gather(ctx context.Context, owners map[int][]string, src string) (*branchResult, error) {
+func (r *Router) gather(ctx context.Context, owners map[int][]string, src string) (rows, error) {
 	key := keyOf(owners)
 	held := r.held.parts(key)
 	got, err := r.export(ctx, key, held)
@@ -777,7 +756,7 @@ func (r *Router) gather(ctx context.Context, owners map[int][]string, src string
 	}
 	if prev := r.held.lookup(key, h.tags); prev != nil {
 		r.reuses.Inc()
-		return evalLocal(ctx, prev.db, src, epoch)
+		return openLocal(ctx, prev.db, src, epoch)
 	}
 	for k, f := range got {
 		if !f.NotModified {
@@ -797,7 +776,7 @@ func (r *Router) gather(ctx context.Context, owners map[int][]string, src string
 		return nil, server.Errorf(http.StatusBadGateway, "opening gather session: %v", err)
 	}
 	r.held.add(h)
-	return evalLocal(ctx, h.db, src, epoch)
+	return openLocal(ctx, h.db, src, epoch)
 }
 
 // export sends every owning shard of key one export of its slice,
@@ -843,229 +822,282 @@ func (r *Router) export(ctx context.Context, key gatherKey, held [][]heldPart) (
 	return got, context.Cause(ctx)
 }
 
-// evalLocal runs a branch on a gather's session (or the router's empty
-// one) and renders its rows into a term table. A node is looked up in a
-// bounded memo, so it is rendered once while it stays there, and again,
-// as a new term, after another node evicted it.
-func evalLocal(ctx context.Context, db *dualsim.DB, src string, epoch uint64) (*branchResult, error) {
-	snap := db.Snapshot()
-	res, _, err := snap.Query(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	st := snap.Store()
-	out := &branchResult{vars: append([]string{}, res.Vars...), refs: make([]int32, 0, res.Len()*len(res.Vars)), rows: res.Len(), epoch: epoch}
-	var memo wire.Memo[int32]
-	memo.Reset()
-	var text strings.Builder // the current chunk of cells, never written twice
-	var cell []byte
-	for _, row := range res.Rows {
-		for _, v := range row {
-			k := int32(-1)
-			if v != dualsim.Unbound {
-				num, ok := memo.Get(wire.Key(v))
-				if !ok {
-					cell = wire.AppendTerm(cell[:0], st.Term(v))
-					if text.Cap()-text.Len() < len(cell) {
-						n := max(len(cell), min(2*text.Cap(), 64<<10))
-						text = strings.Builder{}
-						text.Grow(n)
-					}
-					from := text.Len()
-					text.Write(cell)
-					*num = int32(len(out.terms))
-					out.terms = append(out.terms, text.String()[from:])
-				}
-				k = *num
-			}
-			out.refs = append(out.refs, k)
-		}
-	}
-	return out, nil
+// ---------------------------------------------------------------------------
+// The union cursor
+
+// rows is one branch's open answer. A cell is a number (a shard stream's
+// term, a gathered node, or dualsim.Unbound) read where the branch keeps
+// it: nothing is copied out or rendered ahead of the response.
+type rows interface {
+	Vars() []string
+	Epoch() uint64
+	next() bool
+	row(dst []uint32) []uint32 // appends the current row's cells
+	appendCell(dst []byte, c uint32) []byte
+	end() error // once next returned false: the failure, mapped onto the reply
+	Close() error
 }
 
-// answer is the union of the branch answers in wire form: columns fold
-// left to right like the engine's union operator, and each row refers to
-// the branch row it pads.
-type answer struct {
-	vars     []string
-	branches []*branchResult
-	cols     [][]int // cols[b][j]: branch b's column of merged column j, -1 if none
-	rows     []rowRef
-	epoch    uint64
+// shardRows is a pushed-down branch's answer: the shard's row stream,
+// whose term table keeps every cell until the stream is closed.
+type shardRows struct {
+	*client.Stream
+	si int
+	sp *trace.Span
 }
 
-type rowRef struct{ b, r int32 } // row r of branch b
+func (s *shardRows) next() bool { return s.NextCells() }
 
-// merge folds the branch answers with union semantics, in branch order,
-// keeping the first of equal rows; it hashes the rows of meeting branches.
-func merge(results []*branchResult, meets []bool) *answer {
-	a := &answer{branches: results, cols: make([][]int, len(results))}
-	n := 0
-	for _, br := range results {
-		for _, v := range br.vars {
-			if !slices.Contains(a.vars, v) {
-				a.vars = append(a.vars, v)
-			}
-		}
-		a.epoch, n = max(a.epoch, br.epoch), n+br.rows
-	}
-	for b, br := range results {
-		a.cols[b] = slices.Repeat([]int{-1}, len(a.vars))
-		for c, v := range br.vars {
-			a.cols[b][slices.Index(a.vars, v)] = c
-		}
-	}
-
-	a.rows = make([]rowRef, 0, n)
-	var h maphash.Hash
-	heads := make(map[uint64]int32) // hash → 1 + newest kept row with it
-	var next []int32                // kept row → 1 + the previous one of its hash
-	if slices.Contains(meets, true) {
-		next = make([]int32, n)
-	}
-	for b, br := range results {
-	rows:
-		for r := 0; r < br.rows; r++ {
-			ref := rowRef{int32(b), int32(r)}
-			if meets[b] {
-				h.Reset()
-				for j := range a.vars {
-					h.WriteString(a.cell(ref, j))
-					h.WriteByte(0xff) // in no cell: keeps ("ab","c") and ("a","bc") apart
-				}
-				sum := h.Sum64()
-				for k := heads[sum]; k != 0; k = next[k-1] {
-					if a.sameRow(a.rows[k-1], ref) {
-						continue rows
-					}
-				}
-				next[len(a.rows)] = heads[sum]
-				heads[sum] = int32(len(a.rows) + 1)
-			}
-			a.rows = append(a.rows, ref)
-		}
-	}
-	return a
-}
-
-// term returns the term number of merged column j of row ref in its
-// branch, -1 when unbound.
-func (a *answer) term(ref rowRef, j int) int32 {
-	br, c := a.branches[ref.b], a.cols[ref.b][j]
-	if c < 0 {
-		return -1
-	}
-	return br.refs[int(ref.r)*len(br.vars)+c]
-}
-
-// cell returns merged column j of row ref, empty when unbound.
-func (a *answer) cell(ref rowRef, j int) string {
-	if k := a.term(ref, j); k >= 0 {
-		return a.branches[ref.b].terms[k]
-	}
-	return ""
-}
-
-// sameRow compares two rows of the merged schema cell by cell.
-func (a *answer) sameRow(x, y rowRef) bool {
-	for j := range a.vars {
-		if a.cell(x, j) != a.cell(y, j) {
-			return false
-		}
-	}
-	return true
-}
-
-// appendKeys appends the keys of row i: a cell's key is its branch and
-// its term number there, so the response defines each branch's term
-// once.
-//
 //dualsim:hotpath
-func (a *answer) appendKeys(dst []wire.Key, i int) []wire.Key {
-	ref := a.rows[i]
-	for j := range a.vars {
-		k := wire.NoKey
-		if t := a.term(ref, j); t >= 0 {
-			k = wire.Key(ref.b)<<32 | wire.Key(t)
-		}
-		dst = append(dst, k)
+func (s *shardRows) row(dst []uint32) []uint32 {
+	for _, k := range s.Refs() {
+		dst = append(dst, uint32(k)) // -1 is Unbound
 	}
 	return dst
 }
 
-// AppendCell renders a key of appendKeys by copying its cell.
-//
 //dualsim:hotpath
-func (a *answer) AppendCell(dst []byte, k wire.Key) []byte {
-	return append(dst, a.branches[k>>32].terms[uint32(k)]...)
+func (s *shardRows) appendCell(dst []byte, c uint32) []byte {
+	return append(dst, s.Term(int32(c))...)
 }
 
-// window slices the answer to the query's LIMIT/OFFSET over a canonical
-// order (unbound first, then decoded text), so a repeated query does not
-// flap across routings. Each term is decoded at most once.
-func (a *answer) window(limit, offset int) {
-	if limit == 0 && offset == 0 {
-		return
+// end stitches the shard's span tree under the branch span. Rows may
+// have gone out, so a stream that breaks off is not failed over; the
+// next read of a dead endpoint marks it down (onShard).
+func (s *shardRows) end() error {
+	if err := s.Err(); err != nil {
+		return shardFailure(s.si, err)
 	}
-	values := make([][]*string, len(a.branches))
-	value := func(ref rowRef, j int) *string {
-		k := a.term(ref, j)
-		if k < 0 {
-			return nil
-		}
-		br := a.branches[ref.b]
-		if values[ref.b] == nil {
-			values[ref.b] = make([]*string, len(br.terms))
-		}
-		if values[ref.b][k] == nil {
-			v := wire.Value(br.terms[k])
-			values[ref.b][k] = &v
-		}
-		return values[ref.b][k]
+	if stats := s.Stats(); stats != nil {
+		s.sp.Attach(stats.Trace)
 	}
-	sort.Slice(a.rows, func(i, j int) bool {
-		for k := range a.vars {
-			x, y := value(a.rows[i], k), value(a.rows[j], k)
-			switch {
-			case x == nil && y == nil:
-				continue
-			case x == nil || y == nil:
-				return x == nil
+	return nil
+}
+
+// localRows is a gathered branch's answer: a session's cursor over the
+// snapshot it pinned, whose node ids are its cells.
+type localRows struct {
+	*dualsim.Rows
+	st    *dualsim.Store
+	epoch uint64
+}
+
+// openLocal runs a branch on a gather's session, or the empty one.
+func openLocal(ctx context.Context, db *dualsim.DB, src string, epoch uint64) (rows, error) {
+	snap := db.Snapshot()
+	rs, err := snap.QueryStream(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	return &localRows{Rows: rs, st: snap.Store(), epoch: epoch}, nil
+}
+
+func (l *localRows) Epoch() uint64 { return l.epoch }
+func (l *localRows) next() bool    { return l.Next() }
+func (l *localRows) end() error    { return l.Err() }
+
+//dualsim:hotpath
+func (l *localRows) row(dst []uint32) []uint32 { return append(dst, l.Row()...) }
+
+//dualsim:hotpath
+func (l *localRows) appendCell(dst []byte, c uint32) []byte {
+	return wire.AppendTerm(dst, l.st.Term(c))
+}
+
+// branch is one top-level UNION branch: its answer, its columns in the
+// merged schema, and the rows its goroutine read ahead until the cursor
+// took its stream over.
+type branch struct {
+	rows  rows // nil if the branch failed to start
+	sp    *trace.Span
+	cols  []int // cols[j]: the branch's column of merged column j, -1 if none
+	meets bool  // its rows may equal another branch's (mayMeet)
+	keep  bool  // a later branch meets it: its rows go into the seen set
+
+	stop  atomic.Bool   // the cursor takes the stream over
+	done  chan struct{} // closed when the branch's goroutine is gone
+	ahead []uint32      // the n rows read ahead, flat
+	n     int
+	ended bool // next returned false, and err says why
+	err   error
+}
+
+// next advances the stream; at its end it records why and ends the span.
+func (b *branch) next() bool {
+	if b.ended {
+		return false
+	}
+	if b.rows.next() {
+		return true
+	}
+	b.ended, b.err = true, b.rows.end()
+	b.sp.End()
+	return false
+}
+
+// union is a routed query's cursor: the branches' rows in branch order,
+// padded to the merged schema. A key is a cell's branch and its number
+// there, so a response renders each cell once, from where its branch
+// keeps it.
+type union struct {
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	start  time.Time
+	stats  *dualsim.ExecStats
+
+	vars     []string
+	branches []*branch
+	b, r     int // the branch being relayed, and its next row read ahead
+	row      []uint32
+	keys     []wire.Key
+	window   [][]wire.Key // a windowed query's rows left to serve
+	n        int          // rows served
+	err      error
+	closed   bool
+
+	seen  map[string]struct{} // kept rows: their cells, each ended by 0xff
+	cells []byte
+}
+
+func (u *union) Vars() []string            { return u.vars }
+func (u *union) Epoch() uint64             { return u.stats.Epoch }
+func (u *union) Keys() []wire.Key          { return u.keys }
+func (u *union) Err() error                { return u.err }
+func (u *union) Stats() *dualsim.ExecStats { return u.stats }
+
+//dualsim:hotpath
+func (u *union) AppendCell(dst []byte, k wire.Key) []byte {
+	return u.branches[k>>32].rows.appendCell(dst, uint32(k))
+}
+
+// Next moves to the union's next row. Entering a branch, it stops the
+// branch's goroutine and relays what it read ahead first.
+//
+//dualsim:hotpath
+func (u *union) Next() bool {
+	if u.window != nil {
+		if len(u.window) == 0 {
+			return false
+		}
+		u.keys, u.window = u.window[0], u.window[1:]
+		u.n++
+		return true
+	}
+	for u.err == nil && u.b < len(u.branches) {
+		b := u.branches[u.b]
+		if !b.stop.Load() {
+			b.stop.Store(true)
+			<-b.done
+		}
+		row := u.row[:0]
+		switch {
+		case u.r < b.n:
+			w := len(b.rows.Vars())
+			row = b.ahead[u.r*w : (u.r+1)*w]
+			u.r++
+		case b.next():
+			row = b.rows.row(row)
+			u.row = row
+		case b.err != nil:
+			u.err = cmp.Or(context.Cause(u.ctx), b.err) // what cancelled the query comes first
+			return false
+		default:
+			u.b, u.r = u.b+1, 0
+			continue
+		}
+		u.keys = u.keys[:0]
+		for _, c := range b.cols {
+			k := wire.NoKey
+			if c >= 0 && row[c] != dualsim.Unbound {
+				k = wire.Key(u.b)<<32 | wire.Key(row[c])
 			}
-			if c := strings.Compare(*x, *y); c != 0 {
-				return c < 0
+			u.keys = append(u.keys, k)
+		}
+		if !b.meets || u.fresh(b) {
+			u.n++
+			return true
+		}
+	}
+	return false
+}
+
+// fresh reports whether the current row of a meeting branch is in none
+// of the kept branches' rows, byte for byte, and keeps it if b is kept.
+func (u *union) fresh(b *branch) bool {
+	if len(u.seen) == 0 && !b.keep {
+		return true
+	}
+	u.cells = u.cells[:0]
+	for _, k := range u.keys {
+		if k != wire.NoKey {
+			u.cells = b.rows.appendCell(u.cells, uint32(k))
+		}
+		u.cells = append(u.cells, 0xff) // in no cell: keeps ("ab","c") and ("a","bc") apart
+	}
+	if _, dup := u.seen[string(u.cells)]; dup || !b.keep {
+		return !dup
+	}
+	u.seen[string(u.cells)] = struct{}{}
+	return true
+}
+
+// drain reads a LIMIT/OFFSET query's union and keeps its window, in a
+// canonical order that a repeated query does not flap across: unbound
+// first, then decoded text, column by column; each value decoded once.
+func (u *union) drain(limit, offset int) error {
+	all := [][]wire.Key{}
+	for u.Next() {
+		all = append(all, slices.Clone(u.keys))
+	}
+	if u.err != nil {
+		return u.err
+	}
+	values := map[wire.Key]string{wire.NoKey: ""} // a value is never empty
+	value := func(k wire.Key) string {
+		if _, ok := values[k]; !ok {
+			values[k] = wire.Value(string(u.AppendCell(nil, k)))
+		}
+		return values[k]
+	}
+	sort.Slice(all, func(i, j int) bool {
+		for c, x := range all[i] {
+			if vx, vy := value(x), value(all[j][c]); vx != vy {
+				return vx < vy
 			}
 		}
 		return false
 	})
-	lo, hi := min(offset, len(a.rows)), len(a.rows)
+	lo, hi := min(offset, len(all)), len(all)
 	if limit > 0 {
 		hi = min(hi, lo+limit)
 	}
-	a.rows = a.rows[lo:hi]
+	u.window, u.n = all[lo:hi], 0
+	return nil
+}
+
+// Close cancels the branches, waits for their goroutines and closes
+// their streams; the stats are final afterwards.
+func (u *union) Close() {
+	if u.closed {
+		return
+	}
+	u.closed = true
+	u.cancel(nil)
+	for _, b := range u.branches {
+		b.stop.Store(true)
+		<-b.done
+		if b.rows != nil {
+			_ = b.rows.Close()
+		}
+		if !b.ended {
+			b.sp.End()
+		}
+	}
+	u.stats.Duration, u.stats.Results = time.Since(u.start), u.n
 }
 
 // ---------------------------------------------------------------------------
 // server.Backend
-
-// Query routes one query and returns the merged rows. The stats are
-// synthesized — there is no single execution behind a scattered query:
-// epoch, duration and result count are the merge's, and the fingerprint
-// is the same normalized identity the shards computed, so the trailer
-// cross-references the merged /v1/debug/statements view.
-func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
-	start := time.Now()
-	res, err := r.execQuery(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	stats := &dualsim.ExecStats{
-		Epoch: res.epoch, Duration: time.Since(start), Results: len(res.rows),
-		Fingerprint: qstats.OfSource(src).ID,
-	}
-	return server.Materialized(res.vars, len(res.rows), res.appendKeys, res, stats), nil
-}
 
 // Explain forwards to the owning shard when the whole query pushes down
 // to one; a query that scatters has no single plan to show.
@@ -1074,24 +1106,21 @@ func (r *Router) Explain(ctx context.Context, src string, analyze bool) (*dualsi
 	if err != nil {
 		return nil, err
 	}
-	preds, hasVarPred := branchPreds(q.Expr)
-	if hasVarPred {
-		return nil, server.Errorf(http.StatusBadRequest, "variable predicates are not supported")
-	}
-	if len(preds) == 0 {
+	owners, err := r.owners(q.Expr)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(owners) == 0:
 		return nil, server.Errorf(http.StatusBadRequest, "explain: the query mentions no predicate, so no shard owns it")
-	}
-	si := cluster.ShardOf(preds[0], len(r.shards))
-	for _, p := range preds[1:] {
-		if cluster.ShardOf(p, len(r.shards)) != si {
-			return nil, server.Errorf(http.StatusBadRequest,
-				"explain: the query's predicates live on more than one shard, so it has no single plan; the router explains only queries that push down to one shard (send each branch on its own, or ask a shard directly)")
-		}
+	case len(owners) > 1:
+		return nil, server.Errorf(http.StatusBadRequest,
+			"explain: the query's predicates live on more than one shard, so it has no single plan; the router explains only queries that push down to one shard (send each branch on its own, or ask a shard directly)")
 	}
 	mode := "plan"
 	if analyze {
 		mode = "analyze"
 	}
+	si := slices.Collect(maps.Keys(owners))[0]
 	return onShard(ctx, r, si, func(ep *endpoint) (*dualsim.Explain, error) {
 		out, err := ep.c.Explain(ctx, src, mode)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -27,6 +28,12 @@ import (
 
 // startShard serves one store as a daemon would.
 func startShard(t *testing.T, st *dualsim.Store, opts ...server.Option) *httptest.Server {
+	return startShardVia(t, st, nil, opts...)
+}
+
+// startShardVia is startShard with the daemon served through wrap when
+// it is not nil.
+func startShardVia(t *testing.T, st *dualsim.Store, wrap func(http.Handler) http.Handler, opts ...server.Option) *httptest.Server {
 	t.Helper()
 	db, err := dualsim.Open(st)
 	if err != nil {
@@ -36,7 +43,11 @@ func startShard(t *testing.T, st *dualsim.Store, opts ...server.Option) *httptes
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv)
+	var h http.Handler = srv
+	if wrap != nil {
+		h = wrap(srv)
+	}
+	hs := httptest.NewServer(h)
 	t.Cleanup(func() {
 		hs.Close()
 		db.Close()
@@ -1460,5 +1471,157 @@ func TestGatherCacheBounds(t *testing.T) {
 	}
 	if parts := c.parts(key); len(parts[0]) != heldGathers || len(parts[1]) != 1 {
 		t.Fatalf("held parts per slice %d and %d, want %d distinct and 1", len(parts[0]), len(parts[1]), heldGathers)
+	}
+}
+
+// TestRouterCloseEndsBranches: a query that ends before its branches do
+// — a client that reads one row of a two-branch stream and leaves, or a
+// request-level limit the first branch fills — ends them. Both shards
+// answer their header and two rows, then hold the stream open until
+// their request ends; each must see it end, and no goroutine the query
+// started may outlive it.
+func TestRouterCloseEndsBranches(t *testing.T) {
+	preds := []string{"directed", "worked_with", "genre", "population", "born_in", "awarded"}
+	var p0, p1 string
+	for _, p := range preds[1:] {
+		if cluster.ShardOf(p, 2) != cluster.ShardOf(preds[0], 2) {
+			p0, p1 = preds[0], p
+			break
+		}
+	}
+	src := fmt.Sprintf(`SELECT * WHERE { { ?a <%s> ?b . } UNION { ?a <%s> ?b . } }`, p0, p1)
+	for _, leave := range []string{"client closes", "limit"} {
+		t.Run(leave, func(t *testing.T) {
+			ended := []chan struct{}{make(chan struct{}), make(chan struct{})}
+			holding := func(ended chan struct{}) string {
+				s := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/readyz" {
+						io.WriteString(w, `{"status":"ready","epoch":0}`)
+						return
+					}
+					io.Copy(io.Discard, r.Body)
+					w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+					io.WriteString(w, `{"kind":"header","vars":["a","b"],"epoch":0}`+"\n"+
+						`"<x>"`+"\n"+`"<y>"`+"\n"+`"<z>"`+"\n"+"[0,1]\n[0,2]\n")
+					w.(http.Flusher).Flush()
+					select {
+					case <-r.Context().Done():
+						close(ended)
+					case <-time.After(30 * time.Second):
+					}
+				}))
+				t.Cleanup(s.Close)
+				return s.URL
+			}
+			endpoints := make([][]string, 2)
+			endpoints[cluster.ShardOf(p0, 2)] = []string{holding(ended[0])}
+			endpoints[cluster.ShardOf(p1, 2)] = []string{holding(ended[1])}
+			rt, err := New(endpoints)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Probe(context.Background())
+			rs := httptest.NewServer(rt.Handler())
+			t.Cleanup(rs.Close)
+			c, err := client.New(rs.URL, client.WithRetries(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			before := runtime.NumGoroutine()
+			var opts []client.QueryOpt
+			if leave == "limit" {
+				opts = append(opts, client.Limit(1))
+			}
+			st, err := c.QueryStream(context.Background(), src, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Next() {
+				t.Fatalf("no first row: %v", st.Err())
+			}
+			if leave == "limit" && (st.Next() || st.Err() != nil || !st.Truncated()) {
+				t.Fatalf("limit 1: a second row, or no truncated trailer: %v", st.Err())
+			}
+			st.Close()
+			for i, e := range ended {
+				select {
+				case <-e:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("the shard of branch %d never saw its request end", i)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines, %d before the query:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestRelayAllocsPerRow pins what the router allocates to relay a row
+// of a pushed-down branch: the cells stay in the shard stream's term
+// table, so a row whose terms are all new costs the stream's decoding
+// of them and no copy of the table.
+func TestRelayAllocsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const rows = 20_000
+	body := []byte(`{"kind":"header","vars":["s","o"],"epoch":0}` + "\n")
+	for i := range rows {
+		body = fmt.Appendf(body, "\"<s%d>\"\n\"<o%d>\"\n[%d,%d]\n", i, i, 2*i, 2*i+1)
+	}
+	body = fmt.Appendf(body, `{"kind":"stats","epoch":0,"rows":%d}`+"\n", rows)
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			io.WriteString(w, `{"status":"ready","epoch":0}`)
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+		w.Write(body)
+	}))
+	t.Cleanup(shard.Close)
+	rt, err := New([][]string{{shard.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(context.Background())
+
+	relay := func() {
+		cur, err := rt.Query(context.Background(), `SELECT * WHERE { ?s <p> ?o . }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cell []byte
+		n := 0
+		for cur.Next() {
+			for _, k := range cur.Keys() {
+				cell = cur.AppendCell(cell[:0], k)
+			}
+			n++
+		}
+		if cur.Err() != nil || n != rows {
+			t.Fatalf("relayed %d rows, %v", n, cur.Err())
+		}
+		cur.Close()
+	}
+	relay() // the client's pooled term table and the connection
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		relay()
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs * rows)
+	t.Logf("%.1f bytes allocated per relayed row", perRow)
+	if perRow > 260 {
+		t.Errorf("relaying costs %.1f bytes per row, want <= 260", perRow)
 	}
 }

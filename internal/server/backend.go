@@ -42,8 +42,9 @@ type Backend interface {
 // Cursor is one execution's rows, pulled one at a time, each cell named
 // by a key: equal keys of one cursor name equal cells, so a response
 // renders a key's cell once and then refers to it. The contract follows
-// dualsim.Rows: Next until false, then Err; Close is idempotent and
-// finalizes Stats. The current row is valid until the next Next.
+// dualsim.Rows: Next until false, then Err; Close is idempotent, stops
+// what the execution still runs, and finalizes Stats. The current row
+// is valid until the next Next.
 type Cursor interface {
 	Vars() []string
 	// Epoch is the store epoch every row of the cursor answers from.
@@ -60,36 +61,6 @@ type Cursor interface {
 	Close()
 	Stats() *dualsim.ExecStats
 }
-
-// Materialized returns a cursor over n already computed rows:
-// keys(dst, i) appends the keys of the i-th to dst, and cells renders
-// them, so rows past a request's limit are never rendered.
-func Materialized(vars []string, n int, keys func(dst []wire.Key, i int) []wire.Key, cells wire.CellAppender, stats *dualsim.ExecStats) Cursor {
-	return &materialized{vars: vars, n: n, keys: keys, CellAppender: cells, stats: stats}
-}
-
-type materialized struct {
-	wire.CellAppender
-	vars  []string
-	n, i  int
-	keys  func(dst []wire.Key, i int) []wire.Key
-	row   []wire.Key
-	stats *dualsim.ExecStats
-}
-
-func (m *materialized) Vars() []string { return m.vars }
-func (m *materialized) Epoch() uint64  { return m.stats.Epoch }
-func (m *materialized) Next() bool {
-	if m.i++; m.i > m.n {
-		return false
-	}
-	m.row = m.keys(m.row[:0], m.i-1)
-	return true
-}
-func (m *materialized) Keys() []wire.Key          { return m.row }
-func (m *materialized) Err() error                { return nil }
-func (m *materialized) Close()                    {}
-func (m *materialized) Stats() *dualsim.ExecStats { return m.stats }
 
 // Error is a backend failure that names its own HTTP status — a shard's
 // relayed verdict, an unroutable request, a dead shard.

@@ -13,15 +13,18 @@ import (
 	"dualsim/internal/wire"
 )
 
-// rowOf is a cursor over one row of node ids, rendered as the session
-// cursor renders it.
+// rowOf is a cursor standing on one row of node ids, rendered as the
+// session cursor renders them.
 func rowOf(st *dualsim.Store, row []storage.NodeID) Cursor {
-	cur := Materialized(make([]string, len(row)), 1, func(dst []wire.Key, _ int) []wire.Key {
-		return nodeKeys(dst, row)
-	}, &sessionCursor{st: st}, &dualsim.ExecStats{})
-	cur.Next()
-	return cur
+	return &oneRow{sessionCursor: sessionCursor{st: st}, row: nodeKeys(nil, row)}
 }
+
+type oneRow struct {
+	sessionCursor
+	row []wire.Key
+}
+
+func (r *oneRow) Keys() []wire.Key { return r.row }
 
 // TestAppendRowRendersTerms holds the direct rendering to the rendering
 // it replaced: every value decodes to exactly Term.String(), as a JSON
