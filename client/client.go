@@ -641,13 +641,10 @@ var null = []byte("null")
 
 // Refs returns the current row as numbers into the stream's term table,
 // -1 for unbound, valid until the next advance: a consumer that keeps
-// rows undecoded keeps each term once (Terms, Term) and the numbers. A
-// value the server defined twice has two numbers. Refs, Terms and Term
-// may not be called after Close.
+// rows undecoded keeps each term once (Term) and the numbers. A value
+// the server defined twice has two numbers. Refs and Term may not be
+// called after Close.
 func (s *Stream) Refs() []int32 { return s.table.Refs() }
-
-// Terms returns how many terms the stream has defined so far.
-func (s *Stream) Terms() int { return s.table.Len() }
 
 // Term returns term k's cell, spelled as Cells spells it. The string
 // stays valid after Close.

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"dualsim"
+	"dualsim/internal/storage"
 )
 
 // ShardOf maps a predicate to its shard in [0, n): FNV-1a over the
@@ -75,20 +76,23 @@ func ParseShardSpec(s string) (ShardSpec, error) {
 	return spec, nil
 }
 
-// ShardStore builds the shard's slice of a full store: every triple
-// whose predicate places on spec.Index. The result is a fully built,
-// independent store — the state a shard daemon serves.
+// ShardStore cuts the shard's slice from a full store: every triple
+// whose predicate places on spec.Index, over the predicates that hold
+// one. It is the cut an exported slice is (storage.Store.Slice), so a
+// shard's node ids follow the full store's order and nothing is
+// re-interned or re-sorted. The result is an independent store — the
+// state a shard daemon serves.
 func ShardStore(st *dualsim.Store, spec ShardSpec) (*dualsim.Store, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	var keep []dualsim.Triple
-	for _, t := range st.Triples() {
-		if ShardOf(t.P, spec.N) == spec.Index {
-			keep = append(keep, t)
+	var owned []storage.PredID
+	for p := range storage.PredID(st.NumPreds()) {
+		if st.PredCount(p) > 0 && ShardOf(st.Pred(p), spec.N) == spec.Index {
+			owned = append(owned, p)
 		}
 	}
-	return dualsim.FromTriples(keep)
+	return st.Slice(owned), nil
 }
 
 // SplitDelta slices a delta by predicate placement — the router's write

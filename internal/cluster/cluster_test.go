@@ -96,6 +96,46 @@ func TestPartitionAndShardStore(t *testing.T) {
 		}
 	}
 
+	// A shard's node ids follow the full store's order, and it holds
+	// only predicates with triples: one a Patch emptied is dropped.
+	var dels []dualsim.Triple
+	for _, tr := range ts {
+		if tr.P == "genre" {
+			dels = append(dels, tr)
+		}
+	}
+	emptied, _, err := full.Patch(nil, dels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := ShardSpec{Index: ShardOf("genre", n), N: n}
+	for _, st := range []*dualsim.Store{full, emptied} {
+		shard, err := ShardStore(st, owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := shard.PredIDOf("genre"); ok != (st == full) {
+			t.Errorf("the shard lists genre: %v, with %d genre triples in the store", ok, st.NumTriples()-emptied.NumTriples())
+		}
+		preds := 0
+		for p := range uint32(st.NumPreds()) {
+			if st.PredCount(p) > 0 && ShardOf(st.Pred(p), n) == owner.Index {
+				preds++
+			}
+		}
+		if shard.NumPreds() != preds {
+			t.Errorf("the shard has %d predicates, %d owned ones hold triples", shard.NumPreds(), preds)
+		}
+		prev := -1
+		for id := range uint32(shard.NumNodes()) {
+			old, ok := st.TermID(shard.Term(id))
+			if !ok || int(old) <= prev {
+				t.Fatalf("shard node %d (%v) was %d (%v) in the full store, after %d: not its order", id, shard.Term(id), old, ok, prev)
+			}
+			prev = int(old)
+		}
+	}
+
 	if _, err := ShardStore(full, ShardSpec{Index: 0, N: 0}); err == nil {
 		t.Error("ShardStore with 0 shards accepted")
 	}

@@ -15,7 +15,7 @@ import (
 // store lineage. A store FromTriples makes and the snapshots derived
 // from it by RestrictByMask and Patch all point at the same dict, so a
 // node or predicate id decodes to the same term in every snapshot;
-// Compact and Union start a lineage with a dict of their own. Each
+// Compact, Slice and Union start a lineage with a dict of their own. Each
 // snapshot additionally records how much of the dictionary it can see,
 // so terms interned by a later patch are invisible to (and unreachable
 // from) earlier snapshots.

@@ -21,8 +21,8 @@ type predIndex struct {
 }
 
 // newPredIndex is the one index constructor: FromTriples,
-// RestrictByMask, Patch, Compact, Union and the snapshot decoder all
-// hand it a predicate's PSO run as two parallel columns — sorted by
+// RestrictByMask, Patch, Compact, Slice, Union and the snapshot decoder
+// all hand it a predicate's PSO run as two parallel columns — sorted by
 // (subject, object), deduplicated, owned by the index from here on — and
 // the size n of the node universe. It lays out the POS order and both
 // row directories; the POS order's object column is only the input of

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"maps"
-	"math/bits"
 	"slices"
 
 	"dualsim/internal/bitmat"
@@ -188,43 +187,59 @@ func (ix *predIndex) merge(adds, dels []pair) (s, o []NodeID) {
 // terms that only deleted triples used, and terms interned but never
 // used, are reclaimed. The receiver is unchanged.
 //
-// Live terms keep their relative id order, so renumbering every column
-// through that monotone map keeps each PSO run sorted: nothing is
-// re-sorted or re-interned, and newPredIndex lays out the renumbered
-// runs. When every term the receiver sees is live, ids stay as they
-// are: the result shares every predicate index, and only the
-// dictionary is forked down to the receiver's view. Predicate ids never
-// change.
+// Compact is the cut (Slice) over every predicate, so predicate ids
+// never change. When every term the receiver sees is live, ids stay as
+// they are: the result shares every predicate index, and only the
+// dictionary is forked down to the receiver's view.
 func (st *Store) Compact() *Store {
-	live := st.usedTerms(st.predIDs())
-	out := &Store{nTrip: st.nTrip}
-	if live.n == st.terms.len() {
-		out.d = st.d.fork(st.terms, st.preds)
-		out.terms, out.preds = out.d.views()
-		out.byPred, out.empty = st.byPred, st.empty
-		return out
+	preds := st.predIDs()
+	live := st.usedTerms(preds)
+	if live.n < st.terms.len() {
+		return st.cut(preds, live)
 	}
+	out := &Store{d: st.d.fork(st.terms, st.preds), byPred: st.byPred, empty: st.empty, nTrip: st.nTrip}
+	out.terms, out.preds = out.d.views()
+	return out
+}
 
-	d := &dict{offsets: make([]uint32, 1, live.n+1), kinds: make([]rdf.Kind, 0, live.n)}
-	for i, word := range live.used {
-		for ; word != 0; word &= word - 1 {
-			id := NodeID(i*64 + bits.TrailingZeros64(word))
-			push(d, st.terms.kind(id), st.terms.value(id))
-		}
+// Slice returns the store cut down to the given predicates, each once
+// however often it is listed, in id order: the store DecodeSnapshot
+// makes of EncodeSlice's body, without the bytes. A predicate's id is
+// its position among them, a term's its rank among the terms their
+// triples use, and the result shares no array with the receiver.
+func (st *Store) Slice(preds []PredID) *Store {
+	preds = slices.Compact(slices.Sorted(slices.Values(preds)))
+	return st.cut(preds, st.usedTerms(preds))
+}
+
+// cut builds the store of the given predicates over a fresh dictionary
+// of the terms ranks numbers. The rank map is monotone, so every PSO
+// run renumbered through it stays sorted: nothing is re-sorted or
+// re-interned, and newPredIndex lays out the renumbered runs.
+func (st *Store) cut(preds []PredID, ranks *termRanks) *Store {
+	size := 0
+	for id := range ranks.ids {
+		size += int(st.terms.offsets[id+1] - st.terms.offsets[id])
 	}
-	d.finish(st.preds)
-	out.d = d
-	out.terms, out.preds = d.views()
-	out.byPred = make([]predIndex, len(st.byPred))
-	for p := range st.byPred {
+	d := &dict{arena: make([]byte, 0, size), offsets: make([]uint32, 1, ranks.n+1), kinds: make([]rdf.Kind, 0, ranks.n)}
+	names := make([]string, len(preds))
+	out := &Store{d: d, byPred: make([]predIndex, len(preds)), empty: bitmat.EmptyPair(ranks.n)}
+	for id := range ranks.ids {
+		push(d, st.terms.kind(id), st.terms.value(id))
+	}
+	for i, p := range preds {
+		names[i] = st.preds[p]
 		src := &st.byPred[p]
-		cols := make([]NodeID, 2*len(src.psoS))
-		s, o := cols[:len(src.psoS):len(src.psoS)], cols[len(src.psoS):]
-		for i, sub := range src.psoS {
-			s[i], o[i] = live.of(sub), live.of(src.psoO[i])
+		n := len(src.psoS)
+		cols := make([]NodeID, 2*n)
+		s, o := cols[:n:n], cols[n:]
+		for j, sub := range src.psoS {
+			s[j], o[j] = ranks.of(sub), ranks.of(src.psoO[j])
 		}
-		out.byPred[p] = newPredIndex(live.n, s, o)
+		out.byPred[i] = newPredIndex(ranks.n, s, o)
+		out.nTrip += n
 	}
-	out.empty = bitmat.EmptyPair(live.n)
+	d.finish(names)
+	out.terms, out.preds = d.views()
 	return out
 }

@@ -100,6 +100,17 @@ func (st *Store) usedTerms(preds []PredID) *termRanks {
 	return r
 }
 
+// ids yields the used ids in id order.
+func (r *termRanks) ids(yield func(NodeID) bool) {
+	for i, word := range r.used {
+		for ; word != 0; word &= word - 1 {
+			if !yield(NodeID(i*64 + bits.TrailingZeros64(word))) {
+				return
+			}
+		}
+	}
+}
+
 // of returns id's rank among the used ids, its id in a slice or a
 // compacted store; a nil receiver is the identity (the full snapshot
 // keeps every id).
@@ -134,10 +145,8 @@ func (st *Store) encodeBody(w io.Writer, preds []PredID, ranks *termRanks) error
 		}
 	} else {
 		putUvarint(uint64(ranks.n))
-		for i, word := range ranks.used {
-			for ; word != 0; word &= word - 1 {
-				putTerm(NodeID(i*64 + bits.TrailingZeros64(word)))
-			}
+		for id := range ranks.ids {
+			putTerm(id)
 		}
 	}
 	putUvarint(uint64(len(preds)))

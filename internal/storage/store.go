@@ -18,14 +18,15 @@
 // an offset per non-empty row), so Objects, Subjects and Matrices(p).F.Row
 // are one read of one array, returned as a read-only sub-slice (no copy).
 // A store is made from triples one way, FromTriples, and derived from
-// stores by RestrictByMask, Patch, Compact, Union and the snapshot
-// decoder. Every index they make is laid out by the one constructor
-// newPredIndex, which takes the sorted, deduplicated PSO run and derives
-// the POS order with a stable distribution pass on the object id, so
-// building a per-query pruned store is linear in what it keeps plus the
-// directories. Patch hands it the touched predicate's run merged with
-// the sorted delta, and Compact each run renumbered through a monotone
-// map of the live terms: neither sorts a run.
+// stores by RestrictByMask, Patch, Compact, Slice, Union and the
+// snapshot decoder. Every index they make is laid out by the one
+// constructor newPredIndex, which takes the sorted, deduplicated PSO run
+// and derives the POS order with a stable distribution pass on the
+// object id, so building a per-query pruned store is linear in what it
+// keeps plus the directories. Patch hands it the touched predicate's run
+// merged with the sorted delta, and Compact and Slice each run
+// renumbered through a monotone map of the terms kept: neither sorts a
+// run.
 //
 // The serving path does not build that pruned store: it reads this one
 // through a Filter (filter.go). RestrictByMask remains for the paper's
@@ -63,8 +64,8 @@ type PredID = uint32
 type pair struct{ a, b NodeID }
 
 // Store is an immutable triple store snapshot, made by FromTriples or
-// derived from another store (RestrictByMask, Patch, Compact, Union, the
-// snapshot decoder). Snapshots derived via RestrictByMask or Patch share
+// derived from another store (RestrictByMask, Patch, Compact, Slice,
+// Union, the snapshot decoder). Snapshots derived via RestrictByMask or Patch share
 // the receiver's dictionary (see dict); a snapshot itself never changes,
 // so concurrent readers need no locking.
 type Store struct {

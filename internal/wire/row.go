@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -360,7 +361,8 @@ func (t *TermTable) readTerm(line []byte, values bool) error {
 		if v == nil {
 			return errTermLine
 		}
-		t.vals = append(pad(t.vals, t.n), v)
+		t.vals = pad(t.vals, t.n+1)
+		t.vals[t.n] = v
 	} else {
 		cell := ""
 		if i := 0; canonical(line, &i) && i == len(line) {
@@ -370,7 +372,8 @@ func (t *TermTable) readTerm(line []byte, values bool) error {
 		} else {
 			return errTermLine
 		}
-		t.cells = append(pad(t.cells, t.n), cell)
+		t.cells = pad(t.cells, t.n+1)
+		t.cells[t.n] = cell
 	}
 	t.n++
 	return nil
@@ -502,13 +505,18 @@ func (t *TermTable) value(k int32) *string {
 }
 
 // pad extends s with zero values to length n: a term read in one form
-// has no slot in the other form's slice until it is asked for.
+// has no slot in the other form's slice until it is asked for. A slice
+// that must grow at least doubles, so a stream of N terms allocates
+// about twice its final table, not append's quarter steps' five times.
 func pad[T any](s []T, n int) []T {
-	var zero T
-	for len(s) < n {
-		s = append(s, zero)
+	if n <= len(s) {
+		return s
 	}
-	return s
+	if n > cap(s) {
+		s = slices.Grow(s, max(n, 2*cap(s), 64)-len(s))
+	}
+	clear(s[len(s):n])
+	return s[:n]
 }
 
 // Value returns the value of a canonical cell, as json.Unmarshal reads it.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -417,5 +418,34 @@ func TestDecodeSlab(t *testing.T) {
 		if allocs > 10 {
 			t.Errorf("values %v: %.0f allocations per 1000 rows, want <= 10", values, allocs)
 		}
+	}
+}
+
+// TestTermTableGrowthAllocs pins how a table grows: a stream of fresh
+// terms read as cells allocates its text and about twice its final
+// term slice, because a slice that grows at least doubles; append's
+// quarter steps past 256 entries would allocate about five times it.
+func TestTermTableGrowthAllocs(t *testing.T) {
+	const terms = 100_000
+	lines := make([][]byte, terms)
+	for i := range lines {
+		lines[i] = fmt.Appendf(nil, `"<n%d>"`, i)
+	}
+	var tab TermTable
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, line := range lines {
+		if _, err := tab.Read(line, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if tab.Len() != terms {
+		t.Fatalf("the table holds %d terms, want %d", tab.Len(), terms)
+	}
+	alloc, size := after.TotalAlloc-before.TotalAlloc, uint64(tab.Size())
+	t.Logf("%d term lines allocated %d KB; the table's Size is %d KB", terms, alloc>>10, size>>10)
+	if alloc > 3*size {
+		t.Errorf("reading %d term lines allocated %d bytes, over 3× the table's %d", terms, alloc, size)
 	}
 }
