@@ -113,10 +113,11 @@ type Client struct {
 // are never reused), so one large answer does not stay resident. Two
 // idle tables serve two streams read at once, as a router reads two
 // branches from one shard, without the tables of a burst of concurrent
-// streams staying behind.
+// streams staying behind. A table's slices double, so its size is a
+// power of two: 512 KB keeps a table of 16 384 terms in both forms.
 const (
 	idleTables   = 2
-	maxIdleBytes = 256 << 10
+	maxIdleBytes = 512 << 10
 )
 
 // getTable returns an idle term table, or a new one.
@@ -502,11 +503,13 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // Streaming
 
 // Row is one streamed solution mapping: decoded bindings positional
-// over Stream.Vars, nil for unbound variables. Rows are read-only: the
-// rows of one stream share one *string per term (each term is decoded
-// once), and rows and strings are carved from chunks (up to 64 KB) that
-// are never recycled, so a Row stays valid after later calls to Next
-// and after Close, and keeps its chunk alive.
+// over Stream.Vars, nil for unbound variables. Rows are read-only. A
+// Stream's Row is a view, like bufio.Scanner.Bytes: the slice is reused
+// by the next Next. Its values are not: the rows of one stream share one
+// *string per term (each term is decoded once), carved from chunks that
+// are never recycled, so a value stays valid after later calls to Next
+// and after Close, and keeps its chunk alive. A caller that keeps a row
+// copies the slice, slices.Clone(st.Row()), and not the values.
 type Row []*string
 
 // Stream is an in-flight NDJSON query response. Iterate with Next until
@@ -521,8 +524,6 @@ type Stream struct {
 	rows   int
 	trunc  bool
 	table  *wire.TermTable // the stream's terms; back to the client on Close
-	cells  [][]byte
-	text   []byte // the current row's cells, back to back
 	cur    Row
 	err    error
 	closed bool
@@ -542,19 +543,20 @@ func (s *Stream) Vars() []string { return s.vars }
 // Epoch returns the store epoch the execution answers from.
 func (s *Stream) Epoch() uint64 { return s.epoch }
 
-// Next advances to the next row and decodes it (Row). It returns false
-// at the end of the stream or on error — check Err.
+// Next advances to the next row and decodes it into Row's slice, which
+// it reuses: a Row from an earlier call now holds this row. It returns
+// false at the end of the stream or on error — check Err.
 func (s *Stream) Next() bool {
 	if !s.advance(true) {
 		return false
 	}
-	s.cur = s.table.Row()
+	s.cur = s.table.AppendRow(s.cur[:0])
 	return true
 }
 
 // NextCells advances like Next without decoding (Row is not updated),
-// for a consumer that forwards rows: see Cells, and Refs and Term. The
-// terms it reads are kept as cells, not decoded.
+// for a consumer that forwards rows: see Refs and Term. The terms it
+// reads are kept as cells, not decoded.
 func (s *Stream) NextCells() bool { return s.advance(false) }
 
 // advance reads up to the next row line, adding the terms on the way to
@@ -617,28 +619,6 @@ func (s *Stream) advance(values bool) bool {
 	return false
 }
 
-// Cells returns the current row as its values' JSON texts, each spelled
-// as the server's row codec spells it, so equal values have equal
-// cells. They are valid until the next advance.
-func (s *Stream) Cells() [][]byte {
-	if s.table == nil {
-		return nil
-	}
-	s.cells, s.text = s.cells[:0], s.text[:0]
-	for _, k := range s.table.Refs() {
-		if k < 0 {
-			s.cells = append(s.cells, null)
-			continue
-		}
-		from := len(s.text)
-		s.text = append(s.text, s.table.Cell(k)...)
-		s.cells = append(s.cells, s.text[from:len(s.text):len(s.text)])
-	}
-	return s.cells
-}
-
-var null = []byte("null")
-
 // Refs returns the current row as numbers into the stream's term table,
 // -1 for unbound, valid until the next advance: a consumer that keeps
 // rows undecoded keeps each term once (Term) and the numbers. A value
@@ -646,8 +626,8 @@ var null = []byte("null")
 // called after Close.
 func (s *Stream) Refs() []int32 { return s.table.Refs() }
 
-// Term returns term k's cell, spelled as Cells spells it. The string
-// stays valid after Close.
+// Term returns term k's cell, spelled as the server's row codec spells
+// it, so equal values have equal cells. It stays valid after Close.
 func (s *Stream) Term(k int32) string { return s.table.Cell(k) }
 
 // drain reads the body to EOF once the last event is in. Nothing but
@@ -669,7 +649,9 @@ type StreamError struct {
 
 func (e *StreamError) Error() string { return "dualsimd: mid-stream: " + e.Message }
 
-// Row returns the current row after a true Next.
+// Row returns the current row after a true Next, valid until the next
+// Next. Its values stay valid after that and after Close; to keep the
+// row, keep slices.Clone(st.Row()).
 func (s *Stream) Row() Row { return s.cur }
 
 // Stats returns the execution statistics once the stream is drained
@@ -692,7 +674,7 @@ func (s *Stream) Close() error {
 	}
 	s.closed = true
 	s.client.putTable(s.table)
-	s.table, s.cells, s.text = nil, nil, nil
+	s.table = nil
 	return s.body.Close()
 }
 

@@ -1,13 +1,14 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -40,7 +41,7 @@ func drain(t *testing.T, st *Stream) []Row {
 	defer st.Close()
 	var rows []Row
 	for st.Next() {
-		rows = append(rows, st.Row())
+		rows = append(rows, slices.Clone(st.Row()))
 	}
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
@@ -181,6 +182,20 @@ func TestStreamReadsEncodingJSONServer(t *testing.T) {
 	}
 }
 
+// cells is the current row as a forwarding reader reads it: each
+// value's cell (Refs and Term), or null.
+func cells(st *Stream) []string {
+	var out []string
+	for _, k := range st.Refs() {
+		cell := "null"
+		if k >= 0 {
+			cell = st.Term(k)
+		}
+		out = append(out, cell)
+	}
+	return out
+}
+
 // TestStreamNextCells: the cells-only advance reads the same recorded
 // encoding/json stream as Next, through the same trailer handling, and
 // hands every value over in its canonical spelling, whatever escapes
@@ -193,7 +208,7 @@ func TestStreamNextCells(t *testing.T) {
 	defer st.Close()
 	var rows []string
 	for st.NextCells() {
-		rows = append(rows, string(bytes.Join(st.Cells(), []byte{','})))
+		rows = append(rows, strings.Join(cells(st), ","))
 		if st.Row() != nil {
 			t.Fatal("NextCells decoded the row")
 		}
@@ -229,9 +244,9 @@ func TestStreamTermDefinedTwice(t *testing.T) {
 	defer st.Close()
 	n := 0
 	for ; st.Next(); n++ {
-		row, cells := st.Row(), st.Cells()
-		if *row[0] != "<a>" || *row[1] != "<a>" || !bytes.Equal(cells[0], cells[1]) || string(cells[0]) != `"<a>"` {
-			t.Fatalf("row %d = %q %q, cells %q", n, *row[0], *row[1], cells)
+		row, cs := st.Row(), cells(st)
+		if *row[0] != "<a>" || *row[1] != "<a>" || cs[0] != cs[1] || cs[0] != `"<a>"` {
+			t.Fatalf("row %d = %q %q, cells %q", n, *row[0], *row[1], cs)
 		}
 	}
 	if err := st.Err(); err != nil || n != 2 {
@@ -341,5 +356,83 @@ func TestStreamDecodeAllocsPerRow(t *testing.T) {
 		if perRow := perRun / rows; perRow > 0.1 {
 			t.Errorf("%s: decoding costs %.2f allocations per row, want <= 0.1", tc.name, perRow)
 		}
+	}
+}
+
+// TestStreamRowIsAView: Next reads each row into the same slice, so a
+// Row is valid until the next Next, while its values stay valid after
+// later rows and after Close; a caller keeps a row by cloning its slice.
+func TestStreamRowIsAView(t *testing.T) {
+	value := func(i, j int) string { return fmt.Sprintf("<r%d/c%d>", i, j) }
+	st, err := serveBody(t, rowsBody(3, value)).QueryStream(context.Background(), queryX1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []Row
+	var first Row
+	for i := 0; st.Next(); i++ {
+		row := st.Row()
+		if i == 0 {
+			first = row
+		} else if &row[0] != &first[0] {
+			t.Fatalf("row %d was read into a new slice", i)
+		}
+		if *first[0] != value(i, 0) {
+			t.Fatalf("after Next %d the first Row reads %q, want the current %q", i, *first[0], value(i, 0))
+		}
+		kept = append(kept, slices.Clone(row))
+	}
+	if err := st.Err(); err != nil || len(kept) != 3 {
+		t.Fatalf("%d rows, %v", len(kept), err)
+	}
+	st.Close()
+	for i, row := range kept {
+		for j, v := range row {
+			if *v != value(i, j) {
+				t.Errorf("kept row %d value %d = %q after Close, want %q", i, j, *v, value(i, j))
+			}
+		}
+	}
+}
+
+// TestStreamDecodeAllocBytesPerRow pins the bytes a streamed row costs
+// when its terms repeat: the row is read into the stream's one slice,
+// so a row allocates nothing of its own and the stream's fixed costs
+// (request, scanner, trailer) spread over its rows. A slice carved per
+// row would cost 8 bytes per column.
+func TestStreamDecodeAllocBytesPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const rows, runs = 10_000, 5
+	c := serveBody(t, rowsBody(rows, func(_, j int) string {
+		return []string{"<http://example.org/subject/1234>", "<http://example.org/object/56>", `"label 1234"`}[j]
+	}))
+	read := func() {
+		st, err := c.QueryStream(context.Background(), queryX1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for st.Next() {
+			n++
+		}
+		if st.Err() != nil || n != rows {
+			t.Fatalf("%d rows, %v", n, st.Err())
+		}
+		st.Close()
+	}
+	read() // the pooled term table and the connection
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs * rows)
+	t.Logf("%.1f bytes allocated per row", perRow)
+	if perRow > 8 {
+		t.Errorf("a row of repeated terms costs %.1f bytes, want <= 8", perRow)
 	}
 }

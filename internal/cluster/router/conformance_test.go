@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -501,7 +502,7 @@ func TestEscapedTermsConformance(t *testing.T) {
 			}
 			var streamed [][]*string
 			for st.Next() {
-				streamed = append(streamed, st.Row())
+				streamed = append(streamed, slices.Clone(st.Row()))
 			}
 			if err := st.Err(); err != nil {
 				t.Fatal(err)

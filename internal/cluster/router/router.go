@@ -68,10 +68,12 @@
 package router
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"net/http"
 	"slices"
@@ -425,7 +427,7 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 	exprs := topBranches(q.Expr)
 	meets := mayMeet(exprs)
 	ctx, cancel := context.WithCancelCause(ctx)
-	u := &union{ctx: ctx, cancel: cancel, start: start, seen: map[string]struct{}{},
+	u := &union{ctx: ctx, cancel: cancel, start: start,
 		stats: &dualsim.ExecStats{Fingerprint: qstats.OfSource(src).ID}}
 	parent := trace.SpanFromContext(ctx)
 	var headers sync.WaitGroup
@@ -448,7 +450,7 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 			// Branch 0 is relayed as it arrives; a later one is read ahead
 			// until the cursor takes its stream over.
 			for i > 0 && b.err == nil && !b.stop.Load() && b.next() {
-				b.ahead = b.rows.row(b.ahead)
+				b.ahead = b.rows.row(grow(b.ahead, len(b.rows.Vars())))
 				b.n++
 			}
 			if b.ended && b.err != nil {
@@ -474,6 +476,7 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 			b.cols = append(b.cols, slices.Index(b.rows.Vars(), v))
 		}
 	}
+	u.seen = newSeenSet(len(u.vars))
 	if q.Limit > 0 || q.Offset > 0 {
 		if err := u.drain(q.Limit, q.Offset); err != nil {
 			u.Close()
@@ -833,7 +836,7 @@ type rows interface {
 	Epoch() uint64
 	next() bool
 	row(dst []uint32) []uint32 // appends the current row's cells
-	appendCell(dst []byte, c uint32) []byte
+	cellSource
 	end() error // once next returned false: the failure, mapped onto the reply
 	Close() error
 }
@@ -916,7 +919,7 @@ type branch struct {
 
 	stop  atomic.Bool   // the cursor takes the stream over
 	done  chan struct{} // closed when the branch's goroutine is gone
-	ahead []uint32      // the n rows read ahead, flat
+	ahead []uint32      // the n rows read ahead, flat; grows by doubling
 	n     int
 	ended bool // next returned false, and err says why
 	err   error
@@ -955,8 +958,9 @@ type union struct {
 	err      error
 	closed   bool
 
-	seen  map[string]struct{} // kept rows: their cells, each ended by 0xff
-	cells []byte
+	seen  seenSet  // the kept branches' rows
+	nums  []uint32 // while fresh checks the current row: its cells, Unbound for unbound
+	cells []byte   // and the row rendered
 }
 
 func (u *union) Vars() []string            { return u.vars }
@@ -1024,21 +1028,135 @@ func (u *union) Next() bool {
 // fresh reports whether the current row of a meeting branch is in none
 // of the kept branches' rows, byte for byte, and keeps it if b is kept.
 func (u *union) fresh(b *branch) bool {
-	if len(u.seen) == 0 && !b.keep {
+	if len(u.seen.hashes) == 0 && !b.keep {
 		return true
 	}
-	u.cells = u.cells[:0]
+	u.nums = u.nums[:0]
 	for _, k := range u.keys {
-		if k != wire.NoKey {
-			u.cells = b.rows.appendCell(u.cells, uint32(k))
+		u.nums = append(u.nums, uint32(k)) // NoKey is Unbound
+	}
+	u.cells = appendRow(u.cells[:0], b.rows, u.nums)
+	h, dup := u.seen.find(u.cells)
+	if !dup && b.keep {
+		u.seen.add(h, b.rows, u.nums)
+	}
+	return !dup
+}
+
+// cellSource renders the cells a branch numbers.
+type cellSource interface {
+	appendCell(dst []byte, c uint32) []byte
+}
+
+// appendRow appends a row's cells as src renders them, each followed by
+// 0xff, which is in no cell: ("ab","c") and ("a","bc") stay apart.
+//
+//dualsim:hotpath
+func appendRow(dst []byte, src cellSource, row []uint32) []byte {
+	for _, c := range row {
+		if c != dualsim.Unbound {
+			dst = src.appendCell(dst, c)
 		}
-		u.cells = append(u.cells, 0xff) // in no cell: keeps ("ab","c") and ("a","bc") apart
+		dst = append(dst, 0xff)
 	}
-	if _, dup := u.seen[string(u.cells)]; dup || !b.keep {
-		return !dup
+	return dst
+}
+
+// seenSet holds the rows of the branches a later branch meets as the
+// cell numbers their branches gave them, and finds a row among them by
+// its rendered cells. An open-addressed table of row indexes is probed
+// by the 64-bit hash of those cells; a kept row whose hash matches is
+// rendered through its branch and compared byte for byte, so a hash
+// never decides and the dedup is exact. Each kept row's whole hash is
+// kept beside its cells, so the table grows without rendering a row
+// again. A kept branch stays open until the cursor closes, so its
+// cells can be rendered until then.
+type seenSet struct {
+	seed   maphash.Seed
+	hash   func(maphash.Seed, []byte) uint64 // maphash.Bytes; a test may make every probe collide
+	width  int
+	cells  []uint32  // kept row i: cells[i*width : (i+1)*width]
+	hashes []uint64  // kept row i: the hash of its rendered cells
+	runs   []seenRun // the branch of each run of kept rows, in row order
+	slots  []uint32  // a kept row's index plus one, 0 for none; a power of two long, at most 3/4 full
+	row    []byte    // a kept row, rendered for a probe
+}
+
+// seenRun is a run of kept rows of one branch, from its first row on.
+type seenRun struct {
+	from int
+	src  cellSource
+}
+
+func newSeenSet(width int) seenSet {
+	return seenSet{seed: maphash.MakeSeed(), hash: maphash.Bytes, width: width}
+}
+
+// find returns the hash of a row's rendered cells and whether a kept
+// row renders to the same bytes.
+func (s *seenSet) find(cells []byte) (uint64, bool) {
+	h := s.hash(s.seed, cells)
+	if len(s.hashes) == 0 {
+		return h, false
 	}
-	u.seen[string(u.cells)] = struct{}{}
-	return true
+	mask := len(s.slots) - 1
+	for i := int(h) & mask; s.slots[i] != 0; i = (i + 1) & mask {
+		if r := int(s.slots[i]) - 1; s.hashes[r] == h && bytes.Equal(s.render(r), cells) {
+			return h, true
+		}
+	}
+	return h, false
+}
+
+// render renders kept row i through the branch that gave it.
+func (s *seenSet) render(i int) []byte {
+	r := len(s.runs) - 1
+	for s.runs[r].from > i {
+		r--
+	}
+	s.row = appendRow(s.row[:0], s.runs[r].src, s.cells[i*s.width:(i+1)*s.width])
+	return s.row
+}
+
+// add keeps a row that find did not find: its cells as src numbers
+// them, and h, the hash find returned.
+func (s *seenSet) add(h uint64, src cellSource, row []uint32) {
+	n := len(s.hashes)
+	if len(s.runs) == 0 || s.runs[len(s.runs)-1].src != src {
+		s.runs = append(s.runs, seenRun{from: n, src: src})
+	}
+	s.cells = append(grow(s.cells, len(row)), row...)
+	s.hashes = append(grow(s.hashes, 1), h)
+	if 4*(n+1) <= 3*len(s.slots) {
+		s.insert(n)
+		return
+	}
+	s.slots = make([]uint32, max(2*len(s.slots), 64))
+	for r := range s.hashes {
+		s.insert(r)
+	}
+}
+
+// insert puts kept row r into the first free slot from its hash on.
+func (s *seenSet) insert(r int) {
+	mask := len(s.slots) - 1
+	i := int(s.hashes[r]) & mask
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = uint32(r) + 1
+}
+
+// grow returns s with room for n more elements. A slice that must grow
+// doubles its length: append's quarter steps would copy a long buffer
+// about five times over.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		grown := make([]T, len(s), max(len(s)+n, 2*len(s), 64))
+		copy(grown, s)
+		s = grown
+	}
+	return s
 }
 
 // drain reads a LIMIT/OFFSET query's union and keeps its window, in a

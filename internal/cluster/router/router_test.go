@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"maps"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -1563,20 +1565,9 @@ func TestRouterCloseEndsBranches(t *testing.T) {
 	}
 }
 
-// TestRelayAllocsPerRow pins what the router allocates to relay a row
-// of a pushed-down branch: the cells stay in the shard stream's term
-// table, so a row whose terms are all new costs the stream's decoding
-// of them and no copy of the table.
-func TestRelayAllocsPerRow(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	const rows = 20_000
-	body := []byte(`{"kind":"header","vars":["s","o"],"epoch":0}` + "\n")
-	for i := range rows {
-		body = fmt.Appendf(body, "\"<s%d>\"\n\"<o%d>\"\n[%d,%d]\n", i, i, 2*i, 2*i+1)
-	}
-	body = fmt.Appendf(body, `{"kind":"stats","epoch":0,"rows":%d}`+"\n", rows)
+// cannedRouter routes to one shard that answers every query with body.
+func cannedRouter(t *testing.T, body []byte) *Router {
+	t.Helper()
 	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
 			io.WriteString(w, `{"status":"ready","epoch":0}`)
@@ -1591,13 +1582,21 @@ func TestRelayAllocsPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Probe(context.Background())
+	return rt
+}
 
+// relayedBytes reads src through rt runs times, rendering every cell
+// as a response does, after one read that fills the client's pooled
+// term table and connection, and returns the bytes allocated per read.
+// Each read must answer rows rows.
+func relayedBytes(t *testing.T, rt *Router, src string, rows, runs int) float64 {
+	t.Helper()
+	var cell []byte
 	relay := func() {
-		cur, err := rt.Query(context.Background(), `SELECT * WHERE { ?s <p> ?o . }`)
+		cur, err := rt.Query(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cell []byte
 		n := 0
 		for cur.Next() {
 			for _, k := range cur.Keys() {
@@ -1606,12 +1605,11 @@ func TestRelayAllocsPerRow(t *testing.T) {
 			n++
 		}
 		if cur.Err() != nil || n != rows {
-			t.Fatalf("relayed %d rows, %v", n, cur.Err())
+			t.Fatalf("%s: relayed %d rows, want %d; %v", src, n, rows, cur.Err())
 		}
 		cur.Close()
 	}
-	relay() // the client's pooled term table and the connection
-	const runs = 5
+	relay()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -1619,9 +1617,118 @@ func TestRelayAllocsPerRow(t *testing.T) {
 		relay()
 	}
 	runtime.ReadMemStats(&after)
-	perRow := float64(after.TotalAlloc-before.TotalAlloc) / (runs * rows)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// distinctRows is a shard's answer of rows rows over ?s and ?o whose
+// terms are all new IRIs, each starting with prefix.
+func distinctRows(rows int, prefix string) []byte {
+	body := []byte(`{"kind":"header","vars":["s","o"],"epoch":0}` + "\n")
+	for i := range rows {
+		body = fmt.Appendf(body, "\"<%ss%d>\"\n\"<%so%d>\"\n[%d,%d]\n", prefix, i, prefix, i, 2*i, 2*i+1)
+	}
+	return fmt.Appendf(body, `{"kind":"stats","epoch":0,"rows":%d}`+"\n", rows)
+}
+
+// TestRelayAllocsPerRow pins what the router allocates to relay a row
+// of a pushed-down branch: the cells stay in the shard stream's term
+// table, so a row whose terms are all new costs the stream's decoding
+// of them and no copy of the table.
+func TestRelayAllocsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const rows = 20_000
+	rt := cannedRouter(t, distinctRows(rows, ""))
+	perRow := relayedBytes(t, rt, `SELECT * WHERE { ?s <p> ?o . }`, rows, 5) / rows
 	t.Logf("%.1f bytes allocated per relayed row", perRow)
 	if perRow > 260 {
 		t.Errorf("relaying costs %.1f bytes per row, want <= 260", perRow)
+	}
+}
+
+// TestMeetingRowAllocs pins what the dedup of meeting branches costs
+// per row it keeps. Both branches read the same rows from one shard:
+// over the same variables they meet, so the first branch's rows are
+// kept and every row of the second is found among them; over disjoint
+// variables nothing is kept or looked up. The difference, per kept
+// row, is the seen set's: the row's cell numbers, its hash and its
+// slot, with the garbage of their doubling, whatever the length of its
+// terms (the benchmark's IRIs are as long as these). Keeping the
+// rendered cells as a map key cost about three times as much.
+func TestMeetingRowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const rows = 20_000
+	rt := cannedRouter(t, distinctRows(rows, "http://www.Department3.University0.edu/"))
+	meet := relayedBytes(t, rt, `SELECT * WHERE { { ?s <p> ?o . } UNION { ?s <q> ?o . } }`, rows, 5)
+	apart := relayedBytes(t, rt, `SELECT * WHERE { { ?s <p> ?o . } UNION { ?a <q> ?b . } }`, 2*rows, 5)
+	perRow := (meet - apart) / rows
+	t.Logf("%.1f bytes allocated per kept meeting row", perRow)
+	if perRow > 120 {
+		t.Errorf("keeping a meeting row costs %.1f bytes, want <= 120", perRow)
+	}
+}
+
+// cellNames renders cell c as its c-th name, the way a branch renders
+// the cells it numbers.
+type cellNames struct{ names []string }
+
+func (c *cellNames) appendCell(dst []byte, k uint32) []byte { return append(dst, c.names[k]...) }
+
+// TestSeenSetExactUnderCollisions: the seen set finds a row exactly
+// when a kept row renders to the same bytes, even when every hash
+// collides. Two branches number overlapping values differently, values
+// are prefixes of one another, and some cells are unbound; rows of the
+// first are kept unless found, rows of the second are only looked up,
+// as fresh does. A set that trusted a matching hash would find every
+// row after the first under the constant hash.
+func TestSeenSetExactUnderCollisions(t *testing.T) {
+	values := []string{`"<a>"`, `"<ab>"`, `"<b>"`, `"<c>"`, `"<bc>"`, `"<abc>"`, `"\"a\""`}
+	first, second := &cellNames{values}, &cellNames{slices.Clone(values)}
+	slices.Reverse(second.names)
+	u := dualsim.Unbound
+	for _, tc := range []struct {
+		name string
+		hash func(maphash.Seed, []byte) uint64
+	}{
+		{"maphash", maphash.Bytes},
+		{"constant", func(maphash.Seed, []byte) uint64 { return 7 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(1, 2))
+			row := func() []uint32 {
+				out := make([]uint32, 3)
+				for i := range out {
+					if out[i] = uint32(rng.IntN(len(values) + 1)); out[i] == uint32(len(values)) {
+						out[i] = u
+					}
+				}
+				return out
+			}
+			s := newSeenSet(3)
+			s.hash = tc.hash
+			kept := map[string]bool{}
+			var cells []byte
+			for i := range 400 {
+				src, r := first, row()
+				if i >= 250 {
+					src = second
+				}
+				cells = appendRow(cells[:0], src, r)
+				h, found := s.find(cells)
+				if want := kept[string(cells)]; found != want {
+					t.Fatalf("row %d %v of branch %d: found %v, want %v", i, r, i/250, found, want)
+				}
+				if !found && i < 250 {
+					s.add(h, src, r)
+					kept[string(cells)] = true
+				}
+			}
+			if len(s.hashes) != len(kept) || len(kept) < 100 {
+				t.Fatalf("the set holds %d rows, the reference %d", len(s.hashes), len(kept))
+			}
+		})
 	}
 }

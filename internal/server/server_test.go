@@ -143,7 +143,7 @@ func readStream(t *testing.T, body io.Reader) (header wire.Event, rows [][]*stri
 		case wire.LineTerm:
 			continue
 		case wire.LineRow:
-			rows = append(rows, tab.Row())
+			rows = append(rows, tab.AppendRow(nil))
 			continue
 		}
 		var ev wire.Event

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -276,13 +275,15 @@ const maxChunk = 4096
 // \u0041, invalid UTF-8), so equal values have equal cells. Either form
 // yields the other on request, once. Values and cells are carved from
 // chunks that are never written twice, so they stay valid after Reset.
+// A row is not: Refs is a view valid until the next Read, and AppendRow
+// fills a slice the caller owns, so a reader that keeps a row copies
+// its slice (the values in it need no copy).
 type TermTable struct {
 	n     int       // terms defined so far
 	vals  []*string // vals[k]: term k's value once decoded, else nil or absent
 	cells []string  // cells[k]: term k's cell once kept or rendered, else "" or absent
 	refs  []int32   // the current row: term numbers, -1 for null
 
-	rows chunk[*string]
 	strs chunk[string]
 	buf  strings.Builder // the current text chunk
 	last int             // the size of the current text chunk
@@ -301,7 +302,7 @@ func (t *TermTable) Reset() {
 	clear(t.vals)
 	clear(t.cells)
 	t.n, t.vals, t.cells, t.refs = 0, t.vals[:0], t.cells[:0], t.refs[:0]
-	t.rows, t.strs, t.buf, t.last = chunk[*string]{}, chunk[string]{}, strings.Builder{}, 0
+	t.strs, t.buf, t.last = chunk[string]{}, strings.Builder{}, 0
 }
 
 // Len returns the number of terms defined so far.
@@ -477,21 +478,23 @@ func wrongWidth(n, width int) error {
 	return fmt.Errorf("wire: a row of %d values under %d variables", n, width)
 }
 
-// Row returns the current row's values as json.Unmarshal reads them,
-// nil for null; equal term numbers share one *string, decoded once. Rows, string
-// headers and text are carved from chunks that start at the first
-// row's size and double; nothing is recycled, so values stay valid,
-// across Reset too, and keep their chunks alive.
+// AppendRow appends the current row's values to dst, as json.Unmarshal
+// reads them, nil for null: the caller owns the slice and may reuse it
+// for every row. Equal term numbers share one *string, decoded once.
+// Values are carved from chunks that are never written twice, so they
+// stay valid after later rows and after Reset, and keep their chunks
+// alive.
 //
 //dualsim:hotpath
-func (t *TermTable) Row() []*string {
-	values := t.rows.carve(len(t.refs))
-	for i, k := range t.refs {
+func (t *TermTable) AppendRow(dst []*string) []*string {
+	for _, k := range t.refs {
+		var v *string
 		if k >= 0 {
-			values[i] = t.value(k)
+			v = t.value(k)
 		}
+		dst = append(dst, v)
 	}
-	return values
+	return dst
 }
 
 // value returns term k's value, decoding its kept cell the first time.
@@ -506,14 +509,18 @@ func (t *TermTable) value(k int32) *string {
 
 // pad extends s with zero values to length n: a term read in one form
 // has no slot in the other form's slice until it is asked for. A slice
-// that must grow at least doubles, so a stream of N terms allocates
-// about twice its final table, not append's quarter steps' five times.
+// that must grow doubles its length, allocated exactly, so a stream of
+// N terms allocates about twice its final table and holds at most
+// twice its entries. append's quarter steps would allocate five times
+// it, and slices.Grow, which grows through append, may triple it.
 func pad[T any](s []T, n int) []T {
 	if n <= len(s) {
 		return s
 	}
 	if n > cap(s) {
-		s = slices.Grow(s, max(n, 2*cap(s), 64)-len(s))
+		grown := make([]T, len(s), max(n, 2*len(s), 64))
+		copy(grown, s)
+		s = grown
 	}
 	clear(s[len(s):n])
 	return s[:n]
