@@ -7,6 +7,7 @@
 //	BenchmarkTable5…     index-NL oracle, full vs. pruned, per query
 //	BenchmarkFig6…       the L0/L1 mandatory cores (§5.3 convergence)
 //	BenchmarkMicro…      the ×b kernels, row-wise and column-wise
+//	BenchmarkQueryHit    a plan-cache hit beside a prepared execution
 //
 // The solver runs in its one configuration throughout; the order space
 // it searches is measured by `go run ./cmd/benchtables -table orders`.
@@ -20,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"dualsim"
 	"dualsim/internal/baseline"
 	"dualsim/internal/bench"
 	"dualsim/internal/bitmat"
@@ -219,5 +221,56 @@ func BenchmarkMicroBitvecAnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		z := x.Clone()
 		z.And(y)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The serving path's plan-cache hit: L3 (constant-anchored, one row) on
+// LUBM(1), through db.Query as a hit and through PreparedQuery.Exec of
+// the same text. Both run the cached plan; the difference is the lookup.
+
+func BenchmarkQueryHit(b *testing.B) {
+	st, err := dualsim.FromTriples(dualsim.GenerateLUBM(1, 42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := dualsim.Open(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	l3, err := queries.ByID("L3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pq, err := db.Prepare(l3.Text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		hit  bool
+		run  func() (*dualsim.Result, *dualsim.ExecStats, error)
+	}{
+		{"Query", true, func() (*dualsim.Result, *dualsim.ExecStats, error) { return db.Query(ctx, l3.Text) }},
+		{"Exec", false, func() (*dualsim.Result, *dualsim.ExecStats, error) { return pq.Exec(ctx) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if _, _, err := c.run(); err != nil { // plans on the first Query
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, stats, err := c.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Len() != 1 || stats.CacheHit != c.hit {
+					b.Fatalf("L3: %d rows, hit=%v; want 1 row, hit=%v", res.Len(), stats.CacheHit, c.hit)
+				}
+			}
+		})
 	}
 }

@@ -428,7 +428,7 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 	meets := mayMeet(exprs)
 	ctx, cancel := context.WithCancelCause(ctx)
 	u := &union{ctx: ctx, cancel: cancel, start: start,
-		stats: &dualsim.ExecStats{Fingerprint: qstats.OfSource(src).ID}}
+		stats: &dualsim.ExecStats{Fingerprint: qstats.Of(q).ID}}
 	parent := trace.SpanFromContext(ctx)
 	var headers sync.WaitGroup
 	for i, e := range exprs {

@@ -117,7 +117,8 @@ func queryVia(t *testing.T, url, src string) *wire.QueryResponse {
 // The acceptance bar: for every shape the router handles — single-shard
 // push-down, cross-shard gather, top-level UNION over both, OPTIONAL,
 // constants, empty results — the answer must be row-identical to a
-// single node over the unpartitioned store, with identical columns.
+// single node over the unpartitioned store, with identical columns and
+// the same statement fingerprint in the stats trailer.
 func TestRouterRowIdenticalToSingleNode(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		rt, rs, single := startCluster(t, n)
@@ -152,6 +153,10 @@ func TestRouterRowIdenticalToSingleNode(t *testing.T) {
 			g, w := canonRows(got.Rows), canonRows(want.Rows)
 			if fmt.Sprint(g) != fmt.Sprint(w) {
 				t.Errorf("n=%d %q:\n router rows %v\n single rows %v", n, src, g, w)
+			}
+			// The trailer names the statement a single node would.
+			if got.Stats == nil || want.Stats == nil || got.Stats.Fingerprint == "" || got.Stats.Fingerprint != want.Stats.Fingerprint {
+				t.Errorf("n=%d %q: router stats %+v, single node %+v: fingerprints differ", n, src, got.Stats, want.Stats)
 			}
 		}
 		_ = rt

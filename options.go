@@ -56,11 +56,13 @@ func WithPruning(enabled bool) Option {
 }
 
 // WithPlanCache sizes the session's LRU cache of prepared plans, keyed
-// by whitespace-normalized query text, at n entries (default 128; n must
-// be at least 1). DB.Query (and Snapshot.Query/QueryStream) consult it:
-// a hit skips parsing and SOI lowering and executes the cached
-// PreparedQuery directly; a miss plans once and caches. Inspect traffic
-// with DB.CacheStats.
+// by the store epoch and the query text exactly as sent, at n entries
+// (default 128; n must be at least 1). DB.Query (and
+// Snapshot.Query/QueryStream) consult it: a hit skips parsing and SOI
+// lowering and executes the cached PreparedQuery directly; a miss plans
+// once and caches. Texts that differ only in whitespace or comments are
+// separate entries; the statement fingerprint still groups them.
+// Inspect traffic with DB.CacheStats.
 func WithPlanCache(n int) Option {
 	return func(s *settings) error {
 		if n < 1 {

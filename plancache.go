@@ -2,10 +2,7 @@ package dualsim
 
 import (
 	"container/list"
-	"hash/maphash"
-	"strings"
 	"sync"
-	"unicode"
 )
 
 // PlanCacheStats reports the state and traffic of a session's plan cache
@@ -39,23 +36,22 @@ func (s PlanCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// planKey scopes a query text to a store epoch, so a plan built before
-// an Apply structurally misses afterwards instead of serving candidates
-// of a superseded store. The text enters as the hash of its normalized
-// token stream (see normTokens), computed in place; the entry keeps the
-// normalized text, and a lookup compares it token by token — as in the
-// executor's row sets, a hash alone is never a key.
+// planKey scopes a query text, exactly as sent, to a store epoch, so a
+// plan built before an Apply structurally misses afterwards instead of
+// serving candidates of a superseded store. The map hashes and compares
+// the text in place. Two texts that differ only in whitespace or
+// comments are two entries, each planned once; the statement
+// fingerprint (internal/stats) still groups them.
 type planKey struct {
 	epoch uint64
-	hash  uint64
+	text  string
 }
 
 // planCache is a mutex-guarded LRU of prepared queries keyed by epoch
-// and normalized query text.
+// and query text.
 type planCache struct {
 	mu            sync.Mutex
 	cap           int
-	seed          maphash.Seed
 	ll            *list.List // front = most recently used; Value is *planEntry
 	items         map[planKey]*list.Element
 	hits          int64
@@ -75,43 +71,25 @@ type planCache struct {
 }
 
 type planEntry struct {
-	key  planKey
-	text string // normalizeQuery of the text the plan was built from
-	pq   *PreparedQuery
+	key planKey
+	pq  *PreparedQuery
 }
 
 func newPlanCache(capacity int) *planCache {
 	return &planCache{
 		cap:   capacity,
-		seed:  maphash.MakeSeed(),
 		ll:    list.New(),
 		items: make(map[planKey]*list.Element, capacity),
 	}
 }
 
-// key hashes src's normalized token stream without building it: two
-// texts with equal normalizeQuery outputs get equal keys.
-func (c *planCache) key(epoch uint64, src string) planKey {
-	var h maphash.Hash
-	h.SetSeed(c.seed)
-	for t := (normTokens{src: src}); ; {
-		p, ok := t.next()
-		if !ok {
-			break
-		}
-		h.WriteString(p)
-	}
-	return planKey{epoch: epoch, hash: h.Sum64()}
-}
-
-// lookup returns the cached plan of src under key (updating recency), or
-// nil — also when the entry under key was built from another text.
+// lookup returns the cached plan under key (updating recency), or nil.
 // record controls whether the hit/miss counters move — the double-check
 // probe under buildMu must not count the same miss twice.
-func (c *planCache) lookup(key planKey, src string, record bool) *PreparedQuery {
+func (c *planCache) lookup(key planKey, record bool) *PreparedQuery {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok && sameNormalized(src, el.Value.(*planEntry).text) {
+	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		if record {
 			c.hits++
@@ -135,23 +113,17 @@ func (c *planCache) promoteMiss() {
 	c.mu.Unlock()
 }
 
-// insert adds (or refreshes) the plan of a normalized text and evicts
-// the least recently used entries beyond capacity. An entry of another
-// text under the same key — a hash collision — is replaced. Plans of
-// epochs below the invalidation fence are refused (see minEpoch): the
-// cache only keeps plans of the published epoch.
-func (c *planCache) insert(key planKey, text string, pq *PreparedQuery) {
+// insert adds the plan under key, which the caller probed under buildMu
+// and found absent, and evicts the least recently used entries beyond
+// capacity. Plans of epochs below the invalidation fence are refused
+// (see minEpoch): the cache only keeps plans of the published epoch.
+func (c *planCache) insert(key planKey, pq *PreparedQuery) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if pq.snap.epoch < c.minEpoch {
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		*el.Value.(*planEntry) = planEntry{key: key, text: text, pq: pq}
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&planEntry{key: key, text: text, pq: pq})
+	c.items[key] = c.ll.PushFront(&planEntry{key: key, pq: pq})
 	for c.ll.Len() > c.cap {
 		back := c.ll.Back()
 		c.ll.Remove(back)
@@ -191,129 +163,3 @@ func (c *planCache) stats() PlanCacheStats {
 		Invalidations: c.invalidations,
 	}
 }
-
-// normalizeQuery is the text a plan-cache entry keeps: whitespace runs
-// collapse to single spaces and comments drop, but only where the lexer
-// itself would ignore them — quoted literals and <…> IRIs are copied
-// verbatim, so two texts share an entry only when they lex identically.
-// Anything deeper (variable renaming, pattern reordering) would change
-// plan identity and is deliberately out of scope.
-func normalizeQuery(src string) string {
-	var b strings.Builder
-	b.Grow(len(src))
-	for t := (normTokens{src: src}); ; {
-		p, ok := t.next()
-		if !ok {
-			return b.String()
-		}
-		b.WriteString(p)
-	}
-}
-
-// sameNormalized reports whether normalizeQuery(src) == norm, walking
-// src's token stream against norm without building the former.
-func sameNormalized(src, norm string) bool {
-	for t := (normTokens{src: src}); ; {
-		p, ok := t.next()
-		if !ok {
-			return norm == ""
-		}
-		if !strings.HasPrefix(norm, p) {
-			return false
-		}
-		norm = norm[len(p):]
-	}
-}
-
-// normTokens walks the normalized form of a query text in pieces whose
-// concatenation is normalizeQuery's output: verbatim stretches of the
-// source, and the single spaces that stand for the whitespace runs and
-// comments between two stretches. A stretch runs through IRIs, literals
-// and lone ' ' separators, which the normalized form keeps as they are,
-// so typical text comes in a few long pieces. Building, hashing and
-// comparing the normalized text all read this one stream.
-type normTokens struct {
-	src     string
-	i       int
-	space   bool // whitespace or a comment was skipped since the last piece
-	started bool // a stretch was returned: a separator before the first is dropped
-}
-
-// next returns the next piece; false at the end of src.
-func (t *normTokens) next() (string, bool) {
-	src, n := t.src, len(t.src)
-	for t.i < n {
-		c := src[t.i]
-		if c == '#' { // comment to end of line: dropped, but separates tokens
-			for t.i < n && src[t.i] != '\n' {
-				t.i++
-			}
-		} else if byteClass[c] == spaceByte {
-			t.i++
-		} else {
-			break
-		}
-		t.space = true
-	}
-	if t.i == n {
-		return "", false
-	}
-	if t.space {
-		t.space = false
-		if t.started {
-			return " ", true
-		}
-	}
-	t.started = true
-	start, j := t.i, t.i
-stretch:
-	for j < n {
-		switch c := src[j]; {
-		case byteClass[c] == plainByte:
-			j++
-		case c == '<': // IRI: verbatim through '>' ('#' and spaces inside are significant)
-			if k := strings.IndexByte(src[j:], '>'); k >= 0 {
-				j += k + 1
-			} else {
-				j = n
-			}
-		case c == '"' || c == '\'': // literal: verbatim through the matching quote, honoring escapes
-			for j++; j < n && src[j] != c; j++ {
-				if src[j] == '\\' && j+1 < n {
-					j++
-				}
-			}
-			if j < n {
-				j++ // include the closing quote
-			}
-		case c == ' ' && j+1 < n && src[j+1] != '#' && byteClass[src[j+1]] != spaceByte:
-			j++ // a lone space between two tokens is already normalized
-		default: // a whitespace run or a comment: the separator is the next piece
-			break stretch
-		}
-	}
-	t.i = j
-	return src[start:j], true
-}
-
-// byteClass sorts the bytes for normTokens: whitespace (each byte
-// unicode.IsSpace accepts as a rune), the bytes that open a comment, an
-// IRI or a literal, and the plain rest, which a verbatim run continues
-// through.
-var byteClass = func() (t [256]uint8) {
-	for c := range t {
-		switch {
-		case unicode.IsSpace(rune(c)):
-			t[c] = spaceByte
-		case c == '#' || c == '<' || c == '"' || c == '\'':
-			t[c] = openByte
-		}
-	}
-	return t
-}()
-
-const (
-	plainByte = iota
-	spaceByte
-	openByte
-)

@@ -5,111 +5,237 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"dualsim/internal/queries"
+	qstats "dualsim/internal/stats"
 )
 
-// TestNormalizeQuery: the cache key collapses only whitespace the lexer
-// ignores — quoted literals and IRIs keep theirs, comments drop but
-// still separate tokens. Two texts share a key iff they lex identically.
+// keyPair is two spellings of one query that a whitespace- and
+// comment-normalizing plan-cache key would have treated as one text
+// (sameShape is false where even a normalizer keeps them apart, or
+// where their statement fingerprints differ).
+type keyPair struct {
+	name      string
+	a, b      string
+	sameShape bool // the two texts share a statement fingerprint
+}
+
+// keyPairs are the perturbation pairs of the plan-cache key tests:
+// whitespace, comments, whitespace inside literals, quote style and
+// '#' inside IRIs.
+func keyPairs() []keyPair {
+	return []keyPair{
+		{"whitespace", "SELECT * WHERE { ?a <p> ?b . }", "  SELECT\n*\tWHERE  {\n?a <p> ?b\n.\n} ", true},
+		{"comment", "SELECT * WHERE { ?a <p> ?b . }", "SELECT * WHERE { # comment\n ?a <p> ?b . }", true},
+		{"commented-out pattern", "SELECT * WHERE { ?a <p> ?b . ?b <q> ?d . }", "SELECT * WHERE { ?a <p> ?b . # ?b <q> ?d .\n}", false},
+		{"literal whitespace", `SELECT * WHERE { ?x <name> "a b" . }`, `SELECT * WHERE { ?x <name> "a  b" . }`, true},
+		{"quote style", `SELECT * WHERE { ?x <name> "a b" . }`, `SELECT * WHERE { ?x <name> 'a  b' . }`, true},
+		{"escaped quote", `SELECT * WHERE { ?x <name> "a\" b" . }`, `SELECT * WHERE { ?x <name> "a\"  b" . }`, true},
+		{"IRI fragment", `SELECT * WHERE { ?x <http://e/p#a> ?y . }`, `SELECT * WHERE { ?x <http://e/p#b> ?y . }`, false},
+	}
+}
+
+// keyPairsDB opens a session with a plan cache over a store that
+// answers every keyPairs text with at least one row.
+func keyPairsDB(t *testing.T) *DB {
+	t.Helper()
+	st, err := FromTriples([]Triple{
+		T("s1", "p", "o1"), T("o1", "q", "x"),
+		TL("s1", "name", "a b"), TL("s2", "name", "a  b"),
+		TL("s3", "name", `a" b`), TL("s4", "name", `a"  b`),
+		T("s1", "http://e/p#a", "o2"), T("s2", "http://e/p#b", "o3"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(st, WithPlanCache(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+// TestPlanCacheKeysExactText: the plan cache keys on the text exactly
+// as sent. Over keyPairs, two texts share an entry exactly when they
+// are byte-equal (a byte-equal copy hits, any other text misses and
+// plans once), and every answer, cached or not, equals an uncached
+// db.Exec of the same text.
+func TestPlanCacheKeysExactText(t *testing.T) {
+	pairs := keyPairs()
+	db := keyPairsDB(t)
+	ctx := context.Background()
+	seen := map[string]bool{}
+	n := 0
+	query := func(name, src string) {
+		t.Helper()
+		got, stats, err := db.Query(ctx, src)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", name, src, err)
+		}
+		if stats.CacheHit != seen[src] {
+			t.Fatalf("%s: %q: hit=%v, want %v", name, src, stats.CacheHit, seen[src])
+		}
+		seen[src] = true
+		n++
+		want, _, err := db.Exec(ctx, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: %q: Query answered %v, Exec %v", name, src, got, want)
+		}
+	}
+	for _, p := range pairs {
+		query(p.name, p.a)
+		query(p.name, p.b)
+		// A byte-equal copy in fresh memory is the same key.
+		query(p.name, strings.Clone(p.a))
+		query(p.name, strings.Clone(p.b))
+	}
+	cs := db.CacheStats()
+	if cs.Size != len(seen) || cs.Misses != int64(len(seen)) || cs.Hits != int64(n-len(seen)) {
+		t.Fatalf("cache stats %+v after %d queries of %d distinct texts", cs, n, len(seen))
+	}
+	// The key carries the epoch: after an Apply the same text misses.
+	if _, err := db.Apply(ctx, Delta{Adds: []Triple{T("s9", "p", "o9")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, stats, err := db.Query(ctx, pairs[0].a); err != nil || stats.CacheHit {
+		t.Fatalf("first query after an Apply: hit=%v err=%v, want a miss", stats != nil && stats.CacheHit, err)
+	}
+}
+
+// TestNormalizeQuery: a query's text is normalized in one place, its
+// statement fingerprint, and not in the plan-cache key. Over keyPairs,
+// the two spellings of a pair each plan once, yet report one
+// fingerprint exactly when they differ only in whitespace, comments or
+// literal values; a commented-out pattern or another IRI is another
+// statement. A hit reports the fingerprint of the miss that filled it,
+// which is that of the text parsed on its own. Text that ends inside a
+// literal, an IRI, an escape or a comment errors on every call and is
+// never cached.
 func TestNormalizeQuery(t *testing.T) {
-	same, distinct := normalizeTable()
-	for _, c := range same {
-		if normalizeQuery(c[0]) != normalizeQuery(c[1]) {
-			t.Errorf("keys differ:\n  %q -> %q\n  %q -> %q", c[0], normalizeQuery(c[0]), c[1], normalizeQuery(c[1]))
+	db := keyPairsDB(t)
+	ctx := context.Background()
+	planned := map[string]bool{}
+	fingerprint := func(src string) string {
+		t.Helper()
+		_, st, err := db.Query(ctx, src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if st.CacheHit != planned[src] {
+			t.Fatalf("%q: hit=%v, want %v", src, st.CacheHit, planned[src])
+		}
+		planned[src] = true
+		if want := qstats.OfSource(src).ID; st.Fingerprint != want {
+			t.Fatalf("%q: fingerprint %q, want %q", src, st.Fingerprint, want)
+		}
+		return st.Fingerprint
+	}
+	for _, p := range keyPairs() {
+		fa, fb := fingerprint(p.a), fingerprint(p.b)
+		if (fa == fb) != p.sameShape {
+			t.Errorf("%s: fingerprints %q and %q, want equal=%v", p.name, fa, fb, p.sameShape)
+		}
+		if again := fingerprint(p.b); again != fb {
+			t.Errorf("%s: a hit reports fingerprint %q, its miss %q", p.name, again, fb)
 		}
 	}
-	for _, c := range distinct {
-		if normalizeQuery(c[0]) == normalizeQuery(c[1]) {
-			t.Errorf("distinct queries collide on key %q:\n  %q\n  %q", normalizeQuery(c[0]), c[0], c[1])
+	size := db.CacheStats().Size
+	for _, src := range []string{`SELECT * WHERE { ?x <name> "unterminated`, `SELECT * WHERE { ?x <unterminated`, `SELECT * WHERE { ?x <name> "x \`, "SELECT * WHERE { # only a comment", ""} {
+		for range 2 {
+			if _, _, err := db.Query(ctx, src); err == nil {
+				t.Fatalf("%q: no error", src)
+			}
 		}
 	}
-	// Unterminated trailing regions must not panic or loop.
-	for _, src := range []string{`{ "unterminated`, `{ <unterminated`, `x \`, "#only a comment", ""} {
-		_ = normalizeQuery(src)
+	if got := db.CacheStats().Size; got != size {
+		t.Fatalf("cache size %d after unparseable texts, was %d", got, size)
 	}
 }
 
-// normalizeTable is TestNormalizeQuery's table: pairs that must share a
-// key, and pairs that must not.
-func normalizeTable() (same, distinct [][2]string) {
-	same = [][2]string{
-		{"SELECT * WHERE { ?a <p> ?b . }", "  SELECT\n*\tWHERE  {\n?a <p> ?b\n.\n} "},
-		{"SELECT * WHERE { ?a <p> ?b . }", "SELECT * WHERE { # comment\n ?a <p> ?b . }"},
-		{"a b", "a#x\nb"}, // a comment separates tokens like whitespace
-	}
-	distinct = [][2]string{
-		// Whitespace inside a literal is significant.
-		{`{ ?x <name> "a b" . }`, `{ ?x <name> "a  b" . }`},
-		{`{ ?x <name> "a b" . }`, `{ ?x <name> 'a  b' . }`},
-		// An escaped quote does not close the literal.
-		{`{ ?x <name> "a\" b" . }`, `{ ?x <name> "a\"  b" . }`},
-		// '#' inside an IRI is not a comment; IRI whitespace is kept.
-		{`{ ?x <http://e/p#a> ?y . }`, `{ ?x <http://e/p#b> ?y . }`},
-		{`{ ?x <p a> ?y . }`, `{ ?x <p  a> ?y . }`},
-		// A commented-out pattern is not an active one.
-		{"{ ?a <p> ?b . ?c <q> ?d . }", "{ ?a <p> ?b . # ?c <q> ?d .\n}"},
-	}
-	return same, distinct
-}
-
-// TestPlanKeyMatchesNormalizedText: the plan-cache key hashes the
-// normalized token stream in place, and a lookup compares it against
-// the stored text in place. Over random whitespace, comment, IRI and
-// literal perturbations of TestNormalizeQuery's texts, two texts must
-// share a key exactly when their normalizeQuery outputs are equal, and
-// the in-place comparison must agree with comparing those outputs.
+// TestPlanKeyMatchesNormalizedText: a plan-cache entry answers only the
+// text that filled it, even where a normalized text would match. Over
+// random whitespace, comment, IRI and literal perturbations of
+// keyPairs' texts, each sent twice in shuffled order, db.Query hits
+// exactly when the same bytes were planned before in the epoch; a text
+// that does not parse errors as an uncached db.Exec does and is never
+// cached; texts that share a fingerprint but differ in bytes each plan
+// once; and every answer equals db.Exec's. After an Apply every text
+// misses once more.
 func TestPlanKeyMatchesNormalizedText(t *testing.T) {
-	same, distinct := normalizeTable()
 	// Each edit inserts at a random position, so it lands in whitespace,
-	// inside a token, a comment, an IRI or a literal; the last two open
-	// or close such regions.
+	// inside a token, a comment, an IRI or a literal; some open or close
+	// such regions.
 	edits := []string{" ", "\t", "\n  ", "# c\n", "#", " # x", "<", ">", "<i j>", `"`, "'", `\`, `" s "`, "x", "."}
 	r := rand.New(rand.NewSource(1))
 	var texts []string
-	for _, pair := range append(same, distinct...) {
-		for _, src := range pair {
+	for _, p := range keyPairs() {
+		for _, src := range []string{p.a, p.b} {
 			texts = append(texts, src)
-			for range 40 {
-				p := src
+			for range 20 {
+				q := src
 				for range 1 + r.Intn(3) {
-					i := r.Intn(len(p) + 1)
-					p = p[:i] + edits[r.Intn(len(edits))] + p[i:]
+					i := r.Intn(len(q) + 1)
+					q = q[:i] + edits[r.Intn(len(edits))] + q[i:]
 				}
-				texts = append(texts, p)
+				texts = append(texts, q)
 			}
 		}
 	}
-	c := newPlanCache(1)
-	keys := make([]planKey, len(texts))
-	norms := make([]string, len(texts))
-	for i, src := range texts {
-		keys[i], norms[i] = c.key(0, src), normalizeQuery(src)
-	}
-	shared := 0
-	for i := range texts {
-		for j := range texts {
-			equal := norms[i] == norms[j]
-			if (keys[i] == keys[j]) != equal {
-				t.Fatalf("key equality %v, normalized equality %v:\n  %q -> %q\n  %q -> %q",
-					keys[i] == keys[j], equal, texts[i], norms[i], texts[j], norms[j])
+	sends := append(append([]string(nil), texts...), texts...)
+	r.Shuffle(len(sends), func(i, j int) { sends[i], sends[j] = sends[j], sends[i] })
+	db := keyPairsDB(t)
+	ctx := context.Background()
+	for epoch := range 2 {
+		planned := map[string]bool{}
+		variants := map[string]map[string]bool{} // fingerprint -> texts planned
+		hits := 0
+		for _, src := range sends {
+			got, st, err := db.Query(ctx, src)
+			want, _, werr := db.Exec(ctx, src)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("epoch %d: %q: Query error %v, Exec error %v", epoch, src, err, werr)
 			}
-			if sameNormalized(texts[i], norms[j]) != equal {
-				t.Fatalf("sameNormalized(%q, %q) = %v, want %v", texts[i], norms[j], !equal, equal)
+			if err != nil {
+				continue
 			}
-			if equal && i != j {
+			if st.CacheHit != planned[src] {
+				t.Fatalf("epoch %d: %q: hit=%v, want %v", epoch, src, st.CacheHit, planned[src])
+			}
+			if !got.Equal(want) {
+				t.Fatalf("epoch %d: %q: Query answered %v, Exec %v", epoch, src, got, want)
+			}
+			if st.CacheHit {
+				hits++
+			}
+			planned[src] = true
+			if variants[st.Fingerprint] == nil {
+				variants[st.Fingerprint] = map[string]bool{}
+			}
+			variants[st.Fingerprint][src] = true
+		}
+		if got := db.CacheStats().Size; got != len(planned) {
+			t.Fatalf("epoch %d: cache holds %d entries for %d planned texts", epoch, got, len(planned))
+		}
+		shared := 0
+		for _, v := range variants {
+			if len(v) > 1 {
 				shared++
 			}
 		}
-	}
-	if shared == 0 {
-		t.Fatal("no two perturbed texts share a key: the property is vacuous")
-	}
-	if c.key(0, texts[0]) == c.key(1, texts[0]) {
-		t.Fatal("one text under two epochs shares a key")
+		if hits == 0 || shared == 0 {
+			t.Fatalf("epoch %d: %d hits, %d fingerprints with several texts: the property is vacuous", epoch, hits, shared)
+		}
+		if _, err := db.Apply(ctx, Delta{Adds: []Triple{T("s9", "p", "o9")}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -346,7 +346,8 @@ func (db *DB) Exec(ctx context.Context, src string) (*Result, *ExecStats, error)
 // session's plan cache (WithPlanCache) and executes the pipeline. A
 // cache hit skips parse and SOI lowering entirely and is reported in
 // ExecStats.CacheHit; a miss plans once and caches the prepared query
-// for subsequent calls with the same (whitespace-normalized) text.
+// for subsequent calls with the same text, byte for byte (a reformatted
+// text plans once more; its statement fingerprint is the same).
 // Safe for concurrent use; concurrent misses of one text build its plan
 // once.
 //
@@ -359,22 +360,22 @@ func (db *DB) Query(ctx context.Context, src string) (*Result, *ExecStats, error
 
 // prepareCached resolves query text to a prepared query for the
 // snapshot through the plan cache, reporting whether it was a hit. Keys
-// combine the snapshot epoch with a hash of the normalized text, so
-// plans of superseded epochs structurally miss; a hit hashes and
-// compares the text in place and allocates nothing. Cache misses for
-// the same key are single-flighted: the plan is built once, concurrent
-// callers block on buildMu and pick up the freshly inserted entry. A
-// plan of a superseded epoch still executes but is not cached (see
+// are the snapshot epoch plus the text exactly as sent, so plans of
+// superseded epochs structurally miss; a hit hashes and compares the
+// text in place and allocates nothing. Cache misses for the same key
+// are single-flighted: the plan is built once, concurrent callers block
+// on buildMu and pick up the freshly inserted entry. A plan of a
+// superseded epoch still executes but is not cached (see
 // planCache.insert).
 func (s *Snapshot) prepareCached(src string) (*PreparedQuery, bool, error) {
 	db := s.db
-	key := db.cache.key(s.snap.epoch, src)
-	if pq := db.cache.lookup(key, src, true); pq != nil {
+	key := planKey{epoch: s.snap.epoch, text: src}
+	if pq := db.cache.lookup(key, true); pq != nil {
 		return pq, true, nil
 	}
 	db.cache.buildMu.Lock()
 	defer db.cache.buildMu.Unlock()
-	if pq := db.cache.lookup(key, src, false); pq != nil {
+	if pq := db.cache.lookup(key, false); pq != nil {
 		// A concurrent caller built the plan while we waited: the recorded
 		// miss was in fact served from the cache.
 		db.cache.promoteMiss()
@@ -384,7 +385,7 @@ func (s *Snapshot) prepareCached(src string) (*PreparedQuery, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	db.cache.insert(key, normalizeQuery(src), pq)
+	db.cache.insert(key, pq)
 	return pq, false, nil
 }
 

@@ -576,9 +576,10 @@ func TestExecNilContext(t *testing.T) {
 // both ways in: PreparedQuery.Exec, and a plan-cache hit through
 // db.Query. The row-at-a-time executor made 49; the batch executor made
 // 40, 28 of them compiling the plan. A reused execution now re-Opens a
-// tree its view kept, and a hit hashes and compares the text in place,
-// so what is left is the result, the stats and the cursor. A compile per
-// execution, or a key string per lookup, would show here.
+// tree its view kept, and a hit keys the cache's map on the epoch and
+// the text as sent, which the map hashes and compares in place, so what
+// is left is the result, the stats and the cursor. A compile per
+// execution, or a key string built per lookup, would show here.
 func TestReusedExecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")

@@ -20,8 +20,8 @@ const (
 )
 
 // TestQueryPlanCache: db.Query plans a text once, serves repeats from the
-// LRU cache (reported via ExecStats.CacheHit and CacheStats), normalizes
-// whitespace, and evicts least-recently-used plans beyond capacity.
+// LRU cache (reported via ExecStats.CacheHit and CacheStats), keys on
+// the exact text, and evicts least-recently-used plans beyond capacity.
 func TestQueryPlanCache(t *testing.T) {
 	db, err := dualsim.Open(fig1a(t), dualsim.WithPlanCache(2))
 	if err != nil {
@@ -48,13 +48,25 @@ func TestQueryPlanCache(t *testing.T) {
 		t.Fatalf("PlanBuilds = %d after repeated Query, want 1", got)
 	}
 
-	// Whitespace-normalized texts share a slot.
+	// The key is the text exactly as sent: a reformatted text misses
+	// once, plans once, answers the same, and then hits.
 	reformatted := strings.Join(strings.Fields(throughputQ1), "\n\t ")
+	again, stats, err := db.Query(ctx, reformatted)
+	if err != nil || stats.CacheHit {
+		t.Fatalf("reformatted text: hit=%v err=%v, want a miss", stats != nil && stats.CacheHit, err)
+	}
+	if got := db.PlanBuilds(); got != 2 {
+		t.Fatalf("PlanBuilds = %d after a reformatted text, want 2", got)
+	}
+	if !again.Equal(res) {
+		t.Fatalf("reformatted text answered %v, the original %v", again, res)
+	}
 	if _, stats, err = db.Query(ctx, reformatted); err != nil || !stats.CacheHit {
-		t.Fatalf("reformatted text: hit=%v err=%v, want cache hit", stats != nil && stats.CacheHit, err)
+		t.Fatalf("repeated reformatted text: hit=%v err=%v, want a cache hit", stats != nil && stats.CacheHit, err)
 	}
 
-	// Fill beyond capacity 2: Q2 then Q3 evicts Q1 (the LRU entry).
+	// Fill beyond capacity 2: Q2 evicts Q1 and Q3 the reformatted text
+	// (each the LRU entry in turn).
 	if _, _, err := db.Query(ctx, throughputQ2); err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +74,15 @@ func TestQueryPlanCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := db.CacheStats()
-	if cs.Capacity != 2 || cs.Size != 2 || cs.Evictions != 1 {
-		t.Fatalf("cache stats after overflow = %+v, want cap 2, size 2, 1 eviction", cs)
+	if cs.Capacity != 2 || cs.Size != 2 || cs.Evictions != 2 {
+		t.Fatalf("cache stats after overflow = %+v, want cap 2, size 2, 2 evictions", cs)
 	}
-	if cs.Hits != 2 || cs.Misses != 3 {
-		t.Fatalf("cache traffic = %+v, want 2 hits / 3 misses", cs)
+	if cs.Hits != 2 || cs.Misses != 4 {
+		t.Fatalf("cache traffic = %+v, want 2 hits / 4 misses", cs)
 	}
 	builds := db.PlanBuilds()
-	if builds != 3 {
-		t.Fatalf("PlanBuilds = %d, want 3 (one per distinct query)", builds)
+	if builds != 4 {
+		t.Fatalf("PlanBuilds = %d, want 4 (one per distinct text)", builds)
 	}
 
 	// The evicted Q1 must re-plan; the resident Q3 must not.
