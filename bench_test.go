@@ -8,6 +8,7 @@
 //	BenchmarkFig6…       the L0/L1 mandatory cores (§5.3 convergence)
 //	BenchmarkMicro…      the ×b kernels, row-wise and column-wise
 //	BenchmarkQueryHit    a plan-cache hit beside a prepared execution
+//	BenchmarkPruneHitGain  Tables 4–5 on the hit path: unpruned ÷ pruned
 //
 // The solver runs in its one configuration throughout; the order space
 // it searches is measured by `go run ./cmd/benchtables -table orders`.
@@ -20,6 +21,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"dualsim"
 	"dualsim/internal/baseline"
@@ -271,6 +273,81 @@ func BenchmarkQueryHit(b *testing.B) {
 					b.Fatalf("L3: %d rows, hit=%v; want 1 row, hit=%v", res.Len(), stats.CacheHit, c.hit)
 				}
 			}
+		})
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Tables 4–5 on the serving path: a plan-cache hit on a session that
+// prunes against one on a session that does not.
+
+// hitGainIDs are the catalog queries behind the benchmark module's
+// prune_bound and join_bound workloads (its R0–R2 are not in the catalog).
+var hitGainIDs = []string{
+	"L0", "L3", "L4", "L5", "B0", "B16", "D1", "B4", "B5", "B15", "D2", // prune_bound
+	"L2", "D0", "D4", "D5", "B2", "B3", "B14", "B17", // join_bound
+}
+
+// BenchmarkPruneHitGain reports, per query, hit_gain: the time of a
+// plan-cache hit without pruning ÷ the time of one with pruning — the
+// ratio of the paper's Tables 4–5, which claim it is never below 1 — and
+// both times per hit. The two sessions take turns every iteration, which
+// of them goes first alternating, so a drifting host weighs on both.
+func BenchmarkPruneHitGain(b *testing.B) {
+	ctx := context.Background()
+	for _, id := range hitGainIDs {
+		spec, err := queries.ByID(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := storeFor(b, spec)
+		b.Run(id, func(b *testing.B) {
+			pruned, err := dualsim.Open(st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pruned.Close()
+			unpruned, err := dualsim.Open(st, dualsim.WithPruning(false))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer unpruned.Close()
+			hit := func(db *dualsim.DB) (time.Duration, int) {
+				t0 := time.Now()
+				res, stats, err := db.Query(ctx, spec.Text)
+				d := time.Since(t0)
+				if err != nil || !stats.CacheHit {
+					b.Fatalf("%s: %v, hit=%v", id, err, stats != nil && stats.CacheHit)
+				}
+				return d, res.Len()
+			}
+			// The first query of each session plans; every later one hits.
+			for _, db := range []*dualsim.DB{pruned, unpruned} {
+				if _, _, err := db.Query(ctx, spec.Text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var tp, tu time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				first, second := pruned, unpruned
+				if i%2 == 1 {
+					first, second = unpruned, pruned
+				}
+				d1, n1 := hit(first)
+				d2, n2 := hit(second)
+				if n1 != n2 {
+					b.Fatalf("%s: %d rows pruned, %d unpruned", id, n1, n2)
+				}
+				if first == pruned {
+					tp, tu = tp+d1, tu+d2
+				} else {
+					tp, tu = tp+d2, tu+d1
+				}
+			}
+			b.ReportMetric(float64(tu)/float64(tp), "hit_gain")
+			b.ReportMetric(float64(tp.Nanoseconds())/float64(b.N), "pruned_ns/hit")
+			b.ReportMetric(float64(tu.Nanoseconds())/float64(b.N), "unpruned_ns/hit")
 		})
 	}
 }

@@ -330,3 +330,61 @@ func TestFilteredCounter(t *testing.T) {
 		t.Errorf("op.* spans report filtered=%d, the operators %d", spanned, rejected)
 	}
 }
+
+// TestExplainNamesElisions: EXPLAIN names every pattern that does not
+// read the dual-simulation filter, with its rule — one text per rule. On
+// L3 the filter is read by the two mandatory patterns anchored at the
+// head's department, while ?university and ?email are leaves; on D0 the
+// filter keeps every director triple, and ?place is a leaf. Without
+// pruning there is no filter and nothing to elide.
+func TestExplainNamesElisions(t *testing.T) {
+	lubm, err := dualsim.FromTriples(dualsim.GenerateLUBM(1, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg, err := dualsim.FromTriples(dualsim.GenerateKG(1, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		id   string
+		st   *dualsim.Store
+		want []string
+	}{
+		{"L3", lubm, []string{"unfiltered ?university (leaf)", "unfiltered ?email (leaf)"}},
+		{"D0", kg, []string{"unfiltered <dbo:director> (keeps all)", "unfiltered ?place (leaf)"}},
+	} {
+		spec, err := queries.ByID(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := open(t, c.st)
+		ex, err := db.Explain(ctx, spec.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(ex.Decisions, c.want) {
+			t.Errorf("%s: decisions %q, want %q", c.id, ex.Decisions, c.want)
+		}
+		for _, d := range c.want {
+			if !strings.Contains(ex.Text(), "-- "+d+"\n") {
+				t.Errorf("%s: the render misses %q:\n%s", c.id, d, ex.Text())
+			}
+		}
+		analyzed, err := db.ExplainAnalyze(ctx, spec.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(analyzed.Decisions, c.want) {
+			t.Errorf("%s: analyzed decisions %q, want %q", c.id, analyzed.Decisions, c.want)
+		}
+		unpruned, err := open(t, c.st, dualsim.WithPruning(false)).Explain(ctx, spec.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(unpruned.Decisions) != 0 {
+			t.Errorf("%s without pruning: decisions %q, want none", c.id, unpruned.Decisions)
+		}
+	}
+}

@@ -588,8 +588,10 @@ func benchmarkTexts(t *testing.T) []string {
 // TestFilteredPlansMatchMaterialized: the planner costs the filtered view
 // from the mask's kept counts and Σ|χ|; on every text of the benchmark and
 // of the paper's Tables 2–5 set that must order the joins exactly as the
-// pruned store's own statistics do. A difference here is a plan change to
-// justify with drain times, not an accident.
+// pruned store's own statistics do, and log the same decisions — only
+// followed, through the filter, by the patterns that do not read it. A
+// difference here is a plan change to justify with drain times, not an
+// accident.
 func TestFilteredPlansMatchMaterialized(t *testing.T) {
 	st, err := dualsim.FromTriples(append(dualsim.GenerateLUBM(3, 42), dualsim.GenerateKG(2, 42)...))
 	if err != nil {
@@ -621,7 +623,14 @@ func TestFilteredPlansMatchMaterialized(t *testing.T) {
 		if got, want := planShape(filtered.Operators()), planShape(materialized.Operators()); got != want {
 			t.Errorf("%s\nthrough the filter:\n%son the pruned store:\n%s", text, got, want)
 		}
-		if !slices.Equal(filtered.Decisions(), materialized.Decisions()) {
+		// Through the filter the log goes on with the compiler's elisions
+		// (there is no filter to elide on the pruned store); the planner's
+		// part must be the same.
+		planned, elided := filtered.Decisions(), []string(nil)
+		if i := slices.IndexFunc(planned, func(d string) bool { return strings.HasPrefix(d, "unfiltered ") }); i >= 0 {
+			planned, elided = planned[:i], planned[i:]
+		}
+		if !slices.Equal(planned, materialized.Decisions()) || slices.ContainsFunc(elided, func(d string) bool { return !strings.HasPrefix(d, "unfiltered ") }) {
 			t.Errorf("%s\ndecisions through the filter: %q\non the pruned store: %q", text, filtered.Decisions(), materialized.Decisions())
 		}
 	}

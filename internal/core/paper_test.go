@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
 	"dualsim/internal/bitvec"
 	"dualsim/internal/rdf"
+	"dualsim/internal/soi"
 	"dualsim/internal/sparql"
 	"dualsim/internal/storage"
 )
@@ -353,10 +355,16 @@ func TestIsCyclic(t *testing.T) {
 }
 
 // TestVerifySolutionAgainstSOI: the solver's output satisfies the system
-// it was built from (Sect. 4.5 PTIME validity check).
+// it was built from (Sect. 4.5 PTIME validity check). A solve started
+// from the solution evaluates every inequality at it, and an inequality
+// χ satisfies removes nothing: no variable may shrink.
 func TestVerifySolutionAgainstSOI(t *testing.T) {
 	rel := simulate(t, fig1a(t), queryX1)
-	if bad := rel.Branch.Sys.Verify(rel.Sol); bad != nil {
-		t.Fatalf("solution violates %v", bad)
+	again, err := rel.Branch.Sys.SolveCtx(context.Background(), soi.Options{Restrict: rel.Sol.Chi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := again.Stats; s.Updates != 0 || s.Evaluations != rel.Branch.Sys.NumIneqs() {
+		t.Fatalf("a solve from the solution made %d updates in %d evaluations of %d inequalities", s.Updates, s.Evaluations, rel.Branch.Sys.NumIneqs())
 	}
 }

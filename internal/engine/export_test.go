@@ -1,5 +1,10 @@
 package engine
 
+import (
+	"dualsim/internal/plan"
+	"dualsim/internal/storage"
+)
+
 // The random generators and the LIMIT/OFFSET window check of the
 // in-package differential tests, for the external ones (package engine_test may import internal/prune, which
 // imports this package).
@@ -19,4 +24,10 @@ var (
 func SetBatchRows(n int) (restore func()) {
 	batchRows = n
 	return func() { batchRows = batchMax }
+}
+
+// CompilePlanUnelided compiles pl with every pattern reading the filter:
+// the reference CompilePlan's elisions are tested against.
+func CompilePlanUnelided(st *storage.Store, pl *plan.Plan) (*Exec, error) {
+	return compilePlan(st, pl, false)
 }

@@ -307,8 +307,18 @@ func Compile(st *storage.Store, q *sparql.Query, opt plan.Options) (*Exec, error
 // the rows are those of the same query compiled on the materialized
 // pruned store, and the relation behind the filter must outlive the
 // execution.
+//
+// Through a filter, a pattern reads it only where it can remove a triple
+// (compiler.elideFilter); each pattern that does not is named in
+// Decisions.
 func CompilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
-	c := &compiler{st: st, filter: pl.Filter, acct: &account{}}
+	return compilePlan(st, pl, true)
+}
+
+// compilePlan is CompilePlan; with elide false every pattern reads the
+// filter, the reference the elisions are tested against.
+func compilePlan(st *storage.Store, pl *plan.Plan, elide bool) (*Exec, error) {
+	c := &compiler{st: st, filter: pl.Filter, elide: elide, acct: &account{}}
 	root, props, err := c.compile(pl.Root)
 	if err != nil {
 		return nil, err
@@ -325,6 +335,10 @@ func CompilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
 		d.stats = c.lastStats()
 	}
 	ex := &Exec{root: input{it: root, w: len(root.Vars())}, its: c.its, decisions: pl.Decisions, acct: c.acct}
+	if len(c.notes) > 0 {
+		// The plan is shared: the elisions go into a copy of its log.
+		ex.decisions = append(slices.Clip(pl.Decisions), c.notes...)
+	}
 	if ex.vars = selectOrder(pl.Vars, root.Vars()); !slices.Equal(ex.vars, root.Vars()) {
 		ex.cols = make([]int, len(ex.vars))
 		for c, v := range root.Vars() {
@@ -359,6 +373,8 @@ func selectOrder(want, have []string) []string {
 type compiler struct {
 	st     *storage.Store
 	filter storage.Filter // nil: the patterns read st's index columns
+	elide  bool           // read the filter only where it can remove a triple
+	notes  []string       // the elisions, for the decision log
 	its    []*countedIter
 	depth  int // plan-tree depth of the node currently being compiled
 	acct   *account
@@ -366,16 +382,61 @@ type compiler struct {
 
 // resolve resolves a pattern and, when the execution runs through a
 // filter, binds it to the predicate's candidate filter (none: pruning
-// kept nothing of it, the pattern is unsatisfiable).
-func (c *compiler) resolve(tp sparql.TriplePattern) (resolved, error) {
+// kept nothing of it, the pattern is unsatisfiable). bound holds the
+// variables of the rows the pattern extends — none for a leaf scan.
+func (c *compiler) resolve(tp sparql.TriplePattern, bound []string) (resolved, error) {
 	r, err := resolve(c.st, tp)
 	if err != nil || !r.ok || c.filter == nil {
 		return r, err
 	}
 	if r.keep = c.filter[r.pred]; r.keep == nil {
 		r.ok = false
+	} else if c.elide {
+		c.elideFilter(&r, tp, bound)
 	}
 	return r, nil
+}
+
+// elideFilter drops what of r's filter cannot remove a triple, by two
+// rules decided here, once per compiled plan (the package doc argues
+// both exact):
+//
+//   - keep-all: a filter that keeps every triple of the predicate is the
+//     identity, so the pattern reads the store without it;
+//   - leaf: on a pattern that extends a bound endpoint to one free
+//     variable, an endpoint admitted by a pair whose free side holds
+//     every neighbour (storage.ChiPair.AllS/AllO, set for an edge to a
+//     leaf of its branch) keeps all its neighbours, so they go untested.
+func (c *compiler) elideFilter(r *resolved, tp sparql.TriplePattern, bound []string) {
+	if r.keep.Kept == c.st.PredCount(r.pred) {
+		r.keep = nil
+		c.note("unfiltered " + tp.P.String() + " (keeps all)")
+		return
+	}
+	free := func(v string) bool { return v != "" && !slices.Contains(bound, v) }
+	var fresh string
+	switch {
+	case free(r.oVar) && !free(r.sVar):
+		fresh = r.oVar
+	case free(r.sVar) && !free(r.oVar):
+		fresh = r.sVar
+	default:
+		return
+	}
+	for _, p := range r.keep.Pairs {
+		if fresh == r.oVar && p.AllO || fresh == r.sVar && p.AllS {
+			r.leaf = true
+			c.note("unfiltered ?" + fresh + " (leaf)")
+			return
+		}
+	}
+}
+
+// note records an elision once.
+func (c *compiler) note(d string) {
+	if !slices.Contains(c.notes, d) {
+		c.notes = append(c.notes, d)
+	}
 }
 
 // lastStats returns the stats slot counted just registered — the hook
@@ -407,7 +468,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 	case plan.Unit:
 		return c.counted("unit", "", 1, &unitIter{}), scanProps(nil), nil
 	case plan.Scan:
-		r, err := c.resolve(x.TP)
+		r, err := c.resolve(x.TP, nil)
 		if err != nil {
 			return nil, rowProps{}, err
 		}
@@ -484,7 +545,7 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowP
 		if err != nil {
 			return nil, rowProps{}, err
 		}
-		r, err := c.resolve(sc.TP)
+		r, err := c.resolve(sc.TP, l.Vars())
 		if err != nil {
 			return nil, rowProps{}, err
 		}

@@ -110,7 +110,10 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 				pf = &storage.PredFilter{Mask: bitvec.New(st.PredCount(pid))}
 				out.filter[pid] = pf
 			}
-			pf.Pairs = append(pf.Pairs, storage.ChiPair{S: chiS, O: chiO})
+			pf.Pairs = append(pf.Pairs, storage.ChiPair{
+				S: chiS, O: chiO,
+				AllS: bs.Branch.Leaf(e.From), AllO: bs.Branch.Leaf(e.To),
+			})
 			pf.DistS += chiS.Count()
 			pf.DistO += chiO.Count()
 			_, objects := st.PSO(pid)

@@ -440,3 +440,46 @@ func TestNonWellDesignedPromotionNuance(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyLeafPairsHoldEveryNeighbour: a pair flagged AllO (AllS)
+// holds, on its free side, every object (subject) of every candidate on
+// its bound side — the fact the executor's leaf elision relies on — and
+// the flags are set on random queries often enough to mean something.
+func TestPropertyLeafPairsHoldEveryNeighbour(t *testing.T) {
+	flagged := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		st, err := storage.FromTriples(randomTriples(r, 8, 3, 20))
+		if err != nil {
+			return false
+		}
+		q := &sparql.Query{Expr: randomQuery(r, 2, 4, 3)}
+		p, _, err := PruneQuery(st, q, core.Config{})
+		if err != nil {
+			t.Fatalf("prune: %v", err)
+		}
+		for pid, pf := range p.Filter() {
+			if pf == nil {
+				continue
+			}
+			subjects, objects := st.PSO(storage.PredID(pid))
+			for k, pair := range pf.Pairs {
+				if pair.AllS || pair.AllO {
+					flagged++
+				}
+				for i := range subjects {
+					s, o := int(subjects[i]), int(objects[i])
+					if pair.AllO && pair.S.Get(s) && !pair.O.Get(o) || pair.AllS && pair.O.Get(o) && !pair.S.Get(s) {
+						t.Logf("seed %d query %s: pair %d of predicate %d (AllS %v, AllO %v) drops the triple (%d, %d)", seed, q, k, pid, pair.AllS, pair.AllO, s, o)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	proptest.Check(t, f, 400, regressionSeeds)
+	if flagged < 100 {
+		t.Fatalf("only %d leaf pairs; generator drifted", flagged)
+	}
+}

@@ -3,8 +3,14 @@ package storage
 import "dualsim/internal/bitvec"
 
 // ChiPair is the solved candidate sets of one pattern edge (v, a, w): S is
-// χ(v), O is χ(w).
-type ChiPair struct{ S, O *bitvec.Vector }
+// χ(v), O is χ(w). AllO reports that O holds every a-object of every
+// subject in S — w is a leaf of its branch, bounded by this edge's
+// inequality alone — and AllS that S holds every a-subject of every
+// object in O.
+type ChiPair struct {
+	S, O       *bitvec.Vector
+	AllS, AllO bool
+}
 
 // PredFilter is what a solved dual simulation keeps of one predicate a:
 // the triple at PSO position i survives iff some pattern edge (v, a, w)
@@ -46,16 +52,25 @@ func (f *PredFilter) Keep(s, o NodeID) bool {
 // pair that admits it. A neighbour of the endpoint then survives iff one
 // of the returned sets holds it; an empty result rules the endpoint out.
 //
+// With leaf set, a pair whose free side holds every neighbour of its
+// bound side (AllO for a bound subject, AllS for a bound object) that
+// admits the endpoint ends the test: every neighbour survives, so Admit
+// reports all and returns dst as it came.
+//
 //dualsim:hotpath
-func (f *PredFilter) Admit(dst []*bitvec.Vector, id NodeID, subject bool) []*bitvec.Vector {
+func (f *PredFilter) Admit(dst []*bitvec.Vector, id NodeID, subject, leaf bool) (alive []*bitvec.Vector, all bool) {
+	n := len(dst)
 	for _, p := range f.Pairs {
-		bound, free := p.S, p.O
+		bound, free, whole := p.S, p.O, p.AllO
 		if !subject {
-			bound, free = p.O, p.S
+			bound, free, whole = p.O, p.S, p.AllS
 		}
 		if bound.Get(int(id)) {
+			if leaf && whole {
+				return dst[:n], true
+			}
 			dst = append(dst, free)
 		}
 	}
-	return dst
+	return dst, false
 }
