@@ -66,33 +66,6 @@ type Branch struct {
 	Sys    *soi.System
 }
 
-// Leaf reports whether SOI variable v is a leaf of the branch: a
-// variable, not a constant, that is one endpoint of exactly one edge and
-// the copy of no other variable (a copy inequality x ≤ y bounds x only).
-// That edge's inequality is then the only one bounding v, so at the
-// largest solution χ(v) holds every neighbour — along the edge — of
-// every candidate of its other endpoint.
-func (b *Branch) Leaf(v int) bool {
-	if b.Vars[v].Const != nil {
-		return false
-	}
-	n := 0
-	for _, e := range b.Edges {
-		if e.From == v {
-			n++
-		}
-		if e.To == v {
-			n++
-		}
-	}
-	for _, c := range b.Copies {
-		if c[0] == v {
-			return false
-		}
-	}
-	return n == 1
-}
-
 // QueryPlan is a full query translated branch-per-union-operand.
 type QueryPlan struct {
 	Query    *sparql.Query

@@ -19,32 +19,84 @@ import (
 // elideRegressionSeeds are replayed before anything else. No real
 // counterexample has been found yet; these are the seeds on which a
 // deliberately broken elision first differed from the filtered
-// compilation, so each rule keeps a witness however the exploration
+// compilation, so each shape keeps a witness however the exploration
 // seeds fall.
 var elideRegressionSeeds = []int64{
 	2740103009342231109,  // keep-all on a predicate whose filter dropped one triple
-	894385949183117216,   // leaf on a variable that is an endpoint of two edges
-	-4204422741139725788, // leaf without testing the bound endpoint against the leaf pair
-	-8617977389221806050, // leaf on an optional copy, which its copy inequality bounds
+	894385949183117216,   // an untested free side on a variable that is an endpoint of two edges
+	-4204422741139725788, // an untested free side without testing the bound endpoint against the pair
+	-8617977389221806050, // an untested free side on an optional copy, which its copy inequality bounds
 }
 
-// elideShapes counts, over a property run, the plans an elision rule
-// touched, so a drifting generator cannot hollow the property out.
+// elideShapes counts, over a property run, the cases an elision touched,
+// so a drifting generator cannot hollow the property out.
 type elideShapes struct {
-	keepAll     int // a plan with a (keeps all) elision
-	leaf        int // a plan with a (leaf) elision
-	leafOptNWD  int // … of a non-well-designed OPTIONAL query
-	sharedPred  int // … whose predicate carries two or more pairs
-	leafRowsOut int // … that emitted rows
+	keepAll    int // a plan with a (keeps all) elision
+	multiEdge  int // a complete side on a variable that is an endpoint of two or more edges
+	optNWD     int // a complete side in a non-well-designed OPTIONAL query
+	sharedPred int // a complete side on a predicate that carries two or more pairs
+	rowsOut    int // a complete side in a query that emitted rows
+}
+
+// unflagged returns a copy of f with every pair's AllS and AllO cleared:
+// a filter under which every extension tests each neighbour.
+func unflagged(f storage.Filter) storage.Filter {
+	out := make(storage.Filter, len(f))
+	for pid, pf := range f {
+		if pf == nil {
+			continue
+		}
+		c := *pf
+		c.Pairs = slices.Clone(pf.Pairs)
+		for k := range c.Pairs {
+			c.Pairs[k].AllS, c.Pairs[k].AllO = false, false
+		}
+		out[pid] = &c
+	}
+	return out
+}
+
+// completeSides reports, for the pairs of rel's satisfiable branches
+// that f flags with a complete side, whether any such side is a variable
+// that is an endpoint of two or more edges of its branch, and whether
+// any lies on a predicate with two or more pairs.
+func completeSides(st *storage.Store, rel *core.QueryRelation, f storage.Filter) (complete, multiEdge, sharedPred bool) {
+	for _, bs := range rel.Branches {
+		if bs.MandatoryEmpty {
+			continue
+		}
+		degree := make(map[int]int)
+		for _, e := range bs.Branch.Edges {
+			degree[e.From]++
+			degree[e.To]++
+		}
+		for _, e := range bs.Branch.Edges {
+			pid, ok := st.PredIDOf(e.Pred)
+			if !ok || f[pid] == nil {
+				continue
+			}
+			chiS, chiO := bs.Sol.Chi[e.From], bs.Sol.Chi[e.To]
+			for _, p := range f[pid].Pairs {
+				if p.S != chiS || p.O != chiO || !p.AllS && !p.AllO {
+					continue
+				}
+				complete = true
+				multiEdge = multiEdge || p.AllS && degree[e.From] > 1 || p.AllO && degree[e.To] > 1
+				sharedPred = sharedPred || len(f[pid].Pairs) > 1
+			}
+		}
+	}
+	return complete, multiEdge, sharedPred
 }
 
 // TestPropertyElidedMatchesFiltered: on random stores and random texts
 // mixing AND, OPTIONAL (non-well-designed ones included), UNION and
-// FILTER, the plan compiled with the filter elisions (keep-all, leaf)
-// streams the rows, in order, that the same plan compiled with every
-// pattern reading the filter streams, and every operator reports the
-// same counters — Rows and Filtered included: an elided test is one that
-// would have removed nothing.
+// FILTER, the plan compiled through the filter — keep-all elided, and
+// every complete pair side (ChiPair.AllS/AllO) taken untested — streams
+// the rows, in order, that the same plan streams compiled with every
+// pattern reading a copy of the filter whose pairs carry no flags, and
+// every operator reports the same counters — Rows and Filtered included:
+// an elided test is one that would have removed nothing.
 func TestPropertyElidedMatchesFiltered(t *testing.T) {
 	ctx := context.Background()
 	var shapes elideShapes
@@ -67,12 +119,14 @@ func TestPropertyElidedMatchesFiltered(t *testing.T) {
 		}
 		defer rel.Release()
 		pl := plan.Build(st, q, plan.Options{Filter: p.Filter()})
+		ref := *pl
+		ref.Filter = unflagged(pl.Filter)
 		type drained struct {
 			rows [][]storage.NodeID
 			ops  []engine.OperatorStats
 			log  []string
 		}
-		drain := func(compile func(*storage.Store, *plan.Plan) (*engine.Exec, error)) drained {
+		drain := func(compile func(*storage.Store, *plan.Plan) (*engine.Exec, error), pl *plan.Plan) drained {
 			ex, err := compile(st, pl)
 			if err != nil {
 				t.Fatalf("seed %d: compile %s: %v", seed, q, err)
@@ -83,7 +137,7 @@ func TestPropertyElidedMatchesFiltered(t *testing.T) {
 			}
 			return drained{engine.RowsOf(res), ex.Operators(), ex.Decisions()}
 		}
-		elided, filtered := drain(engine.CompilePlan), drain(engine.CompilePlanUnelided)
+		elided, filtered := drain(engine.CompilePlan, pl), drain(engine.CompilePlanUnelided, &ref)
 		if !slices.EqualFunc(elided.rows, filtered.rows, slices.Equal) {
 			t.Logf("seed %d query %s (elisions %q): rows %v elided, %v filtered", seed, q, elided.log, elided.rows, filtered.rows)
 			return false
@@ -98,27 +152,28 @@ func TestPropertyElidedMatchesFiltered(t *testing.T) {
 			t.Logf("seed %d query %s: elided log %q, filtered log %q, plan log %q", seed, q, elided.log, filtered.log, pl.Decisions)
 			return false
 		}
-		notes := elided.log[len(pl.Decisions):]
-		if slices.ContainsFunc(notes, func(d string) bool { return strings.HasSuffix(d, "(keeps all)") }) {
+		if slices.ContainsFunc(elided.log[len(pl.Decisions):], func(d string) bool { return strings.HasSuffix(d, "(keeps all)") }) {
 			shapes.keepAll++
 		}
-		if slices.ContainsFunc(notes, func(d string) bool { return strings.HasSuffix(d, "(leaf)") }) {
-			shapes.leaf++
-			if !sparql.IsWellDesigned(q.Expr) {
-				shapes.leafOptNWD++
+		if complete, multiEdge, sharedPred := completeSides(st, rel, p.Filter()); complete {
+			if multiEdge {
+				shapes.multiEdge++
 			}
-			if slices.ContainsFunc(p.Filter(), func(pf *storage.PredFilter) bool { return pf != nil && len(pf.Pairs) > 1 }) {
+			if sharedPred {
 				shapes.sharedPred++
 			}
+			if !sparql.IsWellDesigned(q.Expr) {
+				shapes.optNWD++
+			}
 			if len(elided.rows) > 0 {
-				shapes.leafRowsOut++
+				shapes.rowsOut++
 			}
 		}
 		return true
 	}
 	proptest.Check(t, f, 1500, elideRegressionSeeds)
 	t.Logf("shapes: %+v", shapes)
-	if shapes.keepAll < 100 || shapes.leaf < 100 || shapes.leafOptNWD < 20 || shapes.sharedPred < 50 || shapes.leafRowsOut < 50 {
+	if shapes.keepAll < 100 || shapes.multiEdge < 250 || shapes.optNWD < 100 || shapes.sharedPred < 250 || shapes.rowsOut < 300 {
 		t.Fatalf("generator drifted: %+v", shapes)
 	}
 }

@@ -56,24 +56,21 @@
 //     mask. Without a filter it is a sub-slice of the store's index
 //     columns (Store.Objects/Subjects), found by binary search. The two
 //     views differ only inside resolved's accessors (scan.go).
-//   - χ is read only where it can remove a triple. Two rules, decided
-//     once per compiled plan and each named in Exec.Decisions, drop the
-//     tests that cannot: a pattern whose predicate the filter keeps
-//     whole reads the store as it is (keep-all), and a pattern that
-//     extends a bound endpoint x to a variable y that is a leaf of its
-//     branch — an endpoint of no other edge, the copy of no variable —
-//     takes every neighbour of an x the leaf edge's pair admits
-//     untested (leaf). Both are exact per input row, OPTIONAL included:
-//     the filtered read extends a row by the neighbours some pair
-//     admits, and under keep-all every triple is admitted, while under
-//     leaf that edge's inequality is y's only one, so at the largest
-//     solution χ(y) holds every neighbour of every x ∈ χ(x) — the pair
-//     would admit them all. The test on x itself stays: a row can reach
-//     the extension with x outside χ(x) (x bound through another edge of
-//     a predicate the query uses twice), and there the other pairs
-//     decide as before. So for each input row the set of extensions,
-//     and every operator's Rows and Filtered, is the same either way;
-//     neither rule asks whether the query is well designed.
+//   - χ is read only where it can remove a triple, by one counted rule
+//     and keep-all, each exact per input row. Pruning counts, per pair,
+//     whether its free side holds every neighbour (ChiPair.AllS/AllO: the
+//     mask walk kept every triple it could have); an extension whose
+//     bound endpoint such a pair admits takes every neighbour untested
+//     (PredFilter.Admit), since the pair would admit them all. The test
+//     on the endpoint itself stays: a row can reach the extension with it
+//     outside the pair's bound side (bound through another edge of a
+//     predicate the query uses twice), and there the other pairs decide
+//     as before. The count is a fact about the largest solution, so it
+//     holds for every plan and is no plan decision. Keep-all is: a
+//     pattern whose predicate the filter keeps whole reads the store as
+//     it is, and Exec.Decisions names it. So for each input row the set
+//     of extensions, and every operator's Rows and Filtered, is the same
+//     either way; neither rule asks what shape the query has.
 //
 // The memory account (Resources) charges the rows buffering operators
 // retain, at the bytes their blocks and tables hold; a plan of scans and

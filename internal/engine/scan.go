@@ -16,17 +16,14 @@ import (
 // compiler.resolve) additionally carries keep, the predicate's candidate
 // filter — unless the filter keeps every triple of the predicate, where
 // reading it could remove nothing (keep stays nil, the keep-all rule of
-// compiler.elideFilter). Neighbour rows come from the store's adjacency
+// compiler.resolve). Neighbour rows come from the store's adjacency
 // either way — one row read, addressed by offset — and the accessors
-// below apply the filter when there is one. leaf marks a pattern that
-// extends a bound endpoint to a leaf variable (the leaf rule): its walk
-// takes every neighbour of an endpoint a leaf pair admits untested.
+// below apply the filter when there is one.
 type resolved struct {
 	sVar, oVar string         // variable names; "" for constants
 	sID, oID   storage.NodeID // constant ids (valid when the name is "")
 	pred       storage.PredID
 	ok         bool
-	leaf       bool
 
 	keep *storage.PredFilter
 }
@@ -51,15 +48,15 @@ func (r *resolved) nextPos(st *storage.Store, from int) int {
 // (appended to the caller's scratch) the candidate sets one of which a
 // neighbour must be in. With a filter the bound endpoint is tested here,
 // once: if no pair admits it there are no neighbours. Without a filter,
-// and on a leaf pattern whose endpoint a leaf pair admits (Admit reports
-// all), alive stays empty and every neighbour counts — the filter would
-// have kept each one.
+// and where a pair that admits the endpoint holds every neighbour on its
+// free side (Admit reports all), alive stays empty and every neighbour
+// counts — the filter would have kept each one.
 //
 //dualsim:hotpath
 func (r *resolved) postings(st *storage.Store, id storage.NodeID, subject bool, alive []*bitvec.Vector) ([]storage.NodeID, []*bitvec.Vector) {
 	if r.keep != nil {
 		var all bool
-		if alive, all = r.keep.Admit(alive, id, subject, r.leaf); len(alive) == 0 && !all {
+		if alive, all = r.keep.Admit(alive, id, subject); len(alive) == 0 && !all {
 			return nil, alive
 		}
 	}

@@ -308,15 +308,16 @@ func Compile(st *storage.Store, q *sparql.Query, opt plan.Options) (*Exec, error
 // pruned store, and the relation behind the filter must outlive the
 // execution.
 //
-// Through a filter, a pattern reads it only where it can remove a triple
-// (compiler.elideFilter); each pattern that does not is named in
-// Decisions.
+// Through a filter, a pattern whose predicate the filter keeps whole
+// reads the store without it (keep-all, compiler.resolve), and each such
+// pattern is named in Decisions.
 func CompilePlan(st *storage.Store, pl *plan.Plan) (*Exec, error) {
 	return compilePlan(st, pl, true)
 }
 
 // compilePlan is CompilePlan; with elide false every pattern reads the
-// filter, the reference the elisions are tested against.
+// filter, keep-all ones included — the reference keep-all is tested
+// against.
 func compilePlan(st *storage.Store, pl *plan.Plan, elide bool) (*Exec, error) {
 	c := &compiler{st: st, filter: pl.Filter, elide: elide, acct: &account{}}
 	root, props, err := c.compile(pl.Root)
@@ -373,7 +374,7 @@ func selectOrder(want, have []string) []string {
 type compiler struct {
 	st     *storage.Store
 	filter storage.Filter // nil: the patterns read st's index columns
-	elide  bool           // read the filter only where it can remove a triple
+	elide  bool           // keep-all patterns read the store without the filter
 	notes  []string       // the elisions, for the decision log
 	its    []*countedIter
 	depth  int // plan-tree depth of the node currently being compiled
@@ -382,54 +383,21 @@ type compiler struct {
 
 // resolve resolves a pattern and, when the execution runs through a
 // filter, binds it to the predicate's candidate filter (none: pruning
-// kept nothing of it, the pattern is unsatisfiable). bound holds the
-// variables of the rows the pattern extends — none for a leaf scan.
-func (c *compiler) resolve(tp sparql.TriplePattern, bound []string) (resolved, error) {
+// kept nothing of it, the pattern is unsatisfiable).
+func (c *compiler) resolve(tp sparql.TriplePattern) (resolved, error) {
 	r, err := resolve(c.st, tp)
 	if err != nil || !r.ok || c.filter == nil {
 		return r, err
 	}
 	if r.keep = c.filter[r.pred]; r.keep == nil {
 		r.ok = false
-	} else if c.elide {
-		c.elideFilter(&r, tp, bound)
-	}
-	return r, nil
-}
-
-// elideFilter drops what of r's filter cannot remove a triple, by two
-// rules decided here, once per compiled plan (the package doc argues
-// both exact):
-//
-//   - keep-all: a filter that keeps every triple of the predicate is the
-//     identity, so the pattern reads the store without it;
-//   - leaf: on a pattern that extends a bound endpoint to one free
-//     variable, an endpoint admitted by a pair whose free side holds
-//     every neighbour (storage.ChiPair.AllS/AllO, set for an edge to a
-//     leaf of its branch) keeps all its neighbours, so they go untested.
-func (c *compiler) elideFilter(r *resolved, tp sparql.TriplePattern, bound []string) {
-	if r.keep.Kept == c.st.PredCount(r.pred) {
+	} else if c.elide && r.keep.Kept == c.st.PredCount(r.pred) {
+		// Keep-all: a filter that keeps every triple of the predicate is
+		// the identity, so the pattern reads the store without it.
 		r.keep = nil
 		c.note("unfiltered " + tp.P.String() + " (keeps all)")
-		return
 	}
-	free := func(v string) bool { return v != "" && !slices.Contains(bound, v) }
-	var fresh string
-	switch {
-	case free(r.oVar) && !free(r.sVar):
-		fresh = r.oVar
-	case free(r.sVar) && !free(r.oVar):
-		fresh = r.sVar
-	default:
-		return
-	}
-	for _, p := range r.keep.Pairs {
-		if fresh == r.oVar && p.AllO || fresh == r.sVar && p.AllS {
-			r.leaf = true
-			c.note("unfiltered ?" + fresh + " (leaf)")
-			return
-		}
-	}
+	return r, nil
 }
 
 // note records an elision once.
@@ -468,7 +436,7 @@ func (c *compiler) compile(n plan.Node) (Iterator, rowProps, error) {
 	case plan.Unit:
 		return c.counted("unit", "", 1, &unitIter{}), scanProps(nil), nil
 	case plan.Scan:
-		r, err := c.resolve(x.TP, nil)
+		r, err := c.resolve(x.TP)
 		if err != nil {
 			return nil, rowProps{}, err
 		}
@@ -545,7 +513,7 @@ func (c *compiler) compileJoin(ln, rn plan.Node, leftOuter bool) (Iterator, rowP
 		if err != nil {
 			return nil, rowProps{}, err
 		}
-		r, err := c.resolve(sc.TP, l.Vars())
+		r, err := c.resolve(sc.TP)
 		if err != nil {
 			return nil, rowProps{}, err
 		}

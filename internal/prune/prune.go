@@ -84,6 +84,13 @@ const subjectCheckInterval = 1 << 16
 // candidate subject's run of a-triples comes from F_a's row directory (a
 // bit test and a popcount, no search), and only their objects are tested
 // against χS(w). It costs O(|χS(v)| + Σ deg) — what the candidates cost.
+//
+// The walk also counts which pairs keep every neighbour. AllO is set when
+// it kept every position it visited: χ(w) holds every a-object of every
+// subject in χ(v). AllS is set when it kept every triple whose object is
+// in χ(w), summed from B_a's row spans in O(|χS(w)|). Both are facts about
+// the largest solution, not about any plan, so the executor may take a
+// complete side's neighbours untested for every input row.
 func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (*Pruning, error) {
 	out := &Pruning{
 		Total:  st.NumTriples(),
@@ -110,17 +117,18 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 				pf = &storage.PredFilter{Mask: bitvec.New(st.PredCount(pid))}
 				out.filter[pid] = pf
 			}
-			pf.Pairs = append(pf.Pairs, storage.ChiPair{
-				S: chiS, O: chiO,
-				AllS: bs.Branch.Leaf(e.From), AllO: bs.Branch.Leaf(e.To),
-			})
-			pf.DistS += chiS.Count()
-			pf.DistO += chiO.Count()
+			m := st.Matrices(pid)
 			_, objects := st.PSO(pid)
-			visited, err := markEdge(ctx, st.Matrices(pid).F, objects, chiS, chiO, pf.Mask)
+			visited, kept, err := markEdge(ctx, m.F, objects, chiS, chiO, pf.Mask)
 			if err != nil {
 				return nil, err
 			}
+			pf.Pairs = append(pf.Pairs, storage.ChiPair{
+				S: chiS, O: chiO,
+				AllS: spansAtMost(m.B, chiO, kept), AllO: kept == visited,
+			})
+			pf.DistS += chiS.Count()
+			pf.DistO += chiO.Count()
 			out.Visited += visited
 		}
 	}
@@ -136,12 +144,12 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 
 // markEdge sets the mask bit of every PSO position i whose subject is in
 // chiS and whose object objects[i] is in chiO, and returns the number of
-// positions it tested. f is the predicate's forward matrix, whose column
-// ids are objects: each candidate subject's run of positions is its row's
-// span, read from the row directory.
+// positions it tested and, of those, kept. f is the predicate's forward
+// matrix, whose column ids are objects: each candidate subject's run of
+// positions is its row's span, read from the row directory.
 //
 //dualsim:hotpath
-func markEdge(ctx context.Context, f *bitmat.CSR, objects []storage.NodeID, chiS, chiO, mask *bitvec.Vector) (visited int, err error) {
+func markEdge(ctx context.Context, f *bitmat.CSR, objects []storage.NodeID, chiS, chiO, mask *bitvec.Vector) (visited, kept int, err error) {
 	sinceCheck := 0
 	chiS.ForEach(func(s int) bool {
 		if sinceCheck++; sinceCheck >= subjectCheckInterval {
@@ -154,12 +162,26 @@ func markEdge(ctx context.Context, f *bitmat.CSR, objects []storage.NodeID, chiS
 		for i := lo; i < hi; i++ {
 			if chiO.Get(int(objects[i])) {
 				mask.Set(i)
+				kept++
 			}
 		}
 		visited += hi - lo
 		return true
 	})
-	return visited, err
+	return visited, kept, err
+}
+
+// spansAtMost reports whether the rows of m that chi indexes hold at
+// most n cells in all. Given the backward matrix, χ(w) and the edge's
+// kept count — every kept triple's object is in χ(w) — it reports
+// whether the walk kept every triple with its object in χ(w).
+func spansAtMost(m *bitmat.CSR, chi *bitvec.Vector, n int) bool {
+	chi.ForEach(func(i int) bool {
+		lo, hi := m.Span(i)
+		n -= hi - lo
+		return n >= 0
+	})
+	return n >= 0
 }
 
 // PruneQuery is the one-call convenience wrapper: translate, solve, prune.

@@ -441,12 +441,12 @@ func TestNonWellDesignedPromotionNuance(t *testing.T) {
 	}
 }
 
-// TestPropertyLeafPairsHoldEveryNeighbour: a pair flagged AllO (AllS)
-// holds, on its free side, every object (subject) of every candidate on
-// its bound side — the fact the executor's leaf elision relies on — and
-// the flags are set on random queries often enough to mean something.
-func TestPropertyLeafPairsHoldEveryNeighbour(t *testing.T) {
-	flagged := 0
+// TestPropertyPairFlagsCountCompleteSides: a pair is flagged AllO iff
+// its O holds every object of every subject in its S, and AllS iff its S
+// holds every subject of every object in its O — whatever the query's
+// shape. Both values of each flag occur often enough to mean something.
+func TestPropertyPairFlagsCountCompleteSides(t *testing.T) {
+	var flagged, unflagged int
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		st, err := storage.FromTriples(randomTriples(r, 8, 3, 20))
@@ -464,14 +464,21 @@ func TestPropertyLeafPairsHoldEveryNeighbour(t *testing.T) {
 			}
 			subjects, objects := st.PSO(storage.PredID(pid))
 			for k, pair := range pf.Pairs {
-				if pair.AllS || pair.AllO {
-					flagged++
-				}
+				allS, allO := true, true
 				for i := range subjects {
 					s, o := int(subjects[i]), int(objects[i])
-					if pair.AllO && pair.S.Get(s) && !pair.O.Get(o) || pair.AllS && pair.O.Get(o) && !pair.S.Get(s) {
-						t.Logf("seed %d query %s: pair %d of predicate %d (AllS %v, AllO %v) drops the triple (%d, %d)", seed, q, k, pid, pair.AllS, pair.AllO, s, o)
-						return false
+					allO = allO && (!pair.S.Get(s) || pair.O.Get(o))
+					allS = allS && (!pair.O.Get(o) || pair.S.Get(s))
+				}
+				if pair.AllS != allS || pair.AllO != allO {
+					t.Logf("seed %d query %s: pair %d of predicate %d flagged AllS %v, AllO %v; its sides are complete: S %v, O %v", seed, q, k, pid, pair.AllS, pair.AllO, allS, allO)
+					return false
+				}
+				for _, all := range []bool{allS, allO} {
+					if all {
+						flagged++
+					} else {
+						unflagged++
 					}
 				}
 			}
@@ -479,7 +486,8 @@ func TestPropertyLeafPairsHoldEveryNeighbour(t *testing.T) {
 		return true
 	}
 	proptest.Check(t, f, 400, regressionSeeds)
-	if flagged < 100 {
-		t.Fatalf("only %d leaf pairs; generator drifted", flagged)
+	t.Logf("%d complete and %d incomplete sides", flagged, unflagged)
+	if flagged < 300 || unflagged < 100 {
+		t.Fatalf("%d complete and %d incomplete sides; generator drifted", flagged, unflagged)
 	}
 }

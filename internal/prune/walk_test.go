@@ -23,9 +23,10 @@ func scanEdge(st *storage.Store, pid storage.PredID, chiS, chiO, mask *bitvec.Ve
 }
 
 // TestPropertyWalkMatchesScan: the χ-driven walk sets exactly the mask
-// bits a full scan sets and tests no pair whose subject is not a
-// candidate — for χS(v) empty, full, sparse, and holding nodes that are
-// no subject of the predicate.
+// bits a full scan sets, tests no pair whose subject is not a candidate
+// and counts as kept exactly the bits it set in a fresh mask — for χS(v)
+// empty, full, sparse, and holding nodes that are no subject of the
+// predicate.
 func TestPropertyWalkMatchesScan(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed int64) bool {
@@ -61,7 +62,7 @@ func TestPropertyWalkMatchesScan(t *testing.T) {
 			chiS, chiO := draw(), draw()
 			got, want := bitvec.New(st.PredCount(pid)), bitvec.New(st.PredCount(pid))
 			subjects, objects := st.PSO(pid)
-			visited, err := markEdge(ctx, st.Matrices(pid).F, objects, chiS, chiO, got)
+			visited, kept, err := markEdge(ctx, st.Matrices(pid).F, objects, chiS, chiO, got)
 			scanEdge(st, pid, chiS, chiO, want)
 			candidatePairs := 0
 			for _, s := range subjects {
@@ -69,8 +70,8 @@ func TestPropertyWalkMatchesScan(t *testing.T) {
 					candidatePairs++
 				}
 			}
-			if err != nil || !got.Equal(want) || visited != candidatePairs {
-				t.Logf("seed %d pred %d: err %v, mask %v want %v, visited %d want %d", seed, p, err, got, want, visited, candidatePairs)
+			if err != nil || !got.Equal(want) || visited != candidatePairs || kept != got.Count() {
+				t.Logf("seed %d pred %d: err %v, mask %v want %v, visited %d want %d, kept %d of %d bits set", seed, p, err, got, want, visited, candidatePairs, kept, got.Count())
 				return false
 			}
 		}
@@ -90,7 +91,7 @@ func TestWalkHonoursCancellation(t *testing.T) {
 	f := bitmat.NewCSR(n, subjects, objects)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	visited, err := markEdge(ctx, f, objects, bitvec.NewFull(n), bitvec.NewFull(n), bitvec.New(n))
+	visited, _, err := markEdge(ctx, f, objects, bitvec.NewFull(n), bitvec.NewFull(n), bitvec.New(n))
 	if err != context.Canceled || visited >= n {
 		t.Fatalf("visited %d of %d, err %v; want an early context.Canceled", visited, n, err)
 	}

@@ -4,9 +4,9 @@ import "dualsim/internal/bitvec"
 
 // ChiPair is the solved candidate sets of one pattern edge (v, a, w): S is
 // χ(v), O is χ(w). AllO reports that O holds every a-object of every
-// subject in S — w is a leaf of its branch, bounded by this edge's
-// inequality alone — and AllS that S holds every a-subject of every
-// object in O.
+// subject in S, and AllS that S holds every a-subject of every object in
+// O — each counted by the mask walk that derived the pair, so each is a
+// fact about the solution, whatever the query's shape.
 type ChiPair struct {
 	S, O       *bitvec.Vector
 	AllS, AllO bool
@@ -52,13 +52,13 @@ func (f *PredFilter) Keep(s, o NodeID) bool {
 // pair that admits it. A neighbour of the endpoint then survives iff one
 // of the returned sets holds it; an empty result rules the endpoint out.
 //
-// With leaf set, a pair whose free side holds every neighbour of its
-// bound side (AllO for a bound subject, AllS for a bound object) that
-// admits the endpoint ends the test: every neighbour survives, so Admit
-// reports all and returns dst as it came.
+// A pair whose free side holds every neighbour of its bound side (AllO
+// for a bound subject, AllS for a bound object) that admits the endpoint
+// ends the test: every neighbour survives, so Admit reports all and
+// returns dst as it came.
 //
 //dualsim:hotpath
-func (f *PredFilter) Admit(dst []*bitvec.Vector, id NodeID, subject, leaf bool) (alive []*bitvec.Vector, all bool) {
+func (f *PredFilter) Admit(dst []*bitvec.Vector, id NodeID, subject bool) (alive []*bitvec.Vector, all bool) {
 	n := len(dst)
 	for _, p := range f.Pairs {
 		bound, free, whole := p.S, p.O, p.AllO
@@ -66,7 +66,7 @@ func (f *PredFilter) Admit(dst []*bitvec.Vector, id NodeID, subject, leaf bool) 
 			bound, free, whole = p.O, p.S, p.AllS
 		}
 		if bound.Get(int(id)) {
-			if leaf && whole {
+			if whole {
 				return dst[:n], true
 			}
 			dst = append(dst, free)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -337,6 +338,9 @@ func TestPrepareAbsentPredicateAllocatesLittle(t *testing.T) {
 // promptly instead of completing it. Each timed execution is the first of
 // a prepared query of its own: a later one reuses the solve and the plan,
 // so it costs less than the first and would finish before the deadline.
+// The baseline is the fastest of a few such executions after a warm-up:
+// the process's first one also pays one-time costs, and a deadline set
+// from it can outlast a later execution.
 // Inside one pull window the executor still polls: a bound subject whose
 // 10⁵ neighbours χ rejects sees a cancellation within 1024 of them (the
 // executor's rowCheckInterval), though the window fills with no row.
@@ -382,13 +386,18 @@ func TestExecCancellation(t *testing.T) {
 		t.Fatalf("Exec(cancelled) took %v", waited)
 	}
 
-	// Baseline: the full execution takes a while on this store (~100k
-	// triples; the L1 join dominates).
-	start = time.Now()
-	if _, _, err := prepare().Exec(context.Background()); err != nil {
-		t.Fatal(err)
+	// Baseline: the fastest of three full executions (~100k triples; the
+	// L1 join dominates), after one that warms the process up.
+	full := time.Duration(math.MaxInt64)
+	for i := 0; i < 4; i++ {
+		start = time.Now()
+		if _, _, err := prepare().Exec(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			full = min(full, time.Since(start))
+		}
 	}
-	full := time.Since(start)
 
 	// Mid-flight cancellation: cancel at a fraction of the full runtime
 	// and require a return well before completion.
