@@ -351,6 +351,89 @@ func (c countdownCtx) Err() error {
 	return nil
 }
 
+// fillerStore holds a small graph for lifetimeQuery inside a universe of
+// 2·fillers nodes: what an execution allocates follows the former, a χ
+// vector the latter.
+func fillerStore(t *testing.T, fillers int) *storage.Store {
+	t.Helper()
+	var ts []rdf.Triple
+	for i := 0; i < fillers; i++ {
+		ts = append(ts, rdf.T(fmt.Sprintf("f%d", i), "filler", fmt.Sprintf("g%d", i)))
+	}
+	for i := 0; i < 12; i++ {
+		ts = append(ts,
+			rdf.T(fmt.Sprintf("s%d", i), "ub:advisor", fmt.Sprintf("p%d", i%3)),
+			rdf.T(fmt.Sprintf("s%d", i), "ub:takesCourse", fmt.Sprintf("c%d", i%5)),
+			rdf.T(fmt.Sprintf("p%d", i%3), "ub:teacherOf", fmt.Sprintf("c%d", i%5)),
+			rdf.T(fmt.Sprintf("s%d", (i+1)%12), "ub:teachingAssistantOf", fmt.Sprintf("c%d", i%5)))
+	}
+	st, err := storage.FromTriples(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestMissAllocsOnlyChi: a miss — preparing a text and executing it the
+// first time — allocates the χ rows its view keeps and no other n-bit
+// vector. The solver shares the store's summary vectors as initial
+// bounds instead of copying them, holds a constant as its node id, and
+// borrows its scratch vector from a pool an earlier solve warmed; with
+// any of the three copies back, the miss allocates k + 1 vectors or more.
+func TestMissAllocsOnlyChi(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes are not meaningful under the race detector")
+	}
+	// 8·10^5 nodes: a χ vector outweighs all else a miss allocates.
+	st := fillerStore(t, 400000)
+	const text = `SELECT * WHERE { <s1> <ub:advisor> ?professor . ?professor <ub:teacherOf> ?course . ?student <ub:takesCourse> ?course . }`
+	sq, err := sparql.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := core.BuildQueryPlan(st, sq, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	for _, br := range qp.Branches {
+		k += len(br.Vars)
+	}
+	db, err := dualsim.Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// One P and no collection: the scratch pool then returns what the
+	// warm-up solve put back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, _, err := db.Query(context.Background(), lifetimeQuery); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pq, err := db.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, stats, err := pq.Exec(context.Background())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Reused || res.Len() == 0 {
+		t.Fatalf("the measured execution reused a view (%v) or found no rows (%d): not a miss", stats.Reused, res.Len())
+	}
+	oneVector := uint64(st.NumNodes() / 8)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(k+1)*oneVector {
+		t.Errorf("a miss over %d solver variables allocated %d bytes = %.2f χ vectors of %d bytes, want fewer than %d",
+			k, got, float64(got)/float64(oneVector), oneVector, k+1)
+	} else {
+		t.Logf("a miss over %d solver variables allocated %.2f χ vectors", k, float64(got)/float64(oneVector))
+	}
+}
+
 // TestChiReleasedOnEveryPath: a prepared query solves once and keeps the
 // view of its first execution that finished its solve; every χ a failed
 // solve or mask walk leaves behind goes back to the solver pool. A χ workspace that is neither kept nor
@@ -372,23 +455,7 @@ func TestChiReleasedOnEveryPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are not meaningful under the race detector")
 	}
-	// A small graph for the query inside a universe of 2·10^5 nodes: what an
-	// execution allocates follows the former, a χ vector the latter.
-	var ts []rdf.Triple
-	for i := 0; i < 100000; i++ {
-		ts = append(ts, rdf.T(fmt.Sprintf("f%d", i), "filler", fmt.Sprintf("g%d", i)))
-	}
-	for i := 0; i < 12; i++ {
-		ts = append(ts,
-			rdf.T(fmt.Sprintf("s%d", i), "ub:advisor", fmt.Sprintf("p%d", i%3)),
-			rdf.T(fmt.Sprintf("s%d", i), "ub:takesCourse", fmt.Sprintf("c%d", i%5)),
-			rdf.T(fmt.Sprintf("p%d", i%3), "ub:teacherOf", fmt.Sprintf("c%d", i%5)),
-			rdf.T(fmt.Sprintf("s%d", (i+1)%12), "ub:teachingAssistantOf", fmt.Sprintf("c%d", i%5)))
-	}
-	st, err := storage.FromTriples(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := fillerStore(t, 100000)
 	oneVector := uint64(st.NumNodes() / 8)
 	// One P and no collection: sync.Pool then returns what was put.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

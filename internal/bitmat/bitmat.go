@@ -172,6 +172,29 @@ func (m *CSR) UnionRows(x, dst *bitvec.Vector) {
 	dst.SetAll(m.cols[m.off[lo]:m.off[hi]])
 }
 
+// CellsAtMost reports whether the rows x indexes hold at most n cells in
+// all. A word of x that covers every non-empty row of its summary word
+// adds their cells as one span, their slots being adjacent; other words
+// add row by row, until the sum passes n.
+//
+//dualsim:hotpath
+func (m *CSR) CellsAtMost(x *bitvec.Vector, n int) bool {
+	for i := x.NextSet(0); i >= 0 && n >= 0; i = x.NextSet((i | 63) + 1) {
+		w := i >> 6
+		rows, k := m.summary.Word(w), int(m.before[w])
+		hit := x.Word(w) & rows
+		if hit == rows {
+			n -= int(m.off[k+bits.OnesCount64(rows)] - m.off[k])
+			continue
+		}
+		for ; hit != 0 && n >= 0; hit &= hit - 1 {
+			lo, hi := m.Span(w<<6 | bits.TrailingZeros64(hit))
+			n -= hi - lo
+		}
+	}
+	return n >= 0
+}
+
 // RowIntersects reports whether row i shares a set bit with x. Applied to
 // the transpose it is the column-wise ×b kernel (equation (4)).
 //

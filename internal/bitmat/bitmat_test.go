@@ -318,3 +318,40 @@ func TestEmptyMatrix(t *testing.T) {
 		t.Fatal("phantom non-empty rows or a wrong dimension")
 	}
 }
+
+// TestPropertyCellsAtMost: the word-at-a-time count answers like summing
+// Span bit by bit, for bounds just below, at and above the true count,
+// on vectors whose words cover every non-empty row of theirs, some of
+// them, or none.
+func TestPropertyCellsAtMost(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := []int{1, 63, 64, 65, 129, 200, 320}[r.Intn(7)]
+		m := pairOf(n, randomCells(r, n, r.Intn(3*n))...).F
+		x := randomVec(r, n)
+		for i := 0; i < n; i++ {
+			switch w := i / 64; {
+			case w%3 == 0: // the word covers its non-empty rows
+				if m.NonEmptyRows().Get(i) {
+					x.Set(i)
+				}
+			case w%3 == 1 && r.Intn(4) == 0:
+				x.Clear(i)
+			}
+		}
+		total := 0
+		x.ForEach(func(i int) bool {
+			lo, hi := m.Span(i)
+			total += hi - lo
+			return true
+		})
+		for _, bound := range []int{total - 1, total, total + 1, r.Intn(total + 1), 0} {
+			if got := m.CellsAtMost(x, bound); got != (total <= bound) {
+				t.Logf("seed %d n %d: CellsAtMost(x, %d) = %v, the rows of x hold %d cells", seed, n, bound, got, total)
+				return false
+			}
+		}
+		return true
+	}
+	proptest.Check(t, f, 500, regressionSeeds)
+}

@@ -6,7 +6,9 @@
 //
 // There is one translation: BuildQueryPlan lowers each union-free branch
 // of a query to a system of inequalities (Sect. 4), and every pattern node
-// and edge it meets goes through addVar and addEdge (Sect. 3.2). A pattern
+// and edge it meets goes through addVar and addEdge (Sect. 3.2), which copy
+// no n-bit vector: a constant is its node id, and a bound is the store's
+// own summary vector, shared with the system and never written. A pattern
 // graph is the basic graph pattern that spells it, constants where it
 // binds a node; for such an OPTIONAL-free BGP the branch's system is
 // exactly the Sect. 3 system of the pattern graph (Lemma 3).
@@ -16,7 +18,6 @@ import (
 	"fmt"
 
 	"dualsim/internal/bitmat"
-	"dualsim/internal/bitvec"
 	"dualsim/internal/rdf"
 	"dualsim/internal/soi"
 	"dualsim/internal/storage"
@@ -31,17 +32,17 @@ import (
 type Config struct{}
 
 // addVar adds a variable whose initial bound is the full vector (12) or,
-// for a constant, its singleton — empty when the store lacks the term.
-// With addEdge it is the one lowering of pattern nodes and edges.
+// for a constant, its singleton: the constant's node id, or -1 (χ empty)
+// when the store lacks the term.
 func addVar(st *storage.Store, sys *soi.System, name string, konst *rdf.Term, required bool) soi.Var {
-	var init *bitvec.Vector
-	if konst != nil {
-		init = bitvec.New(st.NumNodes())
-		if id, ok := st.TermID(*konst); ok {
-			init.Set(int(id))
-		}
+	if konst == nil {
+		return sys.AddVar(name, nil, required)
 	}
-	return sys.AddVar(name, init, required)
+	id := -1
+	if tid, ok := st.TermID(*konst); ok {
+		id = int(tid)
+	}
+	return sys.AddConst(name, id, required)
 }
 
 // addEdge installs the inequality pair (11) of the pattern edge (from,

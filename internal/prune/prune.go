@@ -88,9 +88,10 @@ const subjectCheckInterval = 1 << 16
 // The walk also counts which pairs keep every neighbour. AllO is set when
 // it kept every position it visited: χ(w) holds every a-object of every
 // subject in χ(v). AllS is set when it kept every triple whose object is
-// in χ(w), summed from B_a's row spans in O(|χS(w)|). Both are facts about
-// the largest solution, not about any plan, so the executor may take a
-// complete side's neighbours untested for every input row.
+// in χ(w), summed from B_a's row spans a word of χ(w) at a time
+// (CSR.CellsAtMost). Both are facts about the largest solution, not about
+// any plan, so the executor may take a complete side's neighbours untested
+// for every input row.
 func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (*Pruning, error) {
 	out := &Pruning{
 		Total:  st.NumTriples(),
@@ -125,7 +126,7 @@ func PruneCtx(ctx context.Context, st *storage.Store, rel *core.QueryRelation) (
 			}
 			pf.Pairs = append(pf.Pairs, storage.ChiPair{
 				S: chiS, O: chiO,
-				AllS: spansAtMost(m.B, chiO, kept), AllO: kept == visited,
+				AllS: m.B.CellsAtMost(chiO, kept), AllO: kept == visited,
 			})
 			pf.DistS += chiS.Count()
 			pf.DistO += chiO.Count()
@@ -169,19 +170,6 @@ func markEdge(ctx context.Context, f *bitmat.CSR, objects []storage.NodeID, chiS
 		return true
 	})
 	return visited, kept, err
-}
-
-// spansAtMost reports whether the rows of m that chi indexes hold at
-// most n cells in all. Given the backward matrix, χ(w) and the edge's
-// kept count — every kept triple's object is in χ(w) — it reports
-// whether the walk kept every triple with its object in χ(w).
-func spansAtMost(m *bitmat.CSR, chi *bitvec.Vector, n int) bool {
-	chi.ForEach(func(i int) bool {
-		lo, hi := m.Span(i)
-		n -= hi - lo
-		return n >= 0
-	})
-	return n >= 0
 }
 
 // PruneQuery is the one-call convenience wrapper: translate, solve, prune.

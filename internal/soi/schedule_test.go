@@ -31,21 +31,27 @@ func randomSystem(r *rand.Rand) (*System, []*bitvec.Vector) {
 	vars := make([]Var, r.Intn(5)+1)
 	restrict := make([]*bitvec.Vector, len(vars))
 	for i := range vars {
-		var init *bitvec.Vector
-		switch r.Intn(6) {
+		required := r.Intn(2) == 0
+		switch k := r.Intn(7); k {
 		case 0: // constant
-			init = bitvec.FromBits(n, r.Intn(n))
-		case 1: // empty bound
-			init = bitvec.New(n)
-		case 2: // arbitrary bound
-			init = bitvec.New(n)
-			for j := 0; j < n; j++ {
-				if r.Intn(3) > 0 {
-					init.Set(j)
+			vars[i] = s.AddConst("v", r.Intn(n), required)
+		case 1: // a constant the store lacks
+			vars[i] = s.AddConst("v", -1, required)
+		default:
+			var init *bitvec.Vector
+			switch k {
+			case 2: // empty bound
+				init = bitvec.New(n)
+			case 3: // arbitrary bound
+				init = bitvec.New(n)
+				for j := 0; j < n; j++ {
+					if r.Intn(3) > 0 {
+						init.Set(j)
+					}
 				}
 			}
+			vars[i] = s.AddVar("v", init, required)
 		}
-		vars[i] = s.AddVar("v", init, r.Intn(2) == 0)
 		if r.Intn(4) == 0 {
 			restrict[i] = bitvec.NewFull(n)
 			restrict[i].Clear(r.Intn(n))
@@ -56,7 +62,12 @@ func randomSystem(r *rand.Rand) (*System, []*bitvec.Vector) {
 		if r.Intn(5) == 0 {
 			to = from // self-loop
 		}
-		s.AddEdge(from, to, mats[r.Intn(len(mats))], "p")
+		m := mats[r.Intn(len(mats))]
+		s.AddEdge(from, to, m, "p")
+		if r.Intn(2) == 0 { // the summary bounds (13), shared with the matrices
+			s.ConstrainInit(from, m.F.NonEmptyRows())
+			s.ConstrainInit(to, m.B.NonEmptyRows())
+		}
 	}
 	for c := r.Intn(3); c > 0 && len(vars) > 1; c-- {
 		i := r.Intn(len(vars) - 1)
@@ -71,8 +82,15 @@ func naiveSolve(s *System, restrict []*bitvec.Vector) []*bitvec.Vector {
 	chi := make([]*bitvec.Vector, s.NumVars())
 	for v := range chi {
 		chi[v] = bitvec.NewFull(s.n)
-		if s.init[v] != nil {
-			chi[v].CopyFrom(s.init[v])
+		for _, b := range s.bounds[v] {
+			chi[v].And(b)
+		}
+		if p := s.pin[v]; p != unpinned {
+			one := bitvec.New(s.n)
+			if p >= 0 {
+				one.Set(p)
+			}
+			chi[v].And(one)
 		}
 		if restrict[v] != nil {
 			chi[v].And(restrict[v])

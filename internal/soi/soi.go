@@ -7,7 +7,8 @@
 //
 //   - an initial upper bound per variable — inequality (12) `v ≤ 1`, or its
 //     sharpened form (13) using the label summary vectors f_a, b_a, possibly
-//     intersected with a singleton when the pattern node is a constant;
+//     intersected with a singleton when the pattern node is a constant. The
+//     bounds are shared, never copied, and a constant is its node id;
 //   - edge inequalities `w ≤ v ×b F_a` and `v ≤ w ×b B_a` — inequality (11),
 //     one pair per pattern edge (v, a, w);
 //   - copy inequalities `x ≤ y` — inequalities (14)/(15) linking optional
@@ -85,7 +86,8 @@ func (iq Ineq) String() string {
 type System struct {
 	n       int
 	names   []string
-	init    []*bitvec.Vector
+	bounds  [][]*bitvec.Vector // bounds[v]: the shared initial bounds of v, read only
+	pin     []int              // pin[v]: the node a constant binds v to, absent or unpinned
 	ineqs   []Ineq
 	deps    [][]int // deps[v] = indices of inequalities with Y == v
 	reqVars []bool  // mandatory variables (empty ⇒ no query match exists)
@@ -93,18 +95,25 @@ type System struct {
 	finalize  sync.Once
 	finalized bool
 
-	// pool recycles per-solve workspaces (χ rows, scratch, worklist)
-	// between SolveCtx calls — a finalized system's dimensions are frozen,
-	// so a released workspace always fits the next solve exactly.
+	// pool recycles per-solve workspaces (χ rows, worklist) between
+	// SolveCtx calls — a finalized system's dimensions are frozen, so a
+	// released workspace always fits the next solve exactly.
 	pool sync.Pool
 }
+
+// absent pins a constant the store lacks; unpinned, a variable no
+// constant binds.
+const absent, unpinned = -1, -2
+
+// scratchPool lends every system's solves the row-wise ×b's scratch
+// vector; a Solution does not own it, so it goes back on every path.
+var scratchPool sync.Pool
 
 // workspace is the mutable per-solve state. Every concurrent solve owns
 // one exclusively; Solution.Release returns it to the system's pool.
 type workspace struct {
 	chi      []*bitvec.Vector
-	count    []int // count[v] = |χ(v)|, kept current by every evaluation
-	scratch  *bitvec.Vector
+	count    []int  // count[v] = |χ(v)|, kept current by every evaluation
 	unstable []bool // the worklist: unstable[i] ⇔ inequality i must be evaluated
 	evals    []int  // evaluations per inequality, for Stats.Rounds
 }
@@ -119,7 +128,6 @@ func (s *System) acquire() *workspace {
 	w := &workspace{
 		chi:      make([]*bitvec.Vector, len(s.names)),
 		count:    make([]int, len(s.names)),
-		scratch:  bitvec.New(s.n),
 		unstable: make([]bool, len(s.ineqs)),
 		evals:    make([]int, len(s.ineqs)),
 	}
@@ -151,32 +159,42 @@ func (s *System) Ineqs() []Ineq { return s.ineqs }
 
 // AddVar adds a variable with the given name, initial upper bound and
 // mandatory flag. If init is nil the bound is the full vector 1
-// (inequality (12)). The bound is cloned by Solve, never mutated.
+// (inequality (12)). The system shares init, never copies or writes it:
+// the caller must not write it afterwards either.
 func (s *System) AddVar(name string, init *bitvec.Vector, required bool) Var {
-	s.mustBeOpen()
-	if init != nil && init.Len() != s.n {
-		panic(fmt.Sprintf("soi: init length %d != dim %d", init.Len(), s.n))
+	v := s.addVar(name, unpinned, required)
+	if init != nil {
+		s.ConstrainInit(v, init)
 	}
+	return v
+}
+
+// AddConst adds a variable bound to the single node id < Dim() — a pattern
+// constant. A negative id is a constant the store lacks: its χ is ∅.
+func (s *System) AddConst(name string, id int, required bool) Var {
+	return s.addVar(name, max(id, absent), required)
+}
+
+func (s *System) addVar(name string, pin int, required bool) Var {
+	s.mustBeOpen()
 	v := Var(len(s.names))
 	s.names = append(s.names, name)
-	s.init = append(s.init, init)
+	s.bounds = append(s.bounds, nil)
+	s.pin = append(s.pin, pin)
 	s.reqVars = append(s.reqVars, required)
 	return v
 }
 
 // ConstrainInit intersects the initial bound of v with extra — used to
-// layer the summary-vector initialization (13) and constant bindings on
-// top of (12).
+// layer the summary-vector initialization (13) on top of (12) or of a
+// constant. It records extra, shared: the system never copies or writes
+// it, and the caller must not write it afterwards either.
 func (s *System) ConstrainInit(v Var, extra *bitvec.Vector) {
 	s.mustBeOpen()
 	if extra.Len() != s.n {
-		panic("soi: bound length mismatch")
+		panic(fmt.Sprintf("soi: bound length %d != dim %d", extra.Len(), s.n))
 	}
-	if s.init[v] == nil {
-		s.init[v] = extra.Clone()
-		return
-	}
-	s.init[v].And(extra)
+	s.bounds[v] = append(s.bounds[v], extra)
 }
 
 // AddEdge installs the two inequalities (11) for a pattern edge
@@ -312,9 +330,10 @@ const ctxCheckInterval = 8
 // system itself is not modified (Finalize is invoked on first use) and
 // may be solved repeatedly and concurrently.
 //
-// The per-solve state (χ rows, counts, scratch, worklist) comes from a
-// system-owned pool; call Solution.Release when done with the solution
-// to make steady-state solving allocation-free.
+// The per-solve state (χ rows, counts, worklist) comes from a system-owned
+// pool and the scratch vector from a package-wide one; call
+// Solution.Release when done with the solution to make steady-state
+// solving allocation-free.
 func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -328,16 +347,17 @@ func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) 
 		}
 	}
 	s.Finalize()
+	scratch, _ := scratchPool.Get().(*bitvec.Vector)
+	if scratch == nil || scratch.Len() != s.n {
+		scratch = bitvec.New(s.n)
+	}
+	defer scratchPool.Put(scratch)
 	w := s.acquire()
 	chi, count := w.chi, w.count
 	sol := &Solution{Chi: chi, sys: s, ws: w}
 	st := &sol.Stats
 	for v := range chi {
-		if s.init[v] == nil {
-			chi[v].Fill()
-		} else {
-			chi[v].CopyFrom(s.init[v])
-		}
+		s.initChi(chi[v], v)
 		if v < len(opts.Restrict) && opts.Restrict[v] != nil {
 			chi[v].And(opts.Restrict[v])
 		}
@@ -396,7 +416,7 @@ func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) 
 			} else {
 				st.ColWise++
 			}
-			count[iq.X] = iq.Mats.Update(iq.Dir, chi[iq.Y], chi[iq.X], count[iq.Y], was, w.scratch)
+			count[iq.X] = iq.Mats.Update(iq.Dir, chi[iq.Y], chi[iq.X], count[iq.Y], was, scratch)
 		}
 		if count[iq.X] == was {
 			continue
@@ -411,6 +431,33 @@ func (s *System) SolveCtx(ctx context.Context, opts Options) (*Solution, error) 
 		}
 	}
 	return sol, nil
+}
+
+// initChi writes the initial bound of v into dst: the intersection of its
+// shared bounds, the full vector when it has none, and for a constant its
+// singleton — ∅ when the store lacks it or a bound does.
+func (s *System) initChi(dst *bitvec.Vector, v int) {
+	b := s.bounds[v]
+	switch p := s.pin[v]; {
+	case p != unpinned:
+		dst.Zero()
+		if p == absent {
+			return
+		}
+		for _, x := range b {
+			if !x.Get(p) {
+				return
+			}
+		}
+		dst.Set(p)
+	case len(b) == 0:
+		dst.Fill()
+	default:
+		dst.CopyFrom(b[0])
+		for _, x := range b[1:] {
+			dst.And(x)
+		}
+	}
 }
 
 // pick returns the unstable inequality to evaluate next, or -1 when the

@@ -2,6 +2,8 @@ package soi
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -331,7 +333,9 @@ func TestDeterministicOrdering(t *testing.T) {
 }
 
 // TestSolutionRelease: Release is idempotent, nil-safe, and recycles the
-// χ storage — steady-state Solve+Release performs near-zero allocation.
+// χ storage — steady-state Solve+Release performs near-zero allocation:
+// the system's pool recycles the workspace, and the package's pool the
+// scratch vector each solve borrows.
 func TestSolutionRelease(t *testing.T) {
 	var nilSol *Solution
 	nilSol.Release() // must not panic
@@ -363,9 +367,54 @@ func TestSolutionRelease(t *testing.T) {
 		sol.Release()
 	})
 	// Steady state allocates only per-solve bookkeeping (the Solution
-	// header) — not χ rows, counts, scratch or the worklist.
+	// header) — not χ rows, counts, the worklist or the scratch vector.
 	if allocs > 8 {
 		t.Errorf("Solve+Release steady state: %.1f allocs/op, want <= 8 (workspace not pooled?)", allocs)
+	}
+}
+
+// TestFirstSolveAllocsOnlyChi: a system shares the bounds it is given and
+// holds a constant as its node id, and a solve borrows its scratch vector
+// from a pool an earlier solve warmed, so building a system and solving
+// it the first time allocate its χ rows and no other n-bit vector.
+func TestFirstSolveAllocsOnlyChi(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes are not meaningful under the race detector")
+	}
+	const n = 1 << 20 // a 128 KB vector outweighs all else a solve allocates
+	p := pairOf(n, [2]uint32{0, 1}, [2]uint32{1, 2}, [2]uint32{2, 0}, [2]uint32{3, 4})
+	build := func() *System {
+		s := NewSystem(n)
+		a := s.AddConst("a", 0, true)
+		b, c := s.AddVar("b", nil, true), s.AddVar("c", nil, true)
+		for _, e := range [][2]Var{{a, b}, {b, c}, {c, a}} {
+			s.AddEdge(e[0], e[1], p, "p")
+			s.ConstrainInit(e[0], p.F.NonEmptyRows())
+			s.ConstrainInit(e[1], p.B.NonEmptyRows())
+		}
+		return s
+	}
+	// One P and no collection: the pool then returns what was put.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	build().Solve(context.Background(), Options{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := build()
+	sol := s.Solve(context.Background(), Options{})
+	runtime.ReadMemStats(&after)
+	for v, want := range []int{0, 1, 2} {
+		if !sol.Chi[v].Equal(bitvec.FromBits(n, want)) {
+			t.Fatalf("χ(%s) = %v, want {%d}", s.VarName(Var(v)), sol.Chi[v], want)
+		}
+	}
+	if sol.Stats.RowWise == 0 {
+		t.Fatalf("no row-wise evaluation borrowed the scratch vector: %+v", sol.Stats)
+	}
+	oneVector := uint64(n / 8)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(s.NumVars()+1)*oneVector {
+		t.Errorf("building and first solving %d variables allocated %.2f vectors of %d bytes, want fewer than %d",
+			s.NumVars(), float64(got)/float64(oneVector), oneVector, s.NumVars()+1)
 	}
 }
 
