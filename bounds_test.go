@@ -62,7 +62,10 @@ func referenceChi(st *storage.Store, br *core.Branch) []*bitvec.Vector {
 	}
 	sys := soi.NewSystem(n)
 	for i, v := range br.Vars {
-		sys.AddVar(v.Name, init[i], v.Mandatory)
+		x := sys.AddVar(v.Name, v.Mandatory)
+		if init[i] != nil {
+			sys.ConstrainInit(x, init[i])
+		}
 	}
 	for j, e := range br.Edges {
 		sys.AddEdge(soi.Var(e.From), soi.Var(e.To), mats[j], e.Pred)

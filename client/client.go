@@ -342,8 +342,8 @@ func (c *Client) Snapshot(ctx context.Context) (*SnapshotResponse, error) {
 	return &out, nil
 }
 
-// Health probes /healthz. A draining server returns an *APIError with
-// StatusCode 503.
+// Health probes /healthz: liveness, 200 as long as the process serves.
+// A draining server reports Status "draining"; Ready is what fails.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	var out HealthResponse
 	if err := c.doJSONHdr(ctx, "GET", "/healthz", nil, &out, true, nil); err != nil {

@@ -26,6 +26,8 @@
 //	GET  /readyz          readiness (503 while draining, bootstrapping or lagging)
 //	GET  /metrics         Prometheus-style metrics
 //	GET  /v1/debug/statements  per-statement workload statistics (?reset=1)
+//	GET  /v1/debug/slow   slow-query ring (-slowlog)
+//	GET  /v1/cluster      per-shard endpoint health, epochs, latencies (router only)
 //
 // The daemon is a thin shell over the session layer: one dualsim.DB
 // serves every request with the library's session defaults — pruning

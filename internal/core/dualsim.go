@@ -36,7 +36,7 @@ type Config struct{}
 // when the store lacks the term.
 func addVar(st *storage.Store, sys *soi.System, name string, konst *rdf.Term, required bool) soi.Var {
 	if konst == nil {
-		return sys.AddVar(name, nil, required)
+		return sys.AddVar(name, required)
 	}
 	id := -1
 	if tid, ok := st.TermID(*konst); ok {

@@ -67,15 +67,16 @@ func (r *resolved) postings(st *storage.Store, id storage.NodeID, subject bool, 
 }
 
 // has reports whether the view holds (s, pred, o): a search inside the
-// subject's neighbour row, then the filter. A triple the store holds and
-// the filter rejects is counted in *filtered.
+// subject's neighbour row, then the filter's mask bit at that position.
+// A triple the store holds and the filter rejects counts in *filtered.
 //
 //dualsim:hotpath
 func (r *resolved) has(st *storage.Store, s, o storage.NodeID, filtered *int64) bool {
-	if !st.HasTriple(s, r.pred, o) {
+	i := st.FindPair(r.pred, s, o)
+	if i < 0 {
 		return false
 	}
-	if r.keep != nil && !r.keep.Keep(s, o) {
+	if r.keep != nil && !r.keep.Mask.Get(i) {
 		*filtered++
 		return false
 	}

@@ -50,7 +50,10 @@ func randomSystem(r *rand.Rand) (*System, []*bitvec.Vector) {
 					}
 				}
 			}
-			vars[i] = s.AddVar("v", init, required)
+			vars[i] = s.AddVar("v", required)
+			if init != nil {
+				s.ConstrainInit(vars[i], init)
+			}
 		}
 		if r.Intn(4) == 0 {
 			restrict[i] = bitvec.NewFull(n)

@@ -18,8 +18,8 @@ func chainSystem(n int) *System {
 	}
 	mats := pairOf(n, edges...)
 	s := NewSystem(n)
-	v := s.AddVar("v", nil, true)
-	w := s.AddVar("w", nil, true)
+	v := s.AddVar("v", true)
+	w := s.AddVar("w", true)
 	s.AddEdge(v, w, mats, "next")
 	s.AddEdge(w, v, mats, "next")
 	return s
@@ -55,9 +55,9 @@ func TestPropertyPermutationInvariantSolution(t *testing.T) {
 		}
 		mats := pairOf(n, edges...)
 		s := NewSystem(n)
-		a := s.AddVar("a", nil, true)
-		b := s.AddVar("b", nil, true)
-		c := s.AddVar("c", nil, true)
+		a := s.AddVar("a", true)
+		b := s.AddVar("b", true)
+		c := s.AddVar("c", true)
 		s.AddEdge(a, b, mats, "p")
 		s.AddEdge(b, c, mats, "p")
 		s.AddEdge(c, a, mats, "p")
@@ -86,8 +86,9 @@ func TestSearchOrdersRespectsBounds(t *testing.T) {
 	n := 6
 	mats := pairOf(n, [2]uint32{0, 1}, [2]uint32{2, 3})
 	s := NewSystem(n)
-	v := s.AddVar("v", bitvec.FromBits(n, 0), true)
-	w := s.AddVar("w", nil, true)
+	v := s.AddVar("v", true)
+	s.ConstrainInit(v, bitvec.FromBits(n, 0))
+	w := s.AddVar("w", true)
 	s.AddEdge(v, w, mats, "p")
 	stats := s.SearchOrders(context.Background(), 10, 3, Options{})
 	sol := s.Solve(context.Background(), Options{Permutation: stats.BestPermutation})

@@ -157,16 +157,11 @@ func (s *System) VarName(v Var) string { return s.names[v] }
 // Ineqs returns the inequality list (read-only).
 func (s *System) Ineqs() []Ineq { return s.ineqs }
 
-// AddVar adds a variable with the given name, initial upper bound and
-// mandatory flag. If init is nil the bound is the full vector 1
-// (inequality (12)). The system shares init, never copies or writes it:
-// the caller must not write it afterwards either.
-func (s *System) AddVar(name string, init *bitvec.Vector, required bool) Var {
-	v := s.addVar(name, unpinned, required)
-	if init != nil {
-		s.ConstrainInit(v, init)
-	}
-	return v
+// AddVar adds a variable with the given name and mandatory flag. Its
+// initial bound is the full vector 1 (inequality (12)); ConstrainInit
+// narrows it.
+func (s *System) AddVar(name string, required bool) Var {
+	return s.addVar(name, unpinned, required)
 }
 
 // AddConst adds a variable bound to the single node id < Dim() — a pattern

@@ -51,7 +51,7 @@ func fig3System() (*System, map[string]Var) {
 	s := NewSystem(n)
 	vars := map[string]Var{}
 	for _, name := range []string{"place", "director1", "director2", "coworker", "movie"} {
-		vars[name] = s.AddVar(name, nil, true)
+		vars[name] = s.AddVar(name, true)
 	}
 	// Pattern Fig. 2(a): director1 -born_in-> place, director2 -born_in->
 	// place, director1 -worked_with-> coworker, director2 -directed->
@@ -117,8 +117,9 @@ func TestAllOptionsSameFixpoint(t *testing.T) {
 func TestCopyInequality(t *testing.T) {
 	n := 4
 	s := NewSystem(n)
-	y := s.AddVar("y", bitvec.FromBits(n, 0, 1), true)
-	x := s.AddVar("x", nil, false)
+	y := s.AddVar("y", true)
+	s.ConstrainInit(y, bitvec.FromBits(n, 0, 1))
+	x := s.AddVar("x", false)
 	s.AddCopy(x, y)
 	sol := s.Solve(context.Background(), Options{})
 	if !sol.Chi[x].Equal(bitvec.FromBits(n, 0, 1)) {
@@ -139,7 +140,7 @@ func TestSelfLoopEdgeConverges(t *testing.T) {
 	n := 4
 	chain := pairOf(n, [2]uint32{0, 1}, [2]uint32{1, 2}, [2]uint32{2, 3})
 	s := NewSystem(n)
-	v := s.AddVar("v", nil, true)
+	v := s.AddVar("v", true)
 	s.AddEdge(v, v, chain, "next")
 	sol := s.Solve(context.Background(), Options{})
 	if !sol.Chi[v].IsEmpty() {
@@ -164,7 +165,7 @@ func TestSelfLoopCycleKept(t *testing.T) {
 		[2]uint32{2, 3}, [2]uint32{3, 4}, // dead-end chain
 	)
 	s := NewSystem(n)
-	v := s.AddVar("v", nil, true)
+	v := s.AddVar("v", true)
 	s.AddEdge(v, v, cyc, "next")
 	sol := s.Solve(context.Background(), Options{})
 	if !sol.Chi[v].Equal(bitvec.FromBits(n, 0, 1)) {
@@ -176,7 +177,7 @@ func TestSelfLoopCycleKept(t *testing.T) {
 // initial bound certifies an unsatisfiable system.
 func TestEmptyRequiredOnInitialEmpty(t *testing.T) {
 	s := NewSystem(3)
-	s.AddVar("v", bitvec.New(3), true)
+	s.ConstrainInit(s.AddVar("v", true), bitvec.New(3))
 	sol := s.Solve(context.Background(), Options{})
 	if !sol.EmptyRequired(s) {
 		t.Fatal("EmptyRequired should hold")
@@ -187,8 +188,8 @@ func TestEmptyRequiredOnInitialEmpty(t *testing.T) {
 // does not make the system unsatisfiable.
 func TestEmptyRequiredIgnoresOptionalVars(t *testing.T) {
 	s := NewSystem(3)
-	s.AddVar("opt", bitvec.New(3), false)
-	s.AddVar("mand", nil, true)
+	s.ConstrainInit(s.AddVar("opt", false), bitvec.New(3))
+	s.AddVar("mand", true)
 	sol := s.Solve(context.Background(), Options{})
 	if sol.EmptyRequired(s) {
 		t.Fatal("no required variable is empty")
@@ -210,8 +211,9 @@ func TestVerifyDetectsViolations(t *testing.T) {
 	}
 	// Break a copy inequality.
 	s2 := NewSystem(3)
-	y := s2.AddVar("y", bitvec.FromBits(3, 0), true)
-	x := s2.AddVar("x", nil, false)
+	y := s2.AddVar("y", true)
+	s2.ConstrainInit(y, bitvec.FromBits(3, 0))
+	x := s2.AddVar("x", false)
 	s2.AddCopy(x, y)
 	sol2 := s2.Solve(context.Background(), Options{})
 	sol2.Chi[x].Set(2)
@@ -230,8 +232,8 @@ func TestIneqString(t *testing.T) {
 		}
 	}
 	s2 := NewSystem(2)
-	a := s2.AddVar("a", nil, true)
-	b := s2.AddVar("b", nil, true)
+	a := s2.AddVar("a", true)
+	b := s2.AddVar("b", true)
 	s2.AddCopy(a, b)
 	cp = s2.Ineqs()[0].String()
 	if !strings.Contains(edge, "×b") || !strings.Contains(cp, "≤") {
@@ -272,7 +274,7 @@ func TestAccessors(t *testing.T) {
 // TestConstrainInit: layered bounds intersect.
 func TestConstrainInit(t *testing.T) {
 	s := NewSystem(4)
-	v := s.AddVar("v", nil, true)
+	v := s.AddVar("v", true)
 	s.ConstrainInit(v, bitvec.FromBits(4, 0, 1, 2))
 	s.ConstrainInit(v, bitvec.FromBits(4, 1, 2, 3))
 	sol := s.Solve(context.Background(), Options{})
@@ -386,7 +388,7 @@ func TestFirstSolveAllocsOnlyChi(t *testing.T) {
 	build := func() *System {
 		s := NewSystem(n)
 		a := s.AddConst("a", 0, true)
-		b, c := s.AddVar("b", nil, true), s.AddVar("c", nil, true)
+		b, c := s.AddVar("b", true), s.AddVar("c", true)
 		for _, e := range [][2]Var{{a, b}, {b, c}, {c, a}} {
 			s.AddEdge(e[0], e[1], p, "p")
 			s.ConstrainInit(e[0], p.F.NonEmptyRows())
@@ -426,5 +428,5 @@ func TestMismatchedInitPanics(t *testing.T) {
 			t.Fatal("no panic on wrong init length")
 		}
 	}()
-	s.AddVar("v", bitvec.New(5), true)
+	s.ConstrainInit(s.AddVar("v", true), bitvec.New(5))
 }

@@ -15,10 +15,11 @@ type ChiPair struct {
 // PredFilter is what a solved dual simulation keeps of one predicate a:
 // the triple at PSO position i survives iff some pattern edge (v, a, w)
 // has its subject in χ(v) and its object in χ(w). Pairs is that
-// definition, Mask the positions it selects. The vectors in Pairs alias
-// the solver's χ rows: a PredFilter is valid as long as the relation it
-// was derived from is not released — for the session, the lifetime of
-// the prepared query that keeps both.
+// definition, Mask the positions it selects: a whole triple is tested by
+// its Mask bit, a bound endpoint by Admit over Pairs. The vectors in
+// Pairs alias the solver's χ rows: a PredFilter is valid as long as the
+// relation it was derived from is not released — for the session, the
+// lifetime of the prepared query that keeps both.
 type PredFilter struct {
 	Pairs []ChiPair
 	Mask  *bitvec.Vector
@@ -33,19 +34,6 @@ type PredFilter struct {
 // predicate id. A nil entry keeps nothing of the predicate (no pattern
 // edge of a satisfiable branch mentions it); a nil Filter is no filter.
 type Filter []*PredFilter
-
-// Keep reports whether the triple (s, a, o) survives: some pair admits
-// both ends.
-//
-//dualsim:hotpath
-func (f *PredFilter) Keep(s, o NodeID) bool {
-	for _, p := range f.Pairs {
-		if p.S.Get(int(s)) && p.O.Get(int(o)) {
-			return true
-		}
-	}
-	return false
-}
 
 // Admit tests a bound endpoint once — the subject when subject is set,
 // the object otherwise — and appends to dst the free side's χ of every

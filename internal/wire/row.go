@@ -151,28 +151,28 @@ func AppendTerm(dst []byte, t rdf.Term) []byte {
 	return append(dst, `\""`...)
 }
 
-// memoSlots is the size of a Memo: 4 096 slots, whatever the universe.
+// memoSlots is the size of a memo: 4 096 slots, whatever the universe.
 const memoSlots = 1 << 12
 
-// Memo is a bounded direct-mapped map from keys to values: a key's slot
-// is fixed by its hash, and a key landing on a taken slot evicts the
-// key there. The zero value is empty; its slots are allocated on the
-// first Reset.
-type Memo[V any] struct {
-	slots []memoSlot[V]
+// memo is a bounded direct-mapped map from keys to their term numbers: a
+// key's slot is fixed by its hash, and a key landing on a taken slot
+// evicts the key there. The zero value is empty; its slots are allocated
+// on the first reset.
+type memo struct {
+	slots []memoSlot
 	gen   uint32 // a slot belongs to the current generation or is free
 }
 
-type memoSlot[V any] struct {
+type memoSlot struct {
 	key Key
 	gen uint32
-	val V
+	num termNumber
 }
 
-// Reset forgets every key without touching the slots.
-func (m *Memo[V]) Reset() {
+// reset forgets every key without touching the slots.
+func (m *memo) reset() {
 	if m.slots == nil {
-		m.slots = make([]memoSlot[V], memoSlots)
+		m.slots = make([]memoSlot, memoSlots)
 	}
 	if m.gen++; m.gen == 0 {
 		clear(m.slots)
@@ -180,17 +180,17 @@ func (m *Memo[V]) Reset() {
 	}
 }
 
-// Get returns k's value and whether k was there. On a miss the slot now
-// belongs to k and the caller fills the value in.
+// get returns k's number and whether k was there. On a miss the slot
+// now belongs to k and the caller fills the number in.
 //
 //dualsim:hotpath
-func (m *Memo[V]) Get(k Key) (*V, bool) {
+func (m *memo) get(k Key) (*termNumber, bool) {
 	s := &m.slots[uint64(k)*0x9e3779b97f4a7c15>>(64-12)]
 	if s.gen == m.gen && s.key == k {
-		return &s.val, true
+		return &s.num, true
 	}
 	s.key, s.gen = k, m.gen
-	return &s.val, false
+	return &s.num, false
 }
 
 // termNumber is a term's number as the row lines spell it, in decimal.
@@ -215,17 +215,17 @@ func (d *termNumber) increment() {
 
 // TermWriter writes the term and row lines of one stream: it numbers
 // each key's cell on its first row and then writes only the number.
-// Numbers are looked up in a bounded Memo, so a key evicted from it is
+// Numbers are looked up in a bounded memo, so a key evicted from it is
 // defined again under a new number. Call Reset before each stream.
 type TermWriter struct {
-	memo Memo[termNumber]
+	memo memo
 	next termNumber // the number of the next term defined
 	row  []byte     // the row line being built while its terms are defined
 }
 
 // Reset starts a new stream: no term is defined.
 func (w *TermWriter) Reset() {
-	w.memo.Reset()
+	w.memo.reset()
 	w.next = termNumber{n: 1, digits: [10]byte{'0'}}
 }
 
@@ -245,7 +245,7 @@ func (w *TermWriter) AppendRow(dst []byte, keys []Key, cells CellAppender) []byt
 			row = append(row, "null"...)
 			continue
 		}
-		num, ok := w.memo.Get(k)
+		num, ok := w.memo.get(k)
 		if !ok {
 			dst = append(cells.AppendCell(dst, k), '\n')
 			*num = w.next
