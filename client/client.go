@@ -621,9 +621,11 @@ func (s *Stream) advance(values bool) bool {
 
 // Refs returns the current row as numbers into the stream's term table,
 // -1 for unbound, valid until the next advance: a consumer that keeps
-// rows undecoded keeps each term once (Term) and the numbers. A value
-// the server defined twice has two numbers. Refs and Term may not be
-// called after Close.
+// rows undecoded keeps each term once (Term) and the numbers. dualsimd
+// defines each value once per stream (below three quarters of a million
+// distinct values), so equal numbers mean equal values; other writers
+// may define a value twice, and then it has two numbers. Refs and Term
+// may not be called after Close.
 func (s *Stream) Refs() []int32 { return s.table.Refs() }
 
 // Term returns term k's cell, spelled as the server's row codec spells

@@ -226,9 +226,10 @@ func TestStreamNextCells(t *testing.T) {
 	}
 }
 
-// TestStreamTermDefinedTwice: a server whose memo forgot a value
-// defines it again under a new number; rows naming either number read
-// the same value and the same cell.
+// TestStreamTermDefinedTwice: a writer that defines a value again under
+// a new number (an encoding/json writer, or dualsimd past its memo's
+// cap) is read as it meant: rows naming either number read the same
+// value and the same cell.
 func TestStreamTermDefinedTwice(t *testing.T) {
 	body := `{"kind":"header","vars":["a","b"],"epoch":0}
 "<a>"
@@ -251,6 +252,40 @@ func TestStreamTermDefinedTwice(t *testing.T) {
 	}
 	if err := st.Err(); err != nil || n != 2 {
 		t.Fatalf("%d rows: %v", n, err)
+	}
+}
+
+// TestStreamDetectsEpochTear: every row of a stream answers from the
+// header's epoch, and the stats trailer repeats it; a trailer at
+// another epoch makes Err name the tear, a matching one leaves Err nil.
+func TestStreamDetectsEpochTear(t *testing.T) {
+	for _, tc := range []struct {
+		trailer uint64
+		want    string // a fragment of Err, "" for nil
+	}{
+		{4, "epoch tear: header 3, stats 4"},
+		{3, ""},
+	} {
+		body := fmt.Sprintf(`{"kind":"header","vars":["a"],"epoch":3}
+"<a>"
+[0]
+{"kind":"stats","epoch":%d,"stats":{"epoch":%d},"rows":1}
+`, tc.trailer, tc.trailer)
+		st, err := serveBody(t, []byte(body)).QueryStream(context.Background(), queryX1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; st.Next(); n++ {
+		}
+		err = st.Err()
+		st.Close()
+		if n != 1 {
+			t.Errorf("trailer at epoch %d: %d rows, want 1", tc.trailer, n)
+		}
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("trailer at epoch %d: Err = %v, want %q", tc.trailer, err, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -213,6 +214,122 @@ func TestSelectStarColumnOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterDefinesEachTermOnce: a pushed-down branch with more
+// distinct terms than a 4 096-slot memo holds, each object in two rows
+// far apart, crosses both hops defining every cell once: the shard's
+// stream and the router's response each have one term line per
+// distinct cell, and the rows are the single node's.
+func TestRouterDefinesEachTermOnce(t *testing.T) {
+	const subjects = 3000
+	var triples []dualsim.Triple
+	for i := range subjects {
+		s := fmt.Sprintf("http://example.org/s%d", i)
+		triples = append(triples,
+			dualsim.T(s, "p", fmt.Sprintf("http://example.org/o%d", i)),
+			dualsim.T(s, "p", fmt.Sprintf("http://example.org/o%d", (i+subjects/2)%subjects)))
+	}
+	full, err := dualsim.FromTriples(triples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var shardStreams [][]byte
+	record := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/query" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			tee := &teeWriter{ResponseWriter: w}
+			h.ServeHTTP(tee, r)
+			mu.Lock()
+			shardStreams = append(shardStreams, tee.body)
+			mu.Unlock()
+		})
+	}
+	var endpoints [][]string
+	for i := range 2 {
+		st, err := cluster.ShardStore(full, cluster.ShardSpec{Index: i, N: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		endpoints = append(endpoints, []string{startShardVia(t, st, record).URL})
+	}
+	rt, err := New(endpoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Probe(context.Background())
+	rs := httptest.NewServer(rt.Handler())
+	t.Cleanup(rs.Close)
+
+	const src = `SELECT * WHERE { ?s <p> ?o . }`
+	resp, err := http.Post(rs.URL+"/v1/query?stream=1", "application/json", strings.NewReader(fmt.Sprintf(`{"query":%q}`, src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed stream: status %d, %v", resp.StatusCode, err)
+	}
+	mu.Lock()
+	streams := slices.Clone(shardStreams)
+	mu.Unlock()
+	if len(streams) != 1 {
+		t.Fatalf("%d shard streams, want the one pushed-down branch", len(streams))
+	}
+	for _, hop := range []struct {
+		name   string
+		stream []byte
+	}{{"shard", streams[0]}, {"router", routed}} {
+		terms, cells := 0, map[string]bool{}
+		for _, line := range bytes.Split(hop.stream, []byte{'\n'}) {
+			if len(line) > 0 && line[0] == '"' {
+				terms++
+				cells[string(line)] = true
+			}
+		}
+		if terms != 2*subjects || len(cells) != 2*subjects {
+			t.Errorf("%s stream: %d term lines for %d distinct cells, want %d of each", hop.name, terms, len(cells), 2*subjects)
+		}
+	}
+
+	c, err := client.New(rs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.QueryStream(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]*string
+	for st.Next() {
+		rows = append(rows, slices.Clone(st.Row()))
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	want := queryVia(t, startShard(t, full).URL, src)
+	if got, want := canonRows(rows), canonRows(want.Rows); len(got) != 2*subjects || !slices.Equal(got, want) {
+		t.Fatalf("routed %d rows, single node %d, or they differ", len(got), len(want))
+	}
+}
+
+// teeWriter keeps a copy of the body it passes on, flushes included.
+type teeWriter struct {
+	http.ResponseWriter
+	body []byte
+}
+
+func (w *teeWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *teeWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
 
 // The streamed path must carry the same rows and a synthesized stats
 // trailer (client.Stream treats a missing trailer as a torn stream).

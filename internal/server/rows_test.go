@@ -135,10 +135,11 @@ func TestStreamAllocsPerRow(t *testing.T) {
 		cursors = append(cursors, cur)
 	}
 	streamed := 0
+	idle := make(chan *ndjsonBuf, idleBufs)
 	perRun := testing.AllocsPerRun(runs, func() {
 		cur := cursors[0]
 		cursors = cursors[1:]
-		enc := &ndjsonEncoder{w: discard{http.Header{}}}
+		enc := &ndjsonEncoder{w: discard{http.Header{}}, idle: idle}
 		if err := enc.begin(cur.Vars(), cur.Epoch()); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -22,7 +23,7 @@ var servedRowTexts = []string{"B2", "B3", "B14", "B17"}
 // BenchmarkServedRow sets the served row against the in-process one on
 // a fixed KG(4) store, per text: "inprocess" is db.Query, "served" a
 // loopback server.New drained through client.QueryStream and Next, and
-// served reports the stream's bytes per row. Run it with
+// served reports the stream's bytes and term lines per row. Run it with
 //
 //	go test ./internal/server -run '^$' -bench BenchmarkServedRow -benchtime 2s
 func BenchmarkServedRow(b *testing.B) {
@@ -72,22 +73,25 @@ func BenchmarkServedRow(b *testing.B) {
 				}
 				s.Close()
 			}
-			bytes, err := streamBytes(hs.URL, spec.Text)
+			body, err := streamBody(hs.URL, spec.Text)
 			if err != nil {
 				b.Fatal(err)
 			}
+			perRow := func(n int) float64 { return float64(n) / float64(max(rows, 1)) }
 			b.ReportMetric(float64(rows), "rows")
-			b.ReportMetric(float64(bytes)/float64(max(rows, 1)), "B/row")
+			b.ReportMetric(perRow(len(body)), "B/row")
+			b.ReportMetric(perRow(bytes.Count(body, []byte("\n\""))), "terms/row")
 		})
 	}
 }
 
-// streamBytes is the length of the streamed answer to src.
-func streamBytes(url, src string) (int64, error) {
+// streamBody is the streamed answer to src. Its term lines are the
+// lines that open with a quote; the header line comes before them.
+func streamBody(url, src string) ([]byte, error) {
 	resp, err := http.Post(url+"/v1/query?stream=1", "application/json", strings.NewReader(fmt.Sprintf(`{"query":%q}`, src)))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	return io.Copy(io.Discard, resp.Body)
+	return io.ReadAll(resp.Body)
 }

@@ -56,7 +56,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dualsim"
@@ -168,7 +167,8 @@ type Core struct {
 	mux       *http.ServeMux
 	cfg       config
 	reg       *metrics.Registry
-	readOnly  bool // set by NewReplica only: the mutating endpoints answer 403
+	readOnly  bool            // set by NewReplica only: the mutating endpoints answer 403
+	idle      chan *ndjsonBuf // buffers of finished streams, for the next ones
 
 	// stmts is the workload statistics store query executions are
 	// recorded in: the local backend's, or nil (all methods are nil-safe
@@ -205,6 +205,7 @@ func newCore(b Backend, prefix, querySpan string, cfg config, stmts *qstats.Stor
 		mux:       http.NewServeMux(),
 		cfg:       cfg,
 		reg:       reg,
+		idle:      make(chan *ndjsonBuf, idleBufs),
 		stmts:     stmts,
 
 		requests: reg.Counter(prefix+"_requests_total", "HTTP requests received"),
@@ -327,7 +328,7 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// buffered envelope collects them.
 	var enc rowEncoder = &envelopeEncoder{c: c, w: w}
 	if wantsStream(r, req) {
-		enc = &ndjsonEncoder{w: w}
+		enc = &ndjsonEncoder{w: w, idle: c.idle}
 	}
 	if enc.begin(cur.Vars(), cur.Epoch()) != nil {
 		return // client gone; nothing to salvage mid-stream
@@ -380,27 +381,36 @@ type rowEncoder interface {
 // the stats trailer — or an error event if the execution dies
 // mid-stream, after the 200 was committed. A row goes out as term
 // numbers, after a term line for each of its keys the stream has not
-// defined yet (wire.TermWriter). Lines collect in a pooled buffer and
-// reach the ResponseWriter once per flush point.
+// defined yet (wire.TermWriter). Lines collect in a buffer from the
+// core's free list and reach the ResponseWriter once per flush point.
 type ndjsonEncoder struct {
 	w     http.ResponseWriter
+	idle  chan *ndjsonBuf // the core's free list; nil keeps nothing
 	epoch uint64
 	n     int
 	*ndjsonBuf
 }
 
 // ndjsonBuf is what a streamed response reuses from the last one: its
-// line buffer and its term memo (a fixed 4 096 slots, whatever the store).
+// line buffer and its term memo, which grows with the distinct values
+// of the streams it wrote.
 type ndjsonBuf struct {
 	buf   []byte
 	terms wire.TermWriter
 }
 
-// ndjsonBufs pools the encoders' buffers; one whose line buffer grew
-// past maxPooledBuf (a huge row) is dropped instead.
-var ndjsonBufs = sync.Pool{New: func() any { return new(ndjsonBuf) }}
-
-const maxPooledBuf = 2 * streamChunkBytes
+// A core keeps up to idleBufs buffers of finished streams for its next
+// ones, each with a line buffer of at most maxPooledBuf bytes (a huge
+// row is dropped) and a memo of at most maxIdleMemo bytes (2^17 slots,
+// twice what the benchmark's largest stream needs), so one answer of
+// millions of values does not stay resident. A sync.Pool would drop
+// the grown memos at every GC, and a list shared by every core would
+// hand a router's memo to the shards it runs beside in one process.
+const (
+	idleBufs     = 2
+	maxPooledBuf = 2 * streamChunkBytes
+	maxIdleMemo  = 12 << 17
+)
 
 // flush hands the pending lines to the connection.
 func (e *ndjsonEncoder) flush() error {
@@ -424,7 +434,11 @@ func (e *ndjsonEncoder) event(ev wire.Event) error {
 }
 
 func (e *ndjsonEncoder) begin(vars []string, epoch uint64) error {
-	e.ndjsonBuf = ndjsonBufs.Get().(*ndjsonBuf)
+	select {
+	case e.ndjsonBuf = <-e.idle:
+	default:
+		e.ndjsonBuf = new(ndjsonBuf)
+	}
 	e.buf = e.buf[:0]
 	e.terms.Reset()
 	e.epoch = epoch
@@ -455,10 +469,14 @@ func (e *ndjsonEncoder) end(stats *dualsim.ExecStats, n int, truncated bool) {
 	e.release()
 }
 
-// release returns the buffer to the pool once the last line is out.
+// release returns the buffer to the free list once the last line is
+// out, if it is small and a slot is free.
 func (e *ndjsonEncoder) release() {
-	if cap(e.buf) <= maxPooledBuf {
-		ndjsonBufs.Put(e.ndjsonBuf)
+	if cap(e.buf) <= maxPooledBuf && e.terms.Size() <= maxIdleMemo {
+		select {
+		case e.idle <- e.ndjsonBuf:
+		default:
+		}
 	}
 	e.ndjsonBuf = nil
 }

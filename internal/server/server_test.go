@@ -259,8 +259,9 @@ func TestQueryErrors(t *testing.T) {
 
 // TestQueryConcurrentCallers (-race): several clients post their queries
 // through one session and its shared plan cache at once, each query a
-// request of its own; every query answers in full and each distinct text
-// is planned once.
+// request of its own, half of the clients streamed (their encoders share
+// the core's free list of buffers); every query answers in full and each
+// distinct text is planned once.
 func TestQueryConcurrentCallers(t *testing.T) {
 	_, hs, db := newTestServer(t)
 	srcs := []string{queryX1, queries.QueryX2, `SELECT * WHERE { ?director <awarded> ?prize . }`, queryX1}
@@ -271,22 +272,30 @@ func TestQueryConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			url := hs.URL + "/v1/query"
+			if g%2 == 1 {
+				url += "?stream=1"
+			}
 			for i, src := range srcs {
 				body, err := json.Marshal(wire.QueryRequest{Query: src})
 				if err != nil {
 					errs <- err
 					return
 				}
-				resp, err := http.Post(hs.URL+"/v1/query", wire.ContentTypeJSON, bytes.NewReader(body))
+				resp, err := http.Post(url, wire.ContentTypeJSON, bytes.NewReader(body))
 				if err != nil {
 					errs <- err
 					return
 				}
 				var out wire.QueryResponse
-				err = json.NewDecoder(resp.Body).Decode(&out)
+				if g%2 == 1 {
+					_, out.Rows, _ = readStream(t, resp.Body)
+				} else {
+					err = json.NewDecoder(resp.Body).Decode(&out)
+				}
 				resp.Body.Close()
 				if err != nil || resp.StatusCode != http.StatusOK || len(out.Rows) != want[i] {
-					errs <- fmt.Errorf("concurrent query %d: status %d, %d rows, %v; want %d rows", i, resp.StatusCode, len(out.Rows), err, want[i])
+					errs <- fmt.Errorf("concurrent query %d (%s): status %d, %d rows, %v; want %d rows", i, url, resp.StatusCode, len(out.Rows), err, want[i])
 				}
 			}
 		}()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -26,12 +27,13 @@ import (
 // line of a stream (counting from 0) defines term k. A row line is a
 // JSON array with one element per variable: the number of a term
 // defined above it, or null for unbound. The writer defines each value
-// before the first row that needs it and may define a value twice (its
-// memo is bounded); the reader accepts that. The writer escapes only
-// what RFC 8259 requires; the reader accepts every valid JSON string
-// escape in a term line, so it also reads what an encoding/json writer
-// emits. A value's JSON text is a cell, canonical when AppendCell spells
-// it so.
+// once, before the first row that needs it (past a fixed bound on the
+// distinct values one stream remembers, it defines a value again); the
+// reader accepts a value defined twice, as other writers may emit it.
+// The writer escapes only what RFC 8259 requires; the reader accepts
+// every valid JSON string escape in a term line, so it also reads what
+// an encoding/json writer emits. A value's JSON text is a cell,
+// canonical when AppendCell spells it so.
 
 // plain marks the bytes a JSON string carries as themselves: ASCII
 // except the control range, the quote and the backslash.
@@ -151,92 +153,217 @@ func AppendTerm(dst []byte, t rdf.Term) []byte {
 	return append(dst, `\""`...)
 }
 
-// memoSlots is the size of a memo: 4 096 slots, whatever the universe.
-const memoSlots = 1 << 12
+// Each stream's memo starts at memoSlots slots and grows before it is
+// three quarters full, so a stream defines each key once, up to
+// memoMaxSlots: a stream with more distinct keys than three quarters of
+// that (786 432) starts a new generation instead of growing, and
+// defines a key seen in the old one again. The reader takes a value
+// defined twice, so the wire does not change and a writer never holds
+// more than 12 MB of memo, whatever the stream.
+const (
+	memoSlots    = 1 << 12
+	memoMaxSlots = 1 << 20
+	numBits      = 20 // holds a key's number less its generation's base: below 3/4 of memoMaxSlots
+	maxGen       = 1<<(32-numBits) - 1
+)
 
-// memo is a bounded direct-mapped map from keys to their term numbers: a
-// key's slot is fixed by its hash, and a key landing on a taken slot
-// evicts the key there. The zero value is empty; its slots are allocated
-// on the first reset.
+// memo is an open-addressed map from keys to their term numbers,
+// probed linearly from the slot a key's hash picks. A slot whose
+// generation is not the memo's is free, so forgetting every key is one
+// increment. The table a stream uses is a prefix of the slots the memo
+// keeps: each stream starts at memoSlots, so a small stream after a
+// large one probes 48 KB, not the large one's table. The zero value is
+// empty; its slots are allocated on the first reset.
 type memo struct {
-	slots []memoSlot
-	gen   uint32 // a slot belongs to the current generation or is free
+	slots []memoSlot // the table: a power-of-two prefix of the slots kept
+	shift uint8      // 64 - log2(len(slots)): a hash's top bits pick the home slot
+	gen   uint32     // in [1, maxGen]: a slot of another generation is free
+	base  uint32     // the number of the generation's first key
+	n     int        // keys in the current generation
 }
 
+// memoSlot is 12 bytes: the key's halves, and its generation above its
+// number less the generation's base.
 type memoSlot struct {
-	key Key
-	gen uint32
-	num termNumber
+	lo, hi uint32
+	tag    uint32
 }
 
-// reset forgets every key without touching the slots.
+func (s *memoSlot) holds(k Key) bool { return s.lo == uint32(k) && s.hi == uint32(k>>32) }
+
+func (s *memoSlot) key() Key { return Key(s.hi)<<32 | Key(s.lo) }
+
+// home is k's first slot to probe.
+func (m *memo) home(k Key) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 >> m.shift }
+
+// live reports whether s belongs to the current generation.
+func (m *memo) live(s *memoSlot) bool { return s.tag>>numBits == m.gen }
+
+// reset forgets every key and shrinks the table to memoSlots, keeping
+// the slots beyond it for a later stream to grow into.
 func (m *memo) reset() {
 	if m.slots == nil {
 		m.slots = make([]memoSlot, memoSlots)
 	}
-	if m.gen++; m.gen == 0 {
-		clear(m.slots)
-		m.gen = 1
+	m.slots, m.shift = m.slots[:memoSlots], 64-12 // 12 = log2(memoSlots)
+	m.forget(0)
+}
+
+// forget starts a new generation whose first key is numbered base:
+// every slot is free. A stream grows its table at most
+// log2(memoMaxSlots/memoSlots) = 8 times, each into a generation of its
+// own, so the slots are cleared while that many are left.
+func (m *memo) forget(base uint32) {
+	if m.gen >= maxGen-8 {
+		clear(m.slots[:cap(m.slots)])
+		m.gen = 0
+	}
+	m.gen++
+	m.base, m.n = base, 0
+}
+
+// lookup returns k's number, or, if k is new, stores next as its number
+// and reports the miss. It is the miss path of AppendRow, which finds a
+// key sitting in its home slot itself.
+func (m *memo) lookup(k Key, next uint32) (uint32, bool) {
+	mask := uint64(len(m.slots) - 1)
+	i := m.home(k)
+	for ; m.live(&m.slots[i]); i = (i + 1) & mask {
+		if m.slots[i].holds(k) {
+			return m.base + m.slots[i].tag&(1<<numBits-1), true
+		}
+	}
+	if 4*(m.n+1) > 3*len(m.slots) {
+		if len(m.slots) < memoMaxSlots {
+			m.grow()
+		} else {
+			m.forget(next)
+		}
+		i = m.free(k)
+	}
+	m.slots[i] = memoSlot{lo: uint32(k), hi: uint32(k >> 32), tag: m.gen<<numBits | (next - m.base)}
+	m.n++
+	return next, false
+}
+
+// free returns the first slot on k's probe path that the current
+// generation does not hold.
+func (m *memo) free(k Key) uint64 {
+	i := m.home(k)
+	for m.live(&m.slots[i]) {
+		i = (i + 1) & uint64(len(m.slots)-1)
+	}
+	return i
+}
+
+// grow enlarges the table and re-inserts the current generation's keys
+// in place: the enlarged table starts with the old one, a re-inserted
+// key joins a new generation with the same number, and a slot it lands
+// on that still holds a key of the old generation hands that key on to
+// be re-inserted next. The table takes every slot the memo keeps, or
+// twice its slots once it has them all, so a stream as large as an
+// earlier one moves its keys once, when it outgrows memoSlots.
+func (m *memo) grow() {
+	old, s := m.gen, len(m.slots)
+	if s == cap(m.slots) {
+		grown := make([]memoSlot, 2*s)
+		copy(grown, m.slots)
+		m.slots = grown
+	}
+	m.slots = m.slots[:cap(m.slots)]
+	m.shift = uint8(64 - bits.TrailingZeros(uint(len(m.slots))))
+	m.gen++ // forget left room for it
+	for i := range s {
+		e := m.slots[i]
+		if e.tag>>numBits != old {
+			continue
+		}
+		m.slots[i].tag = 0
+		for e.tag>>numBits == old {
+			j := m.free(e.key())
+			e.tag = m.gen<<numBits | e.tag&(1<<numBits-1)
+			e, m.slots[j] = m.slots[j], e
+		}
 	}
 }
 
-// get returns k's number and whether k was there. On a miss the slot
-// now belongs to k and the caller fills the number in.
+// digitPairs spells 00 to 99, two bytes each.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendNum appends n in decimal. Numbers below 10 000, the terms of
+// most streams, are a fixed number of bytes picked from digitPairs.
 //
 //dualsim:hotpath
-func (m *memo) get(k Key) (*termNumber, bool) {
-	s := &m.slots[uint64(k)*0x9e3779b97f4a7c15>>(64-12)]
-	if s.gen == m.gen && s.key == k {
-		return &s.num, true
-	}
-	s.key, s.gen = k, m.gen
-	return &s.num, false
-}
-
-// termNumber is a term's number as the row lines spell it, in decimal.
-// Ten digits outlast the 2^31-1 terms a TermTable reads.
-type termNumber struct {
-	n      uint8
-	digits [10]byte
-}
-
-// increment adds one to the number.
-func (d *termNumber) increment() {
-	for i := int(d.n) - 1; i >= 0; i-- {
-		if d.digits[i] < '9' {
-			d.digits[i]++
-			return
+func appendNum(dst []byte, n uint32) []byte {
+	switch {
+	case n < 10:
+		return append(dst, byte('0'+n))
+	case n < 100:
+		return append(dst, digitPairs[2*n], digitPairs[2*n+1])
+	case n < 10000:
+		q, r := n/100, 2*(n%100)
+		if q < 10 {
+			return append(dst, byte('0'+q), digitPairs[r], digitPairs[r+1])
 		}
-		d.digits[i] = '0'
+		return append(dst, digitPairs[2*q], digitPairs[2*q+1], digitPairs[r], digitPairs[r+1])
 	}
-	d.digits[0], d.digits[d.n] = '1', '0' // 9…9 + 1 = 10…0
-	d.n++
+	var b [10]byte
+	i := len(b)
+	for n >= 100 {
+		q, r := n/100, 2*(n%100)
+		i -= 2
+		b[i], b[i+1] = digitPairs[r], digitPairs[r+1]
+		n = q
+	}
+	if n >= 10 {
+		i -= 2
+		b[i], b[i+1] = digitPairs[2*n], digitPairs[2*n+1]
+	} else {
+		i--
+		b[i] = byte('0' + n)
+	}
+	return append(dst, b[i:]...)
 }
 
 // TermWriter writes the term and row lines of one stream: it numbers
-// each key's cell on its first row and then writes only the number.
-// Numbers are looked up in a bounded memo, so a key evicted from it is
-// defined again under a new number. Call Reset before each stream.
+// each key's cell on its first row and then writes only the number, so
+// a stream defines each key once (past three quarters of a million
+// distinct keys its memo starts over, and a key seen before that is
+// defined again under a new number). Call Reset before each stream; the
+// memo keeps its grown size across Reset.
 type TermWriter struct {
 	memo memo
-	next termNumber // the number of the next term defined
-	row  []byte     // the row line being built while its terms are defined
+	next uint32 // the number of the next term defined
+	row  []byte // the row line being built while its terms are defined
 }
 
 // Reset starts a new stream: no term is defined.
 func (w *TermWriter) Reset() {
 	w.memo.reset()
-	w.next = termNumber{n: 1, digits: [10]byte{'0'}}
+	w.next = 0
 }
 
+// Size returns the bytes the writer holds on to across Reset, for a
+// free list that keeps only small writers.
+func (w *TermWriter) Size() int { return 12 * cap(w.memo.slots) }
+
 // AppendRow appends one row line, newline included, after a term line
-// for each of its keys the stream has not defined (or has forgotten).
-// keys holds one key per variable, NoKey for unbound; cells renders
-// the terms.
+// for each of its keys the stream has not defined. keys holds one key
+// per variable, NoKey for unbound; cells renders the terms.
 //
 //dualsim:hotpath
 func (w *TermWriter) AppendRow(dst []byte, keys []Key, cells CellAppender) []byte {
 	row := append(w.row[:0], '[')
+	m := &w.memo
 	for i, k := range keys {
 		if i > 0 {
 			row = append(row, ',')
@@ -245,13 +372,16 @@ func (w *TermWriter) AppendRow(dst []byte, keys []Key, cells CellAppender) []byt
 			row = append(row, "null"...)
 			continue
 		}
-		num, ok := w.memo.get(k)
-		if !ok {
-			dst = append(cells.AppendCell(dst, k), '\n')
-			*num = w.next
-			w.next.increment()
+		s := &m.slots[m.home(k)]
+		num := m.base + s.tag&(1<<numBits-1)
+		if !m.live(s) || !s.holds(k) {
+			var known bool
+			if num, known = m.lookup(k, w.next); !known {
+				dst = append(cells.AppendCell(dst, k), '\n')
+				w.next++
+			}
 		}
-		row = append(row, num.digits[:num.n]...)
+		row = appendNum(row, num)
 	}
 	w.row = append(row, ']', '\n')
 	return append(dst, w.row...)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -142,8 +144,9 @@ func checkLine(t *testing.T, tabs *[2]TermTable, line []byte, width int) {
 
 // checkEncode holds the writer to its contract: every line it writes is
 // plain JSON, and the reader reads the stream back to the very cells it
-// was built of and to the values json.Unmarshal gives them. Each value
-// gets its own key, so a value repeated in vals is defined twice.
+// was built of and to the values json.Unmarshal gives them, and defines
+// each key once. Each value gets its own key, so a value repeated in
+// vals is defined twice.
 func checkEncode(t *testing.T, vals []*string, width int) {
 	t.Helper()
 	cells := make(cellsOf, len(vals))
@@ -155,6 +158,7 @@ func checkEncode(t *testing.T, vals []*string, width int) {
 	var stream []byte
 	var wantCells [][]string
 	var wantVals [][]*string
+	distinct := map[Key]bool{}
 	for r := 0; r < 2*len(vals)+1; r++ { // every key twice, in rows that overlap
 		keys := make([]Key, width)
 		row, rowVals := make([]string, width), make([]*string, width)
@@ -164,6 +168,7 @@ func checkEncode(t *testing.T, vals []*string, width int) {
 			if vals[k] == nil {
 				keys[j] = NoKey
 			} else {
+				distinct[Key(k)] = true
 				s := asJSONReads(*vals[k])
 				rowVals[j] = &s
 			}
@@ -171,10 +176,17 @@ func checkEncode(t *testing.T, vals []*string, width int) {
 		stream = w.AppendRow(stream, keys, cells)
 		wantCells, wantVals = append(wantCells, row), append(wantVals, rowVals)
 	}
+	terms := 0
 	for _, line := range bytes.Split(bytes.TrimSuffix(stream, []byte{'\n'}), []byte{'\n'}) {
 		if !json.Valid(line) {
 			t.Fatalf("the writer wrote %q, not JSON", line)
 		}
+		if line[0] == '"' {
+			terms++
+		}
+	}
+	if terms != len(distinct) { // far below the memo's cap
+		t.Fatalf("the writer wrote %d term lines for %d distinct keys", terms, len(distinct))
 	}
 	gotCells, gotVals, err := readBoth(t, stream, width)
 	if err != nil {
@@ -349,33 +361,196 @@ func TestRowCodecShape(t *testing.T) {
 	}
 }
 
-// TestTermWriterForgets: past the memo's bound a key is defined again
-// under a new number, and the stream still reads back exactly.
-func TestTermWriterForgets(t *testing.T) {
+// TestTermWriterDefinesOnce: a stream defines each key once, however
+// many keys it has below the memo's cap, and reads back exactly. The
+// second stream, after Reset, starts from a small table again and grows
+// in place into the slots the first one left.
+func TestTermWriterDefinesOnce(t *testing.T) {
 	const keys = 3 * memoSlots
 	cells := make(cellsOf, keys)
 	for k := range cells {
 		cells[k] = fmt.Sprintf(`"<http://example.org/%d>"`, k)
 	}
 	var w TermWriter
+	for serve := range 2 {
+		w.Reset()
+		if n := len(w.memo.slots); n != memoSlots {
+			t.Fatalf("stream %d starts with %d slots, want %d", serve, n, memoSlots)
+		}
+		var stream []byte
+		for pass := 0; pass < 2; pass++ {
+			for k := 0; k < keys; k++ {
+				stream = w.AppendRow(stream, []Key{Key(k), Key(k / 2)}, cells)
+			}
+		}
+		got, _, err := readBoth(t, stream, 2)
+		if err != nil || len(got) != 2*keys {
+			t.Fatalf("stream %d: %d rows read back: %v", serve, len(got), err)
+		}
+		for r, row := range got {
+			if k := r % keys; row[0] != cells[k] || row[1] != cells[k/2] {
+				t.Fatalf("stream %d: row %d = %q, want %s,%s", serve, r, row, cells[k], cells[k/2])
+			}
+		}
+		if terms := bytes.Count(stream, []byte{'"', '\n'}); terms != keys {
+			t.Errorf("stream %d: %d term lines for %d keys read twice, want %d", serve, terms, keys, keys)
+		}
+	}
+}
+
+// TestTermWriterCap: a stream with more distinct keys than the memo
+// holds at its cap starts a new generation instead of growing, defines
+// the keys it forgot again, and still reads back exactly.
+func TestTermWriterCap(t *testing.T) {
+	const (
+		full  = 3 * memoMaxSlots / 4 // keys of the generation that fills the cap
+		keys  = full + 1000
+		again = 100 // keys of the first generation read once more
+	)
+	cells := make(cellsOf, keys)
+	for k := range cells {
+		cells[k] = fmt.Sprintf(`"<%d>"`, k)
+	}
+	var w TermWriter
 	w.Reset()
 	var stream []byte
-	for pass := 0; pass < 2; pass++ {
-		for k := 0; k < keys; k++ {
-			stream = w.AppendRow(stream, []Key{Key(k), Key(k / 2)}, cells)
+	var want []string
+	row := func(k int) {
+		stream = w.AppendRow(stream, []Key{Key(k)}, cells)
+		want = append(want, cells[k])
+		if n := len(w.memo.slots); n > memoMaxSlots {
+			t.Fatalf("after key %d the memo has %d slots, over its cap of %d", k, n, memoMaxSlots)
 		}
 	}
-	got, _, err := readBoth(t, stream, 2)
-	if err != nil || len(got) != 2*keys {
-		t.Fatalf("%d rows read back: %v", len(got), err)
+	for k := range keys {
+		row(k)
 	}
-	for r, row := range got {
-		if k := r % keys; row[0] != cells[k] || row[1] != cells[k/2] {
-			t.Fatalf("row %d = %q, want %s,%s", r, row, cells[k], cells[k/2])
+	for k := keys - again; k < keys; k++ { // the new generation remembers these
+		row(k)
+	}
+	for k := range again { // and forgot these
+		row(k)
+	}
+	if n := len(w.memo.slots); n != memoMaxSlots {
+		t.Errorf("the memo has %d slots, want its cap %d", n, memoMaxSlots)
+	}
+	if terms := bytes.Count(stream, []byte{'"', '\n'}); terms != keys+again {
+		t.Errorf("%d term lines, want %d: %d keys, %d of them forgotten and read again", terms, keys+again, keys, again)
+	}
+	got, _, err := read(stream, 1, false)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("%d rows read back, %d written: %v", len(got), len(want), err)
+	}
+	for r := range want {
+		if got[r][0] != want[r] {
+			t.Fatalf("row %d = %s, want %s", r, got[r][0], want[r])
 		}
 	}
-	if terms := bytes.Count(stream, []byte{'"', '\n'}); terms <= keys {
-		t.Errorf("%d term lines for %d keys read twice: the memo was not bounded", terms, keys)
+}
+
+// TestTermWriterGenerations: the generations run out of bits after
+// about two thousand streams that grow their tables; the memo then
+// clears its slots and starts over, and every stream across the wrap
+// still defines each key once and reads back exactly.
+func TestTermWriterGenerations(t *testing.T) {
+	const keys = 2 * memoSlots // each stream grows its table in place once
+	cells := make(cellsOf, keys)
+	for k := range cells {
+		cells[k] = fmt.Sprintf(`"<%d>"`, k)
+	}
+	var w TermWriter
+	w.Reset()
+	w.memo.gen = maxGen - 14
+	wrapped := false
+	for serve := range 6 {
+		before := w.memo.gen
+		w.Reset()
+		wrapped = wrapped || w.memo.gen < before
+		if w.memo.gen > maxGen-8 {
+			t.Fatalf("stream %d starts at generation %d, too close to %d", serve, w.memo.gen, maxGen)
+		}
+		var stream []byte
+		for k := range keys {
+			stream = w.AppendRow(stream, []Key{Key(k), Key(keys - 1 - k)}, cells)
+		}
+		got, _, err := read(stream, 2, false)
+		if err != nil || len(got) != keys {
+			t.Fatalf("stream %d: %d rows read back: %v", serve, len(got), err)
+		}
+		for r, row := range got {
+			if row[0] != cells[r] || row[1] != cells[keys-1-r] {
+				t.Fatalf("stream %d: row %d = %q", serve, r, row)
+			}
+		}
+		if terms := bytes.Count(stream, []byte{'"', '\n'}); terms != keys {
+			t.Fatalf("stream %d: %d term lines for %d keys", serve, terms, keys)
+		}
+	}
+	if !wrapped {
+		t.Errorf("six streams from generation %d never started the generations over", maxGen-14)
+	}
+}
+
+// TestTermWriterReuseAllocs: a writer that has served a stream serves
+// it again after Reset without allocating: its memo keeps its grown
+// slots.
+func TestTermWriterReuseAllocs(t *testing.T) {
+	const keys = 20_000
+	cells := make(cellsOf, keys)
+	for k := range cells {
+		cells[k] = fmt.Sprintf(`"<http://example.org/%d>"`, k)
+	}
+	var w TermWriter
+	var stream []byte
+	var appender CellAppender = cells // converted once: a slice in an interface is a copy
+	serve := func() {
+		w.Reset()
+		stream = stream[:0]
+		for k := range keys {
+			stream = w.AppendRow(stream, []Key{Key(k), Key(keys - 1 - k)}, appender)
+		}
+	}
+	serve()
+	first := slices.Clone(stream)
+	if allocs := testing.AllocsPerRun(5, serve); allocs != 0 {
+		t.Errorf("re-serving a %d-key stream allocates %.0f times, want 0", keys, allocs)
+	}
+	if !bytes.Equal(stream, first) {
+		t.Errorf("the re-served stream differs from the first")
+	}
+}
+
+// BenchmarkTermWriter: what the writer costs per row, and the bytes it
+// writes per row, for two columns each drawn from n distinct keys over
+// a stream of 20 000 rows. Run it with
+//
+//	go test ./internal/wire -run '^$' -bench BenchmarkTermWriter
+func BenchmarkTermWriter(b *testing.B) {
+	const rows = 20_000
+	for _, n := range []int{1000, 3000, 8000, 20_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			cells := make(cellsOf, 2*n)
+			for k := range cells {
+				cells[k] = fmt.Sprintf(`"<http://example.org/resource/%d>"`, k)
+			}
+			rng := rand.New(rand.NewPCG(1, uint64(n)))
+			keys := make([]Key, 2*rows)
+			for i := range rows {
+				keys[2*i], keys[2*i+1] = Key(rng.IntN(n)), Key(n+rng.IntN(n))
+			}
+			var w TermWriter
+			var stream []byte
+			var appender CellAppender = cells
+			for b.Loop() {
+				w.Reset()
+				stream = stream[:0]
+				for i := range rows {
+					stream = w.AppendRow(stream, keys[2*i:2*i+2], appender)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			b.ReportMetric(float64(len(stream))/rows, "B/row")
+		})
 	}
 }
 
