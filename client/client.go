@@ -1,8 +1,8 @@
 // Package client is the typed Go client of the dualsimd serving API
-// (internal/server, cmd/dualsimd): queries with buffered or streamed
-// (NDJSON) results, live deltas, compaction, snapshot/health
-// introspection — with bounded retries that honour the server's
-// Retry-After shedding hints.
+// (internal/server, cmd/dualsimd): queries, read as the NDJSON stream
+// they are answered with or whole, live deltas, compaction,
+// snapshot/health introspection — with bounded retries that honour the
+// server's Retry-After shedding hints.
 //
 // Consistency: every response is epoch-tagged. A streamed result's
 // header and stats trailer carry the same epoch, and Stream.Epoch
@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -37,10 +38,9 @@ type Triple = wire.Triple
 // FromTriple converts an engine triple to wire form.
 func FromTriple(t dualsim.Triple) Triple { return wire.FromTriple(t) }
 
-// QueryResponse, ApplyResponse, SnapshotResponse and
-// HealthResponse mirror the server's JSON bodies.
+// ApplyResponse, SnapshotResponse and the others mirror the server's
+// JSON bodies.
 type (
-	QueryResponse      = wire.QueryResponse
 	ApplyResponse      = wire.ApplyResponse
 	CheckpointResponse = wire.CheckpointResponse
 	SnapshotResponse   = wire.SnapshotResponse
@@ -166,17 +166,35 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 // BaseURL returns the normalized server URL the client talks to.
 func (c *Client) BaseURL() string { return c.base }
 
-// Query executes one query and buffers the whole result. timeoutMs > 0
-// asks the server to bound the execution; pair it with a ctx deadline
-// for end-to-end bounds.
+// QueryResponse is a query's stream read whole.
+type QueryResponse struct {
+	Vars []string
+	// Rows are decoded bindings, positional over Vars; nil marks an
+	// unbound variable.
+	Rows      [][]*string
+	Epoch     uint64
+	Truncated bool
+	Stats     *dualsim.ExecStats
+}
+
+// Query executes one query and reads its stream (QueryStream) whole. A
+// Timeout option asks the server to bound the execution; pair it with a
+// ctx deadline for end-to-end bounds.
 func (c *Client) Query(ctx context.Context, src string, opts ...QueryOpt) (*QueryResponse, error) {
-	o := collect(opts)
-	req := wire.QueryRequest{Query: src, TimeoutMs: o.timeoutMs, Limit: o.limit, Trace: o.trace}
-	var out QueryResponse
-	if err := c.doJSONHdr(ctx, "POST", "/v1/query", &req, &out, true, o.header()); err != nil {
+	st, err := c.QueryStream(ctx, src, opts...)
+	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	defer st.Close()
+	out := &QueryResponse{Vars: st.Vars(), Epoch: st.Epoch()}
+	for st.Next() {
+		out.Rows = append(out.Rows, slices.Clone(st.Row()))
+	}
+	if err := st.Err(); err != nil {
+		return nil, err
+	}
+	out.Truncated, out.Stats = st.Truncated(), st.Stats()
+	return out, nil
 }
 
 // Explain asks the server for the compiled plan of src without
@@ -681,11 +699,14 @@ func (s *Stream) Close() error {
 }
 
 // QueryStream executes one query and decodes the result incrementally.
-// The returned Stream must be Closed (draining it fully also releases
-// the connection for reuse).
+// The server sends the stream's header with its first row (or its
+// trailer), so an execution that fails before then returns here as an
+// *APIError with the server's status; one that fails later ends the
+// Stream with a *StreamError. The returned Stream must be Closed
+// (draining it fully also releases the connection for reuse).
 func (c *Client) QueryStream(ctx context.Context, src string, opts ...QueryOpt) (*Stream, error) {
 	o := collect(opts)
-	req := wire.QueryRequest{Query: src, TimeoutMs: o.timeoutMs, Limit: o.limit, Stream: true, Trace: o.trace}
+	req := wire.QueryRequest{Query: src, TimeoutMs: o.timeoutMs, Limit: o.limit, Trace: o.trace}
 	body, err := json.Marshal(&req)
 	if err != nil {
 		return nil, err

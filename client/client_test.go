@@ -193,6 +193,9 @@ func containsLine(page, line string) bool {
 	return false
 }
 
+// emptyStream is a query's answer with no rows.
+const emptyStream = `{"kind":"header","vars":["x"],"epoch":0}` + "\n" + `{"kind":"stats","epoch":0,"stats":{}}` + "\n"
+
 // TestClientRetriesShedding points the client at a fake server that
 // sheds twice before answering, and asserts the retry loop honours the
 // Retry-After hint and eventually succeeds.
@@ -205,7 +208,7 @@ func TestClientRetriesShedding(t *testing.T) {
 			w.Write([]byte(`{"error":"overloaded","retryAfterMs":1}`))
 			return
 		}
-		w.Write([]byte(`{"vars":["x"],"rows":[],"epoch":0}`))
+		w.Write([]byte(emptyStream))
 	}))
 	defer fake.Close()
 
@@ -303,7 +306,7 @@ func TestClientRetryReusesConnection(t *testing.T) {
 			w.Write(big)
 			return
 		}
-		w.Write([]byte(`{"vars":["x"],"rows":[],"epoch":0}` + "\n"))
+		w.Write([]byte(emptyStream))
 	}))
 	var conns atomic.Int64
 	fake.Config.ConnState = func(c net.Conn, s http.ConnState) {

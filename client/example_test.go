@@ -44,7 +44,7 @@ func serve() (*client.Client, *server.Server, func()) {
 	return c, srv, func() { hs.Close(); db.Close() }
 }
 
-// ExampleClient_Query runs (X1) over HTTP: one JSON envelope, tagged
+// ExampleClient_Query runs (X1) over HTTP and reads its stream whole, tagged
 // with the epoch it was answered at.
 func ExampleClient_Query() {
 	c, _, stop := serve()

@@ -14,7 +14,7 @@
 //
 // Endpoints (see internal/server for the wire format):
 //
-//	POST /v1/query        query via the plan cache; ?stream=1 for NDJSON rows
+//	POST /v1/query        query via the plan cache, answered as NDJSON rows
 //	POST /v1/apply        live delta (dels before adds, atomic, epoch++)
 //	POST /v1/compact      compact the store (dead terms reclaimed)
 //	POST /v1/checkpoint   roll the WAL into a fresh on-disk snapshot

@@ -276,7 +276,7 @@ func ExampleDB_Explain() {
 
 // ExampleDB_ExplainAnalyze executes a query with per-operator clocks on
 // and reports the executed counters and the request's span tree, the
-// tree dualsimd returns for ?trace=1.
+// tree dualsimd returns for a query whose body sets "trace".
 func ExampleDB_ExplainAnalyze() {
 	db, _ := dualsim.Open(movieGraph())
 	defer db.Close()

@@ -99,15 +99,15 @@ func cutAfterFirstRow(h http.Handler) http.Handler {
 
 // reply is what the conformance table compares across backends.
 type reply struct {
-	Status     int
-	Epoch      string   // X-Dualsim-Epoch
-	Traced     bool     // X-Dualsim-Trace present
-	RetryAfter string   // Retry-After
-	Events     []string // NDJSON: event kinds, rows collapsed to "row×N"
-	HasError   bool     // the body carries a non-empty "error"
-	Rows       []string // buffered 200: canonical row set
-	StatsTrace bool     // the stats carry a span tree
-	Results    int      // the stats' result count
+	Status      int
+	ContentType string
+	Epoch       string   // X-Dualsim-Epoch
+	Traced      bool     // X-Dualsim-Trace present
+	RetryAfter  string   // Retry-After
+	Events      []string // NDJSON: event kinds, rows collapsed to "row×N"
+	HasError    bool     // the body carries a non-empty "error"
+	StatsTrace  bool     // the stats carry a span tree
+	Results     int      // the stats' result count
 
 	// Not compared across backends: IDs are minted per request, the
 	// router's stats are the merge's, which has no operator list, and
@@ -132,13 +132,14 @@ func do(t *testing.T, method, url string, hdr map[string]string, body io.Reader)
 	}
 	defer resp.Body.Close()
 	out := reply{
-		Status:     resp.StatusCode,
-		Epoch:      resp.Header.Get("X-Dualsim-Epoch"),
-		Traced:     resp.Header.Get("X-Dualsim-Trace") != "",
-		RetryAfter: resp.Header.Get("Retry-After"),
-		traceID:    resp.Header.Get("X-Dualsim-Trace"),
+		Status:      resp.StatusCode,
+		ContentType: resp.Header.Get("Content-Type"),
+		Epoch:       resp.Header.Get("X-Dualsim-Epoch"),
+		Traced:      resp.Header.Get("X-Dualsim-Trace") != "",
+		RetryAfter:  resp.Header.Get("Retry-After"),
+		traceID:     resp.Header.Get("X-Dualsim-Trace"),
 	}
-	if resp.Header.Get("Content-Type") == wire.ContentTypeNDJSON {
+	if out.ContentType == wire.ContentTypeNDJSON {
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
 		rows := 0
@@ -181,18 +182,10 @@ func do(t *testing.T, method, url string, hdr map[string]string, body io.Reader)
 		flush()
 		return out
 	}
-	var env struct {
-		Error string             `json:"error"`
-		Rows  [][]*string        `json:"rows"`
-		Stats *dualsim.ExecStats `json:"stats"`
-	}
+	var e wire.ErrorResponse
 	buf, _ := io.ReadAll(resp.Body)
-	if json.Unmarshal(buf, &env) == nil {
-		out.HasError, out.errMsg = env.Error != "", env.Error
-		out.Rows = canonRows(env.Rows)
-		if env.Stats != nil {
-			out.stats(env.Stats)
-		}
+	if json.Unmarshal(buf, &e) == nil {
+		out.HasError, out.errMsg = e.Error != "", e.Error
 	}
 	return out
 }
@@ -214,7 +207,9 @@ func TestProtocolConformance(t *testing.T) {
 	cut := startPairVia(t, triples, cutAfterFirstRow)
 
 	const x1 = `SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }`
-	const slow = `SELECT * WHERE { ?a <linked> ?b . ?c <linked> ?d . ?e <linked> ?f . }`
+	// No ?b meets a ?c and no ?d an ?e, so the 400³ combinations the
+	// filter reads yield no row.
+	const slow = `SELECT * WHERE { ?a <linked> ?b . ?c <linked> ?d . ?e <linked> ?f . FILTER(?b = ?c || ?d = ?e) }`
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 	streamed := []string{"header", "row×2", "stats"}
 	q := func(fields string) string {
@@ -238,36 +233,37 @@ func TestProtocolConformance(t *testing.T) {
 		{name: "empty query", body: `{"query":"  "}`, status: 400},
 		{name: "parse error", body: `{"query":"SELECT broken"}`, status: 400},
 		{name: "unknown explain mode", body: q(`,"explain":"bogus"`), status: 400},
-		{name: "timeoutMs expiry", body: fmt.Sprintf(`{"query":%q,"timeoutMs":20}`, slow), status: 504},
-		{name: "buffered", body: q(""), status: 200, check: func(t *testing.T, _ backend, r reply) {
-			if len(r.Rows) != 2 || r.Epoch != "0" {
-				t.Errorf("buffered reply: %+v", r)
-			}
-		}},
-		{name: "limit truncates", body: q(`,"limit":1,"stream":true`), status: 200, events: []string{"header", "row×1", "stats"}},
-		// The stats trailer is the executor's: on the daemon (whose stats
-		// are one execution's) it lists the operators.
-		{name: "stream by body", body: q(`,"stream":true`), status: 200, events: streamed,
-			check: func(t *testing.T, b backend, r reply) {
-				if r.Results != 2 || b.name == "daemon" && !r.operators {
-					t.Errorf("stats trailer: %d results, operators %v", r.Results, r.operators)
+		// An execution that dies before its first row: nothing is
+		// committed, so it answers with its own status and a JSON error,
+		// and no header event.
+		{name: "fails before its first row", body: fmt.Sprintf(`{"query":%q,"timeoutMs":20}`, slow), status: 504,
+			check: func(t *testing.T, _ backend, r reply) {
+				if r.ContentType != wire.ContentTypeJSON || r.Epoch != "" {
+					t.Errorf("Content-Type %q, X-Dualsim-Epoch %q; want JSON and none", r.ContentType, r.Epoch)
 				}
 			}},
-		{name: "stream by URL", path: "?stream=1", body: q(""), status: 200, events: streamed},
-		{name: "stream by Accept", hdr: map[string]string{"Accept": wire.ContentTypeNDJSON}, body: q(""), status: 200, events: streamed},
-		{name: "trace by body", body: q(`,"trace":true`), status: 200, traced: true},
-		{name: "trace by URL", path: "?trace=1", body: q(""), status: 200, traced: true},
-		{name: "trace by traceparent", hdr: map[string]string{"traceparent": "00-" + traceID + "-00f067aa0ba902b7-01"}, body: q(""), status: 200, traced: true,
+		{name: "limit truncates", body: q(`,"limit":1`), status: 200, events: []string{"header", "row×1", "stats"}},
+		// The stats trailer is the executor's: on the daemon (whose stats
+		// are one execution's) it lists the operators.
+		{name: "streamed", body: q(""), status: 200, events: streamed,
+			check: func(t *testing.T, b backend, r reply) {
+				if r.Results != 2 || r.Epoch != "0" || b.name == "daemon" && !r.operators {
+					t.Errorf("stats trailer: %d results, epoch %q, operators %v", r.Results, r.Epoch, r.operators)
+				}
+			}},
+		{name: "trace by body", body: q(`,"trace":true`), status: 200, events: streamed, traced: true},
+		{name: "trace by traceparent", hdr: map[string]string{"traceparent": "00-" + traceID + "-00f067aa0ba902b7-01"}, body: q(""), status: 200, events: streamed, traced: true,
 			check: func(t *testing.T, _ backend, r reply) {
 				if r.traceID != traceID {
 					t.Errorf("X-Dualsim-Trace = %q, want the caller's %q", r.traceID, traceID)
 				}
 			}},
-		{name: "streamed trace", path: "?stream=1&trace=1", body: q(""), status: 200, events: streamed, traced: true},
+		// The URL and the Accept header choose nothing.
+		{name: "flags in the URL are not read", path: "?trace=1&explain=plan&stream=0", hdr: map[string]string{"Accept": wire.ContentTypeJSON}, body: q(""), status: 200, events: streamed},
 		// An execution that dies after its first row, on the daemon and on
 		// the shard a router pushes the query down to: the row is out, so
 		// the stream ends with the in-band error event, not a status.
-		{name: "in-band failure after a row", cut: true, body: `{"query":"SELECT * WHERE { ?d <directed> ?m . }","stream":true}`,
+		{name: "in-band failure after a row", cut: true, body: `{"query":"SELECT * WHERE { ?d <directed> ?m . }"}`,
 			status: 200, events: []string{"header", "row×1", "error"}},
 		// No second read protocol: a query slice is N /v1/query requests.
 		{name: "no batch route", route: "/v1/batch", body: fmt.Sprintf(`{"queries":[%q]}`, x1), status: 404},
@@ -378,10 +374,10 @@ func TestSaturatedAdmission(t *testing.T) {
 
 // TestEscapedTermsConformance serves terms that need every escape the
 // row codec knows — and an unbound column — and requires the same
-// decoded values from the buffered envelope and the NDJSON stream, on
-// both backends: two shapes, one rendering. The
-// stream is read twice, by the typed client and line by line with plain
-// json.Unmarshal, the way a third-party consumer would.
+// decoded values from the NDJSON stream on both backends, read three
+// ways: whole by the typed client's Query, row by row by its
+// QueryStream, and line by line with plain json.Unmarshal, the way a
+// third-party consumer would.
 func TestEscapedTermsConformance(t *testing.T) {
 	lits := []string{
 		`plain`, `say "hi"`, `back\slash`, "line\nbreak", "tab\there", "cr\rhere",
@@ -450,11 +446,11 @@ func TestEscapedTermsConformance(t *testing.T) {
 			if gathered {
 				qopts = append(qopts, client.Trace())
 			}
-			buffered, err := c.Query(ctx, q, qopts...)
+			whole, err := c.Query(ctx, q, qopts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("buffered", buffered.Rows)
+			check("read whole", whole.Rows)
 			if gathered {
 				// <has>, <sees> and <opt> do not share a shard of 2, so the
 				// literals cross the wire in the export's snapshot codec:
@@ -487,13 +483,13 @@ func TestEscapedTermsConformance(t *testing.T) {
 						t.Errorf("%d export spans counting %d triples, want 2 and %d", n, triples, want)
 					}
 				}
-				exports(buffered, false)
+				exports(whole, false)
 				traced, err := c.Query(ctx, q, client.Trace())
 				if err != nil {
 					t.Fatal(err)
 				}
 				exports(traced, true)
-				check("buffered, repeated", traced.Rows)
+				check("read whole, repeated", traced.Rows)
 			}
 
 			st, err := c.QueryStream(ctx, q)
@@ -510,7 +506,7 @@ func TestEscapedTermsConformance(t *testing.T) {
 			st.Close()
 			check("streamed, typed client", streamed)
 
-			resp, err := http.Post(b.url+"/v1/query?stream=1", wire.ContentTypeJSON,
+			resp, err := http.Post(b.url+"/v1/query", wire.ContentTypeJSON,
 				strings.NewReader(fmt.Sprintf(`{"query":%q}`, q)))
 			if err != nil {
 				t.Fatal(err)

@@ -109,8 +109,8 @@ func longQuery(r *rand.Rand) (string, []string) {
 	return "SELECT * WHERE { " + strings.Join(branches, " UNION ") + " }", branches
 }
 
-// streamVia reads src through the streamed shape and returns its vars
-// and its rows as rowKey renders them.
+// streamVia reads src row by row and returns its vars and its rows as
+// rowKey renders them.
 func streamVia(t *testing.T, url, src string) ([]string, []string, error) {
 	t.Helper()
 	c, err := client.New(url)
@@ -140,31 +140,6 @@ func rowKey(row []*string) string {
 		}
 	}
 	return strings.Join(parts, " ")
-}
-
-// inOrder returns the rows of a single node's answer with their columns
-// in the order of vars, or false if vars are not the answer's variables.
-// A branch's columns come in the order its plan binds them, and a shard
-// or a gathered slice can plan a branch differently from a node holding
-// the whole store, so the router's vars may permute the single node's.
-func inOrder(single *client.QueryResponse, vars []string) ([][]*string, bool) {
-	if len(vars) != len(single.Vars) {
-		return nil, false
-	}
-	cols := make([]int, len(vars))
-	for i, v := range vars {
-		if cols[i] = slices.Index(single.Vars, v); cols[i] < 0 {
-			return nil, false
-		}
-	}
-	rows := make([][]*string, len(single.Rows))
-	for i, row := range single.Rows {
-		rows[i] = make([]*string, len(cols))
-		for j, c := range cols {
-			rows[i][j] = row[c]
-		}
-	}
-	return rows, true
 }
 
 // canonicalLess is the router's window order: unbound first, then the
@@ -212,13 +187,14 @@ func startRouters(t *testing.T, full *dualsim.Store) (map[int]*Router, map[int]s
 // — branches whose answers overlap, branches that differ only in an
 // OPTIONAL variable, zero-width branches, escaped literals, gathered and
 // pushed-down branches side by side, LIMIT/OFFSET windows — answers with
-// the vars of a single node over the whole store (in some order, see
-// inOrder) and the same rows as a set. A window holds exactly the rows
-// the router's canonical order puts there when no branch was cut short
-// by the pushed-down limit, and otherwise as many distinct rows of the
-// answer, in that order. The streamed shape carries the buffered one's
-// vars and rows, also when the first branch is longer than a flush
-// (longQuery, drawn after the others).
+// the vars of a single node over the whole store, in the same order, and
+// the same rows as a set. A window holds exactly the rows the router's
+// canonical order puts there when no branch was cut short by the
+// pushed-down limit, and otherwise as many distinct rows of the answer,
+// in that order. Read row by row (QueryStream), a second request
+// carries the vars and rows read whole (Query) in the same order, also
+// when the first branch is longer than a flush (longQuery, drawn after
+// the others).
 func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 	var overlaps, windows, gathers, zeroWidth, long int
 	f := func(seed int64) bool {
@@ -263,11 +239,11 @@ func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 			}
 			for _, n := range []int{2, 3} {
 				got := queryVia(t, urls[n], src)
-				single, ok := inOrder(want, got.Vars)
-				if !ok {
+				if !slices.Equal(got.Vars, want.Vars) {
 					t.Logf("seed %d, %d shards, %s: vars %v, single node %v", seed, n, src, got.Vars, want.Vars)
 					return false
 				}
+				single := slices.Clone(want.Rows)
 				keys, wantKeys := make([]string, len(got.Rows)), make([]string, len(single))
 				for i, row := range got.Rows {
 					keys[i] = rowKey(row)
@@ -277,7 +253,7 @@ func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 				}
 				vars, streamed, err := streamVia(t, urls[n], src)
 				if err != nil || !slices.Equal(vars, got.Vars) || !slices.Equal(streamed, keys) {
-					t.Logf("seed %d, %d shards, %s: streamed %v %q (%v)\n buffered %v %q", seed, n, src, vars, streamed, err, got.Vars, keys)
+					t.Logf("seed %d, %d shards, %s: streamed %v %q (%v)\n read whole %v %q", seed, n, src, vars, streamed, err, got.Vars, keys)
 					return false
 				}
 				if q.Limit == 0 {
@@ -401,7 +377,7 @@ func heldExactly(rt *Router) error {
 // epochs: the same texts run again and again over 2 and 3 shards, with a
 // random delta applied through each router and to the single node
 // between the rounds, and every execution answers the single node's
-// rows at that epoch (as a set, vars in some order). A repeat meets held
+// vars and rows at that epoch (rows as a set). A repeat meets held
 // gathers; a delta moves one or two predicates' shards, so the next
 // gather finds some slices unchanged and others not.
 func TestPropertyRouterAcrossEpochs(t *testing.T) {
@@ -435,11 +411,11 @@ func TestPropertyRouterAcrossEpochs(t *testing.T) {
 					want := queryVia(t, single, src)
 					for _, n := range []int{2, 3} {
 						got := queryVia(t, urls[n], src)
-						rows, ok := inOrder(want, got.Vars)
-						if !ok {
+						if !slices.Equal(got.Vars, want.Vars) {
 							t.Logf("seed %d, round %d, %d shards, %s: vars %v, single node %v", seed, round, n, src, got.Vars, want.Vars)
 							return false
 						}
+						rows := want.Rows
 						keys, wantKeys := make([]string, len(got.Rows)), make([]string, len(rows))
 						for i, row := range got.Rows {
 							keys[i] = rowKey(row)

@@ -44,7 +44,8 @@
 // whichever engine runs the branch. The branches are united like the
 // engine's union operator unites them, and streamed: columns fold
 // left-to-right (left vars, then unseen right vars); once every header
-// is in, branch 0's rows are relayed as they arrive, padded to the
+// is in (a shard sends its header with its first row or its trailer),
+// branch 0's rows are relayed as they arrive, padded to the
 // merged schema, then each later branch's, read ahead meanwhile. Only
 // branches whose rows can collide (mayMeet) are deduplicated, by their
 // cells' bytes. Rows are never decoded: a cell is read in place from a
@@ -53,7 +54,8 @@
 // epochs that answered — per-shard reads are individually
 // epoch-consistent, and X-Dualsim-Epoch reports the freshest of them.
 // A branch that fails before its header cancels the others and fails
-// the query; one that fails later ends the answer with the error.
+// the query; one that fails later ends the answer with the error, with
+// the router's own status while no row has gone out to the client.
 //
 // EXPLAIN is forwarded when the whole query pushes down to one shard;
 // a scattered query has no single plan and is refused with 400.
@@ -548,8 +550,9 @@ func (r *Router) open(ctx context.Context, b sparql.Expr, q *dualsim.Query) (row
 
 // onShard runs one read against shard si: the first routing candidate,
 // then one failover when the failure is the endpoint's (transport
-// error, 5xx) rather than the request's (4xx) or our own context
-// expiring. A failed endpoint is marked down until a probe revives it.
+// error, 5xx) rather than the request's (judged: a 4xx, the shard's
+// own 504, a failed stream) or our own context expiring. A failed
+// endpoint is marked down until a probe revives it.
 func onShard[T any](ctx context.Context, r *Router, si int, call func(*endpoint) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
@@ -576,12 +579,22 @@ func onShard[T any](ctx context.Context, r *Router, si int, call func(*endpoint)
 	return zero, shardFailure(si, lastErr)
 }
 
-// judged reports whether err is an endpoint's verdict on the request (a
-// 4xx, a failed row stream) rather than the endpoint failing.
-func judged(err error) bool {
+// verdict returns err's reply when it is the shard's verdict on the
+// request, to be relayed as it is: a 4xx, or a 504, the shard's own
+// deadline expiring before the first row.
+func verdict(err error) *client.APIError {
 	var ae *client.APIError
+	if errors.As(err, &ae) && (ae.StatusCode < 500 || ae.StatusCode == http.StatusGatewayTimeout) {
+		return ae
+	}
+	return nil
+}
+
+// judged reports whether err is an endpoint's verdict on the request (a
+// verdict, a failed row stream) rather than the endpoint failing.
+func judged(err error) bool {
 	var se *client.StreamError
-	return errors.As(err, &ae) && ae.StatusCode < 500 || errors.As(err, &se)
+	return verdict(err) != nil || errors.As(err, &se)
 }
 
 // shardFailure maps a shard's terminal error onto the router's reply.
@@ -589,9 +602,7 @@ func shardFailure(si int, err error) error {
 	if err == nil {
 		return server.Errorf(http.StatusServiceUnavailable, "shard %d has no live endpoint", si)
 	}
-	var ae *client.APIError
-	if errors.As(err, &ae) && ae.StatusCode < 500 {
-		// The shard judged the request itself; relay its verdict.
+	if ae := verdict(err); ae != nil {
 		return server.Errorf(ae.StatusCode, "shard %d: %s", si, ae.Message)
 	}
 	return server.Errorf(http.StatusBadGateway, "shard %d: %v", si, err)

@@ -102,7 +102,7 @@ func canonRows(rows [][]*string) []string {
 	return out
 }
 
-func queryVia(t *testing.T, url, src string) *wire.QueryResponse {
+func queryVia(t *testing.T, url, src string) *client.QueryResponse {
 	t.Helper()
 	c, err := client.New(url)
 	if err != nil {
@@ -265,7 +265,7 @@ func TestRouterDefinesEachTermOnce(t *testing.T) {
 	t.Cleanup(rs.Close)
 
 	const src = `SELECT * WHERE { ?s <p> ?o . }`
-	resp, err := http.Post(rs.URL+"/v1/query?stream=1", "application/json", strings.NewReader(fmt.Sprintf(`{"query":%q}`, src)))
+	resp, err := http.Post(rs.URL+"/v1/query", "application/json", strings.NewReader(fmt.Sprintf(`{"query":%q}`, src)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestRouterApply(t *testing.T) {
 		dualsim.T("Walkabout", "genre", "Drama"),
 	}
 	src := `SELECT * WHERE { ?d <directed> ?m . ?d <awarded> ?a . ?m <genre> ?g . }` // shards 1 and 0 of 2
-	same := func(when string) *wire.QueryResponse {
+	same := func(when string) *client.QueryResponse {
 		t.Helper()
 		got, want := queryVia(t, rs.URL, src), queryVia(t, single.URL, src)
 		if fmt.Sprint(canonRows(got.Rows)) != fmt.Sprint(canonRows(want.Rows)) {
@@ -924,11 +924,11 @@ func TestRouterExplain(t *testing.T) {
 	}
 }
 
-// A shard that answers 200 and then reports, in-band, that the
-// execution died (a deadline, a memory budget) has judged the request;
-// it is not down. The router relays the failure as a bad gateway and
-// keeps routing to the endpoint.
-func TestRouterRelaysInBandFailure(t *testing.T) {
+// routedVerdict routes one query to a single fake shard whose every
+// query is answered by answer, and returns the routed query's error
+// and how many queries the shard saw.
+func routedVerdict(t *testing.T, answer func(w http.ResponseWriter)) (*Router, int64, error) {
+	t.Helper()
 	var seen atomic.Int64
 	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" {
@@ -936,30 +936,63 @@ func TestRouterRelaysInBandFailure(t *testing.T) {
 			return
 		}
 		seen.Add(1)
-		w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
-		io.WriteString(w, `{"kind":"header","vars":["s","o"],"epoch":3}`+"\n"+
-			`"<a>"`+"\n"+`"<b>"`+"\n"+"[0,1]\n"+
-			`{"kind":"error","epoch":3,"error":"query exceeded its memory budget"}`+"\n")
+		answer(w)
 	}))
-	defer shard.Close()
+	t.Cleanup(shard.Close)
 	rt, err := New([][]string{{shard.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.Probe(context.Background())
 	rs := httptest.NewServer(rt.Handler())
-	defer rs.Close()
+	t.Cleanup(rs.Close)
 	c, err := client.New(rs.URL, client.WithRetries(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.Query(context.Background(), `SELECT * WHERE { ?s <p> ?o . }`)
-	var ae *client.APIError
-	if !asAPIError(err, &ae) || ae.StatusCode != http.StatusBadGateway || !strings.Contains(ae.Message, "memory budget") {
-		t.Fatalf("routed query: %v, want 502 carrying the shard's message", err)
+	return rt, seen.Load(), err
+}
+
+// A shard that answers 200 and then reports, in-band, that the
+// execution died (a deadline, a memory budget) has judged the request;
+// it is not down. The router, which has relayed the row by then, ends
+// its own stream with the failure and keeps routing to the endpoint.
+func TestRouterRelaysInBandFailure(t *testing.T) {
+	rt, seen, err := routedVerdict(t, func(w http.ResponseWriter) {
+		w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+		io.WriteString(w, `{"kind":"header","vars":["s","o"],"epoch":3}`+"\n"+
+			`"<a>"`+"\n"+`"<b>"`+"\n"+"[0,1]\n"+
+			`{"kind":"error","epoch":3,"error":"query exceeded its memory budget"}`+"\n")
+	})
+	var se *client.StreamError
+	if !errors.As(err, &se) || !strings.Contains(se.Message, "memory budget") {
+		t.Fatalf("routed query: %v, want the shard's message in-band", err)
 	}
-	if got := seen.Load(); got != 1 {
-		t.Errorf("the shard saw %d queries, want 1 (no failover on a verdict)", got)
+	if seen != 1 {
+		t.Errorf("the shard saw %d queries, want 1 (no failover on a verdict)", seen)
+	}
+	if err := rt.Ready(); err != nil {
+		t.Errorf("the shard was marked down by its own verdict: %v", err)
+	}
+}
+
+// A shard whose own deadline expires before its first row answers 504:
+// its verdict on the request, as a 4xx is, not the endpoint failing.
+// The router relays the 504 with the shard's message, does not fail
+// over and keeps routing to the endpoint.
+func TestRouterRelaysShardTimeout(t *testing.T) {
+	rt, seen, err := routedVerdict(t, func(w http.ResponseWriter) {
+		w.Header().Set("Content-Type", wire.ContentTypeJSON)
+		w.WriteHeader(http.StatusGatewayTimeout)
+		io.WriteString(w, `{"error":"deadline exceeded: context deadline exceeded"}`+"\n")
+	})
+	var ae *client.APIError
+	if !asAPIError(err, &ae) || ae.StatusCode != http.StatusGatewayTimeout || !strings.Contains(ae.Message, "deadline exceeded") {
+		t.Fatalf("routed query: %v, want 504 carrying the shard's message", err)
+	}
+	if seen != 1 {
+		t.Errorf("the shard saw %d queries, want 1 (no failover on a verdict)", seen)
 	}
 	if err := rt.Ready(); err != nil {
 		t.Errorf("the shard was marked down by its own verdict: %v", err)

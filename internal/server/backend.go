@@ -55,7 +55,7 @@ type Cursor interface {
 	Keys() []wire.Key
 	// AppendCell appends the cell a key of this cursor names: the JSON
 	// string of its value's N-Triples rendering, as wire.AppendTerm
-	// writes it. Every response shape renders its values through it.
+	// writes it. The stream's term lines are these cells.
 	wire.CellAppender
 	Err() error
 	Close()

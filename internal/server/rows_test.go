@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"testing"
@@ -26,9 +25,19 @@ type oneRow struct {
 
 func (r *oneRow) Keys() []wire.Key { return r.row }
 
-// TestAppendRowRendersTerms holds the direct rendering to the rendering
-// it replaced: every value decodes to exactly Term.String(), as a JSON
-// round trip hands that back (invalid bytes are U+FFFD).
+// streamRow is the stream a cursor standing on row writes for it: its
+// term lines, then its row line.
+func streamRow(st *dualsim.Store, row []storage.NodeID) []byte {
+	var w wire.TermWriter
+	w.Reset()
+	cur := rowOf(st, row)
+	return w.AppendRow(nil, cur.Keys(), cur)
+}
+
+// TestAppendRowRendersTerms holds the stream's rendering to the
+// rendering it replaced: read back through a TermTable, every value is
+// exactly Term.String(), as a JSON round trip hands that back (invalid
+// bytes are U+FFFD).
 func TestAppendRowRendersTerms(t *testing.T) {
 	values := []string{
 		"", "plain", `say "hi"`, `back\slash`, "line\nbreak", "tab\there", "cr\rhere",
@@ -46,9 +55,16 @@ func TestAppendRowRendersTerms(t *testing.T) {
 	for id := 0; id < st.NumNodes(); id++ {
 		row = append(row, storage.NodeID(id))
 	}
+	var tab wire.TermTable
 	var got []*string
-	if err := json.Unmarshal(appendRow(nil, rowOf(st, row)), &got); err != nil {
-		t.Fatalf("appendRow wrote %q: %v", appendRow(nil, rowOf(st, row)), err)
+	for line := range bytes.Lines(streamRow(st, row)) {
+		kind, err := tab.Read(bytes.TrimSuffix(line, []byte{'\n'}), len(row), true)
+		if err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		if kind == wire.LineRow {
+			got = tab.AppendRow(nil)
+		}
 	}
 	if len(got) != len(row) || got[0] != nil {
 		t.Fatalf("%d values (first %v), want %d with a leading null", len(got), got[0], len(row))
@@ -62,9 +78,9 @@ func TestAppendRowRendersTerms(t *testing.T) {
 
 // TestAppendRowWritesCanonicalCells holds the session cursor's cells to
 // the canonical cell, byte for byte: over every byte value, in both
-// universes, a term renders as wire.AppendCell of its N-Triples
-// rendering, the spelling the router compares cells by. The stream's
-// term lines are those cells.
+// universes, a term streams as the term line wire.AppendCell spells
+// from its N-Triples rendering, the spelling the router compares cells
+// by.
 func TestAppendRowWritesCanonicalCells(t *testing.T) {
 	var triples []dualsim.Triple
 	for b := 0; b < 256; b++ {
@@ -79,12 +95,7 @@ func TestAppendRowWritesCanonicalCells(t *testing.T) {
 	for id := range storage.NodeID(st.NumNodes()) {
 		term := st.Term(id)
 		cell := wire.AppendCell(nil, term.String())
-		if got := appendRow(nil, rowOf(st, []storage.NodeID{id})); !bytes.Equal(got, append(append([]byte{'['}, cell...), ']')) {
-			t.Errorf("term %q renders as %s, want [%s]", term.Value, got, cell)
-		}
-		var w wire.TermWriter
-		w.Reset()
-		if got := w.AppendRow(nil, []wire.Key{wire.Key(id)}, &sessionCursor{st: st}); !bytes.Equal(got, append(append(cell, '\n'), "[0]\n"...)) {
+		if got := streamRow(st, []storage.NodeID{id}); !bytes.Equal(got, append(append(cell, '\n'), "[0]\n"...)) {
 			t.Errorf("term %q streams as %q, want %s then [0]", term.Value, got, cell)
 		}
 	}
@@ -140,9 +151,7 @@ func TestStreamAllocsPerRow(t *testing.T) {
 		cur := cursors[0]
 		cursors = cursors[1:]
 		enc := &ndjsonEncoder{w: discard{http.Header{}}, idle: idle}
-		if err := enc.begin(cur.Vars(), cur.Epoch()); err != nil {
-			t.Fatal(err)
-		}
+		enc.begin(cur.Vars(), cur.Epoch())
 		n, _, err := pump(cur, 0, enc.row)
 		if err != nil || cur.Err() != nil {
 			t.Fatal(err, cur.Err())

@@ -8,9 +8,8 @@
 // replays the primary's records on every request, decides /readyz, and
 // makes the mutating endpoints answer 403.
 //
-//	POST /v1/query     one query; buffered JSON or chunked NDJSON row
-//	                   streaming (?stream=1, Accept: application/x-ndjson,
-//	                   or "stream": true); "explain" returns the plan
+//	POST /v1/query     one query, answered as a chunked NDJSON row stream;
+//	                   "explain" returns the plan instead
 //	POST /v1/apply     a live delta (dels before adds)
 //	GET  /v1/snapshot  current epoch + store shape
 //	GET  /v1/debug/slow        slow-query ring (WithSlowQueryLog)
@@ -19,8 +18,9 @@
 //	GET  /readyz       readiness (503 while draining or not ready)
 //	GET  /metrics      Prometheus-style text metrics
 //
-// The core performs admission, body decoding, deadline/trace/explain/
-// stream flag resolution, error → status mapping, trace sealing,
+// The core performs admission, body decoding, deadline/trace/explain
+// flag resolution (from the JSON body, and a W3C traceparent header),
+// error → status mapping, trace sealing,
 // slow-log feeding and request metrics; a backend only executes. The
 // local backend additionally mounts the routes that need a session:
 //
@@ -36,7 +36,10 @@
 // header and the stats trailer carry the same epoch, results are decoded
 // against that epoch's dictionary, and the X-Dualsim-Epoch response
 // header repeats it. Concurrent /v1/apply traffic never tears a
-// response.
+// response. The stream's status and headers go out with its first
+// flush (the first row, the trailer or an error), so an execution that
+// fails before its first row answers with its own status and a JSON
+// error body; one that fails later ends its 200 with an error event.
 //
 // Overload: a semaphore-based admission controller (WithMaxInFlight)
 // with a bounded wait queue (WithQueueDepth) sheds excess load with
@@ -300,8 +303,8 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := c.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	if mode := explainMode(r, req); mode != "" {
-		c.handleExplain(ctx, w, req.Query, mode)
+	if req.Explain != "" {
+		c.handleExplain(ctx, w, req.Query, req.Explain)
 		return
 	}
 
@@ -323,23 +326,18 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cur.Close()
 
-	// One cursor, two encoders: NDJSON puts the header (and the first
-	// rows) on the wire while later rows are still being computed; the
-	// buffered envelope collects them.
-	var enc rowEncoder = &envelopeEncoder{c: c, w: w}
-	if wantsStream(r, req) {
-		enc = &ndjsonEncoder{w: w, idle: c.idle}
-	}
-	if enc.begin(cur.Vars(), cur.Epoch()) != nil {
-		return // client gone; nothing to salvage mid-stream
-	}
+	// The rows stream: they go out while later ones are still being
+	// computed. The header waits for the first flush point, so an
+	// execution that fails before its first row answers with its status.
+	enc := &ndjsonEncoder{w: w, idle: c.idle}
+	enc.begin(cur.Vars(), cur.Epoch())
 	n, truncated, werr := pump(cur, req.Limit, enc.row)
 	if werr != nil {
-		return
+		return // client gone; nothing to salvage mid-stream
 	}
 	if err := cur.Err(); err != nil {
 		c.recordStatement(req.Query, cur.Stats(), time.Since(start), err)
-		enc.abort(err)
+		enc.abort(err, c.FailExec)
 		return
 	}
 	cur.Close()
@@ -366,28 +364,21 @@ func pump(cur Cursor, limit int, emit func(Cursor) error) (n int, truncated bool
 	return n, false, nil
 }
 
-// rowEncoder is one of the two /v1/query response shapes.
-type rowEncoder interface {
-	begin(vars []string, epoch uint64) error
-	// row encodes cur's current row.
-	row(cur Cursor) error
-	// abort reports an execution that died after begin.
-	abort(err error)
-	end(stats *dualsim.ExecStats, n int, truncated bool)
-}
-
-// ndjsonEncoder writes the streamed shape: header first (flushed before
-// any row is computed), then the rows with incremental flushes, then
-// the stats trailer — or an error event if the execution dies
-// mid-stream, after the 200 was committed. A row goes out as term
-// numbers, after a term line for each of its keys the stream has not
-// defined yet (wire.TermWriter). Lines collect in a buffer from the
-// core's free list and reach the ResponseWriter once per flush point.
+// ndjsonEncoder writes the /v1/query answer: the header event, the rows
+// with incremental flushes, then the stats trailer. A row goes out as
+// term numbers, after a term line for each of its keys the stream has
+// not defined yet (wire.TermWriter). Lines collect in a buffer from the
+// core's free list and reach the ResponseWriter once per flush point:
+// the first row, every streamChunk rows or streamChunkBytes, the
+// trailer, an error. The first flush commits the 200, so the header
+// line waits for it, and an execution that dies before it still gets
+// its own status; one that dies after it ends with an error event.
 type ndjsonEncoder struct {
-	w     http.ResponseWriter
-	idle  chan *ndjsonBuf // the core's free list; nil keeps nothing
-	epoch uint64
-	n     int
+	w         http.ResponseWriter
+	idle      chan *ndjsonBuf // the core's free list; nil keeps nothing
+	epoch     uint64
+	n         int
+	committed bool // the status line and headers are out
 	*ndjsonBuf
 }
 
@@ -412,8 +403,15 @@ const (
 	maxIdleMemo  = 12 << 17
 )
 
-// flush hands the pending lines to the connection.
+// flush hands the pending lines to the connection, committing the 200
+// and the stream's headers the first time.
 func (e *ndjsonEncoder) flush() error {
+	if !e.committed {
+		e.committed = true
+		e.w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(e.epoch, 10))
+		e.w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+		e.w.WriteHeader(http.StatusOK)
+	}
 	_, err := e.w.Write(e.buf)
 	e.buf = e.buf[:0]
 	if f, ok := e.w.(http.Flusher); ok {
@@ -423,17 +421,16 @@ func (e *ndjsonEncoder) flush() error {
 }
 
 // event appends one of the once-per-response events (header, stats,
-// error) and flushes.
-func (e *ndjsonEncoder) event(ev wire.Event) error {
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return err
+// error). A stats value encoding/json refuses leaves the stream without
+// its trailer, which a client reports.
+func (e *ndjsonEncoder) event(ev wire.Event) {
+	if line, err := json.Marshal(ev); err == nil {
+		e.buf = append(append(e.buf, line...), '\n')
 	}
-	e.buf = append(append(e.buf, line...), '\n')
-	return e.flush()
 }
 
-func (e *ndjsonEncoder) begin(vars []string, epoch uint64) error {
+// begin takes a buffer and holds the header event in it.
+func (e *ndjsonEncoder) begin(vars []string, epoch uint64) {
 	select {
 	case e.ndjsonBuf = <-e.idle:
 	default:
@@ -442,10 +439,7 @@ func (e *ndjsonEncoder) begin(vars []string, epoch uint64) error {
 	e.buf = e.buf[:0]
 	e.terms.Reset()
 	e.epoch = epoch
-	e.w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(epoch, 10))
-	e.w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
-	e.w.WriteHeader(http.StatusOK)
-	return e.event(wire.Event{Kind: wire.EventHeader, Vars: vars, Epoch: epoch})
+	e.event(wire.Event{Kind: wire.EventHeader, Vars: vars, Epoch: epoch})
 }
 
 //dualsim:hotpath
@@ -457,15 +451,23 @@ func (e *ndjsonEncoder) row(cur Cursor) error {
 	return nil
 }
 
-func (e *ndjsonEncoder) abort(err error) {
-	// The status line is long gone; the in-band error event is the only
-	// way to tell the client the stream is dead, not complete.
-	_ = e.event(wire.Event{Kind: wire.EventError, Error: err.Error(), Epoch: e.epoch})
+// abort reports an execution that died: through fail, with its own
+// status, while nothing is committed; after that with the in-band error
+// event, the only way left to tell the client the stream is dead, not
+// complete.
+func (e *ndjsonEncoder) abort(err error, fail func(http.ResponseWriter, error)) {
+	if e.committed {
+		e.event(wire.Event{Kind: wire.EventError, Error: err.Error(), Epoch: e.epoch})
+		_ = e.flush()
+	} else {
+		fail(e.w, err)
+	}
 	e.release()
 }
 
 func (e *ndjsonEncoder) end(stats *dualsim.ExecStats, n int, truncated bool) {
-	_ = e.event(wire.Event{Kind: wire.EventStats, Stats: stats, Rows: n, Truncated: truncated, Epoch: e.epoch})
+	e.event(wire.Event{Kind: wire.EventStats, Stats: stats, Rows: n, Truncated: truncated, Epoch: e.epoch})
+	_ = e.flush()
 	e.release()
 }
 
@@ -479,70 +481,6 @@ func (e *ndjsonEncoder) release() {
 		}
 	}
 	e.ndjsonBuf = nil
-}
-
-// The buffered shape with its rows already rendered: it embeds its
-// wire type, whose own Rows the raw field shadows, so the two cannot
-// drift apart.
-//
-//dualsim:wire
-type queryEnvelope struct {
-	wire.QueryResponse
-	Rows json.RawMessage `json:"rows"`
-}
-
-// envelopeEncoder collects the buffered shape; nothing is committed
-// before end, so a failed execution still gets its own status. rows
-// holds the JSON array of the rows' value arrays, each value rendered
-// by the cursor's AppendCell, as the stream's term lines are.
-type envelopeEncoder struct {
-	c    *Core
-	w    http.ResponseWriter
-	out  wire.QueryResponse
-	rows []byte
-}
-
-func (e *envelopeEncoder) begin(vars []string, epoch uint64) error {
-	e.out = wire.QueryResponse{Vars: append([]string{}, vars...), Epoch: epoch}
-	return nil
-}
-
-func (e *envelopeEncoder) row(cur Cursor) error {
-	sep := byte(',')
-	if len(e.rows) == 0 {
-		sep = '['
-	}
-	e.rows = appendRow(append(e.rows, sep), cur)
-	return nil
-}
-
-// appendRow renders the cursor's current row as the JSON array of its
-// cells, null for unbound positions: a row of the buffered shape.
-func appendRow(dst []byte, cur Cursor) []byte {
-	dst = append(dst, '[')
-	for i, k := range cur.Keys() {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if k == wire.NoKey {
-			dst = append(dst, "null"...)
-			continue
-		}
-		dst = cur.AppendCell(dst, k)
-	}
-	return append(dst, ']')
-}
-
-func (e *envelopeEncoder) abort(err error) { e.c.FailExec(e.w, err) }
-
-func (e *envelopeEncoder) end(stats *dualsim.ExecStats, _ int, truncated bool) {
-	e.out.Stats, e.out.Truncated = stats, truncated
-	e.w.Header().Set("X-Dualsim-Epoch", strconv.FormatUint(e.out.Epoch, 10))
-	rows := json.RawMessage("[]")
-	if len(e.rows) > 0 {
-		rows = append(e.rows, ']')
-	}
-	e.c.WriteJSON(e.w, http.StatusOK, &queryEnvelope{QueryResponse: e.out, Rows: rows})
 }
 
 // handleExplain answers an EXPLAIN / EXPLAIN ANALYZE request: the
@@ -849,8 +787,7 @@ func (c *Core) Fail(w http.ResponseWriter, status int, msg string) {
 func (c *Core) WriteJSON(w http.ResponseWriter, status int, body any) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	// Rows the codec rendered pass through as they are; escaping their
-	// '<' and '>' again would only put the bytes back.
+	// IRIs in plans and messages keep their '<' and '>' as they are.
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(body); err != nil { // a wire type failed to marshal: a programming error
 		http.Error(w, `{"error":"internal: response encoding failed"}`, http.StatusInternalServerError)
@@ -863,45 +800,15 @@ func (c *Core) WriteJSON(w http.ResponseWriter, status int, body any) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// wantsStream resolves the three ways a client can request NDJSON.
-func wantsStream(r *http.Request, req wire.QueryRequest) bool {
-	if req.Stream {
-		return true
-	}
-	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), wire.ContentTypeNDJSON)
-}
-
-// traceRequested resolves the three ways a client can request a trace:
-// the request body's trace flag, the ?trace=1 URL parameter, or a valid
-// W3C traceparent header. tp is the traceparent to continue from, empty
-// when the trace should mint a fresh ID.
+// traceRequested resolves the two ways a client can request a trace:
+// the request body's trace flag or a valid W3C traceparent header. tp
+// is the traceparent to continue from, empty when the trace should mint
+// a fresh ID.
 func traceRequested(r *http.Request, reqFlag bool) (want bool, tp string) {
 	if h := r.Header.Get("traceparent"); h != "" {
 		if _, ok := trace.ParseTraceparent(h); ok {
 			return true, h
 		}
 	}
-	if reqFlag {
-		return true, ""
-	}
-	if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
-		return true, ""
-	}
-	return false, ""
-}
-
-// explainMode resolves an EXPLAIN request: the body's explain field or
-// the ?explain=plan|analyze URL parameter ("1"/"true" mean "plan").
-func explainMode(r *http.Request, req wire.QueryRequest) string {
-	mode := req.Explain
-	if v := r.URL.Query().Get("explain"); v != "" {
-		mode = v
-	}
-	if mode == "1" || mode == "true" {
-		mode = "plan"
-	}
-	return mode
+	return reqFlag, ""
 }

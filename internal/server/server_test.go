@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"dualsim"
+	"dualsim/client"
 	"dualsim/internal/persist"
 	"dualsim/internal/queries"
 	"dualsim/internal/wire"
@@ -87,6 +88,16 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 	return resp
 }
 
+// drain reads a reply to its end and closes it. A query's statement,
+// metrics and slow-log entry are recorded just before its trailer goes
+// out, so they are in once the stream has been read; a test that closes
+// the body after the first row could read them before the handler has
+// recorded the query, or after it recorded a cancelled one.
+func drain(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
 func decode[T any](t *testing.T, resp *http.Response) T {
 	t.Helper()
 	defer resp.Body.Close()
@@ -95,34 +106,6 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 		t.Fatalf("decoding response: %v", err)
 	}
 	return out
-}
-
-func TestQueryBuffered(t *testing.T) {
-	_, hs, _ := newTestServer(t)
-	resp := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Dualsim-Epoch"); got != "0" {
-		t.Fatalf("epoch header = %q, want 0", got)
-	}
-	out := decode[wire.QueryResponse](t, resp)
-	if len(out.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(out.Rows))
-	}
-	if out.Epoch != 0 || out.Stats == nil || out.Stats.Epoch != 0 {
-		t.Fatalf("epoch tagging inconsistent: %+v", out)
-	}
-	if len(out.Vars) != 3 {
-		t.Fatalf("vars = %v", out.Vars)
-	}
-	for _, row := range out.Rows {
-		for _, v := range row {
-			if v == nil || !strings.HasPrefix(*v, "<") {
-				t.Fatalf("binding not decoded: %v", row)
-			}
-		}
-	}
 }
 
 // readStream decodes an NDJSON response into its header, its rows
@@ -173,15 +156,26 @@ func readStream(t *testing.T, body io.Reader) (header wire.Event, rows [][]*stri
 	return header, rows, stats
 }
 
+// decodeStream reads a streamed 200 whole, as client.Query does.
+func decodeStream(t *testing.T, resp *http.Response) *client.QueryResponse {
+	t.Helper()
+	defer resp.Body.Close()
+	header, rows, stats := readStream(t, resp.Body)
+	return &client.QueryResponse{Vars: header.Vars, Rows: rows, Epoch: header.Epoch, Truncated: stats.Truncated, Stats: stats.Stats}
+}
+
 func TestQueryStreamed(t *testing.T) {
 	_, hs, _ := newTestServer(t)
-	resp := postJSON(t, hs.URL+"/v1/query?stream=1", wire.QueryRequest{Query: queryX1})
+	resp := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeNDJSON {
 		t.Fatalf("content type = %q", ct)
+	}
+	if got := resp.Header.Get("X-Dualsim-Epoch"); got != "0" {
+		t.Fatalf("epoch header = %q, want 0", got)
 	}
 	header, rows, stats := readStream(t, resp.Body)
 	if len(header.Vars) != 3 || len(rows) != 2 {
@@ -193,12 +187,19 @@ func TestQueryStreamed(t *testing.T) {
 	if header.Epoch != stats.Stats.Epoch {
 		t.Fatalf("epoch mismatch: header %d, stats %d", header.Epoch, stats.Stats.Epoch)
 	}
+	for _, row := range rows {
+		for _, v := range row {
+			if v == nil || !strings.HasPrefix(*v, "<") {
+				t.Fatalf("binding not decoded: %v", row)
+			}
+		}
+	}
 }
 
 func TestQueryLimitTruncates(t *testing.T) {
 	_, hs, _ := newTestServer(t)
 	resp := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1, Limit: 1})
-	out := decode[wire.QueryResponse](t, resp)
+	out := decodeStream(t, resp)
 	if len(out.Rows) != 1 || !out.Truncated {
 		t.Fatalf("limit: %d rows, truncated %v", len(out.Rows), out.Truncated)
 	}
@@ -210,7 +211,7 @@ func TestQueryLimitTruncates(t *testing.T) {
 		adds = append(adds, wire.Triple{S: "lim:s" + strconv.Itoa(i), P: "lim:edge", O: "lim:o" + strconv.Itoa(i)})
 	}
 	postJSON(t, hs.URL+"/v1/apply", wire.ApplyRequest{Adds: adds}).Body.Close()
-	out = decode[wire.QueryResponse](t, postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{
+	out = decodeStream(t, postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{
 		Query: `SELECT * WHERE { ?s <lim:edge> ?o . }`, Limit: 1,
 	}))
 	if len(out.Rows) != 1 || !out.Truncated || out.Stats.Results > 2 {
@@ -259,9 +260,9 @@ func TestQueryErrors(t *testing.T) {
 
 // TestQueryConcurrentCallers (-race): several clients post their queries
 // through one session and its shared plan cache at once, each query a
-// request of its own, half of the clients streamed (their encoders share
-// the core's free list of buffers); every query answers in full and each
-// distinct text is planned once.
+// request of its own (their encoders share the core's free list of
+// buffers); every query answers in full and each distinct text is
+// planned once.
 func TestQueryConcurrentCallers(t *testing.T) {
 	_, hs, db := newTestServer(t)
 	srcs := []string{queryX1, queries.QueryX2, `SELECT * WHERE { ?director <awarded> ?prize . }`, queryX1}
@@ -273,9 +274,6 @@ func TestQueryConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			url := hs.URL + "/v1/query"
-			if g%2 == 1 {
-				url += "?stream=1"
-			}
 			for i, src := range srcs {
 				body, err := json.Marshal(wire.QueryRequest{Query: src})
 				if err != nil {
@@ -287,15 +285,10 @@ func TestQueryConcurrentCallers(t *testing.T) {
 					errs <- err
 					return
 				}
-				var out wire.QueryResponse
-				if g%2 == 1 {
-					_, out.Rows, _ = readStream(t, resp.Body)
-				} else {
-					err = json.NewDecoder(resp.Body).Decode(&out)
-				}
+				_, rows, _ := readStream(t, resp.Body)
 				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK || len(out.Rows) != want[i] {
-					errs <- fmt.Errorf("concurrent query %d (%s): status %d, %d rows, %v; want %d rows", i, url, resp.StatusCode, len(out.Rows), err, want[i])
+				if resp.StatusCode != http.StatusOK || len(rows) != want[i] {
+					errs <- fmt.Errorf("concurrent query %d: status %d, %d rows; want %d rows", i, resp.StatusCode, len(rows), want[i])
 				}
 			}
 		}()
@@ -328,7 +321,7 @@ func TestApplyCompactSnapshot(t *testing.T) {
 	}
 
 	// The new snapshot serves the extra match.
-	qr := decode[wire.QueryResponse](t, postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}))
+	qr := decodeStream(t, postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}))
 	if len(qr.Rows) != 3 || qr.Epoch != 1 {
 		t.Fatalf("post-apply query: %d rows at epoch %d", len(qr.Rows), qr.Epoch)
 	}
@@ -542,8 +535,8 @@ func TestReplicaReadinessAndReadOnly(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, hs, _ := newTestServer(t)
-	postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}).Body.Close()
-	postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}).Body.Close()
+	drain(postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}))
+	drain(postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}))
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -639,7 +632,7 @@ func TestQueryDeadline(t *testing.T) {
 }
 
 // TestConcurrentQueriesAndApplies is the end-to-end acceptance test: N
-// concurrent clients issue buffered and streamed queries while a writer
+// concurrent clients issue queries while a writer
 // interleaves Apply/Compact. Every response must be internally
 // epoch-consistent (header epoch == stats epoch, bindings decodable) and
 // every status must be 200 or 429 — never a hang, tear or race (run
@@ -678,65 +671,38 @@ func TestConcurrentQueriesAndApplies(t *testing.T) {
 		}
 	}()
 
-	for c := 0; c < clients; c++ {
+	for range clients {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				if (c+i)%2 == 0 {
-					resp := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
-					switch resp.StatusCode {
-					case http.StatusOK:
-						out := decode[wire.QueryResponse](t, resp)
-						if out.Stats == nil || out.Epoch != out.Stats.Epoch {
-							errc <- fmt.Errorf("buffered: inconsistent epochs %+v", out)
-						}
-						if len(out.Rows) < 2 {
-							errc <- fmt.Errorf("buffered: %d rows", len(out.Rows))
-						}
-						for _, row := range out.Rows {
-							for _, v := range row {
-								if v == nil || !strings.HasPrefix(*v, "<") {
-									errc <- fmt.Errorf("buffered: undecodable binding %v at epoch %d", row, out.Epoch)
-								}
+			for range perClient {
+				resp := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1})
+				switch resp.StatusCode {
+				case http.StatusOK:
+					header, rows, stats := readStream(t, resp.Body)
+					resp.Body.Close()
+					if header.Epoch != stats.Stats.Epoch {
+						errc <- fmt.Errorf("header epoch %d != stats epoch %d", header.Epoch, stats.Stats.Epoch)
+					}
+					if len(rows) < 2 {
+						errc <- fmt.Errorf("%d rows", len(rows))
+					}
+					for _, row := range rows {
+						for _, v := range row {
+							if v == nil || !strings.HasPrefix(*v, "<") {
+								errc <- fmt.Errorf("undecodable binding %v at epoch %d", row, header.Epoch)
 							}
 						}
-					case http.StatusTooManyRequests:
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					default:
-						errc <- fmt.Errorf("buffered: status %d", resp.StatusCode)
-						resp.Body.Close()
 					}
-				} else {
-					resp := postJSON(t, hs.URL+"/v1/query?stream=1", wire.QueryRequest{Query: queryX1})
-					switch resp.StatusCode {
-					case http.StatusOK:
-						header, rows, stats := readStream(t, resp.Body)
-						resp.Body.Close()
-						if header.Epoch != stats.Stats.Epoch {
-							errc <- fmt.Errorf("stream: header epoch %d != stats epoch %d", header.Epoch, stats.Stats.Epoch)
-						}
-						if len(rows) < 2 {
-							errc <- fmt.Errorf("stream: %d rows", len(rows))
-						}
-						for _, row := range rows {
-							for _, v := range row {
-								if v == nil || !strings.HasPrefix(*v, "<") {
-									errc <- fmt.Errorf("stream: undecodable binding %v at epoch %d", row, header.Epoch)
-								}
-							}
-						}
-					case http.StatusTooManyRequests:
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					default:
-						errc <- fmt.Errorf("stream: status %d", resp.StatusCode)
-						resp.Body.Close()
-					}
+				case http.StatusTooManyRequests:
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				default:
+					errc <- fmt.Errorf("status %d", resp.StatusCode)
+					resp.Body.Close()
 				}
 			}
-		}(c)
+		}()
 	}
 
 	wg.Wait()

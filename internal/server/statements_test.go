@@ -32,11 +32,10 @@ func TestStatementsEndpoint(t *testing.T) {
 	// Same statement three times — the third differs only in whitespace
 	// and must fold into the same fingerprint — plus one distinct shape.
 	for _, q := range []string{queryX1, queryX1, "SELECT * WHERE {?d <directed> ?m. ?d  <worked_with>  ?c.}"} {
-		resp := postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: q})
-		resp.Body.Close()
+		drain(postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: q}))
 	}
 	other := `SELECT * WHERE { ?d <directed> ?m }`
-	postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: other}).Body.Close()
+	drain(postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: other}))
 
 	out := getStatements(t, hs.URL+"/v1/debug/statements")
 	if out.Tracked != 2 || len(out.Statements) != 2 {
@@ -75,7 +74,7 @@ func TestStatementsEndpoint(t *testing.T) {
 
 func TestStatementsReset(t *testing.T) {
 	_, hs, _ := newTestServer(t)
-	postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}).Body.Close()
+	drain(postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}))
 
 	// ?reset=1 returns the pre-reset snapshot…
 	out := getStatements(t, hs.URL+"/v1/debug/statements?reset=1")
@@ -178,7 +177,7 @@ func TestQueryMemoryBudget413(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plain BGP status = %d, want 200", resp.StatusCode)
 	}
-	bgp := decode[wire.QueryResponse](t, resp)
+	bgp := decodeStream(t, resp)
 	if len(bgp.Rows) == 0 || bgp.Stats == nil || bgp.Stats.Resources == nil || bgp.Stats.Resources.PeakBytes != 0 {
 		t.Fatalf("plain BGP: %d rows, stats %+v; want rows and peakBytes 0", len(bgp.Rows), bgp.Stats)
 	}
@@ -209,7 +208,7 @@ func TestQueryMemoryBudget413(t *testing.T) {
 // the ranks reorder.
 func TestStatementTopMetrics(t *testing.T) {
 	_, hs, _ := newTestServer(t)
-	postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}).Body.Close()
+	drain(postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}))
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +233,7 @@ func TestStatementTopMetrics(t *testing.T) {
 // of its most recent slow entry.
 func TestStatementSlowLogCrossLink(t *testing.T) {
 	_, hs, _ := newTestServer(t, WithSlowQueryLog(0)) // threshold 0: everything is slow
-	postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}).Body.Close()
+	drain(postJSON(t, hs.URL+"/v1/query", wire.QueryRequest{Query: queryX1}))
 
 	resp, err := http.Get(hs.URL + "/v1/debug/slow")
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package trace is the zero-dependency, request-scoped span-tree tracer
-// behind `?trace=1`, EXPLAIN ANALYZE and the slow-query log.
+// behind a query's "trace" flag, EXPLAIN ANALYZE and the slow-query log.
 //
 // A Trace carries a 128-bit trace ID and a tree of Spans: monotonic
 // start offsets, durations, string attributes and integer counters. The

@@ -2,23 +2,21 @@
 // subsystem, shared by internal/server (the HTTP front end) and the
 // public client package so the two cannot drift.
 //
-// Two response shapes exist for queries:
+// A query is answered with one shape, an NDJSON stream (Content-Type
+// application/x-ndjson): one JSON value per line — a "header" Event
+// first (vars + epoch), then the solution mappings in chunks, then a
+// final "stats" Event, or an "error" Event if execution fails after the
+// HTTP status was committed (one that fails before its first row gets
+// a status and an ErrorResponse instead). The mappings are a term table
+// (row.go): a term line, one JSON string, defines the next term number;
+// a row line, a JSON array, names one term number or null per variable.
+// Rows carry no epoch. The codec in row.go writes and reads those
+// lines; the events are encoding/json.
 //
-//   - buffered: one Envelope object carrying vars, all rows and stats;
-//   - streamed (Content-Type application/x-ndjson): one JSON value per
-//     line — a "header" Event first (vars + epoch), then the solution
-//     mappings in chunks, then a final "stats" Event, or an "error"
-//     Event if execution fails after the HTTP status was committed.
-//     The mappings are a term table (row.go): a term line, one JSON
-//     string, defines the next term number; a row line, a JSON array,
-//     names one term number or null per variable. Rows carry no epoch.
-//     The codec in row.go writes and reads those lines; the events are
-//     encoding/json.
-//
-// Every response is epoch-tagged: the header/envelope carries the store
-// epoch the execution answered from, every row answers from it, and the
-// stats trailer repeats it, so a client can verify MVCC consistency
-// (header epoch == stats epoch) across concurrent Apply traffic.
+// Every stream is epoch-tagged: the header carries the store epoch the
+// execution answered from, every row answers from it, and the stats
+// trailer repeats it, so a client can verify MVCC consistency (header
+// epoch == stats epoch) across concurrent Apply traffic.
 package wire
 
 import (
@@ -29,7 +27,7 @@ import (
 	"dualsim/internal/trace"
 )
 
-// Content types of the two query response shapes.
+// Content types: every reply body is JSON, except a query's stream.
 const (
 	ContentTypeJSON   = "application/json"
 	ContentTypeNDJSON = "application/x-ndjson"
@@ -46,13 +44,9 @@ type QueryRequest struct {
 	// Limit, when > 0, truncates the response to that many rows (the
 	// execution itself is not bounded; dual simulation prunes globally).
 	Limit int `json:"limit,omitempty"`
-	// Stream requests the NDJSON row-stream shape. The ?stream=1 URL
-	// parameter and an Accept: application/x-ndjson header do the same.
-	Stream bool `json:"stream,omitempty"`
 	// Trace requests the execution's span tree in the stats trailer
-	// (ExecStats.Trace). The ?trace=1 URL parameter and a W3C
-	// traceparent header do the same; a traceparent additionally makes
-	// the server adopt the caller's trace ID.
+	// (ExecStats.Trace). A W3C traceparent header does the same, and
+	// makes the server adopt the caller's trace ID.
 	Trace bool `json:"trace,omitempty"`
 	// Explain, instead of executing, returns the compiled plan
 	// (ExplainResponse): "plan" renders without executing, "analyze"
@@ -143,18 +137,6 @@ const (
 	EventError  = "error"
 )
 
-// QueryResponse is the buffered query response envelope.
-type QueryResponse struct {
-	Vars []string `json:"vars"`
-	// Rows are decoded bindings, positional over Vars; null marks an
-	// unbound variable.
-	Rows [][]*string `json:"rows"`
-	// Epoch duplicates Stats.Epoch for cheap top-level access.
-	Epoch     uint64             `json:"epoch"`
-	Truncated bool               `json:"truncated,omitempty"`
-	Stats     *dualsim.ExecStats `json:"stats,omitempty"`
-}
-
 // ApplyResponse is the body of a POST /v1/apply or /v1/compact reply.
 type ApplyResponse struct {
 	Stats dualsim.ApplyStats `json:"stats"`
@@ -232,9 +214,8 @@ type ClusterApplyResponse struct {
 	Results []ShardApply `json:"results"`
 }
 
-// ExplainResponse is the body of a query request with Explain set (or
-// GET-style ?explain=plan|analyze): the compiled plan, optionally
-// executed.
+// ExplainResponse is the body of a query request with Explain set: the
+// compiled plan, optionally executed.
 type ExplainResponse struct {
 	Explain *dualsim.Explain `json:"explain"`
 	// Text is the deterministic indented render of the plan tree.

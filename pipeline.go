@@ -380,10 +380,11 @@ type ExecStats struct {
 	Epoch uint64 `json:"epoch"`
 	// Duration is the end-to-end execution time.
 	Duration time.Duration `json:"duration"`
-	// Trace is the request's span tree when tracing was enabled
-	// (?trace=1 / a traceparent header / the slow-query log): pipeline
-	// stages, per-operator spans, and — on a routed query — the stitched
-	// subtrees of every contacted shard. Nil by default.
+	// Trace is the request's span tree when tracing was enabled (a
+	// query's "trace" flag / a traceparent header / the slow-query
+	// log): pipeline stages, per-operator spans, and — on a routed
+	// query — the stitched subtrees of every contacted shard. Nil by
+	// default.
 	Trace *trace.Span `json:"trace,omitempty"`
 }
 
