@@ -112,9 +112,10 @@ type reply struct {
 	// Not compared across backends: IDs are minted per request, the
 	// router's stats are the merge's, which has no operator list, and
 	// error texts are only required to be present.
-	traceID   string
-	operators bool   // the stats carry a non-empty operator list
-	errMsg    string // the body's "error"
+	traceID      string
+	statsTraceID string // the trace ID on the stats' span tree root
+	operators    bool   // the stats carry a non-empty operator list
+	errMsg       string // the body's "error"
 }
 
 func do(t *testing.T, method, url string, hdr map[string]string, body io.Reader) reply {
@@ -192,6 +193,9 @@ func do(t *testing.T, method, url string, hdr map[string]string, body io.Reader)
 
 func (r *reply) stats(s *dualsim.ExecStats) {
 	r.StatsTrace = s.Trace != nil
+	if s.Trace != nil {
+		r.statsTraceID = s.Trace.TraceID
+	}
 	r.operators = len(s.Operators) > 0
 	r.Results = s.Results
 }
@@ -236,12 +240,7 @@ func TestProtocolConformance(t *testing.T) {
 		// An execution that dies before its first row: nothing is
 		// committed, so it answers with its own status and a JSON error,
 		// and no header event.
-		{name: "fails before its first row", body: fmt.Sprintf(`{"query":%q,"timeoutMs":20}`, slow), status: 504,
-			check: func(t *testing.T, _ backend, r reply) {
-				if r.ContentType != wire.ContentTypeJSON || r.Epoch != "" {
-					t.Errorf("Content-Type %q, X-Dualsim-Epoch %q; want JSON and none", r.ContentType, r.Epoch)
-				}
-			}},
+		{name: "timeoutMs expiry", body: fmt.Sprintf(`{"query":%q,"timeoutMs":20}`, slow), status: 504},
 		{name: "limit truncates", body: q(`,"limit":1`), status: 200, events: []string{"header", "row×1", "stats"}},
 		// The stats trailer is the executor's: on the daemon (whose stats
 		// are one execution's) it lists the operators.
@@ -258,8 +257,22 @@ func TestProtocolConformance(t *testing.T) {
 					t.Errorf("X-Dualsim-Trace = %q, want the caller's %q", r.traceID, traceID)
 				}
 			}},
-		// The URL and the Accept header choose nothing.
-		{name: "flags in the URL are not read", path: "?trace=1&explain=plan&stream=0", hdr: map[string]string{"Accept": wire.ContentTypeJSON}, body: q(""), status: 200, events: streamed},
+		// The stats trailer carries the span tree the trace header names,
+		// also when a limit ends the stream early.
+		{name: "streamed trace", body: q(`,"trace":true,"limit":1`), status: 200, events: []string{"header", "row×1", "stats"}, traced: true,
+			check: func(t *testing.T, _ backend, r reply) {
+				if r.statsTraceID != r.traceID {
+					t.Errorf("span tree trace ID %q, X-Dualsim-Trace %q", r.statsTraceID, r.traceID)
+				}
+			}},
+		// The URL and the Accept header choose nothing: a caller that
+		// still sends a removed spelling gets the one stream, untraced.
+		{name: "stream by URL", path: "?stream=0", body: q(""), status: 200, events: streamed},
+		{name: "stream by Accept", hdr: map[string]string{"Accept": wire.ContentTypeJSON}, body: q(""), status: 200, events: streamed},
+		{name: "trace by URL", path: "?trace=1&explain=plan", body: q(""), status: 200, events: streamed},
+		// The body's stream field went with the buffered shape: it is an
+		// unknown field like any other.
+		{name: "stream by body", body: q(`,"stream":true`), status: 400},
 		// An execution that dies after its first row, on the daemon and on
 		// the shard a router pushes the query down to: the row is out, so
 		// the stream ends with the in-band error event, not a status.
@@ -281,8 +294,13 @@ func TestProtocolConformance(t *testing.T) {
 					t.Errorf("%s: status %d, want %d", b.name, r.Status, tc.status)
 				}
 				// A route that does not exist is the mux's plain-text 404.
+				// Any other failure committed nothing: a JSON error body
+				// and no epoch.
 				if r.HasError != (tc.status >= 400 && tc.status != http.StatusNotFound) {
 					t.Errorf("%s: error body present = %v on status %d", b.name, r.HasError, r.Status)
+				}
+				if r.HasError && (r.ContentType != wire.ContentTypeJSON || r.Epoch != "") {
+					t.Errorf("%s: Content-Type %q, X-Dualsim-Epoch %q on status %d; want JSON and none", b.name, r.ContentType, r.Epoch, r.Status)
 				}
 				if !reflect.DeepEqual(r.Events, tc.events) {
 					t.Errorf("%s: events = %v, want %v", b.name, r.Events, tc.events)
@@ -293,7 +311,7 @@ func TestProtocolConformance(t *testing.T) {
 				if tc.check != nil {
 					tc.check(t, b, r)
 				}
-				r.traceID, r.operators, r.errMsg = "", false, ""
+				r.traceID, r.statsTraceID, r.operators, r.errMsg = "", "", false, ""
 				got = append(got, r)
 			}
 			if !reflect.DeepEqual(got[0], got[1]) {
