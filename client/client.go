@@ -105,39 +105,53 @@ type Client struct {
 	hc      *http.Client
 	retries int
 	backoff time.Duration // base retry backoff without a Retry-After hint, doubled per attempt with jitter
-	tables  chan *wire.TermTable
+	readers chan *reader
 }
 
-// A client keeps up to idleTables term tables of closed streams for its
-// next ones, each holding at most maxIdleBytes (the values themselves
-// are never reused), so one large answer does not stay resident. Two
-// idle tables serve two streams read at once, as a router reads two
-// branches from one shard, without the tables of a burst of concurrent
-// streams staying behind. A table's slices double, so its size is a
-// power of two: 512 KB keeps a table of 16 384 terms in both forms.
+// reader is what a stream reads its lines with: the scanner's buffer
+// and the term table. A scanner that outgrows the buffer allocates its
+// own, which is not kept, so a kept buffer is scanBuf bytes.
+type reader struct {
+	buf   []byte
+	table wire.TermTable
+}
+
+// A client keeps up to idleReaders readers of closed streams for its
+// next ones, each with a table of at most maxIdleBytes (the values
+// themselves are never reused), so one large answer does not stay
+// resident. Two idle readers serve two streams read at once, as a
+// router reads two branches from one shard, without the readers of a
+// burst of concurrent streams staying behind. A table's slices double,
+// so its size is a power of two: 512 KB keeps a table of 16 384 terms
+// in both forms. Most answers are a handful of short lines, so a
+// scanner starts on scanBuf bytes and grows on demand up to
+// maxLineBytes, which bounds one line.
 const (
-	idleTables   = 2
+	idleReaders  = 2
 	maxIdleBytes = 512 << 10
+	scanBuf      = 4 << 10
+	maxLineBytes = 16 << 20
 )
 
-// getTable returns an idle term table, or a new one.
-func (c *Client) getTable() *wire.TermTable {
+// getReader returns an idle reader, or a new one.
+func (c *Client) getReader() *reader {
 	select {
-	case t := <-c.tables:
-		return t
+	case rd := <-c.readers:
+		return rd
 	default:
-		return new(wire.TermTable)
+		return &reader{buf: make([]byte, scanBuf)}
 	}
 }
 
-// putTable keeps t for a later stream, if it is small and a slot is free.
-func (c *Client) putTable(t *wire.TermTable) {
-	if t.Size() > maxIdleBytes {
+// putReader keeps rd for a later stream, if its table is small and a
+// slot is free.
+func (c *Client) putReader(rd *reader) {
+	if rd.table.Size() > maxIdleBytes {
 		return
 	}
-	t.Reset()
+	rd.table.Reset()
 	select {
-	case c.tables <- t:
+	case c.readers <- rd:
 	default:
 	}
 }
@@ -153,7 +167,7 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		hc:      http.DefaultClient,
 		retries: 2,
 		backoff: 100 * time.Millisecond,
-		tables:  make(chan *wire.TermTable, idleTables),
+		readers: make(chan *reader, idleReaders),
 	}
 	for _, opt := range opts {
 		if err := opt(c); err != nil {
@@ -541,7 +555,8 @@ type Stream struct {
 	stats  *dualsim.ExecStats
 	rows   int
 	trunc  bool
-	table  *wire.TermTable // the stream's terms; back to the client on Close
+	done   bool    // the trailer is in
+	rd     *reader // the stream's buffer and terms; back to the client on Close
 	cur    Row
 	err    error
 	closed bool
@@ -565,46 +580,49 @@ func (s *Stream) Epoch() uint64 { return s.epoch }
 // it reuses: a Row from an earlier call now holds this row. It returns
 // false at the end of the stream or on error — check Err.
 func (s *Stream) Next() bool {
-	if !s.advance(true) {
-		return false
-	}
-	s.cur = s.table.AppendRow(s.cur[:0])
-	return true
-}
-
-// NextCells advances like Next without decoding (Row is not updated),
-// for a consumer that forwards rows: see Refs and Term. The terms it
-// reads are kept as cells, not decoded.
-func (s *Stream) NextCells() bool { return s.advance(false) }
-
-// advance reads up to the next row line, adding the terms on the way to
-// the table as values or as cells.
-func (s *Stream) advance(values bool) bool {
-	if s.err != nil || s.closed || s.stats != nil {
-		return false
-	}
-	for s.sc.Scan() {
-		// Term and row lines go through the wire codec; the rest — the
-		// trailer, an error event — is one reflected decode.
-		line := s.sc.Bytes()
-		kind, err := s.table.Read(line, len(s.vars), values)
+	for {
+		line, ok := s.NextLine()
+		if !ok {
+			return false
+		}
+		kind, err := s.rd.table.Read(line, len(s.vars), true)
 		if err != nil {
 			s.err = fmt.Errorf("client: bad stream line: %w", err)
 			return false
 		}
-		switch kind {
-		case wire.LineTerm:
-			continue
-		case wire.LineRow:
+		if kind == wire.LineRow {
+			s.cur = s.rd.table.AppendRow(s.cur[:0])
 			return true
+		}
+	}
+}
+
+// NextLine advances to the stream's next term or row line and returns
+// it as it came, without its newline, for a consumer that reads the
+// lines itself (wire.TermTable): the stream neither reads nor checks
+// it, and Row is not updated. The line is valid until the next call. The
+// events are read as Next reads them: at the stats trailer, whose
+// epoch must be the header's, at an error event, or on error, it
+// returns false — check Err.
+func (s *Stream) NextLine() ([]byte, bool) {
+	if s.err != nil || s.closed || s.done {
+		return nil, false
+	}
+	for s.sc.Scan() {
+		// Term and row lines are the wire codec's; the rest — the
+		// trailer, an error event — is one reflected decode.
+		line := s.sc.Bytes()
+		if len(line) > 0 && (line[0] == '"' || line[0] == '[') {
+			return line, true
 		}
 		var ev wire.Event
 		if err := json.Unmarshal(line, &ev); err != nil {
 			s.err = fmt.Errorf("client: bad stream line: %w", err)
-			return false
+			return nil, false
 		}
 		switch ev.Kind {
 		case wire.EventStats:
+			s.done = true
 			s.stats = ev.Stats
 			s.rows = ev.Rows
 			s.trunc = ev.Truncated
@@ -612,14 +630,14 @@ func (s *Stream) advance(values bool) bool {
 				s.err = fmt.Errorf("client: epoch tear: header %d, stats %d", s.epoch, s.stats.Epoch)
 			}
 			s.drain()
-			return false
+			return nil, false
 		case wire.EventError:
 			s.err = &StreamError{Message: ev.Error}
 			s.drain()
-			return false
+			return nil, false
 		default:
 			s.err = fmt.Errorf("client: unexpected stream event %q", ev.Kind)
-			return false
+			return nil, false
 		}
 	}
 	if err := s.sc.Err(); err != nil {
@@ -631,24 +649,11 @@ func (s *Stream) advance(values bool) bool {
 		s.err = err
 	} else if s.ctx.Err() != nil {
 		s.err = s.ctx.Err()
-	} else if s.stats == nil {
+	} else {
 		s.err = fmt.Errorf("client: stream ended without stats trailer")
 	}
-	return false
+	return nil, false
 }
-
-// Refs returns the current row as numbers into the stream's term table,
-// -1 for unbound, valid until the next advance: a consumer that keeps
-// rows undecoded keeps each term once (Term) and the numbers. dualsimd
-// defines each value once per stream (below three quarters of a million
-// distinct values), so equal numbers mean equal values; other writers
-// may define a value twice, and then it has two numbers. Refs and Term
-// may not be called after Close.
-func (s *Stream) Refs() []int32 { return s.table.Refs() }
-
-// Term returns term k's cell, spelled as the server's row codec spells
-// it, so equal values have equal cells. It stays valid after Close.
-func (s *Stream) Term(k int32) string { return s.table.Cell(k) }
 
 // drain reads the body to EOF once the last event is in. Nothing but
 // the chunked terminator should follow it, but until that is read the
@@ -693,8 +698,8 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.client.putTable(s.table)
-	s.table = nil
+	s.client.putReader(s.rd)
+	s.rd = nil
 	return s.body.Close()
 }
 
@@ -715,12 +720,12 @@ func (c *Client) QueryStream(ctx context.Context, src string, opts ...QueryOpt) 
 	if err != nil {
 		return nil, err
 	}
+	rd := c.getReader()
 	sc := bufio.NewScanner(resp.Body)
-	// Most answers are a handful of short lines; the buffer grows on
-	// demand up to the cap, which bounds one row.
-	sc.Buffer(make([]byte, 4<<10), 16<<20)
+	sc.Buffer(rd.buf, maxLineBytes)
 	st := &Stream{body: resp.Body, sc: sc, ctx: ctx, client: c}
 	fail := func(err error) (*Stream, error) {
+		c.putReader(rd)
 		resp.Body.Close()
 		return nil, err
 	}
@@ -739,8 +744,7 @@ func (c *Client) QueryStream(ctx context.Context, src string, opts ...QueryOpt) 
 	if err := json.Unmarshal(sc.Bytes(), &header); err != nil || header.Kind != wire.EventHeader {
 		return fail(fmt.Errorf("client: stream did not start with a header (%v)", err))
 	}
-	st.vars, st.epoch = header.Vars, header.Epoch
-	st.table = c.getTable()
+	st.vars, st.epoch, st.rd = header.Vars, header.Epoch, rd
 	return st, nil
 }
 

@@ -182,37 +182,52 @@ func TestStreamReadsEncodingJSONServer(t *testing.T) {
 	}
 }
 
-// cells is the current row as a forwarding reader reads it: each
-// value's cell (Refs and Term), or null.
-func cells(st *Stream) []string {
-	var out []string
-	for _, k := range st.Refs() {
-		cell := "null"
-		if k >= 0 {
-			cell = st.Term(k)
+// cellRows reads st to its end line by line (NextLine), as a
+// forwarding reader does, through a term table that keeps cells: each
+// row is its values' cells, or null, joined by commas.
+func cellRows(t *testing.T, st *Stream) []string {
+	t.Helper()
+	var tab wire.TermTable
+	var rows []string
+	for {
+		line, ok := st.NextLine()
+		if !ok {
+			return rows
 		}
-		out = append(out, cell)
+		kind, err := tab.Read(line, len(st.Vars()), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != wire.LineRow {
+			continue
+		}
+		var cells []string
+		for _, k := range tab.Refs() {
+			cell := "null"
+			if k >= 0 {
+				cell = tab.Cell(k)
+			}
+			cells = append(cells, cell)
+		}
+		rows = append(rows, strings.Join(cells, ","))
+		if st.Row() != nil {
+			t.Fatal("NextLine decoded the row")
+		}
 	}
-	return out
 }
 
-// TestStreamNextCells: the cells-only advance reads the same recorded
+// TestStreamNextLine: the line-by-line advance reads the same recorded
 // encoding/json stream as Next, through the same trailer handling, and
-// hands every value over in its canonical spelling, whatever escapes
-// its term line used.
-func TestStreamNextCells(t *testing.T) {
+// hands every term and row line over as it came, so a table reading
+// them for cells sees every value in its canonical spelling, whatever
+// escapes its term line used.
+func TestStreamNextLine(t *testing.T) {
 	st, err := serveBody(t, []byte(recordedStream)).QueryStream(context.Background(), queryX1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	var rows []string
-	for st.NextCells() {
-		rows = append(rows, strings.Join(cells(st), ","))
-		if st.Row() != nil {
-			t.Fatal("NextCells decoded the row")
-		}
-	}
+	rows := cellRows(t, st)
 	if err := st.Err(); err != nil || st.Rows() != 3 {
 		t.Fatalf("%v, trailer %d", err, st.Rows())
 	}
@@ -227,9 +242,9 @@ func TestStreamNextCells(t *testing.T) {
 }
 
 // TestStreamTermDefinedTwice: a writer that defines a value again under
-// a new number (an encoding/json writer, or dualsimd past its memo's
-// cap) is read as it meant: rows naming either number read the same
-// value and the same cell.
+// a new number (an encoding/json writer, dualsimd past its memo's cap,
+// or a router relaying two branches) is read as it meant: rows naming
+// either number read the same value, and the same cell.
 func TestStreamTermDefinedTwice(t *testing.T) {
 	body := `{"kind":"header","vars":["a","b"],"epoch":0}
 "<a>"
@@ -238,20 +253,28 @@ func TestStreamTermDefinedTwice(t *testing.T) {
 [1,0]
 {"kind":"stats","epoch":0,"rows":2}
 `
-	st, err := serveBody(t, []byte(body)).QueryStream(context.Background(), queryX1)
+	c := serveBody(t, []byte(body))
+	st, err := c.QueryStream(context.Background(), queryX1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	n := 0
 	for ; st.Next(); n++ {
-		row, cs := st.Row(), cells(st)
-		if *row[0] != "<a>" || *row[1] != "<a>" || cs[0] != cs[1] || cs[0] != `"<a>"` {
-			t.Fatalf("row %d = %q %q, cells %q", n, *row[0], *row[1], cs)
+		if row := st.Row(); *row[0] != "<a>" || *row[1] != "<a>" {
+			t.Fatalf("row %d = %q %q", n, *row[0], *row[1])
 		}
 	}
 	if err := st.Err(); err != nil || n != 2 {
 		t.Fatalf("%d rows: %v", n, err)
+	}
+	st, err = c.QueryStream(context.Background(), queryX1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if rows := cellRows(t, st); strings.Join(rows, " ") != `"<a>","<a>" "<a>","<a>"` || st.Err() != nil {
+		t.Fatalf("cells %q: %v", rows, st.Err())
 	}
 }
 

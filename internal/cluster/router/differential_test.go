@@ -196,7 +196,7 @@ func startRouters(t *testing.T, full *dualsim.Store) (map[int]*Router, map[int]s
 // when the first branch is longer than a flush (longQuery, drawn after
 // the others).
 func TestPropertyRouterMatchesSingleNode(t *testing.T) {
-	var overlaps, windows, gathers, zeroWidth, long int
+	var overlaps, windows, gathers, zeroWidth, long, relayed, meeting int
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		full, err := dualsim.FromTriples(diffStore(r))
@@ -300,16 +300,22 @@ func TestPropertyRouterMatchesSingleNode(t *testing.T) {
 		}
 		for _, rt := range routers {
 			gathers += int(rt.gathers.Value())
+			relayed += int(rt.relayed.Value())
+			meeting += int(rt.meeting.Value())
 		}
 		return true
 	}
 	proptest.Check(t, f, 40, regressionSeeds)
-	// The generator must reach what the property is about.
-	t.Logf("%d overlapping unions, %d windows, %d gathered branches, %d zero-width branches, %d first branches past a flush",
-		overlaps, windows, gathers, zeroWidth, long)
-	if overlaps == 0 || windows == 0 || gathers == 0 || zeroWidth == 0 || long == 0 {
-		t.Errorf("generator coverage: %d overlapping unions, %d windows, %d gathered branches, %d zero-width branches, %d first branches past a flush; want each > 0",
-			overlaps, windows, gathers, zeroWidth, long)
+	// The generator must reach what the property is about: both ways a
+	// row crosses the router, relayed as a shard wrote it and read by its
+	// cells against the seen set, each by thousands of rows. The default
+	// generator seed reads 73 782 relayed and 6 052 meeting rows, so the
+	// floors fail a generator that loses most of either.
+	t.Logf("%d overlapping unions, %d windows, %d gathered branches, %d zero-width branches, %d first branches past a flush, %d relayed rows, %d meeting rows",
+		overlaps, windows, gathers, zeroWidth, long, relayed, meeting)
+	if overlaps == 0 || windows == 0 || gathers == 0 || zeroWidth == 0 || long == 0 || relayed < 10_000 || meeting < 1000 {
+		t.Errorf("generator coverage: %d overlapping unions, %d windows, %d gathered branches, %d zero-width branches, %d first branches past a flush; want each > 0; %d relayed rows, want >= 10 000; %d meeting rows, want >= 1000",
+			overlaps, windows, gathers, zeroWidth, long, relayed, meeting)
 	}
 }
 

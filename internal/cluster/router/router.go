@@ -48,11 +48,18 @@
 // branch 0's rows are relayed as they arrive, padded to the
 // merged schema, then each later branch's, read ahead meanwhile. Only
 // branches whose rows can collide (mayMeet) are deduplicated, by their
-// cells' bytes. Rows are never decoded: a cell is read in place from a
-// shard stream's term table, or is a gathered node, rendered only when
-// the response defines it. The epoch is the maximum over the shard
-// epochs that answered — per-shard reads are individually
-// epoch-consistent, and X-Dualsim-Epoch reports the freshest of them.
+// cells' bytes. Rows are never decoded. A pushed-down branch that meets
+// no other, in a query without LIMIT/OFFSET, is relayed: its lines
+// leave the wire as the shard wrote them, each checked as the client
+// checks it, a term line copied, a row line renumbered from the term
+// the branch started at and mapped onto the merged schema
+// (wire.TermTable.RelayLine); a value two branches share is defined
+// once in each, as the keyed path defines it. Any other cell is read in
+// place from a pushed-down branch's term table, or is a gathered node,
+// rendered only when the response defines it. The epoch is the maximum
+// over the shard epochs that answered — per-shard reads are
+// individually epoch-consistent, and X-Dualsim-Epoch reports the
+// freshest of them.
 // A branch that fails before its header cancels the others and fails
 // the query; one that fails later ends the answer with the error, with
 // the router's own status while no row has gone out to the client.
@@ -225,11 +232,14 @@ type Router struct {
 	// store a constant-free branch runs on.
 	held  gatherCache
 	empty *dualsim.DB
+	idle  chan *lineBuf // line buffers of closed branches, for the next ones
 
 	pushdowns *metrics.Counter
 	gathers   *metrics.Counter
 	reuses    *metrics.Counter
 	failovers *metrics.Counter
+	relayed   *metrics.Counter
+	meeting   *metrics.Counter
 }
 
 // New builds a router over shardEndpoints: element i lists shard i's
@@ -253,7 +263,7 @@ func New(shardEndpoints [][]string, opts ...Option) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{cfg: cfg, empty: empty}
+	r := &Router{cfg: cfg, empty: empty, idle: make(chan *lineBuf, idleLineBufs)}
 	// A traced query gets a "router.fanout" root span; each branch hangs
 	// under it with its mode and, for push-downs, the shard's own subtree
 	// Continued under the same trace ID.
@@ -267,6 +277,8 @@ func New(shardEndpoints [][]string, opts ...Option) (*Router, error) {
 	r.gathers = reg.Counter("dualsimrouter_gathers_total", "cross-shard branches evaluated via data gather")
 	r.reuses = reg.Counter("dualsimrouter_gather_reuses_total", "gathers answered on a held union: the shards named exactly its slices")
 	r.failovers = reg.Counter("dualsimrouter_failovers_total", "reads failed over to another endpoint")
+	r.relayed = reg.Counter("dualsimrouter_relayed_rows_total", "rows of pushed-down branches that meet no other, relayed as their shard wrote them")
+	r.meeting = reg.Counter("dualsimrouter_meeting_rows_total", "rows of branches that may meet another, read by their cells and deduplicated")
 	for si, urls := range shardEndpoints {
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("router: shard %d has no endpoints", si)
@@ -429,7 +441,7 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 	exprs := topBranches(q.Expr)
 	meets := mayMeet(exprs)
 	ctx, cancel := context.WithCancelCause(ctx)
-	u := &union{ctx: ctx, cancel: cancel, start: start,
+	u := &union{rt: r, ctx: ctx, cancel: cancel, start: start,
 		stats: &dualsim.ExecStats{Fingerprint: qstats.Of(q).ID}}
 	parent := trace.SpanFromContext(ctx)
 	var headers sync.WaitGroup
@@ -449,14 +461,15 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 				cancel(b.err) // before Done, so that Query sees it
 			}
 			headers.Done()
-			// Branch 0 is relayed as it arrives; a later one is read ahead
-			// until the cursor takes its stream over.
-			for i > 0 && b.err == nil && !b.stop.Load() && b.next() {
-				b.ahead = b.rows.row(grow(b.ahead, len(b.rows.Vars())))
-				b.n++
+			// Branch 0 is read as it arrives; a later one reads ahead until
+			// the cursor takes its rows over.
+			if i == 0 || b.err != nil {
+				return
 			}
-			if b.ended && b.err != nil {
-				cancel(b.err) // a branch that breaks off fails the query at once
+			for !b.stop.Load() && b.rows.fetch() {
+			}
+			if err := b.rows.failed(); err != nil {
+				cancel(err) // a branch that breaks off fails the query at once
 			}
 		}()
 	}
@@ -473,13 +486,17 @@ func (r *Router) Query(ctx context.Context, src string) (server.Cursor, error) {
 		}
 		u.stats.Epoch = max(u.stats.Epoch, b.rows.Epoch())
 	}
+	windowed := q.Limit > 0 || q.Offset > 0
 	for _, b := range u.branches {
 		for _, v := range u.vars {
 			b.cols = append(b.cols, slices.Index(b.rows.Vars(), v))
 		}
+		if sh, ok := b.rows.(*shardRows); ok && !b.meets && !windowed {
+			b.relay = sh
+		}
 	}
 	u.seen = newSeenSet(len(u.vars))
-	if q.Limit > 0 || q.Offset > 0 {
+	if windowed {
 		if err := u.drain(q.Limit, q.Offset); err != nil {
 			u.Close()
 			return nil, err
@@ -626,7 +643,7 @@ func (r *Router) pushDown(ctx context.Context, si int, src string) (rows, error)
 			return nil, err
 		}
 		sp.SetAttr("endpoint", ep.url)
-		return &shardRows{Stream: st, si: si, sp: sp}, nil
+		return &shardRows{Stream: st, lineBuf: r.getLineBuf(), rt: r, si: si, sp: sp}, nil
 	})
 }
 
@@ -845,26 +862,146 @@ func (r *Router) export(ctx context.Context, key gatherKey, held [][]heldPart) (
 type rows interface {
 	Vars() []string
 	Epoch() uint64
-	next() bool
+	fetch() bool               // reads one more row or line ahead; false once the source is exhausted
+	failed() error             // once fetch returned false: why, mapped onto the reply; nil at a clean end
+	next() bool                // moves to the next row, read ahead or not
 	row(dst []uint32) []uint32 // appends the current row's cells
 	cellSource
 	end() error // once next returned false: the failure, mapped onto the reply
 	Close() error
 }
 
-// shardRows is a pushed-down branch's answer: the shard's row stream,
-// whose term table keeps every cell until the stream is closed.
-type shardRows struct {
-	*client.Stream
-	si int
-	sp *trace.Span
+// lineBuf is what a pushed-down branch reads its shard stream with: the
+// lines it reads ahead, and the term table that reads them.
+type lineBuf struct {
+	lines []byte
+	table wire.TermTable
 }
 
-func (s *shardRows) next() bool { return s.NextCells() }
+// A router keeps up to idleLineBufs line buffers of closed branches for
+// its next ones, each with at most maxIdleLines bytes of lines and a
+// table of at most maxIdleLines bytes, so one large branch does not stay
+// resident.
+const (
+	idleLineBufs = 4
+	maxIdleLines = 1 << 20
+)
+
+// getLineBuf returns an idle line buffer, or a new one.
+func (r *Router) getLineBuf() *lineBuf {
+	select {
+	case lb := <-r.idle:
+		return lb
+	default:
+		return new(lineBuf)
+	}
+}
+
+// putLineBuf keeps lb for a later branch, if it is small and a slot is
+// free.
+func (r *Router) putLineBuf(lb *lineBuf) {
+	if cap(lb.lines) > maxIdleLines || lb.table.Size() > maxIdleLines {
+		return
+	}
+	lb.lines = lb.lines[:0]
+	lb.table.Reset()
+	select {
+	case r.idle <- lb:
+	default:
+	}
+}
+
+// shardRows is a pushed-down branch's answer: the shard's row stream,
+// read line by line. A later branch reads its lines ahead as they came;
+// the cursor reads them, and then the stream's, through the table,
+// which keeps each cell until the branch is closed (next), or which
+// relays them, keeping none (relay).
+type shardRows struct {
+	*client.Stream
+	*lineBuf
+	rt  *Router
+	si  int
+	sp  *trace.Span
+	off int   // lines[:off] have been read
+	bad error // the line the table refused
+}
+
+func (s *shardRows) fetch() bool {
+	line, ok := s.NextLine()
+	if ok {
+		s.lines = append(append(grow(s.lines, len(line)+1), line...), '\n')
+	}
+	return ok
+}
+
+func (s *shardRows) failed() error {
+	if err := s.Err(); err != nil {
+		return shardFailure(s.si, err)
+	}
+	return nil
+}
+
+// line returns the next line read ahead, then the stream's.
+//
+//dualsim:hotpath
+func (s *shardRows) line() ([]byte, bool) {
+	if s.off < len(s.lines) {
+		rest := s.lines[s.off:]
+		i := bytes.IndexByte(rest, '\n')
+		s.off += i + 1
+		return rest[:i], true
+	}
+	return s.NextLine()
+}
+
+//dualsim:hotpath
+func (s *shardRows) next() bool {
+	for s.bad == nil {
+		line, ok := s.line()
+		if !ok {
+			return false
+		}
+		kind, err := s.table.Read(line, len(s.Vars()), false)
+		if err != nil {
+			s.bad = err
+			return false
+		}
+		if kind == wire.LineRow {
+			return true
+		}
+	}
+	return false
+}
+
+// relay appends the lines up to the branch's next row to dst as lines
+// of the response w writes: each term line as the shard wrote it, and
+// the row line with its terms numbered from base and its columns mapped
+// by cols (wire.TermTable.RelayLine). It returns false at the end of the
+// stream, or at a line the table refuses, which it does not write.
+//
+//dualsim:hotpath
+func (s *shardRows) relay(dst []byte, w *wire.TermWriter, cols []int, base uint32) ([]byte, bool) {
+	for s.bad == nil {
+		line, ok := s.line()
+		if !ok {
+			return dst, false
+		}
+		var kind int
+		var err error
+		if dst, kind, err = s.table.RelayLine(dst, line, len(s.Vars()), cols, base, w); err != nil {
+			s.bad = err
+			return dst, false
+		}
+		if kind == wire.LineRow {
+			return dst, true
+		}
+	}
+	return dst, false
+}
 
 //dualsim:hotpath
 func (s *shardRows) row(dst []uint32) []uint32 {
-	for _, k := range s.Refs() {
+	for _, k := range s.table.Refs() {
 		dst = append(dst, uint32(k)) // -1 is Unbound
 	}
 	return dst
@@ -872,20 +1009,33 @@ func (s *shardRows) row(dst []uint32) []uint32 {
 
 //dualsim:hotpath
 func (s *shardRows) appendCell(dst []byte, c uint32) []byte {
-	return append(dst, s.Term(int32(c))...)
+	return append(dst, s.table.Cell(int32(c))...)
 }
 
 // end stitches the shard's span tree under the branch span. Rows may
 // have gone out, so a stream that breaks off is not failed over; the
 // next read of a dead endpoint marks it down (onShard).
 func (s *shardRows) end() error {
-	if err := s.Err(); err != nil {
-		return shardFailure(s.si, err)
+	if s.bad != nil {
+		return shardFailure(s.si, fmt.Errorf("bad stream line: %w", s.bad))
+	}
+	if err := s.failed(); err != nil {
+		return err
 	}
 	if stats := s.Stats(); stats != nil {
 		s.sp.Attach(stats.Trace)
 	}
 	return nil
+}
+
+// Close closes the stream and hands the line buffer back.
+func (s *shardRows) Close() error {
+	err := s.Stream.Close()
+	if s.lineBuf != nil {
+		s.rt.putLineBuf(s.lineBuf)
+		s.lineBuf = nil
+	}
+	return err
 }
 
 // localRows is a gathered branch's answer: a session's cursor over the
@@ -894,6 +1044,9 @@ type localRows struct {
 	*dualsim.Rows
 	st    *dualsim.Store
 	epoch uint64
+	ahead []uint32 // the n rows read ahead, flat; grows by doubling
+	n, r  int      // rows read ahead, and rows of them read
+	cur   []uint32 // the current row
 }
 
 // openLocal runs a branch on a gather's session, or the empty one.
@@ -907,53 +1060,83 @@ func openLocal(ctx context.Context, db *dualsim.DB, src string, epoch uint64) (r
 }
 
 func (l *localRows) Epoch() uint64 { return l.epoch }
-func (l *localRows) next() bool    { return l.Next() }
+func (l *localRows) failed() error { return l.Err() }
 func (l *localRows) end() error    { return l.Err() }
 
+func (l *localRows) fetch() bool {
+	if !l.Next() {
+		return false
+	}
+	l.ahead = append(grow(l.ahead, len(l.Row())), l.Row()...)
+	l.n++
+	return true
+}
+
 //dualsim:hotpath
-func (l *localRows) row(dst []uint32) []uint32 { return append(dst, l.Row()...) }
+func (l *localRows) next() bool {
+	if l.r < l.n {
+		w := len(l.Vars())
+		l.cur = l.ahead[l.r*w : (l.r+1)*w]
+		l.r++
+		return true
+	}
+	if !l.Next() {
+		return false
+	}
+	l.cur = l.Row()
+	return true
+}
+
+//dualsim:hotpath
+func (l *localRows) row(dst []uint32) []uint32 { return append(dst, l.cur...) }
 
 //dualsim:hotpath
 func (l *localRows) appendCell(dst []byte, c uint32) []byte {
 	return wire.AppendTerm(dst, l.st.Term(c))
 }
 
-// branch is one top-level UNION branch: its answer, its columns in the
-// merged schema, and the rows its goroutine read ahead until the cursor
-// took its stream over.
+// branch is one top-level UNION branch: its answer and its columns in
+// the merged schema. Its goroutine reads ahead until the cursor takes
+// its rows over.
 type branch struct {
 	rows  rows // nil if the branch failed to start
 	sp    *trace.Span
-	cols  []int // cols[j]: the branch's column of merged column j, -1 if none
-	meets bool  // its rows may equal another branch's (mayMeet)
-	keep  bool  // a later branch meets it: its rows go into the seen set
+	cols  []int      // cols[j]: the branch's column of merged column j, -1 if none
+	meets bool       // its rows may equal another branch's (mayMeet)
+	keep  bool       // a later branch meets it: its rows go into the seen set
+	relay *shardRows // set when the branch is relayed: pushed down, meeting none, no window
+	base  uint32     // while relaying: the response's number of the branch's term 0
 
-	stop  atomic.Bool   // the cursor takes the stream over
+	stop  atomic.Bool   // the cursor takes the rows over
 	done  chan struct{} // closed when the branch's goroutine is gone
-	ahead []uint32      // the n rows read ahead, flat; grows by doubling
-	n     int
-	ended bool // next returned false, and err says why
+	ended bool          // next returned false, and err says why
 	err   error
 }
 
-// next advances the stream; at its end it records why and ends the span.
+// next advances the rows; at their end it finishes the branch.
 func (b *branch) next() bool {
-	if b.ended {
-		return false
-	}
 	if b.rows.next() {
 		return true
 	}
-	b.ended, b.err = true, b.rows.end()
-	b.sp.End()
+	b.finish()
 	return false
 }
 
+// finish records why the branch's rows ended and ends its span.
+func (b *branch) finish() {
+	if !b.ended {
+		b.ended, b.err = true, b.rows.end()
+		b.sp.End()
+	}
+}
+
 // union is a routed query's cursor: the branches' rows in branch order,
-// padded to the merged schema. A key is a cell's branch and its number
-// there, so a response renders each cell once, from where its branch
-// keeps it.
+// padded to the merged schema. A relayed branch's rows go out as lines
+// (NextLines); any other row is keyed: a key is a cell's branch and its
+// number there, so a response renders each cell once, from where its
+// branch keeps it.
 type union struct {
+	rt     *Router
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	start  time.Time
@@ -961,11 +1144,13 @@ type union struct {
 
 	vars     []string
 	branches []*branch
-	b, r     int // the branch being relayed, and its next row read ahead
+	b        int // the branch being read
 	row      []uint32
 	keys     []wire.Key
 	window   [][]wire.Key // a windowed query's rows left to serve
 	n        int          // rows served
+	relayed  int          // of them, relayed
+	meeting  int          // rows read from meeting branches
 	err      error
 	closed   bool
 
@@ -985,55 +1170,71 @@ func (u *union) AppendCell(dst []byte, k wire.Key) []byte {
 	return u.branches[k>>32].rows.appendCell(dst, uint32(k))
 }
 
-// Next moves to the union's next row. Entering a branch, it stops the
-// branch's goroutine and relays what it read ahead first.
+// Next moves to the union's next row, reading every branch's cells.
+func (u *union) Next() bool {
+	_, ok, _ := u.NextLines(nil, nil)
+	return ok
+}
+
+// NextLines moves to the union's next row. A relayed branch's row is
+// written to dst when w is set; Next passes none, and reads the
+// branch's cells. Entering a branch, it stops the branch's goroutine,
+// and reads what it read ahead first.
 //
 //dualsim:hotpath
-func (u *union) Next() bool {
+func (u *union) NextLines(dst []byte, w *wire.TermWriter) ([]byte, bool, bool) {
 	if u.window != nil {
 		if len(u.window) == 0 {
-			return false
+			return dst, false, false
 		}
 		u.keys, u.window = u.window[0], u.window[1:]
 		u.n++
-		return true
+		return dst, true, false
 	}
 	for u.err == nil && u.b < len(u.branches) {
 		b := u.branches[u.b]
 		if !b.stop.Load() {
 			b.stop.Store(true)
 			<-b.done
+			if w != nil {
+				b.base = w.Terms()
+			}
 		}
-		row := u.row[:0]
-		switch {
-		case u.r < b.n:
-			w := len(b.rows.Vars())
-			row = b.ahead[u.r*w : (u.r+1)*w]
-			u.r++
-		case b.next():
-			row = b.rows.row(row)
-			u.row = row
-		case b.err != nil:
-			u.err = cmp.Or(context.Cause(u.ctx), b.err) // what cancelled the query comes first
-			return false
-		default:
-			u.b, u.r = u.b+1, 0
+		if b.relay != nil && w != nil {
+			var ok bool
+			if dst, ok = b.relay.relay(dst, w, b.cols, b.base); ok {
+				u.n++
+				u.relayed++
+				return dst, true, true
+			}
+			b.finish()
+		} else if b.next() {
+			u.row = b.rows.row(u.row[:0])
+			u.keys = u.keys[:0]
+			for _, c := range b.cols {
+				k := wire.NoKey
+				if c >= 0 && u.row[c] != dualsim.Unbound {
+					k = wire.Key(u.b)<<32 | wire.Key(u.row[c])
+				}
+				u.keys = append(u.keys, k)
+			}
+			if !b.meets {
+				u.n++
+				return dst, true, false
+			}
+			if u.meeting++; u.fresh(b) {
+				u.n++
+				return dst, true, false
+			}
 			continue
 		}
-		u.keys = u.keys[:0]
-		for _, c := range b.cols {
-			k := wire.NoKey
-			if c >= 0 && row[c] != dualsim.Unbound {
-				k = wire.Key(u.b)<<32 | wire.Key(row[c])
-			}
-			u.keys = append(u.keys, k)
+		if b.err != nil {
+			u.err = cmp.Or(context.Cause(u.ctx), b.err) // what cancelled the query comes first
+			return dst, false, false
 		}
-		if !b.meets || u.fresh(b) {
-			u.n++
-			return true
-		}
+		u.b++
 	}
-	return false
+	return dst, false, false
 }
 
 // fresh reports whether the current row of a meeting branch is in none
@@ -1223,6 +1424,8 @@ func (u *union) Close() {
 		}
 	}
 	u.stats.Duration, u.stats.Results = time.Since(u.start), u.n
+	u.rt.relayed.Add(int64(u.relayed))
+	u.rt.meeting.Add(int64(u.meeting))
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -999,6 +1000,91 @@ func TestRouterRelaysShardTimeout(t *testing.T) {
 	}
 }
 
+// TestRelayRefusesBadLines: a relayed branch crosses the router as its
+// shard wrote it, but every line is still checked. A shard that sends
+// a term line that is not one JSON string, a row of the wrong width or
+// a row naming a term it has not defined, after a good row, fails the
+// routed answer in-band: the answer ends with the error event, naming
+// the line's fault, and every line before it is one the client reads,
+// so the bad line never reaches the client. The bad line is checked
+// where it is relayed: in branch 0, read as it arrives, and in branch
+// 1, read ahead while branch 0 is relayed.
+func TestRelayRefusesBadLines(t *testing.T) {
+	const good = `"<a>"` + "\n" + `"<b>"` + "\n[0,1]\n"
+	for _, bad := range []struct{ name, line, fault string }{
+		{"term line", `"<c>"x`, "not exactly one JSON string"},
+		{"row width", "[0,1,0]", "a row of 3 values under 2 variables"},
+		{"undefined term", "[0,2]", "names term 2, but the stream has defined 2"},
+	} {
+		body := func(src string, broken bool) string {
+			out := `{"kind":"header","vars":["s","o"],"epoch":0}` + "\n" + good
+			if broken {
+				out += bad.line + "\n"
+			}
+			return out + `"<z>"` + "\n[2,0]\n" + `{"kind":"stats","epoch":0,"rows":2}` + "\n"
+		}
+		for _, tc := range []struct {
+			name, src, breaks string // breaks: the predicate whose branch the shard breaks
+			rows              int    // the rows before the bad line
+		}{
+			{"branch 0", `SELECT * WHERE { ?s <p> ?o . }`, "<p>", 1},
+			{"branch 1", `SELECT * WHERE { { ?s <p> ?o . } UNION { ?a <q> ?b . } }`, "<q>", 3},
+		} {
+			t.Run(bad.name+"/"+tc.name, func(t *testing.T) {
+				shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/readyz" {
+						io.WriteString(w, `{"status":"ready","epoch":0}`)
+						return
+					}
+					var req wire.QueryRequest
+					if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+						t.Error(err)
+					}
+					w.Header().Set("Content-Type", wire.ContentTypeNDJSON)
+					io.WriteString(w, body(req.Query, strings.Contains(req.Query, tc.breaks)))
+				}))
+				t.Cleanup(shard.Close)
+				rt, err := New([][]string{{shard.URL}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt.Probe(context.Background())
+				rs := httptest.NewServer(rt.Handler())
+				t.Cleanup(rs.Close)
+				resp, err := http.Post(rs.URL+"/v1/query", wire.ContentTypeJSON, strings.NewReader(fmt.Sprintf(`{"query":%q}`, tc.src)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				answer, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d, %v", resp.StatusCode, err)
+				}
+				lines := strings.Split(strings.TrimSuffix(string(answer), "\n"), "\n")
+				var last wire.Event
+				if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Kind != wire.EventError ||
+					!strings.Contains(last.Error, "bad stream line") || !strings.Contains(last.Error, bad.fault) {
+					t.Fatalf("the answer ends %q (%v), want the error event naming %q:\n%s", lines[len(lines)-1], err, bad.fault, answer)
+				}
+				var tab wire.TermTable
+				rows := 0
+				for _, line := range lines[1 : len(lines)-1] {
+					kind, err := tab.Read([]byte(line), 2, true)
+					if err != nil || kind == wire.LineEvent {
+						t.Fatalf("the answer carries %q (%v) before its error event:\n%s", line, err, answer)
+					}
+					if kind == wire.LineRow {
+						rows++
+					}
+				}
+				if rows != tc.rows || rt.relayed.Value() != int64(tc.rows) {
+					t.Fatalf("%d rows before the error event, %d counted relayed; want %d of each", rows, rt.relayed.Value(), tc.rows)
+				}
+			})
+		}
+	}
+}
+
 // TestGatherRejectsBadSlices: a gather fails with 502 and names the
 // cause when a shard answers the export in anything but the snapshot
 // container — a shard of an older build sending JSON is never misread —
@@ -1785,20 +1871,59 @@ func distinctRows(rows int, prefix string) []byte {
 	return fmt.Appendf(body, `{"kind":"stats","epoch":0,"rows":%d}`+"\n", rows)
 }
 
-// TestRelayAllocsPerRow pins what the router allocates to relay a row
-// of a pushed-down branch: the cells stay in the shard stream's term
-// table, so a row whose terms are all new costs the stream's decoding
-// of them and no copy of the table.
+// answerBytes posts src to rt's HTTP answer runs times, after one post
+// that fills the pools and the connections, reads each answer to its
+// end into one buffer, and returns the bytes allocated per answer. Each
+// answer must end in its trailer with rows rows.
+func answerBytes(t *testing.T, rt *Router, src string, rows, runs int) float64 {
+	t.Helper()
+	rs := httptest.NewServer(rt.Handler())
+	defer rs.Close()
+	body := fmt.Sprintf(`{"query":%q}`, src)
+	trailer := fmt.Sprintf(`"rows":%d`, rows)
+	var answer bytes.Buffer
+	post := func() {
+		resp, err := http.Post(rs.URL+"/v1/query", wire.ContentTypeJSON, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer.Reset()
+		_, err = answer.ReadFrom(resp.Body)
+		resp.Body.Close()
+		last := answer.Bytes()[bytes.LastIndexByte(bytes.TrimSuffix(answer.Bytes(), []byte{'\n'}), '\n')+1:]
+		if err != nil || !bytes.Contains(last, []byte(`"kind":"stats"`)) || !bytes.Contains(last, []byte(trailer)) {
+			t.Fatalf("%s: the answer ends %q (%v), want a trailer of %d rows", src, last, err, rows)
+		}
+	}
+	post()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestRelayAllocsPerRow pins what a row of a relayed branch costs the
+// whole hop, measured on the router's HTTP answer: the shard stream's
+// lines are copied into the response as they came, each row line
+// rewritten in place, so a row whose terms are all new allocates
+// nothing of its own. It reads about 2 bytes a row, the per-answer cost
+// (the request, the shard stream, the response) spread over the rows;
+// the bound of 4 leaves as much again. Read back through a term table,
+// as the router read every pushed-down row before, it cost about 130.
 func TestRelayAllocsPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const rows = 20_000
 	rt := cannedRouter(t, distinctRows(rows, ""))
-	perRow := relayedBytes(t, rt, `SELECT * WHERE { ?s <p> ?o . }`, rows, 5) / rows
-	t.Logf("%.1f bytes allocated per relayed row", perRow)
-	if perRow > 260 {
-		t.Errorf("relaying costs %.1f bytes per row, want <= 260", perRow)
+	perRow := answerBytes(t, rt, `SELECT * WHERE { ?s <p> ?o . }`, rows, 5) / rows
+	t.Logf("%.2f bytes allocated per relayed row", perRow)
+	if perRow > 4 {
+		t.Errorf("relaying costs %.2f bytes per row, want <= 4", perRow)
 	}
 }
 

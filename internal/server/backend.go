@@ -62,6 +62,19 @@ type Cursor interface {
 	Stats() *dualsim.ExecStats
 }
 
+// A LineCursor is a Cursor that writes some of its rows' lines itself,
+// as the router relays a shard's lines. The core then advances it with
+// NextLines, never with Next.
+type LineCursor interface {
+	Cursor
+	// NextLines moves to the next row like Next. When written is set, it
+	// has appended the row's lines to dst: the term lines the row needs,
+	// each counted by w (wire.TermWriter.AppendTermLine), then the row
+	// line. Otherwise the row is read from Keys, as Next leaves it. dst
+	// may grow by term lines when ok is false; the core drops them.
+	NextLines(dst []byte, w *wire.TermWriter) (out []byte, ok, written bool)
+}
+
 // Error is a backend failure that names its own HTTP status — a shard's
 // relayed verdict, an unroutable request, a dead shard.
 type Error struct {

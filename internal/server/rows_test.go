@@ -152,7 +152,7 @@ func TestStreamAllocsPerRow(t *testing.T) {
 		cursors = cursors[1:]
 		enc := &ndjsonEncoder{w: discard{http.Header{}}, idle: idle}
 		enc.begin(cur.Vars(), cur.Epoch())
-		n, _, err := pump(cur, 0, enc.row)
+		n, _, err := enc.pump(cur, 0)
 		if err != nil || cur.Err() != nil {
 			t.Fatal(err, cur.Err())
 		}

@@ -331,7 +331,7 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// execution that fails before its first row answers with its status.
 	enc := &ndjsonEncoder{w: w, idle: c.idle}
 	enc.begin(cur.Vars(), cur.Epoch())
-	n, truncated, werr := pump(cur, req.Limit, enc.row)
+	n, truncated, werr := enc.pump(cur, req.Limit)
 	if werr != nil {
 		return // client gone; nothing to salvage mid-stream
 	}
@@ -346,22 +346,6 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 	c.finishTrace(tr, wantTrace, stats, req.Query, d)
 	c.rows.Add(int64(n))
 	enc.end(stats, n, truncated)
-}
-
-// pump pulls rows off cur into emit until the cursor is exhausted, emit
-// fails, or limit rows went out (0: unbounded). truncated reports that
-// a row past the limit existed; the peek proves it, the row is dropped.
-func pump(cur Cursor, limit int, emit func(Cursor) error) (n int, truncated bool, err error) {
-	for cur.Next() {
-		if limit > 0 && n >= limit {
-			return n, true, nil
-		}
-		if err := emit(cur); err != nil {
-			return n, false, err
-		}
-		n++
-	}
-	return n, false, nil
 }
 
 // ndjsonEncoder writes the /v1/query answer: the header event, the rows
@@ -442,13 +426,34 @@ func (e *ndjsonEncoder) begin(vars []string, epoch uint64) {
 	e.event(wire.Event{Kind: wire.EventHeader, Vars: vars, Epoch: epoch})
 }
 
+// pump writes cur's rows until the cursor is exhausted, a flush fails,
+// or limit rows went out (0: unbounded). truncated reports that a row
+// past the limit existed; the peek proves it, and the row is dropped
+// with the lines a LineCursor wrote for it.
+//
 //dualsim:hotpath
-func (e *ndjsonEncoder) row(cur Cursor) error {
-	e.buf = e.terms.AppendRow(e.buf, cur.Keys(), cur)
-	if e.n++; e.n == 1 || e.n%streamChunk == 0 || len(e.buf) >= streamChunkBytes {
-		return e.flush()
+func (e *ndjsonEncoder) pump(cur Cursor, limit int) (n int, truncated bool, err error) {
+	lines, relays := cur.(LineCursor)
+	for {
+		mark, ok, written := len(e.buf), false, false
+		if relays {
+			e.buf, ok, written = lines.NextLines(e.buf, &e.terms)
+		} else {
+			ok = cur.Next()
+		}
+		if !ok || limit > 0 && e.n >= limit {
+			e.buf = e.buf[:mark]
+			return e.n, ok, nil
+		}
+		if !written {
+			e.buf = e.terms.AppendRow(e.buf, cur.Keys(), cur)
+		}
+		if e.n++; e.n == 1 || e.n%streamChunk == 0 || len(e.buf) >= streamChunkBytes {
+			if err := e.flush(); err != nil {
+				return e.n, false, err
+			}
+		}
 	}
-	return nil
 }
 
 // abort reports an execution that died: through fail, with its own

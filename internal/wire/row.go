@@ -34,6 +34,14 @@ import (
 // every valid JSON string escape in a term line, so it also reads what
 // an encoding/json writer emits. A value's JSON text is a cell,
 // canonical when AppendCell spells it so.
+//
+// A relay (TermTable.RelayLine) carries one stream's lines into
+// another that a TermWriter writes, without keeping a term: a term line
+// goes out as it came, or re-escaped if it was not canonical, and a row
+// line with its numbers moved up by the number the relayed stream's
+// first term got in the other. The other stream stays on this grammar,
+// but a value it had defined before the relayed lines is defined again
+// by them.
 
 // plain marks the bytes a JSON string carries as themselves: ASCII
 // except the control range, the quote and the backslash.
@@ -233,7 +241,12 @@ func (m *memo) lookup(k Key, next uint32) (uint32, bool) {
 			return m.base + m.slots[i].tag&(1<<numBits-1), true
 		}
 	}
-	if 4*(m.n+1) > 3*len(m.slots) {
+	switch {
+	case next-m.base >= 1<<numBits:
+		// Relayed term lines moved next past what a slot holds.
+		m.forget(next)
+		i = m.free(k)
+	case 4*(m.n+1) > 3*len(m.slots):
 		if len(m.slots) < memoMaxSlots {
 			m.grow()
 		} else {
@@ -356,6 +369,17 @@ func (w *TermWriter) Reset() {
 // free list that keeps only small writers.
 func (w *TermWriter) Size() int { return 12 * cap(w.memo.slots) }
 
+// Terms returns the number of terms the stream has defined.
+func (w *TermWriter) Terms() uint32 { return w.next }
+
+// AppendTermLine appends a term line that defines the stream's next
+// term: cell, which must be a canonical cell, and a newline. The memo
+// does not learn it, so a key AppendRow writes later is defined again.
+func (w *TermWriter) AppendTermLine(dst, cell []byte) []byte {
+	w.next++
+	return append(append(dst, cell...), '\n')
+}
+
 // AppendRow appends one row line, newline included, after a term line
 // for each of its keys the stream has not defined. keys holds one key
 // per variable, NoKey for unbound; cells renders the terms.
@@ -417,6 +441,7 @@ type TermTable struct {
 	strs chunk[string]
 	buf  strings.Builder // the current text chunk
 	last int             // the size of the current text chunk
+	esc  []byte          // a term line's cell, re-escaped (cell)
 }
 
 var (
@@ -440,7 +465,7 @@ func (t *TermTable) Len() int { return t.n }
 
 // Size returns the bytes the table holds on to across Reset, for a pool
 // that keeps only small tables.
-func (t *TermTable) Size() int { return 8*cap(t.vals) + 16*cap(t.cells) + 4*cap(t.refs) }
+func (t *TermTable) Size() int { return 8*cap(t.vals) + 16*cap(t.cells) + 4*cap(t.refs) + cap(t.esc) }
 
 // Cell returns term k's canonical cell, rendering it from the value the
 // first time if the term was read for its value.
@@ -465,19 +490,83 @@ func (t *TermTable) Refs() []int32 { return t.refs }
 //
 //dualsim:hotpath
 func (t *TermTable) Read(line []byte, width int, values bool) (int, error) {
+	line, kind := classify(line)
+	switch kind {
+	case LineTerm:
+		return kind, t.readTerm(line, values)
+	case LineRow:
+		return kind, t.readRow(line, width)
+	}
+	return kind, nil
+}
+
+// classify returns line without its newline, and its kind.
+func classify(line []byte) ([]byte, int) {
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]
 	}
-	if len(line) == 0 {
-		return LineEvent, nil
+	switch {
+	case len(line) == 0:
+		return line, LineEvent
+	case line[0] == '"':
+		return line, LineTerm
+	case line[0] == '[':
+		return line, LineRow
 	}
-	switch line[0] {
-	case '"':
-		return LineTerm, t.readTerm(line, values)
-	case '[':
-		return LineRow, t.readRow(line, width)
+	return line, LineEvent
+}
+
+// RelayLine reads a term or row line of the stream t reads, as Read
+// reads it, and appends it to dst as a line of the stream w writes; it
+// returns the line's kind, and leaves any other line alone. A
+// malformed line is an error, and dst is returned as it was. A term
+// line goes out as its canonical cell (AppendTermLine): the line
+// itself, or its value re-escaped if the line spelled it otherwise; the
+// table counts the term and keeps nothing of it. A row line goes out
+// with each term number moved up by base, the number w gave the
+// stream's term 0, and with its columns picked by cols: column j of the
+// written row is the line's column cols[j], or null where cols[j] is -1.
+//
+//dualsim:hotpath
+func (t *TermTable) RelayLine(dst, line []byte, width int, cols []int, base uint32, w *TermWriter) ([]byte, int, error) {
+	line, kind := classify(line)
+	switch kind {
+	case LineTerm:
+		if t.n == math.MaxInt32 {
+			return dst, kind, errTerms
+		}
+		cell, ok := t.cell(line)
+		if !ok {
+			return dst, kind, errTermLine
+		}
+		t.n++
+		return w.AppendTermLine(dst, cell), kind, nil
+	case LineRow:
+		if err := t.readRow(line, width); err != nil {
+			return dst, kind, err
+		}
+		return appendRebased(dst, t.refs, cols, base), kind, nil
 	}
-	return LineEvent, nil
+	return dst, kind, nil
+}
+
+// appendRebased appends a row line, newline included, whose column j is
+// refs[cols[j]] plus base, or null where cols[j] is -1 or names a null.
+//
+//dualsim:hotpath
+func appendRebased(dst []byte, refs []int32, cols []int, base uint32) []byte {
+	dst = append(dst, '[')
+	for j, c := range cols {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		if c < 0 || refs[c] < 0 {
+			dst = append(dst, null...)
+		} else {
+			dst = appendNum(dst, base+uint32(refs[c]))
+		}
+	}
+	return append(dst, ']', '\n')
 }
 
 // readTerm adds a term line to the table: its value, or its cell.
@@ -495,19 +584,32 @@ func (t *TermTable) readTerm(line []byte, values bool) error {
 		t.vals = pad(t.vals, t.n+1)
 		t.vals[t.n] = v
 	} else {
-		cell := ""
-		if i := 0; canonical(line, &i) && i == len(line) {
-			cell = t.carve(line)
-		} else if v := t.decode(line); v != nil {
-			cell = t.carve(AppendCell(nil, *v))
-		} else {
+		cell, ok := t.cell(line)
+		if !ok {
 			return errTermLine
 		}
 		t.cells = pad(t.cells, t.n+1)
-		t.cells[t.n] = cell
+		t.cells[t.n] = t.carve(cell)
 	}
 	t.n++
 	return nil
+}
+
+// cell returns the canonical cell of a term line: the line itself, or
+// its value re-escaped, valid until the next call; false if the line is
+// not exactly one JSON string.
+//
+//dualsim:hotpath
+func (t *TermTable) cell(line []byte) ([]byte, bool) {
+	if i := 0; canonical(line, &i) && i == len(line) {
+		return line, true
+	}
+	v := t.decode(line)
+	if v == nil {
+		return nil, false
+	}
+	t.esc = AppendCell(t.esc[:0], *v)
+	return t.esc, true
 }
 
 // carve copies b into the current text chunk.

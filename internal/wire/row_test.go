@@ -261,11 +261,97 @@ var codecSeeds = []struct {
 	{`"<a>" ` + "\n" + `"a"x` + "\n\"a\tb\"\n\"abc\n\"\\x\"", 0, false},
 }
 
+// relayOf picks what the fuzz input n asks the relay for: the width
+// of the relayed rows (n's low 3 bits, as the reader's), the column map
+// (up to 7 columns of 4 bits each, from bit 6; a column may be null),
+// and the base (16 bits from bit 40). relayN spells such an n.
+func relayOf(n uint64) (width int, cols []int, base uint32) {
+	width = int(n % 8)
+	for j := range int(n >> 3 % 8) {
+		cols = append(cols, int(n>>(6+4*j)&15)%(width+1)-1)
+	}
+	return width, cols, uint32(n >> 40 & 0xffff)
+}
+
+func relayN(width int, cols []int, base uint32) uint64 {
+	n := uint64(width) | uint64(len(cols))<<3 | uint64(base)<<40
+	for j, c := range cols {
+		n |= uint64(c+1) << (6 + 4*j)
+	}
+	return n
+}
+
+// checkRelay holds the relay to its contract on one stream: it takes
+// the lines the reader takes and refuses, writing nothing, the first
+// one the reader refuses; every line it writes is one line of JSON; a
+// term line it writes is canonical; and a row it writes, with its terms
+// numbered from base and its columns picked by cols, reads back through
+// a table that holds base terms before the relayed ones as the original
+// row's values, column by column.
+func checkRelay(t *testing.T, data []byte, width int, cols []int, base uint32) {
+	t.Helper()
+	var src, relay, back TermTable
+	back.n = int(base)
+	var w TermWriter
+	w.Reset()
+	w.next = base
+	var out []byte
+	for _, line := range bytes.SplitAfter(data, []byte{'\n'}) {
+		kind, err := src.Read(line, width, true)
+		var rkind int
+		var rerr error
+		out, rkind, rerr = relay.RelayLine(out[:0], line, width, cols, base, &w)
+		if kind != rkind || (err == nil) != (rerr == nil) {
+			t.Fatalf("%q: the reader reads kind %d, %v; the relay kind %d, %v", line, kind, err, rkind, rerr)
+		}
+		if err != nil || kind == LineEvent {
+			if len(out) != 0 {
+				t.Fatalf("%q: the relay wrote %q for a line it does not take", line, out)
+			}
+			if err != nil {
+				return
+			}
+			continue
+		}
+		if bytes.IndexByte(out, '\n') != len(out)-1 || !json.Valid(out[:len(out)-1]) {
+			t.Fatalf("%q: the relay wrote %q, not one line of JSON", line, out)
+		}
+		if bkind, berr := back.Read(out, len(cols), true); bkind != kind || berr != nil {
+			t.Fatalf("%q relayed as %q: read back as kind %d, %v", line, out, bkind, berr)
+		}
+		if kind == LineTerm {
+			got := back.Cell(int32(back.Len() - 1))
+			if want := cellOf(src.value(int32(src.Len() - 1))); got != want || got != string(out[:len(out)-1]) {
+				t.Fatalf("%q relayed as %q: reads back as %s, want the canonical %s", line, out, got, want)
+			}
+			continue
+		}
+		orig := src.AppendRow(nil)
+		want := make([]*string, len(cols))
+		for j, c := range cols {
+			if c >= 0 {
+				want[j] = orig[c]
+			}
+		}
+		sameValues(t, fmt.Sprintf("%q relayed as %q, read back", line, out), back.AppendRow(nil), want)
+	}
+	if w.Terms() != base+uint32(relay.Len()) || relay.Len() != src.Len() {
+		t.Fatalf("the writer counts %d terms after %d relayed from base %d; the reader read %d", w.Terms(), relay.Len(), base, src.Len())
+	}
+}
+
 func FuzzRowCodec(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add([]byte(s.stream), uint64(s.width))
 		f.Add([]byte(s.stream+"\n"), uint64(s.width)|1<<63)
 	}
+	// Relayed rows: null refs under a map with a null column, maps that
+	// widen and narrow the rows, and bases past appendNum's short forms.
+	nulls := `"<a>"` + "\n" + `"\u0041"` + "\n[0,null,1]\n[null,null,null]\n[1,0,null]"
+	f.Add([]byte(nulls), relayN(3, []int{2, -1, 0, 1}, 10_000))
+	f.Add([]byte(nulls), relayN(3, []int{1}, 65_535))
+	f.Add([]byte(`"<a>"`+"\n"+`"<b>"`+"\n[0,1]\n[1,1]"), relayN(2, []int{1, 1, -1, 0, 0}, 12_345))
+	f.Add([]byte(`"<a>"`+"\n[0]\n[1]"), relayN(1, []int{0, 0}, 9_999))
 	// What encoding/json writes for a term and a row.
 	term, err := json.Marshal("\"q \\\"\" <&> \u2028\u2029 \x01\x1f é 😀")
 	if err != nil {
@@ -283,6 +369,8 @@ func FuzzRowCodec(f *testing.F) {
 			checkLine(t, &tabs, line, width)
 		}
 		checkEncode(t, valuesOf(data), width)
+		width, cols, base := relayOf(n)
+		checkRelay(t, data, width, cols, base)
 	})
 }
 
@@ -395,6 +483,52 @@ func TestTermWriterDefinesOnce(t *testing.T) {
 		if terms := bytes.Count(stream, []byte{'"', '\n'}); terms != keys {
 			t.Errorf("stream %d: %d term lines for %d keys read twice, want %d", serve, terms, keys, keys)
 		}
+	}
+}
+
+// TestTermWriterAfterRelayedLines: term lines copied into a stream
+// (AppendTermLine, a router relaying a shard's branch) are numbered in
+// it but not remembered, and may move the stream's next number further
+// from the memo's generation than a slot can hold. The next key the
+// memo must learn then starts a new generation, as a memo at its cap
+// does: a key it knew before is defined again, and every row reads
+// back as written.
+func TestTermWriterAfterRelayedLines(t *testing.T) {
+	const copied = 1<<numBits + 3
+	cells := cellsOf{`"<a>"`, `"<b>"`, `"<c>"`}
+	var w TermWriter
+	w.Reset()
+	stream := w.AppendRow(nil, []Key{0}, cells)
+	for range copied {
+		stream = w.AppendTermLine(stream, []byte(`"<x>"`))
+	}
+	stream = w.AppendRow(stream, []Key{0, 1}, cells)
+	stream = w.AppendRow(stream, []Key{2, 1, 0}, cells)
+	if w.Terms() != copied+4 { // <a>, then <b>, <c> and <a> again
+		t.Fatalf("the writer counts %d terms, want %d", w.Terms(), copied+4)
+	}
+	var tab TermTable
+	var rows []string
+	for _, line := range bytes.SplitAfter(stream, []byte{'\n'}) {
+		if len(line) == 0 {
+			continue
+		}
+		width := bytes.Count(line, []byte{','}) + 1
+		kind, err := tab.Read(line, width, false)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if kind == LineRow {
+			var row []string
+			for _, k := range tab.Refs() {
+				row = append(row, tab.Cell(k))
+			}
+			rows = append(rows, strings.Join(row, ","))
+		}
+	}
+	want := []string{`"<a>"`, `"<a>","<b>"`, `"<c>","<b>","<a>"`}
+	if !slices.Equal(rows, want) {
+		t.Fatalf("rows read back %q, want %q", rows, want)
 	}
 }
 
