@@ -122,8 +122,8 @@ type reader struct {
 // resident. Two idle readers serve two streams read at once, as a
 // router reads two branches from one shard, without the readers of a
 // burst of concurrent streams staying behind. A table's slices double,
-// so its size is a power of two: 512 KB keeps a table of 16 384 terms
-// in both forms. Most answers are a handful of short lines, so a
+// so its size is a power of two: 512 KB keeps a table of 32 768
+// values. Most answers are a handful of short lines, so a
 // scanner starts on scanBuf bytes and grows on demand up to
 // maxLineBytes, which bounds one line.
 const (

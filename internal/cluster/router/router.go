@@ -45,19 +45,20 @@
 // engine's union operator unites them, and streamed: columns fold
 // left-to-right (left vars, then unseen right vars); once every header
 // is in (a shard sends its header with its first row or its trailer),
-// branch 0's rows are relayed as they arrive, padded to the
-// merged schema, then each later branch's, read ahead meanwhile. Only
-// branches whose rows can collide (mayMeet) are deduplicated, by their
-// cells' bytes. Rows are never decoded. A pushed-down branch that meets
-// no other, in a query without LIMIT/OFFSET, is relayed: its lines
-// leave the wire as the shard wrote them, each checked as the client
-// checks it, a term line copied, a row line renumbered from the term
-// the branch started at and mapped onto the merged schema
-// (wire.TermTable.RelayLine); a value two branches share is defined
-// once in each, as the keyed path defines it. Any other cell is read in
-// place from a pushed-down branch's term table, or is a gathered node,
-// rendered only when the response defines it. The epoch is the maximum
-// over the shard epochs that answered — per-shard reads are
+// branch 0's rows go out as they arrive, padded to the merged schema,
+// then each later branch's, read ahead meanwhile. Only branches whose
+// rows can collide (mayMeet) are deduplicated, by their cells' bytes.
+// Rows are never decoded: the cursor writes each row's lines into the
+// response itself. A pushed-down branch that meets no other, in a
+// query without LIMIT/OFFSET, is relayed: its lines leave the wire as
+// the shard wrote them, each checked as the client checks it, a term
+// line copied, a row line renumbered from the term the branch started
+// at and mapped onto the merged schema (wire.TermTable.RelayLine). Any
+// other row is written by key (wire.TermWriter.AppendRow): a cell is
+// read in place from a pushed-down branch's term table, or is a
+// gathered node, rendered only when the response defines it. Either
+// way a value two branches share is defined once in each. The epoch is
+// the maximum over the shard epochs that answered — per-shard reads are
 // individually epoch-consistent, and X-Dualsim-Epoch reports the
 // freshest of them.
 // A branch that fails before its header cancels the others and fails
@@ -867,7 +868,7 @@ type rows interface {
 	next() bool                // moves to the next row, read ahead or not
 	row(dst []uint32) []uint32 // appends the current row's cells
 	cellSource
-	end() error // once next returned false: the failure, mapped onto the reply
+	end() error // once next (or relay) returned false: the failure, mapped onto the reply
 	Close() error
 }
 
@@ -1109,32 +1110,15 @@ type branch struct {
 
 	stop  atomic.Bool   // the cursor takes the rows over
 	done  chan struct{} // closed when the branch's goroutine is gone
-	ended bool          // next returned false, and err says why
+	ended bool          // its rows ended, and err says why
 	err   error
 }
 
-// next advances the rows; at their end it finishes the branch.
-func (b *branch) next() bool {
-	if b.rows.next() {
-		return true
-	}
-	b.finish()
-	return false
-}
-
-// finish records why the branch's rows ended and ends its span.
-func (b *branch) finish() {
-	if !b.ended {
-		b.ended, b.err = true, b.rows.end()
-		b.sp.End()
-	}
-}
-
 // union is a routed query's cursor: the branches' rows in branch order,
-// padded to the merged schema. A relayed branch's rows go out as lines
-// (NextLines); any other row is keyed: a key is a cell's branch and its
-// number there, so a response renders each cell once, from where its
-// branch keeps it.
+// padded to the merged schema. A relayed branch's rows go out as the
+// shard wrote them (relay); any other row is keyed: a key is a cell's
+// branch and its number there, so a response renders each cell once,
+// from where its branch keeps it.
 type union struct {
 	rt     *Router
 	ctx    context.Context
@@ -1161,7 +1145,6 @@ type union struct {
 
 func (u *union) Vars() []string            { return u.vars }
 func (u *union) Epoch() uint64             { return u.stats.Epoch }
-func (u *union) Keys() []wire.Key          { return u.keys }
 func (u *union) Err() error                { return u.err }
 func (u *union) Stats() *dualsim.ExecStats { return u.stats }
 
@@ -1170,71 +1153,100 @@ func (u *union) AppendCell(dst []byte, k wire.Key) []byte {
 	return u.branches[k>>32].rows.appendCell(dst, uint32(k))
 }
 
-// Next moves to the union's next row, reading every branch's cells.
-func (u *union) Next() bool {
-	_, ok, _ := u.NextLines(nil, nil)
-	return ok
-}
-
-// NextLines moves to the union's next row. A relayed branch's row is
-// written to dst when w is set; Next passes none, and reads the
-// branch's cells. Entering a branch, it stops the branch's goroutine,
-// and reads what it read ahead first.
+// NextLines moves to the union's next row and appends its lines to
+// dst: a relayed branch's as the shard wrote them, with its terms
+// numbered from the response's count when the cursor entered the
+// branch; any other row's through w's memo, from its keys.
 //
 //dualsim:hotpath
-func (u *union) NextLines(dst []byte, w *wire.TermWriter) ([]byte, bool, bool) {
+func (u *union) NextLines(dst []byte, w *wire.TermWriter) ([]byte, bool) {
+	for {
+		if u.next() {
+			u.n++
+			return w.AppendRow(dst, u.keys, u), true
+		}
+		if u.err != nil || u.b == len(u.branches) {
+			return dst, false
+		}
+		b := u.branches[u.b] // next stopped at a relayed branch
+		if u.enter(b) {
+			b.base = w.Terms()
+		}
+		var ok bool
+		if dst, ok = b.relay.relay(dst, w, b.cols, b.base); ok {
+			u.n++
+			u.relayed++
+			return dst, true
+		}
+		u.leave(b)
+	}
+}
+
+// next moves to the union's next keyed row and leaves its keys in
+// keys: a windowed query's next row, or the next row of the branches
+// from the one being read on. It returns false at the end of the union,
+// on a failure, or at a relayed branch, which NextLines reads.
+//
+//dualsim:hotpath
+func (u *union) next() bool {
 	if u.window != nil {
 		if len(u.window) == 0 {
-			return dst, false, false
+			return false
 		}
 		u.keys, u.window = u.window[0], u.window[1:]
-		u.n++
-		return dst, true, false
+		return true
 	}
 	for u.err == nil && u.b < len(u.branches) {
 		b := u.branches[u.b]
-		if !b.stop.Load() {
-			b.stop.Store(true)
-			<-b.done
-			if w != nil {
-				b.base = w.Terms()
-			}
+		if b.relay != nil {
+			return false
 		}
-		if b.relay != nil && w != nil {
-			var ok bool
-			if dst, ok = b.relay.relay(dst, w, b.cols, b.base); ok {
-				u.n++
-				u.relayed++
-				return dst, true, true
-			}
-			b.finish()
-		} else if b.next() {
-			u.row = b.rows.row(u.row[:0])
-			u.keys = u.keys[:0]
-			for _, c := range b.cols {
-				k := wire.NoKey
-				if c >= 0 && u.row[c] != dualsim.Unbound {
-					k = wire.Key(u.b)<<32 | wire.Key(u.row[c])
-				}
-				u.keys = append(u.keys, k)
-			}
-			if !b.meets {
-				u.n++
-				return dst, true, false
-			}
-			if u.meeting++; u.fresh(b) {
-				u.n++
-				return dst, true, false
-			}
+		u.enter(b)
+		if !b.rows.next() {
+			u.leave(b)
 			continue
 		}
-		if b.err != nil {
-			u.err = cmp.Or(context.Cause(u.ctx), b.err) // what cancelled the query comes first
-			return dst, false, false
+		u.row = b.rows.row(u.row[:0])
+		u.keys = u.keys[:0]
+		for _, c := range b.cols {
+			k := wire.NoKey
+			if c >= 0 && u.row[c] != dualsim.Unbound {
+				k = wire.Key(u.b)<<32 | wire.Key(u.row[c])
+			}
+			u.keys = append(u.keys, k)
 		}
-		u.b++
+		if !b.meets {
+			return true
+		}
+		if u.meeting++; u.fresh(b) {
+			return true
+		}
 	}
-	return dst, false, false
+	return false
+}
+
+// enter takes b's rows over from its goroutine the first time the
+// cursor reads b, so that b reads what it read ahead first, and reports
+// whether it did.
+func (u *union) enter(b *branch) bool {
+	if b.stop.Load() {
+		return false
+	}
+	b.stop.Store(true)
+	<-b.done
+	return true
+}
+
+// leave ends the branch being read, whose rows have ended, and its
+// span: the union fails with its error, or moves on to the next branch.
+func (u *union) leave(b *branch) {
+	b.ended, b.err = true, b.rows.end()
+	b.sp.End()
+	if b.err != nil {
+		u.err = cmp.Or(context.Cause(u.ctx), b.err) // what cancelled the query comes first
+		return
+	}
+	u.b++
 }
 
 // fresh reports whether the current row of a meeting branch is in none
@@ -1376,7 +1388,7 @@ func grow[T any](s []T, n int) []T {
 // first, then decoded text, column by column; each value decoded once.
 func (u *union) drain(limit, offset int) error {
 	all := [][]wire.Key{}
-	for u.Next() {
+	for u.next() {
 		all = append(all, slices.Clone(u.keys))
 	}
 	if u.err != nil {
@@ -1401,7 +1413,7 @@ func (u *union) drain(limit, offset int) error {
 	if limit > 0 {
 		hi = min(hi, lo+limit)
 	}
-	u.window, u.n = all[lo:hi], 0
+	u.window = all[lo:hi]
 	return nil
 }
 

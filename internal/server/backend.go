@@ -39,40 +39,27 @@ type Backend interface {
 	Ready() error
 }
 
-// Cursor is one execution's rows, pulled one at a time, each cell named
-// by a key: equal keys of one cursor name equal cells, so a response
-// renders a key's cell once and then refers to it. The contract follows
-// dualsim.Rows: Next until false, then Err; Close is idempotent, stops
-// what the execution still runs, and finalizes Stats. The current row
-// is valid until the next Next.
+// Cursor is one execution's rows, each written by the cursor itself as
+// lines of the response's stream. The contract follows dualsim.Rows:
+// NextLines until false, then Err; Close is idempotent, stops what the
+// execution still runs, and finalizes Stats.
 type Cursor interface {
 	Vars() []string
 	// Epoch is the store epoch every row of the cursor answers from.
 	Epoch() uint64
-	Next() bool
-	// Keys returns the current row's keys, positional over Vars,
-	// wire.NoKey for unbound positions, valid until the next Next.
-	Keys() []wire.Key
-	// AppendCell appends the cell a key of this cursor names: the JSON
-	// string of its value's N-Triples rendering, as wire.AppendTerm
-	// writes it. The stream's term lines are these cells.
-	wire.CellAppender
+	// NextLines moves to the next row and appends its lines to dst: a
+	// term line for each value the stream has not defined, numbered by
+	// w, then the row line (wire.TermWriter.AppendRow, or a relayed
+	// stream's lines counted by wire.TermWriter.AppendTermLine). At the
+	// end it returns false, and dst may have grown by term lines. The
+	// core drops the lines of a row past the request's limit although
+	// w's memo recorded its keys: that is safe because only the trailer
+	// follows, so no row names the dropped terms, and begin resets the
+	// memo before the next stream.
+	NextLines(dst []byte, w *wire.TermWriter) ([]byte, bool)
 	Err() error
 	Close()
 	Stats() *dualsim.ExecStats
-}
-
-// A LineCursor is a Cursor that writes some of its rows' lines itself,
-// as the router relays a shard's lines. The core then advances it with
-// NextLines, never with Next.
-type LineCursor interface {
-	Cursor
-	// NextLines moves to the next row like Next. When written is set, it
-	// has appended the row's lines to dst: the term lines the row needs,
-	// each counted by w (wire.TermWriter.AppendTermLine), then the row
-	// line. Otherwise the row is read from Keys, as Next leaves it. dst
-	// may grow by term lines when ok is false; the core drops them.
-	NextLines(dst []byte, w *wire.TermWriter) (out []byte, ok, written bool)
 }
 
 // Error is a backend failure that names its own HTTP status — a shard's

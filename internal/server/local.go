@@ -229,7 +229,7 @@ func (b *local) Query(ctx context.Context, src string) (Cursor, error) {
 	return &sessionCursor{Rows: rows, st: snap.Store(), epoch: snap.Epoch(), b: b}, nil
 }
 
-// sessionCursor serves a session's row cursor: a cell's key is its
+// sessionCursor serves a session's row cursor: a value's key is its
 // node id, rendered straight off the pinned snapshot's dictionary.
 type sessionCursor struct {
 	*dualsim.Rows
@@ -243,9 +243,12 @@ type sessionCursor struct {
 func (c *sessionCursor) Epoch() uint64 { return c.epoch }
 
 //dualsim:hotpath
-func (c *sessionCursor) Keys() []wire.Key {
+func (c *sessionCursor) NextLines(dst []byte, w *wire.TermWriter) ([]byte, bool) {
+	if !c.Rows.Next() {
+		return dst, false
+	}
 	c.keys = nodeKeys(c.keys[:0], c.Rows.Row())
-	return c.keys
+	return w.AppendRow(dst, c.keys, c), true
 }
 
 //dualsim:hotpath
@@ -331,7 +334,7 @@ func nodeKeys(dst []wire.Key, row []storage.NodeID) []wire.Key {
 }
 
 // appendNode renders node k against the snapshot dictionary it was
-// computed on, as Cursor.AppendCell specifies: the term in N-Triples
+// computed on, as wire.CellAppender specifies: the term in N-Triples
 // rendering (<iri> / "literal") as a JSON string, from the dictionary's
 // arena into dst without an intermediate string. The result decodes to
 // exactly Term.String().

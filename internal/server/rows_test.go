@@ -12,26 +12,12 @@ import (
 	"dualsim/internal/wire"
 )
 
-// rowOf is a cursor standing on one row of node ids, rendered as the
-// session cursor renders them.
-func rowOf(st *dualsim.Store, row []storage.NodeID) Cursor {
-	return &oneRow{sessionCursor: sessionCursor{st: st}, row: nodeKeys(nil, row)}
-}
-
-type oneRow struct {
-	sessionCursor
-	row []wire.Key
-}
-
-func (r *oneRow) Keys() []wire.Key { return r.row }
-
-// streamRow is the stream a cursor standing on row writes for it: its
-// term lines, then its row line.
+// streamRow is the stream the session cursor writes for a row of node
+// ids: its term lines, then its row line.
 func streamRow(st *dualsim.Store, row []storage.NodeID) []byte {
 	var w wire.TermWriter
 	w.Reset()
-	cur := rowOf(st, row)
-	return w.AppendRow(nil, cur.Keys(), cur)
+	return w.AppendRow(nil, nodeKeys(nil, row), &sessionCursor{st: st})
 }
 
 // TestAppendRowRendersTerms holds the stream's rendering to the

@@ -349,14 +349,15 @@ func (c *Core) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // ndjsonEncoder writes the /v1/query answer: the header event, the rows
-// with incremental flushes, then the stats trailer. A row goes out as
-// term numbers, after a term line for each of its keys the stream has
-// not defined yet (wire.TermWriter). Lines collect in a buffer from the
-// core's free list and reach the ResponseWriter once per flush point:
-// the first row, every streamChunk rows or streamChunkBytes, the
-// trailer, an error. The first flush commits the 200, so the header
-// line waits for it, and an execution that dies before it still gets
-// its own status; one that dies after it ends with an error event.
+// with incremental flushes, then the stats trailer. The cursor writes
+// each row's lines (Cursor.NextLines) through the encoder's
+// wire.TermWriter, which numbers the stream's terms. Lines collect in
+// a buffer from the core's free list and reach the ResponseWriter once
+// per flush point: the first row, every streamChunk rows or
+// streamChunkBytes, the trailer, an error. The first flush commits the
+// 200, so the header line waits for it, and an execution that dies
+// before it still gets its own status; one that dies after it ends
+// with an error event.
 type ndjsonEncoder struct {
 	w         http.ResponseWriter
 	idle      chan *ndjsonBuf // the core's free list; nil keeps nothing
@@ -428,25 +429,18 @@ func (e *ndjsonEncoder) begin(vars []string, epoch uint64) {
 
 // pump writes cur's rows until the cursor is exhausted, a flush fails,
 // or limit rows went out (0: unbounded). truncated reports that a row
-// past the limit existed; the peek proves it, and the row is dropped
-// with the lines a LineCursor wrote for it.
+// past the limit existed; the peek proves it, and the row's lines are
+// dropped.
 //
 //dualsim:hotpath
 func (e *ndjsonEncoder) pump(cur Cursor, limit int) (n int, truncated bool, err error) {
-	lines, relays := cur.(LineCursor)
 	for {
-		mark, ok, written := len(e.buf), false, false
-		if relays {
-			e.buf, ok, written = lines.NextLines(e.buf, &e.terms)
-		} else {
-			ok = cur.Next()
-		}
+		mark := len(e.buf)
+		var ok bool
+		e.buf, ok = cur.NextLines(e.buf, &e.terms)
 		if !ok || limit > 0 && e.n >= limit {
 			e.buf = e.buf[:mark]
 			return e.n, ok, nil
-		}
-		if !written {
-			e.buf = e.terms.AppendRow(e.buf, cur.Keys(), cur)
 		}
 		if e.n++; e.n == 1 || e.n%streamChunk == 0 || len(e.buf) >= streamChunkBytes {
 			if err := e.flush(); err != nil {

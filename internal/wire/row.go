@@ -423,19 +423,19 @@ const (
 const maxChunk = 4096
 
 // TermTable reads the term and row lines of one stream and keeps each
-// term once, in the form its reader asks for: a reader of values has
-// the term decoded, a reader of cells its canonical cell (the line
-// itself, or re-escaped if the line spelled it otherwise: \/, \b,
-// \u0041, invalid UTF-8), so equal values have equal cells. Either form
-// yields the other on request, once. Values and cells are carved from
+// term once, in the one form its reader reads: a table read for values
+// keeps each term decoded, for AppendRow; a table read for cells keeps
+// each term's canonical cell (the line itself, or re-escaped if the
+// line spelled it otherwise: \/, \b, \u0041, invalid UTF-8), for Cell,
+// so equal values have equal cells. Values and cells are carved from
 // chunks that are never written twice, so they stay valid after Reset.
 // A row is not: Refs is a view valid until the next Read, and AppendRow
 // fills a slice the caller owns, so a reader that keeps a row copies
 // its slice (the values in it need no copy).
 type TermTable struct {
 	n     int       // terms defined so far
-	vals  []*string // vals[k]: term k's value once decoded, else nil or absent
-	cells []string  // cells[k]: term k's cell once kept or rendered, else "" or absent
+	vals  []*string // read for values: vals[k] is term k's value
+	cells []string  // read for cells: cells[k] is term k's cell
 	refs  []int32   // the current row: term numbers, -1 for null
 
 	strs chunk[string]
@@ -467,16 +467,8 @@ func (t *TermTable) Len() int { return t.n }
 // that keeps only small tables.
 func (t *TermTable) Size() int { return 8*cap(t.vals) + 16*cap(t.cells) + 4*cap(t.refs) + cap(t.esc) }
 
-// Cell returns term k's canonical cell, rendering it from the value the
-// first time if the term was read for its value.
-func (t *TermTable) Cell(k int32) string {
-	if int(k) < len(t.cells) && t.cells[k] != "" {
-		return t.cells[k]
-	}
-	t.cells = pad(t.cells, int(k)+1)
-	t.cells[k] = t.carve(AppendCell(nil, *t.vals[k]))
-	return t.cells[k]
-}
+// Cell returns term k's canonical cell, of a table read for cells.
+func (t *TermTable) Cell(k int32) string { return t.cells[k] }
 
 // Refs returns the current row's term numbers, -1 for null, valid until
 // the next Read.
@@ -581,15 +573,13 @@ func (t *TermTable) readTerm(line []byte, values bool) error {
 		if v == nil {
 			return errTermLine
 		}
-		t.vals = pad(t.vals, t.n+1)
-		t.vals[t.n] = v
+		t.vals = push(t.vals, v)
 	} else {
 		cell, ok := t.cell(line)
 		if !ok {
 			return errTermLine
 		}
-		t.cells = pad(t.cells, t.n+1)
-		t.cells[t.n] = t.carve(cell)
+		t.cells = push(t.cells, t.carve(cell))
 	}
 	t.n++
 	return nil
@@ -710,52 +700,37 @@ func wrongWidth(n, width int) error {
 	return fmt.Errorf("wire: a row of %d values under %d variables", n, width)
 }
 
-// AppendRow appends the current row's values to dst, as json.Unmarshal
-// reads them, nil for null: the caller owns the slice and may reuse it
-// for every row. Equal term numbers share one *string, decoded once.
-// Values are carved from chunks that are never written twice, so they
-// stay valid after later rows and after Reset, and keep their chunks
-// alive.
+// AppendRow appends the current row's values to dst, of a table read
+// for values, as json.Unmarshal reads them, nil for null: the caller
+// owns the slice and may reuse it for every row. Equal term numbers
+// share one *string. Values are carved from chunks that are never
+// written twice, so they stay valid after later rows and after Reset,
+// and keep their chunks alive.
 //
 //dualsim:hotpath
 func (t *TermTable) AppendRow(dst []*string) []*string {
 	for _, k := range t.refs {
 		var v *string
 		if k >= 0 {
-			v = t.value(k)
+			v = t.vals[k]
 		}
 		dst = append(dst, v)
 	}
 	return dst
 }
 
-// value returns term k's value, decoding its kept cell the first time.
-func (t *TermTable) value(k int32) *string {
-	if int(k) < len(t.vals) && t.vals[k] != nil {
-		return t.vals[k]
-	}
-	t.vals = pad(t.vals, int(k)+1)
-	t.vals[k] = t.decode([]byte(t.cells[k])) // a cell is valid JSON
-	return t.vals[k]
-}
-
-// pad extends s with zero values to length n: a term read in one form
-// has no slot in the other form's slice until it is asked for. A slice
-// that must grow doubles its length, allocated exactly, so a stream of
-// N terms allocates about twice its final table and holds at most
-// twice its entries. append's quarter steps would allocate five times
-// it, and slices.Grow, which grows through append, may triple it.
-func pad[T any](s []T, n int) []T {
-	if n <= len(s) {
-		return s
-	}
-	if n > cap(s) {
-		grown := make([]T, len(s), max(n, 2*len(s), 64))
+// push appends x to s. A slice that must grow doubles its length,
+// allocated exactly, so a stream of N terms allocates about twice its
+// final table and holds at most twice its entries. append's quarter
+// steps would allocate five times it, and slices.Grow, which grows
+// through append, may triple it.
+func push[T any](s []T, x T) []T {
+	if len(s) == cap(s) {
+		grown := make([]T, len(s), max(2*len(s), 64))
 		copy(grown, s)
 		s = grown
 	}
-	clear(s[len(s):n])
-	return s[:n]
+	return append(s, x)
 }
 
 // Value returns the value of a canonical cell, as json.Unmarshal reads it.

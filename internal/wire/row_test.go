@@ -44,9 +44,35 @@ type cellsOf []string
 
 func (c cellsOf) AppendCell(dst []byte, k Key) []byte { return append(dst, c[k]...) }
 
+// rowCells returns the current row of a table read for values as
+// cells, each the canonical cell of its value, "null" for null.
+func rowCells(tab *TermTable) []string {
+	var row []string
+	for _, v := range tab.AppendRow(nil) {
+		row = append(row, cellOf(v))
+	}
+	return row
+}
+
+// rowValues returns the current row of a table read for cells as
+// values, each its cell's Value, nil for null.
+func rowValues(tab *TermTable) []*string {
+	var row []*string
+	for _, k := range tab.Refs() {
+		var v *string
+		if k >= 0 {
+			s := Value(tab.Cell(k))
+			v = &s
+		}
+		row = append(row, v)
+	}
+	return row
+}
+
 // read is a reader's whole pass over a stream: every line through one
-// table, reading values or cells, the rows' cells and values collected.
-// It stops at the first error, and reports an event line as one.
+// table, reading values or cells, the rows' cells and values collected,
+// the form the table does not keep computed from the one it does. It
+// stops at the first error, and reports an event line as one.
 func read(stream []byte, width int, values bool) (cells [][]string, vals [][]*string, err error) {
 	var tab TermTable
 	for _, line := range bytes.SplitAfter(stream, []byte{'\n'}) {
@@ -61,14 +87,18 @@ func read(stream []byte, width int, values bool) (cells [][]string, vals [][]*st
 		case LineEvent:
 			return cells, vals, fmt.Errorf("not a term or row line: %q", line)
 		case LineRow:
-			var row []string
-			for _, k := range tab.Refs() {
-				row = append(row, string(null))
-				if k >= 0 {
-					row[len(row)-1] = tab.Cell(k)
+			if values {
+				cells, vals = append(cells, rowCells(&tab)), append(vals, tab.AppendRow(nil))
+			} else {
+				row := make([]string, len(tab.Refs()))
+				for i, k := range tab.Refs() {
+					row[i] = string(null)
+					if k >= 0 {
+						row[i] = tab.Cell(k)
+					}
 				}
+				cells, vals = append(cells, row), append(vals, rowValues(&tab))
 			}
-			cells, vals = append(cells, row), append(vals, tab.AppendRow(nil))
 		}
 	}
 	return cells, vals, nil
@@ -112,11 +142,12 @@ func checkLine(t *testing.T, tabs *[2]TermTable, line []byte, width int) {
 		if jerr := json.Unmarshal(line, &v); jerr != nil {
 			t.Fatalf("reader accepted the term line %q, json.Unmarshal rejects it: %v", line, jerr)
 		}
-		k := int32(tab.Len() - 1)
-		for _, cell := range []string{tab.Cell(k), tabs[1].Cell(k)} {
-			if want := string(AppendCell(nil, v)); cell != want || Value(cell) != v {
-				t.Fatalf("term line %q: cell %s (value %q), want the canonical %s of %q", line, cell, Value(cell), want, v)
-			}
+		k := tab.Len() - 1
+		if *tab.vals[k] != v {
+			t.Fatalf("term line %q: value %q, want %q", line, *tab.vals[k], v)
+		}
+		if cell, want := tabs[1].Cell(int32(k)), string(AppendCell(nil, v)); cell != want || Value(cell) != v {
+			t.Fatalf("term line %q: cell %s (value %q), want the canonical %s of %q", line, cell, Value(cell), want, v)
 		}
 	case kind == LineRow:
 		var refs []*uint32
@@ -137,7 +168,7 @@ func checkLine(t *testing.T, tabs *[2]TermTable, line []byte, width int) {
 					t.Fatalf("row line %q: ref %d read as %d", line, i, got)
 				}
 			}
-			sameValues(t, "a row line read for cells", tabs[1].AppendRow(nil), tab.AppendRow(nil))
+			sameValues(t, "a row line read for cells", rowValues(&tabs[1]), tab.AppendRow(nil))
 		}
 	}
 }
@@ -291,7 +322,7 @@ func relayN(width int, cols []int, base uint32) uint64 {
 func checkRelay(t *testing.T, data []byte, width int, cols []int, base uint32) {
 	t.Helper()
 	var src, relay, back TermTable
-	back.n = int(base)
+	back.n, back.vals = int(base), make([]*string, base) // base terms the relayed stream does not name
 	var w TermWriter
 	w.Reset()
 	w.next = base
@@ -320,8 +351,8 @@ func checkRelay(t *testing.T, data []byte, width int, cols []int, base uint32) {
 			t.Fatalf("%q relayed as %q: read back as kind %d, %v", line, out, bkind, berr)
 		}
 		if kind == LineTerm {
-			got := back.Cell(int32(back.Len() - 1))
-			if want := cellOf(src.value(int32(src.Len() - 1))); got != want || got != string(out[:len(out)-1]) {
+			got := cellOf(back.vals[back.Len()-1])
+			if want := cellOf(src.vals[src.Len()-1]); got != want || got != string(out[:len(out)-1]) {
 				t.Fatalf("%q relayed as %q: reads back as %s, want the canonical %s", line, out, got, want)
 			}
 			continue
@@ -690,41 +721,38 @@ func BenchmarkTermWriter(b *testing.B) {
 
 // TestDecodeSlab: values are carved from chunks, so a row's values
 // stay valid while later rows are read into the same slice and after
-// Reset, equal terms share one string whether the term was read as a
-// value or as a cell, and rows read into a reused slice allocate
-// nothing once their terms are decoded.
+// Reset, equal terms share one string, and rows read into a reused
+// slice allocate nothing.
 func TestDecodeSlab(t *testing.T) {
-	for _, values := range []bool{true, false} {
-		var tab TermTable
-		for _, line := range []string{`"<http://example.org/s>"`, `"\"lit\\n\""`, "[0,null,1]"} {
-			if _, err := tab.Read([]byte(line), 3, values); err != nil {
-				t.Fatal(err)
-			}
+	var tab TermTable
+	for _, line := range []string{`"<http://example.org/s>"`, `"\"lit\\n\""`, "[0,null,1]"} {
+		if _, err := tab.Read([]byte(line), 3, true); err != nil {
+			t.Fatal(err)
 		}
-		first := tab.AppendRow(nil)
-		row, dst := []byte("[1,0,0]"), first[:0:0]
-		allocs := testing.AllocsPerRun(10, func() {
-			for i := 0; i < 1000; i++ {
-				tab.Read(row, 3, values)
-				dst = tab.AppendRow(dst[:0])
-			}
-		})
-		if again := tab.AppendRow(nil); again[1] != again[2] || again[1] != first[0] {
-			t.Errorf("values %v: equal terms decoded to separate strings", values)
+	}
+	first := tab.AppendRow(nil)
+	row, dst := []byte("[1,0,0]"), first[:0:0]
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 1000; i++ {
+			tab.Read(row, 3, true)
+			dst = tab.AppendRow(dst[:0])
 		}
-		tab.Reset()
-		for _, line := range []string{`"<http://example.org/other>"`, "[0,0,0]"} {
-			if _, err := tab.Read([]byte(line), 3, values); err != nil {
-				t.Fatal(err)
-			}
+	})
+	if again := tab.AppendRow(nil); again[1] != again[2] || again[1] != first[0] {
+		t.Errorf("equal terms decoded to separate strings")
+	}
+	tab.Reset()
+	for _, line := range []string{`"<http://example.org/other>"`, "[0,0,0]"} {
+		if _, err := tab.Read([]byte(line), 3, true); err != nil {
+			t.Fatal(err)
 		}
-		dst = tab.AppendRow(dst[:0])
-		if *first[0] != "<http://example.org/s>" || first[1] != nil || *first[2] != `"lit\n"` {
-			t.Fatalf("values %v: the first row changed under later decodes: %q %v %q", values, *first[0], first[1], *first[2])
-		}
-		if allocs > 0 {
-			t.Errorf("values %v: %.0f allocations per 1000 rows, want 0", values, allocs)
-		}
+	}
+	dst = tab.AppendRow(dst[:0])
+	if *first[0] != "<http://example.org/s>" || first[1] != nil || *first[2] != `"lit\n"` {
+		t.Fatalf("the first row changed under later decodes: %q %v %q", *first[0], first[1], *first[2])
+	}
+	if allocs > 0 {
+		t.Errorf("%.0f allocations per 1000 rows, want 0", allocs)
 	}
 }
 
